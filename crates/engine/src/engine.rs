@@ -450,6 +450,10 @@ pub struct Engine {
     /// branch per site); clones share the sink, so a whole serving stack
     /// reports into one coherent trace.
     telemetry: Telemetry,
+    /// The two executors, built once from `config.cost` and borrowed by every
+    /// call (the CPU derives its cost tables when it is built).
+    interp: Interpreter,
+    cpu: Cpu,
 }
 
 impl Engine {
@@ -464,6 +468,8 @@ impl Engine {
             Telemetry::disabled()
         };
         Engine {
+            interp: Interpreter::new(config.cost.clone()),
+            cpu: Cpu::new(config.cost.clone()),
             config,
             cache: None,
             background: None,
@@ -1100,8 +1106,7 @@ impl Engine {
         stack: &mut Vec<Activation>,
         trap_offset: &mut Option<u32>,
     ) -> Result<(), TrapCode> {
-        let interp = Interpreter::new(self.config.cost.clone());
-        let cpu = Cpu::new(self.config.cost.clone());
+        let Engine { interp, cpu, .. } = self;
         let root = self.push_frame(instance, func_index, frame_base, Some(args), 0)?;
         stack.push(root);
         // An owned handle to the shared artifact lets the executor borrow

@@ -62,9 +62,10 @@ pub struct PoolStats {
 /// warm-instantiated by snapshot reset.
 ///
 /// Construction performs the one cold instantiation, captures its
-/// [`MemoryImage`], and parks the instance. [`InstancePool::checkout`] then
-/// serves requests: pop + reset when an idle instance exists, cold
-/// instantiate when the pool is empty (concurrency above the idle count).
+/// [`MemoryImage`], and parks the instance (unless `max_idle` is 0).
+/// [`InstancePool::checkout`] then serves requests: pop + reset when an idle
+/// instance exists, cold instantiate when the pool is empty (concurrency
+/// above the idle count).
 /// Checked-out instances ride in a [`PooledInstance`] guard that returns
 /// them on drop; at most `max_idle` are retained.
 pub struct InstancePool {
@@ -113,13 +114,17 @@ impl InstancePool {
     ) -> Result<Arc<InstancePool>, EngineError> {
         let first = engine.instantiate(&module, imports(), Instrumentation::none())?;
         let image = first.capture_image();
+        // A pool with `max_idle == 0` never parks anything, the first
+        // instance included: it only provides the image, and every checkout
+        // is cold.
+        let idle = if max_idle == 0 { Vec::new() } else { vec![first] };
         Ok(Arc::new(InstancePool {
             engine,
             module,
             imports,
             image,
-            idle: Mutex::new(vec![first]),
-            max_idle: max_idle.max(1),
+            idle: Mutex::new(idle),
+            max_idle,
             warm_checkouts: AtomicU64::new(0),
             cold_checkouts: AtomicU64::new(0),
             label: AtomicU32::new(0),

@@ -11,46 +11,72 @@
 //! stack traces, instrumentation, and tier-down (deopt), per Section IV-B of
 //! the paper.
 
-use crate::inst::{Label, MachInst};
+use crate::inst::{Label, LabelRange, MachInst};
+use crate::reg::Reg;
 use std::fmt;
+
+/// Code positions are stored as `u32` instruction indices: label targets and
+/// source-map anchors are per-function metadata written once per label and
+/// per bytecode, and half-width entries halve that traffic.
+fn index_u32(index: usize) -> u32 {
+    u32::try_from(index).expect("code buffer outgrew u32 instruction indices")
+}
 
 /// A finished, immutable sequence of machine instructions plus metadata.
 ///
-/// Equality compares everything — instructions, label targets, source map,
-/// and size — so two buffers are `==` exactly when they are byte-identical
-/// artifacts; the parallel compile pipeline's determinism tests rely on this.
+/// Equality compares everything — instructions, label targets, the
+/// `br_table` label pool, source map, and size — so two buffers are `==`
+/// exactly when they are byte-identical artifacts; the parallel compile
+/// pipeline's determinism tests rely on this.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CodeBuffer {
     insts: Vec<MachInst>,
-    label_targets: Vec<usize>,
-    source_map: Vec<(usize, u32)>,
+    label_targets: Vec<u32>,
+    label_pool: Vec<Label>,
+    source_map: Vec<(u32, u32)>,
     code_size: usize,
 }
 
+/// True if a `br_table`'s targets lie inside a label pool of `pool_len`.
+fn range_in_pool(range: LabelRange, pool_len: usize) -> bool {
+    range.start as usize + range.len as usize <= pool_len
+}
+
 impl CodeBuffer {
-    /// Rebuilds a code buffer from raw parts. Used by post-passes (e.g. the
-    /// optimizing tier's slot promotion) that rewrite instruction sequences
-    /// and must remap label targets and source-map entries themselves.
+    /// Rebuilds a code buffer from raw parts. Used by post-passes that
+    /// rewrite instruction sequences and must remap label targets, the
+    /// `br_table` label pool and source-map entries themselves.
     ///
     /// In debug builds this validates the remapping instead of silently
     /// accepting a corrupt rewrite: every label target and source-map
     /// instruction index must be in bounds (a label may target one past the
-    /// end, i.e. the function's end), and the source map must stay sorted by
+    /// end, i.e. the function's end), every `br_table`'s range must lie
+    /// inside `label_pool`, and the source map must stay sorted by
     /// instruction index so [`CodeBuffer::source_offset`]'s binary search
     /// remains correct.
     pub fn from_raw_parts(
         insts: Vec<MachInst>,
-        label_targets: Vec<usize>,
-        source_map: Vec<(usize, u32)>,
+        label_targets: Vec<u32>,
+        label_pool: Vec<Label>,
+        source_map: Vec<(u32, u32)>,
     ) -> CodeBuffer {
         #[cfg(debug_assertions)]
         {
             for (label, &target) in label_targets.iter().enumerate() {
                 debug_assert!(
-                    target <= insts.len(),
+                    target as usize <= insts.len(),
                     "label L{label} targets instruction {target}, past the end ({})",
                     insts.len()
                 );
+            }
+            for (index, inst) in insts.iter().enumerate() {
+                if let MachInst::BrTable { targets, .. } = inst {
+                    debug_assert!(
+                        range_in_pool(*targets, label_pool.len()),
+                        "instruction {index}: {inst} runs past the label pool ({})",
+                        label_pool.len()
+                    );
+                }
             }
             for pair in source_map.windows(2) {
                 debug_assert!(
@@ -62,7 +88,7 @@ impl CodeBuffer {
             }
             if let Some(&(index, _)) = source_map.last() {
                 debug_assert!(
-                    index <= insts.len(),
+                    index as usize <= insts.len(),
                     "source-map entry at instruction {index} is past the end ({})",
                     insts.len()
                 );
@@ -72,14 +98,20 @@ impl CodeBuffer {
         CodeBuffer {
             insts,
             label_targets,
+            label_pool,
             source_map,
             code_size,
         }
     }
 
     /// The resolved label targets (instruction indices), indexed by label id.
-    pub fn label_targets(&self) -> &[usize] {
+    pub fn label_targets(&self) -> &[u32] {
         &self.label_targets
+    }
+
+    /// The flat pool every `br_table`'s [`LabelRange`] indexes into.
+    pub fn label_pool(&self) -> &[Label] {
+        &self.label_pool
     }
 
     /// The instructions in emission order.
@@ -109,12 +141,21 @@ impl CodeBuffer {
     /// Panics if the label was never bound (the assembler checks this at
     /// `finish` time, so it cannot happen for buffers it produced).
     pub fn target(&self, label: Label) -> usize {
-        self.label_targets[label.0 as usize]
+        self.label_targets[label.0 as usize] as usize
+    }
+
+    /// The targets of a `br_table`, out of the buffer's label pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not come from an instruction of this buffer.
+    pub fn table(&self, range: LabelRange) -> &[Label] {
+        &self.label_pool[range.start as usize..][..range.len as usize]
     }
 
     /// The (instruction index, bytecode offset) source map, sorted by
     /// instruction index.
-    pub fn source_map(&self) -> &[(usize, u32)] {
+    pub fn source_map(&self) -> &[(u32, u32)] {
         &self.source_map
     }
 
@@ -124,7 +165,7 @@ impl CodeBuffer {
     pub fn source_offset(&self, inst_index: usize) -> Option<u32> {
         match self
             .source_map
-            .binary_search_by_key(&inst_index, |&(i, _)| i)
+            .binary_search_by_key(&inst_index, |&(i, _)| i as usize)
         {
             Ok(i) => Some(self.source_map[i].1),
             Err(0) => None,
@@ -137,11 +178,17 @@ impl CodeBuffer {
         let mut out = String::new();
         for (index, inst) in self.insts.iter().enumerate() {
             for (label, &target) in self.label_targets.iter().enumerate() {
-                if target == index {
+                if target as usize == index {
                     out.push_str(&format!("{}:\n", Label(label as u32)));
                 }
             }
-            out.push_str(&format!("  {index:4}  {inst}\n"));
+            out.push_str(&format!("  {index:4}  {inst}"));
+            if let MachInst::BrTable { targets, .. } = inst {
+                let labels: Vec<String> =
+                    self.table(*targets).iter().map(Label::to_string).collect();
+                out.push_str(&format!(" = [{}]", labels.join(", ")));
+            }
+            out.push('\n');
         }
         out
     }
@@ -157,8 +204,9 @@ impl fmt::Display for CodeBuffer {
 #[derive(Debug, Clone, Default)]
 pub struct Assembler {
     insts: Vec<MachInst>,
-    labels: Vec<Option<usize>>,
-    source_map: Vec<(usize, u32)>,
+    labels: Vec<Option<u32>>,
+    label_pool: Vec<Label>,
+    source_map: Vec<(u32, u32)>,
     code_size: usize,
 }
 
@@ -189,11 +237,34 @@ impl Assembler {
     }
 
     /// Emits one instruction and returns its index.
+    ///
+    /// A `BrTable` is normally emitted through [`Assembler::br_table`], which
+    /// owns the label pool; a hand-built one must name a range already in
+    /// the pool (checked in debug builds, so a bad range fails here and not
+    /// as a slice panic in the simulator).
     pub fn emit(&mut self, inst: MachInst) -> usize {
+        if let MachInst::BrTable { targets, .. } = inst {
+            debug_assert!(
+                range_in_pool(targets, self.label_pool.len()),
+                "{inst} runs past the label pool ({})",
+                self.label_pool.len()
+            );
+        }
         self.code_size += inst.encoded_size();
         let index = self.insts.len();
         self.insts.push(inst);
         index
+    }
+
+    /// Emits a multi-way branch, appending `targets` to the label pool, and
+    /// returns its index.
+    pub fn br_table(&mut self, index: Reg, targets: &[Label], default: Label) -> usize {
+        let range = LabelRange {
+            start: index_u32(self.label_pool.len()),
+            len: index_u32(targets.len()),
+        };
+        self.label_pool.extend_from_slice(targets);
+        self.emit(MachInst::BrTable { index, targets: range, default })
     }
 
     /// Allocates a fresh, unbound label.
@@ -218,7 +289,7 @@ impl Assembler {
     pub fn bind(&mut self, label: Label) {
         let slot = &mut self.labels[label.0 as usize];
         assert!(slot.is_none(), "label {label} bound twice");
-        *slot = Some(self.insts.len());
+        *slot = Some(index_u32(self.insts.len()));
     }
 
     /// True if the label has been bound.
@@ -229,7 +300,7 @@ impl Assembler {
     /// Records that instructions emitted from here on originate from the Wasm
     /// bytecode offset `offset`.
     pub fn mark_source(&mut self, offset: u32) {
-        crate::masm::push_source_mark(&mut self.source_map, self.insts.len(), offset);
+        crate::masm::push_source_mark(&mut self.source_map, index_u32(self.insts.len()), offset);
     }
 
     /// Finishes assembly, resolving all labels.
@@ -247,6 +318,7 @@ impl Assembler {
         CodeBuffer {
             insts: self.insts,
             label_targets,
+            label_pool: self.label_pool,
             source_map: self.source_map,
             code_size: self.code_size,
         }
@@ -346,18 +418,35 @@ mod tests {
 
     #[test]
     fn from_raw_parts_accepts_valid_rewrites() {
-        let insts = vec![MachInst::Nop, MachInst::Return];
-        // A label may target one past the end (the function end).
-        let code = CodeBuffer::from_raw_parts(insts, vec![0, 2], vec![(0, 0), (1, 4)]);
-        assert_eq!(code.target(Label(1)), 2);
+        let table = MachInst::BrTable {
+            index: Reg(0),
+            targets: LabelRange { start: 1, len: 2 },
+            default: Label(0),
+        };
+        let insts = vec![MachInst::Nop, table, MachInst::Return];
+        // A label may target one past the end (the function end), and a
+        // range may end exactly at the end of the pool.
+        let pool = vec![Label(0), Label(1), Label(0)];
+        let code = CodeBuffer::from_raw_parts(insts, vec![0, 3], pool, vec![(0, 0), (1, 4)]);
+        assert_eq!(code.target(Label(1)), 3);
         assert_eq!(code.source_offset(1), Some(4));
+        assert_eq!(code.table(LabelRange { start: 1, len: 2 }), &[Label(1), Label(0)]);
+        assert_eq!(code.code_size(), code.insts().iter().map(|i| i.encoded_size()).sum());
+        // The accessors hand back exactly the parts a rewrite starts from.
+        let again = CodeBuffer::from_raw_parts(
+            code.insts().to_vec(),
+            code.label_targets().to_vec(),
+            code.label_pool().to_vec(),
+            code.source_map().to_vec(),
+        );
+        assert_eq!(again, code);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "past the end")]
     fn from_raw_parts_rejects_out_of_bounds_labels() {
-        let _ = CodeBuffer::from_raw_parts(vec![MachInst::Return], vec![5], vec![]);
+        let _ = CodeBuffer::from_raw_parts(vec![MachInst::Return], vec![5], vec![], vec![]);
     }
 
     #[test]
@@ -367,8 +456,36 @@ mod tests {
         let _ = CodeBuffer::from_raw_parts(
             vec![MachInst::Nop, MachInst::Return],
             vec![],
+            vec![],
             vec![(1, 0), (0, 2)],
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the label pool")]
+    fn from_raw_parts_rejects_a_table_past_the_pool() {
+        let table = MachInst::BrTable {
+            index: Reg(0),
+            targets: LabelRange { start: 1, len: 2 },
+            default: Label(0),
+        };
+        let _ = CodeBuffer::from_raw_parts(vec![table], vec![0], vec![Label(0), Label(0)], vec![]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "past the label pool")]
+    fn a_hand_built_table_past_the_pool_fails_at_assembly_time() {
+        let mut asm = Assembler::new();
+        let l = asm.new_bound_label();
+        asm.br_table(Reg(0), &[l, l], l);
+        // One label more than the pool holds.
+        asm.emit(MachInst::BrTable {
+            index: Reg(0),
+            targets: LabelRange { start: 0, len: 3 },
+            default: l,
+        });
     }
 
     #[test]
@@ -377,11 +494,13 @@ mod tests {
         let l = asm.new_label();
         asm.emit(MachInst::Jump { target: l });
         asm.bind(l);
+        asm.br_table(Reg(0), &[l, l], l);
         asm.emit(MachInst::Return);
         let code = asm.finish();
         let text = code.disassemble();
         assert!(text.contains("L0:"));
         assert!(text.contains("jmp L0"));
+        assert!(text.contains("brtable r0, pool[0..2], default L0 = [L0, L0]"), "{text}");
         assert!(text.contains("ret"));
         assert_eq!(code.to_string(), text);
     }

@@ -15,10 +15,10 @@
 
 use crate::asm::CodeBuffer;
 use crate::cost::{CostModel, CycleCounter};
-use crate::inst::{MachInst, TrapCode, Width};
+use crate::inst::{AluOp, FAluOp, FUnOp, MachInst, TrapCode, Width};
 use crate::memory::{LinearMemory, Table};
 use crate::ops;
-use crate::reg::{AnyReg, NUM_FPRS, NUM_GPRS};
+use crate::reg::{AnyReg, Reg, NUM_FPRS, NUM_GPRS};
 use crate::values::{GlobalSlot, ValueStack};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wasm::fuel::FuelPlan;
@@ -336,15 +336,35 @@ pub enum CpuExit {
 }
 
 /// Executes compiled code until it exits.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     cost: CostModel,
+    /// The cost of `Alu`/`AluImm` by operation: the one place an
+    /// instruction's cost depends on more than its variant often enough to
+    /// matter, so it is looked up instead of decided by a second dispatch.
+    /// Filled from [`CostModel::inst_cost`] when the CPU is built.
+    alu_cost: [u64; AluOp::ALL.len()],
+}
+
+impl Default for Cpu {
+    fn default() -> Cpu {
+        Cpu::new(CostModel::default())
+    }
 }
 
 impl Cpu {
     /// Creates a CPU with the given cost model.
     pub fn new(cost: CostModel) -> Cpu {
-        Cpu { cost }
+        let alu_cost = AluOp::ALL.map(|op| {
+            cost.inst_cost(&MachInst::Alu {
+                op,
+                width: Width::W64,
+                dst: Reg(0),
+                a: Reg(0),
+                b: Reg(0),
+            })
+        });
+        Cpu { cost, alu_cost }
     }
 
     /// The cost model in use.
@@ -354,6 +374,13 @@ impl Cpu {
 
     /// Runs `code` starting at instruction `pc` until it exits, charging
     /// executed instructions to `cycles`.
+    ///
+    /// This loop retires every instruction the compilers emit, so it is kept
+    /// to one dispatch per instruction: each arm charges its own cost (what
+    /// [`CostModel::inst_cost`] specifies for that variant — the cost-oracle
+    /// test holds the two together) and then executes. Cycles accumulate in a
+    /// local and reach `cycles` once, on the way out. A trapping instruction
+    /// is charged before it traps.
     pub fn run(
         &self,
         state: &mut CpuState,
@@ -362,86 +389,107 @@ impl Cpu {
         ctx: &mut ExecContext<'_>,
         cycles: &mut CycleCounter,
     ) -> CpuExit {
+        let cost = &self.cost;
         let insts = code.insts();
-        loop {
-            let inst = match insts.get(pc) {
-                Some(inst) => inst,
-                None => return CpuExit::Return,
+        let mut spent = 0u64;
+        macro_rules! trap {
+            ($code:expr) => {
+                break CpuExit::Trap { code: $code, pc }
             };
-            cycles.charge(self.cost.inst_cost(inst));
+        }
+        let exit = loop {
+            let Some(&inst) = insts.get(pc) else {
+                break CpuExit::Return;
+            };
             match inst {
                 MachInst::Nop => {}
-                MachInst::MovImm { dst, imm } => state.gprs[dst.index()] = *imm as u64,
-                MachInst::FMovImm { dst, bits } => state.fprs[dst.index()] = *bits,
-                MachInst::Mov { dst, src } => state.gprs[dst.index()] = state.gprs[src.index()],
-                MachInst::FMov { dst, src } => state.fprs[dst.index()] = state.fprs[src.index()],
+                MachInst::MovImm { dst, imm } => {
+                    spent += cost.mov;
+                    state.gprs[dst.index()] = imm as u64;
+                }
+                MachInst::FMovImm { dst, bits } => {
+                    spent += cost.mov;
+                    state.fprs[dst.index()] = bits;
+                }
+                MachInst::Mov { dst, src } => {
+                    spent += cost.mov;
+                    state.gprs[dst.index()] = state.gprs[src.index()];
+                }
+                MachInst::FMov { dst, src } => {
+                    spent += cost.mov;
+                    state.fprs[dst.index()] = state.fprs[src.index()];
+                }
                 MachInst::LoadSlot { dst, slot } => {
-                    let bits = ctx.values.read(ctx.slot_index(*slot));
-                    state.write(*dst, bits);
+                    spent += cost.slot_load;
+                    let bits = ctx.values.read(ctx.slot_index(slot));
+                    state.write(dst, bits);
                 }
                 MachInst::StoreSlot { slot, src } => {
-                    let bits = state.read(*src);
-                    ctx.values.write(ctx.slot_index(*slot), bits);
+                    spent += cost.slot_store;
+                    let bits = state.read(src);
+                    ctx.values.write(ctx.slot_index(slot), bits);
                 }
                 MachInst::StoreSlotImm { slot, imm } => {
-                    ctx.values.write(ctx.slot_index(*slot), *imm as u64);
+                    spent += cost.slot_store;
+                    ctx.values.write(ctx.slot_index(slot), imm as u64);
                 }
                 MachInst::StoreTag { slot, tag } => {
-                    ctx.values.set_tag(ctx.slot_index(*slot), *tag);
+                    spent += cost.tag_store;
+                    ctx.values.set_tag(ctx.slot_index(slot), tag);
                 }
                 MachInst::Alu { op, width, dst, a, b } => {
-                    let a = state.gprs[a.index()];
-                    let b = state.gprs[b.index()];
-                    match ops::eval_alu(*op, *width, a, b) {
+                    spent += self.alu_cost[op as usize];
+                    match ops::eval_alu(op, width, state.gprs[a.index()], state.gprs[b.index()]) {
                         Ok(v) => state.gprs[dst.index()] = v,
-                        Err(t) => return CpuExit::Trap { code: t, pc },
+                        Err(t) => trap!(t),
                     }
                 }
+                // The evaluators truncate 32-bit operands themselves, so the
+                // immediate is passed as it was emitted.
                 MachInst::AluImm { op, width, dst, a, imm } => {
-                    let a = state.gprs[a.index()];
-                    let b = match width {
-                        Width::W32 => *imm as i32 as u32 as u64,
-                        Width::W64 => *imm as u64,
-                    };
-                    match ops::eval_alu(*op, *width, a, b) {
+                    spent += self.alu_cost[op as usize];
+                    match ops::eval_alu(op, width, state.gprs[a.index()], imm as u64) {
                         Ok(v) => state.gprs[dst.index()] = v,
-                        Err(t) => return CpuExit::Trap { code: t, pc },
+                        Err(t) => trap!(t),
                     }
                 }
                 MachInst::Unop { op, width, dst, src } => {
-                    state.gprs[dst.index()] = ops::eval_unop(*op, *width, state.gprs[src.index()]);
+                    spent += cost.alu;
+                    state.gprs[dst.index()] = ops::eval_unop(op, width, state.gprs[src.index()]);
                 }
                 MachInst::Cmp { op, width, dst, a, b } => {
+                    spent += cost.alu;
                     state.gprs[dst.index()] =
-                        ops::eval_cmp(*op, *width, state.gprs[a.index()], state.gprs[b.index()]);
+                        ops::eval_cmp(op, width, state.gprs[a.index()], state.gprs[b.index()]);
                 }
                 MachInst::CmpImm { op, width, dst, a, imm } => {
-                    let b = match width {
-                        Width::W32 => *imm as i32 as u32 as u64,
-                        Width::W64 => *imm as u64,
-                    };
+                    spent += cost.alu;
                     state.gprs[dst.index()] =
-                        ops::eval_cmp(*op, *width, state.gprs[a.index()], b);
+                        ops::eval_cmp(op, width, state.gprs[a.index()], imm as u64);
                 }
                 MachInst::FAlu { op, width, dst, a, b } => {
+                    spent += if op == FAluOp::Div { cost.fdiv } else { cost.falu };
                     state.fprs[dst.index()] =
-                        ops::eval_falu(*op, *width, state.fprs[a.index()], state.fprs[b.index()]);
+                        ops::eval_falu(op, width, state.fprs[a.index()], state.fprs[b.index()]);
                 }
                 MachInst::FUnop { op, width, dst, src } => {
-                    state.fprs[dst.index()] = ops::eval_funop(*op, *width, state.fprs[src.index()]);
+                    spent += if op == FUnOp::Sqrt { cost.fsqrt } else { cost.falu };
+                    state.fprs[dst.index()] = ops::eval_funop(op, width, state.fprs[src.index()]);
                 }
                 MachInst::FCmp { op, width, dst, a, b } => {
+                    spent += cost.falu;
                     state.gprs[dst.index()] =
-                        ops::eval_fcmp(*op, *width, state.fprs[a.index()], state.fprs[b.index()]);
+                        ops::eval_fcmp(op, width, state.fprs[a.index()], state.fprs[b.index()]);
                 }
                 MachInst::Convert { op, dst, src } => {
-                    let v = state.read(*src);
-                    match ops::eval_convert(*op, v) {
-                        Ok(bits) => state.write(*dst, bits),
-                        Err(t) => return CpuExit::Trap { code: t, pc },
+                    spent += cost.convert;
+                    match ops::eval_convert(op, state.read(src)) {
+                        Ok(bits) => state.write(dst, bits),
+                        Err(t) => trap!(t),
                     }
                 }
                 MachInst::Select { dst, cond, if_true, if_false } => {
+                    spent += cost.select;
                     let take = state.gprs[cond.index()] != 0;
                     state.gprs[dst.index()] = if take {
                         state.gprs[if_true.index()]
@@ -450,6 +498,7 @@ impl Cpu {
                     };
                 }
                 MachInst::FSelect { dst, cond, if_true, if_false } => {
+                    spent += cost.select;
                     let take = state.gprs[cond.index()] != 0;
                     state.fprs[dst.index()] = if take {
                         state.fprs[if_true.index()]
@@ -458,108 +507,112 @@ impl Cpu {
                     };
                 }
                 MachInst::MemLoad { dst, addr, offset, width, signed, dst_width } => {
-                    let memory = match ctx.memory.as_deref() {
-                        Some(m) => m,
-                        None => return CpuExit::Trap { code: TrapCode::MemoryOutOfBounds, pc },
+                    spent += cost.mem_load;
+                    let Some(memory) = ctx.memory.as_deref() else {
+                        trap!(TrapCode::MemoryOutOfBounds)
                     };
                     let addr = state.gprs[addr.index()] as u32;
-                    let raw = match memory.load(addr, *offset, *width) {
-                        Ok(v) => v,
-                        Err(t) => return CpuExit::Trap { code: t, pc },
-                    };
-                    let bits = extend_loaded(raw, *width, *signed, *dst_width);
-                    state.write(*dst, bits);
+                    match memory.load(addr, offset, width) {
+                        Ok(raw) => state.write(dst, extend_loaded(raw, width, signed, dst_width)),
+                        Err(t) => trap!(t),
+                    }
                 }
                 MachInst::MemStore { src, addr, offset, width } => {
-                    let addr_v = state.gprs[addr.index()] as u32;
-                    let bits = state.read(*src);
-                    let memory = match ctx.memory.as_deref_mut() {
-                        Some(m) => m,
-                        None => return CpuExit::Trap { code: TrapCode::MemoryOutOfBounds, pc },
+                    spent += cost.mem_store;
+                    let addr = state.gprs[addr.index()] as u32;
+                    let bits = state.read(src);
+                    let Some(memory) = ctx.memory.as_deref_mut() else {
+                        trap!(TrapCode::MemoryOutOfBounds)
                     };
-                    if let Err(t) = memory.store(addr_v, *offset, *width, bits) {
-                        return CpuExit::Trap { code: t, pc };
+                    if let Err(t) = memory.store(addr, offset, width, bits) {
+                        trap!(t);
                     }
                 }
                 MachInst::MemorySize { dst } => {
+                    spent += cost.memory_size;
                     let pages = ctx.memory.as_deref().map(|m| m.size_pages()).unwrap_or(0);
                     state.gprs[dst.index()] = pages as u64;
                 }
                 MachInst::MemoryGrow { dst, delta } => {
-                    let delta_v = state.gprs[delta.index()] as u32;
+                    spent += cost.memory_grow;
+                    let delta = state.gprs[delta.index()] as u32;
                     let result = match ctx.memory.as_deref_mut() {
-                        Some(m) => m.grow(delta_v),
+                        Some(m) => m.grow(delta),
                         None => -1,
                     };
                     state.gprs[dst.index()] = result as u32 as u64;
                 }
                 MachInst::GlobalGet { dst, index } => {
-                    let bits = ctx.globals[*index as usize].bits;
-                    state.write(*dst, bits);
+                    spent += cost.global;
+                    let bits = ctx.globals[index as usize].bits;
+                    state.write(dst, bits);
                 }
                 MachInst::GlobalSet { index, src } => {
-                    let bits = state.read(*src);
-                    ctx.globals[*index as usize].bits = bits;
+                    spent += cost.global;
+                    ctx.globals[index as usize].bits = state.read(src);
                 }
                 MachInst::Jump { target } => {
-                    pc = code.target(*target);
+                    spent += cost.jump;
+                    pc = code.target(target);
                     continue;
                 }
                 MachInst::BrIf { cond, target, negate } => {
-                    let taken = (state.gprs[cond.index()] != 0) ^ negate;
-                    if taken {
-                        pc = code.target(*target);
+                    spent += cost.branch;
+                    if (state.gprs[cond.index()] != 0) ^ negate {
+                        pc = code.target(target);
                         continue;
                     }
                 }
                 MachInst::BrTable { index, targets, default } => {
+                    spent += cost.br_table;
                     let i = state.gprs[index.index()] as usize;
-                    let label = targets.get(i).copied().unwrap_or(*default);
+                    let label = code.table(targets).get(i).copied().unwrap_or(default);
                     pc = code.target(label);
                     continue;
                 }
                 MachInst::Call { func_index } => {
-                    return CpuExit::Call {
-                        func_index: *func_index,
-                        resume_pc: pc + 1,
-                    };
+                    spent += cost.call;
+                    break CpuExit::Call { func_index, resume_pc: pc + 1 };
                 }
                 MachInst::CallIndirect { type_index, table_index, index } => {
-                    return CpuExit::CallIndirect {
-                        type_index: *type_index,
-                        table_index: *table_index,
+                    spent += cost.call_indirect;
+                    break CpuExit::CallIndirect {
+                        type_index,
+                        table_index,
                         entry_index: state.gprs[index.index()] as u32,
                         resume_pc: pc + 1,
                     };
                 }
                 MachInst::ProbeRuntime { probe_id } => {
-                    return CpuExit::Probe {
-                        exit: ProbeExit::Runtime { probe_id: *probe_id },
+                    spent += cost.probe_runtime;
+                    break CpuExit::Probe {
+                        exit: ProbeExit::Runtime { probe_id },
                         resume_pc: pc + 1,
                     };
                 }
                 MachInst::ProbeDirect { probe_id } => {
-                    return CpuExit::Probe {
-                        exit: ProbeExit::Direct { probe_id: *probe_id },
+                    spent += cost.probe_direct;
+                    break CpuExit::Probe {
+                        exit: ProbeExit::Direct { probe_id },
                         resume_pc: pc + 1,
                     };
                 }
                 MachInst::ProbeCounter { counter_id } => {
-                    return CpuExit::Probe {
-                        exit: ProbeExit::Counter { counter_id: *counter_id },
+                    spent += cost.probe_counter;
+                    break CpuExit::Probe {
+                        exit: ProbeExit::Counter { counter_id },
                         resume_pc: pc + 1,
                     };
                 }
                 MachInst::ProbeTosValue { probe_id, src } => {
-                    return CpuExit::Probe {
-                        exit: ProbeExit::TosValue {
-                            probe_id: *probe_id,
-                            bits: state.read(*src),
-                        },
+                    spent += cost.probe_tos;
+                    break CpuExit::Probe {
+                        exit: ProbeExit::TosValue { probe_id, bits: state.read(src) },
                         resume_pc: pc + 1,
                     };
                 }
                 MachInst::FuelCheck { amount } => {
+                    spent += cost.fuel_check;
                     // OSR is polled before any metering runs: when the hook
                     // fires, the site's fuel has not been charged, and the
                     // opt-tier entry stub jumps to the loop header whose
@@ -568,7 +621,7 @@ impl Cpu {
                     if let Some(offset) =
                         ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
                     {
-                        return CpuExit::Osr { offset, resume_pc: pc };
+                        break CpuExit::Osr { offset, resume_pc: pc };
                     }
                     // The fused meter check: decrement fuel, then observe a
                     // pending preemption request. A real engine implements
@@ -577,30 +630,39 @@ impl Cpu {
                     // activation's counter); the simulator keeps the two
                     // meters separate but preserves that single-sequence
                     // cost, which is why no distinct epoch poll is emitted.
-                    if let Err(t) = ctx.meter.charge_fuel(*amount) {
-                        return CpuExit::Trap { code: t, pc };
+                    if let Err(t) = ctx.meter.charge_fuel(amount) {
+                        trap!(t);
                     }
                     if let Err(t) = ctx.meter.check_epoch() {
-                        return CpuExit::Trap { code: t, pc };
+                        trap!(t);
                     }
                     ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
                 }
                 MachInst::EpochCheck => {
+                    spent += cost.epoch_check;
                     if let Some(offset) =
                         ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
                     {
-                        return CpuExit::Osr { offset, resume_pc: pc };
+                        break CpuExit::Osr { offset, resume_pc: pc };
                     }
                     if let Err(t) = ctx.meter.check_epoch() {
-                        return CpuExit::Trap { code: t, pc };
+                        trap!(t);
                     }
                     ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
                 }
-                MachInst::Trap { code } => return CpuExit::Trap { code: *code, pc },
-                MachInst::Return => return CpuExit::Return,
+                MachInst::Trap { code } => {
+                    spent += cost.trap;
+                    trap!(code);
+                }
+                MachInst::Return => {
+                    spent += cost.ret;
+                    break CpuExit::Return;
+                }
             }
             pc += 1;
-        }
+        };
+        cycles.charge(spent);
+        exit
     }
 }
 
@@ -875,17 +937,25 @@ mod tests {
         assert_eq!(exit, CpuExit::Return);
     }
 
+    /// Three tables share one buffer's label pool: a one-entry table, an
+    /// empty one (always its default), and the table under test, whose
+    /// targets therefore start at pool index 1. Its last target is a label
+    /// bound one past the end of the code, which returns.
     #[test]
     fn br_table_dispatch() {
+        let cost = CostModel::default();
         let mut asm = Assembler::new();
+        let second = asm.new_label();
+        let third = asm.new_label();
         let l0 = asm.new_label();
         let l1 = asm.new_label();
         let ldefault = asm.new_label();
-        asm.emit(MachInst::BrTable {
-            index: Reg(0),
-            targets: vec![l0, l1],
-            default: ldefault,
-        });
+        let end = asm.new_label();
+        asm.br_table(Reg(2), &[second], ldefault);
+        asm.bind(second);
+        asm.br_table(Reg(0), &[], third);
+        asm.bind(third);
+        asm.br_table(Reg(0), &[l0, l1, end], ldefault);
         asm.bind(l0);
         asm.emit(MachInst::MovImm { dst: Reg(1), imm: 100 });
         asm.emit(MachInst::Return);
@@ -895,10 +965,20 @@ mod tests {
         asm.bind(ldefault);
         asm.emit(MachInst::MovImm { dst: Reg(1), imm: 300 });
         asm.emit(MachInst::Return);
+        asm.bind(end);
         let code = asm.finish();
+        assert_eq!(code.target(end), code.len());
 
-        for (input, expected) in [(0u64, 100u64), (1, 200), (2, 300), (99, 300)] {
-            let cpu = Cpu::new(CostModel::default());
+        let landed = cost.mov + cost.ret;
+        for (input, expected, tail) in [
+            (0u64, 100u64, landed),
+            (1, 200, landed),
+            (2, 0, 0),
+            (3, 300, landed),
+            (99, 300, landed),
+            (u64::MAX, 300, landed),
+        ] {
+            let cpu = Cpu::new(cost.clone());
             let mut w = World::new();
             let mut state = CpuState::new();
             state.gprs[0] = input;
@@ -914,6 +994,7 @@ mod tests {
             let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
             assert_eq!(exit, CpuExit::Return);
             assert_eq!(state.gprs[1], expected, "input {input}");
+            assert_eq!(cycles.total(), 3 * cost.br_table + tail, "input {input}");
         }
     }
 

@@ -70,11 +70,54 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    /// Every operation, in declaration order: `ALL[op as usize] == op`, so a
+    /// table built by mapping over `ALL` can be indexed by `op as usize`.
+    pub const ALL: [AluOp; 15] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::DivS,
+        AluOp::DivU,
+        AluOp::RemS,
+        AluOp::RemU,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::ShrS,
+        AluOp::ShrU,
+        AluOp::Rotl,
+        AluOp::Rotr,
+    ];
+
     /// True for division/remainder, which can trap and are slower.
     pub fn is_division(self) -> bool {
         matches!(self, AluOp::DivS | AluOp::DivU | AluOp::RemS | AluOp::RemU)
     }
+
+    /// True for the variant declared last. Exhaustive on purpose: a new
+    /// variant does not compile until it is placed here, and once it is the
+    /// last one the assertion below fails until [`AluOp::ALL`] lists it.
+    const fn is_last(self) -> bool {
+        use AluOp::*;
+        match self {
+            Rotr => true,
+            Add | Sub | Mul | DivS | DivU | RemS | RemU | And | Or | Xor | Shl | ShrS | ShrU
+            | Rotl => false,
+        }
+    }
 }
+
+// `Cpu::run` indexes a table built over `ALL` by `op as usize`, so `ALL` must
+// hold every variant at its own discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < AluOp::ALL.len() {
+        assert!(AluOp::ALL[i] as usize == i, "`AluOp::ALL` is out of declaration order");
+        i += 1;
+    }
+    assert!(AluOp::ALL[i - 1].is_last(), "`AluOp::ALL` is missing the trailing variants");
+};
 
 /// Single-operand integer operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -326,8 +369,19 @@ impl fmt::Display for Label {
     }
 }
 
+/// The targets of one [`MachInst::BrTable`]: a range of the owning buffer's
+/// label pool ([`crate::asm::CodeBuffer::table`]). Keeping the labels out of
+/// line is what lets every instruction be 16 bytes with a plain one-byte tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelRange {
+    /// Index of the first target in the label pool.
+    pub start: u32,
+    /// Number of targets.
+    pub len: u32,
+}
+
 /// A single instruction of the virtual target ISA.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MachInst {
     /// No operation.
     Nop,
@@ -590,8 +644,8 @@ pub enum MachInst {
     BrTable {
         /// Index register.
         index: Reg,
-        /// Table of targets.
-        targets: Vec<Label>,
+        /// Table of targets, in the owning buffer's label pool.
+        targets: LabelRange,
         /// Default target for out-of-range indices.
         default: Label,
     },
@@ -655,6 +709,11 @@ pub enum MachInst {
     Return,
 }
 
+// The simulator fetches one of these per retired instruction and the
+// compilers write one per emitted instruction; a variant that grows past 16
+// bytes doubles both costs.
+const _: () = assert!(std::mem::size_of::<MachInst>() == 16);
+
 impl MachInst {
     /// An estimate of the encoded size of this instruction in bytes, used for
     /// machine-code size statistics. The estimates approximate x86-64
@@ -695,7 +754,7 @@ impl MachInst {
             GlobalGet { .. } | GlobalSet { .. } => 5,
             Jump { .. } => 5,
             BrIf { .. } => 6,
-            BrTable { targets, .. } => 12 + 4 * targets.len(),
+            BrTable { targets, .. } => 12 + 4 * targets.len as usize,
             Call { .. } => 5,
             CallIndirect { .. } => 14,
             ProbeRuntime { .. } => 10,
@@ -792,9 +851,12 @@ impl fmt::Display for MachInst {
             BrIf { cond, target, negate } => {
                 write!(f, "br{} {cond}, {target}", if *negate { "z" } else { "nz" })
             }
-            BrTable { index, targets, default } => {
-                write!(f, "brtable {index}, {targets:?}, default {default}")
-            }
+            BrTable { index, targets, default } => write!(
+                f,
+                "brtable {index}, pool[{}..{}], default {default}",
+                targets.start,
+                targets.start + targets.len
+            ),
             Call { func_index } => write!(f, "call func[{func_index}]"),
             CallIndirect { type_index, table_index, index } => {
                 write!(f, "call_indirect table[{table_index}][{index}] sig{type_index}")
@@ -844,7 +906,7 @@ mod tests {
         assert!(small.encoded_size() < large.encoded_size());
         let table = MachInst::BrTable {
             index: Reg(0),
-            targets: vec![Label(0); 8],
+            targets: LabelRange { start: 0, len: 8 },
             default: Label(1),
         };
         assert!(table.encoded_size() > MachInst::Jump { target: Label(0) }.encoded_size());

@@ -58,7 +58,7 @@ pub enum CodeBackend {
 /// Both backends record their source maps through this helper; the
 /// cross-backend differential tests rely on the collapse behaviour being
 /// identical so the two maps carry the same bytecode-offset sequence.
-pub fn push_source_mark(map: &mut Vec<(usize, u32)>, at: usize, offset: u32) {
+pub fn push_source_mark<P: PartialEq>(map: &mut Vec<(P, u32)>, at: P, offset: u32) {
     if let Some(last) = map.last_mut() {
         if last.0 == at {
             last.1 = offset;
@@ -384,7 +384,7 @@ impl Masm for Assembler {
     }
 
     fn br_table(&mut self, index: Reg, targets: Vec<Label>, default: Label) {
-        self.emit(MachInst::BrTable { index, targets, default });
+        Assembler::br_table(self, index, &targets, default);
     }
 
     fn call(&mut self, func_index: u32) -> usize {

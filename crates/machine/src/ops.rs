@@ -20,105 +20,78 @@ fn mask(width: Width, v: u64) -> u64 {
 
 /// Evaluates an integer ALU operation on raw slot bits.
 ///
+/// One switch on the operation, so the simulator's `Alu`/`AluImm` arms inline
+/// it as a single jump. The low 32 bits of a 64-bit add, subtract, multiply
+/// or bitwise result depend only on the low 32 bits of the operands, so those
+/// arms compute at 64 bits and `mask` narrows; shifts and rotates, whose
+/// 32-bit form is a different computation, branch on the width themselves.
+/// Only the division arms can trap, and only they pay for the checks.
+///
 /// # Errors
 ///
 /// Returns a trap code for division by zero and signed division overflow.
+#[inline(always)]
 pub fn eval_alu(op: AluOp, width: Width, a: u64, b: u64) -> Result<u64, TrapCode> {
-    let result = match width {
+    let w32 = width == Width::W32;
+    let (a32, b32) = (a as u32, b as u32);
+    let result = match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Mul => a.wrapping_mul(b),
+        AluOp::And => a & b,
+        AluOp::Or => a | b,
+        AluOp::Xor => a ^ b,
+        AluOp::Shl if w32 => a32.wrapping_shl(b32) as u64,
+        AluOp::Shl => a.wrapping_shl(b32),
+        AluOp::ShrS if w32 => (a32 as i32).wrapping_shr(b32) as u32 as u64,
+        AluOp::ShrS => (a as i64).wrapping_shr(b32) as u64,
+        AluOp::ShrU if w32 => a32.wrapping_shr(b32) as u64,
+        AluOp::ShrU => a.wrapping_shr(b32),
+        AluOp::Rotl if w32 => a32.rotate_left(b32 % 32) as u64,
+        AluOp::Rotl => a.rotate_left((b % 64) as u32),
+        AluOp::Rotr if w32 => a32.rotate_right(b32 % 32) as u64,
+        AluOp::Rotr => a.rotate_right((b % 64) as u32),
+        AluOp::DivS | AluOp::DivU | AluOp::RemS | AluOp::RemU => {
+            return eval_division(op, width, a, b)
+        }
+    };
+    Ok(mask(width, result))
+}
+
+/// The division and remainder arms of [`eval_alu`].
+fn eval_division(op: AluOp, width: Width, a: u64, b: u64) -> Result<u64, TrapCode> {
+    if mask(width, b) == 0 {
+        return Err(TrapCode::DivisionByZero);
+    }
+    Ok(match width {
         Width::W32 => {
-            let a = a as u32;
-            let b = b as u32;
-            let r: u32 = match op {
-                AluOp::Add => a.wrapping_add(b),
-                AluOp::Sub => a.wrapping_sub(b),
-                AluOp::Mul => a.wrapping_mul(b),
-                AluOp::DivS => {
-                    let (a, b) = (a as i32, b as i32);
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    if a == i32::MIN && b == -1 {
-                        return Err(TrapCode::IntegerOverflow);
-                    }
-                    (a / b) as u32
+            let (ua, ub) = (a as u32, b as u32);
+            let (sa, sb) = (ua as i32, ub as i32);
+            let r = match op {
+                AluOp::DivS if sa == i32::MIN && sb == -1 => {
+                    return Err(TrapCode::IntegerOverflow)
                 }
-                AluOp::DivU => {
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a / b
-                }
-                AluOp::RemS => {
-                    let (a, b) = (a as i32, b as i32);
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a.wrapping_rem(b) as u32
-                }
-                AluOp::RemU => {
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a % b
-                }
-                AluOp::And => a & b,
-                AluOp::Or => a | b,
-                AluOp::Xor => a ^ b,
-                AluOp::Shl => a.wrapping_shl(b),
-                AluOp::ShrS => ((a as i32).wrapping_shr(b)) as u32,
-                AluOp::ShrU => a.wrapping_shr(b),
-                AluOp::Rotl => a.rotate_left(b % 32),
-                AluOp::Rotr => a.rotate_right(b % 32),
+                AluOp::DivS => (sa / sb) as u32,
+                AluOp::DivU => ua / ub,
+                AluOp::RemS => sa.wrapping_rem(sb) as u32,
+                // RemU: `eval_alu` sends only the four division operations.
+                _ => ua % ub,
             };
             r as u64
         }
         Width::W64 => {
-            let r: u64 = match op {
-                AluOp::Add => a.wrapping_add(b),
-                AluOp::Sub => a.wrapping_sub(b),
-                AluOp::Mul => a.wrapping_mul(b),
-                AluOp::DivS => {
-                    let (a, b) = (a as i64, b as i64);
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    if a == i64::MIN && b == -1 {
-                        return Err(TrapCode::IntegerOverflow);
-                    }
-                    (a / b) as u64
+            let (sa, sb) = (a as i64, b as i64);
+            match op {
+                AluOp::DivS if sa == i64::MIN && sb == -1 => {
+                    return Err(TrapCode::IntegerOverflow)
                 }
-                AluOp::DivU => {
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a / b
-                }
-                AluOp::RemS => {
-                    let (a, b) = (a as i64, b as i64);
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a.wrapping_rem(b) as u64
-                }
-                AluOp::RemU => {
-                    if b == 0 {
-                        return Err(TrapCode::DivisionByZero);
-                    }
-                    a % b
-                }
-                AluOp::And => a & b,
-                AluOp::Or => a | b,
-                AluOp::Xor => a ^ b,
-                AluOp::Shl => a.wrapping_shl(b as u32),
-                AluOp::ShrS => ((a as i64).wrapping_shr(b as u32)) as u64,
-                AluOp::ShrU => a.wrapping_shr(b as u32),
-                AluOp::Rotl => a.rotate_left((b % 64) as u32),
-                AluOp::Rotr => a.rotate_right((b % 64) as u32),
-            };
-            r
+                AluOp::DivS => (sa / sb) as u64,
+                AluOp::DivU => a / b,
+                AluOp::RemS => sa.wrapping_rem(sb) as u64,
+                _ => a % b,
+            }
         }
-    };
-    Ok(mask(width, result))
+    })
 }
 
 /// Evaluates a single-operand integer operation.
@@ -150,6 +123,7 @@ pub fn eval_unop(op: UnOp, width: Width, v: u64) -> u64 {
 }
 
 /// Evaluates an integer comparison, producing 0 or 1.
+#[inline(always)]
 pub fn eval_cmp(op: CmpOp, width: Width, a: u64, b: u64) -> u64 {
     let result = match width {
         Width::W32 => {
@@ -396,6 +370,18 @@ mod tests {
             eval_alu(AluOp::Add, Width::W32, b32(-2), b32(1)).unwrap() >> 32,
             0
         );
+    }
+
+    #[test]
+    fn alu_32_bit_ignores_the_upper_operand_halves() {
+        let junk = 0xDEAD_BEEF_0000_0000u64;
+        for op in AluOp::ALL {
+            for (a, b) in [(7u64, 3u64), (0x8000_0000, 33), (u32::MAX as u64, u32::MAX as u64)] {
+                let clean = eval_alu(op, Width::W32, a, b);
+                assert_eq!(eval_alu(op, Width::W32, a | junk, b | junk), clean, "{op:?}");
+                assert_eq!(clean.unwrap() >> 32, 0, "{op:?} result is zero-extended");
+            }
+        }
     }
 
     #[test]

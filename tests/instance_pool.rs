@@ -298,6 +298,30 @@ fn pooled_checksums_agree_across_the_matrix() {
     }
 }
 
+/// `max_idle == 0` is honoured: the construction-time instance only provides
+/// the image, nothing is ever parked, so checkout → drop → checkout is cold
+/// both times (with `stats` agreeing) and still bit-identical to a cold
+/// instantiate.
+#[test]
+fn a_pool_that_parks_nothing_serves_every_checkout_cold() {
+    let module = stateful_module();
+    let config = engine::EngineConfig::default();
+    let cold_first = common::run_export(config.clone(), &module, "main", &[]).unwrap();
+
+    let pool = InstancePool::new(Engine::new(config), module, 0).expect("pool builds");
+    assert_eq!(pool.stats().idle, 0, "the first instance is not parked");
+    for round in 0..2 {
+        let mut inst = pool.checkout().unwrap();
+        assert!(!inst.was_warm(), "round {round}");
+        let got = pool.engine().call_export(&mut inst, "main", &[]).unwrap();
+        assert_eq!(got, cold_first, "round {round}: diverges from a cold instantiate");
+        drop(inst);
+        assert_eq!(pool.stats().idle, 0, "round {round}: the checkin is dropped");
+    }
+    let stats = pool.stats();
+    assert_eq!((stats.warm_checkouts, stats.cold_checkouts), (0, 2));
+}
+
 /// The snapshot image itself is faithful: capture → restore round-trips the
 /// exact bytes, and `MemoryImage::build` (used by both instantiation and
 /// pooling) equals what instantiation produced.
