@@ -2,8 +2,8 @@
 //!
 //! A *monitor* is user code that instruments a module as it is loaded
 //! (Section IV-D of the paper). The engine exposes the same probe interface
-//! to both tiers: the interpreter consults the registry at every instruction,
-//! while the baseline compiler bakes the attached probes into generated code
+//! to both tiers: the interpreter consults the registry at every instruction
+//! of a function that has probes attached, while the baseline compiler bakes the attached probes into generated code
 //! and routes firings back here.
 //!
 //! The built-in [`BranchMonitor`] reproduces the paper's Fig. 6 workload: it
@@ -275,6 +275,10 @@ impl Instrumentation {
 }
 
 impl ProbeSink for Instrumentation {
+    fn has_probes_in(&self, func_index: u32) -> bool {
+        self.sites.contains_key(&func_index)
+    }
+
     fn has_probe(&self, func_index: u32, offset: u32) -> bool {
         self.sites
             .get(&func_index)
@@ -381,6 +385,8 @@ mod tests {
     fn counter_monitor_counts() {
         let module = branchy_module();
         let mut instr = Instrumentation::function_counters(&module);
+        assert!(instr.has_probes_in(0));
+        assert!(!instr.has_probes_in(1));
         assert!(instr.has_probe(0, 0));
         assert!(!instr.has_probe(0, 3));
         instr.increment_counter(0);
@@ -413,6 +419,7 @@ mod tests {
     fn empty_instrumentation_has_no_probes() {
         let instr = Instrumentation::none();
         assert!(instr.is_empty());
+        assert!(!instr.has_probes_in(0));
         assert!(!instr.has_probe(0, 0));
         assert_eq!(instr.total_firings(), 0);
     }

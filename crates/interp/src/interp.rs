@@ -18,11 +18,11 @@ use crate::sidetable::{build_sidetable, BranchEntry, Sidetable, SidetableError};
 use machine::cost::{CostModel, CycleCounter};
 use machine::cpu::ExecContext;
 use machine::inst::TrapCode;
-use machine::lower::classify;
+use machine::lower::{classify, OpClass};
 use machine::values::{ValueTag, WasmValue, NULL_REF_BITS};
 use wasm::fuel::FuelPlan;
 use wasm::module::Module;
-use wasm::opcode::Opcode;
+use wasm::opcode::{OpSignature, Opcode};
 use wasm::reader::BytecodeReader;
 use wasm::types::ValueType;
 use wasm::validate::FuncInfo;
@@ -146,16 +146,134 @@ pub enum InterpExit {
     },
 }
 
+/// What the dispatch loop knows about one opcode byte, decided once in
+/// [`Interpreter::new`] so the loop looks an instruction up instead of
+/// classifying it.
+#[derive(Debug, Clone, Copy)]
+struct OpInfo {
+    /// Cycles charged as the instruction is dispatched — see
+    /// [`dispatch_cost`]. Zero for bytes outside the opcode set.
+    cost: u64,
+    /// The opcode, or `None` for a byte that is not one.
+    op: Option<Opcode>,
+    /// The value operation [`classify`] assigns the opcode, if any.
+    class: Option<OpClass>,
+    /// Operands a `class` operation pops.
+    arity: u8,
+    /// Bytes a load or store accesses.
+    width: u8,
+    /// Tag of the value a `class` operation or a load pushes.
+    result: ValueTag,
+}
+
+/// What the operation itself costs, by class.
+fn class_cost(cost: &CostModel, class: OpClass) -> u64 {
+    use machine::inst::{AluOp, FAluOp, FUnOp};
+    match class {
+        OpClass::Alu(AluOp::Mul, _) => cost.mul,
+        OpClass::Alu(alu, _) if alu.is_division() => cost.div,
+        OpClass::Alu(..) | OpClass::Unop(..) | OpClass::Cmp(..) => cost.alu,
+        OpClass::FAlu(FAluOp::Div, _) => cost.fdiv,
+        OpClass::FUnop(FUnOp::Sqrt, _) => cost.fsqrt,
+        OpClass::FAlu(..) | OpClass::FUnop(..) | OpClass::FCmp(..) => cost.falu,
+        OpClass::Convert(..) => cost.convert,
+    }
+}
+
+/// The interpreter's cost specification: the cycles `op` is charged as it is
+/// dispatched — the dispatch itself, immediate decoding, and every operand
+/// load, result store and piece of work the instruction performs no matter
+/// how it ends. What depends on the outcome is charged where it is decided:
+/// the result push of a value operation or load and the whole access of a
+/// load or store (none of it if the instruction traps), the slots a taken
+/// branch moves, and the results a return copies down.
+fn dispatch_cost(cost: &CostModel, op: Opcode) -> u64 {
+    let c = cost;
+    let push = c.slot_store + c.tag_store;
+    let body = if let Some(class) = classify(op) {
+        class.arity() as u64 * c.slot_load + class_cost(c, class)
+    } else if op.is_memory_access() {
+        // Alignment and offset.
+        2 * c.interp_imm
+    } else {
+        match op {
+            Opcode::Block | Opcode::Loop => c.interp_control + c.interp_imm,
+            Opcode::End => c.interp_control,
+            Opcode::If | Opcode::BrIf => c.slot_load + c.branch + c.interp_imm,
+            Opcode::Else => c.interp_control + c.jump,
+            Opcode::Br => c.jump + c.interp_imm,
+            Opcode::BrTable => c.slot_load + c.br_table,
+            Opcode::Return => c.jump,
+            Opcode::Call => c.interp_imm + c.interp_call_setup,
+            Opcode::CallIndirect => 2 * c.interp_imm + c.slot_load + c.interp_call_setup,
+            Opcode::Select => 3 * c.slot_load + c.select + c.slot_store,
+            Opcode::SelectT => c.interp_imm + 3 * c.slot_load + c.select + c.slot_store,
+            Opcode::LocalGet | Opcode::LocalSet | Opcode::LocalTee => {
+                c.interp_imm + c.slot_load + push
+            }
+            Opcode::GlobalGet => c.interp_imm + c.global + push,
+            Opcode::GlobalSet => c.interp_imm + c.global + c.slot_load,
+            Opcode::I32Const
+            | Opcode::I64Const
+            | Opcode::F32Const
+            | Opcode::F64Const
+            | Opcode::RefNull
+            | Opcode::RefFunc => c.interp_imm + push,
+            Opcode::RefIsNull => c.slot_load + c.alu + push,
+            Opcode::MemorySize => c.interp_imm + push + c.memory_size,
+            Opcode::MemoryGrow => c.slot_load + c.memory_grow + push,
+            // `nop`, `unreachable`, `drop`: the dispatch is all there is.
+            _ => 0,
+        }
+    };
+    c.interp_dispatch + body
+}
+
 /// The in-place interpreter.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Interpreter {
     cost: CostModel,
+    /// One entry per opcode byte, filled from [`classify`] and the cost
+    /// model (which stay the specification; `tests/cost_oracle.rs` holds the
+    /// loop to them).
+    ops: Box<[OpInfo; 256]>,
+}
+
+impl Default for Interpreter {
+    fn default() -> Interpreter {
+        Interpreter::new(CostModel::default())
+    }
 }
 
 impl Interpreter {
     /// Creates an interpreter using the given cost model.
     pub fn new(cost: CostModel) -> Interpreter {
-        Interpreter { cost }
+        let unknown = OpInfo {
+            cost: 0,
+            op: None,
+            class: None,
+            arity: 0,
+            width: 0,
+            result: ValueTag::Dead,
+        };
+        let mut ops = Box::new([unknown; 256]);
+        for &op in Opcode::ALL {
+            let class = classify(op);
+            let result = match (class, op.signature()) {
+                (Some(class), _) => ValueTag::for_type(class.result_type()),
+                (None, OpSignature::Load(ty)) => ValueTag::for_type(ty),
+                _ => ValueTag::Dead,
+            };
+            ops[op.to_byte() as usize] = OpInfo {
+                cost: dispatch_cost(&cost, op),
+                op: Some(op),
+                class,
+                arity: class.map_or(0, |c| c.arity() as u8),
+                width: op.access_width().unwrap_or(0) as u8,
+                result,
+            };
+        }
+        Interpreter { cost, ops }
     }
 
     /// The interpreter's cost model.
@@ -169,6 +287,15 @@ impl Interpreter {
     /// The frame's locals must already be initialized at
     /// `ctx.frame_base .. ctx.frame_base + num_locals`, and
     /// `ctx.values.sp()` must point at the frame's current operand top.
+    ///
+    /// The loop makes one dispatch per instruction: the opcode byte indexes
+    /// the per-opcode table for its cost and classification, and a single
+    /// `match` executes it. Whether any meter, sampler or OSR hook is armed
+    /// and whether `probes` has anything attached in this function are
+    /// decided here, once (the latter again after every firing, the only
+    /// point at which the sink can change), so a run with neither tests a
+    /// local flag per instruction and nothing else. Cycles accumulate in a
+    /// local and reach `cycles` once, on the way out.
     pub fn run(
         &self,
         module: &Module,
@@ -184,26 +311,60 @@ impl Interpreter {
         };
         let code: &[u8] = &decl.code;
         let frame_base = ctx.frame_base;
-        let operand_base = frame_base + func.local_types.len();
+        let num_locals = func.local_types.len();
+        let operand_base = frame_base + num_locals;
         let cost = &self.cost;
+        let ops = &*self.ops;
+        // The outcome-dependent halves of `dispatch_cost`'s charges.
+        let push_cost = cost.slot_store + cost.tag_store;
+        let loaded_cost = cost.slot_load + cost.mem_load + push_cost;
+        let stored_cost = 2 * cost.slot_load + cost.mem_store;
+
+        let metered = ctx.meter.fuel.is_some() || ctx.meter.epoch.is_some();
+        let meter_sites = metered || ctx.meter.has_sampler() || ctx.meter.has_osr();
+        let mut probed = probes.has_probes_in(func.func_index);
+
         let mut reader = BytecodeReader::new(code);
         reader.set_pc(start_ip);
+        let mut spent = 0u64;
 
         // Traps report the offset of the instruction being executed; `ip` is
-        // declared before the macro so the macro body (hygienically) resolves
+        // declared before the macros so their bodies (hygienically) resolve
         // to this binding, updated at the top of the dispatch loop.
         let mut ip: usize;
         macro_rules! trap {
             ($code:expr) => {
-                return InterpExit::Trap { code: $code, offset: ip as u32 }
+                break InterpExit::Trap { code: $code, offset: ip as u32 }
+            };
+        }
+        // Transfers control through a sidetable entry, if the table has it.
+        macro_rules! take_branch {
+            ($entry:expr) => {
+                match $entry {
+                    Some(entry) => {
+                        spent += Self::take_branch(cost, entry, operand_base, ctx, &mut reader)
+                    }
+                    None => trap!(TrapCode::HostError),
+                }
+            };
+            () => {
+                take_branch!(func.sidetable.branch(ip as u32))
+            };
+        }
+        macro_rules! read {
+            ($read:ident) => {
+                match reader.$read() {
+                    Ok(v) => v,
+                    Err(_) => trap!(TrapCode::HostError),
+                }
             };
         }
 
-        loop {
+        let exit = loop {
             if reader.is_at_end() {
                 // Fell off the end of the body: function return.
-                self.finish_return(func, ctx, cycles);
-                return InterpExit::Return;
+                spent += Self::finish_return(cost, func, ctx);
+                break InterpExit::Return;
             }
             ip = reader.pc();
 
@@ -212,21 +373,19 @@ impl Interpreter {
             // check: fuel, then epoch, then probe). One check per site —
             // loop-head epoch polls ride the region's fuel decrement, so a
             // metered loop iteration pays `fuel_check` once, not twice.
-            let metered = ctx.meter.fuel.is_some() || ctx.meter.epoch.is_some();
-            if metered || ctx.meter.has_sampler() || ctx.meter.has_osr() {
-                let charge = func.fuel.charge_at(ip as u32);
-                if charge.is_some() || func.fuel.epoch_check_at(ip as u32) {
+            if meter_sites {
+                if let Some(site) = func.fuel.site_at(ip as u32) {
                     // OSR is polled before any fuel is charged: when the hook
                     // fires, this site's meter work has not run, and the
                     // opt-tier OSR entry jumps to the loop header whose first
                     // instruction re-executes the same check — so the charge
                     // happens exactly once regardless of the transition.
                     if let Some(offset) = ctx.meter.poll_osr(|| ip as u32) {
-                        return InterpExit::Osr { offset };
+                        break InterpExit::Osr { offset };
                     }
                     if metered {
-                        cycles.charge(cost.fuel_check);
-                        if let Err(t) = ctx.meter.charge_fuel(charge.unwrap_or(0)) {
+                        spent += cost.fuel_check;
+                        if let Err(t) = ctx.meter.charge_fuel(site.charge) {
                             trap!(t);
                         }
                         if let Err(t) = ctx.meter.check_epoch() {
@@ -240,150 +399,96 @@ impl Interpreter {
                 }
             }
 
-            if probes.has_probe(func.func_index, ip as u32) {
-                cycles.charge(cost.probe_runtime);
-                let mut accessor = FrameAccessor::new(
-                    ctx.values,
-                    frame_base,
-                    func.local_types.len(),
-                    func.func_index,
-                    ip as u32,
-                );
+            if probed && probes.has_probe(func.func_index, ip as u32) {
+                spent += cost.probe_runtime;
+                let mut accessor =
+                    FrameAccessor::new(ctx.values, frame_base, num_locals, func.func_index, ip as u32);
                 probes.fire(&mut accessor);
+                probed = probes.has_probes_in(func.func_index);
             }
 
-            let op = match reader.read_opcode() {
-                Ok(op) => op,
-                Err(_) => trap!(TrapCode::HostError),
-            };
-            cycles.charge(cost.interp_dispatch);
+            // `ip` is inside the body (checked above), so this cannot fail.
+            let info = &ops[code[ip] as usize];
+            reader.set_pc(ip + 1);
+            spent += info.cost;
 
             // Fast path: simple value operations classified by the shared
-            // lowering table.
-            if let Some(class) = classify(op) {
-                let arity = class.arity();
+            // lowering table. A unary operation reads its one operand twice
+            // rather than branching on the arity.
+            if let Some(class) = info.class {
                 let sp = ctx.values.sp();
-                let mut operands = [0u64; 2];
-                for (i, operand) in operands.iter_mut().enumerate().take(arity) {
-                    *operand = ctx.values.read(sp - arity + i);
-                    cycles.charge(cost.slot_load);
-                }
-                cycles.charge(self.class_cost(op));
-                match class.evaluate(&operands[..arity]) {
+                let result_slot = sp - info.arity as usize;
+                let operands = [ctx.values.read(result_slot), ctx.values.read(sp - 1)];
+                match class.evaluate(&operands) {
                     Ok(bits) => {
-                        let result_slot = sp - arity;
-                        ctx.values.write_tagged(
-                            result_slot,
-                            bits,
-                            ValueTag::for_type(class.result_type()),
-                        );
+                        ctx.values.write_tagged(result_slot, bits, info.result);
                         ctx.values.set_sp(result_slot + 1);
-                        cycles.charge(cost.slot_store + cost.tag_store);
+                        spent += push_cost;
                     }
                     Err(code) => trap!(code),
                 }
                 continue;
             }
 
+            let Some(op) = info.op else { trap!(TrapCode::HostError) };
             match op {
-                Opcode::Nop => {}
+                Opcode::Nop | Opcode::End => {}
                 Opcode::Unreachable => trap!(TrapCode::Unreachable),
                 Opcode::Block | Opcode::Loop => {
                     let _ = reader.read_block_type();
-                    cycles.charge(cost.interp_control + cost.interp_imm);
-                }
-                Opcode::End => {
-                    cycles.charge(cost.interp_control);
                 }
                 Opcode::If => {
                     let _ = reader.read_block_type();
                     let sp = ctx.values.sp() - 1;
                     let cond = ctx.values.read(sp);
                     ctx.values.set_sp(sp);
-                    cycles.charge(cost.slot_load + cost.branch + cost.interp_imm);
                     if cond == 0 {
-                        let entry = *match func.sidetable.branch(ip as u32) {
-                            Some(e) => e,
-                            None => trap!(TrapCode::HostError),
-                        };
-                        self.take_branch(&entry, operand_base, ctx, cycles, &mut reader);
+                        take_branch!();
                     }
                 }
-                Opcode::Else => {
-                    cycles.charge(cost.interp_control + cost.jump);
-                    let entry = *match func.sidetable.branch(ip as u32) {
-                        Some(e) => e,
-                        None => trap!(TrapCode::HostError),
-                    };
-                    self.take_branch(&entry, operand_base, ctx, cycles, &mut reader);
-                }
+                Opcode::Else => take_branch!(),
                 Opcode::Br => {
                     let _ = reader.read_index();
-                    cycles.charge(cost.jump + cost.interp_imm);
-                    let entry = *match func.sidetable.branch(ip as u32) {
-                        Some(e) => e,
-                        None => trap!(TrapCode::HostError),
-                    };
-                    self.take_branch(&entry, operand_base, ctx, cycles, &mut reader);
+                    take_branch!();
                 }
                 Opcode::BrIf => {
                     let _ = reader.read_index();
                     let sp = ctx.values.sp() - 1;
                     let cond = ctx.values.read(sp);
                     ctx.values.set_sp(sp);
-                    cycles.charge(cost.slot_load + cost.branch + cost.interp_imm);
                     if cond != 0 {
-                        let entry = *match func.sidetable.branch(ip as u32) {
-                            Some(e) => e,
-                            None => trap!(TrapCode::HostError),
-                        };
-                        self.take_branch(&entry, operand_base, ctx, cycles, &mut reader);
+                        take_branch!();
                     }
                 }
                 Opcode::BrTable => {
-                    let _ = reader.read_branch_table();
+                    // The targets are in the sidetable; the immediates are
+                    // never decoded, since every outcome leaves this offset.
                     let sp = ctx.values.sp() - 1;
                     let index = ctx.values.read(sp) as usize;
                     ctx.values.set_sp(sp);
-                    cycles.charge(cost.slot_load + cost.br_table);
-                    let entries = match func.sidetable.br_table(ip as u32) {
-                        Some(e) => e,
-                        None => trap!(TrapCode::HostError),
-                    };
-                    let entry = if index < entries.len() - 1 {
-                        entries[index]
-                    } else {
-                        *entries.last().expect("br_table has a default")
-                    };
-                    self.take_branch(&entry, operand_base, ctx, cycles, &mut reader);
+                    take_branch!(func
+                        .sidetable
+                        .br_table(ip as u32)
+                        .and_then(|entries| entries.get(index).or(entries.last())));
                 }
                 Opcode::Return => {
-                    cycles.charge(cost.jump);
-                    self.finish_return(func, ctx, cycles);
-                    return InterpExit::Return;
+                    spent += Self::finish_return(cost, func, ctx);
+                    break InterpExit::Return;
                 }
                 Opcode::Call => {
-                    let callee = match reader.read_index() {
-                        Ok(i) => i,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    cycles.charge(cost.interp_imm + cost.interp_call_setup);
-                    return InterpExit::Call {
+                    let callee = read!(read_index);
+                    break InterpExit::Call {
                         func_index: callee,
                         resume_ip: reader.pc(),
                         site_offset: ip as u32,
                     };
                 }
                 Opcode::CallIndirect => {
-                    let (type_index, table_index) = match reader.read_call_indirect() {
-                        Ok(v) => v,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
+                    let (type_index, table_index) = read!(read_call_indirect);
                     let sp = ctx.values.sp() - 1;
                     let entry_index = ctx.values.read(sp) as u32;
                     ctx.values.set_sp(sp);
-                    cycles.charge(cost.interp_imm * 2 + cost.slot_load + cost.interp_call_setup);
-                    return InterpExit::CallIndirect {
+                    break InterpExit::CallIndirect {
                         type_index,
                         table_index,
                         entry_index,
@@ -396,12 +501,10 @@ impl Interpreter {
                 }
                 Opcode::Select | Opcode::SelectT => {
                     if op == Opcode::SelectT {
-                        let _ = reader.read_select_types();
-                        cycles.charge(cost.interp_imm);
+                        let _ = reader.skip_immediates(op);
                     }
                     let sp = ctx.values.sp();
                     let cond = ctx.values.read(sp - 1);
-                    cycles.charge(cost.slot_load * 3 + cost.select + cost.slot_store);
                     if cond != 0 {
                         // Keep the first operand: already in place.
                     } else {
@@ -412,96 +515,56 @@ impl Interpreter {
                     ctx.values.set_sp(sp - 2);
                 }
                 Opcode::LocalGet => {
-                    let index = match reader.read_index() {
-                        Ok(i) => i as usize,
-                        Err(_) => trap!(TrapCode::HostError),
+                    let index = read!(read_index) as usize;
+                    let Some(&ty) = func.local_types.get(index) else {
+                        trap!(TrapCode::HostError)
                     };
                     let bits = ctx.values.read(frame_base + index);
-                    let tag = ValueTag::for_type(func.local_types[index]);
-                    let sp = ctx.values.sp();
-                    ctx.values.write_tagged(sp, bits, tag);
-                    ctx.values.set_sp(sp + 1);
-                    cycles.charge(
-                        cost.interp_imm + cost.slot_load + cost.slot_store + cost.tag_store,
-                    );
+                    Self::push(ctx, bits, ValueTag::for_type(ty));
                 }
                 Opcode::LocalSet | Opcode::LocalTee => {
-                    let index = match reader.read_index() {
-                        Ok(i) => i as usize,
-                        Err(_) => trap!(TrapCode::HostError),
+                    let index = read!(read_index) as usize;
+                    let Some(&ty) = func.local_types.get(index) else {
+                        trap!(TrapCode::HostError)
                     };
                     let sp = ctx.values.sp();
                     let bits = ctx.values.read(sp - 1);
-                    let tag = ValueTag::for_type(func.local_types[index]);
-                    ctx.values.write_tagged(frame_base + index, bits, tag);
+                    ctx.values.write_tagged(frame_base + index, bits, ValueTag::for_type(ty));
                     if op == Opcode::LocalSet {
                         ctx.values.set_sp(sp - 1);
                     }
-                    cycles.charge(
-                        cost.interp_imm + cost.slot_load + cost.slot_store + cost.tag_store,
-                    );
                 }
                 Opcode::GlobalGet => {
-                    let index = match reader.read_index() {
-                        Ok(i) => i as usize,
-                        Err(_) => trap!(TrapCode::HostError),
+                    let index = read!(read_index) as usize;
+                    let Some(&global) = ctx.globals.get(index) else {
+                        trap!(TrapCode::HostError)
                     };
-                    let global = ctx.globals[index];
-                    let sp = ctx.values.sp();
-                    ctx.values.write_tagged(sp, global.bits, global.tag);
-                    ctx.values.set_sp(sp + 1);
-                    cycles.charge(
-                        cost.interp_imm + cost.global + cost.slot_store + cost.tag_store,
-                    );
+                    Self::push(ctx, global.bits, global.tag);
                 }
                 Opcode::GlobalSet => {
-                    let index = match reader.read_index() {
-                        Ok(i) => i as usize,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
+                    let index = read!(read_index) as usize;
                     let sp = ctx.values.sp() - 1;
-                    ctx.globals[index].bits = ctx.values.read(sp);
+                    let Some(global) = ctx.globals.get_mut(index) else {
+                        trap!(TrapCode::HostError)
+                    };
+                    global.bits = ctx.values.read(sp);
                     ctx.values.set_sp(sp);
-                    cycles.charge(cost.interp_imm + cost.global + cost.slot_load);
                 }
                 Opcode::I32Const => {
-                    let v = match reader.read_i32() {
-                        Ok(v) => v,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    self.push(ctx, WasmValue::I32(v), cycles);
+                    Self::push(ctx, WasmValue::I32(read!(read_i32)).to_bits(), ValueTag::I32)
                 }
                 Opcode::I64Const => {
-                    let v = match reader.read_i64() {
-                        Ok(v) => v,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    self.push(ctx, WasmValue::I64(v), cycles);
+                    Self::push(ctx, WasmValue::I64(read!(read_i64)).to_bits(), ValueTag::I64)
                 }
                 Opcode::F32Const => {
-                    let v = match reader.read_f32() {
-                        Ok(v) => v,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    self.push(ctx, WasmValue::F32(v), cycles);
+                    Self::push(ctx, WasmValue::F32(read!(read_f32)).to_bits(), ValueTag::F32)
                 }
                 Opcode::F64Const => {
-                    let v = match reader.read_f64() {
-                        Ok(v) => v,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    self.push(ctx, WasmValue::F64(v), cycles);
+                    Self::push(ctx, WasmValue::F64(read!(read_f64)).to_bits(), ValueTag::F64)
                 }
                 Opcode::RefNull => {
-                    let ty = match reader.read_ref_type() {
-                        Ok(t) => t,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    let sp = ctx.values.sp();
-                    ctx.values
-                        .write_tagged(sp, NULL_REF_BITS, ValueTag::for_type(ty));
-                    ctx.values.set_sp(sp + 1);
-                    cycles.charge(cost.interp_imm + cost.slot_store + cost.tag_store);
+                    let ty = read!(read_ref_type);
+                    Self::push(ctx, NULL_REF_BITS, ValueTag::for_type(ty));
                 }
                 Opcode::RefIsNull => {
                     let sp = ctx.values.sp() - 1;
@@ -509,20 +572,15 @@ impl Interpreter {
                     ctx.values
                         .write_tagged(sp, (bits == NULL_REF_BITS) as u64, ValueTag::I32);
                     ctx.values.set_sp(sp + 1);
-                    cycles.charge(cost.slot_load + cost.alu + cost.slot_store + cost.tag_store);
                 }
                 Opcode::RefFunc => {
-                    let index = match reader.read_index() {
-                        Ok(i) => i,
-                        Err(_) => trap!(TrapCode::HostError),
-                    };
-                    self.push(ctx, WasmValue::FuncRef(Some(index)), cycles);
+                    let func = WasmValue::FuncRef(Some(read!(read_index)));
+                    Self::push(ctx, func.to_bits(), ValueTag::FuncRef)
                 }
                 Opcode::MemorySize => {
                     let _ = reader.read_memory_index();
                     let pages = ctx.memory.as_deref().map(|m| m.size_pages()).unwrap_or(0);
-                    self.push(ctx, WasmValue::I32(pages as i32), cycles);
-                    cycles.charge(cost.memory_size);
+                    Self::push(ctx, WasmValue::I32(pages as i32).to_bits(), ValueTag::I32);
                 }
                 Opcode::MemoryGrow => {
                     let _ = reader.read_memory_index();
@@ -534,116 +592,107 @@ impl Interpreter {
                     };
                     ctx.values
                         .write_tagged(sp, result as u32 as u64, ValueTag::I32);
-                    cycles.charge(cost.slot_load + cost.memory_grow + cost.slot_store + cost.tag_store);
                 }
-                _ if op.is_memory_access() => {
-                    let memarg = match reader.read_memarg() {
-                        Ok(m) => m,
-                        Err(_) => trap!(TrapCode::HostError),
+                Opcode::I32Load
+                | Opcode::I64Load
+                | Opcode::F32Load
+                | Opcode::F64Load
+                | Opcode::I32Load8S
+                | Opcode::I32Load8U
+                | Opcode::I32Load16S
+                | Opcode::I32Load16U
+                | Opcode::I64Load8S
+                | Opcode::I64Load8U
+                | Opcode::I64Load16S
+                | Opcode::I64Load16U
+                | Opcode::I64Load32S
+                | Opcode::I64Load32U => {
+                    let memarg = read!(read_memarg);
+                    let sp = ctx.values.sp() - 1;
+                    let addr = ctx.values.read(sp) as u32;
+                    let memory = match ctx.memory.as_deref() {
+                        Some(m) => m,
+                        None => trap!(TrapCode::MemoryOutOfBounds),
                     };
-                    cycles.charge(cost.interp_imm * 2);
-                    let width = op.access_width().expect("memory access has a width");
-                    match op.signature() {
-                        wasm::opcode::OpSignature::Load(result) => {
-                            let sp = ctx.values.sp() - 1;
-                            let addr = ctx.values.read(sp) as u32;
-                            let memory = match ctx.memory.as_deref() {
-                                Some(m) => m,
-                                None => trap!(TrapCode::MemoryOutOfBounds),
-                            };
-                            let raw = match memory.load(addr, memarg.offset, width) {
-                                Ok(v) => v,
-                                Err(code) => trap!(code),
-                            };
-                            let bits = extend_load(op, raw);
-                            ctx.values
-                                .write_tagged(sp, bits, ValueTag::for_type(result));
-                            cycles.charge(
-                                cost.slot_load + cost.mem_load + cost.slot_store + cost.tag_store,
-                            );
-                        }
-                        wasm::opcode::OpSignature::Store(_) => {
-                            let sp = ctx.values.sp();
-                            let value = ctx.values.read(sp - 1);
-                            let addr = ctx.values.read(sp - 2) as u32;
-                            ctx.values.set_sp(sp - 2);
-                            let memory = match ctx.memory.as_deref_mut() {
-                                Some(m) => m,
-                                None => trap!(TrapCode::MemoryOutOfBounds),
-                            };
-                            if let Err(code) = memory.store(addr, memarg.offset, width, value) {
-                                trap!(code);
-                            }
-                            cycles.charge(cost.slot_load * 2 + cost.mem_store);
-                        }
-                        _ => trap!(TrapCode::HostError),
+                    let raw = match memory.load(addr, memarg.offset, info.width as u32) {
+                        Ok(v) => v,
+                        Err(code) => trap!(code),
+                    };
+                    ctx.values.write_tagged(sp, extend_load(op, raw), info.result);
+                    spent += loaded_cost;
+                }
+                Opcode::I32Store
+                | Opcode::I64Store
+                | Opcode::F32Store
+                | Opcode::F64Store
+                | Opcode::I32Store8
+                | Opcode::I32Store16
+                | Opcode::I64Store8
+                | Opcode::I64Store16
+                | Opcode::I64Store32 => {
+                    let memarg = read!(read_memarg);
+                    let sp = ctx.values.sp();
+                    let value = ctx.values.read(sp - 1);
+                    let addr = ctx.values.read(sp - 2) as u32;
+                    ctx.values.set_sp(sp - 2);
+                    let memory = match ctx.memory.as_deref_mut() {
+                        Some(m) => m,
+                        None => trap!(TrapCode::MemoryOutOfBounds),
+                    };
+                    if let Err(code) = memory.store(addr, memarg.offset, info.width as u32, value) {
+                        trap!(code);
                     }
+                    spent += stored_cost;
                 }
                 other => {
                     debug_assert!(false, "unhandled opcode {other}");
                     trap!(TrapCode::HostError);
                 }
             }
-        }
+        };
+        cycles.charge(spent);
+        exit
     }
 
-    fn push(&self, ctx: &mut ExecContext<'_>, value: WasmValue, cycles: &mut CycleCounter) {
+    /// Pushes a value; [`dispatch_cost`] has charged the store.
+    #[inline]
+    fn push(ctx: &mut ExecContext<'_>, bits: u64, tag: ValueTag) {
         let sp = ctx.values.sp();
-        ctx.values.write_value(sp, value);
+        ctx.values.write_tagged(sp, bits, tag);
         ctx.values.set_sp(sp + 1);
-        cycles.charge(self.cost.interp_imm + self.cost.slot_store + self.cost.tag_store);
     }
 
-    fn class_cost(&self, op: Opcode) -> u64 {
-        use machine::inst::{AluOp, FAluOp, FUnOp};
-        use machine::lower::OpClass;
-        match classify(op) {
-            Some(OpClass::Alu(AluOp::Mul, _)) => self.cost.mul,
-            Some(OpClass::Alu(alu, _)) if alu.is_division() => self.cost.div,
-            Some(OpClass::Alu(..)) | Some(OpClass::Unop(..)) | Some(OpClass::Cmp(..)) => {
-                self.cost.alu
-            }
-            Some(OpClass::FAlu(FAluOp::Div, _)) => self.cost.fdiv,
-            Some(OpClass::FUnop(FUnOp::Sqrt, _)) => self.cost.fsqrt,
-            Some(OpClass::FAlu(..)) | Some(OpClass::FUnop(..)) | Some(OpClass::FCmp(..)) => {
-                self.cost.falu
-            }
-            Some(OpClass::Convert(..)) => self.cost.convert,
-            None => self.cost.alu,
-        }
-    }
-
+    /// Moves the branch's values down to its label and continues at its
+    /// target; returns the cycles the moves cost.
+    #[inline]
     fn take_branch(
-        &self,
+        cost: &CostModel,
         entry: &BranchEntry,
         operand_base: usize,
         ctx: &mut ExecContext<'_>,
-        cycles: &mut CycleCounter,
         reader: &mut BytecodeReader<'_>,
-    ) {
+    ) -> u64 {
         let arity = entry.arity as usize;
         let dest_base = operand_base + entry.label_base as usize;
         let src_base = ctx.values.sp() - arity;
+        let mut spent = 0;
         if src_base != dest_base {
             for i in 0..arity {
                 let bits = ctx.values.read(src_base + i);
                 let tag = ctx.values.tag(src_base + i);
                 ctx.values.write_tagged(dest_base + i, bits, tag);
-                cycles.charge(self.cost.slot_load + self.cost.slot_store);
+                spent += cost.slot_load + cost.slot_store;
             }
         }
         ctx.values.set_sp(dest_base + arity);
         reader.set_pc(entry.target_ip as usize);
+        spent
     }
 
     /// Copies the returning frame's results down to its base slots, matching
-    /// the calling convention JIT code follows.
-    fn finish_return(
-        &self,
-        func: &PreparedFunction,
-        ctx: &mut ExecContext<'_>,
-        cycles: &mut CycleCounter,
-    ) {
+    /// the calling convention JIT code follows; returns the cycles the
+    /// copies cost.
+    fn finish_return(cost: &CostModel, func: &PreparedFunction, ctx: &mut ExecContext<'_>) -> u64 {
         let results = func.num_results as usize;
         let src_base = ctx.values.sp() - results;
         let dest_base = ctx.frame_base;
@@ -651,8 +700,8 @@ impl Interpreter {
             let bits = ctx.values.read(src_base + i);
             let tag = ctx.values.tag(src_base + i);
             ctx.values.write_tagged(dest_base + i, bits, tag);
-            cycles.charge(self.cost.slot_load + self.cost.slot_store + self.cost.tag_store);
         }
+        results as u64 * (cost.slot_load + cost.slot_store + cost.tag_store)
     }
 }
 
@@ -1057,6 +1106,68 @@ mod tests {
         // size(1) + grow_result(1) + new_size(3) = 5
         let r = run_function(vec![], vec![ValueType::I32], vec![], c, &[]).unwrap();
         assert_eq!(r, vec![WasmValue::I32(5)]);
+    }
+
+    /// Runs a hand-prepared frame over `code` whose metadata declares
+    /// `local_types` — which need not match what the body indexes.
+    fn run_unvalidated(code: CodeBuilder, local_types: Vec<ValueType>) -> InterpExit {
+        let mut b = ModuleBuilder::new();
+        let f = b.add_func(FuncType::new(vec![], vec![]), vec![], code.finish());
+        let module = b.finish();
+        let prepared = PreparedFunction {
+            func_index: f,
+            num_params: 0,
+            num_results: 0,
+            local_types,
+            max_stack: 4,
+            sidetable: Sidetable::default(),
+            body_len: 0,
+            fuel: FuelPlan::empty(),
+        };
+        let mut values = ValueStack::with_capacity(64);
+        values.set_sp(prepared.num_locals() as usize);
+        let mut globals = vec![];
+        let mut tables = vec![];
+        let mut cycles = CycleCounter::new();
+        let mut ctx = ExecContext {
+            values: &mut values,
+            frame_base: 0,
+            memory: None,
+            globals: &mut globals,
+            tables: &mut tables,
+            meter: machine::cpu::Meter::off(),
+        };
+        Interpreter::default().run(&module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles)
+    }
+
+    #[test]
+    fn indices_outside_the_prepared_metadata_are_host_errors_not_panics() {
+        let host_error = |offset| InterpExit::Trap { code: TrapCode::HostError, offset };
+        let body = |build: fn(&mut CodeBuilder)| {
+            let mut c = CodeBuilder::new();
+            build(c.nop());
+            c
+        };
+        assert_eq!(run_unvalidated(body(|c| { c.local_get(5); }), vec![]), host_error(1));
+        let one_local = vec![ValueType::I32];
+        assert_eq!(
+            run_unvalidated(body(|c| { c.i32_const(1).local_set(1); }), one_local.clone()),
+            host_error(3)
+        );
+        assert_eq!(
+            run_unvalidated(body(|c| { c.i32_const(1).local_tee(9); }), one_local),
+            host_error(3)
+        );
+        assert_eq!(run_unvalidated(body(|c| { c.global_get(0); }), vec![]), host_error(1));
+        assert_eq!(
+            run_unvalidated(body(|c| { c.i32_const(1).global_set(3); }), vec![]),
+            host_error(3)
+        );
+        // A `br_table` (or any branch) the sidetable does not know.
+        assert_eq!(
+            run_unvalidated(body(|c| { c.i32_const(0).br_table(&[0], 0); }), vec![]),
+            host_error(3)
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! stack, and position — without the instrumentation needing to know how the
 //! executing tier stores values.
 //!
-//! The interpreter consults a [`ProbeSink`] at every instruction; the
+//! The interpreter consults a [`ProbeSink`] at every instruction of a
+//! function the sink has probes in (and not at all elsewhere); the
 //! single-pass compiler instead bakes the attached probes into the generated
 //! code (and optimizes common probe shapes), which is what the paper's
 //! Fig. 6 experiment measures.
@@ -94,8 +95,21 @@ impl<'a> FrameAccessor<'a> {
 /// attached; [`NoProbes`] is the empty implementation used when a module is
 /// not instrumented.
 pub trait ProbeSink {
+    /// Returns true if any probe may be attached anywhere in `func_index`.
+    ///
+    /// The interpreter asks once as it enters (or re-enters) a frame and
+    /// again after every [`ProbeSink::fire`] — the only points at which the
+    /// answer can change while it holds the sink — and skips the
+    /// per-instruction [`ProbeSink::has_probe`] query while the answer is
+    /// `false`. The default claims every function, which is always correct.
+    fn has_probes_in(&self, func_index: u32) -> bool {
+        let _ = func_index;
+        true
+    }
+
     /// Returns true if any probe is attached at `(func_index, offset)`.
-    /// The interpreter calls this before each instruction.
+    /// The interpreter calls this before each instruction of a function
+    /// [`ProbeSink::has_probes_in`] claims.
     fn has_probe(&self, func_index: u32, offset: u32) -> bool;
 
     /// Fires the probes attached at `(func_index, offset)`.
@@ -120,6 +134,10 @@ pub trait ProbeSink {
 pub struct NoProbes;
 
 impl ProbeSink for NoProbes {
+    fn has_probes_in(&self, _func_index: u32) -> bool {
+        false
+    }
+
     fn has_probe(&self, _func_index: u32, _offset: u32) -> bool {
         false
     }
@@ -168,6 +186,7 @@ mod tests {
     #[test]
     fn no_probes_never_fires() {
         let mut sink = NoProbes;
+        assert!(!sink.has_probes_in(0));
         assert!(!sink.has_probe(0, 0));
         assert!(!sink.has_probe(7, 123));
         // Default hooks are no-ops.

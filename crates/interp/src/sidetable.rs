@@ -6,10 +6,9 @@
 //! metadata is the *sidetable* (the `STP` of the paper's Fig. 2), built in a
 //! single forward pass that mirrors validation's control-stack discipline:
 //! every forward label's branches are recorded as fixups and resolved when
-//! the construct's `end` is reached, so construction is strictly linear in
-//! the size of the code.
+//! the construct's `end` is reached, so construction is one walk of the code
+//! plus one sort of the branch entries into offset order.
 
-use std::collections::HashMap;
 use wasm::module::Module;
 use wasm::opcode::{OpSignature, Opcode};
 use wasm::reader::BytecodeReader;
@@ -31,32 +30,50 @@ pub struct BranchEntry {
 }
 
 /// The per-function sidetable.
+///
+/// Entries are keyed by the bytecode offset of the branching instruction and
+/// stored in vectors sorted by strictly increasing offset; a lookup is a
+/// binary search. The entries of all `br_table`s share one pool, each
+/// table's slice located by a `(offset, start, len)` record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sidetable {
-    branches: HashMap<u32, BranchEntry>,
-    br_tables: HashMap<u32, Vec<BranchEntry>>,
+    branches: Vec<(u32, BranchEntry)>,
+    tables: Vec<TableRef>,
+    table_entries: Vec<BranchEntry>,
+}
+
+/// Where one `br_table`'s entries sit in [`Sidetable::table_entries`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TableRef {
+    offset: u32,
+    start: u32,
+    len: u32,
 }
 
 impl Sidetable {
     /// The branch entry for the `br`, `br_if`, `if`, or `else` at `offset`.
+    #[inline]
     pub fn branch(&self, offset: u32) -> Option<&BranchEntry> {
-        self.branches.get(&offset)
+        let index = self.branches.binary_search_by_key(&offset, |(at, _)| *at).ok()?;
+        Some(&self.branches[index].1)
     }
 
     /// The entries for the `br_table` at `offset`: one per target followed by
     /// the default.
     pub fn br_table(&self, offset: u32) -> Option<&[BranchEntry]> {
-        self.br_tables.get(&offset).map(|v| v.as_slice())
+        let index = self.tables.binary_search_by_key(&offset, |table| table.offset).ok()?;
+        let TableRef { start, len, .. } = self.tables[index];
+        self.table_entries.get(start as usize..(start + len) as usize)
     }
 
     /// Total number of entries (for size accounting).
     pub fn len(&self) -> usize {
-        self.branches.len() + self.br_tables.values().map(|v| v.len()).sum::<usize>()
+        self.branches.len() + self.table_entries.len()
     }
 
     /// True if the function has no control transfers at all.
     pub fn is_empty(&self) -> bool {
-        self.branches.is_empty() && self.br_tables.is_empty()
+        self.branches.is_empty() && self.table_entries.is_empty()
     }
 }
 
@@ -88,8 +105,9 @@ struct CtrlFrame {
     start_ip: u32,
     /// `br`/`br_if` offsets waiting for this frame's `end`.
     branch_fixups: Vec<u32>,
-    /// `(br_table offset, slot)` pairs waiting for this frame's `end`.
-    table_fixups: Vec<(u32, usize)>,
+    /// `br_table` entries (indices into the entry pool) waiting for this
+    /// frame's `end`.
+    table_fixups: Vec<usize>,
     /// Offset of an `if` whose false-branch target is not yet known.
     pending_if_false: Option<u32>,
     /// Offset of an `else` whose jump-to-end target is not yet known.
@@ -188,14 +206,14 @@ pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, Si
             Opcode::Else => {
                 let frame = frames.last_mut().expect("inside a frame");
                 if let Some(if_offset) = frame.pending_if_false.take() {
-                    table.branches.insert(
+                    table.branches.push((
                         if_offset,
                         BranchEntry {
                             target_ip: offset + 1,
                             label_base: frame.label_base,
                             arity: frame.params,
                         },
-                    );
+                    ));
                 }
                 frame.pending_else = Some(offset);
                 frame.unreachable = false;
@@ -208,19 +226,12 @@ pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, Si
                     label_base: frame.label_base,
                     arity: frame.results,
                 };
-                if let Some(if_offset) = frame.pending_if_false {
-                    table.branches.insert(if_offset, entry);
-                }
-                if let Some(else_offset) = frame.pending_else {
-                    table.branches.insert(else_offset, entry);
-                }
-                for fixup in frame.branch_fixups {
-                    table.branches.insert(fixup, entry);
-                }
-                for (table_offset, slot) in frame.table_fixups {
-                    if let Some(entries) = table.br_tables.get_mut(&table_offset) {
-                        entries[slot] = entry;
-                    }
+                let resolved = frame.pending_if_false.into_iter().chain(frame.pending_else);
+                table
+                    .branches
+                    .extend(resolved.chain(frame.branch_fixups).map(|at| (at, entry)));
+                for slot in frame.table_fixups {
+                    table.table_entries[slot] = entry;
                 }
                 height = frame.label_base + frame.results;
                 if let Some(parent) = frames.last() {
@@ -243,26 +254,28 @@ pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, Si
                 }
             }
             Opcode::BrTable => {
-                let (targets, default) = reader
-                    .read_branch_table()
+                let count = reader
+                    .read_index()
                     .map_err(|e| err(offset as usize, e.to_string()))?;
                 pop!(1);
-                let total = targets.len() + 1;
-                table.br_tables.insert(
-                    offset,
-                    vec![
-                        BranchEntry {
-                            target_ip: 0,
-                            label_base: 0,
-                            arity: 0
-                        };
-                        total
-                    ],
-                );
-                for (slot, depth) in targets.iter().chain(std::iter::once(&default)).enumerate() {
-                    record_branch(&mut table, &mut frames, offset, *depth, Some(slot))
+                // One entry per target, then the default; each is pushed only
+                // once its depth has been read, so a hostile count cannot
+                // size an allocation.
+                let start = table.table_entries.len();
+                for _ in 0..=count {
+                    let depth = reader
+                        .read_index()
+                        .map_err(|e| err(offset as usize, e.to_string()))?;
+                    let slot = table.table_entries.len();
+                    table.table_entries.push(BranchEntry { target_ip: 0, label_base: 0, arity: 0 });
+                    record_branch(&mut table, &mut frames, offset, depth, Some(slot))
                         .map_err(|m| err(offset as usize, m))?;
                 }
+                table.tables.push(TableRef {
+                    offset,
+                    start: start as u32,
+                    len: (table.table_entries.len() - start) as u32,
+                });
                 mark_unreachable(&mut frames, &mut height);
             }
             Opcode::Return | Opcode::Unreachable => {
@@ -296,7 +309,7 @@ pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, Si
             }
             Opcode::SelectT => {
                 reader
-                    .read_select_types()
+                    .skip_immediates(op)
                     .map_err(|e| err(offset as usize, e.to_string()))?;
                 pop!(3);
                 push!(1);
@@ -365,6 +378,11 @@ pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, Si
             }
         }
     }
+    // Forward branches were recorded when their label's `end` resolved them,
+    // not where they stand; `br_table`s were met in offset order already.
+    table.branches.sort_unstable_by_key(|(at, _)| *at);
+    debug_assert!(table.branches.windows(2).all(|w| w[0].0 < w[1].0));
+    debug_assert!(table.tables.windows(2).all(|w| w[0].offset < w[1].offset));
     Ok(table)
 }
 
@@ -392,18 +410,12 @@ fn record_branch(
             arity: frame.params,
         };
         match table_slot {
-            Some(slot) => {
-                if let Some(entries) = table.br_tables.get_mut(&offset) {
-                    entries[slot] = entry;
-                }
-            }
-            None => {
-                table.branches.insert(offset, entry);
-            }
+            Some(slot) => table.table_entries[slot] = entry,
+            None => table.branches.push((offset, entry)),
         }
     } else {
         match table_slot {
-            Some(slot) => frame.table_fixups.push((offset, slot)),
+            Some(slot) => frame.table_fixups.push(slot),
             None => frame.branch_fixups.push(offset),
         }
     }
@@ -521,6 +533,50 @@ mod tests {
         assert_eq!(entries[1].target_ip, 11);
         assert_eq!(entries[2].target_ip, 12);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn entries_are_stored_in_offset_order_however_late_they_resolve() {
+        // block ; block ; br 1 ; br 0 ; end ; br 0 ; end
+        // 0       2       4      6      8     9      11
+        // The first `br` waits for the outer `end`, so it resolves last.
+        let mut c = CodeBuilder::new();
+        c.block(BlockType::Empty)
+            .block(BlockType::Empty)
+            .br(1)
+            .br(0)
+            .end()
+            .br(0)
+            .end();
+        let (m, f) = build(vec![], vec![], c);
+        let t = build_sidetable(&m, f).unwrap();
+        let offsets: Vec<u32> = t.branches.iter().map(|(at, _)| *at).collect();
+        assert_eq!(offsets, [4, 6, 9]);
+        assert_eq!(t.branch(4).unwrap().target_ip, 11);
+        assert_eq!(t.branch(6).unwrap().target_ip, 8);
+        assert_eq!(t.branch(9).unwrap().target_ip, 11);
+        assert!(t.branch(5).is_none() && t.br_table(4).is_none());
+    }
+
+    #[test]
+    fn br_tables_share_one_entry_pool() {
+        // block ; local.get 0 ; br_table [0] 0 ; end ; local.get 0 ; br_table [0 0] 0
+        // 0       2             4                8     9             11
+        let mut c = CodeBuilder::new();
+        c.block(BlockType::Empty)
+            .local_get(0)
+            .br_table(&[0], 0)
+            .end()
+            .local_get(0)
+            .br_table(&[0, 0], 0);
+        let (m, f) = build(vec![ValueType::I32], vec![], c);
+        let t = build_sidetable(&m, f).unwrap();
+        let first: Vec<u32> = t.br_table(4).unwrap().iter().map(|e| e.target_ip).collect();
+        let second: Vec<u32> = t.br_table(11).unwrap().iter().map(|e| e.target_ip).collect();
+        assert_eq!(first, [8, 8]);
+        assert_eq!(second, [16, 16, 16]);
+        assert_eq!(t.len(), 5);
+        assert!(t.br_table(8).is_none() && t.branch(4).is_none());
     }
 
     #[test]

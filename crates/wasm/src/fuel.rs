@@ -40,7 +40,6 @@
 
 use crate::opcode::Opcode;
 use crate::reader::{BytecodeReader, ReadError};
-use std::collections::{HashMap, HashSet};
 
 /// The fuel cost of one opcode.
 ///
@@ -61,16 +60,32 @@ pub fn fuel_cost(op: Opcode) -> u64 {
     }
 }
 
+/// One meter-check site of a [`FuelPlan`]: an offset where a charge region
+/// starts, the epoch is polled, or both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MeterSite {
+    /// The bytecode offset of the site.
+    pub offset: u32,
+    /// True at a loop-body start, where the epoch is polled.
+    pub epoch_check: bool,
+    /// The fuel to charge on reaching the site; zero at a loop-body start
+    /// whose region charges nothing.
+    pub charge: u64,
+}
+
 /// A static fuel-charging schedule for one function body.
 ///
 /// Built once per function (see [`FuelPlan::build`]) and shared by all tiers:
 /// the interpreter consults it per instruction offset, while the baseline and
 /// optimizing compilers bake `fuel_check` / `epoch_check` sequences into the
 /// generated code at the recorded offsets.
+///
+/// The sites are stored in one vector sorted by strictly increasing offset —
+/// the order [`FuelPlan::build`] discovers them in — and found by binary
+/// search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuelPlan {
-    charges: HashMap<u32, u64>,
-    epoch_checks: HashSet<u32>,
+    sites: Vec<MeterSite>,
 }
 
 impl FuelPlan {
@@ -100,8 +115,8 @@ impl FuelPlan {
             match op {
                 Opcode::Loop => {
                     // Back-edges target the body start: poll the epoch there.
-                    plan.epoch_checks.insert(after);
                     plan.flush(&mut region_start, &mut pending, after);
+                    plan.site_mut(after).epoch_check = true;
                 }
                 Opcode::If
                 | Opcode::Else
@@ -125,41 +140,61 @@ impl FuelPlan {
 
     fn flush(&mut self, region_start: &mut u32, pending: &mut u64, next: u32) {
         if *pending > 0 {
-            *self.charges.entry(*region_start).or_insert(0) += *pending;
+            self.site_mut(*region_start).charge += *pending;
         }
         *pending = 0;
         *region_start = next;
     }
 
+    /// The site at `offset`, appended if the last site lies before it. The
+    /// walk in [`FuelPlan::build`] only ever names the newest site or one
+    /// past it, which is what keeps `sites` sorted without sorting.
+    fn site_mut(&mut self, offset: u32) -> &mut MeterSite {
+        let last = self.sites.last().map(|site| site.offset);
+        debug_assert!(last.is_none_or(|last| last <= offset), "sites are built in offset order");
+        if last != Some(offset) {
+            self.sites.push(MeterSite { offset, epoch_check: false, charge: 0 });
+        }
+        self.sites.last_mut().expect("a site was just ensured")
+    }
+
+    /// The meter-check site at `offset`, if control reaching `offset` must
+    /// charge fuel or poll the epoch: one lookup for both questions.
+    #[inline]
+    pub fn site_at(&self, offset: u32) -> Option<MeterSite> {
+        let index = self.sites.binary_search_by_key(&offset, |site| site.offset).ok()?;
+        Some(self.sites[index])
+    }
+
     /// The fuel to charge when control reaches `offset`, if any.
     pub fn charge_at(&self, offset: u32) -> Option<u64> {
-        self.charges.get(&offset).copied()
+        self.site_at(offset).map(|site| site.charge).filter(|&charge| charge > 0)
     }
 
     /// True when `offset` is a loop-body start where the epoch is polled.
     pub fn epoch_check_at(&self, offset: u32) -> bool {
-        self.epoch_checks.contains(&offset)
+        self.site_at(offset).is_some_and(|site| site.epoch_check)
     }
 
     /// Number of distinct charge regions.
     pub fn num_charges(&self) -> usize {
-        self.charges.len()
+        self.sites.iter().filter(|site| site.charge > 0).count()
     }
 
     /// Number of epoch poll sites.
     pub fn num_epoch_checks(&self) -> usize {
-        self.epoch_checks.len()
+        self.sites.iter().filter(|site| site.epoch_check).count()
     }
 
     /// Sum of all region charges: the fuel a straight-line execution of every
     /// region exactly once would consume.
     pub fn total_cost(&self) -> u64 {
-        self.charges.values().sum()
+        self.sites.iter().map(|site| site.charge).sum()
     }
 
     /// True when the plan charges nothing and polls nothing.
     pub fn is_empty(&self) -> bool {
-        self.charges.is_empty() && self.epoch_checks.is_empty()
+        self.sites.is_empty()
     }
 }
 
@@ -234,10 +269,10 @@ mod tests {
         assert_eq!(plan.charge_at(0), Some(2));
         // Then-arm and else-arm each form their own two-cost region.
         let arms: Vec<u64> = plan
-            .charges
+            .sites
             .iter()
-            .filter(|(o, _)| **o != 0)
-            .map(|(_, c)| *c)
+            .filter(|site| site.offset != 0)
+            .map(|site| site.charge)
             .collect();
         assert_eq!(arms.len(), 2);
         assert!(arms.iter().all(|&c| c == 2));
@@ -274,6 +309,28 @@ mod tests {
     }
 
     #[test]
+    fn sites_are_sorted_and_merge_a_poll_with_its_charge() {
+        // loop ; loop ; i32.const 1 ; drop ; br 0 ; end ; end ; end
+        let mut c = CodeBuilder::new();
+        c.loop_(crate::types::BlockType::Empty)
+            .loop_(crate::types::BlockType::Empty)
+            .i32_const(1)
+            .drop_()
+            .br(0)
+            .end()
+            .end();
+        let plan = FuelPlan::build(&c.finish()).unwrap();
+        assert!(plan.sites.windows(2).all(|w| w[0].offset < w[1].offset), "{:?}", plan.sites);
+        // The outer body start (offset 2) only polls; the inner one (offset
+        // 4) polls and charges const + drop + br in the same site.
+        assert_eq!(plan.site_at(2), Some(MeterSite { offset: 2, epoch_check: true, charge: 0 }));
+        assert_eq!(plan.charge_at(2), None);
+        assert_eq!(plan.site_at(4), Some(MeterSite { offset: 4, epoch_check: true, charge: 3 }));
+        assert_eq!(plan.site_at(3), None);
+        assert_eq!((plan.num_charges(), plan.num_epoch_checks()), (1, 2));
+    }
+
+    #[test]
     fn empty_and_trivial_bodies() {
         let plan = FuelPlan::build(&[]).unwrap();
         assert!(plan.is_empty());
@@ -296,7 +353,7 @@ mod tests {
         c.drop_();
         let code = c.finish();
         let plan = FuelPlan::build(&code).unwrap();
-        let mut boundaries = HashSet::new();
+        let mut boundaries = std::collections::BTreeSet::new();
         let mut r = BytecodeReader::new(&code);
         while !r.is_at_end() {
             boundaries.insert(r.pc() as u32);
@@ -304,8 +361,8 @@ mod tests {
             r.skip_immediates(op).unwrap();
         }
         boundaries.insert(code.len() as u32);
-        for offset in plan.charges.keys() {
-            assert!(boundaries.contains(offset), "charge at non-boundary {offset}");
+        for site in &plan.sites {
+            assert!(boundaries.contains(&site.offset), "site at non-boundary {}", site.offset);
         }
     }
 }

@@ -64,6 +64,7 @@ macro_rules! opcodes {
             pub const ALL: &'static [Opcode] = &[ $(Opcode::$name,)* ];
 
             /// Decodes an opcode from its binary byte.
+            #[inline]
             pub fn from_byte(b: u8) -> Option<Opcode> {
                 match b {
                     $( $byte => Some(Opcode::$name), )*

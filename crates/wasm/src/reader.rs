@@ -90,11 +90,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Current offset.
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// Sets the current offset.
+    #[inline]
     pub fn set_pos(&mut self, pos: usize) {
         self.pos = pos;
     }
@@ -110,11 +112,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// True when all bytes have been consumed.
+    #[inline]
     pub fn is_at_end(&self) -> bool {
         self.pos >= self.data.len()
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, ReadError> {
         let b = *self
             .data
@@ -149,37 +153,62 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an unsigned LEB128 value with at most 32 bits.
+    ///
+    /// Most immediates are one byte long, so that case is decided here, in
+    /// the caller's frame; anything longer (or truncated) takes the general
+    /// checked loop, which also produces every error.
+    #[inline]
     pub fn read_u32_leb(&mut self) -> Result<u32, ReadError> {
-        let (v, n) = leb::read_unsigned(self.data, self.pos, 32).map_err(|error| {
-            map_leb_error(error, self.data, self.pos)
-        })?;
-        self.pos += n;
-        Ok(v as u32)
+        match self.data.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(byte as u32)
+            }
+            _ => self.read_unsigned_leb(32).map(|v| v as u32),
+        }
     }
 
     /// Reads an unsigned LEB128 value with at most 64 bits.
     pub fn read_u64_leb(&mut self) -> Result<u64, ReadError> {
-        let (v, n) = leb::read_unsigned(self.data, self.pos, 64).map_err(|error| {
-            map_leb_error(error, self.data, self.pos)
-        })?;
+        self.read_unsigned_leb(64)
+    }
+
+    /// Reads a signed LEB128 value with at most 32 bits (one-byte fast path
+    /// as in [`ByteReader::read_u32_leb`]).
+    #[inline]
+    pub fn read_i32_leb(&mut self) -> Result<i32, ReadError> {
+        match self.data.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(sign_extend_7(byte) as i32)
+            }
+            _ => self.read_signed_leb(32).map(|v| v as i32),
+        }
+    }
+
+    /// Reads a signed LEB128 value with at most 64 bits (one-byte fast path
+    /// as in [`ByteReader::read_u32_leb`]).
+    #[inline]
+    pub fn read_i64_leb(&mut self) -> Result<i64, ReadError> {
+        match self.data.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(sign_extend_7(byte))
+            }
+            _ => self.read_signed_leb(64),
+        }
+    }
+
+    fn read_unsigned_leb(&mut self, bits: u32) -> Result<u64, ReadError> {
+        let (v, n) = leb::read_unsigned(self.data, self.pos, bits)
+            .map_err(|error| map_leb_error(error, self.data, self.pos))?;
         self.pos += n;
         Ok(v)
     }
 
-    /// Reads a signed LEB128 value with at most 32 bits.
-    pub fn read_i32_leb(&mut self) -> Result<i32, ReadError> {
-        let (v, n) = leb::read_signed(self.data, self.pos, 32).map_err(|error| {
-            map_leb_error(error, self.data, self.pos)
-        })?;
-        self.pos += n;
-        Ok(v as i32)
-    }
-
-    /// Reads a signed LEB128 value with at most 64 bits.
-    pub fn read_i64_leb(&mut self) -> Result<i64, ReadError> {
-        let (v, n) = leb::read_signed(self.data, self.pos, 64).map_err(|error| {
-            map_leb_error(error, self.data, self.pos)
-        })?;
+    fn read_signed_leb(&mut self, bits: u32) -> Result<i64, ReadError> {
+        let (v, n) = leb::read_signed(self.data, self.pos, bits)
+            .map_err(|error| map_leb_error(error, self.data, self.pos))?;
         self.pos += n;
         Ok(v)
     }
@@ -199,6 +228,12 @@ impl<'a> ByteReader<'a> {
         let b = self.read_u8()?;
         ValueType::from_byte(b).ok_or(ReadError::BadType { offset, byte: b })
     }
+}
+
+/// The value of a one-byte signed LEB128 encoding: bit 6 is the sign.
+#[inline]
+fn sign_extend_7(byte: u8) -> i64 {
+    ((byte << 1) as i8 >> 1) as i64
 }
 
 fn map_leb_error(error: LebError, data: &[u8], offset: usize) -> ReadError {
@@ -232,16 +267,19 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// The current bytecode offset.
+    #[inline]
     pub fn pc(&self) -> usize {
         self.inner.pos()
     }
 
     /// Repositions the reader.
+    #[inline]
     pub fn set_pc(&mut self, pc: usize) {
         self.inner.set_pos(pc);
     }
 
     /// True when the whole body has been read.
+    #[inline]
     pub fn is_at_end(&self) -> bool {
         self.inner.is_at_end()
     }
@@ -252,6 +290,7 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// Reads the next opcode byte.
+    #[inline]
     pub fn read_opcode(&mut self) -> Result<Opcode, ReadError> {
         let offset = self.inner.pos();
         let b = self.inner.read_u8()?;
@@ -269,16 +308,19 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// Reads an unsigned 32-bit LEB index immediate.
+    #[inline]
     pub fn read_index(&mut self) -> Result<u32, ReadError> {
         self.inner.read_u32_leb()
     }
 
     /// Reads an `i32.const` immediate.
+    #[inline]
     pub fn read_i32(&mut self) -> Result<i32, ReadError> {
         self.inner.read_i32_leb()
     }
 
     /// Reads an `i64.const` immediate.
+    #[inline]
     pub fn read_i64(&mut self) -> Result<i64, ReadError> {
         self.inner.read_i64_leb()
     }
@@ -294,6 +336,7 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// Reads a block type immediate.
+    #[inline]
     pub fn read_block_type(&mut self) -> Result<BlockType, ReadError> {
         let offset = self.inner.pos();
         let b = *self
@@ -318,6 +361,7 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// Reads a memory argument (alignment + offset).
+    #[inline]
     pub fn read_memarg(&mut self) -> Result<MemArg, ReadError> {
         let align = self.inner.read_u32_leb()?;
         let offset = self.inner.read_u32_leb()?;
@@ -368,7 +412,11 @@ impl<'a> BytecodeReader<'a> {
                 self.read_index()?;
             }
             ImmediateKind::BranchTable => {
-                self.read_branch_table()?;
+                // `count` targets, then the default.
+                let count = self.read_index()?;
+                for _ in 0..=count {
+                    self.read_index()?;
+                }
             }
             ImmediateKind::CallIndirect => {
                 self.read_call_indirect()?;
@@ -405,6 +453,7 @@ impl<'a> BytecodeReader<'a> {
     }
 
     /// Reads a reserved single-byte memory index (must currently be zero).
+    #[inline]
     pub fn read_memory_index(&mut self) -> Result<u8, ReadError> {
         self.inner.read_u8()
     }
@@ -451,6 +500,41 @@ mod tests {
         assert_eq!(r.read_i32_leb().unwrap(), -123456);
         assert_eq!(r.read_u64_leb().unwrap(), u64::MAX);
         assert!(r.is_at_end());
+    }
+
+    #[test]
+    fn one_byte_fast_paths_agree_with_the_general_decoder() {
+        // Every one- and two-byte prefix (plus an empty and a padded input):
+        // the fast path must hand back exactly what the checked loop would,
+        // value, length and error alike.
+        let mut inputs: Vec<Vec<u8>> = vec![vec![], vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x01]];
+        for b0 in 0..=u8::MAX {
+            inputs.push(vec![b0]);
+            for b1 in [0x00, 0x01, 0x3F, 0x40, 0x7F, 0x80, 0xFF] {
+                inputs.push(vec![b0, b1]);
+            }
+        }
+        for data in &inputs {
+            let unsigned = |bits| {
+                leb::read_unsigned(data, 0, bits).map_err(|e| map_leb_error(e, data, 0))
+            };
+            let signed =
+                |bits| leb::read_signed(data, 0, bits).map_err(|e| map_leb_error(e, data, 0));
+            let mut r = ByteReader::new(data);
+            assert_eq!(
+                r.read_u32_leb().map(|v| (v as u64, r.pos())),
+                unsigned(32),
+                "u32 {data:02x?}"
+            );
+            let mut r = ByteReader::new(data);
+            assert_eq!(
+                r.read_i32_leb().map(|v| (v as i64, r.pos())),
+                signed(32),
+                "i32 {data:02x?}"
+            );
+            let mut r = ByteReader::new(data);
+            assert_eq!(r.read_i64_leb().map(|v| (v, r.pos())), signed(64), "i64 {data:02x?}");
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 use engine::{Engine, EngineConfig, Imports, Instrumentation};
 use machine::inst::TrapCode;
 use machine::values::WasmValue;
+use std::collections::{BTreeMap, BTreeSet};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::opcode::Opcode;
+use wasm::reader::BytecodeReader;
 use wasm::types::{BlockType, FuncType, ValueType};
 use wasm::Module;
 
@@ -106,4 +108,176 @@ pub fn fib_module() -> Module {
     );
     b.export_func("fib", f);
     b.finish()
+}
+
+/// Where every branching instruction of `code` transfers control, recomputed
+/// from nothing but the block structure: offset of the `br`/`br_if`/`if`/
+/// `else`/`br_table` → its target offsets in immediate order (one for a
+/// plain branch; every listed target, then the default, for a `br_table`).
+fn reference_branch_targets(code: &[u8]) -> BTreeMap<u32, Vec<u32>> {
+    struct Construct {
+        /// Body start of a `loop` (its branch target); `None` for forward labels.
+        loop_start: Option<u32>,
+        /// `(branch offset, target slot)` pairs waiting for this label's `end`.
+        waiting: Vec<(u32, usize)>,
+    }
+    fn branch(
+        targets: &mut BTreeMap<u32, Vec<u32>>,
+        stack: &mut [Construct],
+        depth: u32,
+        offset: u32,
+        slot: usize,
+    ) {
+        let label = stack.len() - 1 - depth as usize;
+        match stack[label].loop_start {
+            Some(start) => targets.get_mut(&offset).expect("recorded")[slot] = start,
+            None => stack[label].waiting.push((offset, slot)),
+        }
+    }
+    let mut targets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    let mut stack = vec![Construct { loop_start: None, waiting: Vec::new() }];
+    let mut r = BytecodeReader::new(code);
+    while !r.is_at_end() {
+        let offset = r.pc() as u32;
+        let op = r.read_opcode().expect("opcode");
+        match op {
+            Opcode::Block | Opcode::Loop | Opcode::If => {
+                r.skip_immediates(op).expect("block type");
+                let mut construct = Construct { loop_start: None, waiting: Vec::new() };
+                match op {
+                    Opcode::Loop => construct.loop_start = Some(r.pc() as u32),
+                    Opcode::If => {
+                        // The false edge: to just past the `else`, or to the `end`.
+                        targets.insert(offset, vec![0]);
+                        construct.waiting.push((offset, 0));
+                    }
+                    _ => {}
+                }
+                stack.push(construct);
+            }
+            Opcode::Else => {
+                let construct = stack.last_mut().expect("inside an if");
+                let (if_offset, _) = construct.waiting.remove(0);
+                targets.get_mut(&if_offset).expect("recorded")[0] = offset + 1;
+                targets.insert(offset, vec![0]);
+                construct.waiting.push((offset, 0));
+            }
+            Opcode::End => {
+                for (waiting, slot) in stack.pop().expect("balanced").waiting {
+                    targets.get_mut(&waiting).expect("recorded")[slot] = offset;
+                }
+            }
+            Opcode::Br | Opcode::BrIf => {
+                let depth = r.read_index().expect("depth");
+                targets.insert(offset, vec![0]);
+                branch(&mut targets, &mut stack, depth, offset, 0);
+            }
+            Opcode::BrTable => {
+                let (mut depths, default) = r.read_branch_table().expect("table");
+                depths.push(default);
+                targets.insert(offset, vec![0; depths.len()]);
+                for (slot, depth) in depths.into_iter().enumerate() {
+                    branch(&mut targets, &mut stack, depth, offset, slot);
+                }
+            }
+            _ => r.skip_immediates(op).expect("immediates"),
+        }
+    }
+    assert!(stack.is_empty(), "unbalanced body");
+    targets
+}
+
+/// The fuel schedule of `code` by the rules in `wasm::fuel`'s module docs,
+/// accumulated into ordered maps: region start → charge, and the loop-body
+/// starts where the epoch is polled.
+fn reference_fuel_schedule(code: &[u8]) -> (BTreeMap<u32, u64>, BTreeSet<u32>) {
+    let mut charges = BTreeMap::new();
+    let mut epoch_checks = BTreeSet::new();
+    let (mut region_start, mut pending) = (0u32, 0u64);
+    let mut flush = |region_start: &mut u32, pending: &mut u64, next: u32| {
+        if *pending > 0 {
+            *charges.entry(*region_start).or_insert(0) += *pending;
+        }
+        *pending = 0;
+        *region_start = next;
+    };
+    let mut r = BytecodeReader::new(code);
+    while !r.is_at_end() {
+        let offset = r.pc() as u32;
+        let op = r.read_opcode().expect("opcode");
+        if matches!(op, Opcode::Loop | Opcode::Else | Opcode::End) {
+            flush(&mut region_start, &mut pending, offset);
+        }
+        pending += wasm::fuel::fuel_cost(op);
+        r.skip_immediates(op).expect("immediates");
+        let after = r.pc() as u32;
+        if op == Opcode::Loop {
+            epoch_checks.insert(after);
+        }
+        if matches!(
+            op,
+            Opcode::Loop
+                | Opcode::If
+                | Opcode::Else
+                | Opcode::End
+                | Opcode::Br
+                | Opcode::BrIf
+                | Opcode::BrTable
+                | Opcode::Return
+                | Opcode::Unreachable
+                | Opcode::Call
+                | Opcode::CallIndirect
+        ) {
+            flush(&mut region_start, &mut pending, after);
+        }
+    }
+    flush(&mut region_start, &mut pending, code.len() as u32);
+    (charges, epoch_checks)
+}
+
+/// Checks, for every defined function of `module` and at **every** offset
+/// `0..=body_len`, that the sidetable's and the fuel plan's lookups answer
+/// exactly what ordered reference maps rebuilt from the body answer — hits
+/// where an entry belongs, misses everywhere else — and that the entry
+/// counts agree (so nothing is stored twice).
+pub fn assert_lookups_match_reference(module: &Module, what: &str) {
+    for defined in 0..module.funcs.len() as u32 {
+        let func = module.defined_to_func_index(defined);
+        let code = &module.funcs[defined as usize].code;
+        let at = |offset: u32| format!("{what}: function {func} offset {offset}");
+
+        let sidetable = interp::sidetable::build_sidetable(module, func).expect("sidetable");
+        let targets = reference_branch_targets(code);
+        let is_table = |offset: u32| code[offset as usize] == Opcode::BrTable.to_byte();
+        let plan = wasm::fuel::FuelPlan::build(code).expect("fuel plan");
+        let (charges, epoch_checks) = reference_fuel_schedule(code);
+        for offset in 0..=code.len() as u32 {
+            let expected = targets.get(&offset);
+            let branch = sidetable.branch(offset).map(|e| vec![e.target_ip]);
+            let table = sidetable
+                .br_table(offset)
+                .map(|entries| entries.iter().map(|e| e.target_ip).collect::<Vec<u32>>());
+            match expected {
+                Some(expected) if is_table(offset) => {
+                    assert_eq!(table.as_ref(), Some(expected), "{}", at(offset));
+                    assert_eq!(branch, None, "{}", at(offset));
+                }
+                expected => {
+                    assert_eq!(branch.as_ref(), expected, "{}", at(offset));
+                    assert_eq!(table, None, "{}", at(offset));
+                }
+            }
+            assert_eq!(plan.charge_at(offset), charges.get(&offset).copied(), "{}", at(offset));
+            assert_eq!(
+                plan.epoch_check_at(offset),
+                epoch_checks.contains(&offset),
+                "{}",
+                at(offset)
+            );
+        }
+        assert_eq!(sidetable.len(), targets.values().map(Vec::len).sum::<usize>(), "{what}");
+        assert_eq!(plan.num_charges(), charges.len(), "{what}");
+        assert_eq!(plan.num_epoch_checks(), epoch_checks.len(), "{what}");
+        assert_eq!(plan.total_cost(), charges.values().sum::<u64>(), "{what}");
+    }
 }

@@ -394,6 +394,8 @@ proptest! {
         let module = build_program(&steps);
         // Validation must accept every generated program.
         wasm::validate::validate(&module).expect("generated program validates");
+        // The sorted sidetable and fuel plan answer like ordered maps.
+        common::assert_lookups_match_reference(&module, "generated program");
 
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
         for options in [
@@ -544,6 +546,7 @@ proptest! {
     ) {
         let module = build_looped_program(&steps, iters);
         wasm::validate::validate(&module).expect("generated loop validates");
+        common::assert_lookups_match_reference(&module, "generated loop");
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
         for config in common::all_tier_backend_configs() {
             let name = config.name.clone();
