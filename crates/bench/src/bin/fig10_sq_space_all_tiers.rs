@@ -35,10 +35,7 @@ fn configurations() -> Vec<(&'static str, EngineConfig)> {
     vec![
         // Interpreters.
         ("interpreter", EngineConfig::interpreter("wizeng-int")),
-        (
-            "interpreter",
-            EngineConfig::interpreter("wasm3").without_validation(),
-        ),
+        ("interpreter", EngineConfig::interpreter("wasm3")),
         ("interpreter", EngineConfig::interpreter("iwasm-int")),
         (
             "interpreter",

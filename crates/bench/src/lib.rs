@@ -14,6 +14,7 @@ pub mod report;
 use engine::{Engine, EngineConfig, Imports, Instrumentation};
 use std::time::Duration;
 use suites::{BenchmarkItem, Scale};
+use telemetry::escape_json;
 
 /// The measurement of one line item under one engine configuration.
 #[derive(Debug, Clone)]
@@ -368,20 +369,6 @@ impl BenchReport {
             .unwrap_or_else(|e| panic!("cannot write BENCH_{}.json: {e}", self.figure));
         println!("report: {}", path.display());
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Integers print without a fraction; everything else keeps six decimals,

@@ -56,14 +56,14 @@ impl TierPolicy {
 /// a module asking for an unbounded memory under a 16-page tenant limit gets
 /// a memory that refuses to grow past 16 pages, and a module whose declared
 /// minimum already exceeds a ceiling fails instantiation. The call-depth
-/// ceiling caps [`EngineConfig::max_call_depth`] the same way.
+/// ceiling caps [`EngineConfig::MAX_CALL_DEPTH`] the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Maximum linear-memory size in 64 KiB pages (`None` = unlimited).
     pub memory_pages: Option<u32>,
     /// Maximum table size in elements (`None` = unlimited).
     pub table_elements: Option<u32>,
-    /// Maximum call depth (`None` = use [`EngineConfig::max_call_depth`]).
+    /// Maximum call depth (`None` = use [`EngineConfig::MAX_CALL_DEPTH`]).
     pub call_depth: Option<usize>,
 }
 
@@ -96,13 +96,9 @@ pub struct EngineConfig {
     /// Compile functions lazily at first call instead of eagerly at
     /// instantiation (a confounding factor the paper calls out in Fig. 10).
     pub lazy_compile: bool,
-    /// Validate the module during instantiation (wasm3 famously does not).
-    pub validate: bool,
     /// When JIT code fires a probe, transfer the frame back to the
     /// interpreter (tier-down / deopt) instead of continuing in JIT code.
     pub deopt_on_probe: bool,
-    /// Maximum call depth before a stack-overflow trap.
-    pub max_call_depth: usize,
     /// Which macro-assembler backend the compiling tiers emit through.
     ///
     /// Execution always runs virtual-ISA code (the simulator cannot execute
@@ -160,16 +156,19 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// An interpreter-only configuration (the reproduction's Wizard-INT).
-    pub fn interpreter(name: &str) -> EngineConfig {
+    /// Call depth at which every configuration traps with a stack overflow;
+    /// [`ResourceLimits::call_depth`] can only lower it.
+    pub const MAX_CALL_DEPTH: usize = 10_000;
+
+    /// The settings every constructor starts from: eager compilation, one
+    /// compile worker, virtual-ISA backend, and every opt-in feature off.
+    fn with_tier(name: &str, tier: TierPolicy) -> EngineConfig {
         EngineConfig {
             name: name.to_string(),
-            tier: TierPolicy::InterpreterOnly,
+            tier,
             cost: CostModel::default(),
             lazy_compile: false,
-            validate: true,
             deopt_on_probe: false,
-            max_call_depth: 10_000,
             backend: CodeBackend::VirtualIsa,
             compile_workers: 1,
             gc_threshold: 0,
@@ -178,70 +177,31 @@ impl EngineConfig {
             limits: ResourceLimits::unlimited(),
             osr_threshold: None,
         }
+    }
+
+    /// An interpreter-only configuration (the reproduction's Wizard-INT).
+    pub fn interpreter(name: &str) -> EngineConfig {
+        EngineConfig::with_tier(name, TierPolicy::InterpreterOnly)
     }
 
     /// A baseline-compiler-only configuration with the given options.
     pub fn baseline(name: &str, options: CompilerOptions) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::BaselineOnly(options),
-            cost: CostModel::default(),
-            lazy_compile: false,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        EngineConfig::with_tier(name, TierPolicy::BaselineOnly(options))
     }
 
     /// An optimizing-compiler-only configuration.
     pub fn optimizing(name: &str) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::OptimizingOnly,
-            cost: CostModel::default(),
-            lazy_compile: false,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        EngineConfig::with_tier(name, TierPolicy::OptimizingOnly)
     }
 
     /// A two-tier configuration: interpreter first, baseline when hot.
     pub fn tiered(name: &str, threshold: u32, baseline: CompilerOptions) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::Tiered {
-                threshold,
-                opt_threshold: None,
-                baseline,
-            },
-            cost: CostModel::default(),
-            lazy_compile: true,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        let tier = TierPolicy::Tiered {
+            threshold,
+            opt_threshold: None,
+            baseline,
+        };
+        EngineConfig::with_tier(name, tier).with_lazy_compile(true)
     }
 
     /// Adds the optimizing tier on top of this configuration: functions
@@ -275,12 +235,6 @@ impl EngineConfig {
     /// Marks this configuration as compiling lazily at first call.
     pub fn with_lazy_compile(mut self, lazy: bool) -> EngineConfig {
         self.lazy_compile = lazy;
-        self
-    }
-
-    /// Disables validation (the wasm3 design point).
-    pub fn without_validation(mut self) -> EngineConfig {
-        self.validate = false;
         self
     }
 
@@ -446,7 +400,6 @@ mod tests {
     fn constructors_set_tiers() {
         let i = EngineConfig::interpreter("wizeng-int");
         assert_eq!(i.tier, TierPolicy::InterpreterOnly);
-        assert!(i.validate);
         assert!(i.baseline_options().is_none());
 
         let b = EngineConfig::baseline("spc", CompilerOptions::allopt());
@@ -463,10 +416,7 @@ mod tests {
 
     #[test]
     fn builder_modifiers() {
-        let c = EngineConfig::interpreter("wasm3-like")
-            .without_validation()
-            .with_lazy_compile(true);
-        assert!(!c.validate);
+        let c = EngineConfig::interpreter("jsc-int-like").with_lazy_compile(true);
         assert!(c.lazy_compile);
         let d = EngineConfig::default().with_deopt_on_probe();
         assert!(d.deopt_on_probe);

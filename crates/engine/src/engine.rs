@@ -775,39 +775,34 @@ impl Engine {
         defined: u32,
         tier: CompileTier,
     ) -> Result<(), spc::CompileError> {
-        if instance.artifact.artifact_for(defined, tier).is_some() {
-            self.observe_published(instance, defined, tier);
-            return Ok(());
-        }
         let func_index = instance.artifact.module().defined_to_func_index(defined);
         let probes = instance.instrumentation.sites_for(func_index);
         let profile = match tier {
             CompileTier::Opt => Some(instance.instrumentation.func_profile(func_index)),
             CompileTier::Baseline => None,
         };
-        let compiled = pipeline::compile_function_traced(
+        let published = pipeline::compile_slot(
             &self.telemetry,
             &self.config,
+            &instance.artifact,
+            defined,
             tier,
-            instance.artifact.module(),
-            func_index,
-            instance.artifact.func_info(defined),
             &probes,
             profile.as_ref(),
         )?;
-        if instance.artifact.publish_for(defined, tier, compiled) {
-            let published = instance
+        if published {
+            let compiled = instance
                 .artifact
                 .artifact_for(defined, tier)
                 .expect("just published");
-            account_compile(&mut instance.metrics, published, CompileTiming::Deferred, tier);
+            account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
             self.telemetry.emit(EventKind::TierUp {
                 func: func_index,
                 tier: pipeline::telemetry_tier(tier),
             });
         } else {
             // A background worker (or another instance sharing the artifact)
-            // won the publication race.
+            // published first.
             self.observe_published(instance, defined, tier);
         }
         Ok(())
@@ -934,9 +929,8 @@ impl Engine {
             .config
             .limits
             .call_depth
-            .map_or(self.config.max_call_depth, |d| {
-                d.min(self.config.max_call_depth)
-            });
+            .unwrap_or(EngineConfig::MAX_CALL_DEPTH)
+            .min(EngineConfig::MAX_CALL_DEPTH);
         if depth >= max_depth {
             return Err(TrapCode::StackOverflow);
         }

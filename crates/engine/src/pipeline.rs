@@ -198,17 +198,12 @@ impl CompiledModule {
         self.artifact_for(defined, tier).map(|a| &a.function)
     }
 
-    /// Atomically publishes a baseline compilation of `defined`. Returns
+    /// Atomically publishes a compilation of `defined` in `tier`. Returns
     /// `true` if this call installed the artifact and `false` if another
-    /// compilation won the race (the artifact is dropped; both are
-    /// byte-identical).
-    pub fn publish(&self, defined: u32, artifact: CompiledArtifact) -> bool {
-        self.publish_for(defined, CompileTier::Baseline, artifact)
-    }
-
-    /// Atomically publishes a compilation of `defined` in `tier`. First
-    /// writer wins; for the optimizing tier, racing artifacts may differ in
-    /// block layout (profiles are per-instance) but never in semantics.
+    /// compilation won the race (the artifact is dropped). First writer
+    /// wins; baseline artifacts are byte-identical, and racing
+    /// optimizing-tier artifacts may differ in block layout (profiles are
+    /// per-instance) but never in semantics.
     pub fn publish_for(&self, defined: u32, tier: CompileTier, artifact: CompiledArtifact) -> bool {
         self.slots_for(tier)[defined as usize].set(artifact).is_ok()
     }
@@ -404,30 +399,31 @@ pub fn compile_function(
     })
 }
 
-/// Compiles `defined` into its `tier` slot unless it is already published.
-/// Returns whether this call published new code.
-fn compile_slot(
+/// Compiles `defined` into its `tier` slot unless it is already published:
+/// the one compile-and-publish step eager, lazy and background compilation
+/// share. Returns whether this call published new code — `false` when the
+/// slot was already full or another thread won the publication race.
+pub(crate) fn compile_slot(
+    telemetry: &Telemetry,
     config: &EngineConfig,
     artifact: &CompiledModule,
-    instrumentation: &Instrumentation,
-    telemetry: &Telemetry,
     defined: u32,
     tier: CompileTier,
+    probes: &ProbeSites,
+    profile: Option<&FuncProfile>,
 ) -> Result<bool, CompileError> {
     if artifact.artifact_for(defined, tier).is_some() {
         return Ok(false);
     }
-    let func_index = artifact.module().defined_to_func_index(defined);
-    let probes = instrumentation.sites_for(func_index);
     let compiled = compile_function_traced(
         telemetry,
         config,
         tier,
         artifact.module(),
-        func_index,
+        artifact.module().defined_to_func_index(defined),
         artifact.func_info(defined),
-        &probes,
-        None,
+        probes,
+        profile,
     )?;
     Ok(artifact.publish_for(defined, tier, compiled))
 }
@@ -460,10 +456,15 @@ pub fn compile_eager(
         .compile_workers
         .max(1)
         .min(num_defined.max(1) as usize);
+    let compile = move |defined: u32| {
+        let func_index = artifact.module().defined_to_func_index(defined);
+        let probes = instrumentation.sites_for(func_index);
+        compile_slot(telemetry, config, artifact, defined, tier, &probes, None)
+    };
     if workers <= 1 {
         let mut published = Vec::new();
         for defined in 0..num_defined {
-            if compile_slot(config, artifact, instrumentation, telemetry, defined, tier)? {
+            if compile(defined)? {
                 published.push(defined);
             }
         }
@@ -476,8 +477,7 @@ pub fn compile_eager(
                     let mut published = Vec::new();
                     let mut defined = w as u32;
                     while defined < num_defined {
-                        match compile_slot(config, artifact, instrumentation, telemetry, defined, tier)
-                        {
+                        match compile(defined) {
                             Ok(true) => published.push(defined),
                             Ok(false) => {}
                             Err(e) => return Err((defined, e)),
@@ -586,18 +586,6 @@ impl BackgroundCompiler {
         }
     }
 
-    /// Enqueues the baseline compilation of `defined` in `artifact`. Returns
-    /// `false` if the pool has already been shut down.
-    pub fn enqueue(
-        &self,
-        artifact: Arc<CompiledModule>,
-        defined: u32,
-        probes: ProbeSites,
-        config: EngineConfig,
-    ) -> bool {
-        self.enqueue_tier(artifact, defined, probes, config, CompileTier::Baseline, None)
-    }
-
     /// Enqueues the compilation of `defined` in `artifact` for `tier`, with
     /// an optional branch-profile snapshot for the optimizing tier. Returns
     /// `false` if the pool has already been shut down.
@@ -678,27 +666,23 @@ fn worker_loop(
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        if job.artifact.artifact_for(job.defined, job.tier).is_none() {
-            let func_index = job.artifact.module().defined_to_func_index(job.defined);
-            let result = compile_function_traced(
-                telemetry,
-                &job.config,
-                job.tier,
-                job.artifact.module(),
-                func_index,
-                job.artifact.func_info(job.defined),
-                &job.probes,
-                job.profile.as_ref(),
-            );
-            if let Ok(compiled) = result {
-                if job.artifact.publish_for(job.defined, job.tier, compiled) {
-                    counters.compiled.fetch_add(1, Ordering::SeqCst);
-                    telemetry.emit(EventKind::TierUp {
-                        func: func_index,
-                        tier: telemetry_tier(job.tier),
-                    });
-                }
-            }
+        // A failed compilation leaves the function in its current tier,
+        // which is always correct.
+        let published = compile_slot(
+            telemetry,
+            &job.config,
+            &job.artifact,
+            job.defined,
+            job.tier,
+            &job.probes,
+            job.profile.as_ref(),
+        );
+        if let Ok(true) = published {
+            counters.compiled.fetch_add(1, Ordering::SeqCst);
+            telemetry.emit(EventKind::TierUp {
+                func: job.artifact.module().defined_to_func_index(job.defined),
+                tier: telemetry_tier(job.tier),
+            });
         }
         counters.completed.fetch_add(1, Ordering::SeqCst);
     }
@@ -758,12 +742,12 @@ mod tests {
     fn publish_is_first_writer_wins() {
         let config = EngineConfig::baseline("t", CompilerOptions::allopt());
         let artifact = CompiledModule::build(small_module(1)).unwrap();
-        let instrumentation = Instrumentation::none();
-        assert!(compile_slot(&config, &artifact, &instrumentation, &Telemetry::disabled(), 0, CompileTier::Baseline).unwrap());
-        assert!(
-            !compile_slot(&config, &artifact, &instrumentation, &Telemetry::disabled(), 0, CompileTier::Baseline).unwrap(),
-            "second compile of the same slot publishes nothing"
-        );
+        let compile = || {
+            let (telemetry, probes) = (Telemetry::disabled(), ProbeSites::none());
+            compile_slot(&telemetry, &config, &artifact, 0, CompileTier::Baseline, &probes, None)
+        };
+        assert!(compile().unwrap());
+        assert!(!compile().unwrap(), "second compile of the same slot publishes nothing");
         assert_eq!(artifact.compiled_count(), 1);
         assert!(artifact.total_compile_wall() > Duration::ZERO);
     }
@@ -798,11 +782,13 @@ mod tests {
         let artifact = Arc::new(CompiledModule::build(small_module(2)).unwrap());
         let pool = BackgroundCompiler::new(2);
         for defined in 0..2 {
-            assert!(pool.enqueue(
+            assert!(pool.enqueue_tier(
                 Arc::clone(&artifact),
                 defined,
                 ProbeSites::none(),
-                config.clone()
+                config.clone(),
+                CompileTier::Baseline,
+                None
             ));
         }
         pool.wait_idle();
@@ -812,7 +798,14 @@ mod tests {
         assert_eq!(artifact.compiled_count(), 2);
         // Re-enqueueing an already-compiled function completes without
         // recompiling.
-        assert!(pool.enqueue(artifact.clone(), 0, ProbeSites::none(), config));
+        assert!(pool.enqueue_tier(
+            artifact.clone(),
+            0,
+            ProbeSites::none(),
+            config,
+            CompileTier::Baseline,
+            None
+        ));
         pool.wait_idle();
         assert_eq!(pool.functions_compiled(), 2);
     }

@@ -252,7 +252,7 @@ impl fmt::Display for Frame {
 /// A symbolicated wasm backtrace: frames from innermost (the trapping
 /// function) to outermost (the called export).
 ///
-/// Deep stacks — a stack-exhaustion trap sits `max_call_depth` frames deep —
+/// Deep stacks — a stack-exhaustion trap sits `MAX_CALL_DEPTH` frames deep —
 /// are truncated to a fixed head and tail ([`Backtrace::HEAD_FRAMES`] /
 /// [`Backtrace::TAIL_FRAMES`]) with the omitted middle count preserved, so
 /// the rendered trace is bounded no matter how deep the recursion was while

@@ -19,23 +19,7 @@ use crate::{RequestResult, RequestStatus};
 use engine::TrapInfo;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use telemetry::escape_json;
 
 /// Renders an optional count as a JSON value (`null` when absent).
 fn opt_u64(v: Option<u64>) -> String {
@@ -53,7 +37,7 @@ fn render_trap(trap: &TrapInfo) -> String {
             let name = f
                 .name
                 .as_deref()
-                .map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape(n)));
+                .map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape_json(n)));
             format!(
                 "{{\"func\":{},\"name\":{name},\"offset\":{},\"tier\":\"{}\"}}",
                 f.func_index,
@@ -64,7 +48,7 @@ fn render_trap(trap: &TrapInfo) -> String {
         .collect();
     format!(
         "{{\"reason\":\"{}\",\"frames\":[{}],\"truncated\":{}}}",
-        escape(&trap.reason.to_string()),
+        escape_json(&trap.reason.to_string()),
         frames.join(","),
         trap.backtrace.truncated()
     )
@@ -92,7 +76,7 @@ pub fn render_line(result: &RequestResult, app_name: Option<&str>) -> String {
             result.trap.as_ref().map_or_else(
                 // Diagnostics should always accompany a trap; degrade to the
                 // bare reason rather than lying with an empty backtrace.
-                || format!("{{\"reason\":\"{}\",\"frames\":[],\"truncated\":0}}", escape(&reason.to_string())),
+                || format!("{{\"reason\":\"{}\",\"frames\":[],\"truncated\":0}}", escape_json(&reason.to_string())),
                 render_trap,
             ),
             "null".to_string(),
@@ -100,10 +84,10 @@ pub fn render_line(result: &RequestResult, app_name: Option<&str>) -> String {
         RequestStatus::Rejected(message) => (
             "rejected",
             "null".to_string(),
-            format!("\"{}\"", escape(message)),
+            format!("\"{}\"", escape_json(message)),
         ),
     };
-    let app_name = app_name.map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape(n)));
+    let app_name = app_name.map_or_else(|| "null".to_string(), |n| format!("\"{}\"", escape_json(n)));
     format!(
         "{{\"request\":{},\"app\":{},\"app_name\":{app_name},\"worker\":{},\"status\":\"{status}\",\
          \"latency_us\":{},\"instantiate_us\":{},\"exec_cycles\":{},\"warm\":{},\

@@ -5,14 +5,13 @@
 //! a request driver in the shape of a multi-tenant function-as-a-service
 //! server. A [`Server`] hosts a set of *apps* (modules registered up
 //! front), and [`Server::run`] executes a batch of [`Request`]s against
-//! them across a pool of parked worker threads. The moving parts, each its
-//! own module, are the classic serving idioms:
+//! them across scoped worker threads. A batch arrives whole, so dispatch is
+//! a partition, not a queue: request `id` goes to worker `id % workers`,
+//! each worker serves its share in order and returns its results through
+//! its join handle, and the scope's join is the batch barrier (a worker
+//! panic is re-raised on the caller). The other moving parts, each its own
+//! module, are the classic serving idioms:
 //!
-//! * [`spsc`] — one bounded single-producer/single-consumer mailbox per
-//!   worker; the dispatcher round-robins requests in, workers park when
-//!   their queue runs dry;
-//! * [`wait_group`] — the batch barrier: every worker holds a guard,
-//!   dropped even on panic, and the dispatcher waits for all of them;
 //! * [`deadline`] — wall-clock budgets lowered onto the engine's epoch
 //!   preemption: a ticker thread advances the shared epoch, a
 //!   `timeout_list` converts budgets to epoch deadlines, and the engine
@@ -38,8 +37,6 @@
 
 pub mod access_log;
 pub mod deadline;
-pub mod spsc;
-pub mod wait_group;
 
 use access_log::FlightRecorder;
 use deadline::{EpochTicker, TimeoutList};
@@ -48,21 +45,18 @@ use engine::{
     TrapReason,
 };
 use machine::values::WasmValue;
-use std::sync::{Arc, Mutex};
+use std::panic;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use telemetry::{EventKind, Telemetry};
 use wasm::module::Module;
-use wait_group::WaitGroup;
 
 /// Sizing and pacing knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Capacity of each worker's request mailbox; the dispatcher applies
-    /// backpressure (yields) when a mailbox is full.
-    pub queue_capacity: usize,
     /// Instances each app's pool retains between requests.
     pub max_idle_per_app: usize,
     /// The epoch tick period — the granularity at which deadlines are
@@ -82,7 +76,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            queue_capacity: 64,
             max_idle_per_app: 8,
             epoch_granularity: Duration::from_millis(1),
             telemetry: Telemetry::disabled(),
@@ -297,47 +290,41 @@ impl Server {
         &self.recorder
     }
 
-    /// Executes a batch: requests are round-robined across the worker
-    /// mailboxes, workers drain them concurrently, and the batch joins on a
-    /// [`WaitGroup`]. Results come back in request order regardless of
-    /// completion order.
+    /// Executes a batch: request `id` is dealt to worker `id % workers`,
+    /// each worker serves its share in order on a scoped thread, and the
+    /// batch is complete when every worker has been joined. Results come
+    /// back in request order regardless of completion order.
     pub fn run(&self, requests: Vec<Request>) -> Vec<RequestResult> {
         let workers = self.server_config.workers.max(1);
         let total = requests.len();
-        let mut producers = Vec::with_capacity(workers);
-        let mut consumers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = spsc::channel::<Work>(self.server_config.queue_capacity);
-            producers.push(tx);
-            consumers.push(rx);
+        let mut shares: Vec<Vec<Work>> = (0..workers)
+            .map(|_| Vec::with_capacity(total.div_ceil(workers)))
+            .collect();
+        for (id, request) in requests.into_iter().enumerate() {
+            self.server_config.telemetry.emit(EventKind::ServeEnqueue {
+                request: id as u32,
+                app: request.app as u32,
+            });
+            shares[id % workers].push(Work { id, request });
         }
-        let wg = WaitGroup::new();
-        let results = Mutex::new(Vec::with_capacity(total));
+        let mut out = Vec::with_capacity(total);
         thread::scope(|scope| {
-            for (worker, rx) in consumers.into_iter().enumerate() {
-                let guard = wg.worker();
-                let results = &results;
-                scope.spawn(move || {
-                    let _done = guard;
-                    while let Some(work) = rx.recv() {
-                        let result = self.serve_one(worker, work);
-                        results.lock().expect("results lock").push(result);
-                    }
-                });
+            let handles: Vec<_> = shares
+                .into_iter()
+                .enumerate()
+                .map(|(worker, share)| {
+                    scope.spawn(move || {
+                        share
+                            .into_iter()
+                            .map(|work| self.serve_one(worker, work))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                out.extend(handle.join().unwrap_or_else(|payload| panic::resume_unwind(payload)));
             }
-            for (id, request) in requests.into_iter().enumerate() {
-                self.server_config.telemetry.emit(EventKind::ServeEnqueue {
-                    request: id as u32,
-                    app: request.app as u32,
-                });
-                producers[id % workers].push(Work { id, request });
-            }
-            for tx in &producers {
-                tx.close();
-            }
-            wg.wait();
         });
-        let mut out = results.into_inner().expect("results lock");
         debug_assert_eq!(out.len(), total);
         out.sort_by_key(|r| r.request_id);
         out
@@ -557,6 +544,15 @@ mod tests {
             .map(|a| server.pool_stats(a).unwrap().cold_checkouts)
             .sum();
         assert_eq!(cache.hits, cold_fallbacks);
+
+        // A batch smaller than the worker count leaves one worker an empty
+        // share; the deal is still `id % workers`.
+        let results = server.run(vec![Request::to_app(counter), Request::to_app(counter)]);
+        assert_eq!(results.len(), 2);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!((r.request_id, r.worker), (i, i));
+            assert_eq!(r.status, RequestStatus::Ok(vec![WasmValue::I32(1)]));
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use metrics::{
 };
 pub use profile::{ProfileEntry, Profiler};
 pub use ring::EventRing;
-pub use trace::chrome_trace;
+pub use trace::{chrome_trace, escape_json};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,8 +14,9 @@
 
 use crate::event::{EventKind, TraceEvent};
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal — the one
+/// escaper every hand-assembled JSON writer in the workspace uses.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -67,7 +68,7 @@ fn render(kind: &EventKind) -> (String, String, Option<u64>) {
             format!("trap f{func}"),
             format!(
                 "{{\"reason\":\"{}\",\"func\":{func},\"offset\":{offset},\"depth\":{depth}}}",
-                escape(reason)
+                escape_json(reason)
             ),
             None,
         ),
@@ -121,7 +122,7 @@ pub fn chrome_trace(rings: &[(String, Vec<TraceEvent>, u64)]) -> String {
         let tid = tid0 + 1;
         records.push(format!(
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape(label)
+            escape_json(label)
         ));
         if *dropped > 0 {
             let ts = events.last().map(|e| e.t_us).unwrap_or(0);
@@ -136,12 +137,12 @@ pub fn chrome_trace(rings: &[(String, Vec<TraceEvent>, u64)]) -> String {
                 // wants the open, so back the start out of the duration.
                 Some(dur_us) => format!(
                     "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"engine\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{dur_us},\"args\":{args}}}",
-                    escape(&name),
+                    escape_json(&name),
                     event.t_us.saturating_sub(dur_us),
                 ),
                 None => format!(
                     "{{\"ph\":\"i\",\"name\":\"{}\",\"cat\":\"engine\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"args\":{args}}}",
-                    escape(&name),
+                    escape_json(&name),
                     event.t_us,
                 ),
             };
@@ -250,7 +251,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -329,32 +329,36 @@ fn gc_keeps_exactly_the_live_objects_with_stackmaps() {
 
 #[test]
 fn branch_monitor_counts_match_across_tiers() {
-    // The same branchy program must report identical branch profiles whether
-    // probes fire from the interpreter, from runtime-call probes in JIT code,
-    // or from intrinsified probes.
+    // The same branchy program must report identical branch profiles — and
+    // return the same result — whether probes fire from the interpreter,
+    // from runtime-call probes in JIT code, from runtime-call probes that
+    // tier the frame down to the interpreter (deopt), or from intrinsified
+    // probes.
     let suite = suites::ostrich::suite(suites::Scale::Test);
     let item = suite.items.iter().find(|i| i.name == "bfs").unwrap();
+    let runtime_probes = CompilerOptions {
+        probe_mode: spc::ProbeMode::Runtime,
+        ..CompilerOptions::allopt()
+    };
     let mut observations = Vec::new();
     for config in [
         EngineConfig::interpreter("int"),
-        EngineConfig::baseline(
-            "jit",
-            CompilerOptions {
-                probe_mode: spc::ProbeMode::Runtime,
-                ..CompilerOptions::allopt()
-            },
-        ),
+        EngineConfig::baseline("jit", runtime_probes.clone()),
+        EngineConfig::baseline("jit-deopt", runtime_probes).with_deopt_on_probe(),
         EngineConfig::baseline("optjit", CompilerOptions::allopt()),
     ] {
+        let name = config.name.clone();
         let engine = Engine::new(config);
         let monitor = Instrumentation::branch_monitor(&item.module);
         let mut instance = engine.instantiate(&item.module, Imports::new(), monitor).unwrap();
-        engine
-            .call_export(&mut instance, "main", &[])
-            .unwrap();
-        observations.push(instance.instrumentation.branch_monitor_data().total_observations());
+        let result = engine.call_export(&mut instance, "main", &[]).unwrap();
+        let observed = instance.instrumentation.branch_monitor_data().total_observations();
+        observations.push((name, result, observed));
     }
-    assert!(observations[0] > 0);
-    assert_eq!(observations[0], observations[1], "int vs jit");
-    assert_eq!(observations[0], observations[2], "int vs optjit");
+    let (_, int_result, int_observed) = &observations[0];
+    assert!(*int_observed > 0);
+    for (name, result, observed) in &observations[1..] {
+        assert_eq!(int_observed, observed, "int vs {name}: branch observations");
+        assert_eq!(int_result, result, "int vs {name}: main's result");
+    }
 }
