@@ -9,21 +9,28 @@
 //!    that the *output* is identical while the wall-clock shrinks with
 //!    available cores.
 //! 2. **Cold vs. warm instantiation** — instantiate every module twice
-//!    against a shared keyed code cache and compare instantiation latency.
-//!    The warm pass skips validation, preparation, and compilation (the
-//!    cache hit is observable in the metrics), which is the serve-many-
-//!    requests scenario the cache exists for. The warm pass still pays the
-//!    content-hash (an O(module size) encode), so the ratio understates
-//!    what a serving loop with a precomputed `CacheKey` would see.
+//!    against a shared keyed code cache and compare instantiation latency
+//!    (each item's fastest time over a few rounds, every round on an empty
+//!    cache). The warm pass skips validation, preparation, and compilation
+//!    (the cache hit is observable in the metrics), which is the serve-many-
+//!    requests scenario the cache exists for. Gate: on every suite warm
+//!    takes at most half of cold (`<suite>.warm_over_cold` ≤ 0.5).
 //!
 //! Run with `--full` for paper-sized workloads; the default is the smoke
 //! scale used by CI.
 
 use bench::{print_header, scale_from_args, summarize, BenchReport};
-use engine::{CodeCache, Engine, EngineConfig, Imports, Instrumentation};
+use engine::{CacheStats, CodeCache, Engine, EngineConfig, Imports, Instrumentation};
 use spc::CompilerOptions;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Repetitions of the cold/warm instantiation experiment.
+const ROUNDS: usize = 5;
+
+/// The gate on `<suite>.warm_over_cold`: a hit skips validation, preparation
+/// and compilation, so it must cost at most this share of doing them.
+const MAX_WARM_OVER_COLD: f64 = 0.5;
 
 fn main() {
     let scale = scale_from_args();
@@ -78,61 +85,85 @@ fn main() {
     }
 
     // ---- Part 2: cold vs. warm instantiation under the code cache -------
-    println!("\n[2] cold vs. warm instantiation latency (shared keyed cache):");
+    println!(
+        "\n[2] cold vs. warm instantiation latency (shared keyed cache, fastest of {ROUNDS}):"
+    );
     println!(
         "{:<12} | {:>12} | {:>12} | {:>8}",
         "suite", "cold (us)", "warm (us)", "ratio"
     );
     println!("{:-<12}-+-{:-<12}-+-{:-<12}-+-{:-<8}", "", "", "", "");
-    let cache = Arc::new(CodeCache::new());
-    let engine = Engine::new(EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt()))
-        .with_code_cache(Arc::clone(&cache));
+    // A cold instantiation happens once per cache, so each round starts an
+    // empty one; every item keeps its fastest cold and fastest warm time.
+    let mut cold_us: Vec<Vec<f64>> =
+        suites.iter().map(|s| vec![f64::INFINITY; s.len()]).collect();
+    let mut warm_us = cold_us.clone();
+    let mut stats = CacheStats::default();
     let mut items_deduped = 0u32;
     let mut traps_total = 0u64;
-    for suite in &suites {
-        let mut cold_us = Vec::new();
-        let mut warm_us = Vec::new();
-        for item in &suite.items {
-            let start = Instant::now();
-            let cold = engine
-                .instantiate(&item.module, Imports::new(), Instrumentation::none())
-                .expect("cold instantiation");
-            cold_us.push(start.elapsed().as_secs_f64() * 1e6);
-            // Some generated line items encode to byte-identical modules;
-            // content hashing dedupes them, so even a first instantiation
-            // can hit. Count rather than forbid it.
-            if cold.metrics.cache_hit {
-                items_deduped += 1;
-            }
+    for round in 0..ROUNDS {
+        let cache = Arc::new(CodeCache::new());
+        let engine = Engine::new(EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt()))
+            .with_code_cache(Arc::clone(&cache));
+        for (s, suite) in suites.iter().enumerate() {
+            for (i, item) in suite.items.iter().enumerate() {
+                let start = Instant::now();
+                let cold = engine
+                    .instantiate(&item.module, Imports::new(), Instrumentation::none())
+                    .expect("cold instantiation");
+                cold_us[s][i] = cold_us[s][i].min(start.elapsed().as_secs_f64() * 1e6);
+                // Both timings allocate with no other instance alive: a
+                // second value stack and linear memory beside live ones come
+                // from fresh pages and fault them in, which is the
+                // allocator's cost, not the cache's.
+                let (cold_hit, cold_hits) = (cold.metrics.cache_hit, cold.metrics.cache_hits);
+                drop(cold);
 
-            let start = Instant::now();
-            let mut warm = engine
-                .instantiate(&item.module, Imports::new(), Instrumentation::none())
-                .expect("warm instantiation");
-            warm_us.push(start.elapsed().as_secs_f64() * 1e6);
-            assert!(warm.metrics.cache_hit, "second instantiation hits the cache");
-            assert_eq!(
-                warm.metrics.functions_compiled, 0,
-                "a warm instantiation compiles nothing"
-            );
-            // The per-instance metrics carry the cache counters too, so a
-            // harness can report cache behavior without the cache handle.
-            assert!(warm.metrics.cache_hits > cold.metrics.cache_hits);
-            assert!(
-                warm.metrics.cache_entries > 0,
-                "cache size is visible through RunMetrics"
-            );
-            // Execute the warm instance once: cache-served code must run the
-            // suite cleanly, and RunMetrics' trap accounting proves it — a
-            // suite item that starts trapping shows up in the report as a
-            // nonzero `exec.traps_total`, not as a silently wrong checksum.
-            engine
-                .call_export(&mut warm, suites::BenchmarkItem::ENTRY, &[])
-                .expect("cache-served instance executes");
-            traps_total += warm.metrics.traps;
+                let start = Instant::now();
+                let mut warm = engine
+                    .instantiate(&item.module, Imports::new(), Instrumentation::none())
+                    .expect("warm instantiation");
+                warm_us[s][i] = warm_us[s][i].min(start.elapsed().as_secs_f64() * 1e6);
+                assert!(warm.metrics.cache_hit, "second instantiation hits the cache");
+                assert_eq!(
+                    warm.metrics.functions_compiled, 0,
+                    "a warm instantiation compiles nothing"
+                );
+                // The per-instance metrics carry the cache counters too, so
+                // a harness can report cache behavior without the cache
+                // handle.
+                assert!(warm.metrics.cache_hits > cold_hits);
+                assert!(
+                    warm.metrics.cache_entries > 0,
+                    "cache size is visible through RunMetrics"
+                );
+                if round > 0 {
+                    continue;
+                }
+                // Some generated line items encode to byte-identical
+                // modules; content hashing dedupes them, so even a first
+                // instantiation can hit. Count rather than forbid it.
+                if cold_hit {
+                    items_deduped += 1;
+                }
+                // Execute the warm instance once: cache-served code must run
+                // the suite cleanly, and RunMetrics' trap accounting proves
+                // it — a suite item that starts trapping shows up in the
+                // report as a nonzero `exec.traps_total`, not as a silently
+                // wrong checksum.
+                engine
+                    .call_export(&mut warm, suites::BenchmarkItem::ENTRY, &[])
+                    .expect("cache-served instance executes");
+                traps_total += warm.metrics.traps;
+            }
         }
-        let cold = summarize(&cold_us);
-        let warm = summarize(&warm_us);
+        stats = cache.stats();
+    }
+    let mut over_gate = Vec::new();
+    for (s, suite) in suites.iter().enumerate() {
+        let cold = summarize(&cold_us[s]);
+        let warm = summarize(&warm_us[s]);
+        let warm_over_cold = warm.mean / cold.mean.max(1e-9);
         println!(
             "{:<12} | {:>12.1} | {:>12.1} | {:>7.1}x",
             suite.name,
@@ -142,8 +173,11 @@ fn main() {
         );
         report.metric(&format!("{}.cold_instantiate_us", suite.name), cold.mean);
         report.metric(&format!("{}.warm_instantiate_us", suite.name), warm.mean);
+        report.metric(&format!("{}.warm_over_cold", suite.name), warm_over_cold);
+        if warm_over_cold > MAX_WARM_OVER_COLD {
+            over_gate.push(suite.name);
+        }
     }
-    let stats = cache.stats();
     report.metric("exec.traps_total", traps_total as f64);
     assert_eq!(traps_total, 0, "suite execution must be trap-free");
     report.metric("cache.entries", stats.entries as f64);
@@ -162,4 +196,11 @@ fn main() {
         stats.misses,
         stats.resident_machine_bytes / 1024,
     );
+    if !over_gate.is_empty() {
+        println!(
+            "FAIL: warm instantiation above {MAX_WARM_OVER_COLD}x cold on {over_gate:?}"
+        );
+        std::process::exit(1);
+    }
+    println!("PASS: warm instantiation at most {MAX_WARM_OVER_COLD}x cold on every suite");
 }

@@ -23,6 +23,13 @@ const FIG18_REQUIRED_METRICS: [&str; 5] = [
     "pass",
 ];
 
+/// The code-cache gate's ratios: fig11 must report one per suite.
+const FIG11_REQUIRED_METRICS: [&str; 3] = [
+    "polybench.warm_over_cold",
+    "libsodium.warm_over_cold",
+    "ostrich.warm_over_cold",
+];
+
 /// Validates one access-log line against the `serve::access_log` schema.
 fn validate_access_log_line(line: &str) -> Result<(), String> {
     let doc = parse_json(line)?;
@@ -188,13 +195,18 @@ fn check_one(path: &Path) -> Result<String, String> {
         validate_report_json(&text)?;
         let doc = parse_json(&text)?;
         let metrics = doc.get("metrics").and_then(JsonValue::as_object);
+        let required: &[&str] = match name {
+            "BENCH_fig11.json" => &FIG11_REQUIRED_METRICS,
+            "BENCH_fig18.json" => &FIG18_REQUIRED_METRICS,
+            _ => &[],
+        };
+        if let Some(missing) = required
+            .iter()
+            .find(|&&r| !metrics.is_some_and(|m| m.contains_key(r)))
+        {
+            return Err(format!("{name} is missing metric {missing:?}"));
+        }
         if name == "BENCH_fig18.json" {
-            let metrics = metrics.ok_or("missing metrics object")?;
-            for required in FIG18_REQUIRED_METRICS {
-                if !metrics.contains_key(required) {
-                    return Err(format!("fig18 report missing metric {required:?}"));
-                }
-            }
             let coverage = doc
                 .get("metrics")
                 .and_then(|m| m.get("symbolication_coverage"))

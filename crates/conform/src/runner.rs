@@ -394,7 +394,7 @@ mod tests {
         assert!(run_script(&script, &config).is_pass());
         // "Historical miscompile": signed division emitted as unsigned.
         let break_divs = |m: &mut Module| {
-            for func in &mut m.funcs {
+            for func in &mut m.make_mut().funcs {
                 for b in &mut func.code {
                     if *b == wasm::Opcode::I32DivS.to_byte() {
                         *b = wasm::Opcode::I32DivU.to_byte();

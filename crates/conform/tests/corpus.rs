@@ -130,7 +130,7 @@ fn corpus_trap_backtraces_agree_across_the_matrix() {
 fn corpus_catches_a_deliberately_broken_build() {
     let corpus = conform::load_corpus();
     let break_divs = |m: &mut wasm::Module| {
-        for func in &mut m.funcs {
+        for func in &mut m.make_mut().funcs {
             // Opcode bytes are position-dependent; a blind byte sweep could
             // corrupt immediates. div_s has no immediates and the corpus
             // modules keep constants small, so rewriting opcode positions

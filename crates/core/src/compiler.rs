@@ -476,6 +476,15 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         self.state.reset_to_memory(true);
     }
 
+    /// At a label the fall-through does not reach: the code after it is
+    /// entered only by branches, which all arrive in canonical memory state,
+    /// so whatever the dead path had cached in registers, knew as constants
+    /// or had stored as tags never happened on the paths that do arrive.
+    /// Emits nothing.
+    fn forget_dead_path(&mut self) {
+        self.state.reset_to_memory(false);
+    }
+
     /// Flush at an observable point (call, probe): values go to memory and,
     /// depending on the tagging strategy, tags are written. Returns the
     /// reference slots for a stackmap when that strategy is in use.
@@ -817,6 +826,8 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let was_reachable = !self.unreachable_now();
                 if was_reachable {
                     self.flush_for_control();
+                } else {
+                    self.forget_dead_path();
                 }
                 let frame = self.ctrl.last_mut().expect("else inside an if");
                 if was_reachable {
@@ -850,6 +861,8 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let was_reachable = !self.unreachable_now();
                 if was_reachable {
                     self.flush_for_control();
+                } else {
+                    self.forget_dead_path();
                 }
                 let frame = self.ctrl.pop().expect("end matches a construct");
                 if let Some(else_label) = frame.else_label {

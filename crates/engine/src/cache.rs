@@ -21,14 +21,20 @@
 //!   ([`Instrumentation::fingerprint`]), because probes are baked into
 //!   generated code.
 //!
-//! A warm instantiation still pays O(module size) to compute the content
-//! hash — `Module`'s fields are public and mutable, so memoizing the hash
-//! inside the module would go stale (and silently poison the cache) if a
-//! caller mutated it after hashing. Hashing is far cheaper than the
-//! validation + preparation + compilation a hit skips; a serving loop that
-//! wants to shave it too can compute a [`CacheKey`] once (its fields are
-//! public) and keep its own `CacheKey → Arc<CompiledModule>` map next to
-//! the instance state.
+//! Computing the key costs the same for every module size: a [`Module`] is
+//! an immutable shared value that hashes its contents once and hands the
+//! memo to every clone, and an [`Engine`](crate::engine::Engine) computes
+//! its two configuration fingerprints when it is built. What remains per
+//! lookup is the instrumentation fingerprint and a map probe.
+//!
+//! The content hash is 64 bits and one cache serves every tenant of a
+//! [`MultiEngine`](crate::multi::MultiEngine), so the key alone does not
+//! decide a hit: [`CodeCache::lookup`] also takes the module and returns the
+//! resident artifact only if it was built from that module — the same
+//! allocation in the steady state (the artifact keeps the handle it was
+//! built from), equal contents otherwise. An artifact of a different module
+//! under the same key is a miss; the caller compiles its own, and
+//! [`CodeCache::insert`] leaves the resident entry where it is.
 
 use crate::config::EngineConfig;
 use crate::monitor::Instrumentation;
@@ -112,27 +118,39 @@ impl CodeCache {
         CodeCache::default()
     }
 
-    /// Looks up a key, counting the outcome as a hit or miss.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CompiledModule>> {
-        let entries = self.entries.lock().expect("code cache poisoned");
-        match entries.get(key) {
-            Some(artifact) => {
+    /// Looks up the artifact of `module` under `key`, counting the outcome
+    /// as a hit or miss. An entry built from a different module (a
+    /// content-hash collision) is a miss.
+    pub fn lookup(&self, key: &CacheKey, module: &Module) -> Option<Arc<CompiledModule>> {
+        let resident = self
+            .entries
+            .lock()
+            .expect("code cache poisoned")
+            .get(key)
+            .cloned();
+        // Compared outside the lock: equality of two separately decoded
+        // copies walks the module.
+        match resident {
+            Some(artifact) if artifact.module() == module => {
                 self.hits.fetch_add(1, Ordering::SeqCst);
-                Some(Arc::clone(artifact))
+                Some(artifact)
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::SeqCst);
                 None
             }
         }
     }
 
-    /// Inserts (or replaces) the artifact for a key.
+    /// Inserts the artifact for a key, unless one is already resident (the
+    /// first artifact stays: instances hold it, and a colliding module must
+    /// not evict it).
     pub fn insert(&self, key: CacheKey, artifact: Arc<CompiledModule>) {
         self.entries
             .lock()
             .expect("code cache poisoned")
-            .insert(key, artifact);
+            .entry(key)
+            .or_insert(artifact);
     }
 
     /// The number of cached artifacts.
@@ -247,16 +265,34 @@ mod tests {
         let m = module(3);
         let config = EngineConfig::default();
         let key = CacheKey::for_instantiation(&config, &m, &Instrumentation::none());
-        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key, &m).is_none());
         assert!(cache.is_empty());
-        let artifact = Arc::new(CompiledModule::build(m).unwrap());
+        let artifact = Arc::new(CompiledModule::build(m.clone()).unwrap());
         cache.insert(key, Arc::clone(&artifact));
         assert_eq!(cache.len(), 1);
-        let found = cache.lookup(&key).expect("cached");
+        let found = cache.lookup(&key, &m).expect("cached");
         assert!(Arc::ptr_eq(&found, &artifact), "the artifact itself is shared");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         cache.clear();
-        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key, &m).is_none());
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
+    fn lookup_confirms_the_module_and_insert_keeps_the_resident_entry() {
+        let cache = CodeCache::new();
+        let (a, b) = (module(3), module(4));
+        let config = EngineConfig::default();
+        let key = CacheKey::for_instantiation(&config, &a, &Instrumentation::none());
+        // An artifact of `b` filed under `a`'s key, as a hash collision would.
+        let of_b = Arc::new(CompiledModule::build(b.clone()).unwrap());
+        cache.insert(key, Arc::clone(&of_b));
+        assert!(cache.lookup(&key, &a).is_none(), "not a's artifact");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.insert(key, Arc::new(CompiledModule::build(a).unwrap()));
+        let resident = cache.lookup(&key, &b).expect("b's artifact is still resident");
+        assert!(Arc::ptr_eq(&resident, &of_b));
+        // A separately built copy of the same contents is the same module.
+        assert!(cache.lookup(&key, &module(4)).is_some());
     }
 }

@@ -436,9 +436,15 @@ struct Activation {
 /// [`BackgroundCompiler`] (both behind [`Arc`]s), which is how a serving
 /// setup gives every worker thread its own engine handle over one shared
 /// cache and compile pool.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
+    /// [`EngineConfig::compile_fingerprint`] and
+    /// [`EngineConfig::opt_fingerprint`] of `config`, computed once: the
+    /// configuration never changes after construction and every
+    /// instantiation's [`CacheKey`] carries both.
+    pub(crate) compile_fingerprint: u64,
+    pub(crate) opt_fingerprint: u64,
     cache: Option<Arc<CodeCache>>,
     background: Option<Arc<BackgroundCompiler>>,
     /// The shared epoch counter for preemption. Engine clones (and engines
@@ -470,11 +476,25 @@ impl Engine {
         Engine {
             interp: Interpreter::new(config.cost.clone()),
             cpu: Cpu::new(config.cost.clone()),
+            compile_fingerprint: config.compile_fingerprint(),
+            opt_fingerprint: config.opt_fingerprint(),
             config,
             cache: None,
             background: None,
             epoch: Arc::new(AtomicU64::new(0)),
             telemetry,
+        }
+    }
+
+    /// [`CacheKey::for_instantiation`] under this engine's configuration,
+    /// with the two configuration fingerprints read back, not recomputed.
+    fn cache_key(&self, module: &Module, instrumentation: &Instrumentation) -> CacheKey {
+        CacheKey {
+            content_hash: module.content_hash(),
+            options_fingerprint: self.compile_fingerprint,
+            backend: self.config.backend,
+            instrumentation_fingerprint: instrumentation.fingerprint(),
+            opt_fingerprint: self.opt_fingerprint,
         }
     }
 
@@ -566,8 +586,8 @@ impl Engine {
         let mut cache_stats = None;
         let artifact: Arc<CompiledModule> = match &self.cache {
             Some(cache) => {
-                let key = CacheKey::for_instantiation(&self.config, module, &instrumentation);
-                let found = match cache.lookup(&key) {
+                let key = self.cache_key(module, &instrumentation);
+                let found = match cache.lookup(&key, module) {
                     Some(shared) => {
                         cache_hit = true;
                         shared
@@ -956,7 +976,7 @@ impl Engine {
                 .unwrap_or(prepared.frame_slots()),
             None => prepared.frame_slots(),
         };
-        if instance.values.capacity() < frame_base + frame_slots as usize {
+        if !instance.values.reserve(frame_base + frame_slots as usize) {
             return Err(TrapCode::StackOverflow);
         }
 
@@ -1430,7 +1450,7 @@ impl Engine {
             }
         };
         let frame_end = act.frame_base + frame_slots as usize;
-        if instance.values.capacity() < frame_end {
+        if !instance.values.reserve(frame_end) {
             // The optimized frame does not fit where this activation sits;
             // keep running the current tier rather than overflowing.
             act.osr_off = true;

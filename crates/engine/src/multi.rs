@@ -37,16 +37,6 @@ struct CodeGroup {
     opt_fingerprint: u64,
 }
 
-impl CodeGroup {
-    fn for_config(config: &EngineConfig) -> CodeGroup {
-        CodeGroup {
-            compile_fingerprint: config.compile_fingerprint(),
-            backend: config.backend,
-            opt_fingerprint: config.opt_fingerprint(),
-        }
-    }
-}
-
 /// A registry handing out [`Engine`]s that share one [`CodeCache`] and one
 /// epoch counter across tenants (see the module docs).
 #[derive(Debug, Default)]
@@ -69,15 +59,20 @@ impl MultiEngine {
     /// differing configurations coexist in the same cache under different
     /// keys.
     pub fn engine(&self, config: EngineConfig) -> Engine {
-        let group = CodeGroup::for_config(&config);
+        let engine = Engine::new(config)
+            .with_code_cache(Arc::clone(&self.cache))
+            .with_epoch(Arc::clone(&self.epoch));
+        let group = CodeGroup {
+            compile_fingerprint: engine.compile_fingerprint,
+            backend: engine.config().backend,
+            opt_fingerprint: engine.opt_fingerprint,
+        };
         let mut groups = self.groups.lock().expect("group registry poisoned");
         if !groups.contains(&group) {
             groups.push(group);
         }
         drop(groups);
-        Engine::new(config)
-            .with_code_cache(Arc::clone(&self.cache))
-            .with_epoch(Arc::clone(&self.epoch))
+        engine
     }
 
     /// The shared code cache (e.g. to read hit/miss counters).

@@ -430,9 +430,10 @@ pub(crate) fn compile_slot(
 
 /// Eagerly compiles every uncompiled function of `artifact`, sharding the
 /// work across [`EngineConfig::compile_workers`] threads (worker `w` takes
-/// defined indices `w, w + N, w + 2N, …`). Already-published slots — a warm
-/// code-cache hit — are skipped, which is what makes repeated instantiation
-/// under a shared cache compile exactly once.
+/// the `w`-th, `w + N`-th, … of the unpublished functions). Already-published
+/// slots — a warm code-cache hit — are skipped, which is what makes repeated
+/// instantiation under a shared cache compile exactly once; with nothing
+/// left to compile no thread is spawned.
 ///
 /// Returns the defined indices this call published, in ascending order, so
 /// the caller can attribute their compile time to its metrics.
@@ -450,12 +451,11 @@ pub fn compile_eager(
     instrumentation: &Instrumentation,
     telemetry: &Telemetry,
 ) -> Result<Vec<u32>, CompileError> {
-    let num_defined = artifact.num_defined();
     let tier = eager_tier(config);
-    let workers = config
-        .compile_workers
-        .max(1)
-        .min(num_defined.max(1) as usize);
+    let pending: Vec<u32> = (0..artifact.num_defined())
+        .filter(|&defined| artifact.artifact_for(defined, tier).is_none())
+        .collect();
+    let workers = config.compile_workers.max(1).min(pending.len());
     let compile = move |defined: u32| {
         let func_index = artifact.module().defined_to_func_index(defined);
         let probes = instrumentation.sites_for(func_index);
@@ -463,26 +463,25 @@ pub fn compile_eager(
     };
     if workers <= 1 {
         let mut published = Vec::new();
-        for defined in 0..num_defined {
+        for &defined in &pending {
             if compile(defined)? {
                 published.push(defined);
             }
         }
         return Ok(published);
     }
+    let pending = &pending;
     let results: Vec<Result<Vec<u32>, (u32, CompileError)>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
                     let mut published = Vec::new();
-                    let mut defined = w as u32;
-                    while defined < num_defined {
+                    for &defined in pending.iter().skip(w).step_by(workers) {
                         match compile(defined) {
                             Ok(true) => published.push(defined),
                             Ok(false) => {}
                             Err(e) => return Err((defined, e)),
                         }
-                        defined += workers as u32;
                     }
                     Ok(published)
                 })
@@ -490,7 +489,7 @@ pub fn compile_eager(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("compile worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     });
     let mut published = Vec::new();

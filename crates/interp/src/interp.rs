@@ -21,7 +21,7 @@ use machine::inst::TrapCode;
 use machine::lower::{classify, OpClass};
 use machine::values::{ValueTag, WasmValue, NULL_REF_BITS};
 use wasm::fuel::FuelPlan;
-use wasm::module::Module;
+use wasm::module::{Module, ModuleData};
 use wasm::opcode::{OpSignature, Opcode};
 use wasm::reader::BytecodeReader;
 use wasm::types::ValueType;
@@ -287,6 +287,9 @@ impl Interpreter {
     /// The frame's locals must already be initialized at
     /// `ctx.frame_base .. ctx.frame_base + num_locals`, and
     /// `ctx.values.sp()` must point at the frame's current operand top.
+    /// `module` is the contents, not the [`Module`] handle (a `&Module`
+    /// coerces): the only read is the body lookup on entry, and it should
+    /// not start with a hop through the handle.
     ///
     /// The loop makes one dispatch per instruction: the opcode byte indexes
     /// the per-opcode table for its cost and classification, and a single
@@ -298,7 +301,7 @@ impl Interpreter {
     /// local and reach `cycles` once, on the way out.
     pub fn run(
         &self,
-        module: &Module,
+        module: &ModuleData,
         func: &PreparedFunction,
         start_ip: usize,
         ctx: &mut ExecContext<'_>,

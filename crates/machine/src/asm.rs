@@ -308,7 +308,13 @@ impl Assembler {
     /// # Panics
     ///
     /// Panics if any allocated label was never bound; a compiler bug.
-    pub fn finish(self) -> CodeBuffer {
+    pub fn finish(mut self) -> CodeBuffer {
+        // The buffer outlives the compile by the artifact's whole life in
+        // the code cache; the slack `push` left behind (up to half of each
+        // vector) would stay resident with it.
+        self.insts.shrink_to_fit();
+        self.label_pool.shrink_to_fit();
+        self.source_map.shrink_to_fit();
         let label_targets = self
             .labels
             .iter()

@@ -255,11 +255,17 @@ impl GlobalSlot {
 ///
 /// Slots are 64 bits wide; tags are stored in a parallel byte array. The
 /// stack has a fixed capacity — exhausting it is a stack-overflow trap,
-/// mirroring the guard page in the paper's Fig. 2.
+/// mirroring the guard page in the paper's Fig. 2. The default stack backs
+/// that capacity on demand: [`ValueStack::reserve`] extends the backed
+/// prefix when a frame is pushed, so an instance that never recurses deeply
+/// never allocates (or zeroes) the half megabyte its capacity allows.
 #[derive(Debug, Clone)]
 pub struct ValueStack {
+    /// The backed prefix of the stack; every access lies inside it.
     slots: Vec<u64>,
     tags: Vec<ValueTag>,
+    /// The capacity in slots; the backed prefix never grows past it.
+    capacity: usize,
     sp: usize,
     /// Highest stack pointer ever observed. Every slot a frame can dirty
     /// lies below the frame's stack pointer, so `[0, high_water)` bounds the
@@ -272,18 +278,27 @@ pub struct ValueStack {
 /// Default capacity (in slots) of a value stack.
 pub const DEFAULT_VALUE_STACK_SLOTS: usize = 64 * 1024;
 
+/// A stack of [`DEFAULT_VALUE_STACK_SLOTS`] capacity with nothing backed
+/// yet: frames are backed as they are pushed ([`ValueStack::reserve`]).
 impl Default for ValueStack {
     fn default() -> ValueStack {
-        ValueStack::with_capacity(DEFAULT_VALUE_STACK_SLOTS)
+        ValueStack {
+            slots: Vec::new(),
+            tags: Vec::new(),
+            capacity: DEFAULT_VALUE_STACK_SLOTS,
+            sp: 0,
+            high_water: 0,
+        }
     }
 }
 
 impl ValueStack {
-    /// Creates a value stack with the given slot capacity.
+    /// Creates a value stack with the given slot capacity, all of it backed.
     pub fn with_capacity(slots: usize) -> ValueStack {
         ValueStack {
             slots: vec![0; slots],
             tags: vec![ValueTag::Dead; slots],
+            capacity: slots,
             sp: 0,
             high_water: 0,
         }
@@ -291,7 +306,26 @@ impl ValueStack {
 
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// Backs the slots `[0, end)` — zeroed and dead where newly backed — so
+    /// a frame ending at `end` can be read and written. Returns `false`,
+    /// backing nothing, if `end` exceeds the capacity: the caller's
+    /// stack-overflow condition.
+    pub fn reserve(&mut self, end: usize) -> bool {
+        if end > self.capacity {
+            return false;
+        }
+        if end > self.slots.len() {
+            // At least doubling keeps the copies amortized over a deep
+            // recursion's pushes; starting at 256 slots lets a shallow call
+            // chain back its stack once.
+            let backed = end.max(2 * self.slots.len()).max(256).min(self.capacity);
+            self.slots.resize(backed, 0);
+            self.tags.resize(backed, ValueTag::Dead);
+        }
+        true
     }
 
     /// The current stack pointer (index of the next free slot).
@@ -441,6 +475,38 @@ mod tests {
             let back = WasmValue::from_bits(bits, v.tag());
             assert_eq!(back, v, "{v}");
         }
+    }
+
+    #[test]
+    fn default_stack_backs_frames_on_demand() {
+        let mut vs = ValueStack::default();
+        assert_eq!(vs.capacity(), DEFAULT_VALUE_STACK_SLOTS);
+        assert!(vs.reserve(0), "an empty frame needs no backing");
+        assert!(vs.reserve(10));
+        vs.write_value(9, WasmValue::I32(7));
+        vs.set_sp(10);
+        // Growing keeps what is there and hands out zeroed, dead slots.
+        assert!(vs.reserve(5000));
+        assert_eq!(vs.read_value(9), WasmValue::I32(7));
+        assert_eq!((vs.read(4999), vs.tag(4999)), (0, ValueTag::Dead));
+        // The whole capacity can be backed; one slot more is an overflow and
+        // changes nothing.
+        assert!(!vs.reserve(DEFAULT_VALUE_STACK_SLOTS + 1));
+        assert!(vs.reserve(DEFAULT_VALUE_STACK_SLOTS));
+        vs.write(DEFAULT_VALUE_STACK_SLOTS - 1, 1);
+        assert!(!vs.reserve(DEFAULT_VALUE_STACK_SLOTS + 1));
+        assert_eq!(vs.capacity(), DEFAULT_VALUE_STACK_SLOTS);
+        vs.reset();
+        assert_eq!((vs.sp(), vs.read(9)), (0, 0));
+    }
+
+    #[test]
+    fn with_capacity_is_fully_backed() {
+        let mut vs = ValueStack::with_capacity(8);
+        vs.write(7, 1);
+        assert!(vs.reserve(8));
+        assert!(!vs.reserve(9));
+        assert_eq!(vs.read(7), 1);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn early_return_variant(module: &Module) -> Module {
     let mut m = module.clone();
     if let Some(entry) = m.exported_func("main") {
         let defined = (entry - m.num_imported_funcs()) as usize;
-        if let Some(decl) = m.funcs.get_mut(defined) {
+        if let Some(decl) = m.make_mut().funcs.get_mut(defined) {
             // Prepend `i32.const 0; return` (the entry returns i32).
             let mut code = vec![Opcode::I32Const.to_byte(), 0x00, Opcode::Return.to_byte()];
             code.extend_from_slice(&decl.code);

@@ -8,6 +8,7 @@
 
 use crate::module::{
     ConstExpr, DataSegment, ElemSegment, Export, FuncDecl, Global, Import, ImportKind, Module,
+    ModuleData,
 };
 use crate::opcode::Opcode;
 use crate::types::{
@@ -327,7 +328,7 @@ impl CodeBuilder {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ModuleBuilder {
-    module: Module,
+    module: ModuleData,
     type_cache: HashMap<FuncType, u32>,
 }
 
@@ -381,7 +382,6 @@ impl ModuleBuilder {
             type_index,
             locals: grouped,
             code,
-            code_offset: 0,
         });
         self.module.num_imported_funcs() + defined_index
     }
@@ -470,7 +470,7 @@ impl ModuleBuilder {
 
     /// Finishes and returns the module.
     pub fn finish(self) -> Module {
-        self.module
+        self.module.into()
     }
 }
 

@@ -7,7 +7,7 @@
 use crate::encode::SectionId;
 use crate::module::{
     ConstExpr, CustomSection, DataSegment, ElemSegment, Export, FuncDecl, Global, Import,
-    ImportKind, Module,
+    ImportKind, Module, ModuleData,
 };
 use crate::opcode::Opcode;
 use crate::reader::{ByteReader, ReadError};
@@ -94,7 +94,7 @@ pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
 
 struct Decoder<'a> {
     r: ByteReader<'a>,
-    module: Module,
+    module: ModuleData,
     declared_func_types: Vec<u32>,
     last_section: u8,
 }
@@ -103,7 +103,7 @@ impl<'a> Decoder<'a> {
     fn new(bytes: &'a [u8]) -> Decoder<'a> {
         Decoder {
             r: ByteReader::new(bytes),
-            module: Module::new(),
+            module: ModuleData::default(),
             declared_func_types: Vec::new(),
             last_section: 0,
         }
@@ -162,7 +162,7 @@ impl<'a> Decoder<'a> {
                 bodies: self.module.funcs.len() as u32,
             });
         }
-        Ok(self.module)
+        Ok(self.module.into())
     }
 
     fn decode_custom(&mut self, end: usize) -> Result<(), DecodeError> {
@@ -343,7 +343,6 @@ impl<'a> Decoder<'a> {
             if body_end > self.r.data().len() || self.r.pos() > body_end {
                 return Err(DecodeError::Read(ReadError::UnexpectedEnd { offset: body_start }));
             }
-            let code_offset = self.r.pos();
             let code = self.r.read_bytes(body_end - self.r.pos())?.to_vec();
             if code.last() != Some(&Opcode::End.to_byte()) {
                 return Err(DecodeError::Malformed {
@@ -356,7 +355,6 @@ impl<'a> Decoder<'a> {
                 type_index,
                 locals,
                 code,
-                code_offset,
             });
         }
         Ok(())
@@ -538,22 +536,8 @@ mod tests {
         let module = rich_module();
         let bytes = encode(&module);
         let decoded = decode(&bytes).expect("decode");
-        // code_offset differs between built (0) and decoded modules; compare
-        // the semantically meaningful parts.
-        assert_eq!(decoded.types, module.types);
-        assert_eq!(decoded.imports, module.imports);
-        assert_eq!(decoded.funcs.len(), module.funcs.len());
-        for (a, b) in decoded.funcs.iter().zip(module.funcs.iter()) {
-            assert_eq!(a.type_index, b.type_index);
-            assert_eq!(a.locals, b.locals);
-            assert_eq!(a.code, b.code);
-        }
-        assert_eq!(decoded.tables, module.tables);
-        assert_eq!(decoded.memories, module.memories);
-        assert_eq!(decoded.globals, module.globals);
-        assert_eq!(decoded.exports, module.exports);
-        assert_eq!(decoded.elems, module.elems);
-        assert_eq!(decoded.data, module.data);
+        assert_eq!(decoded, module);
+        assert_eq!(decoded.content_hash(), module.content_hash());
     }
 
     #[test]
@@ -617,7 +601,7 @@ mod tests {
     #[test]
     fn custom_sections_are_preserved() {
         let mut module = rich_module();
-        module.custom.push(CustomSection {
+        module.make_mut().custom.push(CustomSection {
             name: "name".to_string(),
             bytes: vec![1, 2, 3, 4],
         });

@@ -65,6 +65,6 @@ pub mod validate;
 pub mod wat;
 pub mod writer;
 
-pub use module::Module;
+pub use module::{Module, ModuleData};
 pub use opcode::Opcode;
 pub use types::{BlockType, FuncType, GlobalType, Limits, ValueType};

@@ -8,10 +8,13 @@
 use crate::types::{
     ExternalKind, FuncType, GlobalType, MemoryType, TableType, ValueType,
 };
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A constant initializer expression, used for globals, element segment
 /// offsets, and data segment offsets.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum ConstExpr {
     /// An `i32.const` value.
     I32(i32),
@@ -27,6 +30,24 @@ pub enum ConstExpr {
     RefFunc(u32),
     /// A `global.get` of an (imported, immutable) global.
     GlobalGet(u32),
+}
+
+/// Float constants compare by bit pattern, the way the binary format stores
+/// them: `-0.0` is not `0.0` and a NaN equals itself, so two modules are
+/// equal exactly when they encode to the same bytes.
+impl PartialEq for ConstExpr {
+    fn eq(&self, other: &ConstExpr) -> bool {
+        use ConstExpr::*;
+        match (*self, *other) {
+            (I32(a), I32(b)) => a == b,
+            (I64(a), I64(b)) => a == b,
+            (F32(a), F32(b)) => a.to_bits() == b.to_bits(),
+            (F64(a), F64(b)) => a.to_bits() == b.to_bits(),
+            (RefNull(a), RefNull(b)) => a == b,
+            (RefFunc(a), RefFunc(b)) | (GlobalGet(a), GlobalGet(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl ConstExpr {
@@ -132,9 +153,6 @@ pub struct FuncDecl {
     pub locals: Vec<(u32, ValueType)>,
     /// The instruction bytes of the body, including the terminating `end`.
     pub code: Vec<u8>,
-    /// Offset of `code[0]` within the original binary, when decoded from one.
-    /// Zero for built modules. Only used for diagnostics.
-    pub code_offset: usize,
 }
 
 impl FuncDecl {
@@ -164,9 +182,14 @@ pub struct CustomSection {
     pub bytes: Vec<u8>,
 }
 
-/// A complete WebAssembly module.
+/// The contents of a WebAssembly module: every section, as plain data.
+///
+/// This is what [`decode`](crate::decode::decode), the
+/// [`ModuleBuilder`](crate::builder::ModuleBuilder) and the WAT lowerer
+/// assemble, and what a [`Module`] dereferences to. Consumers take a
+/// [`Module`]; a `ModuleData` becomes one through `Module::from`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Module {
+pub struct ModuleData {
     /// The type (signature) section.
     pub types: Vec<FuncType>,
     /// Imports, in declaration order.
@@ -192,10 +215,93 @@ pub struct Module {
     pub custom: Vec<CustomSection>,
 }
 
+/// What every clone of a [`Module`] shares: the contents and the memoized
+/// hash of exactly those contents.
+#[derive(Clone, Default)]
+struct Shared {
+    data: ModuleData,
+    hash: OnceLock<u64>,
+}
+
+/// A complete WebAssembly module: an immutable, cheaply cloneable handle on
+/// a [`ModuleData`].
+///
+/// `Module` dereferences to [`ModuleData`], so fields and read-only methods
+/// are used directly (`module.funcs`, `module.total_code_bytes()`). Cloning
+/// bumps a reference count; the engine's artifacts, instance pools and
+/// servers all hold the same allocation. Because the contents cannot change
+/// behind a handle, [`Module::content_hash`] is computed once per value and
+/// shared by every clone.
+///
+/// There is deliberately no `DerefMut`. The one way to a `&mut ModuleData`
+/// is [`Module::make_mut`], which un-shares the value first and forgets the
+/// memoized hash:
+///
+/// ```
+/// let mut m = wasm::Module::new();
+/// m.make_mut().start = Some(0);
+/// ```
+///
+/// ```compile_fail,E0596
+/// let mut m = wasm::Module::new();
+/// m.funcs.clear(); // no `DerefMut`: the fields are read-only through the handle
+/// ```
+#[derive(Clone, Default)]
+pub struct Module(Arc<Shared>);
+
+impl Deref for Module {
+    type Target = ModuleData;
+
+    fn deref(&self) -> &ModuleData {
+        &self.0.data
+    }
+}
+
+impl From<ModuleData> for Module {
+    fn from(data: ModuleData) -> Module {
+        Module(Arc::new(Shared {
+            data,
+            hash: OnceLock::new(),
+        }))
+    }
+}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.data.fmt(f)
+    }
+}
+
+/// Modules are equal when their contents are; two handles on one allocation
+/// are equal without looking.
+impl PartialEq for Module {
+    fn eq(&self, other: &Module) -> bool {
+        Module::ptr_eq(self, other) || self.0.data == other.0.data
+    }
+}
+
 impl Module {
     /// Creates an empty module.
     pub fn new() -> Module {
         Module::default()
+    }
+
+    /// True if `a` and `b` are handles on the same allocation (one is a
+    /// clone of the other and neither was edited since).
+    pub fn ptr_eq(a: &Module, b: &Module) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Mutable access to the contents, copy-on-write: if other handles share
+    /// this value the contents are cloned first (O(module size)) and those
+    /// handles keep the old contents and their memoized hash; a sole owner
+    /// is edited in place. Either way this handle's memoized
+    /// [`content_hash`](Module::content_hash) is dropped, so the next call
+    /// hashes what the edit left behind.
+    pub fn make_mut(&mut self) -> &mut ModuleData {
+        let shared = Arc::make_mut(&mut self.0);
+        shared.hash.take();
+        &mut shared.data
     }
 
     /// A stable 64-bit hash of the module's *content*: FNV-1a over the
@@ -205,18 +311,23 @@ impl Module {
     /// the hash is independent of how the in-memory value was produced
     /// (decoded, built programmatically, or cloned) and stable across
     /// processes — the property the engine's keyed code cache needs. The
-    /// encoding pass makes this O(module size); callers that key caches
-    /// should hash once and reuse the value.
+    /// first call on a value encodes and hashes it, O(module size); every
+    /// later call, on this handle or any clone, is a load.
     pub fn content_hash(&self) -> u64 {
-        crate::hash::fnv1a_64(&crate::encode::encode(self))
+        *self
+            .0
+            .hash
+            .get_or_init(|| crate::hash::fnv1a_64(&crate::encode::encode(self)))
     }
+}
 
+impl ModuleData {
     /// Parses the module's `name` custom section into its typed form (an
     /// empty [`crate::names::NameSection`] when the module has none).
     ///
     /// Parsing is tolerant — a malformed section yields whatever prefix
     /// decoded cleanly — and runs on demand: the raw bytes stay preserved
-    /// verbatim in [`Module::custom`], so this never perturbs round trips.
+    /// verbatim in [`ModuleData::custom`], so this never perturbs round trips.
     pub fn name_section(&self) -> crate::names::NameSection {
         self.custom
             .iter()
@@ -433,6 +544,10 @@ mod tests {
     use super::*;
     use crate::types::Limits;
 
+    fn encoding_hash(m: &Module) -> u64 {
+        crate::hash::fnv1a_64(&crate::encode::encode(m))
+    }
+
     #[test]
     fn content_hash_is_stable_and_clone_invariant() {
         let m = test_module();
@@ -442,24 +557,73 @@ mod tests {
         // The hash is exactly FNV-1a over the encoding, so a decode/encode
         // round trip preserves it.
         let decoded = crate::decode::decode(&crate::encode::encode(&m)).unwrap();
+        assert_eq!(decoded, m);
         assert_eq!(h, decoded.content_hash());
-        assert_eq!(h, crate::hash::fnv1a_64(&crate::encode::encode(&m)));
+        assert_eq!(h, encoding_hash(&m));
     }
 
     #[test]
-    fn content_hash_distinguishes_modules() {
-        let a = test_module();
-        let mut b = test_module();
-        b.funcs[0].code = vec![0x01, 0x0B];
-        let mut c = test_module();
-        c.globals[0].init = ConstExpr::I32(8);
-        assert_ne!(a.content_hash(), b.content_hash(), "code change changes the hash");
-        assert_ne!(a.content_hash(), c.content_hash(), "global init change changes the hash");
-        assert_ne!(Module::new().content_hash(), a.content_hash());
+    fn content_hash_follows_every_kind_of_edit() {
+        type Edit = fn(&mut ModuleData);
+        let edits: [(&str, Edit); 4] = [
+            ("code byte", |d| d.funcs[0].code = vec![0x01, 0x0B]),
+            ("global init", |d| d.globals[0].init = ConstExpr::I32(8)),
+            ("name section", |d| {
+                let mut names = crate::names::NameSection::default();
+                names.module = Some("m".to_string());
+                d.set_name_section(&names);
+            }),
+            ("export", |d| d.exports[0].name = "go".to_string()),
+        ];
+        let mut m = test_module();
+        let mut seen = vec![m.content_hash()];
+        for (what, edit) in edits {
+            assert_eq!(m.content_hash(), encoding_hash(&m), "before {what} edit");
+            edit(m.make_mut());
+            assert_eq!(m.content_hash(), encoding_hash(&m), "after {what} edit");
+            assert!(!seen.contains(&m.content_hash()), "{what} edit changes the hash");
+            seen.push(m.content_hash());
+        }
+        assert_ne!(Module::new().content_hash(), test_module().content_hash());
+    }
+
+    #[test]
+    fn make_mut_is_copy_on_write() {
+        let mut m = test_module();
+        let before = m.clone();
+        assert!(Module::ptr_eq(&m, &before));
+        let old_hash = before.content_hash();
+
+        m.make_mut().funcs[0].code = vec![0x01, 0x0B];
+        assert!(!Module::ptr_eq(&m, &before), "the edit un-shared the value");
+        assert_eq!(before.funcs[0].code, vec![0x0B], "the earlier clone keeps its contents");
+        assert_eq!(before.content_hash(), old_hash);
+        assert_eq!(before, test_module());
+        assert_ne!(m, before);
+        assert_ne!(m.content_hash(), old_hash);
+
+        // A clone taken after the edit shares the new value and its memo.
+        let after = m.clone();
+        assert!(Module::ptr_eq(&m, &after));
+        assert_eq!(after.content_hash(), m.content_hash());
+        assert_eq!(after.content_hash(), encoding_hash(&m));
+
+        // A sole owner is edited in place, and still forgets its memo.
+        let mut sole = test_module();
+        let stale = sole.content_hash();
+        sole.make_mut().start = Some(1);
+        assert_ne!(sole.content_hash(), stale);
+    }
+
+    #[test]
+    fn const_exprs_compare_by_bits() {
+        assert_eq!(ConstExpr::F32(f32::NAN), ConstExpr::F32(f32::NAN));
+        assert_ne!(ConstExpr::F64(0.0), ConstExpr::F64(-0.0));
+        assert_ne!(ConstExpr::RefFunc(1), ConstExpr::GlobalGet(1));
     }
 
     fn test_module() -> Module {
-        let mut m = Module::new();
+        let mut m = ModuleData::default();
         m.types.push(FuncType::new(vec![ValueType::I32], vec![ValueType::I32]));
         m.types.push(FuncType::new(vec![], vec![]));
         m.imports.push(Import {
@@ -476,7 +640,6 @@ mod tests {
             type_index: 0,
             locals: vec![(2, ValueType::I32), (1, ValueType::F64)],
             code: vec![0x0B],
-            code_offset: 0,
         });
         m.globals.push(Global {
             ty: GlobalType::mutable(ValueType::I32),
@@ -494,7 +657,7 @@ mod tests {
             kind: ExternalKind::Func,
             index: 1,
         });
-        m
+        m.into()
     }
 
     #[test]
@@ -562,7 +725,6 @@ mod tests {
             type_index: 0,
             locals: vec![(3, ValueType::I64), (1, ValueType::F32)],
             code: vec![0x0B],
-            code_offset: 0,
         };
         assert_eq!(decl.declared_local_count(), 4);
         assert_eq!(

@@ -15,6 +15,7 @@ use super::sexpr::Sexpr;
 use super::WatError;
 use crate::module::{
     ConstExpr, DataSegment, ElemSegment, Export, FuncDecl, Global, Import, ImportKind, Module,
+    ModuleData,
 };
 use crate::opcode::{ImmediateKind, Opcode};
 use crate::types::{
@@ -132,7 +133,7 @@ pub fn module_from_sexpr(expr: &Sexpr) -> Result<Module, WatError> {
         names.set_func_name(func_index, name.clone());
     }
     lw.module.set_name_section(&names);
-    Ok(lw.module)
+    Ok(lw.module.into())
 }
 
 /// A function body stashed in pass B for lowering in pass C.
@@ -157,7 +158,7 @@ struct LoweredBody {
 
 #[derive(Default)]
 struct Lowerer {
-    module: Module,
+    module: ModuleData,
     type_names: HashMap<String, u32>,
     func_names: HashMap<String, u32>,
     table_names: HashMap<String, u32>,
@@ -302,7 +303,6 @@ impl Lowerer {
             type_index,
             locals: Vec::new(),
             code: vec![Opcode::End.to_byte()],
-            code_offset: 0,
         });
         Ok(Some(DeferredBody {
             defined_index,

@@ -424,7 +424,7 @@ fn unprintable_name_sections_fall_back_to_indices() {
     let mut m = b.finish();
     let mut names = wasm::names::NameSection::new();
     names.set_func_name(0, "has a space");
-    m.set_name_section(&names);
+    m.make_mut().set_name_section(&names);
     let text = print_module(&m);
     assert!(!text.contains('$'), "invalid ids must not print: {text}");
     let reparsed = parse_module(&text).expect("parses");
@@ -435,7 +435,7 @@ fn unprintable_name_sections_fall_back_to_indices() {
     if m.funcs[0].locals == vec![(2, ValueType::I64)] {
         names.set_func_name(0, "f");
         names.set_local_name(0, 1, "hidden");
-        m.set_name_section(&names);
+        m.make_mut().set_name_section(&names);
         let text = print_module(&m);
         assert!(!text.contains('$'), "partial sections must not print: {text}");
     }

@@ -172,3 +172,72 @@ fn execution_cycles_show_the_expected_tier_ordering() {
         "optimizing tier ({optimizing}) should not be slower than baseline ({baseline})"
     );
 }
+
+/// A label whose fall-through is unreachable is entered only by branches,
+/// and every branch arrives in canonical memory state. What the dead path
+/// knew — local 1 cached as the constant 99 — must not survive past the
+/// `end` or `else` it dies at: with local 1 preset to 11, the paths that
+/// skip the store read 11.
+#[test]
+fn dead_fallthrough_state_does_not_leak_past_labels() {
+    // How the arm that stores 99 leaves: each makes the code up to the next
+    // `end`/`else` unreachable.
+    let exits = ["br 1", "local.get 1 return", "i32.const 0 br_table 1 1"];
+    let mut configs = common::all_tier_backend_configs();
+    for options in CompilerOptions::figure4_configs()
+        .into_iter()
+        .chain(CompilerOptions::figure5_configs())
+    {
+        configs.push(EngineConfig::baseline(&options.name, options.clone()));
+    }
+    for exit in exits {
+        let at_end = format!(
+            "block block
+               local.get 0 i32.const 5 i32.gt_u br_if 0
+               i32.const 99 local.set 1 {exit}
+             end
+             local.get 1 return
+             end"
+        );
+        let at_else = format!(
+            "block
+               local.get 0 i32.const 5 i32.gt_u
+               if
+                 local.get 1 return
+               else
+                 i32.const 99 local.set 1 {exit}
+               end
+             end"
+        );
+        let at_else_from_then = format!(
+            "block
+               local.get 0 i32.const 5 i32.le_u
+               if
+                 i32.const 99 local.set 1 {exit}
+               else
+                 local.get 1 return
+               end
+             end"
+        );
+        for body in [at_end, at_else, at_else_from_then] {
+            let src = format!(
+                "(module (func (export \"f\") (param i32) (result i32) (local i32)
+                   i32.const 11 local.set 1
+                   {body}
+                   local.get 1))"
+            );
+            let module = wasm::wat::parse_module(&src).unwrap_or_else(|e| panic!("{}", e.describe(&src)));
+            for config in &configs {
+                for (arg, expected) in [(7, 11), (3, 99)] {
+                    let got = common::run_export(config.clone(), &module, "f", &[WasmValue::I32(arg)]);
+                    assert_eq!(
+                        got,
+                        Ok(vec![WasmValue::I32(expected)]),
+                        "[{}] f({arg}) leaving by `{exit}` in:\n{body}",
+                        config.name
+                    );
+                }
+            }
+        }
+    }
+}

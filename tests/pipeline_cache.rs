@@ -7,7 +7,8 @@ mod common;
 
 use common::fib_module;
 use engine::{
-    BackgroundCompiler, CodeCache, Engine, EngineConfig, Imports, Instrumentation,
+    BackgroundCompiler, CacheKey, CodeCache, CompiledModule, Engine, EngineConfig, Imports,
+    Instrumentation,
 };
 use machine::values::WasmValue;
 use spc::{CompilerOptions, TagStrategy};
@@ -91,6 +92,93 @@ fn cache_distinguishes_configurations_and_instrumentation() {
         .instantiate(&module, Imports::new(), Instrumentation::branch_monitor(&module))
         .unwrap();
     assert!(probed_again.metrics.cache_hit);
+}
+
+/// `main() = k`, as a fresh value per call.
+fn const_module(k: i32) -> Module {
+    let mut b = ModuleBuilder::new();
+    let mut c = CodeBuilder::new();
+    c.i32_const(k);
+    let f = b.add_func(FuncType::new(vec![], vec![ValueType::I32]), vec![], c.finish());
+    b.export_func("main", f);
+    b.finish()
+}
+
+/// The key holds a 64-bit hash and the cache is shared across tenants, so a
+/// hit must confirm the artifact was built from the module asked for. An
+/// artifact of module B filed under module A's key — what a hash collision
+/// produces — is a miss for A: A compiles its own code and B's entry stays.
+#[test]
+fn a_colliding_entry_is_a_miss_not_someone_elses_code() {
+    let (a, b) = (const_module(41), const_module(42));
+    let config = EngineConfig::baseline("cached", CompilerOptions::allopt());
+    let cache = Arc::new(CodeCache::new());
+    let engine = Engine::new(config.clone()).with_code_cache(Arc::clone(&cache));
+    let key_of_a = CacheKey::for_instantiation(&config, &a, &Instrumentation::none());
+    let artifact_of_b = Arc::new(CompiledModule::build(b.clone()).unwrap());
+    cache.insert(key_of_a, Arc::clone(&artifact_of_b));
+
+    let mut instance = engine
+        .instantiate(&a, Imports::new(), Instrumentation::none())
+        .unwrap();
+    assert!(!instance.metrics.cache_hit);
+    assert_eq!(instance.metrics.functions_compiled, 1);
+    assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    assert_eq!(
+        engine.call_export(&mut instance, "main", &[]).unwrap(),
+        vec![WasmValue::I32(41)],
+        "A runs A's code"
+    );
+    assert!(
+        Arc::ptr_eq(&cache.lookup(&key_of_a, &b).expect("resident"), &artifact_of_b),
+        "the resident entry was not replaced"
+    );
+
+    // The engine looks up exactly the key `for_instantiation` computes: with
+    // A's own artifact filed under it, A hits.
+    let cache = Arc::new(CodeCache::new());
+    let engine = Engine::new(config).with_code_cache(Arc::clone(&cache));
+    cache.insert(key_of_a, Arc::new(CompiledModule::build(a.clone()).unwrap()));
+    let hit = engine
+        .instantiate(&a, Imports::new(), Instrumentation::none())
+        .unwrap();
+    assert!(hit.metrics.cache_hit);
+}
+
+/// A module's memoized hash follows its contents: editing through
+/// `make_mut` changes the key, and equal contents reached any other way —
+/// two separate decodes of one binary — share one entry.
+#[test]
+fn edits_change_the_key_and_equal_contents_share_an_entry() {
+    let config = EngineConfig::baseline("cached", CompilerOptions::allopt());
+    let cache = Arc::new(CodeCache::new());
+    let engine = Engine::new(config.clone()).with_code_cache(Arc::clone(&cache));
+    let key = |m: &Module| CacheKey::for_instantiation(&config, m, &Instrumentation::none());
+    let main = |module: &Module| {
+        let mut instance = engine
+            .instantiate(module, Imports::new(), Instrumentation::none())
+            .unwrap();
+        let result = engine.call_export(&mut instance, "main", &[]).unwrap();
+        (instance.metrics.cache_hit, result)
+    };
+
+    let mut module = const_module(7);
+    let before = key(&module);
+    assert_eq!(main(&module), (false, vec![WasmValue::I32(7)]));
+    assert_eq!(main(&module), (true, vec![WasmValue::I32(7)]));
+
+    // `i32.const 7` → `i32.const 8`, in place.
+    module.make_mut().funcs[0].code[1] = 8;
+    assert_ne!(key(&module), before, "the edit is visible in the key");
+    assert_eq!(main(&module), (false, vec![WasmValue::I32(8)]));
+    assert_eq!(cache.len(), 2);
+
+    let bytes = wasm::encode::encode(&module);
+    let (one, two) = (wasm::decode::decode(&bytes).unwrap(), wasm::decode::decode(&bytes).unwrap());
+    assert!(!Module::ptr_eq(&one, &two));
+    assert_eq!(main(&one), (true, vec![WasmValue::I32(8)]), "a decoded copy of a cached module hits");
+    assert_eq!(main(&two), (true, vec![WasmValue::I32(8)]));
+    assert_eq!(cache.len(), 2);
 }
 
 /// Baseline-only and opt-enabled configurations must never share a cached

@@ -41,6 +41,7 @@ enum Step {
     BrTable,
     Call,
     Select(i32),
+    DeadArm(i32),
 }
 
 const BINOPS: [Opcode; 12] = [
@@ -131,6 +132,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         Just(Step::BrTable),
         Just(Step::Call),
         any::<i32>().prop_map(Step::Select),
+        any::<i32>().prop_map(Step::DeadArm),
     ]
 }
 
@@ -326,6 +328,40 @@ fn emit_steps(c: &mut CodeBuilder, steps: &[Step], helper: u32) {
             }
             Step::Select(k) => {
                 c.i32_const(*k).local_get(1).select();
+            }
+            Step::DeadArm(k) => {
+                // One arm stores a constant into the scratch local and
+                // leaves by `br` or `return` directly before the `else` /
+                // `end` the other path is headed for; that path then reads
+                // the scratch local, which it never wrote. A compiler that
+                // carries the dead arm's view of the local past the label
+                // reads the constant instead. The low bits of `k` pick the
+                // shape: `if`/`else` or nested blocks, `br` or `return`.
+                let leave = |c: &mut CodeBuilder| {
+                    c.i32_const(*k).local_set(2);
+                    if k & 2 == 0 {
+                        c.br(1);
+                    } else {
+                        c.local_get(2).return_();
+                    }
+                };
+                let odd = |c: &mut CodeBuilder| {
+                    c.local_get(2).i32_const(1).op(Opcode::I32And);
+                };
+                c.local_set(2).block(BlockType::Empty);
+                if k & 1 == 0 {
+                    odd(c);
+                    c.if_(BlockType::Empty);
+                    leave(c);
+                    c.else_().local_get(2).i32_const(1).op(Opcode::I32Add).local_set(2).end();
+                } else {
+                    c.block(BlockType::Empty);
+                    odd(c);
+                    c.br_if(0);
+                    leave(c);
+                    c.end().local_get(2).i32_const(1).op(Opcode::I32Add).local_set(2);
+                }
+                c.end().local_get(2);
             }
         }
     }

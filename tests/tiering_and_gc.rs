@@ -9,7 +9,8 @@ use machine::values::WasmValue;
 use spc::{CompilerOptions, TagStrategy};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::module::ConstExpr;
-use wasm::types::{FuncType, GlobalType, ValueType};
+use wasm::opcode::Opcode;
+use wasm::types::{BlockType, FuncType, GlobalType, ValueType};
 
 #[test]
 fn recursive_calls_agree_across_tiers() {
@@ -81,6 +82,51 @@ fn stack_overflow_is_a_trap_not_a_crash() {
         assert_eq!(err, machine::TrapCode::StackOverflow);
         assert_eq!(TrapReason::from(err), TrapReason::StackExhaustion);
         assert_eq!(TrapReason::from(err).wast_message(), "call stack exhausted");
+    }
+}
+
+/// The value stack is backed on demand up to a fixed capacity. Frames of 200
+/// locals exhaust that capacity long before the call-depth limit does: a
+/// recursion that fits returns, one that does not traps, in every tier.
+#[test]
+fn wide_frames_grow_the_value_stack_up_to_its_capacity() {
+    // f(n) = n == 0 ? 0 : f(n - 1) + 1
+    let mut b = ModuleBuilder::new();
+    let mut c = CodeBuilder::new();
+    c.local_get(0)
+        .if_(BlockType::Value(ValueType::I32))
+        .local_get(0)
+        .i32_const(1)
+        .op(Opcode::I32Sub)
+        .call(0)
+        .i32_const(1)
+        .op(Opcode::I32Add)
+        .else_()
+        .i32_const(0)
+        .end();
+    let f = b.add_func(
+        FuncType::new(vec![ValueType::I32], vec![ValueType::I32]),
+        vec![ValueType::I64; 200],
+        c.finish(),
+    );
+    b.export_func("f", f);
+    let module = b.finish();
+    for config in common::all_tier_backend_configs() {
+        let name = config.name.clone();
+        let engine = Engine::new(config);
+        let mut instance = engine
+            .instantiate(&module, Imports::new(), Instrumentation::none())
+            .unwrap();
+        // 250 frames of ~200 slots fit in the 64 Ki-slot stack, 1000 do not;
+        // after the trap the same instance still runs.
+        for (depth, expected) in [
+            (250, Ok(vec![WasmValue::I32(250)])),
+            (1000, Err(machine::TrapCode::StackOverflow)),
+            (250, Ok(vec![WasmValue::I32(250)])),
+        ] {
+            let got = engine.call_export(&mut instance, "f", &[WasmValue::I32(depth)]);
+            assert_eq!(got, expected, "[{name}] f({depth})");
+        }
     }
 }
 
