@@ -14,6 +14,9 @@
 //!    optimizing tier pays a multiple of the baseline's compile time and
 //!    both tiers report real x86-64 byte sizes under the x64 backend,
 //!    because the optimizing tier emits through the same `Masm` boundary.
+//!    The ratio is also split at a function-size threshold, and the
+//!    optimizing tier's time is split by pass — each pass timed from outside
+//!    through `optc`'s public pass functions, fastest of three per function.
 //! 3. **Profile-guided layout**: the three-tier engine (whose optimizing
 //!    compiles see the branch monitor's profile) against an eagerly-compiled
 //!    optimizing engine (which compiles before any profile exists), probe
@@ -23,8 +26,83 @@
 //! doubles as a whole-suite differential test for the optimizing tier.
 
 use bench::{measure_all, print_suite_table, summarize_by_suite, BenchReport, Instrument};
-use engine::{CodeBackend, EngineConfig};
-use spc::CompilerOptions;
+use engine::pipeline::compile_function;
+use engine::{CodeBackend, CompileTier, EngineConfig};
+use optc::{emit, frontend, layout, opt, regalloc};
+use spc::{CompilerOptions, ProbeMode, ProbeSites};
+use std::time::Instant;
+
+/// The optimizing tier's passes, in pipeline order (`regalloc` is
+/// `regalloc::allocate`; the four in the middle are `opt::optimize`'s).
+const PASSES: [&str; 8] =
+    ["frontend", "fold", "simplify_params", "cse", "dce", "layout", "regalloc", "emit"];
+
+/// Functions with bodies shorter than this are "small" in the split
+/// compile-time ratio. The suites' bodies are at most 296 bytes with a
+/// median of 65; this puts about a third of the code on the large side.
+const SIZE_THRESHOLD: usize = 128;
+
+/// Seconds per pass for one compilation of one function, each pass timed
+/// around its public entry point exactly as `OptimizingCompiler::compile`
+/// sequences them.
+fn time_passes(module: &wasm::Module, func_index: u32, info: &wasm::validate::FuncInfo) -> [f64; 8] {
+    let mut t = [0f64; 8];
+    let mut timed = |pass: usize, start: Instant| t[pass] += start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let mut ir = frontend::build(
+        module,
+        func_index,
+        info,
+        &ProbeSites::none(),
+        ProbeMode::Optimized,
+        None,
+        false,
+    )
+    .expect("suite bodies build");
+    timed(0, start);
+    let mut reachable = ir.reachable();
+    for _ in 0..3 {
+        let start = Instant::now();
+        opt::fold(&mut ir, &reachable);
+        timed(1, start);
+        let start = Instant::now();
+        let edges = ir.edge_index();
+        let a = opt::simplify_params(&mut ir, &edges);
+        timed(2, start);
+        let start = Instant::now();
+        opt::cse(&mut ir, &edges.reachable);
+        timed(3, start);
+        let start = Instant::now();
+        let b = opt::dce(&mut ir, &edges);
+        timed(4, start);
+        if !a && !b {
+            break;
+        }
+        reachable = edges.reachable;
+    }
+    let start = Instant::now();
+    let order = layout::layout(&ir, &interp::profile::FuncProfile::empty());
+    timed(5, start);
+    let start = Instant::now();
+    let alloc = regalloc::allocate(&ir, &order);
+    timed(6, start);
+    let start = Instant::now();
+    let code = emit::emit(machine::asm::Assembler::new(), &ir, &alloc, &order, 0);
+    timed(7, start);
+    std::hint::black_box(code);
+    t
+}
+
+/// The fastest of three runs of `f`, in seconds.
+fn fastest_of_3(mut f: impl FnMut()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::MAX, f64::min)
+}
 
 fn main() {
     let scale = bench::scale_from_args();
@@ -152,6 +230,74 @@ fn main() {
             sum_wall(&o) / sum_wall(&b).max(1e-9),
         );
     }
+
+    // ---- Where the optimizing tier's compile time goes --------------------
+    // Per function, fastest of three: the whole compile in both tiers
+    // (bucketed by body size) and each optimizing pass on its own.
+    let opt_cfg = EngineConfig::optimizing("opt");
+    let base_cfg = EngineConfig::baseline("spc", CompilerOptions::allopt());
+    let mut pass_secs = [0f64; 8];
+    // (optimizing seconds, baseline seconds, functions) below and from the
+    // size threshold.
+    let mut by_size = [(0f64, 0f64, 0usize); 2];
+    for suite in suites::all_suites(scale) {
+        for item in &suite.items {
+            let module = &item.module;
+            let info = wasm::validate::validate(module).expect("suite modules validate");
+            for (defined, decl) in module.funcs.iter().enumerate() {
+                let func_index = module.defined_to_func_index(defined as u32);
+                let func_info = &info.funcs[defined];
+                let mut best = [f64::MAX; 8];
+                for _ in 0..3 {
+                    let t = time_passes(module, func_index, func_info);
+                    for (b, t) in best.iter_mut().zip(t) {
+                        *b = b.min(t);
+                    }
+                }
+                for (total, b) in pass_secs.iter_mut().zip(best) {
+                    *total += b;
+                }
+                let whole = |config: &EngineConfig, tier| {
+                    fastest_of_3(|| {
+                        let compiled = compile_function(
+                            config,
+                            tier,
+                            module,
+                            func_index,
+                            func_info,
+                            &ProbeSites::none(),
+                            None,
+                        );
+                        std::hint::black_box(compiled.expect("suite bodies compile"));
+                    })
+                };
+                let bucket = &mut by_size[(decl.code.len() >= SIZE_THRESHOLD) as usize];
+                bucket.0 += whole(&opt_cfg, CompileTier::Opt);
+                bucket.1 += whole(&base_cfg, CompileTier::Baseline);
+                bucket.2 += 1;
+            }
+        }
+    }
+    println!("\nOptimizing-tier compile time by pass (virtual ISA, fastest of 3 per function):");
+    let pass_total: f64 = pass_secs.iter().sum();
+    for (name, secs) in PASSES.iter().zip(pass_secs) {
+        println!("  {name:<16} {:>8.3} ms  {:>5.1}%", secs * 1e3, 100.0 * secs / pass_total);
+        report.metric(&format!("virtualisa.optc.pass.{name}_share"), secs / pass_total);
+    }
+    println!("Compile-time ratio by function size (fastest of 3 per function):");
+    for ((opt_secs, base_secs, funcs), (label, key)) in by_size.into_iter().zip([
+        (format!("< {SIZE_THRESHOLD} B"), "small_funcs"),
+        (format!(">= {SIZE_THRESHOLD} B"), "large_funcs"),
+    ]) {
+        let ratio = opt_secs / base_secs.max(1e-12);
+        println!(
+            "  {label:<9} {funcs:>4} functions: baseline {:>7.3} ms | opt {:>7.3} ms | ratio {ratio:>5.2}x",
+            base_secs * 1e3,
+            opt_secs * 1e3
+        );
+        report.metric(&format!("virtualisa.opt_compile_time_ratio.{key}"), ratio);
+    }
+    report.metric("opt_compile_time_ratio.size_threshold_bytes", SIZE_THRESHOLD as f64);
 
     // ---- Profile-guided layout -------------------------------------------
     // Both configurations carry the branch monitor (so probe overhead is

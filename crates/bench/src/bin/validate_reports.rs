@@ -30,6 +30,23 @@ const FIG11_REQUIRED_METRICS: [&str; 3] = [
     "ostrich.warm_over_cold",
 ];
 
+/// The optimizing tier's compile-time breakdown: fig13 must report every
+/// pass's share and the compile-time ratio on both sides of its
+/// function-size threshold.
+const FIG13_REQUIRED_METRICS: [&str; 11] = [
+    "virtualisa.optc.pass.frontend_share",
+    "virtualisa.optc.pass.fold_share",
+    "virtualisa.optc.pass.simplify_params_share",
+    "virtualisa.optc.pass.cse_share",
+    "virtualisa.optc.pass.dce_share",
+    "virtualisa.optc.pass.layout_share",
+    "virtualisa.optc.pass.regalloc_share",
+    "virtualisa.optc.pass.emit_share",
+    "virtualisa.opt_compile_time_ratio.small_funcs",
+    "virtualisa.opt_compile_time_ratio.large_funcs",
+    "opt_compile_time_ratio.size_threshold_bytes",
+];
+
 /// Validates one access-log line against the `serve::access_log` schema.
 fn validate_access_log_line(line: &str) -> Result<(), String> {
     let doc = parse_json(line)?;
@@ -197,6 +214,7 @@ fn check_one(path: &Path) -> Result<String, String> {
         let metrics = doc.get("metrics").and_then(JsonValue::as_object);
         let required: &[&str] = match name {
             "BENCH_fig11.json" => &FIG11_REQUIRED_METRICS,
+            "BENCH_fig13.json" => &FIG13_REQUIRED_METRICS,
             "BENCH_fig18.json" => &FIG18_REQUIRED_METRICS,
             _ => &[],
         };

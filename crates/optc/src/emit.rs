@@ -60,7 +60,8 @@ struct Emitter<'a, M: Masm> {
     masm: M,
     ir: &'a FuncIr,
     alloc: &'a Allocation,
-    labels: HashMap<BlockId, Label>,
+    /// The label of every laid-out block, indexed by [`BlockId`].
+    labels: Vec<Option<Label>>,
     argzone_base: u32,
     call_sites: HashMap<usize, CallSiteInfo>,
     probe_sites: HashMap<usize, JitProbeSite>,
@@ -94,7 +95,7 @@ pub fn emit<M: Masm>(
         masm,
         ir,
         alloc,
-        labels: HashMap::new(),
+        labels: vec![None; ir.blocks.len()],
         argzone_base,
         call_sites: HashMap::new(),
         probe_sites: HashMap::new(),
@@ -102,18 +103,18 @@ pub fn emit<M: Masm>(
     };
     for &b in order {
         let label = e.masm.new_label();
-        e.labels.insert(b, label);
+        e.labels[b.index()] = Some(label);
     }
     e.masm.mark_source(0);
-    let osr_blocks: HashMap<BlockId, u32> = ir
-        .osr_sites
-        .iter()
-        .map(|site| (site.entry, site.offset))
-        .collect();
+    // The loop-body offset each OSR entry block serves, indexed by block.
+    let mut osr_blocks: Vec<Option<u32>> = vec![None; ir.blocks.len()];
+    for site in &ir.osr_sites {
+        osr_blocks[site.entry.index()] = Some(site.offset);
+    }
     let mut osr_entries = HashMap::new();
     for (i, &b) in order.iter().enumerate() {
         let next = order.get(i + 1).copied();
-        if let Some(&offset) = osr_blocks.get(&b) {
+        if let Some(offset) = osr_blocks[b.index()] {
             osr_entries.insert(offset, e.masm.position());
         }
         e.emit_block(b, next);
@@ -147,6 +148,10 @@ const FPR_SCRATCHES: [FReg; 2] = [SCRATCH_FPR, SCRATCH2_FPR];
 impl<'a, M: Masm> Emitter<'a, M> {
     fn loc(&self, v: ValueId) -> Option<Loc> {
         self.alloc.loc(self.ir, v)
+    }
+
+    fn label(&self, b: BlockId) -> Label {
+        self.labels[b.index()].expect("branch targets are laid-out blocks")
     }
 
     fn src_of(&self, v: ValueId) -> MSrc {
@@ -265,25 +270,24 @@ impl<'a, M: Masm> Emitter<'a, M> {
     // ---- Blocks ---------------------------------------------------------
 
     fn emit_block(&mut self, b: BlockId, next: Option<BlockId>) {
-        let label = self.labels[&b];
+        let label = self.label(b);
         self.masm.bind(label);
         if b == self.ir.entry() {
             self.emit_prologue(b);
         }
-        for ii in 0..self.ir.blocks[b.index()].insts.len() {
-            let inst = self.ir.blocks[b.index()].insts[ii].clone();
-            self.emit_inst(&inst);
+        let block = &self.ir.blocks[b.index()];
+        for inst in &block.insts {
+            self.emit_inst(inst);
         }
-        let term = self.ir.blocks[b.index()].term.clone();
-        self.emit_terminator(&term, next);
+        self.emit_terminator(&block.term, next);
     }
 
     /// Loads live frame-defined parameters (function entry or OSR entry)
     /// from their frame slots into their allocated locations. Parameters
     /// spilled to their own home slot cost nothing.
     fn emit_prologue(&mut self, block: BlockId) {
-        let params = self.ir.blocks[block.index()].params.clone();
-        for (i, p) in params.into_iter().enumerate() {
+        let ir = self.ir;
+        for (i, &p) in ir.blocks[block.index()].params.iter().enumerate() {
             if self.ir.resolve(p) != p {
                 continue;
             }
@@ -736,7 +740,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
         let moves = self.edge_moves(edge);
         self.emit_parallel_moves(moves);
         if Some(edge.target) != next {
-            let label = self.labels[&edge.target];
+            let label = self.label(edge.target);
             self.masm.jump(label);
         }
     }
@@ -753,8 +757,8 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 let then_moves = self.edge_moves(then_edge);
                 let else_moves = self.edge_moves(else_edge);
                 let rc = self.use_gpr(*cond, 0);
-                let then_label = self.labels[&then_edge.target];
-                let else_label = self.labels[&else_edge.target];
+                let then_label = self.label(then_edge.target);
+                let else_label = self.label(else_edge.target);
                 match (then_moves.is_empty(), else_moves.is_empty()) {
                     (true, true) => {
                         if Some(else_edge.target) == next {
@@ -816,7 +820,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 let mut resolve = |this: &mut Self, e: &Edge| -> Label {
                     let moves = this.edge_moves(e);
                     if moves.is_empty() {
-                        return this.labels[&e.target];
+                        return this.label(e.target);
                     }
                     if let Some((label, _, _)) = stubs.iter().find(|(_, se, _)| se == e) {
                         return *label;
@@ -834,7 +838,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 for (stub, edge, moves) in stubs {
                     self.masm.bind(stub);
                     self.emit_parallel_moves(moves);
-                    let label = self.labels[&edge.target];
+                    let label = self.label(edge.target);
                     self.masm.jump(label);
                 }
             }

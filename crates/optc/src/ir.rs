@@ -410,6 +410,25 @@ impl Terminator {
         }
     }
 
+    /// The outgoing edge with the given ordinal — its position in
+    /// [`Terminator::for_each_edge`]'s visiting order, which is how an
+    /// [`EdgeIndex`] names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the terminator has no such edge.
+    pub fn edge(&self, ordinal: u32) -> &Edge {
+        match (self, ordinal) {
+            (Terminator::Jump(e), 0) => e,
+            (Terminator::Branch { then_edge, .. }, 0) => then_edge,
+            (Terminator::Branch { else_edge, .. }, 1) => else_edge,
+            (Terminator::BrTable { targets, default, .. }, i) if i as usize <= targets.len() => {
+                targets.get(i as usize).unwrap_or(default)
+            }
+            _ => panic!("edge ordinal {ordinal} out of range"),
+        }
+    }
+
     /// Like [`Terminator::for_each_edge`] but with mutable access.
     pub fn for_each_edge_mut(&mut self, mut f: impl FnMut(&mut Edge)) {
         match self {
@@ -493,6 +512,36 @@ pub struct OsrSite {
     /// parameter simplification cannot alias a loop-invariant local to its
     /// pre-loop definition, and the register allocator sees the edge moves.
     pub entry: BlockId,
+}
+
+/// The control-flow edges of a function indexed by *target*: which blocks
+/// are reachable, and for each of them every incoming edge as a
+/// `(predecessor, ordinal)` pair, where the ordinal selects the edge within
+/// the predecessor's terminator ([`Terminator::edge`]).
+///
+/// This is the one predecessor structure of the tier — parameter
+/// simplification, dead-code elimination and the register allocator's
+/// liveness all read it. It is a flat (CSR) array: its size is blocks +
+/// edges no matter how many arguments the edges carry, and it names edges
+/// instead of copying their argument lists, so it stays valid while passes
+/// alias values and prune arguments. Only folding a branch (which removes
+/// an edge) invalidates it.
+#[derive(Debug, Clone)]
+pub struct EdgeIndex {
+    /// Whether each block is reachable from the entry or an OSR entry.
+    pub reachable: Vec<bool>,
+    /// `incoming[starts[b]..starts[b + 1]]` are block `b`'s incoming edges.
+    starts: Vec<u32>,
+    incoming: Vec<(BlockId, u32)>,
+}
+
+impl EdgeIndex {
+    /// The edges into `block` from reachable predecessors, ordered by
+    /// predecessor and then by ordinal.
+    pub fn incoming(&self, block: BlockId) -> &[(BlockId, u32)] {
+        let b = block.index();
+        &self.incoming[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
 }
 
 /// The SSA form of one function, plus the frame facts emission needs.
@@ -660,6 +709,35 @@ impl FuncIr {
         seen
     }
 
+    /// Builds the [`EdgeIndex`] of the current graph.
+    pub fn edge_index(&self) -> EdgeIndex {
+        let reachable = self.reachable();
+        let mut starts = vec![0u32; self.blocks.len() + 1];
+        let reachable_blocks = || self.blocks.iter().enumerate().filter(|(bi, _)| reachable[*bi]);
+        for (_, block) in reachable_blocks() {
+            block.term.for_each_edge(|e| starts[e.target.index() + 1] += 1);
+        }
+        for b in 0..self.blocks.len() {
+            starts[b + 1] += starts[b];
+        }
+        let mut incoming = vec![(self.entry(), 0u32); starts[self.blocks.len()] as usize];
+        let mut next = starts.clone();
+        for (bi, block) in reachable_blocks() {
+            let mut ordinal = 0u32;
+            block.term.for_each_edge(|e| {
+                let slot = &mut next[e.target.index()];
+                incoming[*slot as usize] = (BlockId(bi as u32), ordinal);
+                *slot += 1;
+                ordinal += 1;
+            });
+        }
+        EdgeIndex {
+            reachable,
+            starts,
+            incoming,
+        }
+    }
+
     /// Renders the IR as a human-readable listing (debugging aid).
     pub fn display(&self) -> String {
         use std::fmt::Write;
@@ -763,5 +841,36 @@ mod tests {
         assert_eq!(reachable, vec![true, true, false]);
         assert!(ir.display().contains("b1"));
         assert!(!ir.display().contains("b2("));
+    }
+
+    #[test]
+    fn edge_index_names_every_reachable_incoming_edge() {
+        // b0 -br_table-> [b1, b2, b1], default b2; b1 -> b2; b3 (orphan) -> b2.
+        let mut ir = FuncIr::new(0, vec![], vec![], 0);
+        let index = ir.add_value(Node::Const(0), ValueType::I32);
+        let (b1, b2, b3) = (ir.add_block(), ir.add_block(), ir.add_block());
+        let to = |target| Edge {
+            target,
+            args: vec![],
+        };
+        ir.blocks[0].term = Terminator::BrTable {
+            index,
+            targets: vec![to(b1), to(b2), to(b1)],
+            default: to(b2),
+        };
+        ir.blocks[b1.index()].term = Terminator::Jump(to(b2));
+        ir.blocks[b2.index()].term = Terminator::Return(vec![]);
+        ir.blocks[b3.index()].term = Terminator::Jump(to(b2));
+        let edges = ir.edge_index();
+        assert_eq!(edges.reachable, ir.reachable());
+        assert_eq!(edges.incoming(ir.entry()), &[]);
+        assert_eq!(edges.incoming(b1), &[(BlockId(0), 0), (BlockId(0), 2)]);
+        assert_eq!(edges.incoming(b2), &[(BlockId(0), 1), (BlockId(0), 3), (b1, 0)]);
+        assert_eq!(edges.incoming(b3), &[]);
+        for b in [b1, b2] {
+            for &(pred, ordinal) in edges.incoming(b) {
+                assert_eq!(ir.blocks[pred.index()].term.edge(ordinal).target, b);
+            }
+        }
     }
 }

@@ -20,8 +20,7 @@
 //! * loads are only shared within a block and are invalidated by stores,
 //!   `memory.grow`, and calls; global reads likewise by writes and calls.
 
-use crate::ir::{Effect, FuncIr, Inst, Node, Terminator, ValueId};
-use std::collections::{HashMap, HashSet};
+use crate::ir::{BlockId, EdgeIndex, Effect, FuncIr, Inst, Node, Terminator, ValueId};
 
 /// Runs the full pass pipeline to a (bounded) fixpoint.
 pub fn optimize(ir: &mut FuncIr) {
@@ -29,14 +28,19 @@ pub fn optimize(ir: &mut FuncIr) {
     // removing params exposes constants, and so on. Three rounds reach the
     // fixpoint on everything the test corpus contains; more never hurts
     // correctness, only compile time.
+    let mut reachable = ir.reachable();
     for _ in 0..3 {
-        fold(ir);
-        let a = simplify_params(ir);
-        cse(ir);
-        let b = dce(ir);
+        fold(ir, &reachable);
+        // Folding a branch is the only thing that changes the graph, so one
+        // index serves the rest of the round and the next round's folding.
+        let edges = ir.edge_index();
+        let a = simplify_params(ir, &edges);
+        cse(ir, &edges.reachable);
+        let b = dce(ir, &edges);
         if !a && !b {
             break;
         }
+        reachable = edges.reachable;
     }
 }
 
@@ -64,10 +68,10 @@ fn resolved_node(ir: &FuncIr, v: ValueId) -> Node {
     node
 }
 
-/// Constant folding over values and branch folding over terminators.
+/// Constant folding over values and branch folding over terminators, in the
+/// blocks `reachable` marks.
 #[allow(clippy::needless_range_loop)] // blocks are mutated while indexed
-pub fn fold(ir: &mut FuncIr) {
-    let reachable = ir.reachable();
+pub fn fold(ir: &mut FuncIr, reachable: &[bool]) {
     for bi in 0..ir.blocks.len() {
         if !reachable[bi] {
             continue;
@@ -139,34 +143,20 @@ pub fn fold(ir: &mut FuncIr) {
 /// Removes block parameters whose incoming arguments all resolve to the
 /// same value (trivial phis), aliasing the parameter to it. Returns whether
 /// anything changed.
-#[allow(clippy::needless_range_loop)] // blocks are mutated while indexed
-pub fn simplify_params(ir: &mut FuncIr) -> bool {
+pub fn simplify_params(ir: &mut FuncIr, edges: &EdgeIndex) -> bool {
     let mut changed = false;
+    // Every decision of a round reads the resolution state the round started
+    // with, so the aliases it finds are applied together at its end.
+    let mut aliases: Vec<(ValueId, ValueId)> = Vec::new();
     loop {
-        let reachable = ir.reachable();
-        // Incoming resolved argument vectors per target block.
-        let mut incoming: HashMap<usize, Vec<Vec<ValueId>>> = HashMap::new();
         for (bi, block) in ir.blocks.iter().enumerate() {
-            if !reachable[bi] {
-                continue;
-            }
-            block.term.for_each_edge(|e| {
-                let args = e.args.iter().map(|&a| ir.resolve(a)).collect();
-                incoming.entry(e.target.index()).or_default().push(args);
-            });
-        }
-        let mut round = false;
-        for bi in 0..ir.blocks.len() {
             // The entry block's parameters are the function's ABI: never
             // touched.
-            if !reachable[bi] || bi == ir.entry().index() {
+            if !edges.reachable[bi] || bi == ir.entry().index() {
                 continue;
             }
-            let Some(edges) = incoming.get(&bi) else {
-                continue;
-            };
-            let params = ir.blocks[bi].params.clone();
-            for (pi, &p) in params.iter().enumerate() {
+            let incoming = edges.incoming(BlockId(bi as u32));
+            for (pi, &p) in block.params.iter().enumerate() {
                 if ir.resolve(p) != p {
                     continue;
                 }
@@ -174,8 +164,8 @@ pub fn simplify_params(ir: &mut FuncIr) -> bool {
                 // (back edges passing the parameter to itself).
                 let mut unique: Option<ValueId> = None;
                 let mut trivial = true;
-                for args in edges {
-                    let a = args[pi];
+                for &(pred, ordinal) in incoming {
+                    let a = ir.resolve(ir.blocks[pred.index()].term.edge(ordinal).args[pi]);
                     if a == p {
                         continue;
                     }
@@ -188,16 +178,16 @@ pub fn simplify_params(ir: &mut FuncIr) -> bool {
                         }
                     }
                 }
-                if trivial {
-                    if let Some(u) = unique {
-                        ir.alias(p, u);
-                        round = true;
-                    }
+                if let (true, Some(u)) = (trivial, unique) {
+                    aliases.push((p, u));
                 }
             }
         }
-        if !round {
+        if aliases.is_empty() {
             break;
+        }
+        for (p, u) in aliases.drain(..) {
+            ir.alias(p, u);
         }
         changed = true;
     }
@@ -206,10 +196,9 @@ pub fn simplify_params(ir: &mut FuncIr) -> bool {
 
 /// Local (per-block) value numbering: shares pure and trapping computations,
 /// redundant loads, global reads, and `memory.size` results, with store /
-/// grow / call invalidation.
+/// grow / call invalidation, in the blocks `reachable` marks.
 #[allow(clippy::needless_range_loop)] // blocks are mutated while indexed
-pub fn cse(ir: &mut FuncIr) {
-    let reachable = ir.reachable();
+pub fn cse(ir: &mut FuncIr, reachable: &[bool]) {
     for bi in 0..ir.blocks.len() {
         if !reachable[bi] {
             continue;
@@ -270,69 +259,51 @@ pub fn cse(ir: &mut FuncIr) {
 /// dead and aliased block parameters together with their edge arguments.
 /// Returns whether anything changed.
 #[allow(clippy::needless_range_loop)] // blocks are mutated while indexed
-pub fn dce(ir: &mut FuncIr) -> bool {
-    let reachable = ir.reachable();
+pub fn dce(ir: &mut FuncIr, edges: &EdgeIndex) -> bool {
+    let reachable = &edges.reachable;
 
     // Liveness over values: roots are required instructions and terminator
     // operands; a live parameter makes its incoming edge arguments live.
-    let mut live: HashSet<ValueId> = HashSet::new();
+    let mut live = vec![false; ir.nodes.len()];
     let mut worklist: Vec<ValueId> = Vec::new();
-    let mark = |live: &mut HashSet<ValueId>, worklist: &mut Vec<ValueId>, v: ValueId| {
-        if live.insert(v) {
+    let mark = |live: &mut [bool], worklist: &mut Vec<ValueId>, v: ValueId| {
+        let v = ir.resolve(v);
+        if !std::mem::replace(&mut live[v.index()], true) {
             worklist.push(v);
         }
     };
-    // Incoming edges per block for param → arg propagation.
-    let mut incoming: HashMap<usize, Vec<Vec<ValueId>>> = HashMap::new();
-    for (bi, block) in ir.blocks.iter().enumerate() {
-        if !reachable[bi] {
-            continue;
-        }
-        block.term.for_each_edge(|e| {
-            incoming
-                .entry(e.target.index())
-                .or_default()
-                .push(e.args.clone());
-        });
-    }
     for (bi, block) in ir.blocks.iter().enumerate() {
         if !reachable[bi] {
             continue;
         }
         for inst in &block.insts {
+            // A live call keeps its used results via the results' own uses.
             if inst.is_required(&ir.nodes) {
-                inst.for_each_use(&ir.nodes, |v| {
-                    mark(&mut live, &mut worklist, ir.resolve(v))
-                });
-                // Live calls keep their used results via the results' own
-                // uses; nothing to do here.
+                inst.for_each_use(&ir.nodes, |v| mark(&mut live, &mut worklist, v));
             }
         }
         match &block.term {
-            Terminator::Branch { cond, .. } => mark(&mut live, &mut worklist, ir.resolve(*cond)),
-            Terminator::BrTable { index, .. } => {
-                mark(&mut live, &mut worklist, ir.resolve(*index))
-            }
+            Terminator::Branch { cond, .. } => mark(&mut live, &mut worklist, *cond),
+            Terminator::BrTable { index, .. } => mark(&mut live, &mut worklist, *index),
             Terminator::Return(values) => {
                 for &v in values {
-                    mark(&mut live, &mut worklist, ir.resolve(v));
+                    mark(&mut live, &mut worklist, v);
                 }
             }
             Terminator::Jump(_) | Terminator::Trap { .. } => {}
         }
     }
     while let Some(v) = worklist.pop() {
-        match ir.nodes[v.index()].clone() {
+        match &ir.nodes[v.index()] {
             Node::Param { block, index } => {
-                if let Some(edges) = incoming.get(&block.index()) {
-                    for args in edges {
-                        if let Some(&a) = args.get(index as usize) {
-                            mark(&mut live, &mut worklist, ir.resolve(a));
-                        }
+                for &(pred, ordinal) in edges.incoming(*block) {
+                    let args = &ir.blocks[pred.index()].term.edge(ordinal).args;
+                    if let Some(&a) = args.get(*index as usize) {
+                        mark(&mut live, &mut worklist, a);
                     }
                 }
             }
-            node => node.for_each_arg(|a| mark(&mut live, &mut worklist, ir.resolve(a))),
+            node => node.for_each_arg(|a| mark(&mut live, &mut worklist, a)),
         }
     }
 
@@ -354,7 +325,7 @@ pub fn dce(ir: &mut FuncIr) -> bool {
                 match nodes[v.index()] {
                     // Constants are rematerialized at use sites.
                     Node::Const(_) => false,
-                    _ => live.contains(v) || nodes[v.index()].effect() != Effect::Pure,
+                    _ => live[v.index()] || nodes[v.index()].effect() != Effect::Pure,
                 }
             }
             _ => true,
@@ -362,52 +333,44 @@ pub fn dce(ir: &mut FuncIr) -> bool {
         changed |= ir.blocks[bi].insts.len() != before;
     }
 
-    // Prune dead or aliased parameters and the matching edge arguments.
-    let mut keep: HashMap<usize, Vec<bool>> = HashMap::new();
+    // Prune dead or aliased parameters and the matching edge arguments: the
+    // arguments first, while the targets still list the parameters they
+    // belong to. The entry block's parameters are the ABI and all stay.
+    let kept = |resolved: &[ValueId], p: ValueId| resolved[p.index()] == p && live[p.index()];
+    for bi in 0..ir.blocks.len() {
+        if !reachable[bi] {
+            continue;
+        }
+        let mut term = std::mem::replace(&mut ir.blocks[bi].term, Terminator::Return(Vec::new()));
+        term.for_each_edge_mut(|e| {
+            if e.target != ir.entry() {
+                let mut params = ir.blocks[e.target.index()].params.iter();
+                e.args.retain(|_| params.next().is_none_or(|&p| kept(&ir.resolved, p)));
+            }
+        });
+        ir.blocks[bi].term = term;
+    }
     for bi in 0..ir.blocks.len() {
         if !reachable[bi] || bi == ir.entry().index() {
             continue;
         }
-        let mask: Vec<bool> = ir.blocks[bi]
-            .params
-            .iter()
-            .map(|&p| ir.resolve(p) == p && live.contains(&p))
-            .collect();
-        if mask.iter().any(|k| !k) {
-            keep.insert(bi, mask);
-        }
-    }
-    if !keep.is_empty() {
-        changed = true;
-        for (bi, mask) in &keep {
-            let mut kept = Vec::new();
-            for (i, &p) in ir.blocks[*bi].params.iter().enumerate() {
-                if mask[i] {
-                    kept.push(p);
-                }
-            }
+        let FuncIr {
+            blocks,
+            nodes,
+            resolved,
+            ..
+        } = ir;
+        let params = &mut blocks[bi].params;
+        let before = params.len();
+        params.retain(|&p| kept(resolved, p));
+        if params.len() != before {
+            changed = true;
             // Re-index the surviving parameters.
-            for (new_index, &p) in kept.iter().enumerate() {
-                if let Node::Param { index, .. } = &mut ir.nodes[p.index()] {
+            for (new_index, &p) in params.iter().enumerate() {
+                if let Node::Param { index, .. } = &mut nodes[p.index()] {
                     *index = new_index as u32;
                 }
             }
-            ir.blocks[*bi].params = kept;
-        }
-        for bi in 0..ir.blocks.len() {
-            if !reachable[bi] {
-                continue;
-            }
-            ir.blocks[bi].term.for_each_edge_mut(|e| {
-                if let Some(mask) = keep.get(&e.target.index()) {
-                    let mut i = 0;
-                    e.args.retain(|_| {
-                        let k = mask[i];
-                        i += 1;
-                        k
-                    });
-                }
-            });
         }
     }
     changed

@@ -23,7 +23,6 @@
 
 use crate::ir::{BlockId, FuncIr, Inst, Node, ValueId};
 use machine::reg::{AnyReg, FReg, Reg};
-use std::collections::{HashMap, HashSet};
 
 /// The general-purpose scratch used to shuttle slot values (the same
 /// register the baseline reserves).
@@ -56,8 +55,9 @@ pub enum Loc {
 /// The allocation result.
 #[derive(Debug, Clone)]
 pub struct Allocation {
-    /// Location of every allocated (live, non-constant) value.
-    pub locs: HashMap<ValueId, Loc>,
+    /// Location of every allocated (live, non-constant) value, indexed by
+    /// [`ValueId`]; `None` for the rest.
+    pub locs: Vec<Option<Loc>>,
     /// First frame slot of the spill area.
     pub spill_base: u32,
     /// Number of spill slots used.
@@ -68,7 +68,7 @@ impl Allocation {
     /// The location of `v` (after resolution), if it has one. Constants and
     /// dead values have none.
     pub fn loc(&self, ir: &FuncIr, v: ValueId) -> Option<Loc> {
-        self.locs.get(&ir.resolve(v)).copied()
+        self.locs[ir.resolve(v).index()]
     }
 }
 
@@ -83,8 +83,69 @@ struct Interval {
     entry_param: Option<u32>,
 }
 
-/// Allocates every live value of `ir` (in `order` layout) to a register or
-/// spill slot.
+/// "None" in the dense `u32` tables below.
+const NONE: u32 = u32::MAX;
+
+/// What the allocator records about one value while it walks the layout.
+#[derive(Debug, Clone, Copy)]
+struct Range {
+    /// Defining position; [`NONE`] for values no laid-out block defines
+    /// (constants, aliased values, dead code).
+    start: u32,
+    /// Last position the value is needed at.
+    end: u32,
+    /// Defining block ([`NONE`] like `start`).
+    def_block: u32,
+    /// Entry-block parameter index, for the home-slot optimization.
+    entry_param: Option<u32>,
+    /// Whether any instruction or terminator reads the value.
+    used: bool,
+    /// Head of the value's chain in [`Ranges::exposed`], or [`NONE`].
+    exposed: u32,
+}
+
+/// The per-value table plus the list of upward-exposed uses the liveness
+/// walk starts from.
+struct Ranges<'a> {
+    ir: &'a FuncIr,
+    of: Vec<Range>,
+    /// Every `(value, block)` where the block reads the value but does not
+    /// define it, as `(block, next link of the same value)`.
+    exposed: Vec<(BlockId, u32)>,
+}
+
+impl Ranges<'_> {
+    /// Records the definition of `v` at position `p` of block `b`.
+    fn define(&mut self, v: ValueId, b: BlockId, p: u32) {
+        let range = &mut self.of[v.index()];
+        let allocatable = self.ir.resolve(v) == v && !matches!(self.ir.nodes[v.index()], Node::Const(_));
+        if allocatable && range.start == NONE {
+            (range.start, range.end, range.def_block) = (p, p, b.0);
+        }
+    }
+
+    /// Records a read of `v` at position `p` of block `b`.
+    fn read(&mut self, v: ValueId, b: BlockId, p: u32) {
+        let v = self.ir.resolve(v);
+        if matches!(self.ir.nodes[v.index()], Node::Const(_)) {
+            return;
+        }
+        let range = &mut self.of[v.index()];
+        range.used = true;
+        range.end = range.end.max(p);
+        // A block's reads are recorded together, so the head of the chain
+        // tells whether this block is already on it.
+        let listed = range.exposed != NONE && self.exposed[range.exposed as usize].0 == b;
+        if range.def_block != b.0 && !listed {
+            self.exposed.push((b, range.exposed));
+            range.exposed = self.exposed.len() as u32 - 1;
+        }
+    }
+}
+
+/// Allocates every live value of `ir` to a register or spill slot. `order`
+/// is the block layout ([`crate::layout::layout`]): every reachable block
+/// once.
 pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
     // ---- Positions -------------------------------------------------------
     // Each block gets [start, end] positions; params define at start, each
@@ -100,142 +161,110 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         pos += 1;
     }
 
-    // ---- Liveness --------------------------------------------------------
-    let mut live_in: Vec<HashSet<ValueId>> = vec![HashSet::new(); ir.blocks.len()];
-    loop {
-        let mut changed = false;
-        for &b in order.iter().rev() {
-            let block = &ir.blocks[b.index()];
-            let mut live: HashSet<ValueId> = HashSet::new();
-            block.term.for_each_edge(|e| {
-                for v in &live_in[e.target.index()] {
-                    live.insert(*v);
-                }
-                for &p in &ir.blocks[e.target.index()].params {
-                    live.remove(&ir.resolve(p));
-                }
-            });
-            block.term.for_each_use(|v| {
-                live.insert(ir.resolve(v));
-            });
-            for inst in block.insts.iter().rev() {
-                for_each_def(inst, |d| {
-                    live.remove(&ir.resolve(d));
-                });
-                inst.for_each_use(&ir.nodes, |v| {
-                    if !matches!(ir.node(v), Node::Const(_)) {
-                        live.insert(ir.resolve(v));
-                    }
-                });
-            }
-            for &p in &block.params {
-                live.remove(&ir.resolve(p));
-            }
-            if live != live_in[b.index()] {
-                live_in[b.index()] = live;
-                changed = true;
+    // ---- Definitions and reads -------------------------------------------
+    let unknown = Range {
+        start: NONE,
+        end: 0,
+        def_block: NONE,
+        entry_param: None,
+        used: false,
+        exposed: NONE,
+    };
+    let mut ranges = Ranges {
+        ir,
+        of: vec![unknown; ir.nodes.len()],
+        exposed: Vec::new(),
+    };
+    for &b in order {
+        let block = &ir.blocks[b.index()];
+        let s = block_start[b.index()];
+        for (i, &p) in block.params.iter().enumerate() {
+            ranges.define(p, b, s);
+            if b == ir.entry() && ir.resolve(p) == p {
+                ranges.of[p.index()].entry_param = Some(i as u32);
             }
         }
-        if !changed {
-            break;
+        for (offset, inst) in block.insts.iter().enumerate() {
+            let p = s + 1 + offset as u32;
+            inst.for_each_use(&ir.nodes, |v| ranges.read(v, b, p));
+            for_each_def(inst, |d| ranges.define(d, b, p));
+        }
+        block.term.for_each_use(|v| ranges.read(v, b, block_end[b.index()]));
+    }
+
+    // ---- Liveness --------------------------------------------------------
+    // A value read in a block that does not define it is live into that
+    // block, so it is live out of every predecessor — its range reaches the
+    // predecessor's end — and, unless the predecessor defines it, live into
+    // the predecessor too. One backward walk per value from its exposed
+    // reads to its definition finds every block it is live out of. No
+    // live-in set is ever materialized: `visited[b] == v` says the walk for
+    // value `v` has been through block `b`, and the walks run one value at a
+    // time. A parameter is defined by its block, so its walk stops there,
+    // and nothing is ever taken out of what *another* successor of a
+    // predecessor needs (the per-edge parameter rule, DESIGN.md).
+    let edges = ir.edge_index();
+    let Ranges {
+        of: mut ranges,
+        exposed,
+        ..
+    } = ranges;
+    let mut visited = vec![NONE; ir.blocks.len()];
+    let mut walk: Vec<BlockId> = Vec::new();
+    for (v, range) in ranges.iter_mut().enumerate() {
+        let mut link = range.exposed;
+        while link != NONE {
+            let (b, next) = exposed[link as usize];
+            visited[b.index()] = v as u32;
+            walk.push(b);
+            link = next;
+        }
+        while let Some(b) = walk.pop() {
+            for &(pred, _) in edges.incoming(b) {
+                range.end = range.end.max(block_end[pred.index()]);
+                if range.def_block != pred.0 && visited[pred.index()] != v as u32 {
+                    visited[pred.index()] = v as u32;
+                    walk.push(pred);
+                }
+            }
         }
     }
 
     // ---- Intervals -------------------------------------------------------
-    let mut start: HashMap<ValueId, u32> = HashMap::new();
-    let mut end: HashMap<ValueId, u32> = HashMap::new();
-    let mut entry_param: HashMap<ValueId, u32> = HashMap::new();
-    let mut used: HashSet<ValueId> = HashSet::new();
-
-    for &b in order {
-        let bi = b.index();
-        let block = &ir.blocks[bi];
-        let s = block_start[bi];
-        let e = block_end[bi];
-        for (i, &p) in block.params.iter().enumerate() {
-            if ir.resolve(p) != p {
-                continue;
-            }
-            start.entry(p).or_insert(s);
-            end.entry(p).or_insert(s);
-            if b == ir.entry() {
-                entry_param.insert(p, i as u32);
-            }
-        }
-        // Live-out extension: anything live into a successor survives to the
-        // end of this block.
-        block.term.for_each_edge(|edge| {
-            for v in &live_in[edge.target.index()] {
-                let entry = end.entry(*v).or_insert(e);
-                *entry = (*entry).max(e);
-            }
-        });
-        for (offset, inst) in block.insts.iter().enumerate() {
-            let p = s + 1 + offset as u32;
-            inst.for_each_use(&ir.nodes, |v| {
-                let v = ir.resolve(v);
-                if matches!(ir.node(v), Node::Const(_)) {
-                    return;
-                }
-                used.insert(v);
-                let entry = end.entry(v).or_insert(p);
-                *entry = (*entry).max(p);
-            });
-            for_each_def(inst, |d| {
-                if ir.resolve(d) != d || matches!(ir.nodes[d.index()], Node::Const(_)) {
-                    return;
-                }
-                start.entry(d).or_insert(p);
-                end.entry(d).or_insert(p);
-            });
-        }
-        block.term.for_each_use(|v| {
-            let v = ir.resolve(v);
-            if matches!(ir.node(v), Node::Const(_)) {
-                return;
-            }
-            used.insert(v);
-            let entry = end.entry(v).or_insert(e);
-            *entry = (*entry).max(e);
-        });
-    }
-
     let mut intervals: Vec<Interval> = Vec::new();
-    for (&v, &s) in &start {
+    for (v, range) in ranges.iter().enumerate() {
         // Dead call results and dead trapping defs get no location; the
         // emitter computes them into a scratch.
-        let is_param = matches!(ir.nodes[v.index()], Node::Param { .. });
-        if !used.contains(&v) && !is_param {
+        let is_param = matches!(ir.nodes[v], Node::Param { .. });
+        if range.start == NONE || (!range.used && !is_param) {
             continue;
         }
-        let ty = ir.types[v.index()];
+        let ty = ir.types[v];
         intervals.push(Interval {
-            value: v,
-            start: s,
-            end: *end.get(&v).unwrap_or(&s),
+            value: ValueId(v as u32),
+            start: range.start,
+            end: range.end,
             float: ty.is_float(),
             reference: ty.is_reference(),
-            entry_param: entry_param.get(&v).copied(),
+            entry_param: range.entry_param,
         });
     }
     intervals.sort_by_key(|iv| (iv.start, iv.value));
 
     // ---- Allocation hints: a parameter prefers its first argument's
     // register, which coalesces loop-carried moves. -----------------------
-    let mut hints: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut hints: Vec<Option<ValueId>> = vec![None; ir.nodes.len()];
     for &b in order {
         ir.blocks[b.index()].term.for_each_edge(|e| {
             let params = &ir.blocks[e.target.index()].params;
             for (&p, &a) in params.iter().zip(&e.args) {
-                let p = ir.resolve(p);
-                let a = ir.resolve(a);
-                hints.entry(p).or_insert(a);
+                hints[ir.resolve(p).index()].get_or_insert(ir.resolve(a));
             }
         });
     }
 
     // ---- Linear scan -----------------------------------------------------
-    let mut locs: HashMap<ValueId, Loc> = HashMap::new();
+    let mut locs: Vec<Option<Loc>> = vec![None; ir.nodes.len()];
     let mut free_gprs: Vec<Reg> = ALLOC_GPRS.rev().map(Reg).collect();
     let mut free_fprs: Vec<FReg> = ALLOC_FPRS.rev().map(FReg).collect();
     // (end, value, reg) of currently live register-resident intervals.
@@ -252,12 +281,12 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
             0
         };
     let mut slot_ends: Vec<u32> = Vec::new();
-    let spill = |iv: &Interval, slot_ends: &mut Vec<u32>, locs: &mut HashMap<ValueId, Loc>| {
+    let spill = |iv: &Interval, slot_ends: &mut Vec<u32>, locs: &mut [Option<Loc>]| {
         // Function parameters already live in their home slots; reuse them
         // unless probe flushes could overwrite them mid-function.
         if let Some(i) = iv.entry_param {
             if !ir.has_flush_probes {
-                locs.insert(iv.value, Loc::Slot(i));
+                locs[iv.value.index()] = Some(Loc::Slot(i));
                 return;
             }
         }
@@ -271,7 +300,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
                 slot_ends.len() - 1
             }
         };
-        locs.insert(iv.value, Loc::Slot(spill_base + slot as u32));
+        locs[iv.value.index()] = Some(Loc::Slot(spill_base + slot as u32));
     };
 
     for iv in &intervals {
@@ -292,11 +321,10 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
             continue;
         }
         // Hint: take the first incoming argument's register when free.
-        let hinted: Option<AnyReg> = hints
-            .get(&iv.value)
-            .and_then(|h| locs.get(&ir.resolve(*h)))
+        let hinted: Option<AnyReg> = hints[iv.value.index()]
+            .and_then(|h| locs[ir.resolve(h).index()])
             .and_then(|l| match l {
-                Loc::Reg(r) => Some(*r),
+                Loc::Reg(r) => Some(r),
                 Loc::Slot(_) => None,
             });
         let reg: Option<AnyReg> = if iv.float {
@@ -318,7 +346,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         };
         match reg {
             Some(reg) => {
-                locs.insert(iv.value, Loc::Reg(reg));
+                locs[iv.value.index()] = Some(Loc::Reg(reg));
                 active.push((iv.end, iv.value, reg));
             }
             None => {
@@ -337,16 +365,17 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
                         // (where the emitter stores spilled values), not from
                         // the eviction point — a slot vacated in between
                         // would overlap the victim's real slot lifetime.
+                        let vrange = &ranges[vval.index()];
                         let victim_iv = Interval {
                             value: vval,
-                            start: start[&vval],
+                            start: vrange.start,
                             end: vend,
                             float: iv.float,
                             reference: false,
-                            entry_param: entry_param.get(&vval).copied(),
+                            entry_param: vrange.entry_param,
                         };
                         spill(&victim_iv, &mut slot_ends, &mut locs);
-                        locs.insert(iv.value, Loc::Reg(vreg));
+                        locs[iv.value.index()] = Some(Loc::Reg(vreg));
                         active.push((iv.end, iv.value, vreg));
                     }
                     _ => spill(iv, &mut slot_ends, &mut locs),
@@ -457,11 +486,11 @@ mod tests {
         );
         // Every allocated value is in a register: tiny function, no
         // pressure.
-        assert!(!alloc.locs.is_empty());
-        for (&v, loc) in &alloc.locs {
+        assert!(alloc.locs.iter().any(Option::is_some));
+        for (v, loc) in alloc.locs.iter().enumerate() {
             assert!(
-                matches!(loc, Loc::Reg(_)),
-                "{v} spilled with no pressure: {loc:?}\n{}",
+                matches!(loc, None | Some(Loc::Reg(_))),
+                "v{v} spilled with no pressure: {loc:?}\n{}",
                 ir.display()
             );
         }
@@ -492,10 +521,10 @@ mod tests {
         // overkill; instead assert no two *simultaneously used* operands
         // alias. The multiplications use distinct operands:
         let _ = order;
-        let regs: Vec<Loc> = alloc.locs.values().copied().collect();
-        let reg_count = regs
+        let reg_count = alloc
+            .locs
             .iter()
-            .filter(|l| matches!(l, Loc::Reg(_)))
+            .filter(|l| matches!(l, Some(Loc::Reg(_))))
             .count();
         assert!(reg_count >= 4, "{:?}\n{}", alloc.locs, ir.display());
     }
@@ -507,8 +536,8 @@ mod tests {
         let (_, _, alloc) = alloc_of(vec![ValueType::ExternRef], vec![ValueType::I32], c);
         let has_slot_ref = alloc
             .locs
-            .values()
-            .any(|l| matches!(l, Loc::Slot(_)));
+            .iter()
+            .any(|l| matches!(l, Some(Loc::Slot(_))));
         assert!(has_slot_ref, "{:?}", alloc.locs);
     }
 }

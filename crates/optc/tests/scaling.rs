@@ -1,0 +1,196 @@
+//! The shape of the optimizing tier's memory use, counted — not timed.
+//!
+//! Every table the tier keeps is indexed by value, by block or by edge, so
+//! compiling a function eight times larger may need about eight times the
+//! heap, and no single allocation may be larger than a small multiple of
+//! what the IR itself holds (nodes + blocks + edge arguments). A blocks ×
+//! values table — live-in sets as a matrix, a bitset per block — breaks
+//! both: at 8× it is 64× the size, and at a few thousand blocks one row per
+//! block outweighs the whole IR. The counts come from a counting global
+//! allocator, so the gate is deterministic where a wall-clock or RSS gate
+//! would not be.
+
+use optc::frontend;
+use optc::OptimizingCompiler;
+use spc::{ProbeMode, ProbeSites};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use wasm::builder::{CodeBuilder, ModuleBuilder};
+use wasm::opcode::Opcode;
+use wasm::types::{BlockType, FuncType, ValueType};
+use wasm::Module;
+
+// ---- The counting allocator ---------------------------------------------------
+
+/// Bytes currently allocated, the most that were allocated at once, and the
+/// largest single request — since the process started, or since
+/// [`counted`] last reset the latter two.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every request is passed unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are atomics and never allocate.
+// `realloc` and `alloc_zeroed` keep their default bodies, which go through
+// `alloc` and `dealloc` below.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is forwarded as is.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(live, Ordering::Relaxed);
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, so from `System`, with this
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counters are process-wide; the tests of this file take turns.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Runs `f` and returns its result, the peak heap it added over what was
+/// allocated when it started, and its largest single allocation, in bytes.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed) - before, LARGEST.load(Ordering::Relaxed))
+}
+
+// ---- The generated function ---------------------------------------------------
+
+const LOCALS: u32 = 16;
+
+/// `f(i32) -> i32` made of `segments` copies of one shape: a loop nest two
+/// deep over sixteen locals, with a three-way `br_table` into a block nest
+/// and an `if`/`else` in the inner body. Every loop runs twice, so a call
+/// costs a few dozen instructions per segment whatever the size.
+fn segmented_module(segments: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    // Locals 1 and 2 count the loops down; 0 and 3.. carry the data.
+    let data = |k: u32| match k % (LOCALS - 2) {
+        0 => 0,
+        r => r + 2,
+    };
+    for s in 0..segments {
+        let [a, b, d, e] = [data(s), data(s + 1), data(s + 5), data(s + 9)];
+        c.i32_const(2).local_set(1).loop_(BlockType::Empty);
+        c.i32_const(2).local_set(2).loop_(BlockType::Empty);
+        c.local_get(a).local_get(b).op(Opcode::I32Add).i32_const(s as i32 | 1).op(Opcode::I32Xor).local_set(a);
+        c.block(BlockType::Empty).block(BlockType::Empty).block(BlockType::Empty);
+        c.local_get(a).i32_const(3).op(Opcode::I32And).br_table(&[0, 1, 2], 0).end();
+        c.local_get(d).i32_const(1).op(Opcode::I32Add).local_set(d).end();
+        c.local_get(e).local_get(a).op(Opcode::I32Sub).local_set(e).end();
+        c.local_get(a).i32_const(1).op(Opcode::I32And).if_(BlockType::Empty);
+        c.local_get(b).i32_const(7).op(Opcode::I32Mul).local_set(b).else_();
+        c.local_get(d).local_get(e).op(Opcode::I32Xor).local_set(d).end();
+        c.local_get(2).i32_const(1).op(Opcode::I32Sub).local_tee(2).br_if(0).end();
+        c.local_get(1).i32_const(1).op(Opcode::I32Sub).local_tee(1).br_if(0).end();
+    }
+    c.local_get(0);
+    for local in 3..LOCALS {
+        c.local_get(local).op(Opcode::I32Xor);
+    }
+    let mut b = ModuleBuilder::new();
+    let f = b.add_func(
+        FuncType::new(vec![ValueType::I32], vec![ValueType::I32]),
+        vec![ValueType::I32; LOCALS as usize - 1],
+        c.finish(),
+    );
+    b.export_func("f", f);
+    b.finish()
+}
+
+/// What the frontend's IR of `module`'s function holds: nodes + blocks +
+/// edge arguments (one per local per edge, before any is pruned).
+fn ir_size(module: &Module) -> usize {
+    let info = wasm::validate::validate(module).expect("generated module validates");
+    let ir = frontend::build(module, 0, &info.funcs[0], &ProbeSites::none(), ProbeMode::Optimized, None, false)
+        .expect("generated body builds");
+    let mut edge_args = 0;
+    for block in &ir.blocks {
+        block.term.for_each_edge(|e| edge_args += e.args.len());
+    }
+    ir.nodes.len() + ir.blocks.len() + edge_args
+}
+
+/// Compiles the function of `module` under the counting allocator.
+fn counted_compile(module: &Module) -> (usize, usize) {
+    let info = wasm::validate::validate(module).expect("generated module validates");
+    let (compiled, peak, largest) = counted(|| {
+        OptimizingCompiler::default().compile(module, 0, &info.funcs[0], &ProbeSites::none(), None)
+    });
+    compiled.expect("generated body compiles");
+    (peak, largest)
+}
+
+#[test]
+fn compile_memory_is_linear_in_function_size() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (segmented_module(150), segmented_module(1200));
+    let (small_ir, large_ir) = (ir_size(&small), ir_size(&large));
+    assert!(
+        (7 * small_ir..9 * small_ir).contains(&large_ir),
+        "the generator is not the same shape at 8x: IR sizes {small_ir} and {large_ir}"
+    );
+    let (small_peak, small_largest) = counted_compile(&small);
+    let (large_peak, large_largest) = counted_compile(&large);
+    assert!(
+        large_peak <= 10 * small_peak,
+        "peak heap grew {:.1}x for an 8x function ({small_peak} B -> {large_peak} B)",
+        large_peak as f64 / small_peak as f64
+    );
+    // The largest tables today (the node table, the instruction buffer,
+    // each a `Vec` grown by doubling) are 9 bytes per IR element; a blocks ×
+    // values bitset would be hundreds at the larger size.
+    for (largest, ir) in [(small_largest, small_ir), (large_largest, large_ir)] {
+        assert!(
+            largest <= 16 * ir,
+            "one allocation of {largest} B for an IR of {ir} nodes + blocks + edge arguments"
+        );
+    }
+}
+
+/// One 256 KiB function — sixteen times the largest body of the benchmark
+/// corpus — through every tier and backend: nothing in the compile path may
+/// be quadratic enough, or recursive enough, to fall over on it.
+#[test]
+fn a_256_kib_function_runs_through_all_eight_configurations() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let module = segmented_module(2700);
+    let code_len = module.funcs[0].code.len();
+    assert!((256 << 10..288 << 10).contains(&code_len), "body is {code_len} bytes");
+    let run = |config: engine::EngineConfig| {
+        let engine = engine::Engine::new(config);
+        let mut instance = engine
+            .instantiate(&module, engine::Imports::new(), engine::Instrumentation::none())
+            .expect("instantiates");
+        // Three calls take the tiered configurations into their top tier.
+        [5, -9, 1 << 20].map(|arg| {
+            engine.call_export(&mut instance, "f", &[machine::values::WasmValue::I32(arg)])
+        })
+    };
+    let configs = conform::runner::all_configs();
+    assert_eq!(configs.len(), 8);
+    let expected = run(configs[0].clone());
+    assert!(expected.iter().all(Result::is_ok), "{expected:?}");
+    for config in configs {
+        let name = config.name.clone();
+        assert_eq!(run(config), expected, "[{name}]");
+    }
+}

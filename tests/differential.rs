@@ -241,3 +241,73 @@ fn dead_fallthrough_state_does_not_leak_past_labels() {
         }
     }
 }
+
+/// A loop-header parameter that is live into an in-loop merge, where the
+/// block branching to both names the merge *before* the header
+/// (`br_table $M $L`). Here `$x` holds the header's `$acc` across the `if`,
+/// whose arms need every register; the arm laid out after the merge (the
+/// `else` arm by default, the colder one once the branch monitor's profile
+/// biases the layout) is a predecessor placed after the last read of `$x`,
+/// so only liveness keeps `$x`'s register from being handed out there. A
+/// liveness that subtracts the header's parameters from what the *merge*
+/// needs loses `$x` in that arm.
+#[test]
+fn header_parameter_stays_live_through_a_late_predecessor_of_an_in_loop_merge() {
+    // Twelve products live at once, then folded: more than the eleven
+    // allocatable registers.
+    let heavy = |k: i32| {
+        let mut s = String::new();
+        for i in 0..12 {
+            s += &format!("local.get $n i32.const {} i32.mul ", k + 2 * i);
+        }
+        s + &"i32.xor ".repeat(11)
+    };
+    let src = format!(
+        "(module (func (export \"f\") (param $n i32) (param $sel i32) (result i32)
+           (local $acc i32) (local $x i32) (local $y i32)
+           loop $L
+             local.get $acc local.set $x
+             local.get $acc i32.const 1 i32.add local.set $acc
+             block $M
+               local.get $n local.get $sel i32.and
+               if {} local.set $y else {} local.set $y end
+               local.get $n i32.const 1 i32.sub local.set $n
+               local.get $n i32.const 7 i32.and
+               br_table $M $L
+             end
+             local.get $x local.get $y i32.add local.get $acc i32.add local.set $acc
+             local.get $n i32.const 0 i32.gt_s
+             br_if $L
+           end
+           local.get $acc))",
+        heavy(3),
+        heavy(5)
+    );
+    let module = wasm::wat::parse_module(&src).unwrap_or_else(|e| panic!("{}", e.describe(&src)));
+    // `sel` 0 always takes the else arm and -1 the then arm on odd `n`: the
+    // early calls (which the lower tiers run, feeding the monitor) decide
+    // which arm the optimizing tier's layout moves behind the merge, the
+    // later calls take both.
+    for warmup in [0, -1, 1] {
+        let calls = [(40, warmup), (41, warmup), (40, 1), (57, -1), (64, 0), (-3, 1)];
+        let run = |config: EngineConfig| -> Vec<Result<Vec<WasmValue>, machine::TrapCode>> {
+            let engine = Engine::new(config);
+            let mut instance = engine
+                .instantiate(&module, Imports::new(), Instrumentation::branch_monitor(&module))
+                .expect("module instantiates");
+            calls
+                .iter()
+                .map(|&(n, sel)| {
+                    engine.call_export(&mut instance, "f", &[WasmValue::I32(n), WasmValue::I32(sel)])
+                })
+                .collect()
+        };
+        let expected = run(EngineConfig::interpreter("reference"));
+        let mut configs = common::all_tier_backend_configs();
+        configs.push(EngineConfig::optimizing("optimizing"));
+        for config in configs {
+            let name = config.name.clone();
+            assert_eq!(run(config), expected, "[{name}] warm-up sel {warmup}");
+        }
+    }
+}

@@ -10,6 +10,9 @@
 //! implemented opcode set (see `opcode_coverage_is_complete`).
 
 mod common;
+/// The optimizing tier's previous per-value bookkeeping, kept as a reference.
+#[path = "../crates/optc/tests/oracle/mod.rs"]
+mod optc_oracle;
 
 use engine::EngineConfig;
 use machine::values::WasmValue;
@@ -432,6 +435,9 @@ proptest! {
         wasm::validate::validate(&module).expect("generated program validates");
         // The sorted sidetable and fuel plan answer like ordered maps.
         common::assert_lookups_match_reference(&module, "generated program");
+        // The optimizing tier's dense passes decide what the ones they
+        // replaced decided.
+        optc_oracle::check_module(&module, "generated program");
 
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
         for options in [
@@ -583,6 +589,7 @@ proptest! {
         let module = build_looped_program(&steps, iters);
         wasm::validate::validate(&module).expect("generated loop validates");
         common::assert_lookups_match_reference(&module, "generated loop");
+        optc_oracle::check_module(&module, "generated loop");
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
         for config in common::all_tier_backend_configs() {
             let name = config.name.clone();
