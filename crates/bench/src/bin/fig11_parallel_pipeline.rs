@@ -1,20 +1,17 @@
-//! FIG 11 (beyond the paper): the compilation pipeline at serving scale.
+//! FIG 11 (beyond the paper): the keyed code cache at serving scale.
 //!
-//! Two experiments over the three suites:
+//! **Cold vs. warm instantiation** over the three suites — instantiate every
+//! module twice against a shared keyed code cache and compare instantiation
+//! latency (each item's fastest time over a few rounds, every round on an
+//! empty cache). The warm pass skips validation, preparation, and compilation
+//! (the cache hit is observable in the metrics), which is the serve-many-
+//! requests scenario the cache exists for. Gate: on every suite warm takes at
+//! most half of cold (`<suite>.warm_over_cold` ≤ 0.5).
 //!
-//! 1. **Compile-throughput scaling** — eagerly compile every suite module
-//!    with the pipeline at 1, 2, 4, and 8 workers and report wall-clock
-//!    compile throughput (compiled Wasm MB/s) and speedup over 1 worker.
-//!    On a single-core host the curve is flat; the point of the column is
-//!    that the *output* is identical while the wall-clock shrinks with
-//!    available cores.
-//! 2. **Cold vs. warm instantiation** — instantiate every module twice
-//!    against a shared keyed code cache and compare instantiation latency
-//!    (each item's fastest time over a few rounds, every round on an empty
-//!    cache). The warm pass skips validation, preparation, and compilation
-//!    (the cache hit is observable in the metrics), which is the serve-many-
-//!    requests scenario the cache exists for. Gate: on every suite warm
-//!    takes at most half of cold (`<suite>.warm_over_cold` ≤ 0.5).
+//! Eager-compile scaling over worker counts is perfbench's
+//! (`engine.compile_eager.speedup_2w.*`, `engine.load.mb_per_s.*` on the
+//! 1.5 MiB corpus); that the output is identical at every worker count is
+//! `tests/parallel_determinism.rs`.
 //!
 //! Run with `--full` for paper-sized workloads; the default is the smoke
 //! scale used by CI.
@@ -36,57 +33,14 @@ fn main() {
     let scale = scale_from_args();
     print_header(
         "FIG 11 (beyond the paper)",
-        "Parallel compile pipeline scaling and keyed code cache",
+        "Keyed code cache: cold vs. warm instantiation",
     );
     let suites = suites::all_suites(scale);
     let mut report = BenchReport::new("fig11");
     report.config(bench::scale_label(scale));
 
-    // ---- Part 1: compile-throughput scaling over worker counts ----------
-    println!("\n[1] eager-compile scaling over all {} modules:",
-        suites.iter().map(|s| s.len()).sum::<usize>());
     println!(
-        "{:<8} | {:>12} | {:>14} | {:>8}",
-        "workers", "wall (ms)", "thrpt (MB/s)", "speedup"
-    );
-    println!("{:-<8}-+-{:-<12}-+-{:-<14}-+-{:-<8}", "", "", "", "");
-    let mut baseline_wall = None;
-    for workers in [1usize, 2, 4, 8] {
-        let engine = Engine::new(
-            EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt())
-                .with_compile_workers(workers),
-        );
-        let start = Instant::now();
-        let mut wasm_bytes = 0u64;
-        let mut functions = 0u32;
-        for suite in &suites {
-            for item in &suite.items {
-                let instance = engine
-                    .instantiate(&item.module, Imports::new(), Instrumentation::none())
-                    .expect("suite modules instantiate");
-                wasm_bytes += instance.metrics.compiled_wasm_bytes;
-                functions += instance.metrics.functions_compiled;
-            }
-        }
-        let wall = start.elapsed();
-        let baseline = *baseline_wall.get_or_insert(wall);
-        println!(
-            "{:<8} | {:>12.2} | {:>14.2} | {:>7.2}x",
-            workers,
-            wall.as_secs_f64() * 1e3,
-            wasm_bytes as f64 / 1e6 / wall.as_secs_f64().max(1e-9),
-            baseline.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-        );
-        report.metric(
-            &format!("workers{workers}.compile_throughput_mb_s"),
-            wasm_bytes as f64 / 1e6 / wall.as_secs_f64().max(1e-9),
-        );
-        assert!(functions > 0, "scaling run compiled nothing");
-    }
-
-    // ---- Part 2: cold vs. warm instantiation under the code cache -------
-    println!(
-        "\n[2] cold vs. warm instantiation latency (shared keyed cache, fastest of {ROUNDS}):"
+        "\ncold vs. warm instantiation latency (shared keyed cache, fastest of {ROUNDS}):"
     );
     println!(
         "{:<12} | {:>12} | {:>12} | {:>8}",

@@ -21,7 +21,7 @@
 //! never-OSR on at least 2 of the 3 suites.
 
 use bench::{measure_item, print_header, BenchReport, Instrument, ItemMeasurement};
-use engine::{Engine, EngineConfig, Imports, Instrumentation};
+use engine::{Engine, EngineConfig, Imports, Instrumentation, Telemetry};
 use spc::CompilerOptions;
 use suites::BenchmarkItem;
 
@@ -43,7 +43,7 @@ fn osr_config() -> EngineConfig {
 /// engine's counter recorded for that single call.
 fn measure_item_osr(item: &BenchmarkItem) -> (ItemMeasurement, u64) {
     let measurement = measure_item(&osr_config(), item, Instrument::None);
-    let engine = Engine::new(osr_config().with_telemetry());
+    let engine = Engine::new(osr_config()).with_telemetry(Telemetry::enabled());
     let mut instance = engine
         .instantiate(&item.module, Imports::new(), Instrumentation::none())
         .expect("suite modules instantiate");

@@ -3,7 +3,7 @@
 //! A production engine owes its embedder a usable answer to "what just
 //! crashed?" — a backtrace of `(function, name, bytecode offset)` frames —
 //! and that answer must not depend on which tier happened to be executing
-//! when the trap fired. This figure gates three properties of the
+//! when the trap fired. This figure gates two properties of the
 //! diagnostics subsystem:
 //!
 //! 1. **Equivalence** — a battery of trap workloads (call chains,
@@ -16,17 +16,16 @@
 //! 2. **Symbolication** — the workloads carry `name` sections lowered from
 //!    their WAT `$identifiers`; at least 90% of all backtrace frames across
 //!    the battery must resolve to a debug name.
-//! 3. **Overhead** — diagnostics are compile-time (source-map) metadata, so
-//!    *non-trapping* execution must not pay for them: total simulated
-//!    execution cycles across the real benchmark suites with
-//!    `debug_metadata` on may exceed the off configuration by at most 2%.
+//!
+//! Diagnostics are compile-time (source-map) metadata, so non-trapping
+//! execution does not pay for them: `tests/sim_cycles_golden.rs` asserts that
+//! `debug_metadata` on and off execute identical cycles over the three suites.
 
-use bench::{measure_item, print_header, BenchReport, Instrument};
+use bench::{print_header, BenchReport};
 use engine::{
     Engine, EngineConfig, Imports, Instrumentation, ResourceLimits, TrapInfo,
 };
 use machine::values::WasmValue;
-use spc::CompilerOptions;
 use wasm::Module;
 
 /// One trap workload: a named module, an entry point, and arguments that
@@ -166,15 +165,13 @@ fn run_trap(config: EngineConfig, w: &TrapWorkload) -> TrapInfo {
 }
 
 fn main() {
-    let scale = bench::scale_from_args();
     print_header(
         "Figure 18 (beyond the paper)",
-        "Trap diagnostics: cross-tier backtrace equivalence, symbolication, and overhead",
+        "Trap diagnostics: cross-tier backtrace equivalence and symbolication",
     );
+    // The trap battery is fixed-size: the report keeps the "default" config.
     let mut report = BenchReport::new("fig18");
-    report.config(bench::scale_label(scale));
 
-    // ---- Part 1+2: equivalence across the matrix, symbolication coverage.
     let configs = conform::runner::all_configs();
     let battery = workloads();
     let mut mismatches = 0usize;
@@ -220,47 +217,7 @@ fn main() {
     report.metric("equivalence_mismatches", mismatches as f64);
     report.metric("symbolication_coverage", coverage);
 
-    // ---- Part 3: non-trapping overhead of carrying debug metadata.
-    let debug_on = EngineConfig::baseline("spc-debug", CompilerOptions::allopt());
-    let debug_off = EngineConfig::baseline(
-        "spc-nodebug",
-        CompilerOptions {
-            name: "nodebug".to_string(),
-            debug_metadata: false,
-            ..CompilerOptions::allopt()
-        },
-    );
-    let mut cycles_on = 0u64;
-    let mut cycles_off = 0u64;
-    let mut checksum_mismatches = 0usize;
-    for suite in suites::all_suites(scale) {
-        for item in &suite.items {
-            let on = measure_item(&debug_on, item, Instrument::None);
-            let off = measure_item(&debug_off, item, Instrument::None);
-            if on.checksum != off.checksum {
-                eprintln!(
-                    "CHECKSUM MISMATCH {}/{}: {} vs {}",
-                    on.suite, on.name, on.checksum, off.checksum
-                );
-                checksum_mismatches += 1;
-            }
-            cycles_on += on.exec_cycles;
-            cycles_off += off.exec_cycles;
-        }
-    }
-    let overhead_pct = 100.0 * (cycles_on as f64 / cycles_off.max(1) as f64 - 1.0);
-    println!(
-        "\nnon-trapping suite cycles: debug on {cycles_on}, off {cycles_off} ({overhead_pct:+.2}% overhead)"
-    );
-    report.metric("suite_cycles_debug_on", cycles_on as f64);
-    report.metric("suite_cycles_debug_off", cycles_off as f64);
-    report.metric("diagnostics_overhead_pct", overhead_pct);
-
-    let pass = mismatches == 0
-        && coverage >= 0.90
-        && overhead_pct <= 2.0
-        && checksum_mismatches == 0
-        && runs > 0;
+    let pass = mismatches == 0 && coverage >= 0.90 && runs > 0;
     report.metric("pass", if pass { 1.0 } else { 0.0 });
     report.write();
     println!();
@@ -270,14 +227,6 @@ fn main() {
     }
     if coverage < 0.90 {
         println!("FAIL: symbolication coverage {:.1}% < 90%", coverage * 100.0);
-        std::process::exit(1);
-    }
-    if checksum_mismatches > 0 {
-        println!("FAIL: {checksum_mismatches} checksum mismatches between debug on/off");
-        std::process::exit(1);
-    }
-    if overhead_pct > 2.0 {
-        println!("FAIL: diagnostics overhead {overhead_pct:.2}% > 2%");
         std::process::exit(1);
     }
     println!("PASS");

@@ -13,13 +13,12 @@ use bench::report::{parse_json, validate_report_json, JsonValue};
 use std::path::{Path, PathBuf};
 
 /// Metrics the diagnostics figure must always report, whatever its gate
-/// says: the equivalence sweep's size and failure count, the symbolication
-/// fraction, and the measured overhead.
-const FIG18_REQUIRED_METRICS: [&str; 5] = [
+/// says: the equivalence sweep's size and failure count, and the
+/// symbolication fraction.
+const FIG18_REQUIRED_METRICS: [&str; 4] = [
     "equivalence_runs",
     "equivalence_mismatches",
     "symbolication_coverage",
-    "diagnostics_overhead_pct",
     "pass",
 ];
 

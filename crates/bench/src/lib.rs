@@ -7,6 +7,7 @@
 //! aggregate per suite with the same average / min / max presentation the
 //! paper's bar charts use.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
@@ -43,7 +44,7 @@ pub struct ItemMeasurement {
     /// Probe firings observed, when instrumentation was attached.
     pub probe_firings: u64,
     /// Fuel consumed by the call when a budget was armed
-    /// ([`measure_item_fueled`]); zero for unmetered runs.
+    /// ([`measure_all_fueled`]); zero for unmetered runs.
     pub fuel_consumed: u64,
 }
 
@@ -68,29 +69,6 @@ pub fn measure_item(
     instrument: Instrument,
 ) -> ItemMeasurement {
     measure_item_inner(config, item, instrument, None)
-}
-
-/// Like [`measure_item`] but arms a fuel budget before the call, so the
-/// interpreter's metering hook actually runs (a metering configuration with
-/// no fuel armed skips interpreter-side charging, while compiled code always
-/// executes its emitted check sequences — arming makes the comparison fair).
-///
-/// # Panics
-///
-/// Panics if `config` is not a metering configuration, or if the item runs
-/// out of fuel — overhead measurements need the full workload to complete.
-pub fn measure_item_fueled(
-    config: &EngineConfig,
-    item: &BenchmarkItem,
-    instrument: Instrument,
-    fuel: u64,
-) -> ItemMeasurement {
-    assert!(
-        config.metering,
-        "measure_item_fueled needs a metering configuration ({} is not)",
-        config.name
-    );
-    measure_item_inner(config, item, instrument, Some(fuel))
 }
 
 fn measure_item_inner(
@@ -147,19 +125,31 @@ pub fn measure_all(
     out
 }
 
-/// Runs every line item of every suite under `config` with `fuel` armed per
-/// item ([`measure_item_fueled`]); pass a budget far above any item's cost so
-/// the whole workload completes while metering stays active.
+/// Like [`measure_all`] but arms `fuel` before every call, so the
+/// interpreter's metering hook actually runs (a metering configuration with
+/// no fuel armed skips interpreter-side charging, while compiled code always
+/// executes its emitted check sequences — arming makes the comparison fair).
+/// Pass a budget far above any item's cost so the whole workload completes.
+///
+/// # Panics
+///
+/// Panics if `config` is not a metering configuration, or if an item runs
+/// out of fuel — overhead measurements need the full workload to complete.
 pub fn measure_all_fueled(
     config: &EngineConfig,
     scale: Scale,
     instrument: Instrument,
     fuel: u64,
 ) -> Vec<ItemMeasurement> {
+    assert!(
+        config.metering,
+        "measure_all_fueled needs a metering configuration ({} is not)",
+        config.name
+    );
     let mut out = Vec::new();
     for suite in suites::all_suites(scale) {
         for item in &suite.items {
-            out.push(measure_item_fueled(config, item, instrument, fuel));
+            out.push(measure_item_inner(config, item, instrument, Some(fuel)));
         }
     }
     out
@@ -464,11 +454,11 @@ mod tests {
             item,
             Instrument::None,
         );
-        let fueled = measure_item_fueled(
+        let fueled = measure_item_inner(
             &EngineConfig::baseline("spc", CompilerOptions::allopt()).with_metering(),
             item,
             Instrument::None,
-            u64::MAX / 2,
+            Some(u64::MAX / 2),
         );
         assert_eq!(plain.checksum, fueled.checksum);
         assert_eq!(plain.fuel_consumed, 0);

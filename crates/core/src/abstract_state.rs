@@ -191,12 +191,6 @@ impl AbstractState {
         };
     }
 
-    /// Changes a slot's type (used by `local.set`-style writes where the type
-    /// is static, and by operand pushes reusing a slot).
-    pub fn set_slot_type(&mut self, index: usize, ty: ValueType) {
-        self.slots[index].ty = ty;
-    }
-
     /// Marks a slot's home memory as up to date.
     pub fn mark_in_memory(&mut self, index: usize) {
         self.slots[index].in_memory = true;

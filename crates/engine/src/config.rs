@@ -124,13 +124,6 @@ pub struct EngineConfig {
     /// into [`EngineConfig::compile_fingerprint`]; runs with metering
     /// disabled pay nothing.
     pub metering: bool,
-    /// Attach a live telemetry sink to engines built from this
-    /// configuration: structured trace events, the metrics registry, and the
-    /// epoch-driven sampling profiler. Telemetry observes execution without
-    /// changing the code any tier emits — it is *not* part of
-    /// [`EngineConfig::compile_fingerprint`] — and charges no simulated
-    /// cycles, so enabling it never perturbs measured `exec_cycles`.
-    pub telemetry: bool,
     /// Per-tenant resource ceilings (memory pages, table elements, call
     /// depth) enforced at instantiation and at `memory.grow`.
     pub limits: ResourceLimits,
@@ -173,7 +166,6 @@ impl EngineConfig {
             compile_workers: 1,
             gc_threshold: 0,
             metering: false,
-            telemetry: false,
             limits: ResourceLimits::unlimited(),
             osr_threshold: None,
         }
@@ -269,13 +261,6 @@ impl EngineConfig {
     /// every tier (see [`EngineConfig::metering`]).
     pub fn with_metering(mut self) -> EngineConfig {
         self.metering = true;
-        self
-    }
-
-    /// Attaches a live telemetry sink to engines built from this
-    /// configuration (see [`EngineConfig::telemetry`]).
-    pub fn with_telemetry(mut self) -> EngineConfig {
-        self.telemetry = true;
         self
     }
 
@@ -465,9 +450,6 @@ mod tests {
         );
         // Metering changes emitted code, so it changes the fingerprint.
         assert_ne!(fp, base.clone().with_metering().compile_fingerprint());
-        // Telemetry observes without changing emitted code: same fingerprint,
-        // so traced and untraced engines share cache entries.
-        assert_eq!(fp, base.clone().with_telemetry().compile_fingerprint());
         // Code-affecting differences change it.
         assert_ne!(fp, EngineConfig::baseline("a", CompilerOptions::nok()).compile_fingerprint());
         assert_ne!(fp, EngineConfig::interpreter("a").compile_fingerprint());

@@ -187,11 +187,6 @@ impl RunMetrics {
     pub fn total_compile_wall(&self) -> Duration {
         self.compile_wall + self.lazy_compile_wall + self.opt_compile_wall
     }
-
-    /// How many calls trapped with `reason`.
-    pub fn trap_count(&self, reason: TrapReason) -> u64 {
-        self.trap_counts[reason.index()]
-    }
 }
 
 /// Whether a compilation ran at instantiation time or after it, which
@@ -231,7 +226,10 @@ pub struct Instance {
     pub heap: Heap,
     /// Attached instrumentation (monitors and probe registry).
     pub instrumentation: Instrumentation,
-    host_funcs: Vec<Option<HostFunc>>,
+    /// One entry per distinct imported `(module, name)`.
+    host_funcs: Vec<HostFunc>,
+    /// Imported function index → its entry in `host_funcs`.
+    host_slots: Vec<usize>,
     /// Remaining fuel, when fuel metering is armed via
     /// [`Instance::set_fuel`]. `None` runs unmetered even under a metering
     /// configuration (the compiled check sequences become no-ops).
@@ -463,16 +461,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration. A fresh telemetry
-    /// sink is attached when the configuration says
-    /// [`EngineConfig::telemetry`]; use [`Engine::with_telemetry`] to share
-    /// an existing sink instead.
+    /// Creates an engine with the given configuration and telemetry off;
+    /// [`Engine::with_telemetry`] attaches a sink.
     pub fn new(config: EngineConfig) -> Engine {
-        let telemetry = if config.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
         Engine {
             interp: Interpreter::new(config.cost.clone()),
             cpu: Cpu::new(config.cost.clone()),
@@ -482,7 +473,7 @@ impl Engine {
             cache: None,
             background: None,
             epoch: Arc::new(AtomicU64::new(0)),
-            telemetry,
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -525,28 +516,25 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// The attached background compile pool, if any.
-    pub fn background_compiler(&self) -> Option<&Arc<BackgroundCompiler>> {
-        self.background.as_ref()
-    }
-
     /// Shares an epoch counter with other engines (see [`Engine::epoch`]).
     pub fn with_epoch(mut self, epoch: Arc<AtomicU64>) -> Engine {
         self.epoch = epoch;
         self
     }
 
-    /// Shares a telemetry handle (and with it, the sink behind it) with
-    /// other engines — the way a serving stack collects every worker's
-    /// events into one trace. Passing a disabled handle turns telemetry
-    /// off regardless of [`EngineConfig::telemetry`].
+    /// Attaches a telemetry handle: [`Telemetry::enabled`] for a sink of the
+    /// engine's own, or a clone of another engine's handle to share the sink
+    /// behind it — the way a serving stack collects every worker's events
+    /// into one trace. The handle is not part of the configuration (nor of
+    /// [`EngineConfig::compile_fingerprint`]): telemetry observes execution
+    /// without changing the code any tier emits and charges no simulated
+    /// cycles, so traced and untraced engines share cache entries.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Engine {
         self.telemetry = telemetry;
         self
     }
 
-    /// The engine's telemetry handle (disabled unless configured or shared
-    /// in).
+    /// The engine's telemetry handle (disabled unless one was attached).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -616,21 +604,27 @@ impl Engine {
             None => Arc::new(CompiledModule::build(module.clone())?),
         };
 
-        // Resolve host imports.
+        // Resolve host imports: each distinct `(module, name)` is taken from
+        // `imports` once, and a later import of the same key shares its slot.
         let mut imports = imports;
         let mut host_funcs = Vec::new();
+        let mut host_slots = Vec::new();
+        let mut resolved: HashMap<(&str, &str), usize> = HashMap::new();
         for import in &module.imports {
             if let ImportKind::Func(_) = import.kind {
-                let key = (import.module.clone(), import.name.clone());
-                match imports.funcs.remove(&key) {
-                    Some(f) => host_funcs.push(Some(f)),
-                    None => {
-                        return Err(EngineError::Instantiate(format!(
+                let slot = *resolved
+                    .entry((import.module.as_str(), import.name.as_str()))
+                    .or_insert(host_funcs.len());
+                if slot == host_funcs.len() {
+                    let key = (import.module.clone(), import.name.clone());
+                    host_funcs.push(imports.funcs.remove(&key).ok_or_else(|| {
+                        EngineError::Instantiate(format!(
                             "missing import {}.{}",
                             import.module, import.name
-                        )))
-                    }
+                        ))
+                    })?);
                 }
+                host_slots.push(slot);
             }
         }
 
@@ -656,6 +650,7 @@ impl Engine {
             heap: Heap::with_threshold(self.config.gc_threshold),
             instrumentation,
             host_funcs,
+            host_slots,
             fuel: None,
             initial_fuel: 0,
             epoch_deadline: None,
@@ -1577,11 +1572,14 @@ impl Engine {
             })
             .collect();
         let Instance {
-            host_funcs, heap, ..
+            host_funcs,
+            host_slots,
+            heap,
+            ..
         } = instance;
-        let f = host_funcs
-            .get_mut(callee as usize)
-            .and_then(|f| f.as_mut())
+        let f = host_slots
+            .get(callee as usize)
+            .and_then(|&slot| host_funcs.get_mut(slot))
             .ok_or(TrapCode::HostError)?;
         let results = f(heap, &args)?;
         if results.len() != sig.results.len() {

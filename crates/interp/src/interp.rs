@@ -276,11 +276,6 @@ impl Interpreter {
         Interpreter { cost, ops }
     }
 
-    /// The interpreter's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Runs one frame of `func` starting at bytecode offset `start_ip` until
     /// it returns, calls out, or traps.
     ///

@@ -11,6 +11,7 @@
 //! The interpreter is a resumable frame executor: the engine drives calls
 //! and returns so execution can cross tiers at any call boundary.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod interp;

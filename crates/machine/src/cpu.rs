@@ -367,11 +367,6 @@ impl Cpu {
         Cpu { cost, alu_cost }
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Runs `code` starting at instruction `pc` until it exits, charging
     /// executed instructions to `cycles`.
     ///

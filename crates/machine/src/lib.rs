@@ -30,6 +30,7 @@
 //!   emitting real machine bytes with label patching, a source map, and
 //!   runtime relocations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asm;

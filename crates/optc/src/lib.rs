@@ -31,6 +31,7 @@
 //! they are kept in tagged frame slots, so the engine's tag-scanning root
 //! walk sees every reference at every call boundary without stackmaps.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod emit;

@@ -1,34 +1,43 @@
-//! The shape of the optimizing tier's memory use, counted — not timed.
+//! The shape of the compiling tiers' memory use, counted — not timed.
 //!
-//! Every table the tier keeps is indexed by value, by block or by edge, so
-//! compiling a function eight times larger may need about eight times the
-//! heap, and no single allocation may be larger than a small multiple of
-//! what the IR itself holds (nodes + blocks + edge arguments). A blocks ×
-//! values table — live-in sets as a matrix, a bitset per block — breaks
-//! both: at 8× it is 64× the size, and at a few thousand blocks one row per
-//! block outweighs the whole IR. The counts come from a counting global
-//! allocator, so the gate is deterministic where a wall-clock or RSS gate
-//! would not be.
+//! Every table the optimizing tier keeps is indexed by value, by block or by
+//! edge, so compiling a function eight times larger may need about eight
+//! times the heap, and no single allocation may be larger than a small
+//! multiple of what the IR itself holds (nodes + blocks + edge arguments). A
+//! blocks × values table — live-in sets as a matrix, a bitset per block —
+//! breaks both: at 8× it is 64× the size, and at a few thousand blocks one
+//! row per block outweighs the whole IR.
+//!
+//! The baseline compiler keeps no IR, but it snapshots its abstract state at
+//! every control construct — the "JIT bomb" risk of the paper's §III: a
+//! snapshot that grows with the function makes the *sum* of what a compile
+//! allocates quadratic while its peak stays small, so both tiers are also
+//! held to eight-fold-or-so cumulative bytes.
+//!
+//! The counts come from a counting global allocator, so the gate is
+//! deterministic where a wall-clock or RSS gate would not be.
 
 use optc::frontend;
 use optc::OptimizingCompiler;
-use spc::{ProbeMode, ProbeSites};
+use spc::{CompilerOptions, ProbeMode, ProbeSites, SinglePassCompiler};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::opcode::Opcode;
 use wasm::types::{BlockType, FuncType, ValueType};
+use wasm::validate::FuncInfo;
 use wasm::Module;
 
 // ---- The counting allocator ---------------------------------------------------
 
-/// Bytes currently allocated, the most that were allocated at once, and the
-/// largest single request — since the process started, or since
-/// [`counted`] last reset the latter two.
+/// Bytes currently allocated, the most that were allocated at once, the
+/// largest single request, and the sum of all requests — since the process
+/// started, or since [`counted`] last reset the latter three.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -44,6 +53,7 @@ unsafe impl GlobalAlloc for Counting {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
             LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+            TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
         }
         ptr
     }
@@ -62,14 +72,29 @@ static ALLOCATOR: Counting = Counting;
 /// The counters are process-wide; the tests of this file take turns.
 static TURN: Mutex<()> = Mutex::new(());
 
-/// Runs `f` and returns its result, the peak heap it added over what was
-/// allocated when it started, and its largest single allocation, in bytes.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+/// What one [`counted`] call allocated, in bytes.
+struct Counts {
+    /// The most it held at once, over what was allocated when it started.
+    peak: usize,
+    /// Its largest single allocation.
+    largest: usize,
+    /// All its allocations added up, freed or not.
+    total: usize,
+}
+
+/// Runs `f` and returns its result and what it allocated.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
+    TOTAL.store(0, Ordering::Relaxed);
     let out = f();
-    (out, PEAK.load(Ordering::Relaxed) - before, LARGEST.load(Ordering::Relaxed))
+    let counts = Counts {
+        peak: PEAK.load(Ordering::Relaxed) - before,
+        largest: LARGEST.load(Ordering::Relaxed),
+        total: TOTAL.load(Ordering::Relaxed),
+    };
+    (out, counts)
 }
 
 // ---- The generated function ---------------------------------------------------
@@ -129,14 +154,30 @@ fn ir_size(module: &Module) -> usize {
     ir.nodes.len() + ir.blocks.len() + edge_args
 }
 
-/// Compiles the function of `module` under the counting allocator.
-fn counted_compile(module: &Module) -> (usize, usize) {
+/// Compiles the function of `module` with `compile` under the counting
+/// allocator.
+fn counted_compile<T, E: std::fmt::Debug>(
+    module: &Module,
+    compile: impl FnOnce(&Module, &FuncInfo) -> Result<T, E>,
+) -> Counts {
     let info = wasm::validate::validate(module).expect("generated module validates");
-    let (compiled, peak, largest) = counted(|| {
-        OptimizingCompiler::default().compile(module, 0, &info.funcs[0], &ProbeSites::none(), None)
-    });
+    let (compiled, counts) = counted(|| compile(module, &info.funcs[0]));
     compiled.expect("generated body compiles");
-    (peak, largest)
+    counts
+}
+
+/// What the optimizing tier allocates for the function of `module`.
+fn optimizing(module: &Module) -> Counts {
+    counted_compile(module, |module, info| {
+        OptimizingCompiler::default().compile(module, 0, info, &ProbeSites::none(), None)
+    })
+}
+
+/// What the baseline compiler (`allopt`) allocates for it.
+fn baseline(module: &Module) -> Counts {
+    counted_compile(module, |module, info| {
+        SinglePassCompiler::new(CompilerOptions::allopt()).compile(module, 0, info, &ProbeSites::none())
+    })
 }
 
 #[test]
@@ -148,17 +189,25 @@ fn compile_memory_is_linear_in_function_size() {
         (7 * small_ir..9 * small_ir).contains(&large_ir),
         "the generator is not the same shape at 8x: IR sizes {small_ir} and {large_ir}"
     );
-    let (small_peak, small_largest) = counted_compile(&small);
-    let (large_peak, large_largest) = counted_compile(&large);
-    assert!(
-        large_peak <= 10 * small_peak,
-        "peak heap grew {:.1}x for an 8x function ({small_peak} B -> {large_peak} B)",
-        large_peak as f64 / small_peak as f64
-    );
+    let (small_opt, large_opt) = (optimizing(&small), optimizing(&large));
+    for (tier, small, large) in [
+        ("optimizing", &small_opt, &large_opt),
+        ("baseline", &baseline(&small), &baseline(&large)),
+    ] {
+        for (what, small, large) in
+            [("peak heap", small.peak, large.peak), ("allocated bytes", small.total, large.total)]
+        {
+            assert!(
+                large <= 10 * small,
+                "{tier}: {what} grew {:.1}x for an 8x function ({small} B -> {large} B)",
+                large as f64 / small as f64
+            );
+        }
+    }
     // The largest tables today (the node table, the instruction buffer,
     // each a `Vec` grown by doubling) are 9 bytes per IR element; a blocks ×
     // values bitset would be hundreds at the larger size.
-    for (largest, ir) in [(small_largest, small_ir), (large_largest, large_ir)] {
+    for (largest, ir) in [(small_opt.largest, small_ir), (large_opt.largest, large_ir)] {
         assert!(
             largest <= 16 * ir,
             "one allocation of {largest} B for an IR of {ir} nodes + blocks + edge arguments"

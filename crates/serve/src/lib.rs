@@ -33,6 +33,7 @@
 //! previous occupant of its instance did — including trapping halfway
 //! through a memory write.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access_log;
@@ -52,13 +53,16 @@ use std::time::{Duration, Instant};
 use telemetry::{EventKind, Telemetry};
 use wasm::module::Module;
 
+/// Instances each app's pool retains between requests. A worker holds one
+/// instance at a time, so the cap only discards instances on a server with
+/// more workers than this.
+const MAX_IDLE_PER_APP: usize = 8;
+
 /// Sizing and pacing knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Instances each app's pool retains between requests.
-    pub max_idle_per_app: usize,
     /// The epoch tick period — the granularity at which deadlines are
     /// enforced.
     pub epoch_granularity: Duration,
@@ -76,7 +80,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            max_idle_per_app: 8,
             epoch_granularity: Duration::from_millis(1),
             telemetry: Telemetry::disabled(),
             flight_recorder_capacity: 256,
@@ -236,15 +239,11 @@ impl Server {
         entry: &str,
         module: Module,
     ) -> Result<usize, EngineError> {
-        let mut engine = Engine::new(self.engine_config.clone())
+        let engine = Engine::new(self.engine_config.clone())
             .with_code_cache(Arc::clone(&self.cache))
-            .with_epoch(Arc::clone(self.ticker.epoch()));
-        // Share the server's sink when one is attached; otherwise leave the
-        // engine's own (config-driven) handle alone.
-        if self.server_config.telemetry.is_enabled() {
-            engine = engine.with_telemetry(self.server_config.telemetry.clone());
-        }
-        let pool = InstancePool::new(engine, module, self.server_config.max_idle_per_app)?;
+            .with_epoch(Arc::clone(self.ticker.epoch()))
+            .with_telemetry(self.server_config.telemetry.clone());
+        let pool = InstancePool::new(engine, module, MAX_IDLE_PER_APP)?;
         pool.set_label(self.apps.len() as u32);
         self.apps.push(App {
             name: name.to_string(),
@@ -529,7 +528,7 @@ mod tests {
                 );
             }
             assert!(r.exec_cycles > 0, "simulated cycles recorded");
-            assert!(r.worker < 3);
+            assert_eq!(r.worker, i % 3, "request {i} is dealt to worker id % workers");
         }
         // Pool accounting: every checkout was either warm or cold.
         let stats = server.pool_stats(counter).unwrap();

@@ -9,6 +9,7 @@
 //! argument. Every module exports `main: [] -> [i32]` returning a checksum,
 //! which the differential tests compare exactly across execution tiers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernels;

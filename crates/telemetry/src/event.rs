@@ -171,12 +171,3 @@ pub struct TraceEvent {
     /// The typed payload.
     pub kind: EventKind,
 }
-
-impl TraceEvent {
-    /// The inert slot filler rings initialize with; never observed by a
-    /// consumer (the head/tail protocol only reads written slots).
-    pub(crate) const FILLER: TraceEvent = TraceEvent {
-        t_us: 0,
-        kind: EventKind::FuelExhausted,
-    };
-}

@@ -11,7 +11,7 @@
 //! Three pillars:
 //!
 //! - **Structured tracing** — each thread that emits events gets its own
-//!   bounded, lock-free SPSC [`EventRing`]; [`Telemetry::drain`] collects the
+//!   bounded [`EventRing`]; [`Telemetry::drain`] collects the
 //!   rings and [`chrome_trace`] renders them as Chrome trace-event JSON, so
 //!   a whole serving run opens in Perfetto as per-worker timelines.
 //! - **Metrics** — a [`MetricsRegistry`] of named atomic counters, gauges,
@@ -48,6 +48,7 @@
 //! assert_eq!(telemetry.profiler().unwrap().total_samples(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
@@ -85,7 +86,7 @@ thread_local! {
 
 /// The shared collection point behind an enabled [`Telemetry`] handle.
 ///
-/// Owns the ring registry (one SPSC ring per emitting thread), the metrics
+/// Owns the ring registry (one ring per emitting thread), the metrics
 /// registry, the sampling profile, and the monotonic clock events are
 /// stamped with.
 pub struct TelemetrySink {

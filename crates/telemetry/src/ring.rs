@@ -1,60 +1,36 @@
-//! Bounded, lock-free, single-producer event rings — one per
-//! (thread, sink) pair.
+//! Bounded event rings — one per (thread, sink) pair.
 //!
-//! The producer side is the hot path: an `emit` from execution or a compile
-//! worker must never take a lock or allocate. Each thread therefore owns its
-//! ring exclusively for writes, and the ring is a classic SPSC circular
-//! buffer: monotonically increasing `head` (writes) and `tail` (reads)
-//! counters over a fixed slot array. The single consumer is the drain path
-//! (trace export / inspection), serialized by the sink's registry mutex, so
-//! both ends of the protocol have exactly one owner.
+//! Each emitting thread gets its own ring, so an `emit` from execution or a
+//! compile worker takes a lock nobody else holds except a concurrent drain
+//! (trace export / inspection), and the buffer is allocated once, up front:
+//! a push never allocates.
 //!
 //! When the ring is full the *newest* event is dropped and counted — bounded
 //! memory beats complete history for an always-on tracing layer, and the
 //! `dropped` counter keeps the loss observable.
 
 use crate::event::TraceEvent;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// One thread's bounded event buffer.
-///
-/// Safety protocol: exactly one thread calls [`EventRing::push`] (the thread
-/// the ring was created for) and at most one thread at a time calls
-/// [`EventRing::drain_into`] (the sink serializes drains behind its registry
-/// lock). `head`/`tail` are monotonic counters; a slot is written only while
-/// `head - tail < capacity` and read only while `tail < head`, so the two
-/// sides never touch the same slot concurrently.
 pub struct EventRing {
     label: String,
-    slots: Box<[UnsafeCell<TraceEvent>]>,
-    /// Next write position (monotonic; slot index is `head % capacity`).
-    head: AtomicUsize,
-    /// Next read position (monotonic).
-    tail: AtomicUsize,
+    capacity: usize,
+    events: Mutex<VecDeque<TraceEvent>>,
     /// Events discarded because the ring was full.
     dropped: AtomicU64,
 }
-
-// SAFETY: the slot array is only accessed under the SPSC protocol described
-// on the type — disjoint slots for concurrent producer/consumer, with
-// release/acquire ordering on head/tail publishing the slot contents.
-unsafe impl Send for EventRing {}
-unsafe impl Sync for EventRing {}
 
 impl EventRing {
     /// Creates a ring holding at most `capacity` events (minimum 8).
     pub fn new(label: String, capacity: usize) -> EventRing {
         let capacity = capacity.max(8);
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(TraceEvent::FILLER))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         EventRing {
             label,
-            slots,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            capacity,
+            events: Mutex::new(VecDeque::with_capacity(capacity)),
             dropped: AtomicU64::new(0),
         }
     }
@@ -64,44 +40,29 @@ impl EventRing {
         &self.label
     }
 
-    /// Appends an event. Producer side: must only be called from the ring's
-    /// owning thread. On a full ring the event is dropped (and counted), not
-    /// blocked on — tracing must never stall execution.
-    pub fn push(&self, event: TraceEvent) {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head.wrapping_sub(tail) >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let slot = &self.slots[head % self.slots.len()];
-        // SAFETY: `head - tail < capacity`, so the consumer cannot be
-        // reading this slot; this thread is the only producer.
-        unsafe { *slot.get() = event };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
+    fn events(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
+        self.events.lock().expect("an event ring's lock is never held across a panic")
     }
 
-    /// Moves every buffered event into `out`, oldest first. Consumer side:
-    /// callers must serialize (the sink drains under its registry lock).
-    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
-        let head = self.head.load(Ordering::Acquire);
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        while tail != head {
-            let slot = &self.slots[tail % self.slots.len()];
-            // SAFETY: `tail < head`, so the producer has finished writing
-            // this slot (release store on head) and cannot overwrite it
-            // until tail advances past it.
-            out.push(unsafe { *slot.get() });
-            tail = tail.wrapping_add(1);
-            self.tail.store(tail, Ordering::Release);
+    /// Appends an event. On a full ring the event is dropped (and counted),
+    /// not blocked on — tracing must never stall execution.
+    pub fn push(&self, event: TraceEvent) {
+        let mut events = self.events();
+        if events.len() >= self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            events.push_back(event);
         }
+    }
+
+    /// Moves every buffered event into `out`, oldest first.
+    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
+        out.extend(self.events().drain(..));
     }
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.head
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.tail.load(Ordering::Acquire))
+        self.events().len()
     }
 
     /// True if nothing is buffered.

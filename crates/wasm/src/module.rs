@@ -79,18 +79,6 @@ pub enum ImportKind {
     Global(GlobalType),
 }
 
-impl ImportKind {
-    /// The external kind of this import.
-    pub fn external_kind(&self) -> ExternalKind {
-        match self {
-            ImportKind::Func(_) => ExternalKind::Func,
-            ImportKind::Table(_) => ExternalKind::Table,
-            ImportKind::Memory(_) => ExternalKind::Memory,
-            ImportKind::Global(_) => ExternalKind::Global,
-        }
-    }
-}
-
 /// An import entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Import {

@@ -75,11 +75,6 @@ impl NameSection {
             .flat_map(|m| m.iter().map(|(&i, n)| (i, n.as_str())))
     }
 
-    /// Number of function names.
-    pub fn num_func_names(&self) -> usize {
-        self.funcs.len()
-    }
-
     /// Parses the payload of a `name` custom section, keeping everything
     /// decoded before the first malformed byte (see the module docs for why
     /// this never fails).

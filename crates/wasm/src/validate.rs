@@ -77,14 +77,6 @@ pub struct ModuleInfo {
     pub funcs: Vec<FuncInfo>,
 }
 
-impl ModuleInfo {
-    /// Metadata for the defined function with the given function-space index.
-    pub fn for_func_index(&self, module: &Module, func_index: u32) -> Option<&FuncInfo> {
-        let defined = func_index.checked_sub(module.num_imported_funcs())?;
-        self.funcs.get(defined as usize)
-    }
-}
-
 /// Validates a module and returns per-function metadata.
 pub fn validate(module: &Module) -> Result<ModuleInfo, ValidateError> {
     validate_module_level(module)?;

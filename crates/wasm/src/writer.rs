@@ -60,11 +60,6 @@ impl ByteWriter {
         leb::write_unsigned(&mut self.bytes, v as u64);
     }
 
-    /// Writes an unsigned 64-bit LEB128 value.
-    pub fn write_u64_leb(&mut self, v: u64) {
-        leb::write_unsigned(&mut self.bytes, v);
-    }
-
     /// Writes a signed 32-bit LEB128 value.
     pub fn write_i32_leb(&mut self, v: i32) {
         leb::write_signed(&mut self.bytes, v as i64);

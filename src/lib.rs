@@ -15,6 +15,7 @@
 //! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
 //! the reproduction methodology and results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use engine;

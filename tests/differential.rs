@@ -311,3 +311,40 @@ fn header_parameter_stays_live_through_a_late_predecessor_of_an_in_loop_merge() 
         }
     }
 }
+
+/// A module may import one host function under two function indices. Both
+/// must resolve to the *same* host closure (the second call sees the state
+/// the first left), and the import after them must still reach its own.
+#[test]
+fn a_host_function_imported_twice_is_one_function_behind_two_indices() {
+    let src = r#"
+        (module
+          (import "env" "inc" (func $inc_a (param i32) (result i32)))
+          (import "env" "inc" (func $inc_b (param i32) (result i32)))
+          (import "env" "dbl" (func $dbl (param i32) (result i32)))
+          (func (export "f") (param $n i32) (result i32)
+            local.get $n call $inc_a call $inc_b call $dbl))
+    "#;
+    let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
+    for config in common::all_tier_backend_configs() {
+        let name = config.name.clone();
+        let engine = Engine::new(config);
+        // `inc` adds one more each time it runs: 1, then 2, then 3, ...
+        let mut step = 0;
+        let imports = Imports::new()
+            .func("env", "inc", move |_, args| {
+                step += 1;
+                Ok(vec![WasmValue::I32(args[0].unwrap_i32() + step)])
+            })
+            .func("env", "dbl", |_, args| Ok(vec![WasmValue::I32(args[0].unwrap_i32() * 2)]));
+        let mut instance = engine
+            .instantiate(&module, imports, Instrumentation::none())
+            .unwrap_or_else(|e| panic!("[{name}] {e}"));
+        // The matrix tiers up after one and two calls.
+        for call in 0..6 {
+            let got = engine.call_export(&mut instance, "f", &[WasmValue::I32(5)]);
+            let expected = (5 + (2 * call + 1) + (2 * call + 2)) * 2;
+            assert_eq!(got, Ok(vec![WasmValue::I32(expected)]), "[{name}] call {call}");
+        }
+    }
+}

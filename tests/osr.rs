@@ -16,7 +16,7 @@ use engine::{CompileTier, Engine, EngineConfig, Imports, Instrumentation};
 use machine::masm::CodeBackend;
 use machine::values::WasmValue;
 use spc::CompilerOptions;
-use telemetry::EventKind;
+use telemetry::{EventKind, Telemetry};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::opcode::Opcode;
 use wasm::types::{BlockType, FuncType, ValueType};
@@ -271,10 +271,8 @@ fn fuel_accounting_is_identical_with_and_without_osr() {
 #[test]
 fn osr_transitions_are_visible_in_telemetry() {
     let module = hot_loop_module();
-    let config = EngineConfig::tiered("osr-tel", u32::MAX, CompilerOptions::allopt())
-        .with_osr(0)
-        .with_telemetry();
-    let engine = Engine::new(config);
+    let config = EngineConfig::tiered("osr-tel", u32::MAX, CompilerOptions::allopt()).with_osr(0);
+    let engine = Engine::new(config).with_telemetry(Telemetry::enabled());
     let mut instance = engine
         .instantiate(&module, Imports::new(), Instrumentation::none())
         .expect("module instantiates");

@@ -175,7 +175,6 @@ fn the_flight_recorder_captures_structured_access_log_lines() {
             epoch_granularity: Duration::from_millis(2),
             telemetry: telemetry.clone(),
             flight_recorder_capacity: 3,
-            ..ServerConfig::default()
         },
         engine::EngineConfig::baseline("spc", spc::CompilerOptions::allopt()).with_metering(),
     );

@@ -10,6 +10,7 @@
 //! why; a change to a loop never does.
 
 use engine::{CodeBackend, Engine, EngineConfig, Imports, Instance, Instrumentation};
+use machine::values::WasmValue;
 use spc::CompilerOptions;
 use suites::Scale;
 use wasm::Module;
@@ -54,12 +55,12 @@ const FUEL_BUDGET: u64 = 1 << 40;
 
 /// Runs `main` of every suite item under `config` and sums, per suite, a row
 /// of the item's `exec_cycles` followed by whatever `observe` reads off the
-/// finished instance.
+/// finished instance and `main`'s results.
 fn measure(
     config: EngineConfig,
     instrument: fn(&Module) -> Instrumentation,
     fuel: Option<u64>,
-    observe: fn(&Module, &Instance) -> Vec<u64>,
+    observe: fn(&Module, &Instance, &[WasmValue]) -> Vec<u64>,
 ) -> Vec<(&'static str, Vec<u64>)> {
     let engine = Engine::new(config);
     suites::all_suites(Scale::Test)
@@ -73,11 +74,11 @@ fn measure(
                 if let Some(fuel) = fuel {
                     instance.set_fuel(fuel);
                 }
-                engine
+                let results = engine
                     .call_export(&mut instance, "main", &[])
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", suite.name, item.name));
                 let mut row = vec![instance.metrics.exec_cycles];
-                row.extend(observe(&item.module, &instance));
+                row.extend(observe(&item.module, &instance, &results));
                 totals.resize(row.len(), 0);
                 for (total, value) in totals.iter_mut().zip(row) {
                     *total = total.wrapping_add(value);
@@ -96,7 +97,7 @@ fn assert_rows<const N: usize>(measured: Vec<(&str, Vec<u64>)>, golden: &[(&str,
 fn assert_golden(config: EngineConfig, golden: &[(&str, u64)]) {
     let name = config.name.clone();
     let measured: Vec<(&str, u64)> =
-        measure(config, |_| Instrumentation::none(), None, |_, _| vec![])
+        measure(config, |_| Instrumentation::none(), None, |_, _, _| vec![])
             .into_iter()
             .map(|(suite, row)| (suite, row[0]))
             .collect();
@@ -108,6 +109,20 @@ fn baseline_tier_cycles_are_pinned_on_both_backends() {
     let spc = |name| EngineConfig::baseline(name, CompilerOptions::allopt());
     assert_golden(spc("spc"), &BASELINE);
     assert_golden(spc("spc-x64").with_backend(CodeBackend::X64), &BASELINE);
+
+    // Source maps are compile-time metadata: code compiled without them
+    // executes the same cycles and returns the same checksums.
+    let checksums = |config| {
+        measure(config, |_| Instrumentation::none(), None, |_, _, results| {
+            vec![results[0].to_bits()]
+        })
+    };
+    let no_debug = CompilerOptions { debug_metadata: false, ..CompilerOptions::allopt() };
+    assert_eq!(
+        checksums(EngineConfig::baseline("spc-nodebug", no_debug)),
+        checksums(spc("spc")),
+        "`debug_metadata` changed what non-trapping code executes"
+    );
 }
 
 #[test]
@@ -127,7 +142,7 @@ fn metered_interpreter_cycles_and_fuel_are_pinned() {
         EngineConfig::interpreter("int-metered").with_metering(),
         |_| Instrumentation::none(),
         Some(FUEL_BUDGET),
-        |_, instance| vec![instance.fuel_consumed().expect("fuel is armed")],
+        |_, instance, _| vec![instance.fuel_consumed().expect("fuel is armed")],
     );
     assert_rows(measured, &INTERPRETER_METERED);
 }
@@ -138,7 +153,7 @@ fn interpreter_probe_firings_are_pinned() {
         EngineConfig::interpreter("int-branches"),
         Instrumentation::branch_monitor,
         None,
-        |module, instance| {
+        |module, instance, _| {
             let monitor = &instance.instrumentation;
             let mut digest = wasm::hash::Fnv64::new();
             for defined in 0..module.funcs.len() as u32 {
@@ -163,7 +178,7 @@ fn interpreter_probe_firings_are_pinned() {
         EngineConfig::interpreter("int-counters"),
         Instrumentation::function_counters,
         None,
-        |_, instance| {
+        |_, instance, _| {
             let monitor = &instance.instrumentation;
             let mut digest = wasm::hash::Fnv64::new();
             for &count in monitor.counters() {

@@ -150,7 +150,8 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering().with_telemetry())
+        let engine = Engine::new(config.with_metering())
+            .with_telemetry(Telemetry::enabled())
             .with_epoch(Arc::new(AtomicU64::new(0)));
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
@@ -258,7 +259,8 @@ fn profiler_attributes_deep_recursion_without_back_edges() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering().with_telemetry())
+        let engine = Engine::new(config.with_metering())
+            .with_telemetry(Telemetry::enabled())
             .with_epoch(Arc::new(AtomicU64::new(0)));
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
@@ -369,31 +371,56 @@ fn serving_batch_traces_the_request_lifecycle() {
     assert!(trace.contains("pool checkout"));
 }
 
+/// Events and samples charge zero simulated cycles: a traced engine whose
+/// profiler is really being fed (a ticker moves the epoch, so the sample
+/// sites fire) spends exactly the cycles of an untraced one, call by call,
+/// in every tier.
 #[test]
 fn disabled_telemetry_leaves_execution_cycles_untouched() {
+    const MIN_SAMPLES: u64 = 8;
     let module = fib_module();
-    for (name, config) in [
-        ("int", EngineConfig::interpreter("int")),
-        ("spc", EngineConfig::baseline("spc", CompilerOptions::allopt())),
+    for config in [
+        EngineConfig::interpreter("int"),
+        EngineConfig::baseline("spc", CompilerOptions::allopt()),
+        EngineConfig::optimizing("opt"),
     ] {
+        let name = config.name.clone();
         // Metering exercises the same check sites the sampler piggybacks on.
-        let run = |config: EngineConfig| {
-            let engine = Engine::new(config).with_epoch(Arc::new(AtomicU64::new(0)));
-            let mut instance = engine
+        let start = |telemetry: Telemetry| {
+            let engine = Engine::new(config.clone().with_metering())
+                .with_telemetry(telemetry)
+                .with_epoch(Arc::new(AtomicU64::new(0)));
+            let instance = engine
                 .instantiate(&module, Imports::new(), Instrumentation::none())
                 .expect("instantiates");
+            (engine, instance)
+        };
+        let call = |engine: &Engine, instance: &mut engine::Instance| {
+            let before = instance.metrics.exec_cycles;
             instance.set_fuel(u64::MAX / 2);
             let result = engine
-                .call_export(&mut instance, "fib", &[WasmValue::I32(15)])
+                .call_export(instance, "fib", &[WasmValue::I32(15)])
                 .expect("runs");
-            (result, instance.metrics.exec_cycles)
+            (result, instance.metrics.exec_cycles - before)
         };
-        let (plain_result, plain_cycles) = run(config.clone().with_metering());
-        let (traced_result, traced_cycles) = run(config.with_metering().with_telemetry());
-        assert_eq!(plain_result, traced_result, "{name}: same answer");
-        assert_eq!(
-            plain_cycles, traced_cycles,
-            "{name}: telemetry charges zero simulated cycles"
-        );
+
+        let (plain_engine, mut plain_instance) = start(Telemetry::disabled());
+        let plain = call(&plain_engine, &mut plain_instance);
+
+        let (engine, mut instance) = start(Telemetry::enabled());
+        let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
+        let profiler = engine.telemetry().profiler().expect("telemetry is enabled");
+        let mut calls = 0usize;
+        while profiler.total_samples() < MIN_SAMPLES && calls < 400 {
+            assert_eq!(
+                call(&engine, &mut instance),
+                plain,
+                "{name}: telemetry charges zero simulated cycles (call {calls})"
+            );
+            calls += 1;
+        }
+        drop(ticker);
+        let total = profiler.total_samples();
+        assert!(total >= MIN_SAMPLES, "{name}: only {total} samples after {calls} calls");
     }
 }
