@@ -61,10 +61,10 @@ fn main() {
     println!("an internal representation first); engines without debug metadata or stackmap");
     println!("bookkeeping compile faster than those with it.");
 
-    // Per-backend code size: the same single-pass translation emitted
-    // through each macro-assembler backend, in machine-code bytes per Wasm
+    // Per-backend code size: the same single-pass translation as each
+    // macro-assembler backend encodes it, in machine-code bytes per Wasm
     // byte. The virtual ISA reports its per-instruction size estimate; the
-    // x86-64 backend reports real encoded bytes.
+    // x86-64 backend reports the real bytes of that same code.
     println!();
     println!("Code size per backend (machine bytes / Wasm byte, mean [min, max]):");
     let mut backend_names = Vec::new();

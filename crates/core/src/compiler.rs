@@ -34,7 +34,7 @@ use crate::instrument::{ProbeKind, ProbeSites};
 use crate::options::{CompilerOptions, ProbeMode, TagStrategy};
 use crate::stackmap::{Stackmap, StackmapTable};
 use machine::asm::{Assembler, CodeBuffer};
-use machine::inst::{CmpOp, Label, TrapCode, Width};
+use machine::inst::{CmpOp, Label, MachInst, TrapCode, Width};
 use machine::lower::{classify, OpClass};
 use machine::masm::Masm;
 use machine::reg::AnyReg;
@@ -397,13 +397,13 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.asm.mark_source(offset as u32);
                 }
                 if self.metering && (charge.is_some() || epoch_site) {
-                    self.asm.fuel_check(charge.unwrap_or(0));
+                    self.asm.emit(MachInst::FuelCheck { amount: charge.unwrap_or(0) });
                 } else if self.osr && epoch_site {
                     // Metering off: the loop head still needs a poll site for
                     // the back-edge hotness counter. An `epoch_check` against
                     // a meter without a deadline is a no-op apart from the
                     // OSR poll.
-                    self.asm.epoch_check();
+                    self.asm.emit(MachInst::EpochCheck);
                 }
                 if let Some(site) = self.probes.get(offset as u32) {
                     self.emit_probe(*site, offset as u32);
@@ -425,7 +425,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
 
     fn emit_tag(&mut self, slot: usize) {
         let tag = self.tag_of(self.state.slot(slot).ty);
-        self.asm.store_tag(slot as u32, tag);
+        self.asm.emit(MachInst::StoreTag { slot: slot as u32, tag });
         self.state.set_tag_in_memory(slot, true);
         self.stats.tag_stores += 1;
     }
@@ -452,10 +452,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         }
         match s.loc {
             Loc::Const(c) => {
-                self.asm.store_slot_imm(slot as u32, c as i64);
+                self.asm.emit(MachInst::StoreSlotImm { slot: slot as u32, imm: c as i64 });
             }
             Loc::Reg(r) => {
-                self.asm.store_slot(slot as u32, r);
+                self.asm.emit(MachInst::StoreSlot { slot: slot as u32, src: r });
             }
             Loc::Memory => {}
         }
@@ -524,7 +524,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         let slots = self.state.slots_in_reg(reg).to_vec();
         for slot in slots {
             if !self.state.slot(slot as usize).in_memory {
-                self.asm.store_slot(slot, reg);
+                self.asm.emit(MachInst::StoreSlot { slot, src: reg });
                 self.state.mark_in_memory(slot as usize);
                 self.stats.spills += 1;
             }
@@ -556,10 +556,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let r = self.alloc_reg(float, pinned);
                 match r {
                     AnyReg::Gpr(g) => {
-                        self.asm.mov_imm(g, c as i64);
+                        self.asm.emit(MachInst::MovImm { dst: g, imm: c as i64 });
                     }
                     AnyReg::Fpr(f) => {
-                        self.asm.fmov_imm(f, c);
+                        self.asm.emit(MachInst::FMovImm { dst: f, bits: c });
                     }
                 }
                 self.state
@@ -569,7 +569,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             Loc::Memory => {
                 let float = s.ty.is_float();
                 let r = self.alloc_reg(float, pinned);
-                self.asm.load_slot(r, slot as u32);
+                self.asm.emit(MachInst::LoadSlot { dst: r, slot: slot as u32 });
                 self.state.set_slot(slot, Loc::Reg(r), true, s.tag_in_memory);
                 r
             }
@@ -650,10 +650,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             let s = *self.state.slot(local);
             match s.loc {
                 Loc::Const(c) => {
-                    self.asm.store_slot_imm(local as u32, c as i64);
+                    self.asm.emit(MachInst::StoreSlotImm { slot: local as u32, imm: c as i64 });
                 }
                 Loc::Reg(r) => {
-                    self.asm.store_slot(local as u32, r);
+                    self.asm.emit(MachInst::StoreSlot { slot: local as u32, src: r });
                 }
                 Loc::Memory => {}
             }
@@ -665,15 +665,16 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             let s = *self.state.slot(src);
             match s.loc {
                 Loc::Const(c) => {
-                    self.asm.store_slot_imm(dst, c as i64);
+                    self.asm.emit(MachInst::StoreSlotImm { slot: dst, imm: c as i64 });
                 }
                 Loc::Reg(r) => {
-                    self.asm.store_slot(dst, r);
+                    self.asm.emit(MachInst::StoreSlot { slot: dst, src: r });
                 }
                 Loc::Memory => {
                     if src as u32 != dst {
-                        self.asm.load_slot(AnyReg::Gpr(SCRATCH_GPR), src as u32);
-                        self.asm.store_slot(dst, AnyReg::Gpr(SCRATCH_GPR));
+                        let scratch = AnyReg::Gpr(SCRATCH_GPR);
+                        self.asm.emit(MachInst::LoadSlot { dst: scratch, slot: src as u32 });
+                        self.asm.emit(MachInst::StoreSlot { slot: dst, src: scratch });
                     }
                 }
             }
@@ -697,23 +698,24 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             let s = *self.state.slot(src);
             match s.loc {
                 Loc::Const(c) => {
-                    self.asm.store_slot_imm(dst, c as i64);
+                    self.asm.emit(MachInst::StoreSlotImm { slot: dst, imm: c as i64 });
                 }
                 Loc::Reg(r) => {
-                    self.asm.store_slot(dst, r);
+                    self.asm.emit(MachInst::StoreSlot { slot: dst, src: r });
                 }
                 Loc::Memory => {
-                    self.asm.load_slot(AnyReg::Gpr(SCRATCH_GPR), src as u32);
-                    self.asm.store_slot(dst, AnyReg::Gpr(SCRATCH_GPR));
+                    let scratch = AnyReg::Gpr(SCRATCH_GPR);
+                    self.asm.emit(MachInst::LoadSlot { dst: scratch, slot: src as u32 });
+                    self.asm.emit(MachInst::StoreSlot { slot: dst, src: scratch });
                 }
             }
             if self.options.tagging.uses_tags() {
                 let tag = self.tag_of(self.results[i]);
-                self.asm.store_tag(dst, tag);
+                self.asm.emit(MachInst::StoreTag { slot: dst, tag });
                 self.stats.tag_stores += 1;
             }
         }
-        self.asm.ret();
+        self.asm.emit(MachInst::Return);
     }
 
     fn emit_probe(&mut self, site: crate::instrument::ProbeSite, offset: u32) {
@@ -723,7 +725,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         };
         let site_index = match (self.options.probe_mode, site.kind) {
             (ProbeMode::Optimized, ProbeKind::Counter { counter_id }) => {
-                self.asm.probe_counter(counter_id)
+                self.asm.emit(MachInst::ProbeCounter { counter_id })
             }
             (ProbeMode::Optimized, ProbeKind::TopOfStack) => {
                 let src = if self.state.height() > 0 {
@@ -732,15 +734,15 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 } else {
                     AnyReg::Gpr(SCRATCH_GPR)
                 };
-                self.asm.probe_tos(site.probe_id, src)
+                self.asm.emit(MachInst::ProbeTosValue { probe_id: site.probe_id, src })
             }
             (ProbeMode::Optimized, ProbeKind::Generic) => {
                 self.flush_for_observation();
-                self.asm.probe_direct(site.probe_id)
+                self.asm.emit(MachInst::ProbeDirect { probe_id: site.probe_id })
             }
             (ProbeMode::Runtime, _) => {
                 self.flush_for_observation();
-                self.asm.probe_runtime(site.probe_id)
+                self.asm.emit(MachInst::ProbeRuntime { probe_id: site.probe_id })
             }
         };
         self.probe_sites.insert(site_index, meta);
@@ -767,7 +769,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         match op {
             Opcode::Nop => {}
             Opcode::Unreachable => {
-                self.asm.trap(TrapCode::Unreachable);
+                self.asm.emit(MachInst::Trap { code: TrapCode::Unreachable });
                 self.mark_unreachable();
             }
             Opcode::Block | Opcode::Loop | Opcode::If => {
@@ -797,11 +799,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     Opcode::If => {
                         let else_label = self.asm.new_label();
                         if let Some(rc) = cond_reg {
-                            self.asm.br_if(
-                                rc.as_gpr().expect("condition is an integer"),
-                                else_label,
-                                true,
-                            );
+                            self.asm.emit(MachInst::BrIf {
+                                cond: rc.as_gpr().expect("condition is an integer"),
+                                target: else_label,
+                                negate: true,
+                            });
                         }
                         (None, Some(else_label))
                     }
@@ -832,7 +834,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let frame = self.ctrl.last_mut().expect("else inside an if");
                 if was_reachable {
                     let end = frame.end_label;
-                    self.asm.jump(end);
+                    self.asm.emit(MachInst::Jump { target: end });
                 }
                 let frame = self.ctrl.last_mut().expect("else inside an if");
                 if let Some(else_label) = frame.else_label.take() {
@@ -891,7 +893,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     .branch_target(depth)
                     .ok_or_else(|| self.error(offset, "bad branch depth"))?;
                 self.emit_branch_adaptation(base, arity);
-                self.asm.jump(label);
+                self.asm.emit(MachInst::Jump { target: label });
                 self.mark_unreachable();
             }
             Opcode::BrIf => {
@@ -909,7 +911,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                                 .branch_target(depth)
                                 .ok_or_else(|| self.error(offset, "bad branch depth"))?;
                             self.emit_branch_adaptation(base, arity);
-                            self.asm.jump(label);
+                            self.asm.emit(MachInst::Jump { target: label });
                             self.mark_unreachable();
                         }
                         return Ok(());
@@ -923,12 +925,12 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let rc = rc.as_gpr().expect("condition is an integer");
                 if self.needs_branch_adaptation(base, arity) {
                     let skip = self.asm.new_label();
-                    self.asm.br_if(rc, skip, true);
+                    self.asm.emit(MachInst::BrIf { cond: rc, target: skip, negate: true });
                     self.emit_branch_adaptation(base, arity);
-                    self.asm.jump(label);
+                    self.asm.emit(MachInst::Jump { target: label });
                     self.asm.bind(skip);
                 } else {
-                    self.asm.br_if(rc, label, false);
+                    self.asm.emit(MachInst::BrIf { cond: rc, target: label, negate: false });
                 }
             }
             Opcode::BrTable => {
@@ -955,13 +957,13 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let default_stub = resolved.last().expect("at least the default").0;
                 self.asm.br_table(
                     ri.as_gpr().expect("index is an integer"),
-                    stubs,
+                    &stubs,
                     default_stub,
                 );
                 for (stub, (label, base, arity)) in resolved {
                     self.asm.bind(stub);
                     self.emit_branch_adaptation(base, arity);
-                    self.asm.jump(label);
+                    self.asm.emit(MachInst::Jump { target: label });
                 }
                 self.mark_unreachable();
             }
@@ -988,7 +990,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let refs = self.flush_for_observation();
                 let callee_slot_base =
                     (self.num_locals + self.state.height() - sig.params.len()) as u32;
-                let site_index = self.asm.call(callee);
+                let site_index = self.asm.emit(MachInst::Call { func_index: callee });
                 self.call_sites
                     .insert(site_index, CallSiteInfo { callee_slot_base });
                 if let Some(ref_slots) = refs {
@@ -1027,11 +1029,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let refs = self.flush_for_observation();
                 let callee_slot_base =
                     (self.num_locals + self.state.height() - sig.params.len()) as u32;
-                let site_index = self.asm.call_indirect(
+                let site_index = self.asm.emit(MachInst::CallIndirect {
                     type_index,
                     table_index,
-                    ri.as_gpr().expect("table index is an integer"),
-                );
+                    index: ri.as_gpr().expect("table index is an integer"),
+                });
                 self.call_sites
                     .insert(site_index, CallSiteInfo { callee_slot_base });
                 if let Some(ref_slots) = refs {
@@ -1081,7 +1083,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     .ok_or_else(|| self.error(offset, format!("unknown global {index}")))?
                     .value_type;
                 let dst = self.alloc_reg(ty.is_float(), &[]);
-                self.asm.global_get(dst, index);
+                self.asm.emit(MachInst::GlobalGet { dst, index });
                 self.push_result(ty, Loc::Reg(dst));
             }
             Opcode::GlobalSet => {
@@ -1091,7 +1093,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let top = self.state.operand_index(0);
                 let src = self.ensure_in_reg(top, &[]);
                 self.state.pop();
-                self.asm.global_set(index, src);
+                self.asm.emit(MachInst::GlobalSet { index, src });
             }
             Opcode::I32Const => {
                 let v = reader
@@ -1134,13 +1136,13 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let r = self.ensure_in_reg(top, &[]);
                 self.state.pop();
                 let dst = self.alloc_reg(false, &[r]);
-                self.asm.cmp_imm(
-                    CmpOp::Eq,
-                    Width::W64,
-                    dst.as_gpr().expect("gpr"),
-                    r.as_gpr().expect("references live in GPRs"),
-                    -1,
-                );
+                self.asm.emit(MachInst::CmpImm {
+                    op: CmpOp::Eq,
+                    width: Width::W64,
+                    dst: dst.as_gpr().expect("gpr"),
+                    a: r.as_gpr().expect("references live in GPRs"),
+                    imm: -1,
+                });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
             Opcode::MemorySize => {
@@ -1148,7 +1150,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     .read_memory_index()
                     .map_err(|e| self.error(offset, e.to_string()))?;
                 let dst = self.alloc_reg(false, &[]);
-                self.asm.memory_size(dst.as_gpr().expect("gpr"));
+                self.asm.emit(MachInst::MemorySize { dst: dst.as_gpr().expect("gpr") });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
             Opcode::MemoryGrow => {
@@ -1159,10 +1161,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let delta = self.ensure_in_reg(top, &[]);
                 self.state.pop();
                 let dst = self.alloc_reg(false, &[delta]);
-                self.asm.memory_grow(
-                    dst.as_gpr().expect("gpr"),
-                    delta.as_gpr().expect("gpr"),
-                );
+                self.asm.emit(MachInst::MemoryGrow {
+                    dst: dst.as_gpr().expect("gpr"),
+                    delta: delta.as_gpr().expect("gpr"),
+                });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
             _ if op.is_memory_access() => {
@@ -1187,10 +1189,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             let dst = self.alloc_reg(ty.is_float(), &[]);
             match dst {
                 AnyReg::Gpr(g) => {
-                    self.asm.mov_imm(g, bits as i64);
+                    self.asm.emit(MachInst::MovImm { dst: g, imm: bits as i64 });
                 }
                 AnyReg::Fpr(f) => {
-                    self.asm.fmov_imm(f, bits);
+                    self.asm.emit(MachInst::FMovImm { dst: f, bits });
                 }
             }
             self.push_result(ty, Loc::Reg(dst));
@@ -1213,7 +1215,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
             }
             Loc::Const(_) | Loc::Memory => {
                 let dst = self.alloc_reg(s.ty.is_float(), &[]);
-                self.asm.load_slot(dst, index as u32);
+                self.asm.emit(MachInst::LoadSlot { dst, slot: index as u32 });
                 if self.options.multi_register {
                     // The register now caches the local as well.
                     self.state.share(dst, index);
@@ -1224,11 +1226,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
     }
 
     fn emit_move_between(&mut self, dst: AnyReg, src: AnyReg) {
-        match (dst, src) {
-            (AnyReg::Gpr(d), AnyReg::Gpr(s)) => self.asm.mov(d, s),
-            (AnyReg::Fpr(d), AnyReg::Fpr(s)) => self.asm.fmov(d, s),
+        self.asm.emit(match (dst, src) {
+            (AnyReg::Gpr(dst), AnyReg::Gpr(src)) => MachInst::Mov { dst, src },
+            (AnyReg::Fpr(dst), AnyReg::Fpr(src)) => MachInst::FMov { dst, src },
             _ => unreachable!("register banks match the type"),
-        }
+        });
     }
 
     fn compile_local_set(&mut self, index: usize, is_tee: bool) {
@@ -1270,16 +1272,16 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         self.state.pop();
         self.state.pop();
         let dst = self.alloc_reg(ty.is_float(), &[ra, rb, rc]);
-        let cond_gpr = rc.as_gpr().expect("condition is an integer");
-        match (dst, ra, rb) {
-            (AnyReg::Gpr(d), AnyReg::Gpr(a), AnyReg::Gpr(b)) => {
-                self.asm.select(d, cond_gpr, a, b);
+        let cond = rc.as_gpr().expect("condition is an integer");
+        self.asm.emit(match (dst, ra, rb) {
+            (AnyReg::Gpr(dst), AnyReg::Gpr(if_true), AnyReg::Gpr(if_false)) => {
+                MachInst::Select { dst, cond, if_true, if_false }
             }
-            (AnyReg::Fpr(d), AnyReg::Fpr(a), AnyReg::Fpr(b)) => {
-                self.asm.fselect(d, cond_gpr, a, b);
+            (AnyReg::Fpr(dst), AnyReg::Fpr(if_true), AnyReg::Fpr(if_false)) => {
+                MachInst::FSelect { dst, cond, if_true, if_false }
             }
             _ => unreachable!("select operands share one register bank"),
-        }
+        });
         self.push_result(ty, Loc::Reg(dst));
     }
 
@@ -1304,14 +1306,14 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 } else {
                     Width::W64
                 };
-                self.asm.mem_load(
+                self.asm.emit(MachInst::MemLoad {
                     dst,
-                    ra.as_gpr().expect("address is an integer"),
-                    mem_offset,
+                    addr: ra.as_gpr().expect("address is an integer"),
+                    offset: mem_offset,
                     width,
                     signed,
                     dst_width,
-                );
+                });
                 self.push_result(result, Loc::Reg(dst));
             }
             OpSignature::Store(_) => {
@@ -1321,12 +1323,12 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 let ra = self.ensure_in_reg(addr, &[rv]);
                 self.state.pop();
                 self.state.pop();
-                self.asm.mem_store(
-                    rv,
-                    ra.as_gpr().expect("address is an integer"),
-                    mem_offset,
+                self.asm.emit(MachInst::MemStore {
+                    src: rv,
+                    addr: ra.as_gpr().expect("address is an integer"),
+                    offset: mem_offset,
                     width,
-                );
+                });
             }
             _ => unreachable!("memory access opcodes have load/store signatures"),
         }
@@ -1380,15 +1382,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                         let dst = self.alloc_reg(false, &[ra]);
                         let a = ra.as_gpr().expect("integer operand");
                         let d = dst.as_gpr().expect("integer result");
-                        match class {
-                            OpClass::Alu(alu_op, w) => {
-                                self.asm.alu_imm(alu_op, w, d, a, imm);
-                            }
-                            OpClass::Cmp(cmp_op, w) => {
-                                self.asm.cmp_imm(cmp_op, w, d, a, imm);
-                            }
+                        self.asm.emit(match class {
+                            OpClass::Alu(op, width) => MachInst::AluImm { op, width, dst: d, a, imm },
+                            OpClass::Cmp(op, width) => MachInst::CmpImm { op, width, dst: d, a, imm },
                             _ => unreachable!("matched above"),
-                        }
+                        });
                         self.stats.immediate_selections += 1;
                         self.push_result(result_ty, Loc::Reg(dst));
                         return;
@@ -1412,59 +1410,59 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         let dst = self.alloc_reg(result_ty.is_float(), &operand_regs[..arity]);
         match class {
             OpClass::Alu(op, width) => {
-                self.asm.alu(
+                self.asm.emit(MachInst::Alu {
                     op,
                     width,
-                    dst.as_gpr().expect("gpr"),
-                    operand_regs[0].as_gpr().expect("gpr"),
-                    operand_regs[1].as_gpr().expect("gpr"),
-                );
+                    dst: dst.as_gpr().expect("gpr"),
+                    a: operand_regs[0].as_gpr().expect("gpr"),
+                    b: operand_regs[1].as_gpr().expect("gpr"),
+                });
             }
             OpClass::Cmp(op, width) => {
-                self.asm.cmp(
+                self.asm.emit(MachInst::Cmp {
                     op,
                     width,
-                    dst.as_gpr().expect("gpr"),
-                    operand_regs[0].as_gpr().expect("gpr"),
-                    operand_regs[1].as_gpr().expect("gpr"),
-                );
+                    dst: dst.as_gpr().expect("gpr"),
+                    a: operand_regs[0].as_gpr().expect("gpr"),
+                    b: operand_regs[1].as_gpr().expect("gpr"),
+                });
             }
             OpClass::Unop(op, width) => {
-                self.asm.unop(
+                self.asm.emit(MachInst::Unop {
                     op,
                     width,
-                    dst.as_gpr().expect("gpr"),
-                    operand_regs[0].as_gpr().expect("gpr"),
-                );
+                    dst: dst.as_gpr().expect("gpr"),
+                    src: operand_regs[0].as_gpr().expect("gpr"),
+                });
             }
             OpClass::FAlu(op, width) => {
-                self.asm.falu(
+                self.asm.emit(MachInst::FAlu {
                     op,
                     width,
-                    dst.as_fpr().expect("fpr"),
-                    operand_regs[0].as_fpr().expect("fpr"),
-                    operand_regs[1].as_fpr().expect("fpr"),
-                );
+                    dst: dst.as_fpr().expect("fpr"),
+                    a: operand_regs[0].as_fpr().expect("fpr"),
+                    b: operand_regs[1].as_fpr().expect("fpr"),
+                });
             }
             OpClass::FUnop(op, width) => {
-                self.asm.funop(
+                self.asm.emit(MachInst::FUnop {
                     op,
                     width,
-                    dst.as_fpr().expect("fpr"),
-                    operand_regs[0].as_fpr().expect("fpr"),
-                );
+                    dst: dst.as_fpr().expect("fpr"),
+                    src: operand_regs[0].as_fpr().expect("fpr"),
+                });
             }
             OpClass::FCmp(op, width) => {
-                self.asm.fcmp(
+                self.asm.emit(MachInst::FCmp {
                     op,
                     width,
-                    dst.as_gpr().expect("gpr"),
-                    operand_regs[0].as_fpr().expect("fpr"),
-                    operand_regs[1].as_fpr().expect("fpr"),
-                );
+                    dst: dst.as_gpr().expect("gpr"),
+                    a: operand_regs[0].as_fpr().expect("fpr"),
+                    b: operand_regs[1].as_fpr().expect("fpr"),
+                });
             }
             OpClass::Convert(op) => {
-                self.asm.convert(op, dst, operand_regs[0]);
+                self.asm.emit(MachInst::Convert { op, dst, src: operand_regs[0] });
             }
         }
         self.push_result(result_ty, Loc::Reg(dst));

@@ -15,7 +15,8 @@
 //! * a fingerprint of the compiler-relevant configuration
 //!   ([`EngineConfig::compile_fingerprint`] — tier policy and every
 //!   [`CompilerOptions`](spc::CompilerOptions) axis, but *not* labels like
-//!   the configuration name or execution-only knobs like the cost model);
+//!   the configuration name or execution-only knobs like the tier-up
+//!   threshold);
 //! * the code [`CodeBackend`];
 //! * a fingerprint of the attached instrumentation
 //!   ([`Instrumentation::fingerprint`]), because probes are baked into

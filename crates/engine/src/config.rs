@@ -5,7 +5,6 @@
 //! execution characteristics. The Fig. 10 experiment instantiates many of
 //! these side by side.
 
-use machine::cost::CostModel;
 use machine::masm::CodeBackend;
 use spc::{CompilerOptions, ProbeMode, TagStrategy};
 use wasm::hash::Fnv64;
@@ -91,20 +90,19 @@ pub struct EngineConfig {
     pub name: String,
     /// The tier policy.
     pub tier: TierPolicy,
-    /// The cycle cost model shared by all tiers.
-    pub cost: CostModel,
     /// Compile functions lazily at first call instead of eagerly at
     /// instantiation (a confounding factor the paper calls out in Fig. 10).
     pub lazy_compile: bool,
     /// When JIT code fires a probe, transfer the frame back to the
     /// interpreter (tier-down / deopt) instead of continuing in JIT code.
     pub deopt_on_probe: bool,
-    /// Which macro-assembler backend the compiling tiers emit through.
+    /// Which macro-assembler backend a compiled function's bytes come from.
     ///
     /// Execution always runs virtual-ISA code (the simulator cannot execute
     /// real machine bytes in this offline environment); selecting
-    /// [`CodeBackend::X64`] additionally emits each compiled function
-    /// through the x86-64 backend so [`crate::RunMetrics`] reports *real*
+    /// [`CodeBackend::X64`] additionally encodes each compiled function's
+    /// virtual code through the x86-64 backend (`machine::masm::reemit` —
+    /// the compiler still runs once) so [`crate::RunMetrics`] reports *real*
     /// encoded machine-code bytes instead of the virtual ISA's estimate.
     pub backend: CodeBackend,
     /// How many worker threads eager (instantiate-time) compilation shards
@@ -159,7 +157,6 @@ impl EngineConfig {
         EngineConfig {
             name: name.to_string(),
             tier,
-            cost: CostModel::default(),
             lazy_compile: false,
             deopt_on_probe: false,
             backend: CodeBackend::VirtualIsa,
@@ -284,8 +281,8 @@ impl EngineConfig {
     /// A stable fingerprint of the *compiler-options* axes that affect the
     /// code the compiling tiers emit: the tier policy, the metering flag and
     /// each [`CompilerOptions`] feature axis. Labels (the configuration and
-    /// options names) and execution-only knobs (cost model, call-depth
-    /// limit, laziness, tier-up threshold, GC threshold, worker count) are
+    /// options names) and execution-only knobs (call-depth limit, laziness,
+    /// tier-up threshold, GC threshold, worker count) are
     /// deliberately excluded — configurations differing only in those
     /// produce byte-identical code and may share a cache entry. The
     /// [`EngineConfig::backend`] is *not* folded in either: it is its own

@@ -24,7 +24,7 @@ use crate::pipeline::{self, BackgroundCompiler, CompileTier, CompiledArtifact, C
 use crate::trap::{Backtrace, Frame, FrameTierTag, TrapInfo, TrapReason};
 use interp::interp::{InterpExit, Interpreter};
 use interp::probe::{FrameAccessor, ProbeSink};
-use machine::cost::CycleCounter;
+use machine::cost::{CostModel, CycleCounter};
 use machine::cpu::{Cpu, CpuExit, CpuState, EpochSampler, ExecContext, Meter, OsrHook, ProbeExit};
 use machine::inst::TrapCode;
 use machine::memory::{LinearMemory, Table};
@@ -454,8 +454,11 @@ pub struct Engine {
     /// branch per site); clones share the sink, so a whole serving stack
     /// reports into one coherent trace.
     telemetry: Telemetry,
-    /// The two executors, built once from `config.cost` and borrowed by every
-    /// call (the CPU derives its cost tables when it is built).
+    /// The cycle cost model every configuration runs under, and the two
+    /// executors built once from it and borrowed by every call (the CPU
+    /// derives its cost tables when it is built). The engine itself charges
+    /// the call-boundary costs.
+    cost: CostModel,
     interp: Interpreter,
     cpu: Cpu,
 }
@@ -464,9 +467,11 @@ impl Engine {
     /// Creates an engine with the given configuration and telemetry off;
     /// [`Engine::with_telemetry`] attaches a sink.
     pub fn new(config: EngineConfig) -> Engine {
+        let cost = CostModel::default();
         Engine {
-            interp: Interpreter::new(config.cost.clone()),
-            cpu: Cpu::new(config.cost.clone()),
+            interp: Interpreter::new(cost.clone()),
+            cpu: Cpu::new(cost.clone()),
+            cost,
             compile_fingerprint: config.compile_fingerprint(),
             opt_fingerprint: config.opt_fingerprint(),
             config,
@@ -1236,7 +1241,7 @@ impl Engine {
                             return Ok(());
                         }
                         Some(parent) => {
-                            cycles.charge(self.config.cost.ret);
+                            cycles.charge(self.cost.ret);
                             match parent.tier {
                                 FrameTier::Interp { .. } => {
                                     instance.values.set_sp(result_end);
@@ -1250,86 +1255,24 @@ impl Engine {
                         }
                     }
                 }
-                UnifiedExit::Call {
-                    callee,
-                    resume,
-                    jit_caller,
-                    site_offset,
-                } => {
-                    // Record where to resume the caller, and where it stands
-                    // in a backtrace while the callee runs.
+                UnifiedExit::Call { callee, resume, site_offset } => {
+                    // Where the caller stands in a backtrace while the callee
+                    // runs.
                     act.site_offset = site_offset;
-                    let caller_tier = act.tier.jit_tier();
-                    let (caller_base, caller_defined, nargs_from_sig) = {
-                        let sig = artifact
-                            .module()
-                            .func_type(callee)
-                            .ok_or(TrapCode::HostError)?;
-                        (act.frame_base, act.defined_index, sig.params.len())
-                    };
-                    match &mut act.tier {
-                        FrameTier::Interp { ip } => *ip = resume,
-                        FrameTier::Jit { pc, .. } => *pc = resume,
-                    }
-                    let callee_base = if jit_caller {
-                        let tier = caller_tier.expect("JIT caller has a tier");
-                        let site = artifact
-                            .code_for(caller_defined, tier)
-                            .and_then(|c| c.call_sites.get(&(resume - 1)))
-                            .copied()
-                            .ok_or(TrapCode::HostError)?;
-                        caller_base + site.callee_slot_base as usize
-                    } else {
-                        instance.values.sp() - nargs_from_sig
-                    };
-                    cycles.charge(self.config.cost.call);
-                    self.maybe_collect(instance, stack);
-
-                    if artifact.module().is_imported_func(callee) {
-                        self.call_host(instance, callee, callee_base, cycles)?;
-                        // Restore the caller's stack pointer.
-                        let parent = stack.last().expect("caller");
-                        let nresults = artifact
-                            .module()
-                            .func_type(callee)
-                            .map(|t| t.results.len())
-                            .unwrap_or(0);
-                        match parent.tier {
-                            FrameTier::Interp { .. } => {
-                                instance.values.set_sp(callee_base + nresults);
-                            }
-                            FrameTier::Jit { .. } => {
-                                instance
-                                    .values
-                                    .set_sp(parent.frame_base + parent.frame_slots as usize);
-                            }
-                        }
-                    } else {
-                        let depth = stack.len();
-                        let child =
-                            self.push_frame(instance, callee, callee_base, None, depth)?;
-                        stack.push(child);
-                    }
+                    let cost = self.cost.call;
+                    self.dispatch_call(instance, &artifact, stack, callee, resume, cost, cycles)?;
                 }
                 UnifiedExit::CallIndirect {
                     type_index,
                     table_index,
                     entry_index,
                     resume,
-                    jit_caller,
                     site_offset,
                 } => {
                     // Set the backtrace position before the dispatch checks:
                     // table-bounds, null-entry, and signature traps below all
                     // belong to this `call_indirect` instruction.
                     act.site_offset = site_offset;
-                    match &mut act.tier {
-                        FrameTier::Interp { ip } => *ip = resume,
-                        FrameTier::Jit { pc, .. } => *pc = resume,
-                    }
-                    let caller_base = act.frame_base;
-                    let caller_defined = act.defined_index;
-                    let caller_tier = act.tier.jit_tier();
                     let table = instance
                         .tables
                         .get(table_index as usize)
@@ -1337,52 +1280,16 @@ impl Engine {
                     let callee = table
                         .get(entry_index)?
                         .ok_or(TrapCode::NullTableEntry)?;
-                    let expected = artifact
-                        .module()
+                    let module = artifact.module();
+                    let expected = module
                         .types
                         .get(type_index as usize)
                         .ok_or(TrapCode::IndirectCallTypeMismatch)?;
-                    let actual = artifact
-                        .module()
-                        .func_type(callee)
-                        .ok_or(TrapCode::IndirectCallTypeMismatch)?;
-                    if expected != actual {
+                    if module.func_type(callee) != Some(expected) {
                         return Err(TrapCode::IndirectCallTypeMismatch);
                     }
-                    let nargs = actual.params.len();
-                    let nresults = actual.results.len();
-                    let callee_base = if jit_caller {
-                        let tier = caller_tier.expect("JIT caller has a tier");
-                        let site = artifact
-                            .code_for(caller_defined, tier)
-                            .and_then(|c| c.call_sites.get(&(resume - 1)))
-                            .copied()
-                            .ok_or(TrapCode::HostError)?;
-                        caller_base + site.callee_slot_base as usize
-                    } else {
-                        instance.values.sp() - nargs
-                    };
-                    cycles.charge(self.config.cost.call_indirect);
-                    self.maybe_collect(instance, stack);
-                    if artifact.module().is_imported_func(callee) {
-                        self.call_host(instance, callee, callee_base, cycles)?;
-                        let parent = stack.last().expect("caller");
-                        match parent.tier {
-                            FrameTier::Interp { .. } => {
-                                instance.values.set_sp(callee_base + nresults);
-                            }
-                            FrameTier::Jit { .. } => {
-                                instance
-                                    .values
-                                    .set_sp(parent.frame_base + parent.frame_slots as usize);
-                            }
-                        }
-                    } else {
-                        let depth = stack.len();
-                        let child =
-                            self.push_frame(instance, callee, callee_base, None, depth)?;
-                        stack.push(child);
-                    }
+                    let cost = self.cost.call_indirect;
+                    self.dispatch_call(instance, &artifact, stack, callee, resume, cost, cycles)?;
                 }
                 UnifiedExit::Probe { exit, resume } => {
                     self.handle_jit_probe(instance, act, exit, resume)?;
@@ -1395,6 +1302,61 @@ impl Engine {
                     return Err(code);
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Transfers control from the top frame to `callee` — everything a call
+    /// instruction does once its callee is known. The caller is suspended at
+    /// `resume`; the callee's frame starts where the caller's call-site
+    /// metadata says (compiled code) or at the arguments on top of the stack
+    /// (the interpreter); `cost` is charged; then a host function runs in
+    /// place and the caller's stack pointer is restored, and a Wasm function
+    /// gets a new frame.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch_call(
+        &self,
+        instance: &mut Instance,
+        artifact: &CompiledModule,
+        stack: &mut Vec<Activation>,
+        callee: u32,
+        resume: usize,
+        cost: u64,
+        cycles: &mut CycleCounter,
+    ) -> Result<(), TrapCode> {
+        let sig = artifact.module().func_type(callee).ok_or(TrapCode::HostError)?;
+        let caller = stack.last_mut().expect("a frame made the call");
+        match &mut caller.tier {
+            FrameTier::Interp { ip } => *ip = resume,
+            FrameTier::Jit { pc, .. } => *pc = resume,
+        }
+        // Where the callee's frame starts, and where the caller's stack
+        // pointer stands once a host callee has returned in place: compiled
+        // code keeps its whole frame, the interpreter its operands.
+        let (callee_base, sp_after_host) = match caller.tier.jit_tier() {
+            Some(tier) => {
+                let site = artifact
+                    .code_for(caller.defined_index, tier)
+                    .and_then(|c| c.call_sites.get(&(resume - 1)))
+                    .ok_or(TrapCode::HostError)?;
+                (
+                    caller.frame_base + site.callee_slot_base as usize,
+                    caller.frame_base + caller.frame_slots as usize,
+                )
+            }
+            None => {
+                let base = instance.values.sp() - sig.params.len();
+                (base, base + sig.results.len())
+            }
+        };
+        cycles.charge(cost);
+        self.maybe_collect(instance, stack);
+        if artifact.module().is_imported_func(callee) {
+            self.call_host(instance, callee, callee_base, cycles)?;
+            instance.values.set_sp(sp_after_host);
+        } else {
+            let child = self.push_frame(instance, callee, callee_base, None, stack.len())?;
+            stack.push(child);
         }
         Ok(())
     }
@@ -1554,7 +1516,7 @@ impl Engine {
         callee_base: usize,
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
-        cycles.charge(self.config.cost.host_call);
+        cycles.charge(self.cost.host_call);
         let sig = instance
             .module()
             .func_type(callee)
@@ -1690,10 +1652,6 @@ enum UnifiedExit {
     Call {
         callee: u32,
         resume: usize,
-        /// True when the caller is a JIT frame, whose callee frame base is
-        /// found in the compiled call-site metadata; interpreter callers use
-        /// the dynamic stack pointer instead.
-        jit_caller: bool,
         /// Bytecode offset of the `call` instruction itself — the caller's
         /// backtrace position while the callee runs.
         site_offset: u32,
@@ -1703,7 +1661,6 @@ enum UnifiedExit {
         table_index: u32,
         entry_index: u32,
         resume: usize,
-        jit_caller: bool,
         /// Bytecode offset of the `call_indirect` instruction itself.
         site_offset: u32,
     },
@@ -1737,7 +1694,6 @@ impl UnifiedExit {
             } => UnifiedExit::Call {
                 callee: func_index,
                 resume: resume_ip,
-                jit_caller: false,
                 site_offset,
             },
             InterpExit::CallIndirect {
@@ -1751,7 +1707,6 @@ impl UnifiedExit {
                 table_index,
                 entry_index,
                 resume: resume_ip,
-                jit_caller: false,
                 site_offset,
             },
             InterpExit::Osr { offset } => UnifiedExit::Osr {
@@ -1775,7 +1730,6 @@ impl UnifiedExit {
             } => UnifiedExit::Call {
                 callee: func_index,
                 resume: resume_pc,
-                jit_caller: true,
                 site_offset: code.code.source_offset(resume_pc - 1).unwrap_or(0),
             },
             CpuExit::CallIndirect {
@@ -1788,7 +1742,6 @@ impl UnifiedExit {
                 table_index,
                 entry_index,
                 resume: resume_pc,
-                jit_caller: true,
                 site_offset: code.code.source_offset(resume_pc - 1).unwrap_or(0),
             },
             CpuExit::Probe { exit, resume_pc } => UnifiedExit::Probe {

@@ -32,7 +32,7 @@ use crate::config::{EngineConfig, TierPolicy};
 use crate::engine::EngineError;
 use interp::interp::{prepare, PreparedFunction};
 use interp::profile::FuncProfile;
-use machine::masm::CodeBackend;
+use machine::masm::{reemit, CodeBackend};
 use machine::x64_masm::{X64Code, X64Masm};
 use spc::{CompileError, CompiledFunction, ProbeSites, SinglePassCompiler};
 use std::fmt;
@@ -61,9 +61,9 @@ pub struct CompiledArtifact {
     /// compilation ran (instantiate-time worker, background worker, or the
     /// execution thread on a lazy first call).
     pub compile_wall: Duration,
-    /// The real x86-64 encoding of the function, kept when the configuration
-    /// selects [`CodeBackend::X64`] so code-size metrics and determinism
-    /// tests can inspect actual bytes.
+    /// The real x86-64 encoding of `function.code`, kept when the
+    /// configuration selects [`CodeBackend::X64`] so code-size metrics and
+    /// determinism tests can inspect actual bytes.
     pub x64_code: Option<X64Code>,
 }
 
@@ -361,35 +361,20 @@ pub fn compile_function(
         }
     };
     // The compile-time metric covers exactly the work that produced the
-    // executable artifact; the backend size probe below is measured
+    // executable artifact; the backend encoding below is measured
     // separately so an x86-64-backend run stays comparable.
     let compile_wall = start.elapsed();
-    // Backend selection: with the x86-64 backend the same translation is
-    // emitted again as real machine bytes, so the code-size metric reports
+    // Backend selection: with the x86-64 backend the finished virtual code
+    // is encoded as real machine bytes, so the code-size metric reports
     // actual encodings. Execution still runs the virtual-ISA code — the
-    // simulator cannot execute raw bytes. Both tiers emit through the
-    // `Masm` trait, so the optimizing tier's x86-64 size is real too.
-    let (machine_bytes, x64_code) = match (config.backend, tier) {
-        (CodeBackend::X64, CompileTier::Baseline) => {
-            let options = config.baseline_options().cloned().unwrap_or_default();
-            let x64 = SinglePassCompiler::new(options)
-                .with_metering(config.metering)
-                .with_osr(config.osr_threshold.is_some())
-                .compile_with(X64Masm::new(), module, func_index, info, probes)?;
-            (x64.code.code_size() as u64, Some(x64.code))
+    // simulator cannot execute raw bytes. The compiler ran once, whatever
+    // the tier: its code is the recording `reemit` replays into `X64Masm`.
+    let (machine_bytes, x64_code) = match config.backend {
+        CodeBackend::X64 => {
+            let x64 = reemit::<X64Masm>(&function.code);
+            (x64.code_size() as u64, Some(x64))
         }
-        (CodeBackend::X64, CompileTier::Opt) => {
-            let x64 = opt_compiler(config).compile_with(
-                X64Masm::new(),
-                module,
-                func_index,
-                info,
-                probes,
-                profile,
-            )?;
-            (x64.code.code_size() as u64, Some(x64.code))
-        }
-        _ => (function.stats.code_size_bytes as u64, None),
+        CodeBackend::VirtualIsa => (function.stats.code_size_bytes as u64, None),
     };
     Ok(CompiledArtifact {
         function,

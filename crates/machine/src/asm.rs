@@ -12,6 +12,7 @@
 //! the paper.
 
 use crate::inst::{Label, LabelRange, MachInst};
+use crate::masm::{push_source_mark, Masm};
 use crate::reg::Reg;
 use std::fmt;
 
@@ -216,99 +217,47 @@ impl Assembler {
         Assembler::default()
     }
 
-    /// The index the next emitted instruction will have.
-    pub fn here(&self) -> usize {
-        self.insts.len()
+    /// True if the label has been bound.
+    pub fn is_bound(&self, label: Label) -> bool {
+        self.labels[label.0 as usize].is_some()
     }
+}
 
-    /// The number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
+/// The virtual-ISA backend: an operation is appended as it is, and site
+/// indices are instruction indices — the engine uses them to resume execution
+/// after calls and probes.
+impl Masm for Assembler {
+    type Output = CodeBuffer;
 
-    /// True if nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// The estimated encoded size so far, in bytes.
-    pub fn code_size(&self) -> usize {
-        self.code_size
-    }
-
-    /// Emits one instruction and returns its index.
-    ///
-    /// A `BrTable` is normally emitted through [`Assembler::br_table`], which
-    /// owns the label pool; a hand-built one must name a range already in
-    /// the pool (checked in debug builds, so a bad range fails here and not
-    /// as a slice panic in the simulator).
-    pub fn emit(&mut self, inst: MachInst) -> usize {
-        if let MachInst::BrTable { targets, .. } = inst {
-            debug_assert!(
-                range_in_pool(targets, self.label_pool.len()),
-                "{inst} runs past the label pool ({})",
-                self.label_pool.len()
-            );
-        }
-        self.code_size += inst.encoded_size();
-        let index = self.insts.len();
-        self.insts.push(inst);
-        index
-    }
-
-    /// Emits a multi-way branch, appending `targets` to the label pool, and
-    /// returns its index.
-    pub fn br_table(&mut self, index: Reg, targets: &[Label], default: Label) -> usize {
-        let range = LabelRange {
-            start: index_u32(self.label_pool.len()),
-            len: index_u32(targets.len()),
-        };
-        self.label_pool.extend_from_slice(targets);
-        self.emit(MachInst::BrTable { index, targets: range, default })
-    }
-
-    /// Allocates a fresh, unbound label.
-    pub fn new_label(&mut self) -> Label {
+    fn new_label(&mut self) -> Label {
         let label = Label(self.labels.len() as u32);
         self.labels.push(None);
         label
     }
 
-    /// Allocates a label already bound to the current position.
-    pub fn new_bound_label(&mut self) -> Label {
-        let label = self.new_label();
-        self.bind(label);
-        label
-    }
-
-    /// Binds a label to the current position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label is already bound.
-    pub fn bind(&mut self, label: Label) {
+    fn bind(&mut self, label: Label) {
         let slot = &mut self.labels[label.0 as usize];
         assert!(slot.is_none(), "label {label} bound twice");
         *slot = Some(index_u32(self.insts.len()));
     }
 
-    /// True if the label has been bound.
-    pub fn is_bound(&self, label: Label) -> bool {
-        self.labels[label.0 as usize].is_some()
+    fn mark_source(&mut self, offset: u32) {
+        push_source_mark(&mut self.source_map, index_u32(self.insts.len()), offset);
     }
 
-    /// Records that instructions emitted from here on originate from the Wasm
-    /// bytecode offset `offset`.
-    pub fn mark_source(&mut self, offset: u32) {
-        crate::masm::push_source_mark(&mut self.source_map, index_u32(self.insts.len()), offset);
+    fn num_insts(&self) -> usize {
+        self.insts.len()
     }
 
-    /// Finishes assembly, resolving all labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any allocated label was never bound; a compiler bug.
-    pub fn finish(mut self) -> CodeBuffer {
+    fn position(&self) -> usize {
+        self.insts.len()
+    }
+
+    fn code_size(&self) -> usize {
+        self.code_size
+    }
+
+    fn finish(mut self) -> CodeBuffer {
         // The buffer outlives the compile by the artifact's whole life in
         // the code cache; the slack `push` left behind (up to half of each
         // vector) would stay resident with it.
@@ -329,6 +278,33 @@ impl Assembler {
             code_size: self.code_size,
         }
     }
+
+    /// A `BrTable` is normally emitted through [`Masm::br_table`], which
+    /// owns the label pool; a hand-built one must name a range already in
+    /// the pool (checked in debug builds, so a bad range fails here and not
+    /// as a slice panic in the simulator).
+    fn emit(&mut self, inst: MachInst) -> usize {
+        if let MachInst::BrTable { targets, .. } = inst {
+            debug_assert!(
+                range_in_pool(targets, self.label_pool.len()),
+                "{inst} runs past the label pool ({})",
+                self.label_pool.len()
+            );
+        }
+        self.code_size += inst.encoded_size();
+        let index = self.insts.len();
+        self.insts.push(inst);
+        index
+    }
+
+    fn br_table(&mut self, index: Reg, targets: &[Label], default: Label) {
+        let range = LabelRange {
+            start: index_u32(self.label_pool.len()),
+            len: index_u32(targets.len()),
+        };
+        self.label_pool.extend_from_slice(targets);
+        self.emit(MachInst::BrTable { index, targets: range, default });
+    }
 }
 
 #[cfg(test)]
@@ -340,10 +316,10 @@ mod tests {
     #[test]
     fn emit_and_finish() {
         let mut asm = Assembler::new();
-        assert!(asm.is_empty());
+        assert_eq!(asm.num_insts(), 0);
         asm.emit(MachInst::MovImm { dst: Reg(0), imm: 1 });
         asm.emit(MachInst::Return);
-        assert_eq!(asm.len(), 2);
+        assert_eq!(asm.num_insts(), 2);
         assert!(asm.code_size() > 0);
         let code = asm.finish();
         assert_eq!(code.len(), 2);

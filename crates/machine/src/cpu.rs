@@ -683,6 +683,7 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::inst::{AluOp, CmpOp, FAluOp};
+    use crate::masm::Masm;
     use crate::reg::{FReg, Reg};
     use crate::values::{ValueTag, WasmValue};
     use wasm::types::Limits;

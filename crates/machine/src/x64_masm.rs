@@ -1,10 +1,9 @@
-//! The x86-64 [`Masm`] backend: real machine bytes for the single-pass
-//! compiler.
+//! The x86-64 [`Masm`] backend: real machine bytes for both compilers.
 //!
 //! This module promotes the byte-level encoder in [`crate::x64`] from a
-//! demonstration to a first-class backend. It expands every semantic
-//! operation of the [`Masm`] trait into concrete x86-64 instruction
-//! sequences, with its own forward-reference label patching (rel32
+//! demonstration to a first-class backend. [`Masm::emit`] expands every
+//! [`MachInst`] — one exhaustive `match` — into a concrete x86-64
+//! instruction sequence, with its own forward-reference label patching (rel32
 //! displacements recorded as fixups and patched at `finish`, exactly as the
 //! virtual assembler patches instruction indices) and its own byte-offset
 //! source map.
@@ -33,15 +32,14 @@
 //!   compiler flushes all live state to the frame before observable points:
 //!   a single value travels in RAX.
 //!
-//! Site indices returned from calls and probes are the byte offset of the
-//! start of the emitted sequence.
+//! The site index [`Masm::emit`] returns is the byte offset of the start of
+//! the emitted sequence.
 
 use crate::inst::{
-    AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, TrapCode, UnOp, Width,
+    AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, MachInst, TrapCode, UnOp, Width,
 };
 use crate::masm::Masm;
 use crate::reg::{AnyReg, FReg, Reg};
-use crate::values::ValueTag;
 use crate::x64::{Cond, Gpr, Grp1, ShiftOp, SseOp, X64Assembler, Xmm};
 
 /// The value-frame pointer register.
@@ -255,10 +253,6 @@ impl X64Masm {
         X64Masm::default()
     }
 
-    fn count(&mut self) {
-        self.num_insts += 1;
-    }
-
     /// Emits a jmp/jcc displacement fixup: patches immediately for bound
     /// labels, defers unbound ones.
     fn branch_to(&mut self, disp_offset: usize, label: Label) {
@@ -450,64 +444,184 @@ impl Masm for X64Masm {
         }
     }
 
-    fn mov_imm(&mut self, dst: Reg, imm: i64) {
-        self.count();
-        if fits_i32(imm) {
-            self.asm.mov_ri32(gpr_map(dst), imm as i32);
-        } else {
-            self.asm.mov_ri64(gpr_map(dst), imm);
+    /// # Panics
+    ///
+    /// Panics on a [`MachInst::BrTable`]: its targets live in a label pool
+    /// this backend does not keep, so it is emitted through
+    /// [`Masm::br_table`].
+    fn emit(&mut self, inst: MachInst) -> usize {
+        self.num_insts += 1;
+        let site = self.asm.offset();
+        match inst {
+            MachInst::Nop => {}
+            MachInst::MovImm { dst, imm } => {
+                if fits_i32(imm) {
+                    self.asm.mov_ri32(gpr_map(dst), imm as i32);
+                } else {
+                    self.asm.mov_ri64(gpr_map(dst), imm);
+                }
+            }
+            MachInst::FMovImm { dst, bits } => {
+                self.asm.mov_ri64(SCRATCH, bits as i64);
+                self.asm.movq_xr(true, fpr_map(dst), SCRATCH);
+            }
+            MachInst::Mov { dst, src } => self.asm.mov_rr(gpr_map(dst), gpr_map(src)),
+            MachInst::FMov { dst, src } => self.asm.movaps_rr(fpr_map(dst), fpr_map(src)),
+            MachInst::LoadSlot { dst, slot } => match dst {
+                AnyReg::Gpr(r) => self.asm.load_rm(gpr_map(r), VFP, slot_disp(slot)),
+                AnyReg::Fpr(f) => self.asm.movs_rm(true, fpr_map(f), VFP, slot_disp(slot)),
+            },
+            MachInst::StoreSlot { slot, src } => match src {
+                AnyReg::Gpr(r) => self.asm.store_mr(VFP, slot_disp(slot), gpr_map(r)),
+                AnyReg::Fpr(f) => self.asm.movs_mr(true, VFP, slot_disp(slot), fpr_map(f)),
+            },
+            MachInst::StoreSlotImm { slot, imm } => {
+                if fits_i32(imm) {
+                    self.asm.store_mi32(true, VFP, slot_disp(slot), imm as i32);
+                } else {
+                    self.asm.mov_ri64(SCRATCH, imm);
+                    self.asm.store_mr(VFP, slot_disp(slot), SCRATCH);
+                }
+            }
+            MachInst::StoreTag { slot, tag } => {
+                self.asm.store_tag_byte(VFP, tag_disp(slot), tag as u8)
+            }
+            MachInst::Alu { op, width, dst, a, b } => self.alu(op, width, dst, a, b),
+            MachInst::AluImm { op, width, dst, a, imm } => self.alu_imm(op, width, dst, a, imm),
+            MachInst::Unop { op, width, dst, src } => self.unop(op, width, dst, src),
+            MachInst::Cmp { op, width, dst, a, b } => {
+                self.asm.grp1_rr(Grp1::Cmp, is_w64(width), gpr_map(a), gpr_map(b));
+                self.set_result(cond_of(op), dst);
+            }
+            MachInst::CmpImm { op, width, dst, a, imm } => {
+                let w = is_w64(width);
+                if fits_i32(imm) {
+                    self.asm.grp1_ri(Grp1::Cmp, w, gpr_map(a), imm as i32);
+                } else {
+                    self.asm.mov_ri64(SCRATCH, imm);
+                    self.asm.grp1_rr(Grp1::Cmp, w, gpr_map(a), SCRATCH);
+                }
+                self.set_result(cond_of(op), dst);
+            }
+            MachInst::FAlu { op, width, dst, a, b } => self.falu(op, width, dst, a, b),
+            MachInst::FUnop { op, width, dst, src } => self.funop(op, width, dst, src),
+            MachInst::FCmp { op, width, dst, a, b } => self.fcmp(op, width, dst, a, b),
+            MachInst::Convert { op, dst, src } => self.convert(op, dst, src),
+            MachInst::Select { dst, cond, if_true, if_false } => {
+                self.asm.mov_rr(SCRATCH, gpr_map(if_false));
+                let rc = gpr_map(cond);
+                self.asm.test_rr(false, rc, rc);
+                self.asm.cmovcc(Cond::Ne, true, SCRATCH, gpr_map(if_true));
+                self.asm.mov_rr(gpr_map(dst), SCRATCH);
+            }
+            MachInst::FSelect { dst, cond, if_true, if_false } => {
+                self.asm.movaps_rr(FSCRATCH, fpr_map(if_false));
+                let rc = gpr_map(cond);
+                self.asm.test_rr(false, rc, rc);
+                let disp = self.asm.jcc(Cond::Eq, 0);
+                self.asm.movaps_rr(FSCRATCH, fpr_map(if_true));
+                let after = self.asm.offset();
+                self.asm.patch_rel32(disp, after);
+                self.asm.movaps_rr(fpr_map(dst), FSCRATCH);
+            }
+            MachInst::MemLoad { dst, addr, offset, width, signed, dst_width } => {
+                self.mem_load(dst, addr, offset, width, signed, dst_width)
+            }
+            MachInst::MemStore { src, addr, offset, width } => {
+                self.mem_store(src, addr, offset, width)
+            }
+            MachInst::MemorySize { dst } => {
+                self.runtime_call(RuntimeOp::MemorySize);
+                self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
+            }
+            MachInst::MemoryGrow { dst, delta } => {
+                self.asm.mov_rr_w(false, SCRATCH, gpr_map(delta));
+                self.runtime_call(RuntimeOp::MemoryGrow);
+                self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
+            }
+            MachInst::GlobalGet { dst, index } => {
+                self.runtime_call(RuntimeOp::GlobalGet { index });
+                match dst {
+                    AnyReg::Gpr(r) => self.asm.mov_rr(gpr_map(r), SCRATCH),
+                    AnyReg::Fpr(f) => self.asm.movq_xr(true, fpr_map(f), SCRATCH),
+                }
+            }
+            MachInst::GlobalSet { index, src } => {
+                match src {
+                    AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
+                    AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
+                }
+                self.runtime_call(RuntimeOp::GlobalSet { index });
+            }
+            MachInst::Jump { target } => {
+                let disp = self.asm.jmp(0);
+                self.branch_to(disp, target);
+            }
+            MachInst::BrIf { cond, target, negate } => {
+                let rc = gpr_map(cond);
+                self.asm.test_rr(false, rc, rc);
+                let cc = if negate { Cond::Eq } else { Cond::Ne };
+                let disp = self.asm.jcc(cc, 0);
+                self.branch_to(disp, target);
+            }
+            MachInst::BrTable { .. } => {
+                panic!("{inst} names its targets out of line: emit it through Masm::br_table")
+            }
+            MachInst::Call { func_index } => self.runtime_call(RuntimeOp::Call { func_index }),
+            MachInst::CallIndirect { type_index, table_index, index } => {
+                self.asm.mov_rr_w(false, SCRATCH, gpr_map(index));
+                self.runtime_call(RuntimeOp::CallIndirect { type_index, table_index });
+            }
+            MachInst::ProbeRuntime { probe_id } => {
+                self.runtime_call(RuntimeOp::ProbeRuntime { probe_id })
+            }
+            MachInst::ProbeDirect { probe_id } => {
+                self.runtime_call(RuntimeOp::ProbeDirect { probe_id })
+            }
+            MachInst::ProbeCounter { counter_id } => {
+                self.runtime_call(RuntimeOp::ProbeCounter { counter_id })
+            }
+            MachInst::ProbeTosValue { probe_id, src } => {
+                match src {
+                    AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
+                    AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
+                }
+                self.runtime_call(RuntimeOp::ProbeTos { probe_id });
+            }
+            MachInst::FuelCheck { amount } => self.runtime_call(RuntimeOp::FuelCheck { amount }),
+            MachInst::EpochCheck => self.runtime_call(RuntimeOp::EpochCheck),
+            MachInst::Trap { code } => {
+                self.runtime_refs.push(RuntimeRef {
+                    patch_offset: site,
+                    op: RuntimeOp::Trap { code },
+                });
+                self.asm.ud2();
+            }
+            MachInst::Return => self.asm.ret(),
         }
+        site
     }
 
-    fn fmov_imm(&mut self, dst: FReg, bits: u64) {
-        self.count();
-        self.asm.mov_ri64(SCRATCH, bits as i64);
-        self.asm.movq_xr(true, fpr_map(dst), SCRATCH);
-    }
-
-    fn mov(&mut self, dst: Reg, src: Reg) {
-        self.count();
-        self.asm.mov_rr(gpr_map(dst), gpr_map(src));
-    }
-
-    fn fmov(&mut self, dst: FReg, src: FReg) {
-        self.count();
-        self.asm.movaps_rr(fpr_map(dst), fpr_map(src));
-    }
-
-    fn load_slot(&mut self, dst: AnyReg, slot: u32) {
-        self.count();
-        match dst {
-            AnyReg::Gpr(r) => self.asm.load_rm(gpr_map(r), VFP, slot_disp(slot)),
-            AnyReg::Fpr(f) => self.asm.movs_rm(true, fpr_map(f), VFP, slot_disp(slot)),
+    fn br_table(&mut self, index: Reg, targets: &[Label], default: Label) {
+        self.num_insts += 1;
+        // A compare-and-branch chain: compact and patchable without an
+        // embedded table (baseline compilers use this shape for small
+        // tables).
+        let ri = gpr_map(index);
+        for (i, &target) in targets.iter().enumerate() {
+            self.asm.grp1_ri(Grp1::Cmp, false, ri, i as i32);
+            let disp = self.asm.jcc(Cond::Eq, 0);
+            self.branch_to(disp, target);
         }
+        let disp = self.asm.jmp(0);
+        self.branch_to(disp, default);
     }
+}
 
-    fn store_slot(&mut self, slot: u32, src: AnyReg) {
-        self.count();
-        match src {
-            AnyReg::Gpr(r) => self.asm.store_mr(VFP, slot_disp(slot), gpr_map(r)),
-            AnyReg::Fpr(f) => self.asm.movs_mr(true, VFP, slot_disp(slot), fpr_map(f)),
-        }
-    }
-
-    fn store_slot_imm(&mut self, slot: u32, imm: i64) {
-        self.count();
-        if fits_i32(imm) {
-            self.asm.store_mi32(true, VFP, slot_disp(slot), imm as i32);
-        } else {
-            self.asm.mov_ri64(SCRATCH, imm);
-            self.asm.store_mr(VFP, slot_disp(slot), SCRATCH);
-        }
-    }
-
-    fn store_tag(&mut self, slot: u32, tag: ValueTag) {
-        self.count();
-        self.asm.store_tag_byte(VFP, tag_disp(slot), tag as u8);
-    }
-
+/// The expansions too long to sit in [`Masm::emit`]'s `match`.
+impl X64Masm {
+    /// Three-address integer ALU operation.
     fn alu(&mut self, op: AluOp, width: Width, dst: Reg, a: Reg, b: Reg) {
-        self.count();
         let w = is_w64(width);
         if let Some(g) = grp1_of(op) {
             let rb = gpr_map(b);
@@ -523,8 +637,8 @@ impl Masm for X64Masm {
         }
     }
 
+    /// Integer ALU operation with an immediate right operand.
     fn alu_imm(&mut self, op: AluOp, width: Width, dst: Reg, a: Reg, imm: i64) {
-        self.count();
         let w = is_w64(width);
         if let Some(g) = grp1_of(op) {
             if fits_i32(imm) {
@@ -567,8 +681,8 @@ impl Masm for X64Masm {
         }
     }
 
+    /// Single-operand integer operation.
     fn unop(&mut self, op: UnOp, width: Width, dst: Reg, src: Reg) {
-        self.count();
         let w = is_w64(width);
         let rs = gpr_map(src);
         match op {
@@ -587,26 +701,8 @@ impl Masm for X64Masm {
         self.asm.mov_rr_w(w, gpr_map(dst), SCRATCH);
     }
 
-    fn cmp(&mut self, op: CmpOp, width: Width, dst: Reg, a: Reg, b: Reg) {
-        self.count();
-        self.asm.grp1_rr(Grp1::Cmp, is_w64(width), gpr_map(a), gpr_map(b));
-        self.set_result(cond_of(op), dst);
-    }
-
-    fn cmp_imm(&mut self, op: CmpOp, width: Width, dst: Reg, a: Reg, imm: i64) {
-        self.count();
-        let w = is_w64(width);
-        if fits_i32(imm) {
-            self.asm.grp1_ri(Grp1::Cmp, w, gpr_map(a), imm as i32);
-        } else {
-            self.asm.mov_ri64(SCRATCH, imm);
-            self.asm.grp1_rr(Grp1::Cmp, w, gpr_map(a), SCRATCH);
-        }
-        self.set_result(cond_of(op), dst);
-    }
-
+    /// Three-address floating-point operation.
     fn falu(&mut self, op: FAluOp, width: Width, dst: FReg, a: FReg, b: FReg) {
-        self.count();
         let d = is_w64(width);
         let sse = match op {
             FAluOp::Add => Some(SseOp::Add),
@@ -639,8 +735,8 @@ impl Masm for X64Masm {
         self.asm.movq_xr(w, fpr_map(dst), SCRATCH);
     }
 
+    /// Single-operand floating-point operation.
     fn funop(&mut self, op: FUnOp, width: Width, dst: FReg, src: FReg) {
-        self.count();
         let d = is_w64(width);
         let bits = if d { 63 } else { 31 };
         match op {
@@ -665,8 +761,8 @@ impl Masm for X64Masm {
         }
     }
 
+    /// Floating-point comparison producing 0/1 in a GPR.
     fn fcmp(&mut self, op: FCmpOp, width: Width, dst: Reg, a: FReg, b: FReg) {
-        self.count();
         let d = is_w64(width);
         // cmpsd/cmpss produce an all-ones/zero mask with Wasm's NaN
         // semantics (EQ/LT/LE false on NaN, NEQ true); GT/GE swap operands.
@@ -685,8 +781,8 @@ impl Masm for X64Masm {
         self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
     }
 
+    /// Numeric conversion.
     fn convert(&mut self, op: ConvOp, dst: AnyReg, src: AnyReg) {
-        self.count();
         use ConvOp::*;
         let gdst = dst.as_gpr().map(gpr_map);
         let xdst = dst.as_fpr().map(fpr_map);
@@ -735,27 +831,7 @@ impl Masm for X64Masm {
         }
     }
 
-    fn select(&mut self, dst: Reg, cond: Reg, if_true: Reg, if_false: Reg) {
-        self.count();
-        self.asm.mov_rr(SCRATCH, gpr_map(if_false));
-        let rc = gpr_map(cond);
-        self.asm.test_rr(false, rc, rc);
-        self.asm.cmovcc(Cond::Ne, true, SCRATCH, gpr_map(if_true));
-        self.asm.mov_rr(gpr_map(dst), SCRATCH);
-    }
-
-    fn fselect(&mut self, dst: FReg, cond: Reg, if_true: FReg, if_false: FReg) {
-        self.count();
-        self.asm.movaps_rr(FSCRATCH, fpr_map(if_false));
-        let rc = gpr_map(cond);
-        self.asm.test_rr(false, rc, rc);
-        let disp = self.asm.jcc(Cond::Eq, 0);
-        self.asm.movaps_rr(FSCRATCH, fpr_map(if_true));
-        let after = self.asm.offset();
-        self.asm.patch_rel32(disp, after);
-        self.asm.movaps_rr(fpr_map(dst), FSCRATCH);
-    }
-
+    /// Load from linear memory.
     fn mem_load(
         &mut self,
         dst: AnyReg,
@@ -765,7 +841,6 @@ impl Masm for X64Masm {
         signed: bool,
         dst_width: Width,
     ) {
-        self.count();
         let disp = self.memory_address(addr, offset);
         match dst {
             AnyReg::Fpr(f) => self.asm.movs_rm(width == 8, fpr_map(f), SCRATCH, disp),
@@ -785,8 +860,8 @@ impl Masm for X64Masm {
         }
     }
 
+    /// Store to linear memory.
     fn mem_store(&mut self, src: AnyReg, addr: Reg, offset: u32, width: u32) {
-        self.count();
         // The source must be read before the scratch is clobbered — it never
         // is RAX (the allocator does not hand out virtual r0), so computing
         // the address first is safe.
@@ -803,142 +878,6 @@ impl Masm for X64Masm {
                 }
             }
         }
-    }
-
-    fn memory_size(&mut self, dst: Reg) {
-        self.count();
-        self.runtime_call(RuntimeOp::MemorySize);
-        self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
-    }
-
-    fn memory_grow(&mut self, dst: Reg, delta: Reg) {
-        self.count();
-        self.asm.mov_rr_w(false, SCRATCH, gpr_map(delta));
-        self.runtime_call(RuntimeOp::MemoryGrow);
-        self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
-    }
-
-    fn global_get(&mut self, dst: AnyReg, index: u32) {
-        self.count();
-        self.runtime_call(RuntimeOp::GlobalGet { index });
-        match dst {
-            AnyReg::Gpr(r) => self.asm.mov_rr(gpr_map(r), SCRATCH),
-            AnyReg::Fpr(f) => self.asm.movq_xr(true, fpr_map(f), SCRATCH),
-        }
-    }
-
-    fn global_set(&mut self, index: u32, src: AnyReg) {
-        self.count();
-        match src {
-            AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
-            AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
-        }
-        self.runtime_call(RuntimeOp::GlobalSet { index });
-    }
-
-    fn jump(&mut self, target: Label) {
-        self.count();
-        let disp = self.asm.jmp(0);
-        self.branch_to(disp, target);
-    }
-
-    fn br_if(&mut self, cond: Reg, target: Label, negate: bool) {
-        self.count();
-        let rc = gpr_map(cond);
-        self.asm.test_rr(false, rc, rc);
-        let cc = if negate { Cond::Eq } else { Cond::Ne };
-        let disp = self.asm.jcc(cc, 0);
-        self.branch_to(disp, target);
-    }
-
-    fn br_table(&mut self, index: Reg, targets: Vec<Label>, default: Label) {
-        self.count();
-        // A compare-and-branch chain: compact and patchable without an
-        // embedded table (baseline compilers use this shape for small
-        // tables).
-        let ri = gpr_map(index);
-        for (i, target) in targets.into_iter().enumerate() {
-            self.asm.grp1_ri(Grp1::Cmp, false, ri, i as i32);
-            let disp = self.asm.jcc(Cond::Eq, 0);
-            self.branch_to(disp, target);
-        }
-        let disp = self.asm.jmp(0);
-        self.branch_to(disp, default);
-    }
-
-    fn call(&mut self, func_index: u32) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        self.runtime_call(RuntimeOp::Call { func_index });
-        site
-    }
-
-    fn call_indirect(&mut self, type_index: u32, table_index: u32, index: Reg) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        self.asm.mov_rr_w(false, SCRATCH, gpr_map(index));
-        self.runtime_call(RuntimeOp::CallIndirect {
-            type_index,
-            table_index,
-        });
-        site
-    }
-
-    fn trap(&mut self, code: TrapCode) {
-        self.count();
-        let patch_offset = self.asm.offset();
-        self.runtime_refs.push(RuntimeRef {
-            patch_offset,
-            op: RuntimeOp::Trap { code },
-        });
-        self.asm.ud2();
-    }
-
-    fn ret(&mut self) {
-        self.count();
-        self.asm.ret();
-    }
-
-    fn fuel_check(&mut self, amount: u64) {
-        self.count();
-        self.runtime_call(RuntimeOp::FuelCheck { amount });
-    }
-
-    fn epoch_check(&mut self) {
-        self.count();
-        self.runtime_call(RuntimeOp::EpochCheck);
-    }
-
-    fn probe_runtime(&mut self, probe_id: u32) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        self.runtime_call(RuntimeOp::ProbeRuntime { probe_id });
-        site
-    }
-
-    fn probe_direct(&mut self, probe_id: u32) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        self.runtime_call(RuntimeOp::ProbeDirect { probe_id });
-        site
-    }
-
-    fn probe_counter(&mut self, counter_id: u32) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        self.runtime_call(RuntimeOp::ProbeCounter { counter_id });
-        site
-    }
-
-    fn probe_tos(&mut self, probe_id: u32, src: AnyReg) -> usize {
-        self.count();
-        let site = self.asm.offset();
-        match src {
-            AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
-            AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
-        }
-        self.runtime_call(RuntimeOp::ProbeTos { probe_id });
-        site
     }
 }
 
@@ -964,10 +903,10 @@ mod tests {
     fn forward_labels_patch_to_byte_offsets() {
         let mut m = X64Masm::new();
         let skip = m.new_label();
-        m.br_if(Reg(1), skip, true);
-        m.mov_imm(Reg(1), 7);
+        m.emit(MachInst::BrIf { cond: Reg(1), target: skip, negate: true });
+        m.emit(MachInst::MovImm { dst: Reg(1), imm: 7 });
         m.bind(skip);
-        m.ret();
+        m.emit(MachInst::Return);
         let code = m.finish();
         let target = code.target(skip);
         // The branch lands exactly on the mov's end / ret.
@@ -980,7 +919,7 @@ mod tests {
     fn backward_jump_has_negative_displacement() {
         let mut m = X64Masm::new();
         let top = m.new_bound_label();
-        m.jump(top);
+        m.emit(MachInst::Jump { target: top });
         let code = m.finish();
         assert_eq!(code.target(top), 0);
         // jmp rel32 back over its own 5 bytes.
@@ -990,9 +929,9 @@ mod tests {
     #[test]
     fn runtime_transfers_are_recorded() {
         let mut m = X64Masm::new();
-        let call_site = m.call(3);
-        m.trap(TrapCode::Unreachable);
-        m.ret();
+        let call_site = m.emit(MachInst::Call { func_index: 3 });
+        m.emit(MachInst::Trap { code: TrapCode::Unreachable });
+        m.emit(MachInst::Return);
         let code = m.finish();
         assert_eq!(call_site, 0);
         assert_eq!(code.runtime_refs().len(), 2);
@@ -1010,10 +949,10 @@ mod tests {
     fn source_map_tracks_byte_offsets() {
         let mut m = X64Masm::new();
         m.mark_source(0);
-        m.mov_imm(Reg(1), 1); // 7 bytes
+        m.emit(MachInst::MovImm { dst: Reg(1), imm: 1 }); // 7 bytes
         m.mark_source(5);
         m.mark_source(6); // collapses with the previous mark
-        m.ret();
+        m.emit(MachInst::Return);
         let code = m.finish();
         assert_eq!(code.source_map(), &[(0, 0), (7, 6)]);
         assert_eq!(code.source_offset(0), Some(0));
@@ -1026,15 +965,23 @@ mod tests {
     fn unbound_label_panics_at_finish() {
         let mut m = X64Masm::new();
         let l = m.new_label();
-        m.jump(l);
+        m.emit(MachInst::Jump { target: l });
         let _ = m.finish();
     }
 
     #[test]
     fn huge_memarg_offsets_avoid_negative_disp32() {
+        let load = |offset| MachInst::MemLoad {
+            dst: AnyReg::Gpr(Reg(1)),
+            addr: Reg(2),
+            offset,
+            width: 4,
+            signed: false,
+            dst_width: Width::W32,
+        };
         let mut m = X64Masm::new();
-        m.mem_load(AnyReg::Gpr(Reg(1)), Reg(2), 0x8000_0000, 4, false, Width::W32);
-        m.ret();
+        m.emit(load(0x8000_0000));
+        m.emit(MachInst::Return);
         let code = m.finish();
         let b = code.bytes();
         // x86-64 sign-extends disp32, so the 2 GiB offset must be added to
@@ -1044,8 +991,8 @@ mod tests {
         assert!(b.windows(7).any(|w| w == [0x48, 0x81, 0xC0, 0x01, 0x00, 0x00, 0x00]));
         // And small offsets fold into the displacement untouched.
         let mut m = X64Masm::new();
-        m.mem_load(AnyReg::Gpr(Reg(1)), Reg(2), 0x10, 4, false, Width::W32);
-        m.ret();
+        m.emit(load(0x10));
+        m.emit(MachInst::Return);
         let small = m.finish();
         assert!(small.bytes().windows(4).any(|w| w == [0x10, 0x00, 0x00, 0x00]));
     }
@@ -1053,7 +1000,7 @@ mod tests {
     #[test]
     fn division_preserves_rdx_and_uses_stack_divisor() {
         let mut m = X64Masm::new();
-        m.alu(AluOp::DivS, Width::W64, Reg(3), Reg(1), Reg(2));
+        m.emit(MachInst::Alu { op: AluOp::DivS, width: Width::W64, dst: Reg(3), a: Reg(1), b: Reg(2) });
         let code = m.finish();
         let b = code.bytes();
         assert_eq!(b[0], 0x52, "push rdx first");

@@ -9,6 +9,7 @@ use machine::inst::{
     AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, LabelRange, MachInst, TrapCode, UnOp,
     Width,
 };
+use machine::masm::Masm;
 use machine::memory::{LinearMemory, Table};
 use machine::reg::{AnyReg, FReg, Reg};
 use machine::values::{GlobalSlot, ValueStack, ValueTag, WasmValue};

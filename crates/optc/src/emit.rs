@@ -29,7 +29,7 @@ use crate::ir::{Edge, Effect, FuncIr, Inst, Node, Terminator, ValueId};
 use crate::regalloc::{
     Allocation, Loc, SCRATCH2_FPR, SCRATCH2_GPR, SCRATCH3_GPR, SCRATCH_FPR, SCRATCH_GPR,
 };
-use machine::inst::{Label, Width};
+use machine::inst::{Label, MachInst, Width};
 use machine::lower::OpClass;
 use machine::masm::Masm;
 use machine::reg::{AnyReg, FReg, Reg};
@@ -162,7 +162,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
     }
 
     fn store_tag(&mut self, slot: u32, ty: ValueType) {
-        self.masm.store_tag(slot, ValueTag::for_type(ty));
+        self.masm.emit(MachInst::StoreTag { slot, tag: ValueTag::for_type(ty) });
         self.tag_stores += 1;
     }
 
@@ -175,8 +175,8 @@ impl<'a, M: Masm> Emitter<'a, M> {
         } else {
             AnyReg::Gpr(SCRATCH_GPR)
         };
-        self.masm.load_slot(scratch, src);
-        self.masm.store_slot(dst, scratch);
+        self.masm.emit(MachInst::LoadSlot { dst: scratch, slot: src });
+        self.masm.emit(MachInst::StoreSlot { slot: dst, src: scratch });
         self.store_tag(dst, ty);
     }
 
@@ -186,14 +186,14 @@ impl<'a, M: Masm> Emitter<'a, M> {
         match self.src_of(v) {
             MSrc::Const(bits) => {
                 let s = GPR_SCRATCHES[which];
-                self.masm.mov_imm(s, bits as i64);
+                self.masm.emit(MachInst::MovImm { dst: s, imm: bits as i64 });
                 s
             }
             MSrc::L(Loc::Reg(AnyReg::Gpr(r))) => r,
             MSrc::L(Loc::Reg(AnyReg::Fpr(_))) => unreachable!("bank mismatch"),
             MSrc::L(Loc::Slot(slot)) => {
                 let s = GPR_SCRATCHES[which];
-                self.masm.load_slot(AnyReg::Gpr(s), slot);
+                self.masm.emit(MachInst::LoadSlot { dst: AnyReg::Gpr(s), slot });
                 s
             }
         }
@@ -203,14 +203,14 @@ impl<'a, M: Masm> Emitter<'a, M> {
         match self.src_of(v) {
             MSrc::Const(bits) => {
                 let s = FPR_SCRATCHES[which];
-                self.masm.fmov_imm(s, bits);
+                self.masm.emit(MachInst::FMovImm { dst: s, bits });
                 s
             }
             MSrc::L(Loc::Reg(AnyReg::Fpr(r))) => r,
             MSrc::L(Loc::Reg(AnyReg::Gpr(_))) => unreachable!("bank mismatch"),
             MSrc::L(Loc::Slot(slot)) => {
                 let s = FPR_SCRATCHES[which];
-                self.masm.load_slot(AnyReg::Fpr(s), slot);
+                self.masm.emit(MachInst::LoadSlot { dst: AnyReg::Fpr(s), slot });
                 s
             }
         }
@@ -257,7 +257,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
 
     fn finish_def(&mut self, v: ValueId, computed: AnyReg, spill: Option<u32>) {
         if let Some(slot) = spill {
-            self.masm.store_slot(slot, computed);
+            self.masm.emit(MachInst::StoreSlot { slot, src: computed });
             // Every spill-slot write re-tags the slot: spill slots are
             // reused across values of different types (and sit where older
             // frames left their tags), so an untagged store could leave a
@@ -294,7 +294,9 @@ impl<'a, M: Masm> Emitter<'a, M> {
             let slot = i as u32;
             match self.loc(p) {
                 None => {}
-                Some(Loc::Reg(r)) => self.masm.load_slot(r, slot),
+                Some(Loc::Reg(dst)) => {
+                    self.masm.emit(MachInst::LoadSlot { dst, slot });
+                }
                 Some(Loc::Slot(s)) if s == slot => {}
                 Some(Loc::Slot(s)) => {
                     let ty = self.ir.ty(p);
@@ -325,11 +327,16 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 let rv = self.use_any(*value, 0);
                 let ra = self.use_gpr(*addr, 1);
                 self.masm.mark_source(*src_offset);
-                self.masm.mem_store(rv, ra, *offset, *width);
+                self.masm.emit(MachInst::MemStore {
+                    src: rv,
+                    addr: ra,
+                    offset: *offset,
+                    width: *width,
+                });
             }
             Inst::GlobalSet { index, value } => {
                 let rv = self.use_any(*value, 0);
-                self.masm.global_set(*index, rv);
+                self.masm.emit(MachInst::GlobalSet { index: *index, src: rv });
             }
             Inst::Call {
                 offset,
@@ -339,7 +346,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
             } => {
                 self.masm.mark_source(*offset);
                 self.store_call_args(args);
-                let site = self.masm.call(*callee);
+                let site = self.masm.emit(MachInst::Call { func_index: *callee });
                 self.call_sites.insert(
                     site,
                     CallSiteInfo {
@@ -359,7 +366,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 self.masm.mark_source(*offset);
                 self.store_call_args(args);
                 let ri = self.use_gpr(*index, 0);
-                let site = self.masm.call_indirect(*type_index, *table_index, ri);
+                let site = self.masm.emit(MachInst::CallIndirect {
+                    type_index: *type_index,
+                    table_index: *table_index,
+                    index: ri,
+                });
                 self.call_sites.insert(
                     site,
                     CallSiteInfo {
@@ -373,7 +384,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 offset,
                 height,
             } => {
-                let site = self.masm.probe_counter(*counter_id);
+                let site = self.masm.emit(MachInst::ProbeCounter { counter_id: *counter_id });
                 self.probe_sites.insert(
                     site,
                     JitProbeSite {
@@ -392,7 +403,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     Some(v) => self.use_any(*v, 0),
                     None => AnyReg::Gpr(SCRATCH_GPR),
                 };
-                let site = self.masm.probe_tos(*probe_id, src);
+                let site = self.masm.emit(MachInst::ProbeTosValue { probe_id: *probe_id, src });
                 self.probe_sites.insert(
                     site,
                     JitProbeSite {
@@ -414,11 +425,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     let ty = self.ir.ty(v);
                     match self.src_of(v) {
                         MSrc::Const(bits) => {
-                            self.masm.store_slot_imm(slot, bits as i64);
+                            self.masm.emit(MachInst::StoreSlotImm { slot, imm: bits as i64 });
                             self.store_tag(slot, ty);
                         }
                         MSrc::L(Loc::Reg(r)) => {
-                            self.masm.store_slot(slot, r);
+                            self.masm.emit(MachInst::StoreSlot { slot, src: r });
                             self.store_tag(slot, ty);
                         }
                         MSrc::L(Loc::Slot(s)) if s == slot => self.store_tag(slot, ty),
@@ -426,9 +437,9 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     }
                 }
                 let site = if *runtime {
-                    self.masm.probe_runtime(*probe_id)
+                    self.masm.emit(MachInst::ProbeRuntime { probe_id: *probe_id })
                 } else {
-                    self.masm.probe_direct(*probe_id)
+                    self.masm.emit(MachInst::ProbeDirect { probe_id: *probe_id })
                 };
                 self.probe_sites.insert(
                     site,
@@ -440,11 +451,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
             }
             Inst::FuelCheck { offset, amount } => {
                 self.masm.mark_source(*offset);
-                self.masm.fuel_check(*amount);
+                self.masm.emit(MachInst::FuelCheck { amount: *amount });
             }
             Inst::EpochCheck { offset } => {
                 self.masm.mark_source(*offset);
-                self.masm.epoch_check();
+                self.masm.emit(MachInst::EpochCheck);
             }
         }
     }
@@ -475,13 +486,13 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     let ra = self.use_fpr(if_true, 0);
                     let rb = self.use_fpr(if_false, 1);
                     let (dst, spill) = self.def_fpr(v);
-                    self.masm.fselect(dst, rc, ra, rb);
+                    self.masm.emit(MachInst::FSelect { dst, cond: rc, if_true: ra, if_false: rb });
                     self.finish_def(v, AnyReg::Fpr(dst), spill);
                 } else {
                     let ra = self.use_gpr(if_true, 1);
                     let rb = self.use_gpr(if_false, 2);
                     let (dst, spill) = self.def_gpr(v);
-                    self.masm.select(dst, rc, ra, rb);
+                    self.masm.emit(MachInst::Select { dst, cond: rc, if_true: ra, if_false: rb });
                     self.finish_def(v, AnyReg::Gpr(dst), spill);
                 }
             }
@@ -494,23 +505,30 @@ impl<'a, M: Masm> Emitter<'a, M> {
             } => {
                 let ra = self.use_gpr(addr, 0);
                 let (dst, spill) = self.def_any(v);
-                self.masm.mem_load(dst, ra, offset, width, signed, dst_width);
+                self.masm.emit(MachInst::MemLoad {
+                    dst,
+                    addr: ra,
+                    offset,
+                    width,
+                    signed,
+                    dst_width,
+                });
                 self.finish_def(v, dst, spill);
             }
             Node::MemorySize => {
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.memory_size(dst);
+                self.masm.emit(MachInst::MemorySize { dst });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             Node::MemoryGrow { delta } => {
                 let rd = self.use_gpr(delta, 1);
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.memory_grow(dst, rd);
+                self.masm.emit(MachInst::MemoryGrow { dst, delta: rd });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             Node::GlobalGet { index } => {
                 let (dst, spill) = self.def_any(v);
-                self.masm.global_get(dst, index);
+                self.masm.emit(MachInst::GlobalGet { dst, index });
                 self.finish_def(v, dst, spill);
             }
             Node::OsrSlot { index } => {
@@ -519,7 +537,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     return;
                 }
                 let (dst, spill) = self.def_any(v);
-                self.masm.load_slot(dst, index);
+                self.masm.emit(MachInst::LoadSlot { dst, slot: index });
                 self.finish_def(v, dst, spill);
             }
         }
@@ -538,11 +556,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 if fits && self.ir.as_const(args[0]).is_none() {
                     let ra = self.use_gpr(args[0], 0);
                     let (dst, spill) = self.def_gpr(v);
-                    match class {
-                        OpClass::Alu(op, w) => self.masm.alu_imm(op, w, dst, ra, imm),
-                        OpClass::Cmp(op, w) => self.masm.cmp_imm(op, w, dst, ra, imm),
+                    self.masm.emit(match class {
+                        OpClass::Alu(op, width) => MachInst::AluImm { op, width, dst, a: ra, imm },
+                        OpClass::Cmp(op, width) => MachInst::CmpImm { op, width, dst, a: ra, imm },
                         _ => unreachable!("matched above"),
-                    }
+                    });
                     self.finish_def(v, AnyReg::Gpr(dst), spill);
                     return;
                 }
@@ -553,40 +571,40 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 let ra = self.use_gpr(args[0], 0);
                 let rb = self.use_gpr(args[1], 1);
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.alu(op, w, dst, ra, rb);
+                self.masm.emit(MachInst::Alu { op, width: w, dst, a: ra, b: rb });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             OpClass::Cmp(op, w) => {
                 let ra = self.use_gpr(args[0], 0);
                 let rb = self.use_gpr(args[1], 1);
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.cmp(op, w, dst, ra, rb);
+                self.masm.emit(MachInst::Cmp { op, width: w, dst, a: ra, b: rb });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             OpClass::Unop(op, w) => {
                 let ra = self.use_gpr(args[0], 0);
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.unop(op, w, dst, ra);
+                self.masm.emit(MachInst::Unop { op, width: w, dst, src: ra });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             OpClass::FAlu(op, w) => {
                 let ra = self.use_fpr(args[0], 0);
                 let rb = self.use_fpr(args[1], 1);
                 let (dst, spill) = self.def_fpr(v);
-                self.masm.falu(op, w, dst, ra, rb);
+                self.masm.emit(MachInst::FAlu { op, width: w, dst, a: ra, b: rb });
                 self.finish_def(v, AnyReg::Fpr(dst), spill);
             }
             OpClass::FUnop(op, w) => {
                 let ra = self.use_fpr(args[0], 0);
                 let (dst, spill) = self.def_fpr(v);
-                self.masm.funop(op, w, dst, ra);
+                self.masm.emit(MachInst::FUnop { op, width: w, dst, src: ra });
                 self.finish_def(v, AnyReg::Fpr(dst), spill);
             }
             OpClass::FCmp(op, w) => {
                 let ra = self.use_fpr(args[0], 0);
                 let rb = self.use_fpr(args[1], 1);
                 let (dst, spill) = self.def_gpr(v);
-                self.masm.fcmp(op, w, dst, ra, rb);
+                self.masm.emit(MachInst::FCmp { op, width: w, dst, a: ra, b: rb });
                 self.finish_def(v, AnyReg::Gpr(dst), spill);
             }
             OpClass::Convert(op) => {
@@ -596,7 +614,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     AnyReg::Gpr(self.use_gpr(args[0], 0))
                 };
                 let (dst, spill) = self.def_any(v);
-                self.masm.convert(op, dst, src);
+                self.masm.emit(MachInst::Convert { op, dst, src });
                 self.finish_def(v, dst, spill);
             }
         }
@@ -611,11 +629,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
             // non-reference ones — so every store below re-tags its slot.
             match self.src_of(a) {
                 MSrc::Const(bits) => {
-                    self.masm.store_slot_imm(slot, bits as i64);
+                    self.masm.emit(MachInst::StoreSlotImm { slot, imm: bits as i64 });
                     self.store_tag(slot, ty);
                 }
                 MSrc::L(Loc::Reg(r)) => {
-                    self.masm.store_slot(slot, r);
+                    self.masm.emit(MachInst::StoreSlot { slot, src: r });
                     self.store_tag(slot, ty);
                 }
                 MSrc::L(Loc::Slot(s)) => self.copy_slot(slot, s, ty),
@@ -630,7 +648,9 @@ impl<'a, M: Masm> Emitter<'a, M> {
             match self.loc(r) {
                 // Dead result: the callee wrote it; nobody reads it.
                 None => {}
-                Some(Loc::Reg(reg)) => self.masm.load_slot(reg, slot),
+                Some(Loc::Reg(dst)) => {
+                    self.masm.emit(MachInst::LoadSlot { dst, slot });
+                }
                 Some(Loc::Slot(s)) => self.copy_slot(s, slot, ty),
             }
         }
@@ -659,22 +679,26 @@ impl<'a, M: Masm> Emitter<'a, M> {
     }
 
     fn emit_move(&mut self, m: &PMove) {
-        match (m.dst, m.src) {
-            (Loc::Reg(AnyReg::Gpr(d)), MSrc::Const(bits)) => self.masm.mov_imm(d, bits as i64),
-            (Loc::Reg(AnyReg::Fpr(d)), MSrc::Const(bits)) => self.masm.fmov_imm(d, bits),
-            (Loc::Reg(AnyReg::Gpr(d)), MSrc::L(Loc::Reg(AnyReg::Gpr(s)))) => self.masm.mov(d, s),
-            (Loc::Reg(AnyReg::Fpr(d)), MSrc::L(Loc::Reg(AnyReg::Fpr(s)))) => self.masm.fmov(d, s),
-            (Loc::Reg(d), MSrc::L(Loc::Slot(s))) => self.masm.load_slot(d, s),
-            (Loc::Slot(d), MSrc::Const(bits)) => {
-                self.masm.store_slot_imm(d, bits as i64);
-                self.store_tag(d, m.ty);
+        let inst = match (m.dst, m.src) {
+            (Loc::Reg(AnyReg::Gpr(dst)), MSrc::Const(bits)) => {
+                MachInst::MovImm { dst, imm: bits as i64 }
             }
-            (Loc::Slot(d), MSrc::L(Loc::Reg(s))) => {
-                self.masm.store_slot(d, s);
-                self.store_tag(d, m.ty);
+            (Loc::Reg(AnyReg::Fpr(dst)), MSrc::Const(bits)) => MachInst::FMovImm { dst, bits },
+            (Loc::Reg(AnyReg::Gpr(dst)), MSrc::L(Loc::Reg(AnyReg::Gpr(src)))) => {
+                MachInst::Mov { dst, src }
             }
-            (Loc::Slot(d), MSrc::L(Loc::Slot(s))) => self.copy_slot(d, s, m.ty),
+            (Loc::Reg(AnyReg::Fpr(dst)), MSrc::L(Loc::Reg(AnyReg::Fpr(src)))) => {
+                MachInst::FMov { dst, src }
+            }
+            (Loc::Reg(dst), MSrc::L(Loc::Slot(slot))) => MachInst::LoadSlot { dst, slot },
+            (Loc::Slot(slot), MSrc::Const(bits)) => MachInst::StoreSlotImm { slot, imm: bits as i64 },
+            (Loc::Slot(slot), MSrc::L(Loc::Reg(src))) => MachInst::StoreSlot { slot, src },
+            (Loc::Slot(d), MSrc::L(Loc::Slot(s))) => return self.copy_slot(d, s, m.ty),
             (Loc::Reg(_), MSrc::L(Loc::Reg(_))) => unreachable!("bank mismatch"),
+        };
+        self.masm.emit(inst);
+        if let Loc::Slot(slot) = m.dst {
+            self.store_tag(slot, m.ty);
         }
     }
 
@@ -717,17 +741,17 @@ impl<'a, M: Masm> Emitter<'a, M> {
             } else {
                 AnyReg::Gpr(SCRATCH3_GPR)
             };
-            match d0 {
-                Loc::Reg(AnyReg::Gpr(s)) => {
-                    let AnyReg::Gpr(h) = hold else { unreachable!() };
-                    self.masm.mov(h, s);
+            self.masm.emit(match d0 {
+                Loc::Reg(AnyReg::Gpr(src)) => {
+                    let AnyReg::Gpr(dst) = hold else { unreachable!() };
+                    MachInst::Mov { dst, src }
                 }
-                Loc::Reg(AnyReg::Fpr(s)) => {
-                    let AnyReg::Fpr(h) = hold else { unreachable!() };
-                    self.masm.fmov(h, s);
+                Loc::Reg(AnyReg::Fpr(src)) => {
+                    let AnyReg::Fpr(dst) = hold else { unreachable!() };
+                    MachInst::FMov { dst, src }
                 }
-                Loc::Slot(s) => self.masm.load_slot(hold, s),
-            }
+                Loc::Slot(slot) => MachInst::LoadSlot { dst: hold, slot },
+            });
             for m in pending.iter_mut() {
                 if m.src == MSrc::L(d0) {
                     m.src = MSrc::L(Loc::Reg(hold));
@@ -741,7 +765,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
         self.emit_parallel_moves(moves);
         if Some(edge.target) != next {
             let label = self.label(edge.target);
-            self.masm.jump(label);
+            self.masm.emit(MachInst::Jump { target: label });
         }
     }
 
@@ -759,29 +783,31 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 let rc = self.use_gpr(*cond, 0);
                 let then_label = self.label(then_edge.target);
                 let else_label = self.label(else_edge.target);
+                let br_if = |target, negate| MachInst::BrIf { cond: rc, target, negate };
+                let jump = |target| MachInst::Jump { target };
                 match (then_moves.is_empty(), else_moves.is_empty()) {
                     (true, true) => {
                         if Some(else_edge.target) == next {
-                            self.masm.br_if(rc, then_label, false);
+                            self.masm.emit(br_if(then_label, false));
                         } else if Some(then_edge.target) == next {
-                            self.masm.br_if(rc, else_label, true);
+                            self.masm.emit(br_if(else_label, true));
                         } else {
-                            self.masm.br_if(rc, then_label, false);
-                            self.masm.jump(else_label);
+                            self.masm.emit(br_if(then_label, false));
+                            self.masm.emit(jump(else_label));
                         }
                     }
                     (true, false) => {
-                        self.masm.br_if(rc, then_label, false);
+                        self.masm.emit(br_if(then_label, false));
                         self.emit_parallel_moves(else_moves);
                         if Some(else_edge.target) != next {
-                            self.masm.jump(else_label);
+                            self.masm.emit(jump(else_label));
                         }
                     }
                     (false, true) => {
-                        self.masm.br_if(rc, else_label, true);
+                        self.masm.emit(br_if(else_label, true));
                         self.emit_parallel_moves(then_moves);
                         if Some(then_edge.target) != next {
-                            self.masm.jump(then_label);
+                            self.masm.emit(jump(then_label));
                         }
                     }
                     (false, false) => {
@@ -789,19 +815,19 @@ impl<'a, M: Masm> Emitter<'a, M> {
                         // jump to the very next block is emitted.
                         let stub = self.masm.new_label();
                         if Some(else_edge.target) == next {
-                            self.masm.br_if(rc, stub, true);
+                            self.masm.emit(br_if(stub, true));
                             self.emit_parallel_moves(then_moves);
-                            self.masm.jump(then_label);
+                            self.masm.emit(jump(then_label));
                             self.masm.bind(stub);
                             self.emit_parallel_moves(else_moves);
                         } else {
-                            self.masm.br_if(rc, stub, false);
+                            self.masm.emit(br_if(stub, false));
                             self.emit_parallel_moves(else_moves);
-                            self.masm.jump(else_label);
+                            self.masm.emit(jump(else_label));
                             self.masm.bind(stub);
                             self.emit_parallel_moves(then_moves);
                             if Some(then_edge.target) != next {
-                                self.masm.jump(then_label);
+                                self.masm.emit(jump(then_label));
                             }
                         }
                     }
@@ -834,12 +860,12 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     table.push(resolve(self, e));
                 }
                 let default_label = resolve(self, default);
-                self.masm.br_table(ri, table, default_label);
+                self.masm.br_table(ri, &table, default_label);
                 for (stub, edge, moves) in stubs {
                     self.masm.bind(stub);
                     self.emit_parallel_moves(moves);
                     let label = self.label(edge.target);
-                    self.masm.jump(label);
+                    self.masm.emit(MachInst::Jump { target: label });
                 }
             }
             Terminator::Return(values) => {
@@ -860,11 +886,11 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 for (slot, ty) in in_place {
                     self.store_tag(slot, ty);
                 }
-                self.masm.ret();
+                self.masm.emit(MachInst::Return);
             }
             Terminator::Trap { code, offset } => {
                 self.masm.mark_source(*offset);
-                self.masm.trap(*code);
+                self.masm.emit(MachInst::Trap { code: *code });
             }
         }
     }

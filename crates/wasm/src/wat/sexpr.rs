@@ -80,24 +80,39 @@ impl Sexpr {
     }
 }
 
+/// The deepest list nesting [`parse_all`] accepts. This parser, the lowering
+/// of folded instructions, and `Drop` of the tree all recurse per level, so
+/// the cap is what keeps hostile text from overflowing the host stack (an
+/// abort, not a panic): no deeper tree is ever built. Measured in a debug
+/// build on a 2 MiB thread, lowering nested `(block` — the hungriest shape,
+/// about 4 KiB a level — overflows near 490 levels; the conformance corpus
+/// nests 5 deep.
+pub const MAX_NESTING: usize = 200;
+
 /// Parses WAT source into its top-level s-expressions.
 ///
 /// # Errors
 ///
-/// Returns a [`WatError`] on lexical errors or unbalanced parentheses.
+/// Returns a [`WatError`] on lexical errors, unbalanced parentheses, or
+/// lists nested deeper than [`MAX_NESTING`].
 pub fn parse_all(src: &str) -> Result<Vec<Sexpr>, WatError> {
     let tokens = tokenize(src)?;
     let mut pos = 0;
     let mut out = Vec::new();
     while pos < tokens.len() {
-        let (expr, next) = parse_one(&tokens, pos)?;
+        let (expr, next) = parse_one(&tokens, pos, 0)?;
         out.push(expr);
         pos = next;
     }
     Ok(out)
 }
 
-fn parse_one(tokens: &[(Token, usize)], pos: usize) -> Result<(Sexpr, usize), WatError> {
+/// Parses the expression at `tokens[pos]`, which sits inside `depth` lists.
+fn parse_one(
+    tokens: &[(Token, usize)],
+    pos: usize,
+    depth: usize,
+) -> Result<(Sexpr, usize), WatError> {
     let (token, offset) = &tokens[pos];
     match token {
         Token::Atom(text) => Ok((
@@ -115,6 +130,12 @@ fn parse_one(tokens: &[(Token, usize)], pos: usize) -> Result<(Sexpr, usize), Wa
             pos + 1,
         )),
         Token::LParen => {
+            if depth == MAX_NESTING {
+                return Err(WatError::new(
+                    format!("lists nested deeper than {MAX_NESTING}"),
+                    *offset,
+                ));
+            }
             let mut items = Vec::new();
             let mut cur = pos + 1;
             loop {
@@ -130,7 +151,7 @@ fn parse_one(tokens: &[(Token, usize)], pos: usize) -> Result<(Sexpr, usize), Wa
                         ))
                     }
                     Some(_) => {
-                        let (child, next) = parse_one(tokens, cur)?;
+                        let (child, next) = parse_one(tokens, cur, depth + 1)?;
                         items.push(child);
                         cur = next;
                     }

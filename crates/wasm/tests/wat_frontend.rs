@@ -179,6 +179,35 @@ fn rejects_bad_input() {
     assert!(parse_module("").is_err());
 }
 
+#[test]
+fn nesting_is_capped_before_the_stack_is() {
+    use wasm::wat::sexpr::MAX_NESTING;
+    // `(module (func` is two levels; the blocks take the rest.
+    let nested = |depth: usize| {
+        format!("(module (func {} {}))", "(block ".repeat(depth - 2), ")".repeat(depth - 2))
+    };
+    // A default test thread's stack, whatever `--test-threads` says.
+    let on_a_test_thread = |src: String| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_module(&src))
+            .expect("thread spawns")
+            .join()
+            .expect("deep nesting is an error, not a panic")
+    };
+    let at_cap = on_a_test_thread(nested(MAX_NESTING)).expect("nesting at the cap parses");
+    assert_eq!(at_cap.funcs[0].code.len(), 3 * (MAX_NESTING - 2) + 1);
+    let over = nested(MAX_NESTING + 1);
+    let innermost = over.rfind('(').expect("has lists");
+    let err = on_a_test_thread(over).expect_err("one level past the cap is rejected");
+    assert_eq!(err.offset, innermost, "{err}");
+    // Far past anything a stack could hold: rejected at the cap, unbuilt.
+    for hostile in [nested(100_000), "(".repeat(1_000_000)] {
+        let err = on_a_test_thread(hostile).expect_err("hostile nesting is rejected");
+        assert!(err.message.contains("nested deeper"), "{err}");
+    }
+}
+
 /// A builder-built module covering every section kind plus representative
 /// instruction immediates.
 fn rich_module() -> wasm::Module {

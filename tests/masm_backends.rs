@@ -1,70 +1,58 @@
 //! Differential testing of the two `Masm` backends.
 //!
-//! The single-pass compiler emits exclusively through the macro-assembler
-//! trait, so the virtual-ISA backend (executed by the simulator) and the
-//! x86-64 backend (real machine bytes) must agree on everything
-//! backend-independent: the number of macro operations, the label
-//! structure, the bytecode offsets in the source map, and the call/probe
-//! metadata. This is the test that promotes the x86-64 encoder from demo to
-//! backend: it must compile every function of all three synthetic suites
-//! without panicking.
+//! Both compilers emit exclusively through the macro-assembler trait, and
+//! the engine gets its x86-64 bytes by re-emitting the finished virtual code
+//! (`machine::masm::reemit`) instead of compiling a second time. The direct
+//! compile through `X64Masm` is the reference that path is held to: for every
+//! function of all three synthetic suites, in both tiers, the re-emission of
+//! the virtual code must equal it exactly — bytes, label targets, source map,
+//! runtime relocations and operation count — and the two compiles must agree
+//! on the backend-independent call/probe metadata. This is also the test that
+//! promotes the x86-64 encoder from demo to backend: it must compile every
+//! function without panicking.
 
+use engine::pipeline::{compile_function, CompileTier};
 use engine::{CodeBackend, Engine, EngineConfig, Imports, Instrumentation};
-use machine::x64_masm::X64Masm;
+use machine::masm::reemit;
 use machine::values::WasmValue;
-use spc::{CompilerOptions, ProbeKind, ProbeMode, ProbeSite, ProbeSites, SinglePassCompiler};
+use machine::x64_masm::{X64Code, X64Masm};
+use optc::OptimizingCompiler;
+use spc::{
+    CompiledCode, CompiledFunction, CompilerOptions, ProbeKind, ProbeMode, ProbeSite, ProbeSites,
+    SinglePassCompiler,
+};
 use suites::{all_suites, BenchmarkItem, Scale};
-use wasm::validate::validate;
+use wasm::validate::{validate, FuncInfo};
 use wasm::Module;
 
-/// Compiles every defined function of `module` with both backends and
-/// cross-checks the backend-independent structure. Returns the number of
-/// functions compared.
-fn compare_backends(module: &Module, probes: &ProbeSites, options: CompilerOptions) -> usize {
+/// One function compiled by one compiler through both backends.
+type BothBackends = (CompiledFunction, CompiledCode<X64Code>);
+
+/// Compiles every defined function of `module` through both backends with
+/// `compile`, holds the re-emission of the virtual code to the direct x86-64
+/// compile, and cross-checks the backend-independent metadata. Returns the
+/// number of functions compared.
+fn compare_backends(
+    module: &Module,
+    compile: impl Fn(&Module, u32, &FuncInfo) -> BothBackends,
+) -> usize {
     let info = validate(module).expect("module validates");
-    let compiler = SinglePassCompiler::new(options);
-    let mut compared = 0;
     for defined in 0..module.funcs.len() as u32 {
         let func_index = module.defined_to_func_index(defined);
-        let finfo = &info.funcs[defined as usize];
-        let virt = compiler
-            .compile(module, func_index, finfo, probes)
-            .expect("virtual-ISA backend compiles");
-        let x64 = compiler
-            .compile_with(X64Masm::new(), module, func_index, finfo, probes)
-            .expect("x86-64 backend compiles");
+        let (virt, x64) = compile(module, func_index, &info.funcs[defined as usize]);
 
-        // The same translation drove both backends: macro-operation counts
-        // and frame layout are identical.
+        // The virtual code is a complete recording of the translation:
+        // replayed into the x86-64 backend it is the direct compile, exactly.
+        assert_eq!(
+            reemit::<X64Masm>(&virt.code),
+            x64.code,
+            "function {func_index}: re-emission equals the direct x86-64 compile"
+        );
         assert_eq!(virt.stats.machine_insts, x64.stats.machine_insts);
         assert_eq!(virt.frame_slots, x64.frame_slots);
         assert_eq!(virt.num_locals, x64.num_locals);
 
-        // Label structure: same labels, bound in the same order.
-        let vt = virt.code.label_targets();
-        let xt = x64.code.label_targets();
-        assert_eq!(vt.len(), xt.len(), "label counts match");
-        for i in 0..vt.len() {
-            assert!(
-                xt[i] <= x64.code.code_size(),
-                "x64 label L{i} must land inside the code"
-            );
-            for j in 0..vt.len() {
-                assert_eq!(
-                    vt[i] <= vt[j],
-                    xt[i] <= xt[j],
-                    "labels L{i}/L{j} must be ordered identically in both backends"
-                );
-            }
-        }
-
-        // Source maps record the same bytecode-offset sequence (anchored at
-        // different code positions: instruction indices vs byte offsets).
-        let v_offsets: Vec<u32> = virt.code.source_map().iter().map(|&(_, o)| o).collect();
-        let x_offsets: Vec<u32> = x64.code.source_map().iter().map(|&(_, o)| o).collect();
-        assert_eq!(v_offsets, x_offsets, "source maps agree on bytecode offsets");
-
-        // Call and probe metadata: same sites with the same payloads.
+        // Call, probe and OSR metadata: same sites with the same payloads.
         let mut v_calls: Vec<u32> =
             virt.call_sites.values().map(|c| c.callee_slot_base).collect();
         let mut x_calls: Vec<u32> =
@@ -86,33 +74,98 @@ fn compare_backends(module: &Module, probes: &ProbeSites, options: CompilerOptio
         x_probes.sort_unstable();
         assert_eq!(v_probes, x_probes, "probe-site metadata agrees");
         assert_eq!(virt.stackmaps.len(), x64.stackmaps.len());
+        let mut v_osr: Vec<u32> = virt.osr_entries.keys().copied().collect();
+        let mut x_osr: Vec<u32> = x64.osr_entries.keys().copied().collect();
+        v_osr.sort_unstable();
+        x_osr.sort_unstable();
+        assert_eq!(v_osr, x_osr, "the same loops have OSR entries");
 
-        // The x86-64 backend produced real bytes and kept its metadata keys
-        // (byte offsets) inside them.
+        // The x86-64 backend produced real bytes and kept its labels and
+        // metadata keys (byte offsets) inside them.
         if !virt.code.is_empty() {
             assert!(x64.code.code_size() > 0, "non-empty code on both backends");
         }
+        let size = x64.code.code_size();
+        assert!(x64.code.label_targets().iter().all(|&target| target <= size));
         for &site in x64.call_sites.keys().chain(x64.probe_sites.keys()) {
-            assert!(site < x64.code.code_size(), "site index inside the code");
+            assert!(site < size, "site index inside the code");
         }
-        compared += 1;
+        assert!(x64.osr_entries.values().all(|&entry| entry < size));
     }
-    compared
+    module.funcs.len()
+}
+
+/// The baseline compiler under `options`, seen through both backends.
+fn baseline<'a>(
+    options: CompilerOptions,
+    probes: &'a ProbeSites,
+) -> impl Fn(&Module, u32, &FuncInfo) -> BothBackends + 'a {
+    let compiler = SinglePassCompiler::new(options);
+    move |module, func_index, info| {
+        let virt = compiler.compile(module, func_index, info, probes);
+        let x64 = compiler.compile_with(X64Masm::new(), module, func_index, info, probes);
+        (virt.expect("virtual-ISA backend compiles"), x64.expect("x86-64 backend compiles"))
+    }
+}
+
+/// The optimizing compiler, plain or with metering and OSR entries, seen
+/// through both backends.
+fn optimizing(metered_osr: bool) -> impl Fn(&Module, u32, &FuncInfo) -> BothBackends {
+    let compiler = OptimizingCompiler::default().with_metering(metered_osr).with_osr(metered_osr);
+    let probes = ProbeSites::none();
+    move |module, func_index, info| {
+        let virt = compiler.compile(module, func_index, info, &probes, None);
+        let x64 = compiler.compile_with(X64Masm::new(), module, func_index, info, &probes, None);
+        (virt.expect("virtual-ISA backend compiles"), x64.expect("x86-64 backend compiles"))
+    }
 }
 
 #[test]
 fn x64_backend_compiles_all_three_suites() {
+    let probes = ProbeSites::none();
     let mut functions = 0;
     for suite in all_suites(Scale::Test) {
         for item in &suite.items {
-            functions += compare_backends(
-                &item.module,
-                &ProbeSites::none(),
-                CompilerOptions::allopt(),
-            );
+            let compared = compare_backends(&item.module, baseline(CompilerOptions::allopt(), &probes));
+            assert_eq!(compared, compare_backends(&item.module, optimizing(false)));
+            assert_eq!(compared, compare_backends(&item.module, optimizing(true)));
+            functions += compared;
         }
     }
     assert!(functions >= 78, "every line item has at least its entry function");
+}
+
+#[test]
+fn the_pipeline_encodes_x64_from_the_code_it_publishes() {
+    // Under the x86-64 backend each compiler runs once per (function, tier):
+    // the artifact's bytes are the re-emission of the very code it executes.
+    let config = EngineConfig::tiered("x64", 1, CompilerOptions::allopt())
+        .with_backend(CodeBackend::X64);
+    let probes = ProbeSites::none();
+    for suite in all_suites(Scale::Test) {
+        for item in &suite.items {
+            let module = &item.module;
+            let info = validate(module).expect("module validates");
+            for defined in 0..module.funcs.len() as u32 {
+                for tier in [CompileTier::Baseline, CompileTier::Opt] {
+                    let func_index = module.defined_to_func_index(defined);
+                    let finfo = &info.funcs[defined as usize];
+                    let artifact =
+                        compile_function(&config, tier, module, func_index, finfo, &probes, None)
+                            .expect("suite functions compile");
+                    let x64 = reemit::<X64Masm>(&artifact.function.code);
+                    assert_eq!(artifact.machine_bytes, x64.code_size() as u64);
+                    assert_eq!(
+                        artifact.x64_code,
+                        Some(x64),
+                        "{}/{} function {func_index} in {tier:?}",
+                        suite.name,
+                        item.name
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -154,8 +207,7 @@ fn backends_agree_under_probes_and_tag_strategies() {
         CompilerOptions::with_tagging(spc::TagStrategy::Stackmaps, "maps"),
         CompilerOptions::nok(),
     ] {
-        let compared = compare_backends(&module, &probes, options);
-        assert_eq!(compared, 1);
+        assert_eq!(compare_backends(&module, baseline(options, &probes)), 1);
     }
 }
 

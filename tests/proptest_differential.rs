@@ -553,13 +553,14 @@ proptest! {
             )
             .expect("x86-64 backend compiles");
 
-        // Backend-independent structure agrees: macro-op count, labels, and
-        // the bytecode offsets recorded in the source map.
+        // The virtual code re-emitted through the x86-64 backend — how the
+        // engine gets its bytes — is the direct compile, exactly: bytes,
+        // label targets, source map, relocations and macro-op count.
         prop_assert_eq!(virt.stats.machine_insts, x64.stats.machine_insts);
-        prop_assert_eq!(virt.code.label_targets().len(), x64.code.label_targets().len());
-        let v_offsets: Vec<u32> = virt.code.source_map().iter().map(|&(_, o)| o).collect();
-        let x_offsets: Vec<u32> = x64.code.source_map().iter().map(|&(_, o)| o).collect();
-        prop_assert_eq!(v_offsets, x_offsets);
+        prop_assert_eq!(
+            &machine::masm::reemit::<machine::x64_masm::X64Masm>(&virt.code),
+            &x64.code
+        );
         prop_assert!(x64.code.code_size() > 0);
 
         // And the virtual-ISA code still executes to the interpreter's
