@@ -55,7 +55,7 @@ fn time_passes(module: &wasm::Module, func_index: u32, info: &wasm::validate::Fu
         info,
         &ProbeSites::none(),
         ProbeMode::Optimized,
-        None,
+        false,
         false,
     )
     .expect("suite bodies build");

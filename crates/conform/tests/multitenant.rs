@@ -185,7 +185,7 @@ fn multiengine_tenants_share_compiled_artifacts() {
     let (hit_d, fuel_d) = run(&d, Some(100));
     assert!(hit_d, "tenant D reuses C's metered artifact");
     assert_eq!(fuel_d, Some(1));
-    assert_eq!(multi.num_code_groups(), 2);
+    assert_eq!(multi.code_cache().len(), 2, "two code shapes, four tenants");
     assert_eq!(multi.code_cache().hits(), 2);
 }
 

@@ -254,14 +254,8 @@ impl SinglePassCompiler {
         let local_types = module
             .func_local_types(func_index)
             .expect("checked above: function has a body");
-        let fuel = if self.metering || self.osr {
-            FuelPlan::build(&decl.code).map_err(|e| CompileError {
-                offset: 0,
-                message: format!("fuel plan: {e}"),
-            })?
-        } else {
-            FuelPlan::empty()
-        };
+        // The plan validation wrote, consulted only when something rides it.
+        let fuel = (self.metering || self.osr).then_some(&*info.fuel);
         let mut fc = FuncCompiler {
             module,
             options: &self.options,
@@ -330,7 +324,7 @@ struct FuncCompiler<'a, M: Masm> {
     module: &'a Module,
     options: &'a CompilerOptions,
     probes: &'a ProbeSites,
-    fuel: FuelPlan,
+    fuel: Option<&'a FuelPlan>,
     metering: bool,
     osr: bool,
     num_locals: usize,
@@ -388,8 +382,10 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 // One fused check per site: the loop-head epoch poll rides
                 // the region's fuel decrement (a zero-amount check at the
                 // rare loop head whose region charges nothing).
-                let charge = self.fuel.charge_at(offset as u32);
-                let epoch_site = self.fuel.epoch_check_at(offset as u32);
+                let (charge, epoch_site) = match self.fuel {
+                    Some(plan) => (plan.charge_at(offset as u32), plan.epoch_check_at(offset as u32)),
+                    None => (None, false),
+                };
                 if self.osr && epoch_site && !self.options.debug_metadata {
                     // The OSR poll resolves its wasm offset through the
                     // source map, so loop-body starts need an exact mark even

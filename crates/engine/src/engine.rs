@@ -441,8 +441,8 @@ pub struct Engine {
     /// [`EngineConfig::opt_fingerprint`] of `config`, computed once: the
     /// configuration never changes after construction and every
     /// instantiation's [`CacheKey`] carries both.
-    pub(crate) compile_fingerprint: u64,
-    pub(crate) opt_fingerprint: u64,
+    compile_fingerprint: u64,
+    opt_fingerprint: u64,
     cache: Option<Arc<CodeCache>>,
     background: Option<Arc<BackgroundCompiler>>,
     /// The shared epoch counter for preemption. Engine clones (and engines
@@ -1544,7 +1544,10 @@ impl Engine {
             .and_then(|&slot| host_funcs.get_mut(slot))
             .ok_or(TrapCode::HostError)?;
         let results = f(heap, &args)?;
-        if results.len() != sig.results.len() {
+        // Both compilers know the result slots statically by the import's
+        // signature and the collector scans them by tag: a host function that
+        // returns other types than it was declared with is a host error.
+        if !results.iter().map(WasmValue::value_type).eq(sig.results.iter().copied()) {
             return Err(TrapCode::HostError);
         }
         for (i, value) in results.iter().enumerate() {

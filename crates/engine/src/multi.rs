@@ -22,20 +22,7 @@ use crate::cache::CodeCache;
 use crate::config::EngineConfig;
 use crate::engine::Engine;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// The registry key: every axis of a configuration that affects emitted
-/// code. Configurations agreeing on all three produce byte-identical
-/// artifacts and may share cache entries (the per-module [`crate::CacheKey`]
-/// repeats these axes, so even engines handed out for *different* fingerprints
-/// can share one cache safely — the map below exists for bookkeeping and the
-/// [`MultiEngine::num_code_groups`] metric, not for correctness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CodeGroup {
-    compile_fingerprint: u64,
-    backend: machine::masm::CodeBackend,
-    opt_fingerprint: u64,
-}
+use std::sync::Arc;
 
 /// A registry handing out [`Engine`]s that share one [`CodeCache`] and one
 /// epoch counter across tenants (see the module docs).
@@ -43,8 +30,6 @@ struct CodeGroup {
 pub struct MultiEngine {
     cache: Arc<CodeCache>,
     epoch: Arc<AtomicU64>,
-    /// Distinct code groups observed, for introspection/metrics.
-    groups: Mutex<Vec<CodeGroup>>,
 }
 
 impl MultiEngine {
@@ -59,20 +44,9 @@ impl MultiEngine {
     /// differing configurations coexist in the same cache under different
     /// keys.
     pub fn engine(&self, config: EngineConfig) -> Engine {
-        let engine = Engine::new(config)
+        Engine::new(config)
             .with_code_cache(Arc::clone(&self.cache))
-            .with_epoch(Arc::clone(&self.epoch));
-        let group = CodeGroup {
-            compile_fingerprint: engine.compile_fingerprint,
-            backend: engine.config().backend,
-            opt_fingerprint: engine.opt_fingerprint,
-        };
-        let mut groups = self.groups.lock().expect("group registry poisoned");
-        if !groups.contains(&group) {
-            groups.push(group);
-        }
-        drop(groups);
-        engine
+            .with_epoch(Arc::clone(&self.epoch))
     }
 
     /// The shared code cache (e.g. to read hit/miss counters).
@@ -92,24 +66,33 @@ impl MultiEngine {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// How many distinct code groups (sets of code-compatible
-    /// configurations) this registry has handed engines out for.
-    pub fn num_code_groups(&self) -> usize {
-        self.groups.lock().expect("group registry poisoned").len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ResourceLimits;
+    use crate::engine::Imports;
+    use crate::monitor::Instrumentation;
     use spc::CompilerOptions;
+    use wasm::builder::{CodeBuilder, ModuleBuilder};
+    use wasm::types::FuncType;
 
     #[test]
-    fn code_compatible_tenants_land_in_one_group() {
+    fn code_compatible_tenants_share_one_cache_entry() {
         let multi = MultiEngine::new();
+        let mut b = ModuleBuilder::new();
+        b.add_func(FuncType::new(vec![], vec![]), vec![], CodeBuilder::new().finish());
+        let module = b.finish();
+        let instantiate = |config: EngineConfig| {
+            multi
+                .engine(config)
+                .instantiate(&module, Imports::new(), Instrumentation::none())
+                .expect("instantiates");
+            multi.code_cache().len()
+        };
         let a = EngineConfig::baseline("tenant-a", CompilerOptions::allopt());
-        // Execution-only differences: same code group.
+        // Execution-only differences: the same code, one entry.
         let b = EngineConfig::baseline("tenant-b", CompilerOptions::allopt())
             .with_limits(ResourceLimits {
                 memory_pages: Some(4),
@@ -117,13 +100,11 @@ mod tests {
                 call_depth: Some(100),
             })
             .with_lazy_compile(true);
-        let _ea = multi.engine(a);
-        let _eb = multi.engine(b);
-        assert_eq!(multi.num_code_groups(), 1);
-        // Metering changes emitted code: a second group.
+        assert_eq!(instantiate(a), 1);
+        assert_eq!(instantiate(b), 1);
+        // Metering changes emitted code: a second entry.
         let c = EngineConfig::baseline("tenant-c", CompilerOptions::allopt()).with_metering();
-        let _ec = multi.engine(c);
-        assert_eq!(multi.num_code_groups(), 2);
+        assert_eq!(instantiate(c), 2);
     }
 
     #[test]

@@ -94,9 +94,12 @@ pub fn eager_tier(config: &EngineConfig) -> CompileTier {
 /// The immutable, shareable compilation artifact of one module: everything
 /// about a module that does not change as instances run.
 ///
-/// Construction validates the module and prepares every defined function
-/// (sidetables, frame metadata). Code slots start empty and are filled by
-/// eager, lazy, or background compilation; publication is atomic and
+/// Construction validates the module — the one walk each body gets before it
+/// runs or compiles, which also writes its sidetable and fuel plan — and pairs
+/// every defined function's tables with its frame metadata. Each table exists
+/// once: [`PreparedFunction`] and [`FuncInfo`] share it. Code slots start
+/// empty and are filled by eager, lazy, or background compilation;
+/// publication is atomic and
 /// idempotent (first writer wins — and every writer produces identical
 /// bytes, since compilation is a pure function of the slot's immutable
 /// inputs).
@@ -120,21 +123,22 @@ impl fmt::Debug for CompiledModule {
 
 impl CompiledModule {
     /// Validates `module` and prepares every defined function, producing an
-    /// artifact with all code slots empty.
+    /// artifact with all code slots empty. Validation is the only step that
+    /// reads bytecode: preparing a function assembles what it left in `info`,
+    /// and a later compile of the function is the body's second reading.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Validate`] if validation fails and
-    /// [`EngineError::Instantiate`] if sidetable preparation fails.
+    /// Returns [`EngineError::Validate`] if validation fails.
     pub fn build(module: Module) -> Result<CompiledModule, EngineError> {
         let info = validate(&module).map_err(EngineError::Validate)?;
-        let mut prepared = Vec::with_capacity(module.funcs.len());
-        for defined in 0..module.funcs.len() as u32 {
-            let func_index = module.defined_to_func_index(defined);
-            let p = prepare(&module, func_index, &info.funcs[defined as usize])
-                .map_err(|e| EngineError::Instantiate(format!("prepare failed: {e}")))?;
-            prepared.push(p);
-        }
+        let prepared = (0..module.funcs.len() as u32)
+            .map(|defined| {
+                let func_index = module.defined_to_func_index(defined);
+                prepare(&module, func_index, &info.funcs[defined as usize])
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(EngineError::Validate)?;
         let slots = (0..module.funcs.len()).map(|_| Slot::new()).collect();
         let opt_slots = (0..module.funcs.len()).map(|_| Slot::new()).collect();
         Ok(CompiledModule {
@@ -459,17 +463,22 @@ pub fn compile_eager(
     let results: Vec<Result<Vec<u32>, (u32, CompileError)>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move || {
-                    let mut published = Vec::new();
-                    for &defined in pending.iter().skip(w).step_by(workers) {
-                        match compile(defined) {
-                            Ok(true) => published.push(defined),
-                            Ok(false) => {}
-                            Err(e) => return Err((defined, e)),
+                // Named, so every instantiation's worker `w` reports into the
+                // same telemetry ring.
+                thread::Builder::new()
+                    .name(format!("compile-{w}"))
+                    .spawn_scoped(scope, move || {
+                        let mut published = Vec::new();
+                        for &defined in pending.iter().skip(w).step_by(workers) {
+                            match compile(defined) {
+                                Ok(true) => published.push(defined),
+                                Ok(false) => {}
+                                Err(e) => return Err((defined, e)),
+                            }
                         }
-                    }
-                    Ok(published)
-                })
+                        Ok(published)
+                    })
+                    .expect("spawn eager compile worker")
             })
             .collect();
         handles

@@ -14,21 +14,23 @@
 //! tier-up).
 
 use crate::probe::{FrameAccessor, ProbeSink};
-use crate::sidetable::{build_sidetable, BranchEntry, Sidetable, SidetableError};
+use crate::sidetable::{BranchEntry, Sidetable};
 use machine::cost::{CostModel, CycleCounter};
 use machine::cpu::ExecContext;
 use machine::inst::TrapCode;
 use machine::lower::{classify, OpClass};
 use machine::values::{ValueTag, WasmValue, NULL_REF_BITS};
+use std::sync::Arc;
 use wasm::fuel::FuelPlan;
 use wasm::module::{Module, ModuleData};
 use wasm::opcode::{OpSignature, Opcode};
 use wasm::reader::BytecodeReader;
 use wasm::types::ValueType;
-use wasm::validate::FuncInfo;
+use wasm::validate::{FuncInfo, ValidateError};
 
 /// Per-function metadata the interpreter (and the engine's frame management)
-/// needs, computed once per function at load time.
+/// needs, assembled once per function at load time. The two tables are the
+/// ones validation wrote, shared with the [`FuncInfo`] they came from.
 #[derive(Debug, Clone)]
 pub struct PreparedFunction {
     /// The function's index in the function index space.
@@ -42,11 +44,11 @@ pub struct PreparedFunction {
     /// Maximum operand stack height (from validation).
     pub max_stack: u32,
     /// The control-transfer sidetable.
-    pub sidetable: Sidetable,
+    pub sidetable: Arc<Sidetable>,
     /// Length of the body in bytes.
     pub body_len: u32,
     /// The static fuel-charging schedule shared with the compiled tiers.
-    pub fuel: FuelPlan,
+    pub fuel: Arc<FuelPlan>,
 }
 
 impl PreparedFunction {
@@ -61,43 +63,37 @@ impl PreparedFunction {
     }
 }
 
-/// Prepares a defined function for execution: builds its sidetable and
-/// collects the frame-layout metadata.
+/// Prepares a defined function for execution: pairs the tables validation
+/// wrote into `info` (shared, not copied) with the frame-layout metadata the
+/// module declares. Reads no bytecode.
 ///
 /// # Errors
 ///
-/// Returns an error for malformed bodies (validation normally runs first).
+/// Returns an error if `func_index` names no defined function of `module`,
+/// or if `info` visibly describes another body (a different length or local
+/// count) — the tables are only as good as the validation they came from.
 pub fn prepare(
     module: &Module,
     func_index: u32,
     info: &FuncInfo,
-) -> Result<PreparedFunction, SidetableError> {
-    let sig = module.func_type(func_index).ok_or(SidetableError {
-        offset: 0,
-        message: format!("function {func_index} has no signature"),
-    })?;
-    let local_types = module.func_local_types(func_index).ok_or(SidetableError {
-        offset: 0,
-        message: format!("function {func_index} has no body"),
-    })?;
-    let sidetable = build_sidetable(module, func_index)?;
-    let decl = module.func_decl(func_index).ok_or(SidetableError {
-        offset: 0,
-        message: format!("function {func_index} has no body"),
-    })?;
-    let fuel = FuelPlan::build(&decl.code).map_err(|e| SidetableError {
-        offset: 0,
-        message: format!("fuel plan: {e}"),
-    })?;
+) -> Result<PreparedFunction, ValidateError> {
+    let error = |message: String| ValidateError { func: None, offset: None, message };
+    let missing = || error(format!("function {func_index} has no body"));
+    let decl = module.func_decl(func_index).ok_or_else(missing)?;
+    let sig = module.func_type(func_index).ok_or_else(missing)?;
+    let local_types = module.func_local_types(func_index).ok_or_else(missing)?;
+    if info.body_len as usize != decl.code.len() || info.num_locals as usize != local_types.len() {
+        return Err(error(format!("function {func_index} was validated as another body")));
+    }
     Ok(PreparedFunction {
         func_index,
         num_params: sig.params.len() as u32,
         num_results: sig.results.len() as u32,
         local_types,
         max_stack: info.max_stack,
-        sidetable,
+        sidetable: Arc::clone(&info.sidetable),
         body_len: info.body_len,
-        fuel,
+        fuel: Arc::clone(&info.fuel),
     })
 }
 
@@ -1118,9 +1114,9 @@ mod tests {
             num_results: 0,
             local_types,
             max_stack: 4,
-            sidetable: Sidetable::default(),
+            sidetable: Arc::default(),
             body_len: 0,
-            fuel: FuelPlan::empty(),
+            fuel: Arc::default(),
         };
         let mut values = ValueStack::with_capacity(64);
         values.set_sp(prepared.num_locals() as usize);

@@ -1,439 +1,40 @@
-//! Sidetable construction for the in-place interpreter.
+//! The in-place interpreter's sidetable.
 //!
-//! The in-place interpreter executes the original bytecode without rewriting
-//! it, so it needs somewhere to find, for every branch, the target bytecode
-//! offset and how to fix up the operand stack when the branch is taken. That
-//! metadata is the *sidetable* (the `STP` of the paper's Fig. 2), built in a
-//! single forward pass that mirrors validation's control-stack discipline:
-//! every forward label's branches are recorded as fixups and resolved when
-//! the construct's `end` is reached, so construction is one walk of the code
-//! plus one sort of the branch entries into offset order.
+//! The interpreter executes the original bytecode without rewriting it, so it
+//! needs somewhere to find, for every branch, the target bytecode offset and
+//! how to fix up the operand stack when the branch is taken. That metadata is
+//! the *sidetable* (the `STP` of the paper's Fig. 2), and — as in the paper's
+//! design — it is a by-product of validation: [`wasm::validate`] records it on
+//! its own control stack while it type-checks the body, and hands it over in
+//! [`FuncInfo::sidetable`](wasm::validate::FuncInfo::sidetable). This module
+//! re-exports the table type and keeps [`build_sidetable`], the entry point
+//! for one function's table on its own.
 
+use std::sync::Arc;
 use wasm::module::Module;
-use wasm::opcode::{OpSignature, Opcode};
-use wasm::reader::BytecodeReader;
-use wasm::types::BlockType;
+use wasm::validate::{validate_func, ValidateError};
 
-/// One branch resolution: where to jump and how to adjust the operand stack.
-///
-/// Taking the branch copies the top `arity` operand slots down to
-/// `label_base` (the operand height of the target label) and continues at
-/// `target_ip`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchEntry {
-    /// Bytecode offset to continue at.
-    pub target_ip: u32,
-    /// Operand-stack height (in slots above the locals) of the target label.
-    pub label_base: u32,
-    /// Number of values the label receives.
-    pub arity: u32,
-}
+pub use wasm::sidetable::{BranchEntry, Sidetable};
 
-/// The per-function sidetable.
-///
-/// Entries are keyed by the bytecode offset of the branching instruction and
-/// stored in vectors sorted by strictly increasing offset; a lookup is a
-/// binary search. The entries of all `br_table`s share one pool, each
-/// table's slice located by a `(offset, start, len)` record.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sidetable {
-    branches: Vec<(u32, BranchEntry)>,
-    tables: Vec<TableRef>,
-    table_entries: Vec<BranchEntry>,
-}
-
-/// Where one `br_table`'s entries sit in [`Sidetable::table_entries`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TableRef {
-    offset: u32,
-    start: u32,
-    len: u32,
-}
-
-impl Sidetable {
-    /// The branch entry for the `br`, `br_if`, `if`, or `else` at `offset`.
-    #[inline]
-    pub fn branch(&self, offset: u32) -> Option<&BranchEntry> {
-        let index = self.branches.binary_search_by_key(&offset, |(at, _)| *at).ok()?;
-        Some(&self.branches[index].1)
-    }
-
-    /// The entries for the `br_table` at `offset`: one per target followed by
-    /// the default.
-    pub fn br_table(&self, offset: u32) -> Option<&[BranchEntry]> {
-        let index = self.tables.binary_search_by_key(&offset, |table| table.offset).ok()?;
-        let TableRef { start, len, .. } = self.tables[index];
-        self.table_entries.get(start as usize..(start + len) as usize)
-    }
-
-    /// Total number of entries (for size accounting).
-    pub fn len(&self) -> usize {
-        self.branches.len() + self.table_entries.len()
-    }
-
-    /// True if the function has no control transfers at all.
-    pub fn is_empty(&self) -> bool {
-        self.branches.is_empty() && self.table_entries.is_empty()
-    }
-}
-
-/// An error encountered while building a sidetable. Validation normally runs
-/// first, so these indicate either unvalidated input or an engine bug.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SidetableError {
-    /// Bytecode offset of the problem.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl std::fmt::Display for SidetableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sidetable error at +{}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for SidetableError {}
-
-#[derive(Debug)]
-struct CtrlFrame {
-    is_loop: bool,
-    label_base: u32,
-    params: u32,
-    results: u32,
-    /// First instruction of a loop body (branch target for loops).
-    start_ip: u32,
-    /// `br`/`br_if` offsets waiting for this frame's `end`.
-    branch_fixups: Vec<u32>,
-    /// `br_table` entries (indices into the entry pool) waiting for this
-    /// frame's `end`.
-    table_fixups: Vec<usize>,
-    /// Offset of an `if` whose false-branch target is not yet known.
-    pending_if_false: Option<u32>,
-    /// Offset of an `else` whose jump-to-end target is not yet known.
-    pending_else: Option<u32>,
-    unreachable: bool,
-}
-
-/// Builds the sidetable for the defined function with function-space index
-/// `func_index`.
+/// The sidetable of the defined function with function-space index
+/// `func_index`: validates that one body and returns the table the validator
+/// wrote. The engine does not call this — it validates a module once and
+/// reads every function's table from the result.
 ///
 /// # Errors
 ///
-/// Returns an error if the body is structurally malformed (which validation
-/// would also reject).
-pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Sidetable, SidetableError> {
-    let decl = module.func_decl(func_index).ok_or(SidetableError {
-        offset: 0,
-        message: format!("function {func_index} has no body"),
-    })?;
-    let sig = module.func_type(func_index).ok_or(SidetableError {
-        offset: 0,
-        message: format!("function {func_index} has no signature"),
-    })?;
-    let code = &decl.code;
-    let mut table = Sidetable::default();
-    let mut frames = vec![CtrlFrame {
-        is_loop: false,
-        label_base: 0,
-        params: 0,
-        results: sig.results.len() as u32,
-        start_ip: 0,
-        branch_fixups: Vec::new(),
-        table_fixups: Vec::new(),
-        pending_if_false: None,
-        pending_else: None,
-        unreachable: false,
-    }];
-    let mut height: u32 = 0;
-    let mut reader = BytecodeReader::new(code);
-
-    let err = |offset: usize, message: String| SidetableError { offset, message };
-
-    while !frames.is_empty() {
-        if reader.is_at_end() {
-            return Err(err(code.len(), "unexpected end of body".to_string()));
-        }
-        let offset = reader.pc() as u32;
-        let op = reader
-            .read_opcode()
-            .map_err(|e| err(offset as usize, e.to_string()))?;
-        let unreachable = frames.last().map(|f| f.unreachable).unwrap_or(false);
-
-        macro_rules! pop {
-            ($n:expr) => {
-                if !unreachable {
-                    height = height.saturating_sub($n);
-                }
-            };
-        }
-        macro_rules! push {
-            ($n:expr) => {
-                if !unreachable {
-                    height += $n;
-                }
-            };
-        }
-
-        match op {
-            Opcode::Block | Opcode::Loop | Opcode::If => {
-                let bt = reader
-                    .read_block_type()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                let (params, results) = block_signature(module, bt)
-                    .ok_or_else(|| err(offset as usize, "bad block type".to_string()))?;
-                if op == Opcode::If {
-                    pop!(1);
-                }
-                let label_base = if unreachable {
-                    frames.last().map(|f| f.label_base).unwrap_or(0)
-                } else {
-                    height.saturating_sub(params)
-                };
-                frames.push(CtrlFrame {
-                    is_loop: op == Opcode::Loop,
-                    label_base,
-                    params,
-                    results,
-                    start_ip: reader.pc() as u32,
-                    branch_fixups: Vec::new(),
-                    table_fixups: Vec::new(),
-                    pending_if_false: if op == Opcode::If { Some(offset) } else { None },
-                    pending_else: None,
-                    unreachable,
-                });
-            }
-            Opcode::Else => {
-                let frame = frames.last_mut().expect("inside a frame");
-                if let Some(if_offset) = frame.pending_if_false.take() {
-                    table.branches.push((
-                        if_offset,
-                        BranchEntry {
-                            target_ip: offset + 1,
-                            label_base: frame.label_base,
-                            arity: frame.params,
-                        },
-                    ));
-                }
-                frame.pending_else = Some(offset);
-                frame.unreachable = false;
-                height = frame.label_base + frame.params;
-            }
-            Opcode::End => {
-                let frame = frames.pop().expect("inside a frame");
-                let entry = BranchEntry {
-                    target_ip: offset,
-                    label_base: frame.label_base,
-                    arity: frame.results,
-                };
-                let resolved = frame.pending_if_false.into_iter().chain(frame.pending_else);
-                table
-                    .branches
-                    .extend(resolved.chain(frame.branch_fixups).map(|at| (at, entry)));
-                for slot in frame.table_fixups {
-                    table.table_entries[slot] = entry;
-                }
-                height = frame.label_base + frame.results;
-                if let Some(parent) = frames.last() {
-                    if parent.unreachable {
-                        height = parent.label_base;
-                    }
-                }
-            }
-            Opcode::Br | Opcode::BrIf => {
-                let depth = reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                if op == Opcode::BrIf {
-                    pop!(1);
-                }
-                record_branch(&mut table, &mut frames, offset, depth, None)
-                    .map_err(|m| err(offset as usize, m))?;
-                if op == Opcode::Br {
-                    mark_unreachable(&mut frames, &mut height);
-                }
-            }
-            Opcode::BrTable => {
-                let count = reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                pop!(1);
-                // One entry per target, then the default; each is pushed only
-                // once its depth has been read, so a hostile count cannot
-                // size an allocation.
-                let start = table.table_entries.len();
-                for _ in 0..=count {
-                    let depth = reader
-                        .read_index()
-                        .map_err(|e| err(offset as usize, e.to_string()))?;
-                    let slot = table.table_entries.len();
-                    table.table_entries.push(BranchEntry { target_ip: 0, label_base: 0, arity: 0 });
-                    record_branch(&mut table, &mut frames, offset, depth, Some(slot))
-                        .map_err(|m| err(offset as usize, m))?;
-                }
-                table.tables.push(TableRef {
-                    offset,
-                    start: start as u32,
-                    len: (table.table_entries.len() - start) as u32,
-                });
-                mark_unreachable(&mut frames, &mut height);
-            }
-            Opcode::Return | Opcode::Unreachable => {
-                mark_unreachable(&mut frames, &mut height);
-            }
-            Opcode::Call => {
-                let callee = reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                let ty = module
-                    .func_type(callee)
-                    .ok_or_else(|| err(offset as usize, format!("unknown callee {callee}")))?;
-                pop!(ty.params.len() as u32);
-                push!(ty.results.len() as u32);
-            }
-            Opcode::CallIndirect => {
-                let (type_index, _table) = reader
-                    .read_call_indirect()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                let ty = module
-                    .types
-                    .get(type_index as usize)
-                    .ok_or_else(|| err(offset as usize, format!("unknown type {type_index}")))?;
-                pop!(1 + ty.params.len() as u32);
-                push!(ty.results.len() as u32);
-            }
-            Opcode::Drop => pop!(1),
-            Opcode::Select => {
-                pop!(3);
-                push!(1);
-            }
-            Opcode::SelectT => {
-                reader
-                    .skip_immediates(op)
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                pop!(3);
-                push!(1);
-            }
-            Opcode::LocalGet | Opcode::GlobalGet => {
-                reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                push!(1);
-            }
-            Opcode::LocalSet | Opcode::GlobalSet => {
-                reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                pop!(1);
-            }
-            Opcode::LocalTee => {
-                reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-            }
-            Opcode::MemorySize => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                push!(1);
-            }
-            Opcode::MemoryGrow => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-            }
-            Opcode::RefNull => {
-                reader
-                    .read_ref_type()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                push!(1);
-            }
-            Opcode::RefIsNull => {}
-            Opcode::RefFunc => {
-                reader
-                    .read_index()
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                push!(1);
-            }
-            Opcode::Nop => {}
-            _ => {
-                // Constants, arithmetic, comparisons, conversions, and memory
-                // accesses: derive the stack effect from the signature.
-                reader
-                    .skip_immediates(op)
-                    .map_err(|e| err(offset as usize, e.to_string()))?;
-                match op.signature() {
-                    OpSignature::Const(_) => push!(1),
-                    OpSignature::Unary(..) => {}
-                    OpSignature::Binary(..) => {
-                        pop!(2);
-                        push!(1);
-                    }
-                    OpSignature::Load(_) => {}
-                    OpSignature::Store(_) => pop!(2),
-                    OpSignature::Special => {
-                        return Err(err(offset as usize, format!("unhandled opcode {op}")))
-                    }
-                }
-            }
-        }
-    }
-    // Forward branches were recorded when their label's `end` resolved them,
-    // not where they stand; `br_table`s were met in offset order already.
-    table.branches.sort_unstable_by_key(|(at, _)| *at);
-    debug_assert!(table.branches.windows(2).all(|w| w[0].0 < w[1].0));
-    debug_assert!(table.tables.windows(2).all(|w| w[0].offset < w[1].offset));
-    Ok(table)
-}
-
-fn block_signature(module: &Module, bt: BlockType) -> Option<(u32, u32)> {
-    let (params, results) = bt.resolve(&module.types)?;
-    Some((params.len() as u32, results.len() as u32))
-}
-
-fn record_branch(
-    table: &mut Sidetable,
-    frames: &mut [CtrlFrame],
-    offset: u32,
-    depth: u32,
-    table_slot: Option<usize>,
-) -> Result<(), String> {
-    let len = frames.len();
-    if depth as usize >= len {
-        return Err(format!("branch depth {depth} exceeds nesting {len}"));
-    }
-    let frame = &mut frames[len - 1 - depth as usize];
-    if frame.is_loop {
-        let entry = BranchEntry {
-            target_ip: frame.start_ip,
-            label_base: frame.label_base,
-            arity: frame.params,
-        };
-        match table_slot {
-            Some(slot) => table.table_entries[slot] = entry,
-            None => table.branches.push((offset, entry)),
-        }
-    } else {
-        match table_slot {
-            Some(slot) => frame.table_fixups.push(slot),
-            None => frame.branch_fixups.push(offset),
-        }
-    }
-    Ok(())
-}
-
-fn mark_unreachable(frames: &mut [CtrlFrame], height: &mut u32) {
-    if let Some(frame) = frames.last_mut() {
-        frame.unreachable = true;
-        *height = frame.label_base;
-    }
+/// Returns the validator's error if the function has no body or the body is
+/// invalid.
+pub fn build_sidetable(module: &Module, func_index: u32) -> Result<Arc<Sidetable>, ValidateError> {
+    validate_func(module, func_index).map(|info| info.sidetable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wasm::builder::{CodeBuilder, ModuleBuilder};
-    use wasm::types::{FuncType, ValueType};
+    use wasm::opcode::Opcode;
+    use wasm::types::{BlockType, FuncType, ValueType};
 
     fn build(params: Vec<ValueType>, results: Vec<ValueType>, code: CodeBuilder) -> (Module, u32) {
         let mut b = ModuleBuilder::new();
@@ -550,7 +151,7 @@ mod tests {
             .end();
         let (m, f) = build(vec![], vec![], c);
         let t = build_sidetable(&m, f).unwrap();
-        let offsets: Vec<u32> = t.branches.iter().map(|(at, _)| *at).collect();
+        let offsets: Vec<u32> = t.branch_offsets().collect();
         assert_eq!(offsets, [4, 6, 9]);
         assert_eq!(t.branch(4).unwrap().target_ip, 11);
         assert_eq!(t.branch(6).unwrap().target_ip, 8);
@@ -627,6 +228,64 @@ mod tests {
         let (m, _) = build(vec![], vec![], CodeBuilder::new());
         let e = build_sidetable(&m, 99).unwrap_err();
         assert!(e.to_string().contains("no body"));
+    }
+
+    #[test]
+    fn malformed_bodies_are_validation_errors_at_every_entry_point() {
+        let block = [Opcode::Block.to_byte(), 0x40];
+        let end = Opcode::End.to_byte();
+        let mut truncated_br_table = CodeBuilder::new();
+        truncated_br_table.block(BlockType::Empty).i32_const(0);
+        let mut truncated_br_table = truncated_br_table.into_raw_bytes();
+        // Five targets announced, one present.
+        truncated_br_table.extend([Opcode::BrTable.to_byte(), 5, 0]);
+        let mut deep_branch = CodeBuilder::new();
+        deep_branch.block(BlockType::Empty).br(2).end();
+        let mut stray_else = CodeBuilder::new();
+        stray_else.block(BlockType::Empty).else_().end();
+        let malformed: [(&str, Vec<u8>); 5] = [
+            ("truncated br_table", truncated_br_table),
+            ("branch depth past the nesting", deep_branch.finish()),
+            ("else without if", stray_else.finish()),
+            ("open constructs at the end of the body", [&block[..], &[end]].concat()),
+            ("200 000 blocks left open", block.repeat(200_000)),
+        ];
+        for (what, code) in malformed {
+            let mut b = ModuleBuilder::new();
+            let f = b.add_func(FuncType::new(vec![], vec![]), vec![], code);
+            let m = b.finish();
+            let error = wasm::validate::validate(&m).expect_err(what);
+            assert_eq!(error.func, Some(0), "{what}: {error}");
+            assert_eq!(build_sidetable(&m, f).unwrap_err(), error, "{what}");
+            // No validation, no `FuncInfo` for this body — and `prepare`
+            // refuses one that came from anywhere else.
+            let stale = wasm::validate::FuncInfo::default();
+            assert!(crate::prepare(&m, f, &stale).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_grows_a_vec_not_the_host_stack() {
+        // 200 000 nested blocks, the innermost branching all the way out.
+        let mut c = CodeBuilder::new();
+        for _ in 0..200_000 {
+            c.block(BlockType::Empty);
+        }
+        c.br(199_999);
+        for _ in 0..200_000 {
+            c.end();
+        }
+        let (m, f) = build(vec![], vec![], c);
+        let info = wasm::validate::validate(&m).expect("valid");
+        let t = build_sidetable(&m, f).unwrap();
+        assert_eq!(t, info.funcs[0].sidetable);
+        // 400 000 bytes of `block`, a three-byte depth, then the `end`s: the
+        // branch lands on the last of them.
+        let entry = t.branch(400_000).expect("the br");
+        assert_eq!((entry.target_ip, entry.label_base, entry.arity), (400_000 + 4 + 199_999, 0, 0));
+        let prepared = crate::prepare(&m, f, &info.funcs[0]).expect("prepares");
+        assert!(Arc::ptr_eq(&prepared.sidetable, &info.funcs[0].sidetable), "shared, not copied");
+        assert!(Arc::ptr_eq(&prepared.fuel, &info.funcs[0].fuel), "shared, not copied");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `CostModel` fields, never read back from the interpreter.
 
 use interp::{InterpExit, Interpreter, NoProbes, PreparedFunction};
-use interp::sidetable::{build_sidetable, Sidetable};
+use interp::sidetable::build_sidetable;
 use machine::cost::{CostModel, CycleCounter};
 use machine::cpu::{ExecContext, Meter};
 use machine::inst::{AluOp, FAluOp, FUnOp, TrapCode};
@@ -14,8 +14,8 @@ use machine::lower::{classify, OpClass};
 use machine::memory::{LinearMemory, Table};
 use machine::values::{GlobalSlot, ValueStack, WasmValue};
 use std::collections::HashSet;
+use std::sync::Arc;
 use wasm::builder::{CodeBuilder, ModuleBuilder};
-use wasm::fuel::FuelPlan;
 use wasm::opcode::Opcode;
 use wasm::types::{BlockType, FuncType, Limits, ValueType};
 
@@ -73,9 +73,11 @@ struct Case {
     locals: Vec<WasmValue>,
     operands: Vec<WasmValue>,
     code: Vec<u8>,
-    /// Whether `code` is a complete body (ends in `end`) whose sidetable can
-    /// be built; a bare instruction runs against an empty sidetable and
-    /// returns by falling off the end.
+    /// Where in `code` the frame starts executing.
+    start_ip: usize,
+    /// Whether `code` is a complete, valid body (ends in `end`) whose
+    /// sidetable validation writes; a bare instruction runs against an empty
+    /// sidetable and returns by falling off the end.
     structured: bool,
 }
 
@@ -87,17 +89,33 @@ impl Case {
             locals: vec![],
             operands: operands.to_vec(),
             code: code.into_raw_bytes(),
+            start_ip: 0,
             structured: false,
         }
     }
 
-    /// A complete body.
-    fn body(results: &[ValueType], code: CodeBuilder, operands: &[WasmValue]) -> Case {
+    /// A complete body. It has to validate, so it opens with constants
+    /// pushing `operands`; the frame starts past them, operands in place, and
+    /// what `build` emits is all that is charged.
+    fn body(results: &[ValueType], build: &dyn Fn(&mut CodeBuilder), operands: &[WasmValue]) -> Case {
+        let mut code = CodeBuilder::new();
+        for operand in operands {
+            match *operand {
+                WasmValue::I32(v) => code.i32_const(v),
+                WasmValue::I64(v) => code.i64_const(v),
+                WasmValue::F32(v) => code.f32_const(v),
+                WasmValue::F64(v) => code.f64_const(v),
+                other => panic!("no constant pushes {other:?}"),
+            };
+        }
+        let start_ip = code.len();
+        build(&mut code);
         Case {
             results: results.to_vec(),
             locals: vec![],
             operands: operands.to_vec(),
             code: code.finish(),
+            start_ip,
             structured: true,
         }
     }
@@ -134,10 +152,10 @@ fn charged(cost: &CostModel, case: Case) -> (InterpExit, u64) {
         sidetable: if case.structured {
             build_sidetable(&module, func).expect("structured body")
         } else {
-            Sidetable::default()
+            Arc::default()
         },
         body_len: case.code.len() as u32,
-        fuel: FuelPlan::empty(),
+        fuel: Arc::default(),
     };
 
     let mut values = ValueStack::with_capacity(64);
@@ -160,7 +178,7 @@ fn charged(cost: &CostModel, case: Case) -> (InterpExit, u64) {
     let exit = Interpreter::new(cost.clone()).run(
         &module,
         &prepared,
-        0,
+        case.start_ip,
         &mut ctx,
         &mut NoProbes,
         &mut cycles,
@@ -263,11 +281,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
         build(&mut code);
         Case::bare(code, operands)
     };
-    let body = |results: &[ValueType], build: &dyn Fn(&mut CodeBuilder), operands: &[WasmValue]| {
-        let mut code = CodeBuilder::new();
-        build(&mut code);
-        Case::body(results, code, operands)
-    };
+    let body = Case::body;
     let trap = |code, offset| InterpExit::Trap { code, offset };
     let mut all = vec![
         Scenario {

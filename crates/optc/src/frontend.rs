@@ -92,7 +92,9 @@ struct Builder<'a> {
     cur_offset: u32,
 }
 
-/// Builds the SSA form of one validated function.
+/// Builds the SSA form of one validated function. With `metering`, the
+/// fuel checks of `info.fuel` — the plan validation wrote — are inserted at
+/// their offsets.
 ///
 /// # Errors
 ///
@@ -104,7 +106,7 @@ pub fn build(
     info: &FuncInfo,
     probes: &ProbeSites,
     probe_mode: ProbeMode,
-    fuel: Option<&FuelPlan>,
+    metering: bool,
     osr: bool,
 ) -> Result<FuncIr, CompileError> {
     let decl = module.func_decl(func_index).ok_or(CompileError {
@@ -143,7 +145,7 @@ pub fn build(
         module,
         probes,
         probe_mode,
-        fuel,
+        fuel: metering.then_some(&*info.fuel),
         osr,
         ir,
         current: entry,
@@ -958,7 +960,7 @@ mod tests {
             &info.funcs[0],
             &ProbeSites::none(),
             ProbeMode::Optimized,
-            None,
+            false,
             false,
         )
         .unwrap()

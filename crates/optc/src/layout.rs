@@ -102,7 +102,7 @@ mod tests {
             &info.funcs[0],
             &ProbeSites::none(),
             ProbeMode::Optimized,
-            None,
+            false,
             false,
         )
         .unwrap();

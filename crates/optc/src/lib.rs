@@ -44,7 +44,6 @@ pub mod regalloc;
 use interp::profile::FuncProfile;
 use machine::masm::Masm;
 use spc::{CompileError, CompiledCode, CompiledFunction, ProbeMode, ProbeSites};
-use wasm::fuel::FuelPlan;
 use wasm::hash::Fnv64;
 use wasm::module::Module;
 use wasm::validate::FuncInfo;
@@ -159,25 +158,13 @@ impl OptimizingCompiler {
             .func_decl(func_index)
             .map(|d| d.code.len() as u32)
             .unwrap_or(0);
-        let fuel = if self.metering {
-            let decl = module.func_decl(func_index).ok_or(CompileError {
-                offset: 0,
-                message: format!("function {func_index} has no body"),
-            })?;
-            Some(FuelPlan::build(&decl.code).map_err(|e| CompileError {
-                offset: 0,
-                message: format!("fuel plan: {e}"),
-            })?)
-        } else {
-            None
-        };
         let mut ir = frontend::build(
             module,
             func_index,
             info,
             probes,
             self.probe_mode,
-            fuel.as_ref(),
+            self.metering,
             self.osr,
         )?;
         opt::optimize(&mut ir);

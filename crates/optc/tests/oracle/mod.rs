@@ -20,7 +20,6 @@ use optc::{frontend, layout, opt, regalloc};
 use machine::reg::{AnyReg, FReg, Reg};
 use spc::{ProbeMode, ProbeSites};
 use std::collections::{HashMap, HashSet};
-use wasm::fuel::FuelPlan;
 use wasm::module::Module;
 use wasm::validate::validate;
 
@@ -605,10 +604,6 @@ pub fn check_module(module: &Module, what: &str) {
         let func_index = module.defined_to_func_index(defined);
         for (variant, metering, osr, probes) in VARIANTS {
             let what = format!("{what} function {func_index} ({variant})");
-            let fuel = metering.then(|| {
-                let decl = module.func_decl(func_index).expect("defined function");
-                FuelPlan::build(&decl.code).expect("validated body")
-            });
             let (sites, mode) = if probes {
                 (branch_monitor.sites_for(func_index), ProbeMode::Runtime)
             } else {
@@ -620,7 +615,7 @@ pub fn check_module(module: &Module, what: &str) {
                 &info.funcs[defined as usize],
                 &sites,
                 mode,
-                fuel.as_ref(),
+                metering,
                 osr,
             )
             .unwrap_or_else(|e| panic!("{what}: {e:?}"));

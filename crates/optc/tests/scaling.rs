@@ -145,7 +145,7 @@ fn segmented_module(segments: u32) -> Module {
 /// edge arguments (one per local per edge, before any is pruned).
 fn ir_size(module: &Module) -> usize {
     let info = wasm::validate::validate(module).expect("generated module validates");
-    let ir = frontend::build(module, 0, &info.funcs[0], &ProbeSites::none(), ProbeMode::Optimized, None, false)
+    let ir = frontend::build(module, 0, &info.funcs[0], &ProbeSites::none(), ProbeMode::Optimized, false, false)
         .expect("generated body builds");
     let mut edge_args = 0;
     for block in &ir.blocks {

@@ -10,19 +10,19 @@
 //! * an [`EpochTicker`] owns the background thread that bumps the shared
 //!   epoch every `granularity`;
 //! * a [`TimeoutList`] converts a request's wall-clock budget into an epoch
-//!   deadline (`now + ceil(budget / granularity)`, minimum one tick) and
-//!   keeps the outstanding deadlines in an ordered list — the
-//!   `timeout_list` idiom — so the server can observe the earliest pending
-//!   deadline and count expirations vs. in-time completions.
+//!   deadline (`now + ceil(budget / granularity)`, minimum one tick) and,
+//!   when the request retires, says how far past it the clock had run. It
+//!   keeps three counters (outstanding, expired, in time) and no list:
+//!   expiry needs no scanning, because an armed deadline is already an epoch
+//!   number the engine compares against on its own.
 //!
 //! The enforcement bound follows directly: a request is interrupted no
 //! earlier than its budget rounded down to a tick, and no later than one
 //! granularity after its deadline passes plus the time to reach the next
 //! check site. Tests assert exactly that window (with slack for scheduling).
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -87,31 +87,13 @@ impl Drop for EpochTicker {
     }
 }
 
-/// A deadline handed out by [`TimeoutList::arm`]. Pass
-/// [`TimeoutToken::deadline_epoch`] to
-/// [`Instance::set_epoch_deadline`](engine::Instance::set_epoch_deadline),
-/// then return the token via [`TimeoutList::complete`] when the request
-/// finishes (however it finishes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeoutToken {
-    /// The absolute epoch at which the request becomes interruptible.
-    pub deadline_epoch: u64,
-    id: u64,
-}
-
-/// The outstanding wall-clock deadlines, ordered soonest-first.
-///
-/// Expiry itself needs no scanning: every armed deadline is already an
-/// epoch number the engine compares against on its own. The list exists for
-/// the server's bookkeeping — earliest pending deadline, expired vs.
-/// in-time counts — and to centralize the wall-clock → epoch conversion.
+/// The wall-clock → epoch conversion for request deadlines, and the count of
+/// how they ended. Lock-free: arming and retiring a deadline are a load and
+/// two atomic increments on the request path.
 pub struct TimeoutList {
     epoch: Arc<AtomicU64>,
     granularity: Duration,
-    next_id: AtomicU64,
-    /// `(deadline_epoch, id)` pairs; `BTreeSet` keeps them ordered so the
-    /// earliest deadline is `first()`.
-    pending: Mutex<BTreeSet<(u64, u64)>>,
+    pending: AtomicU64,
     expired: AtomicU64,
     in_time: AtomicU64,
 }
@@ -122,8 +104,7 @@ impl TimeoutList {
         TimeoutList {
             epoch,
             granularity,
-            next_id: AtomicU64::new(0),
-            pending: Mutex::new(BTreeSet::new()),
+            pending: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             in_time: AtomicU64::new(0),
         }
@@ -136,40 +117,28 @@ impl TimeoutList {
         (ticks as u64).max(1)
     }
 
-    /// Registers a deadline `budget` from now and returns its token.
-    pub fn arm(&self, budget: Duration) -> TimeoutToken {
-        let deadline_epoch = self.epoch.load(Ordering::SeqCst) + self.ticks_for(budget);
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.pending
-            .lock()
-            .expect("timeout list lock")
-            .insert((deadline_epoch, id));
-        TimeoutToken { deadline_epoch, id }
+    /// Starts a deadline `budget` from now and returns the absolute epoch at
+    /// which the request becomes interruptible: pass it to
+    /// [`Instance::set_epoch_deadline`](engine::Instance::set_epoch_deadline),
+    /// then to [`TimeoutList::retire`] when the request finishes (however it
+    /// finishes).
+    pub fn arm(&self, budget: Duration) -> u64 {
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        self.epoch.load(Ordering::SeqCst) + self.ticks_for(budget)
     }
 
-    /// Retires a deadline when its request finishes. Returns `true` if the
-    /// deadline had already passed (the request was — or was about to be —
-    /// interrupted), `false` if it completed in time.
-    pub fn complete(&self, token: TimeoutToken) -> bool {
-        self.retire(token).is_some()
-    }
-
-    /// Like [`TimeoutList::complete`], but measures *how late* an expired
-    /// request retired: `Some(overshoot)` is the number of whole epochs the
-    /// clock had advanced past the deadline when the request came back
-    /// (zero when it retired in the very tick the deadline landed on),
-    /// `None` means it completed in time. Cooperative preemption bounds the
-    /// overshoot by one granularity plus the time to the next check site,
-    /// which the serving tests assert.
-    pub fn retire(&self, token: TimeoutToken) -> Option<u64> {
-        self.pending
-            .lock()
-            .expect("timeout list lock")
-            .remove(&(token.deadline_epoch, token.id));
+    /// Retires a deadline when its request finishes, measuring *how late* an
+    /// expired request came back: `Some(overshoot)` is the number of whole
+    /// epochs the clock had advanced past the deadline (zero when it retired
+    /// in the very tick the deadline landed on), `None` means it completed in
+    /// time. Cooperative preemption bounds the overshoot by one granularity
+    /// plus the time to the next check site, which the serving tests assert.
+    pub fn retire(&self, deadline_epoch: u64) -> Option<u64> {
+        self.pending.fetch_sub(1, Ordering::SeqCst);
         let now = self.epoch.load(Ordering::SeqCst);
-        if now >= token.deadline_epoch {
+        if now >= deadline_epoch {
             self.expired.fetch_add(1, Ordering::SeqCst);
-            Some(now - token.deadline_epoch)
+            Some(now - deadline_epoch)
         } else {
             self.in_time.fetch_add(1, Ordering::SeqCst);
             None
@@ -178,16 +147,7 @@ impl TimeoutList {
 
     /// Deadlines currently outstanding.
     pub fn pending(&self) -> usize {
-        self.pending.lock().expect("timeout list lock").len()
-    }
-
-    /// The earliest outstanding deadline epoch, if any.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.pending
-            .lock()
-            .expect("timeout list lock")
-            .first()
-            .map(|&(deadline, _)| deadline)
+        self.pending.load(Ordering::SeqCst) as usize
     }
 
     /// Requests retired after their deadline passed.
@@ -220,19 +180,18 @@ mod tests {
     }
 
     #[test]
-    fn arm_complete_orders_and_counts() {
+    fn arm_and_retire_count() {
         let epoch = fixed_epoch(10);
         let list = TimeoutList::new(Arc::clone(&epoch), Duration::from_millis(1));
-        let slow = list.arm(Duration::from_millis(50)); // deadline 60
-        let fast = list.arm(Duration::from_millis(5)); // deadline 15
+        let slow = list.arm(Duration::from_millis(50));
+        let fast = list.arm(Duration::from_millis(5));
+        assert_eq!((slow, fast), (60, 15));
         assert_eq!(list.pending(), 2);
-        assert_eq!(list.next_deadline(), Some(15), "soonest first");
         // `fast` retires before its deadline: in time.
-        assert!(!list.complete(fast));
-        assert_eq!(list.next_deadline(), Some(60));
+        assert_eq!(list.retire(fast), None);
         // The clock blows past `slow`'s deadline: expired.
         epoch.store(61, Ordering::SeqCst);
-        assert!(list.complete(slow));
+        assert_eq!(list.retire(slow), Some(1));
         assert_eq!(list.pending(), 0);
         assert_eq!((list.in_time_count(), list.expired_count()), (1, 1));
     }

@@ -14,8 +14,8 @@
 //!
 //! * [`deadline`] — wall-clock budgets lowered onto the engine's epoch
 //!   preemption: a ticker thread advances the shared epoch, a
-//!   `timeout_list` converts budgets to epoch deadlines, and the engine
-//!   interrupts itself at the next check site;
+//!   [`deadline::TimeoutList`] converts budgets to epoch deadlines, and the
+//!   engine interrupts itself at the next check site;
 //! * [`access_log`] — every retired request becomes one structured JSON
 //!   line (latency, fuel, pool/cache behaviour, deadline overshoot for
 //!   interrupted requests, symbolicated trap diagnostics on failure), and
@@ -206,7 +206,7 @@ pub struct Server {
     engine_config: EngineConfig,
     cache: Arc<CodeCache>,
     ticker: EpochTicker,
-    timeouts: Arc<TimeoutList>,
+    timeouts: TimeoutList,
     recorder: FlightRecorder,
     apps: Vec<App>,
 }
@@ -217,7 +217,7 @@ impl Server {
     pub fn new(server_config: ServerConfig, engine_config: EngineConfig) -> Server {
         let epoch = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let ticker = EpochTicker::start(Arc::clone(&epoch), server_config.epoch_granularity);
-        let timeouts = Arc::new(TimeoutList::new(epoch, server_config.epoch_granularity));
+        let timeouts = TimeoutList::new(epoch, server_config.epoch_granularity);
         let recorder = FlightRecorder::new(server_config.flight_recorder_capacity);
         Server {
             server_config,
@@ -312,12 +312,17 @@ impl Server {
                 .into_iter()
                 .enumerate()
                 .map(|(worker, share)| {
-                    scope.spawn(move || {
-                        share
-                            .into_iter()
-                            .map(|work| self.serve_one(worker, work))
-                            .collect::<Vec<_>>()
-                    })
+                    // Named, so that batch after batch a worker's events land
+                    // in one telemetry ring (one timeline per worker).
+                    thread::Builder::new()
+                        .name(format!("serve-worker-{worker}"))
+                        .spawn_scoped(scope, move || {
+                            share
+                                .into_iter()
+                                .map(|work| self.serve_one(worker, work))
+                                .collect::<Vec<_>>()
+                        })
+                        .expect("spawn serve worker")
                 })
                 .collect();
             for handle in handles {
@@ -371,16 +376,16 @@ impl Server {
         if let Some(fuel) = request.fuel {
             instance.set_fuel(fuel);
         }
-        let token = request.deadline.map(|budget| self.timeouts.arm(budget));
-        if let Some(token) = &token {
-            instance.set_epoch_deadline(token.deadline_epoch);
+        let deadline_epoch = request.deadline.map(|budget| self.timeouts.arm(budget));
+        if let Some(deadline_epoch) = deadline_epoch {
+            instance.set_epoch_deadline(deadline_epoch);
         }
         let outcome = app
             .pool
             .engine()
             .call_export(&mut instance, &app.entry, &request.args);
         let service_wall = start.elapsed();
-        let deadline_overshoot_epochs = token.and_then(|t| self.timeouts.retire(t));
+        let deadline_overshoot_epochs = deadline_epoch.and_then(|d| self.timeouts.retire(d));
         let deadline_expired = deadline_overshoot_epochs.is_some();
         let trap = if outcome.is_err() {
             instance.last_trap().cloned()
@@ -551,6 +556,40 @@ mod tests {
         for (i, r) in results.iter().enumerate() {
             assert_eq!((r.request_id, r.worker), (i, i));
             assert_eq!(r.status, RequestStatus::Ok(vec![WasmValue::I32(1)]));
+        }
+    }
+
+    #[test]
+    fn worker_rings_are_reused_across_batches() {
+        let telemetry = Telemetry::enabled();
+        let mut server = Server::new(
+            ServerConfig {
+                workers: 2,
+                telemetry: telemetry.clone(),
+                ..ServerConfig::default()
+            },
+            EngineConfig::default(),
+        );
+        let counter = server.register_app("counter", "main", counter_module()).unwrap();
+        for _ in 0..50 {
+            let results = server.run((0..8).map(|_| Request::to_app(counter)).collect());
+            assert!(results.iter().all(|r| r.status.is_ok()));
+        }
+        // The calling thread's ring plus one per worker, however many times
+        // the workers were respawned — and every request's events are there.
+        let rings = telemetry.drain();
+        assert!(rings.len() <= 3, "{} rings after 50 batches of 2 workers", rings.len());
+        let count = |wanted: fn(&EventKind) -> bool| {
+            rings.iter().flat_map(|(_, events, _)| events).filter(|e| wanted(&e.kind)).count()
+        };
+        assert_eq!(count(|k| matches!(k, EventKind::ServeEnqueue { .. })), 400);
+        assert_eq!(count(|k| matches!(k, EventKind::ServeStart { .. })), 400);
+        assert_eq!(count(|k| matches!(k, EventKind::ServeFinish { .. })), 400);
+        assert_eq!(count(|k| matches!(k, EventKind::PoolCheckout { .. })), 400);
+        assert_eq!(telemetry.dropped_events(), 0);
+        for w in 0..2 {
+            let label = format!("serve-worker-{w}");
+            assert!(rings.iter().any(|(name, _, _)| *name == label), "no ring named {label}");
         }
     }
 

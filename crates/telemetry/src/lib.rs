@@ -86,7 +86,8 @@ thread_local! {
 
 /// The shared collection point behind an enabled [`Telemetry`] handle.
 ///
-/// Owns the ring registry (one ring per emitting thread), the metrics
+/// Owns the ring registry (one ring per emitting thread; a thread registering
+/// under the name of one that has exited adopts its ring), the metrics
 /// registry, the sampling profile, and the monotonic clock events are
 /// stamped with.
 pub struct TelemetrySink {
@@ -142,8 +143,24 @@ impl TelemetrySink {
                 .name()
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("{:?}", thread.id()));
-            let ring = Arc::new(EventRing::new(label, self.ring_capacity));
-            self.rings.lock().expect("telemetry ring registry poisoned").push(Arc::clone(&ring));
+            // A ring only the registry still holds belonged to a thread that
+            // has exited (its thread-local clone is gone). A thread of the
+            // same name — a worker respawned for the next batch — takes it
+            // over, buffered events and `dropped` count included, so the
+            // registry holds one ring per worker, not one per spawn.
+            let mut rings = self.rings.lock().expect("telemetry ring registry poisoned");
+            let orphan = rings
+                .iter()
+                .find(|ring| ring.label() == label && Arc::strong_count(ring) == 1);
+            let ring = match orphan {
+                Some(ring) => Arc::clone(ring),
+                None => {
+                    let ring = Arc::new(EventRing::new(label, self.ring_capacity));
+                    rings.push(Arc::clone(&ring));
+                    ring
+                }
+            };
+            drop(rings);
             ring.push(event);
             local.push((self.id, ring));
         });
@@ -329,6 +346,58 @@ mod tests {
         assert!(named.contains(&"emitter"), "rings carry thread names: {named:?}");
         let by_worker = drained.iter().find(|(label, _, _)| label == "emitter").unwrap();
         assert_eq!(by_worker.1.len(), 5);
+    }
+
+    #[test]
+    fn a_respawned_thread_adopts_the_ring_its_namesake_left() {
+        let t = Telemetry::with_ring_capacity(8);
+        let emit_from = |name: &str, events: usize| {
+            let t = t.clone();
+            std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(move || (0..events).for_each(|_| t.emit(EventKind::EpochInterrupt)))
+                .unwrap()
+        };
+        for _ in 0..4 {
+            emit_from("worker-0", 6).join().unwrap();
+        }
+        // 24 events through one 8-slot ring: the loss is counted on the ring
+        // every incarnation shared, and a different name gets its own.
+        emit_from("worker-1", 1).join().unwrap();
+        let drained = t.drain();
+        assert_eq!(drained.len(), 2, "one ring per name, not per spawn");
+        assert_eq!((drained[0].0.as_str(), drained[0].1.len(), drained[0].2), ("worker-0", 8, 16));
+        assert_eq!((drained[1].0.as_str(), drained[1].1.len(), drained[1].2), ("worker-1", 1, 0));
+    }
+
+    #[test]
+    fn a_ring_whose_thread_is_alive_is_not_adopted() {
+        let t = Telemetry::enabled();
+        let (registered, wait_registered) = std::sync::mpsc::channel();
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        let spawn = |body: Box<dyn FnOnce() + Send>| {
+            std::thread::Builder::new().name("twin".to_string()).spawn(body).unwrap()
+        };
+        let first = {
+            let t = t.clone();
+            spawn(Box::new(move || {
+                t.emit(EventKind::FuelExhausted);
+                registered.send(()).unwrap();
+                wait_release.recv().unwrap();
+                t.emit(EventKind::FuelExhausted);
+            }))
+        };
+        wait_registered.recv().unwrap();
+        let second = {
+            let t = t.clone();
+            spawn(Box::new(move || t.emit(EventKind::EpochInterrupt)))
+        };
+        second.join().unwrap();
+        release.send(()).unwrap();
+        first.join().unwrap();
+        let mut sizes: Vec<usize> = t.drain().iter().map(|(_, events, _)| events.len()).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [1, 2], "two live threads of one name never share a ring");
     }
 
     #[test]

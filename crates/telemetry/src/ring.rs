@@ -1,4 +1,6 @@
-//! Bounded event rings — one per (thread, sink) pair.
+//! Bounded event rings — one per (thread, sink) pair, where a named thread
+//! that is respawned (a per-batch worker) takes over the ring its namesake
+//! left behind.
 //!
 //! Each emitting thread gets its own ring, so an `emit` from execution or a
 //! compile worker takes a lock nobody else holds except a concurrent drain

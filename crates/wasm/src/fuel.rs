@@ -6,6 +6,9 @@
 //! optimizing tier — consumes fuel according to the *same* plan computed here,
 //! so a fuel-limited run traps at the identical bytecode offset with the
 //! identical fuel count no matter which tier (or mix of tiers) executed it.
+//! The plan is computed once per function, during validation: the rules below
+//! are one per-instruction step (`PlanBuilder::step`) that [`crate::validate`]
+//! calls from its own walk of the body, and no tier walks the body again for it.
 //!
 //! # The plan
 //!
@@ -75,80 +78,39 @@ pub struct MeterSite {
 
 /// A static fuel-charging schedule for one function body.
 ///
-/// Built once per function (see [`FuelPlan::build`]) and shared by all tiers:
-/// the interpreter consults it per instruction offset, while the baseline and
-/// optimizing compilers bake `fuel_check` / `epoch_check` sequences into the
-/// generated code at the recorded offsets.
+/// Built once per function — by [`crate::validate`], as it walks the body,
+/// into [`FuncInfo::fuel`](crate::validate::FuncInfo::fuel) — and shared by
+/// all tiers: the interpreter consults it per instruction offset, while the
+/// baseline and optimizing compilers bake `fuel_check` / `epoch_check`
+/// sequences into the generated code at the recorded offsets.
 ///
 /// The sites are stored in one vector sorted by strictly increasing offset —
-/// the order [`FuelPlan::build`] discovers them in — and found by binary
-/// search.
+/// the order a forward walk discovers them in — and found by binary search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuelPlan {
     sites: Vec<MeterSite>,
 }
 
 impl FuelPlan {
-    /// An empty plan that charges nothing (used for metering-off paths).
-    pub fn empty() -> FuelPlan {
-        FuelPlan::default()
-    }
-
     /// Computes the charge schedule for `code` (a function body's bytecode,
-    /// after local declarations).
+    /// after local declarations) on its own. The engine never calls this:
+    /// validation drives the same per-instruction step from its own walk and
+    /// leaves the plan in [`FuncInfo::fuel`](crate::validate::FuncInfo::fuel).
     pub fn build(code: &[u8]) -> Result<FuelPlan, ReadError> {
-        let mut plan = FuelPlan::default();
+        let mut builder = PlanBuilder::default();
         let mut r = BytecodeReader::new(code);
-        let mut region_start = 0u32;
-        let mut pending = 0u64;
         while !r.is_at_end() {
             let offset = r.pc() as u32;
             let op = r.read_opcode()?;
-            // These offsets are branch anchors: close the running region so a
-            // jump landing here never skips (or double-pays) a charge.
-            if matches!(op, Opcode::Loop | Opcode::Else | Opcode::End) {
-                plan.flush(&mut region_start, &mut pending, offset);
-            }
-            pending += fuel_cost(op);
             r.skip_immediates(op)?;
-            let after = r.pc() as u32;
-            match op {
-                Opcode::Loop => {
-                    // Back-edges target the body start: poll the epoch there.
-                    plan.flush(&mut region_start, &mut pending, after);
-                    plan.site_mut(after).epoch_check = true;
-                }
-                Opcode::If
-                | Opcode::Else
-                | Opcode::End
-                | Opcode::Br
-                | Opcode::BrIf
-                | Opcode::BrTable
-                | Opcode::Return
-                | Opcode::Unreachable
-                | Opcode::Call
-                | Opcode::CallIndirect => {
-                    plan.flush(&mut region_start, &mut pending, after);
-                }
-                _ => {}
-            }
+            builder.step(op, offset, r.pc() as u32);
         }
-        let end = code.len() as u32;
-        plan.flush(&mut region_start, &mut pending, end);
-        Ok(plan)
+        Ok(builder.finish(code.len() as u32))
     }
 
-    fn flush(&mut self, region_start: &mut u32, pending: &mut u64, next: u32) {
-        if *pending > 0 {
-            self.site_mut(*region_start).charge += *pending;
-        }
-        *pending = 0;
-        *region_start = next;
-    }
-
-    /// The site at `offset`, appended if the last site lies before it. The
-    /// walk in [`FuelPlan::build`] only ever names the newest site or one
-    /// past it, which is what keeps `sites` sorted without sorting.
+    /// The site at `offset`, appended if the last site lies before it. A
+    /// forward walk only ever names the newest site or one past it, which is
+    /// what keeps `sites` sorted without sorting.
     fn site_mut(&mut self, offset: u32) -> &mut MeterSite {
         let last = self.sites.last().map(|site| site.offset);
         debug_assert!(last.is_none_or(|last| last <= offset), "sites are built in offset order");
@@ -195,6 +157,61 @@ impl FuelPlan {
     /// True when the plan charges nothing and polls nothing.
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
+    }
+}
+
+/// A [`FuelPlan`] under construction: the sites closed so far and the charge
+/// region still open. Whoever walks the body — the validator, or
+/// [`FuelPlan::build`] — calls `step` once per instruction, in order.
+#[derive(Debug, Default)]
+pub(crate) struct PlanBuilder {
+    plan: FuelPlan,
+    region_start: u32,
+    pending: u64,
+}
+
+impl PlanBuilder {
+    /// Accounts for the instruction `op` at `offset` whose immediates end at
+    /// `after`.
+    pub(crate) fn step(&mut self, op: Opcode, offset: u32, after: u32) {
+        // These offsets are branch anchors: close the running region so a
+        // jump landing here never skips (or double-pays) a charge.
+        if matches!(op, Opcode::Loop | Opcode::Else | Opcode::End) {
+            self.flush(offset);
+        }
+        self.pending += fuel_cost(op);
+        match op {
+            Opcode::Loop => {
+                // Back-edges target the body start: poll the epoch there.
+                self.flush(after);
+                self.plan.site_mut(after).epoch_check = true;
+            }
+            Opcode::If
+            | Opcode::Else
+            | Opcode::End
+            | Opcode::Br
+            | Opcode::BrIf
+            | Opcode::BrTable
+            | Opcode::Return
+            | Opcode::Unreachable
+            | Opcode::Call
+            | Opcode::CallIndirect => self.flush(after),
+            _ => {}
+        }
+    }
+
+    /// Closes the last region at `end`, the length of the body.
+    pub(crate) fn finish(mut self, end: u32) -> FuelPlan {
+        self.flush(end);
+        self.plan
+    }
+
+    fn flush(&mut self, next: u32) {
+        if self.pending > 0 {
+            self.plan.site_mut(self.region_start).charge += self.pending;
+        }
+        self.pending = 0;
+        self.region_start = next;
     }
 }
 
@@ -336,7 +353,7 @@ mod tests {
         assert!(plan.is_empty());
         let plan = FuelPlan::build(&[Opcode::End.to_byte()]).unwrap();
         assert!(plan.is_empty());
-        assert_eq!(FuelPlan::empty(), FuelPlan::default());
+        assert_eq!(plan, FuelPlan::default());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! * [`hash`] — stable FNV-1a content hashing behind
 //!   [`module::Module::content_hash`], the engine's code-cache key primitive;
 //! * [`validate`] — the forward abstract-interpretation validator whose
-//!   algorithm the single-pass compiler reuses;
+//!   algorithm the single-pass compiler reuses, and whose one walk of each
+//!   body also writes the two tables below;
+//! * [`sidetable`] / [`fuel`] — the in-place interpreter's branch table and
+//!   the fuel-charging schedule all tiers share (the data types; the
+//!   validator fills them);
 //! * [`wat`] — the text-format frontend (`.wat` → [`module::Module`]) and the
 //!   canonical printer whose output round-trips byte-identically.
 //!
@@ -61,6 +65,7 @@ pub mod module;
 pub mod names;
 pub mod opcode;
 pub mod reader;
+pub mod sidetable;
 pub mod types;
 pub mod validate;
 pub mod wat;

@@ -7,15 +7,28 @@
 //! III), so the validator doubles as the reference for the `spc` crate's
 //! abstract interpreter.
 //!
-//! Besides checking the module, validation computes per-function metadata
-//! (maximum operand stack height, local counts) that the interpreter and
-//! compilers use to size frames.
+//! It is also the only walk a body gets before it runs or compiles. Besides
+//! checking the module, the pass leaves in each function's [`FuncInfo`]
+//! everything the tiers need that depends on that walk: the frame-sizing
+//! metadata (maximum operand stack height, local counts), the in-place
+//! interpreter's branch [`Sidetable`] and the [`FuelPlan`] all three tiers
+//! charge by. The control stack that type-checks a branch already knows its
+//! label's operand height and arity, so the sidetable is recorded on that
+//! stack: a branch to a loop is resolved where it stands, a branch to a
+//! forward label is parked on the label's frame as a fixup and resolved at the
+//! frame's `end`, and an `if` / `else` anchors its own false / skip edge the
+//! same way. Dead code is walked like live code (it is type-checked, so it has
+//! heights), which gives every branch instruction an entry, reachable or not.
+//! The pass is iterative — nesting depth grows a `Vec`, never the host stack.
 
+use crate::fuel::{FuelPlan, PlanBuilder};
 use crate::module::{ConstExpr, Module};
 use crate::opcode::{OpSignature, Opcode};
 use crate::reader::BytecodeReader;
-use crate::types::{BlockType, ExternalKind, FuncType, ValueType};
+use crate::sidetable::{BranchEntry, Fixup, Sidetable};
+use crate::types::{BlockType, ExternalKind, ValueType};
 use std::fmt;
+use std::sync::Arc;
 
 /// An error found during validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +66,12 @@ impl fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
-/// Per-function metadata computed during validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Per-function metadata computed during validation: what the interpreter
+/// and both compilers are handed by reference instead of walking the body
+/// again. The two tables sit behind [`Arc`]s so that whatever is assembled
+/// from a `FuncInfo` (the interpreter's prepared function, the engine's
+/// compiled-module artifact) shares them instead of copying them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuncInfo {
     /// Maximum operand stack height reached anywhere in the body.
     pub max_stack: u32,
@@ -68,6 +85,11 @@ pub struct FuncInfo {
     pub call_sites: u32,
     /// Number of structured control constructs in the body.
     pub control_constructs: u32,
+    /// Where every `br`, `br_if`, `br_table`, `if` and `else` of the body
+    /// goes and how it adjusts the operand stack.
+    pub sidetable: Arc<Sidetable>,
+    /// The fuel-charging schedule every tier follows.
+    pub fuel: Arc<FuelPlan>,
 }
 
 /// Module-level metadata produced by successful validation.
@@ -81,16 +103,47 @@ pub struct ModuleInfo {
 pub fn validate(module: &Module) -> Result<ModuleInfo, ValidateError> {
     validate_module_level(module)?;
     let mut info = ModuleInfo::default();
-    for (i, func) in module.funcs.iter().enumerate() {
-        let func_index = module.num_imported_funcs() + i as u32;
-        let sig = module
-            .func_type(func_index)
-            .ok_or_else(|| ValidateError::module(format!("func {i} has invalid type index")))?;
-        let mut v = FuncValidator::new(module, i as u32, sig, func_index)?;
-        let fi = v.validate(&func.code)?;
-        info.funcs.push(fi);
+    let num_imported = module.num_imported_funcs();
+    for defined in 0..module.funcs.len() as u32 {
+        info.funcs.push(validate_func(module, num_imported + defined)?);
     }
     Ok(info)
+}
+
+/// Validates the body of one defined function (`func_index` is in the
+/// function index space) against the module's declarations, without the
+/// module-level checks: the per-function step of [`validate`], for callers
+/// that want one function's metadata and tables.
+///
+/// # Errors
+///
+/// Returns an error if `func_index` names no defined function or its body is
+/// invalid.
+pub fn validate_func(module: &Module, func_index: u32) -> Result<FuncInfo, ValidateError> {
+    let missing = || ValidateError::module(format!("function {func_index} has no body"));
+    let defined_index = func_index.checked_sub(module.num_imported_funcs()).ok_or_else(missing)?;
+    let decl = module.funcs.get(defined_index as usize).ok_or_else(missing)?;
+    let sig = module.types.get(decl.type_index as usize).ok_or_else(|| {
+        ValidateError::module(format!("function {func_index} has invalid type index"))
+    })?;
+    let mut locals = sig.params.clone();
+    locals.extend(decl.declared_local_types());
+    let validator = FuncValidator {
+        module,
+        defined_index,
+        locals,
+        num_params: sig.param_count(),
+        results: sig.results.clone(),
+        vals: Vec::new(),
+        ctrls: Vec::new(),
+        max_stack: 0,
+        pc: 0,
+        call_sites: 0,
+        control_constructs: 0,
+        table: Sidetable::default(),
+        plan: PlanBuilder::default(),
+    };
+    validator.validate(&decl.code)
 }
 
 fn validate_module_level(module: &Module) -> Result<(), ValidateError> {
@@ -246,13 +299,21 @@ enum ControlKind {
     Else,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ControlFrame {
     kind: ControlKind,
     start_types: Vec<ValueType>,
     end_types: Vec<ValueType>,
+    /// Operand height below the construct's parameters: the base a branch to
+    /// its label moves the label's values down to.
     height: usize,
     unreachable: bool,
+    /// The one offset the construct itself contributes to the sidetable: a
+    /// loop's body start (where branches to it land), the `if` whose false
+    /// edge is not placed yet, or the `else` whose skip-to-`end` is not.
+    anchor: u32,
+    /// Branches to this (forward) label, waiting for its `end`.
+    fixups: Vec<Fixup>,
 }
 
 impl ControlFrame {
@@ -269,39 +330,20 @@ struct FuncValidator<'m> {
     module: &'m Module,
     defined_index: u32,
     locals: Vec<ValueType>,
+    num_params: u32,
     results: Vec<ValueType>,
     vals: Vec<Abstract>,
     ctrls: Vec<ControlFrame>,
     max_stack: usize,
+    /// Offset of the instruction being validated.
     pc: usize,
     call_sites: u32,
     control_constructs: u32,
+    table: Sidetable,
+    plan: PlanBuilder,
 }
 
-impl<'m> FuncValidator<'m> {
-    fn new(
-        module: &'m Module,
-        defined_index: u32,
-        sig: &FuncType,
-        func_index: u32,
-    ) -> Result<FuncValidator<'m>, ValidateError> {
-        let locals = module
-            .func_local_types(func_index)
-            .ok_or_else(|| ValidateError::module(format!("func {defined_index} missing body")))?;
-        Ok(FuncValidator {
-            module,
-            defined_index,
-            locals,
-            results: sig.results.clone(),
-            vals: Vec::new(),
-            ctrls: Vec::new(),
-            max_stack: 0,
-            pc: 0,
-            call_sites: 0,
-            control_constructs: 0,
-        })
-    }
-
+impl FuncValidator<'_> {
     fn error(&self, message: impl Into<String>) -> ValidateError {
         ValidateError {
             func: Some(self.defined_index),
@@ -355,29 +397,40 @@ impl<'m> FuncValidator<'m> {
         }
     }
 
-    fn push_ctrl(&mut self, kind: ControlKind, start: Vec<ValueType>, end: Vec<ValueType>) {
+    fn push_ctrl(
+        &mut self,
+        kind: ControlKind,
+        anchor: u32,
+        start: Vec<ValueType>,
+        end: Vec<ValueType>,
+    ) {
         let height = self.vals.len();
+        self.push_all(&start);
         self.ctrls.push(ControlFrame {
             kind,
-            start_types: start.clone(),
+            start_types: start,
             end_types: end,
             height,
             unreachable: false,
+            anchor,
+            fixups: Vec::new(),
         });
-        self.push_all(&start);
     }
 
+    /// Pops the innermost frame once its results are on the stack. The frame
+    /// stays in place while they are popped (the pops read its height and
+    /// reachability) and is then moved out, fixups and all, not copied.
     fn pop_ctrl(&mut self) -> Result<ControlFrame, ValidateError> {
-        let frame = self
-            .ctrls
-            .last()
-            .cloned()
-            .ok_or_else(|| self.error("unbalanced end"))?;
-        self.pop_expects(&frame.end_types.clone())?;
+        let end_types = match self.ctrls.last_mut() {
+            Some(frame) => std::mem::take(&mut frame.end_types),
+            None => return Err(self.error("unbalanced end")),
+        };
+        self.pop_expects(&end_types)?;
+        let mut frame = self.ctrls.pop().expect("checked non-empty above");
         if self.vals.len() != frame.height {
             return Err(self.error("operand stack height mismatch at end of block"));
         }
-        self.ctrls.pop();
+        frame.end_types = end_types;
         Ok(frame)
     }
 
@@ -399,6 +452,25 @@ impl<'m> FuncValidator<'m> {
         Ok(&self.ctrls[len - 1 - depth as usize])
     }
 
+    /// Gives a branch to the label `depth` frames out — which [`Self::label`]
+    /// has already found — its sidetable entry: at once when the label is a
+    /// loop (the target is behind us), otherwise as a fixup on the label's
+    /// frame for its `end` to resolve.
+    fn record_branch(&mut self, depth: u32, fixup: Fixup) {
+        let index = self.ctrls.len() - 1 - depth as usize;
+        let frame = &mut self.ctrls[index];
+        if frame.kind == ControlKind::Loop {
+            let entry = BranchEntry {
+                target_ip: frame.anchor,
+                label_base: frame.height as u32,
+                arity: frame.start_types.len() as u32,
+            };
+            self.table.resolve(fixup, entry);
+        } else {
+            frame.fixups.push(fixup);
+        }
+    }
+
     fn local_type(&self, index: u32) -> Result<ValueType, ValidateError> {
         self.locals
             .get(index as usize)
@@ -414,8 +486,8 @@ impl<'m> FuncValidator<'m> {
             .ok_or_else(|| self.error("block type refers to unknown signature"))
     }
 
-    fn validate(&mut self, code: &[u8]) -> Result<FuncInfo, ValidateError> {
-        self.push_ctrl(ControlKind::Func, Vec::new(), self.results.clone());
+    fn validate(mut self, code: &[u8]) -> Result<FuncInfo, ValidateError> {
+        self.push_ctrl(ControlKind::Func, 0, Vec::new(), self.results.clone());
         let mut reader = BytecodeReader::new(code);
         let mut memory_required = false;
         while !self.ctrls.is_empty() {
@@ -425,6 +497,7 @@ impl<'m> FuncValidator<'m> {
             self.pc = reader.pc();
             let op = reader.read_opcode().map_err(|e| self.error(e.to_string()))?;
             self.validate_instruction(op, &mut reader, &mut memory_required)?;
+            self.plan.step(op, self.pc as u32, reader.pc() as u32);
         }
         if !reader.is_at_end() {
             return Err(self.error("trailing bytes after final end"));
@@ -432,17 +505,16 @@ impl<'m> FuncValidator<'m> {
         if memory_required && self.module.num_memories() == 0 {
             return Err(self.error("memory instruction used but module has no memory"));
         }
+        self.table.finish();
         Ok(FuncInfo {
             max_stack: self.max_stack as u32,
             num_locals: self.locals.len() as u32,
-            num_params: self
-                .module
-                .func_type(self.module.num_imported_funcs() + self.defined_index)
-                .map(|t| t.param_count())
-                .unwrap_or(0),
+            num_params: self.num_params,
             body_len: code.len() as u32,
             call_sites: self.call_sites,
             control_constructs: self.control_constructs,
+            sidetable: Arc::new(self.table),
+            fuel: Arc::new(self.plan.finish(code.len() as u32)),
         })
     }
 
@@ -466,24 +538,48 @@ impl<'m> FuncValidator<'m> {
                     self.pop_expect(ValueType::I32)?;
                 }
                 self.pop_expects(&params)?;
-                let kind = match op {
-                    Block => ControlKind::Block,
-                    Loop => ControlKind::Loop,
-                    _ => ControlKind::If,
+                // A loop's anchor is its body start; an `if`'s is the `if`
+                // itself, whose false edge `else` or `end` will place.
+                let (kind, anchor) = match op {
+                    Block => (ControlKind::Block, 0),
+                    Loop => (ControlKind::Loop, reader.pc() as u32),
+                    _ => (ControlKind::If, self.pc as u32),
                 };
-                self.push_ctrl(kind, params, results);
+                self.push_ctrl(kind, anchor, params, results);
             }
             Else => {
                 let frame = self.pop_ctrl()?;
                 if frame.kind != ControlKind::If {
                     return Err(self.error("else without matching if"));
                 }
-                self.push_ctrl(ControlKind::Else, frame.start_types, frame.end_types);
+                // The false edge of the `if` lands just past this `else`,
+                // carrying the construct's parameters.
+                let false_edge = BranchEntry {
+                    target_ip: self.pc as u32 + 1,
+                    label_base: frame.height as u32,
+                    arity: frame.start_types.len() as u32,
+                };
+                self.table.resolve(Fixup::Branch(frame.anchor), false_edge);
+                self.push_ctrl(ControlKind::Else, self.pc as u32, frame.start_types, frame.end_types);
+                // Same label, new frame: branches out of the then-arm still
+                // wait for the `end`.
+                self.ctrls.last_mut().expect("just pushed").fixups = frame.fixups;
             }
             End => {
                 let frame = self.pop_ctrl()?;
                 if frame.kind == ControlKind::If && frame.start_types != frame.end_types {
                     return Err(self.error("if without else must have matching param/result types"));
+                }
+                let to_end = BranchEntry {
+                    target_ip: self.pc as u32,
+                    label_base: frame.height as u32,
+                    arity: frame.end_types.len() as u32,
+                };
+                if matches!(frame.kind, ControlKind::If | ControlKind::Else) {
+                    self.table.resolve(Fixup::Branch(frame.anchor), to_end);
+                }
+                for fixup in frame.fixups {
+                    self.table.resolve(fixup, to_end);
                 }
                 self.push_all(&frame.end_types);
             }
@@ -491,6 +587,7 @@ impl<'m> FuncValidator<'m> {
                 let depth = reader.read_index().map_err(|e| self.error(e.to_string()))?;
                 let types = self.label(depth)?.label_types().to_vec();
                 self.pop_expects(&types)?;
+                self.record_branch(depth, Fixup::Branch(self.pc as u32));
                 self.mark_unreachable()?;
             }
             BrIf => {
@@ -499,6 +596,7 @@ impl<'m> FuncValidator<'m> {
                 let types = self.label(depth)?.label_types().to_vec();
                 self.pop_expects(&types)?;
                 self.push_all(&types);
+                self.record_branch(depth, Fixup::Branch(self.pc as u32));
             }
             BrTable => {
                 let (targets, default) = reader
@@ -513,6 +611,11 @@ impl<'m> FuncValidator<'m> {
                     }
                 }
                 self.pop_expects(&default_types)?;
+                // One pool entry per target, then the default.
+                let start = self.table.push_table(self.pc as u32, targets.len() + 1);
+                for (slot, &depth) in (start..).zip(targets.iter().chain([&default])) {
+                    self.record_branch(depth, Fixup::TableSlot(slot));
+                }
                 self.mark_unreachable()?;
             }
             Return => {
@@ -727,7 +830,7 @@ impl<'m> FuncValidator<'m> {
 mod tests {
     use super::*;
     use crate::builder::{CodeBuilder, ModuleBuilder};
-    use crate::types::{GlobalType, Limits};
+    use crate::types::{FuncType, GlobalType, Limits};
 
     fn single_func_module(
         params: Vec<ValueType>,
@@ -992,6 +1095,121 @@ mod tests {
         c.ref_null(ValueType::ExternRef).op(Opcode::RefIsNull);
         let m = single_func_module(vec![], vec![ValueType::I32], vec![], c);
         validate(&m).expect("valid ref code");
+    }
+
+    /// The sidetable validation writes for a lone function `params ->
+    /// results` in a module whose type section starts with `types`.
+    fn sidetable_of(
+        types: &[FuncType],
+        params: Vec<ValueType>,
+        results: Vec<ValueType>,
+        code: CodeBuilder,
+    ) -> Arc<Sidetable> {
+        let mut b = ModuleBuilder::new();
+        for (index, ty) in types.iter().enumerate() {
+            assert_eq!(b.add_type(ty.clone()), index as u32);
+        }
+        b.add_func(FuncType::new(params, results), vec![], code.finish());
+        let info = validate(&b.finish()).expect("valid body");
+        Arc::clone(&info.funcs[0].sidetable)
+    }
+
+    fn entry(target_ip: u32, label_base: u32, arity: u32) -> BranchEntry {
+        BranchEntry { target_ip, label_base, arity }
+    }
+
+    const I32: ValueType = ValueType::I32;
+
+    #[test]
+    fn a_branch_out_of_a_then_arm_waits_across_the_else() {
+        // i32.const 9 ; local.get 0 ; if (result i32) ; i32.const 1 ; br 0 ;
+        // 0             2             4                 6             8
+        // else ; i32.const 2 ; end ; i32.add ; end
+        // 10     11            13    14        15
+        let mut c = CodeBuilder::new();
+        c.i32_const(9).local_get(0).if_(BlockType::Value(I32)).i32_const(1).br(0);
+        c.else_().i32_const(2).end().op(Opcode::I32Add);
+        let t = sidetable_of(&[], vec![I32], vec![I32], c);
+        assert_eq!(t.branch(4), Some(&entry(11, 1, 0)), "false edge: past the else, no params");
+        assert_eq!(t.branch(8), Some(&entry(13, 1, 1)), "the then-arm's br lands on the end");
+        assert_eq!(t.branch(10), Some(&entry(13, 1, 1)), "else: the then-arm skips to the end");
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn an_if_without_else_sends_its_false_edge_to_the_end_with_its_params() {
+        // i32.const 5 ; local.get 0 ; if [i32]->[i32] ; i32.const 1 ; i32.add ; end ; end
+        // 0             2             4                 6             8         9     10
+        let unary = FuncType::new(vec![I32], vec![I32]);
+        let mut c = CodeBuilder::new();
+        c.i32_const(5).local_get(0).if_(BlockType::Func(0)).i32_const(1).op(Opcode::I32Add).end();
+        let t = sidetable_of(&[unary], vec![I32], vec![I32], c);
+        assert_eq!(t.branch(4), Some(&entry(9, 0, 1)));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn a_br_table_mixes_a_loop_label_with_block_labels() {
+        // i32.const 7 ; block ; loop ; block ; local.get 0 ; br_table [1 0 2] 1 ;
+        // 0             2       4      6       8             10
+        // end ; end ; end ; drop ; end
+        // 16    17    18    19     20
+        let mut c = CodeBuilder::new();
+        c.i32_const(7).block(BlockType::Empty).loop_(BlockType::Empty).block(BlockType::Empty);
+        c.local_get(0).br_table(&[1, 0, 2], 1).end().end().end().drop_();
+        let t = sidetable_of(&[], vec![I32], vec![], c);
+        // Depth 1 is the loop (its body starts at 6), 0 and 2 the blocks.
+        let expected = [entry(6, 1, 0), entry(16, 1, 0), entry(18, 1, 0), entry(6, 1, 0)];
+        assert_eq!(t.br_table(10), Some(&expected[..]));
+        assert_eq!((t.len(), t.branch(10)), (4, None));
+    }
+
+    #[test]
+    fn a_branch_to_a_loop_carries_the_loops_parameters() {
+        // i32.const 3 ; loop [i32]->[i32] ; local.get 0 ; br_if 0 ; end ; end
+        // 0             2                   4             6         8     9
+        let unary = FuncType::new(vec![I32], vec![I32]);
+        let mut c = CodeBuilder::new();
+        c.i32_const(3).loop_(BlockType::Func(0)).local_get(0).br_if(0).end();
+        let t = sidetable_of(&[unary], vec![I32], vec![I32], c);
+        assert_eq!(t.branch(6), Some(&entry(4, 0, 1)), "body start, base below the parameter");
+    }
+
+    #[test]
+    fn branches_in_dead_code_get_entries_too() {
+        // i32.const 4 ; block ; br 0 ; br 0 ; br_if 0 ; end ; drop ; end
+        // 0             2       4      6      8         10    11     12
+        let mut c = CodeBuilder::new();
+        c.i32_const(4).block(BlockType::Empty).br(0).br(0).br_if(0).end().drop_();
+        let t = sidetable_of(&[], vec![], vec![], c);
+        for at in [4, 6, 8] {
+            assert_eq!(t.branch(at), Some(&entry(10, 1, 0)), "offset {at}");
+        }
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn a_block_entered_in_dead_code_sits_at_its_parents_base() {
+        // i32.const 4 ; block ; br 0 ; block (result i32) ; i32.const 1 ; br 0 ;
+        // 0             2       4      6                    8             10
+        // end ; drop ; end ; drop ; end
+        // 12    13     14    15     16
+        let mut c = CodeBuilder::new();
+        c.i32_const(4).block(BlockType::Empty).br(0);
+        c.block(BlockType::Value(I32)).i32_const(1).br(0).end().drop_().end().drop_();
+        let t = sidetable_of(&[], vec![], vec![], c);
+        assert_eq!(t.branch(4), Some(&entry(14, 1, 0)));
+        assert_eq!(t.branch(10), Some(&entry(12, 1, 1)));
+    }
+
+    #[test]
+    fn the_fuel_plan_is_the_one_a_standalone_walk_builds() {
+        let mut c = CodeBuilder::new();
+        c.loop_(BlockType::Empty).local_get(0).br_if(0).end().i32_const(1).drop_();
+        let m = single_func_module(vec![I32], vec![], vec![], c);
+        let info = validate(&m).expect("valid");
+        assert_eq!(*info.funcs[0].fuel, FuelPlan::build(&m.funcs[0].code).expect("plan"));
+        assert_eq!(info.funcs[0].fuel.num_epoch_checks(), 1);
     }
 
     #[test]

@@ -240,16 +240,26 @@ fn reference_fuel_schedule(code: &[u8]) -> (BTreeMap<u32, u64>, BTreeSet<u32>) {
 /// exactly what ordered reference maps rebuilt from the body answer — hits
 /// where an entry belongs, misses everywhere else — and that the entry
 /// counts agree (so nothing is stored twice).
+///
+/// The tables checked are the ones the engine runs from — what
+/// `validate(module)` leaves in each function's `FuncInfo` — and the two
+/// standalone entry points (`build_sidetable`, `FuelPlan::build`) must hand
+/// back equal ones.
 pub fn assert_lookups_match_reference(module: &Module, what: &str) {
+    let info = wasm::validate::validate(module).unwrap_or_else(|e| panic!("{what}: {e}"));
     for defined in 0..module.funcs.len() as u32 {
         let func = module.defined_to_func_index(defined);
         let code = &module.funcs[defined as usize].code;
         let at = |offset: u32| format!("{what}: function {func} offset {offset}");
 
-        let sidetable = interp::sidetable::build_sidetable(module, func).expect("sidetable");
+        let sidetable = &info.funcs[defined as usize].sidetable;
+        let standalone = interp::sidetable::build_sidetable(module, func).expect("sidetable");
+        assert_eq!(standalone, *sidetable, "{what}: function {func} build_sidetable");
         let targets = reference_branch_targets(code);
         let is_table = |offset: u32| code[offset as usize] == Opcode::BrTable.to_byte();
-        let plan = wasm::fuel::FuelPlan::build(code).expect("fuel plan");
+        let plan = &info.funcs[defined as usize].fuel;
+        let standalone = wasm::fuel::FuelPlan::build(code).expect("fuel plan");
+        assert_eq!(standalone, **plan, "{what}: function {func} FuelPlan::build");
         let (charges, epoch_checks) = reference_fuel_schedule(code);
         for offset in 0..=code.len() as u32 {
             let expected = targets.get(&offset);

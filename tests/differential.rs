@@ -9,6 +9,7 @@
 mod common;
 
 use engine::{Engine, EngineConfig, Imports, Instrumentation};
+use machine::inst::TrapCode;
 use machine::values::WasmValue;
 use spc::CompilerOptions;
 use suites::{all_suites, BenchmarkItem, Scale};
@@ -345,6 +346,39 @@ fn a_host_function_imported_twice_is_one_function_behind_two_indices() {
             let got = engine.call_export(&mut instance, "f", &[WasmValue::I32(5)]);
             let expected = (5 + (2 * call + 1) + (2 * call + 2)) * 2;
             assert_eq!(got, Ok(vec![WasmValue::I32(expected)]), "[{name}] call {call}");
+        }
+    }
+}
+
+/// A host function's results are checked against the import's signature, not
+/// just counted: compiled code knows the result slot by its declared type and
+/// the collector scans it by tag, so a value of another type must never land
+/// there. Every tier reports the mismatch as the same `HostError` trap.
+#[test]
+fn a_host_function_returning_the_wrong_type_traps_host_error() {
+    let src = r#"
+        (module
+          (import "env" "int" (func $int (result i32)))
+          (import "env" "ref" (func $ref (result externref)))
+          (func (export "int") (result i32) call $int)
+          (func (export "ref") (result i32) call $ref ref.is_null))
+    "#;
+    let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
+    for config in common::all_tier_backend_configs() {
+        let name = config.name.clone();
+        let engine = Engine::new(config);
+        let imports = Imports::new()
+            .func("env", "int", |_, _| Ok(vec![WasmValue::I64(7)]))
+            .func("env", "ref", |_, _| Ok(vec![WasmValue::I32(7)]));
+        let mut instance = engine
+            .instantiate(&module, imports, Instrumentation::none())
+            .unwrap_or_else(|e| panic!("[{name}] {e}"));
+        // The matrix tiers up after one and two calls.
+        for call in 0..4 {
+            for export in ["int", "ref"] {
+                let got = engine.call_export(&mut instance, export, &[]);
+                assert_eq!(got, Err(TrapCode::HostError), "[{name}] {export}, call {call}");
+            }
         }
     }
 }

@@ -4,11 +4,14 @@
 //! and answer by binary search. This file rebuilds, for every function the
 //! repository ships — the three benchmark suites and every module of the
 //! conformance corpus — what a `BTreeMap` keyed by offset would hold, from a
-//! walk of the body that shares no code with either builder, and requires the
-//! two to agree at every offset of every body (`tests/proptest_differential.rs`
-//! runs the same check over its generated programs). That the stored offsets
-//! are strictly increasing is `debug_assert!`ed by both builders, which this
-//! file exercises on the same functions.
+//! walk of the body that shares no code with the validator that writes both
+//! tables, and requires the two to agree at every offset of every body
+//! (`tests/proptest_differential.rs` runs the same check over its generated
+//! programs). The tables checked are the ones the engine runs from
+//! (`validate(module)` → `FuncInfo`), and the standalone entry points
+//! `build_sidetable` / `FuelPlan::build` must return equal ones. That the
+//! stored offsets are strictly increasing is `debug_assert!`ed where the
+//! tables are finished, which this file exercises on the same functions.
 
 mod common;
 
