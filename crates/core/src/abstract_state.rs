@@ -134,11 +134,6 @@ impl AbstractState {
         self.slots.len() - 1 - depth
     }
 
-    /// Whether this state allows a register to cache multiple slots.
-    pub fn multi_register(&self) -> bool {
-        self.multi_register
-    }
-
     // ---- Mutation ----------------------------------------------------------
 
     /// Pushes an operand slot with the given type and location; returns its

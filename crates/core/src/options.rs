@@ -54,9 +54,6 @@ pub enum ProbeMode {
 pub struct CompilerOptions {
     /// Human-readable name of this configuration (used in reports).
     pub name: String,
-    /// Allocate registers to slots at all. Disabling degenerates into a
-    /// template compiler that keeps every value in memory.
-    pub register_allocation: bool,
     /// Allow one register to cache more than one slot ("multiple register
     /// allocation", the `MR` feature). Disabling is the paper's `nomr`.
     pub multi_register: bool,
@@ -77,9 +74,6 @@ pub struct CompilerOptions {
     /// Perform an extra internal lowering pass before code generation,
     /// modelling engines (wazero) that translate to an intermediate form.
     pub extra_lowering_pass: bool,
-    /// Use a copy-and-patch style template cache for code generation,
-    /// modelling wasm-now's fast compile path.
-    pub copy_and_patch: bool,
     /// Record a bytecode source map entry per instruction (full-fidelity
     /// debugging / tier transfer). Engines without baseline debugging
     /// support skip this.
@@ -99,7 +93,6 @@ impl CompilerOptions {
     pub fn allopt() -> CompilerOptions {
         CompilerOptions {
             name: "allopt".to_string(),
-            register_allocation: true,
             multi_register: true,
             track_constants: true,
             constant_folding: true,
@@ -108,7 +101,6 @@ impl CompilerOptions {
             multi_value: true,
             probe_mode: ProbeMode::Optimized,
             extra_lowering_pass: false,
-            copy_and_patch: false,
             debug_metadata: true,
         }
     }
@@ -207,7 +199,6 @@ mod tests {
         assert!(!CompilerOptions::noisel().instruction_selection);
         assert!(CompilerOptions::noisel().track_constants);
         assert!(!CompilerOptions::nomr().multi_register);
-        assert!(CompilerOptions::nomr().register_allocation);
         assert_eq!(CompilerOptions::figure4_configs().len(), 5);
     }
 

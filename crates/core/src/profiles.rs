@@ -8,6 +8,12 @@
 //! register allocation, `K` constant tracking, `KF` constant folding, `ISEL`
 //! instruction selection, `TAG` value tags, `MAP` stackmaps, `MV`
 //! multi-value.
+//!
+//! Two things the table mentions are not axes here. Every profile allocates
+//! registers (the compiler has no keep-everything-in-memory mode), so `R`
+//! versus `MR` is decided by `multi_register` alone. And wasm-now's
+//! copy-and-patch code generation is not modelled: its row differs from the
+//! others only in the feature set above.
 
 use crate::options::{CompilerOptions, ProbeMode, TagStrategy};
 
@@ -30,10 +36,7 @@ impl BaselineProfile {
     /// The feature string in the paper's notation (e.g. `"MR K KF ISEL TAG MV"`).
     pub fn feature_string(&self) -> String {
         let o = &self.options;
-        let mut parts = Vec::new();
-        if o.register_allocation {
-            parts.push(if o.multi_register { "MR" } else { "R" });
-        }
+        let mut parts = vec![if o.multi_register { "MR" } else { "R" }];
         if o.track_constants {
             parts.push("K");
         }
@@ -79,7 +82,6 @@ pub fn wazero() -> BaselineProfile {
         year: 2022,
         options: CompilerOptions {
             name: "wazero".to_string(),
-            register_allocation: true,
             multi_register: false,
             track_constants: false,
             constant_folding: false,
@@ -88,14 +90,14 @@ pub fn wazero() -> BaselineProfile {
             multi_value: false,
             probe_mode: ProbeMode::Runtime,
             extra_lowering_pass: true,
-            copy_and_patch: false,
             debug_metadata: false,
         },
         description: "An open-source engine written in Go.",
     }
 }
 
-/// `wasm-now`: a research copy-and-patch code generator.
+/// `wasm-now`: a research copy-and-patch code generator (modelled by its
+/// feature set only).
 pub fn wasm_now() -> BaselineProfile {
     BaselineProfile {
         name: "wasm-now",
@@ -103,7 +105,6 @@ pub fn wasm_now() -> BaselineProfile {
         year: 2022,
         options: CompilerOptions {
             name: "wasm-now".to_string(),
-            register_allocation: true,
             multi_register: true,
             track_constants: true,
             constant_folding: false,
@@ -112,7 +113,6 @@ pub fn wasm_now() -> BaselineProfile {
             multi_value: false,
             probe_mode: ProbeMode::Runtime,
             extra_lowering_pass: false,
-            copy_and_patch: true,
             debug_metadata: false,
         },
         description: "A research project using Copy&Patch code generation.",
@@ -127,7 +127,6 @@ pub fn wasmer_base() -> BaselineProfile {
         year: 2020,
         options: CompilerOptions {
             name: "wasmer-base".to_string(),
-            register_allocation: true,
             multi_register: false,
             track_constants: true,
             constant_folding: false,
@@ -136,7 +135,6 @@ pub fn wasmer_base() -> BaselineProfile {
             multi_value: true,
             probe_mode: ProbeMode::Runtime,
             extra_lowering_pass: false,
-            copy_and_patch: false,
             debug_metadata: false,
         },
         description: "The --singlepass option of wasmer.",
@@ -151,7 +149,6 @@ pub fn v8_liftoff() -> BaselineProfile {
         year: 2018,
         options: CompilerOptions {
             name: "v8-liftoff".to_string(),
-            register_allocation: true,
             multi_register: true,
             track_constants: true,
             constant_folding: false,
@@ -160,7 +157,6 @@ pub fn v8_liftoff() -> BaselineProfile {
             multi_value: true,
             probe_mode: ProbeMode::Runtime,
             extra_lowering_pass: false,
-            copy_and_patch: false,
             debug_metadata: true,
         },
         description: "The baseline Wasm compiler in V8.",
@@ -175,7 +171,6 @@ pub fn sm_base() -> BaselineProfile {
         year: 2018,
         options: CompilerOptions {
             name: "sm-base".to_string(),
-            register_allocation: true,
             multi_register: true,
             track_constants: true,
             constant_folding: false,
@@ -184,7 +179,6 @@ pub fn sm_base() -> BaselineProfile {
             multi_value: true,
             probe_mode: ProbeMode::Runtime,
             extra_lowering_pass: false,
-            copy_and_patch: false,
             debug_metadata: false,
         },
         description: "The baseline Wasm compiler in SpiderMonkey.",

@@ -348,10 +348,14 @@ impl EngineConfig {
 }
 
 /// Folds every semantic [`CompilerOptions`] axis (not the display name) into
-/// a fingerprint.
+/// a fingerprint. Each axis changes the code the baseline compiler emits
+/// (held by `every_folded_axis_changes_emitted_code` below), with one
+/// documented exception: `extra_lowering_pass` emits identical code but
+/// lengthens the compile, and a cached artifact carries its functions'
+/// `compile_wall` — a configuration that models the slower compiler must not
+/// be handed the timings of one that does not.
 fn fold_options(h: &mut Fnv64, options: &CompilerOptions) {
-    h.write_bool(options.register_allocation)
-        .write_bool(options.multi_register)
+    h.write_bool(options.multi_register)
         .write_bool(options.track_constants)
         .write_bool(options.constant_folding)
         .write_bool(options.instruction_selection)
@@ -370,13 +374,15 @@ fn fold_options(h: &mut Fnv64, options: &CompilerOptions) {
             ProbeMode::Optimized => 1,
         })
         .write_bool(options.extra_lowering_pass)
-        .write_bool(options.copy_and_patch)
         .write_bool(options.debug_metadata);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::Instrumentation;
+    use crate::pipeline::{self, CompileTier};
+    use machine::asm::CodeBuffer;
 
     #[test]
     fn constructors_set_tiers() {
@@ -459,6 +465,88 @@ mod tests {
             EngineConfig::tiered("b", 99, CompilerOptions::allopt()).compile_fingerprint(),
             "the tier-up threshold does not affect emitted code"
         );
+    }
+
+    /// What `config`'s baseline tier emits for every function of `module`
+    /// with the branch monitor attached: the code, or the compile error.
+    fn emitted(config: &EngineConfig, module: &wasm::Module) -> Vec<Result<CodeBuffer, String>> {
+        let info = wasm::validate::validate(module).unwrap();
+        let probes = Instrumentation::branch_monitor(module);
+        (0..module.funcs.len() as u32)
+            .map(|defined| {
+                let func_index = module.defined_to_func_index(defined);
+                pipeline::compile_function(
+                    config,
+                    CompileTier::Baseline,
+                    module,
+                    func_index,
+                    &info.funcs[defined as usize],
+                    &probes.sites_for(func_index),
+                    None,
+                )
+                .map(|artifact| artifact.function.code)
+                .map_err(|e| e.to_string())
+            })
+            .collect()
+    }
+
+    /// The audit behind the cache key: every axis `compile_fingerprint` folds
+    /// changes what the baseline compiler emits for the opcode-exhaustive
+    /// module, so no two configurations are kept apart in the cache for
+    /// nothing. The exceptions are listed, not hidden.
+    #[test]
+    fn every_folded_axis_changes_emitted_code() {
+        let flip = |edit: fn(&mut CompilerOptions)| {
+            let mut options = CompilerOptions::allopt();
+            edit(&mut options);
+            EngineConfig::baseline("flipped", options)
+        };
+        let base = EngineConfig::baseline("base", CompilerOptions::allopt());
+        let exhaustive = conform::coverage::exhaustive_module();
+        // The exhaustive module is single-value throughout; the multi-value
+        // axis decides whether this one compiles at all.
+        let two_results: wasm::Module =
+            wasm::wat::parse_module("(module (func (result i32 i32) i32.const 1 i32.const 2))")
+                .unwrap();
+        let cases: Vec<(&str, EngineConfig, &wasm::Module)> = vec![
+            ("metering", base.clone().with_metering(), &exhaustive),
+            ("osr", base.clone().with_osr(100), &exhaustive),
+            ("multi_register", flip(|o| o.multi_register = false), &exhaustive),
+            ("track_constants", flip(|o| o.track_constants = false), &exhaustive),
+            ("constant_folding", flip(|o| o.constant_folding = false), &exhaustive),
+            ("instruction_selection", flip(|o| o.instruction_selection = false), &exhaustive),
+            ("tagging: none", flip(|o| o.tagging = TagStrategy::None), &exhaustive),
+            ("tagging: eager", flip(|o| o.tagging = TagStrategy::Eager), &exhaustive),
+            (
+                "tagging: eager operands",
+                flip(|o| o.tagging = TagStrategy::EagerOperandsOnly),
+                &exhaustive,
+            ),
+            (
+                "tagging: eager locals",
+                flip(|o| o.tagging = TagStrategy::EagerLocalsOnly),
+                &exhaustive,
+            ),
+            ("tagging: lazy", flip(|o| o.tagging = TagStrategy::Lazy), &exhaustive),
+            ("tagging: stackmaps", flip(|o| o.tagging = TagStrategy::Stackmaps), &exhaustive),
+            ("multi_value", flip(|o| o.multi_value = false), &two_results),
+            ("probe_mode", flip(|o| o.probe_mode = ProbeMode::Runtime), &exhaustive),
+            ("debug_metadata", flip(|o| o.debug_metadata = false), &exhaustive),
+        ];
+        for (axis, flipped, module) in &cases {
+            assert_ne!(base.compile_fingerprint(), flipped.compile_fingerprint(), "{axis}");
+            assert_ne!(emitted(&base, module), emitted(flipped, module), "{axis} emits the same code");
+        }
+        // The one timing-only axis (see `fold_options`): same code, longer
+        // compile, and the artifact records the compile time.
+        let slow = flip(|o| o.extra_lowering_pass = true);
+        assert_ne!(base.compile_fingerprint(), slow.compile_fingerprint());
+        assert_eq!(emitted(&base, &exhaustive), emitted(&slow, &exhaustive));
+        // The tier tag is the policy's identity, not a code axis: a tiered
+        // configuration's baseline code is the baseline-only configuration's.
+        let tiered = EngineConfig::tiered("tiered", 10, CompilerOptions::allopt());
+        assert_ne!(base.compile_fingerprint(), tiered.compile_fingerprint());
+        assert_eq!(emitted(&base, &exhaustive), emitted(&tiered, &exhaustive));
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //! Compilation itself lives in [`crate::pipeline`]: every instance holds an
 //! immutable, shareable [`CompiledModule`] artifact behind an [`Arc`], while
 //! the instance keeps only mutable runtime state. An engine can additionally
-//! be wired to a [`CodeCache`] (shared artifacts across instantiations) and
-//! a [`BackgroundCompiler`] (off-thread tier-up).
+//! be wired to a [`CodeCache`] (shared artifacts across instantiations).
+//! Code is compiled at instantiation ([`pipeline::compile_eager`]) or on the
+//! executing thread at the call boundary or OSR poll that needs it
+//! (`Engine::ensure_compiled`) — nowhere else.
 
 use crate::cache::{CacheKey, CodeCache};
 use crate::config::{EngineConfig, TierPolicy};
 use crate::gc::{scan_roots_via_stackmaps, scan_roots_via_tags, Heap, StackmapFrame};
 use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
-use crate::pipeline::{self, BackgroundCompiler, CompileTier, CompiledArtifact, CompiledModule};
-use crate::trap::{Backtrace, Frame, FrameTierTag, TrapInfo, TrapReason};
+use crate::pipeline::{self, CompileTier, CompiledArtifact, CompiledModule};
+use crate::trap::{Backtrace, Frame, TrapInfo, TrapReason};
 use interp::interp::{InterpExit, Interpreter};
 use interp::probe::{FrameAccessor, ProbeSink};
 use machine::cost::{CostModel, CycleCounter};
@@ -115,13 +117,13 @@ pub struct RunMetrics {
     /// [`RunMetrics::setup_wall`] while the elapsed compilation wall-clock
     /// (part of `setup_wall`) shrinks.
     pub compile_wall: Duration,
-    /// Wall-clock time spent compiling after instantiation in the *baseline*
-    /// tier: lazy first-call compiles, tier-up compiles, and background
-    /// compiles performed on this instance's behalf (accounted when the
-    /// published code is first observed). Kept separate from
-    /// [`RunMetrics::compile_wall`] so the deferred-compilation confounder is
-    /// visible; sum everything via [`RunMetrics::total_compile_wall`] when
-    /// only the total matters.
+    /// Wall-clock time this instance's executing thread spent compiling
+    /// after instantiation in the *baseline* tier: the lazy first-call and
+    /// tier-up compiles it published (a compile that lost the publication
+    /// race to another instance's is dropped and accounted nowhere). Kept
+    /// separate from [`RunMetrics::compile_wall`] so the deferred-compilation
+    /// confounder is visible; sum everything via
+    /// [`RunMetrics::total_compile_wall`] when only the total matters.
     pub lazy_compile_wall: Duration,
     /// Wall-clock time spent in the optimizing compiler on this instance's
     /// behalf — eager (optimizing-only configurations) and tier-up promotion
@@ -134,22 +136,6 @@ pub struct RunMetrics {
     /// [`CodeCache`] instead of validating, preparing, and compiling — the
     /// observable form of a warm instantiation.
     pub cache_hit: bool,
-    /// Cumulative hit counter of the attached [`CodeCache`], snapshotted
-    /// right after this instantiation's lookup (zero without a cache).
-    /// Together with [`RunMetrics::cache_misses`] and
-    /// [`RunMetrics::cache_entries`] this makes cache behavior under
-    /// concurrent serving observable per request, without a side channel to
-    /// the cache itself. Only the cheap counters are snapshotted here —
-    /// resident code size needs a walk over every cached artifact
-    /// ([`CodeCache::stats`]), which has no business on the instantiation
-    /// hot path; harnesses report it once per batch instead.
-    pub cache_hits: u64,
-    /// Cumulative miss counter of the attached [`CodeCache`], snapshotted
-    /// right after this instantiation's lookup (zero without a cache).
-    pub cache_misses: u64,
-    /// Entries resident in the attached [`CodeCache`], snapshotted right
-    /// after this instantiation's lookup (zero without a cache).
-    pub cache_entries: u64,
     /// Bytes of Wasm function bodies compiled.
     pub compiled_wasm_bytes: u64,
     /// Bytes of machine code produced by the configured
@@ -183,7 +169,7 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Total wall-clock compile time attributed to this instance, eager plus
-    /// deferred (lazy / tier-up / background) plus the optimizing tier.
+    /// deferred (lazy / tier-up) plus the optimizing tier.
     pub fn total_compile_wall(&self) -> Duration {
         self.compile_wall + self.lazy_compile_wall + self.opt_compile_wall
     }
@@ -213,11 +199,6 @@ pub struct Instance {
     /// the fused meter-check sites. Like [`Instance::call_counts`], this is
     /// earned tier state: a pool reset keeps it.
     osr_counts: Vec<u32>,
-    /// Functions this instance has handed to the background compiler and
-    /// not yet observed published, per tier (`[baseline, opt]`; used to
-    /// attribute the off-thread compile time to this instance's metrics
-    /// exactly once).
-    background_pending: Vec<[bool; 2]>,
     memory: Option<LinearMemory>,
     globals: Vec<GlobalSlot>,
     tables: Vec<Table>,
@@ -387,22 +368,6 @@ impl FrameTier {
             FrameTier::Jit { tier, .. } => Some(*tier),
         }
     }
-
-    /// The backtrace tag for this frame's tier.
-    fn tag(&self) -> FrameTierTag {
-        match self.jit_tier() {
-            None => FrameTierTag::Interp,
-            Some(CompileTier::Baseline) => FrameTierTag::Baseline,
-            Some(CompileTier::Opt) => FrameTierTag::Opt,
-        }
-    }
-}
-
-fn tier_index(tier: CompileTier) -> usize {
-    match tier {
-        CompileTier::Baseline => 0,
-        CompileTier::Opt => 1,
-    }
 }
 
 struct Activation {
@@ -430,10 +395,11 @@ struct Activation {
 /// The engine: a configuration plus the machinery to instantiate and run
 /// modules under it.
 ///
-/// Engines are cheap to clone; clones share the attached [`CodeCache`] and
-/// [`BackgroundCompiler`] (both behind [`Arc`]s), which is how a serving
-/// setup gives every worker thread its own engine handle over one shared
-/// cache and compile pool.
+/// Engines are cheap to clone; clones share the attached [`CodeCache`], the
+/// epoch counter and the telemetry sink (each behind an [`Arc`]), which is
+/// how a serving setup gives every worker thread its own engine handle over
+/// one shared cache. There is no compile pool to share: a function is
+/// compiled by the thread that instantiates or first needs it.
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
@@ -444,7 +410,6 @@ pub struct Engine {
     compile_fingerprint: u64,
     opt_fingerprint: u64,
     cache: Option<Arc<CodeCache>>,
-    background: Option<Arc<BackgroundCompiler>>,
     /// The shared epoch counter for preemption. Engine clones (and engines
     /// built by [`crate::multi::MultiEngine`]) share one counter, so a
     /// supervisor thread bumping it preempts every instance with an armed
@@ -476,7 +441,6 @@ impl Engine {
             opt_fingerprint: config.opt_fingerprint(),
             config,
             cache: None,
-            background: None,
             epoch: Arc::new(AtomicU64::new(0)),
             telemetry: Telemetry::disabled(),
         }
@@ -500,14 +464,6 @@ impl Engine {
     /// preparation, and compilation.
     pub fn with_code_cache(mut self, cache: Arc<CodeCache>) -> Engine {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches a background compile pool: lazy and tier-up compilations are
-    /// enqueued there and execution continues in the interpreter until the
-    /// compiled code is published into the shared artifact.
-    pub fn with_background_compiler(mut self, pool: Arc<BackgroundCompiler>) -> Engine {
-        self.background = Some(pool);
         self
     }
 
@@ -576,7 +532,6 @@ impl Engine {
         // hit skips validation, preparation, and all compilation), freshly
         // built otherwise.
         let mut cache_hit = false;
-        let mut cache_stats = None;
         let artifact: Arc<CompiledModule> = match &self.cache {
             Some(cache) => {
                 let key = self.cache_key(module, &instrumentation);
@@ -599,11 +554,6 @@ impl Engine {
                             .inc();
                     }
                 }
-                // Snapshot only the atomic counters and the entry count:
-                // walking every artifact for resident code size is too
-                // expensive for the instantiation hot path (see
-                // [`CodeCache::stats`] for the full snapshot).
-                cache_stats = Some((cache.hits(), cache.misses(), cache.len() as u64));
                 found
             }
             None => Arc::new(CompiledModule::build(module.clone())?),
@@ -647,7 +597,6 @@ impl Engine {
             artifact,
             call_counts: vec![0; num_defined],
             osr_counts: vec![0; num_defined],
-            background_pending: vec![[false; 2]; num_defined],
             memory,
             globals,
             tables,
@@ -662,9 +611,6 @@ impl Engine {
             last_trap: None,
             metrics: RunMetrics {
                 cache_hit,
-                cache_hits: cache_stats.map_or(0, |(hits, _, _)| hits),
-                cache_misses: cache_stats.map_or(0, |(_, misses, _)| misses),
-                cache_entries: cache_stats.map_or(0, |(_, _, entries)| entries),
                 ..RunMetrics::default()
             },
         };
@@ -787,8 +733,11 @@ impl Engine {
     // ---- Internal machinery -------------------------------------------------
 
     /// Compiles `defined` for `tier` in the execution thread unless it is
-    /// already published, attributing newly-published work to this
-    /// instance's deferred-compile metrics.
+    /// already published. Metrics follow the publisher: the compile is
+    /// accounted to this instance only when this call installed the code —
+    /// when another instance sharing the artifact got there first (the slot
+    /// was full, or it won the publication race and this call's code was
+    /// dropped), nothing is accounted here.
     fn ensure_compiled(
         &self,
         instance: &mut Instance,
@@ -798,7 +747,7 @@ impl Engine {
         let func_index = instance.artifact.module().defined_to_func_index(defined);
         let probes = instance.instrumentation.sites_for(func_index);
         let profile = match tier {
-            CompileTier::Opt => Some(instance.instrumentation.func_profile(func_index)),
+            CompileTier::Opt => instance.instrumentation.func_profile(func_index),
             CompileTier::Baseline => None,
         };
         let published = pipeline::compile_slot(
@@ -808,7 +757,7 @@ impl Engine {
             defined,
             tier,
             &probes,
-            profile.as_ref(),
+            profile,
         )?;
         if published {
             let compiled = instance
@@ -818,63 +767,15 @@ impl Engine {
             account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
             self.telemetry.emit(EventKind::TierUp {
                 func: func_index,
-                tier: pipeline::telemetry_tier(tier),
+                tier: pipeline::tier_label(Some(tier)),
             });
-        } else {
-            // A background worker (or another instance sharing the artifact)
-            // published first.
-            self.observe_published(instance, defined, tier);
         }
         Ok(())
     }
 
-    /// Accounts a background compilation into this instance's metrics the
-    /// first time its published result is observed at a call boundary.
-    fn observe_published(&self, instance: &mut Instance, defined: u32, tier: CompileTier) {
-        if !instance.background_pending[defined as usize][tier_index(tier)] {
-            return;
-        }
-        instance.background_pending[defined as usize][tier_index(tier)] = false;
-        if let Some(compiled) = instance.artifact.artifact_for(defined, tier) {
-            account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
-        }
-    }
-
-    /// Hands the compilation of `defined` for `tier` to the background pool
-    /// (at most once per tier), snapshotting the branch profile for
-    /// optimizing-tier jobs.
-    fn enqueue_background(
-        &self,
-        pool: &BackgroundCompiler,
-        instance: &mut Instance,
-        defined: u32,
-        tier: CompileTier,
-    ) {
-        if instance.background_pending[defined as usize][tier_index(tier)] {
-            return;
-        }
-        let func_index = instance.artifact.module().defined_to_func_index(defined);
-        let probes = instance.instrumentation.sites_for(func_index);
-        let profile = match tier {
-            CompileTier::Opt => Some(instance.instrumentation.func_profile(func_index)),
-            CompileTier::Baseline => None,
-        };
-        if pool.enqueue_tier(
-            Arc::clone(&instance.artifact),
-            defined,
-            probes,
-            self.config.clone(),
-            tier,
-            profile,
-        ) {
-            instance.background_pending[defined as usize][tier_index(tier)] = true;
-        }
-    }
-
-    /// Decides the tier for a new activation of `defined`, compiling lazily
-    /// or on tier-up / promotion as needed. With a background pool attached,
-    /// deferred compilations are enqueued off-thread and the function keeps
-    /// running in the best already-published tier until the new code lands.
+    /// Decides the tier for a new activation of `defined`: counts the call,
+    /// picks the tier the policy wants at that count, and compiles it here
+    /// (a lazy first call, a tier-up or a promotion) unless it is published.
     fn choose_tier(
         &self,
         instance: &mut Instance,
@@ -902,35 +803,10 @@ impl Engine {
         let Some(want_tier) = want else {
             return Ok(None);
         };
-        if instance.artifact.artifact_for(defined, want_tier).is_some() {
-            self.observe_published(instance, defined, want_tier);
-            if want_tier == CompileTier::Opt {
-                // A baseline compile this instance requested may have been
-                // superseded by the promotion without ever being activated;
-                // settle its pending observation so the work is accounted.
-                self.observe_published(instance, defined, CompileTier::Baseline);
-            }
-            return Ok(Some(want_tier));
+        if instance.artifact.artifact_for(defined, want_tier).is_none() {
+            self.ensure_compiled(instance, defined, want_tier)
+                .map_err(|_| TrapCode::HostError)?;
         }
-        if let Some(pool) = &self.background {
-            let pool = Arc::clone(pool);
-            self.enqueue_background(&pool, instance, defined, want_tier);
-            // Every call boundary is a tier boundary: keep running in the
-            // best tier already published and pick up the new code once a
-            // later call observes the filled slot.
-            if want_tier == CompileTier::Opt
-                && instance
-                    .artifact
-                    .artifact_for(defined, CompileTier::Baseline)
-                    .is_some()
-            {
-                self.observe_published(instance, defined, CompileTier::Baseline);
-                return Ok(Some(CompileTier::Baseline));
-            }
-            return Ok(None);
-        }
-        self.ensure_compiled(instance, defined, want_tier)
-            .map_err(|_| TrapCode::HostError)?;
         Ok(Some(want_tier))
     }
 
@@ -1095,7 +971,7 @@ impl Engine {
                 func_index: act.func_index,
                 name: names.func_name(act.func_index).map(str::to_string),
                 offset,
-                tier: act.tier.tag(),
+                tier: pipeline::tier_label(act.tier.jit_tier()),
             });
         }
         if self.telemetry.is_enabled() {
@@ -1141,11 +1017,7 @@ impl Engine {
             let cycles_before = cycles.total();
             let frame_tier = act.tier.jit_tier();
             let sample_func = act.func_index;
-            let sample_tier = match frame_tier {
-                None => telemetry::Tier::Interp,
-                Some(CompileTier::Baseline) => telemetry::Tier::Baseline,
-                Some(CompileTier::Opt) => telemetry::Tier::Opt,
-            };
+            let sample_tier = pipeline::tier_label(frame_tier);
             let exit = {
                 let Instance {
                     memory,
@@ -1364,11 +1236,11 @@ impl Engine {
     /// Handles an OSR poll from a hot loop in an interpreter or baseline
     /// frame: when optimizing-tier code for the function is published and
     /// has an entry stub for this loop, the running activation is
-    /// transferred to it mid-loop; otherwise the compilation is requested
-    /// and the current tier resumes at the check site (which consumed
-    /// nothing, so re-executing it is correct — and the loop-head check of
-    /// the optimized code runs instead after a transfer, keeping fuel and
-    /// epoch accounting bit-identical to a never-OSR run).
+    /// transferred to it mid-loop; otherwise it is compiled here, on the
+    /// polling thread, and the current tier resumes at the check site (which
+    /// consumed nothing, so re-executing it is correct — and the loop-head
+    /// check of the optimized code runs instead after a transfer, keeping
+    /// fuel and epoch accounting bit-identical to a never-OSR run).
     fn handle_osr(&self, instance: &mut Instance, act: &mut Activation, offset: u32, resume: usize) {
         let defined = act.defined_index;
         // Default: resume the current tier at the declined poll site.
@@ -1377,20 +1249,16 @@ impl Engine {
             FrameTier::Jit { pc, .. } => *pc = resume,
         }
         if instance.artifact.artifact_for(defined, CompileTier::Opt).is_none() {
-            // Not compiled yet: request it and guarantee a full loop
+            // Not compiled yet: compile it and guarantee a full loop
             // iteration of progress before the next poll.
             act.osr_skip = true;
-            if let Some(pool) = &self.background {
-                let pool = Arc::clone(pool);
-                self.enqueue_background(&pool, instance, defined, CompileTier::Opt);
-            } else if self.ensure_compiled(instance, defined, CompileTier::Opt).is_err() {
+            if self.ensure_compiled(instance, defined, CompileTier::Opt).is_err() {
                 // The optimizing compiler rejected the function; the
                 // current tier is always correct, so just stop polling.
                 act.osr_off = true;
             }
             return;
         }
-        self.observe_published(instance, defined, CompileTier::Opt);
         let (entry, frame_slots) = {
             let code = instance
                 .artifact

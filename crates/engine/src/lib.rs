@@ -11,10 +11,11 @@
 //! paper's figures. The immutable side of an instance — module, validation
 //! output, sidetables, and compiled code — lives in a shared
 //! [`pipeline::CompiledModule`] artifact: eager compilation can shard across
-//! worker threads ([`EngineConfig::compile_workers`]), tier-up can run on a
-//! [`pipeline::BackgroundCompiler`] while the interpreter keeps executing,
-//! and a [`cache::CodeCache`] lets repeated instantiations of the same
-//! module skip compilation entirely.
+//! scoped worker threads ([`EngineConfig::compile_workers`]), every later
+//! compile (lazy first call, tier-up, OSR) runs on the executing thread that
+//! needs the code — compile time is application time — and a
+//! [`cache::CodeCache`] lets repeated instantiations of the same module skip
+//! compilation entirely.
 //!
 //! # Examples
 //!
@@ -67,7 +68,7 @@ pub use gc::{Heap, HostObject};
 pub use image::MemoryImage;
 pub use monitor::{BranchMonitor, BranchProfile, Instrumentation};
 pub use multi::MultiEngine;
-pub use pipeline::{BackgroundCompiler, CompileTier, CompiledArtifact, CompiledModule};
+pub use pipeline::{CompileTier, CompiledArtifact, CompiledModule};
 pub use pool::{InstancePool, PoolStats, PooledInstance};
 pub use telemetry::Telemetry;
 pub use trap::{Backtrace, Frame, FrameTierTag, TrapInfo, TrapReason};

@@ -11,6 +11,7 @@
 //! often each branch is taken and not taken.
 
 use interp::probe::{FrameAccessor, ProbeSink};
+use interp::profile::FuncProfile;
 use machine::values::WasmValue;
 use spc::{ProbeKind, ProbeSite, ProbeSites};
 use std::collections::HashMap;
@@ -18,45 +19,39 @@ use wasm::module::Module;
 use wasm::opcode::Opcode;
 use wasm::reader::BytecodeReader;
 
-/// Per-site taken / not-taken counts collected by the branch monitor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BranchProfile {
-    /// Times the branch condition was false (not taken).
-    pub not_taken: u64,
-    /// Times the branch condition was true (taken).
-    pub taken: u64,
-}
+/// Per-site taken / not-taken counts collected by the branch monitor — the
+/// same struct the optimizing tier reads them from.
+pub use interp::profile::BranchSummary as BranchProfile;
 
 /// The branch monitor: profiles the outcome of every conditional branch.
+/// Counts are kept per function, in the [`FuncProfile`] form the optimizing
+/// tier consumes, so a promotion looks its function's profile up.
 #[derive(Debug, Clone, Default)]
 pub struct BranchMonitor {
-    counts: HashMap<(u32, u32), BranchProfile>,
+    funcs: HashMap<u32, FuncProfile>,
+    observations: u64,
 }
 
 impl BranchMonitor {
     /// Records one observation of the branch at `(func, offset)`.
     pub fn record(&mut self, func: u32, offset: u32, condition: bool) {
-        let entry = self.counts.entry((func, offset)).or_default();
-        if condition {
-            entry.taken += 1;
-        } else {
-            entry.not_taken += 1;
-        }
+        self.funcs.entry(func).or_default().record(offset, condition, 1);
+        self.observations += 1;
     }
 
     /// The profile of one branch site.
     pub fn profile(&self, func: u32, offset: u32) -> Option<&BranchProfile> {
-        self.counts.get(&(func, offset))
+        self.funcs.get(&func)?.site(offset)
     }
 
     /// Total observations across all sites.
     pub fn total_observations(&self) -> u64 {
-        self.counts.values().map(|p| p.taken + p.not_taken).sum()
+        self.observations
     }
 
     /// The number of distinct branch sites observed.
     pub fn site_count(&self) -> usize {
-        self.counts.len()
+        self.funcs.values().map(FuncProfile::len).sum()
     }
 }
 
@@ -185,25 +180,14 @@ impl Instrumentation {
         &self.branch
     }
 
-    /// Exports the branch profile of one function for the optimizing tier
-    /// (see [`interp::profile`]): every site the branch monitor has observed
-    /// in `func_index`, as taken/not-taken counts keyed by bytecode offset.
-    /// Empty when no branch monitor is attached — the optimizing tier then
-    /// lays blocks out in bytecode order.
-    ///
-    /// The scan is linear in the module's total observed branch sites; it
-    /// runs once per optimizing-tier promotion (at most once per function
-    /// per instance), so the aggregate cost is bounded by
-    /// `functions × sites` per instance lifetime.
-    pub fn func_profile(&self, func_index: u32) -> interp::profile::FuncProfile {
-        let mut profile = interp::profile::FuncProfile::empty();
-        for (&(func, offset), counts) in &self.branch.counts {
-            if func == func_index {
-                profile.record(offset, true, counts.taken);
-                profile.record(offset, false, counts.not_taken);
-            }
-        }
-        profile
+    /// The branch profile of one function for the optimizing tier (see
+    /// [`interp::profile`]): every site the branch monitor has observed in
+    /// `func_index`, as taken/not-taken counts keyed by bytecode offset.
+    /// `None` when nothing was observed there (no branch monitor attached, or
+    /// no branch executed yet) — the optimizing tier then lays blocks out in
+    /// bytecode order.
+    pub fn func_profile(&self, func_index: u32) -> Option<&FuncProfile> {
+        self.branch.funcs.get(&func_index)
     }
 
     /// The counter values of a counter monitor.
@@ -250,28 +234,6 @@ impl Instrumentation {
         }
         h.finish()
     }
-
-    /// Routes a value-carrying probe firing (used for JIT `ProbeTosValue`
-    /// exits and interpreter firings alike).
-    pub fn record_value(&mut self, func: u32, offset: u32, value: WasmValue) {
-        match self.kind {
-            MonitorKind::Branch => {
-                let condition = match value {
-                    WasmValue::I32(v) => v != 0,
-                    WasmValue::I64(v) => v != 0,
-                    _ => false,
-                };
-                self.branch.record(func, offset, condition);
-            }
-            MonitorKind::Counter => {
-                // Value-carrying firings still count as one observation.
-                if let Some(c) = self.counters.get_mut(0) {
-                    *c += 1;
-                }
-            }
-            MonitorKind::None => {}
-        }
-    }
 }
 
 impl ProbeSink for Instrumentation {
@@ -291,28 +253,41 @@ impl ProbeSink for Instrumentation {
         let offset = frame.offset();
         match self.kind {
             MonitorKind::Branch => {
-                let condition = frame
-                    .top_of_stack()
-                    .map(|v| match v {
-                        WasmValue::I32(v) => v != 0,
-                        WasmValue::I64(v) => v != 0,
-                        _ => false,
-                    })
-                    .unwrap_or(false);
-                self.branch.record(func, offset, condition);
+                // An empty operand stack reads as a false condition.
+                let value = frame.top_of_stack().unwrap_or(WasmValue::I32(0));
+                self.fire_with_value(func, offset, value);
             }
             MonitorKind::Counter => {
-                let defined = func as usize;
-                if defined < self.counters.len() {
-                    self.counters[defined] += 1;
+                // The cell is the site's own: the one intrinsified code
+                // increments. (`func` is a function-space index, the cells
+                // are numbered by defined index.)
+                let site = self.sites.get(&func).and_then(|s| s.get(offset));
+                if let Some(ProbeKind::Counter { counter_id }) = site.map(|s| s.kind) {
+                    self.increment_counter(counter_id);
                 }
             }
             MonitorKind::None => {}
         }
     }
 
-    fn fire_with_value(&mut self, func_index: u32, offset: u32, value: WasmValue) {
-        self.record_value(func_index, offset, value);
+    fn fire_with_value(&mut self, func: u32, offset: u32, value: WasmValue) {
+        match self.kind {
+            MonitorKind::Branch => {
+                let condition = match value {
+                    WasmValue::I32(v) => v != 0,
+                    WasmValue::I64(v) => v != 0,
+                    _ => false,
+                };
+                self.branch.record(func, offset, condition);
+            }
+            MonitorKind::Counter => {
+                // Value-carrying firings still count as one observation.
+                if let Some(c) = self.counters.get_mut(0) {
+                    *c += 1;
+                }
+            }
+            MonitorKind::None => {}
+        }
     }
 
     fn increment_counter(&mut self, counter_id: u32) {

@@ -1,29 +1,32 @@
-//! The compilation pipeline: shared compiled-module artifacts, parallel
-//! eager compilation, and background (off-thread) tier-up.
+//! The compilation pipeline: shared compiled-module artifacts and the one
+//! compile-and-publish step, run in exactly two places.
 //!
 //! The paper's central observation is that single-pass baseline compilation
-//! is cheap, *per-function-independent* work. This module exploits that
-//! independence the way production engines do:
+//! is cheap, *per-function-independent* work, and that compile time is
+//! application time. This module exploits the first and honours the second:
 //!
 //! * [`CompiledModule`] is the immutable compilation artifact of one module
 //!   under one engine configuration — validation output, per-function
 //!   sidetables, and one atomically-published code slot per defined
-//!   function. It is `Send + Sync` and held by every [`Instance`] behind an
-//!   [`Arc`], so any number of instances (and threads) share one copy of the
-//!   compiled code. The mutable runtime state (value stack, memory, globals,
-//!   heap, metrics) stays in the instance.
-//! * [`compile_eager`] shards instantiate-time compilation across a
-//!   configurable worker pool ([`EngineConfig::compile_workers`]). Each
-//!   function's compilation reads only immutable inputs, so the output is
+//!   function and tier. It is `Send + Sync` and held by every [`Instance`]
+//!   behind an [`Arc`](std::sync::Arc), so any number of instances (and
+//!   threads) share one copy of the compiled code. The mutable runtime state
+//!   (value stack, memory, globals, heap, metrics) stays in the instance.
+//! * [`compile_eager`] shards instantiate-time compilation across
+//!   [`EngineConfig::compile_workers`] scoped threads. Each function's
+//!   compilation reads only immutable inputs, so the output is
 //!   byte-identical to the serial path at any worker count (differentially
 //!   tested in `tests/parallel_determinism.rs`).
-//! * [`BackgroundCompiler`] is a persistent worker pool for tier-up and lazy
-//!   compilation: the engine enqueues a function, keeps interpreting, and
-//!   the finished code is published into the shared artifact's
-//!   [`OnceLock`] slot. Because every call boundary is already a tier
-//!   boundary in this engine, publication needs no code patching — the next
-//!   activation of the function simply observes the filled slot and runs the
-//!   JIT code.
+//! * Every compile after instantiation — a lazy first call, a tier-up, an
+//!   OSR request — runs on the executing thread, in the engine's
+//!   `ensure_compiled`, at the call boundary or OSR poll that needs the
+//!   code. Nothing compiles off-thread, so which tier an activation runs in
+//!   is a function of the instance's own call and back-edge counts, never of
+//!   thread timing, and simulated cycles repeat exactly.
+//!
+//! Both places go through `compile_slot`, which publishes into the shared
+//! artifact's [`OnceLock`] slot: first writer wins, a loser's code is dropped,
+//! and only the publisher accounts the compile to its instance's metrics.
 //!
 //! [`Instance`]: crate::engine::Instance
 //! [`EngineConfig::compile_workers`]: crate::config::EngineConfig
@@ -37,10 +40,8 @@ use machine::x64_masm::{X64Code, X64Masm};
 use spc::{CompileError, CompiledFunction, ProbeSites, SinglePassCompiler};
 use std::fmt;
 use telemetry::{EventKind, Telemetry};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle};
+use std::sync::OnceLock;
+use std::thread;
 use std::time::{Duration, Instant};
 use wasm::module::Module;
 use wasm::validate::{validate, FuncInfo, ModuleInfo};
@@ -58,8 +59,8 @@ pub struct CompiledArtifact {
     /// per-instruction estimate otherwise).
     pub machine_bytes: u64,
     /// Wall-clock time this function took to compile, wherever the
-    /// compilation ran (instantiate-time worker, background worker, or the
-    /// execution thread on a lazy first call).
+    /// compilation ran (an instantiate-time worker, or the execution thread
+    /// on a lazy first call, tier-up or OSR request).
     pub compile_wall: Duration,
     /// The real x86-64 encoding of `function.code`, kept when the
     /// configuration selects [`CodeBackend::X64`] so code-size metrics and
@@ -98,11 +99,10 @@ pub fn eager_tier(config: &EngineConfig) -> CompileTier {
 /// runs or compiles, which also writes its sidetable and fuel plan — and pairs
 /// every defined function's tables with its frame metadata. Each table exists
 /// once: [`PreparedFunction`] and [`FuncInfo`] share it. Code slots start
-/// empty and are filled by eager, lazy, or background compilation;
-/// publication is atomic and
-/// idempotent (first writer wins — and every writer produces identical
-/// bytes, since compilation is a pure function of the slot's immutable
-/// inputs).
+/// empty and are filled by eager compilation at instantiation or by the
+/// executing thread afterwards; publication is atomic and idempotent (first
+/// writer wins — and every baseline writer produces identical bytes, since
+/// compilation is a pure function of the slot's immutable inputs).
 pub struct CompiledModule {
     module: Module,
     info: ModuleInfo,
@@ -155,11 +155,6 @@ impl CompiledModule {
         &self.module
     }
 
-    /// The validation output for the whole module.
-    pub fn info(&self) -> &ModuleInfo {
-        &self.info
-    }
-
     /// The validation metadata of one defined function.
     pub fn func_info(&self, defined: u32) -> &FuncInfo {
         &self.info.funcs[defined as usize]
@@ -208,7 +203,7 @@ impl CompiledModule {
     /// wins; baseline artifacts are byte-identical, and racing
     /// optimizing-tier artifacts may differ in block layout (profiles are
     /// per-instance) but never in semantics.
-    pub fn publish_for(&self, defined: u32, tier: CompileTier, artifact: CompiledArtifact) -> bool {
+    fn publish_for(&self, defined: u32, tier: CompileTier, artifact: CompiledArtifact) -> bool {
         self.slots_for(tier)[defined as usize].set(artifact).is_ok()
     }
 
@@ -262,11 +257,13 @@ fn opt_compiler(config: &EngineConfig) -> optc::OptimizingCompiler {
         .with_osr(config.osr_threshold.is_some())
 }
 
-/// The telemetry label for a compile tier.
-pub(crate) fn telemetry_tier(tier: CompileTier) -> telemetry::Tier {
-    match tier {
-        CompileTier::Baseline => telemetry::Tier::Baseline,
-        CompileTier::Opt => telemetry::Tier::Opt,
+/// The tier label telemetry events, profiler samples and backtrace frames
+/// carry: the compile tier whose code runs, or the interpreter for `None`.
+pub(crate) fn tier_label(jit: Option<CompileTier>) -> telemetry::Tier {
+    match jit {
+        None => telemetry::Tier::Interp,
+        Some(CompileTier::Baseline) => telemetry::Tier::Baseline,
+        Some(CompileTier::Opt) => telemetry::Tier::Opt,
     }
 }
 
@@ -287,7 +284,7 @@ pub(crate) fn telemetry_backend(backend: CodeBackend) -> telemetry::Backend {
 ///
 /// Returns the compiler's error for invalid or unsupported input.
 #[allow(clippy::too_many_arguments)]
-pub fn compile_function_traced(
+fn compile_function_traced(
     telemetry: &Telemetry,
     config: &EngineConfig,
     tier: CompileTier,
@@ -300,7 +297,7 @@ pub fn compile_function_traced(
     if !telemetry.is_enabled() {
         return compile_function(config, tier, module, func_index, info, probes, profile);
     }
-    let t_tier = telemetry_tier(tier);
+    let t_tier = tier_label(Some(tier));
     let t_backend = telemetry_backend(config.backend);
     telemetry.emit(EventKind::CompileStart { func: func_index, tier: t_tier, backend: t_backend });
     let result = compile_function(config, tier, module, func_index, info, probes, profile);
@@ -389,9 +386,10 @@ pub fn compile_function(
 }
 
 /// Compiles `defined` into its `tier` slot unless it is already published:
-/// the one compile-and-publish step eager, lazy and background compilation
-/// share. Returns whether this call published new code — `false` when the
-/// slot was already full or another thread won the publication race.
+/// the one compile-and-publish step, shared by [`compile_eager`]'s workers
+/// and the engine's `ensure_compiled`. Returns whether this call published
+/// new code — `false` when the slot was already full or another thread won
+/// the publication race.
 pub(crate) fn compile_slot(
     telemetry: &Telemetry,
     config: &EngineConfig,
@@ -505,186 +503,11 @@ pub fn compile_eager(
     Ok(published)
 }
 
-/// A unit of background compilation: one function of one shared artifact.
-struct CompileJob {
-    artifact: Arc<CompiledModule>,
-    defined: u32,
-    probes: ProbeSites,
-    config: EngineConfig,
-    tier: CompileTier,
-    /// Branch profile snapshot taken at enqueue time (optimizing tier only).
-    profile: Option<FuncProfile>,
-}
-
-/// Counters shared between the pool's handle and its worker threads.
-#[derive(Debug, Default)]
-struct PoolCounters {
-    queued: AtomicU64,
-    completed: AtomicU64,
-    compiled: AtomicU64,
-}
-
-/// A persistent pool of background compile workers.
-///
-/// The engine enqueues tier-up / lazy-compile requests here and keeps
-/// executing in the interpreter; workers compile on their own threads and
-/// publish results atomically into the shared [`CompiledModule`]. A failed
-/// background compilation is swallowed (the counter still advances): the
-/// function simply stays interpreted, which is always a correct tier.
-///
-/// Dropping the pool closes the queue and joins the workers.
-pub struct BackgroundCompiler {
-    sender: Mutex<Option<Sender<CompileJob>>>,
-    workers: Vec<JoinHandle<()>>,
-    counters: Arc<PoolCounters>,
-}
-
-impl fmt::Debug for BackgroundCompiler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackgroundCompiler")
-            .field("workers", &self.workers.len())
-            .field("queued", &self.counters.queued.load(Ordering::SeqCst))
-            .field("completed", &self.counters.completed.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-impl BackgroundCompiler {
-    /// Starts a pool with `workers` compile threads (at least one).
-    pub fn new(workers: usize) -> BackgroundCompiler {
-        BackgroundCompiler::with_telemetry(workers, Telemetry::disabled())
-    }
-
-    /// Starts a pool whose workers report compile and tier-up events into
-    /// `telemetry` (each worker thread gets its own event ring).
-    pub fn with_telemetry(workers: usize, telemetry: Telemetry) -> BackgroundCompiler {
-        let (sender, receiver) = channel::<CompileJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let counters = Arc::new(PoolCounters::default());
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let counters = Arc::clone(&counters);
-                let telemetry = telemetry.clone();
-                thread::Builder::new()
-                    .name(format!("bg-compile-{i}"))
-                    .spawn(move || worker_loop(&receiver, &counters, &telemetry))
-                    .expect("spawn background compile worker")
-            })
-            .collect();
-        BackgroundCompiler {
-            sender: Mutex::new(Some(sender)),
-            workers,
-            counters,
-        }
-    }
-
-    /// Enqueues the compilation of `defined` in `artifact` for `tier`, with
-    /// an optional branch-profile snapshot for the optimizing tier. Returns
-    /// `false` if the pool has already been shut down.
-    pub fn enqueue_tier(
-        &self,
-        artifact: Arc<CompiledModule>,
-        defined: u32,
-        probes: ProbeSites,
-        config: EngineConfig,
-        tier: CompileTier,
-        profile: Option<FuncProfile>,
-    ) -> bool {
-        let sender = self.sender.lock().expect("pool sender poisoned");
-        match sender.as_ref() {
-            Some(s) => {
-                self.counters.queued.fetch_add(1, Ordering::SeqCst);
-                s.send(CompileJob {
-                    artifact,
-                    defined,
-                    probes,
-                    config,
-                    tier,
-                    profile,
-                })
-                .is_ok()
-            }
-            None => false,
-        }
-    }
-
-    /// Jobs enqueued over the pool's lifetime.
-    pub fn jobs_queued(&self) -> u64 {
-        self.counters.queued.load(Ordering::SeqCst)
-    }
-
-    /// Jobs fully processed (compiled, skipped, or failed).
-    pub fn jobs_completed(&self) -> u64 {
-        self.counters.completed.load(Ordering::SeqCst)
-    }
-
-    /// Functions this pool actually compiled and published (excludes jobs
-    /// whose slot was already filled when the worker got to them).
-    pub fn functions_compiled(&self) -> u64 {
-        self.counters.compiled.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until every job enqueued so far has been processed. Intended
-    /// for tests and benchmarks; the engine itself never waits — that is the
-    /// point of the background queue.
-    pub fn wait_idle(&self) {
-        while self.jobs_completed() < self.jobs_queued() {
-            thread::yield_now();
-            thread::sleep(Duration::from_micros(50));
-        }
-    }
-}
-
-impl Drop for BackgroundCompiler {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's receive loop.
-        *self.sender.lock().expect("pool sender poisoned") = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(
-    receiver: &Mutex<Receiver<CompileJob>>,
-    counters: &PoolCounters,
-    telemetry: &Telemetry,
-) {
-    loop {
-        // Hold the lock only to receive; compilation runs unlocked so other
-        // workers can pick up jobs concurrently.
-        let job = match receiver.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        // A failed compilation leaves the function in its current tier,
-        // which is always correct.
-        let published = compile_slot(
-            telemetry,
-            &job.config,
-            &job.artifact,
-            job.defined,
-            job.tier,
-            &job.probes,
-            job.profile.as_ref(),
-        );
-        if let Ok(true) = published {
-            counters.compiled.fetch_add(1, Ordering::SeqCst);
-            telemetry.emit(EventKind::TierUp {
-                func: job.artifact.module().defined_to_func_index(job.defined),
-                tier: telemetry_tier(job.tier),
-            });
-        }
-        counters.completed.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spc::CompilerOptions;
+    use std::sync::Arc;
     use wasm::builder::{CodeBuilder, ModuleBuilder};
     use wasm::opcode::Opcode;
     use wasm::types::{FuncType, ValueType};
@@ -703,7 +526,6 @@ mod tests {
         check::<Arc<CompiledModule>>();
         check::<EngineConfig>();
         check::<Instrumentation>();
-        check::<BackgroundCompiler>();
         check::<crate::cache::CodeCache>();
     }
 
@@ -767,39 +589,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn background_pool_compiles_and_publishes() {
-        let config = EngineConfig::tiered("bg", 1, CompilerOptions::allopt());
-        let artifact = Arc::new(CompiledModule::build(small_module(2)).unwrap());
-        let pool = BackgroundCompiler::new(2);
-        for defined in 0..2 {
-            assert!(pool.enqueue_tier(
-                Arc::clone(&artifact),
-                defined,
-                ProbeSites::none(),
-                config.clone(),
-                CompileTier::Baseline,
-                None
-            ));
-        }
-        pool.wait_idle();
-        assert_eq!(pool.jobs_queued(), 2);
-        assert_eq!(pool.jobs_completed(), 2);
-        assert_eq!(pool.functions_compiled(), 2);
-        assert_eq!(artifact.compiled_count(), 2);
-        // Re-enqueueing an already-compiled function completes without
-        // recompiling.
-        assert!(pool.enqueue_tier(
-            artifact.clone(),
-            0,
-            ProbeSites::none(),
-            config,
-            CompileTier::Baseline,
-            None
-        ));
-        pool.wait_idle();
-        assert_eq!(pool.functions_compiled(), 2);
     }
 }

@@ -142,11 +142,6 @@ impl InstancePool {
         &self.engine
     }
 
-    /// The snapshot image warm checkouts reset to.
-    pub fn image(&self) -> &MemoryImage {
-        &self.image
-    }
-
     /// Checks out an instance: warm (pop a recycled instance and rewind it
     /// to the snapshot image) when one is parked, cold (full instantiation)
     /// otherwise. The returned guard checks the instance back in on drop.

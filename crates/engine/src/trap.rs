@@ -162,32 +162,14 @@ impl fmt::Display for TrapReason {
     }
 }
 
-/// The execution tier a backtrace frame was captured in.
+/// The execution tier a backtrace frame was captured in: telemetry's
+/// [`Tier`](telemetry::Tier), the one three-variant tier label the engine
+/// has (`Opt` includes frames transferred mid-loop by on-stack replacement).
 ///
 /// Carried on each [`Frame`] for display and telemetry, but excluded from
 /// frame equality: tier choice never changes *where* a trap happens, and the
 /// differential tests compare backtraces across tier configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrameTierTag {
-    /// The frame was interpreting.
-    Interp,
-    /// The frame was running baseline-compiled code.
-    Baseline,
-    /// The frame was running optimizing-tier code (including frames
-    /// transferred mid-loop by on-stack replacement).
-    Opt,
-}
-
-impl FrameTierTag {
-    /// A short stable label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameTierTag::Interp => "interp",
-            FrameTierTag::Baseline => "baseline",
-            FrameTierTag::Opt => "opt",
-        }
-    }
-}
+pub use telemetry::Tier as FrameTierTag;
 
 /// One frame of a wasm backtrace.
 ///

@@ -216,11 +216,6 @@ impl Assembler {
     pub fn new() -> Assembler {
         Assembler::default()
     }
-
-    /// True if the label has been bound.
-    pub fn is_bound(&self, label: Label) -> bool {
-        self.labels[label.0 as usize].is_some()
-    }
 }
 
 /// The virtual-ISA backend: an operation is appended as it is, and site
@@ -331,11 +326,9 @@ mod tests {
     fn forward_label_resolution() {
         let mut asm = Assembler::new();
         let skip = asm.new_label();
-        assert!(!asm.is_bound(skip));
         asm.emit(MachInst::BrIf { cond: Reg(0), target: skip, negate: false });
         asm.emit(MachInst::Trap { code: TrapCode::Unreachable });
         asm.bind(skip);
-        assert!(asm.is_bound(skip));
         asm.emit(MachInst::Return);
         let code = asm.finish();
         assert_eq!(code.target(skip), 2);

@@ -250,46 +250,6 @@ pub enum ConvOp {
 }
 
 impl ConvOp {
-    /// True if the source operand lives in a floating-point register.
-    pub fn src_is_float(self) -> bool {
-        use ConvOp::*;
-        matches!(
-            self,
-            I32TruncF32S
-                | I32TruncF32U
-                | I32TruncF64S
-                | I32TruncF64U
-                | I64TruncF32S
-                | I64TruncF32U
-                | I64TruncF64S
-                | I64TruncF64U
-                | F32DemoteF64
-                | F64PromoteF32
-                | I32ReinterpretF32
-                | I64ReinterpretF64
-        )
-    }
-
-    /// True if the destination lives in a floating-point register.
-    pub fn dst_is_float(self) -> bool {
-        use ConvOp::*;
-        matches!(
-            self,
-            F32ConvertI32S
-                | F32ConvertI32U
-                | F32ConvertI64S
-                | F32ConvertI64U
-                | F64ConvertI32S
-                | F64ConvertI32U
-                | F64ConvertI64S
-                | F64ConvertI64U
-                | F32DemoteF64
-                | F64PromoteF32
-                | F32ReinterpretI32
-                | F64ReinterpretI64
-        )
-    }
-
     /// True for the trapping float-to-int truncations.
     pub fn can_trap(self) -> bool {
         use ConvOp::*;
@@ -770,17 +730,6 @@ impl MachInst {
         }
     }
 
-    /// True for instructions that end a basic block.
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            MachInst::Jump { .. }
-                | MachInst::BrTable { .. }
-                | MachInst::Trap { .. }
-                | MachInst::Return
-        )
-    }
-
     /// True for call-like instructions that exit to the engine.
     pub fn is_call(&self) -> bool {
         matches!(
@@ -878,23 +827,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conv_op_banks() {
-        assert!(ConvOp::I32TruncF64S.src_is_float());
-        assert!(!ConvOp::I32TruncF64S.dst_is_float());
-        assert!(ConvOp::F64ConvertI32U.dst_is_float());
-        assert!(!ConvOp::F64ConvertI32U.src_is_float());
-        assert!(ConvOp::F32DemoteF64.src_is_float() && ConvOp::F32DemoteF64.dst_is_float());
-        assert!(!ConvOp::I64ExtendI32S.src_is_float() && !ConvOp::I64ExtendI32S.dst_is_float());
+    fn only_truncations_can_trap() {
         assert!(ConvOp::I32TruncF32U.can_trap());
         assert!(!ConvOp::F64PromoteF32.can_trap());
     }
 
     #[test]
-    fn terminators_and_calls() {
-        assert!(MachInst::Return.is_terminator());
-        assert!(MachInst::Jump { target: Label(0) }.is_terminator());
-        assert!(MachInst::Trap { code: TrapCode::Unreachable }.is_terminator());
-        assert!(!MachInst::Nop.is_terminator());
+    fn calls_exit_to_the_engine() {
         assert!(MachInst::Call { func_index: 1 }.is_call());
         assert!(!MachInst::ProbeDirect { probe_id: 0 }.is_call());
     }

@@ -60,11 +60,6 @@ impl ValueTag {
             _ => return None,
         })
     }
-
-    /// True if slots with this tag are garbage-collection roots.
-    pub fn is_gc_root(self) -> bool {
-        self == ValueTag::Ref
-    }
 }
 
 impl fmt::Display for ValueTag {
@@ -164,42 +159,6 @@ impl WasmValue {
         match self {
             WasmValue::I32(v) => *v,
             other => panic!("expected i32, found {other:?}"),
-        }
-    }
-
-    /// Returns the i64 payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an `I64`.
-    pub fn unwrap_i64(&self) -> i64 {
-        match self {
-            WasmValue::I64(v) => *v,
-            other => panic!("expected i64, found {other:?}"),
-        }
-    }
-
-    /// Returns the f32 payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an `F32`.
-    pub fn unwrap_f32(&self) -> f32 {
-        match self {
-            WasmValue::F32(v) => *v,
-            other => panic!("expected f32, found {other:?}"),
-        }
-    }
-
-    /// Returns the f64 payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not an `F64`.
-    pub fn unwrap_f64(&self) -> f64 {
-        match self {
-            WasmValue::F64(v) => *v,
-            other => panic!("expected f64, found {other:?}"),
         }
     }
 }
@@ -358,11 +317,6 @@ impl ValueStack {
         self.high_water = 0;
     }
 
-    /// True if pushing `extra` more slots would overflow the stack.
-    pub fn would_overflow(&self, extra: usize) -> bool {
-        self.sp + extra > self.capacity()
-    }
-
     /// Reads the raw bits of a slot.
     pub fn read(&self, slot: usize) -> u64 {
         self.slots[slot]
@@ -451,9 +405,6 @@ mod tests {
             let tag = ValueTag::for_type(t);
             assert_eq!(ValueTag::from_byte(tag as u8), Some(tag));
         }
-        assert!(ValueTag::Ref.is_gc_root());
-        assert!(!ValueTag::I64.is_gc_root());
-        assert!(!ValueTag::FuncRef.is_gc_root());
         assert_eq!(ValueTag::from_byte(200), None);
     }
 
@@ -527,11 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_accessors() {
+    fn unwrap_i32_returns_the_payload() {
         assert_eq!(WasmValue::I32(3).unwrap_i32(), 3);
-        assert_eq!(WasmValue::I64(-3).unwrap_i64(), -3);
-        assert_eq!(WasmValue::F32(1.5).unwrap_f32(), 1.5);
-        assert_eq!(WasmValue::F64(2.5).unwrap_f64(), 2.5);
     }
 
     #[test]
@@ -576,23 +524,13 @@ mod tests {
         vs.push(WasmValue::ExternRef(None));
         let roots: Vec<_> = vs
             .iter_live()
-            .filter(|(_, bits, tag)| tag.is_gc_root() && *bits != NULL_REF_BITS)
+            .filter(|(_, bits, tag)| *tag == ValueTag::Ref && *bits != NULL_REF_BITS)
             .collect();
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].0, 1);
 
         vs.clear_range(0, 3);
         assert!(vs.iter_live().all(|(_, _, tag)| tag == ValueTag::Dead));
-    }
-
-    #[test]
-    fn value_stack_overflow_detection() {
-        let mut vs = ValueStack::with_capacity(4);
-        assert!(!vs.would_overflow(4));
-        assert!(vs.would_overflow(5));
-        vs.set_sp(3);
-        assert!(vs.would_overflow(2));
-        assert!(!vs.would_overflow(1));
     }
 
     #[test]

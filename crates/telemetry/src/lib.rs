@@ -19,8 +19,7 @@
 //!   `BENCH_*.json` reports.
 //! - **Sampling profile** — the engine's execution loops report the current
 //!   (function, tier) whenever the shared epoch advances; the [`Profiler`]
-//!   aggregates those samples into per-function×tier counts and a text
-//!   flame report.
+//!   aggregates those samples into per-function×tier counts.
 //!
 //! # The zero-cost-when-disabled contract
 //!

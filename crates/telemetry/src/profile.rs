@@ -1,5 +1,5 @@
 //! The sampling profiler's aggregation side: per-(function, tier) sample
-//! counts and a text flame report.
+//! counts.
 //!
 //! Samples are *driven* by the epoch machinery in the engine — every time an
 //! execution loop notices the shared epoch advanced, it reports the function
@@ -87,35 +87,6 @@ impl Profiler {
             .sum();
         hits as f64 / total as f64
     }
-
-    /// A text flame report, hottest bucket first, with a proportional bar.
-    /// `name` resolves a function index to a display name (return the index
-    /// as a string when no name section exists).
-    pub fn flame_report(&self, name: &dyn Fn(u32) -> String) -> String {
-        let rows = self.snapshot();
-        let total = self.total_samples();
-        let mut out = String::new();
-        out.push_str(&format!("sampling profile — {total} samples\n"));
-        if total == 0 {
-            return out;
-        }
-        let widest = rows
-            .iter()
-            .map(|r| name(r.func).len() + r.tier.label().len() + 1)
-            .max()
-            .unwrap_or(0);
-        for row in rows {
-            let pct = row.samples as f64 * 100.0 / total as f64;
-            let bar_len = ((pct / 100.0) * 40.0).round() as usize;
-            let label = format!("{}/{}", name(row.func), row.tier.label());
-            out.push_str(&format!(
-                "  {label:<widest$}  {samples:>8}  {pct:>6.2}%  {bar}\n",
-                samples = row.samples,
-                bar = "#".repeat(bar_len.max(1)),
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -139,24 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn flame_report_is_ranked_and_labelled() {
-        let p = Profiler::new();
-        for _ in 0..30 {
-            p.record(0, Tier::Opt);
-        }
-        p.record(1, Tier::Interp);
-        let report = p.flame_report(&|f| format!("f{f}"));
-        let hot_line = report.lines().nth(1).unwrap();
-        assert!(hot_line.contains("f0/opt"), "hottest first: {report}");
-        assert!(hot_line.contains("30"));
-        assert!(report.contains("f1/interp"));
-        assert!(report.starts_with("sampling profile — 31 samples"));
-    }
-
-    #[test]
     fn empty_profile_reports_gracefully() {
         let p = Profiler::new();
         assert_eq!(p.snapshot(), vec![]);
-        assert_eq!(p.flame_report(&|f| f.to_string()), "sampling profile — 0 samples\n");
+        assert_eq!(p.share(0), 0.0);
     }
 }

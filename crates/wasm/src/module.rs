@@ -506,11 +506,6 @@ impl ModuleData {
         }
     }
 
-    /// Finds an export by name.
-    pub fn export(&self, name: &str) -> Option<&Export> {
-        self.exports.iter().find(|e| e.name == name)
-    }
-
     /// Finds an exported function's index by name.
     pub fn exported_func(&self, name: &str) -> Option<u32> {
         self.exports
@@ -702,7 +697,6 @@ mod tests {
     #[test]
     fn export_lookup() {
         let m = test_module();
-        assert!(m.export("run").is_some());
         assert_eq!(m.exported_func("run"), Some(1));
         assert_eq!(m.exported_func("missing"), None);
     }

@@ -340,15 +340,6 @@ impl Opcode {
         matches!(self, Opcode::Block | Opcode::Loop | Opcode::If)
     }
 
-    /// Returns true if this opcode unconditionally transfers control
-    /// (following code is unreachable until the next label).
-    pub fn is_unconditional_transfer(self) -> bool {
-        matches!(
-            self,
-            Opcode::Unreachable | Opcode::Br | Opcode::BrTable | Opcode::Return
-        )
-    }
-
     /// Returns true for instructions that can trap at runtime.
     pub fn can_trap(self) -> bool {
         matches!(
@@ -554,10 +545,6 @@ mod tests {
         assert!(Opcode::Loop.opens_block());
         assert!(Opcode::If.opens_block());
         assert!(!Opcode::End.opens_block());
-
-        assert!(Opcode::Br.is_unconditional_transfer());
-        assert!(Opcode::Return.is_unconditional_transfer());
-        assert!(!Opcode::BrIf.is_unconditional_transfer());
 
         assert!(Opcode::I32DivS.can_trap());
         assert!(Opcode::I64Load.can_trap());

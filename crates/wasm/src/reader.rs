@@ -84,11 +84,6 @@ impl<'a> ByteReader<'a> {
         ByteReader { data, pos: 0 }
     }
 
-    /// Creates a reader starting at `pos`.
-    pub fn at(data: &'a [u8], pos: usize) -> ByteReader<'a> {
-        ByteReader { data, pos }
-    }
-
     /// Current offset.
     #[inline]
     pub fn pos(&self) -> usize {
@@ -295,16 +290,6 @@ impl<'a> BytecodeReader<'a> {
         let offset = self.inner.pos();
         let b = self.inner.read_u8()?;
         Opcode::from_byte(b).ok_or(ReadError::UnknownOpcode { offset, byte: b })
-    }
-
-    /// Peeks the next opcode without advancing. Returns `None` at the end of
-    /// the body or on an unknown byte.
-    pub fn peek_opcode(&self) -> Option<Opcode> {
-        self.inner
-            .data()
-            .get(self.inner.pos())
-            .copied()
-            .and_then(Opcode::from_byte)
     }
 
     /// Reads an unsigned 32-bit LEB index immediate.
@@ -561,7 +546,6 @@ mod tests {
         assert_eq!(r.read_i32().unwrap(), 42);
         assert_eq!(r.read_opcode().unwrap(), Opcode::LocalGet);
         assert_eq!(r.read_index().unwrap(), 3);
-        assert_eq!(r.peek_opcode(), Some(Opcode::I32Add));
         assert_eq!(r.read_opcode().unwrap(), Opcode::I32Add);
         assert_eq!(r.read_opcode().unwrap(), Opcode::End);
         assert!(r.is_at_end());

@@ -40,14 +40,6 @@ impl ValueType {
         ValueType::ExternRef,
     ];
 
-    /// Returns true for the four numeric types.
-    pub fn is_numeric(self) -> bool {
-        matches!(
-            self,
-            ValueType::I32 | ValueType::I64 | ValueType::F32 | ValueType::F64
-        )
-    }
-
     /// Returns true for reference types (`funcref` and `externref`).
     pub fn is_reference(self) -> bool {
         matches!(self, ValueType::FuncRef | ValueType::ExternRef)
@@ -56,11 +48,6 @@ impl ValueType {
     /// Returns true for floating-point types.
     pub fn is_float(self) -> bool {
         matches!(self, ValueType::F32 | ValueType::F64)
-    }
-
-    /// Returns true for integer types.
-    pub fn is_integer(self) -> bool {
-        matches!(self, ValueType::I32 | ValueType::I64)
     }
 
     /// The binary-format byte for this type.
@@ -85,15 +72,6 @@ impl ValueType {
             0x70 => Some(ValueType::FuncRef),
             0x6F => Some(ValueType::ExternRef),
             _ => None,
-        }
-    }
-
-    /// The natural byte width of the *payload* of this type (the value stack
-    /// always reserves a full 8-byte slot regardless).
-    pub fn byte_width(self) -> u32 {
-        match self {
-            ValueType::I32 | ValueType::F32 => 4,
-            _ => 8,
         }
     }
 
@@ -136,16 +114,6 @@ impl FuncType {
     /// Number of parameters.
     pub fn param_count(&self) -> u32 {
         self.params.len() as u32
-    }
-
-    /// Number of results.
-    pub fn result_count(&self) -> u32 {
-        self.results.len() as u32
-    }
-
-    /// True if this signature requires the multi-value extension.
-    pub fn needs_multi_value(&self) -> bool {
-        self.results.len() > 1
     }
 }
 
@@ -372,24 +340,10 @@ mod tests {
 
     #[test]
     fn value_type_classification() {
-        assert!(ValueType::I32.is_numeric());
-        assert!(ValueType::F64.is_numeric());
-        assert!(!ValueType::ExternRef.is_numeric());
         assert!(ValueType::ExternRef.is_reference());
         assert!(ValueType::FuncRef.is_reference());
         assert!(ValueType::F32.is_float());
         assert!(!ValueType::I64.is_float());
-        assert!(ValueType::I64.is_integer());
-        assert!(!ValueType::F32.is_integer());
-    }
-
-    #[test]
-    fn value_type_widths() {
-        assert_eq!(ValueType::I32.byte_width(), 4);
-        assert_eq!(ValueType::F32.byte_width(), 4);
-        assert_eq!(ValueType::I64.byte_width(), 8);
-        assert_eq!(ValueType::F64.byte_width(), 8);
-        assert_eq!(ValueType::ExternRef.byte_width(), 8);
     }
 
     #[test]
@@ -399,12 +353,7 @@ mod tests {
             vec![ValueType::I64],
         );
         assert_eq!(ft.param_count(), 2);
-        assert_eq!(ft.result_count(), 1);
-        assert!(!ft.needs_multi_value());
         assert_eq!(ft.to_string(), "[i32 f64] -> [i64]");
-
-        let mv = FuncType::new(vec![], vec![ValueType::I32, ValueType::I32]);
-        assert!(mv.needs_multi_value());
     }
 
     #[test]

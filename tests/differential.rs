@@ -382,3 +382,35 @@ fn a_host_function_returning_the_wrong_type_traps_host_error() {
         }
     }
 }
+
+/// Per-function counters are numbered by *defined* index, so an imported
+/// function shifts them against the function-space index a firing reports.
+/// The interpreter and `ProbeMode::Runtime` code fire through the frame
+/// accessor, intrinsified code increments the site's own cell: all of them
+/// must land in the same cell.
+#[test]
+fn function_counters_agree_across_tiers_behind_an_imported_function() {
+    let src = r#"
+        (module
+          (import "env" "nop" (func $nop))
+          (func $leaf call $nop)
+          (func (export "main") call $leaf call $leaf call $leaf))
+    "#;
+    let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
+    let runtime_probes = CompilerOptions {
+        probe_mode: spc::ProbeMode::Runtime,
+        ..CompilerOptions::allopt()
+    };
+    let mut configs = common::all_tier_backend_configs();
+    configs.push(EngineConfig::baseline("spc-runtime-probes", runtime_probes));
+    for config in configs {
+        let name = config.name.clone();
+        let engine = Engine::new(config);
+        let imports = Imports::new().func("env", "nop", |_, _| Ok(vec![]));
+        let mut instance = engine
+            .instantiate(&module, imports, Instrumentation::function_counters(&module))
+            .unwrap_or_else(|e| panic!("[{name}] {e}"));
+        assert_eq!(engine.call_export(&mut instance, "main", &[]), Ok(vec![]), "[{name}]");
+        assert_eq!(instance.instrumentation.counters(), &[3, 1], "[{name}] [leaf, main]");
+    }
+}

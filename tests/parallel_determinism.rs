@@ -6,9 +6,9 @@
 //!
 //! This is the property that makes the rest of the subsystem sound: because
 //! each function's compilation is a pure function of immutable inputs, code
-//! compiled on an instantiate-time worker, a background worker, or the
-//! execution thread is interchangeable, and a publication race between them
-//! is harmless.
+//! compiled on an instantiate-time worker or on an execution thread (its own
+//! or another instance's) is interchangeable, and a publication race between
+//! them is harmless.
 
 use engine::pipeline::{compile_eager, CompiledModule};
 use engine::{CodeBackend, EngineConfig, Instrumentation, Telemetry};

@@ -1,18 +1,20 @@
 //! End-to-end tests for the compilation-pipeline subsystem: the keyed code
 //! cache (shared compiled modules across instantiations), multi-worker
-//! eager compilation through the engine, background tier-up, and the
-//! `EngineConfig`-plumbed GC heap threshold.
+//! eager compilation through the engine, concurrent lazy / tier-up
+//! publication into one shared artifact, and the `EngineConfig`-plumbed GC
+//! heap threshold.
 
 mod common;
 
 use common::fib_module;
 use engine::{
-    BackgroundCompiler, CacheKey, CodeCache, CompiledModule, Engine, EngineConfig, Imports,
+    CacheKey, CodeCache, CompileTier, CompiledModule, Engine, EngineConfig, Imports, Instance,
     Instrumentation,
 };
 use machine::values::WasmValue;
 use spc::{CompilerOptions, TagStrategy};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
 use std::time::Duration;
 use suites::Scale;
 use wasm::builder::{CodeBuilder, ModuleBuilder};
@@ -229,45 +231,86 @@ fn cache_keys_separate_baseline_and_opt_artifacts() {
     assert_eq!(cache.len(), 2);
 }
 
-/// The optimizing tier promotes through the background pool exactly like the
-/// baseline tier: the engine enqueues and keeps running in the best
-/// published tier; the promotion lands atomically and a later call picks it
-/// up.
+/// Several threads run one lazily compiled artifact at once — what `serve`
+/// does with two workers. Every compile after instantiation happens on the
+/// thread that needs the code, so threads that reach an empty slot together
+/// all compile it; exactly one publishes, the others' code is dropped, and
+/// only the publisher accounts the compile. The barrier releases the threads
+/// into their first call of `main` together, so every slot starts out raced.
 #[test]
-fn background_promotion_to_the_opt_tier_publishes_atomically() {
-    let module = fib_module();
-    let pool = Arc::new(BackgroundCompiler::new(2));
-    let config = EngineConfig::tiered("bg-opt", 1, CompilerOptions::allopt()).with_opt_tier(3);
-    let engine = Engine::new(config).with_background_compiler(Arc::clone(&pool));
-    let mut instance = engine
-        .instantiate(&module, Imports::new(), Instrumentation::none())
-        .unwrap();
+fn concurrent_lazy_publication_fills_each_slot_once_and_accounts_it_once() {
+    const THREADS: usize = 4;
+    const CALLS: usize = 4;
+    let configs = [
+        EngineConfig::baseline("lazy", CompilerOptions::allopt()).with_lazy_compile(true),
+        EngineConfig::tiered("three-tier", 1, CompilerOptions::allopt()).with_opt_tier(2),
+    ];
+    for suite in suites::all_suites(Scale::Test) {
+        let item = &suite.items[0];
+        // `main` may keep state in memory between calls, so the reference is
+        // the interpreter's result for each call in turn.
+        let interpreter = Engine::new(EngineConfig::interpreter("int"));
+        let mut reference = interpreter
+            .instantiate(&item.module, Imports::new(), Instrumentation::none())
+            .unwrap();
+        let expected: Vec<_> = (0..CALLS)
+            .map(|_| interpreter.call_export(&mut reference, "main", &[]).unwrap())
+            .collect();
+        for config in &configs {
+            let label = format!("{}/{} under {}", suite.name, item.name, config.name);
+            let cache = Arc::new(CodeCache::new());
+            let engine = Engine::new(config.clone()).with_code_cache(Arc::clone(&cache));
+            // The entry is resident before any thread starts, so every
+            // thread's instantiation hits it; lazily, nothing is compiled yet.
+            let first = engine
+                .instantiate(&item.module, Imports::new(), Instrumentation::none())
+                .unwrap();
+            assert_eq!(first.artifact().compiled_count(), 0, "{label}");
+            let barrier = Barrier::new(THREADS);
+            let instances: Vec<Instance> = thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        let engine = engine.clone();
+                        let (barrier, expected, label) = (&barrier, &expected, &label);
+                        scope.spawn(move || {
+                            let mut instance = engine
+                                .instantiate(&item.module, Imports::new(), Instrumentation::none())
+                                .unwrap();
+                            barrier.wait();
+                            for (call, expected) in expected.iter().enumerate() {
+                                let result = engine.call_export(&mut instance, "main", &[]).unwrap();
+                                assert_eq!(&result, expected, "{label}, call {call}");
+                            }
+                            instance
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
 
-    // Cross both thresholds, waiting for the pool between calls so each
-    // promotion is observable at the next call boundary.
-    for n in 0..8 {
-        let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(10)]).unwrap();
-        assert_eq!(r, vec![WasmValue::I32(55)], "call {n}");
-        pool.wait_idle();
+            let artifact = first.artifact();
+            assert_eq!(cache.len(), 1, "{label}");
+            for instance in &instances {
+                assert!(instance.metrics.cache_hit, "{label}");
+                assert!(Arc::ptr_eq(instance.artifact(), artifact), "{label}: one shared artifact");
+            }
+            let baseline_filled = (0..artifact.num_defined())
+                .filter(|&d| artifact.artifact_for(d, CompileTier::Baseline).is_some())
+                .count();
+            let published = baseline_filled + artifact.opt_compiled_count();
+            assert!(baseline_filled > 0, "{label}: main was compiled");
+            if config.tier.uses_opt_tier() {
+                assert!(artifact.opt_compiled_count() > 0, "{label}: main was promoted");
+            }
+            let accounted: u32 = instances.iter().map(|i| i.metrics.functions_compiled).sum();
+            assert_eq!(
+                accounted as usize, published,
+                "{label}: a compile that loses the publication race is dropped and unaccounted"
+            );
+            let tiered_up: u32 = instances.iter().map(|i| i.metrics.tiered_up_functions).sum();
+            assert_eq!(tiered_up, accounted, "{label}: every compile here was deferred");
+        }
     }
-    assert_eq!(
-        instance.artifact().opt_compiled_count(),
-        1,
-        "the hot function was promoted off-thread"
-    );
-    assert!(instance.compiled_code(0).is_some(), "baseline code also published");
-    assert_eq!(
-        pool.functions_compiled(),
-        2,
-        "one baseline compile and one optimizing promotion"
-    );
-    assert!(instance.metrics.opt_compile_wall > Duration::ZERO);
-    assert!(instance.metrics.tiered_up_functions >= 2, "{:?}", instance.metrics);
-
-    // And the optimized code agrees with everything else, of course.
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(15)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(610)]);
-    assert!(instance.metrics.opt_exec_cycles > 0);
 }
 
 #[test]
@@ -296,44 +339,6 @@ fn multi_worker_instantiation_runs_all_suites_correctly() {
             assert_eq!(a.metrics.exec_cycles, b.metrics.exec_cycles);
         }
     }
-}
-
-#[test]
-fn background_tier_up_publishes_while_the_interpreter_keeps_running() {
-    let module = fib_module();
-    let pool = Arc::new(BackgroundCompiler::new(2));
-    let engine = Engine::new(EngineConfig::tiered("bg-tiered", 3, CompilerOptions::allopt()))
-        .with_background_compiler(Arc::clone(&pool));
-    let mut instance = engine
-        .instantiate(&module, Imports::new(), Instrumentation::none())
-        .unwrap();
-
-    // The recursive workload crosses the threshold mid-run; with a
-    // background pool the engine enqueues the compile and keeps
-    // interpreting instead of blocking, so the run completes either way.
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(12)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(144)]);
-    assert!(pool.jobs_queued() >= 1, "the hot function was enqueued");
-    assert_eq!(
-        instance.metrics.compile_wall,
-        Duration::ZERO,
-        "nothing compiles eagerly under the tiered config"
-    );
-
-    // Once the background compile lands, the next call observes the
-    // published slot, switches to JIT code, and attributes the off-thread
-    // compile time to this instance's deferred bucket.
-    pool.wait_idle();
-    assert_eq!(pool.functions_compiled(), 1);
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(12)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(144)]);
-    assert!(instance.compiled_code(0).is_some(), "published into the shared artifact");
-    assert_eq!(instance.metrics.functions_compiled, 1);
-    assert!(instance.metrics.lazy_compile_wall > Duration::ZERO);
-
-    // The interpreter and the JIT agree, as always.
-    let jit = engine.call_export(&mut instance, "fib", &[WasmValue::I32(15)]).unwrap();
-    assert_eq!(jit, vec![WasmValue::I32(610)]);
 }
 
 /// A module whose exported `churn` allocates `n` short-lived host objects
