@@ -5,7 +5,7 @@
 //! compiler under each design profile, normalized per input byte, exactly as
 //! the paper computes it.
 
-use bench::{measure_all, print_suite_table, summarize, summarize_by_suite, BenchReport, Instrument};
+use bench::{measure_all, print_suite_table, summarize, summarize_by_suite, Instrument};
 use engine::{CodeBackend, EngineConfig};
 
 fn compile_time_per_byte(m: &bench::ItemMeasurement) -> f64 {
@@ -18,9 +18,6 @@ fn main() {
         "Figure 8",
         "Relative compilation time per byte over Wizard-SPC (lower is better)",
     );
-
-    let mut report = BenchReport::new("fig08");
-    report.config(bench::scale_label(scale));
 
     let profiles = spc::all_profiles();
     let wizard = measure_all(
@@ -51,11 +48,6 @@ fn main() {
         config_names.push(profile.name.to_string());
     }
     print_suite_table(&config_names, &per_suite);
-    for (suite, summaries) in &per_suite {
-        for (name, s) in config_names.iter().zip(summaries) {
-            report.metric(&format!("{suite}.{name}.rel_compile_time_per_byte"), s.mean);
-        }
-    }
     println!();
     println!("Expected shape (paper): wazero is ~3x-4x slower to compile (it lowers through");
     println!("an internal representation first); engines without debug metadata or stackmap");
@@ -92,13 +84,4 @@ fn main() {
         backend_names.push(label.to_string());
     }
     print_suite_table(&backend_names, &backend_rows);
-    for (suite, summaries) in &backend_rows {
-        for (label, s) in backend_names.iter().zip(summaries) {
-            report.metric(
-                &format!("{suite}.{label}.machine_bytes_per_wasm_byte"),
-                s.mean,
-            );
-        }
-    }
-    report.write();
 }

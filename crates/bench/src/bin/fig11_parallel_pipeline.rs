@@ -6,7 +6,7 @@
 //! empty cache). The warm pass skips validation, preparation, and compilation
 //! (the cache hit is observable in the metrics), which is the serve-many-
 //! requests scenario the cache exists for. Gate: on every suite warm takes at
-//! most half of cold (`<suite>.warm_over_cold` ≤ 0.5).
+//! most half of cold (warm / cold ≤ 0.5).
 //!
 //! Eager-compile scaling over worker counts is perfbench's
 //! (`engine.compile_eager.speedup_2w.*`, `engine.load.mb_per_s.*` on the
@@ -16,7 +16,7 @@
 //! Run with `--full` for paper-sized workloads; the default is the smoke
 //! scale used by CI.
 
-use bench::{print_header, scale_from_args, summarize, BenchReport};
+use bench::{print_header, scale_from_args, summarize};
 use engine::{CacheStats, CodeCache, Engine, EngineConfig, Imports, Instrumentation};
 use spc::CompilerOptions;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// Repetitions of the cold/warm instantiation experiment.
 const ROUNDS: usize = 5;
 
-/// The gate on `<suite>.warm_over_cold`: a hit skips validation, preparation
+/// The gate on each suite's warm / cold ratio: a hit skips validation, preparation
 /// and compilation, so it must cost at most this share of doing them.
 const MAX_WARM_OVER_COLD: f64 = 0.5;
 
@@ -36,8 +36,6 @@ fn main() {
         "Keyed code cache: cold vs. warm instantiation",
     );
     let suites = suites::all_suites(scale);
-    let mut report = BenchReport::new("fig11");
-    report.config(bench::scale_label(scale));
 
     println!(
         "\ncold vs. warm instantiation latency (shared keyed cache, fastest of {ROUNDS}):"
@@ -95,9 +93,8 @@ fn main() {
                 }
                 // Execute the warm instance once: cache-served code must run
                 // the suite cleanly, and RunMetrics' trap accounting proves
-                // it — a suite item that starts trapping shows up in the
-                // report as a nonzero `exec.traps_total`, not as a silently
-                // wrong checksum.
+                // it — a suite item that starts trapping fails the run, not
+                // just its checksum.
                 engine
                     .call_export(&mut warm, suites::BenchmarkItem::ENTRY, &[])
                     .expect("cache-served instance executes");
@@ -118,23 +115,11 @@ fn main() {
             warm.mean,
             cold.mean / warm.mean.max(1e-9),
         );
-        report.metric(&format!("{}.cold_instantiate_us", suite.name), cold.mean);
-        report.metric(&format!("{}.warm_instantiate_us", suite.name), warm.mean);
-        report.metric(&format!("{}.warm_over_cold", suite.name), warm_over_cold);
         if warm_over_cold > MAX_WARM_OVER_COLD {
             over_gate.push(suite.name);
         }
     }
-    report.metric("exec.traps_total", traps_total as f64);
     assert_eq!(traps_total, 0, "suite execution must be trap-free");
-    report.metric("cache.entries", stats.entries as f64);
-    report.metric("cache.hits", stats.hits as f64);
-    report.metric("cache.misses", stats.misses as f64);
-    report.metric(
-        "cache.resident_machine_bytes",
-        stats.resident_machine_bytes as f64,
-    );
-    report.write();
     println!(
         "\ncache: {} unique modules, {} hits, {} misses, {} KiB resident code \
          ({items_deduped} line items were byte-identical to an earlier one)",

@@ -6,10 +6,11 @@
 //! compiler (`crates/optc`):
 //!
 //! 1. **Execution cycles** across the three suites for the interpreter, the
-//!    baseline compiler, and the optimizing tier — the optimizing tier must
-//!    execute at least 20% fewer simulated cycles than the baseline tier on
-//!    at least two of the three suites (the acceptance gate; the process
-//!    exits non-zero otherwise).
+//!    baseline compiler, and the optimizing tier, relative to the baseline.
+//!    That the optimizing tier agrees with the lower tiers item by item and
+//!    executes at least 20% fewer cycles than the baseline on at least two
+//!    suites is `tests/opt_tier.rs`; the totals are pinned by
+//!    `tests/sim_cycles_golden.rs`.
 //! 2. **Compile time and code size** on both macro-assembler backends: the
 //!    optimizing tier pays a multiple of the baseline's compile time and
 //!    both tiers report real x86-64 byte sizes under the x64 backend,
@@ -21,11 +22,8 @@
 //!    compiles see the branch monitor's profile) against an eagerly-compiled
 //!    optimizing engine (which compiles before any profile exists), probe
 //!    configuration held equal.
-//!
-//! Checksums are cross-checked between every configuration, so this binary
-//! doubles as a whole-suite differential test for the optimizing tier.
 
-use bench::{measure_all, print_suite_table, summarize_by_suite, BenchReport, Instrument};
+use bench::{measure_all, print_suite_table, summarize_by_suite, Instrument};
 use engine::pipeline::compile_function;
 use engine::{CodeBackend, CompileTier, EngineConfig};
 use optc::{emit, frontend, layout, opt, regalloc};
@@ -110,8 +108,6 @@ fn main() {
         "Figure 13 (beyond the paper)",
         "The optimizing tier: cycles, compile time, and code size vs interpreter and baseline",
     );
-    let mut report = BenchReport::new("fig13");
-    report.config(bench::scale_label(scale));
 
     let interp = measure_all(&EngineConfig::interpreter("int"), scale, Instrument::None);
     let baseline = measure_all(
@@ -120,18 +116,6 @@ fn main() {
         Instrument::None,
     );
     let opt = measure_all(&EngineConfig::optimizing("opt"), scale, Instrument::None);
-
-    // The figure is only meaningful if every tier computes the same thing.
-    let mut checksum_mismatches = 0usize;
-    for (a, b) in bench::paired(&interp, &baseline).chain(bench::paired(&interp, &opt)) {
-        if a.checksum != b.checksum {
-            eprintln!(
-                "CHECKSUM MISMATCH {}/{}: {} vs {}",
-                a.suite, a.name, a.checksum, b.checksum
-            );
-            checksum_mismatches += 1;
-        }
-    }
 
     // ---- Execution cycles ------------------------------------------------
     println!("\nExecution cycles relative to the baseline tier (lower is better):");
@@ -172,35 +156,6 @@ fn main() {
         &rows,
     );
 
-    // ---- Acceptance gate -------------------------------------------------
-    let mut suites_with_win = Vec::new();
-    println!("\nPer-suite total cycles:");
-    for suite in ["polybench", "libsodium", "ostrich"] {
-        let total = |items: &[bench::ItemMeasurement]| -> u64 {
-            items
-                .iter()
-                .filter(|m| m.suite == suite)
-                .map(|m| m.exec_cycles)
-                .sum()
-        };
-        let b = total(&baseline);
-        let o = total(&opt);
-        let i: u64 = interp
-            .iter()
-            .filter(|m| m.suite == suite)
-            .map(|m| m.exec_cycles)
-            .sum();
-        let reduction = 100.0 * (1.0 - o as f64 / b as f64);
-        println!("  {suite:<10} baseline {b:>12} cycles | opt {o:>12} cycles | {reduction:>5.1}% fewer");
-        report.metric(&format!("{suite}.interp_cycles"), i as f64);
-        report.metric(&format!("{suite}.baseline_cycles"), b as f64);
-        report.metric(&format!("{suite}.opt_cycles"), o as f64);
-        report.metric(&format!("{suite}.opt_reduction_pct"), reduction);
-        if o * 10 <= b * 8 {
-            suites_with_win.push(suite);
-        }
-    }
-
     // ---- Compile time and code size per backend --------------------------
     println!("\nCompile time and code size (both tiers, both backends):");
     for backend in [CodeBackend::VirtualIsa, CodeBackend::X64] {
@@ -220,13 +175,6 @@ fn main() {
             sum_bytes(&b),
             sum_wall(&o),
             sum_bytes(&o),
-            sum_wall(&o) / sum_wall(&b).max(1e-9),
-        );
-        let tag = format!("{backend:?}").to_lowercase();
-        report.metric(&format!("{tag}.baseline_code_bytes"), sum_bytes(&b) as f64);
-        report.metric(&format!("{tag}.opt_code_bytes"), sum_bytes(&o) as f64);
-        report.metric(
-            &format!("{tag}.opt_compile_time_ratio"),
             sum_wall(&o) / sum_wall(&b).max(1e-9),
         );
     }
@@ -282,22 +230,18 @@ fn main() {
     let pass_total: f64 = pass_secs.iter().sum();
     for (name, secs) in PASSES.iter().zip(pass_secs) {
         println!("  {name:<16} {:>8.3} ms  {:>5.1}%", secs * 1e3, 100.0 * secs / pass_total);
-        report.metric(&format!("virtualisa.optc.pass.{name}_share"), secs / pass_total);
     }
     println!("Compile-time ratio by function size (fastest of 3 per function):");
-    for ((opt_secs, base_secs, funcs), (label, key)) in by_size.into_iter().zip([
-        (format!("< {SIZE_THRESHOLD} B"), "small_funcs"),
-        (format!(">= {SIZE_THRESHOLD} B"), "large_funcs"),
-    ]) {
+    for ((opt_secs, base_secs, funcs), label) in
+        by_size.into_iter().zip([format!("< {SIZE_THRESHOLD} B"), format!(">= {SIZE_THRESHOLD} B")])
+    {
         let ratio = opt_secs / base_secs.max(1e-12);
         println!(
             "  {label:<9} {funcs:>4} functions: baseline {:>7.3} ms | opt {:>7.3} ms | ratio {ratio:>5.2}x",
             base_secs * 1e3,
             opt_secs * 1e3
         );
-        report.metric(&format!("virtualisa.opt_compile_time_ratio.{key}"), ratio);
     }
-    report.metric("opt_compile_time_ratio.size_threshold_bytes", SIZE_THRESHOLD as f64);
 
     // ---- Profile-guided layout -------------------------------------------
     // Both configurations carry the branch monitor (so probe overhead is
@@ -340,35 +284,4 @@ fn main() {
         "  layout effect: {:+.2}% cycles",
         100.0 * (profiled as f64 / unprofiled as f64 - 1.0)
     );
-
-    // ---- Verdict ---------------------------------------------------------
-    report.metric(
-        "layout_effect_pct",
-        100.0 * (profiled as f64 / unprofiled as f64 - 1.0),
-    );
-    report.metric("suites_with_20pct_win", suites_with_win.len() as f64);
-    report.metric(
-        "pass",
-        if checksum_mismatches == 0 && suites_with_win.len() >= 2 {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    report.write();
-    println!();
-    if checksum_mismatches > 0 {
-        println!("FAIL: {checksum_mismatches} checksum mismatches between tiers");
-        std::process::exit(1);
-    }
-    println!(
-        "opt tier ≥20% fewer cycles than baseline on {} of 3 suites ({:?})",
-        suites_with_win.len(),
-        suites_with_win
-    );
-    if suites_with_win.len() < 2 {
-        println!("FAIL: the acceptance gate requires at least 2 suites");
-        std::process::exit(1);
-    }
-    println!("PASS");
 }

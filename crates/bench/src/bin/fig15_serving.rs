@@ -23,7 +23,7 @@
 //! Run with `--full` for paper-sized workloads; the default is the smoke
 //! scale used by CI.
 
-use bench::{percentile, print_header, scale_from_args, BenchReport};
+use bench::{percentile, print_header, scale_from_args};
 use engine::{Engine, EngineConfig, InstancePool};
 use serve::{Request, Server, ServerConfig};
 use spc::CompilerOptions;
@@ -46,8 +46,6 @@ fn main() {
         "Concurrent serving: instance pooling, snapshot resets, failure accounting",
     );
     let suites = suites::all_suites(scale);
-    let mut report = BenchReport::new("fig15");
-    report.config(bench::scale_label(scale));
     let mut failures = Vec::new();
 
     // ---- Part 1: cold vs. warm instantiation through the pool ------------
@@ -109,11 +107,6 @@ fn main() {
     println!("{:<6} | {cold_p50:>10.1} | {cold_p99:>10.1}", "cold");
     println!("{:<6} | {warm_p50:>10.1} | {warm_p99:>10.1}", "warm");
     println!("warm p50 speedup: {warm_speedup:.1}x");
-    report.metric("instantiate.cold_p50_us", cold_p50);
-    report.metric("instantiate.cold_p99_us", cold_p99);
-    report.metric("instantiate.warm_p50_us", warm_p50);
-    report.metric("instantiate.warm_p99_us", warm_p99);
-    report.metric("instantiate.warm_speedup_p50", warm_speedup);
     if warm_speedup < 5.0 {
         failures.push(format!(
             "warm p50 speedup {warm_speedup:.2}x < 5.0x over cold instantiation"
@@ -192,10 +185,6 @@ fn main() {
         trapped.len(),
         dump.lines().count(),
     );
-    report.metric("failure.requests", total as f64);
-    report.metric("failure.trapped", trapped.len() as f64);
-    report.metric("failure.traps_division_by_zero", div_traps as f64);
-    report.metric("failure.access_log_lines", dump.lines().count() as f64);
     if trapped.len() != 4 || div_traps != 4 {
         failures.push(format!(
             "expected 4 div-by-zero failures, saw {} trapped / {div_traps} counted",
@@ -203,7 +192,6 @@ fn main() {
         ));
     }
 
-    report.write();
     if failures.is_empty() {
         println!("\nGATES PASS: warm p50 {warm_speedup:.1}x >= 5x, 4 of {total} requests trapped and were counted");
     } else {

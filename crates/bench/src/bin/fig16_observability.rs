@@ -19,7 +19,7 @@
 //! tiers, and the wall-clock cost is perfbench's `telemetry.on_over_off` and
 //! `telemetry.emit_ns`.
 
-use bench::{print_header, BenchReport};
+use bench::print_header;
 use engine::{CodeBackend, Engine, EngineConfig, Imports, Instrumentation, Telemetry};
 use serve::deadline::EpochTicker;
 use serve::{Request, RequestStatus, Server, ServerConfig};
@@ -112,8 +112,6 @@ fn main() {
         "FIG 16 (beyond the paper)",
         "Telemetry: trace coverage and profiler attribution",
     );
-    let mut report = BenchReport::new("fig16");
-    report.config(bench::scale_label(suites::Scale::Test));
     let mut failures = Vec::new();
 
     // ---- Part 1: trace coverage through the serving stack ----------------
@@ -182,32 +180,14 @@ fn main() {
             failures.push(format!("trace covers {value} {label}, expected >= {minimum}"));
         }
     }
-    report.metric("trace.rings", rings.len() as f64);
-    report.metric("trace.compile_spans", compile_ends as f64);
-    report.metric("trace.pool_checkouts", pool_checkouts as f64);
-    report.metric("trace.serve_finishes", finished as f64);
-    report.metric("trace.dropped_events", telemetry.dropped_events() as f64);
     // Per-ring drop counts: a lossy ring means the end of that thread's
     // burst is missing from TRACE_fig16.json, so name the offender.
     for (label, _, dropped) in &rings {
-        report.metric(&format!("trace.ring.{label}.dropped"), *dropped as f64);
         if *dropped > 0 {
             println!("  ring '{label}' dropped {dropped} events (trace is lossy)");
         }
     }
-    if let Some(metrics) = telemetry.metrics() {
-        let snapshot = metrics.snapshot();
-        for (name, value) in &snapshot.counters {
-            report.metric(&format!("metrics.{name}"), *value as f64);
-        }
-        for (name, hist) in &snapshot.histograms {
-            report.metric(&format!("metrics.{name}.count"), hist.count as f64);
-            report.metric(&format!("metrics.{name}.mean"), hist.mean());
-            report.metric(&format!("metrics.{name}.p99"), hist.percentile(99.0) as f64);
-        }
-    }
     let trace_json = telemetry::trace::chrome_trace(&rings);
-    bench::report::parse_json(&trace_json).expect("chrome trace is well-formed JSON");
     std::fs::write("TRACE_fig16.json", &trace_json).expect("trace file writes");
     println!("trace: TRACE_fig16.json ({} bytes)", trace_json.len());
 
@@ -254,14 +234,6 @@ fn main() {
                 "{tier:<6} | {backend_label:<6} | {samples:>8} | {:>8.1}% | {top_tier:<8}",
                 hot_share * 100.0
             );
-            report.metric(
-                &format!("profile.{tier}.{backend_label}.samples"),
-                samples as f64,
-            );
-            report.metric(
-                &format!("profile.{tier}.{backend_label}.hot_share"),
-                hot_share,
-            );
             if samples < MIN_SAMPLES {
                 failures.push(format!(
                     "{tier}/{backend_label}: only {samples} samples after {calls} calls"
@@ -280,7 +252,6 @@ fn main() {
         }
     }
 
-    report.write();
     if failures.is_empty() {
         println!("\nGATES PASS: trace covers the lifecycle, profiler attributes >= 90%");
     } else {

@@ -10,12 +10,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-
 use engine::{Engine, EngineConfig, Imports, Instrumentation};
 use std::time::Duration;
 use suites::{BenchmarkItem, Scale};
-use telemetry::escape_json;
 
 /// The measurement of one line item under one engine configuration.
 #[derive(Debug, Clone)]
@@ -39,13 +36,8 @@ pub struct ItemMeasurement {
     pub compiled_machine_bytes: u64,
     /// Size of the module binary in bytes.
     pub module_bytes: u64,
-    /// The checksum `main` returned (used to cross-check configurations).
-    pub checksum: i32,
     /// Probe firings observed, when instrumentation was attached.
     pub probe_firings: u64,
-    /// Fuel consumed by the call when a budget was armed
-    /// ([`measure_all_fueled`]); zero for unmetered runs.
-    pub fuel_consumed: u64,
 }
 
 /// How to instrument a run.
@@ -68,15 +60,6 @@ pub fn measure_item(
     item: &BenchmarkItem,
     instrument: Instrument,
 ) -> ItemMeasurement {
-    measure_item_inner(config, item, instrument, None)
-}
-
-fn measure_item_inner(
-    config: &EngineConfig,
-    item: &BenchmarkItem,
-    instrument: Instrument,
-    fuel: Option<u64>,
-) -> ItemMeasurement {
     let engine = Engine::new(config.clone());
     let instrumentation = match instrument {
         Instrument::None => Instrumentation::none(),
@@ -85,16 +68,9 @@ fn measure_item_inner(
     let mut instance = engine
         .instantiate(&item.module, Imports::new(), instrumentation)
         .unwrap_or_else(|e| panic!("{}/{} failed to instantiate under {}: {e}", item.suite, item.name, config.name));
-    if let Some(budget) = fuel {
-        instance.set_fuel(budget);
-    }
-    let result = engine
+    engine
         .call_export(&mut instance, BenchmarkItem::ENTRY, &[])
         .unwrap_or_else(|e| panic!("{}/{} trapped under {}: {e}", item.suite, item.name, config.name));
-    let checksum = match result.first() {
-        Some(machine::values::WasmValue::I32(v)) => *v,
-        _ => 0,
-    };
     ItemMeasurement {
         suite: item.suite,
         name: item.name.clone(),
@@ -104,9 +80,7 @@ fn measure_item_inner(
         compiled_wasm_bytes: instance.metrics.compiled_wasm_bytes,
         compiled_machine_bytes: instance.metrics.compiled_machine_bytes,
         module_bytes: item.encoded_size() as u64,
-        checksum,
         probe_firings: instance.instrumentation.total_firings(),
-        fuel_consumed: instance.fuel_consumed().unwrap_or(0),
     }
 }
 
@@ -125,36 +99,6 @@ pub fn measure_all(
     out
 }
 
-/// Like [`measure_all`] but arms `fuel` before every call, so the
-/// interpreter's metering hook actually runs (a metering configuration with
-/// no fuel armed skips interpreter-side charging, while compiled code always
-/// executes its emitted check sequences — arming makes the comparison fair).
-/// Pass a budget far above any item's cost so the whole workload completes.
-///
-/// # Panics
-///
-/// Panics if `config` is not a metering configuration, or if an item runs
-/// out of fuel — overhead measurements need the full workload to complete.
-pub fn measure_all_fueled(
-    config: &EngineConfig,
-    scale: Scale,
-    instrument: Instrument,
-    fuel: u64,
-) -> Vec<ItemMeasurement> {
-    assert!(
-        config.metering,
-        "measure_all_fueled needs a metering configuration ({} is not)",
-        config.name
-    );
-    let mut out = Vec::new();
-    for suite in suites::all_suites(scale) {
-        for item in &suite.items {
-            out.push(measure_item_inner(config, item, instrument, Some(fuel)));
-        }
-    }
-    out
-}
-
 /// The per-suite summary statistic used by the paper's bar charts: the
 /// average over line items plus the minimum and maximum line item.
 #[derive(Debug, Clone, Copy)]
@@ -168,7 +112,7 @@ pub struct SuiteSummary {
 }
 
 /// The `p`-th percentile (0–100) of `values`, by nearest-rank on a sorted
-/// copy — the latency statistic the fig15/fig17 gates report (p50/p99).
+/// copy — the latency statistic the fig15 gate reports (p50/p99).
 ///
 /// Nearest-rank means the result is always an observed sample, never an
 /// interpolation: rank `ceil(p/100 · n)` of the sorted values (1-based),
@@ -244,15 +188,6 @@ pub fn scale_from_args() -> Scale {
     }
 }
 
-/// The configuration string the figure binaries record in their
-/// [`BenchReport`]s: the workload scale the numbers were taken at.
-pub fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test-scale",
-        Scale::Default => "full-scale",
-    }
-}
-
 /// Formats a figure header the binaries print before their tables.
 pub fn print_header(figure: &str, description: &str) {
     println!("==========================================================");
@@ -285,94 +220,6 @@ pub fn print_suite_table(configs: &[String], rows: &[(&'static str, Vec<SuiteSum
     }
 }
 
-/// A machine-readable record of one figure gate's headline numbers.
-///
-/// Each `fig*` binary builds one of these alongside its human-readable table
-/// and writes it to `BENCH_<figure>.json` in the working directory, giving
-/// the repo a perf trajectory that CI runs can diff without scraping stdout.
-/// The workspace is offline (no serde), so the JSON is assembled by hand:
-/// a flat object of metric name to number, which is all a trend line needs.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    figure: String,
-    config: String,
-    metrics: Vec<(String, f64)>,
-}
-
-impl BenchReport {
-    /// Starts a report for `figure` (used as the output file stem).
-    pub fn new(figure: &str) -> BenchReport {
-        BenchReport {
-            figure: figure.to_string(),
-            config: String::from("default"),
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Names the configuration (scale, engine profile, worker count…) the
-    /// numbers were taken under, so a trend line never mixes apples with
-    /// oranges. Reports that never call this say `"default"`.
-    pub fn config(&mut self, config: &str) -> &mut BenchReport {
-        self.config = config.to_string();
-        self
-    }
-
-    /// Records one named metric. Names use `suite.metric` dot-paths so the
-    /// flat object stays greppable; recording the same name twice keeps both
-    /// entries in order (the JSON is a trajectory log, not a map).
-    pub fn metric(&mut self, name: &str, value: f64) -> &mut BenchReport {
-        self.metrics.push((name.to_string(), value));
-        self
-    }
-
-    /// The report as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"figure\": \"{}\",\n", escape_json(&self.figure)));
-        out.push_str(&format!("  \"config\": \"{}\",\n", escape_json(&self.config)));
-        out.push_str("  \"metrics\": {\n");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    \"{}\": {}{comma}\n",
-                escape_json(name),
-                format_json_number(*value)
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Writes `BENCH_<figure>.json` into `dir` and returns its path.
-    pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.figure));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Writes `BENCH_<figure>.json` into the working directory, prints where
-    /// it went, and panics on I/O failure (the gates treat a missing report
-    /// as a failure, so there is no point soldiering on).
-    pub fn write(&self) {
-        let path = self
-            .write_to(std::path::Path::new("."))
-            .unwrap_or_else(|e| panic!("cannot write BENCH_{}.json: {e}", self.figure));
-        println!("report: {}", path.display());
-    }
-}
-
-/// Integers print without a fraction; everything else keeps six decimals,
-/// and non-finite values (JSON has no spelling for them) become null.
-fn format_json_number(value: f64) -> String {
-    if !value.is_finite() {
-        "null".to_string()
-    } else if value.fract() == 0.0 && value.abs() < 9e15 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value:.6}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,8 +246,8 @@ mod tests {
     #[test]
     fn p99_of_fewer_than_100_samples_is_just_the_max() {
         // Nearest-rank: ceil(0.99 * n) == n for every n < 100, so the p99
-        // collapses to the maximum — the reason the fig15/fig17 gates
-        // assert their sample counts reach 100 before gating on p99.
+        // collapses to the maximum — the reason the fig15 gate
+        // asserts its sample counts reach 100 before gating on p99.
         for n in [1usize, 10, 50, 99] {
             let v: Vec<f64> = (0..n).map(|i| i as f64).collect();
             assert_eq!(percentile(&v, 99.0), (n - 1) as f64, "n = {n}");
@@ -437,57 +284,11 @@ mod tests {
             item,
             Instrument::None,
         );
-        assert_eq!(interp.checksum, jit.checksum);
         assert!(interp.exec_cycles > jit.exec_cycles);
         assert!(jit.compile_wall > Duration::ZERO);
         assert_eq!(interp.compile_wall, Duration::ZERO);
         assert!(jit.compiled_wasm_bytes > 0);
         assert!(interp.module_bytes > 100);
-    }
-
-    #[test]
-    fn fueled_measurement_records_consumption_and_matches_checksum() {
-        let suite = suites::polybench::suite(Scale::Test);
-        let item = &suite.items[0];
-        let plain = measure_item(
-            &EngineConfig::baseline("spc", CompilerOptions::allopt()),
-            item,
-            Instrument::None,
-        );
-        let fueled = measure_item_inner(
-            &EngineConfig::baseline("spc", CompilerOptions::allopt()).with_metering(),
-            item,
-            Instrument::None,
-            Some(u64::MAX / 2),
-        );
-        assert_eq!(plain.checksum, fueled.checksum);
-        assert_eq!(plain.fuel_consumed, 0);
-        assert!(fueled.fuel_consumed > 0);
-        assert!(fueled.exec_cycles > plain.exec_cycles, "checks cost cycles");
-    }
-
-    #[test]
-    fn bench_report_renders_and_writes_json() {
-        let mut report = BenchReport::new("fig99_test");
-        report
-            .config("test-scale")
-            .metric("polybench.cycles", 12345.0)
-            .metric("overhead_pct", 3.25)
-            .metric("bad", f64::NAN);
-        let json = report.to_json();
-        assert!(json.contains("\"figure\": \"fig99_test\""));
-        assert!(json.contains("\"config\": \"test-scale\""));
-        report::validate_report_json(&json).expect("report validates against its own schema");
-        assert!(json.contains("\"polybench.cycles\": 12345,"));
-        assert!(json.contains("\"overhead_pct\": 3.250000,"));
-        assert!(json.contains("\"bad\": null\n"));
-        let dir = std::env::temp_dir();
-        let path = report.write_to(&dir).expect("writes");
-        assert_eq!(
-            std::fs::read_to_string(&path).expect("readable"),
-            json
-        );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -452,9 +452,9 @@ pub fn float_nbody(bodies: u32, steps: u32) -> Module {
             .local_set(acc);
     });
     c.local_get(acc)
-        .f64_const(1e12)
+        .f64_const(2e9)
         .op(Opcode::F64Min)
-        .f64_const(-1e12)
+        .f64_const(-2e9)
         .op(Opcode::F64Max)
         .op(Opcode::I32TruncF64S);
     wrap_kernel(

@@ -15,8 +15,8 @@
 //!   rings and [`chrome_trace`] renders them as Chrome trace-event JSON, so
 //!   a whole serving run opens in Perfetto as per-worker timelines.
 //! - **Metrics** — a [`MetricsRegistry`] of named atomic counters, gauges,
-//!   and log₂-bucketed histograms; [`MetricsRegistry::snapshot`] feeds the
-//!   `BENCH_*.json` reports.
+//!   and log₂-bucketed histograms, read back with
+//!   [`MetricsRegistry::snapshot`].
 //! - **Sampling profile** — the engine's execution loops report the current
 //!   (function, tier) whenever the shared epoch advances; the [`Profiler`]
 //!   aggregates those samples into per-function×tier counts.

@@ -4,8 +4,7 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones of
 //! the registered instrument, so hot paths look a name up once and then
 //! update lock-free. [`MetricsRegistry::snapshot`] captures a point-in-time
-//! view suitable for serializing into the `BENCH_*.json` perf-trajectory
-//! reports.
+//! view.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -139,15 +138,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `p`-th percentile (0–100), answered as the upper bound of the
     /// bucket containing that rank — an overestimate by at most 2×, the
     /// resolution log bucketing buys its fixed footprint with. The true
@@ -294,7 +284,6 @@ mod tests {
         assert_eq!(hs.count, 5);
         assert_eq!(hs.sum, 1106);
         assert_eq!((hs.min, hs.max), (1, 1000));
-        assert!((hs.mean() - 221.2).abs() < 1e-9);
         // p50 of [1,2,3,100,1000] has rank 3 → the bucket of 3 ([2,4)).
         assert_eq!(hs.percentile(50.0), 3);
         // p100 lands in 1000's bucket [512, 1024), clamped to max.
@@ -312,7 +301,6 @@ mod tests {
         let hs = &snap.histograms[0].1;
         assert_eq!((hs.count, hs.min, hs.max), (0, 0, 0));
         assert_eq!(hs.percentile(99.0), 0);
-        assert_eq!(hs.mean(), 0.0);
     }
 
     #[test]

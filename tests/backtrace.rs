@@ -45,12 +45,17 @@ fn run_with_diagnostics(
 }
 
 /// Runs `module::name(args)` under every tier×backend configuration — plus
-/// each configuration with OSR forced at every back edge — asserting the
-/// trap diagnostics are identical everywhere, and returns the common
-/// [`TrapInfo`].
-fn assert_identical_diagnostics(module: &Module, name: &str, args: &[WasmValue]) -> TrapInfo {
+/// each configuration with OSR forced at every back edge — each held to
+/// `limits`, asserting the trap diagnostics are identical everywhere, and
+/// returns the common [`TrapInfo`].
+fn assert_identical_diagnostics(
+    module: &Module,
+    name: &str,
+    args: &[WasmValue],
+    limits: ResourceLimits,
+) -> TrapInfo {
     let (reference_result, reference) = run_with_diagnostics(
-        EngineConfig::interpreter("bt-ref"),
+        EngineConfig::interpreter("bt-ref").with_limits(limits),
         module,
         name,
         args,
@@ -60,7 +65,7 @@ fn assert_identical_diagnostics(module: &Module, name: &str, args: &[WasmValue])
     for config in all_tier_backend_configs() {
         for (suffix, config) in [("", config.clone()), ("+osr", config.clone().with_osr(0))] {
             let label = format!("{}{}", config.name, suffix);
-            let (result, trap) = run_with_diagnostics(config, module, name, args);
+            let (result, trap) = run_with_diagnostics(config.with_limits(limits), module, name, args);
             assert_eq!(result, reference_result, "[{label}] trap code diverged");
             let trap = trap.unwrap_or_else(|| panic!("[{label}] no diagnostics captured"));
             assert_eq!(trap, reference, "[{label}] backtrace diverged");
@@ -69,27 +74,77 @@ fn assert_identical_diagnostics(module: &Module, name: &str, args: &[WasmValue])
     reference
 }
 
+/// A division by zero at the bottom of a three-deep call chain.
+const CHAIN: &str = r#"
+    (module $chain
+      (func $div (param $a i32) (param $b i32) (result i32)
+        local.get $a
+        local.get $b
+        i32.div_s)
+      (func $middle (param $n i32) (result i32)
+        local.get $n
+        i32.const 0
+        call $div)
+      (func $main (export "main") (param $n i32) (result i32)
+        local.get $n
+        call $middle))
+"#;
+
+/// `route(which, a, b)` dispatches through a ten-slot table holding a
+/// `binop` and a nullary function.
+const DISPATCH: &str = r#"
+    (module $dispatch
+      (type $binop (func (param i32 i32) (result i32)))
+      (type $nullary (func (result i32)))
+      (table 10 funcref)
+      (elem (offset (i32.const 0)) func $add $answer)
+      (func $add (type $binop) local.get 0 local.get 1 i32.add)
+      (func $answer (type $nullary) i32.const 42)
+      (func $route (export "route") (param $which i32) (param $a i32) (param $b i32) (result i32)
+        local.get $a
+        local.get $b
+        local.get $which
+        call_indirect (type $binop)))
+"#;
+
+/// The three ways `route`'s `call_indirect` fails, by table index.
+const DISPATCH_CASES: [(i32, TrapReason); 3] = [
+    (1, TrapReason::IndirectCallMismatch), // slot 1 holds the nullary fn
+    (7, TrapReason::UninitializedElement), // in-bounds, never initialized
+    (10, TrapReason::OutOfBoundsTable),    // one past the table
+];
+
+fn dispatch_args(which: i32) -> [WasmValue; 3] {
+    [WasmValue::I32(which), WasmValue::I32(3), WasmValue::I32(4)]
+}
+
+/// Back edges `mid_loop_trap_module`'s `spin` takes before it traps.
+const MID_LOOP_TRIPS: i32 = 10_000;
+
+/// Unbounded recursion, stopped by [`deep_limits`].
+const DEEP: &str = r#"
+    (module $deep
+      (func $spin (export "spin") (param $n i32) (result i32)
+        local.get $n
+        i32.const 1
+        i32.add
+        call $spin))
+"#;
+
+/// The call-depth ceiling [`DEEP`] runs under, pinned low so the
+/// tier-independent depth check fires (the value-stack capacity check would
+/// fire at a tier-*dependent* depth, since frame sizes differ per tier).
+fn deep_limits() -> ResourceLimits {
+    ResourceLimits { call_depth: Some(100), ..ResourceLimits::unlimited() }
+}
+
 /// A trap at the bottom of a three-deep call chain symbolicates every frame
 /// from the `name` section, attributes each frame to the right bytecode
 /// offset, and does so identically across the whole matrix.
 #[test]
 fn call_chain_traps_symbolicate_identically_across_the_matrix() {
-    let text = r#"
-        (module $chain
-          (func $div (param $a i32) (param $b i32) (result i32)
-            local.get $a
-            local.get $b
-            i32.div_s)
-          (func $middle (param $n i32) (result i32)
-            local.get $n
-            i32.const 0
-            call $div)
-          (func $main (export "main") (param $n i32) (result i32)
-            local.get $n
-            call $middle))
-    "#;
-    let module = wasm::wat::parse_module(text).expect("chain module parses");
-    let trap = assert_identical_diagnostics(&module, "main", &[WasmValue::I32(7)]);
+    let module = wasm::wat::parse_module(CHAIN).expect("chain module parses");
+    let trap = assert_identical_diagnostics(&module, "main", &[WasmValue::I32(7)], ResourceLimits::unlimited());
     assert_eq!(trap.reason, TrapReason::DivisionByZero);
 
     let frames = trap.backtrace.frames();
@@ -118,30 +173,10 @@ fn call_chain_traps_symbolicate_identically_across_the_matrix() {
 /// the offset of the `call_indirect` instruction itself.
 #[test]
 fn call_indirect_dispatch_traps_attribute_to_the_call_site() {
-    let text = r#"
-        (module $dispatch
-          (type $binop (func (param i32 i32) (result i32)))
-          (type $nullary (func (result i32)))
-          (table 10 funcref)
-          (elem (offset (i32.const 0)) func $add $answer)
-          (func $add (type $binop) local.get 0 local.get 1 i32.add)
-          (func $answer (type $nullary) i32.const 42)
-          (func $route (export "route") (param $which i32) (param $a i32) (param $b i32) (result i32)
-            local.get $a
-            local.get $b
-            local.get $which
-            call_indirect (type $binop)))
-    "#;
-    let module = wasm::wat::parse_module(text).expect("dispatch module parses");
-    let cases = [
-        (1, TrapReason::IndirectCallMismatch), // slot 1 holds the nullary fn
-        (7, TrapReason::UninitializedElement), // in-bounds, never initialized
-        (10, TrapReason::OutOfBoundsTable),    // one past the table
-    ];
+    let module = wasm::wat::parse_module(DISPATCH).expect("dispatch module parses");
     let mut call_site = None;
-    for (which, reason) in cases {
-        let args = [WasmValue::I32(which), WasmValue::I32(3), WasmValue::I32(4)];
-        let trap = assert_identical_diagnostics(&module, "route", &args);
+    for (which, reason) in DISPATCH_CASES {
+        let trap = assert_identical_diagnostics(&module, "route", &dispatch_args(which), ResourceLimits::unlimited());
         assert_eq!(trap.reason, reason);
         let frames = trap.backtrace.frames();
         assert_eq!(frames.len(), 1, "dispatch fails before a callee frame exists");
@@ -196,8 +231,8 @@ fn mid_loop_trap_module() -> Module {
 #[test]
 fn osr_replaced_frames_report_the_same_backtrace() {
     let module = mid_loop_trap_module();
-    let args = [WasmValue::I32(10_000)];
-    let trap = assert_identical_diagnostics(&module, "spin", &args);
+    let args = [WasmValue::I32(MID_LOOP_TRIPS)];
+    let trap = assert_identical_diagnostics(&module, "spin", &args, ResourceLimits::unlimited());
     assert_eq!(trap.reason, TrapReason::DivisionByZero);
     assert_eq!(trap.backtrace.frames().len(), 1);
     // Unnamed module: the frame is unsymbolicated but still attributed.
@@ -231,51 +266,12 @@ fn osr_replaced_frames_report_the_same_backtrace() {
 
 /// Deep recursion that exhausts the call-depth limit produces a trace
 /// truncated to a fixed head and tail, with the omitted middle counted —
-/// and the truncated trace is still identical across the matrix.
-///
-/// The limit is pinned low via [`ResourceLimits::call_depth`] so the
-/// tier-independent depth check fires (the value-stack capacity check would
-/// fire at a tier-*dependent* depth, since frame sizes differ per tier).
+/// and the truncated trace is still identical across the matrix, with and
+/// without forced OSR.
 #[test]
 fn stack_exhaustion_truncates_to_a_fixed_head_and_tail() {
-    let text = r#"
-        (module $deep
-          (func $spin (export "spin") (param $n i32) (result i32)
-            local.get $n
-            i32.const 1
-            i32.add
-            call $spin))
-    "#;
-    let module = wasm::wat::parse_module(text).expect("deep module parses");
-    let args = [WasmValue::I32(0)];
-    let limits = ResourceLimits {
-        call_depth: Some(100),
-        ..ResourceLimits::unlimited()
-    };
-
-    let (reference_result, reference) = run_with_diagnostics(
-        EngineConfig::interpreter("bt-deep-ref").with_limits(limits),
-        &module,
-        "spin",
-        &args,
-    );
-    assert_eq!(reference_result, Err(TrapCode::StackOverflow));
-    let reference = reference.expect("exhaustion produced diagnostics");
-    for config in all_tier_backend_configs() {
-        let name = config.name.clone();
-        let (result, trap) = run_with_diagnostics(
-            config.with_limits(limits),
-            &module,
-            "spin",
-            &args,
-        );
-        assert_eq!(result, reference_result, "[{name}] trap code diverged");
-        assert_eq!(
-            trap.as_ref(),
-            Some(&reference),
-            "[{name}] truncated backtrace diverged"
-        );
-    }
+    let module = wasm::wat::parse_module(DEEP).expect("deep module parses");
+    let reference = assert_identical_diagnostics(&module, "spin", &[WasmValue::I32(0)], deep_limits());
 
     // 100 live frames, fixed 16-frame head + 16-frame tail, 68 omitted.
     assert_eq!(reference.reason, TrapReason::StackExhaustion);
@@ -289,6 +285,32 @@ fn stack_exhaustion_truncates_to_a_fixed_head_and_tail() {
     }
     let rendered = format!("{}", reference.backtrace);
     assert!(rendered.contains("68 frames omitted"), "{rendered}");
+}
+
+/// Over the six trap workloads the tests above hold identical across the
+/// matrix, at least 90 % of all backtrace frames resolve to a debug name
+/// (only the builder-made mid-loop module carries no `name` section).
+#[test]
+fn the_trap_battery_symbolicates_at_least_90_percent_of_its_frames() {
+    let parse = |text| wasm::wat::parse_module(text).expect("battery module parses");
+    let mut battery = vec![
+        (parse(CHAIN), "main", vec![WasmValue::I32(7)], ResourceLimits::unlimited()),
+        (mid_loop_trap_module(), "spin", vec![WasmValue::I32(MID_LOOP_TRIPS)], ResourceLimits::unlimited()),
+        (parse(DEEP), "spin", vec![WasmValue::I32(0)], deep_limits()),
+    ];
+    for (which, _) in DISPATCH_CASES {
+        battery.push((parse(DISPATCH), "route", dispatch_args(which).to_vec(), ResourceLimits::unlimited()));
+    }
+    let (mut named, mut total) = (0, 0);
+    for (module, entry, args, limits) in &battery {
+        let config = EngineConfig::interpreter("bt-battery").with_limits(*limits);
+        let (_, trap) = run_with_diagnostics(config, module, entry, args);
+        let trap = trap.expect("every battery workload traps");
+        total += trap.backtrace.frames().len();
+        named += trap.backtrace.frames().iter().filter(|f| f.name.is_some()).count();
+    }
+    assert_eq!(total, 3 + 1 + 32 + 3, "frames over the battery");
+    assert!(named * 10 >= total * 9, "only {named} of {total} frames symbolicated");
 }
 
 /// Builds a call chain `f0 -> f1 -> ... -> f<depth>` where the innermost

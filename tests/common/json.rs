@@ -1,17 +1,11 @@
-//! Validation for the machine-readable reports the figure binaries emit.
+//! A JSON reader, kept as the oracle for the two hand-written `format!`
+//! emitters left in the workspace: `serve::access_log` (checked by
+//! `tests/serve_deadline.rs`) and `telemetry::trace` (checked by
+//! `tests/telemetry.rs`). Those two files include it with `#[path]`.
 //!
-//! Every `fig*` gate writes a `BENCH_<figure>.json` through
-//! [`crate::BenchReport`], and CI archives them as the repo's perf
-//! trajectory. A trajectory is only useful if every point on it has the same
-//! shape, so this module pins the schema: a JSON object with a non-empty
-//! `"figure"` string, a non-empty `"config"` string, and a `"metrics"`
-//! object holding at least one entry whose values are numbers (or `null`,
-//! the report's spelling for non-finite values).
-//!
-//! The workspace is offline — no serde — so validation rides on a small
-//! recursive-descent JSON parser. It handles the full JSON grammar (the
-//! `validate_reports` binary also parses Chrome trace files with it), not
-//! just the report subset, because a parser that only accepts what we
+//! The workspace is offline — no serde — so this is a small
+//! recursive-descent parser. It handles the full JSON grammar, not just the
+//! subset the emitters produce, because a parser that only accepts what we
 //! currently emit would silently bless malformed output the moment an
 //! emitter drifts.
 
@@ -30,7 +24,7 @@ pub enum JsonValue {
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object. Key order is not preserved (reports never rely on it);
+    /// An object. Key order is not preserved (the checks never rely on it);
     /// duplicate keys keep the last value, as most JSON readers do.
     Object(BTreeMap<String, JsonValue>),
 }
@@ -226,7 +220,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code =
                             u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        // Reports only escape control characters, so lone
+                        // The emitters only escape control characters, so lone
                         // surrogates are malformed rather than pair-decoded.
                         out.push(
                             char::from_u32(code)
@@ -272,46 +266,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-/// Checks `text` against the report schema every `fig*` binary emits:
-/// an object with a non-empty `"figure"` string, a non-empty `"config"`
-/// string, and a `"metrics"` object with at least one entry, each entry a
-/// number or `null`.
-pub fn validate_report_json(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    let figure = doc
-        .get("figure")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"figure\"")?;
-    if figure.is_empty() {
-        return Err("\"figure\" must be non-empty".to_string());
-    }
-    let config = doc
-        .get("config")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing string field \"config\"")?;
-    if config.is_empty() {
-        return Err("\"config\" must be non-empty".to_string());
-    }
-    let metrics = doc
-        .get("metrics")
-        .and_then(JsonValue::as_object)
-        .ok_or("missing object field \"metrics\"")?;
-    if metrics.is_empty() {
-        return Err("\"metrics\" must hold at least one entry".to_string());
-    }
-    for (name, value) in metrics {
-        match value {
-            JsonValue::Number(_) | JsonValue::Null => {}
-            other => {
-                return Err(format!(
-                    "metric \"{name}\" must be a number or null, found {other:?}"
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,25 +295,6 @@ mod tests {
         assert!(parse_json("{\"a\": 1} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("nul").is_err());
-    }
-
-    #[test]
-    fn validates_the_report_schema() {
-        let good = "{\"figure\": \"fig14\", \"config\": \"test\", \"metrics\": {\"x\": 1, \"y\": null}}";
-        validate_report_json(good).expect("valid report");
-
-        let no_config = "{\"figure\": \"fig14\", \"metrics\": {\"x\": 1}}";
-        assert!(validate_report_json(no_config).is_err());
-
-        let empty_metrics = "{\"figure\": \"fig14\", \"config\": \"t\", \"metrics\": {}}";
-        assert!(validate_report_json(empty_metrics).is_err());
-
-        let bad_metric =
-            "{\"figure\": \"fig14\", \"config\": \"t\", \"metrics\": {\"x\": \"oops\"}}";
-        assert!(validate_report_json(bad_metric).is_err());
-
-        let empty_figure = "{\"figure\": \"\", \"config\": \"t\", \"metrics\": {\"x\": 1}}";
-        assert!(validate_report_json(empty_figure).is_err());
     }
 
     #[test]

@@ -90,6 +90,22 @@ fn optimizing_tier_matches_interpreter() {
     check_config_against_interpreter("optimizing", || EngineConfig::optimizing("optimizing"));
 }
 
+/// The two `float_nbody` items finish at `Scale::Default` (what the figure
+/// binaries' `--full` runs): their velocity sums reach ~1e10 there, and the
+/// checksum's clamp must keep `i32.trunc_f64_s` in range.
+#[test]
+fn float_nbody_items_finish_at_default_scale_in_both_compiled_tiers() {
+    let ostrich = suites::ostrich::suite(Scale::Default);
+    for name in ["nbody", "lavamd"] {
+        let item = ostrich.items.iter().find(|i| i.name == name).expect("ostrich has the item");
+        let baseline = run_item(EngineConfig::baseline("spc", CompilerOptions::allopt()), item)
+            .unwrap_or_else(|e| panic!("[spc] {e}"));
+        let optimizing =
+            run_item(EngineConfig::optimizing("opt"), item).unwrap_or_else(|e| panic!("[opt] {e}"));
+        assert_eq!(baseline, optimizing, "ostrich/{name} at default scale");
+    }
+}
+
 #[test]
 fn tiered_engine_matches_interpreter() {
     check_config_against_interpreter("tiered", || {

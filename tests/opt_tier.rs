@@ -1,5 +1,5 @@
 //! Integration tests for the SSA optimizing tier: whole-suite agreement
-//! with the lower tiers, the cycle-reduction claim behind `fig13_opt_tier`,
+//! with the lower tiers, the cycle-reduction claim `fig13_opt_tier` prints,
 //! and the Masm-generality of the tier (real x86-64 sizes under the x64
 //! backend).
 
@@ -12,7 +12,7 @@ use suites::Scale;
 /// Every suite item computes the same checksum in the optimizing tier as in
 /// the interpreter and the baseline tier, and the optimizing tier executes
 /// at least 20% fewer simulated cycles than the baseline on at least two of
-/// the three suites (the `fig13_opt_tier` acceptance gate, at test scale).
+/// the three suites (this is the gate; `fig13_opt_tier` only prints).
 #[test]
 fn opt_tier_agrees_with_lower_tiers_and_cuts_cycles() {
     let interp = Engine::new(EngineConfig::interpreter("int"));

@@ -9,7 +9,10 @@
 //! with generous ones, must be unaffected.
 
 mod common;
+#[path = "common/json.rs"]
+mod json;
 
+use json::{parse_json, JsonValue};
 use machine::values::WasmValue;
 use serve::{Request, RequestStatus, Server, ServerConfig};
 use std::time::Duration;
@@ -160,6 +163,69 @@ fn mixed_batches_only_interrupt_the_runaway() {
     assert_eq!(server.timeouts().in_time_count(), 2, "undeadlined requests are untracked");
 }
 
+/// Parses one access-log line and checks it against the `serve::access_log`
+/// schema.
+fn parse_access_log_line(line: &str) -> Result<JsonValue, String> {
+    let doc = parse_json(line)?;
+    for field in ["request", "app", "worker", "latency_us", "instantiate_us", "exec_cycles"] {
+        if doc.get(field).and_then(JsonValue::as_number).is_none() {
+            return Err(format!("missing numeric field {field:?}"));
+        }
+    }
+    for field in ["warm", "deadline_expired"] {
+        if !matches!(doc.get(field), Some(JsonValue::Bool(_))) {
+            return Err(format!("missing boolean field {field:?}"));
+        }
+    }
+    for field in ["fuel_consumed", "deadline_overshoot_epochs"] {
+        match doc.get(field) {
+            Some(JsonValue::Null | JsonValue::Number(_)) => {}
+            _ => return Err(format!("field {field:?} must be a number or null")),
+        }
+    }
+    let status = doc
+        .get("status")
+        .and_then(JsonValue::as_str)
+        .ok_or("missing string field \"status\"")?;
+    match status {
+        "ok" => {}
+        "rejected" => {
+            doc.get("reject_reason")
+                .and_then(JsonValue::as_str)
+                .ok_or("rejected record missing string \"reject_reason\"")?;
+        }
+        "trap" => {
+            let trap = doc
+                .get("trap")
+                .filter(|t| t.as_object().is_some())
+                .ok_or("trap record missing object field \"trap\"")?;
+            trap.get("reason")
+                .and_then(JsonValue::as_str)
+                .ok_or("trap missing string field \"reason\"")?;
+            let frames = trap
+                .get("frames")
+                .and_then(JsonValue::as_array)
+                .ok_or("trap missing array field \"frames\"")?;
+            for (i, frame) in frames.iter().enumerate() {
+                for field in ["func", "offset"] {
+                    if frame.get(field).and_then(JsonValue::as_number).is_none() {
+                        return Err(format!("frame {i} missing numeric field {field:?}"));
+                    }
+                }
+                if frame.get("tier").and_then(JsonValue::as_str).is_none() {
+                    return Err(format!("frame {i} missing string field \"tier\""));
+                }
+                match frame.get("name") {
+                    Some(JsonValue::Null | JsonValue::String(_)) => {}
+                    _ => return Err(format!("frame {i}: \"name\" must be a string or null")),
+                }
+            }
+        }
+        other => return Err(format!("unknown status {other:?}")),
+    }
+    Ok(doc)
+}
+
 /// Every retired request lands in the flight recorder as one JSON
 /// access-log line: successes with latency and warmth, fuel-starved
 /// requests with their consumption, interrupted requests with their
@@ -251,6 +317,24 @@ fn the_flight_recorder_captures_structured_access_log_lines() {
         .map(|(_, h)| h.clone())
         .expect("serve.deadline_overshoot histogram recorded");
     assert_eq!(overshoot.count, 1);
+
+    // Every line parses as JSON in the access-log schema. One more batch
+    // pushes an `ok` and a `rejected` line through the ring, so the two
+    // dumps between them hold every status the schema names.
+    server.run(vec![Request::to_app(quick), Request::to_app(99)]);
+    let later = recorder.dump();
+    let records: Vec<JsonValue> = dump
+        .lines()
+        .chain(later.lines().skip(1))
+        .map(|line| parse_access_log_line(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    let statuses: Vec<_> =
+        records.iter().map(|r| r.get("status").and_then(JsonValue::as_str)).collect();
+    assert_eq!(statuses, ["trap", "trap", "trap", "ok", "rejected"].map(Some));
+    let frames = records[0].get("trap").and_then(|t| t.get("frames"));
+    assert_eq!(frames.and_then(JsonValue::as_array).map(<[_]>::len), Some(2), "{}", lines[0]);
+    let overshoot = records[2].get("deadline_overshoot_epochs");
+    assert!(overshoot.and_then(JsonValue::as_number).is_some(), "{}", lines[2]);
 }
 
 /// Fuel budgets ride the same request path: a starved request traps

@@ -9,7 +9,7 @@
 //! the cost model on purpose re-records them in the same commit and says
 //! why; a change to a loop never does.
 
-use engine::{CodeBackend, Engine, EngineConfig, Imports, Instance, Instrumentation};
+use engine::{CodeBackend, Engine, EngineConfig, Imports, Instance, Instrumentation, Telemetry};
 use machine::values::WasmValue;
 use spc::CompilerOptions;
 use suites::Scale;
@@ -35,6 +35,32 @@ const INTERPRETER_METERED: [(&str, [u64; 2]); 3] = [
     ("ostrich", [19_968_764, 1_700_901]),
 ];
 
+/// Baseline-only runs with the meter armed, per suite: cycles, then fuel.
+const BASELINE_METERED: [(&str, [u64; 2]); 3] = [
+    ("polybench", [338_721, 222_404]),
+    ("libsodium", [7_263_306, 7_723_305]),
+    ("ostrich", [3_207_485, 1_700_901]),
+];
+
+/// Optimizing-only runs with the meter armed, per suite: cycles, then fuel.
+const OPTIMIZING_METERED: [(&str, [u64; 2]); 3] = [
+    ("polybench", [250_278, 222_404]),
+    ("libsodium", [4_460_745, 7_723_305]),
+    ("ostrich", [2_173_722, 1_700_901]),
+];
+
+/// Back-edge count at which [`BASELINE_OSR`]'s frames transfer: a handful of
+/// warm-up trips stay in baseline code, every real kernel loop crosses it.
+const OSR_THRESHOLD: u32 = 100;
+
+/// Baseline-only runs with `with_osr(OSR_THRESHOLD)`, per suite: cycles, then
+/// OSR transitions (the engine's `engine.osr_entries` counter).
+const BASELINE_OSR: [(&str, [u64; 2]); 3] = [
+    ("polybench", [281_984, 35]),
+    ("libsodium", [4_124_986, 53]),
+    ("ostrich", [1_961_504, 17]),
+];
+
 /// Interpreter-only runs under the branch monitor, per suite: cycles, probe
 /// firings, and a digest of every site's taken / not-taken counts.
 const INTERPRETER_BRANCH_MONITOR: [(&str, [u64; 3]); 3] = [
@@ -53,16 +79,15 @@ const INTERPRETER_FUNCTION_COUNTERS: [(&str, [u64; 3]); 3] = [
 
 const FUEL_BUDGET: u64 = 1 << 40;
 
-/// Runs `main` of every suite item under `config` and sums, per suite, a row
-/// of the item's `exec_cycles` followed by whatever `observe` reads off the
+/// Runs `main` of every suite item on `engine` and sums, per suite, a row of
+/// the item's `exec_cycles` followed by whatever `observe` reads off the
 /// finished instance and `main`'s results.
 fn measure(
-    config: EngineConfig,
+    engine: &Engine,
     instrument: fn(&Module) -> Instrumentation,
     fuel: Option<u64>,
-    observe: fn(&Module, &Instance, &[WasmValue]) -> Vec<u64>,
+    mut observe: impl FnMut(&Module, &Instance, &[WasmValue]) -> Vec<u64>,
 ) -> Vec<(&'static str, Vec<u64>)> {
-    let engine = Engine::new(config);
     suites::all_suites(Scale::Test)
         .iter()
         .map(|suite| {
@@ -97,7 +122,7 @@ fn assert_rows<const N: usize>(measured: Vec<(&str, Vec<u64>)>, golden: &[(&str,
 fn assert_golden(config: EngineConfig, golden: &[(&str, u64)]) {
     let name = config.name.clone();
     let measured: Vec<(&str, u64)> =
-        measure(config, |_| Instrumentation::none(), None, |_, _, _| vec![])
+        measure(&Engine::new(config), |_| Instrumentation::none(), None, |_, _, _| vec![])
             .into_iter()
             .map(|(suite, row)| (suite, row[0]))
             .collect();
@@ -113,7 +138,7 @@ fn baseline_tier_cycles_are_pinned_on_both_backends() {
     // Source maps are compile-time metadata: code compiled without them
     // executes the same cycles and returns the same checksums.
     let checksums = |config| {
-        measure(config, |_| Instrumentation::none(), None, |_, _, results| {
+        measure(&Engine::new(config), |_| Instrumentation::none(), None, |_, _, results| {
             vec![results[0].to_bits()]
         })
     };
@@ -136,21 +161,98 @@ fn interpreter_cycles_are_pinned() {
     assert_golden(EngineConfig::interpreter("int"), &INTERPRETER);
 }
 
-#[test]
-fn metered_interpreter_cycles_and_fuel_are_pinned() {
-    let measured = measure(
-        EngineConfig::interpreter("int-metered").with_metering(),
+/// Runs every suite item under the metering variant of `config` with a
+/// budget no item exhausts: cycles and fuel per suite, each item's results
+/// checked against the unmetered baseline tier's.
+fn measure_metered(config: EngineConfig) -> Vec<(&'static str, Vec<u64>)> {
+    let unmetered = Engine::new(EngineConfig::baseline("spc", CompilerOptions::allopt()));
+    measure(
+        &Engine::new(config.with_metering()),
         |_| Instrumentation::none(),
         Some(FUEL_BUDGET),
-        |_, instance, _| vec![instance.fuel_consumed().expect("fuel is armed")],
+        |module, instance, results| {
+            assert_eq!(results, run_main(&unmetered, module), "metering changed a result");
+            vec![instance.fuel_consumed().expect("fuel is armed")]
+        },
+    )
+}
+
+/// `main`'s results for `module` on a fresh instance of `engine`.
+fn run_main(engine: &Engine, module: &Module) -> Vec<WasmValue> {
+    let mut instance = engine
+        .instantiate(module, Imports::new(), Instrumentation::none())
+        .expect("suite modules instantiate");
+    engine.call_export(&mut instance, "main", &[]).expect("suite items run")
+}
+
+#[test]
+fn metered_interpreter_cycles_and_fuel_are_pinned() {
+    assert_rows(measure_metered(EngineConfig::interpreter("int-metered")), &INTERPRETER_METERED);
+}
+
+/// What metering costs compiled code, and that it charges what the
+/// interpreter charges: every tier emits its checks from the same per-block
+/// cost table, so the fuel columns are the interpreter's, and in the baseline
+/// tier — the one a serving host keeps tenants in — the fused check sequences
+/// cost at most 15 % over unmetered code on every suite.
+#[test]
+fn metered_compiled_tiers_are_pinned_and_charge_the_interpreters_fuel() {
+    let spc = EngineConfig::baseline("spc-metered", CompilerOptions::allopt());
+    assert_rows(measure_metered(spc), &BASELINE_METERED);
+    assert_rows(measure_metered(EngineConfig::optimizing("opt-metered")), &OPTIMIZING_METERED);
+
+    for (i, (suite, [_, fuel])) in INTERPRETER_METERED.into_iter().enumerate() {
+        assert!(fuel > 0, "{suite} consumed no fuel");
+        assert_eq!(BASELINE_METERED[i].1[1], fuel, "{suite}: baseline fuel diverged");
+        assert_eq!(OPTIMIZING_METERED[i].1[1], fuel, "{suite}: optimizing fuel diverged");
+        let (metered, unmetered) = (BASELINE_METERED[i].1[0], BASELINE[i].1);
+        assert!(
+            metered * 100 <= unmetered * 115,
+            "{suite}: baseline metering overhead above 15% ({metered} vs {unmetered})"
+        );
+    }
+}
+
+/// Every suite item calls `main` once, so call-count tier-up never fires and
+/// only a back-edge trigger reaches the optimizing tier: with OSR armed the
+/// same single call must spend at least 15 % fewer cycles than [`BASELINE`]
+/// on at least two suites, return the same results item by item, and really
+/// transfer.
+#[test]
+fn baseline_osr_cycles_and_transitions_are_pinned() {
+    let spc = |name| EngineConfig::baseline(name, CompilerOptions::allopt());
+    let never_osr = Engine::new(spc("spc"));
+    let telemetry = Telemetry::enabled();
+    let transitions = || {
+        telemetry.metrics().expect("telemetry enabled").counter("engine.osr_entries").get()
+    };
+    let mut counted = 0;
+    let measured = measure(
+        &Engine::new(spc("spc-osr").with_osr(OSR_THRESHOLD)).with_telemetry(telemetry.clone()),
+        |_| Instrumentation::none(),
+        None,
+        |module, _, results| {
+            assert_eq!(results, run_main(&never_osr, module), "OSR changed a result");
+            let entered = transitions() - counted;
+            counted += entered;
+            vec![entered]
+        },
     );
-    assert_rows(measured, &INTERPRETER_METERED);
+    assert_rows(measured, &BASELINE_OSR);
+
+    let wins = BASELINE
+        .iter()
+        .zip(&BASELINE_OSR)
+        .filter(|((_, never_osr), (_, [osr, _]))| osr * 100 <= never_osr * 85)
+        .count();
+    assert!(wins >= 2, "OSR must cut >= 15% of baseline cycles on at least 2 of 3 suites");
+    assert!(BASELINE_OSR.iter().any(|(_, [_, entries])| *entries > 0), "no frame transferred");
 }
 
 #[test]
 fn interpreter_probe_firings_are_pinned() {
     let branches = measure(
-        EngineConfig::interpreter("int-branches"),
+        &Engine::new(EngineConfig::interpreter("int-branches")),
         Instrumentation::branch_monitor,
         None,
         |module, instance, _| {
@@ -175,7 +277,7 @@ fn interpreter_probe_firings_are_pinned() {
     assert_rows(branches, &INTERPRETER_BRANCH_MONITOR);
 
     let counters = measure(
-        EngineConfig::interpreter("int-counters"),
+        &Engine::new(EngineConfig::interpreter("int-counters")),
         Instrumentation::function_counters,
         None,
         |_, instance, _| {

@@ -4,6 +4,8 @@
 //! a disabled handle.
 
 mod common;
+#[path = "common/json.rs"]
+mod json;
 
 use common::fib_module;
 use engine::{CodeBackend, CodeCache, Engine, EngineConfig, Imports, Instrumentation, Telemetry};
@@ -366,9 +368,23 @@ fn serving_batch_traces_the_request_lifecycle() {
 
     // The drained events render into Chrome trace JSON with the serve spans.
     let trace = telemetry::trace::chrome_trace(&rings);
-    assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("serve r0"));
     assert!(trace.contains("pool checkout"));
+    // ... and the rendering is well-formed trace-event JSON: a `traceEvents`
+    // array of events with a known phase ("C" is the counter an overflowed
+    // ring reports its dropped events with) and, metadata aside, a timestamp.
+    let doc = json::parse_json(&trace).expect("chrome trace is well-formed JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::JsonValue::as_array)
+        .expect("traceEvents array");
+    assert!(events.len() >= 8, "at least one event per request is rendered");
+    for event in events {
+        let phase = event.get("ph").and_then(json::JsonValue::as_str).expect("string `ph`");
+        assert!(matches!(phase, "M" | "X" | "i" | "B" | "E" | "C"), "unknown phase {phase:?}");
+        let ts = event.get("ts").and_then(json::JsonValue::as_number);
+        assert!(phase == "M" || ts.is_some(), "{event:?} has no numeric `ts`");
+    }
 }
 
 /// Events and samples charge zero simulated cycles: a traced engine whose

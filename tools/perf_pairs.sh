@@ -1,0 +1,99 @@
+#!/usr/bin/env bash
+# Same-sitting perfbench comparison of a git ref against the working tree.
+#
+#   tools/perf_pairs.sh <git-ref> [workload…]     # default: every workload in BENCHMARK.json
+#   PAIRS=10 WINDOW=16 SEED=7 tools/perf_pairs.sh HEAD~1 exec-jit serve-warm
+#
+# Exports <git-ref> into a scratch directory (under $TMPDIR, default /tmp),
+# builds `benchmark/`'s perfbench from it and from the working tree — both
+# into that scratch directory, nothing is written into the repository — and
+# runs each workload PAIRS (default 5) times on each binary, alternating
+# which side goes first, at one seed and window length. Prints every run,
+# both medians of `ops_per_s`, how many pairs the working tree won, whether
+# `sim_cycles` is identical, and where the linker put the two execution loops
+# in each binary (address mod 64 of `Cpu::run` and `Interpreter::run`, which
+# alone moves `exec-jit` / `exec-interp` by ~10 %: see the verify skill).
+# The host is noisy: read ratios between the two columns of one sitting,
+# never an absolute number across days. The scratch directory is removed on
+# exit.
+set -euo pipefail
+[ $# -ge 1 ] || { sed -n '2,5p' "$0"; exit 2; }
+ref=$1
+shift
+top=$(git rev-parse --show-toplevel)
+commit=$(git -C "$top" rev-parse --verify "$ref^{commit}")
+pairs=${PAIRS:-5}
+seconds=${WINDOW:-8}
+seed=${SEED:-1}
+if [ $# -gt 0 ]; then
+    workloads=("$@")
+else
+    mapfile -t workloads < <(awk -F'"' '
+        /"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+        on && /"name"/ { print $4 }' "$top/BENCHMARK.json")
+fi
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/ref"
+git -C "$top" archive "$commit" | tar -x -C "$work/ref"
+
+declare -A bin
+build() { # side, source root
+    cargo build --release --offline --quiet \
+        --manifest-path "$2/benchmark/Cargo.toml" --target-dir "$work/target-$1"
+    bin[$1]=$work/target-$1/release/perfbench
+}
+echo "building perfbench: ref = $ref (${commit:0:7}), here = working tree of $top"
+build ref "$work/ref"
+build here "$top"
+
+echo
+echo "execution-loop placement (start address mod 64):"
+for side in ref here; do
+    nm -C --defined-only "${bin[$side]}" |
+        sed -nE 's/^([0-9a-f]+) [tT] (.*(::Cpu|::Interpreter)::run)(::h[0-9a-f]+)?$/\1 \2/p' |
+        while read -r addr name; do
+            printf '  %-5s %-32s 0x%s  mod 64 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 64))
+        done
+done
+
+# One run: prints "ops_per_s sim_cycles" from the result line perfbench ends with.
+run() { # side, workload
+    "${bin[$1]}" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 --layers 0 \
+        --out "$work/out-$1" 2>/dev/null | tail -n 1 |
+        sed -E 's/.*"ops_per_s":\{"value":([-0-9.e+]+).*"sim_cycles":\{"value":([-0-9.e+]+).*/\1 \2/'
+}
+median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.4f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+
+for workload in "${workloads[@]}"; do
+    echo
+    echo "$workload (seed $seed, ${seconds} s windows): ops_per_s"
+    printf '  %-4s %12s %12s %8s  %s\n' pair ref here here/ref first
+    ref_ops=() here_ops=() cycles=() wins=0 losses=0
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order=(ref here); else order=(here ref); fi
+        declare -A ops=()
+        for side in "${order[@]}"; do
+            read -r ops[$side] c < <(run "$side" "$workload")
+            [[ ${ops[$side]} =~ ^[0-9.e+]+$ ]] || { echo "  $side: perfbench gave no result line" >&2; exit 1; }
+            cycles+=("$side:$c")
+        done
+        ref_ops+=("${ops[ref]}") here_ops+=("${ops[here]}")
+        verdict=$(awk -v a="${ops[here]}" -v b="${ops[ref]}" 'BEGIN { print (a > b) ? "win" : (a < b) ? "loss" : "tie" }')
+        [ "$verdict" = win ] && wins=$((wins + 1))
+        [ "$verdict" = loss ] && losses=$((losses + 1))
+        printf '  %-4d %12.2f %12.2f %8.3f  %s\n' "$i" "${ops[ref]}" "${ops[here]}" \
+            "$(awk -v a="${ops[here]}" -v b="${ops[ref]}" 'BEGIN { print a / b }')" "${order[0]}"
+    done
+    ref_median=$(printf '%s\n' "${ref_ops[@]}" | median)
+    here_median=$(printf '%s\n' "${here_ops[@]}" | median)
+    printf '  %-4s %12.2f %12.2f %8.3f  here won %d, lost %d of %d\n' med "$ref_median" "$here_median" \
+        "$(awk -v a="$here_median" -v b="$ref_median" 'BEGIN { print a / b }')" "$wins" "$losses" "$pairs"
+    distinct=$(printf '%s\n' "${cycles[@]#*:}" | sort -u)
+    if [ "$(printf '%s\n' "$distinct" | wc -l)" -eq 1 ]; then
+        echo "  sim_cycles identical in all $((2 * pairs)) runs: $distinct"
+    else
+        echo "  sim_cycles DIFFER: ${cycles[*]}"
+    fi
+done
