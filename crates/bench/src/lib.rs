@@ -111,28 +111,6 @@ pub struct SuiteSummary {
     pub max: f64,
 }
 
-/// The `p`-th percentile (0–100) of `values`, by nearest-rank on a sorted
-/// copy — the latency statistic the fig15 gate reports (p50/p99).
-///
-/// Nearest-rank means the result is always an observed sample, never an
-/// interpolation: rank `ceil(p/100 · n)` of the sorted values (1-based),
-/// with `p = 0` mapping to the minimum. A consequence worth knowing when
-/// sizing a gate: with fewer than `100/(100-p)` samples the top rank *is*
-/// the maximum — p99 of n < 100 samples just returns `max`, so a p99 gate
-/// needs at least 100 samples before it says anything max itself doesn't.
-///
-/// # Panics
-///
-/// Panics on an empty slice or a `p` outside 0–100.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(!values.is_empty(), "cannot take a percentile of nothing");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1)]
-}
-
 /// Summarizes a per-item metric over one suite.
 ///
 /// # Panics
@@ -231,37 +209,6 @@ mod tests {
         assert!((s.mean - 2.0).abs() < 1e-9);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v = [5.0, 1.0, 4.0, 2.0, 3.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 50.0), 3.0);
-        assert_eq!(percentile(&v, 99.0), 5.0);
-        assert_eq!(percentile(&v, 100.0), 5.0);
-        assert_eq!(percentile(&[7.5], 50.0), 7.5);
-    }
-
-    #[test]
-    fn p99_of_fewer_than_100_samples_is_just_the_max() {
-        // Nearest-rank: ceil(0.99 * n) == n for every n < 100, so the p99
-        // collapses to the maximum — the reason the fig15 gate
-        // asserts its sample counts reach 100 before gating on p99.
-        for n in [1usize, 10, 50, 99] {
-            let v: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            assert_eq!(percentile(&v, 99.0), (n - 1) as f64, "n = {n}");
-        }
-        // At exactly 100 samples the p99 finally splits off the tail.
-        let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 99.0), 98.0);
-        assert_eq!(percentile(&v, 100.0), 99.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot take a percentile of nothing")]
-    fn percentile_of_empty_input_panics() {
-        percentile(&[], 50.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   `assert_return`, `assert_trap`, `assert_invalid`, `assert_malformed`),
 //!   built on the WAT frontend's s-expression parser;
 //! * [`runner`] — executes a script under an [`engine::EngineConfig`],
-//!   matching traps via [`engine::TrapReason`] and floats bit-exactly (with
+//!   matching traps via [`machine::inst::TrapCode`] and floats bit-exactly (with
 //!   `nan:canonical`/`nan:arithmetic` patterns);
 //! * [`coverage`] — the exhaustive every-opcode module and census that make
 //!   the differential fuzzer's coverage claim provable.

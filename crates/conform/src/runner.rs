@@ -16,7 +16,7 @@
 //! baseline-compiled, then optimized, and must agree each time.
 
 use crate::script::{Action, Command, ModuleForm, Script};
-use engine::{Engine, EngineConfig, Imports, Instance, Instrumentation, TrapInfo, TrapReason};
+use engine::{Engine, EngineConfig, Imports, Instance, Instrumentation, TrapInfo};
 use machine::inst::TrapCode;
 use machine::masm::CodeBackend;
 use machine::values::WasmValue;
@@ -185,8 +185,7 @@ pub fn run_script_mutated(
                         ctx(*offset),
                         action.func
                     )),
-                    Err(Invocation::Trap(code)) => {
-                        let reason = TrapReason::from(code);
+                    Err(Invocation::Trap(reason)) => {
                         if reason.matches_wast(message) {
                             outcome.passed += 1;
                             if let Some(info) =
@@ -270,7 +269,7 @@ impl std::fmt::Display for Invocation {
         match self {
             Invocation::NoInstance => write!(f, "no module instantiated"),
             Invocation::NoExport => write!(f, "export not found"),
-            Invocation::Trap(code) => write!(f, "trap: {}", TrapReason::from(*code)),
+            Invocation::Trap(code) => write!(f, "trap: {code}"),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! * `(assert_return (invoke …) const*)` — call and compare results
 //!   bit-exactly, with `nan:canonical` / `nan:arithmetic` patterns;
 //! * `(assert_trap (invoke …) "message")` — call and match the trap cause
-//!   against the spec-style message via [`engine::TrapReason`];
+//!   against the spec-style message via [`machine::inst::TrapCode`];
 //! * `(assert_invalid (module …) "message")` — the module must fail
 //!   validation with a message containing the given fragment;
 //! * `(assert_malformed (module quote|binary …) "message")` — the text must

@@ -207,7 +207,7 @@ fn out_of_fuel_is_a_structured_trap_reason() {
         let code = engine
             .call_export(&mut instance, "burn", &[])
             .expect_err("must run out of fuel");
-        assert_eq!(TrapReason::from(code), TrapReason::OutOfFuel, "[{}]", config.name);
+        assert_eq!(code, TrapReason::OutOfFuel, "[{}]", config.name);
         assert!(TrapReason::OutOfFuel.matches_wast("all fuel consumed"));
         assert_eq!(instance.fuel_remaining(), Some(0), "[{}]", config.name);
         assert_eq!(instance.fuel_consumed(), Some(1), "[{}]", config.name);

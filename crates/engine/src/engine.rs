@@ -23,7 +23,7 @@ use crate::gc::{scan_roots_via_stackmaps, scan_roots_via_tags, Heap, StackmapFra
 use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
 use crate::pipeline::{self, CompileTier, CompiledArtifact, CompiledModule};
-use crate::trap::{Backtrace, Frame, TrapInfo, TrapReason};
+use crate::trap::{Backtrace, Frame, TrapInfo};
 use interp::interp::{InterpExit, Interpreter};
 use interp::probe::{FrameAccessor, ProbeSink};
 use machine::cost::{CostModel, CycleCounter};
@@ -159,12 +159,12 @@ pub struct RunMetrics {
     pub gc_count: u64,
     /// Value-tag store instructions emitted by the compiler.
     pub tag_stores_emitted: u64,
-    /// Calls that ended in a trap (any [`TrapReason`], including fuel
+    /// Calls that ended in a trap (any [`TrapCode`], including fuel
     /// exhaustion and epoch interruption).
     pub traps: u64,
-    /// Per-reason trap counts, indexed by [`TrapReason::index`]. A fixed
+    /// Per-reason trap counts, indexed by [`TrapCode::index`]. A fixed
     /// array (not a map) keeps [`RunMetrics`] `Copy`.
-    pub trap_counts: [u64; 12],
+    pub trap_counts: [u64; TrapCode::ALL.len()],
 }
 
 impl RunMetrics {
@@ -703,7 +703,7 @@ impl Engine {
                             .as_ref()
                             .and_then(|t| t.backtrace.frames().first());
                         EventKind::Trap {
-                            reason: TrapReason::from(*code).wast_message(),
+                            reason: code.wast_message(),
                             func: top.map_or(0, |f| f.func_index),
                             offset: top.map_or(0, |f| f.offset),
                             depth: instance
@@ -859,7 +859,12 @@ impl Engine {
         // Arguments (when provided by the host; Wasm callers already wrote
         // them into place), then default-initialized declared locals.
         if let Some(args) = init_locals_from_args {
-            if args.len() != num_params {
+            // Compiled code addresses its parameters by their static types
+            // and the collector scans them by tag: arguments of other types
+            // than the callee declares are a host error, like `call_host`'s
+            // results.
+            let params = prepared.local_types.iter().take(num_params).copied();
+            if !args.iter().map(WasmValue::value_type).eq(params) {
                 return Err(TrapCode::HostError);
             }
             for (i, arg) in args.iter().enumerate() {
@@ -956,9 +961,8 @@ impl Engine {
         code: TrapCode,
         trap_offset: Option<u32>,
     ) {
-        let reason = TrapReason::from(code);
         instance.metrics.traps += 1;
-        instance.metrics.trap_counts[reason.index()] += 1;
+        instance.metrics.trap_counts[code.index()] += 1;
         let names = instance.module().name_section();
         let mut frames = Vec::with_capacity(stack.len());
         for (depth, act) in stack.iter().rev().enumerate() {
@@ -976,11 +980,11 @@ impl Engine {
         }
         if self.telemetry.is_enabled() {
             if let Some(metrics) = self.telemetry.metrics() {
-                metrics.counter(&format!("engine.traps.{}", reason.slug())).inc();
+                metrics.counter(&format!("engine.traps.{}", code.slug())).inc();
             }
         }
         instance.last_trap = Some(TrapInfo {
-            reason,
+            reason: code,
             backtrace: Backtrace::from_frames(frames),
         });
     }

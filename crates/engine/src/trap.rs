@@ -1,12 +1,9 @@
-//! Structured trap reasons, symbolicated backtraces, and trap diagnostics.
+//! Symbolicated backtraces and trap diagnostics.
 //!
-//! The execution tiers report traps as [`TrapCode`]s — a tier-internal enum
-//! shared by the interpreter and the CPU simulator so cross-tier differential
-//! tests can compare exactly. [`TrapReason`] is the *engine-surface*
-//! classification of those codes: each reason carries the canonical message
-//! the upstream specification test suite uses in `assert_trap`, so the
-//! conformance runner (and any embedder) can match on the cause of a trap
-//! structurally instead of scraping `Display` strings.
+//! The execution tiers report traps as [`TrapCode`]s — one enum shared by the
+//! interpreter and the CPU simulator so cross-tier differential tests can
+//! compare exactly, carrying the spec test suite's `assert_trap` message for
+//! each cause. The engine surface calls it [`TrapReason`].
 //!
 //! A trap also carries *where*: the engine walks the live activation stack at
 //! trap time and builds a [`Backtrace`] of [`Frame`]s — function index, name
@@ -22,145 +19,8 @@
 use machine::inst::TrapCode;
 use std::fmt;
 
-/// Why execution trapped, in the vocabulary of the Wasm specification's
-/// assertion scripts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrapReason {
-    /// The `unreachable` instruction executed.
-    Unreachable,
-    /// A linear-memory access was out of bounds.
-    OutOfBoundsMemory,
-    /// Integer division or remainder by zero.
-    DivisionByZero,
-    /// Signed division overflow or a float-to-int conversion out of range.
-    IntegerOverflow,
-    /// A float-to-int conversion of NaN.
-    InvalidConversion,
-    /// A `call_indirect` index outside the table.
-    OutOfBoundsTable,
-    /// A `call_indirect` through a null table entry.
-    UninitializedElement,
-    /// A `call_indirect` whose callee signature mismatched.
-    IndirectCallMismatch,
-    /// The call stack was exhausted.
-    StackExhaustion,
-    /// A host function or embedder API reported an error.
-    Host,
-    /// Execution ran out of fuel (deterministic metering).
-    OutOfFuel,
-    /// Execution was interrupted by an epoch deadline (preemption).
-    Interrupted,
-}
-
-impl TrapReason {
-    /// Every reason, in a stable order.
-    pub const ALL: [TrapReason; 12] = [
-        TrapReason::Unreachable,
-        TrapReason::OutOfBoundsMemory,
-        TrapReason::DivisionByZero,
-        TrapReason::IntegerOverflow,
-        TrapReason::InvalidConversion,
-        TrapReason::OutOfBoundsTable,
-        TrapReason::UninitializedElement,
-        TrapReason::IndirectCallMismatch,
-        TrapReason::StackExhaustion,
-        TrapReason::Host,
-        TrapReason::OutOfFuel,
-        TrapReason::Interrupted,
-    ];
-
-    /// The canonical message the spec test suite's `assert_trap` uses for
-    /// this reason.
-    pub fn wast_message(self) -> &'static str {
-        match self {
-            TrapReason::Unreachable => "unreachable",
-            TrapReason::OutOfBoundsMemory => "out of bounds memory access",
-            TrapReason::DivisionByZero => "integer divide by zero",
-            TrapReason::IntegerOverflow => "integer overflow",
-            TrapReason::InvalidConversion => "invalid conversion to integer",
-            TrapReason::OutOfBoundsTable => "undefined element",
-            TrapReason::UninitializedElement => "uninitialized element",
-            TrapReason::IndirectCallMismatch => "indirect call type mismatch",
-            TrapReason::StackExhaustion => "call stack exhausted",
-            TrapReason::Host => "host error",
-            TrapReason::OutOfFuel => "all fuel consumed",
-            TrapReason::Interrupted => "interrupt",
-        }
-    }
-
-    /// True if `expected` (an `assert_trap` message) names this reason.
-    ///
-    /// Spec scripts sometimes abbreviate or extend the canonical message
-    /// ("integer divide by zero" vs "divide by zero"), so matching accepts
-    /// either string being a prefix of the other.
-    pub fn matches_wast(self, expected: &str) -> bool {
-        let canonical = self.wast_message();
-        canonical.starts_with(expected) || expected.starts_with(canonical)
-    }
-
-    /// This reason's position in [`TrapReason::ALL`] — the index the
-    /// per-reason counters in `RunMetrics` use.
-    pub fn index(self) -> usize {
-        match self {
-            TrapReason::Unreachable => 0,
-            TrapReason::OutOfBoundsMemory => 1,
-            TrapReason::DivisionByZero => 2,
-            TrapReason::IntegerOverflow => 3,
-            TrapReason::InvalidConversion => 4,
-            TrapReason::OutOfBoundsTable => 5,
-            TrapReason::UninitializedElement => 6,
-            TrapReason::IndirectCallMismatch => 7,
-            TrapReason::StackExhaustion => 8,
-            TrapReason::Host => 9,
-            TrapReason::OutOfFuel => 10,
-            TrapReason::Interrupted => 11,
-        }
-    }
-
-    /// A short identifier-safe label, used to name per-reason metrics
-    /// counters (`engine.traps.<slug>`) and JSON report keys.
-    pub fn slug(self) -> &'static str {
-        match self {
-            TrapReason::Unreachable => "unreachable",
-            TrapReason::OutOfBoundsMemory => "memory_out_of_bounds",
-            TrapReason::DivisionByZero => "division_by_zero",
-            TrapReason::IntegerOverflow => "integer_overflow",
-            TrapReason::InvalidConversion => "invalid_conversion",
-            TrapReason::OutOfBoundsTable => "table_out_of_bounds",
-            TrapReason::UninitializedElement => "uninitialized_element",
-            TrapReason::IndirectCallMismatch => "indirect_call_mismatch",
-            TrapReason::StackExhaustion => "stack_exhaustion",
-            TrapReason::Host => "host_error",
-            TrapReason::OutOfFuel => "out_of_fuel",
-            TrapReason::Interrupted => "interrupted",
-        }
-    }
-}
-
-impl From<TrapCode> for TrapReason {
-    fn from(code: TrapCode) -> TrapReason {
-        match code {
-            TrapCode::Unreachable => TrapReason::Unreachable,
-            TrapCode::MemoryOutOfBounds => TrapReason::OutOfBoundsMemory,
-            TrapCode::DivisionByZero => TrapReason::DivisionByZero,
-            TrapCode::IntegerOverflow => TrapReason::IntegerOverflow,
-            TrapCode::InvalidConversionToInteger => TrapReason::InvalidConversion,
-            TrapCode::TableOutOfBounds => TrapReason::OutOfBoundsTable,
-            TrapCode::NullTableEntry => TrapReason::UninitializedElement,
-            TrapCode::IndirectCallTypeMismatch => TrapReason::IndirectCallMismatch,
-            TrapCode::StackOverflow => TrapReason::StackExhaustion,
-            TrapCode::HostError => TrapReason::Host,
-            TrapCode::OutOfFuel => TrapReason::OutOfFuel,
-            TrapCode::Interrupted => TrapReason::Interrupted,
-        }
-    }
-}
-
-impl fmt::Display for TrapReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.wast_message())
-    }
-}
+/// Why execution trapped: the engine-surface name of [`TrapCode`].
+pub use machine::inst::TrapCode as TrapReason;
 
 /// The execution tier a backtrace frame was captured in: telemetry's
 /// [`Tier`](telemetry::Tier), the one three-variant tier label the engine
@@ -317,7 +177,7 @@ impl fmt::Display for Backtrace {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrapInfo {
     /// Why execution trapped.
-    pub reason: TrapReason,
+    pub reason: TrapCode,
     /// Where it trapped, innermost frame first.
     pub backtrace: Backtrace,
 }
@@ -332,51 +192,6 @@ impl fmt::Display for TrapInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_trap_code_maps_to_a_reason() {
-        let codes = [
-            TrapCode::Unreachable,
-            TrapCode::MemoryOutOfBounds,
-            TrapCode::DivisionByZero,
-            TrapCode::IntegerOverflow,
-            TrapCode::InvalidConversionToInteger,
-            TrapCode::TableOutOfBounds,
-            TrapCode::NullTableEntry,
-            TrapCode::IndirectCallTypeMismatch,
-            TrapCode::StackOverflow,
-            TrapCode::HostError,
-            TrapCode::OutOfFuel,
-            TrapCode::Interrupted,
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for code in codes {
-            seen.insert(TrapReason::from(code));
-        }
-        assert_eq!(seen.len(), TrapReason::ALL.len(), "the mapping is a bijection");
-    }
-
-    #[test]
-    fn wast_messages_are_unique_and_match() {
-        let mut seen = std::collections::HashSet::new();
-        for reason in TrapReason::ALL {
-            assert!(seen.insert(reason.wast_message()));
-            assert!(reason.matches_wast(reason.wast_message()));
-        }
-        assert!(TrapReason::DivisionByZero.matches_wast("integer divide by zero"));
-        assert!(TrapReason::DivisionByZero.matches_wast("integer divide"));
-        assert!(!TrapReason::DivisionByZero.matches_wast("integer overflow"));
-        assert!(!TrapReason::Unreachable.matches_wast("out of bounds memory access"));
-    }
-
-    #[test]
-    fn indices_and_slugs_are_stable_and_unique() {
-        let mut slugs = std::collections::HashSet::new();
-        for (i, reason) in TrapReason::ALL.iter().enumerate() {
-            assert_eq!(reason.index(), i);
-            assert!(slugs.insert(reason.slug()));
-        }
-    }
 
     fn frame(func_index: u32, name: Option<&str>, offset: u32, tier: FrameTierTag) -> Frame {
         Frame {
@@ -439,7 +254,7 @@ mod tests {
     #[test]
     fn trap_info_renders_reason_and_frames() {
         let info = TrapInfo {
-            reason: TrapReason::DivisionByZero,
+            reason: TrapCode::DivisionByZero,
             backtrace: Backtrace::from_frames(vec![
                 frame(2, Some("div"), 9, FrameTierTag::Opt),
                 frame(1, Some("main"), 4, FrameTierTag::Interp),

@@ -268,8 +268,12 @@ impl ConvOp {
 }
 
 /// Reasons execution can trap. Identical codes are produced by the
-/// interpreter and by JIT-compiled code so tests can compare tiers exactly.
+/// interpreter and by JIT-compiled code so tests can compare tiers exactly,
+/// and each carries the canonical message the upstream specification test
+/// suite uses in `assert_trap`, so the conformance runner (and any embedder)
+/// can match on the cause of a trap structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum TrapCode {
     /// The `unreachable` instruction was executed.
     Unreachable,
@@ -289,7 +293,7 @@ pub enum TrapCode {
     IndirectCallTypeMismatch,
     /// The value stack or call stack overflowed.
     StackOverflow,
-    /// A host function reported an error.
+    /// A host function or embedder API reported an error.
     HostError,
     /// The instance's fuel budget was exhausted by a metered instruction.
     OutOfFuel,
@@ -297,25 +301,83 @@ pub enum TrapCode {
     Interrupted,
 }
 
-impl std::error::Error for TrapCode {}
+impl TrapCode {
+    /// Every code, in declaration order.
+    pub const ALL: [TrapCode; 12] = [
+        TrapCode::Unreachable,
+        TrapCode::MemoryOutOfBounds,
+        TrapCode::DivisionByZero,
+        TrapCode::IntegerOverflow,
+        TrapCode::InvalidConversionToInteger,
+        TrapCode::TableOutOfBounds,
+        TrapCode::NullTableEntry,
+        TrapCode::IndirectCallTypeMismatch,
+        TrapCode::StackOverflow,
+        TrapCode::HostError,
+        TrapCode::OutOfFuel,
+        TrapCode::Interrupted,
+    ];
 
-impl fmt::Display for TrapCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TrapCode::Unreachable => "unreachable executed",
+    /// This code's position in [`TrapCode::ALL`] — the index of per-reason
+    /// counters.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The canonical message the spec test suite's `assert_trap` uses for
+    /// this code; also its `Display`.
+    pub fn wast_message(self) -> &'static str {
+        match self {
+            TrapCode::Unreachable => "unreachable",
             TrapCode::MemoryOutOfBounds => "out of bounds memory access",
             TrapCode::DivisionByZero => "integer divide by zero",
             TrapCode::IntegerOverflow => "integer overflow",
             TrapCode::InvalidConversionToInteger => "invalid conversion to integer",
-            TrapCode::TableOutOfBounds => "out of bounds table access",
-            TrapCode::NullTableEntry => "uninitialized table element",
+            TrapCode::TableOutOfBounds => "undefined element",
+            TrapCode::NullTableEntry => "uninitialized element",
             TrapCode::IndirectCallTypeMismatch => "indirect call type mismatch",
-            TrapCode::StackOverflow => "stack overflow",
+            TrapCode::StackOverflow => "call stack exhausted",
             TrapCode::HostError => "host error",
             TrapCode::OutOfFuel => "all fuel consumed",
             TrapCode::Interrupted => "interrupt",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// True if `expected` (an `assert_trap` message) names this code.
+    ///
+    /// Spec scripts sometimes abbreviate or extend the canonical message
+    /// ("integer divide by zero" vs "divide by zero"), so matching accepts
+    /// either string being a prefix of the other.
+    pub fn matches_wast(self, expected: &str) -> bool {
+        let canonical = self.wast_message();
+        canonical.starts_with(expected) || expected.starts_with(canonical)
+    }
+
+    /// A short identifier-safe label, used to name per-reason metrics
+    /// counters (`engine.traps.<slug>`).
+    pub fn slug(self) -> &'static str {
+        match self {
+            TrapCode::Unreachable => "unreachable",
+            TrapCode::MemoryOutOfBounds => "memory_out_of_bounds",
+            TrapCode::DivisionByZero => "division_by_zero",
+            TrapCode::IntegerOverflow => "integer_overflow",
+            TrapCode::InvalidConversionToInteger => "invalid_conversion",
+            TrapCode::TableOutOfBounds => "table_out_of_bounds",
+            TrapCode::NullTableEntry => "uninitialized_element",
+            TrapCode::IndirectCallTypeMismatch => "indirect_call_mismatch",
+            TrapCode::StackOverflow => "stack_exhaustion",
+            TrapCode::HostError => "host_error",
+            TrapCode::OutOfFuel => "out_of_fuel",
+            TrapCode::Interrupted => "interrupted",
+        }
+    }
+}
+
+impl std::error::Error for TrapCode {}
+
+impl fmt::Display for TrapCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.wast_message())
     }
 }
 
@@ -825,6 +887,28 @@ impl fmt::Display for MachInst {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wast_messages_are_unique_and_match() {
+        let mut seen = std::collections::HashSet::new();
+        for code in TrapCode::ALL {
+            assert!(seen.insert(code.wast_message()));
+            assert!(code.matches_wast(code.wast_message()));
+        }
+        assert!(TrapCode::DivisionByZero.matches_wast("integer divide by zero"));
+        assert!(TrapCode::DivisionByZero.matches_wast("integer divide"));
+        assert!(!TrapCode::DivisionByZero.matches_wast("integer overflow"));
+        assert!(!TrapCode::Unreachable.matches_wast("out of bounds memory access"));
+    }
+
+    #[test]
+    fn indices_and_slugs_are_stable_and_unique() {
+        let mut slugs = std::collections::HashSet::new();
+        for (i, code) in TrapCode::ALL.iter().enumerate() {
+            assert_eq!(code.index(), i);
+            assert!(slugs.insert(code.slug()));
+        }
+    }
 
     #[test]
     fn only_truncations_can_trap() {

@@ -423,7 +423,7 @@ impl Server {
             worker,
             status: match outcome {
                 Ok(values) => RequestStatus::Ok(values),
-                Err(code) => RequestStatus::Trapped(TrapReason::from(code)),
+                Err(code) => RequestStatus::Trapped(code),
             },
             warm: instance.was_warm(),
             instantiate_wall,

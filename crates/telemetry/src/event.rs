@@ -98,7 +98,7 @@ pub enum EventKind {
     /// timeline pinpoints the fault without a side channel to the full
     /// diagnostics (which live on the instance); payloads stay `Copy`.
     Trap {
-        /// The spec-style trap message (`TrapReason::wast_message`).
+        /// The spec-style trap message (`TrapCode::wast_message`).
         reason: &'static str,
         /// Function index of the innermost (faulting) frame.
         func: u32,

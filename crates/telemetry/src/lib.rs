@@ -28,8 +28,8 @@
 //! and the engine additionally gates its event construction on
 //! [`Telemetry::is_enabled`]. Nothing in this crate ever charges simulated
 //! cycles — enabling telemetry must not perturb the deterministic
-//! `exec_cycles` measurements the paper's figures are built on (the fig16
-//! gate enforces both properties).
+//! `exec_cycles` measurements the paper's figures are built on
+//! (`tests/telemetry.rs` asserts exactly that, in all three tiers).
 //!
 //! # Example
 //!

@@ -81,10 +81,6 @@ pub struct FuncInfo {
     pub num_params: u32,
     /// Length of the body code in bytes.
     pub body_len: u32,
-    /// Number of call sites (direct + indirect) in the body.
-    pub call_sites: u32,
-    /// Number of structured control constructs in the body.
-    pub control_constructs: u32,
     /// Where every `br`, `br_if`, `br_table`, `if` and `else` of the body
     /// goes and how it adjusts the operand stack.
     pub sidetable: Arc<Sidetable>,
@@ -138,8 +134,6 @@ pub fn validate_func(module: &Module, func_index: u32) -> Result<FuncInfo, Valid
         ctrls: Vec::new(),
         max_stack: 0,
         pc: 0,
-        call_sites: 0,
-        control_constructs: 0,
         table: Sidetable::default(),
         plan: PlanBuilder::default(),
     };
@@ -337,8 +331,6 @@ struct FuncValidator<'m> {
     max_stack: usize,
     /// Offset of the instruction being validated.
     pc: usize,
-    call_sites: u32,
-    control_constructs: u32,
     table: Sidetable,
     plan: PlanBuilder,
 }
@@ -511,8 +503,6 @@ impl FuncValidator<'_> {
             num_locals: self.locals.len() as u32,
             num_params: self.num_params,
             body_len: code.len() as u32,
-            call_sites: self.call_sites,
-            control_constructs: self.control_constructs,
             sidetable: Arc::new(self.table),
             fuel: Arc::new(self.plan.finish(code.len() as u32)),
         })
@@ -529,7 +519,6 @@ impl FuncValidator<'_> {
             Nop => {}
             Unreachable => self.mark_unreachable()?,
             Block | Loop | If => {
-                self.control_constructs += 1;
                 let bt = reader
                     .read_block_type()
                     .map_err(|e| self.error(e.to_string()))?;
@@ -624,7 +613,6 @@ impl FuncValidator<'_> {
                 self.mark_unreachable()?;
             }
             Call => {
-                self.call_sites += 1;
                 let func_index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
                 let sig = self
                     .module
@@ -635,7 +623,6 @@ impl FuncValidator<'_> {
                 self.push_all(&sig.results);
             }
             CallIndirect => {
-                self.call_sites += 1;
                 let (type_index, table_index) = reader
                     .read_call_indirect()
                     .map_err(|e| self.error(e.to_string()))?;
@@ -917,7 +904,6 @@ mod tests {
             c,
         );
         let info = validate(&m).expect("valid");
-        assert_eq!(info.funcs[0].control_constructs, 2);
         assert!(info.funcs[0].max_stack >= 2);
     }
 
@@ -968,17 +954,6 @@ mod tests {
         b.add_func(FuncType::new(vec![], vec![]), vec![], c.finish());
         let err = validate(&b.finish()).unwrap_err();
         assert!(err.message.contains("expected i64"), "{}", err.message);
-    }
-
-    #[test]
-    fn call_counts_are_recorded() {
-        let mut b = ModuleBuilder::new();
-        let f0 = b.add_func(FuncType::new(vec![], vec![]), vec![], CodeBuilder::new().finish());
-        let mut c = CodeBuilder::new();
-        c.call(f0).call(f0);
-        b.add_func(FuncType::new(vec![], vec![]), vec![], c.finish());
-        let info = validate(&b.finish()).unwrap();
-        assert_eq!(info.funcs[1].call_sites, 2);
     }
 
     #[test]

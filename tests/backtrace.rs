@@ -109,9 +109,9 @@ const DISPATCH: &str = r#"
 
 /// The three ways `route`'s `call_indirect` fails, by table index.
 const DISPATCH_CASES: [(i32, TrapReason); 3] = [
-    (1, TrapReason::IndirectCallMismatch), // slot 1 holds the nullary fn
-    (7, TrapReason::UninitializedElement), // in-bounds, never initialized
-    (10, TrapReason::OutOfBoundsTable),    // one past the table
+    (1, TrapReason::IndirectCallTypeMismatch), // slot 1 holds the nullary fn
+    (7, TrapReason::NullTableEntry), // in-bounds, never initialized
+    (10, TrapReason::TableOutOfBounds),    // one past the table
 ];
 
 fn dispatch_args(which: i32) -> [WasmValue; 3] {
@@ -274,7 +274,7 @@ fn stack_exhaustion_truncates_to_a_fixed_head_and_tail() {
     let reference = assert_identical_diagnostics(&module, "spin", &[WasmValue::I32(0)], deep_limits());
 
     // 100 live frames, fixed 16-frame head + 16-frame tail, 68 omitted.
-    assert_eq!(reference.reason, TrapReason::StackExhaustion);
+    assert_eq!(reference.reason, TrapReason::StackOverflow);
     assert_eq!(reference.backtrace.frames().len(), 32);
     assert_eq!(reference.backtrace.truncated(), 68);
     assert_eq!(reference.backtrace.depth(), 100);

@@ -399,6 +399,48 @@ fn a_host_function_returning_the_wrong_type_traps_host_error() {
     }
 }
 
+/// The same check at the other side of the boundary: arguments a host passes
+/// to `Engine::call` are checked against the callee's parameter types, not
+/// just counted. An `i32` written to an `i64` slot would read back with stale
+/// upper bits, and an `i32` in an `externref` slot is a forged host handle.
+/// Every tier refuses both with `HostError`, and the instance still serves a
+/// well-typed call afterwards.
+#[test]
+fn mistyped_call_arguments_trap_host_error() {
+    let src = r#"
+        (module
+          (func (export "inc") (param i64) (result i64)
+            local.get 0 i64.const 1 i64.add)
+          (func (export "null") (param externref) (result i32)
+            local.get 0 ref.is_null))
+    "#;
+    let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
+    for config in common::all_tier_backend_configs() {
+        let name = config.name.clone();
+        let engine = Engine::new(config);
+        let mut instance = engine
+            .instantiate(&module, Imports::new(), Instrumentation::none())
+            .unwrap_or_else(|e| panic!("[{name}] {e}"));
+        // The matrix tiers up after one and two calls.
+        for call in 0..4 {
+            for (export, arg) in [("inc", WasmValue::I32(-1)), ("null", WasmValue::I32(7))] {
+                let got = engine.call_export(&mut instance, export, &[arg]);
+                assert_eq!(got, Err(TrapCode::HostError), "[{name}] {export}, call {call}");
+            }
+            assert_eq!(
+                engine.call_export(&mut instance, "inc", &[WasmValue::I64(-1)]),
+                Ok(vec![WasmValue::I64(0)]),
+                "[{name}] call {call}"
+            );
+            assert_eq!(
+                engine.call_export(&mut instance, "null", &[WasmValue::ExternRef(None)]),
+                Ok(vec![WasmValue::I32(1)]),
+                "[{name}] call {call}"
+            );
+        }
+    }
+}
+
 /// Per-function counters are numbered by *defined* index, so an imported
 /// function shifts them against the function-space index a firing reports.
 /// The interpreter and `ProbeMode::Runtime` code fire through the frame

@@ -115,7 +115,9 @@ fn runaway_requests_are_interrupted_within_the_granularity_bound() {
 /// Deadlines are per-request isolation, not collective punishment: in a
 /// mixed batch the runaway request is interrupted while well-behaved
 /// requests (with and without deadlines) complete normally — and the
-/// interrupted request's recycled instance serves later requests fine.
+/// interrupted request's recycled instance serves later requests fine. So
+/// does the instance of a request whose arguments have the wrong types: it
+/// traps `HostError` at the call boundary and is checked back in.
 #[test]
 fn mixed_batches_only_interrupt_the_runaway() {
     let mut server = Server::new(
@@ -128,6 +130,12 @@ fn mixed_batches_only_interrupt_the_runaway() {
     );
     let spin = server.register_app("spin", "main", spin_module()).unwrap();
     let quick = server.register_app("quick", "main", quick_module()).unwrap();
+    let inc = wasm::wat::parse_module(
+        r#"(module (func (export "main") (param i64) (result i64)
+             local.get 0 i64.const 1 i64.add))"#,
+    )
+    .expect("inc module parses");
+    let inc = server.register_app("inc", "main", inc).unwrap();
     let requests = vec![
         Request::to_app(quick).with_deadline(Duration::from_secs(60)),
         Request::to_app(spin).with_deadline(Duration::from_millis(15)),
@@ -136,10 +144,15 @@ fn mixed_batches_only_interrupt_the_runaway() {
         // app pool), proving an interrupt does not poison the pool.
         Request::to_app(spin).with_deadline(Duration::from_millis(15)),
         Request::to_app(quick).with_deadline(Duration::from_secs(60)),
+        // An `i32` for an `i64` parameter. Requests 5 and 7 are dealt to the
+        // same worker, so 7 runs after 5 has checked its instance back in.
+        Request::to_app(inc).with_args(vec![WasmValue::I32(-1)]),
+        Request::to_app(quick),
+        Request::to_app(inc).with_args(vec![WasmValue::I64(41)]),
     ];
     let results = server.run(requests);
-    assert_eq!(results.len(), 5);
-    for (i, expect_ok) in [(0usize, true), (1, false), (2, true), (3, false), (4, true)] {
+    assert_eq!(results.len(), 8);
+    for (i, expect_ok) in [(0usize, true), (1, false), (2, true), (3, false), (4, true), (6, true)] {
         let r = &results[i];
         if expect_ok {
             assert_eq!(
@@ -159,6 +172,13 @@ fn mixed_batches_only_interrupt_the_runaway() {
             assert!(r.deadline_overshoot_epochs.is_some(), "request {i}");
         }
     }
+    assert_eq!(
+        results[5].status,
+        RequestStatus::Trapped(engine::TrapReason::HostError),
+        "mistyped arguments never reach the callee's frame"
+    );
+    assert_eq!(results[7].status, RequestStatus::Ok(vec![WasmValue::I64(42)]));
+    assert!(results[7].warm, "the refused request's instance went back to the pool");
     assert_eq!(server.timeouts().expired_count(), 2);
     assert_eq!(server.timeouts().in_time_count(), 2, "undeadlined requests are untracked");
 }
@@ -317,6 +337,12 @@ fn the_flight_recorder_captures_structured_access_log_lines() {
         .map(|(_, h)| h.clone())
         .expect("serve.deadline_overshoot histogram recorded");
     assert_eq!(overshoot.count, 1);
+    // ... and the engine counted each of the three failures under its reason.
+    for reason in ["division_by_zero", "out_of_fuel", "interrupted"] {
+        let name = format!("engine.traps.{reason}");
+        let count = snapshot.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        assert_eq!(count, Some(1), "{name}");
+    }
 
     // Every line parses as JSON in the access-log schema. One more batch
     // pushes an `ok` and a `rejected` line through the ring, so the two

@@ -320,12 +320,14 @@ fn serving_batch_traces_the_request_lifecycle() {
 
     let rings = telemetry.drain();
     let mut compile_ends = 0;
+    let mut cache_lookups = 0;
     let mut checkouts = 0;
     let (mut enqueued, mut started, mut finished, mut finished_ok) = (0, 0, 0, 0);
     for (_, events, _) in &rings {
         for event in events {
             match event.kind {
                 EventKind::CompileEnd { .. } => compile_ends += 1,
+                EventKind::CacheLookup { .. } => cache_lookups += 1,
                 EventKind::PoolCheckout { .. } => checkouts += 1,
                 EventKind::ServeEnqueue { .. } => enqueued += 1,
                 EventKind::ServeStart { .. } => started += 1,
@@ -357,6 +359,11 @@ fn serving_batch_traces_the_request_lifecycle() {
     assert_eq!(
         counter("pool.warm_checkouts") + counter("pool.cold_checkouts"),
         8
+    );
+    assert_eq!(
+        cache_lookups,
+        2 + counter("pool.cold_checkouts"),
+        "one cache lookup per instantiation: each app's registration and each cold checkout"
     );
     let request_us = metrics
         .histograms

@@ -5,14 +5,17 @@
 #   PAIRS=10 WINDOW=16 SEED=7 tools/perf_pairs.sh HEAD~1 exec-jit serve-warm
 #
 # Exports <git-ref> into a scratch directory (under $TMPDIR, default /tmp),
-# builds `benchmark/`'s perfbench from it and from the working tree — both
-# into that scratch directory, nothing is written into the repository — and
+# builds `benchmark/`'s perfbench from it and from the working tree — each
+# from inside its own tree, so each side gets its own tree's `.cargo/config.toml`
+# (cargo reads it from the invoking directory upward), and both into that
+# scratch directory, nothing is written into the repository — and
 # runs each workload PAIRS (default 5) times on each binary, alternating
 # which side goes first, at one seed and window length. Prints every run,
 # both medians of `ops_per_s`, how many pairs the working tree won, whether
 # `sim_cycles` is identical, and where the linker put the two execution loops
-# in each binary (address mod 64 of `Cpu::run` and `Interpreter::run`, which
-# alone moves `exec-jit` / `exec-interp` by ~10 %: see the verify skill).
+# in each binary (address mod 128 of `Cpu::run` and `Interpreter::run`: 0 on a
+# side whose tree pins placement, anything on one that does not, which alone
+# moves `exec-jit` / `exec-interp` by ~10 %: see the verify skill).
 # The host is noisy: read ratios between the two columns of one sitting,
 # never an absolute number across days. The scratch directory is removed on
 # exit.
@@ -40,8 +43,8 @@ git -C "$top" archive "$commit" | tar -x -C "$work/ref"
 
 declare -A bin
 build() { # side, source root
-    cargo build --release --offline --quiet \
-        --manifest-path "$2/benchmark/Cargo.toml" --target-dir "$work/target-$1"
+    (cd "$2" && cargo build --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml --target-dir "$work/target-$1")
     bin[$1]=$work/target-$1/release/perfbench
 }
 echo "building perfbench: ref = $ref (${commit:0:7}), here = working tree of $top"
@@ -49,12 +52,12 @@ build ref "$work/ref"
 build here "$top"
 
 echo
-echo "execution-loop placement (start address mod 64):"
+echo "execution-loop placement (start address mod 128):"
 for side in ref here; do
     nm -C --defined-only "${bin[$side]}" |
         sed -nE 's/^([0-9a-f]+) [tT] (.*(::Cpu|::Interpreter)::run)(::h[0-9a-f]+)?$/\1 \2/p' |
         while read -r addr name; do
-            printf '  %-5s %-32s 0x%s  mod 64 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 64))
+            printf '  %-5s %-32s 0x%s  mod 128 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 128))
         done
 done
 
