@@ -25,3 +25,7 @@
 (assert_invalid
   (module (func (result i32) i32.const 1 if (result i32) i32.const 2 end))
   "else")
+;; A segment offset is a constant expression of type i32.
+(assert_invalid
+  (module (memory 1) (data (i64.const 0) "x"))
+  "type mismatch")

@@ -39,3 +39,13 @@
 (assert_malformed
   (module binary "\00asm\01\00\00\00" "\01\7f\01")
   "unexpected end")
+;; memory.size / memory.grow: the reserved byte after the opcode must be 0x00.
+;; Bodies are decoded where they are walked, so this surfaces at validation.
+(assert_invalid
+  (module binary "\00asm\01\00\00\00" "\01\04\01\60\00\00" "\03\02\01\00" "\05\03\01\00\01"
+    "\0a\07\01\05\00\3f\01\1a\0b")
+  "zero byte expected")
+(assert_invalid
+  (module binary "\00asm\01\00\00\00" "\01\04\01\60\00\00" "\03\02\01\00" "\05\03\01\00\01"
+    "\0a\09\01\07\00\41\00\40\01\1a\0b")
+  "zero byte expected")

@@ -24,13 +24,8 @@ use wasm::Module;
 pub fn opcode_census(module: &Module) -> BTreeMap<u8, u32> {
     let mut census = BTreeMap::new();
     for func in &module.funcs {
-        let mut r = BytecodeReader::new(&func.code);
-        while !r.is_at_end() {
-            let Ok(op) = r.read_opcode() else { break };
-            *census.entry(op.to_byte()).or_insert(0) += 1;
-            if r.skip_immediates(op).is_err() {
-                break;
-            }
+        for instr in BytecodeReader::new(&func.code).map_while(Result::ok) {
+            *census.entry(instr.op.to_byte()).or_insert(0) += 1;
         }
     }
     census

@@ -135,18 +135,11 @@ fn corpus_catches_a_deliberately_broken_build() {
             // corrupt immediates. div_s has no immediates and the corpus
             // modules keep constants small, so rewriting opcode positions
             // found by a proper bytecode walk is the honest approach.
-            let mut positions = Vec::new();
-            let mut r = wasm::reader::BytecodeReader::new(&func.code);
-            while !r.is_at_end() {
-                let at = r.pc();
-                let Ok(op) = r.read_opcode() else { break };
-                if r.skip_immediates(op).is_err() {
-                    break;
-                }
-                if op == Opcode::I32DivS {
-                    positions.push(at);
-                }
-            }
+            let positions: Vec<usize> = wasm::reader::BytecodeReader::new(&func.code)
+                .map_while(Result::ok)
+                .filter(|instr| instr.op == Opcode::I32DivS)
+                .map(|instr| instr.offset)
+                .collect();
             for at in positions {
                 func.code[at] = Opcode::I32DivU.to_byte();
             }

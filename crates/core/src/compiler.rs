@@ -42,7 +42,7 @@ use machine::values::{ValueTag, NULL_REF_BITS};
 use wasm::fuel::FuelPlan;
 use wasm::module::Module;
 use wasm::opcode::{OpSignature, Opcode};
-use wasm::reader::BytecodeReader;
+use wasm::reader::{BytecodeReader, Imm, Instr};
 use wasm::types::{BlockType, ValueType};
 use wasm::validate::FuncInfo;
 use std::collections::HashMap;
@@ -235,17 +235,12 @@ impl SinglePassCompiler {
             for _ in 0..2 {
                 let mut lowered = Vec::with_capacity(decl.code.len());
                 let mut r = BytecodeReader::new(&decl.code);
-                while !r.is_at_end() {
+                loop {
                     let pc = r.pc();
-                    let op = r.read_opcode().map_err(|e| CompileError {
-                        offset: pc,
-                        message: e.to_string(),
-                    })?;
-                    r.skip_immediates(op).map_err(|e| CompileError {
-                        offset: pc,
-                        message: e.to_string(),
-                    })?;
-                    lowered.push((op, pc as u32));
+                    let Some(instr) = r.next() else { break };
+                    let instr =
+                        instr.map_err(|e| CompileError { offset: pc, message: e.to_string() })?;
+                    lowered.push((instr.op, pc as u32));
                 }
                 std::hint::black_box(&lowered);
             }
@@ -366,13 +361,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
 
         let mut reader = BytecodeReader::new(code);
         while !self.ctrl.is_empty() {
-            if reader.is_at_end() {
-                return Err(self.error(code.len(), "body ended with open control constructs"));
-            }
             let offset = reader.pc();
-            let op = reader
-                .read_opcode()
-                .map_err(|e| self.error(offset, e.to_string()))?;
+            let instr = match reader.next() {
+                Some(instr) => instr.map_err(|e| self.error(offset, e.to_string()))?,
+                None => return Err(self.error(offset, "body ended with open control constructs")),
+            };
             if self.options.debug_metadata {
                 self.asm.mark_source(offset as u32);
             }
@@ -405,7 +398,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.emit_probe(*site, offset as u32);
                 }
             }
-            self.compile_instruction(op, offset, &mut reader)?;
+            self.compile_instruction(instr)?;
         }
         if !reader.is_at_end() {
             return Err(self.error(reader.pc(), "trailing bytes after final end"));
@@ -746,32 +739,22 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
 
     // ---- Instruction compilation --------------------------------------------
 
-    fn compile_instruction(
-        &mut self,
-        op: Opcode,
-        offset: usize,
-        reader: &mut BytecodeReader<'_>,
-    ) -> Result<(), CompileError> {
+    fn compile_instruction(&mut self, instr: Instr<'_>) -> Result<(), CompileError> {
+        let Instr { offset, op, imm, .. } = instr;
         // In unreachable code only track control nesting.
         if self.unreachable_now()
             && !matches!(op, Opcode::Block | Opcode::Loop | Opcode::If | Opcode::Else | Opcode::End)
         {
-            reader
-                .skip_immediates(op)
-                .map_err(|e| self.error(offset, e.to_string()))?;
             return Ok(());
         }
 
-        match op {
-            Opcode::Nop => {}
-            Opcode::Unreachable => {
+        match (op, imm) {
+            (Opcode::Nop, _) => {}
+            (Opcode::Unreachable, _) => {
                 self.asm.emit(MachInst::Trap { code: TrapCode::Unreachable });
                 self.mark_unreachable();
             }
-            Opcode::Block | Opcode::Loop | Opcode::If => {
-                let bt = reader
-                    .read_block_type()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
                 let (params, results) = self.block_signature(offset, bt)?;
                 let dead = self.unreachable_now();
 
@@ -820,7 +803,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     unreachable: dead,
                 });
             }
-            Opcode::Else => {
+            (Opcode::Else, _) => {
                 let was_reachable = !self.unreachable_now();
                 if was_reachable {
                     self.flush_for_control();
@@ -855,7 +838,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.ctrl.last_mut().expect("else").unreachable = true;
                 }
             }
-            Opcode::End => {
+            (Opcode::End, _) => {
                 let was_reachable = !self.unreachable_now();
                 if was_reachable {
                     self.flush_for_control();
@@ -881,10 +864,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     }
                 }
             }
-            Opcode::Br => {
-                let depth = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Br, Imm::Index(depth)) => {
                 let (label, base, arity) = self
                     .branch_target(depth)
                     .ok_or_else(|| self.error(offset, "bad branch depth"))?;
@@ -892,10 +872,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 self.asm.emit(MachInst::Jump { target: label });
                 self.mark_unreachable();
             }
-            Opcode::BrIf => {
-                let depth = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::BrIf, Imm::Index(depth)) => {
                 let cond = self.state.operand_index(0);
                 let cond_state = *self.state.slot(cond);
                 if self.options.constant_folding {
@@ -929,24 +906,21 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.asm.emit(MachInst::BrIf { cond: rc, target: label, negate: false });
                 }
             }
-            Opcode::BrTable => {
-                let (targets, default) = reader
-                    .read_branch_table()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::BrTable, Imm::Table(table)) => {
                 let index = self.state.operand_index(0);
                 let ri = self.ensure_in_reg(index, &[]);
                 self.state.pop();
                 // Everything must be in memory on every outgoing edge.
                 self.flush_values();
-                let mut stubs = Vec::with_capacity(targets.len());
-                let mut resolved = Vec::with_capacity(targets.len() + 1);
-                for &depth in targets.iter().chain(std::iter::once(&default)) {
+                let mut stubs = Vec::with_capacity(table.len());
+                let mut resolved = Vec::with_capacity(table.len() + 1);
+                for depth in table.targets_and_default() {
                     let target = self
                         .branch_target(depth)
                         .ok_or_else(|| self.error(offset, "bad branch depth"))?;
                     let stub = self.asm.new_label();
                     resolved.push((stub, target));
-                    if resolved.len() <= targets.len() {
+                    if resolved.len() <= table.len() {
                         stubs.push(stub);
                     }
                 }
@@ -963,14 +937,11 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 }
                 self.mark_unreachable();
             }
-            Opcode::Return => {
+            (Opcode::Return, _) => {
                 self.emit_return();
                 self.mark_unreachable();
             }
-            Opcode::Call => {
-                let callee = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Call, Imm::Index(callee)) => {
                 let sig = self
                     .module
                     .func_type(callee)
@@ -1003,10 +974,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.state.set_tag_in_memory(slot, true);
                 }
             }
-            Opcode::CallIndirect => {
-                let (type_index, table_index) = reader
-                    .read_call_indirect()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::CallIndirect, Imm::CallIndirect { type_index, table_index }) => {
                 let sig = self
                     .module
                     .types
@@ -1046,33 +1014,15 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     self.state.set_tag_in_memory(slot, true);
                 }
             }
-            Opcode::Drop => {
+            (Opcode::Drop, _) => {
                 self.state.pop();
             }
-            Opcode::Select | Opcode::SelectT => {
-                if op == Opcode::SelectT {
-                    reader
-                        .read_select_types()
-                        .map_err(|e| self.error(offset, e.to_string()))?;
-                }
-                self.compile_select();
+            (Opcode::Select | Opcode::SelectT, _) => self.compile_select(),
+            (Opcode::LocalGet, Imm::Index(index)) => self.compile_local_get(index as usize),
+            (Opcode::LocalSet | Opcode::LocalTee, Imm::Index(index)) => {
+                self.compile_local_set(index as usize, op == Opcode::LocalTee);
             }
-            Opcode::LocalGet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))? as usize;
-                self.compile_local_get(index);
-            }
-            Opcode::LocalSet | Opcode::LocalTee => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))? as usize;
-                self.compile_local_set(index, op == Opcode::LocalTee);
-            }
-            Opcode::GlobalGet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::GlobalGet, Imm::Index(index)) => {
                 let ty = self
                     .module
                     .global_type(index)
@@ -1082,52 +1032,23 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 self.asm.emit(MachInst::GlobalGet { dst, index });
                 self.push_result(ty, Loc::Reg(dst));
             }
-            Opcode::GlobalSet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::GlobalSet, Imm::Index(index)) => {
                 let top = self.state.operand_index(0);
                 let src = self.ensure_in_reg(top, &[]);
                 self.state.pop();
                 self.asm.emit(MachInst::GlobalSet { index, src });
             }
-            Opcode::I32Const => {
-                let v = reader
-                    .read_i32()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                self.compile_const(ValueType::I32, v as u32 as u64);
-            }
-            Opcode::I64Const => {
-                let v = reader
-                    .read_i64()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                self.compile_const(ValueType::I64, v as u64);
-            }
-            Opcode::F32Const => {
-                let v = reader
-                    .read_f32()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::I32Const, Imm::I32(v)) => self.compile_const(ValueType::I32, v as u32 as u64),
+            (Opcode::I64Const, Imm::I64(v)) => self.compile_const(ValueType::I64, v as u64),
+            (Opcode::F32Const, Imm::F32(v)) => {
                 self.compile_const(ValueType::F32, v.to_bits() as u64);
             }
-            Opcode::F64Const => {
-                let v = reader
-                    .read_f64()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                self.compile_const(ValueType::F64, v.to_bits());
-            }
-            Opcode::RefNull => {
-                let ty = reader
-                    .read_ref_type()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                self.compile_const(ty, NULL_REF_BITS);
-            }
-            Opcode::RefFunc => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::F64Const, Imm::F64(v)) => self.compile_const(ValueType::F64, v.to_bits()),
+            (Opcode::RefNull, Imm::Ref(ty)) => self.compile_const(ty, NULL_REF_BITS),
+            (Opcode::RefFunc, Imm::Index(index)) => {
                 self.compile_const(ValueType::FuncRef, index as u64);
             }
-            Opcode::RefIsNull => {
+            (Opcode::RefIsNull, _) => {
                 let top = self.state.operand_index(0);
                 let r = self.ensure_in_reg(top, &[]);
                 self.state.pop();
@@ -1141,18 +1062,12 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
-            Opcode::MemorySize => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::MemorySize, _) => {
                 let dst = self.alloc_reg(false, &[]);
                 self.asm.emit(MachInst::MemorySize { dst: dst.as_gpr().expect("gpr") });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
-            Opcode::MemoryGrow => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::MemoryGrow, _) => {
                 let top = self.state.operand_index(0);
                 let delta = self.ensure_in_reg(top, &[]);
                 self.state.pop();
@@ -1163,12 +1078,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 });
                 self.push_result(ValueType::I32, Loc::Reg(dst));
             }
-            _ if op.is_memory_access() => {
-                let memarg = reader
-                    .read_memarg()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                self.compile_memory_access(op, memarg.offset);
-            }
+            (_, Imm::Mem(memarg)) => self.compile_memory_access(op, memarg.offset),
             _ => {
                 let class = classify(op)
                     .ok_or_else(|| self.error(offset, format!("unhandled opcode {op}")))?;

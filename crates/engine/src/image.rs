@@ -129,6 +129,9 @@ impl MemoryImage {
             )?));
         }
 
+        // Validation holds every segment offset to a constant expression of
+        // type i32 (`wasm::validate`'s segment-offset rule), so neither
+        // `unwrap_i32` below can see another type.
         for (i, d) in module.data.iter().enumerate() {
             let offset = eval_const(&d.offset, &globals).unwrap_i32() as u32;
             let mem = memory

@@ -105,25 +105,16 @@ impl Instrumentation {
             let func_index = module.defined_to_func_index(defined);
             let decl = module.func_decl(func_index).expect("defined function");
             let mut func_sites = ProbeSites::none();
-            let mut reader = BytecodeReader::new(&decl.code);
-            while !reader.is_at_end() {
-                let offset = reader.pc() as u32;
-                let op = match reader.read_opcode() {
-                    Ok(op) => op,
-                    Err(_) => break,
-                };
-                if matches!(op, Opcode::BrIf | Opcode::If | Opcode::BrTable) {
+            for instr in BytecodeReader::new(&decl.code).map_while(Result::ok) {
+                if matches!(instr.op, Opcode::BrIf | Opcode::If | Opcode::BrTable) {
                     func_sites.insert(
-                        offset,
+                        instr.offset as u32,
                         ProbeSite {
                             probe_id: next_probe,
                             kind: ProbeKind::TopOfStack,
                         },
                     );
                     next_probe += 1;
-                }
-                if reader.skip_immediates(op).is_err() {
-                    break;
                 }
             }
             if !func_sites.is_empty() {

@@ -24,7 +24,7 @@ use spc::{CompileError, ProbeKind, ProbeMode, ProbeSites};
 use wasm::fuel::FuelPlan;
 use wasm::module::Module;
 use wasm::opcode::{OpSignature, Opcode};
-use wasm::reader::BytecodeReader;
+use wasm::reader::{BytecodeReader, Imm, Instr};
 use wasm::types::{BlockType, ValueType};
 use wasm::validate::FuncInfo;
 
@@ -201,6 +201,11 @@ impl<'a> Builder<'a> {
         self.stack.push(v);
     }
 
+    fn push_const(&mut self, bits: u64, ty: ValueType) {
+        let c = self.ir.add_value(Node::Const(bits), ty);
+        self.push(c);
+    }
+
     fn set_term(&mut self, term: Terminator) {
         self.ir.blocks[self.current.index()].term = term;
     }
@@ -305,6 +310,14 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// The edge a branch at `offset` to the label `depth` frames out takes.
+    fn branch_edge(&mut self, depth: u32, offset: usize) -> Result<Edge, CompileError> {
+        let dest = self
+            .branch_target(depth)
+            .ok_or_else(|| self.error(offset, "bad branch depth"))?;
+        Ok(self.dest_edge(&dest))
+    }
+
     fn mark_unreachable(&mut self) {
         let base = self.ctrl.last().map(|f| f.label_base).unwrap_or(0);
         self.stack.truncate(base);
@@ -364,13 +377,11 @@ impl<'a> Builder<'a> {
     fn run(&mut self, code: &[u8]) -> Result<(), CompileError> {
         let mut reader = BytecodeReader::new(code);
         while !self.ctrl.is_empty() {
-            if reader.is_at_end() {
-                return Err(self.error(code.len(), "body ended with open control constructs"));
-            }
             let offset = reader.pc();
-            let op = reader
-                .read_opcode()
-                .map_err(|e| self.error(offset, e.to_string()))?;
+            let instr = match reader.next() {
+                Some(instr) => instr.map_err(|e| self.error(offset, e.to_string()))?,
+                None => return Err(self.error(offset, "body ended with open control constructs")),
+            };
             if !self.unreachable_now() {
                 // Metering first, probes second — the tier-uniform order.
                 // `self.current` is the merge/header block that branch
@@ -391,7 +402,7 @@ impl<'a> Builder<'a> {
                     self.emit_probe(*site, offset as u32);
                 }
             }
-            self.lower(op, offset, &mut reader)?;
+            self.lower(instr)?;
         }
         if !reader.is_at_end() {
             return Err(self.error(reader.pc(), "trailing bytes after final end"));
@@ -408,12 +419,8 @@ impl<'a> Builder<'a> {
             .ok_or_else(|| self.error(offset, "bad block type"))
     }
 
-    fn lower(
-        &mut self,
-        op: Opcode,
-        offset: usize,
-        reader: &mut BytecodeReader<'_>,
-    ) -> Result<(), CompileError> {
+    fn lower(&mut self, instr: Instr<'_>) -> Result<(), CompileError> {
+        let Instr { offset, op, imm, end } = instr;
         // In unreachable code only track control nesting, like validation.
         if self.unreachable_now()
             && !matches!(
@@ -421,26 +428,20 @@ impl<'a> Builder<'a> {
                 Opcode::Block | Opcode::Loop | Opcode::If | Opcode::Else | Opcode::End
             )
         {
-            reader
-                .skip_immediates(op)
-                .map_err(|e| self.error(offset, e.to_string()))?;
             return Ok(());
         }
         self.cur_offset = offset as u32;
 
-        match op {
-            Opcode::Nop => {}
-            Opcode::Unreachable => {
+        match (op, imm) {
+            (Opcode::Nop, _) => {}
+            (Opcode::Unreachable, _) => {
                 self.set_term(Terminator::Trap {
                     code: TrapCode::Unreachable,
                     offset: offset as u32,
                 });
                 self.mark_unreachable();
             }
-            Opcode::Block | Opcode::Loop | Opcode::If => {
-                let bt = reader
-                    .read_block_type()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
                 let (params, results) = self.block_signature(offset, bt)?;
                 let dead = self.unreachable_now();
                 if dead {
@@ -497,9 +498,9 @@ impl<'a> Builder<'a> {
                         self.adopt_merge_state(header);
                         frame.header = Some(header);
                         if self.osr {
-                            // `reader` sits right past the blocktype, i.e. at
-                            // the body start the fuel plan records as this
-                            // loop's epoch-check site. The header params were
+                            // `end` is right past the blocktype, i.e. the body
+                            // start the fuel plan records as this loop's
+                            // epoch-check site. The header params were
                             // created in interpreter frame-slot order (locals,
                             // then operand stack below and at the loop
                             // params), so the OSR entry declares one
@@ -529,7 +530,7 @@ impl<'a> Builder<'a> {
                                     args,
                                 });
                             self.ir.osr_sites.push(OsrSite {
-                                offset: reader.pc() as u32,
+                                offset: end as u32,
                                 entry,
                             });
                         }
@@ -558,7 +559,7 @@ impl<'a> Builder<'a> {
                 }
                 self.ctrl.push(frame);
             }
-            Opcode::Else => {
+            (Opcode::Else, _) => {
                 let frame = self.ctrl.last_mut().expect("else inside an if");
                 if frame.dead {
                     frame.kind = CtrlKind::Else;
@@ -586,7 +587,7 @@ impl<'a> Builder<'a> {
                 self.stack = snap_stack;
                 self.current = else_block;
             }
-            Opcode::End => {
+            (Opcode::End, _) => {
                 let frame = self.ctrl.pop().expect("end matches a construct");
                 if frame.dead {
                     return Ok(());
@@ -621,10 +622,7 @@ impl<'a> Builder<'a> {
                 }
                 self.adopt_merge_state(frame.merge);
             }
-            Opcode::Br => {
-                let depth = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Br, Imm::Index(depth)) => {
                 let dest = self
                     .branch_target(depth)
                     .ok_or_else(|| self.error(offset, "bad branch depth"))?;
@@ -637,15 +635,9 @@ impl<'a> Builder<'a> {
                 }
                 self.mark_unreachable();
             }
-            Opcode::BrIf => {
-                let depth = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::BrIf, Imm::Index(depth)) => {
                 let cond = self.pop();
-                let dest = self
-                    .branch_target(depth)
-                    .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                let then_edge = self.dest_edge(&dest);
+                let then_edge = self.branch_edge(depth, offset)?;
                 let cont = self.ir.add_block();
                 self.set_term(Terminator::Branch {
                     cond,
@@ -659,22 +651,13 @@ impl<'a> Builder<'a> {
                 });
                 self.current = cont;
             }
-            Opcode::BrTable => {
-                let (depths, default) = reader
-                    .read_branch_table()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::BrTable, Imm::Table(table)) => {
                 let index = self.pop();
-                let mut targets = Vec::with_capacity(depths.len());
-                for depth in &depths {
-                    let dest = self
-                        .branch_target(*depth)
-                        .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                    targets.push(self.dest_edge(&dest));
-                }
-                let dest = self
-                    .branch_target(default)
-                    .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                let default = self.dest_edge(&dest);
+                let targets = table
+                    .targets()
+                    .map(|depth| self.branch_edge(depth, offset))
+                    .collect::<Result<Vec<Edge>, CompileError>>()?;
+                let default = self.branch_edge(table.default(), offset)?;
                 self.set_term(Terminator::BrTable {
                     index,
                     targets,
@@ -682,14 +665,11 @@ impl<'a> Builder<'a> {
                 });
                 self.mark_unreachable();
             }
-            Opcode::Return => {
+            (Opcode::Return, _) => {
                 self.emit_return();
                 self.mark_unreachable();
             }
-            Opcode::Call => {
-                let callee = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::Call, Imm::Index(callee)) => {
                 let sig = self
                     .module
                     .func_type(callee)
@@ -710,10 +690,7 @@ impl<'a> Builder<'a> {
                 });
                 self.stack.extend(results);
             }
-            Opcode::CallIndirect => {
-                let (type_index, table_index) = reader
-                    .read_call_indirect()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::CallIndirect, Imm::CallIndirect { type_index, table_index }) => {
                 let sig = self
                     .module
                     .types
@@ -738,15 +715,10 @@ impl<'a> Builder<'a> {
                 });
                 self.stack.extend(results);
             }
-            Opcode::Drop => {
+            (Opcode::Drop, _) => {
                 self.pop();
             }
-            Opcode::Select | Opcode::SelectT => {
-                if op == Opcode::SelectT {
-                    reader
-                        .read_select_types()
-                        .map_err(|e| self.error(offset, e.to_string()))?;
-                }
+            (Opcode::Select | Opcode::SelectT, _) => {
                 let cond = self.pop();
                 let if_false = self.pop();
                 let if_true = self.pop();
@@ -761,26 +733,15 @@ impl<'a> Builder<'a> {
                 );
                 self.push(v);
             }
-            Opcode::LocalGet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))? as usize;
-                self.push(self.locals[index]);
-            }
-            Opcode::LocalSet | Opcode::LocalTee => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))? as usize;
+            (Opcode::LocalGet, Imm::Index(index)) => self.push(self.locals[index as usize]),
+            (Opcode::LocalSet | Opcode::LocalTee, Imm::Index(index)) => {
                 let v = *self.stack.last().expect("validated");
-                self.locals[index] = v;
+                self.locals[index as usize] = v;
                 if op == Opcode::LocalSet {
                     self.pop();
                 }
             }
-            Opcode::GlobalGet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::GlobalGet, Imm::Index(index)) => {
                 let ty = self
                     .module
                     .global_type(index)
@@ -789,60 +750,21 @@ impl<'a> Builder<'a> {
                 let v = self.def(Node::GlobalGet { index }, ty);
                 self.push(v);
             }
-            Opcode::GlobalSet => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::GlobalSet, Imm::Index(index)) => {
                 let value = self.pop();
                 self.push_inst(Inst::GlobalSet { index, value });
             }
-            Opcode::I32Const => {
-                let v = reader
-                    .read_i32()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self.ir.add_value(Node::Const(v as u32 as u64), ValueType::I32);
-                self.push(c);
+            (Opcode::I32Const, Imm::I32(v)) => self.push_const(v as u32 as u64, ValueType::I32),
+            (Opcode::I64Const, Imm::I64(v)) => self.push_const(v as u64, ValueType::I64),
+            (Opcode::F32Const, Imm::F32(v)) => {
+                self.push_const(v.to_bits() as u64, ValueType::F32);
             }
-            Opcode::I64Const => {
-                let v = reader
-                    .read_i64()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self.ir.add_value(Node::Const(v as u64), ValueType::I64);
-                self.push(c);
+            (Opcode::F64Const, Imm::F64(v)) => self.push_const(v.to_bits(), ValueType::F64),
+            (Opcode::RefNull, Imm::Ref(ty)) => self.push_const(NULL_REF_BITS, ty),
+            (Opcode::RefFunc, Imm::Index(index)) => {
+                self.push_const(index as u64, ValueType::FuncRef);
             }
-            Opcode::F32Const => {
-                let v = reader
-                    .read_f32()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self
-                    .ir
-                    .add_value(Node::Const(v.to_bits() as u64), ValueType::F32);
-                self.push(c);
-            }
-            Opcode::F64Const => {
-                let v = reader
-                    .read_f64()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self.ir.add_value(Node::Const(v.to_bits()), ValueType::F64);
-                self.push(c);
-            }
-            Opcode::RefNull => {
-                let ty = reader
-                    .read_ref_type()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self.ir.add_value(Node::Const(NULL_REF_BITS), ty);
-                self.push(c);
-            }
-            Opcode::RefFunc => {
-                let index = reader
-                    .read_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
-                let c = self
-                    .ir
-                    .add_value(Node::Const(index as u64), ValueType::FuncRef);
-                self.push(c);
-            }
-            Opcode::RefIsNull => {
+            (Opcode::RefIsNull, _) => {
                 let r = self.pop();
                 let null = self
                     .ir
@@ -856,25 +778,16 @@ impl<'a> Builder<'a> {
                 );
                 self.push(v);
             }
-            Opcode::MemorySize => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::MemorySize, _) => {
                 let v = self.def(Node::MemorySize, ValueType::I32);
                 self.push(v);
             }
-            Opcode::MemoryGrow => {
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (Opcode::MemoryGrow, _) => {
                 let delta = self.pop();
                 let v = self.def(Node::MemoryGrow { delta }, ValueType::I32);
                 self.push(v);
             }
-            _ if op.is_memory_access() => {
-                let memarg = reader
-                    .read_memarg()
-                    .map_err(|e| self.error(offset, e.to_string()))?;
+            (_, Imm::Mem(memarg)) => {
                 let width = op.access_width().expect("memory access has a width");
                 match op.signature() {
                     OpSignature::Load(result) => {

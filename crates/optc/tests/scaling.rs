@@ -215,6 +215,35 @@ fn compile_memory_is_linear_in_function_size() {
     }
 }
 
+/// The decoded-instruction walk every tier but the interpreter is built on
+/// hands out a `br_table`'s targets and a typed `select`'s types as views
+/// over the body: walking a body — every immediate shape, a 1 000-target
+/// table included — and reading every view to its end allocates nothing.
+#[test]
+fn decoding_a_body_allocates_nothing() {
+    use wasm::reader::{BytecodeReader, Imm};
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let mut c = CodeBuilder::new();
+    c.block(BlockType::Empty).local_get(0).br_table(&[0; 1000], 0).end();
+    c.i32_const(1).i32_const(2).local_get(0).select_t(&[ValueType::I32]);
+    let mut bodies = vec![c.finish()];
+    bodies.extend(conform::coverage::exhaustive_module().funcs.iter().map(|f| f.code.clone()));
+    let (walked, counts) = counted(|| {
+        let mut walked = (0usize, 0usize, 0usize);
+        for instr in bodies.iter().flat_map(|code| BytecodeReader::new(code)) {
+            walked.0 += 1;
+            match instr.expect("well-formed body").imm {
+                Imm::Table(table) => walked.1 += table.targets_and_default().count(),
+                Imm::Select(types) => walked.2 += types.iter().count(),
+                _ => {}
+            }
+        }
+        walked
+    });
+    assert!(walked.0 > 500 && walked.1 > 1001 && walked.2 > 1, "{walked:?}");
+    assert_eq!(counts.total, 0, "the walk allocated (largest request {} B)", counts.largest);
+}
+
 /// One 256 KiB function — sixteen times the largest body of the benchmark
 /// corpus — through every tier and backend: nothing in the compile path may
 /// be quadratic enough, or recursive enough, to fall over on it.

@@ -490,7 +490,7 @@ fn group_locals(locals: &[ValueType]) -> Vec<(u32, ValueType)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::BytecodeReader;
+    use crate::reader::{BytecodeReader, Imm, MemArg};
 
     #[test]
     fn group_locals_runs() {
@@ -515,7 +515,6 @@ mod tests {
             .end();
         let code = c.finish();
 
-        let mut r = BytecodeReader::new(&code);
         let expected = [
             Opcode::Block,
             Opcode::I32Const,
@@ -526,12 +525,8 @@ mod tests {
             Opcode::End,
             Opcode::End,
         ];
-        for &e in &expected {
-            let op = r.read_opcode().unwrap();
-            assert_eq!(op, e);
-            r.skip_immediates(op).unwrap();
-        }
-        assert!(r.is_at_end());
+        let ops: Vec<Opcode> = BytecodeReader::new(&code).map(|i| i.unwrap().op).collect();
+        assert_eq!(ops, expected);
     }
 
     #[test]
@@ -596,12 +591,8 @@ mod tests {
         let mut c = CodeBuilder::new();
         c.i32_const(0).mem(Opcode::I32Load, 2, 64).drop_();
         let code = c.finish();
-        let mut r = BytecodeReader::new(&code);
-        assert_eq!(r.read_opcode().unwrap(), Opcode::I32Const);
-        r.read_i32().unwrap();
-        assert_eq!(r.read_opcode().unwrap(), Opcode::I32Load);
-        let ma = r.read_memarg().unwrap();
-        assert_eq!(ma.align, 2);
-        assert_eq!(ma.offset, 64);
+        let load = BytecodeReader::new(&code).nth(1).expect("two instructions").unwrap();
+        assert_eq!(load.op, Opcode::I32Load);
+        assert_eq!(load.imm, Imm::Mem(MemArg { align: 2, offset: 64 }));
     }
 }

@@ -9,6 +9,8 @@
 //! The plan is computed once per function, during validation: the rules below
 //! are one per-instruction step (`PlanBuilder::step`) that [`crate::validate`]
 //! calls from its own walk of the body, and no tier walks the body again for it.
+//! The step sees only what the decoder's `next` yields of an instruction —
+//! its opcode, its offset and where its immediates end.
 //!
 //! # The plan
 //!
@@ -98,12 +100,9 @@ impl FuelPlan {
     /// leaves the plan in [`FuncInfo::fuel`](crate::validate::FuncInfo::fuel).
     pub fn build(code: &[u8]) -> Result<FuelPlan, ReadError> {
         let mut builder = PlanBuilder::default();
-        let mut r = BytecodeReader::new(code);
-        while !r.is_at_end() {
-            let offset = r.pc() as u32;
-            let op = r.read_opcode()?;
-            r.skip_immediates(op)?;
-            builder.step(op, offset, r.pc() as u32);
+        for instr in BytecodeReader::new(code) {
+            let instr = instr?;
+            builder.step(instr.op, instr.offset as u32, instr.end as u32);
         }
         Ok(builder.finish(code.len() as u32))
     }
@@ -370,13 +369,8 @@ mod tests {
         c.drop_();
         let code = c.finish();
         let plan = FuelPlan::build(&code).unwrap();
-        let mut boundaries = std::collections::BTreeSet::new();
-        let mut r = BytecodeReader::new(&code);
-        while !r.is_at_end() {
-            boundaries.insert(r.pc() as u32);
-            let op = r.read_opcode().unwrap();
-            r.skip_immediates(op).unwrap();
-        }
+        let mut boundaries: std::collections::BTreeSet<u32> =
+            BytecodeReader::new(&code).map(|instr| instr.unwrap().offset as u32).collect();
         boundaries.insert(code.len() as u32);
         for site in &plan.sites {
             assert!(boundaries.contains(&site.offset), "site at non-boundary {}", site.offset);

@@ -50,22 +50,6 @@ impl PartialEq for ConstExpr {
     }
 }
 
-impl ConstExpr {
-    /// The value type this expression produces, given the module's globals
-    /// for `global.get` resolution.
-    pub fn value_type(&self, globals: &[GlobalType]) -> Option<ValueType> {
-        Some(match *self {
-            ConstExpr::I32(_) => ValueType::I32,
-            ConstExpr::I64(_) => ValueType::I64,
-            ConstExpr::F32(_) => ValueType::F32,
-            ConstExpr::F64(_) => ValueType::F64,
-            ConstExpr::RefNull(t) => t,
-            ConstExpr::RefFunc(_) => ValueType::FuncRef,
-            ConstExpr::GlobalGet(i) => globals.get(i as usize)?.value_type,
-        })
-    }
-}
-
 /// What an import provides.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ImportKind {
@@ -463,13 +447,6 @@ impl ModuleData {
         }
     }
 
-    /// The types of all globals in index-space order.
-    pub fn global_types(&self) -> Vec<GlobalType> {
-        (0..self.num_globals())
-            .filter_map(|i| self.global_type(i))
-            .collect()
-    }
-
     /// The memory type at `memory_index` (imported or defined).
     pub fn memory_type(&self, memory_index: u32) -> Option<MemoryType> {
         let num_imports = self.num_imported_memories();
@@ -691,7 +668,6 @@ mod tests {
         );
         assert_eq!(m.global_type(1), Some(GlobalType::mutable(ValueType::I32)));
         assert_eq!(m.global_type(2), None);
-        assert_eq!(m.global_types().len(), 2);
     }
 
     #[test]
@@ -718,25 +694,6 @@ mod tests {
                 ValueType::F32
             ]
         );
-    }
-
-    #[test]
-    fn const_expr_types() {
-        let globals = vec![GlobalType::immutable(ValueType::F32)];
-        assert_eq!(ConstExpr::I32(1).value_type(&globals), Some(ValueType::I32));
-        assert_eq!(
-            ConstExpr::RefNull(ValueType::ExternRef).value_type(&globals),
-            Some(ValueType::ExternRef)
-        );
-        assert_eq!(
-            ConstExpr::RefFunc(0).value_type(&globals),
-            Some(ValueType::FuncRef)
-        );
-        assert_eq!(
-            ConstExpr::GlobalGet(0).value_type(&globals),
-            Some(ValueType::F32)
-        );
-        assert_eq!(ConstExpr::GlobalGet(1).value_type(&globals), None);
     }
 
     #[test]

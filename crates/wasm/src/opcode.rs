@@ -85,6 +85,7 @@ macro_rules! opcodes {
             }
 
             /// The shape of this opcode's immediate operands.
+            #[inline]
             pub fn immediate_kind(self) -> ImmediateKind {
                 match self {
                     $( Opcode::$name => ImmediateKind::$imm, )*

@@ -234,6 +234,10 @@ pub const PAGE_SIZE: u32 = 65536;
 /// Maximum number of pages addressable by a 32-bit memory.
 pub const MAX_PAGES: u32 = 65536;
 
+/// Maximum number of elements a table may declare as its minimum (the web
+/// embedding's limit): the minimum is allocated at instantiation.
+pub const MAX_TABLE_ELEMENTS: u32 = 10_000_000;
+
 /// The type of a structured control construct (`block`, `loop`, `if`).
 ///
 /// `Empty` and `Value` are the classic MVP encodings; `Func` refers to a

@@ -20,13 +20,23 @@
 //! same way. Dead code is walked like live code (it is type-checked, so it has
 //! heights), which gives every branch instruction an entry, reachable or not.
 //! The pass is iterative — nesting depth grows a `Vec`, never the host stack.
+//!
+//! Instructions arrive decoded from [`BytecodeReader`]'s `next`, so a body's
+//! bytes are read in one place: what the bytes alone decide (truncation, a
+//! bad LEB or type byte, a non-zero `memory.size` reserved byte) is the
+//! decoder's [`ReadError`](crate::reader::ReadError), reported here at the
+//! instruction's offset; what needs the module or the stacks is checked
+//! below. The module-level half refuses what instantiation would otherwise
+//! trust: segment offsets that are not `i32` constant expressions, and
+//! declared memory or table sizes beyond [`MAX_PAGES`] /
+//! [`MAX_TABLE_ELEMENTS`].
 
 use crate::fuel::{FuelPlan, PlanBuilder};
 use crate::module::{ConstExpr, Module};
 use crate::opcode::{OpSignature, Opcode};
-use crate::reader::BytecodeReader;
+use crate::reader::{BytecodeReader, Imm, Instr};
 use crate::sidetable::{BranchEntry, Fixup, Sidetable};
-use crate::types::{BlockType, ExternalKind, ValueType};
+use crate::types::{BlockType, ExternalKind, ValueType, MAX_PAGES, MAX_TABLE_ELEMENTS};
 use std::fmt;
 use std::sync::Arc;
 
@@ -160,15 +170,27 @@ fn validate_module_level(module: &Module) -> Result<(), ValidateError> {
             )));
         }
     }
-    // Limits must be well-formed.
-    for (i, m) in module.memories.iter().enumerate() {
+    // Limits must be well-formed and within what an instance can ever hold:
+    // the declared sizes are allocated at instantiation, so the ceiling is
+    // enforced here, on every memory and table, imported or defined.
+    for (i, m) in (0..module.num_memories()).filter_map(|i| Some((i, module.memory_type(i)?))) {
         if !m.limits.is_well_formed() {
             return Err(ValidateError::module(format!("memory {i} has min > max")));
         }
+        if m.limits.min.max(m.limits.max.unwrap_or(0)) > MAX_PAGES {
+            return Err(ValidateError::module(format!(
+                "memory {i} size must be at most {MAX_PAGES} pages (4GiB)"
+            )));
+        }
     }
-    for (i, t) in module.tables.iter().enumerate() {
+    for (i, t) in (0..module.num_tables()).filter_map(|i| Some((i, module.table_type(i)?))) {
         if !t.limits.is_well_formed() {
             return Err(ValidateError::module(format!("table {i} has min > max")));
+        }
+        if t.limits.min > MAX_TABLE_ELEMENTS {
+            return Err(ValidateError::module(format!(
+                "table {i} size must be at most {MAX_TABLE_ELEMENTS} elements"
+            )));
         }
         if !t.element.is_reference() {
             return Err(ValidateError::module(format!(
@@ -179,39 +201,9 @@ fn validate_module_level(module: &Module) -> Result<(), ValidateError> {
     if module.num_memories() > 1 {
         return Err(ValidateError::module("at most one memory is supported"));
     }
-    // Globals: initializer type must match, and global.get may only refer to
-    // imported immutable globals.
-    let num_imported_globals = module.num_imported_globals();
+    // Globals: the initializer is a constant expression of the declared type.
     for (i, g) in module.globals.iter().enumerate() {
-        let init_ty = match g.init {
-            ConstExpr::GlobalGet(gi) => {
-                if gi >= num_imported_globals {
-                    return Err(ValidateError::module(format!(
-                        "global {i} initializer refers to non-imported global {gi}"
-                    )));
-                }
-                let gt = module.global_type(gi).ok_or_else(|| {
-                    ValidateError::module(format!("global {i} initializer refers to unknown global"))
-                })?;
-                if gt.mutable {
-                    return Err(ValidateError::module(format!(
-                        "global {i} initializer refers to mutable global {gi}"
-                    )));
-                }
-                gt.value_type
-            }
-            ConstExpr::RefFunc(f) => {
-                if f >= module.num_funcs() {
-                    return Err(ValidateError::module(format!(
-                        "global {i} initializer refers to unknown function {f}"
-                    )));
-                }
-                ValueType::FuncRef
-            }
-            other => other
-                .value_type(&module.global_types())
-                .ok_or_else(|| ValidateError::module(format!("global {i} has invalid initializer")))?,
-        };
+        let init_ty = const_expr_type(module, &g.init, format_args!("global {i} initializer"))?;
         if init_ty != g.ty.value_type {
             return Err(ValidateError::module(format!(
                 "global {i} initializer type {init_ty} does not match declared type {}",
@@ -262,6 +254,7 @@ fn validate_module_level(module: &Module) -> Result<(), ValidateError> {
                 )));
             }
         }
+        check_segment_offset(module, &elem.offset, format_args!("element segment {i} offset"))?;
     }
     // Data segments must refer to an existing memory.
     for (i, d) in module.data.iter().enumerate() {
@@ -271,8 +264,56 @@ fn validate_module_level(module: &Module) -> Result<(), ValidateError> {
                 d.memory_index
             )));
         }
+        check_segment_offset(module, &d.offset, format_args!("data segment {i} offset"))?;
     }
     Ok(())
+}
+
+/// The type of the constant expression `expr` (named `what` in errors):
+/// a constant, a `ref.func` of an existing function, or a `global.get` of an
+/// imported immutable global — the only globals that exist when
+/// initializers and segment offsets are evaluated.
+fn const_expr_type(
+    module: &Module,
+    expr: &ConstExpr,
+    what: fmt::Arguments<'_>,
+) -> Result<ValueType, ValidateError> {
+    let refers_to = |problem: fmt::Arguments<'_>| {
+        Err(ValidateError::module(format!("{what} refers to {problem}")))
+    };
+    match *expr {
+        ConstExpr::I32(_) => Ok(ValueType::I32),
+        ConstExpr::I64(_) => Ok(ValueType::I64),
+        ConstExpr::F32(_) => Ok(ValueType::F32),
+        ConstExpr::F64(_) => Ok(ValueType::F64),
+        ConstExpr::RefNull(t) => Ok(t),
+        ConstExpr::RefFunc(f) if f >= module.num_funcs() => {
+            refers_to(format_args!("unknown function {f}"))
+        }
+        ConstExpr::RefFunc(_) => Ok(ValueType::FuncRef),
+        ConstExpr::GlobalGet(gi) if gi >= module.num_imported_globals() => {
+            refers_to(format_args!("non-imported global {gi}"))
+        }
+        ConstExpr::GlobalGet(gi) => match module.global_type(gi) {
+            Some(global) if !global.mutable => Ok(global.value_type),
+            _ => refers_to(format_args!("mutable global {gi}")),
+        },
+    }
+}
+
+/// A segment offset is a constant expression of type `i32`; instantiation
+/// evaluates it trusting exactly that.
+fn check_segment_offset(
+    module: &Module,
+    offset: &ConstExpr,
+    what: fmt::Arguments<'_>,
+) -> Result<(), ValidateError> {
+    match const_expr_type(module, offset, what)? {
+        ValueType::I32 => Ok(()),
+        found => Err(ValidateError::module(format!(
+            "{what}: type mismatch: expected i32, found {found}"
+        ))),
+    }
 }
 
 /// An entry on the abstract operand stack: either a known type or "unknown"
@@ -483,13 +524,13 @@ impl FuncValidator<'_> {
         let mut reader = BytecodeReader::new(code);
         let mut memory_required = false;
         while !self.ctrls.is_empty() {
-            if reader.is_at_end() {
-                return Err(self.error("body ended with unclosed control constructs"));
-            }
             self.pc = reader.pc();
-            let op = reader.read_opcode().map_err(|e| self.error(e.to_string()))?;
-            self.validate_instruction(op, &mut reader, &mut memory_required)?;
-            self.plan.step(op, self.pc as u32, reader.pc() as u32);
+            let instr = match reader.next() {
+                Some(instr) => instr.map_err(|e| self.error(e.to_string()))?,
+                None => return Err(self.error("body ended with unclosed control constructs")),
+            };
+            self.validate_instruction(instr, &mut memory_required)?;
+            self.plan.step(instr.op, instr.offset as u32, instr.end as u32);
         }
         if !reader.is_at_end() {
             return Err(self.error("trailing bytes after final end"));
@@ -510,18 +551,15 @@ impl FuncValidator<'_> {
 
     fn validate_instruction(
         &mut self,
-        op: Opcode,
-        reader: &mut BytecodeReader<'_>,
+        instr: Instr<'_>,
         memory_required: &mut bool,
     ) -> Result<(), ValidateError> {
         use Opcode::*;
-        match op {
-            Nop => {}
-            Unreachable => self.mark_unreachable()?,
-            Block | Loop | If => {
-                let bt = reader
-                    .read_block_type()
-                    .map_err(|e| self.error(e.to_string()))?;
+        let op = instr.op;
+        match (op, instr.imm) {
+            (Nop, _) => {}
+            (Unreachable, _) => self.mark_unreachable()?,
+            (Block | Loop | If, Imm::Block(bt)) => {
                 let (params, results) = self.block_signature(bt)?;
                 if op == If {
                     self.pop_expect(ValueType::I32)?;
@@ -531,12 +569,12 @@ impl FuncValidator<'_> {
                 // itself, whose false edge `else` or `end` will place.
                 let (kind, anchor) = match op {
                     Block => (ControlKind::Block, 0),
-                    Loop => (ControlKind::Loop, reader.pc() as u32),
+                    Loop => (ControlKind::Loop, instr.end as u32),
                     _ => (ControlKind::If, self.pc as u32),
                 };
                 self.push_ctrl(kind, anchor, params, results);
             }
-            Else => {
+            (Else, _) => {
                 let frame = self.pop_ctrl()?;
                 if frame.kind != ControlKind::If {
                     return Err(self.error("else without matching if"));
@@ -554,7 +592,7 @@ impl FuncValidator<'_> {
                 // wait for the `end`.
                 self.ctrls.last_mut().expect("just pushed").fixups = frame.fixups;
             }
-            End => {
+            (End, _) => {
                 let frame = self.pop_ctrl()?;
                 if frame.kind == ControlKind::If && frame.start_types != frame.end_types {
                     return Err(self.error("if without else must have matching param/result types"));
@@ -572,48 +610,41 @@ impl FuncValidator<'_> {
                 }
                 self.push_all(&frame.end_types);
             }
-            Br => {
-                let depth = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (Br, Imm::Index(depth)) => {
                 let types = self.label(depth)?.label_types().to_vec();
                 self.pop_expects(&types)?;
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
                 self.mark_unreachable()?;
             }
-            BrIf => {
-                let depth = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (BrIf, Imm::Index(depth)) => {
                 self.pop_expect(ValueType::I32)?;
                 let types = self.label(depth)?.label_types().to_vec();
                 self.pop_expects(&types)?;
                 self.push_all(&types);
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
             }
-            BrTable => {
-                let (targets, default) = reader
-                    .read_branch_table()
-                    .map_err(|e| self.error(e.to_string()))?;
+            (BrTable, Imm::Table(table)) => {
                 self.pop_expect(ValueType::I32)?;
-                let default_types = self.label(default)?.label_types().to_vec();
-                for &t in &targets {
-                    let types = self.label(t)?.label_types().to_vec();
-                    if types.len() != default_types.len() {
+                let default_types = self.label(table.default())?.label_types().to_vec();
+                for depth in table.targets() {
+                    if self.label(depth)?.label_types().len() != default_types.len() {
                         return Err(self.error("br_table targets have mismatched arities"));
                     }
                 }
                 self.pop_expects(&default_types)?;
                 // One pool entry per target, then the default.
-                let start = self.table.push_table(self.pc as u32, targets.len() + 1);
-                for (slot, &depth) in (start..).zip(targets.iter().chain([&default])) {
+                let start = self.table.push_table(self.pc as u32, table.len() + 1);
+                for (slot, depth) in (start..).zip(table.targets_and_default()) {
                     self.record_branch(depth, Fixup::TableSlot(slot));
                 }
                 self.mark_unreachable()?;
             }
-            Return => {
+            (Return, _) => {
                 let results = self.results.clone();
                 self.pop_expects(&results)?;
                 self.mark_unreachable()?;
             }
-            Call => {
-                let func_index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (Call, Imm::Index(func_index)) => {
                 let sig = self
                     .module
                     .func_type(func_index)
@@ -622,10 +653,7 @@ impl FuncValidator<'_> {
                 self.pop_expects(&sig.params)?;
                 self.push_all(&sig.results);
             }
-            CallIndirect => {
-                let (type_index, table_index) = reader
-                    .read_call_indirect()
-                    .map_err(|e| self.error(e.to_string()))?;
+            (CallIndirect, Imm::CallIndirect { type_index, table_index }) => {
                 if table_index >= self.module.num_tables() {
                     return Err(self.error(format!("call_indirect unknown table {table_index}")));
                 }
@@ -639,10 +667,10 @@ impl FuncValidator<'_> {
                 self.pop_expects(&sig.params)?;
                 self.push_all(&sig.results);
             }
-            Drop => {
+            (Drop, _) => {
                 self.pop_any()?;
             }
-            Select => {
+            (Select, _) => {
                 self.pop_expect(ValueType::I32)?;
                 let a = self.pop_any()?;
                 let b = self.pop_any()?;
@@ -661,44 +689,37 @@ impl FuncValidator<'_> {
                     (Abstract::Unknown, Abstract::Unknown) => self.push_unknown(),
                 }
             }
-            SelectT => {
-                let types = reader
-                    .read_select_types()
-                    .map_err(|e| self.error(e.to_string()))?;
-                if types.len() != 1 {
+            (SelectT, Imm::Select(types)) => {
+                let mut types = types.iter();
+                let (Some(t), None) = (types.next(), types.next()) else {
                     return Err(self.error("typed select must list exactly one type"));
-                }
+                };
                 self.pop_expect(ValueType::I32)?;
-                self.pop_expect(types[0])?;
-                self.pop_expect(types[0])?;
-                self.push(types[0]);
+                self.pop_expect(t)?;
+                self.pop_expect(t)?;
+                self.push(t);
             }
-            LocalGet => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (LocalGet, Imm::Index(index)) => {
                 let t = self.local_type(index)?;
                 self.push(t);
             }
-            LocalSet => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (LocalSet, Imm::Index(index)) => {
                 let t = self.local_type(index)?;
                 self.pop_expect(t)?;
             }
-            LocalTee => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (LocalTee, Imm::Index(index)) => {
                 let t = self.local_type(index)?;
                 self.pop_expect(t)?;
                 self.push(t);
             }
-            GlobalGet => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (GlobalGet, Imm::Index(index)) => {
                 let g = self
                     .module
                     .global_type(index)
                     .ok_or_else(|| self.error(format!("unknown global {index}")))?;
                 self.push(g.value_type);
             }
-            GlobalSet => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (GlobalSet, Imm::Index(index)) => {
                 let g = self
                     .module
                     .global_type(index)
@@ -708,44 +729,21 @@ impl FuncValidator<'_> {
                 }
                 self.pop_expect(g.value_type)?;
             }
-            MemorySize => {
+            (MemorySize, _) => {
                 *memory_required = true;
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(e.to_string()))?;
                 self.push(ValueType::I32);
             }
-            MemoryGrow => {
+            (MemoryGrow, _) => {
                 *memory_required = true;
-                reader
-                    .read_memory_index()
-                    .map_err(|e| self.error(e.to_string()))?;
                 self.pop_expect(ValueType::I32)?;
                 self.push(ValueType::I32);
             }
-            I32Const => {
-                reader.read_i32().map_err(|e| self.error(e.to_string()))?;
-                self.push(ValueType::I32);
-            }
-            I64Const => {
-                reader.read_i64().map_err(|e| self.error(e.to_string()))?;
-                self.push(ValueType::I64);
-            }
-            F32Const => {
-                reader.read_f32().map_err(|e| self.error(e.to_string()))?;
-                self.push(ValueType::F32);
-            }
-            F64Const => {
-                reader.read_f64().map_err(|e| self.error(e.to_string()))?;
-                self.push(ValueType::F64);
-            }
-            RefNull => {
-                let t = reader
-                    .read_ref_type()
-                    .map_err(|e| self.error(e.to_string()))?;
-                self.push(t);
-            }
-            RefIsNull => {
+            (I32Const, _) => self.push(ValueType::I32),
+            (I64Const, _) => self.push(ValueType::I64),
+            (F32Const, _) => self.push(ValueType::F32),
+            (F64Const, _) => self.push(ValueType::F64),
+            (RefNull, Imm::Ref(t)) => self.push(t),
+            (RefIsNull, _) => {
                 match self.pop_any()? {
                     Abstract::Known(t) if !t.is_reference() => {
                         return Err(self.error(format!("ref.is_null on non-reference {t}")))
@@ -754,49 +752,38 @@ impl FuncValidator<'_> {
                 }
                 self.push(ValueType::I32);
             }
-            RefFunc => {
-                let index = reader.read_index().map_err(|e| self.error(e.to_string()))?;
+            (RefFunc, Imm::Index(index)) => {
                 if index >= self.module.num_funcs() {
                     return Err(self.error(format!("ref.func unknown function {index}")));
                 }
                 self.push(ValueType::FuncRef);
             }
-            _ => {
-                // Simple typed opcodes (arithmetic, comparisons, conversions,
-                // loads, and stores) are driven by their signatures.
-                match op.signature() {
-                    OpSignature::Const(_) | OpSignature::Special => {
-                        return Err(self.error(format!("unhandled opcode {op}")))
-                    }
-                    OpSignature::Unary(input, output) => {
-                        self.pop_expect(input)?;
-                        self.push(output);
-                    }
-                    OpSignature::Binary(input, output) => {
-                        self.pop_expect(input)?;
-                        self.pop_expect(input)?;
-                        self.push(output);
-                    }
-                    OpSignature::Load(output) => {
-                        *memory_required = true;
-                        let memarg = reader
-                            .read_memarg()
-                            .map_err(|e| self.error(e.to_string()))?;
-                        self.check_alignment(op, memarg.align)?;
-                        self.pop_expect(ValueType::I32)?;
-                        self.push(output);
-                    }
-                    OpSignature::Store(input) => {
-                        *memory_required = true;
-                        let memarg = reader
-                            .read_memarg()
-                            .map_err(|e| self.error(e.to_string()))?;
-                        self.check_alignment(op, memarg.align)?;
-                        self.pop_expect(input)?;
-                        self.pop_expect(ValueType::I32)?;
-                    }
+            // Simple typed opcodes (arithmetic, comparisons, conversions,
+            // loads, and stores) are driven by their signatures.
+            (_, imm) => match (op.signature(), imm) {
+                (OpSignature::Unary(input, output), _) => {
+                    self.pop_expect(input)?;
+                    self.push(output);
                 }
-            }
+                (OpSignature::Binary(input, output), _) => {
+                    self.pop_expect(input)?;
+                    self.pop_expect(input)?;
+                    self.push(output);
+                }
+                (OpSignature::Load(output), Imm::Mem(memarg)) => {
+                    *memory_required = true;
+                    self.check_alignment(op, memarg.align)?;
+                    self.pop_expect(ValueType::I32)?;
+                    self.push(output);
+                }
+                (OpSignature::Store(input), Imm::Mem(memarg)) => {
+                    *memory_required = true;
+                    self.check_alignment(op, memarg.align)?;
+                    self.pop_expect(input)?;
+                    self.pop_expect(ValueType::I32)?;
+                }
+                _ => return Err(self.error(format!("unhandled opcode {op}"))),
+            },
         }
         Ok(())
     }
@@ -973,6 +960,58 @@ mod tests {
         b.add_global(GlobalType::mutable(ValueType::I32), ConstExpr::F64(1.0));
         let err = validate(&b.finish()).unwrap_err();
         assert!(err.message.contains("initializer type"), "{}", err.message);
+    }
+
+    #[test]
+    fn segment_offsets_must_be_i32_constant_expressions() {
+        let bad_offsets = [
+            ConstExpr::I64(0),
+            ConstExpr::F32(0.0),
+            ConstExpr::RefNull(ValueType::FuncRef),
+            ConstExpr::GlobalGet(0), // no imported global to read
+        ];
+        for offset in bad_offsets {
+            let mut b = ModuleBuilder::new();
+            b.add_memory(Limits::at_least(1));
+            b.add_data(0, offset, vec![1]);
+            let err = validate(&b.finish()).expect_err("data offset");
+            assert!(err.message.contains("data segment 0 offset"), "{offset:?}: {}", err.message);
+
+            let mut b = ModuleBuilder::new();
+            b.add_table(ValueType::FuncRef, Limits::at_least(1));
+            b.add_elem(0, offset, vec![]);
+            let err = validate(&b.finish()).expect_err("element offset");
+            assert!(err.message.contains("element segment 0 offset"), "{offset:?}: {}", err.message);
+        }
+        let mut b = ModuleBuilder::new();
+        b.add_memory(Limits::at_least(1));
+        b.add_data(0, ConstExpr::I64(0), vec![1]);
+        let err = validate(&b.finish()).unwrap_err();
+        assert!(err.message.contains("type mismatch"), "{}", err.message);
+    }
+
+    #[test]
+    fn declared_sizes_beyond_what_an_instance_can_hold_are_refused() {
+        // Validation only: nothing here is ever instantiated (allocated).
+        let table = |limits| {
+            let mut b = ModuleBuilder::new();
+            b.add_table(ValueType::FuncRef, limits);
+            validate(&b.finish())
+        };
+        table(Limits::at_least(MAX_TABLE_ELEMENTS)).expect("the ceiling itself is allowed");
+        let err = table(Limits::at_least(u32::MAX)).unwrap_err();
+        assert!(err.message.contains("table 0 size"), "{}", err.message);
+
+        let memory = |limits| {
+            let mut b = ModuleBuilder::new();
+            b.add_memory(limits);
+            validate(&b.finish())
+        };
+        memory(Limits::bounded(1, MAX_PAGES)).expect("the ceiling itself is allowed");
+        for limits in [Limits::at_least(MAX_PAGES + 1), Limits::bounded(1, MAX_PAGES + 1)] {
+            let err = memory(limits).unwrap_err();
+            assert!(err.message.contains("memory 0 size"), "{limits:?}: {}", err.message);
+        }
     }
 
     #[test]

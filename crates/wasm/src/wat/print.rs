@@ -18,8 +18,8 @@ use super::lexer::escape_string;
 use super::num;
 use crate::module::{ConstExpr, Module};
 use crate::names::NameSection;
-use crate::opcode::{ImmediateKind, Opcode};
-use crate::reader::BytecodeReader;
+use crate::opcode::Opcode;
+use crate::reader::{BytecodeReader, Imm, Instr};
 use crate::types::{BlockType, ExternalKind, FuncType, GlobalType, Limits, ValueType};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -169,9 +169,9 @@ pub fn print_module(m: &Module) -> String {
 fn print_body(out: &mut String, code: &[u8]) {
     let mut r = BytecodeReader::new(code);
     let mut depth: usize = 0;
-    while !r.is_at_end() {
-        let Ok(op) = r.read_opcode() else {
-            // Unknown byte: not printable as WAT; emit a comment so the
+    while let Some(instr) = r.next() {
+        let Ok(Instr { op, imm, .. }) = instr else {
+            // Not an instruction: not printable as WAT; emit a comment so the
             // output at least lexes (such bodies only arise from invalid
             // modules, which the round-trip tests never print).
             let _ = writeln!(out, "    ;; <unprintable byte>");
@@ -190,7 +190,7 @@ fn print_body(out: &mut String, code: &[u8]) {
         } else {
             let _ = write!(out, "    {}", "  ".repeat(depth));
         }
-        print_instruction(out, op, &mut r);
+        print_instruction(out, op, imm);
         out.push('\n');
         if op.opens_block() {
             depth += 1;
@@ -198,94 +198,39 @@ fn print_body(out: &mut String, code: &[u8]) {
     }
 }
 
-fn print_instruction(out: &mut String, op: Opcode, r: &mut BytecodeReader<'_>) {
-    if op == Opcode::SelectT {
-        let types = r.read_select_types().unwrap_or_default();
+fn print_instruction(out: &mut String, op: Opcode, imm: Imm<'_>) {
+    if let Imm::Select(types) = imm {
         let list = types.iter().map(|t| t.mnemonic()).collect::<Vec<_>>().join(" ");
         let _ = write!(out, "select (result {list})");
         return;
     }
     let _ = write!(out, "{}", op.mnemonic());
-    match op.immediate_kind() {
-        ImmediateKind::None => {}
-        ImmediateKind::BlockType => {
-            if let Ok(bt) = r.read_block_type() {
-                match bt {
-                    BlockType::Empty => {}
-                    BlockType::Value(t) => {
-                        let _ = write!(out, " (result {t})");
-                    }
-                    BlockType::Func(i) => {
-                        let _ = write!(out, " (type {i})");
-                    }
-                }
+    let _ = match imm {
+        Imm::None | Imm::Select(_) | Imm::Block(BlockType::Empty) => Ok(()),
+        Imm::Block(BlockType::Value(t)) => write!(out, " (result {t})"),
+        Imm::Block(BlockType::Func(i)) => write!(out, " (type {i})"),
+        Imm::Index(i) => write!(out, " {i}"),
+        Imm::Table(table) => table.targets_and_default().try_for_each(|t| write!(out, " {t}")),
+        Imm::CallIndirect { type_index, table_index: 0 } => write!(out, " (type {type_index})"),
+        Imm::CallIndirect { type_index, table_index } => {
+            write!(out, " {table_index} (type {type_index})")
+        }
+        Imm::Mem(memarg) => {
+            if memarg.offset != 0 {
+                let _ = write!(out, " offset={}", memarg.offset);
             }
-        }
-        ImmediateKind::LabelIndex
-        | ImmediateKind::FuncIndex
-        | ImmediateKind::LocalIndex
-        | ImmediateKind::GlobalIndex => {
-            if let Ok(i) = r.read_index() {
-                let _ = write!(out, " {i}");
+            let natural = op.access_width().unwrap_or(1).trailing_zeros();
+            if memarg.align != natural {
+                let _ = write!(out, " align={}", 1u32 << memarg.align.min(31));
             }
+            Ok(())
         }
-        ImmediateKind::BranchTable => {
-            if let Ok((targets, default)) = r.read_branch_table() {
-                for t in targets {
-                    let _ = write!(out, " {t}");
-                }
-                let _ = write!(out, " {default}");
-            }
-        }
-        ImmediateKind::CallIndirect => {
-            if let Ok((type_index, table_index)) = r.read_call_indirect() {
-                if table_index != 0 {
-                    let _ = write!(out, " {table_index}");
-                }
-                let _ = write!(out, " (type {type_index})");
-            }
-        }
-        ImmediateKind::MemArg => {
-            if let Ok(memarg) = r.read_memarg() {
-                if memarg.offset != 0 {
-                    let _ = write!(out, " offset={}", memarg.offset);
-                }
-                let natural = op.access_width().unwrap_or(1).trailing_zeros();
-                if memarg.align != natural {
-                    let _ = write!(out, " align={}", 1u32 << memarg.align.min(31));
-                }
-            }
-        }
-        ImmediateKind::MemoryIndex => {
-            let _ = r.read_memory_index();
-        }
-        ImmediateKind::I32Const => {
-            if let Ok(v) = r.read_i32() {
-                let _ = write!(out, " {v}");
-            }
-        }
-        ImmediateKind::I64Const => {
-            if let Ok(v) = r.read_i64() {
-                let _ = write!(out, " {v}");
-            }
-        }
-        ImmediateKind::F32Const => {
-            if let Ok(v) = r.read_f32() {
-                let _ = write!(out, " {}", num::print_f32(v.to_bits()));
-            }
-        }
-        ImmediateKind::F64Const => {
-            if let Ok(v) = r.read_f64() {
-                let _ = write!(out, " {}", num::print_f64(v.to_bits()));
-            }
-        }
-        ImmediateKind::RefType => {
-            if let Ok(t) = r.read_ref_type() {
-                let _ = write!(out, " {}", ref_heap_type(t));
-            }
-        }
-        ImmediateKind::SelectTyped => unreachable!("handled above"),
-    }
+        Imm::I32(v) => write!(out, " {v}"),
+        Imm::I64(v) => write!(out, " {v}"),
+        Imm::F32(v) => write!(out, " {}", num::print_f32(v.to_bits())),
+        Imm::F64(v) => write!(out, " {}", num::print_f64(v.to_bits())),
+        Imm::Ref(t) => write!(out, " {}", ref_heap_type(t)),
+    };
 }
 
 /// Returns the module's name section iff the WAT text format can express

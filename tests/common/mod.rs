@@ -18,7 +18,7 @@ use machine::values::WasmValue;
 use std::collections::{BTreeMap, BTreeSet};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::opcode::Opcode;
-use wasm::reader::BytecodeReader;
+use wasm::reader::{BytecodeReader, Imm, Instr};
 use wasm::types::{BlockType, FuncType, ValueType};
 use wasm::Module;
 
@@ -136,16 +136,14 @@ fn reference_branch_targets(code: &[u8]) -> BTreeMap<u32, Vec<u32>> {
     }
     let mut targets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     let mut stack = vec![Construct { loop_start: None, waiting: Vec::new() }];
-    let mut r = BytecodeReader::new(code);
-    while !r.is_at_end() {
-        let offset = r.pc() as u32;
-        let op = r.read_opcode().expect("opcode");
-        match op {
-            Opcode::Block | Opcode::Loop | Opcode::If => {
-                r.skip_immediates(op).expect("block type");
+    for instr in BytecodeReader::new(code) {
+        let Instr { offset, op, imm, end } = instr.expect("instruction");
+        let offset = offset as u32;
+        match (op, imm) {
+            (Opcode::Block | Opcode::Loop | Opcode::If, _) => {
                 let mut construct = Construct { loop_start: None, waiting: Vec::new() };
                 match op {
-                    Opcode::Loop => construct.loop_start = Some(r.pc() as u32),
+                    Opcode::Loop => construct.loop_start = Some(end as u32),
                     Opcode::If => {
                         // The false edge: to just past the `else`, or to the `end`.
                         targets.insert(offset, vec![0]);
@@ -155,32 +153,29 @@ fn reference_branch_targets(code: &[u8]) -> BTreeMap<u32, Vec<u32>> {
                 }
                 stack.push(construct);
             }
-            Opcode::Else => {
+            (Opcode::Else, _) => {
                 let construct = stack.last_mut().expect("inside an if");
                 let (if_offset, _) = construct.waiting.remove(0);
                 targets.get_mut(&if_offset).expect("recorded")[0] = offset + 1;
                 targets.insert(offset, vec![0]);
                 construct.waiting.push((offset, 0));
             }
-            Opcode::End => {
+            (Opcode::End, _) => {
                 for (waiting, slot) in stack.pop().expect("balanced").waiting {
                     targets.get_mut(&waiting).expect("recorded")[slot] = offset;
                 }
             }
-            Opcode::Br | Opcode::BrIf => {
-                let depth = r.read_index().expect("depth");
+            (Opcode::Br | Opcode::BrIf, Imm::Index(depth)) => {
                 targets.insert(offset, vec![0]);
                 branch(&mut targets, &mut stack, depth, offset, 0);
             }
-            Opcode::BrTable => {
-                let (mut depths, default) = r.read_branch_table().expect("table");
-                depths.push(default);
-                targets.insert(offset, vec![0; depths.len()]);
-                for (slot, depth) in depths.into_iter().enumerate() {
+            (Opcode::BrTable, Imm::Table(table)) => {
+                targets.insert(offset, vec![0; table.len() + 1]);
+                for (slot, depth) in table.targets_and_default().enumerate() {
                     branch(&mut targets, &mut stack, depth, offset, slot);
                 }
             }
-            _ => r.skip_immediates(op).expect("immediates"),
+            _ => {}
         }
     }
     assert!(stack.is_empty(), "unbalanced body");
@@ -201,16 +196,13 @@ fn reference_fuel_schedule(code: &[u8]) -> (BTreeMap<u32, u64>, BTreeSet<u32>) {
         *pending = 0;
         *region_start = next;
     };
-    let mut r = BytecodeReader::new(code);
-    while !r.is_at_end() {
-        let offset = r.pc() as u32;
-        let op = r.read_opcode().expect("opcode");
+    for instr in BytecodeReader::new(code) {
+        let instr = instr.expect("instruction");
+        let (op, offset, after) = (instr.op, instr.offset as u32, instr.end as u32);
         if matches!(op, Opcode::Loop | Opcode::Else | Opcode::End) {
             flush(&mut region_start, &mut pending, offset);
         }
         pending += wasm::fuel::fuel_cost(op);
-        r.skip_immediates(op).expect("immediates");
-        let after = r.pc() as u32;
         if op == Opcode::Loop {
             epoch_checks.insert(after);
         }

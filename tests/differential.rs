@@ -441,6 +441,38 @@ fn mistyped_call_arguments_trap_host_error() {
     }
 }
 
+/// Instantiation evaluates segment offsets trusting them to be `i32`; that
+/// trust is the validator's to establish. A module whose data or element
+/// offset has another type round-trips the binary format, and every
+/// configuration must refuse it with a validation error (it used to validate
+/// and then panic in `MemoryImage::build`).
+#[test]
+fn a_mistyped_segment_offset_is_a_validation_error_not_a_panic() {
+    use wasm::builder::ModuleBuilder;
+    use wasm::module::ConstExpr;
+    use wasm::types::Limits;
+    let mut data = ModuleBuilder::new();
+    data.add_memory(Limits::at_least(1));
+    data.add_data(0, ConstExpr::I64(0), vec![1, 2, 3]);
+    let mut elem = ModuleBuilder::new();
+    elem.add_table(wasm::types::ValueType::FuncRef, Limits::at_least(1));
+    elem.add_elem(0, ConstExpr::F64(0.0), vec![]);
+    for (kind, built) in [("data", data.finish()), ("element", elem.finish())] {
+        let module = wasm::decode::decode(&wasm::encode::encode(&built))
+            .unwrap_or_else(|e| panic!("{kind}: the module round-trips: {e}"));
+        for config in common::all_tier_backend_configs() {
+            let name = config.name.clone();
+            match Engine::new(config).instantiate(&module, Imports::new(), Instrumentation::none()) {
+                Err(engine::EngineError::Validate(e)) => {
+                    assert!(e.message.contains("type mismatch"), "[{name}] {kind}: {e}")
+                }
+                Err(other) => panic!("[{name}] {kind}: refused for another reason: {other}"),
+                Ok(_) => panic!("[{name}] {kind}: instantiated"),
+            }
+        }
+    }
+}
+
 /// Per-function counters are numbered by *defined* index, so an imported
 /// function shifts them against the function-space index a firing reports.
 /// The interpreter and `ProbeMode::Runtime` code fire through the frame
