@@ -4,8 +4,9 @@
 
 use conform::runner::{all_configs, run_script};
 use conform::script::parse_script;
-use engine::{Engine, EngineConfig, Imports, Instrumentation, MultiEngine, ResourceLimits, TrapReason};
+use engine::{CodeCache, Engine, EngineConfig, Imports, Instrumentation, ResourceLimits, TrapReason};
 use machine::values::WasmValue;
+use std::sync::Arc;
 use wasm::wat;
 
 /// Every fuel-using corpus script must consume the *same* fuel, action by
@@ -141,11 +142,13 @@ fn tenant_call_depth_ceiling_binds_in_every_config() {
     }
 }
 
-/// The MultiEngine registry shares compiled artifacts between tenants whose
-/// configurations emit the same code, across differing execution knobs.
+/// Engines sharing one code cache share compiled artifacts between tenants
+/// whose configurations emit the same code, across differing execution
+/// knobs.
 #[test]
-fn multiengine_tenants_share_compiled_artifacts() {
-    let multi = MultiEngine::new();
+fn tenants_on_one_cache_share_compiled_artifacts() {
+    let cache = Arc::new(CodeCache::new());
+    let tenant = |config: EngineConfig| Engine::new(config).with_code_cache(Arc::clone(&cache));
     let module = wat::parse_module(
         r#"(module (func (export "f") (result i32) i32.const 7))"#,
     )
@@ -154,14 +157,14 @@ fn multiengine_tenants_share_compiled_artifacts() {
     // Tenant A: plain default config. Tenant B: same code-affecting axes,
     // different execution ceilings. Both metered tenants (C, D) share a
     // *different* cache entry — metering changes emitted code.
-    let a = multi.engine(EngineConfig::default());
-    let b = multi.engine(EngineConfig::default().with_limits(ResourceLimits {
+    let a = tenant(EngineConfig::default());
+    let b = tenant(EngineConfig::default().with_limits(ResourceLimits {
         memory_pages: Some(1),
         table_elements: None,
         call_depth: Some(10),
     }));
-    let c = multi.engine(EngineConfig::default().with_metering());
-    let d = multi.engine(EngineConfig::default().with_metering());
+    let c = tenant(EngineConfig::default().with_metering());
+    let d = tenant(EngineConfig::default().with_metering());
 
     let run = |engine: &Engine, fuel: Option<u64>| {
         let mut instance = engine
@@ -185,8 +188,8 @@ fn multiengine_tenants_share_compiled_artifacts() {
     let (hit_d, fuel_d) = run(&d, Some(100));
     assert!(hit_d, "tenant D reuses C's metered artifact");
     assert_eq!(fuel_d, Some(1));
-    assert_eq!(multi.code_cache().len(), 2, "two code shapes, four tenants");
-    assert_eq!(multi.code_cache().hits(), 2);
+    assert_eq!(cache.len(), 2, "two code shapes, four tenants");
+    assert_eq!(cache.hits(), 2);
 }
 
 /// Out-of-fuel surfaces as the structured `TrapReason::OutOfFuel` through

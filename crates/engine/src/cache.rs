@@ -28,14 +28,18 @@
 //! its two configuration fingerprints when it is built. What remains per
 //! lookup is the instrumentation fingerprint and a map probe.
 //!
-//! The content hash is 64 bits and one cache serves every tenant of a
-//! [`MultiEngine`](crate::multi::MultiEngine), so the key alone does not
-//! decide a hit: [`CodeCache::lookup`] also takes the module and returns the
-//! resident artifact only if it was built from that module — the same
-//! allocation in the steady state (the artifact keeps the handle it was
-//! built from), equal contents otherwise. An artifact of a different module
-//! under the same key is a miss; the caller compiles its own, and
-//! [`CodeCache::insert`] leaves the resident entry where it is.
+//! One cache can serve several engines
+//! (`Engine::new(config).with_code_cache(Arc::clone(&cache))`): tenants whose
+//! configurations differ only in execution knobs (resource ceilings,
+//! thresholds, lazy compilation) share entries, because those knobs are not
+//! in the key. The content hash is 64 bits and one cache serves every module
+//! of every tenant, so the key alone does not decide a hit:
+//! [`CodeCache::lookup`] also takes the module and returns the resident
+//! artifact only if it was built from that module — the same allocation in
+//! the steady state (the artifact keeps the handle it was built from), equal
+//! contents otherwise. An artifact of a different module under the same key
+//! is a miss; the caller compiles its own, and [`CodeCache::insert`] leaves
+//! the resident entry where it is.
 
 use crate::config::EngineConfig;
 use crate::monitor::Instrumentation;
@@ -183,7 +187,7 @@ impl CodeCache {
     /// published tier of every entry). Computed on demand: artifacts gain
     /// code as lazy and tier-up compilations publish, so a stored total
     /// would go stale.
-    pub fn resident_machine_bytes(&self) -> u64 {
+    fn resident_machine_bytes(&self) -> u64 {
         self.entries
             .lock()
             .expect("code cache poisoned")
@@ -206,6 +210,8 @@ impl CodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ResourceLimits;
+    use crate::engine::{Engine, Imports};
     use machine::masm::CodeBackend;
     use spc::{CompilerOptions, TagStrategy};
     use wasm::builder::{CodeBuilder, ModuleBuilder};
@@ -295,5 +301,32 @@ mod tests {
         assert!(Arc::ptr_eq(&resident, &of_b));
         // A separately built copy of the same contents is the same module.
         assert!(cache.lookup(&key, &module(4)).is_some());
+    }
+
+    #[test]
+    fn code_compatible_tenants_share_one_cache_entry() {
+        let cache = Arc::new(CodeCache::new());
+        let m = module(5);
+        let instantiate = |config: EngineConfig| {
+            Engine::new(config)
+                .with_code_cache(Arc::clone(&cache))
+                .instantiate(&m, Imports::new(), Instrumentation::none())
+                .expect("instantiates");
+            cache.len()
+        };
+        let a = EngineConfig::baseline("tenant-a", CompilerOptions::allopt());
+        // Execution-only differences: the same code, one entry.
+        let b = EngineConfig::baseline("tenant-b", CompilerOptions::allopt())
+            .with_limits(ResourceLimits {
+                memory_pages: Some(4),
+                table_elements: None,
+                call_depth: Some(100),
+            })
+            .with_lazy_compile(true);
+        assert_eq!(instantiate(a), 1);
+        assert_eq!(instantiate(b), 1);
+        // Metering changes emitted code: a second entry.
+        let c = EngineConfig::baseline("tenant-c", CompilerOptions::allopt()).with_metering();
+        assert_eq!(instantiate(c), 2);
     }
 }

@@ -9,10 +9,14 @@
 //! hot; tier-down to the interpreter can happen when a probe fires in JIT
 //! code).
 //!
+//! An [`Engine`] is a handle (one [`Arc`]) to everything immutable the
+//! runtime needs, built once by [`Engine::new`]: the configuration, the cost
+//! model, both executors, the optional [`CodeCache`] (shared artifacts
+//! across instantiations), the epoch and the telemetry sink. Clones share
+//! all of it; an [`Instance`] holds only mutable runtime state.
+//!
 //! Compilation itself lives in [`crate::pipeline`]: every instance holds an
-//! immutable, shareable [`CompiledModule`] artifact behind an [`Arc`], while
-//! the instance keeps only mutable runtime state. An engine can additionally
-//! be wired to a [`CodeCache`] (shared artifacts across instantiations).
+//! immutable, shareable [`CompiledModule`] artifact behind an [`Arc`].
 //! Code is compiled at instantiation ([`pipeline::compile_eager`]) or on the
 //! executing thread at the call boundary or OSR poll that needs it
 //! (`Engine::ensure_compiled`) — nowhere else.
@@ -153,18 +157,8 @@ pub struct RunMetrics {
     /// instance's behalf: lazy first-call compiles, interpreter→baseline
     /// tier-ups, and baseline→optimizing promotions each count once.
     pub tiered_up_functions: u32,
-    /// Number of Wasm calls executed.
-    pub calls_executed: u64,
-    /// Garbage collections performed.
-    pub gc_count: u64,
     /// Value-tag store instructions emitted by the compiler.
     pub tag_stores_emitted: u64,
-    /// Calls that ended in a trap (any [`TrapCode`], including fuel
-    /// exhaustion and epoch interruption).
-    pub traps: u64,
-    /// Per-reason trap counts, indexed by [`TrapCode::index`]. A fixed
-    /// array (not a map) keeps [`RunMetrics`] `Copy`.
-    pub trap_counts: [u64; TrapCode::ALL.len()],
 }
 
 impl RunMetrics {
@@ -395,13 +389,20 @@ struct Activation {
 /// The engine: a configuration plus the machinery to instantiate and run
 /// modules under it.
 ///
-/// Engines are cheap to clone; clones share the attached [`CodeCache`], the
-/// epoch counter and the telemetry sink (each behind an [`Arc`]), which is
-/// how a serving setup gives every worker thread its own engine handle over
-/// one shared cache. There is no compile pool to share: a function is
-/// compiled by the thread that instantiates or first needs it.
+/// An `Engine` is a handle to one runtime built once by [`Engine::new`]:
+/// clones share everything — the configuration, the executors, the attached
+/// [`CodeCache`], the epoch counter and the telemetry sink — which is how a
+/// serving setup runs every app and every worker thread on one engine.
+/// Tenants with different configurations share compiled code by attaching
+/// one cache to several engines
+/// (`Engine::new(config).with_code_cache(Arc::clone(&cache))`). There is no
+/// compile pool to share: a function is compiled by the thread that
+/// instantiates or first needs it.
 #[derive(Debug, Clone)]
-pub struct Engine {
+pub struct Engine(Arc<EngineInner>);
+
+#[derive(Debug, Clone)]
+struct EngineInner {
     config: EngineConfig,
     /// [`EngineConfig::compile_fingerprint`] and
     /// [`EngineConfig::opt_fingerprint`] of `config`, computed once: the
@@ -410,14 +411,12 @@ pub struct Engine {
     compile_fingerprint: u64,
     opt_fingerprint: u64,
     cache: Option<Arc<CodeCache>>,
-    /// The shared epoch counter for preemption. Engine clones (and engines
-    /// built by [`crate::multi::MultiEngine`]) share one counter, so a
-    /// supervisor thread bumping it preempts every instance with an armed
-    /// deadline at its next check site.
+    /// The epoch counter for preemption: a supervisor thread bumping it
+    /// preempts every instance with an armed deadline at its next check
+    /// site.
     epoch: Arc<AtomicU64>,
     /// The engine's telemetry handle. Disabled by default (one never-taken
-    /// branch per site); clones share the sink, so a whole serving stack
-    /// reports into one coherent trace.
+    /// branch per site).
     telemetry: Telemetry,
     /// The cycle cost model every configuration runs under, and the two
     /// executors built once from it and borrowed by every call (the CPU
@@ -433,7 +432,7 @@ impl Engine {
     /// [`Engine::with_telemetry`] attaches a sink.
     pub fn new(config: EngineConfig) -> Engine {
         let cost = CostModel::default();
-        Engine {
+        Engine(Arc::new(EngineInner {
             interp: Interpreter::new(cost.clone()),
             cpu: Cpu::new(cost.clone()),
             cost,
@@ -443,7 +442,7 @@ impl Engine {
             cache: None,
             epoch: Arc::new(AtomicU64::new(0)),
             telemetry: Telemetry::disabled(),
-        }
+        }))
     }
 
     /// [`CacheKey::for_instantiation`] under this engine's configuration,
@@ -451,65 +450,61 @@ impl Engine {
     fn cache_key(&self, module: &Module, instrumentation: &Instrumentation) -> CacheKey {
         CacheKey {
             content_hash: module.content_hash(),
-            options_fingerprint: self.compile_fingerprint,
-            backend: self.config.backend,
+            options_fingerprint: self.0.compile_fingerprint,
+            backend: self.0.config.backend,
             instrumentation_fingerprint: instrumentation.fingerprint(),
-            opt_fingerprint: self.opt_fingerprint,
+            opt_fingerprint: self.0.opt_fingerprint,
         }
     }
 
     /// Attaches a shared code cache: instantiations look up the
     /// (content-hash, options-fingerprint, backend, instrumentation) key and
     /// reuse the whole compiled artifact on a hit, skipping validation,
-    /// preparation, and compilation.
+    /// preparation, and compilation. Call it before the engine is cloned:
+    /// on a shared handle it builds a separate engine.
     pub fn with_code_cache(mut self, cache: Arc<CodeCache>) -> Engine {
-        self.cache = Some(cache);
+        Arc::make_mut(&mut self.0).cache = Some(cache);
         self
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.0.config
     }
 
     /// The attached code cache, if any.
     pub fn code_cache(&self) -> Option<&Arc<CodeCache>> {
-        self.cache.as_ref()
-    }
-
-    /// Shares an epoch counter with other engines (see [`Engine::epoch`]).
-    pub fn with_epoch(mut self, epoch: Arc<AtomicU64>) -> Engine {
-        self.epoch = epoch;
-        self
+        self.0.cache.as_ref()
     }
 
     /// Attaches a telemetry handle: [`Telemetry::enabled`] for a sink of the
-    /// engine's own, or a clone of another engine's handle to share the sink
-    /// behind it — the way a serving stack collects every worker's events
+    /// engine's own, or a clone of another handle to share the sink behind
+    /// it — the way a serving stack collects the engine's and its own events
     /// into one trace. The handle is not part of the configuration (nor of
     /// [`EngineConfig::compile_fingerprint`]): telemetry observes execution
     /// without changing the code any tier emits and charges no simulated
-    /// cycles, so traced and untraced engines share cache entries.
+    /// cycles, so traced and untraced engines share cache entries. Like
+    /// [`Engine::with_code_cache`], call it before the engine is cloned.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Engine {
-        self.telemetry = telemetry;
+        Arc::make_mut(&mut self.0).telemetry = telemetry;
         self
     }
 
     /// The engine's telemetry handle (disabled unless one was attached).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.0.telemetry
     }
 
     /// The engine's epoch counter. Clone the [`Arc`] to bump it from a
     /// supervisor thread.
     pub fn epoch(&self) -> &Arc<AtomicU64> {
-        &self.epoch
+        &self.0.epoch
     }
 
     /// Advances the epoch by one, preempting every instance whose deadline
     /// is now reached at its next check site.
     pub fn increment_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.0.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Instantiates a module: validates, prepares, optionally compiles
@@ -532,7 +527,7 @@ impl Engine {
         // hit skips validation, preparation, and all compilation), freshly
         // built otherwise.
         let mut cache_hit = false;
-        let artifact: Arc<CompiledModule> = match &self.cache {
+        let artifact: Arc<CompiledModule> = match &self.0.cache {
             Some(cache) => {
                 let key = self.cache_key(module, &instrumentation);
                 let found = match cache.lookup(&key, module) {
@@ -546,9 +541,11 @@ impl Engine {
                         built
                     }
                 };
-                if self.telemetry.is_enabled() {
-                    self.telemetry.emit(EventKind::CacheLookup { hit: cache_hit });
-                    if let Some(metrics) = self.telemetry.metrics() {
+                if self.0.telemetry.is_enabled() {
+                    self.0
+                        .telemetry
+                        .emit(EventKind::CacheLookup { hit: cache_hit });
+                    if let Some(metrics) = self.0.telemetry.metrics() {
                         metrics
                             .counter(if cache_hit { "cache.hits" } else { "cache.misses" })
                             .inc();
@@ -590,7 +587,7 @@ impl Engine {
         // ceilings there, so `memory.grow` can never exceed the tenant
         // budget.
         let (memory, globals, tables) =
-            MemoryImage::build(module, &self.config.limits)?.into_parts();
+            MemoryImage::build(module, &self.0.config.limits)?.into_parts();
 
         let num_defined = module.funcs.len();
         let mut instance = Instance {
@@ -601,7 +598,7 @@ impl Engine {
             globals,
             tables,
             values: ValueStack::default(),
-            heap: Heap::with_threshold(self.config.gc_threshold),
+            heap: Heap::with_threshold(self.0.config.gc_threshold),
             instrumentation,
             host_funcs,
             host_slots,
@@ -619,17 +616,17 @@ impl Engine {
         // Slots already published into a cached artifact are skipped, so a
         // warm instantiation compiles nothing and only the instance that
         // actually compiled a function accounts its time.
-        let needs_eager = !self.config.lazy_compile
-            && !matches!(self.config.tier, TierPolicy::InterpreterOnly);
+        let needs_eager = !self.0.config.lazy_compile
+            && !matches!(self.0.config.tier, TierPolicy::InterpreterOnly);
         if needs_eager {
             let published = pipeline::compile_eager(
-                &self.config,
+                &self.0.config,
                 &instance.artifact,
                 &instance.instrumentation,
-                &self.telemetry,
+                &self.0.telemetry,
             )
             .map_err(EngineError::Compile)?;
-            let tier = pipeline::eager_tier(&self.config);
+            let tier = pipeline::eager_tier(&self.0.config);
             for defined in published {
                 let compiled = instance
                     .artifact
@@ -690,9 +687,9 @@ impl Engine {
         let mut cycles = CycleCounter::new();
         let exec_result = self.run_call(instance, func_index, args, frame_base, &mut cycles);
         instance.metrics.exec_cycles += cycles.total();
-        if self.telemetry.is_enabled() {
+        if self.0.telemetry.is_enabled() {
             if let Err(code) = &exec_result {
-                self.telemetry.emit(match code {
+                self.0.telemetry.emit(match code {
                     TrapCode::OutOfFuel => EventKind::FuelExhausted,
                     TrapCode::Interrupted => EventKind::EpochInterrupt,
                     code => {
@@ -751,8 +748,8 @@ impl Engine {
             CompileTier::Baseline => None,
         };
         let published = pipeline::compile_slot(
-            &self.telemetry,
-            &self.config,
+            &self.0.telemetry,
+            &self.0.config,
             &instance.artifact,
             defined,
             tier,
@@ -765,7 +762,7 @@ impl Engine {
                 .artifact_for(defined, tier)
                 .expect("just published");
             account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
-            self.telemetry.emit(EventKind::TierUp {
+            self.0.telemetry.emit(EventKind::TierUp {
                 func: func_index,
                 tier: pipeline::tier_label(Some(tier)),
             });
@@ -783,7 +780,7 @@ impl Engine {
     ) -> Result<Option<CompileTier>, TrapCode> {
         instance.call_counts[defined as usize] =
             instance.call_counts[defined as usize].saturating_add(1);
-        let want: Option<CompileTier> = match &self.config.tier {
+        let want: Option<CompileTier> = match &self.0.config.tier {
             TierPolicy::InterpreterOnly => None,
             TierPolicy::BaselineOnly(_) => Some(CompileTier::Baseline),
             TierPolicy::OptimizingOnly => Some(CompileTier::Opt),
@@ -822,6 +819,7 @@ impl Engine {
             .checked_sub(instance.module().num_imported_funcs())
             .ok_or(TrapCode::HostError)?;
         let max_depth = self
+            .0
             .config
             .limits
             .call_depth
@@ -833,7 +831,7 @@ impl Engine {
         // The call boundary is a preemption point in every tier: functions
         // that recurse instead of looping still observe the epoch.
         if let Some(deadline) = instance.epoch_deadline {
-            if self.epoch.load(Ordering::Relaxed) >= deadline {
+            if self.0.epoch.load(Ordering::Relaxed) >= deadline {
                 return Err(TrapCode::Interrupted);
             }
         }
@@ -903,7 +901,6 @@ impl Engine {
             frame_base + prepared.num_locals() as usize
         };
         instance.values.set_sp(sp);
-        instance.metrics.calls_executed += 1;
         Ok(Activation {
             func_index,
             defined_index: defined,
@@ -947,7 +944,7 @@ impl Engine {
     /// Captures diagnostics for a trap that unwound [`Engine::run_frames`]:
     /// walks the (still-live) activation stack into a symbolicated
     /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and bumps the
-    /// per-reason metrics and telemetry counters.
+    /// per-reason telemetry counter.
     ///
     /// The top frame's offset is `trap_offset` when the trap came from
     /// *executing* an instruction; traps raised at a call boundary (stack
@@ -961,8 +958,6 @@ impl Engine {
         code: TrapCode,
         trap_offset: Option<u32>,
     ) {
-        instance.metrics.traps += 1;
-        instance.metrics.trap_counts[code.index()] += 1;
         let names = instance.module().name_section();
         let mut frames = Vec::with_capacity(stack.len());
         for (depth, act) in stack.iter().rev().enumerate() {
@@ -978,8 +973,8 @@ impl Engine {
                 tier: pipeline::tier_label(act.tier.jit_tier()),
             });
         }
-        if self.telemetry.is_enabled() {
-            if let Some(metrics) = self.telemetry.metrics() {
+        if self.0.telemetry.is_enabled() {
+            if let Some(metrics) = self.0.telemetry.metrics() {
                 metrics.counter(&format!("engine.traps.{}", code.slug())).inc();
             }
         }
@@ -1000,7 +995,17 @@ impl Engine {
         stack: &mut Vec<Activation>,
         trap_offset: &mut Option<u32>,
     ) -> Result<(), TrapCode> {
-        let Engine { interp, cpu, .. } = self;
+        // The shared parts, bound once: the loop below reads them as
+        // directly as it would an engine held by value.
+        let EngineInner {
+            interp,
+            cpu,
+            cost,
+            config,
+            epoch,
+            telemetry,
+            ..
+        } = &*self.0;
         let root = self.push_frame(instance, func_index, frame_base, Some(args), 0)?;
         stack.push(root);
         // An owned handle to the shared artifact lets the executor borrow
@@ -1011,8 +1016,7 @@ impl Engine {
         // the shared epoch at their existing check sites and report the
         // current (function, tier) once per tick — `last_sample_epoch` is
         // what makes a tick yield one sample, not one per site.
-        let telemetry = &self.telemetry;
-        let mut last_sample_epoch = self.epoch.load(Ordering::Relaxed);
+        let mut last_sample_epoch = epoch.load(Ordering::Relaxed);
 
         while let Some(act) = stack.last_mut() {
             let defined = act.defined_index;
@@ -1037,14 +1041,14 @@ impl Engine {
                 let mut record_sample =
                     |_offset: u32| telemetry.record_sample(sample_func, sample_tier);
                 let sampler = telemetry.is_enabled().then(|| EpochSampler {
-                    epoch: self.epoch.as_ref(),
+                    epoch: epoch.as_ref(),
                     last: &mut last_sample_epoch,
                     record: &mut record_sample,
                 });
                 // The OSR hook rides the same fused meter-check sites.
                 // Optimizing-tier frames never poll — they are already where
                 // OSR would take them.
-                let osr = match self.config.osr_threshold {
+                let osr = match config.osr_threshold {
                     Some(threshold)
                         if !act.osr_off && frame_tier != Some(CompileTier::Opt) =>
                     {
@@ -1065,7 +1069,7 @@ impl Engine {
                     tables,
                     meter: Meter {
                         fuel: fuel.as_mut(),
-                        epoch: epoch_deadline.map(|d| (self.epoch.as_ref(), d)),
+                        epoch: epoch_deadline.map(|d| (epoch.as_ref(), d)),
                         sampler,
                         osr,
                     },
@@ -1098,7 +1102,7 @@ impl Engine {
             // recursion-heavy code with no loop back-edges still attributes
             // its time.
             if telemetry.is_enabled() {
-                let now = self.epoch.load(Ordering::Relaxed);
+                let now = epoch.load(Ordering::Relaxed);
                 if now != last_sample_epoch {
                     last_sample_epoch = now;
                     telemetry.record_sample(sample_func, sample_tier);
@@ -1117,7 +1121,7 @@ impl Engine {
                             return Ok(());
                         }
                         Some(parent) => {
-                            cycles.charge(self.cost.ret);
+                            cycles.charge(cost.ret);
                             match parent.tier {
                                 FrameTier::Interp { .. } => {
                                     instance.values.set_sp(result_end);
@@ -1135,8 +1139,8 @@ impl Engine {
                     // Where the caller stands in a backtrace while the callee
                     // runs.
                     act.site_offset = site_offset;
-                    let cost = self.cost.call;
-                    self.dispatch_call(instance, &artifact, stack, callee, resume, cost, cycles)?;
+                    let call = cost.call;
+                    self.dispatch_call(instance, &artifact, stack, callee, resume, call, cycles)?;
                 }
                 UnifiedExit::CallIndirect {
                     type_index,
@@ -1164,8 +1168,8 @@ impl Engine {
                     if module.func_type(callee) != Some(expected) {
                         return Err(TrapCode::IndirectCallTypeMismatch);
                     }
-                    let cost = self.cost.call_indirect;
-                    self.dispatch_call(instance, &artifact, stack, callee, resume, cost, cycles)?;
+                    let call = cost.call_indirect;
+                    self.dispatch_call(instance, &artifact, stack, callee, resume, call, cycles)?;
                 }
                 UnifiedExit::Probe { exit, resume } => {
                     self.handle_jit_probe(instance, act, exit, resume)?;
@@ -1301,9 +1305,9 @@ impl Engine {
             cpu: Box::new(CpuState::new()),
             tier: CompileTier::Opt,
         };
-        if self.telemetry.is_enabled() {
-            self.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
-            if let Some(metrics) = self.telemetry.metrics() {
+        if self.0.telemetry.is_enabled() {
+            self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
+            if let Some(metrics) = self.0.telemetry.metrics() {
                 metrics.counter("engine.osr_entries").inc();
             }
         }
@@ -1344,7 +1348,7 @@ impl Engine {
                 );
             }
             ProbeExit::Runtime { .. } | ProbeExit::Direct { .. } => {
-                if self.config.deopt_on_probe {
+                if self.0.config.deopt_on_probe {
                     // Tier-down: the frame state is flushed at runtime probes,
                     // so the interpreter can take over in place. The probe is
                     // NOT fired here — the interpreter will fire it when it
@@ -1388,7 +1392,7 @@ impl Engine {
         callee_base: usize,
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
-        cycles.charge(self.cost.host_call);
+        cycles.charge(self.0.cost.host_call);
         let sig = instance
             .module()
             .func_type(callee)
@@ -1434,11 +1438,11 @@ impl Engine {
         }
         let roots = self.collect_roots(instance, stack);
         instance.heap.collect(&roots);
-        instance.metrics.gc_count += 1;
     }
 
     fn collect_roots(&self, instance: &Instance, stack: &[Activation]) -> Vec<u32> {
         let uses_stackmaps = self
+            .0
             .config
             .baseline_options()
             .map(|o| o.tagging.uses_stackmaps())
@@ -1632,5 +1636,38 @@ impl UnifiedExit {
                 offset: code.code.source_offset(pc).unwrap_or(0),
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_engine_is_one_arc_and_its_clones_share_cache_epoch_and_telemetry() {
+        assert_eq!(std::mem::size_of::<Engine>(), std::mem::size_of::<usize>());
+        let engine = Engine::new(EngineConfig::default())
+            .with_code_cache(Arc::new(CodeCache::new()))
+            .with_telemetry(Telemetry::enabled());
+        let clone = engine.clone();
+        assert!(Arc::ptr_eq(
+            engine.code_cache().expect("attached"),
+            clone.code_cache().expect("attached")
+        ));
+        assert!(Arc::ptr_eq(engine.epoch(), clone.epoch()));
+        clone.increment_epoch();
+        assert_eq!(engine.epoch().load(Ordering::Relaxed), 1);
+        engine.telemetry().emit(EventKind::FuelExhausted);
+        clone.telemetry().emit(EventKind::EpochInterrupt);
+        let drained = engine.telemetry().drain();
+        let kinds: Vec<&EventKind> = drained
+            .iter()
+            .flat_map(|(_, events, _)| events)
+            .map(|e| &e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [&EventKind::FuelExhausted, &EventKind::EpochInterrupt]
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! An [`Engine`] is created from an [`EngineConfig`] naming its execution
 //! tier(s): the in-place interpreter, the single-pass baseline compiler (in
 //! any of the paper's configurations or the six production design profiles),
-//! the optimizing tier, or a tiered combination with hotness-based tier-up.
-//! Instantiating a module produces an [`Instance`] holding the shared tagged
+//! the optimizing tier, or a tiered combination with hotness-based tier-up;
+//! it is a handle, and its clones share one runtime. Instantiating a module produces an [`Instance`] holding the shared tagged
 //! value stack, linear memory, globals, tables, the host GC [`gc::Heap`],
 //! attached [`monitor::Instrumentation`], and [`RunMetrics`] recording setup
 //! time, compile time, and executed cycles — the raw measurements behind the
@@ -55,7 +55,6 @@ pub mod engine;
 pub mod gc;
 pub mod image;
 pub mod monitor;
-pub mod multi;
 pub mod pipeline;
 pub mod pool;
 pub mod trap;
@@ -67,7 +66,6 @@ pub use engine::{Engine, EngineError, HostFunc, Imports, Instance, RunMetrics};
 pub use gc::{Heap, HostObject};
 pub use image::MemoryImage;
 pub use monitor::{BranchMonitor, BranchProfile, Instrumentation};
-pub use multi::MultiEngine;
 pub use pipeline::{CompileTier, CompiledArtifact, CompiledModule};
 pub use pool::{InstancePool, PoolStats, PooledInstance};
 pub use telemetry::Telemetry;

@@ -214,12 +214,6 @@ impl PooledInstance {
     pub fn was_warm(&self) -> bool {
         self.warm
     }
-
-    /// The engine this instance executes under (shorthand for keeping the
-    /// pool handle around just to call exports).
-    pub fn engine(&self) -> &Engine {
-        self.pool.engine()
-    }
 }
 
 impl fmt::Debug for PooledInstance {

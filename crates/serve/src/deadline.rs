@@ -62,11 +62,6 @@ impl EpochTicker {
         }
     }
 
-    /// The shared epoch counter (the same `Arc` engines are built with).
-    pub fn epoch(&self) -> &Arc<AtomicU64> {
-        &self.epoch
-    }
-
     /// The tick period.
     pub fn granularity(&self) -> Duration {
         self.granularity

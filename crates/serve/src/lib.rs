@@ -1,4 +1,4 @@
-//! The concurrent serving harness: many requests, few engines, zero setup
+//! The concurrent serving harness: many requests, one engine, zero setup
 //! on the hot path.
 //!
 //! This crate is the embedder the engine crates have been building toward:
@@ -24,8 +24,11 @@
 //! * instance pooling lives in the engine crate
 //!   ([`engine::InstancePool`]): each app's instances are recycled through
 //!   snapshot resets, so a warm request pays a memcpy instead of a full
-//!   instantiation, and all apps share one [`engine::CodeCache`] so
-//!   repeated instantiations never recompile.
+//!   instantiation.
+//!
+//! Every app runs on one [`engine::Engine`], built by [`Server::new`]: its
+//! [`engine::CodeCache`] means repeated instantiations never recompile, and
+//! its epoch is the one the ticker advances.
 //!
 //! Per-request isolation is the multi-tenant contract from PR 6: fuel
 //! budgets meter deterministic work, epoch deadlines bound wall-clock time,
@@ -41,10 +44,7 @@ pub mod deadline;
 
 use access_log::FlightRecorder;
 use deadline::{EpochTicker, TimeoutList};
-use engine::{
-    CacheStats, CodeCache, Engine, EngineConfig, EngineError, InstancePool, PoolStats, TrapInfo,
-    TrapReason,
-};
+use engine::{CodeCache, Engine, EngineConfig, EngineError, InstancePool, TrapInfo, TrapReason};
 use machine::values::WasmValue;
 use std::panic;
 use std::sync::Arc;
@@ -66,7 +66,7 @@ pub struct ServerConfig {
     /// The epoch tick period — the granularity at which deadlines are
     /// enforced.
     pub epoch_granularity: Duration,
-    /// Telemetry handle shared by every app's engine and the serving layer
+    /// Telemetry handle shared by the server's engine and the serving layer
     /// itself: compile, cache, pool, and request events all land in one
     /// trace. Disabled by default.
     pub telemetry: Telemetry,
@@ -200,11 +200,10 @@ struct Work {
     request: Request,
 }
 
-/// A multi-app serving harness over one engine configuration.
+/// A multi-app serving harness over one engine.
 pub struct Server {
     server_config: ServerConfig,
-    engine_config: EngineConfig,
-    cache: Arc<CodeCache>,
+    engine: Engine,
     ticker: EpochTicker,
     timeouts: TimeoutList,
     recorder: FlightRecorder,
@@ -212,17 +211,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server with no apps. One [`CodeCache`] and one epoch
-    /// ticker are shared by every app registered later.
+    /// Creates a server with no apps. Every app registered later runs on one
+    /// engine built here from `engine_config`, with a fresh [`CodeCache`],
+    /// the server's telemetry and an epoch ticker on the engine's epoch.
     pub fn new(server_config: ServerConfig, engine_config: EngineConfig) -> Server {
-        let epoch = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let ticker = EpochTicker::start(Arc::clone(&epoch), server_config.epoch_granularity);
-        let timeouts = TimeoutList::new(epoch, server_config.epoch_granularity);
+        let engine = Engine::new(engine_config)
+            .with_code_cache(Arc::new(CodeCache::new()))
+            .with_telemetry(server_config.telemetry.clone());
+        let ticker =
+            EpochTicker::start(Arc::clone(engine.epoch()), server_config.epoch_granularity);
+        // The ticker's period, not the configured one: the ticker clamps it.
+        let timeouts = TimeoutList::new(Arc::clone(engine.epoch()), ticker.granularity());
         let recorder = FlightRecorder::new(server_config.flight_recorder_capacity);
         Server {
             server_config,
-            engine_config,
-            cache: Arc::new(CodeCache::new()),
+            engine,
             ticker,
             timeouts,
             recorder,
@@ -239,11 +242,7 @@ impl Server {
         entry: &str,
         module: Module,
     ) -> Result<usize, EngineError> {
-        let engine = Engine::new(self.engine_config.clone())
-            .with_code_cache(Arc::clone(&self.cache))
-            .with_epoch(Arc::clone(self.ticker.epoch()))
-            .with_telemetry(self.server_config.telemetry.clone());
-        let pool = InstancePool::new(engine, module, MAX_IDLE_PER_APP)?;
+        let pool = InstancePool::new(self.engine.clone(), module, MAX_IDLE_PER_APP)?;
         pool.set_label(self.apps.len() as u32);
         self.apps.push(App {
             name: name.to_string(),
@@ -256,21 +255,6 @@ impl Server {
     /// The name an app was registered under.
     pub fn app_name(&self, app: usize) -> Option<&str> {
         self.apps.get(app).map(|a| a.name.as_str())
-    }
-
-    /// Registered apps.
-    pub fn num_apps(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// The shared code cache's counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// An app's pool counters.
-    pub fn pool_stats(&self, app: usize) -> Option<PoolStats> {
-        self.apps.get(app).map(|a| a.pool.stats())
     }
 
     /// The deadline bookkeeping (expired vs. in-time counts).
@@ -380,9 +364,8 @@ impl Server {
         if let Some(deadline_epoch) = deadline_epoch {
             instance.set_epoch_deadline(deadline_epoch);
         }
-        let outcome = app
-            .pool
-            .engine()
+        let outcome = self
+            .engine
             .call_export(&mut instance, &app.entry, &request.args);
         let service_wall = start.elapsed();
         let deadline_overshoot_epochs = deadline_epoch.and_then(|d| self.timeouts.retire(d));
@@ -502,7 +485,7 @@ mod tests {
         );
         let counter = server.register_app("counter", "main", counter_module()).unwrap();
         let doubler = server.register_app("doubler", "main", doubler_module()).unwrap();
-        assert_eq!(server.num_apps(), 2);
+        assert_eq!(server.apps.len(), 2);
         assert_eq!(server.app_name(counter), Some("counter"));
 
         let mut requests = Vec::new();
@@ -536,16 +519,22 @@ mod tests {
             assert_eq!(r.worker, i % 3, "request {i} is dealt to worker id % workers");
         }
         // Pool accounting: every checkout was either warm or cold.
-        let stats = server.pool_stats(counter).unwrap();
+        let stats = server.apps[counter].pool.stats();
         assert_eq!(stats.warm_checkouts + stats.cold_checkouts, 6);
         assert!(stats.warm_checkouts >= 1, "the parked first instance was reused");
         // Cache accounting: one miss per app's first instantiation; every
         // cold fallback checkout afterwards hit.
-        let cache = server.cache_stats();
+        let cache = server
+            .engine
+            .code_cache()
+            .expect("the server attaches one")
+            .stats();
         assert_eq!(cache.entries, 2);
         assert_eq!(cache.misses, 2);
-        let cold_fallbacks: u64 = (0..2)
-            .map(|a| server.pool_stats(a).unwrap().cold_checkouts)
+        let cold_fallbacks: u64 = server
+            .apps
+            .iter()
+            .map(|a| a.pool.stats().cold_checkouts)
             .sum();
         assert_eq!(cache.hits, cold_fallbacks);
 
@@ -613,5 +602,24 @@ mod tests {
         assert!(server.run(Vec::new()).is_empty());
         assert_eq!(server.epoch_granularity(), Duration::from_millis(1));
         assert_eq!(server.timeouts().pending(), 0);
+    }
+
+    #[test]
+    fn deadlines_are_armed_at_the_ticker_granularity() {
+        for configured in [Duration::from_micros(10), Duration::ZERO] {
+            let server = Server::new(
+                ServerConfig {
+                    epoch_granularity: configured,
+                    ..ServerConfig::default()
+                },
+                EngineConfig::default(),
+            );
+            assert_eq!(server.epoch_granularity(), Duration::from_micros(100));
+            assert_eq!(
+                server.timeouts().ticks_for(Duration::from_millis(1)),
+                10,
+                "a 1 ms budget is ten 100 µs ticks (configured {configured:?})"
+            );
+        }
     }
 }

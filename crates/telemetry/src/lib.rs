@@ -14,9 +14,11 @@
 //!   bounded [`EventRing`]; [`Telemetry::drain`] collects the
 //!   rings and [`chrome_trace`] renders them as Chrome trace-event JSON, so
 //!   a whole serving run opens in Perfetto as per-worker timelines.
-//! - **Metrics** — a [`MetricsRegistry`] of named atomic counters, gauges,
-//!   and log₂-bucketed histograms, read back with
-//!   [`MetricsRegistry::snapshot`].
+//! - **Metrics** — a [`MetricsRegistry`] of named atomic counters and
+//!   log₂-bucketed histograms, read back with [`MetricsRegistry::snapshot`].
+//!   The engine counts traps per reason here (`engine.traps.<slug>`, named
+//!   by `TrapCode::slug`), with cache hits and misses, pool checkouts and
+//!   OSR entries.
 //! - **Sampling profile** — the engine's execution loops report the current
 //!   (function, tier) whenever the shared epoch advances; the [`Profiler`]
 //!   aggregates those samples into per-function×tier counts.
@@ -58,8 +60,7 @@ pub mod trace;
 
 pub use event::{Backend, EventKind, Tier, TraceEvent};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    HISTOGRAM_BUCKETS,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use profile::{ProfileEntry, Profiler};
 pub use ring::EventRing;

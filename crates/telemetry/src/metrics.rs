@@ -1,13 +1,12 @@
-//! The metrics registry: named counters, gauges, and log-bucketed
-//! histograms, all plain atomics on the update path.
+//! The metrics registry: named counters and log-bucketed histograms, all
+//! plain atomics on the update path.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones of
-//! the registered instrument, so hot paths look a name up once and then
-//! update lock-free. [`MetricsRegistry::snapshot`] captures a point-in-time
-//! view.
+//! Handles ([`Counter`], [`Histogram`]) are cheap `Arc` clones of the
+//! registered instrument, so hot paths look a name up once and then update
+//! lock-free. [`MetricsRegistry::snapshot`] captures a point-in-time view.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Log₂ histogram buckets: values land in bucket `bit_length(value)`, so
@@ -31,27 +30,6 @@ impl Counter {
 
     /// The current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable signed value (queue depths, pool occupancy, …).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Replaces the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the value by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -167,7 +145,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -180,16 +157,6 @@ impl MetricsRegistry {
     /// The counter registered under `name` (created on first use).
     pub fn counter(&self, name: &str) -> Counter {
         self.counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges
             .lock()
             .expect("metrics registry poisoned")
             .entry(name.to_string())
@@ -217,13 +184,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("metrics registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .lock()
@@ -240,8 +200,6 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` for every histogram, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -256,12 +214,8 @@ mod tests {
         reg.counter("a").add(2);
         reg.counter("a").inc();
         assert_eq!(reg.counter("a").get(), 3);
-        reg.gauge("g").set(7);
-        reg.gauge("g").add(-2);
-        assert_eq!(reg.gauge("g").get(), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counters, vec![("a".to_string(), 3)]);
-        assert_eq!(snap.gauges, vec![("g".to_string(), 5)]);
     }
 
     #[test]

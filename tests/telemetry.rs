@@ -13,7 +13,6 @@ use machine::values::WasmValue;
 use serve::deadline::EpochTicker;
 use serve::{Request, RequestStatus, Server, ServerConfig};
 use spc::CompilerOptions;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{EventKind, Tier};
@@ -152,9 +151,7 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering())
-            .with_telemetry(Telemetry::enabled())
-            .with_epoch(Arc::new(AtomicU64::new(0)));
+        let engine = Engine::new(config.with_metering()).with_telemetry(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
             .instantiate(&module, Imports::new(), Instrumentation::none())
@@ -261,9 +258,7 @@ fn profiler_attributes_deep_recursion_without_back_edges() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering())
-            .with_telemetry(Telemetry::enabled())
-            .with_epoch(Arc::new(AtomicU64::new(0)));
+        let engine = Engine::new(config.with_metering()).with_telemetry(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
             .instantiate(&module, Imports::new(), Instrumentation::none())
@@ -410,9 +405,7 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
         let name = config.name.clone();
         // Metering exercises the same check sites the sampler piggybacks on.
         let start = |telemetry: Telemetry| {
-            let engine = Engine::new(config.clone().with_metering())
-                .with_telemetry(telemetry)
-                .with_epoch(Arc::new(AtomicU64::new(0)));
+            let engine = Engine::new(config.clone().with_metering()).with_telemetry(telemetry);
             let instance = engine
                 .instantiate(&module, Imports::new(), Instrumentation::none())
                 .expect("instantiates");
