@@ -12,8 +12,9 @@
 //!   behind an [`Arc`](std::sync::Arc), so any number of instances (and
 //!   threads) share one copy of the compiled code. The mutable runtime state
 //!   (value stack, memory, globals, heap, metrics) stays in the instance.
-//! * [`compile_eager`] shards instantiate-time compilation across
-//!   [`EngineConfig::compile_workers`] scoped threads. Each function's
+//! * [`compile_eager`] spreads instantiate-time compilation across
+//!   [`EngineConfig::compile_workers`] scoped threads, which take the
+//!   functions largest first from one shared cursor. Each function's
 //!   compilation reads only immutable inputs, so the output is
 //!   byte-identical to the serial path at any worker count (differentially
 //!   tested in `tests/parallel_determinism.rs`).
@@ -38,8 +39,10 @@ use interp::profile::FuncProfile;
 use machine::masm::{reemit, CodeBackend};
 use machine::x64_masm::{X64Code, X64Masm};
 use spc::{CompileError, CompiledFunction, ProbeSites, SinglePassCompiler};
+use std::cmp::Reverse;
 use std::fmt;
 use telemetry::{EventKind, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -415,9 +418,11 @@ pub(crate) fn compile_slot(
     Ok(artifact.publish_for(defined, tier, compiled))
 }
 
-/// Eagerly compiles every uncompiled function of `artifact`, sharding the
-/// work across [`EngineConfig::compile_workers`] threads (worker `w` takes
-/// the `w`-th, `w + N`-th, … of the unpublished functions). Already-published
+/// Eagerly compiles every uncompiled function of `artifact`, sharing the
+/// work across [`EngineConfig::compile_workers`] threads: the unpublished
+/// functions are ordered by body size, largest first, and each worker takes
+/// the next one from a shared cursor until none is left, so the functions
+/// still compiling when the others run out are small ones. Already-published
 /// slots — a warm code-cache hit — are skipped, which is what makes repeated
 /// instantiation under a shared cache compile exactly once; with nothing
 /// left to compile no thread is spawned.
@@ -439,7 +444,7 @@ pub fn compile_eager(
     telemetry: &Telemetry,
 ) -> Result<Vec<u32>, CompileError> {
     let tier = eager_tier(config);
-    let pending: Vec<u32> = (0..artifact.num_defined())
+    let mut pending: Vec<u32> = (0..artifact.num_defined())
         .filter(|&defined| artifact.artifact_for(defined, tier).is_none())
         .collect();
     let workers = config.compile_workers.max(1).min(pending.len());
@@ -457,8 +462,12 @@ pub fn compile_eager(
         }
         return Ok(published);
     }
-    let pending = &pending;
-    let results: Vec<Result<Vec<u32>, (u32, CompileError)>> = thread::scope(|scope| {
+    // A stable sort: bodies of one size stay in index order.
+    let funcs = &artifact.module().funcs;
+    pending.sort_by_key(|&defined| Reverse(funcs[defined as usize].code.len()));
+    let (pending, next) = (&pending, &AtomicUsize::new(0));
+    type Drained = (Vec<u32>, Option<(u32, CompileError)>);
+    let results: Vec<Drained> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 // Named, so every instantiation's worker `w` reports into the
@@ -466,15 +475,19 @@ pub fn compile_eager(
                 thread::Builder::new()
                     .name(format!("compile-{w}"))
                     .spawn_scoped(scope, move || {
-                        let mut published = Vec::new();
-                        for &defined in pending.iter().skip(w).step_by(workers) {
+                        // A failure does not stop the worker: the error to
+                        // report is the lowest-indexed one, which may still
+                        // be ahead of the cursor.
+                        let (mut published, mut first_error) = (Vec::new(), None);
+                        let take = || pending.get(next.fetch_add(1, Ordering::Relaxed));
+                        while let Some(&defined) = take() {
                             match compile(defined) {
                                 Ok(true) => published.push(defined),
                                 Ok(false) => {}
-                                Err(e) => return Err((defined, e)),
+                                Err(e) => keep_lowest(&mut first_error, defined, e),
                             }
                         }
-                        Ok(published)
+                        (published, first_error)
                     })
                     .expect("spawn eager compile worker")
             })
@@ -485,15 +498,11 @@ pub fn compile_eager(
             .collect()
     });
     let mut published = Vec::new();
-    let mut first_error: Option<(u32, CompileError)> = None;
-    for result in results {
-        match result {
-            Ok(indices) => published.extend(indices),
-            Err((defined, e)) => {
-                if first_error.as_ref().is_none_or(|(d, _)| defined < *d) {
-                    first_error = Some((defined, e));
-                }
-            }
+    let mut first_error = None;
+    for (indices, error) in results {
+        published.extend(indices);
+        if let Some((defined, e)) = error {
+            keep_lowest(&mut first_error, defined, e);
         }
     }
     if let Some((_, e)) = first_error {
@@ -501,6 +510,14 @@ pub fn compile_eager(
     }
     published.sort_unstable();
     Ok(published)
+}
+
+/// Keeps in `first` whichever of it and `defined`'s error names the lower
+/// function.
+fn keep_lowest(first: &mut Option<(u32, CompileError)>, defined: u32, e: CompileError) {
+    if first.as_ref().is_none_or(|(d, _)| defined < *d) {
+        *first = Some((defined, e));
+    }
 }
 
 #[cfg(test)]

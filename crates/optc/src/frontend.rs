@@ -7,10 +7,21 @@
 //! and only loop headers need (block-parameter) phis for values that might
 //! change around the back edge.
 //!
-//! Merge blocks conservatively take one parameter per local variable plus
-//! one per live operand-stack entry; the optimizer's trivial-parameter
+//! A merge block takes one parameter per operand-stack entry it receives and
+//! one per local its construct assigns: before lowering, one walk of the
+//! body records, for every `block`/`loop`/`if`, the sorted list of locals
+//! that it or a construct nested in it writes with `local.set` or
+//! `local.tee`. A local outside that list holds the value it
+//! had at construct entry on every edge into the merge, so it keeps that
+//! value without a parameter. The lists are sparse — a construct costs its
+//! own writes, not the function's local count — so compile time and memory
+//! grow with the body, whatever the locals. The optimizer's trivial-parameter
 //! removal then deletes every parameter whose incoming arguments agree,
 //! which recovers precise SSA without any dominance computation here.
+//!
+//! With OSR armed every construct carries every local instead: an OSR entry
+//! arrives mid-function, where a value computed before the loop does not
+//! exist, so the loop header must take each frame slot as a parameter.
 //!
 //! Probe sites are lowered exactly as the baseline compiler lowers them
 //! (same kinds, same flush discipline at runtime/direct probes), so
@@ -29,6 +40,93 @@ use wasm::types::{BlockType, ValueType};
 use wasm::validate::FuncInfo;
 
 use crate::ir::BlockId;
+use std::ops::Range;
+
+/// Which locals each construct's merge blocks carry as parameters: for every
+/// `block`, `loop` and `if` of a body, in bytecode order, the sorted locals
+/// it or a construct nested in it assigns.
+struct Carried {
+    /// Every construct's list, back to back.
+    locals: Vec<u32>,
+    /// Construct `k`'s list is `locals[lists[k]]`. `None` when every
+    /// construct carries every local, and `locals` is `0..num_locals`.
+    lists: Option<Vec<Range<usize>>>,
+}
+
+impl Carried {
+    /// Every construct carries every local: what an OSR entry needs.
+    fn every_local(num_locals: usize) -> Carried {
+        Carried {
+            locals: (0..num_locals as u32).collect(),
+            lists: None,
+        }
+    }
+
+    /// Walks `code` once and lists each construct's assigned locals.
+    ///
+    /// `deepest[x]` counts the open constructs whose list already has `x`.
+    /// Those are always the outermost ones, so a write adds `x` only to the
+    /// lists past that count — every push is one element of output, and no
+    /// construct does work for the locals it never writes.
+    fn assigned(code: &[u8], num_locals: usize) -> Result<Carried, CompileError> {
+        let mut locals = Vec::new();
+        let mut lists = Vec::new();
+        // The open constructs, outermost first: their index and list so far.
+        let mut open: Vec<(usize, Vec<u32>)> = Vec::new();
+        let mut spare: Vec<Vec<u32>> = Vec::new();
+        let mut deepest = vec![0u32; num_locals];
+        let mut reader = BytecodeReader::new(code);
+        loop {
+            let offset = reader.pc();
+            let Some(instr) = reader.next() else { break };
+            let Instr { op, imm, .. } = instr.map_err(|e| CompileError {
+                offset,
+                message: e.to_string(),
+            })?;
+            match (op, imm) {
+                (Opcode::Block | Opcode::Loop | Opcode::If, _) => {
+                    open.push((lists.len(), spare.pop().unwrap_or_default()));
+                    lists.push(0..0);
+                }
+                (Opcode::LocalSet | Opcode::LocalTee, Imm::Index(x)) => {
+                    let have = deepest.get_mut(x as usize).ok_or(CompileError {
+                        offset,
+                        message: format!("unknown local {x}"),
+                    })?;
+                    for (_, list) in &mut open[*have as usize..] {
+                        list.push(x);
+                    }
+                    *have = open.len() as u32;
+                }
+                (Opcode::End, _) => {
+                    // The function body's own `end` closes no construct.
+                    if let Some((k, mut list)) = open.pop() {
+                        for &x in &list {
+                            deepest[x as usize] = open.len() as u32;
+                        }
+                        list.sort_unstable();
+                        lists[k] = locals.len()..locals.len() + list.len();
+                        locals.append(&mut list);
+                        spare.push(list);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(Carried {
+            locals,
+            lists: Some(lists),
+        })
+    }
+
+    /// Where construct `k`'s list sits in `locals`.
+    fn list(&self, k: usize) -> Range<usize> {
+        match &self.lists {
+            Some(lists) => lists[k].clone(),
+            None => 0..self.locals.len(),
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CtrlKind {
@@ -43,10 +141,11 @@ enum CtrlKind {
 enum Dest {
     /// Branching to the function label returns.
     Return,
-    /// A jump to `target`, passing locals plus the operand stack up to
-    /// `base` plus the top `arity` values.
+    /// A jump to `target`, passing the `carried` locals plus the operand
+    /// stack up to `base` plus the top `arity` values.
     Edge {
         target: BlockId,
+        carried: Range<usize>,
         base: usize,
         arity: usize,
     },
@@ -70,7 +169,11 @@ struct Frame {
     num_params: usize,
     /// Number of block results.
     num_results: usize,
-    /// State at the `if` (after popping the condition), for the else arm.
+    /// The locals the construct's merge blocks carry, as a range of
+    /// [`Carried::locals`].
+    carried: Range<usize>,
+    /// State at the `if` (after popping the condition), for the else arm:
+    /// the carried locals' values and the operand stack.
     snapshot: Option<(Vec<ValueId>, Vec<ValueId>)>,
     unreachable: bool,
 }
@@ -86,6 +189,9 @@ struct Builder<'a> {
     locals: Vec<ValueId>,
     stack: Vec<ValueId>,
     ctrl: Vec<Frame>,
+    carried: Carried,
+    /// Constructs opened so far: the next one's index into `carried`.
+    constructs: usize,
     /// Bytecode offset of the instruction being lowered; [`Builder::def`]
     /// records it for trapping nodes so the emitter can anchor them in the
     /// source map.
@@ -141,6 +247,11 @@ pub fn build(
         }
     }
 
+    let carried = if osr {
+        Carried::every_local(locals.len())
+    } else {
+        Carried::assigned(&decl.code, locals.len())?
+    };
     let mut b = Builder {
         module,
         probes,
@@ -152,6 +263,8 @@ pub fn build(
         locals,
         stack: Vec::new(),
         ctrl: Vec::new(),
+        carried,
+        constructs: 0,
         cur_offset: 0,
     };
     b.ctrl.push(Frame {
@@ -165,6 +278,7 @@ pub fn build(
         label_base: 0,
         num_params: 0,
         num_results: sig.results.len(),
+        carried: 0..0,
         snapshot: None,
         unreachable: false,
     });
@@ -225,21 +339,23 @@ impl<'a> Builder<'a> {
     }
 
     /// The edge arguments for a transfer to a merge point at `base` with
-    /// `arity` transferred values: current locals, the untouched stack below
-    /// `base`, and the top `arity` values.
-    fn edge_args(&self, base: usize, arity: usize) -> Vec<ValueId> {
-        let mut args = self.locals.clone();
+    /// `arity` transferred values: the current values of the `carried`
+    /// locals, the untouched stack below `base`, and the top `arity` values.
+    fn edge_args(&self, carried: Range<usize>, base: usize, arity: usize) -> Vec<ValueId> {
+        let carried = &self.carried.locals[carried];
+        let mut args = Vec::with_capacity(carried.len() + base + arity);
+        args.extend(carried.iter().map(|&x| self.locals[x as usize]));
         args.extend_from_slice(&self.stack[..base]);
         args.extend_from_slice(&self.stack[self.stack.len() - arity..]);
         args
     }
 
-    /// Creates a merge block with parameters for every local, the stack
-    /// below `base`, and `tys` transferred values.
-    fn make_merge(&mut self, base: usize, tys: &[ValueType]) -> BlockId {
+    /// Creates a merge block with parameters for the `carried` locals, the
+    /// stack below `base`, and `tys` transferred values.
+    fn make_merge(&mut self, carried: Range<usize>, base: usize, tys: &[ValueType]) -> BlockId {
         let block = self.ir.add_block();
-        for i in 0..self.locals.len() {
-            let ty = self.ir.local_types[i];
+        for &x in &self.carried.locals[carried] {
+            let ty = self.ir.local_types[x as usize];
             self.ir.add_param(block, ty);
         }
         for p in 0..base {
@@ -252,12 +368,16 @@ impl<'a> Builder<'a> {
         block
     }
 
-    /// Continues lowering at a merge block: locals and stack are its params.
-    fn adopt_merge_state(&mut self, block: BlockId) {
-        let params = self.ir.blocks[block.index()].params.clone();
-        let n = self.locals.len();
-        self.locals = params[..n].to_vec();
-        self.stack = params[n..].to_vec();
+    /// Continues lowering at a merge block: the `carried` locals and the
+    /// stack are its params; every other local keeps its value.
+    fn adopt_merge_state(&mut self, block: BlockId, carried: Range<usize>) {
+        let params = &self.ir.blocks[block.index()].params;
+        let carried = &self.carried.locals[carried];
+        for (&x, &p) in carried.iter().zip(params) {
+            self.locals[x as usize] = p;
+        }
+        self.stack.clear();
+        self.stack.extend_from_slice(&params[carried.len()..]);
         self.current = block;
     }
 
@@ -273,12 +393,14 @@ impl<'a> Builder<'a> {
         if frame.kind == CtrlKind::Loop {
             Some(Dest::Edge {
                 target: frame.header.expect("loop has a header"),
+                carried: frame.carried.clone(),
                 base: frame.label_base,
                 arity: frame.num_params,
             })
         } else {
             Some(Dest::Edge {
                 target: frame.merge,
+                carried: frame.carried.clone(),
                 base: frame.label_base,
                 arity: frame.num_results,
             })
@@ -301,11 +423,12 @@ impl<'a> Builder<'a> {
             }
             Dest::Edge {
                 target,
+                carried,
                 base,
                 arity,
             } => Edge {
                 target: *target,
-                args: self.edge_args(*base, *arity),
+                args: self.edge_args(carried.clone(), *base, *arity),
             },
         }
     }
@@ -443,6 +566,8 @@ impl<'a> Builder<'a> {
             }
             (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
                 let (params, results) = self.block_signature(offset, bt)?;
+                let carried = self.carried.list(self.constructs);
+                self.constructs += 1;
                 let dead = self.unreachable_now();
                 if dead {
                     self.ctrl.push(Frame {
@@ -460,6 +585,7 @@ impl<'a> Builder<'a> {
                         label_base: 0,
                         num_params: params.len(),
                         num_results: results.len(),
+                        carried,
                         snapshot: None,
                         unreachable: true,
                     });
@@ -468,7 +594,7 @@ impl<'a> Builder<'a> {
 
                 let cond = if op == Opcode::If { Some(self.pop()) } else { None };
                 let base = self.stack.len() - params.len();
-                let merge = self.make_merge(base, &results);
+                let merge = self.make_merge(carried.clone(), base, &results);
                 let mut frame = Frame {
                     kind: match op {
                         Opcode::Block => CtrlKind::Block,
@@ -484,18 +610,19 @@ impl<'a> Builder<'a> {
                     label_base: base,
                     num_params: params.len(),
                     num_results: results.len(),
+                    carried: carried.clone(),
                     snapshot: None,
                     unreachable: false,
                 };
                 match op {
                     Opcode::Loop => {
-                        let header = self.make_merge(base, &params);
-                        let args = self.edge_args(base, params.len());
+                        let header = self.make_merge(carried.clone(), base, &params);
+                        let args = self.edge_args(carried.clone(), base, params.len());
                         self.set_term(Terminator::Jump(Edge {
                             target: header,
                             args,
                         }));
-                        self.adopt_merge_state(header);
+                        self.adopt_merge_state(header, carried);
                         frame.header = Some(header);
                         if self.osr {
                             // `end` is right past the blocktype, i.e. the body
@@ -536,7 +663,11 @@ impl<'a> Builder<'a> {
                         }
                     }
                     Opcode::If => {
-                        frame.snapshot = Some((self.locals.clone(), self.stack.clone()));
+                        let entry_values = self.carried.locals[carried]
+                            .iter()
+                            .map(|&x| self.locals[x as usize])
+                            .collect();
+                        frame.snapshot = Some((entry_values, self.stack.clone()));
                         let then_block = self.ir.add_block();
                         let else_block = self.ir.add_block();
                         self.set_term(Terminator::Branch {
@@ -567,10 +698,10 @@ impl<'a> Builder<'a> {
                     return Ok(());
                 }
                 let was_reachable = !frame.unreachable;
-                let (merge, base, num_results) =
-                    (frame.merge, frame.label_base, frame.num_results);
+                let (merge, carried, base, num_results) =
+                    (frame.merge, frame.carried.clone(), frame.label_base, frame.num_results);
                 if was_reachable {
-                    let args = self.edge_args(base, num_results);
+                    let args = self.edge_args(carried.clone(), base, num_results);
                     self.set_term(Terminator::Jump(Edge {
                         target: merge,
                         args,
@@ -581,10 +712,13 @@ impl<'a> Builder<'a> {
                 frame.else_taken = true;
                 frame.unreachable = false;
                 let else_block = frame.else_block.expect("if created an else block");
-                let (snap_locals, snap_stack) =
-                    frame.snapshot.clone().expect("if saved a snapshot");
-                self.locals = snap_locals;
-                self.stack = snap_stack;
+                let (entry_values, entry_stack) =
+                    frame.snapshot.as_ref().expect("if saved a snapshot");
+                // Only the carried locals can have changed in the then-arm.
+                for (&x, &v) in self.carried.locals[carried].iter().zip(entry_values) {
+                    self.locals[x as usize] = v;
+                }
+                self.stack.clone_from(entry_stack);
                 self.current = else_block;
             }
             (Opcode::End, _) => {
@@ -600,7 +734,8 @@ impl<'a> Builder<'a> {
                     return Ok(());
                 }
                 if was_reachable {
-                    let args = self.edge_args(frame.label_base, frame.num_results);
+                    let args =
+                        self.edge_args(frame.carried.clone(), frame.label_base, frame.num_results);
                     self.set_term(Terminator::Jump(Edge {
                         target: frame.merge,
                         args,
@@ -611,16 +746,14 @@ impl<'a> Builder<'a> {
                 // guarantees params == results here).
                 if frame.kind == CtrlKind::If && !frame.else_taken {
                     let else_block = frame.else_block.expect("if created an else block");
-                    let (snap_locals, snap_stack) =
-                        frame.snapshot.clone().expect("if saved a snapshot");
-                    let mut args = snap_locals;
-                    args.extend_from_slice(&snap_stack);
+                    let (mut args, entry_stack) = frame.snapshot.expect("if saved a snapshot");
+                    args.extend_from_slice(&entry_stack);
                     self.ir.blocks[else_block.index()].term = Terminator::Jump(Edge {
                         target: frame.merge,
                         args,
                     });
                 }
-                self.adopt_merge_state(frame.merge);
+                self.adopt_merge_state(frame.merge, frame.carried);
             }
             (Opcode::Br, Imm::Index(depth)) => {
                 let dest = self
@@ -863,6 +996,16 @@ mod tests {
         locals: Vec<ValueType>,
         code: CodeBuilder,
     ) -> FuncIr {
+        build_ir_osr(params, results, locals, code, false)
+    }
+
+    fn build_ir_osr(
+        params: Vec<ValueType>,
+        results: Vec<ValueType>,
+        locals: Vec<ValueType>,
+        code: CodeBuilder,
+        osr: bool,
+    ) -> FuncIr {
         let mut b = ModuleBuilder::new();
         let f = b.add_func(FuncType::new(params, results), locals, code.finish());
         let module = b.finish();
@@ -874,9 +1017,108 @@ mod tests {
             &ProbeSites::none(),
             ProbeMode::Optimized,
             false,
-            false,
+            osr,
         )
         .unwrap()
+    }
+
+    /// Ten `i32` locals, the first a parameter.
+    fn ten_locals(code: CodeBuilder, osr: bool) -> FuncIr {
+        build_ir_osr(vec![ValueType::I32], vec![], vec![ValueType::I32; 9], code, osr)
+    }
+
+    /// The arguments of `block`'s jump.
+    fn jump_args(ir: &FuncIr, block: u32) -> &[ValueId] {
+        match &ir.blocks[block as usize].term {
+            Terminator::Jump(edge) => &edge.args,
+            other => panic!("b{block} ends in {other:?}\n{}", ir.display()),
+        }
+    }
+
+    // Blocks are numbered as the frontend creates them: the entry is b0, a
+    // construct's merge comes next, then a loop's header and OSR entry or
+    // an `if`'s then and else blocks.
+
+    #[test]
+    fn a_block_that_writes_nothing_merges_no_locals() {
+        let mut c = CodeBuilder::new();
+        c.block(BlockType::Empty).local_get(4).drop_().end();
+        let ir = ten_locals(c, false);
+        assert!(ir.blocks[1].params.is_empty(), "{}", ir.display());
+        assert!(jump_args(&ir, 0).is_empty(), "{}", ir.display());
+    }
+
+    fn loop_writing_local_3() -> CodeBuilder {
+        let mut c = CodeBuilder::new();
+        c.loop_(BlockType::Empty)
+            .local_get(3)
+            .i32_const(1)
+            .op(Opcode::I32Add)
+            .local_tee(3)
+            .br_if(0)
+            .end();
+        c
+    }
+
+    #[test]
+    fn a_loop_header_takes_only_the_locals_the_loop_writes() {
+        let ir = ten_locals(loop_writing_local_3(), false);
+        assert_eq!(ir.blocks[2].params.len(), 1, "{}", ir.display());
+        assert_eq!(jump_args(&ir, 0).len(), 1, "{}", ir.display());
+        assert!(ir.osr_sites.is_empty());
+    }
+
+    #[test]
+    fn with_osr_armed_a_loop_header_takes_every_frame_slot() {
+        let ir = ten_locals(loop_writing_local_3(), true);
+        assert_eq!(ir.blocks[2].params.len(), 10, "{}", ir.display());
+        let [site] = &ir.osr_sites[..] else {
+            panic!("one loop, one OSR entry: {:?}", ir.osr_sites)
+        };
+        let entry = site.entry.0;
+        let slots: Vec<_> = ir.blocks[entry as usize]
+            .insts
+            .iter()
+            .map(|inst| match inst {
+                Inst::Def(v) => ir.nodes[v.index()].clone(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let expected: Vec<_> = (0..10).map(|index| Node::OsrSlot { index }).collect();
+        assert_eq!(slots, expected);
+        assert_eq!(jump_args(&ir, entry).len(), 10, "{}", ir.display());
+    }
+
+    #[test]
+    fn a_write_in_an_inner_block_is_carried_by_the_outer_merge() {
+        let mut c = CodeBuilder::new();
+        c.block(BlockType::Empty)
+            .block(BlockType::Empty)
+            .i32_const(5)
+            .local_set(7)
+            .end()
+            .end();
+        let ir = ten_locals(c, false);
+        let (outer, inner) = (&ir.blocks[1], &ir.blocks[2]);
+        assert_eq!((outer.params.len(), inner.params.len()), (1, 1), "{}", ir.display());
+        // The inner merge falls through to the outer one with its parameter.
+        assert_eq!(jump_args(&ir, 2), &inner.params[..], "{}", ir.display());
+    }
+
+    #[test]
+    fn an_if_without_else_passes_the_entry_value_on_the_else_edge() {
+        let mut c = CodeBuilder::new();
+        c.local_get(0).if_(BlockType::Empty).i32_const(7).local_set(1).end();
+        let ir = ten_locals(c, false);
+        assert_eq!(ir.blocks[1].params.len(), 1, "{}", ir.display());
+        // The then-arm passes what it wrote; the else edge passes local 1's
+        // value at the `if`: its default, zero.
+        let then_args = jump_args(&ir, 2);
+        let else_args = jump_args(&ir, 3);
+        assert_eq!(then_args.len(), 1);
+        assert_eq!(ir.as_const(then_args[0]), Some(7), "{}", ir.display());
+        assert_eq!(else_args.len(), 1);
+        assert_eq!(ir.as_const(else_args[0]), Some(0), "{}", ir.display());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The IR is block-parameter-form SSA (the style of Cranelift and MLIR):
 //! instead of phi instructions, every merge block declares *parameters* and
 //! every incoming edge passes *arguments*. The frontend creates one
-//! parameter per local variable and live operand-stack entry at each merge;
-//! the optimizer then deletes the (many) parameters whose arguments agree,
-//! which is exactly the removal of trivial phis.
+//! parameter per live operand-stack entry and per local the merge's
+//! construct assigns; the optimizer then deletes the parameters whose
+//! arguments agree, which is exactly the removal of trivial phis.
 //!
 //! Values are immutable and typed. A value's defining [`Node`] is either
 //! *pure* (recomputable, removable), *trapping* (read-only but observable —

@@ -10,7 +10,11 @@
 //! 1. **Frontend** ([`frontend`]): one forward pass over validated bytecode
 //!    builds basic blocks and block-parameter-form SSA, following the same
 //!    control-stack discipline as validation and the interpreter's
-//!    sidetable construction. Probe sites lower exactly as in the baseline.
+//!    sidetable construction. A merge block takes parameters only for the
+//!    locals its construct assigns (every local when OSR is armed), which a
+//!    walk of the body lists before lowering, so locals a function never
+//!    writes cost nothing per merge. Probe sites lower exactly as in the
+//!    baseline.
 //! 2. **Optimization pipeline** ([`opt`]): constant and branch folding
 //!    (through the same [`machine::lower::OpClass`] evaluation table the
 //!    interpreter and CPU simulator execute with, so folds are bit-exact),

@@ -3,10 +3,11 @@
 //! Every table the optimizing tier keeps is indexed by value, by block or by
 //! edge, so compiling a function eight times larger may need about eight
 //! times the heap, and no single allocation may be larger than a small
-//! multiple of what the IR itself holds (nodes + blocks + edge arguments). A
-//! blocks × values table — live-in sets as a matrix, a bitset per block —
-//! breaks both: at 8× it is 64× the size, and at a few thousand blocks one
-//! row per block outweighs the whole IR.
+//! multiple of the body's size in bytes. A blocks × values table — live-in
+//! sets as a matrix, a bitset per block — breaks both: at 8× it is 64× the
+//! size, and at a few thousand blocks one row per block outweighs the whole
+//! IR. Nor may the heap grow with locals the body never writes: a merge
+//! block's parameters are bounded by the writes inside its construct.
 //!
 //! The baseline compiler keeps no IR, but it snapshots its abstract state at
 //! every control construct — the "JIT bomb" risk of the paper's §III: a
@@ -142,7 +143,8 @@ fn segmented_module(segments: u32) -> Module {
 }
 
 /// What the frontend's IR of `module`'s function holds: nodes + blocks +
-/// edge arguments (one per local per edge, before any is pruned).
+/// edge arguments (one per carried local and stack value per edge, before
+/// any is pruned).
 fn ir_size(module: &Module) -> usize {
     let info = wasm::validate::validate(module).expect("generated module validates");
     let ir = frontend::build(module, 0, &info.funcs[0], &ProbeSites::none(), ProbeMode::Optimized, false, false)
@@ -180,6 +182,10 @@ fn baseline(module: &Module) -> Counts {
     })
 }
 
+/// Both tiers' peak and cumulative heap grow about as the function does, and
+/// the optimizing tier's largest single allocation is bounded by the body's
+/// size in bytes — something no change to the compiler shrinks, unlike the
+/// IR, which shrinks with every parameter the frontend stops creating.
 #[test]
 fn compile_memory_is_linear_in_function_size() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -205,12 +211,63 @@ fn compile_memory_is_linear_in_function_size() {
         }
     }
     // The largest tables today (the node table, the instruction buffer,
-    // each a `Vec` grown by doubling) are 9 bytes per IR element; a blocks ×
-    // values bitset would be hundreds at the larger size.
-    for (largest, ir) in [(small_opt.largest, small_ir), (large_opt.largest, large_ir)] {
+    // each a `Vec` grown by doubling) are at most 17.5 bytes per body byte; a
+    // blocks × values bitset would be over a thousand at the larger size.
+    for (largest, module) in [(small_opt.largest, &small), (large_opt.largest, &large)] {
+        let body = module.funcs[0].code.len();
         assert!(
-            largest <= 16 * ir,
-            "one allocation of {largest} B for an IR of {ir} nodes + blocks + edge arguments"
+            largest <= 32 * body,
+            "one allocation of {largest} B for a body of {body} B"
+        );
+    }
+}
+
+/// Appends one construct to a body.
+type Shape = fn(&mut CodeBuilder);
+
+/// A function of `blocks` copies of `shape` over `locals` `i32` locals that
+/// it never writes.
+fn unwritten_locals_module(shape: Shape, locals: usize, blocks: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    for _ in 0..blocks {
+        shape(&mut c);
+    }
+    let mut b = ModuleBuilder::new();
+    b.add_func(FuncType::new(vec![], vec![]), vec![ValueType::I32; locals], c.finish());
+    b.finish()
+}
+
+/// The paper's §III "JIT bomb", aimed at the optimizing tier: a few KB of
+/// merges over tens of thousands of locals. A merge block carries only the
+/// locals its construct assigns, so locals the body never writes cost the
+/// compile one frame layout's worth of memory, not one parameter per local
+/// per merge (that would be 4 GiB for the first two shapes here and 7.6 GiB
+/// for the third). The heap at 50 000 locals may be at most 4× that at 50,
+/// plus 128 B per local.
+///
+/// The baseline compiler's merges still walk every local: that is time, not
+/// memory — O(locals × merges) — and is not gated here.
+#[test]
+fn unwritten_locals_cost_the_optimizing_tier_nothing_per_merge() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let shapes: [(&str, Shape); 3] = [
+        ("block i32.const 1 br_if 0 end", |c| {
+            c.block(BlockType::Empty).i32_const(1).br_if(0).end();
+        }),
+        ("i32.const 1 if end", |c| {
+            c.i32_const(1).if_(BlockType::Empty).end();
+        }),
+        ("loop end", |c| {
+            c.loop_(BlockType::Empty).end();
+        }),
+    ];
+    const MANY: usize = 50_000;
+    for (shape_name, shape) in shapes {
+        let [few, many] =
+            [50, MANY].map(|locals| optimizing(&unwritten_locals_module(shape, locals, 1000)).peak);
+        assert!(
+            many <= 4 * few + 128 * MANY,
+            "1000 × `{shape_name}`: peak heap {many} B at {MANY} locals against {few} B at 50"
         );
     }
 }

@@ -1,8 +1,11 @@
 //! Decoding of WebAssembly binary format bytes into a [`Module`].
 //!
 //! The decoder performs structural checks (magic/version, section ordering,
-//! counts, well-formed LEBs). Type- and control-flow checking is the
-//! validator's job ([`crate::validate`]).
+//! counts, well-formed LEBs) and refuses what exceeds the web embedding's
+//! ceilings on defined functions, body bytes and locals
+//! ([`MAX_FUNCTIONS`], [`MAX_FUNCTION_SIZE`], [`MAX_FUNCTION_LOCALS`]) as it
+//! reads each count. Type- and control-flow checking is the validator's job
+//! ([`crate::validate`]).
 
 use crate::encode::SectionId;
 use crate::module::{
@@ -12,7 +15,8 @@ use crate::module::{
 use crate::opcode::Opcode;
 use crate::reader::{ByteReader, ReadError};
 use crate::types::{
-    ExternalKind, FuncType, GlobalType, Limits, MemoryType, TableType, ValueType,
+    ExternalKind, FuncType, GlobalType, Limits, MemoryType, TableType, ValueType, MAX_FUNCTIONS,
+    MAX_FUNCTION_LOCALS, MAX_FUNCTION_SIZE,
 };
 use std::fmt;
 
@@ -90,6 +94,18 @@ impl From<ReadError> for DecodeError {
 /// Decodes a binary module.
 pub fn decode(bytes: &[u8]) -> Result<Module, DecodeError> {
     Decoder::new(bytes).decode()
+}
+
+/// Refuses a count read at `offset` that is over one of the web embedding's
+/// ceilings, before anything is allocated for it.
+fn at_most(count: u64, limit: u32, what: &str, offset: usize) -> Result<(), DecodeError> {
+    if count > limit as u64 {
+        return Err(DecodeError::Malformed {
+            message: format!("too many {what}: {count}, the limit is {limit}"),
+            offset,
+        });
+    }
+    Ok(())
 }
 
 struct Decoder<'a> {
@@ -225,7 +241,9 @@ impl<'a> Decoder<'a> {
     }
 
     fn decode_functions(&mut self) -> Result<(), DecodeError> {
+        let offset = self.r.pos();
         let count = self.r.read_u32_leb()?;
+        at_most(count.into(), MAX_FUNCTIONS, "functions", offset)?;
         for _ in 0..count {
             self.declared_func_types.push(self.r.read_u32_leb()?);
         }
@@ -320,24 +338,30 @@ impl<'a> Decoder<'a> {
     }
 
     fn decode_code(&mut self) -> Result<(), DecodeError> {
+        let offset = self.r.pos();
         let count = self.r.read_u32_leb()?;
+        at_most(count.into(), MAX_FUNCTIONS, "functions", offset)?;
         for i in 0..count {
-            let body_size = self.r.read_u32_leb()? as usize;
+            let size_offset = self.r.pos();
+            let body_size = self.r.read_u32_leb()?;
+            at_most(body_size.into(), MAX_FUNCTION_SIZE, "function body bytes", size_offset)?;
             let body_start = self.r.pos();
-            let body_end = body_start + body_size;
+            let body_end = body_start + body_size as usize;
+            let type_index = *self.declared_func_types.get(i as usize).unwrap_or(&0);
+            let num_params = self
+                .module
+                .types
+                .get(type_index as usize)
+                .map_or(0, |ty| ty.params.len());
             let local_group_count = self.r.read_u32_leb()?;
             let mut locals = Vec::with_capacity(local_group_count.min(64) as usize);
-            let mut total_locals: u64 = 0;
+            let mut total_locals = num_params as u64;
             for _ in 0..local_group_count {
                 let n = self.r.read_u32_leb()?;
                 let ty = self.r.read_value_type()?;
                 total_locals += n as u64;
-                if total_locals > 1_000_000 {
-                    return Err(DecodeError::Malformed {
-                        message: "too many locals".to_string(),
-                        offset: body_start,
-                    });
-                }
+                let what = "locals (parameters included)";
+                at_most(total_locals, MAX_FUNCTION_LOCALS, what, body_start)?;
                 locals.push((n, ty));
             }
             if body_end > self.r.data().len() || self.r.pos() > body_end {
@@ -350,7 +374,6 @@ impl<'a> Decoder<'a> {
                     offset: body_end,
                 });
             }
-            let type_index = *self.declared_func_types.get(i as usize).unwrap_or(&0);
             self.module.funcs.push(FuncDecl {
                 type_index,
                 locals,
@@ -618,6 +641,54 @@ mod tests {
         let bytes = encode(&module);
         for cut in [9, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// The bytes of a module with one `[i32, i32] -> []` function declaring
+    /// `locals` locals and `nops` `nop`s of code.
+    fn one_function(locals: usize, nops: usize) -> Vec<u8> {
+        let mut code = vec![Opcode::Nop.to_byte(); nops];
+        code.push(Opcode::End.to_byte());
+        let mut b = ModuleBuilder::new();
+        let params = vec![ValueType::I32; 2];
+        b.add_func(FuncType::new(params, vec![]), vec![ValueType::I64; locals], code);
+        encode(&b.finish())
+    }
+
+    fn refused(bytes: &[u8], what: &str) -> bool {
+        matches!(decode(bytes), Err(DecodeError::Malformed { message, .. })
+            if message.starts_with(&format!("too many {what}")))
+    }
+
+    #[test]
+    fn locals_are_capped_with_the_parameters_counted() {
+        let max = MAX_FUNCTION_LOCALS as usize;
+        let module = decode(&one_function(max - 2, 0)).expect("50 000 locals decode");
+        assert_eq!(module.func_local_types(0).map(|l| l.len()), Some(max));
+        assert!(refused(&one_function(max - 1, 0), "locals"));
+    }
+
+    #[test]
+    fn function_bodies_are_capped_in_bytes() {
+        // The body is its local declarations (one byte: no groups), its
+        // code and the final `end`.
+        let max = MAX_FUNCTION_SIZE as usize;
+        decode(&one_function(0, max - 2)).expect("a body at the limit decodes");
+        assert!(refused(&one_function(0, max - 1), "function body bytes"));
+    }
+
+    #[test]
+    fn function_counts_are_capped() {
+        // A function section, then a code section, each declaring one
+        // function more than the limit and holding none: the count alone is
+        // refused.
+        let mut over = Vec::new();
+        crate::leb::write_unsigned(&mut over, MAX_FUNCTIONS as u64 + 1);
+        for section in [3u8, 10] {
+            let mut bytes = vec![0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00, section];
+            bytes.push(over.len() as u8);
+            bytes.extend_from_slice(&over);
+            assert!(refused(&bytes, "functions"), "section {section}");
         }
     }
 

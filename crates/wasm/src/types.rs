@@ -238,6 +238,18 @@ pub const MAX_PAGES: u32 = 65536;
 /// embedding's limit): the minimum is allocated at instantiation.
 pub const MAX_TABLE_ELEMENTS: u32 = 10_000_000;
 
+/// Maximum number of locals a function may have, its parameters included
+/// (the web embedding's limit). Every compiler keeps per-local state.
+pub const MAX_FUNCTION_LOCALS: u32 = 50_000;
+
+/// Maximum size of a function body in bytes, its local declarations
+/// included (the web embedding's limit).
+pub const MAX_FUNCTION_SIZE: u32 = 7_654_321;
+
+/// Maximum number of functions a module may define (the web embedding's
+/// limit).
+pub const MAX_FUNCTIONS: u32 = 1_000_000;
+
 /// The type of a structured control construct (`block`, `loop`, `if`).
 ///
 /// `Empty` and `Value` are the classic MVP encodings; `Func` refers to a

@@ -1,8 +1,9 @@
 //! Differential determinism tests for the parallel compile pipeline: at any
-//! worker count, over all three suites and both backends, the pipeline must
-//! produce artifacts byte-identical to the serial path — same virtual-ISA
-//! instructions, label targets, source maps, stackmaps, call/probe metadata,
-//! and (under the x86-64 backend) the same real machine bytes.
+//! worker count, over all three suites, in both compiling tiers and (for the
+//! baseline) both backends, the pipeline must produce artifacts
+//! byte-identical to the serial path — same virtual-ISA instructions, label
+//! targets, source maps, stackmaps, call/probe metadata, and (under the
+//! x86-64 backend) the same real machine bytes.
 //!
 //! This is the property that makes the rest of the subsystem sound: because
 //! each function's compilation is a pure function of immutable inputs, code
@@ -10,7 +11,7 @@
 //! or another instance's) is interchangeable, and a publication race between
 //! them is harmless.
 
-use engine::pipeline::{compile_eager, CompiledModule};
+use engine::pipeline::{compile_eager, CompileTier, CompiledModule};
 use engine::{CodeBackend, EngineConfig, Instrumentation, Telemetry};
 use spc::CompilerOptions;
 use suites::Scale;
@@ -29,12 +30,12 @@ fn compile_all(config: &EngineConfig, module: &wasm::Module) -> CompiledModule {
     artifact
 }
 
-/// Asserts that two fully-compiled artifacts are byte-identical.
-fn assert_identical(a: &CompiledModule, b: &CompiledModule, what: &str) {
+/// Asserts that two fully-compiled artifacts' `tier` code is byte-identical.
+fn assert_identical(a: &CompiledModule, b: &CompiledModule, tier: CompileTier, what: &str) {
     assert_eq!(a.num_defined(), b.num_defined());
     for defined in 0..a.num_defined() {
-        let fa = a.artifact(defined).unwrap();
-        let fb = b.artifact(defined).unwrap();
+        let fa = a.artifact_for(defined, tier).unwrap();
+        let fb = b.artifact_for(defined, tier).unwrap();
         // The executable virtual-ISA artifact: instructions, label targets,
         // source map (CodeBuffer equality covers all three), stackmaps, and
         // the engine metadata keyed off site indices.
@@ -81,8 +82,25 @@ fn parallel_compilation_is_byte_identical_across_worker_counts() {
                         "{:?} {}/{} at {workers} workers",
                         backend, suite.name, item.name
                     );
-                    assert_identical(&serial, &parallel, &what);
+                    assert_identical(&serial, &parallel, CompileTier::Baseline, &what);
                 }
+            }
+        }
+    }
+}
+
+/// The optimizing tier's eager path — the one `load-opt-par` times — at 2
+/// and 8 workers against 1.
+#[test]
+fn optimizing_compilation_is_byte_identical_across_worker_counts() {
+    let config = |workers| EngineConfig::optimizing("determinism-opt").with_compile_workers(workers);
+    for suite in suites::all_suites(Scale::Test) {
+        for item in &suite.items {
+            let serial = compile_all(&config(1), &item.module);
+            for workers in [2, 8] {
+                let parallel = compile_all(&config(workers), &item.module);
+                let what = format!("opt {}/{} at {workers} workers", suite.name, item.name);
+                assert_identical(&serial, &parallel, CompileTier::Opt, &what);
             }
         }
     }

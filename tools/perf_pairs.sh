@@ -10,12 +10,14 @@
 # (cargo reads it from the invoking directory upward), and both into that
 # scratch directory, nothing is written into the repository — and
 # runs each workload PAIRS (default 5) times on each binary, alternating
-# which side goes first, at one seed and window length. Prints every run,
-# both medians of `ops_per_s`, how many pairs the working tree won, whether
-# `sim_cycles` is identical, and where the linker put the two execution loops
-# in each binary (address mod 128 of `Cpu::run` and `Interpreter::run`: 0 on a
-# side whose tree pins placement, anything on one that does not, which alone
-# moves `exec-jit` / `exec-interp` by ~10 %: see the verify skill).
+# which side goes first, at one seed and window length. Prints every run's
+# end-to-end metrics (`ops_per_s`, `op_p50_us`, `op_p99_us`, `peak_rss_mb`,
+# `setup_s`) on both sides, their medians, how many pairs the working tree
+# won on `ops_per_s`, whether `sim_cycles` is identical, and where the linker
+# put the two execution loops in each binary (address mod 128 of `Cpu::run`
+# and `Interpreter::run`: 0 on a side whose tree pins placement, anything on
+# one that does not, which alone moves `exec-jit` / `exec-interp` by ~10 %:
+# see the verify skill).
 # The host is noisy: read ratios between the two columns of one sitting,
 # never an absolute number across days. The scratch directory is removed on
 # exit.
@@ -61,38 +63,60 @@ for side in ref here; do
         done
 done
 
-# One run: prints "ops_per_s sim_cycles" from the result line perfbench ends with.
+# The end-to-end metrics every run line and both medians carry, in the
+# order `run` prints them; `ops_per_s` decides a pair.
+metrics=(ops_per_s op_p50_us op_p99_us peak_rss_mb setup_s)
+
+# One run: prints the `metrics` and then `sim_cycles`, from the result line
+# perfbench ends with.
 run() { # side, workload
-    "${bin[$1]}" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 --layers 0 \
-        --out "$work/out-$1" 2>/dev/null | tail -n 1 |
-        sed -E 's/.*"ops_per_s":\{"value":([-0-9.e+]+).*"sim_cycles":\{"value":([-0-9.e+]+).*/\1 \2/'
+    local line
+    line=$("${bin[$1]}" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 --layers 0 \
+        --out "$work/out-$1" 2>/dev/null | tail -n 1)
+    for metric in "${metrics[@]}" sim_cycles; do
+        sed -nE "s/.*\"$metric\":\\{\"value\":([-0-9.e+]+).*/\\1/p" <<<"$line" | grep . || echo none
+    done | paste -sd ' '
 }
 median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.4f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+# One table row: a label, then each metric's ref and here value, then a note.
+row() { # label, ref values…, here values…, note
+    local label=$1 n=${#metrics[@]}
+    shift
+    local values=("${@:1:2*n}") note=${*:2*n+1}
+    printf '  %-4s %10.2f %10.2f %7.3f' "$label" "${values[0]}" "${values[n]}" \
+        "$(awk -v a="${values[n]}" -v b="${values[0]}" 'BEGIN { print a / b }')"
+    for ((m = 1; m < n; m++)); do printf ' %10.5g %10.5g' "${values[m]}" "${values[n + m]}"; done
+    printf '  %s\n' "$note"
+}
 
 for workload in "${workloads[@]}"; do
     echo
-    echo "$workload (seed $seed, ${seconds} s windows): ops_per_s"
-    printf '  %-4s %12s %12s %8s  %s\n' pair ref here here/ref first
-    ref_ops=() here_ops=() cycles=() wins=0 losses=0
+    echo "$workload (seed $seed, ${seconds} s windows): ref and here"
+    printf '  %-4s %21s %7s' pair "${metrics[0]}" here/ref
+    for metric in "${metrics[@]:1}"; do printf ' %21s' "$metric"; done
+    printf '  first\n'
+    declare -A all=()
+    cycles=() wins=0 losses=0
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then order=(ref here); else order=(here ref); fi
-        declare -A ops=()
+        declare -A got=()
         for side in "${order[@]}"; do
-            read -r ops[$side] c < <(run "$side" "$workload")
-            [[ ${ops[$side]} =~ ^[0-9.e+]+$ ]] || { echo "  $side: perfbench gave no result line" >&2; exit 1; }
-            cycles+=("$side:$c")
+            read -r -a values < <(run "$side" "$workload")
+            [[ ${values[0]} =~ ^[0-9.e+]+$ ]] || { echo "  $side: perfbench gave no result line" >&2; exit 1; }
+            for m in "${!metrics[@]}"; do
+                got[$side,$m]=${values[m]}
+                all[$side,$m]+="${values[m]} "
+            done
+            cycles+=("$side:${values[${#metrics[@]}]}")
         done
-        ref_ops+=("${ops[ref]}") here_ops+=("${ops[here]}")
-        verdict=$(awk -v a="${ops[here]}" -v b="${ops[ref]}" 'BEGIN { print (a > b) ? "win" : (a < b) ? "loss" : "tie" }')
+        verdict=$(awk -v a="${got[here,0]}" -v b="${got[ref,0]}" 'BEGIN { print (a > b) ? "win" : (a < b) ? "loss" : "tie" }')
         [ "$verdict" = win ] && wins=$((wins + 1))
         [ "$verdict" = loss ] && losses=$((losses + 1))
-        printf '  %-4d %12.2f %12.2f %8.3f  %s\n' "$i" "${ops[ref]}" "${ops[here]}" \
-            "$(awk -v a="${ops[here]}" -v b="${ops[ref]}" 'BEGIN { print a / b }')" "${order[0]}"
+        row "$i" $(for side in ref here; do for m in "${!metrics[@]}"; do echo "${got[$side,$m]}"; done; done) "${order[0]}"
     done
-    ref_median=$(printf '%s\n' "${ref_ops[@]}" | median)
-    here_median=$(printf '%s\n' "${here_ops[@]}" | median)
-    printf '  %-4s %12.2f %12.2f %8.3f  here won %d, lost %d of %d\n' med "$ref_median" "$here_median" \
-        "$(awk -v a="$here_median" -v b="$ref_median" 'BEGIN { print a / b }')" "$wins" "$losses" "$pairs"
+    row med $(for side in ref here; do for m in "${!metrics[@]}"; do
+        tr ' ' '\n' <<<"${all[$side,$m]}" | grep . | median
+    done; done) "here won $wins, lost $losses of $pairs on ${metrics[0]}"
     distinct=$(printf '%s\n' "${cycles[@]#*:}" | sort -u)
     if [ "$(printf '%s\n' "$distinct" | wc -l)" -eq 1 ]; then
         echo "  sim_cycles identical in all $((2 * pairs)) runs: $distinct"
