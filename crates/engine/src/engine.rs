@@ -191,7 +191,7 @@ pub struct Instance {
     call_counts: Vec<u32>,
     /// Per-function loop back-edge counts, incremented by the OSR hook at
     /// the fused meter-check sites. Like [`Instance::call_counts`], this is
-    /// earned tier state: a pool reset keeps it.
+    /// earned tier state: a warm pool checkout keeps it.
     osr_counts: Vec<u32>,
     memory: Option<LinearMemory>,
     globals: Vec<GlobalSlot>,
@@ -298,7 +298,7 @@ impl Instance {
     }
 
     /// Diagnostics for the most recent trap on this instance, if any call
-    /// has trapped since instantiation (or the last pool reset). The engine
+    /// has trapped since instantiation (or the last warm pool checkout). The engine
     /// captures these for *every* trapping call — including fuel exhaustion
     /// and epoch interruption — at the moment the trap fires, so the
     /// backtrace reflects the live activation stack.
@@ -306,38 +306,14 @@ impl Instance {
         self.last_trap.as_ref()
     }
 
-    /// Snapshots this instance's mutable state (memory contents, globals,
-    /// tables) as a [`MemoryImage`]. Captured immediately after
-    /// instantiation, the image is the pre-initialized state a pooled
-    /// instance resets to on a warm checkout.
-    pub fn capture_image(&self) -> MemoryImage {
-        MemoryImage::capture(self.memory.as_ref(), &self.globals, &self.tables)
+    /// The instance's linear memory, if the module declares one.
+    pub fn memory(&self) -> Option<&LinearMemory> {
+        self.memory.as_ref()
     }
 
-    /// Rewinds this instance to `image` plus a pristine execution state:
-    /// memory/globals/tables are restored by memcpy, the value stack's
-    /// dirtied region is scrubbed, the host heap is replaced, and
-    /// fuel/deadline arming is cleared. Metrics restart with
-    /// [`RunMetrics::cache_hit`] set — a reset *is* the warm-instantiation
-    /// path.
-    ///
-    /// Deliberately kept: call counts, accumulated instrumentation data,
-    /// and already-published compiled code, so a pooled instance stays in
-    /// its earned tier. Tier choice never changes results — that is the
-    /// conformance matrix's invariant, and the pool-reset differential
-    /// tests re-prove it against cold instantiation directly.
-    pub fn reset_from_image(&mut self, image: &MemoryImage, gc_threshold: usize) {
-        image.restore_into(&mut self.memory, &mut self.globals, &mut self.tables);
-        self.values.reset();
-        self.heap = Heap::with_threshold(gc_threshold);
-        self.fuel = None;
-        self.initial_fuel = 0;
-        self.epoch_deadline = None;
-        self.last_trap = None;
-        self.metrics = RunMetrics {
-            cache_hit: true,
-            ..RunMetrics::default()
-        };
+    /// A table by index.
+    pub fn table(&self, index: u32) -> Option<&Table> {
+        self.tables.get(index as usize)
     }
 }
 
@@ -580,25 +556,44 @@ impl Engine {
             }
         }
 
-        // Memories, globals, tables, and segment initialization — the whole
-        // state-initialization half of instantiation lives in
-        // [`MemoryImage::build`], shared with snapshot capture/restore.
-        // Declared limits are clamped against the tenant's resource
-        // ceilings there, so `memory.grow` can never exceed the tenant
-        // budget.
-        let (memory, globals, tables) =
-            MemoryImage::build(module, &self.0.config.limits)?.into_parts();
+        // Eager compilation, sharded across the configured worker count.
+        // Slots already published into a cached artifact are skipped, so a
+        // warm instantiation compiles nothing and only the instance that
+        // actually compiled a function accounts its time.
+        let mut metrics = RunMetrics {
+            cache_hit,
+            ..RunMetrics::default()
+        };
+        let needs_eager = !self.0.config.lazy_compile
+            && !matches!(self.0.config.tier, TierPolicy::InterpreterOnly);
+        if needs_eager {
+            let published = pipeline::compile_eager(
+                &self.0.config,
+                &artifact,
+                &instrumentation,
+                &self.0.telemetry,
+            )
+            .map_err(EngineError::Compile)?;
+            let tier = pipeline::eager_tier(&self.0.config);
+            for defined in published {
+                let compiled = artifact
+                    .artifact_for(defined, tier)
+                    .expect("published function has an artifact");
+                account_compile(&mut metrics, compiled, CompileTiming::Eager, tier);
+            }
+        }
 
+        // Everything `initialize` writes starts empty here.
         let num_defined = module.funcs.len();
         let mut instance = Instance {
             artifact,
             call_counts: vec![0; num_defined],
             osr_counts: vec![0; num_defined],
-            memory,
-            globals,
-            tables,
+            memory: None,
+            globals: Vec::new(),
+            tables: Vec::new(),
             values: ValueStack::default(),
-            heap: Heap::with_threshold(self.0.config.gc_threshold),
+            heap: Heap::default(),
             instrumentation,
             host_funcs,
             host_slots,
@@ -606,42 +601,55 @@ impl Engine {
             initial_fuel: 0,
             epoch_deadline: None,
             last_trap: None,
-            metrics: RunMetrics {
-                cache_hit,
-                ..RunMetrics::default()
-            },
+            metrics: RunMetrics::default(),
         };
-
-        // Eager compilation, sharded across the configured worker count.
-        // Slots already published into a cached artifact are skipped, so a
-        // warm instantiation compiles nothing and only the instance that
-        // actually compiled a function accounts its time.
-        let needs_eager = !self.0.config.lazy_compile
-            && !matches!(self.0.config.tier, TierPolicy::InterpreterOnly);
-        if needs_eager {
-            let published = pipeline::compile_eager(
-                &self.0.config,
-                &instance.artifact,
-                &instance.instrumentation,
-                &self.0.telemetry,
-            )
-            .map_err(EngineError::Compile)?;
-            let tier = pipeline::eager_tier(&self.0.config);
-            for defined in published {
-                let compiled = instance
-                    .artifact
-                    .artifact_for(defined, tier)
-                    .expect("published function has an artifact");
-                account_compile(&mut instance.metrics, compiled, CompileTiming::Eager, tier);
-            }
-        }
-        instance.metrics.setup_wall = setup_start.elapsed();
-
-        // Start function.
-        if let Some(start) = module.start {
-            self.call(&mut instance, start, &[]).map_err(EngineError::Start)?;
-        }
+        self.initialize(&mut instance, metrics, Some(setup_start))?;
         Ok(instance)
+    }
+
+    /// Writes `instance`'s initial state: the one initializer behind both
+    /// [`Engine::instantiate`] and a warm [`crate::InstancePool`] checkout.
+    ///
+    /// Memory, globals and tables are built fresh by [`MemoryImage::build`],
+    /// which clamps the declared limits to the tenant's resource ceilings
+    /// (so `memory.grow` can never exceed the tenant budget). The value
+    /// stack's dirtied region is scrubbed, the host heap is replaced, fuel,
+    /// deadline and trap are cleared, and `metrics` is installed, with
+    /// [`RunMetrics::setup_wall`] measured from `setup_start` when one is
+    /// given. Then the start function runs, exactly as on a cold
+    /// instantiation.
+    ///
+    /// Kept, because it is earned rather than initial: the artifact's
+    /// published code, call and OSR counts, instrumentation, host functions
+    /// and the value stack's allocation, so a recycled instance stays in its
+    /// tier. Tier choice never changes results — the conformance matrix's
+    /// invariant, which `tests/instance_pool.rs` re-proves against cold
+    /// instantiation directly.
+    pub(crate) fn initialize(
+        &self,
+        instance: &mut Instance,
+        metrics: RunMetrics,
+        setup_start: Option<Instant>,
+    ) -> Result<(), EngineError> {
+        let (memory, globals, tables) =
+            MemoryImage::build(instance.module(), &self.0.config.limits)?.into_parts();
+        instance.memory = memory;
+        instance.globals = globals;
+        instance.tables = tables;
+        instance.values.reset();
+        instance.heap = Heap::with_threshold(self.0.config.gc_threshold);
+        instance.fuel = None;
+        instance.initial_fuel = 0;
+        instance.epoch_deadline = None;
+        instance.last_trap = None;
+        instance.metrics = metrics;
+        if let Some(setup_start) = setup_start {
+            instance.metrics.setup_wall = setup_start.elapsed();
+        }
+        if let Some(start) = instance.module().start {
+            self.call(instance, start, &[]).map_err(EngineError::Start)?;
+        }
+        Ok(())
     }
 
     /// Calls an exported function by name.

@@ -1,25 +1,18 @@
-//! Pre-initialized instance state: build once, restore by memcpy.
+//! An instance's initial memory, globals and tables, built from its module.
 //!
-//! Instantiation spends its time in two places: compilation (already amortized
-//! by the [`crate::CodeCache`]) and *state initialization* — evaluating global
+//! Instantiation spends its time in two places: compilation (amortized by the
+//! [`crate::CodeCache`]) and *state initialization* — evaluating global
 //! initializers, allocating linear memory and tables, and bounds-checking and
-//! copying every data and element segment. A serving workload that
-//! instantiates the same module thousands of times per second re-runs that
-//! initialization with identical inputs and identical results every time.
+//! copying every data and element segment. [`MemoryImage::build`] is the one
+//! implementation of the second half and of its error paths. Its one caller
+//! is the engine's instance initializer, which a cold
+//! [`crate::Engine::instantiate`] and a warm [`crate::InstancePool`] checkout
+//! share, so a recycled instance starts from exactly the state a fresh one
+//! does.
 //!
-//! A [`MemoryImage`] is the snapshot that breaks the cycle. [`MemoryImage::build`]
-//! performs the full initialization once (this is also the code path cold
-//! instantiation uses — there is exactly one implementation of segment
-//! initialization and its error paths). [`MemoryImage::capture`] snapshots a
-//! live instance's mutable state after instantiation, and
-//! [`MemoryImage::restore_into`] rewinds an instance to that snapshot with a
-//! `resize` (usually a no-op) plus a `memcpy` per memory/table — no
-//! validation, no constant evaluation, no per-segment bounds checks.
-//!
-//! The [`crate::pool::InstancePool`] composes this with the code cache: a warm
-//! checkout is "reset the pooled instance from the image", which the
-//! pool-reset differential tests prove equivalent to a fresh cold
-//! instantiation, traps included.
+//! Nothing is snapshotted or copied back. Building zero-fills the memory and
+//! copies only the segment bytes, which measures cheaper than a `memcpy` of a
+//! captured image of every page.
 
 use crate::config::ResourceLimits;
 use crate::engine::EngineError;
@@ -70,13 +63,9 @@ fn segment_error(kind: &str, index: usize, problem: &str) -> EngineError {
     EngineError::Instantiate(format!("{kind} segment {index} {problem}"))
 }
 
-/// A snapshot of the mutable state instantiation produces: initialized
-/// linear memory, globals, and tables.
-///
-/// Built from a module ([`MemoryImage::build`]) or captured from a live
-/// instance ([`MemoryImage::capture`]); restored into an instance in place
-/// ([`MemoryImage::restore_into`]).
-#[derive(Debug, Clone)]
+/// The mutable state instantiation produces: initialized linear memory,
+/// globals, and tables, built from a module by [`MemoryImage::build`].
+#[derive(Debug)]
 pub struct MemoryImage {
     memory: Option<LinearMemory>,
     globals: Vec<GlobalSlot>,
@@ -156,70 +145,15 @@ impl MemoryImage {
         })
     }
 
-    /// Snapshots a live instance's mutable state (memory contents, global
-    /// values, table entries) as an image to restore later.
-    pub fn capture(
-        memory: Option<&LinearMemory>,
-        globals: &[GlobalSlot],
-        tables: &[Table],
-    ) -> MemoryImage {
-        MemoryImage {
-            memory: memory.cloned(),
-            globals: globals.to_vec(),
-            tables: tables.to_vec(),
-        }
-    }
-
-    /// Rewinds instance state to this image in place, reusing existing
-    /// allocations: memory and tables are `resize` + `memcpy`, globals are a
-    /// slice copy. This is the warm-instantiation fast path.
-    pub fn restore_into(
-        &self,
-        memory: &mut Option<LinearMemory>,
-        globals: &mut Vec<GlobalSlot>,
-        tables: &mut Vec<Table>,
-    ) {
-        match (memory.as_mut(), &self.memory) {
-            (Some(dst), Some(src)) => dst.reset_from(src),
-            (None, None) => {}
-            // Shape mismatches only happen when restoring across modules;
-            // fall back to a clone so the result is still the image.
-            _ => *memory = self.memory.clone(),
-        }
-        if globals.len() == self.globals.len() {
-            globals.copy_from_slice(&self.globals);
-        } else {
-            globals.clone_from(&self.globals);
-        }
-        if tables.len() == self.tables.len() {
-            for (dst, src) in tables.iter_mut().zip(&self.tables) {
-                dst.reset_from(src);
-            }
-        } else {
-            tables.clone_from(&self.tables);
-        }
-    }
-
-    /// Consumes the image into its parts, in instance-field order. Cold
-    /// instantiation builds an image and moves the parts straight into the
-    /// new instance.
+    /// Consumes the image into its parts, in instance-field order: the
+    /// instance initializer moves them straight into the instance.
     pub fn into_parts(self) -> (Option<LinearMemory>, Vec<GlobalSlot>, Vec<Table>) {
         (self.memory, self.globals, self.tables)
     }
 
-    /// The snapshot's linear memory, if the module declares one.
-    pub fn memory(&self) -> Option<&LinearMemory> {
-        self.memory.as_ref()
-    }
-
-    /// The snapshot's global values.
+    /// The built global values.
     pub fn globals(&self) -> &[GlobalSlot] {
         &self.globals
-    }
-
-    /// The snapshot's tables.
-    pub fn tables(&self) -> &[Table] {
-        &self.tables
     }
 }
 
@@ -255,13 +189,14 @@ mod tests {
     fn build_initializes_memory_globals_tables() {
         let module = imaged_module();
         let image = MemoryImage::build(&module, &ResourceLimits::unlimited()).unwrap();
-        let mem = image.memory().expect("module declares memory");
-        assert_eq!(mem.load(0, 0, 4).unwrap(), 0x04030201, "data segment applied");
         assert_eq!(image.globals().len(), 1);
         assert_eq!(image.globals()[0].value(), WasmValue::I32(41));
-        assert_eq!(image.tables().len(), 1);
-        assert_eq!(image.tables()[0].get(0).unwrap(), Some(0), "element segment applied");
-        assert_eq!(image.tables()[0].get(1).unwrap(), None);
+        let (memory, _, tables) = image.into_parts();
+        let mem = memory.expect("module declares memory");
+        assert_eq!(mem.load(0, 0, 4).unwrap(), 0x04030201, "data segment applied");
+        assert_eq!(tables.len(), 1);
+        assert_eq!(tables[0].get(0).unwrap(), Some(0), "element segment applied");
+        assert_eq!(tables[0].get(1).unwrap(), None);
     }
 
     #[test]
@@ -292,38 +227,5 @@ mod tests {
         };
         let err = MemoryImage::build(&b.finish(), &limits).unwrap_err();
         assert!(err.to_string().contains("exceeds the tenant limit"), "{err}");
-    }
-
-    #[test]
-    fn capture_restore_round_trips_dirty_state() {
-        let module = imaged_module();
-        let image = MemoryImage::build(&module, &ResourceLimits::unlimited()).unwrap();
-        let (mut memory, mut globals, mut tables) = image.clone().into_parts();
-
-        // Dirty everything an execution could touch.
-        memory.as_mut().unwrap().store(16, 0, 8, u64::MAX).unwrap();
-        memory.as_mut().unwrap().grow(2);
-        globals[0] = GlobalSlot::from_value(WasmValue::I32(-5));
-        tables[0].set(1, Some(0)).unwrap();
-
-        image.restore_into(&mut memory, &mut globals, &mut tables);
-        let mem = memory.as_ref().unwrap();
-        assert_eq!(mem.bytes(), image.memory().unwrap().bytes());
-        assert_eq!(mem.size_pages(), 1, "growth rolled back");
-        assert_eq!(globals[0].value(), WasmValue::I32(41));
-        assert_eq!(tables[0].get(1).unwrap(), None);
-    }
-
-    #[test]
-    fn restore_into_handles_shape_mismatches_by_cloning() {
-        let module = imaged_module();
-        let image = MemoryImage::build(&module, &ResourceLimits::unlimited()).unwrap();
-        let mut memory = None;
-        let mut globals = Vec::new();
-        let mut tables = Vec::new();
-        image.restore_into(&mut memory, &mut globals, &mut tables);
-        assert_eq!(memory.unwrap().bytes(), image.memory().unwrap().bytes());
-        assert_eq!(globals.len(), 1);
-        assert_eq!(tables.len(), 1);
     }
 }

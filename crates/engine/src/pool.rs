@@ -1,39 +1,33 @@
-//! Instance pooling: recycle instances through snapshot resets.
+//! Instance pooling: a warm checkout is an instantiation on a recycled
+//! instance.
 //!
 //! A serving workload instantiates the same module for every request. With a
-//! [`CodeCache`](crate::CodeCache) the *code* side of that is already free,
-//! but each instantiation still rebuilds the mutable state — re-evaluating
-//! global initializers and bounds-checking every data and element segment. An
-//! [`InstancePool`] removes that too: it instantiates once, captures the
-//! post-instantiation state as a [`MemoryImage`], and thereafter hands out
-//! recycled instances rewound to that image by `memcpy`
-//! ([`Instance::reset_from_image`]).
+//! [`CodeCache`](crate::CodeCache) the *code* side of that is already free;
+//! what a fresh [`Instance`] still costs is its allocations — value stack,
+//! host functions, call counts — and the tier it has not yet earned. An
+//! [`InstancePool`] keeps those: it parks instances between requests and
+//! hands a parked one out through the engine's instance initializer, the
+//! same one [`Engine::instantiate`] ends with. Memory, globals and tables
+//! are built fresh, execution state is cleared, and the start function runs
+//! again, so a warm checkout starts from exactly the state a cold one does —
+//! a start function that reads a host import included.
 //!
-//! The checkout path is deliberately *reset-on-checkout*, not
+//! The checkout path is deliberately *initialize-on-checkout*, not
 //! reset-on-checkin: a finished request checks its instance back in as-is
 //! (dirty memory, half-consumed fuel, a trapped stack — whatever the request
-//! left behind), and the next checkout pays the memcpy. That keeps checkin
-//! O(1) on the request's critical path and means an instance abandoned
-//! mid-trap (say, [`OutOfFuel`](machine::inst::TrapCode::OutOfFuel) with
-//! scribbled-on memory) needs no special handling — the reset scrubs it like
-//! any other.
+//! left behind), and the next checkout pays the initialization. That keeps
+//! checkin O(1) on the request's critical path and means an instance
+//! abandoned mid-trap (say, [`OutOfFuel`](machine::inst::TrapCode::OutOfFuel)
+//! with scribbled-on memory) needs no special handling.
 //!
-//! What a reset deliberately *keeps* is tier warmth: call counts,
+//! What a checkout deliberately *keeps* is tier warmth: call and OSR counts,
 //! instrumentation data, and published compiled code survive, so a pooled
 //! instance that tiered up stays tiered up. Tier choice never changes
-//! results — the conformance matrix's core invariant — and the pool-reset
+//! results — the conformance matrix's core invariant — and the pool
 //! differential tests re-prove it by diffing recycled instances against cold
 //! ones across every configuration.
-//!
-//! The pool assumes instantiation is deterministic: the image captured from
-//! the first instantiation must equal what a fresh instantiation would
-//! produce. That holds for any module whose start function is deterministic
-//! (host imports that scribble request-specific state into memory during
-//! the start function would break it, and such a module should not be
-//! pooled).
 
-use crate::engine::{Engine, EngineError, Imports, Instance};
-use crate::image::MemoryImage;
+use crate::engine::{Engine, EngineError, Imports, Instance, RunMetrics};
 use crate::monitor::Instrumentation;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -52,27 +46,24 @@ pub type ImportsFactory = Box<dyn Fn() -> Imports + Send + Sync>;
 pub struct PoolStats {
     /// Instances currently parked in the pool.
     pub idle: u64,
-    /// Checkouts served by resetting a recycled instance (memcpy path).
+    /// Checkouts served by initializing a recycled instance.
     pub warm_checkouts: u64,
     /// Checkouts that had to instantiate from scratch (pool was empty).
     pub cold_checkouts: u64,
 }
 
-/// A pool of recycled [`Instance`]s of one module under one [`Engine`],
-/// warm-instantiated by snapshot reset.
+/// A pool of recycled [`Instance`]s of one module under one [`Engine`].
 ///
-/// Construction performs the one cold instantiation, captures its
-/// [`MemoryImage`], and parks the instance (unless `max_idle` is 0).
-/// [`InstancePool::checkout`] then serves requests: pop + reset when an idle
-/// instance exists, cold instantiate when the pool is empty (concurrency
-/// above the idle count).
+/// Construction performs one cold instantiation and parks the instance
+/// (unless `max_idle` is 0). [`InstancePool::checkout`] then serves
+/// requests: pop + initialize when an idle instance exists, cold instantiate
+/// when the pool is empty (concurrency above the idle count).
 /// Checked-out instances ride in a [`PooledInstance`] guard that returns
 /// them on drop; at most `max_idle` are retained.
 pub struct InstancePool {
     engine: Engine,
     module: Module,
     imports: ImportsFactory,
-    image: MemoryImage,
     idle: Mutex<Vec<Instance>>,
     max_idle: usize,
     warm_checkouts: AtomicU64,
@@ -94,8 +85,7 @@ impl fmt::Debug for InstancePool {
 impl InstancePool {
     /// Creates a pool for a module with no imports, retaining at most
     /// `max_idle` parked instances. Performs the first (cold) instantiation
-    /// eagerly so construction surfaces instantiation errors and the
-    /// snapshot image exists before the first checkout.
+    /// eagerly so construction surfaces instantiation errors.
     pub fn new(
         engine: Engine,
         module: Module,
@@ -113,16 +103,14 @@ impl InstancePool {
         max_idle: usize,
     ) -> Result<Arc<InstancePool>, EngineError> {
         let first = engine.instantiate(&module, imports(), Instrumentation::none())?;
-        let image = first.capture_image();
         // A pool with `max_idle == 0` never parks anything, the first
-        // instance included: it only provides the image, and every checkout
-        // is cold.
+        // instance included: it only surfaces errors, and every checkout is
+        // cold.
         let idle = if max_idle == 0 { Vec::new() } else { vec![first] };
         Ok(Arc::new(InstancePool {
             engine,
             module,
             imports,
-            image,
             idle: Mutex::new(idle),
             max_idle,
             warm_checkouts: AtomicU64::new(0),
@@ -142,15 +130,26 @@ impl InstancePool {
         &self.engine
     }
 
-    /// Checks out an instance: warm (pop a recycled instance and rewind it
-    /// to the snapshot image) when one is parked, cold (full instantiation)
-    /// otherwise. The returned guard checks the instance back in on drop.
+    /// Checks out an instance: warm (pop a recycled instance and initialize
+    /// it, start function included) when one is parked, cold (full
+    /// instantiation) otherwise. The returned guard checks the instance back
+    /// in on drop.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if instantiation fails or the start function traps;
+    /// a recycled instance whose start traps is dropped, not parked.
     pub fn checkout(self: &Arc<Self>) -> Result<PooledInstance, EngineError> {
         let recycled = self.idle.lock().expect("instance pool poisoned").pop();
         let (instance, warm) = match recycled {
             Some(mut instance) => {
-                instance.reset_from_image(&self.image, self.engine.config().gc_threshold);
                 self.warm_checkouts.fetch_add(1, Ordering::SeqCst);
+                // A warm checkout is a cache-hit instantiation.
+                let metrics = RunMetrics {
+                    cache_hit: true,
+                    ..RunMetrics::default()
+                };
+                self.engine.initialize(&mut instance, metrics, None)?;
                 (instance, true)
             }
             None => {
@@ -209,8 +208,8 @@ pub struct PooledInstance {
 }
 
 impl PooledInstance {
-    /// True if this checkout was served by snapshot reset rather than a
-    /// full instantiation.
+    /// True if this checkout was served by a recycled instance rather than
+    /// a full instantiation.
     pub fn was_warm(&self) -> bool {
         self.warm
     }
@@ -258,7 +257,7 @@ mod tests {
 
     /// A module whose `bump` export increments `mem[0]` and a mutable
     /// global, returning the new memory counter — so recycled state is
-    /// observable if a reset ever fails to scrub it.
+    /// observable if a checkout ever fails to scrub it.
     fn counter_module() -> Module {
         let mut b = ModuleBuilder::new();
         b.add_memory(Limits::bounded(1, 2));
@@ -292,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_checkout_rewinds_to_the_snapshot() {
+    fn warm_checkout_starts_from_the_initial_state() {
         let pool = InstancePool::new(Engine::new(EngineConfig::default()), counter_module(), 4)
             .expect("pool builds");
         // First checkout recycles the construction-time instance: warm.

@@ -89,17 +89,6 @@ impl LinearMemory {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Overwrites this memory with the contents and limits of `image`,
-    /// reusing the existing allocation where possible. This is the warm
-    /// instantiation path: restoring a pre-initialized snapshot is one
-    /// resize (usually a no-op or a truncation) plus a memcpy, instead of
-    /// re-evaluating and bounds-checking every data segment.
-    pub fn reset_from(&mut self, image: &LinearMemory) {
-        self.bytes.resize(image.bytes.len(), 0);
-        self.bytes.copy_from_slice(&image.bytes);
-        self.limits = image.limits;
-    }
 }
 
 /// A function table (`funcref` elements only).
@@ -145,15 +134,6 @@ impl Table {
             }
             None => Err(TrapCode::TableOutOfBounds),
         }
-    }
-
-    /// Overwrites this table with the contents and limits of `image`,
-    /// reusing the existing allocation where possible (the table analogue of
-    /// [`LinearMemory::reset_from`]).
-    pub fn reset_from(&mut self, image: &Table) {
-        self.elements.resize(image.elements.len(), None);
-        self.elements.copy_from_slice(&image.elements);
-        self.limits = image.limits;
     }
 
     /// Initializes a run of elements (used by element segments).
@@ -218,33 +198,6 @@ mod tests {
         assert_eq!(m.load(100, 0, 1).unwrap(), 1);
         assert_eq!(m.load(102, 0, 1).unwrap(), 3);
         assert!(m.init(PAGE_SIZE - 1, &[1, 2]).is_err());
-    }
-
-    #[test]
-    fn reset_from_restores_contents_and_limits() {
-        let mut image = LinearMemory::new(Limits::bounded(1, 4));
-        image.store(64, 0, 8, 0x1122334455667788).unwrap();
-        // A dirtied, grown memory snaps back to the image exactly.
-        let mut m = LinearMemory::new(Limits::bounded(1, 4));
-        m.store(64, 0, 8, u64::MAX).unwrap();
-        m.store(0, 0, 4, 7).unwrap();
-        assert_eq!(m.grow(2), 1);
-        m.reset_from(&image);
-        assert_eq!(m.size_pages(), image.size_pages());
-        assert_eq!(m.bytes(), image.bytes());
-        assert_eq!(m.load(64, 0, 8).unwrap(), 0x1122334455667788);
-        assert_eq!(m.grow(3), 1);
-        assert_eq!(m.grow(1), -1, "image limits restored too");
-
-        let mut t_image = Table::new(Limits::bounded(2, 8));
-        t_image.set(0, Some(9)).unwrap();
-        let mut t = Table::new(Limits::bounded(2, 8));
-        t.set(0, Some(1)).unwrap();
-        t.set(1, Some(2)).unwrap();
-        t.reset_from(&t_image);
-        assert_eq!(t.get(0).unwrap(), Some(9));
-        assert_eq!(t.get(1).unwrap(), None);
-        assert_eq!(t.size(), 2);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   a bounded [`access_log::FlightRecorder`] ring retains the most recent
 //!   lines for dumping on demand;
 //! * instance pooling lives in the engine crate
-//!   ([`engine::InstancePool`]): each app's instances are recycled through
-//!   snapshot resets, so a warm request pays a memcpy instead of a full
+//!   ([`engine::InstancePool`]): each app's instances are recycled, so a
+//!   warm request pays the engine's instance initializer (fresh memory,
+//!   globals and tables, then the start function) instead of a full
 //!   instantiation.
 //!
 //! Every app runs on one [`engine::Engine`], built by [`Server::new`]: its
@@ -32,9 +33,9 @@
 //!
 //! Per-request isolation is the multi-tenant contract from PR 6: fuel
 //! budgets meter deterministic work, epoch deadlines bound wall-clock time,
-//! and every request observes a pristine snapshot regardless of what the
-//! previous occupant of its instance did — including trapping halfway
-//! through a memory write.
+//! and every request observes a freshly initialized instance regardless of
+//! what the previous occupant did — including trapping halfway through a
+//! memory write.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -161,11 +162,11 @@ pub struct RequestResult {
     pub worker: usize,
     /// How it ended.
     pub status: RequestStatus,
-    /// True if the instance came from the pool's snapshot-reset path
-    /// rather than a cold instantiation.
+    /// True if the instance was a recycled one from the pool rather than a
+    /// cold instantiation.
     pub warm: bool,
-    /// Time to obtain a ready instance (the reset memcpy when warm, a full
-    /// instantiation when cold).
+    /// Time to obtain a ready instance (initializing a recycled instance
+    /// when warm, a full instantiation when cold).
     pub instantiate_wall: Duration,
     /// Total service time: checkout + execution.
     pub service_wall: Duration,
@@ -234,8 +235,10 @@ impl Server {
     }
 
     /// Registers an app and returns its index for [`Request::to_app`].
-    /// Instantiates once eagerly (building the pool's snapshot image), so
-    /// broken modules fail here, not mid-batch.
+    /// Every app is pooled: its [`InstancePool`] instantiates once eagerly,
+    /// so broken modules fail here, not mid-batch, and each later request
+    /// gets a parked instance re-initialized as a cold one would be, its
+    /// start function run again.
     pub fn register_app(
         &mut self,
         name: &str,

@@ -116,7 +116,7 @@ pub enum EventKind {
     PoolCheckout {
         /// The pool's label (the serving layer sets it to the app index).
         app: u32,
-        /// True for the snapshot-reset path, false for a cold instantiation.
+        /// True for a recycled instance, false for a cold instantiation.
         warm: bool,
     },
     /// A request entered a worker mailbox.

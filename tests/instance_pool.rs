@@ -1,20 +1,25 @@
-//! Pool-reset differential: a recycled instance is indistinguishable from a
-//! cold one.
+//! Pool differential: a recycled instance is indistinguishable from a cold
+//! one.
 //!
-//! The snapshot-instantiation contract is that `InstancePool::checkout`'s
-//! warm path (memcpy-reset to the captured image) produces *exactly* the
-//! state a cold instantiation would — results bit-identical, trap reasons
-//! identical — across the full tier×backend conformance matrix. The nastiest
-//! case is deliberate: a request that runs out of fuel halfway through a
-//! loop of memory writes checks a dirty, trapped instance back in, and the
-//! next occupant must still observe pristine state.
+//! `InstancePool::checkout`'s warm path runs the same instance initializer
+//! `Engine::instantiate` ends with — memory, globals and tables built fresh,
+//! execution state cleared, the start function run — so it must produce
+//! *exactly* the state a cold instantiation would: results bit-identical,
+//! trap reasons identical, across the full tier×backend conformance matrix.
+//! The nastiest case is deliberate: a request that runs out of fuel halfway
+//! through a loop of memory writes checks a dirty, trapped instance back in,
+//! and the next occupant must still observe pristine state. A start function
+//! that reads a host import, and a tenant memory ceiling a request grew up
+//! to, must come out of a warm checkout as they do out of a cold one.
 
 mod common;
 
-use engine::{Engine, Imports, InstancePool, Instrumentation};
+use engine::{
+    Engine, EngineConfig, Imports, Instance, InstancePool, Instrumentation, ResourceLimits,
+};
 use machine::inst::TrapCode;
 use machine::values::WasmValue;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::module::ConstExpr;
@@ -23,12 +28,12 @@ use wasm::types::{BlockType, FuncType, GlobalType, Limits, ValueType};
 use wasm::Module;
 
 /// A module whose observable behavior depends on every kind of instance
-/// state a reset must restore:
+/// state a warm checkout must reinitialize:
 ///
 /// * `main: [] -> [i32]` folds the first 32 bytes of memory into a checksum
 ///   while *overwriting* them, mixes in a mutable global (also updated), and
 ///   routes the final add through `call_indirect` — so a second call on the
-///   same instance returns a different number, and any state the reset
+///   same instance returns a different number, and any state the checkout
 ///   missed shifts the checksum;
 /// * `burn: [] -> []` scribbles an increasing counter into memory forever —
 ///   under a fuel budget it traps `OutOfFuel` mid-write, leaving the
@@ -201,9 +206,8 @@ fn pooled_reset_matches_cold_instantiation_in_every_config() {
             assert_eq!(trap, TrapCode::OutOfFuel, "[{name}]");
             assert_eq!(inst.fuel_remaining(), Some(0), "[{name}]");
             // The scribble really happened: mem[0] is no longer 0x04030201.
-            let dirty = inst.capture_image();
             assert_ne!(
-                dirty.memory().expect("has memory").load(0, 0, 4).unwrap(),
+                inst.memory().expect("has memory").load(0, 0, 4).unwrap(),
                 0x0403_0201,
                 "[{name}] burn must dirty memory before trapping"
             );
@@ -240,9 +244,8 @@ fn pooled_reset_matches_cold_instantiation_in_every_config() {
                 .expect_err("burn must be preempted");
             supervisor.join().expect("supervisor thread");
             assert_eq!(trap, TrapCode::Interrupted, "[{name}]");
-            let dirty = inst.capture_image();
             assert_ne!(
-                dirty.memory().expect("has memory").load(0, 0, 4).unwrap(),
+                inst.memory().expect("has memory").load(0, 0, 4).unwrap(),
                 0x0403_0201,
                 "[{name}] burn must dirty memory before the interrupt"
             );
@@ -293,8 +296,8 @@ fn pooled_checksums_agree_across_the_matrix() {
     }
 }
 
-/// `max_idle == 0` is honoured: the construction-time instance only provides
-/// the image, nothing is ever parked, so checkout → drop → checkout is cold
+/// `max_idle == 0` is honoured: the construction-time instance only surfaces
+/// errors, nothing is ever parked, so checkout → drop → checkout is cold
 /// both times (with `stats` agreeing) and still bit-identical to a cold
 /// instantiate.
 #[test]
@@ -317,33 +320,159 @@ fn a_pool_that_parks_nothing_serves_every_checkout_cold() {
     assert_eq!((stats.warm_checkouts, stats.cold_checkouts), (0, 2));
 }
 
-/// The snapshot image itself is faithful: capture → restore round-trips the
-/// exact bytes, and `MemoryImage::build` (used by both instantiation and
-/// pooling) equals what instantiation produced.
+/// Asserts that `warm` holds exactly `cold`'s state, field by field: memory
+/// size and bytes, every global, every table's size and entries.
+fn assert_same_state(warm: &Instance, cold: &Instance) {
+    let module = cold.module();
+    match (warm.memory(), cold.memory()) {
+        (Some(w), Some(c)) => {
+            assert_eq!(w.size_pages(), c.size_pages(), "memory size");
+            assert!(w.bytes() == c.bytes(), "memory bytes differ");
+        }
+        (w, c) => assert_eq!(w.is_some(), c.is_some(), "memory presence"),
+    }
+    for g in 0..module.num_globals() {
+        assert_eq!(warm.global_value(g), cold.global_value(g), "global {g}");
+    }
+    assert_eq!(warm.global_value(module.num_globals()), None, "extra global");
+    for t in 0..module.num_tables() {
+        let (w, c) = (warm.table(t).expect("warm table"), cold.table(t).expect("cold table"));
+        assert_eq!(w.size(), c.size(), "table {t} size");
+        for e in 0..c.size() {
+            assert_eq!(w.get(e), c.get(e), "table {t} entry {e}");
+        }
+    }
+    assert!(warm.table(module.num_tables()).is_none(), "extra table");
+}
+
+/// A warm checkout of an instance a request dirtied is, field by field, a
+/// fresh cold instance.
 #[test]
-fn capture_image_round_trips_through_reset() {
+fn a_dirty_warm_checkout_equals_a_fresh_cold_instance() {
     let module = stateful_module();
-    let engine = Engine::new(engine::EngineConfig::default());
-    let mut inst = engine
+    let engine = Engine::new(EngineConfig::default());
+    let cold = engine
         .instantiate(&module, Imports::new(), Instrumentation::none())
         .expect("instantiates");
-    let pristine = inst.capture_image();
-    engine.call_export(&mut inst, "main", &[]).unwrap();
-    let dirty = inst.capture_image();
-    assert_ne!(
-        pristine.memory().unwrap().bytes(),
-        dirty.memory().unwrap().bytes(),
-        "main dirties memory"
-    );
-    inst.reset_from_image(&pristine, 0);
-    let restored = inst.capture_image();
-    assert_eq!(
-        pristine.memory().unwrap().bytes(),
-        restored.memory().unwrap().bytes()
-    );
-    assert_eq!(pristine.globals().len(), restored.globals().len());
-    for (a, b) in pristine.globals().iter().zip(restored.globals()) {
-        assert_eq!(a.value(), b.value());
+    let pool = InstancePool::new(engine, module, 1).expect("pool builds");
+    {
+        let mut inst = pool.checkout().unwrap();
+        pool.engine().call_export(&mut inst, "main", &[]).unwrap();
+        assert_ne!(
+            inst.memory().unwrap().bytes(),
+            cold.memory().unwrap().bytes(),
+            "main dirties memory"
+        );
+        assert_ne!(inst.global_value(0), cold.global_value(0), "main dirties the global");
     }
-    assert!(inst.metrics.cache_hit, "a reset counts as a warm path");
+    let inst = pool.checkout().unwrap();
+    assert!(inst.was_warm());
+    assert_same_state(&inst, &cold);
+    assert!(inst.metrics.cache_hit, "a warm checkout counts as a warm path");
+}
+
+/// A module whose start function stores the imported `env.next()` in its
+/// one global.
+fn seeded_module() -> Module {
+    let mut b = ModuleBuilder::new();
+    let next = b.import_func("env", "next", FuncType::new(vec![], vec![ValueType::I32]));
+    b.add_global(GlobalType::mutable(ValueType::I32), ConstExpr::I32(-1));
+    let mut c = CodeBuilder::new();
+    c.call(next).global_set(0);
+    let start = b.add_func(FuncType::new(vec![], vec![]), vec![], c.finish());
+    b.set_start(start);
+    b.finish()
+}
+
+/// A warm checkout runs the start function again, as a cold instantiation
+/// does: a start that reads a host import (a seed, a clock, a counter) sees
+/// a fresh value on every checkout, not the first request's forever.
+#[test]
+fn a_warm_checkout_reruns_the_start_function() {
+    let module = seeded_module();
+    let counter = Arc::new(AtomicU32::new(0));
+    let imports = move || {
+        let counter = Arc::clone(&counter);
+        Imports::new().func("env", "next", move |_, _| {
+            Ok(vec![WasmValue::I32(counter.fetch_add(1, Ordering::Relaxed) as i32)])
+        })
+    };
+    let engine = Engine::new(EngineConfig::default());
+    for expected in 0..3 {
+        let cold = engine
+            .instantiate(&module, imports(), Instrumentation::none())
+            .expect("instantiates");
+        assert_eq!(cold.global_value(0), Some(WasmValue::I32(expected)), "cold {expected}");
+    }
+    // Construction instantiates once more: its start reads 3.
+    let pool =
+        InstancePool::with_imports(engine, module, Box::new(imports), 1).expect("pool builds");
+    for expected in 4..7 {
+        let inst = pool.checkout().unwrap();
+        assert!(inst.was_warm());
+        assert_eq!(inst.global_value(0), Some(WasmValue::I32(expected)), "warm {expected}");
+    }
+}
+
+/// A module with an unbounded memory whose first bytes a data segment sets:
+/// `grow: [i32] -> [i32]` is `memory.grow`, and `dirty: [] -> []` writes the
+/// first word of pages 0 and 1.
+fn growable_module() -> Module {
+    let mut b = ModuleBuilder::new();
+    b.add_memory(Limits::at_least(1));
+    b.add_data(0, ConstExpr::I32(0), vec![1, 2, 3, 4]);
+    let mut c = CodeBuilder::new();
+    c.local_get(0).memory_grow();
+    let grow = b.add_func(
+        FuncType::new(vec![ValueType::I32], vec![ValueType::I32]),
+        vec![],
+        c.finish(),
+    );
+    let mut c = CodeBuilder::new();
+    c.i32_const(0)
+        .i32_const(-1)
+        .mem(Opcode::I32Store, 2, 0)
+        .i32_const(65_536)
+        .i32_const(-1)
+        .mem(Opcode::I32Store, 2, 0);
+    let dirty = b.add_func(FuncType::new(vec![], vec![]), vec![], c.finish());
+    b.export_func("grow", grow);
+    b.export_func("dirty", dirty);
+    b.finish()
+}
+
+/// A tenant memory ceiling survives a warm checkout: a request that grew the
+/// memory to the ceiling and dirtied it leaves the next occupant at the
+/// declared minimum with pristine bytes, still unable to grow past the
+/// ceiling.
+#[test]
+fn a_warm_checkout_keeps_the_tenant_memory_ceiling() {
+    let module = growable_module();
+    let limits = ResourceLimits {
+        memory_pages: Some(2),
+        ..ResourceLimits::unlimited()
+    };
+    let engine = Engine::new(EngineConfig::default().with_limits(limits));
+    let cold = engine
+        .instantiate(&module, Imports::new(), Instrumentation::none())
+        .expect("instantiates");
+    let pool = InstancePool::new(engine, module, 1).expect("pool builds");
+    let grow = |inst: &mut Instance, delta: i32| {
+        pool.engine()
+            .call_export(inst, "grow", &[WasmValue::I32(delta)])
+            .expect("grow never traps")[0]
+    };
+    {
+        let mut inst = pool.checkout().unwrap();
+        assert_eq!(grow(&mut inst, 1), WasmValue::I32(1), "1 -> 2 pages");
+        pool.engine().call_export(&mut inst, "dirty", &[]).unwrap();
+        assert_eq!(grow(&mut inst, 1), WasmValue::I32(-1), "ceiling reached");
+    }
+    let mut inst = pool.checkout().unwrap();
+    assert!(inst.was_warm());
+    assert_same_state(&inst, &cold);
+    assert_eq!(inst.memory().unwrap().size_pages(), 1, "back at the declared minimum");
+    assert_eq!(grow(&mut inst, 2), WasmValue::I32(-1), "still capped at 2 pages");
+    assert_eq!(grow(&mut inst, 1), WasmValue::I32(1), "1 -> 2 pages");
+    assert_eq!(grow(&mut inst, 1), WasmValue::I32(-1), "ceiling reached again");
 }

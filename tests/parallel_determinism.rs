@@ -3,7 +3,8 @@
 //! baseline) both backends, the pipeline must produce artifacts
 //! byte-identical to the serial path — same virtual-ISA instructions, label
 //! targets, source maps, stackmaps, call/probe metadata, and (under the
-//! x86-64 backend) the same real machine bytes.
+//! x86-64 backend) the same real machine bytes. A module that fails to
+//! compile reports the same error at every worker count: the serial path's.
 //!
 //! This is the property that makes the rest of the subsystem sound: because
 //! each function's compilation is a pure function of immutable inputs, code
@@ -12,9 +13,11 @@
 //! them is harmless.
 
 use engine::pipeline::{compile_eager, CompileTier, CompiledModule};
-use engine::{CodeBackend, EngineConfig, Instrumentation, Telemetry};
+use engine::{CodeBackend, Engine, EngineConfig, EngineError, Imports, Instrumentation, Telemetry};
 use spc::CompilerOptions;
 use suites::Scale;
+use wasm::builder::{CodeBuilder, ModuleBuilder};
+use wasm::types::{BlockType, FuncType, ValueType};
 
 /// Compiles every function of `module` under `config` and returns the filled
 /// artifact.
@@ -134,6 +137,76 @@ fn pipeline_serial_path_matches_direct_compiler_invocation() {
                     suite.name, item.name
                 );
             }
+        }
+    }
+}
+
+/// A module whose defined functions 1 and 2 validate but do not compile
+/// without multi-value: function 1 is large and fails at a multi-value block
+/// near its end, function 2 is small and fails at its first instruction.
+/// Functions 0 and 3 compile.
+fn two_late_and_early_compile_errors() -> wasm::Module {
+    let mut b = ModuleBuilder::new();
+    let pair = b.add_type(FuncType::new(vec![], vec![ValueType::I32, ValueType::I32]));
+    let unit = || FuncType::new(vec![], vec![]);
+    let multi_value_block = |c: &mut CodeBuilder| {
+        c.block(BlockType::Func(pair))
+            .i32_const(1)
+            .i32_const(2)
+            .end()
+            .drop_()
+            .drop_();
+    };
+    let mut c = CodeBuilder::new();
+    c.nop();
+    b.add_func(unit(), vec![], c.finish());
+    let mut c = CodeBuilder::new();
+    for _ in 0..10_000 {
+        c.i32_const(1).drop_();
+    }
+    multi_value_block(&mut c);
+    b.add_func(unit(), vec![], c.finish());
+    let mut c = CodeBuilder::new();
+    multi_value_block(&mut c);
+    b.add_func(unit(), vec![], c.finish());
+    let mut c = CodeBuilder::new();
+    c.nop();
+    b.add_func(unit(), vec![], c.finish());
+    b.finish()
+}
+
+/// Eager compilation reports the lowest-indexed failing function's error —
+/// the one the serial path meets first — at every worker count, although on
+/// more than one worker the small function 2 fails long before the large
+/// function 1 does.
+#[test]
+fn eager_compilation_reports_the_lowest_indexed_error_at_every_worker_count() {
+    let module = two_late_and_early_compile_errors();
+    let options = CompilerOptions {
+        multi_value: false,
+        ..CompilerOptions::allopt()
+    };
+    let compile_error = |workers: usize| {
+        let config =
+            EngineConfig::baseline("lowest-error", options.clone()).with_compile_workers(workers);
+        match Engine::new(config).instantiate(&module, Imports::new(), Instrumentation::none()) {
+            Err(EngineError::Compile(e)) => e,
+            Err(other) => panic!("{workers} workers: refused for another reason: {other}"),
+            Ok(_) => panic!("{workers} workers: instantiated"),
+        }
+    };
+    let serial = compile_error(1);
+    let info = wasm::validate::validate(&module).expect("multi-value validates");
+    let early = spc::SinglePassCompiler::new(options.clone())
+        .compile(&module, 2, &info.funcs[2], &spc::ProbeSites::none())
+        .expect_err("function 2 fails alone");
+    assert!(
+        serial.offset > early.offset,
+        "the serial error is function 1's, near its end: {serial} against {early}"
+    );
+    for workers in [1, 2, 8] {
+        for run in 0..20 {
+            assert_eq!(compile_error(workers), serial, "{workers} workers, run {run}");
         }
     }
 }

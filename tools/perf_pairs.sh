@@ -13,7 +13,10 @@
 # which side goes first, at one seed and window length. Prints every run's
 # end-to-end metrics (`ops_per_s`, `op_p50_us`, `op_p99_us`, `peak_rss_mb`,
 # `setup_s`) on both sides, their medians, how many pairs the working tree
-# won on `ops_per_s`, whether `sim_cycles` is identical, and where the linker
+# won on `ops_per_s`, one verdict line per end-to-end metric (the here/ref
+# ratio of the medians against the metric's `better` and `bound` in
+# BENCHMARK.json: `WORSE` when here is worse by more than the bound, `ok`
+# otherwise), whether `sim_cycles` is identical, and where the linker
 # put the two execution loops in each binary (address mod 128 of `Cpu::run`
 # and `Interpreter::run`: 0 on a side whose tree pins placement, anything on
 # one that does not, which alone moves `exec-jit` / `exec-interp` by ~10 %:
@@ -37,6 +40,14 @@ else
         /"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
         on && /"name"/ { print $4 }' "$top/BENCHMARK.json")
 fi
+# Each end-to-end metric's direction and regression bound.
+declare -A better bound
+while read -r name dir limit; do
+    better[$name]=$dir bound[$name]=$limit
+done < <(awk -F'"' '
+    /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"name"/ { name = $4 } on && /"better"/ { dir = $4 }
+    on && /"bound"/ { v = $3; gsub(/[^-0-9.eE+]/, "", v); print name, dir, v }' "$top/BENCHMARK.json")
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -88,6 +99,15 @@ row() { # label, ref values…, here values…, note
     for ((m = 1; m < n; m++)); do printf ' %10.5g %10.5g' "${values[m]}" "${values[n + m]}"; done
     printf '  %s\n' "$note"
 }
+# One verdict line: a metric's here/ref median ratio, its direction and bound
+# from BENCHMARK.json, and `WORSE` if here is worse by more than the bound.
+verdict() { # metric, ref median, here median
+    awk -v m="$1" -v r="$2" -v h="$3" -v dir="${better[$1]}" -v lim="${bound[$1]}" 'BEGIN {
+        ratio = (r == 0) ? "n/a" : sprintf("%.3f", h / r)
+        worse = (dir == "higher") ? (h < r * (1 - lim)) : (h > r * (1 + lim))
+        printf "  %-12s here/ref %7s  better %-6s  bound %-5s  %s\n", m, ratio, dir, lim, worse ? "WORSE" : "ok"
+    }'
+}
 
 for workload in "${workloads[@]}"; do
     echo
@@ -114,9 +134,16 @@ for workload in "${workloads[@]}"; do
         [ "$verdict" = loss ] && losses=$((losses + 1))
         row "$i" $(for side in ref here; do for m in "${!metrics[@]}"; do echo "${got[$side,$m]}"; done; done) "${order[0]}"
     done
-    row med $(for side in ref here; do for m in "${!metrics[@]}"; do
-        tr ' ' '\n' <<<"${all[$side,$m]}" | grep . | median
-    done; done) "here won $wins, lost $losses of $pairs on ${metrics[0]}"
+    medians=()
+    for side in ref here; do for m in "${!metrics[@]}"; do
+        medians+=("$(tr ' ' '\n' <<<"${all[$side,$m]}" | grep . | median)")
+    done; done
+    row med "${medians[@]}" "here won $wins, lost $losses of $pairs on ${metrics[0]}"
+    for m in "${!metrics[@]}"; do
+        verdict "${metrics[m]}" "${medians[m]}" "${medians[${#metrics[@]} + m]}"
+    done
+    verdict sim_cycles "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^ref://p' | median)" \
+        "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^here://p' | median)"
     distinct=$(printf '%s\n' "${cycles[@]#*:}" | sort -u)
     if [ "$(printf '%s\n' "$distinct" | wc -l)" -eq 1 ]; then
         echo "  sim_cycles identical in all $((2 * pairs)) runs: $distinct"
