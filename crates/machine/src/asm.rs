@@ -13,8 +13,10 @@
 
 use crate::inst::{Label, LabelRange, MachInst};
 use crate::masm::{push_source_mark, Masm};
+use crate::predecode::{self, Op};
 use crate::reg::Reg;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Code positions are stored as `u32` instruction indices: label targets and
 /// source-map anchors are per-function metadata written once per label and
@@ -29,13 +31,41 @@ fn index_u32(index: usize) -> u32 {
 /// `br_table` label pool, source map, and size — so two buffers are `==`
 /// exactly when they are byte-identical artifacts; the parallel compile
 /// pipeline's determinism tests rely on this.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The simulator executes a pre-decoded translation of the instructions
+/// (`predecode.rs`), made on the buffer's first execution and kept beside
+/// them; a buffer that never runs never pays for it. The translation is
+/// derived from the rest, so equality and `Debug` ignore it.
+#[derive(Clone, Default)]
 pub struct CodeBuffer {
     insts: Vec<MachInst>,
     label_targets: Vec<u32>,
     label_pool: Vec<Label>,
     source_map: Vec<(u32, u32)>,
     code_size: usize,
+    ops: OnceLock<Box<[Op]>>,
+}
+
+impl PartialEq for CodeBuffer {
+    fn eq(&self, other: &CodeBuffer) -> bool {
+        self.insts == other.insts
+            && self.label_targets == other.label_targets
+            && self.label_pool == other.label_pool
+            && self.source_map == other.source_map
+            && self.code_size == other.code_size
+    }
+}
+
+impl fmt::Debug for CodeBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CodeBuffer")
+            .field("insts", &self.insts)
+            .field("label_targets", &self.label_targets)
+            .field("label_pool", &self.label_pool)
+            .field("source_map", &self.source_map)
+            .field("code_size", &self.code_size)
+            .finish_non_exhaustive()
+    }
 }
 
 /// True if a `br_table`'s targets lie inside a label pool of `pool_len`.
@@ -102,7 +132,13 @@ impl CodeBuffer {
             label_pool,
             source_map,
             code_size,
+            ops: OnceLock::new(),
         }
+    }
+
+    /// The simulator's translation of the instructions, made on first use.
+    pub(crate) fn ops(&self) -> &[Op] {
+        self.ops.get_or_init(|| predecode::translate(self))
     }
 
     /// The resolved label targets (instruction indices), indexed by label id.
@@ -271,6 +307,7 @@ impl Masm for Assembler {
             label_pool: self.label_pool,
             source_map: self.source_map,
             code_size: self.code_size,
+            ops: OnceLock::new(),
         }
     }
 

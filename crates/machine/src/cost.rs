@@ -145,10 +145,11 @@ impl Default for CostModel {
 impl CostModel {
     /// The cost charged for executing one virtual-ISA instruction.
     ///
-    /// This is the specification. The simulator does not call it per
-    /// instruction — [`crate::cpu::Cpu::run`] charges inside its one
+    /// This is the specification. The simulator never calls it — each arm of
+    /// [`crate::cpu::Cpu::run`] charges its own field inside its one
     /// dispatch — and `tests/cost_oracle.rs` holds the two equal for every
-    /// variant under a model whose fields are pairwise distinct.
+    /// variant and every form the simulator executes separately, under a
+    /// model whose fields are pairwise distinct.
     ///
     /// Call-like instructions only include the transfer overhead here; the
     /// callee's execution is charged as it runs.

@@ -15,11 +15,13 @@
 
 use crate::asm::CodeBuffer;
 use crate::cost::{CostModel, CycleCounter};
-use crate::inst::{AluOp, FAluOp, FUnOp, MachInst, TrapCode, Width};
+use crate::inst::{AluOp, CmpOp, FAluOp, FUnOp, TrapCode, Width};
 use crate::memory::{LinearMemory, Table};
 use crate::ops;
-use crate::reg::{AnyReg, Reg, NUM_FPRS, NUM_GPRS};
+use crate::predecode::Op;
+use crate::reg::{AnyReg, FReg, Reg, NUM_FPRS, NUM_GPRS};
 use crate::values::{GlobalSlot, ValueStack};
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wasm::fuel::FuelPlan;
 
@@ -61,6 +63,34 @@ impl CpuState {
             AnyReg::Gpr(r) => self.gprs[r.index()] = bits,
             AnyReg::Fpr(r) => self.fprs[r.index()] = bits,
         }
+    }
+}
+
+/// A general-purpose register's bits: `state[Reg(1)]`.
+impl Index<Reg> for CpuState {
+    type Output = u64;
+    fn index(&self, r: Reg) -> &u64 {
+        &self.gprs[r.index()]
+    }
+}
+
+impl IndexMut<Reg> for CpuState {
+    fn index_mut(&mut self, r: Reg) -> &mut u64 {
+        &mut self.gprs[r.index()]
+    }
+}
+
+/// A floating-point register's raw bits: `state[FReg(1)]`.
+impl Index<FReg> for CpuState {
+    type Output = u64;
+    fn index(&self, r: FReg) -> &u64 {
+        &self.fprs[r.index()]
+    }
+}
+
+impl IndexMut<FReg> for CpuState {
+    fn index_mut(&mut self, r: FReg) -> &mut u64 {
+        &mut self.fprs[r.index()]
     }
 }
 
@@ -250,12 +280,6 @@ pub struct ExecContext<'a> {
     pub meter: Meter<'a>,
 }
 
-impl<'a> ExecContext<'a> {
-    fn slot_index(&self, slot: u32) -> usize {
-        self.frame_base + slot as usize
-    }
-}
-
 /// Why a probe instruction exited to the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProbeExit {
@@ -336,46 +360,38 @@ pub enum CpuExit {
 }
 
 /// Executes compiled code until it exits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cpu {
     cost: CostModel,
-    /// The cost of `Alu`/`AluImm` by operation: the one place an
-    /// instruction's cost depends on more than its variant often enough to
-    /// matter, so it is looked up instead of decided by a second dispatch.
-    /// Filled from [`CostModel::inst_cost`] when the CPU is built.
-    alu_cost: [u64; AluOp::ALL.len()],
 }
 
-impl Default for Cpu {
-    fn default() -> Cpu {
-        Cpu::new(CostModel::default())
-    }
+/// An integer ALU operation other than division and remainder, which are the
+/// only ones [`ops::eval_alu`] can refuse and have variants of their own.
+/// Called with a constant operation and width, it inlines to that one
+/// computation.
+#[inline(always)]
+fn total(op: AluOp, width: Width, a: u64, b: u64) -> u64 {
+    ops::eval_alu(op, width, a, b).unwrap_or_default()
 }
 
 impl Cpu {
     /// Creates a CPU with the given cost model.
     pub fn new(cost: CostModel) -> Cpu {
-        let alu_cost = AluOp::ALL.map(|op| {
-            cost.inst_cost(&MachInst::Alu {
-                op,
-                width: Width::W64,
-                dst: Reg(0),
-                a: Reg(0),
-                b: Reg(0),
-            })
-        });
-        Cpu { cost, alu_cost }
+        Cpu { cost }
     }
 
     /// Runs `code` starting at instruction `pc` until it exits, charging
     /// executed instructions to `cycles`.
     ///
-    /// This loop retires every instruction the compilers emit, so it is kept
-    /// to one dispatch per instruction: each arm charges its own cost (what
-    /// [`CostModel::inst_cost`] specifies for that variant — the cost-oracle
-    /// test holds the two together) and then executes. Cycles accumulate in a
-    /// local and reach `cycles` once, on the way out. A trapping instruction
-    /// is charged before it traps.
+    /// This loop retires every instruction the compilers emit, so it
+    /// dispatches exactly once per instruction, over the buffer's pre-decoded
+    /// ops (`predecode.rs`): one variant per integer operation, width and
+    /// operand form, per register bank and per memory-access shape, so no
+    /// arm switches again on what it was handed. Each arm charges its own
+    /// cost (what [`CostModel::inst_cost`] specifies for the instruction the
+    /// op stands for — the cost-oracle test holds the two together) and then
+    /// executes. Cycles accumulate in a local and reach `cycles` once, on the
+    /// way out. A trapping instruction is charged before it traps.
     pub fn run(
         &self,
         state: &mut CpuState,
@@ -385,136 +401,279 @@ impl Cpu {
         cycles: &mut CycleCounter,
     ) -> CpuExit {
         let cost = &self.cost;
-        let insts = code.insts();
+        let ops = code.ops();
+        // Compiled code never resizes the value stack (the engine backs a
+        // frame before entering it), so the frame's view is taken once.
+        let (slots, tags) = ctx.values.frame_mut(ctx.frame_base);
         let mut spent = 0u64;
         macro_rules! trap {
             ($code:expr) => {
                 break CpuExit::Trap { code: $code, pc }
             };
         }
+        macro_rules! alu {
+            ($cost:ident, $op:ident, $width:ident, $dst:ident, $a:ident, $b:expr) => {{
+                spent += cost.$cost;
+                state[$dst] = total(AluOp::$op, Width::$width, state[$a], $b);
+            }};
+        }
+        macro_rules! cmp {
+            ($op:ident, $width:ident, $dst:ident, $a:ident, $b:expr) => {{
+                spent += cost.alu;
+                state[$dst] = ops::eval_cmp(CmpOp::$op, Width::$width, state[$a], $b);
+            }};
+        }
+        // `$extend` turns the bytes read into the register value; its
+        // argument's type is the access width.
+        macro_rules! load {
+            ($dst:ident, $addr:ident, $offset:ident, $extend:expr) => {{
+                spent += cost.mem_load;
+                let Some(memory) = ctx.memory.as_deref() else {
+                    trap!(TrapCode::MemoryOutOfBounds)
+                };
+                match memory.read_le(state[$addr] as u32, $offset) {
+                    Ok(bytes) => state[$dst] = $extend(bytes),
+                    Err(t) => trap!(t),
+                }
+            }};
+        }
+        macro_rules! store {
+            ($bytes:expr, $addr:ident, $offset:ident) => {{
+                spent += cost.mem_store;
+                let addr = state[$addr] as u32;
+                let bytes = $bytes;
+                let Some(memory) = ctx.memory.as_deref_mut() else {
+                    trap!(TrapCode::MemoryOutOfBounds)
+                };
+                if let Err(t) = memory.write_le(addr, $offset, bytes) {
+                    trap!(t);
+                }
+            }};
+        }
         let exit = loop {
-            let Some(&inst) = insts.get(pc) else {
+            let Some(op) = ops.get(pc) else {
                 break CpuExit::Return;
             };
-            match inst {
-                MachInst::Nop => {}
-                MachInst::MovImm { dst, imm } => {
-                    spent += cost.mov;
-                    state.gprs[dst.index()] = imm as u64;
-                }
-                MachInst::FMovImm { dst, bits } => {
-                    spent += cost.mov;
-                    state.fprs[dst.index()] = bits;
-                }
-                MachInst::Mov { dst, src } => {
-                    spent += cost.mov;
-                    state.gprs[dst.index()] = state.gprs[src.index()];
-                }
-                MachInst::FMov { dst, src } => {
-                    spent += cost.mov;
-                    state.fprs[dst.index()] = state.fprs[src.index()];
-                }
-                MachInst::LoadSlot { dst, slot } => {
-                    spent += cost.slot_load;
-                    let bits = ctx.values.read(ctx.slot_index(slot));
-                    state.write(dst, bits);
-                }
-                MachInst::StoreSlot { slot, src } => {
-                    spent += cost.slot_store;
-                    let bits = state.read(src);
-                    ctx.values.write(ctx.slot_index(slot), bits);
-                }
-                MachInst::StoreSlotImm { slot, imm } => {
-                    spent += cost.slot_store;
-                    ctx.values.write(ctx.slot_index(slot), imm as u64);
-                }
-                MachInst::StoreTag { slot, tag } => {
-                    spent += cost.tag_store;
-                    ctx.values.set_tag(ctx.slot_index(slot), tag);
-                }
-                MachInst::Alu { op, width, dst, a, b } => {
-                    spent += self.alu_cost[op as usize];
-                    match ops::eval_alu(op, width, state.gprs[a.index()], state.gprs[b.index()]) {
-                        Ok(v) => state.gprs[dst.index()] = v,
+            // Matched in place: an op copied out first is split into all its
+            // fields before the jump, on every dispatch, and that alone gave
+            // back most of the gain of pre-decoding.
+            match *op {
+                Op::AddR32(d, a, b) => alu!(alu, Add, W32, d, a, state[b]),
+                Op::AddR64(d, a, b) => alu!(alu, Add, W64, d, a, state[b]),
+                Op::AddI32(d, a, imm) => alu!(alu, Add, W32, d, a, imm as u64),
+                Op::AddI64(d, a, imm) => alu!(alu, Add, W64, d, a, imm as u64),
+                Op::SubR32(d, a, b) => alu!(alu, Sub, W32, d, a, state[b]),
+                Op::SubR64(d, a, b) => alu!(alu, Sub, W64, d, a, state[b]),
+                Op::SubI32(d, a, imm) => alu!(alu, Sub, W32, d, a, imm as u64),
+                Op::SubI64(d, a, imm) => alu!(alu, Sub, W64, d, a, imm as u64),
+                Op::MulR32(d, a, b) => alu!(mul, Mul, W32, d, a, state[b]),
+                Op::MulR64(d, a, b) => alu!(mul, Mul, W64, d, a, state[b]),
+                Op::MulI32(d, a, imm) => alu!(mul, Mul, W32, d, a, imm as u64),
+                Op::MulI64(d, a, imm) => alu!(mul, Mul, W64, d, a, imm as u64),
+                Op::AndR32(d, a, b) => alu!(alu, And, W32, d, a, state[b]),
+                Op::AndR64(d, a, b) => alu!(alu, And, W64, d, a, state[b]),
+                Op::AndI32(d, a, imm) => alu!(alu, And, W32, d, a, imm as u64),
+                Op::AndI64(d, a, imm) => alu!(alu, And, W64, d, a, imm as u64),
+                Op::OrR32(d, a, b) => alu!(alu, Or, W32, d, a, state[b]),
+                Op::OrR64(d, a, b) => alu!(alu, Or, W64, d, a, state[b]),
+                Op::OrI32(d, a, imm) => alu!(alu, Or, W32, d, a, imm as u64),
+                Op::OrI64(d, a, imm) => alu!(alu, Or, W64, d, a, imm as u64),
+                Op::XorR32(d, a, b) => alu!(alu, Xor, W32, d, a, state[b]),
+                Op::XorR64(d, a, b) => alu!(alu, Xor, W64, d, a, state[b]),
+                Op::XorI32(d, a, imm) => alu!(alu, Xor, W32, d, a, imm as u64),
+                Op::XorI64(d, a, imm) => alu!(alu, Xor, W64, d, a, imm as u64),
+                Op::ShlR32(d, a, b) => alu!(alu, Shl, W32, d, a, state[b]),
+                Op::ShlR64(d, a, b) => alu!(alu, Shl, W64, d, a, state[b]),
+                Op::ShlI32(d, a, imm) => alu!(alu, Shl, W32, d, a, imm as u64),
+                Op::ShlI64(d, a, imm) => alu!(alu, Shl, W64, d, a, imm as u64),
+                Op::ShrSR32(d, a, b) => alu!(alu, ShrS, W32, d, a, state[b]),
+                Op::ShrSR64(d, a, b) => alu!(alu, ShrS, W64, d, a, state[b]),
+                Op::ShrSI32(d, a, imm) => alu!(alu, ShrS, W32, d, a, imm as u64),
+                Op::ShrSI64(d, a, imm) => alu!(alu, ShrS, W64, d, a, imm as u64),
+                Op::ShrUR32(d, a, b) => alu!(alu, ShrU, W32, d, a, state[b]),
+                Op::ShrUR64(d, a, b) => alu!(alu, ShrU, W64, d, a, state[b]),
+                Op::ShrUI32(d, a, imm) => alu!(alu, ShrU, W32, d, a, imm as u64),
+                Op::ShrUI64(d, a, imm) => alu!(alu, ShrU, W64, d, a, imm as u64),
+                Op::RotlR32(d, a, b) => alu!(alu, Rotl, W32, d, a, state[b]),
+                Op::RotlR64(d, a, b) => alu!(alu, Rotl, W64, d, a, state[b]),
+                Op::RotlI32(d, a, imm) => alu!(alu, Rotl, W32, d, a, imm as u64),
+                Op::RotlI64(d, a, imm) => alu!(alu, Rotl, W64, d, a, imm as u64),
+                Op::RotrR32(d, a, b) => alu!(alu, Rotr, W32, d, a, state[b]),
+                Op::RotrR64(d, a, b) => alu!(alu, Rotr, W64, d, a, state[b]),
+                Op::RotrI32(d, a, imm) => alu!(alu, Rotr, W32, d, a, imm as u64),
+                Op::RotrI64(d, a, imm) => alu!(alu, Rotr, W64, d, a, imm as u64),
+                Op::Div { op, width, dst, a, b } => {
+                    spent += cost.div;
+                    match ops::eval_alu(op, width, state[a], state[b]) {
+                        Ok(v) => state[dst] = v,
                         Err(t) => trap!(t),
                     }
                 }
                 // The evaluators truncate 32-bit operands themselves, so the
                 // immediate is passed as it was emitted.
-                MachInst::AluImm { op, width, dst, a, imm } => {
-                    spent += self.alu_cost[op as usize];
-                    match ops::eval_alu(op, width, state.gprs[a.index()], imm as u64) {
-                        Ok(v) => state.gprs[dst.index()] = v,
+                Op::DivImm { op, width, dst, a, imm } => {
+                    spent += cost.div;
+                    match ops::eval_alu(op, width, state[a], imm as u64) {
+                        Ok(v) => state[dst] = v,
                         Err(t) => trap!(t),
                     }
                 }
-                MachInst::Unop { op, width, dst, src } => {
-                    spent += cost.alu;
-                    state.gprs[dst.index()] = ops::eval_unop(op, width, state.gprs[src.index()]);
+                Op::EqR32(d, a, b) => cmp!(Eq, W32, d, a, state[b]),
+                Op::EqR64(d, a, b) => cmp!(Eq, W64, d, a, state[b]),
+                Op::EqI32(d, a, imm) => cmp!(Eq, W32, d, a, imm as u64),
+                Op::EqI64(d, a, imm) => cmp!(Eq, W64, d, a, imm as u64),
+                Op::NeR32(d, a, b) => cmp!(Ne, W32, d, a, state[b]),
+                Op::NeR64(d, a, b) => cmp!(Ne, W64, d, a, state[b]),
+                Op::NeI32(d, a, imm) => cmp!(Ne, W32, d, a, imm as u64),
+                Op::NeI64(d, a, imm) => cmp!(Ne, W64, d, a, imm as u64),
+                Op::LtSR32(d, a, b) => cmp!(LtS, W32, d, a, state[b]),
+                Op::LtSR64(d, a, b) => cmp!(LtS, W64, d, a, state[b]),
+                Op::LtSI32(d, a, imm) => cmp!(LtS, W32, d, a, imm as u64),
+                Op::LtSI64(d, a, imm) => cmp!(LtS, W64, d, a, imm as u64),
+                Op::LtUR32(d, a, b) => cmp!(LtU, W32, d, a, state[b]),
+                Op::LtUR64(d, a, b) => cmp!(LtU, W64, d, a, state[b]),
+                Op::LtUI32(d, a, imm) => cmp!(LtU, W32, d, a, imm as u64),
+                Op::LtUI64(d, a, imm) => cmp!(LtU, W64, d, a, imm as u64),
+                Op::GtSR32(d, a, b) => cmp!(GtS, W32, d, a, state[b]),
+                Op::GtSR64(d, a, b) => cmp!(GtS, W64, d, a, state[b]),
+                Op::GtSI32(d, a, imm) => cmp!(GtS, W32, d, a, imm as u64),
+                Op::GtSI64(d, a, imm) => cmp!(GtS, W64, d, a, imm as u64),
+                Op::GtUR32(d, a, b) => cmp!(GtU, W32, d, a, state[b]),
+                Op::GtUR64(d, a, b) => cmp!(GtU, W64, d, a, state[b]),
+                Op::GtUI32(d, a, imm) => cmp!(GtU, W32, d, a, imm as u64),
+                Op::GtUI64(d, a, imm) => cmp!(GtU, W64, d, a, imm as u64),
+                Op::LeSR32(d, a, b) => cmp!(LeS, W32, d, a, state[b]),
+                Op::LeSR64(d, a, b) => cmp!(LeS, W64, d, a, state[b]),
+                Op::LeSI32(d, a, imm) => cmp!(LeS, W32, d, a, imm as u64),
+                Op::LeSI64(d, a, imm) => cmp!(LeS, W64, d, a, imm as u64),
+                Op::LeUR32(d, a, b) => cmp!(LeU, W32, d, a, state[b]),
+                Op::LeUR64(d, a, b) => cmp!(LeU, W64, d, a, state[b]),
+                Op::LeUI32(d, a, imm) => cmp!(LeU, W32, d, a, imm as u64),
+                Op::LeUI64(d, a, imm) => cmp!(LeU, W64, d, a, imm as u64),
+                Op::GeSR32(d, a, b) => cmp!(GeS, W32, d, a, state[b]),
+                Op::GeSR64(d, a, b) => cmp!(GeS, W64, d, a, state[b]),
+                Op::GeSI32(d, a, imm) => cmp!(GeS, W32, d, a, imm as u64),
+                Op::GeSI64(d, a, imm) => cmp!(GeS, W64, d, a, imm as u64),
+                Op::GeUR32(d, a, b) => cmp!(GeU, W32, d, a, state[b]),
+                Op::GeUR64(d, a, b) => cmp!(GeU, W64, d, a, state[b]),
+                Op::GeUI32(d, a, imm) => cmp!(GeU, W32, d, a, imm as u64),
+                Op::GeUI64(d, a, imm) => cmp!(GeU, W64, d, a, imm as u64),
+                Op::MovImm { dst, imm } => {
+                    spent += cost.mov;
+                    state[dst] = imm as u64;
                 }
-                MachInst::Cmp { op, width, dst, a, b } => {
-                    spent += cost.alu;
-                    state.gprs[dst.index()] =
-                        ops::eval_cmp(op, width, state.gprs[a.index()], state.gprs[b.index()]);
+                Op::FMovImm { dst, bits } => {
+                    spent += cost.mov;
+                    state[dst] = bits;
                 }
-                MachInst::CmpImm { op, width, dst, a, imm } => {
-                    spent += cost.alu;
-                    state.gprs[dst.index()] =
-                        ops::eval_cmp(op, width, state.gprs[a.index()], imm as u64);
+                Op::Mov { dst, src } => {
+                    spent += cost.mov;
+                    state[dst] = state[src];
                 }
-                MachInst::FAlu { op, width, dst, a, b } => {
-                    spent += if op == FAluOp::Div { cost.fdiv } else { cost.falu };
-                    state.fprs[dst.index()] =
-                        ops::eval_falu(op, width, state.fprs[a.index()], state.fprs[b.index()]);
+                Op::FMov { dst, src } => {
+                    spent += cost.mov;
+                    state[dst] = state[src];
                 }
-                MachInst::FUnop { op, width, dst, src } => {
-                    spent += if op == FUnOp::Sqrt { cost.fsqrt } else { cost.falu };
-                    state.fprs[dst.index()] = ops::eval_funop(op, width, state.fprs[src.index()]);
+                Op::LoadSlot { dst, slot } => {
+                    spent += cost.slot_load;
+                    state[dst] = slots[slot as usize];
                 }
-                MachInst::FCmp { op, width, dst, a, b } => {
-                    spent += cost.falu;
-                    state.gprs[dst.index()] =
-                        ops::eval_fcmp(op, width, state.fprs[a.index()], state.fprs[b.index()]);
+                Op::FLoadSlot { dst, slot } => {
+                    spent += cost.slot_load;
+                    state[dst] = slots[slot as usize];
                 }
-                MachInst::Convert { op, dst, src } => {
-                    spent += cost.convert;
-                    match ops::eval_convert(op, state.read(src)) {
-                        Ok(bits) => state.write(dst, bits),
-                        Err(t) => trap!(t),
-                    }
+                Op::StoreSlot { slot, src } => {
+                    spent += cost.slot_store;
+                    slots[slot as usize] = state[src];
                 }
-                MachInst::Select { dst, cond, if_true, if_false } => {
-                    spent += cost.select;
-                    let take = state.gprs[cond.index()] != 0;
-                    state.gprs[dst.index()] = if take {
-                        state.gprs[if_true.index()]
-                    } else {
-                        state.gprs[if_false.index()]
-                    };
+                Op::FStoreSlot { slot, src } => {
+                    spent += cost.slot_store;
+                    slots[slot as usize] = state[src];
                 }
-                MachInst::FSelect { dst, cond, if_true, if_false } => {
-                    spent += cost.select;
-                    let take = state.gprs[cond.index()] != 0;
-                    state.fprs[dst.index()] = if take {
-                        state.fprs[if_true.index()]
-                    } else {
-                        state.fprs[if_false.index()]
-                    };
+                Op::StoreSlotImm { slot, imm } => {
+                    spent += cost.slot_store;
+                    slots[slot as usize] = imm as u64;
                 }
-                MachInst::MemLoad { dst, addr, offset, width, signed, dst_width } => {
+                Op::StoreTag { slot, tag } => {
+                    spent += cost.tag_store;
+                    tags[slot as usize] = tag;
+                }
+                Op::GlobalGet { dst, index } => {
+                    spent += cost.global;
+                    state[dst] = ctx.globals[index as usize].bits;
+                }
+                Op::FGlobalGet { dst, index } => {
+                    spent += cost.global;
+                    state[dst] = ctx.globals[index as usize].bits;
+                }
+                Op::GlobalSet { index, src } => {
+                    spent += cost.global;
+                    ctx.globals[index as usize].bits = state[src];
+                }
+                Op::FGlobalSet { index, src } => {
+                    spent += cost.global;
+                    ctx.globals[index as usize].bits = state[src];
+                }
+                Op::Load8U { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| u8::from_le_bytes(b) as u64)
+                }
+                Op::Load8S32 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| i8::from_le_bytes(b) as i32 as u32 as u64)
+                }
+                Op::Load8S64 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| i8::from_le_bytes(b) as i64 as u64)
+                }
+                Op::Load16U { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| u16::from_le_bytes(b) as u64)
+                }
+                Op::Load16S32 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| i16::from_le_bytes(b) as i32 as u32 as u64)
+                }
+                Op::Load16S64 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| i16::from_le_bytes(b) as i64 as u64)
+                }
+                Op::Load32U { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| u32::from_le_bytes(b) as u64)
+                }
+                Op::Load32S64 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| i32::from_le_bytes(b) as i64 as u64)
+                }
+                Op::Load64 { dst, addr, offset } => load!(dst, addr, offset, u64::from_le_bytes),
+                Op::FLoad32 { dst, addr, offset } => {
+                    load!(dst, addr, offset, |b| u32::from_le_bytes(b) as u64)
+                }
+                Op::FLoad64 { dst, addr, offset } => load!(dst, addr, offset, u64::from_le_bytes),
+                Op::Store8 { src, addr, offset } => {
+                    store!((state[src] as u8).to_le_bytes(), addr, offset)
+                }
+                Op::Store16 { src, addr, offset } => {
+                    store!((state[src] as u16).to_le_bytes(), addr, offset)
+                }
+                Op::Store32 { src, addr, offset } => {
+                    store!((state[src] as u32).to_le_bytes(), addr, offset)
+                }
+                Op::Store64 { src, addr, offset } => store!(state[src].to_le_bytes(), addr, offset),
+                Op::FStore32 { src, addr, offset } => {
+                    store!((state[src] as u32).to_le_bytes(), addr, offset)
+                }
+                Op::FStore64 { src, addr, offset } => {
+                    store!(state[src].to_le_bytes(), addr, offset)
+                }
+                Op::MemLoad { dst, addr, offset, width, signed, dst_width } => {
                     spent += cost.mem_load;
                     let Some(memory) = ctx.memory.as_deref() else {
                         trap!(TrapCode::MemoryOutOfBounds)
                     };
-                    let addr = state.gprs[addr.index()] as u32;
-                    match memory.load(addr, offset, width) {
-                        Ok(raw) => state.write(dst, extend_loaded(raw, width, signed, dst_width)),
+                    match memory.load(state[addr] as u32, offset, width) {
+                        Ok(raw) => {
+                            state.write(dst, ops::extend_loaded(raw, width, signed, dst_width))
+                        }
                         Err(t) => trap!(t),
                     }
                 }
-                MachInst::MemStore { src, addr, offset, width } => {
+                Op::MemStore { src, addr, offset, width } => {
                     spent += cost.mem_store;
-                    let addr = state.gprs[addr.index()] as u32;
+                    let addr = state[addr] as u32;
                     let bits = state.read(src);
                     let Some(memory) = ctx.memory.as_deref_mut() else {
                         trap!(TrapCode::MemoryOutOfBounds)
@@ -523,90 +682,120 @@ impl Cpu {
                         trap!(t);
                     }
                 }
-                MachInst::MemorySize { dst } => {
+                Op::Jump { target } => {
+                    spent += cost.jump;
+                    pc = target as usize;
+                    continue;
+                }
+                Op::BrNz { cond, target } => {
+                    spent += cost.branch;
+                    if state[cond] != 0 {
+                        pc = target as usize;
+                        continue;
+                    }
+                }
+                Op::BrZ { cond, target } => {
+                    spent += cost.branch;
+                    if state[cond] == 0 {
+                        pc = target as usize;
+                        continue;
+                    }
+                }
+                Op::Nop => {}
+                Op::Unop { op, width, dst, src } => {
+                    spent += cost.alu;
+                    state[dst] = ops::eval_unop(op, width, state[src]);
+                }
+                Op::FAlu { op, width, dst, a, b } => {
+                    spent += if op == FAluOp::Div { cost.fdiv } else { cost.falu };
+                    state[dst] = ops::eval_falu(op, width, state[a], state[b]);
+                }
+                Op::FUnop { op, width, dst, src } => {
+                    spent += if op == FUnOp::Sqrt { cost.fsqrt } else { cost.falu };
+                    state[dst] = ops::eval_funop(op, width, state[src]);
+                }
+                Op::FCmp { op, width, dst, a, b } => {
+                    spent += cost.falu;
+                    state[dst] = ops::eval_fcmp(op, width, state[a], state[b]);
+                }
+                Op::Convert { op, dst, src } => {
+                    spent += cost.convert;
+                    match ops::eval_convert(op, state.read(src)) {
+                        Ok(bits) => state.write(dst, bits),
+                        Err(t) => trap!(t),
+                    }
+                }
+                Op::Select { dst, cond, if_true, if_false } => {
+                    spent += cost.select;
+                    state[dst] = if state[cond] != 0 { state[if_true] } else { state[if_false] };
+                }
+                Op::FSelect { dst, cond, if_true, if_false } => {
+                    spent += cost.select;
+                    state[dst] = if state[cond] != 0 { state[if_true] } else { state[if_false] };
+                }
+                Op::MemorySize { dst } => {
                     spent += cost.memory_size;
                     let pages = ctx.memory.as_deref().map(|m| m.size_pages()).unwrap_or(0);
-                    state.gprs[dst.index()] = pages as u64;
+                    state[dst] = pages as u64;
                 }
-                MachInst::MemoryGrow { dst, delta } => {
+                Op::MemoryGrow { dst, delta } => {
                     spent += cost.memory_grow;
-                    let delta = state.gprs[delta.index()] as u32;
+                    let delta = state[delta] as u32;
                     let result = match ctx.memory.as_deref_mut() {
                         Some(m) => m.grow(delta),
                         None => -1,
                     };
-                    state.gprs[dst.index()] = result as u32 as u64;
+                    state[dst] = result as u32 as u64;
                 }
-                MachInst::GlobalGet { dst, index } => {
-                    spent += cost.global;
-                    let bits = ctx.globals[index as usize].bits;
-                    state.write(dst, bits);
-                }
-                MachInst::GlobalSet { index, src } => {
-                    spent += cost.global;
-                    ctx.globals[index as usize].bits = state.read(src);
-                }
-                MachInst::Jump { target } => {
-                    spent += cost.jump;
-                    pc = code.target(target);
-                    continue;
-                }
-                MachInst::BrIf { cond, target, negate } => {
-                    spent += cost.branch;
-                    if (state.gprs[cond.index()] != 0) ^ negate {
-                        pc = code.target(target);
-                        continue;
-                    }
-                }
-                MachInst::BrTable { index, targets, default } => {
+                Op::BrTable { index, targets, default } => {
                     spent += cost.br_table;
-                    let i = state.gprs[index.index()] as usize;
+                    let i = state[index] as usize;
                     let label = code.table(targets).get(i).copied().unwrap_or(default);
                     pc = code.target(label);
                     continue;
                 }
-                MachInst::Call { func_index } => {
+                Op::Call { func_index } => {
                     spent += cost.call;
                     break CpuExit::Call { func_index, resume_pc: pc + 1 };
                 }
-                MachInst::CallIndirect { type_index, table_index, index } => {
+                Op::CallIndirect { type_index, table_index, index } => {
                     spent += cost.call_indirect;
                     break CpuExit::CallIndirect {
                         type_index,
                         table_index,
-                        entry_index: state.gprs[index.index()] as u32,
+                        entry_index: state[index] as u32,
                         resume_pc: pc + 1,
                     };
                 }
-                MachInst::ProbeRuntime { probe_id } => {
+                Op::ProbeRuntime { probe_id } => {
                     spent += cost.probe_runtime;
                     break CpuExit::Probe {
                         exit: ProbeExit::Runtime { probe_id },
                         resume_pc: pc + 1,
                     };
                 }
-                MachInst::ProbeDirect { probe_id } => {
+                Op::ProbeDirect { probe_id } => {
                     spent += cost.probe_direct;
                     break CpuExit::Probe {
                         exit: ProbeExit::Direct { probe_id },
                         resume_pc: pc + 1,
                     };
                 }
-                MachInst::ProbeCounter { counter_id } => {
+                Op::ProbeCounter { counter_id } => {
                     spent += cost.probe_counter;
                     break CpuExit::Probe {
                         exit: ProbeExit::Counter { counter_id },
                         resume_pc: pc + 1,
                     };
                 }
-                MachInst::ProbeTosValue { probe_id, src } => {
+                Op::ProbeTosValue { probe_id, src } => {
                     spent += cost.probe_tos;
                     break CpuExit::Probe {
                         exit: ProbeExit::TosValue { probe_id, bits: state.read(src) },
                         resume_pc: pc + 1,
                     };
                 }
-                MachInst::FuelCheck { amount } => {
+                Op::FuelCheck { amount } => {
                     spent += cost.fuel_check;
                     // OSR is polled before any metering runs: when the hook
                     // fires, the site's fuel has not been charged, and the
@@ -633,7 +822,7 @@ impl Cpu {
                     }
                     ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
                 }
-                MachInst::EpochCheck => {
+                Op::EpochCheck => {
                     spent += cost.epoch_check;
                     if let Some(offset) =
                         ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
@@ -645,11 +834,11 @@ impl Cpu {
                     }
                     ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
                 }
-                MachInst::Trap { code } => {
+                Op::Trap { code } => {
                     spent += cost.trap;
                     trap!(code);
                 }
-                MachInst::Return => {
+                Op::Return => {
                     spent += cost.ret;
                     break CpuExit::Return;
                 }
@@ -661,28 +850,11 @@ impl Cpu {
     }
 }
 
-fn extend_loaded(raw: u64, width: u32, signed: bool, dst_width: Width) -> u64 {
-    let value = if signed {
-        match width {
-            1 => raw as u8 as i8 as i64 as u64,
-            2 => raw as u16 as i16 as i64 as u64,
-            4 => raw as u32 as i32 as i64 as u64,
-            _ => raw,
-        }
-    } else {
-        raw
-    };
-    match dst_width {
-        Width::W32 => value as u32 as u64,
-        Width::W64 => value,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Assembler;
-    use crate::inst::{AluOp, CmpOp, FAluOp};
+    use crate::inst::MachInst;
     use crate::masm::Masm;
     use crate::reg::{FReg, Reg};
     use crate::values::{ValueTag, WasmValue};

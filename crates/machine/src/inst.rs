@@ -108,8 +108,8 @@ impl AluOp {
     }
 }
 
-// `Cpu::run` indexes a table built over `ALL` by `op as usize`, so `ALL` must
-// hold every variant at its own discriminant.
+// The cost oracle and the simulator's semantics check expand every operation
+// through `ALL`, so `ALL` must hold every variant at its own discriminant.
 const _: () = {
     let mut i = 0;
     while i < AluOp::ALL.len() {
@@ -162,6 +162,41 @@ pub enum CmpOp {
     /// Unsigned greater-or-equal.
     GeU,
 }
+
+impl CmpOp {
+    /// Every comparison, in declaration order: `ALL[op as usize] == op`.
+    pub const ALL: [CmpOp; 10] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::LtS,
+        CmpOp::LtU,
+        CmpOp::GtS,
+        CmpOp::GtU,
+        CmpOp::LeS,
+        CmpOp::LeU,
+        CmpOp::GeS,
+        CmpOp::GeU,
+    ];
+
+    /// True for the variant declared last; exhaustive for the same reason
+    /// as [`AluOp`]'s.
+    const fn is_last(self) -> bool {
+        use CmpOp::*;
+        match self {
+            GeU => true,
+            Eq | Ne | LtS | LtU | GtS | GtU | LeS | LeU | GeS => false,
+        }
+    }
+}
+
+const _: () = {
+    let mut i = 0;
+    while i < CmpOp::ALL.len() {
+        assert!(CmpOp::ALL[i] as usize == i, "`CmpOp::ALL` is out of declaration order");
+        i += 1;
+    }
+    assert!(CmpOp::ALL[i - 1].is_last(), "`CmpOp::ALL` is missing the trailing variants");
+};
 
 /// Two-operand floating-point operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -24,7 +24,9 @@
 //! * [`values`] — tagged 64-bit slots, the value stack, and globals;
 //! * [`memory`] — linear memory and tables;
 //! * [`cost`] — the cycle cost model;
-//! * [`cpu`] — the resumable CPU simulator;
+//! * [`cpu`] — the resumable CPU simulator, which executes a
+//!   [`asm::CodeBuffer`] through its pre-decoded op stream (`predecode`,
+//!   private);
 //! * [`x64`] — a byte-level x86-64 instruction encoder;
 //! * [`x64_masm`] — the x86-64 [`masm::Masm`] backend built on that encoder,
 //!   emitting real machine bytes with label patching, a source map, and
@@ -41,6 +43,7 @@ pub mod lower;
 pub mod masm;
 pub mod memory;
 pub mod ops;
+mod predecode;
 pub mod reg;
 pub mod values;
 pub mod x64;

@@ -13,7 +13,7 @@ use wasm::opcode::Opcode;
 use wasm::types::ValueType;
 
 /// The machine-level class of a simple (non-control) Wasm value instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Two-operand integer arithmetic.
     Alu(AluOp, Width),

@@ -78,6 +78,29 @@ impl LinearMemory {
         Ok(())
     }
 
+    /// Reads the `N` bytes at `addr + offset`: [`LinearMemory::load`] at a
+    /// width known when the caller is compiled, so the copy is one access.
+    //
+    // Generic, yet the hint matters: without it this and `write_le` stay
+    // calls out of `Cpu::run`'s large body, and `exec-jit` lost about a fifth
+    // of the op stream's gain (1.36× against 1.65× over the `MachInst` loop).
+    #[inline]
+    pub(crate) fn read_le<const N: usize>(&self, addr: u32, offset: u32) -> Result<[u8; N], TrapCode> {
+        let at = self.check(addr, offset, N as u32)?;
+        let mut out = [0u8; N];
+        out.copy_from_slice(&self.bytes[at..at + N]);
+        Ok(out)
+    }
+
+    /// Writes `bytes` at `addr + offset`: [`LinearMemory::store`] at a width
+    /// known when the caller is compiled.
+    #[inline]
+    pub(crate) fn write_le<const N: usize>(&mut self, addr: u32, offset: u32, bytes: [u8; N]) -> Result<(), TrapCode> {
+        let at = self.check(addr, offset, N as u32)?;
+        self.bytes[at..at + N].copy_from_slice(&bytes);
+        Ok(())
+    }
+
     /// Copies raw bytes into memory (used by data segments).
     pub fn init(&mut self, offset: u32, data: &[u8]) -> Result<(), TrapCode> {
         let at = self.check(offset, 0, data.len() as u32)?;
@@ -164,6 +187,10 @@ mod tests {
         assert_eq!(m.load(12, 4, 4).unwrap(), 0xAABBCCDD);
         m.store(0, 0, 8, u64::MAX).unwrap();
         assert_eq!(m.load(0, 0, 8).unwrap(), u64::MAX);
+        // The fixed-width forms read and write the same little-endian bytes.
+        assert_eq!(m.read_le::<4>(12, 4), Ok(0xAABBCCDDu32.to_le_bytes()));
+        m.write_le(20, 2, 0x1122u16.to_le_bytes()).unwrap();
+        assert_eq!(m.load(22, 0, 2).unwrap(), 0x1122);
     }
 
     #[test]
@@ -178,6 +205,10 @@ mod tests {
             m.load(u32::MAX, u32::MAX, 8),
             Err(TrapCode::MemoryOutOfBounds)
         );
+        assert_eq!(m.read_le::<4>(size - 3, 0), Err(TrapCode::MemoryOutOfBounds));
+        assert_eq!(m.read_le::<8>(u32::MAX, u32::MAX), Err(TrapCode::MemoryOutOfBounds));
+        let mut m = m;
+        assert_eq!(m.write_le(size - 1, 1, [0u8]), Err(TrapCode::MemoryOutOfBounds));
     }
 
     #[test]

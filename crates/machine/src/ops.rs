@@ -161,6 +161,24 @@ pub fn eval_cmp(op: CmpOp, width: Width, a: u64, b: u64) -> u64 {
     result as u64
 }
 
+/// Extends the `width` (1, 2, 4 or 8) little-endian bytes a linear-memory
+/// load read, held in the low bits of `raw`, into a `dst_width` register
+/// value: sign-extended when `signed`, then zero-extended from `dst_width`
+/// as every 32-bit value is.
+pub fn extend_loaded(raw: u64, width: u32, signed: bool, dst_width: Width) -> u64 {
+    let value = if signed {
+        match width {
+            1 => raw as u8 as i8 as i64 as u64,
+            2 => raw as u16 as i16 as i64 as u64,
+            4 => raw as u32 as i32 as i64 as u64,
+            _ => raw,
+        }
+    } else {
+        raw
+    };
+    mask(dst_width, value)
+}
+
 fn f32_of(bits: u64) -> f32 {
     f32::from_bits(bits as u32)
 }

@@ -337,6 +337,15 @@ impl ValueStack {
         self.tags[slot] = tag;
     }
 
+    /// The backed slots and tags from `base` up — a frame's view of the
+    /// stack, indexed by frame-relative slot. Empty if `base` is past the
+    /// backed prefix, so every access through it is still checked.
+    pub(crate) fn frame_mut(&mut self, base: usize) -> (&mut [u64], &mut [ValueTag]) {
+        let slots = self.slots.get_mut(base..).unwrap_or_default();
+        let tags = self.tags.get_mut(base..).unwrap_or_default();
+        (slots, tags)
+    }
+
     /// Writes both bits and tag of a slot.
     pub fn write_tagged(&mut self, slot: usize, bits: u64, tag: ValueTag) {
         self.slots[slot] = bits;

@@ -62,7 +62,7 @@ impl fmt::Display for BlockId {
 }
 
 /// What defines a value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Node {
     /// The `index`-th parameter of `block` (a phi).
     Param {

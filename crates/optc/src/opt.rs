@@ -21,6 +21,7 @@
 //!   `memory.grow`, and calls; global reads likewise by writes and calls.
 
 use crate::ir::{BlockId, EdgeIndex, Effect, FuncIr, Inst, Node, Terminator, ValueId};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Runs the full pass pipeline to a (bounded) fixpoint.
 pub fn optimize(ir: &mut FuncIr) {
@@ -197,26 +198,23 @@ pub fn simplify_params(ir: &mut FuncIr, edges: &EdgeIndex) -> bool {
 /// Local (per-block) value numbering: shares pure and trapping computations,
 /// redundant loads, global reads, and `memory.size` results, with store /
 /// grow / call invalidation, in the blocks `reachable` marks.
+///
+/// What a block has computed so far is looked up by resolved node, in one of
+/// three tables by what can kill an entry: nothing (the pure and trapping
+/// operations), anything that writes memory (loads and `memory.size`), and
+/// anything that writes globals (global reads). A definition costs one hash
+/// lookup however long the block is; a linear scan of everything available
+/// made one block of N distinct definitions cost N²/2 comparisons.
 #[allow(clippy::needless_range_loop)] // blocks are mutated while indexed
 pub fn cse(ir: &mut FuncIr, reachable: &[bool]) {
+    let (mut pure, mut memory, mut globals) = (HashMap::new(), HashMap::new(), HashMap::new());
     for bi in 0..ir.blocks.len() {
         if !reachable[bi] {
             continue;
         }
-        // (node, value) pairs; linear scan keeps this dependency-free and
-        // blocks are small.
-        let mut available: Vec<(Node, ValueId)> = Vec::new();
-        let invalidate = |available: &mut Vec<(Node, ValueId)>, memory: bool, globals: Option<Option<u32>>| {
-            available.retain(|(n, _)| match n {
-                Node::MemLoad { .. } | Node::MemorySize => !memory,
-                Node::GlobalGet { index } => match globals {
-                    Some(None) => false,
-                    Some(Some(i)) => *index != i,
-                    None => true,
-                },
-                _ => true,
-            });
-        };
+        for table in [&mut pure, &mut memory, &mut globals] {
+            forget(table);
+        }
         for ii in 0..ir.blocks[bi].insts.len() {
             match ir.blocks[bi].insts[ii].clone() {
                 Inst::Def(v) => {
@@ -226,24 +224,29 @@ pub fn cse(ir: &mut FuncIr, reachable: &[bool]) {
                     let node = resolved_node(ir, v);
                     if node.effect() == Effect::Effectful {
                         // memory.grow: kills loads and sizes, keeps globals.
-                        invalidate(&mut available, true, None);
+                        forget(&mut memory);
                         continue;
                     }
-                    if matches!(node, Node::Const(_) | Node::Param { .. } | Node::CallResult) {
-                        continue;
-                    }
-                    if let Some((_, prev)) = available.iter().find(|(n, _)| *n == node) {
-                        ir.alias(v, *prev);
-                    } else {
-                        available.push((node, v));
+                    let table = match node {
+                        Node::Const(_) | Node::Param { .. } | Node::CallResult => continue,
+                        Node::MemLoad { .. } | Node::MemorySize => &mut memory,
+                        Node::GlobalGet { .. } => &mut globals,
+                        _ => &mut pure,
+                    };
+                    match table.entry(node) {
+                        Entry::Occupied(prev) => ir.alias(v, *prev.get()),
+                        Entry::Vacant(slot) => {
+                            slot.insert(v);
+                        }
                     }
                 }
-                Inst::MemStore { .. } => invalidate(&mut available, true, None),
+                Inst::MemStore { .. } => forget(&mut memory),
                 Inst::GlobalSet { index, .. } => {
-                    invalidate(&mut available, false, Some(Some(index)))
+                    globals.remove(&Node::GlobalGet { index });
                 }
                 Inst::Call { .. } | Inst::CallIndirect { .. } => {
-                    invalidate(&mut available, true, Some(None))
+                    forget(&mut memory);
+                    forget(&mut globals);
                 }
                 Inst::ProbeCounter { .. }
                 | Inst::ProbeTos { .. }
@@ -252,6 +255,18 @@ pub fn cse(ir: &mut FuncIr, reachable: &[bool]) {
                 | Inst::EpochCheck { .. } => {}
             }
         }
+    }
+}
+
+/// Empties one of [`cse`]'s tables in time proportional to what it held.
+/// Clearing a hash table touches every bucket, so a table that grew far past
+/// its contents — many loads, then a store after each load — is dropped
+/// instead.
+fn forget(table: &mut HashMap<Node, ValueId>) {
+    if table.capacity() > 64 && table.capacity() > 4 * table.len() {
+        *table = HashMap::new();
+    } else {
+        table.clear();
     }
 }
 

@@ -143,6 +143,69 @@ impl Ranges<'_> {
     }
 }
 
+/// The spill slots handed out so far and the last position each is occupied
+/// to. A spill takes the lowest-index slot that is free before it starts, so
+/// slots are reused as tightly as a scan of every slot would reuse them —
+/// but a spill does not cost a scan: the slots' ends sit in the leaves of a
+/// min-tree, where each node holds the smallest end below it, and the lowest
+/// free slot is one walk from the root. (An evicted value's spill asks with
+/// its own, earlier start, so the answer is not monotone in time.)
+#[derive(Debug, Default)]
+struct SpillSlots {
+    /// The tree, in heap order from index 1; the leaves are the second half,
+    /// one per slot, and leaves past the last slot hold [`NONE`], which no
+    /// start exceeds.
+    tree: Vec<u32>,
+    /// Slots handed out.
+    len: usize,
+}
+
+impl SpillSlots {
+    /// The number of slots handed out.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Occupies, until `end`, the lowest-index slot whose occupant ended
+    /// before `start` — or a new slot if none has — and returns its index.
+    fn take(&mut self, start: u32, end: u32) -> usize {
+        let leaves = self.tree.len() / 2;
+        let slot = if leaves > 0 && self.tree[1] < start {
+            let mut node = 1;
+            while node < leaves {
+                node = if self.tree[2 * node] < start { 2 * node } else { 2 * node + 1 };
+            }
+            node - leaves
+        } else {
+            if self.len == leaves {
+                self.grow();
+            }
+            self.len += 1;
+            self.len - 1
+        };
+        let leaves = self.tree.len() / 2;
+        let mut node = leaves + slot;
+        self.tree[node] = end;
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+        slot
+    }
+
+    /// Doubles the number of leaves, keeping every slot's end.
+    fn grow(&mut self) {
+        let old = self.tree.len() / 2;
+        let leaves = (2 * old).max(1);
+        let mut tree = vec![NONE; 2 * leaves];
+        tree[leaves..leaves + old].copy_from_slice(&self.tree[old..]);
+        for node in (1..leaves).rev() {
+            tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+        }
+        self.tree = tree;
+    }
+}
+
 /// Allocates every live value of `ir` to a register or spill slot. `order`
 /// is the block layout ([`crate::layout::layout`]): every reachable block
 /// once.
@@ -269,7 +332,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
     let mut free_fprs: Vec<FReg> = ALLOC_FPRS.rev().map(FReg).collect();
     // (end, value, reg) of currently live register-resident intervals.
     let mut active: Vec<(u32, ValueId, AnyReg)> = Vec::new();
-    // Spill slots: last position each slot is occupied to, for reuse.
+    // Spill slots are reused once their occupant's range has ended.
     // OSR entry stubs read the interpreter operand region as their move
     // sources, and the engine requires the optimized frame to cover the
     // interpreter frame it replaces, so reserve that region as well when any
@@ -280,8 +343,8 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         } else {
             0
         };
-    let mut slot_ends: Vec<u32> = Vec::new();
-    let spill = |iv: &Interval, slot_ends: &mut Vec<u32>, locs: &mut [Option<Loc>]| {
+    let mut slots = SpillSlots::default();
+    let spill = |iv: &Interval, slots: &mut SpillSlots, locs: &mut [Option<Loc>]| {
         // Function parameters already live in their home slots; reuse them
         // unless probe flushes could overwrite them mid-function.
         if let Some(i) = iv.entry_param {
@@ -290,16 +353,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
                 return;
             }
         }
-        let slot = match slot_ends.iter().position(|&e| e < iv.start) {
-            Some(i) => {
-                slot_ends[i] = iv.end;
-                i
-            }
-            None => {
-                slot_ends.push(iv.end);
-                slot_ends.len() - 1
-            }
-        };
+        let slot = slots.take(iv.start, iv.end);
         locs[iv.value.index()] = Some(Loc::Slot(spill_base + slot as u32));
     };
 
@@ -317,7 +371,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
             }
         });
         if iv.reference {
-            spill(iv, &mut slot_ends, &mut locs);
+            spill(iv, &mut slots, &mut locs);
             continue;
         }
         // Hint: take the first incoming argument's register when free.
@@ -374,11 +428,11 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
                             reference: false,
                             entry_param: vrange.entry_param,
                         };
-                        spill(&victim_iv, &mut slot_ends, &mut locs);
+                        spill(&victim_iv, &mut slots, &mut locs);
                         locs[iv.value.index()] = Some(Loc::Reg(vreg));
                         active.push((iv.end, iv.value, vreg));
                     }
-                    _ => spill(iv, &mut slot_ends, &mut locs),
+                    _ => spill(iv, &mut slots, &mut locs),
                 }
             }
         }
@@ -387,7 +441,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
     Allocation {
         locs,
         spill_base,
-        num_spill_slots: slot_ends.len() as u32,
+        num_spill_slots: slots.len() as u32,
     }
 }
 
@@ -527,6 +581,38 @@ mod tests {
             .filter(|l| matches!(l, Some(Loc::Reg(_))))
             .count();
         assert!(reg_count >= 4, "{:?}\n{}", alloc.locs, ir.display());
+    }
+
+    /// The tree hands out exactly the slots a scan of every slot's end would:
+    /// the lowest-index one free before the start, else a new one — also
+    /// when a start goes back in time, as an evicted value's does.
+    #[test]
+    fn spill_slots_match_a_scan_of_every_slot() {
+        let mut slots = SpillSlots::default();
+        let mut ends: Vec<u32> = Vec::new();
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound) as u32
+        };
+        for clock in 0..5_000u32 {
+            // Mostly forward in time, sometimes back.
+            let start = clock.saturating_sub(next(4) * next(200));
+            let end = start + next(300);
+            let expected = match ends.iter().position(|&e| e < start) {
+                Some(i) => i,
+                None => {
+                    ends.push(0);
+                    ends.len() - 1
+                }
+            };
+            ends[expected] = end;
+            assert_eq!(slots.take(start, end), expected, "spill {clock}: [{start}, {end}]");
+        }
+        assert_eq!(slots.len(), ends.len());
+        assert!(ends.len() > 16, "the walk never grew the tree: {} slots", ends.len());
     }
 
     #[test]

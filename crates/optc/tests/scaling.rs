@@ -272,6 +272,72 @@ fn unwritten_locals_cost_the_optimizing_tier_nothing_per_merge() {
     }
 }
 
+/// One straight-line block of `n` copies of `local.get 0; i32.const k;
+/// i32.add; local.set 1`, every `k` different: `n` definitions that value
+/// numbering must tell apart.
+fn distinct_definitions_module(n: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    for k in 0..n {
+        c.local_get(0).i32_const(k as i32).op(Opcode::I32Add).local_set(1);
+    }
+    let mut b = ModuleBuilder::new();
+    b.add_func(FuncType::new(vec![ValueType::I32], vec![]), vec![ValueType::I32], c.finish());
+    b.finish()
+}
+
+/// `n` pushes of `local.get 0; i32.const k; i32.add`, then `n - 1` adds:
+/// `n` values live at once, nearly all of them spilled.
+fn live_values_module(n: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    for k in 0..n {
+        c.local_get(0).i32_const(k as i32).op(Opcode::I32Add);
+    }
+    for _ in 1..n {
+        c.op(Opcode::I32Add);
+    }
+    let mut b = ModuleBuilder::new();
+    b.add_func(FuncType::new(vec![ValueType::I32], vec![ValueType::I32]), vec![], c.finish());
+    b.finish()
+}
+
+/// The optimizing tier in time, on the two block shapes whose cost grew
+/// with the square of their length: value numbering scanned everything
+/// available for every definition, and the allocator scanned every spill
+/// slot for every spill. Four times the body may take at most eight times
+/// as long (linear is about 4.3×, the quadratic passes about 15×); each
+/// size is the fastest of three compiles, each tens of milliseconds.
+#[test]
+fn optimizing_compile_time_is_linear_in_block_length() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    type Generator = fn(u32) -> Module;
+    let shapes: [(&str, Generator); 2] = [
+        ("distinct definitions", distinct_definitions_module),
+        ("values live at once", live_values_module),
+    ];
+    for (shape, module) in shapes {
+        let fastest = |n: u32| {
+            let module = module(n);
+            let info = wasm::validate::validate(&module).expect("generated module validates");
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    OptimizingCompiler::default()
+                        .compile(&module, 0, &info.funcs[0], &ProbeSites::none(), None)
+                        .expect("generated body compiles");
+                    start.elapsed()
+                })
+                .min()
+                .expect("three compiles")
+        };
+        let (small, large) = (fastest(4_000), fastest(16_000));
+        assert!(
+            large <= 8 * small,
+            "{shape}: 4x the body took {:.1}x as long ({small:?} -> {large:?})",
+            large.as_secs_f64() / small.as_secs_f64()
+        );
+    }
+}
+
 /// The decoded-instruction walk every tier but the interpreter is built on
 /// hands out a `br_table`'s targets and a typed `select`'s types as views
 /// over the body: walking a body — every immediate shape, a 1 000-target

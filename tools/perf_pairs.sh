@@ -13,7 +13,10 @@
 # which side goes first, at one seed and window length. Prints every run's
 # end-to-end metrics (`ops_per_s`, `op_p50_us`, `op_p99_us`, `peak_rss_mb`,
 # `setup_s`) on both sides, their medians, how many pairs the working tree
-# won on `ops_per_s`, one verdict line per end-to-end metric (the here/ref
+# won on `ops_per_s`, both sides' `ops_per_s` quartiles with the ref side's
+# IQR and whether a gain may be claimed (won >= 9/10 of the pairs and the
+# medians further apart than the ref IQR — the choosing-metrics rule), one
+# verdict line per end-to-end metric (the here/ref
 # ratio of the medians against the metric's `better` and `bound` in
 # BENCHMARK.json: `WORSE` when here is worse by more than the bound, `ok`
 # otherwise), whether `sim_cycles` is identical, and where the linker
@@ -89,6 +92,31 @@ run() { # side, workload
     done | paste -sd ' '
 }
 median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.4f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+# First quartile, median and third quartile of the numbers on stdin,
+# interpolating between neighbouring order statistics.
+quartiles() {
+    sort -g | awk '{ v[NR] = $1 }
+        function q(p,  h, i) { h = (NR - 1) * p + 1; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
+        END { printf "%.4f %.4f %.4f\n", q(0.25), q(0.5), q(0.75) }'
+}
+# The gain rule of the choosing-metrics guide (§8) on `ops_per_s`: here won at
+# least nine tenths of the pairs (ties count for neither side), and the
+# medians differ by more than the ref side's spread, the distance between its
+# quartiles. Prints both sides' quartiles, the ref IQR and whether each half
+# holds.
+gain_rule() { # ref values, here values, wins, pairs
+    local ref here
+    read -r -a ref < <(tr ' ' '\n' <<<"$1" | grep . | quartiles)
+    read -r -a here < <(tr ' ' '\n' <<<"$2" | grep . | quartiles)
+    awk -v r1="${ref[0]}" -v rm="${ref[1]}" -v r3="${ref[2]}" -v h1="${here[0]}" -v hm="${here[1]}" \
+        -v h3="${here[2]}" -v wins="$3" -v pairs="$4" 'BEGIN {
+        iqr = r3 - r1; gap = hm - rm; if (gap < 0) gap = -gap
+        won = (10 * wins >= 9 * pairs); apart = (gap > iqr)
+        printf "  ops_per_s quartiles  ref %.2f / %.2f / %.2f (IQR %.2f)  here %.2f / %.2f / %.2f\n", r1, rm, r3, iqr, h1, hm, h3
+        printf "  gain rule            won %d/%d >= 9/10: %s;  |median gap| %.2f > ref IQR %.2f: %s;  %s\n", wins, pairs,
+            won ? "yes" : "no", gap, iqr, apart ? "yes" : "no", (won && apart) ? "a gain can be claimed" : "no gain can be claimed"
+    }'
+}
 # One table row: a label, then each metric's ref and here value, then a note.
 row() { # label, ref values…, here values…, note
     local label=$1 n=${#metrics[@]}
@@ -139,6 +167,7 @@ for workload in "${workloads[@]}"; do
         medians+=("$(tr ' ' '\n' <<<"${all[$side,$m]}" | grep . | median)")
     done; done
     row med "${medians[@]}" "here won $wins, lost $losses of $pairs on ${metrics[0]}"
+    gain_rule "${all[ref,0]}" "${all[here,0]}" "$wins" "$pairs"
     for m in "${!metrics[@]}"; do
         verdict "${metrics[m]}" "${medians[m]}" "${medians[${#metrics[@]} + m]}"
     done
