@@ -127,12 +127,7 @@ impl CodeCache {
     /// as a hit or miss. An entry built from a different module (a
     /// content-hash collision) is a miss.
     pub fn lookup(&self, key: &CacheKey, module: &Module) -> Option<Arc<CompiledModule>> {
-        let resident = self
-            .entries
-            .lock()
-            .expect("code cache poisoned")
-            .get(key)
-            .cloned();
+        let resident = crate::lock(&self.entries).get(key).cloned();
         // Compared outside the lock: equality of two separately decoded
         // copies walks the module.
         match resident {
@@ -151,16 +146,12 @@ impl CodeCache {
     /// first artifact stays: instances hold it, and a colliding module must
     /// not evict it).
     pub fn insert(&self, key: CacheKey, artifact: Arc<CompiledModule>) {
-        self.entries
-            .lock()
-            .expect("code cache poisoned")
-            .entry(key)
-            .or_insert(artifact);
+        crate::lock(&self.entries).entry(key).or_insert(artifact);
     }
 
     /// The number of cached artifacts.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("code cache poisoned").len()
+        crate::lock(&self.entries).len()
     }
 
     /// True if nothing is cached.
@@ -180,7 +171,7 @@ impl CodeCache {
 
     /// Drops every cached artifact (counters are preserved).
     pub fn clear(&self) {
-        self.entries.lock().expect("code cache poisoned").clear();
+        crate::lock(&self.entries).clear();
     }
 
     /// Machine-code bytes resident across all cached artifacts (every
@@ -188,9 +179,7 @@ impl CodeCache {
     /// code as lazy and tier-up compilations publish, so a stored total
     /// would go stale.
     fn resident_machine_bytes(&self) -> u64 {
-        self.entries
-            .lock()
-            .expect("code cache poisoned")
+        crate::lock(&self.entries)
             .values()
             .map(|artifact| artifact.machine_bytes())
             .sum()
@@ -301,6 +290,30 @@ mod tests {
         assert!(Arc::ptr_eq(&resident, &of_b));
         // A separately built copy of the same contents is the same module.
         assert!(cache.lookup(&key, &module(4)).is_some());
+    }
+
+    #[test]
+    fn a_panic_while_the_map_is_locked_leaves_the_cache_serving() {
+        let cache = CodeCache::new();
+        let config = EngineConfig::default();
+        let key_of = |m: &Module| CacheKey::for_instantiation(&config, m, &Instrumentation::none());
+        let m = module(6);
+        let key = key_of(&m);
+        cache.insert(key, Arc::new(CompiledModule::build(m.clone()).unwrap()));
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _entries = crate::lock(&cache.entries);
+                panic!("a thread dies holding the cache's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.entries.is_poisoned());
+        assert!(cache.lookup(&key, &m).is_some(), "the resident entry still hits");
+        let other = module(7);
+        cache.insert(key_of(&other), Arc::new(CompiledModule::build(other).unwrap()));
+        assert_eq!(cache.stats().entries, 2);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

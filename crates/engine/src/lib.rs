@@ -70,3 +70,14 @@ pub use pipeline::{CompileTier, CompiledArtifact, CompiledModule};
 pub use pool::{InstancePool, PoolStats, PooledInstance};
 pub use telemetry::Telemetry;
 pub use trap::{Backtrace, Frame, FrameTierTag, TrapInfo, TrapReason};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding it.
+/// Sound for this crate's two locks (the code cache's map and the pool's idle
+/// list) because each critical section is one map lookup or insert, one
+/// `clear`, one `pop`/`push` or a read: none leaves the data half-written, so
+/// a panic inside one poisons nothing but the flag.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

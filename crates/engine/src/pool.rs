@@ -140,7 +140,7 @@ impl InstancePool {
     /// Returns an error if instantiation fails or the start function traps;
     /// a recycled instance whose start traps is dropped, not parked.
     pub fn checkout(self: &Arc<Self>) -> Result<PooledInstance, EngineError> {
-        let recycled = self.idle.lock().expect("instance pool poisoned").pop();
+        let recycled = crate::lock(&self.idle).pop();
         let (instance, warm) = match recycled {
             Some(mut instance) => {
                 self.warm_checkouts.fetch_add(1, Ordering::SeqCst);
@@ -182,7 +182,7 @@ impl InstancePool {
     /// Parks an instance as-is (no reset — the next checkout pays it), or
     /// drops it if `max_idle` are already parked.
     fn checkin(&self, instance: Instance) {
-        let mut idle = self.idle.lock().expect("instance pool poisoned");
+        let mut idle = crate::lock(&self.idle);
         if idle.len() < self.max_idle {
             idle.push(instance);
         }
@@ -191,7 +191,7 @@ impl InstancePool {
     /// Snapshots the pool's counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            idle: self.idle.lock().expect("instance pool poisoned").len() as u64,
+            idle: crate::lock(&self.idle).len() as u64,
             warm_checkouts: self.warm_checkouts.load(Ordering::SeqCst),
             cold_checkouts: self.cold_checkouts.load(Ordering::SeqCst),
         }
@@ -327,6 +327,25 @@ mod tests {
         assert_eq!(pool.stats().idle, 2, "both instances parked on drop");
         let c = pool.checkout().unwrap();
         assert!(c.was_warm());
+    }
+
+    #[test]
+    fn a_panic_while_the_idle_list_is_locked_leaves_the_pool_serving() {
+        let pool = InstancePool::new(Engine::new(EngineConfig::default()), counter_module(), 2)
+            .expect("pool builds");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _idle = crate::lock(&pool.idle);
+                panic!("a thread dies holding the pool's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(pool.idle.is_poisoned());
+        let mut a = pool.checkout().expect("checkout after the panic");
+        assert!(a.was_warm(), "the parked instance is still there");
+        assert_eq!(bump(&pool, &mut a), vec![WasmValue::I32(1)]);
+        drop(a);
+        assert_eq!(pool.stats().idle, 1, "checkin still parks");
     }
 
     #[test]

@@ -17,13 +17,14 @@ use crate::probe::{FrameAccessor, ProbeSink};
 use crate::sidetable::{BranchEntry, Sidetable};
 use machine::cost::{CostModel, CycleCounter};
 use machine::cpu::ExecContext;
-use machine::inst::TrapCode;
+use machine::inst::{AluOp, CmpOp, TrapCode, UnOp, Width};
 use machine::lower::{classify, OpClass};
-use machine::values::{ValueTag, WasmValue, NULL_REF_BITS};
+use machine::ops;
+use machine::values::{ValueStack, ValueTag, WasmValue, NULL_REF_BITS};
 use std::sync::Arc;
 use wasm::fuel::FuelPlan;
 use wasm::module::{Module, ModuleData};
-use wasm::opcode::{OpSignature, Opcode};
+use wasm::opcode::Opcode;
 use wasm::reader::BytecodeReader;
 use wasm::types::ValueType;
 use wasm::validate::{FuncInfo, ValidateError};
@@ -152,14 +153,23 @@ struct OpInfo {
     cost: u64,
     /// The opcode, or `None` for a byte that is not one.
     op: Option<Opcode>,
-    /// The value operation [`classify`] assigns the opcode, if any.
+    /// The value operation [`classify`] assigns the opcode, if any. Only the
+    /// loop's shared float and conversion arm reads it (with `arity` and
+    /// `result`): every integer operation has an arm of its own.
     class: Option<OpClass>,
     /// Operands a `class` operation pops.
     arity: u8,
-    /// Bytes a load or store accesses.
-    width: u8,
-    /// Tag of the value a `class` operation or a load pushes.
+    /// Tag of the value a `class` operation pushes.
     result: ValueTag,
+}
+
+/// The tag of an integer result of width `w`.
+#[inline(always)]
+const fn int_tag(w: Width) -> ValueTag {
+    match w {
+        Width::W32 => ValueTag::I32,
+        Width::W64 => ValueTag::I64,
+    }
 }
 
 /// What the operation itself costs, by class.
@@ -249,24 +259,17 @@ impl Interpreter {
             op: None,
             class: None,
             arity: 0,
-            width: 0,
             result: ValueTag::Dead,
         };
         let mut ops = Box::new([unknown; 256]);
         for &op in Opcode::ALL {
             let class = classify(op);
-            let result = match (class, op.signature()) {
-                (Some(class), _) => ValueTag::for_type(class.result_type()),
-                (None, OpSignature::Load(ty)) => ValueTag::for_type(ty),
-                _ => ValueTag::Dead,
-            };
             ops[op.to_byte() as usize] = OpInfo {
                 cost: dispatch_cost(&cost, op),
                 op: Some(op),
                 class,
                 arity: class.map_or(0, |c| c.arity() as u8),
-                width: op.access_width().unwrap_or(0) as u8,
-                result,
+                result: class.map_or(ValueTag::Dead, |c| ValueTag::for_type(c.result_type())),
             };
         }
         Interpreter { cost, ops }
@@ -282,9 +285,16 @@ impl Interpreter {
     /// coerces): the only read is the body lookup on entry, and it should
     /// not start with a hop through the handle.
     ///
-    /// The loop makes one dispatch per instruction: the opcode byte indexes
-    /// the per-opcode table for its cost and classification, and a single
-    /// `match` executes it. Whether any meter, sampler or OSR hook is armed
+    /// The opcode byte indexes the per-opcode table for its dispatch cost,
+    /// and a single `match` on the opcode executes the instruction. That is
+    /// one dispatch for every integer value opcode (each arithmetic, compare
+    /// and unary operation at each width has its own arm, which calls the
+    /// shared `machine::ops` evaluator with a constant operation and width),
+    /// every load and store (an arm per opcode, a fixed-width access), and
+    /// every control, variable, constant, reference and memory-size opcode.
+    /// The float arithmetic, float compares and conversions share one arm
+    /// that calls [`OpClass::evaluate`], which switches on the class and the
+    /// operation again. Whether any meter, sampler or OSR hook is armed
     /// and whether `probes` has anything attached in this function are
     /// decided here, once (the latter again after every firing, the only
     /// point at which the sink can change), so a run with neither tests a
@@ -318,6 +328,9 @@ impl Interpreter {
         let meter_sites = metered || ctx.meter.has_sampler() || ctx.meter.has_osr();
         let mut probed = probes.has_probes_in(func.func_index);
 
+        // The value stack is borrowed once, so a slot access starts from it
+        // rather than from a walk through the context.
+        let values = &mut *ctx.values;
         let mut reader = BytecodeReader::new(code);
         reader.set_pc(start_ip);
         let mut spent = 0u64;
@@ -336,7 +349,7 @@ impl Interpreter {
             ($entry:expr) => {
                 match $entry {
                     Some(entry) => {
-                        spent += Self::take_branch(cost, entry, operand_base, ctx, &mut reader)
+                        spent += Self::take_branch(cost, entry, operand_base, values, &mut reader)
                     }
                     None => trap!(TrapCode::HostError),
                 }
@@ -353,11 +366,88 @@ impl Interpreter {
                 }
             };
         }
+        // Integer operations on the top one or two slots. Each arm names its
+        // operation and width as constants, so the inlined evaluator is that
+        // one computation and the result tag is a constant too.
+        macro_rules! alu {
+            ($op:ident, $w:ident) => {{
+                let sp = values.sp() - 1;
+                let (a, b) = (values.read(sp - 1), values.read(sp));
+                match ops::eval_alu(AluOp::$op, Width::$w, a, b) {
+                    Ok(bits) => {
+                        values.write_tagged(sp - 1, bits, int_tag(Width::$w));
+                        values.set_sp(sp);
+                        spent += push_cost;
+                    }
+                    Err(code) => trap!(code),
+                }
+            }};
+        }
+        macro_rules! cmp {
+            ($op:ident, $w:ident) => {{
+                let sp = values.sp() - 1;
+                let (a, b) = (values.read(sp - 1), values.read(sp));
+                let bits = ops::eval_cmp(CmpOp::$op, Width::$w, a, b);
+                values.write_tagged(sp - 1, bits, ValueTag::I32);
+                values.set_sp(sp);
+                spent += push_cost;
+            }};
+        }
+        macro_rules! unop {
+            ($op:ident, $w:ident) => {{
+                let sp = values.sp() - 1;
+                let bits = ops::eval_unop(UnOp::$op, Width::$w, values.read(sp));
+                // `eqz` answers an i32 whatever its operand's width.
+                let tag = if let UnOp::Eqz = UnOp::$op {
+                    ValueTag::I32
+                } else {
+                    int_tag(Width::$w)
+                };
+                values.write_tagged(sp, bits, tag);
+                spent += push_cost;
+            }};
+        }
+        // A load reads `size_of::<$raw>()` bytes as one fixed-width access and
+        // extends them through the casts its arm names; a store writes the
+        // low bytes of its operand the same way.
+        macro_rules! load {
+            ($tag:ident, $raw:ty $(as $wide:ty)*) => {{
+                let memarg = read!(read_memarg);
+                let sp = values.sp() - 1;
+                let addr = values.read(sp) as u32;
+                let Some(memory) = ctx.memory.as_deref() else {
+                    trap!(TrapCode::MemoryOutOfBounds)
+                };
+                let bits = match memory.read_le(addr, memarg.offset) {
+                    Ok(bytes) => <$raw>::from_le_bytes(bytes) $(as $wide)* as u64,
+                    Err(code) => trap!(code),
+                };
+                values.write_tagged(sp, bits, ValueTag::$tag);
+                spent += loaded_cost;
+            }};
+        }
+        macro_rules! store {
+            ($raw:ty) => {{
+                let memarg = read!(read_memarg);
+                let sp = values.sp();
+                let value = values.read(sp - 1);
+                let addr = values.read(sp - 2) as u32;
+                values.set_sp(sp - 2);
+                let Some(memory) = ctx.memory.as_deref_mut() else {
+                    trap!(TrapCode::MemoryOutOfBounds)
+                };
+                let bytes = (value as $raw).to_le_bytes();
+                if let Err(code) = memory.write_le(addr, memarg.offset, bytes) {
+                    trap!(code);
+                }
+                spent += stored_cost;
+            }};
+        }
 
         let exit = loop {
             if reader.is_at_end() {
                 // Fell off the end of the body: function return.
-                spent += Self::finish_return(cost, func, ctx);
+                spent += Self::finish_return(cost, func, frame_base, values);
                 break InterpExit::Return;
             }
             ip = reader.pc();
@@ -395,8 +485,13 @@ impl Interpreter {
 
             if probed && probes.has_probe(func.func_index, ip as u32) {
                 spent += cost.probe_runtime;
-                let mut accessor =
-                    FrameAccessor::new(ctx.values, frame_base, num_locals, func.func_index, ip as u32);
+                let mut accessor = FrameAccessor::new(
+                    &mut *values,
+                    frame_base,
+                    num_locals,
+                    func.func_index,
+                    ip as u32,
+                );
                 probes.fire(&mut accessor);
                 probed = probes.has_probes_in(func.func_index);
             }
@@ -405,24 +500,6 @@ impl Interpreter {
             let info = &ops[code[ip] as usize];
             reader.set_pc(ip + 1);
             spent += info.cost;
-
-            // Fast path: simple value operations classified by the shared
-            // lowering table. A unary operation reads its one operand twice
-            // rather than branching on the arity.
-            if let Some(class) = info.class {
-                let sp = ctx.values.sp();
-                let result_slot = sp - info.arity as usize;
-                let operands = [ctx.values.read(result_slot), ctx.values.read(sp - 1)];
-                match class.evaluate(&operands) {
-                    Ok(bits) => {
-                        ctx.values.write_tagged(result_slot, bits, info.result);
-                        ctx.values.set_sp(result_slot + 1);
-                        spent += push_cost;
-                    }
-                    Err(code) => trap!(code),
-                }
-                continue;
-            }
 
             let Some(op) = info.op else { trap!(TrapCode::HostError) };
             match op {
@@ -433,9 +510,9 @@ impl Interpreter {
                 }
                 Opcode::If => {
                     let _ = reader.read_block_type();
-                    let sp = ctx.values.sp() - 1;
-                    let cond = ctx.values.read(sp);
-                    ctx.values.set_sp(sp);
+                    let sp = values.sp() - 1;
+                    let cond = values.read(sp);
+                    values.set_sp(sp);
                     if cond == 0 {
                         take_branch!();
                     }
@@ -447,9 +524,9 @@ impl Interpreter {
                 }
                 Opcode::BrIf => {
                     let _ = reader.read_index();
-                    let sp = ctx.values.sp() - 1;
-                    let cond = ctx.values.read(sp);
-                    ctx.values.set_sp(sp);
+                    let sp = values.sp() - 1;
+                    let cond = values.read(sp);
+                    values.set_sp(sp);
                     if cond != 0 {
                         take_branch!();
                     }
@@ -457,16 +534,16 @@ impl Interpreter {
                 Opcode::BrTable => {
                     // The targets are in the sidetable; the immediates are
                     // never decoded, since every outcome leaves this offset.
-                    let sp = ctx.values.sp() - 1;
-                    let index = ctx.values.read(sp) as usize;
-                    ctx.values.set_sp(sp);
+                    let sp = values.sp() - 1;
+                    let index = values.read(sp) as usize;
+                    values.set_sp(sp);
                     take_branch!(func
                         .sidetable
                         .br_table(ip as u32)
                         .and_then(|entries| entries.get(index).or(entries.last())));
                 }
                 Opcode::Return => {
-                    spent += Self::finish_return(cost, func, ctx);
+                    spent += Self::finish_return(cost, func, frame_base, values);
                     break InterpExit::Return;
                 }
                 Opcode::Call => {
@@ -479,9 +556,9 @@ impl Interpreter {
                 }
                 Opcode::CallIndirect => {
                     let (type_index, table_index) = read!(read_call_indirect);
-                    let sp = ctx.values.sp() - 1;
-                    let entry_index = ctx.values.read(sp) as u32;
-                    ctx.values.set_sp(sp);
+                    let sp = values.sp() - 1;
+                    let entry_index = values.read(sp) as u32;
+                    values.set_sp(sp);
                     break InterpExit::CallIndirect {
                         type_index,
                         table_index,
@@ -491,41 +568,41 @@ impl Interpreter {
                     };
                 }
                 Opcode::Drop => {
-                    ctx.values.set_sp(ctx.values.sp() - 1);
+                    values.set_sp(values.sp() - 1);
                 }
                 Opcode::Select | Opcode::SelectT => {
                     if op == Opcode::SelectT {
                         let _ = reader.skip_immediates(op);
                     }
-                    let sp = ctx.values.sp();
-                    let cond = ctx.values.read(sp - 1);
+                    let sp = values.sp();
+                    let cond = values.read(sp - 1);
                     if cond != 0 {
                         // Keep the first operand: already in place.
                     } else {
-                        let bits = ctx.values.read(sp - 2);
-                        let tag = ctx.values.tag(sp - 2);
-                        ctx.values.write_tagged(sp - 3, bits, tag);
+                        let bits = values.read(sp - 2);
+                        let tag = values.tag(sp - 2);
+                        values.write_tagged(sp - 3, bits, tag);
                     }
-                    ctx.values.set_sp(sp - 2);
+                    values.set_sp(sp - 2);
                 }
                 Opcode::LocalGet => {
                     let index = read!(read_index) as usize;
                     let Some(&ty) = func.local_types.get(index) else {
                         trap!(TrapCode::HostError)
                     };
-                    let bits = ctx.values.read(frame_base + index);
-                    Self::push(ctx, bits, ValueTag::for_type(ty));
+                    let bits = values.read(frame_base + index);
+                    Self::push(values, bits, ValueTag::for_type(ty));
                 }
                 Opcode::LocalSet | Opcode::LocalTee => {
                     let index = read!(read_index) as usize;
                     let Some(&ty) = func.local_types.get(index) else {
                         trap!(TrapCode::HostError)
                     };
-                    let sp = ctx.values.sp();
-                    let bits = ctx.values.read(sp - 1);
-                    ctx.values.write_tagged(frame_base + index, bits, ValueTag::for_type(ty));
+                    let sp = values.sp();
+                    let bits = values.read(sp - 1);
+                    values.write_tagged(frame_base + index, bits, ValueTag::for_type(ty));
                     if op == Opcode::LocalSet {
-                        ctx.values.set_sp(sp - 1);
+                        values.set_sp(sp - 1);
                     }
                 }
                 Opcode::GlobalGet => {
@@ -533,114 +610,170 @@ impl Interpreter {
                     let Some(&global) = ctx.globals.get(index) else {
                         trap!(TrapCode::HostError)
                     };
-                    Self::push(ctx, global.bits, global.tag);
+                    Self::push(values, global.bits, global.tag);
                 }
                 Opcode::GlobalSet => {
                     let index = read!(read_index) as usize;
-                    let sp = ctx.values.sp() - 1;
+                    let sp = values.sp() - 1;
                     let Some(global) = ctx.globals.get_mut(index) else {
                         trap!(TrapCode::HostError)
                     };
-                    global.bits = ctx.values.read(sp);
-                    ctx.values.set_sp(sp);
+                    global.bits = values.read(sp);
+                    values.set_sp(sp);
                 }
                 Opcode::I32Const => {
-                    Self::push(ctx, WasmValue::I32(read!(read_i32)).to_bits(), ValueTag::I32)
+                    Self::push(values, WasmValue::I32(read!(read_i32)).to_bits(), ValueTag::I32)
                 }
                 Opcode::I64Const => {
-                    Self::push(ctx, WasmValue::I64(read!(read_i64)).to_bits(), ValueTag::I64)
+                    Self::push(values, WasmValue::I64(read!(read_i64)).to_bits(), ValueTag::I64)
                 }
                 Opcode::F32Const => {
-                    Self::push(ctx, WasmValue::F32(read!(read_f32)).to_bits(), ValueTag::F32)
+                    Self::push(values, WasmValue::F32(read!(read_f32)).to_bits(), ValueTag::F32)
                 }
                 Opcode::F64Const => {
-                    Self::push(ctx, WasmValue::F64(read!(read_f64)).to_bits(), ValueTag::F64)
+                    Self::push(values, WasmValue::F64(read!(read_f64)).to_bits(), ValueTag::F64)
                 }
                 Opcode::RefNull => {
                     let ty = read!(read_ref_type);
-                    Self::push(ctx, NULL_REF_BITS, ValueTag::for_type(ty));
+                    Self::push(values, NULL_REF_BITS, ValueTag::for_type(ty));
                 }
                 Opcode::RefIsNull => {
-                    let sp = ctx.values.sp() - 1;
-                    let bits = ctx.values.read(sp);
-                    ctx.values
+                    let sp = values.sp() - 1;
+                    let bits = values.read(sp);
+                    values
                         .write_tagged(sp, (bits == NULL_REF_BITS) as u64, ValueTag::I32);
-                    ctx.values.set_sp(sp + 1);
+                    values.set_sp(sp + 1);
                 }
                 Opcode::RefFunc => {
                     let func = WasmValue::FuncRef(Some(read!(read_index)));
-                    Self::push(ctx, func.to_bits(), ValueTag::FuncRef)
+                    Self::push(values, func.to_bits(), ValueTag::FuncRef)
                 }
                 Opcode::MemorySize => {
                     let _ = reader.read_memory_index();
                     let pages = ctx.memory.as_deref().map(|m| m.size_pages()).unwrap_or(0);
-                    Self::push(ctx, WasmValue::I32(pages as i32).to_bits(), ValueTag::I32);
+                    Self::push(values, WasmValue::I32(pages as i32).to_bits(), ValueTag::I32);
                 }
                 Opcode::MemoryGrow => {
                     let _ = reader.read_memory_index();
-                    let sp = ctx.values.sp() - 1;
-                    let delta = ctx.values.read(sp) as u32;
+                    let sp = values.sp() - 1;
+                    let delta = values.read(sp) as u32;
                     let result = match ctx.memory.as_deref_mut() {
                         Some(m) => m.grow(delta),
                         None => -1,
                     };
-                    ctx.values
+                    values
                         .write_tagged(sp, result as u32 as u64, ValueTag::I32);
                 }
-                Opcode::I32Load
-                | Opcode::I64Load
-                | Opcode::F32Load
-                | Opcode::F64Load
-                | Opcode::I32Load8S
-                | Opcode::I32Load8U
-                | Opcode::I32Load16S
-                | Opcode::I32Load16U
-                | Opcode::I64Load8S
-                | Opcode::I64Load8U
-                | Opcode::I64Load16S
-                | Opcode::I64Load16U
-                | Opcode::I64Load32S
-                | Opcode::I64Load32U => {
-                    let memarg = read!(read_memarg);
-                    let sp = ctx.values.sp() - 1;
-                    let addr = ctx.values.read(sp) as u32;
-                    let memory = match ctx.memory.as_deref() {
-                        Some(m) => m,
-                        None => trap!(TrapCode::MemoryOutOfBounds),
+                Opcode::I32Load => load!(I32, u32),
+                Opcode::I64Load => load!(I64, u64),
+                Opcode::F32Load => load!(F32, u32),
+                Opcode::F64Load => load!(F64, u64),
+                Opcode::I32Load8S => load!(I32, i8 as i32 as u32),
+                Opcode::I32Load8U => load!(I32, u8),
+                Opcode::I32Load16S => load!(I32, i16 as i32 as u32),
+                Opcode::I32Load16U => load!(I32, u16),
+                Opcode::I64Load8S => load!(I64, i8 as i64),
+                Opcode::I64Load8U => load!(I64, u8),
+                Opcode::I64Load16S => load!(I64, i16 as i64),
+                Opcode::I64Load16U => load!(I64, u16),
+                Opcode::I64Load32S => load!(I64, i32 as i64),
+                Opcode::I64Load32U => load!(I64, u32),
+                Opcode::I32Store => store!(u32),
+                Opcode::I64Store => store!(u64),
+                Opcode::F32Store => store!(u32),
+                Opcode::F64Store => store!(u64),
+                Opcode::I32Store8 => store!(u8),
+                Opcode::I32Store16 => store!(u16),
+                Opcode::I64Store8 => store!(u8),
+                Opcode::I64Store16 => store!(u16),
+                Opcode::I64Store32 => store!(u32),
+                Opcode::I32Eqz => unop!(Eqz, W32),
+                Opcode::I32Clz => unop!(Clz, W32),
+                Opcode::I32Ctz => unop!(Ctz, W32),
+                Opcode::I32Popcnt => unop!(Popcnt, W32),
+                Opcode::I32Extend8S => unop!(Extend8S, W32),
+                Opcode::I32Extend16S => unop!(Extend16S, W32),
+                Opcode::I32Eq => cmp!(Eq, W32),
+                Opcode::I32Ne => cmp!(Ne, W32),
+                Opcode::I32LtS => cmp!(LtS, W32),
+                Opcode::I32LtU => cmp!(LtU, W32),
+                Opcode::I32GtS => cmp!(GtS, W32),
+                Opcode::I32GtU => cmp!(GtU, W32),
+                Opcode::I32LeS => cmp!(LeS, W32),
+                Opcode::I32LeU => cmp!(LeU, W32),
+                Opcode::I32GeS => cmp!(GeS, W32),
+                Opcode::I32GeU => cmp!(GeU, W32),
+                Opcode::I32Add => alu!(Add, W32),
+                Opcode::I32Sub => alu!(Sub, W32),
+                Opcode::I32Mul => alu!(Mul, W32),
+                Opcode::I32DivS => alu!(DivS, W32),
+                Opcode::I32DivU => alu!(DivU, W32),
+                Opcode::I32RemS => alu!(RemS, W32),
+                Opcode::I32RemU => alu!(RemU, W32),
+                Opcode::I32And => alu!(And, W32),
+                Opcode::I32Or => alu!(Or, W32),
+                Opcode::I32Xor => alu!(Xor, W32),
+                Opcode::I32Shl => alu!(Shl, W32),
+                Opcode::I32ShrS => alu!(ShrS, W32),
+                Opcode::I32ShrU => alu!(ShrU, W32),
+                Opcode::I32Rotl => alu!(Rotl, W32),
+                Opcode::I32Rotr => alu!(Rotr, W32),
+                Opcode::I64Eqz => unop!(Eqz, W64),
+                Opcode::I64Clz => unop!(Clz, W64),
+                Opcode::I64Ctz => unop!(Ctz, W64),
+                Opcode::I64Popcnt => unop!(Popcnt, W64),
+                Opcode::I64Extend8S => unop!(Extend8S, W64),
+                Opcode::I64Extend16S => unop!(Extend16S, W64),
+                Opcode::I64Extend32S => unop!(Extend32S, W64),
+                Opcode::I64Eq => cmp!(Eq, W64),
+                Opcode::I64Ne => cmp!(Ne, W64),
+                Opcode::I64LtS => cmp!(LtS, W64),
+                Opcode::I64LtU => cmp!(LtU, W64),
+                Opcode::I64GtS => cmp!(GtS, W64),
+                Opcode::I64GtU => cmp!(GtU, W64),
+                Opcode::I64LeS => cmp!(LeS, W64),
+                Opcode::I64LeU => cmp!(LeU, W64),
+                Opcode::I64GeS => cmp!(GeS, W64),
+                Opcode::I64GeU => cmp!(GeU, W64),
+                Opcode::I64Add => alu!(Add, W64),
+                Opcode::I64Sub => alu!(Sub, W64),
+                Opcode::I64Mul => alu!(Mul, W64),
+                Opcode::I64DivS => alu!(DivS, W64),
+                Opcode::I64DivU => alu!(DivU, W64),
+                Opcode::I64RemS => alu!(RemS, W64),
+                Opcode::I64RemU => alu!(RemU, W64),
+                Opcode::I64And => alu!(And, W64),
+                Opcode::I64Or => alu!(Or, W64),
+                Opcode::I64Xor => alu!(Xor, W64),
+                Opcode::I64Shl => alu!(Shl, W64),
+                Opcode::I64ShrS => alu!(ShrS, W64),
+                Opcode::I64ShrU => alu!(ShrU, W64),
+                Opcode::I64Rotl => alu!(Rotl, W64),
+                Opcode::I64Rotr => alu!(Rotr, W64),
+                // Float arithmetic, float compares and conversions: rare
+                // enough in tier 0 (see DESIGN.md) to share one arm. A unary
+                // operation reads its one operand twice rather than branching
+                // on the arity.
+                _ => {
+                    let Some(class) = info.class else {
+                        debug_assert!(false, "unhandled opcode {op}");
+                        trap!(TrapCode::HostError)
                     };
-                    let raw = match memory.load(addr, memarg.offset, info.width as u32) {
-                        Ok(v) => v,
+                    debug_assert!(
+                        !matches!(class, OpClass::Alu(..) | OpClass::Cmp(..) | OpClass::Unop(..)),
+                        "integer opcode {op} has no arm of its own"
+                    );
+                    let sp = values.sp();
+                    let result_slot = sp - info.arity as usize;
+                    let operands = [values.read(result_slot), values.read(sp - 1)];
+                    match class.evaluate(&operands) {
+                        Ok(bits) => {
+                            values.write_tagged(result_slot, bits, info.result);
+                            values.set_sp(result_slot + 1);
+                            spent += push_cost;
+                        }
                         Err(code) => trap!(code),
-                    };
-                    ctx.values.write_tagged(sp, extend_load(op, raw), info.result);
-                    spent += loaded_cost;
-                }
-                Opcode::I32Store
-                | Opcode::I64Store
-                | Opcode::F32Store
-                | Opcode::F64Store
-                | Opcode::I32Store8
-                | Opcode::I32Store16
-                | Opcode::I64Store8
-                | Opcode::I64Store16
-                | Opcode::I64Store32 => {
-                    let memarg = read!(read_memarg);
-                    let sp = ctx.values.sp();
-                    let value = ctx.values.read(sp - 1);
-                    let addr = ctx.values.read(sp - 2) as u32;
-                    ctx.values.set_sp(sp - 2);
-                    let memory = match ctx.memory.as_deref_mut() {
-                        Some(m) => m,
-                        None => trap!(TrapCode::MemoryOutOfBounds),
-                    };
-                    if let Err(code) = memory.store(addr, memarg.offset, info.width as u32, value) {
-                        trap!(code);
                     }
-                    spent += stored_cost;
-                }
-                other => {
-                    debug_assert!(false, "unhandled opcode {other}");
-                    trap!(TrapCode::HostError);
                 }
             }
         };
@@ -650,10 +783,10 @@ impl Interpreter {
 
     /// Pushes a value; [`dispatch_cost`] has charged the store.
     #[inline]
-    fn push(ctx: &mut ExecContext<'_>, bits: u64, tag: ValueTag) {
-        let sp = ctx.values.sp();
-        ctx.values.write_tagged(sp, bits, tag);
-        ctx.values.set_sp(sp + 1);
+    fn push(values: &mut ValueStack, bits: u64, tag: ValueTag) {
+        let sp = values.sp();
+        values.write_tagged(sp, bits, tag);
+        values.set_sp(sp + 1);
     }
 
     /// Moves the branch's values down to its label and continues at its
@@ -663,22 +796,22 @@ impl Interpreter {
         cost: &CostModel,
         entry: &BranchEntry,
         operand_base: usize,
-        ctx: &mut ExecContext<'_>,
+        values: &mut ValueStack,
         reader: &mut BytecodeReader<'_>,
     ) -> u64 {
         let arity = entry.arity as usize;
         let dest_base = operand_base + entry.label_base as usize;
-        let src_base = ctx.values.sp() - arity;
+        let src_base = values.sp() - arity;
         let mut spent = 0;
         if src_base != dest_base {
             for i in 0..arity {
-                let bits = ctx.values.read(src_base + i);
-                let tag = ctx.values.tag(src_base + i);
-                ctx.values.write_tagged(dest_base + i, bits, tag);
+                let bits = values.read(src_base + i);
+                let tag = values.tag(src_base + i);
+                values.write_tagged(dest_base + i, bits, tag);
                 spent += cost.slot_load + cost.slot_store;
             }
         }
-        ctx.values.set_sp(dest_base + arity);
+        values.set_sp(dest_base + arity);
         reader.set_pc(entry.target_ip as usize);
         spent
     }
@@ -686,28 +819,20 @@ impl Interpreter {
     /// Copies the returning frame's results down to its base slots, matching
     /// the calling convention JIT code follows; returns the cycles the
     /// copies cost.
-    fn finish_return(cost: &CostModel, func: &PreparedFunction, ctx: &mut ExecContext<'_>) -> u64 {
+    fn finish_return(
+        cost: &CostModel,
+        func: &PreparedFunction,
+        frame_base: usize,
+        values: &mut ValueStack,
+    ) -> u64 {
         let results = func.num_results as usize;
-        let src_base = ctx.values.sp() - results;
-        let dest_base = ctx.frame_base;
+        let src_base = values.sp() - results;
         for i in 0..results {
-            let bits = ctx.values.read(src_base + i);
-            let tag = ctx.values.tag(src_base + i);
-            ctx.values.write_tagged(dest_base + i, bits, tag);
+            let bits = values.read(src_base + i);
+            let tag = values.tag(src_base + i);
+            values.write_tagged(frame_base + i, bits, tag);
         }
         results as u64 * (cost.slot_load + cost.slot_store + cost.tag_store)
-    }
-}
-
-fn extend_load(op: Opcode, raw: u64) -> u64 {
-    use Opcode::*;
-    match op {
-        I32Load8S => raw as u8 as i8 as i32 as u32 as u64,
-        I32Load16S => raw as u16 as i16 as i32 as u32 as u64,
-        I64Load8S => raw as u8 as i8 as i64 as u64,
-        I64Load16S => raw as u16 as i16 as i64 as u64,
-        I64Load32S => raw as u32 as i32 as i64 as u64,
-        _ => raw,
     }
 }
 

@@ -71,7 +71,9 @@ impl OpClass {
     }
 
     /// Constant-evaluates this operation on raw slot bits. Used by the
-    /// compilers' constant folding and by the interpreter.
+    /// compilers' constant folding and by the interpreter's one shared arm
+    /// for float arithmetic, float compares and conversions (its integer
+    /// opcodes call [`ops`] directly, an arm each).
     ///
     /// # Errors
     ///
@@ -104,7 +106,7 @@ fn float_type(w: Width) -> ValueType {
 }
 
 /// The source value type of a conversion.
-pub fn conv_src_type(op: ConvOp) -> ValueType {
+fn conv_src_type(op: ConvOp) -> ValueType {
     use ConvOp::*;
     match op {
         I32WrapI64 | F32ConvertI64S | F32ConvertI64U | F64ConvertI64S | F64ConvertI64U
@@ -119,7 +121,7 @@ pub fn conv_src_type(op: ConvOp) -> ValueType {
 }
 
 /// The destination value type of a conversion.
-pub fn conv_dst_type(op: ConvOp) -> ValueType {
+fn conv_dst_type(op: ConvOp) -> ValueType {
     use ConvOp::*;
     match op {
         I32WrapI64 | I32TruncF32S | I32TruncF32U | I32TruncF64S | I32TruncF64U

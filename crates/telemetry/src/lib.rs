@@ -68,11 +68,20 @@ pub use trace::{chrome_trace, escape_json};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding it.
+/// Sound for the metrics registry's maps, the ring registry and the
+/// profile's counts because each critical section is one map lookup or
+/// insert, one `push`, one counter bump or a read: none leaves the data
+/// half-written, so a panic inside one poisons nothing but the flag.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Distinguishes sinks in the thread-local ring registry: a thread can emit
 /// into several engines' sinks over its lifetime.
@@ -148,7 +157,7 @@ impl TelemetrySink {
             // same name — a worker respawned for the next batch — takes it
             // over, buffered events and `dropped` count included, so the
             // registry holds one ring per worker, not one per spawn.
-            let mut rings = self.rings.lock().expect("telemetry ring registry poisoned");
+            let mut rings = lock(&self.rings);
             let orphan = rings
                 .iter()
                 .find(|ring| ring.label() == label && Arc::strong_count(ring) == 1);
@@ -167,7 +176,7 @@ impl TelemetrySink {
     }
 
     fn drain(&self) -> Vec<(String, Vec<TraceEvent>, u64)> {
-        let rings = self.rings.lock().expect("telemetry ring registry poisoned");
+        let rings = lock(&self.rings);
         rings
             .iter()
             .map(|ring| {
@@ -179,9 +188,7 @@ impl TelemetrySink {
     }
 
     fn dropped_events(&self) -> u64 {
-        self.rings
-            .lock()
-            .expect("telemetry ring registry poisoned")
+        lock(&self.rings)
             .iter()
             .map(|ring| ring.dropped())
             .sum()
@@ -398,6 +405,28 @@ mod tests {
         let mut sizes: Vec<usize> = t.drain().iter().map(|(_, events, _)| events.len()).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, [1, 2], "two live threads of one name never share a ring");
+    }
+
+    #[test]
+    fn a_panic_while_the_ring_registry_is_locked_leaves_the_sink_tracing() {
+        let t = Telemetry::enabled();
+        let sink = t.sink.as_deref().expect("enabled");
+        t.emit(EventKind::FuelExhausted);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _rings = lock(&sink.rings);
+                panic!("a thread dies holding the ring registry's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(sink.rings.is_poisoned());
+        // A new thread still registers a ring; drain and the loss count read.
+        std::thread::scope(|s| {
+            s.spawn(|| t.emit(EventKind::EpochInterrupt));
+        });
+        let sizes: Vec<usize> = t.drain().iter().map(|(_, events, _)| events.len()).collect();
+        assert_eq!(sizes, [1, 1]);
+        assert_eq!(t.dropped_events(), 0);
     }
 
     #[test]

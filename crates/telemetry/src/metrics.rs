@@ -156,9 +156,7 @@ impl MetricsRegistry {
 
     /// The counter registered under `name` (created on first use).
     pub fn counter(&self, name: &str) -> Counter {
-        self.counters
-            .lock()
-            .expect("metrics registry poisoned")
+        crate::lock(&self.counters)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -166,9 +164,7 @@ impl MetricsRegistry {
 
     /// The histogram registered under `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histograms
-            .lock()
-            .expect("metrics registry poisoned")
+        crate::lock(&self.histograms)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -177,17 +173,11 @@ impl MetricsRegistry {
     /// Captures every instrument's current value, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("metrics registry poisoned")
+            counters: crate::lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics registry poisoned")
+            histograms: crate::lock(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -255,6 +245,38 @@ mod tests {
         let hs = &snap.histograms[0].1;
         assert_eq!((hs.count, hs.min, hs.max), (0, 0, 0));
         assert_eq!(hs.percentile(99.0), 0);
+    }
+
+    /// Poisons `mutex`: a thread takes its guard and panics.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = crate::lock(mutex);
+                panic!("a thread dies holding the lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn a_panic_while_the_counters_are_locked_leaves_the_registry_counting() {
+        let reg = MetricsRegistry::new();
+        reg.counter("a").inc();
+        poison(&reg.counters);
+        reg.counter("a").inc();
+        reg.counter("b").inc();
+        assert_eq!(reg.snapshot().counters, vec![("a".to_string(), 2), ("b".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_panic_while_the_histograms_are_locked_leaves_the_registry_recording() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("lat").record(3);
+        poison(&reg.histograms);
+        reg.histogram("lat").record(5);
+        let snap = reg.snapshot();
+        assert_eq!((snap.histograms[0].0.as_str(), snap.histograms[0].1.count), ("lat", 2));
     }
 
     #[test]

@@ -38,10 +38,7 @@ impl Profiler {
 
     /// Records one sample of `func` executing in `tier`.
     pub fn record(&self, func: u32, tier: Tier) {
-        *self
-            .samples
-            .lock()
-            .expect("profiler poisoned")
+        *crate::lock(&self.samples)
             .entry((func, tier))
             .or_insert(0) += 1;
         self.total.fetch_add(1, Ordering::Relaxed);
@@ -55,10 +52,7 @@ impl Profiler {
     /// Every bucket, hottest first (ties broken by function then tier for
     /// deterministic reports).
     pub fn snapshot(&self) -> Vec<ProfileEntry> {
-        let mut rows: Vec<ProfileEntry> = self
-            .samples
-            .lock()
-            .expect("profiler poisoned")
+        let mut rows: Vec<ProfileEntry> = crate::lock(&self.samples)
             .iter()
             .map(|(&(func, tier), &samples)| ProfileEntry { func, tier, samples })
             .collect();
@@ -77,10 +71,7 @@ impl Profiler {
         if total == 0 {
             return 0.0;
         }
-        let hits: u64 = self
-            .samples
-            .lock()
-            .expect("profiler poisoned")
+        let hits: u64 = crate::lock(&self.samples)
             .iter()
             .filter(|&(&(f, _), _)| f == func)
             .map(|(_, &n)| n)
@@ -107,6 +98,23 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert!((p.share(3) - 10.0 / 11.0).abs() < 1e-12);
         assert_eq!(p.share(99), 0.0);
+    }
+
+    #[test]
+    fn a_panic_while_the_counts_are_locked_leaves_the_profile_sampling() {
+        let p = Profiler::new();
+        p.record(1, Tier::Interp);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _samples = crate::lock(&p.samples);
+                panic!("a thread dies holding the profile's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(p.samples.is_poisoned());
+        p.record(1, Tier::Interp);
+        assert_eq!(p.snapshot(), vec![ProfileEntry { func: 1, tier: Tier::Interp, samples: 2 }]);
+        assert_eq!(p.share(1), 1.0);
     }
 
     #[test]

@@ -337,9 +337,12 @@ fn assert_same_state(warm: &Instance, cold: &Instance) {
     assert_eq!(warm.global_value(module.num_globals()), None, "extra global");
     for t in 0..module.num_tables() {
         let (w, c) = (warm.table(t).expect("warm table"), cold.table(t).expect("cold table"));
-        assert_eq!(w.size(), c.size(), "table {t} size");
-        for e in 0..c.size() {
+        // Every entry, and the first index past the end: equal sizes.
+        for e in 0.. {
             assert_eq!(w.get(e), c.get(e), "table {t} entry {e}");
+            if c.get(e).is_err() {
+                break;
+            }
         }
     }
     assert!(warm.table(module.num_tables()).is_none(), "extra table");

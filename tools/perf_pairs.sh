@@ -3,6 +3,7 @@
 #
 #   tools/perf_pairs.sh <git-ref> [workload…]     # default: every workload in BENCHMARK.json
 #   PAIRS=10 WINDOW=16 SEED=7 tools/perf_pairs.sh HEAD~1 exec-jit serve-warm
+#   LAYERS=1 PAIRS=3 tools/perf_pairs.sh HEAD~1 exec-interp   # also diff the per-layer metrics
 #
 # Exports <git-ref> into a scratch directory (under $TMPDIR, default /tmp),
 # builds `benchmark/`'s perfbench from it and from the working tree — each
@@ -24,11 +25,16 @@
 # and `Interpreter::run`: 0 on a side whose tree pins placement, anything on
 # one that does not, which alone moves `exec-jit` / `exec-interp` by ~10 %:
 # see the verify skill).
+# With LAYERS=1 each pair also makes one traced pass per side (`--trace 1
+# --layers 1`, in the pair's order, after its two untraced runs) and the
+# script ends each workload with the ref and here medians of every
+# `per_layer` metric in BENCHMARK.json and their ratio: the layer-by-layer
+# diff of the two builds, from the same sitting as the end-to-end one.
 # The host is noisy: read ratios between the two columns of one sitting,
 # never an absolute number across days. The scratch directory is removed on
 # exit.
 set -euo pipefail
-[ $# -ge 1 ] || { sed -n '2,5p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,6p' "$0"; exit 2; }
 ref=$1
 shift
 top=$(git rev-parse --show-toplevel)
@@ -36,6 +42,7 @@ commit=$(git -C "$top" rev-parse --verify "$ref^{commit}")
 pairs=${PAIRS:-5}
 seconds=${WINDOW:-8}
 seed=${SEED:-1}
+layers=${LAYERS:-0}
 if [ $# -gt 0 ]; then
     workloads=("$@")
 else
@@ -51,6 +58,10 @@ done < <(awk -F'"' '
     /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
     on && /"name"/ { name = $4 } on && /"better"/ { dir = $4 }
     on && /"bound"/ { v = $3; gsub(/[^-0-9.eE+]/, "", v); print name, dir, v }' "$top/BENCHMARK.json")
+
+# Every per-layer metric, in BENCHMARK.json's order.
+mapfile -t layer_metrics < <(awk -F'"' '
+    /"per_layer"/ { on = 1 } on && /"name"/ { print $4 }' "$top/BENCHMARK.json")
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -91,7 +102,18 @@ run() { # side, workload
         sed -nE "s/.*\"$metric\":\\{\"value\":([-0-9.e+]+).*/\\1/p" <<<"$line" | grep . || echo none
     done | paste -sd ' '
 }
+# One traced pass: prints every per-layer metric's value (`none` if the
+# result line lacks it), in `layer_metrics` order.
+traced() { # side, workload
+    local line
+    line=$("${bin[$1]}" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 1 --layers 1 \
+        --out "$work/out-$1" 2>/dev/null | tail -n 1)
+    for metric in "${layer_metrics[@]}"; do
+        sed -nE "s/.*\"${metric//./\\.}\":\\{\"value\":([-0-9.e+]+).*/\\1/p" <<<"$line" | grep . || echo none
+    done
+}
 median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.4f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+median_or_empty() { local v; v=$(cat); [ -z "$v" ] || median <<<"$v"; }
 # First quartile, median and third quartile of the numbers on stdin,
 # interpolating between neighbouring order statistics.
 quartiles() {
@@ -143,7 +165,7 @@ for workload in "${workloads[@]}"; do
     printf '  %-4s %21s %7s' pair "${metrics[0]}" here/ref
     for metric in "${metrics[@]:1}"; do printf ' %21s' "$metric"; done
     printf '  first\n'
-    declare -A all=()
+    declare -A all=() layer_all=()
     cycles=() wins=0 losses=0
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then order=(ref here); else order=(here ref); fi
@@ -157,6 +179,12 @@ for workload in "${workloads[@]}"; do
             done
             cycles+=("$side:${values[${#metrics[@]}]}")
         done
+        if [ "$layers" = 1 ]; then
+            for side in "${order[@]}"; do
+                mapfile -t got_layers < <(traced "$side" "$workload")
+                for m in "${!layer_metrics[@]}"; do layer_all[$side,$m]+="${got_layers[m]} "; done
+            done
+        fi
         verdict=$(awk -v a="${got[here,0]}" -v b="${got[ref,0]}" 'BEGIN { print (a > b) ? "win" : (a < b) ? "loss" : "tie" }')
         [ "$verdict" = win ] && wins=$((wins + 1))
         [ "$verdict" = loss ] && losses=$((losses + 1))
@@ -178,5 +206,18 @@ for workload in "${workloads[@]}"; do
         echo "  sim_cycles identical in all $((2 * pairs)) runs: $distinct"
     else
         echo "  sim_cycles DIFFER: ${cycles[*]}"
+    fi
+    if [ "$layers" = 1 ]; then
+        echo "  per-layer medians over $pairs traced passes per side:"
+        printf '    %-40s %14s %14s %9s\n' metric ref here here/ref
+        for m in "${!layer_metrics[@]}"; do
+            # A metric missing from every pass of a side has no median.
+            r=$(tr ' ' '\n' <<<"${layer_all[ref,$m]}" | { grep -E '^[-0-9.e+]+$' || true; } | median_or_empty)
+            h=$(tr ' ' '\n' <<<"${layer_all[here,$m]}" | { grep -E '^[-0-9.e+]+$' || true; } | median_or_empty)
+            awk -v m="${layer_metrics[m]}" -v r="$r" -v h="$h" 'BEGIN {
+                printf "    %-40s %14s %14s %9s\n", m, r == "" ? "-" : r, h == "" ? "-" : h,
+                    (r == "" || h == "" || r == 0) ? "-" : sprintf("%.3f", h / r)
+            }'
+        done
     fi
 done
