@@ -6,9 +6,9 @@
 //! crate is that anchor for the reproduction. A checked-in corpus of
 //! wast-style scripts (`scripts/*.wast`) exercises arithmetic edge cases,
 //! control flow, memory, globals, and calls, and every assertion runs under
-//! **every** tier×backend configuration ([`runner::all_configs`]): the
-//! interpreter, the baseline compiler eager and lazy, each on the virtual-ISA
-//! and x86-64 backends, plus the tiered engine. A shared decoder/validator/
+//! **every** execution configuration ([`runner::all_configs`]): the
+//! interpreter, the baseline compiler eager and lazy, the tiered engine and
+//! the three-tier engine with the optimizing compiler. A shared decoder/validator/
 //! semantics bug can no longer hide behind tiers agreeing with each other —
 //! the scripts state the expected values and trap causes independently.
 //!

@@ -1,16 +1,23 @@
 //! Executing conformance scripts against engine configurations.
 //!
-//! [`all_configs`] is the canonical tier×backend matrix every conformance
-//! artifact runs under: the in-place interpreter, the baseline compiler
-//! eagerly and lazily, each on the virtual-ISA and x86-64 macro-assembler
-//! backends, the two-tier (interpreter → baseline) configuration, and the
-//! three-tier configuration that promotes hot functions through the
-//! SSA-based optimizing compiler — on both backends. Eight configurations
-//! in all. A script passes only when every assertion holds under every
-//! configuration — the strongest statement that the decoder, text frontend,
-//! validator, and all execution tiers agree.
+//! [`all_configs`] is the canonical matrix every conformance artifact runs
+//! under: the five distinct executions the engine has. They are the in-place
+//! interpreter, the baseline compiler eagerly and lazily, the two-tier
+//! (interpreter → baseline) configuration, and the three-tier configuration
+//! that promotes hot functions through the SSA-based optimizing compiler. A
+//! script passes only when every assertion holds under every configuration —
+//! the strongest statement that the decoder, text frontend, validator, and
+//! all execution tiers agree.
 //!
-//! The three-tier configurations use low thresholds (baseline after 1 call,
+//! There is no x86-64 row. [`EngineConfig::backend`] selects how a compiled
+//! function's bytes are *measured*, not what runs: the pipeline compiles
+//! once and re-emits the finished virtual code through `X64Masm`, and every
+//! configuration executes the virtual code on the simulator. An x86-64 row
+//! would repeat its sibling instruction for instruction;
+//! `tests/masm_backends.rs::the_backend_changes_no_executed_instruction`
+//! holds that invariant for every suite function instead.
+//!
+//! The three-tier configuration uses low thresholds (baseline after 1 call,
 //! optimizing after 2) so repeated `assert_return`s in a script exercise
 //! every promotion boundary: the same invocation runs interpreted, then
 //! baseline-compiled, then optimized, and must agree each time.
@@ -18,28 +25,19 @@
 use crate::script::{Action, Command, ModuleForm, Script};
 use engine::{Engine, EngineConfig, Imports, Instance, Instrumentation, TrapInfo};
 use machine::inst::TrapCode;
-use machine::masm::CodeBackend;
 use machine::values::WasmValue;
 use spc::CompilerOptions;
 use wasm::wat;
 use wasm::Module;
 
-/// The tier×backend configurations the conformance corpus runs under.
+/// The five execution configurations the conformance corpus runs under.
 pub fn all_configs() -> Vec<EngineConfig> {
     vec![
         EngineConfig::interpreter("conf-int"),
         EngineConfig::baseline("conf-spc", CompilerOptions::allopt()),
-        EngineConfig::baseline("conf-spc-x64", CompilerOptions::allopt())
-            .with_backend(CodeBackend::X64),
         EngineConfig::baseline("conf-lazy", CompilerOptions::allopt()).with_lazy_compile(true),
-        EngineConfig::baseline("conf-lazy-x64", CompilerOptions::allopt())
-            .with_lazy_compile(true)
-            .with_backend(CodeBackend::X64),
         EngineConfig::tiered("conf-tiered", 2, CompilerOptions::allopt()),
         EngineConfig::tiered("conf-opt", 1, CompilerOptions::allopt()).with_opt_tier(2),
-        EngineConfig::tiered("conf-opt-x64", 1, CompilerOptions::allopt())
-            .with_opt_tier(2)
-            .with_backend(CodeBackend::X64),
     ]
 }
 

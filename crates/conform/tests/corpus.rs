@@ -1,4 +1,4 @@
-//! Runs the checked-in conformance corpus under every tier×backend
+//! Runs the checked-in conformance corpus under every execution
 //! configuration, and demonstrates that the corpus catches divergences: a
 //! deliberately broken build must fail it.
 
@@ -32,6 +32,8 @@ fn corpus_has_at_least_thirty_scripts_with_real_assertions() {
     }
 }
 
+/// Every assertion holds under each configuration; the virtual-ISA rows cover
+/// the x86-64 backend (`the_backend_changes_no_executed_instruction`).
 #[test]
 fn corpus_passes_on_every_tier_and_backend() {
     let corpus = conform::load_corpus();
@@ -93,7 +95,7 @@ fn corpus_is_bit_identical_with_osr_forced_at_every_back_edge() {
 }
 
 /// Every `assert_trap` in the corpus produces a symbolicated backtrace, and
-/// that backtrace is identical under every tier×backend configuration (the
+/// that backtrace is identical under every execution configuration (the
 /// executing tier is recorded per frame but excluded from equality). This is
 /// the corpus-wide form of the targeted differentials in
 /// `tests/backtrace.rs`: whatever trap shapes the corpus exercises —

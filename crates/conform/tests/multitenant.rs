@@ -1,4 +1,4 @@
-//! Multi-tenant conformance: deterministic fuel across the full tier×backend
+//! Multi-tenant conformance: deterministic fuel across the full execution
 //! matrix, and tenant resource ceilings enforced identically in every
 //! configuration.
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use wasm::wat;
 
 /// Every fuel-using corpus script must consume the *same* fuel, action by
-/// action, in all eight configurations — the core determinism claim of the
+/// action, in all five configurations — the core determinism claim of the
 /// metering design (one cost table, one plan, three tiers).
 #[test]
 fn fuel_consumption_is_identical_across_the_matrix() {

@@ -10,11 +10,12 @@
 //! * an [`EpochTicker`] owns the background thread that bumps the shared
 //!   epoch every `granularity`;
 //! * a [`TimeoutList`] converts a request's wall-clock budget into an epoch
-//!   deadline (`now + ceil(budget / granularity)`, minimum one tick) and,
-//!   when the request retires, says how far past it the clock had run. It
-//!   keeps three counters (outstanding, expired, in time) and no list:
-//!   expiry needs no scanning, because an armed deadline is already an epoch
-//!   number the engine compares against on its own.
+//!   deadline (`now + ceil(budget / granularity)`, minimum one tick,
+//!   saturating at `u64::MAX` so a huge budget never expires) and, when the
+//!   request retires, says how far past it the clock had run. It keeps no
+//!   list and no counters: expiry needs no scanning, because an armed
+//!   deadline is already an epoch number the engine compares against on its
+//!   own.
 //!
 //! The enforcement bound follows directly: a request is interrupted no
 //! earlier than its budget rounded down to a tick, and no later than one
@@ -82,44 +83,36 @@ impl Drop for EpochTicker {
     }
 }
 
-/// The wall-clock → epoch conversion for request deadlines, and the count of
-/// how they ended. Lock-free: arming and retiring a deadline are a load and
-/// two atomic increments on the request path.
+/// The wall-clock → epoch conversion for request deadlines. Lock-free and
+/// stateless beyond the shared epoch: arming and retiring a deadline are one
+/// load each on the request path. How each request ended is on its
+/// [`RequestResult`](crate::RequestResult), not here.
 pub struct TimeoutList {
     epoch: Arc<AtomicU64>,
     granularity: Duration,
-    pending: AtomicU64,
-    expired: AtomicU64,
-    in_time: AtomicU64,
 }
 
 impl TimeoutList {
     /// Creates a list converting budgets at `granularity` (one epoch tick).
     pub fn new(epoch: Arc<AtomicU64>, granularity: Duration) -> TimeoutList {
-        TimeoutList {
-            epoch,
-            granularity,
-            pending: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            in_time: AtomicU64::new(0),
-        }
+        TimeoutList { epoch, granularity }
     }
 
     /// The number of whole ticks a budget is worth, minimum 1 (a deadline
-    /// of `now` would trap before the request ran at all).
-    pub fn ticks_for(&self, budget: Duration) -> u64 {
+    /// of `now` would trap before the request ran at all), and at most
+    /// `u64::MAX`: a budget too long to count in ticks never expires.
+    pub(crate) fn ticks_for(&self, budget: Duration) -> u64 {
         let ticks = budget.as_nanos().div_ceil(self.granularity.as_nanos().max(1));
-        (ticks as u64).max(1)
+        u64::try_from(ticks).unwrap_or(u64::MAX).max(1)
     }
 
     /// Starts a deadline `budget` from now and returns the absolute epoch at
     /// which the request becomes interruptible: pass it to
     /// [`Instance::set_epoch_deadline`](engine::Instance::set_epoch_deadline),
     /// then to [`TimeoutList::retire`] when the request finishes (however it
-    /// finishes).
+    /// finishes). Saturates at `u64::MAX`, an epoch the ticker never reaches.
     pub fn arm(&self, budget: Duration) -> u64 {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.epoch.load(Ordering::SeqCst) + self.ticks_for(budget)
+        self.epoch.load(Ordering::SeqCst).saturating_add(self.ticks_for(budget))
     }
 
     /// Retires a deadline when its request finishes, measuring *how late* an
@@ -129,30 +122,7 @@ impl TimeoutList {
     /// time. Cooperative preemption bounds the overshoot by one granularity
     /// plus the time to the next check site, which the serving tests assert.
     pub fn retire(&self, deadline_epoch: u64) -> Option<u64> {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        let now = self.epoch.load(Ordering::SeqCst);
-        if now >= deadline_epoch {
-            self.expired.fetch_add(1, Ordering::SeqCst);
-            Some(now - deadline_epoch)
-        } else {
-            self.in_time.fetch_add(1, Ordering::SeqCst);
-            None
-        }
-    }
-
-    /// Deadlines currently outstanding.
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::SeqCst) as usize
-    }
-
-    /// Requests retired after their deadline passed.
-    pub fn expired_count(&self) -> u64 {
-        self.expired.load(Ordering::SeqCst)
-    }
-
-    /// Requests retired before their deadline.
-    pub fn in_time_count(&self) -> u64 {
-        self.in_time.load(Ordering::SeqCst)
+        self.epoch.load(Ordering::SeqCst).checked_sub(deadline_epoch)
     }
 }
 
@@ -175,20 +145,33 @@ mod tests {
     }
 
     #[test]
-    fn arm_and_retire_count() {
+    fn budgets_too_long_to_count_saturate_instead_of_wrapping() {
+        let list = TimeoutList::new(fixed_epoch(0), Duration::from_millis(1));
+        // Both are more ticks than a `u64` counts.
+        assert_eq!(list.ticks_for(Duration::MAX), u64::MAX);
+        assert_eq!(list.ticks_for(Duration::from_secs(u64::MAX)), u64::MAX);
+        // A tick count that fits, but not once added to a clock that has
+        // run 5000 ticks.
+        let long = Duration::from_millis(u64::MAX - 999);
+        assert_eq!(list.ticks_for(long), u64::MAX - 999);
+        let list = TimeoutList::new(fixed_epoch(5_000), Duration::from_millis(1));
+        assert_eq!(list.arm(long), u64::MAX);
+        assert_eq!(list.arm(Duration::MAX), u64::MAX);
+        assert_eq!(list.retire(u64::MAX), None, "an unbounded deadline is never late");
+    }
+
+    #[test]
+    fn arm_and_retire() {
         let epoch = fixed_epoch(10);
         let list = TimeoutList::new(Arc::clone(&epoch), Duration::from_millis(1));
         let slow = list.arm(Duration::from_millis(50));
         let fast = list.arm(Duration::from_millis(5));
         assert_eq!((slow, fast), (60, 15));
-        assert_eq!(list.pending(), 2);
         // `fast` retires before its deadline: in time.
         assert_eq!(list.retire(fast), None);
         // The clock blows past `slow`'s deadline: expired.
         epoch.store(61, Ordering::SeqCst);
         assert_eq!(list.retire(slow), Some(1));
-        assert_eq!(list.pending(), 0);
-        assert_eq!((list.in_time_count(), list.expired_count()), (1, 1));
     }
 
     #[test]
@@ -203,7 +186,6 @@ mod tests {
         assert_eq!(list.retire(on_the_dot), Some(0), "in the deadline tick");
         epoch.store(113, Ordering::SeqCst);
         assert_eq!(list.retire(late), Some(3), "three ticks past");
-        assert_eq!((list.in_time_count(), list.expired_count()), (1, 2));
     }
 
     #[test]

@@ -260,11 +260,6 @@ impl Server {
         self.apps.get(app).map(|a| a.name.as_str())
     }
 
-    /// The deadline bookkeeping (expired vs. in-time counts).
-    pub fn timeouts(&self) -> &TimeoutList {
-        &self.timeouts
-    }
-
     /// The deadline-enforcement granularity (one epoch tick).
     pub fn epoch_granularity(&self) -> Duration {
         self.ticker.granularity()
@@ -604,7 +599,6 @@ mod tests {
         server.register_app("counter", "main", counter_module()).unwrap();
         assert!(server.run(Vec::new()).is_empty());
         assert_eq!(server.epoch_granularity(), Duration::from_millis(1));
-        assert_eq!(server.timeouts().pending(), 0);
     }
 
     #[test]
@@ -619,7 +613,7 @@ mod tests {
             );
             assert_eq!(server.epoch_granularity(), Duration::from_micros(100));
             assert_eq!(
-                server.timeouts().ticks_for(Duration::from_millis(1)),
+                server.timeouts.ticks_for(Duration::from_millis(1)),
                 10,
                 "a 1 ms budget is ten 100 µs ticks (configured {configured:?})"
             );

@@ -1,7 +1,8 @@
 //! Differential trap diagnostics: the symbolicated backtrace attached to a
-//! trap must be **bit-identical** under every tier×backend configuration.
+//! trap must be **bit-identical** under every execution configuration
+//! (`conform::runner::all_configs`).
 //!
-//! A trap observed in optimizing-tier x64 code and the same trap observed in
+//! A trap observed in optimizing-tier code and the same trap observed in
 //! the in-place interpreter must attribute to the same function, the same
 //! bytecode offset, and the same debug name — the executing tier is recorded
 //! per frame for display but excluded from equality. The suite covers the
@@ -11,9 +12,7 @@
 //! truncated to a fixed head+tail). A proptest arm extends the same
 //! invariant to randomly generated trapping call chains.
 
-mod common;
-
-use common::all_tier_backend_configs;
+use conform::runner::all_configs;
 use engine::{
     Engine, EngineConfig, FrameTierTag, Imports, Instrumentation, ResourceLimits, TrapInfo,
     TrapReason,
@@ -44,7 +43,7 @@ fn run_with_diagnostics(
     (result, trap)
 }
 
-/// Runs `module::name(args)` under every tier×backend configuration — plus
+/// Runs `module::name(args)` under every execution configuration — plus
 /// each configuration with OSR forced at every back edge — each held to
 /// `limits`, asserting the trap diagnostics are identical everywhere, and
 /// returns the common [`TrapInfo`].
@@ -62,7 +61,7 @@ fn assert_identical_diagnostics(
     );
     assert!(reference_result.is_err(), "workload must trap");
     let reference = reference.expect("trap produced diagnostics");
-    for config in all_tier_backend_configs() {
+    for config in all_configs() {
         for (suffix, config) in [("", config.clone()), ("+osr", config.clone().with_osr(0))] {
             let label = format!("{}{}", config.name, suffix);
             let (result, trap) = run_with_diagnostics(config.with_limits(limits), module, name, args);
@@ -347,7 +346,7 @@ fn chain_module(depth: u32, pad: i32, div_op: Opcode, addr: u32) -> Module {
 }
 
 proptest! {
-    // Each case runs the full 8-config matrix; keep the case count modest.
+    // Each case runs the full 5-config matrix; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fuzzer arm: generated call chains whose innermost frame traps (or
@@ -378,7 +377,7 @@ proptest! {
             // A trapping chain reports one frame per live activation.
             prop_assert_eq!(trap.backtrace.depth() as u32, depth + 1);
         }
-        for config in all_tier_backend_configs() {
+        for config in all_configs() {
             let name = config.name.clone();
             let got = run_with_diagnostics(config, &module, "f", &args);
             prop_assert_eq!(

@@ -3,10 +3,10 @@
 //! Before this module existed, the instantiate-and-call pattern and the fib
 //! workload were copy-pasted across `differential.rs`, `lazy_compile.rs`,
 //! `pipeline_cache.rs`, and `tiering_and_gc.rs`, and each file hand-rolled
-//! its own configuration list. The canonical tier×backend matrix lives in
-//! `conform::runner::all_configs` (the conformance corpus runs under exactly
-//! the same configurations); this module re-exports it alongside the shared
-//! run helpers.
+//! its own configuration list. The canonical matrix — the engine's five
+//! distinct executions — is `conform::runner::all_configs`, which the tests
+//! call directly (the conformance corpus runs under exactly the same
+//! configurations).
 
 // Integration tests compile this module independently, and each uses a
 // different subset of the helpers.
@@ -21,13 +21,6 @@ use wasm::opcode::Opcode;
 use wasm::reader::{BytecodeReader, Imm, Instr};
 use wasm::types::{BlockType, FuncType, ValueType};
 use wasm::Module;
-
-/// The canonical tier×backend configuration matrix: interpreter, baseline
-/// eager/lazy on the virtual-ISA and x64 backends, the tiered engine, and
-/// the three-tier (optimizing-promotion) engine on both backends.
-pub fn all_tier_backend_configs() -> Vec<EngineConfig> {
-    conform::runner::all_configs()
-}
 
 /// Instantiates `module` under `config` (no imports, no instrumentation) and
 /// calls the export `name`.

@@ -8,7 +8,7 @@
 
 mod common;
 
-use engine::{Engine, EngineConfig, Imports, Instrumentation};
+use engine::{CodeBackend, Engine, EngineConfig, Imports, Instrumentation};
 use machine::inst::TrapCode;
 use machine::values::WasmValue;
 use spc::CompilerOptions;
@@ -31,63 +31,53 @@ fn reference_results() -> Vec<(String, WasmValue)> {
     out
 }
 
-fn check_config_against_interpreter(config_name: &str, make: impl Fn() -> EngineConfig) {
-    let reference = reference_results();
-    let mut index = 0;
-    for suite in all_suites(Scale::Test) {
-        for item in &suite.items {
-            let expected = &reference[index];
-            index += 1;
-            let got = run_item(make(), item).unwrap_or_else(|e| panic!("[{config_name}] {e}"));
-            assert_eq!(
-                &got, &expected.1,
-                "[{config_name}] {} disagrees with the interpreter",
-                expected.0
-            );
-        }
+/// Runs every suite item under `config` and holds each checksum to the
+/// interpreter's in `reference` ([`reference_results`]).
+fn check_config_against_interpreter(reference: &[(String, WasmValue)], config: &EngineConfig) {
+    let name = &config.name;
+    let items = all_suites(Scale::Test).into_iter().flat_map(|suite| suite.items);
+    for ((item_name, expected), item) in reference.iter().zip(items) {
+        let got = run_item(config.clone(), &item).unwrap_or_else(|e| panic!("[{name}] {e}"));
+        assert_eq!(&got, expected, "[{name}] {item_name} disagrees with the interpreter");
     }
 }
 
 #[test]
 fn baseline_allopt_matches_interpreter_on_all_78_items() {
-    check_config_against_interpreter("allopt", || {
-        EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt())
-    });
+    let config = EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt());
+    check_config_against_interpreter(&reference_results(), &config);
 }
 
 #[test]
 fn baseline_optimization_ablations_match_interpreter() {
+    let reference = reference_results();
     for options in CompilerOptions::figure4_configs() {
-        let name = options.name.clone();
-        check_config_against_interpreter(&name, || {
-            EngineConfig::baseline(&options.name, options.clone())
-        });
+        let config = EngineConfig::baseline(&options.name, options.clone());
+        check_config_against_interpreter(&reference, &config);
     }
 }
 
 #[test]
 fn value_tag_configurations_match_interpreter() {
+    let reference = reference_results();
     for options in CompilerOptions::figure5_configs() {
-        let name = options.name.clone();
-        check_config_against_interpreter(&name, || {
-            EngineConfig::baseline(&options.name, options.clone())
-        });
+        let config = EngineConfig::baseline(&options.name, options.clone());
+        check_config_against_interpreter(&reference, &config);
     }
 }
 
 #[test]
 fn production_design_profiles_match_interpreter() {
+    let reference = reference_results();
     for profile in spc::all_profiles() {
-        let name = profile.name;
-        check_config_against_interpreter(name, || {
-            EngineConfig::baseline(profile.name, profile.options.clone())
-        });
+        let config = EngineConfig::baseline(profile.name, profile.options.clone());
+        check_config_against_interpreter(&reference, &config);
     }
 }
 
 #[test]
 fn optimizing_tier_matches_interpreter() {
-    check_config_against_interpreter("optimizing", || EngineConfig::optimizing("optimizing"));
+    check_config_against_interpreter(&reference_results(), &EngineConfig::optimizing("optimizing"));
 }
 
 /// The two `float_nbody` items finish at `Scale::Default` (what the figure
@@ -108,31 +98,35 @@ fn float_nbody_items_finish_at_default_scale_in_both_compiled_tiers() {
 
 #[test]
 fn tiered_engine_matches_interpreter() {
-    check_config_against_interpreter("tiered", || {
-        EngineConfig::tiered("tiered", 1, CompilerOptions::allopt())
-    });
+    let config = EngineConfig::tiered("tiered", 1, CompilerOptions::allopt());
+    check_config_against_interpreter(&reference_results(), &config);
 }
 
+/// The shared matrix agrees with the interpreter on every suite item, for
+/// both backends: they execute the same code
+/// (`tests/masm_backends.rs::the_backend_changes_no_executed_instruction`).
 #[test]
 fn tier_backend_matrix_agrees_on_all_suite_items() {
-    // The same matrix the conformance corpus runs under: interpreter,
-    // eager/lazy baseline on both masm backends, and the tiered engine.
     let reference = reference_results();
-    for config in common::all_tier_backend_configs() {
-        let name = config.name.clone();
-        let mut index = 0;
-        for suite in all_suites(Scale::Test) {
-            for item in &suite.items {
-                let expected = &reference[index];
-                index += 1;
-                let got =
-                    run_item(config.clone(), item).unwrap_or_else(|e| panic!("[{name}] {e}"));
-                assert_eq!(
-                    &got, &expected.1,
-                    "[{name}] {} disagrees with the interpreter",
-                    expected.0
-                );
-            }
+    for config in conform::runner::all_configs() {
+        check_config_against_interpreter(&reference, &config);
+    }
+}
+
+/// Every entry of the shared matrix is an execution no other entry repeats:
+/// none selects the x86-64 backend (which only re-measures the code its
+/// virtual-ISA sibling runs), and no two differ in their name alone.
+#[test]
+fn the_matrix_is_distinct_executions() {
+    let configs = conform::runner::all_configs();
+    for config in &configs {
+        assert_eq!(config.backend, CodeBackend::VirtualIsa, "[{}]", config.name);
+    }
+    let unnamed: Vec<EngineConfig> =
+        configs.iter().map(|c| EngineConfig { name: String::new(), ..c.clone() }).collect();
+    for (i, a) in unnamed.iter().enumerate() {
+        for (j, b) in unnamed.iter().enumerate().skip(i + 1) {
+            assert_ne!(a, b, "{} repeats {}", configs[j].name, configs[i].name);
         }
     }
 }
@@ -200,7 +194,7 @@ fn dead_fallthrough_state_does_not_leak_past_labels() {
     // How the arm that stores 99 leaves: each makes the code up to the next
     // `end`/`else` unreachable.
     let exits = ["br 1", "local.get 1 return", "i32.const 0 br_table 1 1"];
-    let mut configs = common::all_tier_backend_configs();
+    let mut configs = conform::runner::all_configs();
     for options in CompilerOptions::figure4_configs()
         .into_iter()
         .chain(CompilerOptions::figure5_configs())
@@ -320,7 +314,7 @@ fn header_parameter_stays_live_through_a_late_predecessor_of_an_in_loop_merge() 
                 .collect()
         };
         let expected = run(EngineConfig::interpreter("reference"));
-        let mut configs = common::all_tier_backend_configs();
+        let mut configs = conform::runner::all_configs();
         configs.push(EngineConfig::optimizing("optimizing"));
         for config in configs {
             let name = config.name.clone();
@@ -343,7 +337,7 @@ fn a_host_function_imported_twice_is_one_function_behind_two_indices() {
             local.get $n call $inc_a call $inc_b call $dbl))
     "#;
     let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let engine = Engine::new(config);
         // `inc` adds one more each time it runs: 1, then 2, then 3, ...
@@ -380,7 +374,7 @@ fn a_host_function_returning_the_wrong_type_traps_host_error() {
           (func (export "ref") (result i32) call $ref ref.is_null))
     "#;
     let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let engine = Engine::new(config);
         let imports = Imports::new()
@@ -415,7 +409,7 @@ fn mistyped_call_arguments_trap_host_error() {
             local.get 0 ref.is_null))
     "#;
     let module = wasm::wat::parse_module(src).unwrap_or_else(|e| panic!("{}", e.describe(src)));
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let engine = Engine::new(config);
         let mut instance = engine
@@ -460,7 +454,7 @@ fn a_mistyped_segment_offset_is_a_validation_error_not_a_panic() {
     for (kind, built) in [("data", data.finish()), ("element", elem.finish())] {
         let module = wasm::decode::decode(&wasm::encode::encode(&built))
             .unwrap_or_else(|e| panic!("{kind}: the module round-trips: {e}"));
-        for config in common::all_tier_backend_configs() {
+        for config in conform::runner::all_configs() {
             let name = config.name.clone();
             match Engine::new(config).instantiate(&module, Imports::new(), Instrumentation::none()) {
                 Err(engine::EngineError::Validate(e)) => {
@@ -491,7 +485,7 @@ fn function_counters_agree_across_tiers_behind_an_imported_function() {
         probe_mode: spc::ProbeMode::Runtime,
         ..CompilerOptions::allopt()
     };
-    let mut configs = common::all_tier_backend_configs();
+    let mut configs = conform::runner::all_configs();
     configs.push(EngineConfig::baseline("spc-runtime-probes", runtime_probes));
     for config in configs {
         let name = config.name.clone();

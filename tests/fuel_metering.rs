@@ -1,9 +1,9 @@
 //! Fuel metering and preemption across the tier matrix.
 //!
 //! Three claims anchor the multi-tenant layer: (1) fuel consumption is
-//! bit-identical in every tier×backend configuration, *including* runs that
+//! bit-identical in every execution configuration, *including* runs that
 //! tier up mid-execution; (2) a runaway loop is preemptible via the epoch
-//! protocol on both macro-assembler backends; (3) tenant resource ceilings
+//! protocol in interpreted and compiled code; (3) tenant resource ceilings
 //! bind at `memory.grow` and at instantiation. The conformance corpus
 //! (`crates/conform/scripts/fuel_metering.wast`) states exact budgets; this
 //! file exercises the engine-level machinery the scripts cannot reach.
@@ -142,7 +142,7 @@ fn fuel_is_deterministic_under_mid_execution_tier_up() {
     );
     assert_eq!(reference, Ok(vec![WasmValue::I32(250)]));
     assert!(reference_fuel > 0);
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let (result, fuel) =
             common::run_export_fueled(config, &module, "driver", &args, 1_000_000);
@@ -154,7 +154,7 @@ fn fuel_is_deterministic_under_mid_execution_tier_up() {
     // exactly the budget — the same trap at the same point, even though the
     // tiered configs cross tier boundaries while burning it.
     let starved = reference_fuel / 2;
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let (result, fuel) =
             common::run_export_fueled(config, &module, "driver", &args, starved);
@@ -163,7 +163,7 @@ fn fuel_is_deterministic_under_mid_execution_tier_up() {
     }
 
     // One unit short of the true cost also traps; the exact cost succeeds.
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let (result, _) =
             common::run_export_fueled(config.clone(), &module, "driver", &args, reference_fuel - 1);
@@ -176,17 +176,16 @@ fn fuel_is_deterministic_under_mid_execution_tier_up() {
 }
 
 /// A supervisor thread bumping the engine epoch preempts an infinite loop —
-/// in the interpreter and in baseline-compiled code on both macro-assembler
-/// backends — and the instance remains usable afterwards.
+/// in the interpreter and in baseline-compiled code — and the instance
+/// remains usable afterwards. The baseline run covers both macro-assembler
+/// backends: they execute the same code
+/// (`tests/masm_backends.rs::the_backend_changes_no_executed_instruction`).
 #[test]
 fn epoch_preemption_stops_an_infinite_loop_on_both_backends() {
     let module = infinite_loop_module();
     for config in [
         EngineConfig::interpreter("int").with_metering(),
         EngineConfig::baseline("spc", spc::CompilerOptions::allopt()).with_metering(),
-        EngineConfig::baseline("spc-x64", spc::CompilerOptions::allopt())
-            .with_metering()
-            .with_backend(engine::CodeBackend::X64),
     ] {
         let name = config.name.clone();
         let engine = Engine::new(config);
@@ -245,7 +244,7 @@ fn memory_grow_respects_tenant_limits_in_every_config() {
         table_elements: None,
         call_depth: None,
     };
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let engine = Engine::new(config.with_limits(limits));
         let mut instance = engine

@@ -5,7 +5,7 @@
 //! `Engine::instantiate` ends with — memory, globals and tables built fresh,
 //! execution state cleared, the start function run — so it must produce
 //! *exactly* the state a cold instantiation would: results bit-identical,
-//! trap reasons identical, across the full tier×backend conformance matrix.
+//! trap reasons identical, across the full conformance matrix.
 //! The nastiest case is deliberate: a request that runs out of fuel halfway
 //! through a loop of memory writes checks a dirty, trapped instance back in,
 //! and the next occupant must still observe pristine state. A start function
@@ -143,7 +143,7 @@ fn stateful_module() -> Module {
 #[test]
 fn pooled_reset_matches_cold_instantiation_in_every_config() {
     let module = stateful_module();
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let config = config.with_metering();
 
@@ -281,7 +281,7 @@ fn pooled_reset_matches_cold_instantiation_in_every_config() {
 fn pooled_checksums_agree_across_the_matrix() {
     let module = stateful_module();
     let mut reference: Option<Vec<WasmValue>> = None;
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let pool = InstancePool::new(Engine::new(config), module.clone(), 2)
             .unwrap_or_else(|e| panic!("[{name}] pool: {e}"));

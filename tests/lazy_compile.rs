@@ -100,12 +100,13 @@ fn lazy_compile_defers_compilation_to_first_call() {
     assert_eq!(instance.metrics.lazy_compile_wall, compile_wall_after_first);
 }
 
+/// The deferred-compilation confounder must never change results: every
+/// configuration in the shared matrix computes the same value. Both backends
+/// execute the same code (`the_backend_changes_no_executed_instruction`).
 #[test]
 fn lazy_and_eager_agree_across_the_tier_backend_matrix() {
-    // The deferred-compilation confounder must never change results: every
-    // configuration in the shared matrix computes the same value.
     let module = three_function_module();
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let r = common::run_export(config, &module, "main", &[])
             .unwrap_or_else(|e| panic!("[{name}] trap: {e}"));

@@ -9,9 +9,12 @@
 //! runtime relocations and operation count — and the two compiles must agree
 //! on the backend-independent call/probe metadata. This is also the test that
 //! promotes the x86-64 encoder from demo to backend: it must compile every
-//! function without panicking.
+//! function without panicking. And it holds the converse:
+//! `the_backend_changes_no_executed_instruction` checks that selecting the
+//! x86-64 backend leaves every executed instruction and its metadata alone,
+//! which is why no other test runs an x86-64 configuration.
 
-use engine::pipeline::{compile_function, CompileTier};
+use engine::pipeline::{compile_function, eager_tier, CompileTier};
 use engine::{CodeBackend, Engine, EngineConfig, Imports, Instrumentation};
 use machine::masm::reemit;
 use machine::values::WasmValue;
@@ -209,6 +212,57 @@ fn backends_agree_under_probes_and_tag_strategies() {
     ] {
         assert_eq!(compare_backends(&module, baseline(options, &probes)), 1);
     }
+}
+
+/// Why no test needs to *execute* an x86-64 configuration: selecting the
+/// backend changes nothing the engine runs. For every function of the three
+/// suites, in the baseline tier plain and metered, the optimizing tier, and
+/// the optimizing tier with metering and OSR entries, the pipeline's
+/// artifact under [`CodeBackend::X64`] carries exactly the virtual code and
+/// engine metadata of the [`CodeBackend::VirtualIsa`] one; only the measured
+/// size and the re-emitted bytes differ. This is what lets the shared configuration
+/// matrix (`conform::runner::all_configs`) hold no x86-64 rows, and it fails
+/// the day a compile starts depending on the backend.
+#[test]
+fn the_backend_changes_no_executed_instruction() {
+    let configs = [
+        EngineConfig::baseline("spc", CompilerOptions::allopt()),
+        EngineConfig::baseline("spc-metered", CompilerOptions::allopt()).with_metering(),
+        EngineConfig::optimizing("opt"),
+        EngineConfig::optimizing("opt-metered-osr").with_metering().with_osr(0),
+    ];
+    let probes = ProbeSites::none();
+    let mut compared = 0;
+    for config in configs {
+        let tier = eager_tier(&config);
+        let x64_config = config.clone().with_backend(CodeBackend::X64);
+        for suite in all_suites(Scale::Test) {
+            for item in &suite.items {
+                let (module, item_name) = (&item.module, format!("{}/{}", suite.name, item.name));
+                let info = validate(module).expect("module validates");
+                for defined in 0..module.funcs.len() as u32 {
+                    let func_index = module.defined_to_func_index(defined);
+                    let finfo = &info.funcs[defined as usize];
+                    let compile = |config| {
+                        compile_function(config, tier, module, func_index, finfo, &probes, None)
+                            .expect("suite functions compile")
+                            .function
+                    };
+                    let (virt, x64) = (compile(&config), compile(&x64_config));
+                    let at = format!("{}: {item_name} function {func_index}", config.name);
+                    assert_eq!(virt.code, x64.code, "{at}: code");
+                    assert_eq!(virt.stackmaps, x64.stackmaps, "{at}: stackmaps");
+                    assert_eq!(virt.call_sites, x64.call_sites, "{at}: call sites");
+                    assert_eq!(virt.probe_sites, x64.probe_sites, "{at}: probe sites");
+                    assert_eq!(virt.osr_entries, x64.osr_entries, "{at}: OSR entries");
+                    assert_eq!(virt.frame_slots, x64.frame_slots, "{at}: frame slots");
+                    assert_eq!(virt.stats, x64.stats, "{at}: stats");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared >= 4 * 78, "every line item has at least its entry function");
 }
 
 #[test]

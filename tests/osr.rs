@@ -11,9 +11,9 @@
 
 mod common;
 
-use common::{all_tier_backend_configs, run_export, run_export_fueled};
+use common::{run_export, run_export_fueled};
+use conform::runner::all_configs;
 use engine::{CompileTier, Engine, EngineConfig, Imports, Instrumentation};
-use machine::masm::CodeBackend;
 use machine::values::WasmValue;
 use spc::CompilerOptions;
 use telemetry::{EventKind, Telemetry};
@@ -103,71 +103,50 @@ fn reference_checksum(module: &Module, n: i32) -> Vec<WasmValue> {
     .expect("reference run completes")
 }
 
+/// Calls `hot(200_000)` once under `config` with OSR at the first back edge:
+/// the one activation must return the interpreter's checksum, and must have
+/// reached the optimizing tier (compiled and executed) within that call.
+fn assert_one_call_osrs_into_optimized_code(config: EngineConfig) {
+    let module = hot_loop_module();
+    let expected = reference_checksum(&module, 200_000);
+    let engine = Engine::new(config.with_osr(0));
+    let mut instance = engine
+        .instantiate(&module, Imports::new(), Instrumentation::none())
+        .expect("module instantiates");
+    let results = engine
+        .call_export(&mut instance, "hot", &[WasmValue::I32(200_000)])
+        .expect("hot loop completes");
+    assert_eq!(results, expected, "OSR changed the checksum");
+    assert_eq!(
+        instance.artifact().opt_compiled_count(),
+        1,
+        "the hot loop was not opt-compiled within one call"
+    );
+    assert!(instance.artifact().artifact_for(0, CompileTier::Opt).is_some());
+    assert!(
+        instance.metrics.opt_exec_cycles > 0,
+        "the activation never executed optimizing-tier code"
+    );
+}
+
 /// A single long-running call under a tiered config whose *call* threshold
 /// is unreachable must still reach the optimizing tier: the back-edge
 /// counter fires, the opt artifact is compiled, and the live interpreter
 /// frame is replaced mid-loop.
 #[test]
 fn osr_promotes_a_single_hot_call_from_the_interpreter() {
-    let module = hot_loop_module();
-    let expected = reference_checksum(&module, 200_000);
-    for backend in [CodeBackend::VirtualIsa, CodeBackend::X64] {
-        let config = EngineConfig::tiered("osr-int", u32::MAX, CompilerOptions::allopt())
-            .with_backend(backend)
-            .with_osr(0);
-        let engine = Engine::new(config);
-        let mut instance = engine
-            .instantiate(&module, Imports::new(), Instrumentation::none())
-            .expect("module instantiates");
-        let results = engine
-            .call_export(&mut instance, "hot", &[WasmValue::I32(200_000)])
-            .expect("hot loop completes");
-        assert_eq!(results, expected, "{backend:?}: OSR changed the checksum");
-        assert_eq!(
-            instance.artifact().opt_compiled_count(),
-            1,
-            "{backend:?}: the hot loop was not opt-compiled within one call"
-        );
-        assert!(
-            instance.metrics.opt_exec_cycles > 0,
-            "{backend:?}: the activation never executed optimizing-tier code"
-        );
-    }
+    let config = EngineConfig::tiered("osr-int", u32::MAX, CompilerOptions::allopt());
+    assert_one_call_osrs_into_optimized_code(config);
 }
 
 /// OSR also replaces *baseline* frames: under an eager baseline-only config
 /// with OSR enabled, the loop starts in single-pass code and ends in the
-/// optimizing tier, mid-activation.
+/// optimizing tier, mid-activation (reached by OSR, not by call-count
+/// promotion).
 #[test]
 fn osr_promotes_a_hot_call_out_of_baseline_code() {
-    let module = hot_loop_module();
-    let expected = reference_checksum(&module, 200_000);
-    for backend in [CodeBackend::VirtualIsa, CodeBackend::X64] {
-        let config = EngineConfig::baseline("osr-base", CompilerOptions::allopt())
-            .with_backend(backend)
-            .with_osr(0);
-        let engine = Engine::new(config);
-        let mut instance = engine
-            .instantiate(&module, Imports::new(), Instrumentation::none())
-            .expect("module instantiates");
-        let results = engine
-            .call_export(&mut instance, "hot", &[WasmValue::I32(200_000)])
-            .expect("hot loop completes");
-        assert_eq!(results, expected, "{backend:?}: OSR changed the checksum");
-        assert_eq!(instance.artifact().opt_compiled_count(), 1, "{backend:?}");
-        assert!(
-            instance.metrics.opt_exec_cycles > 0,
-            "{backend:?}: baseline frame was never replaced"
-        );
-        // The opt artifact was reached by OSR, not by call-count promotion.
-        assert!(
-            instance
-                .artifact()
-                .artifact_for(0, CompileTier::Opt)
-                .is_some(),
-            "{backend:?}"
-        );
-    }
+    let config = EngineConfig::baseline("osr-base", CompilerOptions::allopt());
+    assert_one_call_osrs_into_optimized_code(config);
 }
 
 /// With the threshold set far above the iteration count, the counter never
@@ -191,13 +170,13 @@ fn a_cold_loop_stays_below_the_osr_threshold() {
 }
 
 /// OSR forced at every back edge (threshold 0) must be bit-identical to
-/// never-OSR under *every* tier×backend configuration: same results for the
+/// never-OSR under *every* execution configuration: same results for the
 /// checksum kernel, same `TrapReason` for the trapping kernel.
 #[test]
 fn forced_osr_is_bit_identical_across_the_config_matrix() {
     let hot = hot_loop_module();
     let trapping = trapping_loop_module();
-    for config in all_tier_backend_configs() {
+    for config in all_configs() {
         let name = config.name.clone();
         let base_hot = run_export(config.clone(), &hot, "hot", &[WasmValue::I32(10_000)]);
         let osr_hot = run_export(
@@ -226,7 +205,7 @@ fn forced_osr_is_bit_identical_across_the_config_matrix() {
 #[test]
 fn fuel_accounting_is_identical_with_and_without_osr() {
     let module = hot_loop_module();
-    for config in all_tier_backend_configs() {
+    for config in all_configs() {
         let name = config.name.clone();
         // Plenty of fuel: both runs complete; consumption must match.
         let (base, base_fuel) = run_export_fueled(

@@ -3,7 +3,7 @@
 //! Randomly generated programs must (1) validate, (2) round-trip
 //! encode → decode → WAT-print → WAT-parse → re-encode **byte-identically**,
 //! and (3) produce identical results — including identical traps — under
-//! every tier×backend configuration. The generator's reach is *accounted
+//! every execution configuration. The generator's reach is *accounted
 //! for*: [`generator_registry`] declares the opcodes it can emit, a census
 //! proves the corpus actually emits them, and together with the conformance
 //! crate's exhaustive module the census covers the engine's entire
@@ -482,10 +482,10 @@ proptest! {
             text
         );
 
-        // The whole tier×backend matrix agrees, traps included, and the
+        // The whole execution matrix agrees, traps included, and the
         // re-parsed module behaves identically to the original.
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
-        for config in common::all_tier_backend_configs() {
+        for config in conform::runner::all_configs() {
             let name = config.name.clone();
             let got = run(config, &reparsed, a, b);
             prop_assert_eq!(&got, &reference, "configuration {} diverges", name);
@@ -518,7 +518,7 @@ proptest! {
         if reference.0 == Err(TrapCode::OutOfFuel) {
             prop_assert_eq!(reference.1, budget, "exhaustion consumes the whole budget");
         }
-        for config in common::all_tier_backend_configs() {
+        for config in conform::runner::all_configs() {
             let name = config.name.clone();
             let got = common::run_export_fueled(config, &module, "f", &args, budget);
             prop_assert_eq!(
@@ -592,7 +592,7 @@ proptest! {
         common::assert_lookups_match_reference(&module, "generated loop");
         optc_oracle::check_module(&module, "generated loop");
         let reference = run(EngineConfig::interpreter("int"), &module, a, b);
-        for config in common::all_tier_backend_configs() {
+        for config in conform::runner::all_configs() {
             let name = config.name.clone();
             let got = run(config.with_osr(0), &module, a, b);
             prop_assert_eq!(
@@ -654,7 +654,7 @@ fn exhaustive_module_satisfies_the_fuzz_invariants() {
     assert_eq!(bytes, wasm::encode::encode(&reparsed));
 
     let mut results = Vec::new();
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let r = common::run_export_checksum(config, &reparsed, "main", &[])
             .unwrap_or_else(|e| panic!("[{name}] trap: {e}"));

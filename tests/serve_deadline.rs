@@ -4,11 +4,10 @@
 //! hang, not get killed externally — and it must do so promptly: within the
 //! epoch granularity (plus scheduling slack) of its deadline. The mechanism
 //! is cooperative (the engine checks the epoch at loop back-edges and call
-//! boundaries), so the test drives it across the tier×backend matrix to
+//! boundaries), so the test drives it across the execution matrix to
 //! prove every code path carries the checks. Requests without deadlines, or
 //! with generous ones, must be unaffected.
 
-mod common;
 #[path = "common/json.rs"]
 mod json;
 
@@ -49,12 +48,12 @@ fn quick_module() -> Module {
 }
 
 /// A runaway loop is interrupted within an epoch-granularity bound, in
-/// every tier×backend configuration.
+/// every execution configuration.
 #[test]
 fn runaway_requests_are_interrupted_within_the_granularity_bound() {
     let granularity = Duration::from_millis(2);
     let deadline = Duration::from_millis(20);
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let mut server = Server::new(
             ServerConfig {
@@ -107,8 +106,6 @@ fn runaway_requests_are_interrupted_within_the_granularity_bound() {
             elapsed < deadline + granularity + slack,
             "[{name}] interrupt took {elapsed:?}, way past deadline {deadline:?}"
         );
-        assert_eq!(server.timeouts().expired_count(), 1, "[{name}]");
-        assert_eq!(server.timeouts().pending(), 0, "[{name}]");
     }
 }
 
@@ -150,7 +147,7 @@ fn mixed_batches_only_interrupt_the_runaway() {
         Request::to_app(quick),
         Request::to_app(inc).with_args(vec![WasmValue::I64(41)]),
     ];
-    let results = server.run(requests);
+    let results = server.run(requests.clone());
     assert_eq!(results.len(), 8);
     for (i, expect_ok) in [(0usize, true), (1, false), (2, true), (3, false), (4, true), (6, true)] {
         let r = &results[i];
@@ -179,8 +176,50 @@ fn mixed_batches_only_interrupt_the_runaway() {
     );
     assert_eq!(results[7].status, RequestStatus::Ok(vec![WasmValue::I64(42)]));
     assert!(results[7].warm, "the refused request's instance went back to the pool");
-    assert_eq!(server.timeouts().expired_count(), 2);
-    assert_eq!(server.timeouts().in_time_count(), 2, "undeadlined requests are untracked");
+    // Of the four deadlined requests, two expired and two retired in time.
+    let deadlined = |expired: bool| {
+        let requests = requests.iter().zip(&results);
+        requests.filter(|(q, r)| q.deadline.is_some() && r.deadline_expired == expired).count()
+    };
+    assert_eq!(deadlined(true), 2);
+    assert_eq!(deadlined(false), 2, "undeadlined requests are neither");
+}
+
+/// A budget too long to count in epoch ticks is no deadline at all: a
+/// `Duration::MAX` request on a loop that runs past 5 ms (many 1 ms ticks)
+/// retires `Ok`, not `Interrupted`.
+#[test]
+fn an_unbounded_deadline_never_interrupts() {
+    let mut server = Server::new(
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+        engine::EngineConfig::baseline("spc", spc::CompilerOptions::allopt()).with_metering(),
+    );
+    let countdown = wasm::wat::parse_module(
+        r#"(module (func (export "main") (param i32) (result i32)
+             loop local.get 0 i32.const 1 i32.sub local.tee 0 br_if 0 end local.get 0))"#,
+    )
+    .expect("countdown module parses");
+    let countdown = server.register_app("countdown", "main", countdown).unwrap();
+    // Longer loops until one request has run 5 ms.
+    let mut iterations = 1 << 16;
+    loop {
+        let request = Request::to_app(countdown)
+            .with_args(vec![WasmValue::I32(iterations)])
+            .with_deadline(Duration::MAX);
+        let r = &server.run(vec![request])[0];
+        assert_eq!(
+            r.status,
+            RequestStatus::Ok(vec![WasmValue::I32(0)]),
+            "{iterations} iterations after {:?}",
+            r.service_wall
+        );
+        assert!(!r.deadline_expired);
+        if r.service_wall >= Duration::from_millis(5) {
+            break;
+        }
+        assert!(iterations < 1 << 30, "{iterations} iterations ran under 5 ms");
+        iterations *= 4;
+    }
 }
 
 /// Parses one access-log line and checks it against the `serve::access_log`
@@ -368,7 +407,7 @@ fn the_flight_recorder_captures_structured_access_log_lines() {
 /// pool hands the next request a freshly-armed-free instance.
 #[test]
 fn fuel_budgets_bind_per_request_across_the_matrix() {
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let mut server = Server::new(
             ServerConfig {

@@ -9,7 +9,7 @@
 //! the cost model on purpose re-records them in the same commit and says
 //! why; a change to a loop never does.
 
-use engine::{CodeBackend, Engine, EngineConfig, Imports, Instance, Instrumentation, Telemetry};
+use engine::{Engine, EngineConfig, Imports, Instance, Instrumentation, Telemetry};
 use machine::values::WasmValue;
 use spc::CompilerOptions;
 use suites::Scale;
@@ -129,11 +129,14 @@ fn assert_golden(config: EngineConfig, golden: &[(&str, u64)]) {
     assert_eq!(measured, golden, "simulated cycles moved under `{name}`");
 }
 
+/// The baseline tier's cycles. Both backends run the same virtual code, so
+/// one run pins both: `tests/masm_backends.rs::
+/// the_backend_changes_no_executed_instruction` holds the x86-64 backend's
+/// executed code equal to this one's.
 #[test]
 fn baseline_tier_cycles_are_pinned_on_both_backends() {
     let spc = |name| EngineConfig::baseline(name, CompilerOptions::allopt());
     assert_golden(spc("spc"), &BASELINE);
-    assert_golden(spc("spc-x64").with_backend(CodeBackend::X64), &BASELINE);
 
     // Source maps are compile-time metadata: code compiled without them
     // executes the same cycles and returns the same checksums.
@@ -150,10 +153,11 @@ fn baseline_tier_cycles_are_pinned_on_both_backends() {
     );
 }
 
+/// The optimizing tier's cycles, which pin both backends for the same reason
+/// as [`baseline_tier_cycles_are_pinned_on_both_backends`]'s.
 #[test]
 fn optimizing_tier_cycles_are_pinned_on_both_backends() {
     assert_golden(EngineConfig::optimizing("opt"), &OPTIMIZING);
-    assert_golden(EngineConfig::optimizing("opt-x64").with_backend(CodeBackend::X64), &OPTIMIZING);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! End-to-end tests for the telemetry layer: concurrent cache-counter
-//! accuracy, sampling-profiler attribution across tiers and backends, trace
+//! accuracy, sampling-profiler attribution in every executing tier, trace
 //! coverage of the serving request lifecycle, and the zero-cost contract of
 //! a disabled handle.
 
@@ -8,7 +8,7 @@ mod common;
 mod json;
 
 use common::fib_module;
-use engine::{CodeBackend, CodeCache, Engine, EngineConfig, Imports, Instrumentation, Telemetry};
+use engine::{CodeCache, Engine, EngineConfig, Imports, Instrumentation, Telemetry};
 use machine::values::WasmValue;
 use serve::deadline::EpochTicker;
 use serve::{Request, RequestStatus, Server, ServerConfig};
@@ -132,29 +132,24 @@ fn concurrent_cache_counters_stay_exact() {
     assert!(stats.hits > 0, "warm instantiations actually hit");
 }
 
-#[test]
-fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
-    const HOT_FUNC: u32 = 1;
+/// Calls `main` of `module` until the profiler holds at least 8 samples, in
+/// each of the three executing tiers, and checks that ≥ 90 % of them land on
+/// function `hot` (the `kernel`) and that it tops the profile in the
+/// configuration's tier. A tier's samples are the same on both backends,
+/// because both execute the same code
+/// (`tests/masm_backends.rs::the_backend_changes_no_executed_instruction`).
+fn assert_profiler_attributes(module: &Module, hot: u32, kernel: &str) {
     const MIN_SAMPLES: u64 = 8;
-    let module = hot_loop_module(120_000);
-    let tiers: [(EngineConfig, Tier); 3] = [
+    for (config, expected_tier) in [
         (EngineConfig::interpreter("int"), Tier::Interp),
-        (
-            EngineConfig::baseline("spc", CompilerOptions::allopt()),
-            Tier::Baseline,
-        ),
+        (EngineConfig::baseline("spc", CompilerOptions::allopt()), Tier::Baseline),
         (EngineConfig::optimizing("opt"), Tier::Opt),
-    ];
-    let matrix = tiers.into_iter().flat_map(|(config, tier)| {
-        [CodeBackend::VirtualIsa, CodeBackend::X64]
-            .map(|backend| (config.clone().with_backend(backend), tier, backend))
-    });
-    for (config, expected_tier, backend) in matrix {
-        let name = format!("{}/{backend:?}", config.name);
+    ] {
+        let name = config.name.clone();
         let engine = Engine::new(config.with_metering()).with_telemetry(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
-            .instantiate(&module, Imports::new(), Instrumentation::none())
+            .instantiate(module, Imports::new(), Instrumentation::none())
             .expect("instantiates");
         let profiler = engine.telemetry().profiler().expect("telemetry is enabled");
         let mut calls = 0usize;
@@ -162,7 +157,7 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
             instance.set_fuel(u64::MAX / 2);
             engine
                 .call_export(&mut instance, "main", &[])
-                .expect("hot module runs");
+                .unwrap_or_else(|e| panic!("{name}: {kernel} module traps: {e}"));
             calls += 1;
         }
         drop(ticker);
@@ -171,16 +166,23 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
             total >= MIN_SAMPLES,
             "{name}: only {total} samples after {calls} calls"
         );
-        let share = profiler.share(HOT_FUNC);
+        let share = profiler.share(hot);
         assert!(
             share >= 0.9,
-            "{name}: hot-loop share {:.1}% < 90% over {total} samples",
+            "{name}: {kernel} share {:.1}% < 90% over {total} samples",
             share * 100.0
         );
         let top = profiler.snapshot().into_iter().next().expect("has samples");
-        assert_eq!(top.func, HOT_FUNC, "{name}: top function is the hot loop");
+        assert_eq!(top.func, hot, "{name}: top function is the {kernel}");
         assert_eq!(top.tier, expected_tier, "{name}: samples land in the executing tier");
     }
+}
+
+/// The hot loop's samples, in every executing tier (see
+/// [`assert_profiler_attributes`] for why one backend covers both).
+#[test]
+fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
+    assert_profiler_attributes(&hot_loop_module(120_000), 1, "hot loop");
 }
 
 /// `rec` burns all its time in branchy recursion — no loops anywhere, so
@@ -241,53 +243,7 @@ fn deep_recursion_module(depth: i32) -> Module {
 /// because returns and call boundaries are sample points too.
 #[test]
 fn profiler_attributes_deep_recursion_without_back_edges() {
-    const REC_FUNC: u32 = 1;
-    const MIN_SAMPLES: u64 = 8;
-    let module = deep_recursion_module(21);
-    let tiers: [(EngineConfig, Tier); 3] = [
-        (EngineConfig::interpreter("int"), Tier::Interp),
-        (
-            EngineConfig::baseline("spc", CompilerOptions::allopt()),
-            Tier::Baseline,
-        ),
-        (EngineConfig::optimizing("opt"), Tier::Opt),
-    ];
-    let matrix = tiers.into_iter().flat_map(|(config, tier)| {
-        [CodeBackend::VirtualIsa, CodeBackend::X64]
-            .map(|backend| (config.clone().with_backend(backend), tier, backend))
-    });
-    for (config, expected_tier, backend) in matrix {
-        let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering()).with_telemetry(Telemetry::enabled());
-        let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
-        let mut instance = engine
-            .instantiate(&module, Imports::new(), Instrumentation::none())
-            .expect("instantiates");
-        let profiler = engine.telemetry().profiler().expect("telemetry is enabled");
-        let mut calls = 0usize;
-        while profiler.total_samples() < MIN_SAMPLES && calls < 400 {
-            instance.set_fuel(u64::MAX / 2);
-            engine
-                .call_export(&mut instance, "main", &[])
-                .expect("recursion kernel runs");
-            calls += 1;
-        }
-        drop(ticker);
-        let total = profiler.total_samples();
-        assert!(
-            total >= MIN_SAMPLES,
-            "{name}: only {total} samples after {calls} calls"
-        );
-        let share = profiler.share(REC_FUNC);
-        assert!(
-            share >= 0.9,
-            "{name}: recursive-kernel share {:.1}% < 90% over {total} samples",
-            share * 100.0
-        );
-        let top = profiler.snapshot().into_iter().next().expect("has samples");
-        assert_eq!(top.func, REC_FUNC, "{name}: top function is the recursive kernel");
-        assert_eq!(top.tier, expected_tier, "{name}: samples land in the executing tier");
-    }
+    assert_profiler_attributes(&deep_recursion_module(21), 1, "recursive kernel");
 }
 
 #[test]

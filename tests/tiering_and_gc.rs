@@ -110,7 +110,7 @@ fn wide_frames_grow_the_value_stack_up_to_its_capacity() {
     );
     b.export_func("f", f);
     let module = b.finish();
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         let name = config.name.clone();
         let engine = Engine::new(config);
         let mut instance = engine
@@ -130,7 +130,7 @@ fn wide_frames_grow_the_value_stack_up_to_its_capacity() {
 }
 
 /// Every trap cause surfaces as the same structured [`TrapReason`] from every
-/// tier×backend configuration — the engine result carries the cause, not a
+/// execution configuration — the engine result carries the cause, not a
 /// string to scrape.
 #[test]
 fn trap_reasons_are_structured_and_tier_independent() {
@@ -167,7 +167,7 @@ fn trap_reasons_are_structured_and_tier_independent() {
         ("badconv", TrapReason::InvalidConversionToInteger),
         ("nullcall", TrapReason::NullTableEntry),
     ];
-    for config in common::all_tier_backend_configs() {
+    for config in conform::runner::all_configs() {
         for (export, expected) in cases {
             let err = common::run_export(config.clone(), &module, export, &[])
                 .expect_err("must trap");
