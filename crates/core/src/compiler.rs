@@ -22,7 +22,20 @@
 //! avoidance, and value-tag elision. At control-flow boundaries the abstract
 //! state is flushed to the canonical "everything in its home slot" state —
 //! the "spill the rest" snapshot strategy described in Section III — which
-//! keeps merges O(1) and immune to JIT bombs.
+//! keeps merges O(1) and immune to JIT bombs: a label carries no snapshot,
+//! and because the abstract state lists only the slots that depart from the
+//! canonical state, a flush, a reset or a branch's adaptation costs what the
+//! code since the last boundary cached or dirtied, never the number of
+//! locals. A function with 50 000 locals it never writes compiles its
+//! merges as fast as one with 50.
+//!
+//! The compile loop dispatches once per instruction: every integer
+//! operation, compare, load and store has its own arm with its operation,
+//! width and types as constants, so only float arithmetic and conversions go
+//! through [`classify`]. Folding evaluates with the one
+//! [`OpClass::evaluate`]. Nothing in the loop allocates per instruction:
+//! block signatures are borrowed from the module, and a `br_table` reuses
+//! the previous table's buffers.
 //!
 //! Calls, traps, and probes are *observable points*: live values (and,
 //! depending on the [`TagStrategy`], their tags) are written to the value
@@ -34,19 +47,20 @@ use crate::instrument::{ProbeKind, ProbeSites};
 use crate::options::{CompilerOptions, ProbeMode, TagStrategy};
 use crate::stackmap::{Stackmap, StackmapTable};
 use machine::asm::{Assembler, CodeBuffer};
-use machine::inst::{CmpOp, Label, MachInst, TrapCode, Width};
+use machine::inst::{AluOp, CmpOp, Label, MachInst, TrapCode, UnOp, Width};
 use machine::lower::{classify, OpClass};
 use machine::masm::Masm;
-use machine::reg::AnyReg;
+use machine::reg::{AnyReg, FReg, Reg};
 use machine::values::{ValueTag, NULL_REF_BITS};
-use wasm::fuel::FuelPlan;
-use wasm::module::Module;
-use wasm::opcode::{OpSignature, Opcode};
-use wasm::reader::{BytecodeReader, Imm, Instr};
-use wasm::types::{BlockType, ValueType};
-use wasm::validate::FuncInfo;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use wasm::fuel::FuelPlan;
+use wasm::module::Module;
+use wasm::opcode::Opcode;
+use wasm::reader::{BytecodeReader, Imm, Instr};
+use wasm::types::{BlockType, FuncType, ValueType};
+use wasm::validate::FuncInfo;
 
 /// Information the engine needs about one call site in compiled code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,19 +155,32 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// The single-pass compiler. Cheap to construct; holds only options.
+/// The single-pass compiler. Cheap to construct; holds only options, owned
+/// or borrowed.
 #[derive(Debug, Clone, Default)]
-pub struct SinglePassCompiler {
-    options: CompilerOptions,
+pub struct SinglePassCompiler<'o> {
+    options: Cow<'o, CompilerOptions>,
     metering: bool,
     osr: bool,
 }
 
-impl SinglePassCompiler {
+impl SinglePassCompiler<'static> {
     /// Creates a compiler with the given options.
-    pub fn new(options: CompilerOptions) -> SinglePassCompiler {
+    pub fn new(options: CompilerOptions) -> SinglePassCompiler<'static> {
         SinglePassCompiler {
-            options,
+            options: Cow::Owned(options),
+            metering: false,
+            osr: false,
+        }
+    }
+}
+
+impl<'o> SinglePassCompiler<'o> {
+    /// Creates a compiler that reads `options` in place, for a caller that
+    /// compiles each function with options it already holds.
+    pub fn borrowing(options: &'o CompilerOptions) -> SinglePassCompiler<'o> {
+        SinglePassCompiler {
+            options: Cow::Borrowed(options),
             metering: false,
             osr: false,
         }
@@ -162,7 +189,7 @@ impl SinglePassCompiler {
     /// Enables or disables fuel metering: when on, the compiler bakes
     /// `fuel_check` / `epoch_check` sequences into the code at the offsets of
     /// the function's [`FuelPlan`], mirroring the interpreter's schedule.
-    pub fn with_metering(mut self, metering: bool) -> SinglePassCompiler {
+    pub fn with_metering(mut self, metering: bool) -> SinglePassCompiler<'o> {
         self.metering = metering;
         self
     }
@@ -172,7 +199,7 @@ impl SinglePassCompiler {
     /// the executing CPU can poll the back-edge hotness counter there. Under
     /// metering the existing fused fuel check already polls at those sites,
     /// so only the source mark is added.
-    pub fn with_osr(mut self, osr: bool) -> SinglePassCompiler {
+    pub fn with_osr(mut self, osr: bool) -> SinglePassCompiler<'o> {
         self.osr = osr;
         self
     }
@@ -195,7 +222,8 @@ impl SinglePassCompiler {
         info: &FuncInfo,
         probes: &ProbeSites,
     ) -> Result<CompiledFunction, CompileError> {
-        self.compile_with(Assembler::new(), module, func_index, info, probes)
+        let body_len = module.func_decl(func_index).map_or(0, |decl| decl.code.len());
+        self.compile_with(Assembler::for_body(body_len), module, func_index, info, probes)
     }
 
     /// Compiles one defined function through an arbitrary [`Masm`] backend.
@@ -246,11 +274,21 @@ impl SinglePassCompiler {
             }
         }
 
-        let local_types = module
-            .func_local_types(func_index)
-            .expect("checked above: function has a body");
+        let state = AbstractState::new(
+            &sig.params,
+            &decl.locals,
+            info.max_stack as usize,
+            self.options.multi_register,
+        );
+        let num_locals = state.num_locals();
         // The plan validation wrote, consulted only when something rides it.
         let fuel = (self.metering || self.osr).then_some(&*info.fuel);
+        // The reference-typed locals a stackmap lists at every call.
+        let ref_locals = if self.options.tagging.uses_stackmaps() {
+            (0..num_locals).filter(|&i| state.slot(i).ty.is_reference()).map(|i| i as u32).collect()
+        } else {
+            Vec::new()
+        };
         let mut fc = FuncCompiler {
             module,
             options: &self.options,
@@ -258,12 +296,22 @@ impl SinglePassCompiler {
             fuel,
             metering: self.metering,
             osr: self.osr,
-            num_locals: local_types.len(),
-            num_results: sig.results.len() as u32,
-            results: sig.results.clone(),
+            num_locals,
+            eager_local_tags: matches!(
+                self.options.tagging,
+                TagStrategy::Eager | TagStrategy::EagerLocalsOnly
+            ),
+            eager_operand_tags: matches!(
+                self.options.tagging,
+                TagStrategy::Eager | TagStrategy::EagerOperandsOnly
+            ),
+            results: &sig.results,
+            ref_locals,
             asm: masm,
-            state: AbstractState::new(&local_types, self.options.multi_register),
+            state,
             ctrl: Vec::new(),
+            table_stubs: Vec::new(),
+            table_targets: Vec::new(),
             stackmaps: StackmapTable::default(),
             call_sites: HashMap::new(),
             probe_sites: HashMap::new(),
@@ -287,32 +335,83 @@ impl SinglePassCompiler {
             probe_sites: fc.probe_sites,
             osr_entries: HashMap::new(),
             num_results: sig.results.len() as u32,
-            num_locals: local_types.len() as u32,
-            frame_slots: local_types.len() as u32 + info.max_stack,
+            num_locals: num_locals as u32,
+            frame_slots: num_locals as u32 + info.max_stack,
             stats,
         })
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtrlKind {
-    Func,
-    Block,
-    Loop,
-    If,
-    Else,
+/// An open control construct.
+#[derive(Debug, Clone, Copy)]
+struct CtrlFrame<'a> {
+    end_label: Label,
+    /// The label the `if` jumps to when its condition is false, until the
+    /// `else` (or `end`) binds it.
+    else_label: Option<Label>,
+    /// Where a branch to this construct goes: the loop head, or the end.
+    branch_label: Label,
+    /// How many values such a branch carries: the loop's parameters, or the
+    /// construct's results.
+    branch_arity: usize,
+    label_base: usize,
+    params: &'a [ValueType],
+    results: &'a [ValueType],
+    unreachable: bool,
 }
 
-#[derive(Debug, Clone)]
-struct CtrlFrame {
-    kind: CtrlKind,
-    end_label: Label,
-    else_label: Option<Label>,
-    start_label: Option<Label>,
-    label_base: usize,
-    params: Vec<ValueType>,
-    results: Vec<ValueType>,
-    unreachable: bool,
+/// A one-element block signature, borrowed for the whole compile.
+fn single(ty: ValueType) -> &'static [ValueType] {
+    match ty {
+        ValueType::I32 => &[ValueType::I32],
+        ValueType::I64 => &[ValueType::I64],
+        ValueType::F32 => &[ValueType::F32],
+        ValueType::F64 => &[ValueType::F64],
+        ValueType::FuncRef => &[ValueType::FuncRef],
+        ValueType::ExternRef => &[ValueType::ExternRef],
+    }
+}
+
+/// The integer type of an operation width.
+fn int_type(width: Width) -> ValueType {
+    match width {
+        Width::W32 => ValueType::I32,
+        Width::W64 => ValueType::I64,
+    }
+}
+
+/// Emits the store that puts a value held in `loc` into home slot `slot`
+/// (nothing for a value already in memory).
+fn store_to_slot<M: Masm>(asm: &mut M, slot: u32, loc: Loc) {
+    match loc {
+        Loc::Const(c) => {
+            asm.emit(MachInst::StoreSlotImm { slot, imm: c as i64 });
+        }
+        Loc::Reg(src) => {
+            asm.emit(MachInst::StoreSlot { slot, src });
+        }
+        Loc::Memory => {}
+    }
+}
+
+/// What a call instruction calls.
+enum Callee {
+    /// A function by index.
+    Direct(u32),
+    /// The table entry at the index on top of the stack, checked against a
+    /// signature.
+    Indirect { type_index: u32, table_index: u32 },
+}
+
+/// Where the registers of an integer binary operation come from, once
+/// folding and immediate selection have had their say.
+enum IntOperands {
+    /// Folded to a constant, which is already pushed.
+    Folded,
+    /// `dst = a op imm`.
+    Imm { dst: Reg, a: Reg, imm: i64 },
+    /// `dst = a op b`.
+    Regs { dst: Reg, a: Reg, b: Reg },
 }
 
 struct FuncCompiler<'a, M: Masm> {
@@ -323,11 +422,18 @@ struct FuncCompiler<'a, M: Masm> {
     metering: bool,
     osr: bool,
     num_locals: usize,
-    num_results: u32,
-    results: Vec<ValueType>,
+    /// Whether a write to a local, or to an operand, stores its tag at once.
+    eager_local_tags: bool,
+    eager_operand_tags: bool,
+    results: &'a [ValueType],
+    ref_locals: Vec<u32>,
     asm: M,
     state: AbstractState,
-    ctrl: Vec<CtrlFrame>,
+    ctrl: Vec<CtrlFrame<'a>>,
+    /// A `br_table`'s stubs and targets, kept across tables so that each one
+    /// reuses the last one's buffers.
+    table_stubs: Vec<Label>,
+    table_targets: Vec<(Label, usize, usize)>,
     stackmaps: StackmapTable,
     call_sites: HashMap<usize, CallSiteInfo>,
     probe_sites: HashMap<usize, JitProbeSite>,
@@ -346,30 +452,38 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         self.ctrl.last().map(|f| f.unreachable).unwrap_or(false)
     }
 
+    /// The compile loop: one decoded instruction at a time, in order.
     fn compile_body(&mut self, code: &[u8]) -> Result<(), CompileError> {
         let func_end = self.asm.new_label();
         self.ctrl.push(CtrlFrame {
-            kind: CtrlKind::Func,
             end_label: func_end,
             else_label: None,
-            start_label: None,
+            branch_label: func_end,
+            branch_arity: self.results.len(),
             label_base: 0,
-            params: Vec::new(),
-            results: self.results.clone(),
+            params: &[],
+            results: self.results,
             unreachable: false,
         });
 
+        let probed = !self.probes.is_empty();
         let mut reader = BytecodeReader::new(code);
         while !self.ctrl.is_empty() {
             let offset = reader.pc();
             let instr = match reader.next() {
-                Some(instr) => instr.map_err(|e| self.error(offset, e.to_string()))?,
+                Some(Ok(instr)) => instr,
+                Some(Err(e)) => return Err(self.error(offset, e.to_string())),
                 None => return Err(self.error(offset, "body ended with open control constructs")),
             };
             if self.options.debug_metadata {
                 self.asm.mark_source(offset as u32);
             }
-            if !self.unreachable_now() {
+            if self.unreachable_now() {
+                // In unreachable code only track control nesting.
+                if matches!(instr.op, Opcode::Block | Opcode::Loop | Opcode::If | Opcode::Else | Opcode::End) {
+                    self.compile_instruction(instr)?;
+                }
+            } else {
                 // Metering first, probes second: the same order every tier
                 // uses, so a fuel trap fires before a probe at the same site.
                 // One fused check per site: the loop-head epoch poll rides
@@ -394,11 +508,13 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                     // OSR poll.
                     self.asm.emit(MachInst::EpochCheck);
                 }
-                if let Some(site) = self.probes.get(offset as u32) {
-                    self.emit_probe(*site, offset as u32);
+                if probed {
+                    if let Some(site) = self.probes.get(offset as u32) {
+                        self.emit_probe(*site, offset as u32);
+                    }
                 }
+                self.compile_instruction(instr)?;
             }
-            self.compile_instruction(instr)?;
         }
         if !reader.is_at_end() {
             return Err(self.error(reader.pc(), "trailing bytes after final end"));
@@ -408,53 +524,25 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
 
     // ---- Code-generation helpers -------------------------------------------
 
-    fn tag_of(&self, ty: ValueType) -> ValueTag {
-        ValueTag::for_type(ty)
-    }
-
     fn emit_tag(&mut self, slot: usize) {
-        let tag = self.tag_of(self.state.slot(slot).ty);
+        let tag = ValueTag::for_type(self.state.slot(slot).ty);
         self.asm.emit(MachInst::StoreTag { slot: slot as u32, tag });
         self.state.set_tag_in_memory(slot, true);
         self.stats.tag_stores += 1;
     }
 
     fn eager_tag_on_write(&mut self, slot: usize) {
-        let is_local = slot < self.num_locals;
-        let emit = match self.options.tagging {
-            TagStrategy::Eager => true,
-            TagStrategy::EagerOperandsOnly => !is_local,
-            TagStrategy::EagerLocalsOnly => is_local,
-            _ => false,
-        };
-        if emit {
+        let eager = if slot < self.num_locals { self.eager_local_tags } else { self.eager_operand_tags };
+        if eager {
             self.emit_tag(slot);
         }
     }
 
-    /// Emits a store of `slot`'s current value into its home memory slot if
-    /// it is not already there, leaving its location unchanged.
-    fn materialize_to_memory(&mut self, slot: usize) {
-        let s = *self.state.slot(slot);
-        if s.in_memory {
-            return;
-        }
-        match s.loc {
-            Loc::Const(c) => {
-                self.asm.emit(MachInst::StoreSlotImm { slot: slot as u32, imm: c as i64 });
-            }
-            Loc::Reg(r) => {
-                self.asm.emit(MachInst::StoreSlot { slot: slot as u32, src: r });
-            }
-            Loc::Memory => {}
-        }
-        self.state.mark_in_memory(slot);
-    }
-
+    /// Stores every value whose home slot is stale, leaving locations
+    /// unchanged.
     fn flush_values(&mut self) {
-        for slot in 0..self.state.len() {
-            self.materialize_to_memory(slot);
-        }
+        let asm = &mut self.asm;
+        self.state.flush(|slot, loc| store_to_slot(asm, slot as u32, loc));
     }
 
     /// Flush at a control-flow boundary: values go to memory and the state
@@ -479,92 +567,150 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
     /// reference slots for a stackmap when that strategy is in use.
     fn flush_for_observation(&mut self) -> Option<Vec<u32>> {
         self.flush_values();
-        match self.options.tagging {
-            TagStrategy::None => None,
+        let locals = match self.options.tagging {
+            TagStrategy::None => return None,
             TagStrategy::Stackmaps => {
-                let refs = self
-                    .state
-                    .iter()
-                    .filter(|(_, s)| s.ty.is_reference())
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                Some(refs)
+                let operands = (self.num_locals..self.state.len())
+                    .filter(|&slot| self.state.slot(slot).ty.is_reference())
+                    .map(|slot| slot as u32);
+                return Some(self.ref_locals.iter().copied().chain(operands).collect());
             }
-            TagStrategy::Lazy => {
-                for slot in self.num_locals..self.state.len() {
-                    if !self.state.slot(slot).tag_in_memory {
-                        self.emit_tag(slot);
-                    }
-                }
-                None
-            }
-            _ => {
-                for slot in 0..self.state.len() {
-                    if !self.state.slot(slot).tag_in_memory {
-                        self.emit_tag(slot);
-                    }
-                }
-                None
-            }
-        }
+            // The stack walker reconstructs locals' tags from the
+            // declarations.
+            TagStrategy::Lazy => false,
+            _ => true,
+        };
+        let (asm, stats) = (&mut self.asm, &mut self.stats);
+        self.state.store_tags(locals, |slot, ty| {
+            asm.emit(MachInst::StoreTag { slot: slot as u32, tag: ValueTag::for_type(ty) });
+            stats.tag_stores += 1;
+        });
+        None
     }
 
     fn spill_reg(&mut self, reg: AnyReg) {
-        let slots = self.state.slots_in_reg(reg).to_vec();
-        for slot in slots {
-            if !self.state.slot(slot as usize).in_memory {
-                self.asm.emit(MachInst::StoreSlot { slot, src: reg });
-                self.state.mark_in_memory(slot as usize);
-                self.stats.spills += 1;
-            }
-        }
-        self.state.clear_reg(reg);
+        let (asm, stats) = (&mut self.asm, &mut self.stats);
+        self.state.spill(reg, |slot| {
+            asm.emit(MachInst::StoreSlot { slot: slot as u32, src: reg });
+            stats.spills += 1;
+        });
     }
 
-    fn alloc_reg(&mut self, float: bool, pinned: &[AnyReg]) -> AnyReg {
-        if let Some(r) = self.state.free_reg(float) {
+    /// A free GPR, evicting one not in `pinned` if none is free.
+    fn alloc_gpr(&mut self, pinned: &[AnyReg]) -> Reg {
+        if let Some(r) = self.state.free_gpr() {
             return r;
         }
         loop {
-            let victim = self.state.evict_candidate(float);
-            if pinned.contains(&victim) {
-                continue;
+            let victim = self.state.evict_gpr();
+            if !pinned.contains(&AnyReg::Gpr(victim)) {
+                self.spill_reg(AnyReg::Gpr(victim));
+                return victim;
             }
-            self.spill_reg(victim);
-            return victim;
         }
     }
 
-    /// Ensures the value of `slot` is in a register and returns it.
-    fn ensure_in_reg(&mut self, slot: usize, pinned: &[AnyReg]) -> AnyReg {
-        let s = *self.state.slot(slot);
-        match s.loc {
-            Loc::Reg(r) => r,
+    /// A free FPR, evicting one not in `pinned` if none is free.
+    fn alloc_fpr(&mut self, pinned: &[AnyReg]) -> FReg {
+        if let Some(r) = self.state.free_fpr() {
+            return r;
+        }
+        loop {
+            let victim = self.state.evict_fpr();
+            if !pinned.contains(&AnyReg::Fpr(victim)) {
+                self.spill_reg(AnyReg::Fpr(victim));
+                return victim;
+            }
+        }
+    }
+
+    fn alloc_reg(&mut self, float: bool, pinned: &[AnyReg]) -> AnyReg {
+        if float {
+            AnyReg::Fpr(self.alloc_fpr(pinned))
+        } else {
+            AnyReg::Gpr(self.alloc_gpr(pinned))
+        }
+    }
+
+    /// Ensures the value of an integer or reference slot is in a GPR and
+    /// returns it. A slot's register bank follows its type, so such a slot
+    /// is never cached in an FPR.
+    fn ensure_gpr(&mut self, slot: usize, pinned: &[AnyReg]) -> Reg {
+        let loc = self.state.slot(slot).loc();
+        if let Loc::Reg(AnyReg::Gpr(r)) = loc {
+            return r;
+        }
+        let in_memory = self.state.slot(slot).in_memory;
+        let tagged = self.state.tag_in_memory(slot);
+        match loc {
             Loc::Const(c) => {
-                let float = s.ty.is_float();
-                let r = self.alloc_reg(float, pinned);
-                match r {
-                    AnyReg::Gpr(g) => {
-                        self.asm.emit(MachInst::MovImm { dst: g, imm: c as i64 });
-                    }
-                    AnyReg::Fpr(f) => {
-                        self.asm.emit(MachInst::FMovImm { dst: f, bits: c });
-                    }
-                }
-                self.state
-                    .set_slot(slot, Loc::Reg(r), s.in_memory, s.tag_in_memory);
+                let r = self.alloc_gpr(pinned);
+                self.asm.emit(MachInst::MovImm { dst: r, imm: c as i64 });
+                self.state.set_slot(slot, Loc::Reg(AnyReg::Gpr(r)), in_memory, tagged);
                 r
             }
-            Loc::Memory => {
-                let float = s.ty.is_float();
-                let r = self.alloc_reg(float, pinned);
-                self.asm.emit(MachInst::LoadSlot { dst: r, slot: slot as u32 });
-                self.state.set_slot(slot, Loc::Reg(r), true, s.tag_in_memory);
+            _ => {
+                debug_assert_eq!(loc, Loc::Memory, "an integer slot in an FPR");
+                let r = self.alloc_gpr(pinned);
+                self.asm.emit(MachInst::LoadSlot { dst: AnyReg::Gpr(r), slot: slot as u32 });
+                self.state.set_slot(slot, Loc::Reg(AnyReg::Gpr(r)), true, tagged);
                 r
             }
         }
     }
 
+    /// Ensures the value of a float slot is in an FPR and returns it.
+    fn ensure_fpr(&mut self, slot: usize, pinned: &[AnyReg]) -> FReg {
+        let loc = self.state.slot(slot).loc();
+        if let Loc::Reg(AnyReg::Fpr(f)) = loc {
+            return f;
+        }
+        let in_memory = self.state.slot(slot).in_memory;
+        let tagged = self.state.tag_in_memory(slot);
+        match loc {
+            Loc::Const(bits) => {
+                let f = self.alloc_fpr(pinned);
+                self.asm.emit(MachInst::FMovImm { dst: f, bits });
+                self.state.set_slot(slot, Loc::Reg(AnyReg::Fpr(f)), in_memory, tagged);
+                f
+            }
+            _ => {
+                debug_assert_eq!(loc, Loc::Memory, "a float slot in a GPR");
+                let f = self.alloc_fpr(pinned);
+                self.asm.emit(MachInst::LoadSlot { dst: AnyReg::Fpr(f), slot: slot as u32 });
+                self.state.set_slot(slot, Loc::Reg(AnyReg::Fpr(f)), true, tagged);
+                f
+            }
+        }
+    }
+
+    /// Ensures the value of `slot` is in a register of its type's bank and
+    /// returns it.
+    fn ensure_in_reg(&mut self, slot: usize, pinned: &[AnyReg]) -> AnyReg {
+        if self.state.slot(slot).ty.is_float() {
+            AnyReg::Fpr(self.ensure_fpr(slot, pinned))
+        } else {
+            AnyReg::Gpr(self.ensure_gpr(slot, pinned))
+        }
+    }
+
+    /// Copies `src` into a newly allocated register of the same bank.
+    fn copy_to_new_reg(&mut self, src: AnyReg) -> AnyReg {
+        match src {
+            AnyReg::Gpr(src) => {
+                let dst = self.alloc_gpr(&[AnyReg::Gpr(src)]);
+                self.asm.emit(MachInst::Mov { dst, src });
+                AnyReg::Gpr(dst)
+            }
+            AnyReg::Fpr(src) => {
+                let dst = self.alloc_fpr(&[AnyReg::Fpr(src)]);
+                self.asm.emit(MachInst::FMov { dst, src });
+                AnyReg::Fpr(dst)
+            }
+        }
+    }
+
+    #[inline(always)]
     fn push_result(&mut self, ty: ValueType, loc: Loc) {
         let slot = self.state.push(ty, loc);
         self.eager_tag_on_write(slot);
@@ -576,10 +722,19 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         &self,
         offset: usize,
         bt: BlockType,
-    ) -> Result<(Vec<ValueType>, Vec<ValueType>), CompileError> {
-        let (params, results) = bt
-            .resolve(&self.module.types)
-            .ok_or_else(|| self.error(offset, "bad block type"))?;
+    ) -> Result<(&'a [ValueType], &'a [ValueType]), CompileError> {
+        let module = self.module;
+        let (params, results): (&'a [ValueType], &'a [ValueType]) = match bt {
+            BlockType::Empty => (&[], &[]),
+            BlockType::Value(ty) => (&[], single(ty)),
+            BlockType::Func(index) => {
+                let ty = module
+                    .types
+                    .get(index as usize)
+                    .ok_or_else(|| self.error(offset, "bad block type"))?;
+                (&ty.params, &ty.results)
+            }
+        };
         if !self.options.multi_value && (results.len() > 1 || !params.is_empty()) {
             return Err(self.error(
                 offset,
@@ -589,33 +744,21 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         Ok((params, results))
     }
 
-    fn branch_target(&self, depth: u32) -> Option<(Label, usize, usize)> {
-        let len = self.ctrl.len();
-        if depth as usize >= len {
-            return None;
-        }
-        let frame = &self.ctrl[len - 1 - depth as usize];
-        if frame.kind == CtrlKind::Loop {
-            Some((
-                frame.start_label.expect("loop has a start label"),
-                frame.label_base,
-                frame.params.len(),
-            ))
-        } else {
-            Some((frame.end_label, frame.label_base, frame.results.len()))
-        }
-    }
-
-    fn dirty_locals(&self) -> Vec<usize> {
-        (0..self.num_locals)
-            .filter(|&i| !self.state.slot(i).in_memory)
-            .collect()
+    /// The label, label base and arity of a branch `depth` constructs out.
+    fn branch_target(&self, offset: usize, depth: u32) -> Result<(Label, usize, usize), CompileError> {
+        let frame = self
+            .ctrl
+            .len()
+            .checked_sub(1 + depth as usize)
+            .map(|index| &self.ctrl[index])
+            .ok_or_else(|| self.error(offset, "bad branch depth"))?;
+        Ok((frame.branch_label, frame.label_base, frame.branch_arity))
     }
 
     /// True if jumping directly to a label with the current state would be
     /// wrong (values not in their expected home slots).
     fn needs_branch_adaptation(&self, label_base: usize, arity: usize) -> bool {
-        if !self.dirty_locals().is_empty() {
+        if self.state.dirty_locals().next().is_some() {
             return true;
         }
         let height = self.state.height();
@@ -635,30 +778,14 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
     /// Does not modify the abstract state, so it is safe to emit on a
     /// conditional side path.
     fn emit_branch_adaptation(&mut self, label_base: usize, arity: usize) {
-        for local in self.dirty_locals() {
-            let s = *self.state.slot(local);
-            match s.loc {
-                Loc::Const(c) => {
-                    self.asm.emit(MachInst::StoreSlotImm { slot: local as u32, imm: c as i64 });
-                }
-                Loc::Reg(r) => {
-                    self.asm.emit(MachInst::StoreSlot { slot: local as u32, src: r });
-                }
-                Loc::Memory => {}
-            }
+        for (local, loc) in self.state.dirty_locals() {
+            store_to_slot(&mut self.asm, local as u32, loc);
         }
         let height = self.state.height();
         for i in 0..arity {
             let src = self.num_locals + height - arity + i;
             let dst = (self.num_locals + label_base + i) as u32;
-            let s = *self.state.slot(src);
-            match s.loc {
-                Loc::Const(c) => {
-                    self.asm.emit(MachInst::StoreSlotImm { slot: dst, imm: c as i64 });
-                }
-                Loc::Reg(r) => {
-                    self.asm.emit(MachInst::StoreSlot { slot: dst, src: r });
-                }
+            match self.state.slot(src).loc() {
                 Loc::Memory => {
                     if src as u32 != dst {
                         let scratch = AnyReg::Gpr(SCRATCH_GPR);
@@ -666,8 +793,18 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                         self.asm.emit(MachInst::StoreSlot { slot: dst, src: scratch });
                     }
                 }
+                loc => store_to_slot(&mut self.asm, dst, loc),
             }
         }
+    }
+
+    /// A branch that is always taken: adapt, jump, and the rest is dead.
+    fn emit_branch(&mut self, offset: usize, depth: u32) -> Result<(), CompileError> {
+        let (label, base, arity) = self.branch_target(offset, depth)?;
+        self.emit_branch_adaptation(base, arity);
+        self.asm.emit(MachInst::Jump { target: label });
+        self.mark_unreachable();
+        Ok(())
     }
 
     fn mark_unreachable(&mut self) {
@@ -679,27 +816,21 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
     }
 
     fn emit_return(&mut self) {
-        let arity = self.num_results as usize;
+        let arity = self.results.len();
         let height = self.state.height();
         for i in 0..arity {
             let src = self.num_locals + height - arity + i;
             let dst = i as u32;
-            let s = *self.state.slot(src);
-            match s.loc {
-                Loc::Const(c) => {
-                    self.asm.emit(MachInst::StoreSlotImm { slot: dst, imm: c as i64 });
-                }
-                Loc::Reg(r) => {
-                    self.asm.emit(MachInst::StoreSlot { slot: dst, src: r });
-                }
+            match self.state.slot(src).loc() {
                 Loc::Memory => {
                     let scratch = AnyReg::Gpr(SCRATCH_GPR);
                     self.asm.emit(MachInst::LoadSlot { dst: scratch, slot: src as u32 });
                     self.asm.emit(MachInst::StoreSlot { slot: dst, src: scratch });
                 }
+                loc => store_to_slot(&mut self.asm, dst, loc),
             }
             if self.options.tagging.uses_tags() {
-                let tag = self.tag_of(self.results[i]);
+                let tag = ValueTag::for_type(self.results[i]);
                 self.asm.emit(MachInst::StoreTag { slot: dst, tag });
                 self.stats.tag_stores += 1;
             }
@@ -739,290 +870,113 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
 
     // ---- Instruction compilation --------------------------------------------
 
+    /// One instruction, dispatched once on its opcode: every integer
+    /// operation, load and store has an arm of its own with its operation,
+    /// width and types as constants. Float arithmetic and conversions share
+    /// the last arm, which classifies them.
+    ///
+    /// Inlined into the compile loop by force, for the reason
+    /// `BytecodeReader::next` is: passed by reference, the decoded `Imm` is
+    /// read back with loads that stall on the stores that just wrote it.
+    #[inline(always)]
     fn compile_instruction(&mut self, instr: Instr<'_>) -> Result<(), CompileError> {
         let Instr { offset, op, imm, .. } = instr;
-        // In unreachable code only track control nesting.
-        if self.unreachable_now()
-            && !matches!(op, Opcode::Block | Opcode::Loop | Opcode::If | Opcode::Else | Opcode::End)
-        {
-            return Ok(());
+
+        macro_rules! alu {
+            ($op:ident, $width:ident) => {
+                self.compile_alu(AluOp::$op, Width::$width)
+            };
+        }
+        macro_rules! cmp {
+            ($op:ident, $width:ident) => {
+                self.compile_cmp(CmpOp::$op, Width::$width)
+            };
+        }
+        macro_rules! unop {
+            ($op:ident, $width:ident) => {
+                self.compile_unop(UnOp::$op, Width::$width)
+            };
+        }
+        macro_rules! load {
+            ($memarg:expr, $result:ident, $width:literal, $signed:literal) => {
+                self.compile_load(ValueType::$result, $width, $signed, $memarg.offset)
+            };
+        }
+        macro_rules! store {
+            ($memarg:expr, $width:literal) => {
+                self.compile_store($width, $memarg.offset)
+            };
         }
 
-        match (op, imm) {
+        // Matching on a reference leaves the immediates where the decoder
+        // put them; moved into a tuple they are re-packed through the stack.
+        match (op, &imm) {
             (Opcode::Nop, _) => {}
             (Opcode::Unreachable, _) => {
                 self.asm.emit(MachInst::Trap { code: TrapCode::Unreachable });
                 self.mark_unreachable();
             }
-            (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
-                let (params, results) = self.block_signature(offset, bt)?;
-                let dead = self.unreachable_now();
-
-                let mut cond_reg = None;
-                if op == Opcode::If && !dead {
-                    let cond = self.state.operand_index(0);
-                    cond_reg = Some(self.ensure_in_reg(cond, &[]));
-                    self.state.pop();
-                }
-                if !dead {
-                    self.flush_for_control();
-                }
-                let label_base = if dead {
-                    self.ctrl.last().map(|f| f.label_base).unwrap_or(0)
-                } else {
-                    self.state.height() - params.len()
-                };
-                let end_label = self.asm.new_label();
-                let (start_label, else_label) = match op {
-                    Opcode::Loop => (Some(self.asm.new_bound_label()), None),
-                    Opcode::If => {
-                        let else_label = self.asm.new_label();
-                        if let Some(rc) = cond_reg {
-                            self.asm.emit(MachInst::BrIf {
-                                cond: rc.as_gpr().expect("condition is an integer"),
-                                target: else_label,
-                                negate: true,
-                            });
-                        }
-                        (None, Some(else_label))
-                    }
-                    _ => (None, None),
-                };
-                self.ctrl.push(CtrlFrame {
-                    kind: match op {
-                        Opcode::Block => CtrlKind::Block,
-                        Opcode::Loop => CtrlKind::Loop,
-                        _ => CtrlKind::If,
-                    },
-                    end_label,
-                    else_label,
-                    start_label,
-                    label_base,
-                    params,
-                    results,
-                    unreachable: dead,
-                });
+            (Opcode::Block | Opcode::Loop | Opcode::If, &Imm::Block(bt)) => {
+                self.compile_block(offset, op, bt)?;
             }
-            (Opcode::Else, _) => {
-                let was_reachable = !self.unreachable_now();
-                if was_reachable {
-                    self.flush_for_control();
-                } else {
-                    self.forget_dead_path();
-                }
-                let frame = self.ctrl.last_mut().expect("else inside an if");
-                if was_reachable {
-                    let end = frame.end_label;
-                    self.asm.emit(MachInst::Jump { target: end });
-                }
-                let frame = self.ctrl.last_mut().expect("else inside an if");
-                if let Some(else_label) = frame.else_label.take() {
-                    self.asm.bind(else_label);
-                }
-                frame.kind = CtrlKind::Else;
-                // The else branch starts from the state captured at the `if`:
-                // canonical memory with the params on the operand stack.
-                let (label_base, params, parent_dead) = {
-                    let len = self.ctrl.len();
-                    let frame = &self.ctrl[len - 1];
-                    let parent_dead = len >= 2 && self.ctrl[len - 2].unreachable;
-                    (frame.label_base, frame.params.clone(), parent_dead)
-                };
-                if !parent_dead {
-                    self.state.truncate_operands(label_base);
-                    for ty in params {
-                        self.state.push(ty, Loc::Memory);
-                    }
-                    self.ctrl.last_mut().expect("else").unreachable = false;
-                } else {
-                    self.ctrl.last_mut().expect("else").unreachable = true;
-                }
-            }
-            (Opcode::End, _) => {
-                let was_reachable = !self.unreachable_now();
-                if was_reachable {
-                    self.flush_for_control();
-                } else {
-                    self.forget_dead_path();
-                }
-                let frame = self.ctrl.pop().expect("end matches a construct");
-                if let Some(else_label) = frame.else_label {
-                    self.asm.bind(else_label);
-                }
-                self.asm.bind(frame.end_label);
-                let parent_dead = self.ctrl.last().map(|f| f.unreachable).unwrap_or(false);
-                if !parent_dead {
-                    self.state.truncate_operands(frame.label_base);
-                    for &ty in &frame.results {
-                        self.state.push(ty, Loc::Memory);
-                    }
-                }
-                if self.ctrl.is_empty() {
-                    // Function epilogue.
-                    if was_reachable || !parent_dead {
-                        self.emit_return();
-                    }
-                }
-            }
-            (Opcode::Br, Imm::Index(depth)) => {
-                let (label, base, arity) = self
-                    .branch_target(depth)
-                    .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                self.emit_branch_adaptation(base, arity);
-                self.asm.emit(MachInst::Jump { target: label });
-                self.mark_unreachable();
-            }
-            (Opcode::BrIf, Imm::Index(depth)) => {
-                let cond = self.state.operand_index(0);
-                let cond_state = *self.state.slot(cond);
-                if self.options.constant_folding {
-                    if let Some(c) = cond_state.constant() {
-                        self.state.pop();
-                        self.stats.branches_folded += 1;
-                        if c != 0 {
-                            let (label, base, arity) = self
-                                .branch_target(depth)
-                                .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                            self.emit_branch_adaptation(base, arity);
-                            self.asm.emit(MachInst::Jump { target: label });
-                            self.mark_unreachable();
-                        }
-                        return Ok(());
-                    }
-                }
-                let rc = self.ensure_in_reg(cond, &[]);
-                self.state.pop();
-                let (label, base, arity) = self
-                    .branch_target(depth)
-                    .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                let rc = rc.as_gpr().expect("condition is an integer");
-                if self.needs_branch_adaptation(base, arity) {
-                    let skip = self.asm.new_label();
-                    self.asm.emit(MachInst::BrIf { cond: rc, target: skip, negate: true });
-                    self.emit_branch_adaptation(base, arity);
-                    self.asm.emit(MachInst::Jump { target: label });
-                    self.asm.bind(skip);
-                } else {
-                    self.asm.emit(MachInst::BrIf { cond: rc, target: label, negate: false });
-                }
-            }
-            (Opcode::BrTable, Imm::Table(table)) => {
+            (Opcode::Else, _) => self.compile_else(offset)?,
+            (Opcode::End, _) => self.compile_end(offset)?,
+            (Opcode::Br, &Imm::Index(depth)) => self.emit_branch(offset, depth)?,
+            (Opcode::BrIf, &Imm::Index(depth)) => self.compile_br_if(offset, depth)?,
+            (Opcode::BrTable, &Imm::Table(table)) => {
                 let index = self.state.operand_index(0);
-                let ri = self.ensure_in_reg(index, &[]);
+                let ri = self.ensure_gpr(index, &[]);
                 self.state.pop();
                 // Everything must be in memory on every outgoing edge.
                 self.flush_values();
-                let mut stubs = Vec::with_capacity(table.len());
-                let mut resolved = Vec::with_capacity(table.len() + 1);
+                let mut stubs = std::mem::take(&mut self.table_stubs);
+                let mut targets = std::mem::take(&mut self.table_targets);
+                stubs.clear();
+                targets.clear();
                 for depth in table.targets_and_default() {
-                    let target = self
-                        .branch_target(depth)
-                        .ok_or_else(|| self.error(offset, "bad branch depth"))?;
-                    let stub = self.asm.new_label();
-                    resolved.push((stub, target));
-                    if resolved.len() <= table.len() {
-                        stubs.push(stub);
-                    }
+                    targets.push(self.branch_target(offset, depth)?);
+                    stubs.push(self.asm.new_label());
                 }
-                let default_stub = resolved.last().expect("at least the default").0;
-                self.asm.br_table(
-                    ri.as_gpr().expect("index is an integer"),
-                    &stubs,
-                    default_stub,
-                );
-                for (stub, (label, base, arity)) in resolved {
+                if let Some((&default_stub, cases)) = stubs.split_last() {
+                    self.asm.br_table(ri, cases, default_stub);
+                }
+                for (&stub, &(label, base, arity)) in stubs.iter().zip(&targets) {
                     self.asm.bind(stub);
                     self.emit_branch_adaptation(base, arity);
                     self.asm.emit(MachInst::Jump { target: label });
                 }
+                self.table_stubs = stubs;
+                self.table_targets = targets;
                 self.mark_unreachable();
             }
             (Opcode::Return, _) => {
                 self.emit_return();
                 self.mark_unreachable();
             }
-            (Opcode::Call, Imm::Index(callee)) => {
-                let sig = self
-                    .module
+            (Opcode::Call, &Imm::Index(callee)) => {
+                let module = self.module;
+                let sig = module
                     .func_type(callee)
-                    .cloned()
                     .ok_or_else(|| self.error(offset, format!("unknown callee {callee}")))?;
-                if !self.options.multi_value && sig.results.len() > 1 {
-                    return Err(self.error(offset, "multi-value call not supported"));
-                }
-                if !self.options.debug_metadata {
-                    // Calls always need a source-map anchor for stack traces.
-                    self.asm.mark_source(offset as u32);
-                }
-                let refs = self.flush_for_observation();
-                let callee_slot_base =
-                    (self.num_locals + self.state.height() - sig.params.len()) as u32;
-                let site_index = self.asm.emit(MachInst::Call { func_index: callee });
-                self.call_sites
-                    .insert(site_index, CallSiteInfo { callee_slot_base });
-                if let Some(ref_slots) = refs {
-                    self.stackmaps.push(Stackmap {
-                        inst_index: site_index,
-                        ref_slots,
-                    });
-                }
-                for _ in 0..sig.params.len() {
-                    self.state.pop();
-                }
-                for &ty in &sig.results {
-                    let slot = self.state.push(ty, Loc::Memory);
-                    self.state.set_tag_in_memory(slot, true);
-                }
+                self.compile_call(offset, sig, Callee::Direct(callee))?;
             }
-            (Opcode::CallIndirect, Imm::CallIndirect { type_index, table_index }) => {
-                let sig = self
-                    .module
+            (Opcode::CallIndirect, &Imm::CallIndirect { type_index, table_index }) => {
+                let module = self.module;
+                let sig = module
                     .types
                     .get(type_index as usize)
-                    .cloned()
                     .ok_or_else(|| self.error(offset, format!("unknown type {type_index}")))?;
-                if !self.options.multi_value && sig.results.len() > 1 {
-                    return Err(self.error(offset, "multi-value call not supported"));
-                }
-                if !self.options.debug_metadata {
-                    self.asm.mark_source(offset as u32);
-                }
-                let index = self.state.operand_index(0);
-                let ri = self.ensure_in_reg(index, &[]);
-                self.state.pop();
-                let refs = self.flush_for_observation();
-                let callee_slot_base =
-                    (self.num_locals + self.state.height() - sig.params.len()) as u32;
-                let site_index = self.asm.emit(MachInst::CallIndirect {
-                    type_index,
-                    table_index,
-                    index: ri.as_gpr().expect("table index is an integer"),
-                });
-                self.call_sites
-                    .insert(site_index, CallSiteInfo { callee_slot_base });
-                if let Some(ref_slots) = refs {
-                    self.stackmaps.push(Stackmap {
-                        inst_index: site_index,
-                        ref_slots,
-                    });
-                }
-                for _ in 0..sig.params.len() {
-                    self.state.pop();
-                }
-                for &ty in &sig.results {
-                    let slot = self.state.push(ty, Loc::Memory);
-                    self.state.set_tag_in_memory(slot, true);
-                }
+                self.compile_call(offset, sig, Callee::Indirect { type_index, table_index })?;
             }
             (Opcode::Drop, _) => {
                 self.state.pop();
             }
             (Opcode::Select | Opcode::SelectT, _) => self.compile_select(),
-            (Opcode::LocalGet, Imm::Index(index)) => self.compile_local_get(index as usize),
-            (Opcode::LocalSet | Opcode::LocalTee, Imm::Index(index)) => {
+            (Opcode::LocalGet, &Imm::Index(index)) => self.compile_local_get(index as usize),
+            (Opcode::LocalSet | Opcode::LocalTee, &Imm::Index(index)) => {
                 self.compile_local_set(index as usize, op == Opcode::LocalTee);
             }
-            (Opcode::GlobalGet, Imm::Index(index)) => {
+            (Opcode::GlobalGet, &Imm::Index(index)) => {
                 let ty = self
                     .module
                     .global_type(index)
@@ -1032,58 +986,295 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
                 self.asm.emit(MachInst::GlobalGet { dst, index });
                 self.push_result(ty, Loc::Reg(dst));
             }
-            (Opcode::GlobalSet, Imm::Index(index)) => {
+            (Opcode::GlobalSet, &Imm::Index(index)) => {
                 let top = self.state.operand_index(0);
                 let src = self.ensure_in_reg(top, &[]);
                 self.state.pop();
                 self.asm.emit(MachInst::GlobalSet { index, src });
             }
-            (Opcode::I32Const, Imm::I32(v)) => self.compile_const(ValueType::I32, v as u32 as u64),
-            (Opcode::I64Const, Imm::I64(v)) => self.compile_const(ValueType::I64, v as u64),
-            (Opcode::F32Const, Imm::F32(v)) => {
+            (Opcode::I32Const, &Imm::I32(v)) => self.compile_const(ValueType::I32, v as u32 as u64),
+            (Opcode::I64Const, &Imm::I64(v)) => self.compile_const(ValueType::I64, v as u64),
+            (Opcode::F32Const, &Imm::F32(v)) => {
                 self.compile_const(ValueType::F32, v.to_bits() as u64);
             }
-            (Opcode::F64Const, Imm::F64(v)) => self.compile_const(ValueType::F64, v.to_bits()),
-            (Opcode::RefNull, Imm::Ref(ty)) => self.compile_const(ty, NULL_REF_BITS),
-            (Opcode::RefFunc, Imm::Index(index)) => {
+            (Opcode::F64Const, &Imm::F64(v)) => self.compile_const(ValueType::F64, v.to_bits()),
+            (Opcode::RefNull, &Imm::Ref(ty)) => self.compile_const(ty, NULL_REF_BITS),
+            (Opcode::RefFunc, &Imm::Index(index)) => {
                 self.compile_const(ValueType::FuncRef, index as u64);
             }
             (Opcode::RefIsNull, _) => {
                 let top = self.state.operand_index(0);
-                let r = self.ensure_in_reg(top, &[]);
+                let a = self.ensure_gpr(top, &[]);
                 self.state.pop();
-                let dst = self.alloc_reg(false, &[r]);
-                self.asm.emit(MachInst::CmpImm {
-                    op: CmpOp::Eq,
-                    width: Width::W64,
-                    dst: dst.as_gpr().expect("gpr"),
-                    a: r.as_gpr().expect("references live in GPRs"),
-                    imm: -1,
-                });
-                self.push_result(ValueType::I32, Loc::Reg(dst));
+                let dst = self.alloc_gpr(&[AnyReg::Gpr(a)]);
+                self.asm.emit(MachInst::CmpImm { op: CmpOp::Eq, width: Width::W64, dst, a, imm: -1 });
+                self.push_result(ValueType::I32, Loc::Reg(AnyReg::Gpr(dst)));
             }
             (Opcode::MemorySize, _) => {
-                let dst = self.alloc_reg(false, &[]);
-                self.asm.emit(MachInst::MemorySize { dst: dst.as_gpr().expect("gpr") });
-                self.push_result(ValueType::I32, Loc::Reg(dst));
+                let dst = self.alloc_gpr(&[]);
+                self.asm.emit(MachInst::MemorySize { dst });
+                self.push_result(ValueType::I32, Loc::Reg(AnyReg::Gpr(dst)));
             }
             (Opcode::MemoryGrow, _) => {
                 let top = self.state.operand_index(0);
-                let delta = self.ensure_in_reg(top, &[]);
+                let delta = self.ensure_gpr(top, &[]);
                 self.state.pop();
-                let dst = self.alloc_reg(false, &[delta]);
-                self.asm.emit(MachInst::MemoryGrow {
-                    dst: dst.as_gpr().expect("gpr"),
-                    delta: delta.as_gpr().expect("gpr"),
-                });
-                self.push_result(ValueType::I32, Loc::Reg(dst));
+                let dst = self.alloc_gpr(&[AnyReg::Gpr(delta)]);
+                self.asm.emit(MachInst::MemoryGrow { dst, delta });
+                self.push_result(ValueType::I32, Loc::Reg(AnyReg::Gpr(dst)));
             }
-            (_, Imm::Mem(memarg)) => self.compile_memory_access(op, memarg.offset),
+            (Opcode::I32Load, &Imm::Mem(m)) => load!(m, I32, 4, false),
+            (Opcode::I64Load, &Imm::Mem(m)) => load!(m, I64, 8, false),
+            (Opcode::F32Load, &Imm::Mem(m)) => load!(m, F32, 4, false),
+            (Opcode::F64Load, &Imm::Mem(m)) => load!(m, F64, 8, false),
+            (Opcode::I32Load8S, &Imm::Mem(m)) => load!(m, I32, 1, true),
+            (Opcode::I32Load8U, &Imm::Mem(m)) => load!(m, I32, 1, false),
+            (Opcode::I32Load16S, &Imm::Mem(m)) => load!(m, I32, 2, true),
+            (Opcode::I32Load16U, &Imm::Mem(m)) => load!(m, I32, 2, false),
+            (Opcode::I64Load8S, &Imm::Mem(m)) => load!(m, I64, 1, true),
+            (Opcode::I64Load8U, &Imm::Mem(m)) => load!(m, I64, 1, false),
+            (Opcode::I64Load16S, &Imm::Mem(m)) => load!(m, I64, 2, true),
+            (Opcode::I64Load16U, &Imm::Mem(m)) => load!(m, I64, 2, false),
+            (Opcode::I64Load32S, &Imm::Mem(m)) => load!(m, I64, 4, true),
+            (Opcode::I64Load32U, &Imm::Mem(m)) => load!(m, I64, 4, false),
+            (Opcode::I32Store | Opcode::F32Store | Opcode::I64Store32, &Imm::Mem(m)) => store!(m, 4),
+            (Opcode::I64Store | Opcode::F64Store, &Imm::Mem(m)) => store!(m, 8),
+            (Opcode::I32Store8 | Opcode::I64Store8, &Imm::Mem(m)) => store!(m, 1),
+            (Opcode::I32Store16 | Opcode::I64Store16, &Imm::Mem(m)) => store!(m, 2),
+            (Opcode::I32Eqz, _) => unop!(Eqz, W32),
+            (Opcode::I32Clz, _) => unop!(Clz, W32),
+            (Opcode::I32Ctz, _) => unop!(Ctz, W32),
+            (Opcode::I32Popcnt, _) => unop!(Popcnt, W32),
+            (Opcode::I32Extend8S, _) => unop!(Extend8S, W32),
+            (Opcode::I32Extend16S, _) => unop!(Extend16S, W32),
+            (Opcode::I32Eq, _) => cmp!(Eq, W32),
+            (Opcode::I32Ne, _) => cmp!(Ne, W32),
+            (Opcode::I32LtS, _) => cmp!(LtS, W32),
+            (Opcode::I32LtU, _) => cmp!(LtU, W32),
+            (Opcode::I32GtS, _) => cmp!(GtS, W32),
+            (Opcode::I32GtU, _) => cmp!(GtU, W32),
+            (Opcode::I32LeS, _) => cmp!(LeS, W32),
+            (Opcode::I32LeU, _) => cmp!(LeU, W32),
+            (Opcode::I32GeS, _) => cmp!(GeS, W32),
+            (Opcode::I32GeU, _) => cmp!(GeU, W32),
+            (Opcode::I32Add, _) => alu!(Add, W32),
+            (Opcode::I32Sub, _) => alu!(Sub, W32),
+            (Opcode::I32Mul, _) => alu!(Mul, W32),
+            (Opcode::I32DivS, _) => alu!(DivS, W32),
+            (Opcode::I32DivU, _) => alu!(DivU, W32),
+            (Opcode::I32RemS, _) => alu!(RemS, W32),
+            (Opcode::I32RemU, _) => alu!(RemU, W32),
+            (Opcode::I32And, _) => alu!(And, W32),
+            (Opcode::I32Or, _) => alu!(Or, W32),
+            (Opcode::I32Xor, _) => alu!(Xor, W32),
+            (Opcode::I32Shl, _) => alu!(Shl, W32),
+            (Opcode::I32ShrS, _) => alu!(ShrS, W32),
+            (Opcode::I32ShrU, _) => alu!(ShrU, W32),
+            (Opcode::I32Rotl, _) => alu!(Rotl, W32),
+            (Opcode::I32Rotr, _) => alu!(Rotr, W32),
+            (Opcode::I64Eqz, _) => unop!(Eqz, W64),
+            (Opcode::I64Clz, _) => unop!(Clz, W64),
+            (Opcode::I64Ctz, _) => unop!(Ctz, W64),
+            (Opcode::I64Popcnt, _) => unop!(Popcnt, W64),
+            (Opcode::I64Extend8S, _) => unop!(Extend8S, W64),
+            (Opcode::I64Extend16S, _) => unop!(Extend16S, W64),
+            (Opcode::I64Extend32S, _) => unop!(Extend32S, W64),
+            (Opcode::I64Eq, _) => cmp!(Eq, W64),
+            (Opcode::I64Ne, _) => cmp!(Ne, W64),
+            (Opcode::I64LtS, _) => cmp!(LtS, W64),
+            (Opcode::I64LtU, _) => cmp!(LtU, W64),
+            (Opcode::I64GtS, _) => cmp!(GtS, W64),
+            (Opcode::I64GtU, _) => cmp!(GtU, W64),
+            (Opcode::I64LeS, _) => cmp!(LeS, W64),
+            (Opcode::I64LeU, _) => cmp!(LeU, W64),
+            (Opcode::I64GeS, _) => cmp!(GeS, W64),
+            (Opcode::I64GeU, _) => cmp!(GeU, W64),
+            (Opcode::I64Add, _) => alu!(Add, W64),
+            (Opcode::I64Sub, _) => alu!(Sub, W64),
+            (Opcode::I64Mul, _) => alu!(Mul, W64),
+            (Opcode::I64DivS, _) => alu!(DivS, W64),
+            (Opcode::I64DivU, _) => alu!(DivU, W64),
+            (Opcode::I64RemS, _) => alu!(RemS, W64),
+            (Opcode::I64RemU, _) => alu!(RemU, W64),
+            (Opcode::I64And, _) => alu!(And, W64),
+            (Opcode::I64Or, _) => alu!(Or, W64),
+            (Opcode::I64Xor, _) => alu!(Xor, W64),
+            (Opcode::I64Shl, _) => alu!(Shl, W64),
+            (Opcode::I64ShrS, _) => alu!(ShrS, W64),
+            (Opcode::I64ShrU, _) => alu!(ShrU, W64),
+            (Opcode::I64Rotl, _) => alu!(Rotl, W64),
+            (Opcode::I64Rotr, _) => alu!(Rotr, W64),
             _ => {
                 let class = classify(op)
                     .ok_or_else(|| self.error(offset, format!("unhandled opcode {op}")))?;
-                self.compile_classified(op, class);
+                self.compile_classified(class);
             }
+        }
+        Ok(())
+    }
+
+    fn compile_block(&mut self, offset: usize, op: Opcode, bt: BlockType) -> Result<(), CompileError> {
+        let (params, results) = self.block_signature(offset, bt)?;
+        let dead = self.unreachable_now();
+
+        let mut cond = None;
+        if op == Opcode::If && !dead {
+            let top = self.state.operand_index(0);
+            cond = Some(self.ensure_gpr(top, &[]));
+            self.state.pop();
+        }
+        if !dead {
+            self.flush_for_control();
+        }
+        let label_base = if dead {
+            self.ctrl.last().map(|f| f.label_base).unwrap_or(0)
+        } else {
+            self.state.height() - params.len()
+        };
+        let end_label = self.asm.new_label();
+        let (branch_label, branch_arity, else_label) = match op {
+            Opcode::Loop => (self.asm.new_bound_label(), params.len(), None),
+            Opcode::If => {
+                let else_label = self.asm.new_label();
+                if let Some(cond) = cond {
+                    self.asm.emit(MachInst::BrIf { cond, target: else_label, negate: true });
+                }
+                (end_label, results.len(), Some(else_label))
+            }
+            _ => (end_label, results.len(), None),
+        };
+        self.ctrl.push(CtrlFrame {
+            end_label,
+            else_label,
+            branch_label,
+            branch_arity,
+            label_base,
+            params,
+            results,
+            unreachable: dead,
+        });
+        Ok(())
+    }
+
+    fn compile_else(&mut self, offset: usize) -> Result<(), CompileError> {
+        let was_reachable = !self.unreachable_now();
+        if was_reachable {
+            self.flush_for_control();
+        } else {
+            self.forget_dead_path();
+        }
+        let len = self.ctrl.len();
+        let parent_dead = len >= 2 && self.ctrl[len - 2].unreachable;
+        let Some(frame) = self.ctrl.last_mut() else {
+            return Err(self.error(offset, "else outside an if"));
+        };
+        let (end, else_label) = (frame.end_label, frame.else_label.take());
+        let (label_base, params) = (frame.label_base, frame.params);
+        // The else branch starts from the state captured at the `if`:
+        // canonical memory with the params on the operand stack.
+        frame.unreachable = parent_dead;
+        if was_reachable {
+            self.asm.emit(MachInst::Jump { target: end });
+        }
+        if let Some(else_label) = else_label {
+            self.asm.bind(else_label);
+        }
+        if !parent_dead {
+            self.state.truncate_operands(label_base);
+            for &ty in params {
+                self.state.push(ty, Loc::Memory);
+            }
+        }
+        Ok(())
+    }
+
+    fn compile_end(&mut self, offset: usize) -> Result<(), CompileError> {
+        let was_reachable = !self.unreachable_now();
+        if was_reachable {
+            self.flush_for_control();
+        } else {
+            self.forget_dead_path();
+        }
+        let frame = self.ctrl.pop().ok_or_else(|| self.error(offset, "end outside a construct"))?;
+        if let Some(else_label) = frame.else_label {
+            self.asm.bind(else_label);
+        }
+        self.asm.bind(frame.end_label);
+        let parent_dead = self.unreachable_now();
+        if !parent_dead {
+            self.state.truncate_operands(frame.label_base);
+            for &ty in frame.results {
+                self.state.push(ty, Loc::Memory);
+            }
+        }
+        if self.ctrl.is_empty() {
+            // Function epilogue.
+            if was_reachable || !parent_dead {
+                self.emit_return();
+            }
+        }
+        Ok(())
+    }
+
+    fn compile_br_if(&mut self, offset: usize, depth: u32) -> Result<(), CompileError> {
+        let cond = self.state.operand_index(0);
+        if self.options.constant_folding {
+            if let Some(c) = self.state.slot(cond).constant() {
+                self.state.pop();
+                self.stats.branches_folded += 1;
+                if c != 0 {
+                    self.emit_branch(offset, depth)?;
+                }
+                return Ok(());
+            }
+        }
+        let cond = self.ensure_gpr(cond, &[]);
+        self.state.pop();
+        let (label, base, arity) = self.branch_target(offset, depth)?;
+        if self.needs_branch_adaptation(base, arity) {
+            let skip = self.asm.new_label();
+            self.asm.emit(MachInst::BrIf { cond, target: skip, negate: true });
+            self.emit_branch_adaptation(base, arity);
+            self.asm.emit(MachInst::Jump { target: label });
+            self.asm.bind(skip);
+        } else {
+            self.asm.emit(MachInst::BrIf { cond, target: label, negate: false });
+        }
+        Ok(())
+    }
+
+    /// A call: flush for observation, record the site, replace the
+    /// arguments with the results.
+    fn compile_call(&mut self, offset: usize, sig: &FuncType, callee: Callee) -> Result<(), CompileError> {
+        if !self.options.multi_value && sig.results.len() > 1 {
+            return Err(self.error(offset, "multi-value call not supported"));
+        }
+        if !self.options.debug_metadata {
+            // Calls always need a source-map anchor for stack traces.
+            self.asm.mark_source(offset as u32);
+        }
+        let inst = match callee {
+            Callee::Direct(func_index) => MachInst::Call { func_index },
+            Callee::Indirect { type_index, table_index } => {
+                let top = self.state.operand_index(0);
+                let index = self.ensure_gpr(top, &[]);
+                self.state.pop();
+                MachInst::CallIndirect { type_index, table_index, index }
+            }
+        };
+        let refs = self.flush_for_observation();
+        let callee_slot_base = (self.num_locals + self.state.height() - sig.params.len()) as u32;
+        let site_index = self.asm.emit(inst);
+        self.call_sites.insert(site_index, CallSiteInfo { callee_slot_base });
+        if let Some(ref_slots) = refs {
+            self.stackmaps.push(Stackmap { inst_index: site_index, ref_slots });
+        }
+        for _ in 0..sig.params.len() {
+            self.state.pop();
+        }
+        for &ty in &sig.results {
+            let slot = self.state.push(ty, Loc::Memory);
+            self.state.set_tag_in_memory(slot, true);
         }
         Ok(())
     }
@@ -1091,69 +1282,51 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
     fn compile_const(&mut self, ty: ValueType, bits: u64) {
         if self.options.track_constants {
             self.push_result(ty, Loc::Const(bits));
+        } else if ty.is_float() {
+            let dst = self.alloc_fpr(&[]);
+            self.asm.emit(MachInst::FMovImm { dst, bits });
+            self.push_result(ty, Loc::Reg(AnyReg::Fpr(dst)));
         } else {
-            let dst = self.alloc_reg(ty.is_float(), &[]);
-            match dst {
-                AnyReg::Gpr(g) => {
-                    self.asm.emit(MachInst::MovImm { dst: g, imm: bits as i64 });
-                }
-                AnyReg::Fpr(f) => {
-                    self.asm.emit(MachInst::FMovImm { dst: f, bits });
-                }
-            }
-            self.push_result(ty, Loc::Reg(dst));
+            let dst = self.alloc_gpr(&[]);
+            self.asm.emit(MachInst::MovImm { dst, imm: bits as i64 });
+            self.push_result(ty, Loc::Reg(AnyReg::Gpr(dst)));
         }
     }
 
     fn compile_local_get(&mut self, index: usize) {
-        let s = *self.state.slot(index);
-        match s.loc {
+        let (ty, loc) = (self.state.slot(index).ty, self.state.slot(index).loc());
+        match loc {
             Loc::Const(c) if self.options.track_constants => {
-                self.push_result(s.ty, Loc::Const(c));
+                self.push_result(ty, Loc::Const(c));
             }
             Loc::Reg(r) if self.state.can_share(r) => {
-                self.push_result(s.ty, Loc::Reg(r));
+                self.push_result(ty, Loc::Reg(r));
             }
             Loc::Reg(r) => {
-                let dst = self.alloc_reg(s.ty.is_float(), &[r]);
-                self.emit_move_between(dst, r);
-                self.push_result(s.ty, Loc::Reg(dst));
+                let dst = self.copy_to_new_reg(r);
+                self.push_result(ty, Loc::Reg(dst));
             }
             Loc::Const(_) | Loc::Memory => {
-                let dst = self.alloc_reg(s.ty.is_float(), &[]);
+                let dst = self.alloc_reg(ty.is_float(), &[]);
                 self.asm.emit(MachInst::LoadSlot { dst, slot: index as u32 });
                 if self.options.multi_register {
                     // The register now caches the local as well.
                     self.state.share(dst, index);
                 }
-                self.push_result(s.ty, Loc::Reg(dst));
+                self.push_result(ty, Loc::Reg(dst));
             }
         }
     }
 
-    fn emit_move_between(&mut self, dst: AnyReg, src: AnyReg) {
-        self.asm.emit(match (dst, src) {
-            (AnyReg::Gpr(dst), AnyReg::Gpr(src)) => MachInst::Mov { dst, src },
-            (AnyReg::Fpr(dst), AnyReg::Fpr(src)) => MachInst::FMov { dst, src },
-            _ => unreachable!("register banks match the type"),
-        });
-    }
-
     fn compile_local_set(&mut self, index: usize, is_tee: bool) {
         let top = self.state.operand_index(0);
-        let s = *self.state.slot(top);
-        match s.loc {
+        match self.state.slot(top).loc() {
             Loc::Const(c) if self.options.track_constants => {
                 self.state.set_slot(index, Loc::Const(c), false, false);
             }
             Loc::Reg(r) => {
-                if is_tee && !self.options.multi_register {
-                    let dst = self.alloc_reg(s.ty.is_float(), &[r]);
-                    self.emit_move_between(dst, r);
-                    self.state.set_slot(index, Loc::Reg(dst), false, false);
-                } else {
-                    self.state.set_slot(index, Loc::Reg(r), false, false);
-                }
+                let r = if is_tee && !self.options.multi_register { self.copy_to_new_reg(r) } else { r };
+                self.state.set_slot(index, Loc::Reg(r), false, false);
             }
             Loc::Const(_) | Loc::Memory => {
                 let r = self.ensure_in_reg(top, &[]);
@@ -1171,206 +1344,201 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         let b = self.state.operand_index(1);
         let a = self.state.operand_index(2);
         let ty = self.state.slot(a).ty;
-        let rc = self.ensure_in_reg(cond, &[]);
-        let rb = self.ensure_in_reg(b, &[rc]);
-        let ra = self.ensure_in_reg(a, &[rc, rb]);
-        self.state.pop();
-        self.state.pop();
-        self.state.pop();
-        let dst = self.alloc_reg(ty.is_float(), &[ra, rb, rc]);
-        let cond = rc.as_gpr().expect("condition is an integer");
-        self.asm.emit(match (dst, ra, rb) {
-            (AnyReg::Gpr(dst), AnyReg::Gpr(if_true), AnyReg::Gpr(if_false)) => {
-                MachInst::Select { dst, cond, if_true, if_false }
-            }
-            (AnyReg::Fpr(dst), AnyReg::Fpr(if_true), AnyReg::Fpr(if_false)) => {
-                MachInst::FSelect { dst, cond, if_true, if_false }
-            }
-            _ => unreachable!("select operands share one register bank"),
-        });
+        let cond = self.ensure_gpr(cond, &[]);
+        let pinned = AnyReg::Gpr(cond);
+        let (inst, dst) = if ty.is_float() {
+            let if_false = self.ensure_fpr(b, &[pinned]);
+            let if_true = self.ensure_fpr(a, &[pinned, AnyReg::Fpr(if_false)]);
+            self.state.truncate_operands(self.state.height() - 3);
+            let dst = self.alloc_fpr(&[AnyReg::Fpr(if_true), AnyReg::Fpr(if_false), pinned]);
+            (MachInst::FSelect { dst, cond, if_true, if_false }, AnyReg::Fpr(dst))
+        } else {
+            let if_false = self.ensure_gpr(b, &[pinned]);
+            let if_true = self.ensure_gpr(a, &[pinned, AnyReg::Gpr(if_false)]);
+            self.state.truncate_operands(self.state.height() - 3);
+            let dst = self.alloc_gpr(&[AnyReg::Gpr(if_true), AnyReg::Gpr(if_false), pinned]);
+            (MachInst::Select { dst, cond, if_true, if_false }, AnyReg::Gpr(dst))
+        };
+        self.asm.emit(inst);
         self.push_result(ty, Loc::Reg(dst));
     }
 
-    fn compile_memory_access(&mut self, op: Opcode, mem_offset: u32) {
-        let width = op.access_width().expect("memory access has a width");
-        match op.signature() {
-            OpSignature::Load(result) => {
-                let addr = self.state.operand_index(0);
-                let ra = self.ensure_in_reg(addr, &[]);
-                self.state.pop();
-                let dst = self.alloc_reg(result.is_float(), &[ra]);
-                let signed = matches!(
-                    op,
-                    Opcode::I32Load8S
-                        | Opcode::I32Load16S
-                        | Opcode::I64Load8S
-                        | Opcode::I64Load16S
-                        | Opcode::I64Load32S
-                );
-                let dst_width = if result == ValueType::I32 || result == ValueType::F32 {
-                    Width::W32
-                } else {
-                    Width::W64
-                };
-                self.asm.emit(MachInst::MemLoad {
-                    dst,
-                    addr: ra.as_gpr().expect("address is an integer"),
-                    offset: mem_offset,
-                    width,
-                    signed,
-                    dst_width,
-                });
-                self.push_result(result, Loc::Reg(dst));
-            }
-            OpSignature::Store(_) => {
-                let value = self.state.operand_index(0);
-                let addr = self.state.operand_index(1);
-                let rv = self.ensure_in_reg(value, &[]);
-                let ra = self.ensure_in_reg(addr, &[rv]);
-                self.state.pop();
-                self.state.pop();
-                self.asm.emit(MachInst::MemStore {
-                    src: rv,
-                    addr: ra.as_gpr().expect("address is an integer"),
-                    offset: mem_offset,
-                    width,
-                });
-            }
-            _ => unreachable!("memory access opcodes have load/store signatures"),
-        }
+    /// A load of `width` bytes producing `result`, sign-extended if `signed`.
+    fn compile_load(&mut self, result: ValueType, width: u32, signed: bool, offset: u32) {
+        let top = self.state.operand_index(0);
+        let addr = self.ensure_gpr(top, &[]);
+        self.state.pop();
+        let dst = self.alloc_reg(result.is_float(), &[AnyReg::Gpr(addr)]);
+        let dst_width = if result == ValueType::I32 || result == ValueType::F32 {
+            Width::W32
+        } else {
+            Width::W64
+        };
+        self.asm.emit(MachInst::MemLoad { dst, addr, offset, width, signed, dst_width });
+        self.push_result(result, Loc::Reg(dst));
     }
 
-    fn compile_classified(&mut self, _op: Opcode, class: OpClass) {
-        let arity = class.arity();
-        let result_ty = class.result_type();
+    /// A store of the low `width` bytes of the value on top of the stack.
+    fn compile_store(&mut self, width: u32, offset: u32) {
+        let value = self.state.operand_index(0);
+        let addr = self.state.operand_index(1);
+        let src = self.ensure_in_reg(value, &[]);
+        let addr = self.ensure_gpr(addr, &[src]);
+        self.state.pop();
+        self.state.pop();
+        self.asm.emit(MachInst::MemStore { src, addr, offset, width });
+    }
 
-        // Constant folding: evaluate side-effect-free operations at compile
-        // time when every operand is a known constant.
-        if self.options.constant_folding && self.options.track_constants {
-            let all_const = (0..arity)
-                .all(|d| self.state.slot(self.state.operand_index(d)).constant().is_some());
-            if all_const {
-                let mut operands = [0u64; 2];
-                for d in 0..arity {
-                    // operand_index(0) is the top (last operand).
-                    operands[arity - 1 - d] =
-                        self.state.slot(self.state.operand_index(d)).constant().unwrap();
-                }
-                if let Ok(bits) = class.evaluate(&operands[..arity]) {
-                    for _ in 0..arity {
-                        self.state.pop();
-                    }
-                    self.stats.constants_folded += 1;
-                    self.push_result(result_ty, Loc::Const(bits));
-                    return;
-                }
-                // Evaluation would trap at runtime: fall through and emit the
-                // real instruction so the trap happens during execution.
+    /// Constant folding: when the top `N` operands are known constants and
+    /// `class` does not trap on them, replaces them with the result and
+    /// returns true.
+    fn try_fold<const N: usize>(&mut self, class: OpClass, result: ValueType) -> bool {
+        if !(self.options.constant_folding && self.options.track_constants) {
+            return false;
+        }
+        let mut operands = [0u64; N];
+        // Depth 0 is the top of the stack: the last operand.
+        for (depth, operand) in operands.iter_mut().rev().enumerate() {
+            match self.state.slot(self.state.operand_index(depth)).constant() {
+                Some(c) => *operand = c,
+                None => return false,
             }
         }
-
-        // Immediate-mode instruction selection for integer ops whose right
-        // operand is a known constant.
-        if self.options.instruction_selection && arity == 2 {
-            if let OpClass::Alu(_, width) | OpClass::Cmp(_, width) = class {
-                let rhs = self.state.operand_index(0);
-                let lhs = self.state.operand_index(1);
-                if let Some(c) = self.state.slot(rhs).constant() {
-                    let imm = c as i64;
-                    let fits = match width {
-                        Width::W32 => true,
-                        Width::W64 => imm >= i32::MIN as i64 && imm <= i32::MAX as i64,
-                    };
-                    if fits && self.state.slot(lhs).constant().is_none() {
-                        let ra = self.ensure_in_reg(lhs, &[]);
-                        self.state.pop();
-                        self.state.pop();
-                        let dst = self.alloc_reg(false, &[ra]);
-                        let a = ra.as_gpr().expect("integer operand");
-                        let d = dst.as_gpr().expect("integer result");
-                        self.asm.emit(match class {
-                            OpClass::Alu(op, width) => MachInst::AluImm { op, width, dst: d, a, imm },
-                            OpClass::Cmp(op, width) => MachInst::CmpImm { op, width, dst: d, a, imm },
-                            _ => unreachable!("matched above"),
-                        });
-                        self.stats.immediate_selections += 1;
-                        self.push_result(result_ty, Loc::Reg(dst));
-                        return;
-                    }
-                }
-            }
-        }
-
-        // General path: operands in registers, emit a three-address op.
-        let mut operand_regs = [AnyReg::Gpr(SCRATCH_GPR); 2];
-        for d in (0..arity).rev() {
-            // Ensure deeper operands first so pinning covers already-ensured ones.
-            let idx = self.state.operand_index(d);
-            let pinned: Vec<AnyReg> = operand_regs[..(arity - 1 - d)].to_vec();
-            operand_regs[arity - 1 - d] = self.ensure_in_reg(idx, &pinned);
-        }
-        // operand_regs[0] = first (deepest) operand, [1] = second.
-        for _ in 0..arity {
+        // An operation that would trap is emitted, so the trap happens
+        // during execution.
+        let Ok(bits) = class.evaluate(&operands) else {
+            return false;
+        };
+        for _ in 0..N {
             self.state.pop();
         }
-        let dst = self.alloc_reg(result_ty.is_float(), &operand_regs[..arity]);
-        match class {
-            OpClass::Alu(op, width) => {
-                self.asm.emit(MachInst::Alu {
-                    op,
-                    width,
-                    dst: dst.as_gpr().expect("gpr"),
-                    a: operand_regs[0].as_gpr().expect("gpr"),
-                    b: operand_regs[1].as_gpr().expect("gpr"),
-                });
-            }
-            OpClass::Cmp(op, width) => {
-                self.asm.emit(MachInst::Cmp {
-                    op,
-                    width,
-                    dst: dst.as_gpr().expect("gpr"),
-                    a: operand_regs[0].as_gpr().expect("gpr"),
-                    b: operand_regs[1].as_gpr().expect("gpr"),
-                });
-            }
-            OpClass::Unop(op, width) => {
-                self.asm.emit(MachInst::Unop {
-                    op,
-                    width,
-                    dst: dst.as_gpr().expect("gpr"),
-                    src: operand_regs[0].as_gpr().expect("gpr"),
-                });
-            }
-            OpClass::FAlu(op, width) => {
-                self.asm.emit(MachInst::FAlu {
-                    op,
-                    width,
-                    dst: dst.as_fpr().expect("fpr"),
-                    a: operand_regs[0].as_fpr().expect("fpr"),
-                    b: operand_regs[1].as_fpr().expect("fpr"),
-                });
-            }
-            OpClass::FUnop(op, width) => {
-                self.asm.emit(MachInst::FUnop {
-                    op,
-                    width,
-                    dst: dst.as_fpr().expect("fpr"),
-                    src: operand_regs[0].as_fpr().expect("fpr"),
-                });
-            }
-            OpClass::FCmp(op, width) => {
-                self.asm.emit(MachInst::FCmp {
-                    op,
-                    width,
-                    dst: dst.as_gpr().expect("gpr"),
-                    a: operand_regs[0].as_fpr().expect("fpr"),
-                    b: operand_regs[1].as_fpr().expect("fpr"),
-                });
-            }
-            OpClass::Convert(op) => {
-                self.asm.emit(MachInst::Convert { op, dst, src: operand_regs[0] });
+        self.stats.constants_folded += 1;
+        self.push_result(result, Loc::Const(bits));
+        true
+    }
+
+    /// The operands and destination of an integer binary operation: folded
+    /// away, with a constant right operand as an immediate, or in registers.
+    fn int_binary_operands(&mut self, class: OpClass, width: Width, result: ValueType) -> IntOperands {
+        if self.try_fold::<2>(class, result) {
+            return IntOperands::Folded;
+        }
+        let rhs = self.state.operand_index(0);
+        let lhs = self.state.operand_index(1);
+        if self.options.instruction_selection && self.state.slot(lhs).constant().is_none() {
+            if let Some(c) = self.state.slot(rhs).constant() {
+                let imm = c as i64;
+                if width == Width::W32 || i32::try_from(imm).is_ok() {
+                    let a = self.ensure_gpr(lhs, &[]);
+                    self.state.pop();
+                    self.state.pop();
+                    let dst = self.alloc_gpr(&[AnyReg::Gpr(a)]);
+                    self.stats.immediate_selections += 1;
+                    return IntOperands::Imm { dst, a, imm };
+                }
             }
         }
-        self.push_result(result_ty, Loc::Reg(dst));
+        let a = self.ensure_gpr(lhs, &[]);
+        let b = self.ensure_gpr(rhs, &[AnyReg::Gpr(a)]);
+        self.state.pop();
+        self.state.pop();
+        let dst = self.alloc_gpr(&[AnyReg::Gpr(a), AnyReg::Gpr(b)]);
+        IntOperands::Regs { dst, a, b }
+    }
+
+    fn compile_alu(&mut self, op: AluOp, width: Width) {
+        let result = int_type(width);
+        let (inst, dst) = match self.int_binary_operands(OpClass::Alu(op, width), width, result) {
+            IntOperands::Folded => return,
+            IntOperands::Imm { dst, a, imm } => (MachInst::AluImm { op, width, dst, a, imm }, dst),
+            IntOperands::Regs { dst, a, b } => (MachInst::Alu { op, width, dst, a, b }, dst),
+        };
+        self.asm.emit(inst);
+        self.push_result(result, Loc::Reg(AnyReg::Gpr(dst)));
+    }
+
+    fn compile_cmp(&mut self, op: CmpOp, width: Width) {
+        let result = ValueType::I32;
+        let (inst, dst) = match self.int_binary_operands(OpClass::Cmp(op, width), width, result) {
+            IntOperands::Folded => return,
+            IntOperands::Imm { dst, a, imm } => (MachInst::CmpImm { op, width, dst, a, imm }, dst),
+            IntOperands::Regs { dst, a, b } => (MachInst::Cmp { op, width, dst, a, b }, dst),
+        };
+        self.asm.emit(inst);
+        self.push_result(result, Loc::Reg(AnyReg::Gpr(dst)));
+    }
+
+    fn compile_unop(&mut self, op: UnOp, width: Width) {
+        // eqz produces an i32 boolean whatever its operand width.
+        let result = if op == UnOp::Eqz { ValueType::I32 } else { int_type(width) };
+        if self.try_fold::<1>(OpClass::Unop(op, width), result) {
+            return;
+        }
+        let top = self.state.operand_index(0);
+        let src = self.ensure_gpr(top, &[]);
+        self.state.pop();
+        let dst = self.alloc_gpr(&[AnyReg::Gpr(src)]);
+        self.asm.emit(MachInst::Unop { op, width, dst, src });
+        self.push_result(result, Loc::Reg(AnyReg::Gpr(dst)));
+    }
+
+    /// Float arithmetic, float compares and conversions, by class (an
+    /// integer class goes to its own compile function).
+    fn compile_classified(&mut self, class: OpClass) {
+        let result = class.result_type();
+        let (inst, dst) = match class {
+            OpClass::Alu(op, width) => return self.compile_alu(op, width),
+            OpClass::Cmp(op, width) => return self.compile_cmp(op, width),
+            OpClass::Unop(op, width) => return self.compile_unop(op, width),
+            OpClass::FAlu(op, width) => {
+                if self.try_fold::<2>(class, result) {
+                    return;
+                }
+                let (a, b) = self.float_operands();
+                let dst = self.alloc_fpr(&[AnyReg::Fpr(a), AnyReg::Fpr(b)]);
+                (MachInst::FAlu { op, width, dst, a, b }, AnyReg::Fpr(dst))
+            }
+            OpClass::FCmp(op, width) => {
+                if self.try_fold::<2>(class, result) {
+                    return;
+                }
+                let (a, b) = self.float_operands();
+                let dst = self.alloc_gpr(&[AnyReg::Fpr(a), AnyReg::Fpr(b)]);
+                (MachInst::FCmp { op, width, dst, a, b }, AnyReg::Gpr(dst))
+            }
+            OpClass::FUnop(op, width) => {
+                if self.try_fold::<1>(class, result) {
+                    return;
+                }
+                let top = self.state.operand_index(0);
+                let src = self.ensure_fpr(top, &[]);
+                self.state.pop();
+                let dst = self.alloc_fpr(&[AnyReg::Fpr(src)]);
+                (MachInst::FUnop { op, width, dst, src }, AnyReg::Fpr(dst))
+            }
+            OpClass::Convert(op) => {
+                if self.try_fold::<1>(class, result) {
+                    return;
+                }
+                let top = self.state.operand_index(0);
+                let src = self.ensure_in_reg(top, &[]);
+                self.state.pop();
+                let dst = self.alloc_reg(result.is_float(), &[src]);
+                (MachInst::Convert { op, dst, src }, dst)
+            }
+        };
+        self.asm.emit(inst);
+        self.push_result(result, Loc::Reg(dst));
+    }
+
+    /// The two float operands on top of the stack in registers, popped.
+    fn float_operands(&mut self) -> (FReg, FReg) {
+        let rhs = self.state.operand_index(0);
+        let lhs = self.state.operand_index(1);
+        let a = self.ensure_fpr(lhs, &[]);
+        let b = self.ensure_fpr(rhs, &[AnyReg::Fpr(a)]);
+        self.state.pop();
+        self.state.pop();
+        (a, b)
     }
 }

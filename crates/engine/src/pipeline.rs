@@ -357,8 +357,11 @@ pub fn compile_function(
             opt_compiler(config).compile(module, func_index, info, probes, profile)?
         }
         CompileTier::Baseline => {
-            let options = config.baseline_options().cloned().unwrap_or_default();
-            SinglePassCompiler::new(options)
+            let compiler = match config.baseline_options() {
+                Some(options) => SinglePassCompiler::borrowing(options),
+                None => SinglePassCompiler::default(),
+            };
+            compiler
                 .with_metering(config.metering)
                 .with_osr(config.osr_threshold.is_some())
                 .compile(module, func_index, info, probes)?

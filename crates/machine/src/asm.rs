@@ -21,6 +21,7 @@ use std::sync::OnceLock;
 /// Code positions are stored as `u32` instruction indices: label targets and
 /// source-map anchors are per-function metadata written once per label and
 /// per bytecode, and half-width entries halve that traffic.
+#[inline]
 fn index_u32(index: usize) -> u32 {
     u32::try_from(index).expect("code buffer outgrew u32 instruction indices")
 }
@@ -252,6 +253,19 @@ impl Assembler {
     pub fn new() -> Assembler {
         Assembler::default()
     }
+
+    /// Creates an assembler for compiling a function body of `wasm_bytes`
+    /// bytes, with room for the instructions and source-map entries such a
+    /// body usually needs (a third of an instruction per byte is typical),
+    /// so neither grows as the compile goes. `finish` trims both.
+    pub fn for_body(wasm_bytes: usize) -> Assembler {
+        let expected = wasm_bytes / 2 + 8;
+        Assembler {
+            insts: Vec::with_capacity(expected),
+            source_map: Vec::with_capacity(expected),
+            ..Assembler::default()
+        }
+    }
 }
 
 /// The virtual-ISA backend: an operation is appended as it is, and site
@@ -272,6 +286,7 @@ impl Masm for Assembler {
         *slot = Some(index_u32(self.insts.len()));
     }
 
+    #[inline]
     fn mark_source(&mut self, offset: u32) {
         push_source_mark(&mut self.source_map, index_u32(self.insts.len()), offset);
     }
@@ -315,6 +330,11 @@ impl Masm for Assembler {
     /// owns the label pool; a hand-built one must name a range already in
     /// the pool (checked in debug builds, so a bad range fails here and not
     /// as a slice panic in the simulator).
+    ///
+    /// Inlined into the compilers, where each call site's instruction is
+    /// known: its size folds to a constant and it is stored field by field
+    /// instead of being copied through memory.
+    #[inline]
     fn emit(&mut self, inst: MachInst) -> usize {
         if let MachInst::BrTable { targets, .. } = inst {
             debug_assert!(

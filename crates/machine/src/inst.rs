@@ -769,6 +769,7 @@ impl MachInst {
     /// An estimate of the encoded size of this instruction in bytes, used for
     /// machine-code size statistics. The estimates approximate x86-64
     /// encodings of the equivalent instruction sequences.
+    #[inline]
     pub fn encoded_size(&self) -> usize {
         use MachInst::*;
         match self {

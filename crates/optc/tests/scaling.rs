@@ -9,14 +9,21 @@
 //! IR. Nor may the heap grow with locals the body never writes: a merge
 //! block's parameters are bounded by the writes inside its construct.
 //!
-//! The baseline compiler keeps no IR, but it snapshots its abstract state at
-//! every control construct — the "JIT bomb" risk of the paper's §III: a
-//! snapshot that grows with the function makes the *sum* of what a compile
+//! The baseline compiler keeps no IR, but a control construct is where the
+//! "JIT bomb" of the paper's §III would go off: a snapshot of the abstract
+//! state that grows with the function makes the *sum* of what a compile
 //! allocates quadratic while its peak stays small, so both tiers are also
-//! held to eight-fold-or-so cumulative bytes.
+//! held to eight-fold-or-so cumulative bytes. The baseline compiler makes no
+//! allocation per instruction or per construct either — its number of
+//! allocations may not grow with the function at all — and its merges walk
+//! only the slots the code since the last merge touched, so locals the body
+//! never writes cost its compile time nothing.
 //!
-//! The counts come from a counting global allocator, so the gate is
-//! deterministic where a wall-clock or RSS gate would not be.
+//! The counts come from a counting global allocator, so those gates are
+//! deterministic where a wall-clock or RSS gate would not be. The time
+//! gates compare the fastest of three compiles of two shapes whose linear
+//! cost is nearly the same, so they fail only on a growth an order of
+//! magnitude past the noise.
 
 use optc::frontend;
 use optc::OptimizingCompiler;
@@ -33,12 +40,13 @@ use wasm::Module;
 // ---- The counting allocator ---------------------------------------------------
 
 /// Bytes currently allocated, the most that were allocated at once, the
-/// largest single request, and the sum of all requests — since the process
-/// started, or since [`counted`] last reset the latter three.
+/// largest single request, the sum of all requests and their number — since
+/// the process started, or since [`counted`] last reset the latter four.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -55,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
             PEAK.fetch_max(live, Ordering::Relaxed);
             LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
             TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -81,6 +90,8 @@ struct Counts {
     largest: usize,
     /// All its allocations added up, freed or not.
     total: usize,
+    /// How many allocations it made (a reallocation counts as one).
+    allocations: usize,
 }
 
 /// Runs `f` and returns its result and what it allocated.
@@ -89,11 +100,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     PEAK.store(before, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
     TOTAL.store(0, Ordering::Relaxed);
+    ALLOCATIONS.store(0, Ordering::Relaxed);
     let out = f();
     let counts = Counts {
         peak: PEAK.load(Ordering::Relaxed) - before,
         largest: LARGEST.load(Ordering::Relaxed),
         total: TOTAL.load(Ordering::Relaxed),
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
     };
     (out, counts)
 }
@@ -185,7 +198,11 @@ fn baseline(module: &Module) -> Counts {
 /// Both tiers' peak and cumulative heap grow about as the function does, and
 /// the optimizing tier's largest single allocation is bounded by the body's
 /// size in bytes — something no change to the compiler shrinks, unlike the
-/// IR, which shrinks with every parameter the frontend stops creating.
+/// IR, which shrinks with every parameter the frontend stops creating. The
+/// baseline compiler allocates per function, not per instruction: eight
+/// times the body may take at most 64 more allocations (the buffers that
+/// grow by doubling grow three more times), where one per instruction or
+/// per construct would be thousands.
 #[test]
 fn compile_memory_is_linear_in_function_size() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -196,9 +213,16 @@ fn compile_memory_is_linear_in_function_size() {
         "the generator is not the same shape at 8x: IR sizes {small_ir} and {large_ir}"
     );
     let (small_opt, large_opt) = (optimizing(&small), optimizing(&large));
+    let (small_spc, large_spc) = (baseline(&small), baseline(&large));
+    assert!(
+        large_spc.allocations <= small_spc.allocations + 64,
+        "baseline: {} allocations for an 8x function against {}",
+        large_spc.allocations,
+        small_spc.allocations
+    );
     for (tier, small, large) in [
         ("optimizing", &small_opt, &large_opt),
-        ("baseline", &baseline(&small), &baseline(&large)),
+        ("baseline", &small_spc, &large_spc),
     ] {
         for (what, small, large) in
             [("peak heap", small.peak, large.peak), ("allocated bytes", small.total, large.total)]
@@ -225,17 +249,33 @@ fn compile_memory_is_linear_in_function_size() {
 /// Appends one construct to a body.
 type Shape = fn(&mut CodeBuilder);
 
-/// A function of `blocks` copies of `shape` over `locals` `i32` locals that
-/// it never writes.
+/// A function `f` of `blocks` copies of `shape` over `locals` `i32` locals
+/// that it never writes.
 fn unwritten_locals_module(shape: Shape, locals: usize, blocks: u32) -> Module {
     let mut c = CodeBuilder::new();
     for _ in 0..blocks {
         shape(&mut c);
     }
     let mut b = ModuleBuilder::new();
-    b.add_func(FuncType::new(vec![], vec![]), vec![ValueType::I32; locals], c.finish());
+    let f = b.add_func(FuncType::new(vec![], vec![]), vec![ValueType::I32; locals], c.finish());
+    b.export_func("f", f);
     b.finish()
 }
+
+/// The three constructs the bomb tests repeat: a block left by a folded
+/// branch (so its end is reached only by that branch), an `if` on a
+/// constant, and an empty loop.
+const MERGE_SHAPES: [(&str, Shape); 3] = [
+    ("block i32.const 1 br_if 0 end", |c| {
+        c.block(BlockType::Empty).i32_const(1).br_if(0).end();
+    }),
+    ("i32.const 1 if end", |c| {
+        c.i32_const(1).if_(BlockType::Empty).end();
+    }),
+    ("loop end", |c| {
+        c.loop_(BlockType::Empty).end();
+    }),
+];
 
 /// The paper's §III "JIT bomb", aimed at the optimizing tier: a few KB of
 /// merges over tens of thousands of locals. A merge block carries only the
@@ -245,30 +285,85 @@ fn unwritten_locals_module(shape: Shape, locals: usize, blocks: u32) -> Module {
 /// for the third). The heap at 50 000 locals may be at most 4× that at 50,
 /// plus 128 B per local.
 ///
-/// The baseline compiler's merges still walk every local: that is time, not
-/// memory — O(locals × merges) — and is not gated here.
+/// The baseline compiler's cost of the same bomb is time, not memory:
+/// [`baseline_compile_time_does_not_grow_with_unwritten_locals`].
 #[test]
 fn unwritten_locals_cost_the_optimizing_tier_nothing_per_merge() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let shapes: [(&str, Shape); 3] = [
-        ("block i32.const 1 br_if 0 end", |c| {
-            c.block(BlockType::Empty).i32_const(1).br_if(0).end();
-        }),
-        ("i32.const 1 if end", |c| {
-            c.i32_const(1).if_(BlockType::Empty).end();
-        }),
-        ("loop end", |c| {
-            c.loop_(BlockType::Empty).end();
-        }),
-    ];
     const MANY: usize = 50_000;
-    for (shape_name, shape) in shapes {
+    for (shape_name, shape) in MERGE_SHAPES {
         let [few, many] =
             [50, MANY].map(|locals| optimizing(&unwritten_locals_module(shape, locals, 1000)).peak);
         assert!(
             many <= 4 * few + 128 * MANY,
             "1000 × `{shape_name}`: peak heap {many} B at {MANY} locals against {few} B at 50"
         );
+    }
+}
+
+/// The same bomb aimed at the baseline compiler. Its abstract state lists
+/// only the slots that depart from the canonical "in memory" state, so a
+/// merge walks what the code since the last merge touched, not every local:
+/// compiling B merges over 50 000 never-written locals may take at most 4×
+/// as long as over 50 (fastest of three compiles each). Walking every local
+/// at every merge took 625× and 770× as long at B = 1 000 and 10 000.
+#[test]
+fn baseline_compile_time_does_not_grow_with_unwritten_locals() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let fastest = |module: &Module| {
+        let info = wasm::validate::validate(module).expect("generated module validates");
+        let compiler = SinglePassCompiler::new(CompilerOptions::allopt());
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                compiler
+                    .compile(module, 0, &info.funcs[0], &ProbeSites::none())
+                    .expect("generated body compiles");
+                start.elapsed()
+            })
+            .min()
+            .expect("three compiles")
+    };
+    for (shape_name, shape) in MERGE_SHAPES {
+        for blocks in [1_000, 10_000] {
+            let few = fastest(&unwritten_locals_module(shape, 50, blocks));
+            let many = fastest(&unwritten_locals_module(shape, 50_000, blocks));
+            assert!(
+                many <= 4 * few,
+                "{blocks} × `{shape_name}`: {many:?} at 50 000 locals against {few:?} at 50 ({:.0}x)",
+                many.as_secs_f64() / few.as_secs_f64()
+            );
+        }
+    }
+}
+
+/// The largest of those functions — 10 000 merges over 50 000 locals —
+/// compiles in both tiers and runs to the same end in every execution
+/// configuration.
+#[test]
+fn a_10_000_merge_function_over_50_000_locals_runs_through_all_five_configurations() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let module = unwritten_locals_module(MERGE_SHAPES[0].1, 50_000, 10_000);
+    let info = wasm::validate::validate(&module).expect("generated module validates");
+    SinglePassCompiler::new(CompilerOptions::allopt())
+        .compile(&module, 0, &info.funcs[0], &ProbeSites::none())
+        .expect("the baseline tier compiles it");
+    OptimizingCompiler::default()
+        .compile(&module, 0, &info.funcs[0], &ProbeSites::none(), None)
+        .expect("the optimizing tier compiles it");
+    let configs = conform::runner::all_configs();
+    assert_eq!(configs.len(), 5);
+    for config in configs {
+        let name = config.name.clone();
+        let engine = engine::Engine::new(config);
+        let mut instance = engine
+            .instantiate(&module, engine::Imports::new(), engine::Instrumentation::none())
+            .expect("instantiates");
+        // Three calls take the tiered configurations into their top tier.
+        for call in 0..3 {
+            let result = engine.call_export(&mut instance, "f", &[]);
+            assert_eq!(result, Ok(vec![]), "[{name}] call {call}");
+        }
     }
 }
 
