@@ -110,7 +110,13 @@ impl SlotState {
             Loc::Reg(r) => (Kind::Reg, encode_reg(r)),
             Loc::Const(c) => (Kind::Const, c),
         };
-        SlotState { value, tag_stored, kind, ty, in_memory }
+        SlotState {
+            value,
+            tag_stored,
+            kind,
+            ty,
+            in_memory,
+        }
     }
 
     /// Where the value currently lives.
@@ -124,7 +130,7 @@ impl SlotState {
     }
 
     /// The register caching this slot, if any.
-    pub fn reg(&self) -> Option<AnyReg> {
+    fn reg(&self) -> Option<AnyReg> {
         (self.kind == Kind::Reg).then(|| decode_reg(self.value))
     }
 
@@ -142,7 +148,10 @@ struct Link {
     next: u32,
 }
 
-const UNLINKED: Link = Link { prev: NONE, next: NONE };
+const UNLINKED: Link = Link {
+    prev: NONE,
+    next: NONE,
+};
 
 /// A set of local indices: a bit per local, plus a bit per 64 locals saying
 /// which words are non-zero, so walking or clearing the set costs its
@@ -210,7 +219,11 @@ impl LocalSet {
 
     /// The members, ascending.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let first = if self.is_empty() { None } else { self.next_from(0) };
+        let first = if self.is_empty() {
+            None
+        } else {
+            self.next_from(0)
+        };
         std::iter::successors(first, |&local| self.next_from(local + 1))
     }
 
@@ -281,8 +294,11 @@ impl AbstractState {
         max_operands: usize,
         multi_register: bool,
     ) -> AbstractState {
-        let num_locals =
-            params.len() + declared.iter().map(|&(count, _)| count as usize).sum::<usize>();
+        let num_locals = params.len()
+            + declared
+                .iter()
+                .map(|&(count, _)| count as usize)
+                .sum::<usize>();
         let canonical = |ty| SlotState::new(ty, Loc::Memory, true, 0);
         let mut slots = Vec::with_capacity(num_locals + max_operands);
         slots.extend(params.iter().map(|&ty| canonical(ty)));
@@ -352,7 +368,9 @@ impl AbstractState {
     /// The locals whose home memory is stale, ascending, with where their
     /// values are.
     pub fn dirty_locals(&self) -> impl Iterator<Item = (usize, Loc)> + '_ {
-        self.dirty_locals.iter().map(|local| (local, self.slots[local].loc()))
+        self.dirty_locals
+            .iter()
+            .map(|local| (local, self.slots[local].loc()))
     }
 
     // ---- Mutation ----------------------------------------------------------
@@ -367,7 +385,8 @@ impl AbstractState {
     #[inline(always)]
     pub fn push(&mut self, ty: ValueType, loc: Loc) -> usize {
         let index = self.slots.len();
-        self.slots.push(SlotState::new(ty, loc, loc == Loc::Memory, UNSTORED));
+        self.slots
+            .push(SlotState::new(ty, loc, loc == Loc::Memory, UNSTORED));
         if let Loc::Reg(r) = loc {
             self.bind(r, index);
         }
@@ -403,7 +422,11 @@ impl AbstractState {
         if let Loc::Reg(new) = loc {
             self.bind(new, index);
         }
-        let tag_stored = if tag_in_memory { self.tag_generation } else { UNSTORED };
+        let tag_stored = if tag_in_memory {
+            self.tag_generation
+        } else {
+            UNSTORED
+        };
         self.slots[index] = SlotState::new(self.slots[index].ty, loc, in_memory, tag_stored);
         if index < self.num_locals {
             if loc == Loc::Memory {
@@ -431,14 +454,6 @@ impl AbstractState {
             if !tag_in_memory {
                 self.tagged_below = self.tagged_below.min(index);
             }
-        }
-    }
-
-    /// Marks a slot's home memory as up to date.
-    pub fn mark_in_memory(&mut self, index: usize) {
-        self.slots[index].in_memory = true;
-        if index < self.num_locals {
-            self.dirty_locals.remove(index);
         }
     }
 
@@ -571,15 +586,6 @@ impl AbstractState {
         &mut links[index]
     }
 
-    /// The slots currently cached by `reg`, in the order they were bound.
-    pub fn slots_in_reg(&self, reg: AnyReg) -> impl Iterator<Item = usize> + '_ {
-        let head = self.heads[reg_index(reg)];
-        std::iter::successors((head != NONE).then_some(head as usize), |&slot| {
-            let next = self.link(slot).next;
-            (next != NONE).then_some(next as usize)
-        })
-    }
-
     /// True if `reg` may cache an additional slot under the current
     /// multi-register policy.
     #[inline]
@@ -591,7 +597,10 @@ impl AbstractState {
     fn bind(&mut self, reg: AnyReg, slot: usize) {
         let r = reg_index(reg);
         let tail = self.tails[r];
-        *self.link_mut(slot) = Link { prev: tail, next: NONE };
+        *self.link_mut(slot) = Link {
+            prev: tail,
+            next: NONE,
+        };
         if tail == NONE {
             self.heads[r] = slot as u32;
         } else {
@@ -704,8 +713,14 @@ mod tests {
         AnyReg::Gpr(s.free_gpr().unwrap())
     }
 
+    /// The slots `reg` caches, in binding order.
     fn bound(s: &AbstractState, reg: AnyReg) -> Vec<usize> {
-        s.slots_in_reg(reg).collect()
+        let head = s.heads[reg_index(reg)];
+        std::iter::successors((head != NONE).then_some(head as usize), |&slot| {
+            let next = s.link(slot).next;
+            (next != NONE).then_some(next as usize)
+        })
+        .collect()
     }
 
     #[test]
@@ -757,7 +772,10 @@ mod tests {
         let mut multi = AbstractState::new(&[ValueType::I32], &[], 1, true);
         let r = gpr(&multi);
         multi.set_slot(0, Loc::Reg(r), true, true);
-        assert!(multi.can_share(r), "MR allows a second slot in the register");
+        assert!(
+            multi.can_share(r),
+            "MR allows a second slot in the register"
+        );
         let op = multi.push(ValueType::I32, Loc::Memory);
         multi.share(r, op);
         assert_eq!(bound(&multi, r), [0, op]);
@@ -792,7 +810,11 @@ mod tests {
             regs.push((r, slot));
             assert!(regs.len() <= 32, "free_gpr never exhausted");
         }
-        assert_eq!(regs.len(), NUM_GPRS - 1, "scratch register is not allocatable");
+        assert_eq!(
+            regs.len(),
+            NUM_GPRS - 1,
+            "scratch register is not allocatable"
+        );
         let victim = s.evict_gpr();
         assert_ne!(victim, SCRATCH_GPR);
         let mut stored = Vec::new();
@@ -838,18 +860,29 @@ mod tests {
 
     #[test]
     fn flush_and_tag_walks_visit_slots_in_ascending_order() {
-        let mut s = AbstractState::new(&[], &[(150, ValueType::I32), (50, ValueType::F64)], 4, true);
+        let mut s =
+            AbstractState::new(&[], &[(150, ValueType::I32), (50, ValueType::F64)], 4, true);
         let r = gpr(&s);
         s.set_slot(150, Loc::Const(1), false, false);
         s.set_slot(3, Loc::Reg(r), false, false);
         s.set_slot(70, Loc::Reg(r), true, true);
         let op = s.push(ValueType::I32, Loc::Const(2));
-        assert_eq!(s.dirty_locals().map(|(slot, _)| slot).collect::<Vec<_>>(), [3, 150]);
+        assert_eq!(
+            s.dirty_locals().map(|(slot, _)| slot).collect::<Vec<_>>(),
+            [3, 150]
+        );
         let mut stored = Vec::new();
         s.flush(|slot, loc| stored.push((slot, loc)));
-        assert_eq!(stored, [(3, Loc::Reg(r)), (150, Loc::Const(1)), (op, Loc::Const(2))]);
+        assert_eq!(
+            stored,
+            [(3, Loc::Reg(r)), (150, Loc::Const(1)), (op, Loc::Const(2))]
+        );
         assert_eq!(s.dirty_locals().count(), 0);
-        assert_eq!(s.slot(70).loc(), Loc::Reg(r), "a flush leaves values where they are");
+        assert_eq!(
+            s.slot(70).loc(),
+            Loc::Reg(r),
+            "a flush leaves values where they are"
+        );
 
         let mut tagged = Vec::new();
         s.store_tags(true, |slot, _| tagged.push(slot));
@@ -863,7 +896,10 @@ mod tests {
         assert_eq!(tagged, [op], "forgotten operand tags, without the locals'");
         let mut tagged = Vec::new();
         s.store_tags(true, |slot, _| tagged.push(slot));
-        assert_eq!(tagged, (0..200).filter(|&slot| slot != 5).collect::<Vec<_>>());
+        assert_eq!(
+            tagged,
+            (0..200).filter(|&slot| slot != 5).collect::<Vec<_>>()
+        );
         s.store_tags(true, |slot, _| panic!("slot {slot} stored twice"));
     }
 
@@ -873,7 +909,10 @@ mod tests {
         for slot in [0, 63, 64, 4095, 4096, 9000, 70_000] {
             set.insert(slot);
         }
-        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, 4095, 4096, 9000, 70_000]);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [0, 63, 64, 4095, 4096, 9000, 70_000]
+        );
         assert_eq!(set.next_from(65), Some(4095));
         set.remove(4095);
         set.remove(4096);

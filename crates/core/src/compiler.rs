@@ -470,6 +470,9 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         let mut reader = BytecodeReader::new(code);
         while !self.ctrl.is_empty() {
             let offset = reader.pc();
+            // Matched rather than converted with `map_err(..)?`: the
+            // conversion re-packed the decoded `Imm` through the stack, and
+            // reading it back stalled on the stores (a tenth of the compile).
             let instr = match reader.next() {
                 Some(Ok(instr)) => instr,
                 Some(Err(e)) => return Err(self.error(offset, e.to_string())),

@@ -21,10 +21,11 @@
 # ratio of the medians against the metric's `better` and `bound` in
 # BENCHMARK.json: `WORSE` when here is worse by more than the bound, `ok`
 # otherwise), whether `sim_cycles` is identical, and where the linker
-# put the two execution loops in each binary (address mod 128 of `Cpu::run`
-# and `Interpreter::run`: 0 on a side whose tree pins placement, anything on
-# one that does not, which alone moves `exec-jit` / `exec-interp` by ~10 %:
-# see the verify skill).
+# put the three hot loops in each binary (address mod 128 of `Cpu::run`,
+# `Interpreter::run` and the baseline compiler's `FuncCompiler::compile_body`:
+# 0 on a side whose tree pins placement, anything on one that does not,
+# which alone moves `exec-jit` / `exec-interp` by ~10 %: see the verify
+# skill; `compile_body` carries `load-baseline`).
 # With LAYERS=1 each pair also makes one traced pass per side (`--trace 1
 # --layers 1`, in the pair's order, after its two untraced runs) and the
 # script ends each workload with the ref and here medians of every
@@ -79,12 +80,12 @@ build ref "$work/ref"
 build here "$top"
 
 echo
-echo "execution-loop placement (start address mod 128):"
+echo "loop placement (start address mod 128):"
 for side in ref here; do
     nm -C --defined-only "${bin[$side]}" |
-        sed -nE 's/^([0-9a-f]+) [tT] (.*(::Cpu|::Interpreter)::run)(::h[0-9a-f]+)?$/\1 \2/p' |
+        sed -nE 's/^([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body))(::h[0-9a-f]+)?$/\1 \2/p' |
         while read -r addr name; do
-            printf '  %-5s %-32s 0x%s  mod 128 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 128))
+            printf '  %-5s %-44s 0x%s  mod 128 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 128))
         done
 done
 
