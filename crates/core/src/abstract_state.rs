@@ -268,10 +268,9 @@ pub struct AbstractState {
     flushed_below: usize,
     tagged_below: usize,
     tag_generation: u32,
-    /// Binding-list links of the locals, as far as the highest local ever
-    /// bound, and of the operands, by depth from the first.
-    local_links: Vec<Link>,
-    operand_links: Vec<Link>,
+    /// Each slot's links in its register's binding list, read only while
+    /// the slot is bound.
+    links: Vec<Link>,
     /// First and last slot bound to each register, in binding order.
     heads: [u32; NUM_REGS],
     tails: [u32; NUM_REGS],
@@ -316,8 +315,7 @@ impl AbstractState {
             flushed_below: num_locals,
             tagged_below: num_locals,
             tag_generation: 0,
-            local_links: Vec::new(),
-            operand_links: vec![UNLINKED; max_operands],
+            links: vec![UNLINKED; num_locals + max_operands],
             heads: [NONE; NUM_REGS],
             tails: [NONE; NUM_REGS],
             occupied: 0,
@@ -566,26 +564,6 @@ impl AbstractState {
 
     // ---- Register bindings -------------------------------------------------
 
-    #[inline]
-    fn link(&self, slot: usize) -> Link {
-        match slot.checked_sub(self.num_locals) {
-            Some(depth) => self.operand_links[depth],
-            None => self.local_links[slot],
-        }
-    }
-
-    #[inline]
-    fn link_mut(&mut self, slot: usize) -> &mut Link {
-        let (links, index) = match slot.checked_sub(self.num_locals) {
-            Some(depth) => (&mut self.operand_links, depth),
-            None => (&mut self.local_links, slot),
-        };
-        if index >= links.len() {
-            links.resize(index + 1, UNLINKED);
-        }
-        &mut links[index]
-    }
-
     /// True if `reg` may cache an additional slot under the current
     /// multi-register policy.
     #[inline]
@@ -597,14 +575,18 @@ impl AbstractState {
     fn bind(&mut self, reg: AnyReg, slot: usize) {
         let r = reg_index(reg);
         let tail = self.tails[r];
-        *self.link_mut(slot) = Link {
+        if slot >= self.links.len() {
+            // Deeper than the validator's operand height: never, but cheap.
+            self.links.resize(slot + 1, UNLINKED);
+        }
+        self.links[slot] = Link {
             prev: tail,
             next: NONE,
         };
         if tail == NONE {
             self.heads[r] = slot as u32;
         } else {
-            self.link_mut(tail as usize).next = slot as u32;
+            self.links[tail as usize].next = slot as u32;
         }
         self.tails[r] = slot as u32;
         self.occupied |= 1 << r;
@@ -613,16 +595,16 @@ impl AbstractState {
     #[inline]
     fn unbind(&mut self, reg: AnyReg, slot: usize) {
         let r = reg_index(reg);
-        let Link { prev, next } = self.link(slot);
+        let Link { prev, next } = self.links[slot];
         if prev == NONE {
             self.heads[r] = next;
         } else {
-            self.link_mut(prev as usize).next = next;
+            self.links[prev as usize].next = next;
         }
         if next == NONE {
             self.tails[r] = prev;
         } else {
-            self.link_mut(next as usize).prev = prev;
+            self.links[next as usize].prev = prev;
         }
         if self.heads[r] == NONE {
             self.occupied &= !(1 << r);
@@ -683,7 +665,7 @@ impl AbstractState {
         let mut next = self.heads[r];
         while next != NONE {
             let slot = next as usize;
-            next = self.link(slot).next;
+            next = self.links[slot].next;
             let s = &mut self.slots[slot];
             if !s.in_memory {
                 store(slot);
@@ -717,7 +699,7 @@ mod tests {
     fn bound(s: &AbstractState, reg: AnyReg) -> Vec<usize> {
         let head = s.heads[reg_index(reg)];
         std::iter::successors((head != NONE).then_some(head as usize), |&slot| {
-            let next = s.link(slot).next;
+            let next = s.links[slot].next;
             (next != NONE).then_some(next as usize)
         })
         .collect()
