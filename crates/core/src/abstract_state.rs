@@ -158,8 +158,9 @@ const UNLINKED: Link = Link {
 /// members plus one word per 4 096 locals — nothing at all when it is empty.
 #[derive(Debug, Clone, Default)]
 struct LocalSet {
-    words: Vec<u64>,
-    summary: Vec<u64>,
+    /// A bit per local, then the summary: a bit per word of those.
+    bits: Vec<u64>,
+    words: usize,
     len: usize,
 }
 
@@ -167,8 +168,8 @@ impl LocalSet {
     fn new(locals: usize) -> LocalSet {
         let words = locals.div_ceil(64);
         LocalSet {
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
+            bits: vec![0; words + words.div_ceil(64)],
+            words,
             len: 0,
         }
     }
@@ -176,9 +177,9 @@ impl LocalSet {
     #[inline]
     fn insert(&mut self, local: usize) {
         let (w, bit) = (local / 64, 1 << (local % 64));
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.summary[w / 64] |= 1 << (w % 64);
+        if self.bits[w] & bit == 0 {
+            self.bits[w] |= bit;
+            self.bits[self.words + w / 64] |= 1 << (w % 64);
             self.len += 1;
         }
     }
@@ -186,10 +187,10 @@ impl LocalSet {
     #[inline]
     fn remove(&mut self, local: usize) {
         let (w, bit) = (local / 64, 1 << (local % 64));
-        if self.words[w] & bit != 0 {
-            self.words[w] &= !bit;
-            if self.words[w] == 0 {
-                self.summary[w / 64] &= !(1 << (w % 64));
+        if self.bits[w] & bit != 0 {
+            self.bits[w] &= !bit;
+            if self.bits[w] == 0 {
+                self.bits[self.words + w / 64] &= !(1 << (w % 64));
             }
             self.len -= 1;
         }
@@ -201,20 +202,21 @@ impl LocalSet {
 
     /// The least member at or above `from`.
     fn next_from(&self, from: usize) -> Option<usize> {
+        let (words, summary) = self.bits.split_at(self.words);
         let w = from / 64;
-        let bits = self.words.get(w)? & (!0 << (from % 64));
+        let bits = words.get(w)? & (!0 << (from % 64));
         if bits != 0 {
             return Some(w * 64 + bits.trailing_zeros() as usize);
         }
         let w = w + 1;
         let mut s = w / 64;
-        let mut summary = self.summary.get(s)? & (!0 << (w % 64));
-        while summary == 0 {
+        let mut above = summary.get(s)? & (!0 << (w % 64));
+        while above == 0 {
             s += 1;
-            summary = *self.summary.get(s)?;
+            above = *summary.get(s)?;
         }
-        let w = s * 64 + summary.trailing_zeros() as usize;
-        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+        let w = s * 64 + above.trailing_zeros() as usize;
+        Some(w * 64 + words[w].trailing_zeros() as usize)
     }
 
     /// The members, ascending.
@@ -231,10 +233,11 @@ impl LocalSet {
         if self.is_empty() {
             return;
         }
-        for (s, summary) in self.summary.iter_mut().enumerate() {
-            let mut bits = std::mem::take(summary);
+        let (words, summary) = self.bits.split_at_mut(self.words);
+        for (s, above) in summary.iter_mut().enumerate() {
+            let mut bits = std::mem::take(above);
             while bits != 0 {
-                self.words[s * 64 + bits.trailing_zeros() as usize] = 0;
+                words[s * 64 + bits.trailing_zeros() as usize] = 0;
                 bits &= bits - 1;
             }
         }
@@ -902,7 +905,7 @@ mod tests {
         assert_eq!(set.len, 5);
         set.clear();
         assert_eq!(set.iter().next(), None);
-        assert!(set.words.iter().chain(&set.summary).all(|&w| w == 0));
+        assert!(set.bits.iter().all(|&w| w == 0));
     }
 
     #[test]

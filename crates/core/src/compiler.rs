@@ -309,7 +309,7 @@ impl<'o> SinglePassCompiler<'o> {
             ref_locals,
             asm: masm,
             state,
-            ctrl: Vec::new(),
+            ctrl: Vec::with_capacity(16),
             table_stubs: Vec::new(),
             table_targets: Vec::new(),
             stackmaps: StackmapTable::default(),

@@ -255,14 +255,16 @@ impl Assembler {
     }
 
     /// Creates an assembler for compiling a function body of `wasm_bytes`
-    /// bytes, with room for the instructions and source-map entries such a
-    /// body usually needs (a third of an instruction per byte is typical),
-    /// so neither grows as the compile goes. `finish` trims both.
+    /// bytes, with room for the instructions, source-map entries and labels
+    /// such a body usually needs (a third of an instruction and a quarter of
+    /// a mark per byte are typical, a label per 20), so none of them grows
+    /// as the compile goes. `finish` trims what is left over.
     pub fn for_body(wasm_bytes: usize) -> Assembler {
         let expected = wasm_bytes / 2 + 8;
         Assembler {
             insts: Vec::with_capacity(expected),
             source_map: Vec::with_capacity(expected),
+            labels: Vec::with_capacity(wasm_bytes / 16 + 4),
             ..Assembler::default()
         }
     }
