@@ -248,8 +248,8 @@ impl LocalSet {
 /// The complete abstract state: locals, the abstract operand stack, and
 /// register bindings.
 ///
-/// What departs from the canonical state is listed per local in a
-/// [`LocalSet`], and bounded per operand by a watermark: below
+/// What departs from the canonical state is listed per local in a bitset,
+/// and bounded per operand by a watermark: below
 /// `clean_below`, `flushed_below` and `tagged_below`, every operand is in
 /// memory, has its home slot up to date, and has its tag stored. Operands
 /// are pushed and popped at the top, so a watermark only ever has to come
