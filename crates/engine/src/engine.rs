@@ -7,7 +7,9 @@
 //! unified execution driver that lets interpreter frames and JIT frames call
 //! each other freely (tier-up happens at function entry once a function gets
 //! hot; tier-down to the interpreter can happen when a probe fires in JIT
-//! code).
+//! code). Both executors stop a frame with the same [`Exit`]; an activation
+//! keeps its resume and call-site positions in its tier's own coordinates,
+//! and only a trap's frame walk maps them to bytecode offsets.
 //!
 //! An [`Engine`] is a handle (one [`Arc`]) to everything immutable the
 //! runtime needs, built once by [`Engine::new`]: the configuration, the cost
@@ -28,10 +30,10 @@ use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
 use crate::pipeline::{self, CompileTier, CompiledArtifact, CompiledModule};
 use crate::trap::{Backtrace, Frame, TrapInfo};
-use interp::interp::{InterpExit, Interpreter};
+use interp::interp::Interpreter;
 use interp::probe::{FrameAccessor, ProbeSink};
 use machine::cost::{CostModel, CycleCounter};
-use machine::cpu::{Cpu, CpuExit, CpuState, EpochSampler, ExecContext, Meter, OsrHook, ProbeExit};
+use machine::cpu::{Cpu, CpuState, EpochSampler, ExecContext, Exit, Meter, OsrHook, ProbeExit};
 use machine::inst::TrapCode;
 use machine::memory::{LinearMemory, Table};
 use machine::values::{GlobalSlot, ValueStack, ValueTag, WasmValue};
@@ -318,14 +320,11 @@ impl Instance {
 }
 
 enum FrameTier {
-    Interp {
-        ip: usize,
-    },
+    Interp,
     // The register file is boxed so interpreter activations stay small. The
     // compile tier is pinned per activation: a frame keeps running the code
     // it started in even if a higher tier publishes mid-activation.
     Jit {
-        pc: usize,
         cpu: Box<CpuState>,
         tier: CompileTier,
     },
@@ -334,7 +333,7 @@ enum FrameTier {
 impl FrameTier {
     fn jit_tier(&self) -> Option<CompileTier> {
         match self {
-            FrameTier::Interp { .. } => None,
+            FrameTier::Interp => None,
             FrameTier::Jit { tier, .. } => Some(*tier),
         }
     }
@@ -347,6 +346,10 @@ struct Activation {
     num_results: u32,
     frame_slots: u32,
     tier: FrameTier,
+    /// Where the frame continues when it next runs. Like `site`, a position
+    /// in the frame's tier's own coordinates: a bytecode offset in the
+    /// interpreter, an instruction index into compiled code.
+    resume: usize,
     /// One declined OSR poll is absorbed before the next can fire, so a
     /// loop whose transition is pending (or was refused) always makes a
     /// full iteration of progress between polls.
@@ -354,12 +357,12 @@ struct Activation {
     /// OSR permanently disabled for this activation (no entry for the loop,
     /// compile failure, or a frame that cannot grow to the optimized size).
     osr_off: bool,
-    /// Bytecode offset of the call instruction this frame last suspended
-    /// at. This is the frame's position in a backtrace while a callee runs —
-    /// and where traps raised *at the call boundary itself* (stack
-    /// exhaustion, epoch interruption in `push_frame`, indirect-call
-    /// dispatch failures, host errors) are attributed.
-    site_offset: u32,
+    /// Position of the call instruction this frame last suspended at. This
+    /// is the frame's position in a backtrace while a callee runs — and
+    /// where traps raised *at the call boundary itself* (stack exhaustion,
+    /// epoch interruption in `push_frame`, indirect-call dispatch failures,
+    /// host errors) are attributed.
+    site: usize,
 }
 
 /// The engine: a configuration plus the machinery to instantiate and run
@@ -894,11 +897,10 @@ impl Engine {
 
         let tier = match jit_tier {
             Some(tier) => FrameTier::Jit {
-                pc: 0,
                 cpu: Box::new(CpuState::new()),
                 tier,
             },
-            None => FrameTier::Interp { ip: 0 },
+            None => FrameTier::Interp,
         };
         // The value-stack pointer covers the locals for interpreter frames
         // (operands are pushed as it executes) and the whole frame for JIT
@@ -916,9 +918,10 @@ impl Engine {
             num_results,
             frame_slots,
             tier,
+            resume: 0,
             osr_skip: false,
             osr_off: false,
-            site_offset: 0,
+            site: 0,
         })
     }
 
@@ -931,7 +934,7 @@ impl Engine {
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
         let mut stack: Vec<Activation> = Vec::new();
-        let mut trap_offset: Option<u32> = None;
+        let mut trap_at: Option<usize> = None;
         let result = self.run_frames(
             instance,
             func_index,
@@ -939,12 +942,12 @@ impl Engine {
             frame_base,
             cycles,
             &mut stack,
-            &mut trap_offset,
+            &mut trap_at,
         );
         if let Err(code) = result {
             // The stack is still live here — the frame walk sees exactly the
             // activations that existed when the trap fired.
-            self.record_trap(instance, &stack, code, trap_offset);
+            self.record_trap(instance, &stack, code, trap_at);
         }
         result
     }
@@ -954,25 +957,34 @@ impl Engine {
     /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and bumps the
     /// per-reason telemetry counter.
     ///
-    /// The top frame's offset is `trap_offset` when the trap came from
+    /// The top frame's position is `trap_at` when the trap came from
     /// *executing* an instruction; traps raised at a call boundary (stack
     /// exhaustion, `push_frame` epoch interruption, indirect-call dispatch
     /// failures, host errors) have no executing instruction, so the top
     /// frame reports the call site it was suspended at.
+    ///
+    /// This is the one place positions become bytecode offsets: a frame's
+    /// position is already one in the interpreter, and compiled code maps
+    /// its instruction index through the source map (0 when the code was
+    /// compiled without one).
     fn record_trap(
         &self,
         instance: &mut Instance,
         stack: &[Activation],
         code: TrapCode,
-        trap_offset: Option<u32>,
+        mut trap_at: Option<usize>,
     ) {
         let names = instance.module().name_section();
         let mut frames = Vec::with_capacity(stack.len());
-        for (depth, act) in stack.iter().rev().enumerate() {
-            let offset = if depth == 0 {
-                trap_offset.unwrap_or(act.site_offset)
-            } else {
-                act.site_offset
+        for act in stack.iter().rev() {
+            let position = trap_at.take().unwrap_or(act.site);
+            let offset = match act.tier {
+                FrameTier::Interp => position as u32,
+                FrameTier::Jit { tier, .. } => instance
+                    .artifact
+                    .code_for(act.defined_index, tier)
+                    .and_then(|compiled| compiled.code.source_offset(position))
+                    .unwrap_or(0),
             };
             frames.push(Frame {
                 func_index: act.func_index,
@@ -1001,7 +1013,7 @@ impl Engine {
         frame_base: usize,
         cycles: &mut CycleCounter,
         stack: &mut Vec<Activation>,
-        trap_offset: &mut Option<u32>,
+        trap_at: &mut Option<usize>,
     ) -> Result<(), TrapCode> {
         // The shared parts, bound once: the loop below reads them as
         // directly as it would an engine held by value.
@@ -1034,7 +1046,7 @@ impl Engine {
             let frame_tier = act.tier.jit_tier();
             let sample_func = act.func_index;
             let sample_tier = pipeline::tier_label(frame_tier);
-            let exit = {
+            let (exit, compiled) = {
                 let Instance {
                     memory,
                     globals,
@@ -1083,23 +1095,22 @@ impl Engine {
                     },
                 };
                 match &mut act.tier {
-                    FrameTier::Interp { ip } => {
+                    FrameTier::Interp => {
                         let exit = interp.run(
                             artifact.module(),
                             artifact.prepared(defined),
-                            *ip,
+                            act.resume,
                             &mut ctx,
                             instrumentation,
                             cycles,
                         );
-                        UnifiedExit::from_interp(exit)
+                        (exit, None)
                     }
-                    FrameTier::Jit { pc, cpu: cpu_state, tier } => {
+                    FrameTier::Jit { cpu: cpu_state, tier } => {
                         let code = artifact
                             .code_for(defined, *tier)
                             .expect("JIT frame has compiled code");
-                        let exit = cpu.run(cpu_state, &code.code, *pc, &mut ctx, cycles);
-                        UnifiedExit::from_cpu(exit, code)
+                        (cpu.run(cpu_state, &code.code, act.resume, &mut ctx, cycles), Some(code))
                     }
                 }
             };
@@ -1118,7 +1129,7 @@ impl Engine {
             }
 
             match exit {
-                UnifiedExit::Return => {
+                Exit::Return => {
                     let finished = stack.pop().expect("active frame");
                     let result_end = finished.frame_base + finished.num_results as usize;
                     let frame_end = finished.frame_base + finished.frame_slots as usize;
@@ -1131,7 +1142,7 @@ impl Engine {
                         Some(parent) => {
                             cycles.charge(cost.ret);
                             match parent.tier {
-                                FrameTier::Interp { .. } => {
+                                FrameTier::Interp => {
                                     instance.values.set_sp(result_end);
                                 }
                                 FrameTier::Jit { .. } => {
@@ -1143,24 +1154,25 @@ impl Engine {
                         }
                     }
                 }
-                UnifiedExit::Call { callee, resume, site_offset } => {
+                Exit::Call { func_index: callee, site, resume } => {
                     // Where the caller stands in a backtrace while the callee
-                    // runs.
-                    act.site_offset = site_offset;
-                    let call = cost.call;
-                    self.dispatch_call(instance, &artifact, stack, callee, resume, call, cycles)?;
+                    // runs, and where it continues once the callee returns.
+                    act.site = site;
+                    act.resume = resume;
+                    self.dispatch_call(instance, &artifact, stack, callee, cost.call, cycles)?;
                 }
-                UnifiedExit::CallIndirect {
+                Exit::CallIndirect {
                     type_index,
                     table_index,
                     entry_index,
+                    site,
                     resume,
-                    site_offset,
                 } => {
                     // Set the backtrace position before the dispatch checks:
                     // table-bounds, null-entry, and signature traps below all
                     // belong to this `call_indirect` instruction.
-                    act.site_offset = site_offset;
+                    act.site = site;
+                    act.resume = resume;
                     let table = instance
                         .tables
                         .get(table_index as usize)
@@ -1177,16 +1189,22 @@ impl Engine {
                         return Err(TrapCode::IndirectCallTypeMismatch);
                     }
                     let call = cost.call_indirect;
-                    self.dispatch_call(instance, &artifact, stack, callee, resume, call, cycles)?;
+                    self.dispatch_call(instance, &artifact, stack, callee, call, cycles)?;
                 }
-                UnifiedExit::Probe { exit, resume } => {
-                    self.handle_jit_probe(instance, act, exit, resume)?;
+                Exit::Probe { probe, resume } => {
+                    act.resume = resume;
+                    // Only compiled code exits for a probe: the interpreter
+                    // fires its own.
+                    if let Some(code) = compiled {
+                        self.handle_jit_probe(instance, act, code, probe);
+                    }
                 }
-                UnifiedExit::Osr { offset, resume } => {
-                    self.handle_osr(instance, act, offset, resume);
+                Exit::Osr { offset, resume } => {
+                    act.resume = resume;
+                    self.handle_osr(instance, act, offset);
                 }
-                UnifiedExit::Trap { code, offset } => {
-                    *trap_offset = Some(offset);
+                Exit::Trap { code, at } => {
+                    *trap_at = Some(at);
                     return Err(code);
                 }
             }
@@ -1194,30 +1212,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Transfers control from the top frame to `callee` — everything a call
-    /// instruction does once its callee is known. The caller is suspended at
-    /// `resume`; the callee's frame starts where the caller's call-site
+    /// Transfers control from the top frame, suspended at its call site, to
+    /// `callee` — everything a call instruction does once its callee is
+    /// known. The callee's frame starts where the caller's call-site
     /// metadata says (compiled code) or at the arguments on top of the stack
     /// (the interpreter); `cost` is charged; then a host function runs in
     /// place and the caller's stack pointer is restored, and a Wasm function
     /// gets a new frame.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch_call(
         &self,
         instance: &mut Instance,
         artifact: &CompiledModule,
         stack: &mut Vec<Activation>,
         callee: u32,
-        resume: usize,
         cost: u64,
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
         let sig = artifact.module().func_type(callee).ok_or(TrapCode::HostError)?;
-        let caller = stack.last_mut().expect("a frame made the call");
-        match &mut caller.tier {
-            FrameTier::Interp { ip } => *ip = resume,
-            FrameTier::Jit { pc, .. } => *pc = resume,
-        }
+        let caller = stack.last().expect("a frame made the call");
         // Where the callee's frame starts, and where the caller's stack
         // pointer stands once a host callee has returned in place: compiled
         // code keeps its whole frame, the interpreter its operands.
@@ -1225,7 +1237,7 @@ impl Engine {
             Some(tier) => {
                 let site = artifact
                     .code_for(caller.defined_index, tier)
-                    .and_then(|c| c.call_sites.get(&(resume - 1)))
+                    .and_then(|c| c.call_sites.get(&caller.site))
                     .ok_or(TrapCode::HostError)?;
                 (
                     caller.frame_base + site.callee_slot_base as usize,
@@ -1256,14 +1268,10 @@ impl Engine {
     /// polling thread, and the current tier resumes at the check site (which
     /// consumed nothing, so re-executing it is correct — and the loop-head
     /// check of the optimized code runs instead after a transfer, keeping
-    /// fuel and epoch accounting bit-identical to a never-OSR run).
-    fn handle_osr(&self, instance: &mut Instance, act: &mut Activation, offset: u32, resume: usize) {
+    /// fuel and epoch accounting bit-identical to a never-OSR run). The
+    /// caller has already pointed the frame back at that check site.
+    fn handle_osr(&self, instance: &mut Instance, act: &mut Activation, offset: u32) {
         let defined = act.defined_index;
-        // Default: resume the current tier at the declined poll site.
-        match &mut act.tier {
-            FrameTier::Interp { ip } => *ip = resume,
-            FrameTier::Jit { pc, .. } => *pc = resume,
-        }
         if instance.artifact.artifact_for(defined, CompileTier::Opt).is_none() {
             // Not compiled yet: compile it and guarantee a full loop
             // iteration of progress before the next poll.
@@ -1309,10 +1317,10 @@ impl Engine {
         instance.values.set_sp(frame_end);
         act.frame_slots = frame_slots;
         act.tier = FrameTier::Jit {
-            pc: entry,
             cpu: Box::new(CpuState::new()),
             tier: CompileTier::Opt,
         };
+        act.resume = entry;
         if self.0.telemetry.is_enabled() {
             self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
             if let Some(metrics) = self.0.telemetry.metrics() {
@@ -1321,60 +1329,55 @@ impl Engine {
         }
     }
 
+    /// Handles a probe that fired in `code`, the compiled code the top frame
+    /// runs, which the caller has already pointed past the probe
+    /// instruction. A probe that needs its site names the instruction's
+    /// position, and `code`'s probe-site table maps it to the bytecode
+    /// offset and operand height.
     fn handle_jit_probe(
         &self,
         instance: &mut Instance,
         act: &mut Activation,
-        exit: ProbeExit,
-        resume: usize,
-    ) -> Result<(), TrapCode> {
-        let defined = act.defined_index;
+        code: &CompiledFunction,
+        probe: ProbeExit,
+    ) {
         let func_index = act.func_index;
-        let tier = act.tier.jit_tier().expect("probe fired in compiled code");
-        let (offset, operand_height) = {
-            let compiled = instance
-                .artifact
-                .code_for(defined, tier)
-                .expect("probe fired in compiled code");
-            compiled
-                .probe_sites
-                .get(&(resume - 1))
+        let probed = |site: usize| {
+            code.probe_sites
+                .get(&site)
                 .map(|m| (m.offset, m.operand_height))
                 .unwrap_or((0, 0))
         };
-        match exit {
+        match probe {
             ProbeExit::Counter { counter_id } => {
                 instance.instrumentation.increment_counter(counter_id);
             }
-            ProbeExit::TosValue { bits, .. } => {
+            ProbeExit::TosValue { site, bits } => {
                 // The value's type is whatever the top of stack was; the
                 // branch monitor only needs zero/non-zero, so i64 suffices.
                 instance.instrumentation.fire_with_value(
                     func_index,
-                    offset,
+                    probed(site).0,
                     WasmValue::I64(bits as i64),
                 );
             }
-            ProbeExit::Runtime { .. } | ProbeExit::Direct { .. } => {
+            ProbeExit::Frame { site } => {
+                let (offset, operand_height) = probed(site);
+                let num_locals =
+                    instance.artifact.prepared(act.defined_index).num_locals() as usize;
+                let sp_before = instance.values.sp();
+                instance
+                    .values
+                    .set_sp(act.frame_base + num_locals + operand_height as usize);
                 if self.0.config.deopt_on_probe {
                     // Tier-down: the frame state is flushed at runtime probes,
                     // so the interpreter can take over in place. The probe is
                     // NOT fired here — the interpreter will fire it when it
                     // re-executes the probed instruction.
-                    let num_locals = instance.artifact.prepared(defined).num_locals() as usize;
-                    instance
-                        .values
-                        .set_sp(act.frame_base + num_locals + operand_height as usize);
-                    act.tier = FrameTier::Interp {
-                        ip: offset as usize,
-                    };
-                    return Ok(());
+                    act.tier = FrameTier::Interp;
+                    act.resume = offset as usize;
+                    return;
                 }
-                let num_locals = instance.artifact.prepared(defined).num_locals() as usize;
-                let sp_before = instance.values.sp();
-                instance
-                    .values
-                    .set_sp(act.frame_base + num_locals + operand_height as usize);
                 let Instance {
                     values,
                     instrumentation,
@@ -1386,11 +1389,6 @@ impl Engine {
                 instance.values.set_sp(sp_before);
             }
         }
-        match &mut act.tier {
-            FrameTier::Jit { pc, .. } => *pc = resume,
-            FrameTier::Interp { .. } => {}
-        }
-        Ok(())
     }
 
     fn call_host(
@@ -1458,20 +1456,18 @@ impl Engine {
         if uses_stackmaps {
             let mut frames = Vec::new();
             for act in stack {
-                if let FrameTier::Jit { pc, tier, .. } = &act.tier {
+                if let FrameTier::Jit { tier, .. } = &act.tier {
                     if let Some(compiled) = instance.artifact.code_for(act.defined_index, *tier) {
-                        // The frame is paused at the call instruction before
-                        // its resume point. Optimizing-tier frames publish
-                        // their references through tagged slots instead of
-                        // stackmaps; their (empty) tables contribute nothing
-                        // here and the tag scan below picks the roots up.
-                        if *pc > 0 {
-                            frames.push(StackmapFrame {
-                                compiled,
-                                frame_base: act.frame_base,
-                                call_inst_index: *pc - 1,
-                            });
-                        }
+                        // The frame is paused at its call site.
+                        // Optimizing-tier frames publish their references
+                        // through tagged slots instead of stackmaps; their
+                        // (empty) tables contribute nothing here and the tag
+                        // scan below picks the roots up.
+                        frames.push(StackmapFrame {
+                            compiled,
+                            frame_base: act.frame_base,
+                            call_inst_index: act.site,
+                        });
                     }
                 }
             }
@@ -1524,127 +1520,6 @@ fn global_roots(globals: &[GlobalSlot]) -> Vec<u32> {
         .filter(|g| g.tag == ValueTag::Ref && g.bits != machine::values::NULL_REF_BITS)
         .map(|g| g.bits as u32)
         .collect()
-}
-
-/// A tier-independent view of why a frame stopped executing.
-///
-/// Wasm bytecode offsets are resolved here, once, at the tier boundary: the
-/// interpreter reports them directly, while compiled exits map their machine
-/// program counter back through the code's source map
-/// ([`spc::CompiledFunction`]'s `code.source_offset`). Past this point the
-/// engine never needs to know which tier produced an exit to attribute it in
-/// a backtrace — that is what makes backtraces bit-identical across tiers.
-enum UnifiedExit {
-    Return,
-    Call {
-        callee: u32,
-        resume: usize,
-        /// Bytecode offset of the `call` instruction itself — the caller's
-        /// backtrace position while the callee runs.
-        site_offset: u32,
-    },
-    CallIndirect {
-        type_index: u32,
-        table_index: u32,
-        entry_index: u32,
-        resume: usize,
-        /// Bytecode offset of the `call_indirect` instruction itself.
-        site_offset: u32,
-    },
-    Probe {
-        exit: ProbeExit,
-        resume: usize,
-    },
-    /// A hot-loop OSR poll fired at the loop-body start `offset`; `resume`
-    /// re-enters the current tier at the poll site if the transition is
-    /// declined (nothing was consumed, so the site re-executes).
-    Osr {
-        offset: u32,
-        resume: usize,
-    },
-    Trap {
-        code: TrapCode,
-        /// Bytecode offset of the trapping instruction (0 when the code was
-        /// compiled without debug metadata and the source map is empty).
-        offset: u32,
-    },
-}
-
-impl UnifiedExit {
-    fn from_interp(exit: InterpExit) -> UnifiedExit {
-        match exit {
-            InterpExit::Return => UnifiedExit::Return,
-            InterpExit::Call {
-                func_index,
-                resume_ip,
-                site_offset,
-            } => UnifiedExit::Call {
-                callee: func_index,
-                resume: resume_ip,
-                site_offset,
-            },
-            InterpExit::CallIndirect {
-                type_index,
-                table_index,
-                entry_index,
-                resume_ip,
-                site_offset,
-            } => UnifiedExit::CallIndirect {
-                type_index,
-                table_index,
-                entry_index,
-                resume: resume_ip,
-                site_offset,
-            },
-            InterpExit::Osr { offset } => UnifiedExit::Osr {
-                offset,
-                resume: offset as usize,
-            },
-            InterpExit::Trap { code, offset } => UnifiedExit::Trap { code, offset },
-        }
-    }
-
-    /// `code` is the compiled function the exit came from; its source map
-    /// translates the machine program counters in the exit back to wasm
-    /// bytecode offsets. Call exits resume at `call instruction + 1`, so the
-    /// call site itself is the preceding instruction.
-    fn from_cpu(exit: CpuExit, code: &CompiledFunction) -> UnifiedExit {
-        match exit {
-            CpuExit::Return => UnifiedExit::Return,
-            CpuExit::Call {
-                func_index,
-                resume_pc,
-            } => UnifiedExit::Call {
-                callee: func_index,
-                resume: resume_pc,
-                site_offset: code.code.source_offset(resume_pc - 1).unwrap_or(0),
-            },
-            CpuExit::CallIndirect {
-                type_index,
-                table_index,
-                entry_index,
-                resume_pc,
-            } => UnifiedExit::CallIndirect {
-                type_index,
-                table_index,
-                entry_index,
-                resume: resume_pc,
-                site_offset: code.code.source_offset(resume_pc - 1).unwrap_or(0),
-            },
-            CpuExit::Probe { exit, resume_pc } => UnifiedExit::Probe {
-                exit,
-                resume: resume_pc,
-            },
-            CpuExit::Osr { offset, resume_pc } => UnifiedExit::Osr {
-                offset,
-                resume: resume_pc,
-            },
-            CpuExit::Trap { code: trap, pc } => UnifiedExit::Trap {
-                code: trap,
-                offset: code.code.source_offset(pc).unwrap_or(0),
-            },
-        }
-    }
 }
 
 #[cfg(test)]

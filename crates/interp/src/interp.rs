@@ -11,12 +11,13 @@
 //! Like the CPU simulator, the interpreter is a *resumable frame executor*:
 //! it runs one frame until it returns, calls, or traps, and the engine
 //! performs the actual transfer (so calls can cross tiers and trigger
-//! tier-up).
+//! tier-up). It returns the simulator's [`Exit`], with every position a
+//! bytecode offset.
 
 use crate::probe::{FrameAccessor, ProbeSink};
 use crate::sidetable::{BranchEntry, Sidetable};
 use machine::cost::{CostModel, CycleCounter};
-use machine::cpu::ExecContext;
+use machine::cpu::{ExecContext, Exit};
 use machine::inst::{AluOp, CmpOp, TrapCode, UnOp, Width};
 use machine::lower::{classify, OpClass};
 use machine::ops;
@@ -96,51 +97,6 @@ pub fn prepare(
         body_len: info.body_len,
         fuel: Arc::clone(&info.fuel),
     })
-}
-
-/// Why the interpreter stopped executing a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InterpExit {
-    /// The function returned; results are in the frame's first result slots.
-    Return,
-    /// A direct call. Arguments are the top operand-stack values.
-    Call {
-        /// The callee.
-        func_index: u32,
-        /// Bytecode offset to resume at after the call.
-        resume_ip: usize,
-        /// Bytecode offset of the `call` instruction itself — the caller's
-        /// position in a backtrace while the callee runs.
-        site_offset: u32,
-    },
-    /// An indirect call. Arguments are on the operand stack; the table
-    /// element index has already been popped.
-    CallIndirect {
-        /// Expected signature.
-        type_index: u32,
-        /// Table index.
-        table_index: u32,
-        /// The dynamic element index.
-        entry_index: u32,
-        /// Bytecode offset to resume at after the call.
-        resume_ip: usize,
-        /// Bytecode offset of the `call_indirect` instruction itself.
-        site_offset: u32,
-    },
-    /// The OSR hook fired at a hot loop-body start: the engine should try to
-    /// transfer this frame into the optimizing tier, or resume interpreting
-    /// at `offset` (whose meter work has not yet run) to continue in place.
-    Osr {
-        /// The wasm bytecode offset of the loop-body start.
-        offset: u32,
-    },
-    /// Execution trapped.
-    Trap {
-        /// The trap reason.
-        code: TrapCode,
-        /// Bytecode offset of the trapping instruction.
-        offset: u32,
-    },
 }
 
 /// What the dispatch loop knows about one opcode byte, decided once in
@@ -308,10 +264,10 @@ impl Interpreter {
         ctx: &mut ExecContext<'_>,
         probes: &mut dyn ProbeSink,
         cycles: &mut CycleCounter,
-    ) -> InterpExit {
+    ) -> Exit {
         let decl = match module.func_decl(func.func_index) {
             Some(d) => d,
-            None => return InterpExit::Trap { code: TrapCode::HostError, offset: 0 },
+            None => return Exit::Trap { code: TrapCode::HostError, at: 0 },
         };
         let code: &[u8] = &decl.code;
         let frame_base = ctx.frame_base;
@@ -341,7 +297,7 @@ impl Interpreter {
         let mut ip: usize;
         macro_rules! trap {
             ($code:expr) => {
-                break InterpExit::Trap { code: $code, offset: ip as u32 }
+                break Exit::Trap { code: $code, at: ip }
             };
         }
         // Transfers control through a sidetable entry, if the table has it.
@@ -448,7 +404,7 @@ impl Interpreter {
             if reader.is_at_end() {
                 // Fell off the end of the body: function return.
                 spent += Self::finish_return(cost, func, frame_base, values);
-                break InterpExit::Return;
+                break Exit::Return;
             }
             ip = reader.pc();
 
@@ -465,7 +421,7 @@ impl Interpreter {
                     // instruction re-executes the same check — so the charge
                     // happens exactly once regardless of the transition.
                     if let Some(offset) = ctx.meter.poll_osr(|| ip as u32) {
-                        break InterpExit::Osr { offset };
+                        break Exit::Osr { offset, resume: ip };
                     }
                     if metered {
                         spent += cost.fuel_check;
@@ -544,27 +500,23 @@ impl Interpreter {
                 }
                 Opcode::Return => {
                     spent += Self::finish_return(cost, func, frame_base, values);
-                    break InterpExit::Return;
+                    break Exit::Return;
                 }
                 Opcode::Call => {
                     let callee = read!(read_index);
-                    break InterpExit::Call {
-                        func_index: callee,
-                        resume_ip: reader.pc(),
-                        site_offset: ip as u32,
-                    };
+                    break Exit::Call { func_index: callee, site: ip, resume: reader.pc() };
                 }
                 Opcode::CallIndirect => {
                     let (type_index, table_index) = read!(read_call_indirect);
                     let sp = values.sp() - 1;
                     let entry_index = values.read(sp) as u32;
                     values.set_sp(sp);
-                    break InterpExit::CallIndirect {
+                    break Exit::CallIndirect {
                         type_index,
                         table_index,
                         entry_index,
-                        resume_ip: reader.pc(),
-                        site_offset: ip as u32,
+                        site: ip,
+                        resume: reader.pc(),
                     };
                 }
                 Opcode::Drop => {
@@ -911,14 +863,14 @@ mod tests {
         };
         let exit = interp.run(module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);
         match exit {
-            InterpExit::Return => Ok(results
+            Exit::Return => Ok(results
                 .iter()
                 .enumerate()
                 .map(|(i, ty)| {
                     WasmValue::from_bits(values.read(i), ValueTag::for_type(*ty))
                 })
                 .collect()),
-            InterpExit::Trap { code, .. } => Err(code),
+            Exit::Trap { code, .. } => Err(code),
             other => panic!("unexpected exit {other:?}"),
         }
     }
@@ -1229,7 +1181,7 @@ mod tests {
 
     /// Runs a hand-prepared frame over `code` whose metadata declares
     /// `local_types` — which need not match what the body indexes.
-    fn run_unvalidated(code: CodeBuilder, local_types: Vec<ValueType>) -> InterpExit {
+    fn run_unvalidated(code: CodeBuilder, local_types: Vec<ValueType>) -> Exit {
         let mut b = ModuleBuilder::new();
         let f = b.add_func(FuncType::new(vec![], vec![]), vec![], code.finish());
         let module = b.finish();
@@ -1261,7 +1213,7 @@ mod tests {
 
     #[test]
     fn indices_outside_the_prepared_metadata_are_host_errors_not_panics() {
-        let host_error = |offset| InterpExit::Trap { code: TrapCode::HostError, offset };
+        let host_error = |at| Exit::Trap { code: TrapCode::HostError, at };
         let body = |build: fn(&mut CodeBuilder)| {
             let mut c = CodeBuilder::new();
             build(c.nop());
@@ -1317,10 +1269,10 @@ mod tests {
         let exit = interp.run(&module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);
         assert_eq!(
             exit,
-            InterpExit::Call {
+            Exit::Call {
                 func_index: callee,
-                resume_ip: 2,
-                site_offset: 0,
+                site: 0,
+                resume: 2,
             }
         );
     }

@@ -8,8 +8,10 @@
 //! * [`profile`] — execution profiles the lower tiers export to the
 //!   optimizing tier (branch bias for profile-guided block layout).
 //!
-//! The interpreter is a resumable frame executor: the engine drives calls
-//! and returns so execution can cross tiers at any call boundary.
+//! The interpreter is a resumable frame executor: it stops a frame with the
+//! same [`machine::cpu::Exit`] the CPU simulator returns, its positions
+//! bytecode offsets, and the engine drives calls and returns so execution
+//! can cross tiers at any call boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +21,7 @@ pub mod probe;
 pub mod profile;
 pub mod sidetable;
 
-pub use interp::{prepare, InterpExit, Interpreter, PreparedFunction};
+pub use interp::{prepare, Interpreter, PreparedFunction};
 pub use probe::{FrameAccessor, NoProbes, ProbeSink};
 pub use profile::{BranchSummary, FuncProfile};
 pub use sidetable::{BranchEntry, Sidetable};

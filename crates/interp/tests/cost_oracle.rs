@@ -5,10 +5,10 @@
 //! on every opcode. The expectations below are written out from the
 //! `CostModel` fields, never read back from the interpreter.
 
-use interp::{InterpExit, Interpreter, NoProbes, PreparedFunction};
+use interp::{Interpreter, NoProbes, PreparedFunction};
 use interp::sidetable::build_sidetable;
 use machine::cost::{CostModel, CycleCounter};
-use machine::cpu::{ExecContext, Meter};
+use machine::cpu::{ExecContext, Exit, Meter};
 use machine::inst::{AluOp, FAluOp, FUnOp, TrapCode};
 use machine::lower::{classify, OpClass};
 use machine::memory::{LinearMemory, Table};
@@ -127,7 +127,7 @@ impl Case {
 }
 
 /// Runs `case` under `cost` and returns the exit and the cycles charged.
-fn charged(cost: &CostModel, case: Case) -> (InterpExit, u64) {
+fn charged(cost: &CostModel, case: Case) -> (Exit, u64) {
     let local_types: Vec<ValueType> = case.locals.iter().map(|v| v.value_type()).collect();
     let mut b = ModuleBuilder::new();
     b.add_memory(Limits::at_least(1));
@@ -223,7 +223,7 @@ fn every_classified_opcode_costs_what_classify_and_the_model_say() {
         code.op(op);
         let operands = benign_operands(class.operand_type());
         let (exit, cycles) = charged(&cost, Case::bare(code, &operands[..arity]));
-        assert_eq!(exit, InterpExit::Return, "{op}");
+        assert_eq!(exit, Exit::Return, "{op}");
         assert_eq!(
             cycles,
             cost.interp_dispatch
@@ -244,7 +244,7 @@ fn a_trapping_operation_pays_its_loads_and_itself_but_no_store() {
     code.op(Opcode::I32DivU);
     let (exit, cycles) =
         charged(&cost, Case::bare(code, &[WasmValue::I32(1), WasmValue::I32(0)]));
-    assert_eq!(exit, InterpExit::Trap { code: TrapCode::DivisionByZero, offset: 0 });
+    assert_eq!(exit, Exit::Trap { code: TrapCode::DivisionByZero, at: 0 });
     assert_eq!(cycles, cost.interp_dispatch + 2 * cost.slot_load + cost.div);
 
     let mut code = CodeBuilder::new();
@@ -252,7 +252,7 @@ fn a_trapping_operation_pays_its_loads_and_itself_but_no_store() {
     let (exit, cycles) = charged(&cost, Case::bare(code, &[WasmValue::F64(f64::NAN)]));
     assert_eq!(
         exit,
-        InterpExit::Trap { code: TrapCode::InvalidConversionToInteger, offset: 1 }
+        Exit::Trap { code: TrapCode::InvalidConversionToInteger, at: 1 }
     );
     assert_eq!(cycles, 2 * cost.interp_dispatch + cost.slot_load + cost.convert);
 }
@@ -263,7 +263,7 @@ struct Scenario {
     name: &'static str,
     covers: Vec<Opcode>,
     case: Case,
-    exit: InterpExit,
+    exit: Exit,
     cycles: u64,
 }
 
@@ -282,13 +282,13 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
         Case::bare(code, operands)
     };
     let body = Case::body;
-    let trap = |code, offset| InterpExit::Trap { code, offset };
+    let trap = |code, at| Exit::Trap { code, at };
     let mut all = vec![
         Scenario {
             name: "nop and drop are dispatch only",
             covers: vec![Opcode::Nop, Opcode::Drop],
             case: bare(&|b| { b.nop().drop_(); }, &[I32(1)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: 2 * d,
         },
         Scenario {
@@ -306,28 +306,28 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 &|b| { b.block(BlockType::Empty).loop_(BlockType::Empty).end().end(); },
                 &[],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: 2 * (d + c.interp_control + imm) + 2 * (d + c.interp_control) + end,
         },
         Scenario {
             name: "local.get",
             covers: vec![Opcode::LocalGet],
             case: bare(&|b| { b.local_get(0); }, &[]).with_locals(&[I64(9)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + imm + c.slot_load + push,
         },
         Scenario {
             name: "local.set and local.tee",
             covers: vec![Opcode::LocalSet, Opcode::LocalTee],
             case: bare(&|b| { b.local_tee(0).local_set(0); }, &[I64(4)]).with_locals(&[I64(9)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: 2 * (d + imm + c.slot_load + push),
         },
         Scenario {
             name: "global.get and global.set",
             covers: vec![Opcode::GlobalGet, Opcode::GlobalSet],
             case: bare(&|b| { b.global_get(0).global_set(0); }, &[]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + imm + c.global + push) + (d + imm + c.global + c.slot_load),
         },
         Scenario {
@@ -351,42 +351,42 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 },
                 &[],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: 6 * (d + imm + push),
         },
         Scenario {
             name: "ref.is_null",
             covers: vec![Opcode::RefIsNull],
             case: bare(&|b| { b.op(Opcode::RefIsNull); }, &[WasmValue::ExternRef(None)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + c.slot_load + c.alu + push,
         },
         Scenario {
             name: "select keeps or replaces at one price",
             covers: vec![Opcode::Select],
             case: bare(&|b| { b.select().i32_const(8).i32_const(0).select(); }, &[I32(1), I32(2), I32(1)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: 2 * (d + 3 * c.slot_load + c.select + c.slot_store) + 2 * (d + imm + push),
         },
         Scenario {
             name: "typed select decodes its type vector",
             covers: vec![Opcode::SelectT],
             case: bare(&|b| { b.select_t(&[ValueType::I32]); }, &[I32(1), I32(2), I32(0)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + imm + 3 * c.slot_load + c.select + c.slot_store,
         },
         Scenario {
             name: "memory.size",
             covers: vec![Opcode::MemorySize],
             case: bare(&|b| { b.memory_size(); }, &[]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + imm + push + c.memory_size,
         },
         Scenario {
             name: "memory.grow",
             covers: vec![Opcode::MemoryGrow],
             case: bare(&|b| { b.memory_grow(); }, &[I32(1)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + c.slot_load + c.memory_grow + push,
         },
         Scenario {
@@ -411,7 +411,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 &|b| { b.if_(BlockType::Empty).nop().else_().unreachable().end(); },
                 &[I32(1)],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.slot_load + c.branch + imm)
                 + d
                 + (d + c.interp_control + c.jump)
@@ -426,7 +426,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 &|b| { b.if_(BlockType::Empty).unreachable().else_().nop().end(); },
                 &[I32(0)],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.slot_load + c.branch + imm) + d + (d + c.interp_control) + end,
         },
         Scenario {
@@ -443,7 +443,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 },
                 &[I32(1)],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             // The value is already at the label's base: no copy on the jump.
             cycles: (d + c.slot_load + c.branch + imm)
                 + (d + imm + push)
@@ -456,21 +456,21 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
             name: "br_if untaken",
             covers: vec![Opcode::BrIf],
             case: body(&[], &|b| { b.br_if(0); }, &[I32(0)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.slot_load + c.branch + imm) + end,
         },
         Scenario {
             name: "br_if taken, moving one value down to the label",
             covers: vec![Opcode::BrIf],
             case: body(&[ValueType::I32], &|b| { b.br_if(0).unreachable(); }, &[I32(5), I32(6), I32(1)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.slot_load + c.branch + imm) + branch_copy + end + result_copy,
         },
         Scenario {
             name: "br",
             covers: vec![Opcode::Br],
             case: body(&[], &|b| { b.block(BlockType::Empty).br(0).unreachable().end(); }, &[]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.interp_control + imm)
                 + (d + c.jump + imm)
                 + (d + c.interp_control)
@@ -491,7 +491,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
                 },
                 &[],
             ),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: (d + c.interp_control + imm)
                 + 2 * (d + imm + push)
                 + 2 * (d + c.slot_load + c.br_table)
@@ -502,26 +502,26 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
             name: "return copies the results down",
             covers: vec![Opcode::Return],
             case: body(&[ValueType::I32], &|b| { b.return_(); }, &[I32(5), I32(6)]),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles: d + c.jump + result_copy,
         },
         Scenario {
             name: "call exits after decoding the callee",
             covers: vec![Opcode::Call],
             case: bare(&|b| { b.nop().call(0); }, &[]),
-            exit: InterpExit::Call { func_index: 0, resume_ip: 3, site_offset: 1 },
+            exit: Exit::Call { func_index: 0, site: 1, resume: 3 },
             cycles: d + (d + imm + c.interp_call_setup),
         },
         Scenario {
             name: "call_indirect pops the element index and exits",
             covers: vec![Opcode::CallIndirect],
             case: bare(&|b| { b.call_indirect(0, 0); }, &[I32(3)]),
-            exit: InterpExit::CallIndirect {
+            exit: Exit::CallIndirect {
                 type_index: 0,
                 table_index: 0,
                 entry_index: 3,
-                resume_ip: 3,
-                site_offset: 0,
+                site: 0,
+                resume: 3,
             },
             cycles: d + 2 * imm + c.slot_load + c.interp_call_setup,
         },
@@ -548,7 +548,7 @@ fn scenarios(c: &CostModel) -> Vec<Scenario> {
             name: "load or store",
             covers: vec![op],
             case: bare(&|b| { b.mem(op, 0, 4); }, &operands),
-            exit: InterpExit::Return,
+            exit: Exit::Return,
             cycles,
         });
     }
@@ -585,7 +585,7 @@ fn the_default_model_charges_the_same_shape() {
     code.local_get(0).i32_const(1).op(Opcode::I32Add).local_set(0);
     let (exit, cycles) =
         charged(&cost, Case::bare(code, &[]).with_locals(&[WasmValue::I32(41)]));
-    assert_eq!(exit, InterpExit::Return);
+    assert_eq!(exit, Exit::Return);
     // local.get 4+1+2+2+2, i32.const 4+1+2+2, i32.add 4+2·2+1+2+2, local.set 4+1+2+2+2.
     assert_eq!(cycles, 11 + 9 + 13 + 11);
 }

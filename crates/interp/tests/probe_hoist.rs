@@ -7,9 +7,9 @@
 //! it attached fire, and must not be asked about instructions of a function
 //! it disclaimed.
 
-use interp::{prepare, FrameAccessor, InterpExit, Interpreter, NoProbes, ProbeSink};
+use interp::{prepare, FrameAccessor, Interpreter, NoProbes, ProbeSink};
 use machine::cost::{CostModel, CycleCounter};
-use machine::cpu::{ExecContext, Meter};
+use machine::cpu::{ExecContext, Exit, Meter};
 use machine::values::ValueStack;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -92,13 +92,13 @@ fn a_probe_attached_by_a_callees_firing_fires_when_the_caller_resumes() {
     };
     let mut probed_cycles = 0;
     let (exit, cycles) = run(&caller, 0, &mut sink);
-    assert_eq!(exit, InterpExit::Call { func_index: CALLEE, resume_ip: 2, site_offset: 0 });
+    assert_eq!(exit, Exit::Call { func_index: CALLEE, site: 0, resume: 2 });
     probed_cycles += cycles;
     let (exit, cycles) = run(&callee, 0, &mut sink);
-    assert_eq!(exit, InterpExit::Return);
+    assert_eq!(exit, Exit::Return);
     probed_cycles += cycles;
     let (exit, cycles) = run(&caller, 2, &mut sink);
-    assert_eq!(exit, InterpExit::Return);
+    assert_eq!(exit, Exit::Return);
     probed_cycles += cycles;
 
     assert_eq!(sink.fired, [(CALLEE, 0), (CALLER, 3)]);

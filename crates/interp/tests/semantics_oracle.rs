@@ -6,9 +6,9 @@
 //! these opcodes an arm of their own, so a wrong operation, width, extension
 //! or access size in one arm fails here and nowhere else.
 
-use interp::{InterpExit, Interpreter, NoProbes, PreparedFunction};
+use interp::{Interpreter, NoProbes, PreparedFunction};
 use machine::cost::CycleCounter;
-use machine::cpu::{ExecContext, Meter};
+use machine::cpu::{ExecContext, Exit, Meter};
 use machine::inst::{TrapCode, Width};
 use machine::lower::classify;
 use machine::memory::LinearMemory;
@@ -52,7 +52,7 @@ fn run(
     (module, prepared): &(Module, PreparedFunction),
     operands: &[WasmValue],
     memory: &mut LinearMemory,
-) -> (InterpExit, ValueStack) {
+) -> (Exit, ValueStack) {
     let mut values = ValueStack::with_capacity(8);
     for (slot, value) in operands.iter().enumerate() {
         values.write_value(slot, *value);
@@ -135,7 +135,7 @@ fn every_value_opcode_computes_what_evaluate_says() {
             let (exit, values) = run(&frame, &operands, &mut memory);
             match class.evaluate(&bits) {
                 Ok(expected) => {
-                    assert_eq!(exit, InterpExit::Return, "{op} {operands:?}");
+                    assert_eq!(exit, Exit::Return, "{op} {operands:?}");
                     assert_eq!(values.sp(), 1, "{op} {operands:?}: one result");
                     assert_eq!(
                         (values.read(0), values.tag(0)),
@@ -146,7 +146,7 @@ fn every_value_opcode_computes_what_evaluate_says() {
                 Err(code) => {
                     assert_eq!(
                         exit,
-                        InterpExit::Trap { code, offset: 0 },
+                        Exit::Trap { code, at: 0 },
                         "{op} {operands:?}"
                     )
                 }
@@ -215,7 +215,7 @@ fn every_load_reads_and_extends_what_linear_memory_holds() {
             match reference.load(addr, offset, width) {
                 Ok(raw) => {
                     let expected = ops::extend_loaded(raw, width, signed, int_width(ty));
-                    assert_eq!(exit, InterpExit::Return, "{op} at {addr}+{offset}");
+                    assert_eq!(exit, Exit::Return, "{op} at {addr}+{offset}");
                     assert_eq!(
                         (values.read(0), values.tag(0), values.sp()),
                         (expected, ValueTag::for_type(ty), 1),
@@ -224,7 +224,7 @@ fn every_load_reads_and_extends_what_linear_memory_holds() {
                 }
                 Err(code) => assert_eq!(
                     exit,
-                    InterpExit::Trap { code, offset: 0 },
+                    Exit::Trap { code, at: 0 },
                     "{op} at {addr}+{offset}"
                 ),
             }
@@ -262,10 +262,10 @@ fn every_store_writes_what_linear_memory_stores() {
             let frame = one_instruction(op, offset);
             let (exit, _) = run(&frame, &[WasmValue::I32(addr as i32), value], &mut memory);
             match expected.store(addr, offset, width, value.to_bits()) {
-                Ok(()) => assert_eq!(exit, InterpExit::Return, "{op} at {addr}+{offset}"),
+                Ok(()) => assert_eq!(exit, Exit::Return, "{op} at {addr}+{offset}"),
                 Err(code) => assert_eq!(
                     exit,
-                    InterpExit::Trap { code, offset: 0 },
+                    Exit::Trap { code, at: 0 },
                     "{op} at {addr}+{offset}"
                 ),
             }
@@ -288,9 +288,9 @@ fn a_trapping_access_reports_memory_out_of_bounds() {
     let (exit, _) = run(&frame, &[WasmValue::I32(-4)], &mut memory);
     assert_eq!(
         exit,
-        InterpExit::Trap {
+        Exit::Trap {
             code: TrapCode::MemoryOutOfBounds,
-            offset: 0
+            at: 0
         }
     );
 }

@@ -3,8 +3,9 @@
 //! Compiled functions run against exactly the same runtime objects as the
 //! interpreter: the tagged value stack, linear memory, globals, and tables.
 //! Execution is *resumable*: calls, probes, returns, and traps exit back to
-//! the engine, which performs the transfer (possibly into a different
-//! execution tier) and then resumes the code at `resume_pc`. Register
+//! the engine with an [`Exit`], the type the interpreter returns too; the
+//! engine performs the transfer (possibly into a different execution tier)
+//! and then resumes the code at the exit's `resume` index. Register
 //! contents live in a per-frame [`CpuState`], and the calling convention
 //! requires compilers to spill live values to the value stack before any
 //! exiting instruction, so nothing is lost across an exit.
@@ -280,18 +281,17 @@ pub struct ExecContext<'a> {
     pub meter: Meter<'a>,
 }
 
-/// Why a probe instruction exited to the engine.
+/// What a probe instruction hands the engine: only what the engine reads.
+/// No variant names a probe id; the engine finds the probed site by the
+/// probe instruction's position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProbeExit {
-    /// Unoptimized probe: the runtime must look up and fire probes.
-    Runtime {
-        /// Probe site id.
-        probe_id: u32,
-    },
-    /// Optimized direct probe call.
-    Direct {
-        /// Probe site id.
-        probe_id: u32,
+    /// A probe that reads the frame, whether a runtime lookup or a direct
+    /// call: the frame is flushed and the engine fires the site's probes
+    /// with access to it (or hands the frame to the interpreter).
+    Frame {
+        /// Position of the probe instruction.
+        site: usize,
     },
     /// Intrinsified counter increment.
     Counter {
@@ -300,25 +300,34 @@ pub enum ProbeExit {
     },
     /// Optimized probe passing the top-of-stack value.
     TosValue {
-        /// Probe site id.
-        probe_id: u32,
+        /// Position of the probe instruction.
+        site: usize,
         /// The value passed to the probe.
         bits: u64,
     },
 }
 
-/// The reason compiled code stopped executing.
+/// Why an executor stopped running a frame: what both [`Cpu::run`] and the
+/// interpreter return to the engine.
+///
+/// Every position is in the executing tier's own coordinates: a bytecode
+/// offset for the interpreter, an instruction index into the
+/// [`CodeBuffer`] for compiled code. The engine resumes a frame at the
+/// position it was handed and maps positions to bytecode offsets only when
+/// it builds a backtrace.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CpuExit {
+pub enum Exit {
     /// The function returned. Results are in the frame's first result slots.
     Return,
-    /// A direct call; the engine must execute `func_index` and resume at
-    /// `resume_pc`.
+    /// A direct call; the engine must execute `func_index` and resume the
+    /// frame at `resume`.
     Call {
         /// Callee function index.
         func_index: u32,
-        /// Program counter to resume this code at after the call.
-        resume_pc: usize,
+        /// Position of the call instruction itself.
+        site: usize,
+        /// Position to resume the frame at after the call.
+        resume: usize,
     },
     /// An indirect call; the engine must check and execute the table entry.
     CallIndirect {
@@ -328,34 +337,35 @@ pub enum CpuExit {
         table_index: u32,
         /// The dynamic element index.
         entry_index: u32,
-        /// Program counter to resume at after the call.
-        resume_pc: usize,
+        /// Position of the `call_indirect` instruction itself.
+        site: usize,
+        /// Position to resume the frame at after the call.
+        resume: usize,
     },
-    /// A probe fired; the engine must notify the instrumentation and resume.
+    /// A probe fired in compiled code; the engine must notify the
+    /// instrumentation and resume. The interpreter fires its probes itself.
     Probe {
         /// What kind of probe and its payload.
-        exit: ProbeExit,
-        /// Program counter to resume at.
-        resume_pc: usize,
+        probe: ProbeExit,
+        /// Position to resume at.
+        resume: usize,
     },
     /// The OSR hook fired at a hot loop-body start; the engine should try to
-    /// transfer this activation into the optimizing tier, or resume at
-    /// `resume_pc` (the check instruction itself, whose meter work has not
-    /// yet run) to continue in place.
+    /// transfer this frame into the optimizing tier, or resume it at
+    /// `resume` (the check site itself, whose meter work has not yet run) to
+    /// continue in place.
     Osr {
         /// The wasm bytecode offset of the loop-body start.
         offset: u32,
-        /// Program counter to resume at if the transition is not taken.
-        resume_pc: usize,
+        /// Position to resume at if the transition is not taken.
+        resume: usize,
     },
     /// Execution trapped.
     Trap {
         /// The trap reason.
         code: TrapCode,
-        /// Program counter of the trapping instruction — the engine maps it
-        /// back to a wasm bytecode offset through the code's source map when
-        /// building a backtrace.
-        pc: usize,
+        /// Position of the trapping instruction.
+        at: usize,
     },
 }
 
@@ -399,7 +409,7 @@ impl Cpu {
         mut pc: usize,
         ctx: &mut ExecContext<'_>,
         cycles: &mut CycleCounter,
-    ) -> CpuExit {
+    ) -> Exit {
         let cost = &self.cost;
         let ops = code.ops();
         // Compiled code never resizes the value stack (the engine backs a
@@ -408,7 +418,7 @@ impl Cpu {
         let mut spent = 0u64;
         macro_rules! trap {
             ($code:expr) => {
-                break CpuExit::Trap { code: $code, pc }
+                break Exit::Trap { code: $code, at: pc }
             };
         }
         macro_rules! alu {
@@ -452,7 +462,7 @@ impl Cpu {
         }
         let exit = loop {
             let Some(op) = ops.get(pc) else {
-                break CpuExit::Return;
+                break Exit::Return;
             };
             // Matched in place: an op copied out first is split into all its
             // fields before the jump, on every dispatch, and that alone gave
@@ -756,43 +766,38 @@ impl Cpu {
                 }
                 Op::Call { func_index } => {
                     spent += cost.call;
-                    break CpuExit::Call { func_index, resume_pc: pc + 1 };
+                    break Exit::Call { func_index, site: pc, resume: pc + 1 };
                 }
                 Op::CallIndirect { type_index, table_index, index } => {
                     spent += cost.call_indirect;
-                    break CpuExit::CallIndirect {
+                    break Exit::CallIndirect {
                         type_index,
                         table_index,
                         entry_index: state[index] as u32,
-                        resume_pc: pc + 1,
+                        site: pc,
+                        resume: pc + 1,
                     };
                 }
-                Op::ProbeRuntime { probe_id } => {
+                Op::ProbeRuntime => {
                     spent += cost.probe_runtime;
-                    break CpuExit::Probe {
-                        exit: ProbeExit::Runtime { probe_id },
-                        resume_pc: pc + 1,
-                    };
+                    break Exit::Probe { probe: ProbeExit::Frame { site: pc }, resume: pc + 1 };
                 }
-                Op::ProbeDirect { probe_id } => {
+                Op::ProbeDirect => {
                     spent += cost.probe_direct;
-                    break CpuExit::Probe {
-                        exit: ProbeExit::Direct { probe_id },
-                        resume_pc: pc + 1,
-                    };
+                    break Exit::Probe { probe: ProbeExit::Frame { site: pc }, resume: pc + 1 };
                 }
                 Op::ProbeCounter { counter_id } => {
                     spent += cost.probe_counter;
-                    break CpuExit::Probe {
-                        exit: ProbeExit::Counter { counter_id },
-                        resume_pc: pc + 1,
+                    break Exit::Probe {
+                        probe: ProbeExit::Counter { counter_id },
+                        resume: pc + 1,
                     };
                 }
-                Op::ProbeTosValue { probe_id, src } => {
+                Op::ProbeTosValue { src } => {
                     spent += cost.probe_tos;
-                    break CpuExit::Probe {
-                        exit: ProbeExit::TosValue { probe_id, bits: state.read(src) },
-                        resume_pc: pc + 1,
+                    break Exit::Probe {
+                        probe: ProbeExit::TosValue { site: pc, bits: state.read(src) },
+                        resume: pc + 1,
                     };
                 }
                 Op::FuelCheck { amount } => {
@@ -805,7 +810,7 @@ impl Cpu {
                     if let Some(offset) =
                         ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
                     {
-                        break CpuExit::Osr { offset, resume_pc: pc };
+                        break Exit::Osr { offset, resume: pc };
                     }
                     // The fused meter check: decrement fuel, then observe a
                     // pending preemption request. A real engine implements
@@ -827,7 +832,7 @@ impl Cpu {
                     if let Some(offset) =
                         ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
                     {
-                        break CpuExit::Osr { offset, resume_pc: pc };
+                        break Exit::Osr { offset, resume: pc };
                     }
                     if let Err(t) = ctx.meter.check_epoch() {
                         trap!(t);
@@ -840,7 +845,7 @@ impl Cpu {
                 }
                 Op::Return => {
                     spent += cost.ret;
-                    break CpuExit::Return;
+                    break Exit::Return;
                 }
             }
             pc += 1;
@@ -877,7 +882,7 @@ mod tests {
             }
         }
 
-        fn run(&mut self, code: &CodeBuffer) -> (CpuExit, CpuState, u64) {
+        fn run(&mut self, code: &CodeBuffer) -> (Exit, CpuState, u64) {
             let cpu = Cpu::new(CostModel::default());
             let mut state = CpuState::new();
             let mut cycles = CycleCounter::new();
@@ -920,7 +925,7 @@ mod tests {
 
         let mut w = World::new();
         let (exit, state, cycles) = w.run(&code);
-        assert_eq!(exit, CpuExit::Return);
+        assert_eq!(exit, Exit::Return);
         assert_eq!(state.gprs[2], 40);
         assert_eq!(w.values.read_value(0), WasmValue::I32(40));
         assert!(cycles > 0);
@@ -953,7 +958,7 @@ mod tests {
 
         let mut w = World::new();
         let (exit, state, _) = w.run(&code);
-        assert_eq!(exit, CpuExit::Return);
+        assert_eq!(exit, Exit::Return);
         assert_eq!(state.gprs[1], 55);
     }
 
@@ -1002,7 +1007,7 @@ mod tests {
         let code = asm.finish();
         let mut w = World::new();
         let (exit, state, _) = w.run(&code);
-        assert_eq!(exit, CpuExit::Return);
+        assert_eq!(exit, Exit::Return);
         assert_eq!(state.gprs[2] as u32 as i32, -1);
 
         // Out-of-bounds store traps.
@@ -1012,7 +1017,7 @@ mod tests {
         asm.emit(MachInst::Return);
         let code = asm.finish();
         let (exit, _, _) = w.run(&code);
-        assert_eq!(exit, CpuExit::Trap { code: TrapCode::MemoryOutOfBounds, pc: 1 });
+        assert_eq!(exit, Exit::Trap { code: TrapCode::MemoryOutOfBounds, at: 1 });
     }
 
     #[test]
@@ -1066,7 +1071,7 @@ mod tests {
         let code = asm.finish();
         let mut w = World::new();
         let (exit, _, _) = w.run(&code);
-        assert_eq!(exit, CpuExit::Trap { code: TrapCode::DivisionByZero, pc: 2 });
+        assert_eq!(exit, Exit::Trap { code: TrapCode::DivisionByZero, at: 2 });
     }
 
     #[test]
@@ -1078,7 +1083,7 @@ mod tests {
         let code = asm.finish();
         let mut w = World::new();
         let (exit, _, _) = w.run(&code);
-        assert_eq!(exit, CpuExit::Call { func_index: 3, resume_pc: 1 });
+        assert_eq!(exit, Exit::Call { func_index: 3, site: 0, resume: 1 });
 
         // Resume at pc 1: the probe exit carries the register value.
         let cpu = Cpu::new(CostModel::default());
@@ -1096,13 +1101,10 @@ mod tests {
         let exit = cpu.run(&mut state, &code, 1, &mut ctx, &mut cycles);
         assert_eq!(
             exit,
-            CpuExit::Probe {
-                exit: ProbeExit::TosValue { probe_id: 9, bits: 77 },
-                resume_pc: 2
-            }
+            Exit::Probe { probe: ProbeExit::TosValue { site: 1, bits: 77 }, resume: 2 }
         );
         let exit = cpu.run(&mut state, &code, 2, &mut ctx, &mut cycles);
-        assert_eq!(exit, CpuExit::Return);
+        assert_eq!(exit, Exit::Return);
     }
 
     /// Three tables share one buffer's label pool: a one-entry table, an
@@ -1160,7 +1162,7 @@ mod tests {
                 meter: Meter::off(),
             };
             let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
-            assert_eq!(exit, CpuExit::Return);
+            assert_eq!(exit, Exit::Return);
             assert_eq!(state.gprs[1], expected, "input {input}");
             assert_eq!(cycles.total(), 3 * cost.br_table + tail, "input {input}");
         }

@@ -26,7 +26,8 @@
 //! * [`cost`] — the cycle cost model;
 //! * [`cpu`] — the resumable CPU simulator, which executes a
 //!   [`asm::CodeBuffer`] through its pre-decoded op stream (`predecode`,
-//!   private);
+//!   private), the [`cpu::ExecContext`] a frame runs against, and the
+//!   [`cpu::Exit`] both executors return to the engine;
 //! * [`x64`] — a byte-level x86-64 instruction encoder;
 //! * [`x64_masm`] — the x86-64 [`masm::Masm`] backend built on that encoder,
 //!   emitting real machine bytes with label patching, a source map, and
@@ -52,7 +53,7 @@ pub mod x64_masm;
 pub use asm::{Assembler, CodeBuffer};
 pub use masm::{CodeBackend, Masm};
 pub use cost::{CostModel, CycleCounter};
-pub use cpu::{Cpu, CpuExit, CpuState, ExecContext, Meter, ProbeExit};
+pub use cpu::{Cpu, CpuState, ExecContext, Exit, Meter, ProbeExit};
 pub use inst::{Label, MachInst, TrapCode, Width};
 pub use memory::{LinearMemory, Table};
 pub use reg::{AnyReg, FReg, Reg};

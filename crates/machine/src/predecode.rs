@@ -23,7 +23,9 @@
 //! * gives every linear-memory access shape the compilers emit its own
 //!   variant, read and written at a fixed width.
 //!
-//! Every other instruction keeps its fields in a variant of its own. The
+//! Every other instruction keeps the fields execution reads in a variant of
+//! its own; a probe drops its site id, since the engine finds the site by
+//! pc. The
 //! integer variants evaluate through [`crate::ops`] with the operation and
 //! width as constants, so the semantics are still defined in one place.
 //! [`crate::asm::CodeBuffer`] translates on its first execution and keeps
@@ -203,10 +205,10 @@ pub(crate) enum Op {
     BrTable { index: Reg, targets: LabelRange, default: Label },
     Call { func_index: u32 },
     CallIndirect { type_index: u32, table_index: u32, index: Reg },
-    ProbeRuntime { probe_id: u32 },
-    ProbeDirect { probe_id: u32 },
+    ProbeRuntime,
+    ProbeDirect,
     ProbeCounter { counter_id: u32 },
-    ProbeTosValue { probe_id: u32, src: AnyReg },
+    ProbeTosValue { src: AnyReg },
     FuelCheck { amount: u64 },
     EpochCheck,
     Trap { code: TrapCode },
@@ -372,10 +374,10 @@ pub(crate) fn translate(code: &CodeBuffer) -> Box<[Op]> {
             MachInst::CallIndirect { type_index, table_index, index } => {
                 Op::CallIndirect { type_index, table_index, index }
             }
-            MachInst::ProbeRuntime { probe_id } => Op::ProbeRuntime { probe_id },
-            MachInst::ProbeDirect { probe_id } => Op::ProbeDirect { probe_id },
+            MachInst::ProbeRuntime { .. } => Op::ProbeRuntime,
+            MachInst::ProbeDirect { .. } => Op::ProbeDirect,
             MachInst::ProbeCounter { counter_id } => Op::ProbeCounter { counter_id },
-            MachInst::ProbeTosValue { probe_id, src } => Op::ProbeTosValue { probe_id, src },
+            MachInst::ProbeTosValue { src, .. } => Op::ProbeTosValue { src },
             MachInst::FuelCheck { amount } => Op::FuelCheck { amount },
             MachInst::EpochCheck => Op::EpochCheck,
             MachInst::Trap { code } => Op::Trap { code },

@@ -7,7 +7,7 @@
 
 use machine::asm::Assembler;
 use machine::cost::{CostModel, CycleCounter};
-use machine::cpu::{Cpu, CpuExit, CpuState, ExecContext, Meter};
+use machine::cpu::{Cpu, CpuState, ExecContext, Exit, Meter};
 use machine::inst::{
     AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, LabelRange, MachInst, TrapCode, UnOp,
     Width,
@@ -215,7 +215,7 @@ fn store_shapes() -> impl Iterator<Item = (AnyReg, u32)> {
 /// Runs a buffer holding only `inst` (with [`END`] bound after it) from
 /// `state` against `memory` and returns how it exited, the registers it left
 /// and its cycles.
-fn run_one(cpu: &Cpu, inst: MachInst, mut state: CpuState, memory: &mut LinearMemory) -> (CpuExit, CpuState, u64) {
+fn run_one(cpu: &Cpu, inst: MachInst, mut state: CpuState, memory: &mut LinearMemory) -> (Exit, CpuState, u64) {
     let mut asm = Assembler::new();
     assert_eq!(asm.new_label(), END);
     asm.emit(inst);
@@ -318,10 +318,10 @@ fn assert_computes(inst: MachInst, a: u64, b: u64, expected: Result<u64, TrapCod
     let (exit, state, _) = run_one(&cpu, inst, operands(a, b), &mut memory);
     match expected {
         Ok(value) => {
-            assert_eq!(exit, CpuExit::Return, "{inst} on {a:#x}, {b:#x}");
+            assert_eq!(exit, Exit::Return, "{inst} on {a:#x}, {b:#x}");
             assert_eq!(state[Reg(3)], value, "{inst} on {a:#x}, {b:#x}");
         }
-        Err(code) => assert_eq!(exit, CpuExit::Trap { code, pc: 0 }, "{inst} on {a:#x}, {b:#x}"),
+        Err(code) => assert_eq!(exit, Exit::Trap { code, at: 0 }, "{inst} on {a:#x}, {b:#x}"),
     }
 }
 
@@ -366,10 +366,10 @@ fn every_access_shape_moves_what_the_memory_defines() {
             let (exit, after, _) = run_one(&cpu, load, state, &mut memory);
             match expected {
                 Ok(value) => {
-                    assert_eq!(exit, CpuExit::Return, "{load} at {at}");
+                    assert_eq!(exit, Exit::Return, "{load} at {at}");
                     assert_eq!(after.read(dst), value, "{load} at {at}");
                 }
-                Err(code) => assert_eq!(exit, CpuExit::Trap { code, pc: 0 }, "{load} at {at}"),
+                Err(code) => assert_eq!(exit, Exit::Trap { code, at: 0 }, "{load} at {at}"),
             }
         }
     }
@@ -382,8 +382,8 @@ fn every_access_shape_moves_what_the_memory_defines() {
             let trap = expected.store(at, 4, width, value).err();
             let (exit, _, _) = run_one(&cpu, store, state, &mut memory);
             match trap {
-                None => assert_eq!(exit, CpuExit::Return, "{store} of {value:#x} at {at}"),
-                Some(code) => assert_eq!(exit, CpuExit::Trap { code, pc: 0 }, "{store} at {at}"),
+                None => assert_eq!(exit, Exit::Return, "{store} of {value:#x} at {at}"),
+                Some(code) => assert_eq!(exit, Exit::Trap { code, at: 0 }, "{store} at {at}"),
             }
             assert_eq!(memory.bytes(), expected.bytes(), "{store} of {value:#x} at {at}");
         }

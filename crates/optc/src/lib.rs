@@ -185,7 +185,7 @@ impl OptimizingCompiler {
 mod tests {
     use super::*;
     use machine::cost::{CostModel, CycleCounter};
-    use machine::cpu::{Cpu, CpuExit, CpuState, ExecContext};
+    use machine::cpu::{Cpu, CpuState, ExecContext, Exit};
     use machine::inst::{MachInst, TrapCode};
     use machine::memory::{LinearMemory, Table};
     use machine::values::{GlobalSlot, ValueStack, WasmValue};
@@ -213,7 +213,7 @@ mod tests {
 
     /// Runs call-free compiled code with `args` in the frame's first slots;
     /// returns the exit, the first result slot, and cycles.
-    fn run(cf: &CompiledFunction, args: &[WasmValue]) -> (CpuExit, u64, u64) {
+    fn run(cf: &CompiledFunction, args: &[WasmValue]) -> (Exit, u64, u64) {
         let mut values = ValueStack::with_capacity(1024);
         for (i, a) in args.iter().enumerate() {
             values.write_value(i, *a);
@@ -272,8 +272,8 @@ mod tests {
         let (baseline, optimized) = compile_pair(&module, f);
         let (bexit, bresult, bcycles) = run(&baseline, &[WasmValue::I32(100)]);
         let (oexit, oresult, ocycles) = run(&optimized, &[WasmValue::I32(100)]);
-        assert_eq!(bexit, CpuExit::Return);
-        assert_eq!(oexit, CpuExit::Return);
+        assert_eq!(bexit, Exit::Return);
+        assert_eq!(oexit, Exit::Return);
         assert_eq!(bresult as u32, 5050);
         assert_eq!(oresult as u32, 5050);
         assert!(
@@ -322,7 +322,7 @@ mod tests {
         let module = b.finish();
         let (_, optimized) = compile_pair(&module, f);
         let (exit, _, _) = run(&optimized, &[WasmValue::I32(1)]);
-        assert!(matches!(exit, CpuExit::Trap { code: TrapCode::DivisionByZero, .. }));
+        assert!(matches!(exit, Exit::Trap { code: TrapCode::DivisionByZero, .. }));
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
             optimized.code.disassemble()
         );
         let (exit, result, _) = run(&optimized, &[]);
-        assert_eq!(exit, CpuExit::Return);
+        assert_eq!(exit, Exit::Return);
         assert_eq!(result as u32, 42);
     }
 
@@ -377,8 +377,8 @@ mod tests {
         let (baseline, optimized) = compile_pair(&module, f);
         let (be, br, _) = run(&baseline, &[WasmValue::I32(37)]);
         let (oe, or, _) = run(&optimized, &[WasmValue::I32(37)]);
-        assert_eq!(be, CpuExit::Return);
-        assert_eq!(oe, CpuExit::Return);
+        assert_eq!(be, Exit::Return);
+        assert_eq!(oe, Exit::Return);
         assert_eq!(br, or);
         assert_eq!(or as u32, 42);
     }
@@ -448,8 +448,8 @@ mod tests {
         for arg in [0i32, 1, 7, -3, 100_000] {
             let (be, br, _) = run(&baseline, &[WasmValue::I32(arg)]);
             let (oe, or, _) = run(&optimized, &[WasmValue::I32(arg)]);
-            assert_eq!(be, CpuExit::Return);
-            assert_eq!(oe, CpuExit::Return, "arg {arg}");
+            assert_eq!(be, Exit::Return);
+            assert_eq!(oe, Exit::Return, "arg {arg}");
             assert_eq!(br as u32, or as u32, "arg {arg}");
         }
     }

@@ -8,7 +8,8 @@
 //! per frame for display but excluded from equality. The suite covers the
 //! shapes the tier boundary makes hard: multi-frame call chains,
 //! `call_indirect` dispatch traps (which fire *between* frames), frames
-//! replaced mid-loop by OSR, and stack exhaustion (where the trace is
+//! replaced mid-loop by OSR, frames a probe hands back to the interpreter
+//! (deopt), and stack exhaustion (where the trace is
 //! truncated to a fixed head+tail). A proptest arm extends the same
 //! invariant to randomly generated trapping call chains.
 
@@ -20,7 +21,7 @@ use engine::{
 use machine::values::WasmValue;
 use machine::TrapCode;
 use proptest::prelude::*;
-use spc::CompilerOptions;
+use spc::{CompilerOptions, ProbeMode};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::opcode::Opcode;
 use wasm::types::{BlockType, FuncType, Limits, ValueType};
@@ -185,6 +186,83 @@ fn call_indirect_dispatch_traps_attribute_to_the_call_site() {
         let offset = frames[0].offset;
         assert!(offset > 0);
         assert_eq!(*call_site.get_or_insert(offset), offset);
+    }
+}
+
+/// `probed(which)` branches at a `br_if` the branch monitor probes, then
+/// divides by zero (`which` = 0) or dispatches through table slot `which`
+/// with the `binop` signature. `main` calls it, so the trapping frame has a
+/// caller that never deopts: it has no branch to probe.
+const DEOPT: &str = r#"
+    (module $deopt
+      (type $binop (func (param i32 i32) (result i32)))
+      (type $nullary (func (result i32)))
+      (table 2 funcref)
+      (elem (offset (i32.const 0)) func $add $answer)
+      (func $add (type $binop) local.get 0 local.get 1 i32.add)
+      (func $answer (type $nullary) i32.const 42)
+      (func $probed (param $which i32) (result i32)
+        block $divide
+          local.get $which
+          i32.eqz
+          br_if $divide
+          i32.const 3
+          i32.const 4
+          local.get $which
+          call_indirect (type $binop)
+          return
+        end
+        i32.const 1
+        i32.const 0
+        i32.div_s)
+      (func $main (export "main") (param $which i32) (result i32)
+        local.get $which
+        call $probed))
+"#;
+
+/// A baseline frame that a runtime probe hands to the interpreter at the
+/// probed `br_if` (deopt), and that then traps — in an instruction, and at
+/// a `call_indirect` dispatch — reports the interpreter's diagnostics. Its
+/// positions are bytecode offsets from the switch on, while its caller's is
+/// still an index into compiled code.
+#[test]
+fn frames_deopted_by_a_probe_report_the_interpreters_backtrace() {
+    let module = wasm::wat::parse_module(DEOPT).expect("deopt module parses");
+    let runtime_probes = CompilerOptions {
+        probe_mode: ProbeMode::Runtime,
+        ..CompilerOptions::allopt()
+    };
+    let deopt = EngineConfig::baseline("bt-deopt", runtime_probes).with_deopt_on_probe();
+    let run = |config: EngineConfig, args: &[WasmValue]| {
+        let engine = Engine::new(config);
+        let monitor = Instrumentation::branch_monitor(&module);
+        let mut instance = engine
+            .instantiate(&module, Imports::new(), monitor)
+            .expect("module instantiates");
+        let result = engine.call_export(&mut instance, "main", args);
+        let trap = instance.last_trap().cloned().expect("trap produced diagnostics");
+        (result, trap)
+    };
+    for (which, reason) in [
+        (0, TrapReason::DivisionByZero),
+        (1, TrapReason::IndirectCallTypeMismatch),
+    ] {
+        let args = [WasmValue::I32(which)];
+        let (reference_result, reference) = run(EngineConfig::interpreter("bt-ref"), &args);
+        assert!(reference_result.is_err(), "workload must trap");
+        assert_eq!(reference.reason, reason);
+        let (result, trap) = run(deopt.clone(), &args);
+        assert_eq!(
+            result, reference_result,
+            "[which {which}] trap code diverged"
+        );
+        assert_eq!(trap, reference, "[which {which}] backtrace diverged");
+        let tiers: Vec<FrameTierTag> = trap.backtrace.frames().iter().map(|f| f.tier).collect();
+        assert_eq!(
+            tiers,
+            [FrameTierTag::Interp, FrameTierTag::Baseline],
+            "[which {which}] the trapping frame did not deopt"
+        );
     }
 }
 

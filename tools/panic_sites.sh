@@ -4,6 +4,9 @@
 #   tools/panic_sites.sh            # the working tree
 #   tools/panic_sites.sh <git-ref>  # the working tree, and its delta against <git-ref>
 #
+# With a ref it is a ratchet: it exits 1 when either total column is higher
+# than at <git-ref>.
+#
 # Counted: every occurrence of `.unwrap()` / `.expect(` (first column) and of
 # `panic!` / `unreachable!` / `todo!` / `unimplemented!` (second column) on a
 # non-comment line of a .rs file under crates/*/src, up to (not including) the
@@ -69,4 +72,10 @@ there=$(git ls-tree -r --name-only "$ref" -- crates | grep -E "$sources" | tally
         $1 != group { flush(); group = $1; u = 0; p = 0; wu = 0; wp = 0 }
         $2 == "now" { u = $3; p = $4 }
         $2 == "ref" { wu = $3; wp = $4 }
-        END { flush(); row("total", all_u, all_p, all_wu, all_wp) }'
+        END {
+            flush(); row("total", all_u, all_p, all_wu, all_wp)
+            if (all_u > all_wu || all_p > all_wp) {
+                print "panic sites rose against " ref > "/dev/stderr"
+                exit 1
+            }
+        }'
