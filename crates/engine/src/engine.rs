@@ -331,6 +331,14 @@ enum FrameTier {
 }
 
 impl FrameTier {
+    /// A JIT frame about to start `tier`'s code with a fresh register file.
+    fn jit(tier: CompileTier) -> FrameTier {
+        FrameTier::Jit {
+            cpu: Box::new(CpuState::new()),
+            tier,
+        }
+    }
+
     fn jit_tier(&self) -> Option<CompileTier> {
         match self {
             FrameTier::Interp => None,
@@ -363,6 +371,18 @@ struct Activation {
     /// epoch interruption in `push_frame`, indirect-call dispatch failures,
     /// host errors) are attributed.
     site: usize,
+}
+
+impl Activation {
+    /// Where the value-stack pointer stands while this frame runs, given
+    /// where its interpreter operands end: a JIT frame addresses its slots
+    /// statically, so its stack pointer covers the whole frame.
+    fn sp(&self, operands_end: usize) -> usize {
+        match self.tier {
+            FrameTier::Interp => operands_end,
+            FrameTier::Jit { .. } => self.frame_base + self.frame_slots as usize,
+        }
+    }
 }
 
 /// The engine: a configuration plus the machinery to instantiate and run
@@ -698,31 +718,6 @@ impl Engine {
         let mut cycles = CycleCounter::new();
         let exec_result = self.run_call(instance, func_index, args, frame_base, &mut cycles);
         instance.metrics.exec_cycles += cycles.total();
-        if self.0.telemetry.is_enabled() {
-            if let Err(code) = &exec_result {
-                self.0.telemetry.emit(match code {
-                    TrapCode::OutOfFuel => EventKind::FuelExhausted,
-                    TrapCode::Interrupted => EventKind::EpochInterrupt,
-                    code => {
-                        // `run_call` captured the diagnostics as the stack
-                        // unwound; the event carries the innermost frame.
-                        let top = instance
-                            .last_trap
-                            .as_ref()
-                            .and_then(|t| t.backtrace.frames().first());
-                        EventKind::Trap {
-                            reason: code.wast_message(),
-                            func: top.map_or(0, |f| f.func_index),
-                            offset: top.map_or(0, |f| f.offset),
-                            depth: instance
-                                .last_trap
-                                .as_ref()
-                                .map_or(0, |t| t.backtrace.depth() as u32),
-                        }
-                    }
-                });
-            }
-        }
         exec_result?;
         // Read results from the frame base.
         let out = num_results
@@ -895,34 +890,23 @@ impl Engine {
                 .write_value(frame_base + i, WasmValue::default_for(*ty));
         }
 
-        let tier = match jit_tier {
-            Some(tier) => FrameTier::Jit {
-                cpu: Box::new(CpuState::new()),
-                tier,
-            },
-            None => FrameTier::Interp,
-        };
-        // The value-stack pointer covers the locals for interpreter frames
-        // (operands are pushed as it executes) and the whole frame for JIT
-        // frames (slots are addressed statically).
-        let sp = if jit_tier.is_some() {
-            frame_base + frame_slots as usize
-        } else {
-            frame_base + prepared.num_locals() as usize
-        };
-        instance.values.set_sp(sp);
-        Ok(Activation {
+        let act = Activation {
             func_index,
             defined_index: defined,
             frame_base,
             num_results,
             frame_slots,
-            tier,
+            tier: jit_tier.map_or(FrameTier::Interp, FrameTier::jit),
             resume: 0,
             osr_skip: false,
             osr_off: false,
             site: 0,
-        })
+        };
+        // An interpreter frame starts with no operands above its locals.
+        instance
+            .values
+            .set_sp(act.sp(frame_base + prepared.num_locals() as usize));
+        Ok(act)
     }
 
     fn run_call(
@@ -954,8 +938,9 @@ impl Engine {
 
     /// Captures diagnostics for a trap that unwound [`Engine::run_frames`]:
     /// walks the (still-live) activation stack into a symbolicated
-    /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and bumps the
-    /// per-reason telemetry counter.
+    /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and reports
+    /// the trap to telemetry — one event (a trap's carries the innermost
+    /// frame and the true depth) and the per-reason counter.
     ///
     /// The top frame's position is `trap_at` when the trap came from
     /// *executing* an instruction; traps raised at a call boundary (stack
@@ -993,14 +978,29 @@ impl Engine {
                 tier: pipeline::tier_label(act.tier.jit_tier()),
             });
         }
-        if self.0.telemetry.is_enabled() {
-            if let Some(metrics) = self.0.telemetry.metrics() {
+        let backtrace = Backtrace::from_frames(frames);
+        let telemetry = &self.0.telemetry;
+        if telemetry.is_enabled() {
+            telemetry.emit(match code {
+                TrapCode::OutOfFuel => EventKind::FuelExhausted,
+                TrapCode::Interrupted => EventKind::EpochInterrupt,
+                code => {
+                    let top = backtrace.frames().first();
+                    EventKind::Trap {
+                        reason: code.wast_message(),
+                        func: top.map_or(0, |f| f.func_index),
+                        offset: top.map_or(0, |f| f.offset),
+                        depth: backtrace.depth() as u32,
+                    }
+                }
+            });
+            if let Some(metrics) = telemetry.metrics() {
                 metrics.counter(&format!("engine.traps.{}", code.slug())).inc();
             }
         }
         instance.last_trap = Some(TrapInfo {
             reason: code,
-            backtrace: Backtrace::from_frames(frames),
+            backtrace,
         });
     }
 
@@ -1129,31 +1129,7 @@ impl Engine {
             }
 
             match exit {
-                Exit::Return => {
-                    let finished = stack.pop().expect("active frame");
-                    let result_end = finished.frame_base + finished.num_results as usize;
-                    let frame_end = finished.frame_base + finished.frame_slots as usize;
-                    instance.values.clear_range(result_end, frame_end.min(instance.values.capacity()));
-                    match stack.last_mut() {
-                        None => {
-                            instance.values.set_sp(result_end);
-                            return Ok(());
-                        }
-                        Some(parent) => {
-                            cycles.charge(cost.ret);
-                            match parent.tier {
-                                FrameTier::Interp => {
-                                    instance.values.set_sp(result_end);
-                                }
-                                FrameTier::Jit { .. } => {
-                                    instance
-                                        .values
-                                        .set_sp(parent.frame_base + parent.frame_slots as usize);
-                                }
-                            }
-                        }
-                    }
-                }
+                Exit::Return => self.return_to_caller(instance, stack, cycles),
                 Exit::Call { func_index: callee, site, resume } => {
                     // Where the caller stands in a backtrace while the callee
                     // runs, and where it continues once the callee returns.
@@ -1169,25 +1145,12 @@ impl Engine {
                     resume,
                 } => {
                     // Set the backtrace position before the dispatch checks:
-                    // table-bounds, null-entry, and signature traps below all
+                    // table-bounds, null-entry, and signature traps all
                     // belong to this `call_indirect` instruction.
                     act.site = site;
                     act.resume = resume;
-                    let table = instance
-                        .tables
-                        .get(table_index as usize)
-                        .ok_or(TrapCode::TableOutOfBounds)?;
-                    let callee = table
-                        .get(entry_index)?
-                        .ok_or(TrapCode::NullTableEntry)?;
-                    let module = artifact.module();
-                    let expected = module
-                        .types
-                        .get(type_index as usize)
-                        .ok_or(TrapCode::IndirectCallTypeMismatch)?;
-                    if module.func_type(callee) != Some(expected) {
-                        return Err(TrapCode::IndirectCallTypeMismatch);
-                    }
+                    let callee =
+                        indirect_callee(instance, &artifact, type_index, table_index, entry_index)?;
                     let call = cost.call_indirect;
                     self.dispatch_call(instance, &artifact, stack, callee, call, cycles)?;
                 }
@@ -1212,6 +1175,29 @@ impl Engine {
         Ok(())
     }
 
+    /// Pops the top frame, which returned with its results at its base, and
+    /// hands the value stack back to its caller (or to [`Engine::call`],
+    /// which reads the results, when it was the root).
+    fn return_to_caller(
+        &self,
+        instance: &mut Instance,
+        stack: &mut Vec<Activation>,
+        cycles: &mut CycleCounter,
+    ) {
+        let finished = stack.pop().expect("active frame");
+        let result_end = finished.frame_base + finished.num_results as usize;
+        let frame_end = finished.frame_base + finished.frame_slots as usize;
+        instance.values.clear_range(result_end, frame_end.min(instance.values.capacity()));
+        let sp = match stack.last() {
+            Some(parent) => {
+                cycles.charge(self.0.cost.ret);
+                parent.sp(result_end)
+            }
+            None => result_end,
+        };
+        instance.values.set_sp(sp);
+    }
+
     /// Transfers control from the top frame, suspended at its call site, to
     /// `callee` — everything a call instruction does once its callee is
     /// known. The callee's frame starts where the caller's call-site
@@ -1230,25 +1216,19 @@ impl Engine {
     ) -> Result<(), TrapCode> {
         let sig = artifact.module().func_type(callee).ok_or(TrapCode::HostError)?;
         let caller = stack.last().expect("a frame made the call");
-        // Where the callee's frame starts, and where the caller's stack
-        // pointer stands once a host callee has returned in place: compiled
-        // code keeps its whole frame, the interpreter its operands.
-        let (callee_base, sp_after_host) = match caller.tier.jit_tier() {
+        let callee_base = match caller.tier.jit_tier() {
             Some(tier) => {
                 let site = artifact
                     .code_for(caller.defined_index, tier)
                     .and_then(|c| c.call_sites.get(&caller.site))
                     .ok_or(TrapCode::HostError)?;
-                (
-                    caller.frame_base + site.callee_slot_base as usize,
-                    caller.frame_base + caller.frame_slots as usize,
-                )
+                caller.frame_base + site.callee_slot_base as usize
             }
-            None => {
-                let base = instance.values.sp() - sig.params.len();
-                (base, base + sig.results.len())
-            }
+            None => instance.values.sp() - sig.params.len(),
         };
+        // Where the caller's stack pointer stands once a host callee has
+        // returned in place: on the results, in an interpreter frame.
+        let sp_after_host = caller.sp(callee_base + sig.results.len());
         cycles.charge(cost);
         self.maybe_collect(instance, stack);
         if artifact.module().is_imported_func(callee) {
@@ -1316,10 +1296,7 @@ impl Engine {
         }
         instance.values.set_sp(frame_end);
         act.frame_slots = frame_slots;
-        act.tier = FrameTier::Jit {
-            cpu: Box::new(CpuState::new()),
-            tier: CompileTier::Opt,
-        };
+        act.tier = FrameTier::jit(CompileTier::Opt);
         act.resume = entry;
         if self.0.telemetry.is_enabled() {
             self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
@@ -1447,44 +1424,35 @@ impl Engine {
     }
 
     fn collect_roots(&self, instance: &Instance, stack: &[Activation]) -> Vec<u32> {
+        // Tagged slots (interpreter frames, optimizing-tier frames and every
+        // frame of a tagging configuration) and globals are always scanned.
+        let mut roots = scan_roots_via_tags(&instance.values);
+        roots.extend(global_roots(&instance.globals));
         let uses_stackmaps = self
             .0
             .config
             .baseline_options()
-            .map(|o| o.tagging.uses_stackmaps())
-            .unwrap_or(false);
+            .is_some_and(|o| o.tagging.uses_stackmaps());
         if uses_stackmaps {
-            let mut frames = Vec::new();
-            for act in stack {
-                if let FrameTier::Jit { tier, .. } = &act.tier {
-                    if let Some(compiled) = instance.artifact.code_for(act.defined_index, *tier) {
-                        // The frame is paused at its call site.
-                        // Optimizing-tier frames publish their references
-                        // through tagged slots instead of stackmaps; their
-                        // (empty) tables contribute nothing here and the tag
-                        // scan below picks the roots up.
-                        frames.push(StackmapFrame {
-                            compiled,
-                            frame_base: act.frame_base,
-                            call_inst_index: act.site,
-                        });
-                    }
-                }
-            }
-            let mut roots = scan_roots_via_stackmaps(&instance.values, &frames);
-            // Interpreter frames and globals still use tags.
-            roots.extend(scan_roots_via_tags(&instance.values));
-            roots.extend(global_roots(&instance.globals));
-            roots.sort_unstable();
-            roots.dedup();
-            roots
-        } else {
-            let mut roots = scan_roots_via_tags(&instance.values);
-            roots.extend(global_roots(&instance.globals));
-            roots.sort_unstable();
-            roots.dedup();
-            roots
+            // Each JIT frame is paused at its call site. Optimizing-tier
+            // frames publish their references through tagged slots instead;
+            // their (empty) tables contribute nothing here.
+            let frames: Vec<StackmapFrame> = stack
+                .iter()
+                .filter_map(|act| {
+                    let tier = act.tier.jit_tier()?;
+                    Some(StackmapFrame {
+                        compiled: instance.artifact.code_for(act.defined_index, tier)?,
+                        frame_base: act.frame_base,
+                        call_inst_index: act.site,
+                    })
+                })
+                .collect();
+            roots.extend(scan_roots_via_stackmaps(&instance.values, &frames));
         }
+        roots.sort_unstable();
+        roots.dedup();
+        roots
     }
 }
 
@@ -1512,6 +1480,37 @@ fn account_compile(
     metrics.compiled_machine_bytes += compiled.machine_bytes;
     metrics.tag_stores_emitted += compiled.function.stats.tag_stores as u64;
     metrics.functions_compiled += 1;
+}
+
+/// The function a `call_indirect` of `type_index` through entry
+/// `entry_index` of table `table_index` calls.
+///
+/// # Errors
+///
+/// The table-bounds, null-entry and signature traps of the instruction.
+fn indirect_callee(
+    instance: &Instance,
+    artifact: &CompiledModule,
+    type_index: u32,
+    table_index: u32,
+    entry_index: u32,
+) -> Result<u32, TrapCode> {
+    let table = instance
+        .tables
+        .get(table_index as usize)
+        .ok_or(TrapCode::TableOutOfBounds)?;
+    let callee = table
+        .get(entry_index)?
+        .ok_or(TrapCode::NullTableEntry)?;
+    let module = artifact.module();
+    let expected = module
+        .types
+        .get(type_index as usize)
+        .ok_or(TrapCode::IndirectCallTypeMismatch)?;
+    if module.func_type(callee) != Some(expected) {
+        return Err(TrapCode::IndirectCallTypeMismatch);
+    }
+    Ok(callee)
 }
 
 fn global_roots(globals: &[GlobalSlot]) -> Vec<u32> {
