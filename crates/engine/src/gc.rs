@@ -14,6 +14,10 @@
 use machine::values::{ValueStack, ValueTag, NULL_REF_BITS};
 use spc::CompiledFunction;
 use std::collections::HashSet;
+use crate::engine::Engine;
+use crate::exec::Activation;
+use crate::instance::Instance;
+use machine::values::GlobalSlot;
 
 /// A host object living in the GC heap.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,6 +184,56 @@ pub fn scan_roots_via_stackmaps(values: &ValueStack, frames: &[StackmapFrame<'_>
         }
     }
     roots
+}
+
+impl Engine {
+    pub(crate) fn maybe_collect(&self, instance: &mut Instance, stack: &[Activation]) {
+        if !instance.heap.should_collect() {
+            return;
+        }
+        let roots = self.collect_roots(instance, stack);
+        instance.heap.collect(&roots);
+    }
+
+    fn collect_roots(&self, instance: &Instance, stack: &[Activation]) -> Vec<u32> {
+        // Tagged slots (interpreter frames, optimizing-tier frames and every
+        // frame of a tagging configuration) and globals are always scanned.
+        let mut roots = scan_roots_via_tags(&instance.values);
+        roots.extend(global_roots(&instance.globals));
+        let uses_stackmaps = self
+            .0
+            .config
+            .baseline_options()
+            .is_some_and(|o| o.tagging.uses_stackmaps());
+        if uses_stackmaps {
+            // Each JIT frame is paused at its call site. Optimizing-tier
+            // frames publish their references through tagged slots instead;
+            // their (empty) tables contribute nothing here.
+            let frames: Vec<StackmapFrame> = stack
+                .iter()
+                .filter_map(|act| {
+                    let tier = act.tier.jit_tier()?;
+                    Some(StackmapFrame {
+                        compiled: instance.artifact.code_for(act.defined_index, tier)?,
+                        frame_base: act.frame_base,
+                        call_inst_index: act.site,
+                    })
+                })
+                .collect();
+            roots.extend(scan_roots_via_stackmaps(&instance.values, &frames));
+        }
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    }
+}
+
+fn global_roots(globals: &[GlobalSlot]) -> Vec<u32> {
+    globals
+        .iter()
+        .filter(|g| g.tag == ValueTag::Ref && g.bits != machine::values::NULL_REF_BITS)
+        .map(|g| g.bits as u32)
+        .collect()
 }
 
 #[cfg(test)]

@@ -52,11 +52,14 @@
 pub mod cache;
 pub mod config;
 pub mod engine;
+mod exec;
 pub mod gc;
 pub mod image;
+mod instance;
 pub mod monitor;
 pub mod pipeline;
 pub mod pool;
+mod tierup;
 pub mod trap;
 
 pub use cache::{CacheKey, CacheStats, CodeCache};

@@ -30,6 +30,11 @@ pub use machine::inst::TrapCode as TrapReason;
 /// frame equality: tier choice never changes *where* a trap happens, and the
 /// differential tests compare backtraces across tier configurations.
 pub use telemetry::Tier as FrameTierTag;
+use crate::engine::Engine;
+use crate::exec::{Activation, FrameTier};
+use crate::instance::Instance;
+use crate::pipeline;
+use telemetry::EventKind;
 
 /// One frame of a wasm backtrace.
 ///
@@ -186,6 +191,76 @@ impl fmt::Display for TrapInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "wasm trap: {}", self.reason)?;
         write!(f, "{}", self.backtrace)
+    }
+}
+
+impl Engine {
+    /// Captures diagnostics for a trap that unwound [`Engine::run_frames`]:
+    /// walks the (still-live) activation stack into a symbolicated
+    /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and reports
+    /// the trap to telemetry — one event (a trap's carries the innermost
+    /// frame and the true depth) and the per-reason counter.
+    ///
+    /// The top frame's position is `trap_at` when the trap came from
+    /// *executing* an instruction; traps raised at a call boundary (stack
+    /// exhaustion, `push_frame` epoch interruption, indirect-call dispatch
+    /// failures, host errors) have no executing instruction, so the top
+    /// frame reports the call site it was suspended at.
+    ///
+    /// This is the one place positions become bytecode offsets: a frame's
+    /// position is already one in the interpreter, and compiled code maps
+    /// its instruction index through the source map (0 when the code was
+    /// compiled without one).
+    pub(crate) fn record_trap(
+        &self,
+        instance: &mut Instance,
+        stack: &[Activation],
+        code: TrapCode,
+        mut trap_at: Option<usize>,
+    ) {
+        let names = instance.module().name_section();
+        let mut frames = Vec::with_capacity(stack.len());
+        for act in stack.iter().rev() {
+            let position = trap_at.take().unwrap_or(act.site);
+            let offset = match act.tier {
+                FrameTier::Interp => position as u32,
+                FrameTier::Jit { tier, .. } => instance
+                    .artifact
+                    .code_for(act.defined_index, tier)
+                    .and_then(|compiled| compiled.code.source_offset(position))
+                    .unwrap_or(0),
+            };
+            frames.push(Frame {
+                func_index: act.func_index,
+                name: names.func_name(act.func_index).map(str::to_string),
+                offset,
+                tier: pipeline::tier_label(act.tier.jit_tier()),
+            });
+        }
+        let backtrace = Backtrace::from_frames(frames);
+        let telemetry = &self.0.telemetry;
+        if telemetry.is_enabled() {
+            telemetry.emit(match code {
+                TrapCode::OutOfFuel => EventKind::FuelExhausted,
+                TrapCode::Interrupted => EventKind::EpochInterrupt,
+                code => {
+                    let top = backtrace.frames().first();
+                    EventKind::Trap {
+                        reason: code.wast_message(),
+                        func: top.map_or(0, |f| f.func_index),
+                        offset: top.map_or(0, |f| f.offset),
+                        depth: backtrace.depth() as u32,
+                    }
+                }
+            });
+            if let Some(metrics) = telemetry.metrics() {
+                metrics.counter(&format!("engine.traps.{}", code.slug())).inc();
+            }
+        }
+        instance.last_trap = Some(TrapInfo {
+            reason: code,
+            backtrace,
+        });
     }
 }
 
