@@ -159,7 +159,7 @@ impl CompiledModule {
     }
 
     /// The validation metadata of one defined function.
-    pub fn func_info(&self, defined: u32) -> &FuncInfo {
+    pub(crate) fn func_info(&self, defined: u32) -> &FuncInfo {
         &self.info.funcs[defined as usize]
     }
 
@@ -278,61 +278,6 @@ pub(crate) fn telemetry_backend(backend: CodeBackend) -> telemetry::Backend {
     }
 }
 
-/// [`compile_function`] wrapped in telemetry: emits `CompileStart` /
-/// `CompileEnd` trace events and feeds the `compile.duration_us` histogram.
-/// With a disabled handle this is exactly `compile_function` plus one
-/// branch.
-///
-/// # Errors
-///
-/// Returns the compiler's error for invalid or unsupported input.
-#[allow(clippy::too_many_arguments)]
-fn compile_function_traced(
-    telemetry: &Telemetry,
-    config: &EngineConfig,
-    tier: CompileTier,
-    module: &Module,
-    func_index: u32,
-    info: &FuncInfo,
-    probes: &ProbeSites,
-    profile: Option<&FuncProfile>,
-) -> Result<CompiledArtifact, CompileError> {
-    if !telemetry.is_enabled() {
-        return compile_function(config, tier, module, func_index, info, probes, profile);
-    }
-    let t_tier = tier_label(Some(tier));
-    let t_backend = telemetry_backend(config.backend);
-    telemetry.emit(EventKind::CompileStart { func: func_index, tier: t_tier, backend: t_backend });
-    let result = compile_function(config, tier, module, func_index, info, probes, profile);
-    match &result {
-        Ok(compiled) => {
-            let dur_us = compiled.compile_wall.as_micros() as u64;
-            let wasm_bytes =
-                module.func_decl(func_index).map_or(0, |decl| decl.code.len()) as u32;
-            telemetry.emit(EventKind::CompileEnd {
-                func: func_index,
-                tier: t_tier,
-                backend: t_backend,
-                wasm_bytes,
-                machine_bytes: compiled.machine_bytes.min(u32::MAX as u64) as u32,
-                dur_us,
-            });
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.histogram("compile.duration_us").record(dur_us);
-                metrics.counter("compile.functions").inc();
-                metrics.counter("compile.wasm_bytes").add(wasm_bytes as u64);
-                metrics.counter("compile.machine_bytes").add(compiled.machine_bytes);
-            }
-        }
-        Err(_) => {
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.counter("compile.errors").inc();
-            }
-        }
-    }
-    result
-}
-
 /// Compiles one defined function under `config` in `tier` — the single pure
 /// step the whole pipeline is built from. Reads only immutable inputs, so it
 /// can run on any thread; the result is deterministic in (module, function,
@@ -396,6 +341,10 @@ pub fn compile_function(
 /// and the engine's `ensure_compiled`. Returns whether this call published
 /// new code — `false` when the slot was already full or another thread won
 /// the publication race.
+///
+/// With telemetry enabled the compile is traced: `CompileStart` /
+/// `CompileEnd` events, the `compile.duration_us` histogram and the
+/// `compile.*` counters. A disabled handle costs one branch.
 pub(crate) fn compile_slot(
     telemetry: &Telemetry,
     config: &EngineConfig,
@@ -408,36 +357,63 @@ pub(crate) fn compile_slot(
     if artifact.artifact_for(defined, tier).is_some() {
         return Ok(false);
     }
-    let compiled = compile_function_traced(
-        telemetry,
-        config,
-        tier,
-        artifact.module(),
-        artifact.module().defined_to_func_index(defined),
-        artifact.func_info(defined),
-        probes,
-        profile,
-    )?;
-    Ok(artifact.publish_for(defined, tier, compiled))
+    let module = artifact.module();
+    let func_index = module.defined_to_func_index(defined);
+    let info = artifact.func_info(defined);
+    if !telemetry.is_enabled() {
+        let compiled = compile_function(config, tier, module, func_index, info, probes, profile)?;
+        return Ok(artifact.publish_for(defined, tier, compiled));
+    }
+    let t_tier = tier_label(Some(tier));
+    let t_backend = telemetry_backend(config.backend);
+    telemetry.emit(EventKind::CompileStart { func: func_index, tier: t_tier, backend: t_backend });
+    let result = compile_function(config, tier, module, func_index, info, probes, profile);
+    match &result {
+        Ok(compiled) => {
+            let dur_us = compiled.compile_wall.as_micros() as u64;
+            let wasm_bytes =
+                module.func_decl(func_index).map_or(0, |decl| decl.code.len()) as u32;
+            telemetry.emit(EventKind::CompileEnd {
+                func: func_index,
+                tier: t_tier,
+                backend: t_backend,
+                wasm_bytes,
+                machine_bytes: compiled.machine_bytes.min(u32::MAX as u64) as u32,
+                dur_us,
+            });
+            if let Some(metrics) = telemetry.metrics() {
+                metrics.histogram("compile.duration_us").record(dur_us);
+                metrics.counter("compile.functions").inc();
+                metrics.counter("compile.wasm_bytes").add(wasm_bytes as u64);
+                metrics.counter("compile.machine_bytes").add(compiled.machine_bytes);
+            }
+        }
+        Err(_) => {
+            if let Some(metrics) = telemetry.metrics() {
+                metrics.counter("compile.errors").inc();
+            }
+        }
+    }
+    Ok(artifact.publish_for(defined, tier, result?))
 }
 
 /// Eagerly compiles every uncompiled function of `artifact`, sharing the
-/// work across [`EngineConfig::compile_workers`] threads: the unpublished
-/// functions are ordered by body size, largest first, and each worker takes
-/// the next one from a shared cursor until none is left, so the functions
-/// still compiling when the others run out are small ones. Already-published
-/// slots — a warm code-cache hit — are skipped, which is what makes repeated
-/// instantiation under a shared cache compile exactly once; with nothing
-/// left to compile no thread is spawned.
+/// work across [`EngineConfig::compile_workers`] threads: each worker takes
+/// the next function from a shared cursor until none is left. With more
+/// than one worker the functions are ordered by body size, largest first, so
+/// the ones still compiling when the others run out are small; one worker is
+/// the calling thread, in index order. Already-published slots — a warm
+/// code-cache hit — are skipped, which is what makes repeated instantiation
+/// under a shared cache compile exactly once; with nothing left to compile
+/// no thread is spawned.
 ///
 /// Returns the defined indices this call published, in ascending order, so
 /// the caller can attribute their compile time to its metrics.
 ///
 /// # Errors
 ///
-/// Returns the compile error of the lowest-indexed failing function — the
-/// same error the serial path would report first, independent of worker
-/// count.
+/// Returns the compile error of the lowest-indexed failing function,
+/// independent of worker count.
 ///
 /// [`EngineConfig::compile_workers`]: crate::config::EngineConfig
 pub fn compile_eager(
@@ -451,55 +427,49 @@ pub fn compile_eager(
         .filter(|&defined| artifact.artifact_for(defined, tier).is_none())
         .collect();
     let workers = config.compile_workers.max(1).min(pending.len());
-    let compile = move |defined: u32| {
-        let func_index = artifact.module().defined_to_func_index(defined);
-        let probes = instrumentation.sites_for(func_index);
-        compile_slot(telemetry, config, artifact, defined, tier, &probes, None)
-    };
-    if workers <= 1 {
-        let mut published = Vec::new();
-        for &defined in &pending {
-            if compile(defined)? {
-                published.push(defined);
+    if workers > 1 {
+        // A stable sort: bodies of one size stay in index order.
+        let funcs = &artifact.module().funcs;
+        pending.sort_by_key(|&defined| Reverse(funcs[defined as usize].code.len()));
+    }
+    let (pending, next) = (&pending, &AtomicUsize::new(0));
+    // One worker's loop. A failure does not stop it: the error to report is
+    // the lowest-indexed one, which may still be ahead of the cursor.
+    let drain = move || {
+        let (mut published, mut first_error) = (Vec::new(), None);
+        let take = || pending.get(next.fetch_add(1, Ordering::Relaxed));
+        while let Some(&defined) = take() {
+            let probes = instrumentation.sites_for(artifact.module().defined_to_func_index(defined));
+            match compile_slot(telemetry, config, artifact, defined, tier, &probes, None) {
+                Ok(true) => published.push(defined),
+                Ok(false) => {}
+                Err(e) => keep_lowest(&mut first_error, defined, e),
             }
         }
-        return Ok(published);
-    }
-    // A stable sort: bodies of one size stay in index order.
-    let funcs = &artifact.module().funcs;
-    pending.sort_by_key(|&defined| Reverse(funcs[defined as usize].code.len()));
-    let (pending, next) = (&pending, &AtomicUsize::new(0));
+        (published, first_error)
+    };
     type Drained = (Vec<u32>, Option<(u32, CompileError)>);
-    let results: Vec<Drained> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                // Named, so every instantiation's worker `w` reports into the
-                // same telemetry ring.
-                thread::Builder::new()
-                    .name(format!("compile-{w}"))
-                    .spawn_scoped(scope, move || {
-                        // A failure does not stop the worker: the error to
-                        // report is the lowest-indexed one, which may still
-                        // be ahead of the cursor.
-                        let (mut published, mut first_error) = (Vec::new(), None);
-                        let take = || pending.get(next.fetch_add(1, Ordering::Relaxed));
-                        while let Some(&defined) = take() {
-                            match compile(defined) {
-                                Ok(true) => published.push(defined),
-                                Ok(false) => {}
-                                Err(e) => keep_lowest(&mut first_error, defined, e),
-                            }
-                        }
-                        (published, first_error)
-                    })
-                    .expect("spawn eager compile worker")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    });
+    let results: Vec<Drained> = if workers > 1 {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    // Named, so every instantiation's worker `w` reports into
+                    // the same telemetry ring.
+                    thread::Builder::new()
+                        .name(format!("compile-{w}"))
+                        .spawn_scoped(scope, drain)
+                        .expect("spawn eager compile worker")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        })
+    } else {
+        // One worker is the calling thread.
+        vec![drain()]
+    };
     let mut published = Vec::new();
     let mut first_error = None;
     for (indices, error) in results {
