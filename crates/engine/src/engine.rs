@@ -26,10 +26,10 @@ use crate::monitor::Instrumentation;
 use crate::pipeline::{self, CompiledModule};
 use crate::tierup::{account_compile, CompileTiming};
 use interp::interp::Interpreter;
-use machine::cost::{CostModel, CycleCounter};
+use machine::cost::CostModel;
 use machine::cpu::Cpu;
 use machine::inst::TrapCode;
-use machine::values::{ValueStack, ValueTag, WasmValue};
+use machine::values::{ValueStack, WasmValue};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -253,10 +253,7 @@ impl Engine {
             .map_err(EngineError::Compile)?;
             let tier = pipeline::eager_tier(&self.0.config);
             for defined in published {
-                let compiled = artifact
-                    .artifact_for(defined, tier)
-                    .expect("published function has an artifact");
-                account_compile(&mut metrics, compiled, CompileTiming::Eager, tier);
+                account_compile(&mut metrics, &artifact, defined, tier, CompileTiming::Eager);
             }
         }
 
@@ -362,29 +359,11 @@ impl Engine {
         if instance.module().is_imported_func(func_index) {
             return Err(TrapCode::HostError);
         }
-        let num_results = instance
-            .module()
-            .func_type(func_index)
-            .map(|t| t.results.clone())
-            .ok_or(TrapCode::HostError)?;
-
-        let frame_base = 0usize;
-        let mut cycles = CycleCounter::new();
-        let exec_result = self.run_call(instance, func_index, args, frame_base, &mut cycles);
-        instance.metrics.exec_cycles += cycles.total();
-        exec_result?;
-        // Read results from the frame base.
-        let out = num_results
-            .iter()
-            .enumerate()
-            .map(|(i, &ty)| {
-                WasmValue::from_bits(
-                    instance.values.read(frame_base + i),
-                    ValueTag::for_type(ty),
-                )
-            })
-            .collect();
-        Ok(out)
+        let artifact = Arc::clone(&instance.artifact);
+        let sig = artifact.module().func_type(func_index).ok_or(TrapCode::HostError)?;
+        self.run_call(instance, func_index, args)?;
+        // The root frame returned its results at its base.
+        Ok(instance.read_values(0, &sig.results))
     }
 }
 

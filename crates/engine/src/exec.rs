@@ -19,6 +19,7 @@ use machine::cpu::{CpuState, EpochSampler, ExecContext, Exit, Meter, OsrHook, Pr
 use machine::inst::TrapCode;
 use machine::values::{ValueTag, WasmValue};
 use spc::CompiledFunction;
+use wasm::types::FuncType;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -100,14 +101,8 @@ impl Engine {
         let defined = func_index
             .checked_sub(instance.module().num_imported_funcs())
             .ok_or(TrapCode::HostError)?;
-        let max_depth = self
-            .0
-            .config
-            .limits
-            .call_depth
-            .unwrap_or(EngineConfig::MAX_CALL_DEPTH)
-            .min(EngineConfig::MAX_CALL_DEPTH);
-        if depth >= max_depth {
+        let max_depth = self.0.config.limits.call_depth.unwrap_or(EngineConfig::MAX_CALL_DEPTH);
+        if depth >= max_depth.min(EngineConfig::MAX_CALL_DEPTH) {
             return Err(TrapCode::StackOverflow);
         }
         // The call boundary is a preemption point in every tier: functions
@@ -185,25 +180,18 @@ impl Engine {
         Ok(act)
     }
 
+    /// Runs `func_index` on `args` in a frame at the bottom of the value
+    /// stack and adds the cycles it spent to the instance's metrics.
     pub(crate) fn run_call(
         &self,
         instance: &mut Instance,
         func_index: u32,
         args: &[WasmValue],
-        frame_base: usize,
-        cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
-        let mut stack: Vec<Activation> = Vec::new();
-        let mut trap_at: Option<usize> = None;
-        let result = self.run_frames(
-            instance,
-            func_index,
-            args,
-            frame_base,
-            cycles,
-            &mut stack,
-            &mut trap_at,
-        );
+        let (mut stack, mut trap_at, mut cycles) = (Vec::new(), None, CycleCounter::new());
+        let result =
+            self.run_frames(instance, func_index, args, &mut cycles, &mut stack, &mut trap_at);
+        instance.metrics.exec_cycles += cycles.total();
         if let Err(code) = result {
             // The stack is still live here — the frame walk sees exactly the
             // activations that existed when the trap fired.
@@ -212,13 +200,11 @@ impl Engine {
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_frames(
         &self,
         instance: &mut Instance,
         func_index: u32,
         args: &[WasmValue],
-        frame_base: usize,
         cycles: &mut CycleCounter,
         stack: &mut Vec<Activation>,
         trap_at: &mut Option<usize>,
@@ -234,7 +220,7 @@ impl Engine {
             telemetry,
             ..
         } = &*self.0;
-        let root = self.push_frame(instance, func_index, frame_base, Some(args), 0)?;
+        let root = self.push_frame(instance, func_index, 0, Some(args), 0)?;
         stack.push(root);
         // An owned handle to the shared artifact lets the executor borrow
         // module/code immutably while the instance's runtime state is
@@ -440,7 +426,7 @@ impl Engine {
         cycles.charge(cost);
         self.maybe_collect(instance, stack);
         if artifact.module().is_imported_func(callee) {
-            self.call_host(instance, callee, callee_base, cycles)?;
+            self.call_host(instance, callee, sig, callee_base, cycles)?;
             instance.values.set_sp(sp_after_host);
         } else {
             let child = self.push_frame(instance, callee, callee_base, None, stack.len())?;
@@ -511,36 +497,19 @@ impl Engine {
         }
     }
 
+    /// Runs imported function `callee` of type `sig` in place: its
+    /// arguments are read from `callee_base` and its results written there.
     fn call_host(
         &self,
         instance: &mut Instance,
         callee: u32,
+        sig: &FuncType,
         callee_base: usize,
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
         cycles.charge(self.0.cost.host_call);
-        let sig = instance
-            .module()
-            .func_type(callee)
-            .cloned()
-            .ok_or(TrapCode::HostError)?;
-        let args: Vec<WasmValue> = sig
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, &ty)| {
-                WasmValue::from_bits(
-                    instance.values.read(callee_base + i),
-                    ValueTag::for_type(ty),
-                )
-            })
-            .collect();
-        let Instance {
-            host_funcs,
-            host_slots,
-            heap,
-            ..
-        } = instance;
+        let args = instance.read_values(callee_base, &sig.params);
+        let Instance { host_funcs, host_slots, heap, .. } = instance;
         let f = host_slots
             .get(callee as usize)
             .and_then(|&slot| host_funcs.get_mut(slot))

@@ -11,13 +11,12 @@
 //!
 //! Both are implemented here and verified against each other by tests.
 
-use machine::values::{ValueStack, ValueTag, NULL_REF_BITS};
-use spc::CompiledFunction;
-use std::collections::HashSet;
 use crate::engine::Engine;
 use crate::exec::Activation;
 use crate::instance::Instance;
-use machine::values::GlobalSlot;
+use machine::values::{ValueStack, ValueTag, NULL_REF_BITS};
+use spc::CompiledFunction;
+use std::collections::HashSet;
 
 /// A host object living in the GC heap.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +55,7 @@ impl Heap {
     }
 
     /// Allocates an object with outgoing references.
-    pub fn alloc_with_children(&mut self, payload: u64, children: Vec<u32>) -> u32 {
+    pub(crate) fn alloc_with_children(&mut self, payload: u64, children: Vec<u32>) -> u32 {
         let obj = HostObject {
             payload,
             children,
@@ -78,11 +77,6 @@ impl Heap {
         self.objects.get(handle as usize).and_then(|o| o.as_ref())
     }
 
-    /// True if the handle refers to a live object.
-    pub fn is_live(&self, handle: u32) -> bool {
-        self.get(handle).is_some()
-    }
-
     /// The number of live objects.
     pub fn live_count(&self) -> usize {
         self.live
@@ -99,7 +93,7 @@ impl Heap {
     }
 
     /// True if a collection should be triggered at the next safe point.
-    pub fn should_collect(&self) -> bool {
+    pub(crate) fn should_collect(&self) -> bool {
         self.threshold > 0 && self.live >= self.threshold
     }
 
@@ -140,7 +134,7 @@ impl Heap {
 
 /// Scans the live region of the value stack for reference roots using value
 /// tags (Wizard's strategy). Invalid or null handles are ignored.
-pub fn scan_roots_via_tags(values: &ValueStack) -> Vec<u32> {
+pub(crate) fn scan_roots_via_tags(values: &ValueStack) -> Vec<u32> {
     let mut roots = Vec::new();
     let mut seen = HashSet::new();
     for (_, bits, tag) in values.iter_live() {
@@ -167,7 +161,7 @@ pub struct StackmapFrame<'a> {
 
 /// Scans roots using the per-call-site stackmaps of paused JIT frames
 /// (the strategy of v8-liftoff and sm-base).
-pub fn scan_roots_via_stackmaps(values: &ValueStack, frames: &[StackmapFrame<'_>]) -> Vec<u32> {
+pub(crate) fn scan_roots_via_stackmaps(values: &ValueStack, frames: &[StackmapFrame]) -> Vec<u32> {
     let mut roots = Vec::new();
     let mut seen = HashSet::new();
     for frame in frames {
@@ -187,25 +181,22 @@ pub fn scan_roots_via_stackmaps(values: &ValueStack, frames: &[StackmapFrame<'_>
 }
 
 impl Engine {
+    /// Collects the instance's heap if it asks to be, from the roots held by
+    /// the live activations `stack` and the globals.
     pub(crate) fn maybe_collect(&self, instance: &mut Instance, stack: &[Activation]) {
-        if !instance.heap.should_collect() {
-            return;
+        if instance.heap.should_collect() {
+            let roots = self.collect_roots(instance, stack);
+            instance.heap.collect(&roots);
         }
-        let roots = self.collect_roots(instance, stack);
-        instance.heap.collect(&roots);
     }
 
     fn collect_roots(&self, instance: &Instance, stack: &[Activation]) -> Vec<u32> {
         // Tagged slots (interpreter frames, optimizing-tier frames and every
         // frame of a tagging configuration) and globals are always scanned.
         let mut roots = scan_roots_via_tags(&instance.values);
-        roots.extend(global_roots(&instance.globals));
-        let uses_stackmaps = self
-            .0
-            .config
-            .baseline_options()
-            .is_some_and(|o| o.tagging.uses_stackmaps());
-        if uses_stackmaps {
+        let globals = instance.globals.iter().filter(|g| g.tag == ValueTag::Ref);
+        roots.extend(globals.filter(|g| g.bits != NULL_REF_BITS).map(|g| g.bits as u32));
+        if self.0.config.baseline_options().is_some_and(|o| o.tagging.uses_stackmaps()) {
             // Each JIT frame is paused at its call site. Optimizing-tier
             // frames publish their references through tagged slots instead;
             // their (empty) tables contribute nothing here.
@@ -228,14 +219,6 @@ impl Engine {
     }
 }
 
-fn global_roots(globals: &[GlobalSlot]) -> Vec<u32> {
-    globals
-        .iter()
-        .filter(|g| g.tag == ValueTag::Ref && g.bits != machine::values::NULL_REF_BITS)
-        .map(|g| g.bits as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,9 +235,9 @@ mod tests {
         // Only `c` is a root; it keeps `a` alive transitively, `b` dies.
         let freed = heap.collect(&[c]);
         assert_eq!(freed, 1);
-        assert!(heap.is_live(a));
-        assert!(!heap.is_live(b));
-        assert!(heap.is_live(c));
+        assert!(heap.get(a).is_some());
+        assert!(heap.get(b).is_none());
+        assert!(heap.get(c).is_some());
         assert_eq!(heap.get(a).unwrap().payload, 1);
         assert_eq!(heap.collections(), 1);
         assert_eq!(heap.total_freed(), 1);
@@ -265,7 +248,7 @@ mod tests {
         let mut heap = Heap::with_threshold(0);
         let a = heap.alloc(1);
         heap.collect(&[]);
-        assert!(!heap.is_live(a));
+        assert!(heap.get(a).is_none());
         let b = heap.alloc(2);
         assert_eq!(a, b, "freed slot is reused");
         assert_eq!(heap.live_count(), 1);
@@ -317,6 +300,6 @@ mod tests {
         let a = heap.alloc(1);
         let freed = heap.collect(&[a, 999]);
         assert_eq!(freed, 0);
-        assert!(heap.is_live(a));
+        assert!(heap.get(a).is_some());
     }
 }

@@ -7,13 +7,14 @@ use crate::pipeline::CompiledModule;
 use crate::trap::TrapInfo;
 use machine::inst::TrapCode;
 use machine::memory::{LinearMemory, Table};
-use machine::values::{GlobalSlot, ValueStack, WasmValue};
+use machine::values::{GlobalSlot, ValueStack, ValueTag, WasmValue};
 use spc::CompiledFunction;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use wasm::module::Module;
+use wasm::types::ValueType;
 
 /// A host (imported) function. `Send` so instances (and with them, instance
 /// pools) can move between serving workers.
@@ -277,5 +278,15 @@ impl Instance {
     /// A table by index.
     pub fn table(&self, index: u32) -> Option<&Table> {
         self.tables.get(index as usize)
+    }
+
+    /// The values of `types` in consecutive slots from `base`, read by their
+    /// static types: a tier need not have stored their tags.
+    pub(crate) fn read_values(&self, base: usize, types: &[ValueType]) -> Vec<WasmValue> {
+        types
+            .iter()
+            .zip(base..)
+            .map(|(&ty, slot)| WasmValue::from_bits(self.values.read(slot), ValueTag::for_type(ty)))
+            .collect()
     }
 }

@@ -439,7 +439,8 @@ pub fn compile_eager(
         let (mut published, mut first_error) = (Vec::new(), None);
         let take = || pending.get(next.fetch_add(1, Ordering::Relaxed));
         while let Some(&defined) = take() {
-            let probes = instrumentation.sites_for(artifact.module().defined_to_func_index(defined));
+            let func_index = artifact.module().defined_to_func_index(defined);
+            let probes = instrumentation.sites_for(func_index);
             match compile_slot(telemetry, config, artifact, defined, tier, &probes, None) {
                 Ok(true) => published.push(defined),
                 Ok(false) => {}

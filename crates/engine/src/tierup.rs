@@ -7,7 +7,7 @@ use crate::config::TierPolicy;
 use crate::engine::Engine;
 use crate::exec::{Activation, FrameTier};
 use crate::instance::{Instance, RunMetrics};
-use crate::pipeline::{self, CompileTier, CompiledArtifact};
+use crate::pipeline::{self, CompileTier, CompiledModule};
 use machine::inst::TrapCode;
 use telemetry::EventKind;
 
@@ -85,11 +85,8 @@ impl Engine {
             profile,
         )?;
         if published {
-            let compiled = instance
-                .artifact
-                .artifact_for(defined, tier)
-                .expect("just published");
-            account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
+            let timing = CompileTiming::Deferred;
+            account_compile(&mut instance.metrics, &instance.artifact, defined, tier, timing);
             self.0.telemetry.emit(EventKind::TierUp {
                 func: func_index,
                 tier: pipeline::tier_label(Some(tier)),
@@ -109,7 +106,7 @@ impl Engine {
     /// caller has already pointed the frame back at that check site.
     pub(crate) fn handle_osr(&self, instance: &mut Instance, act: &mut Activation, offset: u32) {
         let defined = act.defined_index;
-        if instance.artifact.artifact_for(defined, CompileTier::Opt).is_none() {
+        let Some(code) = instance.artifact.code_for(defined, CompileTier::Opt) else {
             // Not compiled yet: compile it and guarantee a full loop
             // iteration of progress before the next poll.
             act.osr_skip = true;
@@ -119,21 +116,12 @@ impl Engine {
                 act.osr_off = true;
             }
             return;
-        }
-        let (entry, frame_slots) = {
-            let code = instance
-                .artifact
-                .code_for(defined, CompileTier::Opt)
-                .expect("artifact published");
-            match code.osr_entries.get(&offset) {
-                Some(&entry) => (entry, code.frame_slots),
-                None => {
-                    // No stub for this loop (its header was optimized away,
-                    // or the code predates OSR in a shared artifact).
-                    act.osr_off = true;
-                    return;
-                }
-            }
+        };
+        let (Some(&entry), frame_slots) = (code.osr_entries.get(&offset), code.frame_slots) else {
+            // No stub for this loop (its header was optimized away, or the
+            // code predates OSR in a shared artifact).
+            act.osr_off = true;
+            return;
         };
         let frame_end = act.frame_base + frame_slots as usize;
         if !instance.values.reserve(frame_end) {
@@ -164,14 +152,16 @@ impl Engine {
     }
 }
 
-/// Attributes one published compilation to an instance's metrics, in the
-/// bucket matching when and in which tier it ran.
+/// Attributes the published compilation of `defined` in `tier` to an
+/// instance's metrics, in the bucket matching when and in which tier it ran.
 pub(crate) fn account_compile(
     metrics: &mut RunMetrics,
-    compiled: &CompiledArtifact,
-    timing: CompileTiming,
+    artifact: &CompiledModule,
+    defined: u32,
     tier: CompileTier,
+    timing: CompileTiming,
 ) {
+    let compiled = artifact.artifact_for(defined, tier).expect("published code has an artifact");
     match (tier, timing) {
         (CompileTier::Opt, _) => metrics.opt_compile_wall += compiled.compile_wall,
         (CompileTier::Baseline, CompileTiming::Eager) => {

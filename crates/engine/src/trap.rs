@@ -16,8 +16,13 @@
 //! backtrace is that it is **bit-identical across every tier configuration**,
 //! which the cross-tier differential tests assert directly.
 
+use crate::engine::Engine;
+use crate::exec::{Activation, FrameTier};
+use crate::instance::Instance;
+use crate::pipeline;
 use machine::inst::TrapCode;
 use std::fmt;
+use telemetry::EventKind;
 
 /// Why execution trapped: the engine-surface name of [`TrapCode`].
 pub use machine::inst::TrapCode as TrapReason;
@@ -30,11 +35,6 @@ pub use machine::inst::TrapCode as TrapReason;
 /// frame equality: tier choice never changes *where* a trap happens, and the
 /// differential tests compare backtraces across tier configurations.
 pub use telemetry::Tier as FrameTierTag;
-use crate::engine::Engine;
-use crate::exec::{Activation, FrameTier};
-use crate::instance::Instance;
-use crate::pipeline;
-use telemetry::EventKind;
 
 /// One frame of a wasm backtrace.
 ///
