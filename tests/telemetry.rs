@@ -1,15 +1,20 @@
 //! End-to-end tests for the telemetry layer: concurrent cache-counter
 //! accuracy, sampling-profiler attribution in every executing tier, trace
-//! coverage of the serving request lifecycle, and the zero-cost contract of
-//! a disabled handle.
+//! coverage of the serving request lifecycle, one event per trap, and the
+//! zero-cost contract of a disabled handle.
 
 mod common;
 #[path = "common/json.rs"]
 mod json;
 
 use common::fib_module;
-use engine::{CodeCache, Engine, EngineConfig, Imports, Instrumentation, Telemetry};
+use conform::runner::all_configs;
+use engine::{
+    CodeCache, Engine, EngineConfig, EngineError, Imports, Instrumentation, ResourceLimits,
+    Telemetry, TrapInfo,
+};
 use machine::values::WasmValue;
+use machine::TrapCode;
 use serve::deadline::EpochTicker;
 use serve::{Request, RequestStatus, Server, ServerConfig};
 use spc::CompilerOptions;
@@ -343,6 +348,116 @@ fn serving_batch_traces_the_request_lifecycle() {
         let ts = event.get("ts").and_then(json::JsonValue::as_number);
         assert!(phase == "M" || ts.is_some(), "{event:?} has no numeric `ts`");
     }
+}
+
+/// `main` calls `middle` calls `div`, which divides by zero: a trap inside
+/// an instruction three frames deep. Function indices are (div, middle,
+/// main) = (0, 1, 2); `spin` (3) recurses until a call-depth limit stops it.
+const TRAPS: &str = r#"
+    (module
+      (func $div (param i32 i32) (result i32) local.get 0 local.get 1 i32.div_s)
+      (func $middle (param i32) (result i32) local.get 0 i32.const 0 call $div)
+      (func $main (export "main") (param i32) (result i32) local.get 0 call $middle)
+      (func $spin (export "spin") (param i32) (result i32)
+        local.get 0 i32.const 1 i32.add call $spin))
+"#;
+
+/// The trap events `engine`'s sink holds (`Trap`, `FuelExhausted`,
+/// `EpochInterrupt`), drained, and its `engine.traps.*` counters.
+fn trap_telemetry(engine: &Engine) -> (Vec<EventKind>, Vec<(String, u64)>) {
+    let events = engine.telemetry().drain().into_iter().flat_map(|(_, events, _)| events);
+    let traps = events.map(|e| e.kind).filter(|kind| {
+        use EventKind::{EpochInterrupt, FuelExhausted, Trap};
+        matches!(kind, Trap { .. } | FuelExhausted | EpochInterrupt)
+    });
+    let metrics = engine.telemetry().metrics().expect("enabled").snapshot();
+    let counters = metrics.counters.into_iter().filter(|(n, _)| n.starts_with("engine.traps."));
+    (traps.collect(), counters.collect())
+}
+
+/// Every trapping call emits exactly one event and counts once under its
+/// reason: a `Trap` event names the innermost frame of the backtrace the
+/// instance keeps and the stack's true depth, whether the trap fired inside
+/// an instruction (in every execution of the matrix), at a call boundary or
+/// in a start function; fuel exhaustion and interruption have events of
+/// their own.
+#[test]
+fn every_trap_emits_one_event_naming_its_innermost_frame() {
+    let traps = wasm::wat::parse_module(TRAPS).expect("trap module parses");
+    // The one event and the one count a trap with these diagnostics leaves.
+    let assert_reported = |engine: &Engine, trap: &TrapInfo, what: &str| {
+        let expected = match trap.reason {
+            TrapCode::OutOfFuel => EventKind::FuelExhausted,
+            TrapCode::Interrupted => EventKind::EpochInterrupt,
+            reason => {
+                let top = &trap.backtrace.frames()[0];
+                EventKind::Trap {
+                    reason: reason.wast_message(),
+                    func: top.func_index,
+                    offset: top.offset,
+                    depth: trap.backtrace.depth() as u32,
+                }
+            }
+        };
+        let counter = format!("engine.traps.{}", trap.reason.slug());
+        assert_eq!(trap_telemetry(engine), (vec![expected], vec![(counter, 1)]), "{what}");
+    };
+    let start = |config: EngineConfig, module: &Module| {
+        let engine = Engine::new(config).with_telemetry(Telemetry::enabled());
+        let instance = engine
+            .instantiate(module, Imports::new(), Instrumentation::none())
+            .expect("instantiates");
+        (engine, instance)
+    };
+
+    for config in all_configs() {
+        let name = config.name.clone();
+        let (engine, mut instance) = start(config, &traps);
+        let result = engine.call_export(&mut instance, "main", &[WasmValue::I32(7)]);
+        assert_eq!(result, Err(TrapCode::DivisionByZero), "{name}");
+        let trap = instance.last_trap().expect("diagnostics captured");
+        assert_eq!(trap.backtrace.frames()[0].func_index, 0, "{name}: `div` is innermost");
+        assert_eq!(trap.backtrace.depth(), 3, "{name}");
+        assert_reported(&engine, trap, &name);
+    }
+
+    let limits = ResourceLimits { call_depth: Some(100), ..ResourceLimits::unlimited() };
+    let spc = EngineConfig::baseline("spc", CompilerOptions::allopt());
+    let (engine, mut instance) = start(spc.clone().with_limits(limits), &traps);
+    let result = engine.call_export(&mut instance, "spin", &[WasmValue::I32(0)]);
+    assert_eq!(result, Err(TrapCode::StackOverflow));
+    let trap = instance.last_trap().expect("diagnostics captured");
+    assert_eq!(trap.backtrace.depth(), 100, "the call that would be the 101st frame traps");
+    assert_reported(&engine, trap, "stack exhaustion");
+
+    // A start function that traps fails the instantiation, which leaves no
+    // instance to ask: its event must match the diagnostics of the same
+    // function called as an export.
+    let boom = |start: &str| {
+        let text = format!(r#"(module (func $boom (export "boom") nop unreachable) {start})"#);
+        wasm::wat::parse_module(&text).expect("parses")
+    };
+    let (engine, mut instance) = start(spc.clone(), &boom(""));
+    assert_eq!(engine.call_export(&mut instance, "boom", &[]), Err(TrapCode::Unreachable));
+    let expected = instance.last_trap().expect("diagnostics captured").clone();
+    assert_eq!(expected.backtrace.depth(), 1);
+    assert_reported(&engine, &expected, "the start function called as an export");
+    let engine = Engine::new(spc.clone()).with_telemetry(Telemetry::enabled());
+    let err = engine.instantiate(&boom("(start $boom)"), Imports::new(), Instrumentation::none());
+    assert!(matches!(err, Err(EngineError::Start(TrapCode::Unreachable))), "{err:?}");
+    assert_reported(&engine, &expected, "a trapping start function");
+
+    let (engine, mut instance) = start(spc.clone().with_metering(), &fib_module());
+    instance.set_fuel(100);
+    let result = engine.call_export(&mut instance, "fib", &[WasmValue::I32(20)]);
+    assert_eq!(result, Err(TrapCode::OutOfFuel));
+    assert_reported(&engine, instance.last_trap().expect("captured"), "out of fuel");
+
+    let (engine, mut instance) = start(spc, &traps);
+    instance.set_epoch_deadline(0);
+    let result = engine.call_export(&mut instance, "main", &[WasmValue::I32(7)]);
+    assert_eq!(result, Err(TrapCode::Interrupted));
+    assert_reported(&engine, instance.last_trap().expect("captured"), "interrupted");
 }
 
 /// Events and samples charge zero simulated cycles: a traced engine whose
