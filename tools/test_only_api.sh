@@ -2,7 +2,12 @@
 # "Who calls this outside tests?" — every `pub fn` of the library crates that
 # only tests (or nothing) call.
 #
-#   tools/test_only_api.sh        # prints one "path:line: name" per candidate
+#   tools/test_only_api.sh            # prints one "path:line: name" per candidate
+#   tools/test_only_api.sh <git-ref>  # the same, then the count per crate here
+#                                     # and at <git-ref>
+#
+# With a ref it is a ratchet: it exits 1 when the total is higher than at
+# <git-ref>.
 #
 # Defined: each `pub fn` in a .rs file under crates/*/src, above the file's
 # first `#[cfg(test)]` line. Called: `name(` or `name::<` on a non-comment
@@ -17,12 +22,14 @@
 # Read the output as candidates to account for, not as verdicts.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
+ref=${1-}
 
-git ls-files -co --exclude-standard -- '*.rs' | grep -Ev '(^|/)tests/' |
-    while IFS= read -r path; do
-        [ -f "$path" ] || continue
+# Reads .rs paths on stdin, prints the candidates among those files; $1 is the
+# command prefix that prints a file given its path.
+candidates() {
+    grep -Ev '(^|/)tests/' | while IFS= read -r path; do
         printf '\001%s\n' "$path"
-        cat "$path"
+        $1"$path"
     done | awk '
         /^\001/ { path = substr($0, 2); in_tests = 0; line = 0; next }
         { line++ }
@@ -50,3 +57,28 @@ git ls-files -co --exclude-standard -- '*.rs' | grep -Ev '(^|/)tests/' |
                 if (files[d[1]] - ((d[1], d[2]) in seen) < 1) printf "%s:%d: %s\n", d[2], d[3], d[1]
             }
         }' | sort -t: -k1,1 -k2,2n
+}
+
+here=$(git ls-files -co --exclude-standard -- '*.rs' |
+    while IFS= read -r path; do [ -f "$path" ] && printf '%s\n' "$path"; done | candidates 'cat ')
+[ -z "$here" ] || printf '%s\n' "$here"
+[ -n "$ref" ] || exit 0
+
+there=$(git ls-tree -r --name-only "$ref" | grep '\.rs$' | candidates "git show $ref:")
+# One "side crate" line per candidate, then the per-crate table.
+{ printf '%s\n' "$here" | sed 's/^/now /'; printf '%s\n' "$there" | sed 's/^/ref /'; } |
+    awk -F'[ /]' -v ref="$ref" '
+        NF >= 3 { crate = $2 "/" $3; count[$1, crate]++; crates[crate] = 1; total[$1]++ }
+        END {
+            printf "\n%-20s %5s %10s %7s\n", "", "now", "@" substr(ref, 1, 7), "delta"
+            for (crate in crates) {
+                now = count["now", crate] + 0; was = count["ref", crate] + 0
+                printf "%-20s %5d %10d %+7d\n", crate, now, was, now - was | "sort"
+            }
+            close("sort")
+            printf "%-20s %5d %10d %+7d\n", "total", total["now"], total["ref"], total["now"] - total["ref"]
+            if (total["now"] > total["ref"]) {
+                print "test-only pub fns rose against " ref > "/dev/stderr"
+                exit 1
+            }
+        }'
