@@ -106,7 +106,7 @@ pub struct EngineConfig {
     /// encoded machine-code bytes instead of the virtual ISA's estimate.
     pub backend: CodeBackend,
     /// How many worker threads eager (instantiate-time) compilation shards
-    /// across. `1` (the default) is the serial path; any higher count
+    /// across. `1` (the default) compiles on the calling thread; any higher count
     /// produces byte-identical code, since each function's compilation reads
     /// only immutable inputs (see [`crate::pipeline`]).
     pub compile_workers: usize,

@@ -4,10 +4,11 @@
 //! tier(s): the in-place interpreter, the single-pass baseline compiler (in
 //! any of the paper's configurations or the six production design profiles),
 //! the optimizing tier, or a tiered combination with hotness-based tier-up;
-//! it is a handle, and its clones share one runtime. Instantiating a module produces an [`Instance`] holding the shared tagged
-//! value stack, linear memory, globals, tables, the host GC [`gc::Heap`],
-//! attached [`monitor::Instrumentation`], and [`RunMetrics`] recording setup
-//! time, compile time, and executed cycles — the raw measurements behind the
+//! it is a handle, and its clones share one runtime. Instantiating a module
+//! produces an [`Instance`] holding the shared tagged value stack, linear
+//! memory, globals, tables, the host GC [`gc::Heap`], attached
+//! [`monitor::Instrumentation`], and [`RunMetrics`] recording setup time,
+//! compile time, and executed cycles — the raw measurements behind the
 //! paper's figures. The immutable side of an instance — module, validation
 //! output, sidetables, and compiled code — lives in a shared
 //! [`pipeline::CompiledModule`] artifact: eager compilation can shard across
@@ -16,6 +17,13 @@
 //! needs the code — compile time is application time — and a
 //! [`cache::CodeCache`] lets repeated instantiations of the same module skip
 //! compilation entirely.
+//!
+//! One module per concern: [`engine`] (the handle, instantiation, the two
+//! public calls), `instance` (an instance's state), `exec` (the frame
+//! executor: interpreter and JIT frames on one value stack), `tierup` (tier
+//! choice, tier-up, OSR), [`gc`] (the heap and its roots), [`trap`]
+//! (backtraces), [`pipeline`] and [`cache`] (compiled artifacts), [`pool`]
+//! and [`image`] (instance reuse), [`monitor`] and [`config`].
 //!
 //! # Examples
 //!

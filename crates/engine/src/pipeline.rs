@@ -13,11 +13,11 @@
 //!   threads) share one copy of the compiled code. The mutable runtime state
 //!   (value stack, memory, globals, heap, metrics) stays in the instance.
 //! * [`compile_eager`] spreads instantiate-time compilation across
-//!   [`EngineConfig::compile_workers`] scoped threads, which take the
-//!   functions largest first from one shared cursor. Each function's
-//!   compilation reads only immutable inputs, so the output is
-//!   byte-identical to the serial path at any worker count (differentially
-//!   tested in `tests/parallel_determinism.rs`).
+//!   [`EngineConfig::compile_workers`] workers, which take the functions
+//!   from one shared cursor (largest first when there are several). Each
+//!   function's compilation reads only immutable inputs, so the output is
+//!   byte-identical at any worker count (differentially tested in
+//!   `tests/parallel_determinism.rs`).
 //! * Every compile after instantiation — a lazy first call, a tier-up, an
 //!   OSR request — runs on the executing thread, in the engine's
 //!   `ensure_compiled`, at the call boundary or OSR poll that needs the

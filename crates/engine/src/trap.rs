@@ -198,8 +198,8 @@ impl Engine {
     /// Captures diagnostics for a trap that unwound [`Engine::run_frames`]:
     /// walks the (still-live) activation stack into a symbolicated
     /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and reports
-    /// the trap to telemetry — one event (a trap's carries the innermost
-    /// frame and the true depth) and the per-reason counter.
+    /// it to telemetry: one event (`EventKind::Trap` carries the innermost
+    /// frame and the true depth) and one count under its reason.
     ///
     /// The top frame's position is `trap_at` when the trap came from
     /// *executing* an instruction; traps raised at a call boundary (stack
