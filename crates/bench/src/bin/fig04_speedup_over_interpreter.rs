@@ -6,49 +6,13 @@
 //! configuration; the figure reports per-suite average / min / max speedups
 //! (higher is better).
 
-use bench::{measure_all, print_suite_table, summarize, Instrument};
-use engine::EngineConfig;
-use spc::CompilerOptions;
-
 fn main() {
     let scale = bench::scale_from_args();
     bench::print_header(
         "Figure 4",
         "Execution time speedup of Wizard-SPC over Wizard-INT (1x = same speed, up is better)",
     );
-
-    let interp = measure_all(
-        &EngineConfig::interpreter("wizeng-int"),
-        scale,
-        Instrument::None,
-    );
-
-    let configs = CompilerOptions::figure4_configs();
-    let mut config_names = Vec::new();
-    let mut per_suite: Vec<(&'static str, Vec<bench::SuiteSummary>)> =
-        vec![("polybench", vec![]), ("libsodium", vec![]), ("ostrich", vec![])];
-
-    for options in configs {
-        let name = options.name.clone();
-        let jit = measure_all(
-            &EngineConfig::baseline(&name, options),
-            scale,
-            Instrument::None,
-        );
-        for (suite_row, suite_name) in per_suite
-            .iter_mut()
-            .zip(["polybench", "libsodium", "ostrich"])
-        {
-            let speedups: Vec<f64> = bench::paired(&interp, &jit)
-                .filter(|(a, _)| a.suite == suite_name)
-                .map(|(a, b)| a.exec_cycles as f64 / b.exec_cycles.max(1) as f64)
-                .collect();
-            suite_row.1.push(summarize(&speedups));
-        }
-        config_names.push(name);
-    }
-
-    print_suite_table(&config_names, &per_suite);
+    bench::print_suite_table(&bench::speedup_over_interpreter(scale));
     println!();
     println!("Each cell: mean speedup [min, max] across the suite's line items.");
     println!("Expected shape (paper): 5x-28x overall; `nok` hurts most, then `nomr`;");

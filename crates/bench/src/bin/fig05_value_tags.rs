@@ -5,49 +5,13 @@
 //! (locals only), on-demand (the default), lazytags. Lower is better;
 //! 1.0 means no overhead over `notags`.
 
-use bench::{measure_all, print_suite_table, summarize, Instrument};
-use engine::EngineConfig;
-use spc::CompilerOptions;
-
 fn main() {
     let scale = bench::scale_from_args();
     bench::print_header(
         "Figure 5",
         "Execution time of tagging configurations relative to notags (1.0 = no overhead, lower is better)",
     );
-
-    let configs = CompilerOptions::figure5_configs();
-    let notags = measure_all(
-        &EngineConfig::baseline("notags", configs[0].clone()),
-        scale,
-        Instrument::None,
-    );
-
-    let mut config_names = Vec::new();
-    let mut per_suite: Vec<(&'static str, Vec<bench::SuiteSummary>)> =
-        vec![("polybench", vec![]), ("libsodium", vec![]), ("ostrich", vec![])];
-
-    for options in configs.into_iter().skip(1) {
-        let name = options.name.clone();
-        let run = measure_all(
-            &EngineConfig::baseline(&name, options),
-            scale,
-            Instrument::None,
-        );
-        for (suite_row, suite_name) in per_suite
-            .iter_mut()
-            .zip(["polybench", "libsodium", "ostrich"])
-        {
-            let ratios: Vec<f64> = bench::paired(&notags, &run)
-                .filter(|(a, _)| a.suite == suite_name)
-                .map(|(a, b)| b.exec_cycles as f64 / a.exec_cycles.max(1) as f64)
-                .collect();
-            suite_row.1.push(summarize(&ratios));
-        }
-        config_names.push(name);
-    }
-
-    print_suite_table(&config_names, &per_suite);
+    bench::print_suite_table(&bench::value_tags(scale));
     println!();
     println!("Expected shape (paper): eager tagging costs ~2.4x-3.3x, mostly from operand");
     println!("stack tags; on-demand is within a few percent of notags; lazytags is");

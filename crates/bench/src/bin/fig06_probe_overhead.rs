@@ -7,84 +7,18 @@
 //! time (0.0 = free, 1.0 = doubles the interpreter's time). The renormalized
 //! JIT-relative numbers are printed as well.
 
-use bench::{measure_all, print_suite_table, summarize, Instrument};
-use engine::EngineConfig;
-use spc::{CompilerOptions, ProbeMode};
-
 fn main() {
     let scale = bench::scale_from_args();
     bench::print_header(
         "Figure 6",
         "Branch-monitor probe overhead relative to interpreter execution time (lower is better)",
     );
-
-    let interp_plain = measure_all(
-        &EngineConfig::interpreter("wizeng-int"),
-        scale,
-        Instrument::None,
-    );
-    let interp_mon = measure_all(
-        &EngineConfig::interpreter("wizeng-int"),
-        scale,
-        Instrument::BranchMonitor,
-    );
-    let jit_options = CompilerOptions {
-        probe_mode: ProbeMode::Runtime,
-        ..CompilerOptions::allopt()
-    };
-    let jit_plain = measure_all(
-        &EngineConfig::baseline("wizeng-spc", CompilerOptions::allopt()),
-        scale,
-        Instrument::None,
-    );
-    let jit_mon = measure_all(
-        &EngineConfig::baseline("jit", jit_options),
-        scale,
-        Instrument::BranchMonitor,
-    );
-    let optjit_mon = measure_all(
-        &EngineConfig::baseline("optjit", CompilerOptions::allopt()),
-        scale,
-        Instrument::BranchMonitor,
-    );
-
-    let config_names = vec!["int".to_string(), "jit".to_string(), "optjit".to_string()];
-    let mut per_suite: Vec<(&'static str, Vec<bench::SuiteSummary>)> =
-        vec![("polybench", vec![]), ("libsodium", vec![]), ("ostrich", vec![])];
-    for (suite_row, suite_name) in per_suite
-        .iter_mut()
-        .zip(["polybench", "libsodium", "ostrich"])
-    {
-        for (plain, monitored) in [
-            (&interp_plain, &interp_mon),
-            (&jit_plain, &jit_mon),
-            (&jit_plain, &optjit_mon),
-        ] {
-            let overheads: Vec<f64> = interp_plain
-                .iter()
-                .zip(plain.iter())
-                .zip(monitored.iter())
-                .filter(|((ibase, _), _)| ibase.suite == suite_name)
-                .map(|((ibase, base), with)| {
-                    (with.exec_cycles as f64 - base.exec_cycles as f64)
-                        / ibase.exec_cycles.max(1) as f64
-                })
-                .collect();
-            suite_row.1.push(summarize(&overheads));
-        }
-    }
-    print_suite_table(&config_names, &per_suite);
+    let (table, vs_jit) = bench::probe_overhead(scale);
+    bench::print_suite_table(&table);
 
     println!();
     println!("Renormalized to JIT execution time (the paper's in-text numbers):");
-    for (name, monitored) in [("jit", &jit_mon), ("optjit", &optjit_mon)] {
-        let ratios: Vec<f64> = bench::paired(&jit_plain, monitored)
-            .map(|(base, with)| {
-                (with.exec_cycles as f64 - base.exec_cycles as f64)
-                    / base.exec_cycles.max(1) as f64
-            })
-            .collect();
-        let s = summarize(&ratios);
+    for (name, s) in vs_jit {
         println!(
             "  {name:<8} overhead vs JIT: mean {:.2}x  [min {:.2}, max {:.2}]",
             s.mean, s.min, s.max

@@ -1,45 +1,13 @@
 //! Fig. 7 — execution time of the other five baseline-compiler design
 //! profiles relative to Wizard-SPC (1.0 = same speed, lower is better).
 
-use bench::{measure_all, print_suite_table, summarize, Instrument};
-use engine::EngineConfig;
-
 fn main() {
     let scale = bench::scale_from_args();
     bench::print_header(
         "Figure 7",
         "Relative execution time over Wizard-SPC for other baseline compilers (lower is better)",
     );
-
-    let profiles = spc::all_profiles();
-    let wizard = measure_all(
-        &EngineConfig::baseline("wizeng-spc", profiles[0].options.clone()),
-        scale,
-        Instrument::None,
-    );
-
-    let mut config_names = Vec::new();
-    let mut per_suite: Vec<(&'static str, Vec<bench::SuiteSummary>)> =
-        vec![("polybench", vec![]), ("libsodium", vec![]), ("ostrich", vec![])];
-    for profile in profiles.iter().skip(1) {
-        let run = measure_all(
-            &EngineConfig::baseline(profile.name, profile.options.clone()),
-            scale,
-            Instrument::None,
-        );
-        for (suite_row, suite_name) in per_suite
-            .iter_mut()
-            .zip(["polybench", "libsodium", "ostrich"])
-        {
-            let ratios: Vec<f64> = bench::paired(&wizard, &run)
-                .filter(|(a, _)| a.suite == suite_name)
-                .map(|(a, b)| b.exec_cycles as f64 / a.exec_cycles.max(1) as f64)
-                .collect();
-            suite_row.1.push(summarize(&ratios));
-        }
-        config_names.push(profile.name.to_string());
-    }
-    print_suite_table(&config_names, &per_suite);
+    bench::print_suite_table(&bench::baseline_exec_time(scale));
     println!();
     println!("Expected shape (paper): differences come from constant tracking and register");
     println!("allocation; wazero (no constants, single-register) produces the slowest code,");

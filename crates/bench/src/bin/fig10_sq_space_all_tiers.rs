@@ -14,13 +14,7 @@ use engine::{Engine, EngineConfig, Imports, Instrumentation};
 use spc::CompilerOptions;
 use std::time::Duration;
 use suites::{all_suites, early_return_variant, nop_module, BenchmarkItem};
-
-struct TierPoint {
-    name: String,
-    kind: &'static str,
-    setup_mb_per_s: f64,
-    adjusted_speedup: f64,
-}
+use wasm::Module;
 
 fn configurations() -> Vec<(&'static str, EngineConfig)> {
     let profiles = spc::all_profiles();
@@ -83,8 +77,30 @@ fn configurations() -> Vec<(&'static str, EngineConfig)> {
     ]
 }
 
-fn measure_tier(config: &EngineConfig, kind: &'static str) -> TierPoint {
-    let scale = bench::scale_from_args();
+/// `item`'s execution cycles under `config` minus those of its early-return
+/// variant `m0` instantiated by `engine`: what `main` costs beyond setup.
+fn adjusted_cycles(
+    config: &EngineConfig,
+    engine: &Engine,
+    item: &BenchmarkItem,
+    m0: &Module,
+) -> u64 {
+    let exec = bench::measure_item(config, item, Instrument::None).exec_cycles;
+    let mut inst0 = engine
+        .instantiate(m0, Imports::new(), Instrumentation::none())
+        .expect("m0 instantiates");
+    engine
+        .call_export(&mut inst0, BenchmarkItem::ENTRY, &[])
+        .expect("m0 runs");
+    exec.saturating_sub(inst0.metrics.exec_cycles)
+}
+
+/// A line item, its early-return variant `m0`, and its adjusted cycles under
+/// the interpreter (the reference every configuration's speedup is over).
+type Prepared<'a> = (&'a BenchmarkItem, Module, f64);
+
+/// `config`'s setup speed in MB/s and its mean adjusted speedup.
+fn measure_tier(config: &EngineConfig, items: &[Prepared]) -> (f64, f64) {
     // VM startup baseline: instantiate the smallest possible module.
     let nop = nop_module();
     let engine = Engine::new(config.clone());
@@ -100,60 +116,23 @@ fn measure_tier(config: &EngineConfig, kind: &'static str) -> TierPoint {
     let mut total_bytes = 0f64;
     let mut total_setup = 0f64;
     let mut speedups = Vec::new();
-    let interp_engine = Engine::new(EngineConfig::interpreter("wizeng-int"));
-
-    for suite in all_suites(scale) {
-        for item in &suite.items {
-            // Setup time: instantiate the early-return variant (m0), which
-            // does all per-module processing but almost no execution.
-            let m0 = early_return_variant(&item.module);
-            let inst0 = engine
-                .instantiate(&m0, Imports::new(), Instrumentation::none())
-                .expect("m0 instantiates");
-            let setup = inst0
-                .metrics
-                .setup_wall
-                .checked_sub(startup)
-                .unwrap_or(Duration::ZERO);
-            total_bytes += item.encoded_size() as f64;
-            total_setup += setup.as_secs_f64();
-
-            // Adjusted execution: full module cycles minus m0 cycles, under
-            // this engine and under the interpreter reference.
-            let exec = bench::measure_item(config, item, Instrument::None).exec_cycles;
-            let mut inst0 = engine
-                .instantiate(&m0, Imports::new(), Instrumentation::none())
-                .expect("m0 instantiates");
-            engine
-                .call_export(&mut inst0, BenchmarkItem::ENTRY, &[])
-                .expect("m0 runs");
-            let exec0 = inst0.metrics.exec_cycles;
-
-            let iref = bench::measure_item(
-                &EngineConfig::interpreter("wizeng-int"),
-                item,
-                Instrument::None,
-            )
-            .exec_cycles;
-            let mut iref0 = interp_engine
-                .instantiate(&m0, Imports::new(), Instrumentation::none())
-                .expect("m0 instantiates");
-            interp_engine
-                .call_export(&mut iref0, BenchmarkItem::ENTRY, &[])
-                .expect("m0 runs");
-            let iref0 = iref0.metrics.exec_cycles;
-
-            let adjusted = exec.saturating_sub(exec0).max(1) as f64;
-            let adjusted_ref = iref.saturating_sub(iref0).max(1) as f64;
-            speedups.push(adjusted_ref / adjusted);
-        }
+    for (item, m0, reference) in items {
+        // Setup time: instantiate the early-return variant (m0), which
+        // does all per-module processing but almost no execution.
+        let inst0 = engine
+            .instantiate(m0, Imports::new(), Instrumentation::none())
+            .expect("m0 instantiates");
+        let setup = inst0
+            .metrics
+            .setup_wall
+            .checked_sub(startup)
+            .unwrap_or(Duration::ZERO);
+        total_bytes += item.encoded_size() as f64;
+        total_setup += setup.as_secs_f64();
+        speedups.push(reference / adjusted_cycles(config, &engine, item, m0).max(1) as f64);
     }
-    TierPoint {
-        name: config.name.clone(),
-        kind,
-        setup_mb_per_s: (total_bytes / 1e6) / total_setup.max(1e-9),
-        adjusted_speedup: speedups.iter().sum::<f64>() / speedups.len() as f64,
-    }
+    let setup_mb_per_s = (total_bytes / 1e6) / total_setup.max(1e-9);
+    (setup_mb_per_s, speedups.iter().sum::<f64>() / speedups.len() as f64)
 }
 
 fn main() {
@@ -166,14 +145,23 @@ fn main() {
         "engine", "kind", "setup (MB/s)", "adjusted speedup (x)"
     );
     println!("{:-<70}", "");
-    let mut points = Vec::new();
+    let suites = all_suites(bench::scale_from_args());
+    let interp = EngineConfig::interpreter("wizeng-int");
+    let interp_engine = Engine::new(interp.clone());
+    let items: Vec<Prepared> = suites
+        .iter()
+        .flat_map(|suite| &suite.items)
+        .map(|item| {
+            let m0 = early_return_variant(&item.module);
+            let reference = adjusted_cycles(&interp, &interp_engine, item, &m0).max(1) as f64;
+            (item, m0, reference)
+        })
+        .collect();
+    let mut speedups = Vec::new();
     for (kind, config) in configurations() {
-        let point = measure_tier(&config, kind);
-        println!(
-            "{:<18} {:<12} {:>14.2} {:>22.2}",
-            point.name, point.kind, point.setup_mb_per_s, point.adjusted_speedup
-        );
-        points.push(point);
+        let (setup_mb_per_s, speedup) = measure_tier(&config, &items);
+        println!("{:<18} {:<12} {setup_mb_per_s:>14.2} {speedup:>22.2}", config.name, kind);
+        speedups.push((kind, speedup));
     }
     println!();
     println!("Expected shape (paper): interpreters have the fastest setup and a hard");
@@ -181,20 +169,13 @@ fn main() {
     println!("optimizing tiers are another 2-3x faster but an order of magnitude slower to");
     println!("set up; ahead-of-time translation has the slowest setup of all.");
 
-    // Simple consistency checks when run as a smoke test.
-    let interp_avg = points
-        .iter()
-        .filter(|p| p.kind == "interpreter")
-        .map(|p| p.adjusted_speedup)
-        .sum::<f64>()
-        / points.iter().filter(|p| p.kind == "interpreter").count() as f64;
-    let baseline_avg = points
-        .iter()
-        .filter(|p| p.kind == "baseline")
-        .map(|p| p.adjusted_speedup)
-        .sum::<f64>()
-        / points.iter().filter(|p| p.kind == "baseline").count() as f64;
-    if baseline_avg < interp_avg {
+    // Simple consistency check when run as a smoke test.
+    let mean_speedup = |kind: &str| {
+        let of_kind: Vec<f64> =
+            speedups.iter().filter(|(k, _)| *k == kind).map(|(_, s)| *s).collect();
+        of_kind.iter().sum::<f64>() / of_kind.len() as f64
+    };
+    if mean_speedup("baseline") < mean_speedup("interpreter") {
         eprintln!("warning: baseline tier did not outperform interpreters; check cost model");
     }
 }

@@ -23,7 +23,7 @@
 //!    optimizing engine (which compiles before any profile exists), probe
 //!    configuration held equal.
 
-use bench::{measure_all, print_suite_table, summarize_by_suite, Instrument};
+use bench::{measure_all, print_suite_table, Column, Instrument};
 use engine::pipeline::compile_function;
 use engine::{CodeBackend, CompileTier, EngineConfig};
 use optc::{emit, frontend, layout, opt, regalloc};
@@ -109,60 +109,30 @@ fn main() {
         "The optimizing tier: cycles, compile time, and code size vs interpreter and baseline",
     );
 
+    let base_cfg = EngineConfig::baseline("spc", CompilerOptions::allopt());
+    let opt_cfg = EngineConfig::optimizing("opt");
     let interp = measure_all(&EngineConfig::interpreter("int"), scale, Instrument::None);
-    let baseline = measure_all(
-        &EngineConfig::baseline("spc", CompilerOptions::allopt()),
-        scale,
-        Instrument::None,
-    );
-    let opt = measure_all(&EngineConfig::optimizing("opt"), scale, Instrument::None);
+    let baseline = measure_all(&base_cfg, scale, Instrument::None);
+    let opt = measure_all(&opt_cfg, scale, Instrument::None);
 
     // ---- Execution cycles ------------------------------------------------
     println!("\nExecution cycles relative to the baseline tier (lower is better):");
-    let rows: Vec<(&'static str, Vec<bench::SuiteSummary>)> = {
-        let int_rows = summarize_by_suite(&interp, |m| m.exec_cycles as f64);
-        let base_rows = summarize_by_suite(&baseline, |m| m.exec_cycles as f64);
-        let opt_rows = summarize_by_suite(&opt, |m| m.exec_cycles as f64);
-        int_rows
-            .iter()
-            .zip(&base_rows)
-            .zip(&opt_rows)
-            .map(|(((suite, i), (_, b)), (_, o))| {
-                (
-                    *suite,
-                    vec![
-                        bench::SuiteSummary {
-                            mean: i.mean / b.mean,
-                            min: i.min / b.min.max(1.0),
-                            max: i.max / b.max.max(1.0),
-                        },
-                        bench::SuiteSummary {
-                            mean: 1.0,
-                            min: 1.0,
-                            max: 1.0,
-                        },
-                        bench::SuiteSummary {
-                            mean: o.mean / b.mean,
-                            min: o.min / b.min.max(1.0),
-                            max: o.max / b.max.max(1.0),
-                        },
-                    ],
-                )
-            })
-            .collect()
-    };
-    print_suite_table(
-        &["interp".to_string(), "baseline".to_string(), "opt".to_string()],
-        &rows,
-    );
+    let columns = [("interp", &interp), ("baseline", &baseline), ("opt", &opt)]
+        .map(|(name, run)| Column::new(name, &baseline, run, |b, m| bench::cycles_over(m, b)));
+    print_suite_table(&columns);
 
     // ---- Compile time and code size per backend --------------------------
+    // The runs above used the (default) virtual-ISA backend, so only the
+    // x86-64 runs need to be measured.
     println!("\nCompile time and code size (both tiers, both backends):");
-    for backend in [CodeBackend::VirtualIsa, CodeBackend::X64] {
-        let base_cfg = EngineConfig::baseline("spc", CompilerOptions::allopt()).with_backend(backend);
-        let opt_cfg = EngineConfig::optimizing("opt").with_backend(backend);
-        let b = measure_all(&base_cfg, scale, Instrument::None);
-        let o = measure_all(&opt_cfg, scale, Instrument::None);
+    let x64 = |config: &EngineConfig| {
+        measure_all(&config.clone().with_backend(CodeBackend::X64), scale, Instrument::None)
+    };
+    let (base_x64, opt_x64) = (x64(&base_cfg), x64(&opt_cfg));
+    for (backend, b, o) in [
+        (CodeBackend::VirtualIsa, &baseline, &opt),
+        (CodeBackend::X64, &base_x64, &opt_x64),
+    ] {
         let sum_wall = |items: &[bench::ItemMeasurement]| -> f64 {
             items.iter().map(|m| m.compile_wall.as_secs_f64() * 1e3).sum()
         };
@@ -171,19 +141,17 @@ fn main() {
         };
         println!(
             "  {backend:?}: baseline {:>8.2} ms, {:>8} bytes | opt {:>8.2} ms, {:>8} bytes | compile-time ratio {:>5.2}x",
-            sum_wall(&b),
-            sum_bytes(&b),
-            sum_wall(&o),
-            sum_bytes(&o),
-            sum_wall(&o) / sum_wall(&b).max(1e-9),
+            sum_wall(b),
+            sum_bytes(b),
+            sum_wall(o),
+            sum_bytes(o),
+            sum_wall(o) / sum_wall(b).max(1e-9),
         );
     }
 
     // ---- Where the optimizing tier's compile time goes --------------------
     // Per function, fastest of three: the whole compile in both tiers
     // (bucketed by body size) and each optimizing pass on its own.
-    let opt_cfg = EngineConfig::optimizing("opt");
-    let base_cfg = EngineConfig::baseline("spc", CompilerOptions::allopt());
     let mut pass_secs = [0f64; 8];
     // (optimizing seconds, baseline seconds, functions) below and from the
     // size threshold.

@@ -63,6 +63,9 @@ impl Suite {
     }
 }
 
+/// Each suite's name and line-item count, in [`all_suites`] order.
+pub const SUITES: [(&str, usize); 3] = [("polybench", 28), ("libsodium", 39), ("ostrich", 11)];
+
 /// Builds all three suites at the given scale. The paper's line-item counts
 /// are preserved: 28 + 39 + 11 = 78 items.
 pub fn all_suites(scale: Scale) -> Vec<Suite> {
@@ -119,6 +122,8 @@ mod tests {
         assert_eq!(suites[2].len(), 11);
         let total: usize = suites.iter().map(|s| s.len()).sum();
         assert_eq!(total, 78);
+        let shape: Vec<_> = suites.iter().map(|s| (s.name, s.len())).collect();
+        assert_eq!(shape, SUITES);
     }
 
     #[test]
