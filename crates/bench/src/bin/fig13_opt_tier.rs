@@ -42,7 +42,8 @@ const SIZE_THRESHOLD: usize = 128;
 
 /// Seconds per pass for one compilation of one function, each pass timed
 /// around its public entry point exactly as `OptimizingCompiler::compile`
-/// sequences them.
+/// sequences them, with `opt::another_round` deciding the rounds as it does
+/// for `opt::optimize`.
 fn time_passes(module: &wasm::Module, func_index: u32, info: &wasm::validate::FuncInfo) -> [f64; 8] {
     let mut t = [0f64; 8];
     let mut timed = |pass: usize, start: Instant| t[pass] += start.elapsed().as_secs_f64();
@@ -59,21 +60,21 @@ fn time_passes(module: &wasm::Module, func_index: u32, info: &wasm::validate::Fu
     .expect("suite bodies build");
     timed(0, start);
     let mut reachable = ir.reachable();
-    for _ in 0..3 {
+    for round in 1.. {
         let start = Instant::now();
-        opt::fold(&mut ir, &reachable);
+        let folded_late = opt::fold(&mut ir, &reachable);
         timed(1, start);
         let start = Instant::now();
         let edges = ir.edge_index();
-        let a = opt::simplify_params(&mut ir, &edges);
+        let to_const = opt::simplify_params(&mut ir, &edges);
         timed(2, start);
         let start = Instant::now();
-        opt::cse(&mut ir, &edges.reachable);
+        let shared = opt::cse(&mut ir, &edges.reachable);
         timed(3, start);
         let start = Instant::now();
-        let b = opt::dce(&mut ir, &edges);
+        opt::dce(&mut ir, &edges);
         timed(4, start);
-        if !a && !b {
+        if !opt::another_round(round, folded_late, to_const, shared) {
             break;
         }
         reachable = edges.reachable;

@@ -89,7 +89,7 @@ impl Carried {
                     lists.push(0..0);
                 }
                 (Opcode::LocalSet | Opcode::LocalTee, Imm::Index(x)) => {
-                    let have = deepest.get_mut(x as usize).ok_or(CompileError {
+                    let have = deepest.get_mut(x as usize).ok_or_else(|| CompileError {
                         offset,
                         message: format!("unknown local {x}"),
                     })?;
@@ -533,15 +533,6 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
-    fn block_signature(
-        &self,
-        offset: usize,
-        bt: BlockType,
-    ) -> Result<(Vec<ValueType>, Vec<ValueType>), CompileError> {
-        bt.resolve(&self.module.types)
-            .ok_or_else(|| self.error(offset, "bad block type"))
-    }
-
     fn lower(&mut self, instr: Instr<'_>) -> Result<(), CompileError> {
         let Instr { offset, op, imm, end } = instr;
         // In unreachable code only track control nesting, like validation.
@@ -565,7 +556,23 @@ impl<'a> Builder<'a> {
                 self.mark_unreachable();
             }
             (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
-                let (params, results) = self.block_signature(offset, bt)?;
+                // The signature, borrowed from the type section.
+                let single;
+                let module = self.module;
+                let (params, results): (&[ValueType], &[ValueType]) = match bt {
+                    BlockType::Empty => (&[], &[]),
+                    BlockType::Value(ty) => {
+                        single = [ty];
+                        (&[], &single)
+                    }
+                    BlockType::Func(index) => {
+                        let sig = module
+                            .types
+                            .get(index as usize)
+                            .ok_or_else(|| self.error(offset, "bad block type"))?;
+                        (&sig.params, &sig.results)
+                    }
+                };
                 let carried = self.carried.list(self.constructs);
                 self.constructs += 1;
                 let dead = self.unreachable_now();
@@ -594,7 +601,7 @@ impl<'a> Builder<'a> {
 
                 let cond = if op == Opcode::If { Some(self.pop()) } else { None };
                 let base = self.stack.len() - params.len();
-                let merge = self.make_merge(carried.clone(), base, &results);
+                let merge = self.make_merge(carried.clone(), base, results);
                 let mut frame = Frame {
                     kind: match op {
                         Opcode::Block => CtrlKind::Block,
@@ -616,7 +623,7 @@ impl<'a> Builder<'a> {
                 };
                 match op {
                     Opcode::Loop => {
-                        let header = self.make_merge(carried.clone(), base, &params);
+                        let header = self.make_merge(carried.clone(), base, params);
                         let args = self.edge_args(carried.clone(), base, params.len());
                         self.set_term(Terminator::Jump(Edge {
                             target: header,
@@ -803,10 +810,9 @@ impl<'a> Builder<'a> {
                 self.mark_unreachable();
             }
             (Opcode::Call, Imm::Index(callee)) => {
-                let sig = self
-                    .module
+                let module = self.module;
+                let sig = module
                     .func_type(callee)
-                    .cloned()
                     .ok_or_else(|| self.error(offset, format!("unknown callee {callee}")))?;
                 let split = self.stack.len() - sig.params.len();
                 let args = self.stack.split_off(split);
@@ -815,20 +821,19 @@ impl<'a> Builder<'a> {
                     .iter()
                     .map(|&ty| self.ir.add_value(Node::CallResult, ty))
                     .collect();
+                self.stack.extend_from_slice(&results);
                 self.push_inst(Inst::Call {
                     offset: offset as u32,
                     callee,
                     args,
-                    results: results.clone(),
+                    results,
                 });
-                self.stack.extend(results);
             }
             (Opcode::CallIndirect, Imm::CallIndirect { type_index, table_index }) => {
-                let sig = self
-                    .module
+                let module = self.module;
+                let sig = module
                     .types
                     .get(type_index as usize)
-                    .cloned()
                     .ok_or_else(|| self.error(offset, format!("unknown type {type_index}")))?;
                 let index = self.pop();
                 let split = self.stack.len() - sig.params.len();
@@ -838,15 +843,15 @@ impl<'a> Builder<'a> {
                     .iter()
                     .map(|&ty| self.ir.add_value(Node::CallResult, ty))
                     .collect();
+                self.stack.extend_from_slice(&results);
                 self.push_inst(Inst::CallIndirect {
                     offset: offset as u32,
                     type_index,
                     table_index,
                     index,
                     args,
-                    results: results.clone(),
+                    results,
                 });
-                self.stack.extend(results);
             }
             (Opcode::Drop, _) => {
                 self.pop();

@@ -23,7 +23,6 @@
 
 use machine::inst::{TrapCode, Width};
 use machine::lower::OpClass;
-use std::collections::HashMap;
 use std::fmt;
 use wasm::types::ValueType;
 
@@ -573,13 +572,13 @@ pub struct FuncIr {
     /// On-stack-replacement entry points, one per reachable `loop` (only
     /// populated when the compiler has OSR enabled).
     pub osr_sites: Vec<OsrSite>,
-    /// Bytecode offset of each *trapping* value, keyed by the defining
-    /// [`ValueId`]. Kept out of [`Node`] so CSE equality is untouched:
-    /// two identical trapping nodes still unify, and the survivor (the
-    /// first in program order, which is the one that traps in every tier)
-    /// keeps its own entry. Value ids are stable across every pass, so the
-    /// table never needs rewriting.
-    src_offsets: HashMap<u32, u32>,
+    /// Bytecode offset of each *trapping* value, `None` for the others.
+    /// Kept out of [`Node`] so CSE equality is untouched: two identical
+    /// trapping nodes still unify, and the survivor (the first in program
+    /// order, which is the one that traps in every tier) keeps its own
+    /// entry. Value ids are stable across every pass, so the column never
+    /// needs rewriting.
+    src_offsets: Vec<Option<u32>>,
 }
 
 impl FuncIr {
@@ -601,18 +600,18 @@ impl FuncIr {
             max_stack,
             has_flush_probes: false,
             osr_sites: Vec::new(),
-            src_offsets: HashMap::new(),
+            src_offsets: Vec::new(),
         }
     }
 
     /// Records the bytecode offset of a trapping value (see `src_offsets`).
     pub fn set_src_offset(&mut self, v: ValueId, offset: u32) {
-        self.src_offsets.insert(v.0, offset);
+        self.src_offsets[v.index()] = Some(offset);
     }
 
     /// The bytecode offset of a trapping value, if one was recorded.
     pub fn src_offset(&self, v: ValueId) -> Option<u32> {
-        self.src_offsets.get(&v.0).copied()
+        self.src_offsets[v.index()]
     }
 
     /// The entry block.
@@ -631,6 +630,7 @@ impl FuncIr {
         self.nodes.push(node);
         self.types.push(ty);
         self.resolved.push(id);
+        self.src_offsets.push(None);
         id
     }
 
@@ -672,7 +672,7 @@ impl FuncIr {
     }
 
     /// The defining node of a value (after resolution).
-    pub fn node(&self, v: ValueId) -> &Node {
+    pub(crate) fn node(&self, v: ValueId) -> &Node {
         &self.nodes[self.resolve(v).index()]
     }
 

@@ -94,7 +94,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
                     live.remove(&ir.resolve(d));
                 });
                 inst.for_each_use(&ir.nodes, |v| {
-                    if !matches!(ir.node(v), Node::Const(_)) {
+                    if ir.as_const(v).is_none() {
                         live.insert(ir.resolve(v));
                     }
                 });
@@ -145,7 +145,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
             let p = s + 1 + offset as u32;
             inst.for_each_use(&ir.nodes, |v| {
                 let v = ir.resolve(v);
-                if matches!(ir.node(v), Node::Const(_)) {
+                if ir.as_const(v).is_some() {
                     return;
                 }
                 used.insert(v);
@@ -162,7 +162,7 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         }
         block.term.for_each_use(|v| {
             let v = ir.resolve(v);
-            if matches!(ir.node(v), Node::Const(_)) {
+            if ir.as_const(v).is_some() {
                 return;
             }
             used.insert(v);

@@ -32,8 +32,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wasm::builder::{CodeBuilder, ModuleBuilder};
+use wasm::module::ConstExpr;
 use wasm::opcode::Opcode;
-use wasm::types::{BlockType, FuncType, ValueType};
+use wasm::types::{BlockType, FuncType, GlobalType, Limits, ValueType};
 use wasm::validate::FuncInfo;
 use wasm::Module;
 
@@ -380,6 +381,36 @@ fn distinct_definitions_module(n: u32) -> Module {
     b.finish()
 }
 
+/// One straight-line block of `n` `i32.load`s from the same address, the
+/// `k`-th at offset `k << 18`: keys for value numbering that differ only in
+/// their high bits, where a multiplicative hash without its high half
+/// would put every one in the same bucket.
+fn high_bit_offsets_module(n: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    for k in 0..n {
+        c.local_get(0).mem(Opcode::I32Load, 2, k << 18).local_set(1);
+    }
+    let mut b = ModuleBuilder::new();
+    b.add_memory(Limits::at_least(1));
+    b.add_func(FuncType::new(vec![ValueType::I32], vec![]), vec![ValueType::I32], c.finish());
+    b.finish()
+}
+
+/// One straight-line block of `global.get k; local.set 0` for `n` distinct
+/// globals: keys for value numbering that a module chooses outright.
+fn distinct_globals_module(n: u32) -> Module {
+    let mut c = CodeBuilder::new();
+    for k in 0..n {
+        c.global_get(k).local_set(0);
+    }
+    let mut b = ModuleBuilder::new();
+    for k in 0..n {
+        b.add_global(GlobalType::mutable(ValueType::I32), ConstExpr::I32(k as i32));
+    }
+    b.add_func(FuncType::new(vec![], vec![]), vec![ValueType::I32], c.finish());
+    b.finish()
+}
+
 /// `n` pushes of `local.get 0; i32.const k; i32.add`, then `n - 1` adds:
 /// `n` values live at once, nearly all of them spilled.
 fn live_values_module(n: u32) -> Module {
@@ -400,14 +431,18 @@ fn live_values_module(n: u32) -> Module {
 /// available for every definition, and the allocator scanned every spill
 /// slot for every spill. Four times the body may take at most eight times
 /// as long (linear is about 4.3×, the quadratic passes about 15×); each
-/// size is the fastest of three compiles, each tens of milliseconds.
+/// size is the fastest of three compiles, each tens of milliseconds. Two
+/// more shapes hold value numbering's hash to keys the module picks: load
+/// offsets that differ only in high bits, and distinct global indices.
 #[test]
 fn optimizing_compile_time_is_linear_in_block_length() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     type Generator = fn(u32) -> Module;
-    let shapes: [(&str, Generator); 2] = [
+    let shapes: [(&str, Generator); 4] = [
         ("distinct definitions", distinct_definitions_module),
         ("values live at once", live_values_module),
+        ("loads at high-bit offsets", high_bit_offsets_module),
+        ("distinct globals", distinct_globals_module),
     ];
     for (shape, module) in shapes {
         let fastest = |n: u32| {
