@@ -511,3 +511,120 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
         assert!(total >= MIN_SAMPLES, "{name}: only {total} samples after {calls} calls");
     }
 }
+
+/// The metric contract: one scripted run with telemetry on, through a
+/// server, a pool, a compile that fails and an OSR entry, leaves exactly
+/// these counters and these histogram counts in the shared registry. The
+/// run covers a cache miss and hit, warm and cold checkouts, compiles that
+/// succeed and one that fails, a trap of each family (an instruction, fuel,
+/// an interrupt), an OSR entry and a served batch with one deadline
+/// overshoot.
+#[test]
+fn one_scripted_run_leaves_the_pinned_metrics() {
+    let telemetry = Telemetry::enabled();
+    let spc = EngineConfig::baseline("spc", CompilerOptions::allopt());
+
+    // A served batch: a plain request, a division by zero, fuel running out
+    // and a deadline passing. One worker, so every checkout is warm.
+    let mut server = Server::new(
+        ServerConfig {
+            workers: 1,
+            telemetry: telemetry.clone(),
+            ..ServerConfig::default()
+        },
+        spc.clone().with_metering(),
+    );
+    let quick = server.register_app("quick", "main", const_module(5)).expect("registers");
+    let spin = r#"(module (func (export "main") (result i32) (loop br 0) i32.const 0))"#;
+    let spin = server
+        .register_app("spin", "main", wasm::wat::parse_module(spin).expect("parses"))
+        .expect("registers");
+    let boom = server
+        .register_app("boom", "main", wasm::wat::parse_module(TRAPS).expect("parses"))
+        .expect("registers");
+    let results = server.run(vec![
+        Request::to_app(quick),
+        Request::to_app(boom).with_args(vec![WasmValue::I32(7)]),
+        Request::to_app(spin).with_fuel(1_000),
+        Request::to_app(spin).with_deadline(Duration::from_millis(5)),
+    ]);
+    let statuses: Vec<_> = results.iter().map(|r| r.status.clone()).collect();
+    assert_eq!(
+        statuses,
+        [
+            RequestStatus::Ok(vec![WasmValue::I32(5)]),
+            RequestStatus::Trapped(TrapCode::DivisionByZero),
+            RequestStatus::Trapped(TrapCode::OutOfFuel),
+            RequestStatus::Trapped(TrapCode::Interrupted),
+        ]
+    );
+    assert!(results.iter().all(|r| r.warm));
+
+    // A pool behind a code cache: its first instantiation misses, a
+    // checkout while the parked instance is out is cold and hits.
+    let cached = Engine::new(spc.clone())
+        .with_code_cache(Arc::new(CodeCache::new()))
+        .with_telemetry(telemetry.clone());
+    let pool = engine::InstancePool::new(cached, const_module(6), 1).expect("pools");
+    let warm = pool.checkout().expect("checks out");
+    let cold = pool.checkout().expect("checks out");
+    assert!(warm.was_warm() && !cold.was_warm());
+    drop((warm, cold));
+
+    // A compile that fails: a two-result function under a baseline
+    // configuration without multi-value.
+    let no_multi_value = CompilerOptions { multi_value: false, ..CompilerOptions::allopt() };
+    let pair = r#"(module (func (export "pair") (result i32 i32) i32.const 1 i32.const 2))"#;
+    let engine = Engine::new(EngineConfig::baseline("no-mv", no_multi_value))
+        .with_telemetry(telemetry.clone());
+    let module = wasm::wat::parse_module(pair).expect("parses");
+    let err = engine.instantiate(&module, Imports::new(), Instrumentation::none());
+    assert!(matches!(err, Err(EngineError::Compile(_))), "{err:?}");
+
+    // An OSR entry: the first back edge of `hot`'s loop moves the frame
+    // into optimizing-tier code compiled on the spot.
+    let osr = EngineConfig::tiered("osr", u32::MAX, CompilerOptions::allopt()).with_osr(0);
+    let engine = Engine::new(osr).with_telemetry(telemetry.clone());
+    let mut instance = engine
+        .instantiate(&hot_loop_module(1_000), Imports::new(), Instrumentation::none())
+        .expect("instantiates");
+    engine.call_export(&mut instance, "main", &[]).expect("runs");
+
+    let snapshot = telemetry.metrics().expect("enabled").snapshot();
+    let counters: Vec<(&str, u64)> =
+        snapshot.counters.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+    let histograms: Vec<(&str, u64)> =
+        snapshot.histograms.iter().map(|(name, h)| (name.as_str(), h.count)).collect();
+    // Eight functions compile: the three apps' (1 + 1 + 4), the pooled
+    // module's and `hot` in the optimizing tier; `pair` is the error.
+    assert_eq!(
+        counters,
+        [
+            ("cache.hits", 1),
+            ("cache.misses", 4),
+            ("compile.errors", 1),
+            ("compile.functions", 8),
+            ("compile.machine_bytes", 354),
+            ("compile.wasm_bytes", 79),
+            ("engine.osr_entries", 1),
+            ("engine.traps.division_by_zero", 1),
+            ("engine.traps.interrupted", 1),
+            ("engine.traps.out_of_fuel", 1),
+            ("pool.cold_checkouts", 1),
+            ("pool.warm_checkouts", 5),
+            ("serve.requests", 4),
+            ("serve.trapped", 3),
+        ]
+    );
+    assert_eq!(
+        histograms,
+        [
+            ("compile.duration_us", 8),
+            ("serve.deadline_overshoot", 1),
+            ("serve.exec_cycles", 4),
+            ("serve.fuel_per_request", 1),
+            ("serve.instantiate_us", 4),
+            ("serve.request_us", 4),
+        ]
+    );
+}
