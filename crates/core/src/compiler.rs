@@ -360,18 +360,6 @@ struct CtrlFrame<'a> {
     unreachable: bool,
 }
 
-/// A one-element block signature, borrowed for the whole compile.
-fn single(ty: ValueType) -> &'static [ValueType] {
-    match ty {
-        ValueType::I32 => &[ValueType::I32],
-        ValueType::I64 => &[ValueType::I64],
-        ValueType::F32 => &[ValueType::F32],
-        ValueType::F64 => &[ValueType::F64],
-        ValueType::FuncRef => &[ValueType::FuncRef],
-        ValueType::ExternRef => &[ValueType::ExternRef],
-    }
-}
-
 /// The integer type of an operation width.
 fn int_type(width: Width) -> ValueType {
     match width {
@@ -726,18 +714,9 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         offset: usize,
         bt: BlockType,
     ) -> Result<(&'a [ValueType], &'a [ValueType]), CompileError> {
-        let module = self.module;
-        let (params, results): (&'a [ValueType], &'a [ValueType]) = match bt {
-            BlockType::Empty => (&[], &[]),
-            BlockType::Value(ty) => (&[], single(ty)),
-            BlockType::Func(index) => {
-                let ty = module
-                    .types
-                    .get(index as usize)
-                    .ok_or_else(|| self.error(offset, "bad block type"))?;
-                (&ty.params, &ty.results)
-            }
-        };
+        let (params, results) = bt
+            .resolve(&self.module.types)
+            .ok_or_else(|| self.error(offset, "bad block type"))?;
         if !self.options.multi_value && (results.len() > 1 || !params.is_empty()) {
             return Err(self.error(
                 offset,

@@ -194,16 +194,7 @@ impl Engine {
                         built
                     }
                 };
-                if self.0.telemetry.is_enabled() {
-                    self.0
-                        .telemetry
-                        .emit(EventKind::CacheLookup { hit: cache_hit });
-                    if let Some(metrics) = self.0.telemetry.metrics() {
-                        metrics
-                            .counter(if cache_hit { "cache.hits" } else { "cache.misses" })
-                            .inc();
-                    }
-                }
+                self.0.telemetry.emit(EventKind::CacheLookup { hit: cache_hit });
                 found
             }
             None => Arc::new(CompiledModule::build(module.clone())?),
@@ -385,8 +376,8 @@ mod tests {
         assert!(Arc::ptr_eq(engine.epoch(), clone.epoch()));
         clone.increment_epoch();
         assert_eq!(engine.epoch().load(Ordering::Relaxed), 1);
-        engine.telemetry().emit(EventKind::FuelExhausted);
-        clone.telemetry().emit(EventKind::EpochInterrupt);
+        engine.telemetry().emit(EventKind::CacheLookup { hit: true });
+        clone.telemetry().emit(EventKind::CacheLookup { hit: false });
         let drained = engine.telemetry().drain();
         let kinds: Vec<&EventKind> = drained
             .iter()
@@ -395,7 +386,7 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            [&EventKind::FuelExhausted, &EventKind::EpochInterrupt]
+            [&EventKind::CacheLookup { hit: true }, &EventKind::CacheLookup { hit: false }]
         );
     }
 }

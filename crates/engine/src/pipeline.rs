@@ -271,7 +271,7 @@ pub(crate) fn tier_label(jit: Option<CompileTier>) -> telemetry::Tier {
 }
 
 /// The telemetry label for a code backend.
-pub(crate) fn telemetry_backend(backend: CodeBackend) -> telemetry::Backend {
+fn telemetry_backend(backend: CodeBackend) -> telemetry::Backend {
     match backend {
         CodeBackend::VirtualIsa => telemetry::Backend::VirtualIsa,
         CodeBackend::X64 => telemetry::Backend::X64,
@@ -342,9 +342,8 @@ pub fn compile_function(
 /// new code — `false` when the slot was already full or another thread won
 /// the publication race.
 ///
-/// With telemetry enabled the compile is traced: `CompileStart` /
-/// `CompileEnd` events, the `compile.duration_us` histogram and the
-/// `compile.*` counters. A disabled handle costs one branch.
+/// Every compile, successful or not, is one `CompileEnd` event; the sink
+/// derives the `compile.*` metrics from it.
 pub(crate) fn compile_slot(
     telemetry: &Telemetry,
     config: &EngineConfig,
@@ -360,40 +359,16 @@ pub(crate) fn compile_slot(
     let module = artifact.module();
     let func_index = module.defined_to_func_index(defined);
     let info = artifact.func_info(defined);
-    if !telemetry.is_enabled() {
-        let compiled = compile_function(config, tier, module, func_index, info, probes, profile)?;
-        return Ok(artifact.publish_for(defined, tier, compiled));
-    }
-    let t_tier = tier_label(Some(tier));
-    let t_backend = telemetry_backend(config.backend);
-    telemetry.emit(EventKind::CompileStart { func: func_index, tier: t_tier, backend: t_backend });
     let result = compile_function(config, tier, module, func_index, info, probes, profile);
-    match &result {
-        Ok(compiled) => {
-            let dur_us = compiled.compile_wall.as_micros() as u64;
-            let wasm_bytes =
-                module.func_decl(func_index).map_or(0, |decl| decl.code.len()) as u32;
-            telemetry.emit(EventKind::CompileEnd {
-                func: func_index,
-                tier: t_tier,
-                backend: t_backend,
-                wasm_bytes,
-                machine_bytes: compiled.machine_bytes.min(u32::MAX as u64) as u32,
-                dur_us,
-            });
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.histogram("compile.duration_us").record(dur_us);
-                metrics.counter("compile.functions").inc();
-                metrics.counter("compile.wasm_bytes").add(wasm_bytes as u64);
-                metrics.counter("compile.machine_bytes").add(compiled.machine_bytes);
-            }
-        }
-        Err(_) => {
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.counter("compile.errors").inc();
-            }
-        }
-    }
+    telemetry.emit(EventKind::CompileEnd {
+        func: func_index,
+        tier: tier_label(Some(tier)),
+        backend: telemetry_backend(config.backend),
+        ok: result.is_ok(),
+        wasm_bytes: module.func_decl(func_index).map_or(0, |decl| decl.code.len()) as u32,
+        machine_bytes: result.as_ref().map_or(0, |c| c.machine_bytes.min(u32::MAX.into()) as u32),
+        dur_us: result.as_ref().map_or(0, |c| c.compile_wall.as_micros() as u64),
+    });
     Ok(artifact.publish_for(defined, tier, result?))
 }
 

@@ -162,16 +162,8 @@ impl InstancePool {
                 (instance, false)
             }
         };
-        let telemetry = self.engine.telemetry();
-        if telemetry.is_enabled() {
-            let app = self.label.load(Ordering::Relaxed);
-            telemetry.emit(EventKind::PoolCheckout { app, warm });
-            if let Some(metrics) = telemetry.metrics() {
-                metrics
-                    .counter(if warm { "pool.warm_checkouts" } else { "pool.cold_checkouts" })
-                    .inc();
-            }
-        }
+        let app = self.label.load(Ordering::Relaxed);
+        self.engine.telemetry().emit(EventKind::PoolCheckout { app, warm });
         Ok(PooledInstance {
             instance: Some(instance),
             pool: Arc::clone(self),

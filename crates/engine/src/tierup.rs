@@ -143,12 +143,7 @@ impl Engine {
         act.frame_slots = frame_slots;
         act.tier = FrameTier::jit(CompileTier::Opt);
         act.resume = entry;
-        if self.0.telemetry.is_enabled() {
-            self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
-            if let Some(metrics) = self.0.telemetry.metrics() {
-                metrics.counter("engine.osr_entries").inc();
-            }
-        }
+        self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
     }
 }
 

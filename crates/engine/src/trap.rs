@@ -198,8 +198,9 @@ impl Engine {
     /// Captures diagnostics for a trap that unwound [`Engine::run_frames`]:
     /// walks the (still-live) activation stack into a symbolicated
     /// [`Backtrace`], stores the [`TrapInfo`] on the instance, and reports
-    /// it to telemetry: one event (`EventKind::Trap` carries the innermost
-    /// frame and the true depth) and one count under its reason.
+    /// it to telemetry as one `EventKind::Trap`, which carries the reason,
+    /// the innermost frame and the true depth (the sink counts it under
+    /// `engine.traps.<slug>`).
     ///
     /// The top frame's position is `trap_at` when the trap came from
     /// *executing* an instruction; traps raised at a call boundary (stack
@@ -238,25 +239,14 @@ impl Engine {
             });
         }
         let backtrace = Backtrace::from_frames(frames);
-        let telemetry = &self.0.telemetry;
-        if telemetry.is_enabled() {
-            telemetry.emit(match code {
-                TrapCode::OutOfFuel => EventKind::FuelExhausted,
-                TrapCode::Interrupted => EventKind::EpochInterrupt,
-                code => {
-                    let top = backtrace.frames().first();
-                    EventKind::Trap {
-                        reason: code.wast_message(),
-                        func: top.map_or(0, |f| f.func_index),
-                        offset: top.map_or(0, |f| f.offset),
-                        depth: backtrace.depth() as u32,
-                    }
-                }
-            });
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.counter(&format!("engine.traps.{}", code.slug())).inc();
-            }
-        }
+        let top = backtrace.frames().first();
+        self.0.telemetry.emit(EventKind::Trap {
+            reason: code.wast_message(),
+            slug: code.slug(),
+            func: top.map_or(0, |f| f.func_index),
+            offset: top.map_or(0, |f| f.offset),
+            depth: backtrace.depth() as u32,
+        });
         instance.last_trap = Some(TrapInfo {
             reason: code,
             backtrace,

@@ -36,7 +36,7 @@ use wasm::fuel::FuelPlan;
 use wasm::module::Module;
 use wasm::opcode::{OpSignature, Opcode};
 use wasm::reader::{BytecodeReader, Imm, Instr};
-use wasm::types::{BlockType, ValueType};
+use wasm::types::ValueType;
 use wasm::validate::FuncInfo;
 
 use crate::ir::BlockId;
@@ -556,23 +556,9 @@ impl<'a> Builder<'a> {
                 self.mark_unreachable();
             }
             (Opcode::Block | Opcode::Loop | Opcode::If, Imm::Block(bt)) => {
-                // The signature, borrowed from the type section.
-                let single;
-                let module = self.module;
-                let (params, results): (&[ValueType], &[ValueType]) = match bt {
-                    BlockType::Empty => (&[], &[]),
-                    BlockType::Value(ty) => {
-                        single = [ty];
-                        (&[], &single)
-                    }
-                    BlockType::Func(index) => {
-                        let sig = module
-                            .types
-                            .get(index as usize)
-                            .ok_or_else(|| self.error(offset, "bad block type"))?;
-                        (&sig.params, &sig.results)
-                    }
-                };
+                let (params, results) = bt
+                    .resolve(&self.module.types)
+                    .ok_or_else(|| self.error(offset, "bad block type"))?;
                 let carried = self.carried.list(self.constructs);
                 self.constructs += 1;
                 let dead = self.unreachable_now();
@@ -992,7 +978,7 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
     use wasm::builder::{CodeBuilder, ModuleBuilder};
-    use wasm::types::FuncType;
+    use wasm::types::{BlockType, FuncType};
     use wasm::validate::validate;
 
     fn build_ir(

@@ -101,7 +101,7 @@ pub fn render_line(result: &RequestResult, app_name: Option<&str>) -> String {
         result.exec_cycles,
         result.warm,
         opt_u64(result.fuel_consumed),
-        result.deadline_expired,
+        result.deadline_expired(),
         opt_u64(result.deadline_overshoot_epochs),
     )
 }
@@ -191,7 +191,6 @@ mod tests {
             service_wall: Duration::from_micros(412),
             exec_cycles: 1088,
             fuel_consumed: None,
-            deadline_expired: false,
             deadline_overshoot_epochs: None,
             trap: None,
         }
@@ -232,7 +231,6 @@ mod tests {
     fn interrupted_requests_record_their_overshoot() {
         let mut result = base_result();
         result.status = RequestStatus::Trapped(TrapReason::Interrupted);
-        result.deadline_expired = true;
         result.deadline_overshoot_epochs = Some(1);
         let line = render_line(&result, None);
         assert!(line.contains("\"app_name\":null"));

@@ -176,9 +176,6 @@ pub struct RequestResult {
     pub exec_cycles: u64,
     /// Fuel consumed, when a budget was armed.
     pub fuel_consumed: Option<u64>,
-    /// True if the request's deadline passed before it retired (it was —
-    /// or was about to be — interrupted).
-    pub deadline_expired: bool,
     /// How many whole epochs past its deadline the request retired
     /// (`Some(0)` = in the deadline tick itself); `None` when no deadline
     /// was armed or it completed in time. Cooperative preemption bounds
@@ -188,6 +185,14 @@ pub struct RequestResult {
     /// plus a cross-tier backtrace of `(function, name, bytecode offset)`
     /// frames.
     pub trap: Option<TrapInfo>,
+}
+
+impl RequestResult {
+    /// True if the request's deadline passed before it retired (it was —
+    /// or was about to be — interrupted): exactly when it has an overshoot.
+    pub fn deadline_expired(&self) -> bool {
+        self.deadline_overshoot_epochs.is_some()
+    }
 }
 
 struct App {
@@ -337,18 +342,12 @@ impl Server {
             service_wall: Duration::ZERO,
             exec_cycles: 0,
             fuel_consumed: None,
-            deadline_expired: false,
             deadline_overshoot_epochs: None,
             trap: None,
         };
         let Some(app) = self.apps.get(request.app) else {
             return reject(format!("unknown app index {}", request.app));
         };
-        let telemetry = &self.server_config.telemetry;
-        telemetry.emit(EventKind::ServeStart {
-            request: id as u32,
-            app: request.app as u32,
-        });
         let start = Instant::now();
         let mut instance = match app.pool.checkout() {
             Ok(instance) => instance,
@@ -367,37 +366,22 @@ impl Server {
             .call_export(&mut instance, &app.entry, &request.args);
         let service_wall = start.elapsed();
         let deadline_overshoot_epochs = deadline_epoch.and_then(|d| self.timeouts.retire(d));
-        let deadline_expired = deadline_overshoot_epochs.is_some();
         let trap = if outcome.is_err() {
             instance.last_trap().cloned()
         } else {
             None
         };
-        if telemetry.is_enabled() {
-            telemetry.emit(EventKind::ServeFinish {
-                request: id as u32,
-                app: request.app as u32,
-                ok: outcome.is_ok(),
-                dur_us: service_wall.as_micros() as u64,
-            });
-            if let Some(metrics) = telemetry.metrics() {
-                metrics.counter("serve.requests").inc();
-                if outcome.is_err() {
-                    metrics.counter("serve.trapped").inc();
-                }
-                metrics.histogram("serve.request_us").record(service_wall.as_micros() as u64);
-                metrics
-                    .histogram("serve.instantiate_us")
-                    .record(instantiate_wall.as_micros() as u64);
-                if let Some(fuel) = instance.fuel_consumed() {
-                    metrics.histogram("serve.fuel_per_request").record(fuel);
-                }
-                metrics.histogram("serve.exec_cycles").record(instance.metrics.exec_cycles);
-                if let Some(overshoot) = deadline_overshoot_epochs {
-                    metrics.histogram("serve.deadline_overshoot").record(overshoot);
-                }
-            }
-        }
+        let saturate = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        self.server_config.telemetry.emit(EventKind::ServeFinish {
+            request: id as u32,
+            app: request.app as u32,
+            ok: outcome.is_ok(),
+            dur_us: service_wall.as_micros() as u64,
+            instantiate_us: saturate(instantiate_wall.as_micros() as u64),
+            exec_cycles: instance.metrics.exec_cycles,
+            fuel: instance.fuel_consumed(),
+            deadline_overshoot: deadline_overshoot_epochs.map(saturate),
+        });
         RequestResult {
             request_id: id,
             app: request.app,
@@ -411,7 +395,6 @@ impl Server {
             service_wall,
             exec_cycles: instance.metrics.exec_cycles,
             fuel_consumed: instance.fuel_consumed(),
-            deadline_expired,
             deadline_overshoot_epochs,
             trap,
         }
@@ -570,7 +553,6 @@ mod tests {
             rings.iter().flat_map(|(_, events, _)| events).filter(|e| wanted(&e.kind)).count()
         };
         assert_eq!(count(|k| matches!(k, EventKind::ServeEnqueue { .. })), 400);
-        assert_eq!(count(|k| matches!(k, EventKind::ServeStart { .. })), 400);
         assert_eq!(count(|k| matches!(k, EventKind::ServeFinish { .. })), 400);
         assert_eq!(count(|k| matches!(k, EventKind::PoolCheckout { .. })), 400);
         assert_eq!(telemetry.dropped_events(), 0);

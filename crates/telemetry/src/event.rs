@@ -54,19 +54,15 @@ impl Backend {
 
 /// One structured event. All payloads are `Copy`; durations and sizes are
 /// carried inline so the consumer never has to correlate ring positions.
+///
+/// Each fact is one event: a span is recorded once, when it ends, carrying
+/// its duration, and every trap is one [`EventKind::Trap`]. The sink derives
+/// the metrics an event implies when it records it, so a producer never
+/// names a metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// A compilation of one function began on this thread.
-    CompileStart {
-        /// Function index (module function space).
-        func: u32,
-        /// Tier being compiled for.
-        tier: Tier,
-        /// Backend emitting the code.
-        backend: Backend,
-    },
-    /// A compilation finished; the matching [`EventKind::CompileStart`] is
-    /// `dur_us` earlier on the same thread.
+    /// A compilation of one function ended, `dur_us` after it began on the
+    /// same thread.
     CompileEnd {
         /// Function index (module function space).
         func: u32,
@@ -74,11 +70,14 @@ pub enum EventKind {
         tier: Tier,
         /// Backend that emitted the code.
         backend: Backend,
+        /// False when the compiler rejected the function.
+        ok: bool,
         /// Wasm bytes of the function body.
         wasm_bytes: u32,
-        /// Machine-code bytes produced.
+        /// Machine-code bytes produced (0 for a rejected function).
         machine_bytes: u32,
-        /// Compilation wall time in microseconds.
+        /// Compilation wall time in microseconds (0 for a rejected
+        /// function: the compilers time only code they finish).
         dur_us: u64,
     },
     /// A code-cache lookup at instantiation.
@@ -94,12 +93,15 @@ pub enum EventKind {
         /// The tier the published code belongs to.
         tier: Tier,
     },
-    /// Execution trapped. Carries the innermost backtrace frame so the
-    /// timeline pinpoints the fault without a side channel to the full
-    /// diagnostics (which live on the instance); payloads stay `Copy`.
+    /// Execution trapped — including running out of fuel and an epoch
+    /// interrupt. Carries the innermost backtrace frame so the timeline
+    /// pinpoints the fault without a side channel to the full diagnostics
+    /// (which live on the instance); payloads stay `Copy`.
     Trap {
         /// The spec-style trap message (`TrapCode::wast_message`).
         reason: &'static str,
+        /// The reason as a metric-name segment (`TrapCode::slug`).
+        slug: &'static str,
         /// Function index of the innermost (faulting) frame.
         func: u32,
         /// Wasm bytecode offset of the faulting instruction within it.
@@ -108,10 +110,6 @@ pub enum EventKind {
         /// truncated backtrace dropped).
         depth: u32,
     },
-    /// A fuel budget ran out (`OutOfFuel`).
-    FuelExhausted,
-    /// An epoch deadline preempted execution (`Interrupted`).
-    EpochInterrupt,
     /// An instance-pool checkout.
     PoolCheckout {
         /// The pool's label (the serving layer sets it to the app index).
@@ -119,22 +117,15 @@ pub enum EventKind {
         /// True for a recycled instance, false for a cold instantiation.
         warm: bool,
     },
-    /// A request entered a worker mailbox.
+    /// A request was dealt to a worker's share of its batch.
     ServeEnqueue {
         /// Position of the request in its batch.
         request: u32,
         /// Target app index.
         app: u32,
     },
-    /// A worker started executing a request.
-    ServeStart {
-        /// Position of the request in its batch.
-        request: u32,
-        /// Target app index.
-        app: u32,
-    },
-    /// A worker finished a request; the matching [`EventKind::ServeStart`]
-    /// is `dur_us` earlier on the same thread.
+    /// A worker finished a request, `dur_us` after it began on the same
+    /// thread.
     ServeFinish {
         /// Position of the request in its batch.
         request: u32,
@@ -144,6 +135,15 @@ pub enum EventKind {
         ok: bool,
         /// Service wall time in microseconds.
         dur_us: u64,
+        /// Of which obtaining a ready instance, in microseconds.
+        instantiate_us: u32,
+        /// Simulated cycles the request executed.
+        exec_cycles: u64,
+        /// Fuel consumed, when a budget was armed.
+        fuel: Option<u64>,
+        /// Whole epochs past its deadline the request retired, when it
+        /// retired past one.
+        deadline_overshoot: Option<u32>,
     },
     /// A running activation was transferred mid-loop into optimizing-tier
     /// code (on-stack replacement).

@@ -16,9 +16,11 @@
 //!   a whole serving run opens in Perfetto as per-worker timelines.
 //! - **Metrics** — a [`MetricsRegistry`] of named atomic counters and
 //!   log₂-bucketed histograms, read back with [`MetricsRegistry::snapshot`].
-//!   The engine counts traps per reason here (`engine.traps.<slug>`, named
-//!   by `TrapCode::slug`), with cache hits and misses, pool checkouts and
-//!   OSR entries.
+//!   Producers never name a metric: the sink derives every counter and
+//!   histogram from the event that states the fact, in one function of this
+//!   crate — traps per reason (`engine.traps.<slug>`, named by
+//!   `TrapCode::slug`), cache hits and misses, pool checkouts, OSR entries,
+//!   compiles and served requests.
 //! - **Sampling profile** — the engine's execution loops report the current
 //!   (function, tier) whenever the shared epoch advances; the [`Profiler`]
 //!   aggregates those samples into per-function×tier counts.
@@ -26,10 +28,10 @@
 //! # The zero-cost-when-disabled contract
 //!
 //! A disabled handle ([`Telemetry::disabled`], also the `Default`) holds no
-//! sink: every `emit` is one `Option` test on a `None` that never changes,
-//! and the engine additionally gates its event construction on
-//! [`Telemetry::is_enabled`]. Nothing in this crate ever charges simulated
-//! cycles — enabling telemetry must not perturb the deterministic
+//! sink: every `emit` is one `Option` test on a `None` that never changes.
+//! Each fact is one `emit` of a small `Copy` event, so a producer has one
+//! path whether or not telemetry is on. Nothing in this crate ever charges
+//! simulated cycles — enabling telemetry must not perturb the deterministic
 //! `exec_cycles` measurements the paper's figures are built on
 //! (`tests/telemetry.rs` asserts exactly that, in all three tiers).
 //!
@@ -41,9 +43,8 @@
 //! let telemetry = Telemetry::enabled();
 //! telemetry.emit(EventKind::CacheLookup { hit: false });
 //! telemetry.record_sample(3, Tier::Baseline);
-//! if let Some(metrics) = telemetry.metrics() {
-//!     metrics.counter("requests").inc();
-//! }
+//! let metrics = telemetry.metrics().unwrap();
+//! assert_eq!(metrics.counter("cache.misses").get(), 1);
 //! let trace = telemetry.chrome_trace();
 //! assert!(trace.contains("cache miss"));
 //! assert_eq!(telemetry.profiler().unwrap().total_samples(), 1);
@@ -68,7 +69,7 @@ pub use trace::{chrome_trace, escape_json};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default per-thread ring capacity, in events.
@@ -105,6 +106,7 @@ pub struct TelemetrySink {
     ring_capacity: usize,
     rings: Mutex<Vec<Arc<EventRing>>>,
     metrics: MetricsRegistry,
+    instruments: Instruments,
     profiler: Profiler,
 }
 
@@ -125,17 +127,21 @@ impl TelemetrySink {
             ring_capacity,
             rings: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
+            instruments: Instruments::default(),
             profiler: Profiler::new(),
         }
     }
 
     /// Microseconds since the sink was created — the clock every event is
     /// stamped with.
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
+    /// Records `kind`: updates the metrics it implies, then pushes it into
+    /// this thread's ring.
     fn emit(&self, kind: EventKind) {
+        self.instruments.derive(&self.metrics, &kind);
         let event = TraceEvent { t_us: self.now_us(), kind };
         RINGS.with(|cell| {
             let mut local = cell.borrow_mut();
@@ -195,6 +201,80 @@ impl TelemetrySink {
     }
 }
 
+/// The instruments events update under fixed names. Each is registered in
+/// the sink's registry on first use, so a snapshot lists only what happened,
+/// and updated through its kept handle from then on, without a lookup.
+#[derive(Default)]
+struct Instruments {
+    compile_us: OnceLock<Histogram>,
+    functions: OnceLock<Counter>,
+    wasm_bytes: OnceLock<Counter>,
+    machine_bytes: OnceLock<Counter>,
+    errors: OnceLock<Counter>,
+    hits: OnceLock<Counter>,
+    misses: OnceLock<Counter>,
+    warm: OnceLock<Counter>,
+    cold: OnceLock<Counter>,
+    requests: OnceLock<Counter>,
+    trapped: OnceLock<Counter>,
+    request_us: OnceLock<Histogram>,
+    instantiate_us: OnceLock<Histogram>,
+    fuel: OnceLock<Histogram>,
+    cycles: OnceLock<Histogram>,
+    overshoot: OnceLock<Histogram>,
+    osr_entries: OnceLock<Counter>,
+}
+
+impl Instruments {
+    /// Updates the counters and histograms `kind` implies — the one place a
+    /// metric name is tied to the fact it counts. Enqueues, tier-ups and
+    /// samples imply none.
+    fn derive(&self, metrics: &MetricsRegistry, kind: &EventKind) {
+        let count = |cell: &OnceLock<Counter>, name: &str, n: u64| {
+            cell.get_or_init(|| metrics.counter(name)).add(n);
+        };
+        let record = |cell: &OnceLock<Histogram>, name: &str, value: u64| {
+            cell.get_or_init(|| metrics.histogram(name)).record(value);
+        };
+        match *kind {
+            EventKind::CompileEnd { ok: true, wasm_bytes, machine_bytes, dur_us, .. } => {
+                record(&self.compile_us, "compile.duration_us", dur_us);
+                count(&self.functions, "compile.functions", 1);
+                count(&self.wasm_bytes, "compile.wasm_bytes", wasm_bytes.into());
+                count(&self.machine_bytes, "compile.machine_bytes", machine_bytes.into());
+            }
+            EventKind::CompileEnd { ok: false, .. } => count(&self.errors, "compile.errors", 1),
+            EventKind::CacheLookup { hit: true } => count(&self.hits, "cache.hits", 1),
+            EventKind::CacheLookup { hit: false } => count(&self.misses, "cache.misses", 1),
+            EventKind::Trap { slug, .. } => metrics.counter(&format!("engine.traps.{slug}")).inc(),
+            EventKind::PoolCheckout { warm, .. } => match warm {
+                true => count(&self.warm, "pool.warm_checkouts", 1),
+                false => count(&self.cold, "pool.cold_checkouts", 1),
+            },
+            EventKind::ServeFinish {
+                ok, dur_us, instantiate_us, exec_cycles, fuel, deadline_overshoot, ..
+            } => {
+                count(&self.requests, "serve.requests", 1);
+                if !ok {
+                    count(&self.trapped, "serve.trapped", 1);
+                }
+                record(&self.request_us, "serve.request_us", dur_us);
+                record(&self.instantiate_us, "serve.instantiate_us", instantiate_us.into());
+                if let Some(fuel) = fuel {
+                    record(&self.fuel, "serve.fuel_per_request", fuel);
+                }
+                record(&self.cycles, "serve.exec_cycles", exec_cycles);
+                if let Some(epochs) = deadline_overshoot {
+                    record(&self.overshoot, "serve.deadline_overshoot", epochs.into());
+                }
+            }
+            EventKind::OsrEnter { .. } => count(&self.osr_entries, "engine.osr_entries", 1),
+            EventKind::ServeEnqueue { .. } | EventKind::TierUp { .. } => {}
+            EventKind::Sample { .. } => {}
+        }
+    }
+}
+
 /// A cheap, cloneable handle to a telemetry sink — or to nothing.
 ///
 /// The engine, pipeline, pool, and serving layers all hold one of these.
@@ -232,14 +312,15 @@ impl Telemetry {
         Telemetry { sink: Some(Arc::new(TelemetrySink::new(ring_capacity))) }
     }
 
-    /// True when a sink is attached. Hot paths use this to skip event
-    /// construction entirely.
+    /// True when a sink is attached. The executors use this to skip arming
+    /// the sampling profiler entirely.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
     }
 
-    /// Records `kind` into this thread's ring (no-op when disabled).
+    /// Records `kind` into this thread's ring and updates the metrics it
+    /// implies (no-op when disabled).
     #[inline]
     pub fn emit(&self, kind: EventKind) {
         if let Some(sink) = &self.sink {
@@ -257,7 +338,8 @@ impl Telemetry {
         }
     }
 
-    /// The sink's metrics registry, when enabled.
+    /// The sink's metrics registry, when enabled: the counters and
+    /// histograms its events imply.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.sink.as_deref().map(|sink| &sink.metrics)
     }
@@ -287,9 +369,9 @@ impl Telemetry {
         self.sink.as_deref().map(TelemetrySink::dropped_events).unwrap_or(0)
     }
 
-    /// Microseconds since the sink was created; 0 when disabled. Event
-    /// producers that measure spans (serve, compile) use this clock so their
-    /// `dur_us` fields line up with ring timestamps.
+    /// Microseconds since the sink was created — the clock ring timestamps
+    /// use; 0 when disabled. No producer reads it yet: compile and serve
+    /// spans time their `dur_us` with their own `Instant`s.
     pub fn now_us(&self) -> u64 {
         self.sink.as_deref().map(TelemetrySink::now_us).unwrap_or(0)
     }
@@ -299,11 +381,14 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    /// An event that implies no metric, for tests of the rings alone.
+    const TICK: EventKind = EventKind::ServeEnqueue { request: 0, app: 0 };
+
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.emit(EventKind::FuelExhausted);
+        t.emit(TICK);
         t.record_sample(0, Tier::Interp);
         assert!(t.drain().is_empty());
         assert!(t.metrics().is_none());
@@ -319,10 +404,7 @@ mod tests {
         let u = t.clone();
         u.emit(EventKind::CacheLookup { hit: true });
         t.emit(EventKind::CacheLookup { hit: false });
-        if let Some(m) = u.metrics() {
-            m.counter("c").inc();
-        }
-        assert_eq!(t.metrics().unwrap().counter("c").get(), 1);
+        assert_eq!(t.metrics().unwrap().counter("cache.hits").get(), 1);
         let drained = t.drain();
         // Same thread → both events land in one ring, in order.
         assert_eq!(drained.len(), 1);
@@ -334,14 +416,14 @@ mod tests {
     #[test]
     fn each_emitting_thread_gets_its_own_labelled_ring() {
         let t = Telemetry::enabled();
-        t.emit(EventKind::FuelExhausted);
+        t.emit(TICK);
         let worker = {
             let t = t.clone();
             std::thread::Builder::new()
                 .name("emitter".to_string())
                 .spawn(move || {
                     for _ in 0..5 {
-                        t.emit(EventKind::EpochInterrupt);
+                        t.emit(TICK);
                     }
                 })
                 .unwrap()
@@ -362,7 +444,7 @@ mod tests {
             let t = t.clone();
             std::thread::Builder::new()
                 .name(name.to_string())
-                .spawn(move || (0..events).for_each(|_| t.emit(EventKind::EpochInterrupt)))
+                .spawn(move || (0..events).for_each(|_| t.emit(TICK)))
                 .unwrap()
         };
         for _ in 0..4 {
@@ -388,16 +470,16 @@ mod tests {
         let first = {
             let t = t.clone();
             spawn(Box::new(move || {
-                t.emit(EventKind::FuelExhausted);
+                t.emit(TICK);
                 registered.send(()).unwrap();
                 wait_release.recv().unwrap();
-                t.emit(EventKind::FuelExhausted);
+                t.emit(TICK);
             }))
         };
         wait_registered.recv().unwrap();
         let second = {
             let t = t.clone();
-            spawn(Box::new(move || t.emit(EventKind::EpochInterrupt)))
+            spawn(Box::new(move || t.emit(TICK)))
         };
         second.join().unwrap();
         release.send(()).unwrap();
@@ -411,7 +493,7 @@ mod tests {
     fn a_panic_while_the_ring_registry_is_locked_leaves_the_sink_tracing() {
         let t = Telemetry::enabled();
         let sink = t.sink.as_deref().expect("enabled");
-        t.emit(EventKind::FuelExhausted);
+        t.emit(TICK);
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
                 let _rings = lock(&sink.rings);
@@ -422,7 +504,7 @@ mod tests {
         assert!(sink.rings.is_poisoned());
         // A new thread still registers a ring; drain and the loss count read.
         std::thread::scope(|s| {
-            s.spawn(|| t.emit(EventKind::EpochInterrupt));
+            s.spawn(|| t.emit(TICK));
         });
         let sizes: Vec<usize> = t.drain().iter().map(|(_, events, _)| events.len()).collect();
         assert_eq!(sizes, [1, 1]);
@@ -434,8 +516,8 @@ mod tests {
         let a = Telemetry::enabled();
         let b = Telemetry::enabled();
         a.emit(EventKind::CacheLookup { hit: true });
-        b.emit(EventKind::FuelExhausted);
-        b.emit(EventKind::FuelExhausted);
+        b.emit(TICK);
+        b.emit(TICK);
         let da = a.drain();
         let db = b.drain();
         assert_eq!(da.iter().map(|(_, e, _)| e.len()).sum::<usize>(), 1);
@@ -456,5 +538,75 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
         assert!(matches!(events[0].kind, EventKind::Sample { func: 7, tier: Tier::Opt }));
+    }
+
+    #[test]
+    fn every_event_updates_the_metrics_it_implies_and_no_others() {
+        let t = Telemetry::enabled();
+        let compile = |ok| EventKind::CompileEnd {
+            func: 0,
+            tier: Tier::Baseline,
+            backend: Backend::VirtualIsa,
+            ok,
+            wasm_bytes: 10,
+            machine_bytes: 40,
+            dur_us: 5,
+        };
+        let serve = |ok, fuel, deadline_overshoot| EventKind::ServeFinish {
+            request: 0,
+            app: 0,
+            ok,
+            dur_us: 9,
+            instantiate_us: 2,
+            exec_cycles: 300,
+            fuel,
+            deadline_overshoot,
+        };
+        for kind in [
+            compile(true),
+            compile(false),
+            EventKind::CacheLookup { hit: true },
+            EventKind::TierUp { func: 0, tier: Tier::Opt },
+            EventKind::Trap { reason: "", slug: "out_of_fuel", func: 0, offset: 0, depth: 1 },
+            EventKind::PoolCheckout { app: 0, warm: false },
+            TICK,
+            serve(true, None, None),
+            serve(false, Some(7), Some(1)),
+            EventKind::OsrEnter { func: 0, offset: 3 },
+            EventKind::Sample { func: 0, tier: Tier::Interp },
+        ] {
+            t.emit(kind);
+        }
+        let snapshot = t.metrics().unwrap().snapshot();
+        let counters: Vec<(&str, u64)> =
+            snapshot.counters.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+        assert_eq!(
+            counters,
+            [
+                ("cache.hits", 1),
+                ("compile.errors", 1),
+                ("compile.functions", 1),
+                ("compile.machine_bytes", 40),
+                ("compile.wasm_bytes", 10),
+                ("engine.osr_entries", 1),
+                ("engine.traps.out_of_fuel", 1),
+                ("pool.cold_checkouts", 1),
+                ("serve.requests", 2),
+                ("serve.trapped", 1),
+            ]
+        );
+        let histograms: Vec<(&str, u64, u64)> =
+            snapshot.histograms.iter().map(|(name, h)| (name.as_str(), h.count, h.sum)).collect();
+        assert_eq!(
+            histograms,
+            [
+                ("compile.duration_us", 1, 5),
+                ("serve.deadline_overshoot", 1, 1),
+                ("serve.exec_cycles", 2, 600),
+                ("serve.fuel_per_request", 1, 7),
+                ("serve.instantiate_us", 2, 4),
+                ("serve.request_us", 2, 18),
+            ]
+        );
     }
 }

@@ -36,19 +36,10 @@ pub fn escape_json(s: &str) -> String {
 /// it closes one.
 fn render(kind: &EventKind) -> (String, String, Option<u64>) {
     match kind {
-        EventKind::CompileStart { func, tier, backend } => (
+        EventKind::CompileEnd { func, tier, backend, ok, wasm_bytes, machine_bytes, dur_us } => (
             format!("compile f{func} {}", tier.label()),
             format!(
-                "{{\"func\":{func},\"tier\":\"{}\",\"backend\":\"{}\",\"phase\":\"start\"}}",
-                tier.label(),
-                backend.label()
-            ),
-            None,
-        ),
-        EventKind::CompileEnd { func, tier, backend, wasm_bytes, machine_bytes, dur_us } => (
-            format!("compile f{func} {}", tier.label()),
-            format!(
-                "{{\"func\":{func},\"tier\":\"{}\",\"backend\":\"{}\",\"wasm_bytes\":{wasm_bytes},\"machine_bytes\":{machine_bytes}}}",
+                "{{\"func\":{func},\"tier\":\"{}\",\"backend\":\"{}\",\"ok\":{ok},\"wasm_bytes\":{wasm_bytes},\"machine_bytes\":{machine_bytes}}}",
                 tier.label(),
                 backend.label()
             ),
@@ -64,7 +55,7 @@ fn render(kind: &EventKind) -> (String, String, Option<u64>) {
             format!("{{\"func\":{func},\"tier\":\"{}\"}}", tier.label()),
             None,
         ),
-        EventKind::Trap { reason, func, offset, depth } => (
+        EventKind::Trap { reason, func, offset, depth, .. } => (
             format!("trap f{func}"),
             format!(
                 "{{\"reason\":\"{}\",\"func\":{func},\"offset\":{offset},\"depth\":{depth}}}",
@@ -72,8 +63,6 @@ fn render(kind: &EventKind) -> (String, String, Option<u64>) {
             ),
             None,
         ),
-        EventKind::FuelExhausted => ("fuel exhausted".to_string(), "{}".to_string(), None),
-        EventKind::EpochInterrupt => ("epoch interrupt".to_string(), "{}".to_string(), None),
         EventKind::PoolCheckout { app, warm } => (
             format!("pool checkout {}", if *warm { "warm" } else { "cold" }),
             format!("{{\"app\":{app},\"warm\":{warm}}}"),
@@ -84,12 +73,7 @@ fn render(kind: &EventKind) -> (String, String, Option<u64>) {
             format!("{{\"request\":{request},\"app\":{app}}}"),
             None,
         ),
-        EventKind::ServeStart { request, app } => (
-            format!("serve r{request}"),
-            format!("{{\"request\":{request},\"app\":{app},\"phase\":\"start\"}}"),
-            None,
-        ),
-        EventKind::ServeFinish { request, app, ok, dur_us } => (
+        EventKind::ServeFinish { request, app, ok, dur_us, .. } => (
             format!("serve r{request}"),
             format!("{{\"request\":{request},\"app\":{app},\"ok\":{ok}}}"),
             Some(*dur_us),
@@ -172,6 +156,7 @@ mod tests {
                             func: 2,
                             tier: Tier::Baseline,
                             backend: Backend::X64,
+                            ok: true,
                             wasm_bytes: 10,
                             machine_bytes: 64,
                             dur_us: 15,
@@ -185,7 +170,16 @@ mod tests {
                 "worker-1".to_string(),
                 vec![TraceEvent {
                     t_us: 90,
-                    kind: EventKind::ServeFinish { request: 3, app: 1, ok: true, dur_us: 30 },
+                    kind: EventKind::ServeFinish {
+                        request: 3,
+                        app: 1,
+                        ok: true,
+                        dur_us: 30,
+                        instantiate_us: 4,
+                        exec_cycles: 120,
+                        fuel: None,
+                        deadline_overshoot: Some(0),
+                    },
                 }],
                 0,
             ),
@@ -205,24 +199,36 @@ mod tests {
     #[test]
     fn every_event_kind_renders_without_panicking() {
         let kinds = [
-            EventKind::CompileStart { func: 1, tier: Tier::Opt, backend: Backend::VirtualIsa },
             EventKind::CompileEnd {
                 func: 1,
                 tier: Tier::Opt,
                 backend: Backend::VirtualIsa,
+                ok: false,
                 wasm_bytes: 1,
                 machine_bytes: 2,
                 dur_us: 3,
             },
             EventKind::CacheLookup { hit: false },
             EventKind::TierUp { func: 4, tier: Tier::Baseline },
-            EventKind::Trap { reason: "integer divide by zero", func: 2, offset: 9, depth: 3 },
-            EventKind::FuelExhausted,
-            EventKind::EpochInterrupt,
+            EventKind::Trap {
+                reason: "integer divide by zero",
+                slug: "division_by_zero",
+                func: 2,
+                offset: 9,
+                depth: 3,
+            },
             EventKind::PoolCheckout { app: 0, warm: false },
             EventKind::ServeEnqueue { request: 0, app: 0 },
-            EventKind::ServeStart { request: 0, app: 0 },
-            EventKind::ServeFinish { request: 0, app: 0, ok: false, dur_us: 9 },
+            EventKind::ServeFinish {
+                request: 0,
+                app: 0,
+                ok: false,
+                dur_us: 9,
+                instantiate_us: 1,
+                exec_cycles: 2,
+                fuel: Some(3),
+                deadline_overshoot: None,
+            },
             EventKind::OsrEnter { func: 3, offset: 17 },
             EventKind::Sample { func: 2, tier: Tier::Interp },
         ];
@@ -236,7 +242,7 @@ mod tests {
 
     #[test]
     fn an_overflowed_ring_declares_its_loss_in_the_trace() {
-        let events = vec![TraceEvent { t_us: 75, kind: EventKind::FuelExhausted }];
+        let events = vec![TraceEvent { t_us: 75, kind: EventKind::CacheLookup { hit: false } }];
         let json = chrome_trace(&[
             ("quiet".to_string(), events.clone(), 0),
             ("lossy".to_string(), events, 41),

@@ -265,21 +265,32 @@ pub enum BlockType {
 }
 
 impl BlockType {
-    /// Resolves this block type against a type section into (params, results).
+    /// Resolves this block type against a type section into (params,
+    /// results), borrowed from the type section or, for the MVP encodings,
+    /// from static storage.
     ///
     /// Returns `None` when `Func(i)` is out of bounds.
-    pub fn resolve(
-        &self,
-        types: &[FuncType],
-    ) -> Option<(Vec<ValueType>, Vec<ValueType>)> {
-        match *self {
-            BlockType::Empty => Some((Vec::new(), Vec::new())),
-            BlockType::Value(t) => Some((Vec::new(), vec![t])),
+    pub fn resolve(self, types: &[FuncType]) -> Option<(&[ValueType], &[ValueType])> {
+        match self {
+            BlockType::Empty => Some((&[], &[])),
+            BlockType::Value(t) => Some((&[], single(t))),
             BlockType::Func(i) => {
                 let ft = types.get(i as usize)?;
-                Some((ft.params.clone(), ft.results.clone()))
+                Some((&ft.params, &ft.results))
             }
         }
+    }
+}
+
+/// The one-element signature `[ty]`, in static storage.
+fn single(ty: ValueType) -> &'static [ValueType] {
+    match ty {
+        ValueType::I32 => &[ValueType::I32],
+        ValueType::I64 => &[ValueType::I64],
+        ValueType::F32 => &[ValueType::F32],
+        ValueType::F64 => &[ValueType::F64],
+        ValueType::FuncRef => &[ValueType::FuncRef],
+        ValueType::ExternRef => &[ValueType::ExternRef],
     }
 }
 
@@ -386,17 +397,15 @@ mod tests {
             vec![ValueType::I32],
             vec![ValueType::I32, ValueType::I32],
         )];
-        assert_eq!(
-            BlockType::Empty.resolve(&types),
-            Some((vec![], vec![]))
-        );
+        let none: &[ValueType] = &[];
+        assert_eq!(BlockType::Empty.resolve(&types), Some((none, none)));
         assert_eq!(
             BlockType::Value(ValueType::F32).resolve(&types),
-            Some((vec![], vec![ValueType::F32]))
+            Some((none, &[ValueType::F32][..]))
         );
         assert_eq!(
             BlockType::Func(0).resolve(&types),
-            Some((vec![ValueType::I32], vec![ValueType::I32, ValueType::I32]))
+            Some((&[ValueType::I32][..], &[ValueType::I32, ValueType::I32][..]))
         );
         assert_eq!(BlockType::Func(1).resolve(&types), None);
     }

@@ -139,7 +139,7 @@ pub fn validate_func(module: &Module, func_index: u32) -> Result<FuncInfo, Valid
         defined_index,
         locals,
         num_params: sig.param_count(),
-        results: sig.results.clone(),
+        results: &sig.results,
         vals: Vec::new(),
         ctrls: Vec::new(),
         max_stack: 0,
@@ -335,10 +335,10 @@ enum ControlKind {
 }
 
 #[derive(Debug)]
-struct ControlFrame {
+struct ControlFrame<'m> {
     kind: ControlKind,
-    start_types: Vec<ValueType>,
-    end_types: Vec<ValueType>,
+    start_types: &'m [ValueType],
+    end_types: &'m [ValueType],
     /// Operand height below the construct's parameters: the base a branch to
     /// its label moves the label's values down to.
     height: usize,
@@ -351,12 +351,12 @@ struct ControlFrame {
     fixups: Vec<Fixup>,
 }
 
-impl ControlFrame {
-    fn label_types(&self) -> &[ValueType] {
+impl<'m> ControlFrame<'m> {
+    fn label_types(&self) -> &'m [ValueType] {
         if self.kind == ControlKind::Loop {
-            &self.start_types
+            self.start_types
         } else {
-            &self.end_types
+            self.end_types
         }
     }
 }
@@ -366,9 +366,9 @@ struct FuncValidator<'m> {
     defined_index: u32,
     locals: Vec<ValueType>,
     num_params: u32,
-    results: Vec<ValueType>,
+    results: &'m [ValueType],
     vals: Vec<Abstract>,
-    ctrls: Vec<ControlFrame>,
+    ctrls: Vec<ControlFrame<'m>>,
     max_stack: usize,
     /// Offset of the instruction being validated.
     pc: usize,
@@ -376,7 +376,7 @@ struct FuncValidator<'m> {
     plan: PlanBuilder,
 }
 
-impl FuncValidator<'_> {
+impl<'m> FuncValidator<'m> {
     fn error(&self, message: impl Into<String>) -> ValidateError {
         ValidateError {
             func: Some(self.defined_index),
@@ -434,11 +434,11 @@ impl FuncValidator<'_> {
         &mut self,
         kind: ControlKind,
         anchor: u32,
-        start: Vec<ValueType>,
-        end: Vec<ValueType>,
+        start: &'m [ValueType],
+        end: &'m [ValueType],
     ) {
         let height = self.vals.len();
-        self.push_all(&start);
+        self.push_all(start);
         self.ctrls.push(ControlFrame {
             kind,
             start_types: start,
@@ -453,17 +453,16 @@ impl FuncValidator<'_> {
     /// Pops the innermost frame once its results are on the stack. The frame
     /// stays in place while they are popped (the pops read its height and
     /// reachability) and is then moved out, fixups and all, not copied.
-    fn pop_ctrl(&mut self) -> Result<ControlFrame, ValidateError> {
-        let end_types = match self.ctrls.last_mut() {
-            Some(frame) => std::mem::take(&mut frame.end_types),
+    fn pop_ctrl(&mut self) -> Result<ControlFrame<'m>, ValidateError> {
+        let end_types = match self.ctrls.last() {
+            Some(frame) => frame.end_types,
             None => return Err(self.error("unbalanced end")),
         };
-        self.pop_expects(&end_types)?;
-        let mut frame = self.ctrls.pop().expect("checked non-empty above");
+        self.pop_expects(end_types)?;
+        let frame = self.ctrls.pop().expect("checked non-empty above");
         if self.vals.len() != frame.height {
             return Err(self.error("operand stack height mismatch at end of block"));
         }
-        frame.end_types = end_types;
         Ok(frame)
     }
 
@@ -477,7 +476,7 @@ impl FuncValidator<'_> {
         Ok(())
     }
 
-    fn label(&self, depth: u32) -> Result<&ControlFrame, ValidateError> {
+    fn label(&self, depth: u32) -> Result<&ControlFrame<'m>, ValidateError> {
         let len = self.ctrls.len();
         if (depth as usize) >= len {
             return Err(self.error(format!("branch depth {depth} exceeds nesting {len}")));
@@ -514,13 +513,13 @@ impl FuncValidator<'_> {
     fn block_signature(
         &self,
         bt: BlockType,
-    ) -> Result<(Vec<ValueType>, Vec<ValueType>), ValidateError> {
+    ) -> Result<(&'m [ValueType], &'m [ValueType]), ValidateError> {
         bt.resolve(&self.module.types)
             .ok_or_else(|| self.error("block type refers to unknown signature"))
     }
 
     fn validate(mut self, code: &[u8]) -> Result<FuncInfo, ValidateError> {
-        self.push_ctrl(ControlKind::Func, 0, Vec::new(), self.results.clone());
+        self.push_ctrl(ControlKind::Func, 0, &[], self.results);
         let mut reader = BytecodeReader::new(code);
         let mut memory_required = false;
         while !self.ctrls.is_empty() {
@@ -564,7 +563,7 @@ impl FuncValidator<'_> {
                 if op == If {
                     self.pop_expect(ValueType::I32)?;
                 }
-                self.pop_expects(&params)?;
+                self.pop_expects(params)?;
                 // A loop's anchor is its body start; an `if`'s is the `if`
                 // itself, whose false edge `else` or `end` will place.
                 let (kind, anchor) = match op {
@@ -608,30 +607,30 @@ impl FuncValidator<'_> {
                 for fixup in frame.fixups {
                     self.table.resolve(fixup, to_end);
                 }
-                self.push_all(&frame.end_types);
+                self.push_all(frame.end_types);
             }
             (Br, Imm::Index(depth)) => {
-                let types = self.label(depth)?.label_types().to_vec();
-                self.pop_expects(&types)?;
+                let types = self.label(depth)?.label_types();
+                self.pop_expects(types)?;
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
                 self.mark_unreachable()?;
             }
             (BrIf, Imm::Index(depth)) => {
                 self.pop_expect(ValueType::I32)?;
-                let types = self.label(depth)?.label_types().to_vec();
-                self.pop_expects(&types)?;
-                self.push_all(&types);
+                let types = self.label(depth)?.label_types();
+                self.pop_expects(types)?;
+                self.push_all(types);
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
             }
             (BrTable, Imm::Table(table)) => {
                 self.pop_expect(ValueType::I32)?;
-                let default_types = self.label(table.default())?.label_types().to_vec();
+                let default_types = self.label(table.default())?.label_types();
                 for depth in table.targets() {
                     if self.label(depth)?.label_types().len() != default_types.len() {
                         return Err(self.error("br_table targets have mismatched arities"));
                     }
                 }
-                self.pop_expects(&default_types)?;
+                self.pop_expects(default_types)?;
                 // One pool entry per target, then the default.
                 let start = self.table.push_table(self.pc as u32, table.len() + 1);
                 for (slot, depth) in (start..).zip(table.targets_and_default()) {
@@ -640,8 +639,7 @@ impl FuncValidator<'_> {
                 self.mark_unreachable()?;
             }
             (Return, _) => {
-                let results = self.results.clone();
-                self.pop_expects(&results)?;
+                self.pop_expects(self.results)?;
                 self.mark_unreachable()?;
             }
             (Call, Imm::Index(func_index)) => {

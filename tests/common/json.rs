@@ -307,6 +307,7 @@ mod tests {
                     func: 3,
                     tier: telemetry::Tier::Baseline,
                     backend: telemetry::Backend::X64,
+                    ok: true,
                     wasm_bytes: 100,
                     machine_bytes: 400,
                     dur_us: 15,

@@ -74,7 +74,7 @@ fn runaway_requests_are_interrupted_within_the_granularity_bound() {
             RequestStatus::Trapped(engine::TrapReason::Interrupted),
             "[{name}] a runaway request must be preempted"
         );
-        assert!(r.deadline_expired, "[{name}] the timeout list saw it expire");
+        assert!(r.deadline_expired(), "[{name}] the timeout list saw it expire");
         // The overshoot is measured in whole epochs past the deadline and
         // bounded by the enforcement mechanism itself: the engine traps at
         // the first check site after the deadline epoch, so the request
@@ -157,7 +157,7 @@ fn mixed_batches_only_interrupt_the_runaway() {
                 RequestStatus::Ok(vec![WasmValue::I32(11)]),
                 "request {i}"
             );
-            assert!(!r.deadline_expired, "request {i}");
+            assert!(!r.deadline_expired(), "request {i}");
             assert_eq!(r.deadline_overshoot_epochs, None, "request {i}");
         } else {
             assert_eq!(
@@ -165,7 +165,7 @@ fn mixed_batches_only_interrupt_the_runaway() {
                 RequestStatus::Trapped(engine::TrapReason::Interrupted),
                 "request {i}"
             );
-            assert!(r.deadline_expired, "request {i}");
+            assert!(r.deadline_expired(), "request {i}");
             assert!(r.deadline_overshoot_epochs.is_some(), "request {i}");
         }
     }
@@ -179,7 +179,7 @@ fn mixed_batches_only_interrupt_the_runaway() {
     // Of the four deadlined requests, two expired and two retired in time.
     let deadlined = |expired: bool| {
         let requests = requests.iter().zip(&results);
-        requests.filter(|(q, r)| q.deadline.is_some() && r.deadline_expired == expired).count()
+        requests.filter(|(q, r)| q.deadline.is_some() && r.deadline_expired() == expired).count()
     };
     assert_eq!(deadlined(true), 2);
     assert_eq!(deadlined(false), 2, "undeadlined requests are neither");
@@ -213,7 +213,7 @@ fn an_unbounded_deadline_never_interrupts() {
             "{iterations} iterations after {:?}",
             r.service_wall
         );
-        assert!(!r.deadline_expired);
+        assert!(!r.deadline_expired());
         if r.service_wall >= Duration::from_millis(5) {
             break;
         }
@@ -433,7 +433,7 @@ fn fuel_budgets_bind_per_request_across_the_matrix() {
                 Some(1_000),
                 "[{name}] exhaustion consumes exactly the budget"
             );
-            assert!(!r.deadline_expired, "[{name}] no deadline was armed");
+            assert!(!r.deadline_expired(), "[{name}] no deadline was armed");
         }
     }
 }

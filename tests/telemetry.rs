@@ -278,7 +278,7 @@ fn serving_batch_traces_the_request_lifecycle() {
     let mut compile_ends = 0;
     let mut cache_lookups = 0;
     let mut checkouts = 0;
-    let (mut enqueued, mut started, mut finished, mut finished_ok) = (0, 0, 0, 0);
+    let (mut enqueued, mut finished, mut finished_ok) = (0, 0, 0);
     for (_, events, _) in &rings {
         for event in events {
             match event.kind {
@@ -286,7 +286,6 @@ fn serving_batch_traces_the_request_lifecycle() {
                 EventKind::CacheLookup { .. } => cache_lookups += 1,
                 EventKind::PoolCheckout { .. } => checkouts += 1,
                 EventKind::ServeEnqueue { .. } => enqueued += 1,
-                EventKind::ServeStart { .. } => started += 1,
                 EventKind::ServeFinish { ok, .. } => {
                     finished += 1;
                     finished_ok += ok as u32;
@@ -297,7 +296,7 @@ fn serving_batch_traces_the_request_lifecycle() {
     }
     assert!(compile_ends >= 1, "the apps' compiles are traced");
     assert_eq!(checkouts, 8, "one pool checkout per request");
-    assert_eq!((enqueued, started, finished), (8, 8, 8));
+    assert_eq!((enqueued, finished), (8, 8));
     assert_eq!(finished_ok, 8);
     assert_eq!(telemetry.dropped_events(), 0);
 
@@ -362,14 +361,11 @@ const TRAPS: &str = r#"
         local.get 0 i32.const 1 i32.add call $spin))
 "#;
 
-/// The trap events `engine`'s sink holds (`Trap`, `FuelExhausted`,
-/// `EpochInterrupt`), drained, and its `engine.traps.*` counters.
+/// The `Trap` events `engine`'s sink holds, drained, and its
+/// `engine.traps.*` counters.
 fn trap_telemetry(engine: &Engine) -> (Vec<EventKind>, Vec<(String, u64)>) {
     let events = engine.telemetry().drain().into_iter().flat_map(|(_, events, _)| events);
-    let traps = events.map(|e| e.kind).filter(|kind| {
-        use EventKind::{EpochInterrupt, FuelExhausted, Trap};
-        matches!(kind, Trap { .. } | FuelExhausted | EpochInterrupt)
-    });
+    let traps = events.map(|e| e.kind).filter(|kind| matches!(kind, EventKind::Trap { .. }));
     let metrics = engine.telemetry().metrics().expect("enabled").snapshot();
     let counters = metrics.counters.into_iter().filter(|(n, _)| n.starts_with("engine.traps."));
     (traps.collect(), counters.collect())
@@ -378,26 +374,22 @@ fn trap_telemetry(engine: &Engine) -> (Vec<EventKind>, Vec<(String, u64)>) {
 /// Every trapping call emits exactly one event and counts once under its
 /// reason: a `Trap` event names the innermost frame of the backtrace the
 /// instance keeps and the stack's true depth, whether the trap fired inside
-/// an instruction (in every execution of the matrix), at a call boundary or
-/// in a start function; fuel exhaustion and interruption have events of
-/// their own.
+/// an instruction (in every execution of the matrix), at a call boundary, in
+/// a start function, on running out of fuel or on an interrupt.
 #[test]
 fn every_trap_emits_one_event_naming_its_innermost_frame() {
     let traps = wasm::wat::parse_module(TRAPS).expect("trap module parses");
     // The one event and the one count a trap with these diagnostics leaves.
     let assert_reported = |engine: &Engine, trap: &TrapInfo, what: &str| {
-        let expected = match trap.reason {
-            TrapCode::OutOfFuel => EventKind::FuelExhausted,
-            TrapCode::Interrupted => EventKind::EpochInterrupt,
-            reason => {
-                let top = &trap.backtrace.frames()[0];
-                EventKind::Trap {
-                    reason: reason.wast_message(),
-                    func: top.func_index,
-                    offset: top.offset,
-                    depth: trap.backtrace.depth() as u32,
-                }
-            }
+        // An interrupt at entry fires before the first frame is pushed: no
+        // frame to name, so function 0 at offset 0, depth 0.
+        let top = trap.backtrace.frames().first();
+        let expected = EventKind::Trap {
+            reason: trap.reason.wast_message(),
+            slug: trap.reason.slug(),
+            func: top.map_or(0, |f| f.func_index),
+            offset: top.map_or(0, |f| f.offset),
+            depth: trap.backtrace.depth() as u32,
         };
         let counter = format!("engine.traps.{}", trap.reason.slug());
         assert_eq!(trap_telemetry(engine), (vec![expected], vec![(counter, 1)]), "{what}");
@@ -457,6 +449,7 @@ fn every_trap_emits_one_event_naming_its_innermost_frame() {
     instance.set_epoch_deadline(0);
     let result = engine.call_export(&mut instance, "main", &[WasmValue::I32(7)]);
     assert_eq!(result, Err(TrapCode::Interrupted));
+    assert_eq!(instance.last_trap().expect("captured").backtrace.depth(), 0);
     assert_reported(&engine, instance.last_trap().expect("captured"), "interrupted");
 }
 
