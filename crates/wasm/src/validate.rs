@@ -139,7 +139,7 @@ pub fn validate_func(module: &Module, func_index: u32) -> Result<FuncInfo, Valid
         defined_index,
         locals,
         num_params: sig.param_count(),
-        results: &sig.results,
+        results: sig.results.clone(),
         vals: Vec::new(),
         ctrls: Vec::new(),
         max_stack: 0,
@@ -335,10 +335,10 @@ enum ControlKind {
 }
 
 #[derive(Debug)]
-struct ControlFrame<'m> {
+struct ControlFrame {
     kind: ControlKind,
-    start_types: &'m [ValueType],
-    end_types: &'m [ValueType],
+    start_types: Vec<ValueType>,
+    end_types: Vec<ValueType>,
     /// Operand height below the construct's parameters: the base a branch to
     /// its label moves the label's values down to.
     height: usize,
@@ -351,12 +351,12 @@ struct ControlFrame<'m> {
     fixups: Vec<Fixup>,
 }
 
-impl<'m> ControlFrame<'m> {
-    fn label_types(&self) -> &'m [ValueType] {
+impl ControlFrame {
+    fn label_types(&self) -> &[ValueType] {
         if self.kind == ControlKind::Loop {
-            self.start_types
+            &self.start_types
         } else {
-            self.end_types
+            &self.end_types
         }
     }
 }
@@ -366,9 +366,9 @@ struct FuncValidator<'m> {
     defined_index: u32,
     locals: Vec<ValueType>,
     num_params: u32,
-    results: &'m [ValueType],
+    results: Vec<ValueType>,
     vals: Vec<Abstract>,
-    ctrls: Vec<ControlFrame<'m>>,
+    ctrls: Vec<ControlFrame>,
     max_stack: usize,
     /// Offset of the instruction being validated.
     pc: usize,
@@ -376,7 +376,7 @@ struct FuncValidator<'m> {
     plan: PlanBuilder,
 }
 
-impl<'m> FuncValidator<'m> {
+impl FuncValidator<'_> {
     fn error(&self, message: impl Into<String>) -> ValidateError {
         ValidateError {
             func: Some(self.defined_index),
@@ -434,11 +434,11 @@ impl<'m> FuncValidator<'m> {
         &mut self,
         kind: ControlKind,
         anchor: u32,
-        start: &'m [ValueType],
-        end: &'m [ValueType],
+        start: Vec<ValueType>,
+        end: Vec<ValueType>,
     ) {
         let height = self.vals.len();
-        self.push_all(start);
+        self.push_all(&start);
         self.ctrls.push(ControlFrame {
             kind,
             start_types: start,
@@ -453,16 +453,17 @@ impl<'m> FuncValidator<'m> {
     /// Pops the innermost frame once its results are on the stack. The frame
     /// stays in place while they are popped (the pops read its height and
     /// reachability) and is then moved out, fixups and all, not copied.
-    fn pop_ctrl(&mut self) -> Result<ControlFrame<'m>, ValidateError> {
-        let end_types = match self.ctrls.last() {
-            Some(frame) => frame.end_types,
+    fn pop_ctrl(&mut self) -> Result<ControlFrame, ValidateError> {
+        let end_types = match self.ctrls.last_mut() {
+            Some(frame) => std::mem::take(&mut frame.end_types),
             None => return Err(self.error("unbalanced end")),
         };
-        self.pop_expects(end_types)?;
-        let frame = self.ctrls.pop().expect("checked non-empty above");
+        self.pop_expects(&end_types)?;
+        let mut frame = self.ctrls.pop().expect("checked non-empty above");
         if self.vals.len() != frame.height {
             return Err(self.error("operand stack height mismatch at end of block"));
         }
+        frame.end_types = end_types;
         Ok(frame)
     }
 
@@ -476,7 +477,7 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn label(&self, depth: u32) -> Result<&ControlFrame<'m>, ValidateError> {
+    fn label(&self, depth: u32) -> Result<&ControlFrame, ValidateError> {
         let len = self.ctrls.len();
         if (depth as usize) >= len {
             return Err(self.error(format!("branch depth {depth} exceeds nesting {len}")));
@@ -510,16 +511,23 @@ impl<'m> FuncValidator<'m> {
             .ok_or_else(|| self.error(format!("unknown local {index}")))
     }
 
+    /// The block's (params, results), owned by the control frame it opens.
+    /// The frames could borrow them from the type section instead; measured,
+    /// that changed where glibc's heap top sits after validation, so every
+    /// pool built in a row returned memory to the system and faulted it back
+    /// in (`exec-interp`'s setup 2.5× slower, undone by disabling trimming).
     fn block_signature(
         &self,
         bt: BlockType,
-    ) -> Result<(&'m [ValueType], &'m [ValueType]), ValidateError> {
-        bt.resolve(&self.module.types)
-            .ok_or_else(|| self.error("block type refers to unknown signature"))
+    ) -> Result<(Vec<ValueType>, Vec<ValueType>), ValidateError> {
+        let (params, results) = bt
+            .resolve(&self.module.types)
+            .ok_or_else(|| self.error("block type refers to unknown signature"))?;
+        Ok((params.to_vec(), results.to_vec()))
     }
 
     fn validate(mut self, code: &[u8]) -> Result<FuncInfo, ValidateError> {
-        self.push_ctrl(ControlKind::Func, 0, &[], self.results);
+        self.push_ctrl(ControlKind::Func, 0, Vec::new(), self.results.clone());
         let mut reader = BytecodeReader::new(code);
         let mut memory_required = false;
         while !self.ctrls.is_empty() {
@@ -563,7 +571,7 @@ impl<'m> FuncValidator<'m> {
                 if op == If {
                     self.pop_expect(ValueType::I32)?;
                 }
-                self.pop_expects(params)?;
+                self.pop_expects(&params)?;
                 // A loop's anchor is its body start; an `if`'s is the `if`
                 // itself, whose false edge `else` or `end` will place.
                 let (kind, anchor) = match op {
@@ -607,30 +615,30 @@ impl<'m> FuncValidator<'m> {
                 for fixup in frame.fixups {
                     self.table.resolve(fixup, to_end);
                 }
-                self.push_all(frame.end_types);
+                self.push_all(&frame.end_types);
             }
             (Br, Imm::Index(depth)) => {
-                let types = self.label(depth)?.label_types();
-                self.pop_expects(types)?;
+                let types = self.label(depth)?.label_types().to_vec();
+                self.pop_expects(&types)?;
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
                 self.mark_unreachable()?;
             }
             (BrIf, Imm::Index(depth)) => {
                 self.pop_expect(ValueType::I32)?;
-                let types = self.label(depth)?.label_types();
-                self.pop_expects(types)?;
-                self.push_all(types);
+                let types = self.label(depth)?.label_types().to_vec();
+                self.pop_expects(&types)?;
+                self.push_all(&types);
                 self.record_branch(depth, Fixup::Branch(self.pc as u32));
             }
             (BrTable, Imm::Table(table)) => {
                 self.pop_expect(ValueType::I32)?;
-                let default_types = self.label(table.default())?.label_types();
+                let default_types = self.label(table.default())?.label_types().to_vec();
                 for depth in table.targets() {
                     if self.label(depth)?.label_types().len() != default_types.len() {
                         return Err(self.error("br_table targets have mismatched arities"));
                     }
                 }
-                self.pop_expects(default_types)?;
+                self.pop_expects(&default_types)?;
                 // One pool entry per target, then the default.
                 let start = self.table.push_table(self.pc as u32, table.len() + 1);
                 for (slot, depth) in (start..).zip(table.targets_and_default()) {
@@ -639,7 +647,8 @@ impl<'m> FuncValidator<'m> {
                 self.mark_unreachable()?;
             }
             (Return, _) => {
-                self.pop_expects(self.results)?;
+                let results = self.results.clone();
+                self.pop_expects(&results)?;
                 self.mark_unreachable()?;
             }
             (Call, Imm::Index(func_index)) => {
