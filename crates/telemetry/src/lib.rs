@@ -269,8 +269,9 @@ impl Instruments {
                 }
             }
             EventKind::OsrEnter { .. } => count(&self.osr_entries, "engine.osr_entries", 1),
-            EventKind::ServeEnqueue { .. } | EventKind::TierUp { .. } => {}
-            EventKind::Sample { .. } => {}
+            EventKind::ServeEnqueue { .. }
+            | EventKind::TierUp { .. }
+            | EventKind::Sample { .. } => {}
         }
     }
 }

@@ -511,11 +511,9 @@ impl FuncValidator<'_> {
             .ok_or_else(|| self.error(format!("unknown local {index}")))
     }
 
-    /// The block's (params, results), owned by the control frame it opens.
-    /// The frames could borrow them from the type section instead; measured,
-    /// that changed where glibc's heap top sits after validation, so every
-    /// pool built in a row returned memory to the system and faulted it back
-    /// in (`exec-interp`'s setup 2.5× slower, undone by disabling trimming).
+    /// The block's (params, results), copied for the frame it opens: frames
+    /// that borrowed them moved glibc's heap top, so building pools in a row
+    /// trimmed and re-faulted memory (`exec-interp`'s setup 2.5× slower).
     fn block_signature(
         &self,
         bt: BlockType,
