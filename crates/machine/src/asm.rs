@@ -75,68 +75,6 @@ fn range_in_pool(range: LabelRange, pool_len: usize) -> bool {
 }
 
 impl CodeBuffer {
-    /// Rebuilds a code buffer from raw parts. Used by post-passes that
-    /// rewrite instruction sequences and must remap label targets, the
-    /// `br_table` label pool and source-map entries themselves.
-    ///
-    /// In debug builds this validates the remapping instead of silently
-    /// accepting a corrupt rewrite: every label target and source-map
-    /// instruction index must be in bounds (a label may target one past the
-    /// end, i.e. the function's end), every `br_table`'s range must lie
-    /// inside `label_pool`, and the source map must stay sorted by
-    /// instruction index so [`CodeBuffer::source_offset`]'s binary search
-    /// remains correct.
-    pub fn from_raw_parts(
-        insts: Vec<MachInst>,
-        label_targets: Vec<u32>,
-        label_pool: Vec<Label>,
-        source_map: Vec<(u32, u32)>,
-    ) -> CodeBuffer {
-        #[cfg(debug_assertions)]
-        {
-            for (label, &target) in label_targets.iter().enumerate() {
-                debug_assert!(
-                    target as usize <= insts.len(),
-                    "label L{label} targets instruction {target}, past the end ({})",
-                    insts.len()
-                );
-            }
-            for (index, inst) in insts.iter().enumerate() {
-                if let MachInst::BrTable { targets, .. } = inst {
-                    debug_assert!(
-                        range_in_pool(*targets, label_pool.len()),
-                        "instruction {index}: {inst} runs past the label pool ({})",
-                        label_pool.len()
-                    );
-                }
-            }
-            for pair in source_map.windows(2) {
-                debug_assert!(
-                    pair[0].0 <= pair[1].0,
-                    "source map must be sorted by instruction index: {:?} before {:?}",
-                    pair[0],
-                    pair[1]
-                );
-            }
-            if let Some(&(index, _)) = source_map.last() {
-                debug_assert!(
-                    index as usize <= insts.len(),
-                    "source-map entry at instruction {index} is past the end ({})",
-                    insts.len()
-                );
-            }
-        }
-        let code_size = insts.iter().map(|i| i.encoded_size()).sum();
-        CodeBuffer {
-            insts,
-            label_targets,
-            label_pool,
-            source_map,
-            code_size,
-            ops: OnceLock::new(),
-        }
-    }
-
     /// The simulator's translation of the instructions, made on first use.
     pub(crate) fn ops(&self) -> &[Op] {
         self.ops.get_or_init(|| predecode::translate(self))
@@ -145,11 +83,6 @@ impl CodeBuffer {
     /// The resolved label targets (instruction indices), indexed by label id.
     pub fn label_targets(&self) -> &[u32] {
         &self.label_targets
-    }
-
-    /// The flat pool every `br_table`'s [`LabelRange`] indexes into.
-    pub fn label_pool(&self) -> &[Label] {
-        &self.label_pool
     }
 
     /// The instructions in emission order.
@@ -366,6 +299,76 @@ mod tests {
     use super::*;
     use crate::inst::TrapCode;
     use crate::reg::Reg;
+
+    // Only tests rebuild buffers from their parts.
+    impl CodeBuffer {
+        /// Rebuilds a code buffer from raw parts, as a post-pass that rewrites
+        /// instruction sequences would, remapping label targets, the `br_table`
+        /// label pool and source-map entries itself.
+        ///
+        /// In debug builds this validates the remapping instead of silently
+        /// accepting a corrupt rewrite: every label target and source-map
+        /// instruction index must be in bounds (a label may target one past the
+        /// end, i.e. the function's end), every `br_table`'s range must lie
+        /// inside `label_pool`, and the source map must stay sorted by
+        /// instruction index so [`CodeBuffer::source_offset`]'s binary search
+        /// remains correct.
+        fn from_raw_parts(
+            insts: Vec<MachInst>,
+            label_targets: Vec<u32>,
+            label_pool: Vec<Label>,
+            source_map: Vec<(u32, u32)>,
+        ) -> CodeBuffer {
+            #[cfg(debug_assertions)]
+            {
+                for (label, &target) in label_targets.iter().enumerate() {
+                    debug_assert!(
+                        target as usize <= insts.len(),
+                        "label L{label} targets instruction {target}, past the end ({})",
+                        insts.len()
+                    );
+                }
+                for (index, inst) in insts.iter().enumerate() {
+                    if let MachInst::BrTable { targets, .. } = inst {
+                        debug_assert!(
+                            range_in_pool(*targets, label_pool.len()),
+                            "instruction {index}: {inst} runs past the label pool ({})",
+                            label_pool.len()
+                        );
+                    }
+                }
+                for pair in source_map.windows(2) {
+                    debug_assert!(
+                        pair[0].0 <= pair[1].0,
+                        "source map must be sorted by instruction index: {:?} before {:?}",
+                        pair[0],
+                        pair[1]
+                    );
+                }
+                if let Some(&(index, _)) = source_map.last() {
+                    debug_assert!(
+                        index as usize <= insts.len(),
+                        "source-map entry at instruction {index} is past the end ({})",
+                        insts.len()
+                    );
+                }
+            }
+            let code_size = insts.iter().map(|i| i.encoded_size()).sum();
+            CodeBuffer {
+                insts,
+                label_targets,
+                label_pool,
+                source_map,
+                code_size,
+                ops: OnceLock::new(),
+            }
+        }
+
+        /// The flat pool every `br_table`'s `LabelRange` indexes into.
+        fn label_pool(&self) -> &[Label] {
+            &self.label_pool
+        }
+    }
 
     #[test]
     fn emit_and_finish() {

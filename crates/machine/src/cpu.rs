@@ -127,7 +127,7 @@ impl EpochSampler<'_> {
     /// Takes a sample if the epoch has advanced since the last one. The
     /// offset is computed lazily — only when a sample actually fires.
     #[inline]
-    pub fn poll(&mut self, offset: impl FnOnce() -> u32) {
+    fn poll(&mut self, offset: impl FnOnce() -> u32) {
         let now = self.epoch.load(Ordering::Relaxed);
         if now != *self.last {
             *self.last = now;
@@ -393,15 +393,17 @@ impl Cpu {
     /// Runs `code` starting at instruction `pc` until it exits, charging
     /// executed instructions to `cycles`.
     ///
-    /// This loop retires every instruction the compilers emit, so it
-    /// dispatches exactly once per instruction, over the buffer's pre-decoded
-    /// ops (`predecode.rs`): one variant per integer operation, width and
-    /// operand form, per register bank and per memory-access shape, so no
-    /// arm switches again on what it was handed. Each arm charges its own
-    /// cost (what [`CostModel::inst_cost`] specifies for the instruction the
-    /// op stands for — the cost-oracle test holds the two together) and then
-    /// executes. Cycles accumulate in a local and reach `cycles` once, on the
-    /// way out. A trapping instruction is charged before it traps.
+    /// This loop retires every instruction the compilers emit. It dispatches
+    /// once per op of the buffer's pre-decoded stream (`predecode.rs`): one
+    /// variant per integer operation, width and operand form, per register
+    /// bank and per memory-access shape, so no arm switches again on what it
+    /// was handed, and one per fused pair of the commonest adjacent
+    /// instructions, which retires both. Each arm charges its own cost (what
+    /// [`CostModel::inst_cost`] specifies for the instruction the op stands
+    /// for, or the sum of a pair's two — the cost-oracle test holds them
+    /// together) and then executes. Cycles accumulate in a local and reach
+    /// `cycles` once, on the way out. A trapping instruction is charged
+    /// before it traps, and reports its own pc, also as a pair's second.
     pub fn run(
         &self,
         state: &mut CpuState,
@@ -457,6 +459,40 @@ impl Cpu {
                 };
                 if let Err(t) = memory.write_le(addr, $offset, bytes) {
                     trap!(t);
+                }
+            }};
+        }
+        macro_rules! mov {
+            ($dst:ident, $src:ident) => {{
+                spent += cost.mov;
+                state[$dst] = state[$src];
+            }};
+        }
+        macro_rules! load_slot {
+            ($dst:ident, $slot:ident) => {{
+                spent += cost.slot_load;
+                state[$dst] = slots[$slot as usize];
+            }};
+        }
+        macro_rules! store_slot {
+            ($slot:ident, $src:ident) => {{
+                spent += cost.slot_store;
+                slots[$slot as usize] = state[$src];
+            }};
+        }
+        macro_rules! jump {
+            ($target:ident) => {{
+                spent += cost.jump;
+                pc = $target as usize;
+                continue;
+            }};
+        }
+        macro_rules! br_nz {
+            ($cond:ident, $target:ident) => {{
+                spent += cost.branch;
+                if state[$cond] != 0 {
+                    pc = $target as usize;
+                    continue;
                 }
             }};
         }
@@ -576,30 +612,12 @@ impl Cpu {
                     spent += cost.mov;
                     state[dst] = bits;
                 }
-                Op::Mov { dst, src } => {
-                    spent += cost.mov;
-                    state[dst] = state[src];
-                }
-                Op::FMov { dst, src } => {
-                    spent += cost.mov;
-                    state[dst] = state[src];
-                }
-                Op::LoadSlot { dst, slot } => {
-                    spent += cost.slot_load;
-                    state[dst] = slots[slot as usize];
-                }
-                Op::FLoadSlot { dst, slot } => {
-                    spent += cost.slot_load;
-                    state[dst] = slots[slot as usize];
-                }
-                Op::StoreSlot { slot, src } => {
-                    spent += cost.slot_store;
-                    slots[slot as usize] = state[src];
-                }
-                Op::FStoreSlot { slot, src } => {
-                    spent += cost.slot_store;
-                    slots[slot as usize] = state[src];
-                }
+                Op::Mov { dst, src } => mov!(dst, src),
+                Op::FMov { dst, src } => mov!(dst, src),
+                Op::LoadSlot { dst, slot } => load_slot!(dst, slot),
+                Op::FLoadSlot { dst, slot } => load_slot!(dst, slot),
+                Op::StoreSlot { slot, src } => store_slot!(slot, src),
+                Op::FStoreSlot { slot, src } => store_slot!(slot, src),
                 Op::StoreSlotImm { slot, imm } => {
                     spent += cost.slot_store;
                     slots[slot as usize] = imm as u64;
@@ -692,18 +710,8 @@ impl Cpu {
                         trap!(t);
                     }
                 }
-                Op::Jump { target } => {
-                    spent += cost.jump;
-                    pc = target as usize;
-                    continue;
-                }
-                Op::BrNz { cond, target } => {
-                    spent += cost.branch;
-                    if state[cond] != 0 {
-                        pc = target as usize;
-                        continue;
-                    }
-                }
+                Op::Jump { target } => jump!(target),
+                Op::BrNz { cond, target } => br_nz!(cond, target),
                 Op::BrZ { cond, target } => {
                     spent += cost.branch;
                     if state[cond] == 0 {
@@ -846,6 +854,62 @@ impl Cpu {
                 Op::Return => {
                     spent += cost.ret;
                     break Exit::Return;
+                }
+                // A fused pair retires its first instruction, steps to the
+                // second's pc (where a trap in it is reported) and retires
+                // that one; the step below, or a branch, leaves it.
+                Op::StoreSlot2 { slot, src, slot2, src2 } => {
+                    store_slot!(slot, src);
+                    pc += 1;
+                    store_slot!(slot2, src2);
+                }
+                Op::LoadSlot2 { dst, slot, dst2, slot2 } => {
+                    load_slot!(dst, slot);
+                    pc += 1;
+                    load_slot!(dst2, slot2);
+                }
+                Op::Mov2 { dst, src, dst2, src2 } => {
+                    mov!(dst, src);
+                    pc += 1;
+                    mov!(dst2, src2);
+                }
+                Op::AddI32StoreSlot { dst, a, imm, slot2, src2 } => {
+                    alu!(alu, Add, W32, dst, a, imm as u64);
+                    pc += 1;
+                    store_slot!(slot2, src2);
+                }
+                Op::AddI32Mov { dst, a, imm, dst2, src2 } => {
+                    alu!(alu, Add, W32, dst, a, imm as u64);
+                    pc += 1;
+                    mov!(dst2, src2);
+                }
+                Op::XorR32RotlI32 { dst, a, b, dst2, a2, imm2 } => {
+                    alu!(alu, Xor, W32, dst, a, state[b]);
+                    pc += 1;
+                    alu!(alu, Rotl, W32, dst2, a2, imm2 as u64);
+                }
+                Op::MulI32Load32U { dst, a, imm, dst2, addr2, offset2 } => {
+                    alu!(mul, Mul, W32, dst, a, imm as u64);
+                    pc += 1;
+                    load!(dst2, addr2, offset2, |b| u32::from_le_bytes(b) as u64);
+                }
+                Op::GeUR32BrNz { dst, a, b, cond2, target2 } => {
+                    cmp!(GeU, W32, dst, a, state[b]);
+                    pc += 1;
+                    br_nz!(cond2, target2);
+                }
+                Op::GeUI32BrNz { dst, a, imm, cond2, target2 } => {
+                    cmp!(GeU, W32, dst, a, imm as u64);
+                    pc += 1;
+                    br_nz!(cond2, target2);
+                }
+                Op::StoreSlotJump { slot, src, target2 } => {
+                    store_slot!(slot, src);
+                    jump!(target2);
+                }
+                Op::MovJump { dst, src, target2 } => {
+                    mov!(dst, src);
+                    jump!(target2);
                 }
             }
             pc += 1;

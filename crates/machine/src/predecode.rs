@@ -28,6 +28,13 @@
 //! pc. The
 //! integer variants evaluate through [`crate::ops`] with the operation and
 //! width as constants, so the semantics are still defined in one place.
+//!
+//! Then [`fuse`] replaces the commonest adjacent pairs with one op that
+//! retires both (a *superinstruction*). The fused op takes the first
+//! instruction's index and the op at the next index stays as translated, so
+//! the index space is unchanged. Execution enters a buffer only at pc 0,
+//! after a call or probe (neither of which fuses) and at label targets, and
+//! no pair fuses into a label target, so no entry lands on the kept op.
 //! [`crate::asm::CodeBuffer`] translates on its first execution and keeps
 //! the result beside its instructions.
 
@@ -213,9 +220,25 @@ pub(crate) enum Op {
     EpochCheck,
     Trap { code: TrapCode },
     Return,
+
+    // Fused pairs (see [`fuse`]): each retires the instruction at its own
+    // index and then the next one, whose fields carry a `2`. An immediate
+    // is a 32-bit operation's, and those read only its low 32 bits, so it
+    // is kept as an `i32`.
+    StoreSlot2 { slot: u32, src: Reg, slot2: u32, src2: Reg },
+    LoadSlot2 { dst: Reg, slot: u32, dst2: Reg, slot2: u32 },
+    Mov2 { dst: Reg, src: Reg, dst2: Reg, src2: Reg },
+    AddI32StoreSlot { dst: Reg, a: Reg, imm: i32, slot2: u32, src2: Reg },
+    AddI32Mov { dst: Reg, a: Reg, imm: i32, dst2: Reg, src2: Reg },
+    XorR32RotlI32 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32 },
+    MulI32Load32U { dst: Reg, a: Reg, imm: i32, dst2: Reg, addr2: Reg, offset2: u32 },
+    GeUR32BrNz { dst: Reg, a: Reg, b: Reg, cond2: Reg, target2: u32 },
+    GeUI32BrNz { dst: Reg, a: Reg, imm: i32, cond2: Reg, target2: u32 },
+    StoreSlotJump { slot: u32, src: Reg, target2: u32 },
+    MovJump { dst: Reg, src: Reg, target2: u32 },
 }
 
-// Fetched once per retired instruction, like the `MachInst` it stands for.
+// Fetched once per dispatch, and no larger than a `MachInst`.
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 
 /// A register-form constructor: `(dst, a, b)`.
@@ -307,7 +330,7 @@ fn store(src: AnyReg, addr: Reg, offset: u32, width: u32) -> Option<Op> {
     })
 }
 
-/// Translates every instruction of `code`, in order.
+/// Translates every instruction of `code`, in order, then [`fuse`]s pairs.
 ///
 /// # Panics
 ///
@@ -315,7 +338,8 @@ fn store(src: AnyReg, addr: Reg, offset: u32, width: u32) -> Option<Op> {
 /// executing it would (the assembler refuses to finish such a buffer).
 pub(crate) fn translate(code: &CodeBuffer) -> Box<[Op]> {
     let pc = |label| code.target(label) as u32;
-    code.insts()
+    let mut ops: Vec<Op> = code
+        .insts()
         .iter()
         .map(|&inst| match inst {
             MachInst::Alu { op, width, dst, a, b } => match alu_forms(op) {
@@ -383,7 +407,71 @@ pub(crate) fn translate(code: &CodeBuffer) -> Box<[Op]> {
             MachInst::Trap { code } => Op::Trap { code },
             MachInst::Return => Op::Return,
         })
-        .collect()
+        .collect();
+    fuse(&mut ops, code.label_targets());
+    ops.into_boxed_slice()
+}
+
+/// Replaces, left to right, each pair of adjacent ops that [`fused`] knows
+/// with its fused op at the first one's index, unless the second op is a
+/// label target, where execution may enter. The second op stays where it
+/// is, so every index keeps its meaning; a chain pairs greedily, so three
+/// `StoreSlot`s become a fused op, the kept second op and a plain third.
+fn fuse(ops: &mut [Op], label_targets: &[u32]) {
+    let mut targeted = vec![false; ops.len() + 1];
+    for &target in label_targets {
+        targeted[target as usize] = true;
+    }
+    let mut i = 0;
+    while i + 1 < ops.len() {
+        match fused(ops[i], ops[i + 1]).filter(|_| !targeted[i + 1]) {
+            Some(op) => {
+                ops[i] = op;
+                i += 2;
+            }
+            None => i += 1,
+        }
+    }
+}
+
+/// The op that retires `first` and then `second`, if the pair is one of the
+/// commonest in the code both compilers emit (DESIGN.md, "Fused pairs").
+/// None of them calls, probes, meters, traps by design or returns, so no
+/// pc the engine resumes at falls inside one.
+fn fused(first: Op, second: Op) -> Option<Op> {
+    use Op::*;
+    // A 32-bit operation's immediate; its high half is never read.
+    let imm32 = |imm: i64| imm as i32;
+    Some(match (first, second) {
+        (StoreSlot { slot, src }, StoreSlot { slot: slot2, src: src2 }) => {
+            StoreSlot2 { slot, src, slot2, src2 }
+        }
+        (LoadSlot { dst, slot }, LoadSlot { dst: dst2, slot: slot2 }) => {
+            LoadSlot2 { dst, slot, dst2, slot2 }
+        }
+        (Mov { dst, src }, Mov { dst: dst2, src: src2 }) => Mov2 { dst, src, dst2, src2 },
+        (AddI32(dst, a, imm), StoreSlot { slot: slot2, src: src2 }) => {
+            AddI32StoreSlot { dst, a, imm: imm32(imm), slot2, src2 }
+        }
+        (AddI32(dst, a, imm), Mov { dst: dst2, src: src2 }) => {
+            AddI32Mov { dst, a, imm: imm32(imm), dst2, src2 }
+        }
+        (XorR32(dst, a, b), RotlI32(dst2, a2, imm2)) => {
+            XorR32RotlI32 { dst, a, b, dst2, a2, imm2: imm32(imm2) }
+        }
+        (MulI32(dst, a, imm), Load32U { dst: dst2, addr: addr2, offset: offset2 }) => {
+            MulI32Load32U { dst, a, imm: imm32(imm), dst2, addr2, offset2 }
+        }
+        (GeUR32(dst, a, b), BrNz { cond: cond2, target: target2 }) => {
+            GeUR32BrNz { dst, a, b, cond2, target2 }
+        }
+        (GeUI32(dst, a, imm), BrNz { cond: cond2, target: target2 }) => {
+            GeUI32BrNz { dst, a, imm: imm32(imm), cond2, target2 }
+        }
+        (StoreSlot { slot, src }, Jump { target: target2 }) => StoreSlotJump { slot, src, target2 },
+        (Mov { dst, src }, Jump { target: target2 }) => MovJump { dst, src, target2 },
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -484,5 +572,86 @@ mod tests {
         // Anything else runs as emitted.
         let odd = MachInst::MemLoad { dst: f, addr, offset: 0, width: 1, signed: true, dst_width: w64 };
         assert!(matches!(translated(&[odd])[0], Op::MemLoad { .. }));
+    }
+
+    fn store_slot(slot: u32) -> MachInst {
+        MachInst::StoreSlot { slot, src: AnyReg::Gpr(Reg(slot as u8)) }
+    }
+
+    #[test]
+    fn no_pair_fuses_into_a_label_target() {
+        let mut asm = Assembler::new();
+        asm.emit(store_slot(1));
+        asm.new_bound_label();
+        asm.emit(store_slot(2));
+        asm.emit(store_slot(3));
+        let ops = translate(&asm.finish());
+        assert_eq!(
+            ops[..],
+            [
+                Op::StoreSlot { slot: 1, src: Reg(1) },
+                Op::StoreSlot2 { slot: 2, src: Reg(2), slot2: 3, src2: Reg(3) },
+                Op::StoreSlot { slot: 3, src: Reg(3) },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_fused_op_keeps_the_second_op_and_a_chain_pairs_from_the_left() {
+        let ops = translated(&[store_slot(1), store_slot(2), store_slot(3)]);
+        assert_eq!(
+            ops,
+            [
+                Op::StoreSlot2 { slot: 1, src: Reg(1), slot2: 2, src2: Reg(2) },
+                Op::StoreSlot { slot: 2, src: Reg(2) },
+                Op::StoreSlot { slot: 3, src: Reg(3) },
+            ]
+        );
+    }
+
+    #[test]
+    fn no_pair_includes_an_exit_or_a_meter() {
+        let (r, any) = (Reg(1), AnyReg::Gpr(Reg(1)));
+        let w32 = Width::W32;
+        // The halves of every fused pair.
+        let halves = [
+            store_slot(1),
+            MachInst::LoadSlot { dst: any, slot: 1 },
+            MachInst::Mov { dst: r, src: Reg(2) },
+            MachInst::AluImm { op: AluOp::Add, width: w32, dst: r, a: r, imm: 1 },
+            MachInst::Alu { op: AluOp::Xor, width: w32, dst: r, a: r, b: r },
+            MachInst::AluImm { op: AluOp::Rotl, width: w32, dst: r, a: r, imm: 7 },
+            MachInst::AluImm { op: AluOp::Mul, width: w32, dst: r, a: r, imm: 4 },
+            MachInst::MemLoad { dst: any, addr: r, offset: 0, width: 4, signed: false, dst_width: w32 },
+            MachInst::Cmp { op: CmpOp::GeU, width: w32, dst: r, a: r, b: r },
+            MachInst::CmpImm { op: CmpOp::GeU, width: w32, dst: r, a: r, imm: 9 },
+            MachInst::BrIf { cond: r, target: Label(0), negate: false },
+            MachInst::Jump { target: Label(0) },
+        ];
+        let exits = [
+            MachInst::Call { func_index: 0 },
+            MachInst::CallIndirect { type_index: 0, table_index: 0, index: r },
+            MachInst::ProbeRuntime { probe_id: 0 },
+            MachInst::ProbeDirect { probe_id: 0 },
+            MachInst::ProbeCounter { counter_id: 0 },
+            MachInst::ProbeTosValue { probe_id: 0, src: any },
+            MachInst::FuelCheck { amount: 1 },
+            MachInst::EpochCheck,
+            MachInst::BrTable { index: r, targets: LabelRange { start: 0, len: 0 }, default: Label(0) },
+            MachInst::Trap { code: TrapCode::Unreachable },
+            MachInst::Return,
+        ];
+        let op = |inst| translated(&[inst])[0];
+        let mut pairs = 0;
+        for first in halves.iter().chain(&exits) {
+            for second in halves.iter().chain(&exits) {
+                let fusable = fused(op(*first), op(*second)).is_some();
+                pairs += fusable as usize;
+                if exits.contains(first) || exits.contains(second) {
+                    assert!(!fusable, "{first}; {second}");
+                }
+            }
+        }
+        assert_eq!(pairs, 11, "every fused pair is among the halves");
     }
 }

@@ -417,3 +417,132 @@ fn a_conditional_branch_is_taken_exactly_when_its_condition_says() {
         }
     }
 }
+
+// ---- The fusion oracle -------------------------------------------------------
+//
+// The simulator retires the commonest adjacent pairs of instructions with one
+// op. A label bound between the two halves blocks the fusion, so the same
+// pair with a label in between is the unfused reference, built through the
+// public API, and the fused run must leave the same exit, registers, slots,
+// memory and cycles.
+
+/// Slots the pair oracle's frames start with, each holding its own value.
+const PAIR_SLOTS: usize = 4;
+
+/// Everything a run of a pair leaves behind.
+#[derive(Debug, PartialEq)]
+struct PairRun {
+    exit: Exit,
+    state: CpuState,
+    slots: Vec<u64>,
+    memory: Vec<u8>,
+    cycles: u64,
+}
+
+/// Runs `first` and `second` from `state`, followed by a marker that sets
+/// `r9` and that a taken branch to [`END`] skips. With `split`, a label is
+/// bound between the two halves, which keeps them from fusing.
+fn run_pair(cpu: &Cpu, first: MachInst, second: MachInst, split: bool, mut state: CpuState) -> PairRun {
+    let mut asm = Assembler::new();
+    assert_eq!(asm.new_label(), END);
+    asm.emit(first);
+    if split {
+        asm.new_bound_label();
+    }
+    asm.emit(second);
+    asm.emit(MachInst::MovImm { dst: Reg(9), imm: 1 });
+    asm.bind(END);
+    let code = asm.finish();
+    let mut values = ValueStack::with_capacity(PAIR_SLOTS);
+    for slot in 0..PAIR_SLOTS {
+        values.write_tagged(slot, 1000 + slot as u64, ValueTag::I64);
+    }
+    let mut memory = LinearMemory::new(Limits::at_least(1));
+    for (i, value) in EDGES.iter().enumerate() {
+        memory.store(8 * i as u32, 0, 8, *value).unwrap();
+    }
+    let mut globals = vec![GlobalSlot::from_value(WasmValue::I64(11))];
+    let mut tables = vec![Table::new(Limits::at_least(1))];
+    let mut ctx = ExecContext {
+        values: &mut values,
+        frame_base: 0,
+        memory: Some(&mut memory),
+        globals: &mut globals,
+        tables: &mut tables,
+        meter: Meter::off(),
+    };
+    let mut cycles = CycleCounter::new();
+    let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
+    PairRun {
+        exit,
+        state,
+        slots: (0..PAIR_SLOTS).map(|slot| values.read(slot)).collect(),
+        memory: memory.bytes().to_vec(),
+        cycles: cycles.total(),
+    }
+}
+
+/// Every pair the simulator fuses, with operands that read what the first
+/// half wrote, and immediates that do and do not fit 32 bits.
+fn fused_pairs() -> Vec<(MachInst, MachInst)> {
+    use MachInst::*;
+    let (r1, r2, r3) = (Reg(1), Reg(2), Reg(3));
+    let w = Width::W32;
+    let wide = 0xDEAD_BEEF_0000_0007_u64 as i64;
+    let mut pairs = vec![
+        (StoreSlot { slot: 1, src: r1.into() }, StoreSlot { slot: 2, src: r2.into() }),
+        (StoreSlot { slot: 1, src: r1.into() }, StoreSlot { slot: 1, src: r2.into() }),
+        (LoadSlot { dst: r1.into(), slot: 1 }, LoadSlot { dst: r2.into(), slot: 2 }),
+        (LoadSlot { dst: r1.into(), slot: 1 }, LoadSlot { dst: r1.into(), slot: 3 }),
+        (Mov { dst: r3, src: r1 }, Mov { dst: r2, src: r3 }),
+        (Cmp { op: CmpOp::GeU, width: w, dst: r3, a: r1, b: r2 }, BrIf { cond: r3, target: END, negate: false }),
+        (StoreSlot { slot: 2, src: r1.into() }, Jump { target: END }),
+        (Mov { dst: r3, src: r2 }, Jump { target: END }),
+    ];
+    for imm in [0, 1, -5, 31, i32::MIN as i64, u32::MAX as i64, wide] {
+        pairs.extend([
+            (AluImm { op: AluOp::Add, width: w, dst: r1, a: r1, imm }, StoreSlot { slot: 3, src: r1.into() }),
+            (AluImm { op: AluOp::Add, width: w, dst: r3, a: r1, imm }, Mov { dst: r2, src: r3 }),
+            (Alu { op: AluOp::Xor, width: w, dst: r3, a: r1, b: r2 }, AluImm { op: AluOp::Rotl, width: w, dst: r3, a: r3, imm }),
+            (
+                AluImm { op: AluOp::Mul, width: w, dst: r3, a: r1, imm },
+                MemLoad { dst: r2.into(), addr: r3, offset: 4, width: 4, signed: false, dst_width: w },
+            ),
+            (CmpImm { op: CmpOp::GeU, width: w, dst: r3, a: r1, imm }, BrIf { cond: r3, target: END, negate: false }),
+        ]);
+    }
+    pairs
+}
+
+#[test]
+fn a_fused_pair_does_what_its_two_halves_do() {
+    let cpu = Cpu::new(distinct_costs());
+    let (mut taken, mut not_taken, mut traps) = (0, 0, 0);
+    for (first, second) in fused_pairs() {
+        for (a, b) in EDGES.iter().flat_map(|&a| EDGES.map(|b| (a, b))) {
+            let fused = run_pair(&cpu, first, second, false, operands(a, b));
+            let reference = run_pair(&cpu, first, second, true, operands(a, b));
+            assert_eq!(fused, reference, "{first}; {second} on {a:#x}, {b:#x}");
+            if let MachInst::BrIf { .. } = second {
+                if fused.state[Reg(9)] == 0 { taken += 1 } else { not_taken += 1 }
+            }
+            traps += matches!(fused.exit, Exit::Trap { at: 1, .. }) as u32;
+        }
+    }
+    assert!(taken > 0 && not_taken > 0, "taken {taken}, not taken {not_taken}");
+    assert!(traps > 0, "no second half trapped");
+}
+
+#[test]
+fn a_trap_in_a_fused_pair_second_half_reports_its_own_pc_and_both_costs() {
+    let cost = distinct_costs();
+    let cpu = Cpu::new(cost.clone());
+    let (r1, r2, w) = (Reg(1), Reg(2), Width::W32);
+    let mul = MachInst::AluImm { op: AluOp::Mul, width: w, dst: r2, a: r1, imm: 4 };
+    let load = MachInst::MemLoad { dst: r1.into(), addr: r2, offset: 0, width: 4, signed: false, dst_width: w };
+    // 4 * 0x4000 is 64 KiB, one past the last byte of the one-page memory.
+    let run = run_pair(&cpu, mul, load, false, operands(0x4000, 0));
+    assert_eq!(run.exit, Exit::Trap { code: TrapCode::MemoryOutOfBounds, at: 1 });
+    assert_eq!(run.cycles, cost.mul + cost.mem_load);
+    assert_eq!(run.state[r2], 0x10000, "the first half retired");
+}

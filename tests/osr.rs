@@ -13,6 +13,7 @@ mod common;
 
 use common::{run_export, run_export_fueled};
 use conform::runner::all_configs;
+use engine::pipeline::{compile_eager, CompiledModule};
 use engine::{CompileTier, Engine, EngineConfig, Imports, Instrumentation};
 use machine::values::WasmValue;
 use spc::CompilerOptions;
@@ -277,4 +278,41 @@ fn osr_transitions_are_visible_in_telemetry() {
         .map(|(_, v)| *v)
         .unwrap_or(0);
     assert_eq!(entries as usize, osr_events.len());
+}
+
+/// The simulator fuses adjacent instruction pairs but never one whose second
+/// instruction is a label target (`machine::predecode`), which is sound
+/// because compiled code is entered only at its start, after a call or
+/// probe, and at label targets. An OSR entry is a label target only because
+/// the optimizing compiler binds a label at every block start; this pins it
+/// for every function of every suite item at test scale, metered or not.
+#[test]
+fn every_osr_entry_is_a_label_target() {
+    let mut entries = 0;
+    for config in [
+        EngineConfig::optimizing("opt-osr").with_osr(1),
+        EngineConfig::optimizing("opt-metered-osr").with_metering().with_osr(1),
+    ] {
+        for suite in suites::all_suites(suites::Scale::Test) {
+            for item in &suite.items {
+                let artifact = CompiledModule::build(item.module.clone()).expect("suite modules validate");
+                compile_eager(&config, &artifact, &Instrumentation::none(), &Telemetry::disabled())
+                    .expect("suite modules compile");
+                for defined in 0..artifact.num_defined() {
+                    let compiled = artifact.artifact_for(defined, CompileTier::Opt).expect("eager fills every slot");
+                    let code = &compiled.function.code;
+                    for (offset, &entry) in &compiled.function.osr_entries {
+                        assert!(
+                            code.label_targets().contains(&(entry as u32)),
+                            "{}: {}, function {defined}: the OSR entry for offset {offset} is pc {entry}, not a label target",
+                            config.name,
+                            item.name,
+                        );
+                        entries += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(entries > 0, "no suite item has an OSR entry");
 }

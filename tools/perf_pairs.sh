@@ -25,7 +25,10 @@
 # `Interpreter::run` and the baseline compiler's `FuncCompiler::compile_body`:
 # 0 on a side whose tree pins placement, anything on one that does not,
 # which alone moves `exec-jit` / `exec-interp` by ~10 %: see the verify
-# skill; `compile_body` carries `load-baseline`).
+# skill; `compile_body` carries `load-baseline`) and how large each is
+# (`nm -S`). The pin fixes only where a loop starts: where its arms sit
+# inside it decides its speed too (DESIGN.md, "The loop is fragile"), so a
+# change that grows or shrinks a loop shows by how many bytes.
 # With LAYERS=1 each pair also makes one traced pass per side (`--trace 1
 # --layers 1`, in the pair's order, after its two untraced runs) and the
 # script ends each workload with the ref and here medians of every
@@ -80,12 +83,13 @@ build ref "$work/ref"
 build here "$top"
 
 echo
-echo "loop placement (start address mod 128):"
+echo "loop placement (start address mod 128, size in bytes):"
 for side in ref here; do
-    nm -C --defined-only "${bin[$side]}" |
-        sed -nE 's/^([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body))(::h[0-9a-f]+)?$/\1 \2/p' |
-        while read -r addr name; do
-            printf '  %-5s %-44s 0x%s  mod 128 = 0x%02x\n' "$side" "$name" "$addr" $((16#${addr: -2} % 128))
+    nm -C -S --defined-only "${bin[$side]}" |
+        sed -nE 's/^([0-9a-f]+) ([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body))(::h[0-9a-f]+)?$/\1 \2 \3/p' |
+        while read -r addr size name; do
+            printf '  %-5s %-44s 0x%s  mod 128 = 0x%02x  size %6d\n' "$side" "$name" "$addr" \
+                $((16#${addr: -2} % 128)) $((16#$size))
         done
 done
 
