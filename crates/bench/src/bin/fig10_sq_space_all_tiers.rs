@@ -31,10 +31,7 @@ fn configurations() -> Vec<(&'static str, EngineConfig)> {
         ("interpreter", EngineConfig::interpreter("wizeng-int")),
         ("interpreter", EngineConfig::interpreter("wasm3")),
         ("interpreter", EngineConfig::interpreter("iwasm-int")),
-        (
-            "interpreter",
-            EngineConfig::interpreter("jsc-int").with_lazy_compile(true),
-        ),
+        ("interpreter", EngineConfig::interpreter("jsc-int")),
         // Baseline compilers.
         (
             "baseline",

@@ -241,9 +241,7 @@ fn main() {
     };
     // Baseline on call 1 (collecting the profile), optimizing on call 2.
     let profiled = second_call_cycles(
-        &EngineConfig::tiered("tiered-opt", 0, CompilerOptions::allopt())
-            .with_opt_tier(1)
-            .with_lazy_compile(true),
+        &EngineConfig::tiered("tiered-opt", 0, CompilerOptions::allopt()).with_opt_tier(1),
     );
     // Optimizing from call 1: the opt compile ran before any observation.
     let unprofiled = second_call_cycles(&EngineConfig::optimizing("opt"));

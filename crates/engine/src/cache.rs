@@ -13,7 +13,7 @@
 //!   the binary encoding, so it is independent of how the in-memory value
 //!   was produced);
 //! * a fingerprint of the compiler-relevant configuration
-//!   ([`EngineConfig::compile_fingerprint`] — tier policy and every
+//!   ([`EngineConfig::compile_fingerprint`] — the tiers run and every
 //!   [`CompilerOptions`](spc::CompilerOptions) axis, but *not* labels like
 //!   the configuration name or execution-only knobs like the tier-up
 //!   threshold);

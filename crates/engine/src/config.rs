@@ -5,46 +5,76 @@
 //! execution characteristics. The Fig. 10 experiment instantiates many of
 //! these side by side.
 
+use crate::pipeline::CompileTier;
 use machine::masm::CodeBackend;
 use spc::{CompilerOptions, ProbeMode, TagStrategy};
 use wasm::hash::Fnv64;
 
-/// Which execution tier(s) a configuration uses.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TierPolicy {
-    /// Execute everything in the in-place interpreter.
-    InterpreterOnly,
-    /// Execute everything in baseline-compiled code with the given compiler
-    /// configuration.
-    BaselineOnly(CompilerOptions),
-    /// Execute everything in optimizing-compiled code.
-    OptimizingOnly,
-    /// Start in the interpreter, tier up a function to baseline code once it
-    /// has been called `threshold` times, and — when `opt_threshold` is set
-    /// — promote it again to the optimizing tier once it has been called
-    /// that many times.
-    Tiered {
-        /// Number of calls before a function is baseline-compiled.
-        threshold: u32,
-        /// Number of calls before a function is promoted to the optimizing
-        /// tier (`None` disables the third tier).
-        opt_threshold: Option<u32>,
-        /// Baseline compiler configuration used for hot functions.
-        baseline: CompilerOptions,
-    },
+/// When a compiler's code is first wanted for a function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// Every function is compiled when the module is instantiated and runs
+    /// this tier from its first call.
+    Instantiation,
+    /// A function runs this tier from the call after its `n`-th on, and is
+    /// compiled at that call: `AfterCalls(0)` compiles each function at its
+    /// first call, and a function that is never called never compiles.
+    AfterCalls(u32),
 }
 
-impl TierPolicy {
-    /// True if this policy can ever run optimizing-compiled code.
-    pub fn uses_opt_tier(&self) -> bool {
-        matches!(
-            self,
-            TierPolicy::OptimizingOnly
-                | TierPolicy::Tiered {
-                    opt_threshold: Some(_),
-                    ..
-                }
-        )
+/// A configuration's tier schedule: which compilers run and from which call
+/// of a function each one's code is wanted. A call runs the latest-starting
+/// tier it has reached — optimizing over baseline over the interpreter,
+/// which runs whatever no compiler has reached yet.
+///
+/// Where the engine asks when, the answer comes from here and nowhere else:
+/// [`TierSchedule::tier_for_call`] for each activation and
+/// [`TierSchedule::instantiation_tier`] for what instantiation compiles.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TierSchedule {
+    /// When the baseline compiler's code is first wanted (`None`: never).
+    pub baseline: Option<Start>,
+    /// When the optimizing compiler's code is first wanted (`None`: never,
+    /// except through on-stack replacement).
+    pub opt: Option<Start>,
+    /// The baseline compiler's options. Their probe mode is also the
+    /// optimizing compiler's, so instrumentation counts stay
+    /// tier-independent; their tagging strategy decides how the collector
+    /// finds references in compiled frames.
+    pub options: CompilerOptions,
+}
+
+impl TierSchedule {
+    /// The tier a function's `calls`-th call (counting from 1) runs in:
+    /// `None` for the interpreter.
+    #[inline]
+    pub fn tier_for_call(&self, calls: u32) -> Option<CompileTier> {
+        let reached = |start| match start {
+            Some(Start::Instantiation) => true,
+            Some(Start::AfterCalls(n)) => calls > n,
+            None => false,
+        };
+        if reached(self.opt) {
+            Some(CompileTier::Opt)
+        } else if reached(self.baseline) {
+            Some(CompileTier::Baseline)
+        } else {
+            None
+        }
+    }
+
+    /// The tier instantiation compiles every function in: the optimizing
+    /// tier's when its compiler starts at instantiation, otherwise the
+    /// baseline tier's when that one does; `None` when code is compiled only
+    /// as calls want it.
+    pub fn instantiation_tier(&self) -> Option<CompileTier> {
+        if self.opt == Some(Start::Instantiation) {
+            Some(CompileTier::Opt)
+        } else if self.baseline == Some(Start::Instantiation) {
+            Some(CompileTier::Baseline)
+        } else {
+            None
+        }
     }
 }
 
@@ -88,11 +118,8 @@ impl Default for ResourceLimits {
 pub struct EngineConfig {
     /// Configuration name (used in reports and figures).
     pub name: String,
-    /// The tier policy.
-    pub tier: TierPolicy,
-    /// Compile functions lazily at first call instead of eagerly at
-    /// instantiation (a confounding factor the paper calls out in Fig. 10).
-    pub lazy_compile: bool,
+    /// Which tiers run, from when, and the baseline compiler's options.
+    pub schedule: TierSchedule,
     /// When JIT code fires a probe, transfer the frame back to the
     /// interpreter (tier-down / deopt) instead of continuing in JIT code.
     pub deopt_on_probe: bool,
@@ -131,7 +158,7 @@ pub struct EngineConfig {
     /// back edge. The counter piggybacks on the fused fuel/epoch meter-check
     /// sites, so interpreter and baseline hot loops pay no extra cold-path
     /// branch. Independent of the call-count promotion in
-    /// [`TierPolicy::Tiered`]: OSR rescues hot *loops* the call counter is
+    /// [`TierSchedule`]: OSR rescues hot *loops* the call counter is
     /// blind to. Enabling OSR changes the code both compiling tiers emit
     /// (loop-head poll sites in baseline code, entry stubs in optimized
     /// code), so the *enablement bit* — never the threshold value — is
@@ -151,13 +178,17 @@ impl EngineConfig {
     /// [`ResourceLimits::call_depth`] can only lower it.
     pub const MAX_CALL_DEPTH: usize = 10_000;
 
-    /// The settings every constructor starts from: eager compilation, one
-    /// compile worker, virtual-ISA backend, and every opt-in feature off.
-    fn with_tier(name: &str, tier: TierPolicy) -> EngineConfig {
+    /// The settings every constructor starts from: one compile worker,
+    /// virtual-ISA backend, and every opt-in feature off.
+    fn with_schedule(
+        name: &str,
+        baseline: Option<Start>,
+        opt: Option<Start>,
+        options: CompilerOptions,
+    ) -> EngineConfig {
         EngineConfig {
             name: name.to_string(),
-            tier,
-            lazy_compile: false,
+            schedule: TierSchedule { baseline, opt, options },
             deopt_on_probe: false,
             backend: CodeBackend::VirtualIsa,
             compile_workers: 1,
@@ -170,27 +201,27 @@ impl EngineConfig {
 
     /// An interpreter-only configuration (the reproduction's Wizard-INT).
     pub fn interpreter(name: &str) -> EngineConfig {
-        EngineConfig::with_tier(name, TierPolicy::InterpreterOnly)
+        EngineConfig::with_schedule(name, None, None, CompilerOptions::allopt())
     }
 
-    /// A baseline-compiler-only configuration with the given options.
+    /// A baseline-compiler-only configuration with the given options,
+    /// compiling every function at instantiation.
     pub fn baseline(name: &str, options: CompilerOptions) -> EngineConfig {
-        EngineConfig::with_tier(name, TierPolicy::BaselineOnly(options))
+        EngineConfig::with_schedule(name, Some(Start::Instantiation), None, options)
     }
 
-    /// An optimizing-compiler-only configuration.
+    /// An optimizing-compiler-only configuration, compiling every function
+    /// at instantiation.
     pub fn optimizing(name: &str) -> EngineConfig {
-        EngineConfig::with_tier(name, TierPolicy::OptimizingOnly)
+        let opt = Some(Start::Instantiation);
+        EngineConfig::with_schedule(name, None, opt, CompilerOptions::allopt())
     }
 
-    /// A two-tier configuration: interpreter first, baseline when hot.
+    /// A two-tier configuration: interpreter first, and baseline code for a
+    /// function from the call after its `threshold`-th on, compiled at that
+    /// call.
     pub fn tiered(name: &str, threshold: u32, baseline: CompilerOptions) -> EngineConfig {
-        let tier = TierPolicy::Tiered {
-            threshold,
-            opt_threshold: None,
-            baseline,
-        };
-        EngineConfig::with_tier(name, tier).with_lazy_compile(true)
+        EngineConfig::with_schedule(name, Some(Start::AfterCalls(threshold)), None, baseline)
     }
 
     /// Adds the optimizing tier on top of this configuration: functions
@@ -201,29 +232,25 @@ impl EngineConfig {
     /// configuration becomes baseline-then-optimizing. Interpreter-only and
     /// optimizing-only configurations are unchanged.
     pub fn with_opt_tier(mut self, opt_threshold: u32) -> EngineConfig {
-        self.tier = match self.tier {
-            TierPolicy::Tiered {
-                threshold,
-                baseline,
-                ..
-            } => TierPolicy::Tiered {
-                threshold,
-                opt_threshold: Some(opt_threshold),
-                baseline,
-            },
-            TierPolicy::BaselineOnly(baseline) => TierPolicy::Tiered {
-                threshold: 0,
-                opt_threshold: Some(opt_threshold),
-                baseline,
-            },
-            other => other,
-        };
+        if self.schedule.baseline.is_some() {
+            self.schedule.opt = Some(Start::AfterCalls(opt_threshold));
+        }
         self
     }
 
-    /// Marks this configuration as compiling lazily at first call.
+    /// With `true`, defers every compiler that starts at instantiation to
+    /// each function's first call ([`Start::AfterCalls`]`(0)`), the
+    /// confounding factor the paper calls out in Fig. 10. A configuration
+    /// with no compiler, or whose compilers already start at a call, is
+    /// unchanged, and `false` changes nothing: no start is moved earlier.
     pub fn with_lazy_compile(mut self, lazy: bool) -> EngineConfig {
-        self.lazy_compile = lazy;
+        if lazy {
+            for start in [&mut self.schedule.baseline, &mut self.schedule.opt] {
+                if *start == Some(Start::Instantiation) {
+                    *start = Some(Start::AfterCalls(0));
+                }
+            }
+        }
         self
     }
 
@@ -271,18 +298,17 @@ impl EngineConfig {
     /// loop, the running activation is transferred mid-loop into
     /// optimizing-tier code (see [`EngineConfig::osr_threshold`]). `0` means
     /// the first back edge already requests the transition. Has no effect on
-    /// [`TierPolicy::OptimizingOnly`] configurations, which never run a
-    /// lower tier.
+    /// optimizing-only configurations, which never run a lower tier.
     pub fn with_osr(mut self, threshold: u32) -> EngineConfig {
         self.osr_threshold = Some(threshold);
         self
     }
 
     /// A stable fingerprint of the *compiler-options* axes that affect the
-    /// code the compiling tiers emit: the tier policy, the metering flag and
-    /// each [`CompilerOptions`] feature axis. Labels (the configuration and
-    /// options names) and execution-only knobs (call-depth limit, laziness,
-    /// tier-up threshold, GC threshold, worker count) are
+    /// code the compiling tiers emit: the tiers the schedule runs, the
+    /// metering flag and each [`CompilerOptions`] feature axis. Labels (the
+    /// configuration and options names) and execution-only knobs (call-depth
+    /// limit, when each tier starts, GC threshold, worker count) are
     /// deliberately excluded — configurations differing only in those
     /// produce byte-identical code and may share a cache entry. The
     /// [`EngineConfig::backend`] is *not* folded in either: it is its own
@@ -296,21 +322,20 @@ impl EngineConfig {
         // So does enabling OSR (loop-head poll sites in baseline code); the
         // threshold value itself only decides *when* a transition happens.
         h.write_bool(self.osr_threshold.is_some());
-        match &self.tier {
-            TierPolicy::InterpreterOnly => {
-                h.write_u8(0);
-            }
-            TierPolicy::BaselineOnly(options) => {
-                h.write_u8(1);
-                fold_options(&mut h, options);
-            }
-            TierPolicy::OptimizingOnly => {
-                h.write_u8(2);
-            }
-            TierPolicy::Tiered { baseline, .. } => {
-                h.write_u8(3);
-                fold_options(&mut h, baseline);
-            }
+        // Which tiers a function passes through. A schedule that moves
+        // functions between tiers (interpreter first, or baseline then
+        // optimizing) keys apart from one tier alone, though its baseline
+        // code is the same; when the baseline tier starts beyond that does
+        // not count.
+        let schedule = &self.schedule;
+        h.write_u8(match (schedule.baseline, schedule.opt) {
+            (None, None) => 0,
+            (Some(Start::Instantiation | Start::AfterCalls(0)), None) => 1,
+            (None, Some(_)) => 2,
+            (Some(_), _) => 3,
+        });
+        if schedule.baseline.is_some() {
+            fold_options(&mut h, &schedule.options);
         }
         h.finish()
     }
@@ -323,26 +348,16 @@ impl EngineConfig {
     /// deliberately excluded: it decides when code is produced, not what
     /// code.
     pub fn opt_fingerprint(&self) -> u64 {
-        // OSR reaches the optimizing tier without a call-count promotion
-        // policy, and OSR-enabled opt code differs (entry stubs, reserved
-        // interpreter operand region), so both axes fold in here.
-        if self.tier.uses_opt_tier() || self.osr_threshold.is_some() {
+        // OSR reaches the optimizing tier without a scheduled start, and
+        // OSR-enabled opt code differs (entry stubs, reserved interpreter
+        // operand region), so both axes fold in here.
+        if self.schedule.opt.is_some() || self.osr_threshold.is_some() {
             let mut h = Fnv64::new();
             h.write_u64(optc::OptimizingCompiler::pipeline_fingerprint())
                 .write_bool(self.osr_threshold.is_some());
             h.finish()
         } else {
             0
-        }
-    }
-
-    /// The baseline compiler options of this configuration, if any tier uses
-    /// the baseline compiler.
-    pub fn baseline_options(&self) -> Option<&CompilerOptions> {
-        match &self.tier {
-            TierPolicy::BaselineOnly(o) => Some(o),
-            TierPolicy::Tiered { baseline, .. } => Some(baseline),
-            _ => None,
         }
     }
 }
@@ -381,31 +396,30 @@ fn fold_options(h: &mut Fnv64, options: &CompilerOptions) {
 mod tests {
     use super::*;
     use crate::monitor::Instrumentation;
-    use crate::pipeline::{self, CompileTier};
+    use crate::pipeline;
     use machine::asm::CodeBuffer;
 
     #[test]
     fn constructors_set_tiers() {
         let i = EngineConfig::interpreter("wizeng-int");
-        assert_eq!(i.tier, TierPolicy::InterpreterOnly);
-        assert!(i.baseline_options().is_none());
+        assert_eq!((i.schedule.baseline, i.schedule.opt), (None, None));
 
         let b = EngineConfig::baseline("spc", CompilerOptions::allopt());
-        assert!(matches!(b.tier, TierPolicy::BaselineOnly(_)));
-        assert_eq!(b.baseline_options().unwrap().name, "allopt");
+        assert_eq!((b.schedule.baseline, b.schedule.opt), (Some(Start::Instantiation), None));
+        assert_eq!(b.schedule.options.name, "allopt");
 
         let t = EngineConfig::tiered("tiered", 10, CompilerOptions::allopt());
-        assert!(t.lazy_compile);
-        assert!(t.baseline_options().is_some());
+        assert_eq!(t.schedule.baseline, Some(Start::AfterCalls(10)), "compiled at a call");
+        assert_eq!(t.schedule.instantiation_tier(), None);
 
         let o = EngineConfig::optimizing("opt");
-        assert!(matches!(o.tier, TierPolicy::OptimizingOnly));
+        assert_eq!((o.schedule.baseline, o.schedule.opt), (None, Some(Start::Instantiation)));
     }
 
     #[test]
     fn builder_modifiers() {
         let c = EngineConfig::interpreter("jsc-int-like").with_lazy_compile(true);
-        assert!(c.lazy_compile);
+        assert_eq!(c, EngineConfig::interpreter("jsc-int-like"), "nothing to defer");
         let d = EngineConfig::default().with_deopt_on_probe();
         assert!(d.deopt_on_probe);
         assert_eq!(d.backend, CodeBackend::VirtualIsa);
@@ -542,7 +556,7 @@ mod tests {
         let slow = flip(|o| o.extra_lowering_pass = true);
         assert_ne!(base.compile_fingerprint(), slow.compile_fingerprint());
         assert_eq!(emitted(&base, &exhaustive), emitted(&slow, &exhaustive));
-        // The tier tag is the policy's identity, not a code axis: a tiered
+        // The tier tag is the schedule's identity, not a code axis: a tiered
         // configuration's baseline code is the baseline-only configuration's.
         let tiered = EngineConfig::tiered("tiered", 10, CompilerOptions::allopt());
         assert_ne!(base.compile_fingerprint(), tiered.compile_fingerprint());
@@ -552,38 +566,17 @@ mod tests {
     #[test]
     fn with_opt_tier_extends_tiered_and_baseline_policies() {
         let t = EngineConfig::tiered("t", 2, CompilerOptions::allopt()).with_opt_tier(5);
-        match &t.tier {
-            TierPolicy::Tiered {
-                threshold,
-                opt_threshold,
-                ..
-            } => {
-                assert_eq!(*threshold, 2);
-                assert_eq!(*opt_threshold, Some(5));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(t.tier.uses_opt_tier());
+        assert_eq!(t.schedule.baseline, Some(Start::AfterCalls(2)));
+        assert_eq!(t.schedule.opt, Some(Start::AfterCalls(5)));
 
         let b = EngineConfig::baseline("b", CompilerOptions::allopt()).with_opt_tier(3);
-        match &b.tier {
-            TierPolicy::Tiered {
-                threshold,
-                opt_threshold,
-                ..
-            } => {
-                assert_eq!(*threshold, 0, "baseline from the first call");
-                assert_eq!(*opt_threshold, Some(3));
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(b.schedule.baseline, Some(Start::Instantiation), "baseline from the first call");
+        assert_eq!(b.schedule.opt, Some(Start::AfterCalls(3)));
 
         let i = EngineConfig::interpreter("i").with_opt_tier(3);
-        assert_eq!(i.tier, TierPolicy::InterpreterOnly, "interpreter unchanged");
-        assert!(!EngineConfig::tiered("t", 2, CompilerOptions::allopt())
-            .tier
-            .uses_opt_tier());
-        assert!(EngineConfig::optimizing("o").tier.uses_opt_tier());
+        assert_eq!(i, EngineConfig::interpreter("i"), "interpreter unchanged");
+        assert_eq!(EngineConfig::tiered("t", 2, CompilerOptions::allopt()).schedule.opt, None);
+        assert!(EngineConfig::optimizing("o").schedule.opt.is_some());
     }
 
     #[test]

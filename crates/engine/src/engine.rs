@@ -19,7 +19,7 @@
 //! (`Engine::ensure_compiled`) — nowhere else.
 
 use crate::cache::{CacheKey, CodeCache};
-use crate::config::{EngineConfig, TierPolicy};
+use crate::config::EngineConfig;
 use crate::gc::Heap;
 use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
@@ -232,9 +232,7 @@ impl Engine {
             cache_hit,
             ..RunMetrics::default()
         };
-        let needs_eager = !self.0.config.lazy_compile
-            && !matches!(self.0.config.tier, TierPolicy::InterpreterOnly);
-        if needs_eager {
+        if let Some(tier) = self.0.config.schedule.instantiation_tier() {
             let published = pipeline::compile_eager(
                 &self.0.config,
                 &artifact,
@@ -242,7 +240,6 @@ impl Engine {
                 &self.0.telemetry,
             )
             .map_err(EngineError::Compile)?;
-            let tier = pipeline::eager_tier(&self.0.config);
             for defined in published {
                 account_compile(&mut metrics, &artifact, defined, tier, CompileTiming::Eager);
             }

@@ -240,7 +240,8 @@ impl Engine {
             let frame_tier = act.tier.jit_tier();
             let sample_func = act.func_index;
             let sample_tier = pipeline::tier_label(frame_tier);
-            let (exit, compiled) = {
+            let mut record_sample = || telemetry.record_sample(sample_func, sample_tier);
+            let (exit, compiled, sampler) = {
                 let Instance {
                     memory,
                     globals,
@@ -252,8 +253,6 @@ impl Engine {
                     osr_counts,
                     ..
                 } = instance;
-                let mut record_sample =
-                    |_offset: u32| telemetry.record_sample(sample_func, sample_tier);
                 let sampler = telemetry.is_enabled().then(|| EpochSampler {
                     epoch: epoch.as_ref(),
                     last: &mut last_sample_epoch,
@@ -288,7 +287,7 @@ impl Engine {
                         osr,
                     },
                 };
-                match &mut act.tier {
+                let (exit, compiled) = match &mut act.tier {
                     FrameTier::Interp => {
                         let exit = interp.run(
                             artifact.module(),
@@ -306,7 +305,8 @@ impl Engine {
                             .expect("JIT frame has compiled code");
                         (cpu.run(cpu_state, &code.code, act.resume, &mut ctx, cycles), Some(code))
                     }
-                }
+                };
+                (exit, compiled, ctx.meter.sampler)
             };
             if frame_tier == Some(CompileTier::Opt) {
                 instance.metrics.opt_exec_cycles += cycles.total() - cycles_before;
@@ -314,12 +314,8 @@ impl Engine {
             // Frame exits (returns, calls, probes) are sample points too, so
             // recursion-heavy code with no loop back-edges still attributes
             // its time.
-            if telemetry.is_enabled() {
-                let now = epoch.load(Ordering::Relaxed);
-                if now != last_sample_epoch {
-                    last_sample_epoch = now;
-                    telemetry.record_sample(sample_func, sample_tier);
-                }
+            if let Some(mut sampler) = sampler {
+                sampler.poll();
             }
 
             match exit {

@@ -196,7 +196,7 @@ impl Engine {
         let mut roots = scan_roots_via_tags(&instance.values);
         let globals = instance.globals.iter().filter(|g| g.tag == ValueTag::Ref);
         roots.extend(globals.filter(|g| g.bits != NULL_REF_BITS).map(|g| g.bits as u32));
-        if self.0.config.baseline_options().is_some_and(|o| o.tagging.uses_stackmaps()) {
+        if self.0.config.schedule.options.tagging.uses_stackmaps() {
             // Each JIT frame is paused at its call site. Optimizing-tier
             // frames publish their references through tagged slots instead;
             // their (empty) tables contribute nothing here.

@@ -71,7 +71,7 @@ mod tierup;
 pub mod trap;
 
 pub use cache::{CacheKey, CacheStats, CodeCache};
-pub use config::{EngineConfig, ResourceLimits, TierPolicy};
+pub use config::{EngineConfig, ResourceLimits, Start, TierSchedule};
 pub use machine::masm::CodeBackend;
 pub use engine::{Engine, EngineError, HostFunc, Imports, Instance, RunMetrics};
 pub use gc::{Heap, HostObject};

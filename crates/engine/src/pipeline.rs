@@ -32,7 +32,7 @@
 //! [`Instance`]: crate::engine::Instance
 //! [`EngineConfig::compile_workers`]: crate::config::EngineConfig
 
-use crate::config::{EngineConfig, TierPolicy};
+use crate::config::EngineConfig;
 use crate::engine::EngineError;
 use interp::interp::{prepare, PreparedFunction};
 use interp::profile::FuncProfile;
@@ -85,14 +85,6 @@ pub enum CompileTier {
     Baseline,
     /// The SSA-based optimizing compiler (`crates/optc`).
     Opt,
-}
-
-/// The tier eager (instantiate-time) compilation fills under `config`.
-pub fn eager_tier(config: &EngineConfig) -> CompileTier {
-    match config.tier {
-        TierPolicy::OptimizingOnly => CompileTier::Opt,
-        _ => CompileTier::Baseline,
-    }
 }
 
 /// The immutable, shareable compilation artifact of one module: everything
@@ -247,19 +239,6 @@ impl CompiledModule {
     }
 }
 
-/// The optimizing compiler for `config`, lowering probes the way the
-/// configuration's baseline tier does so instrumentation counts stay
-/// tier-independent.
-fn opt_compiler(config: &EngineConfig) -> optc::OptimizingCompiler {
-    let compiler = match config.baseline_options() {
-        Some(options) => optc::OptimizingCompiler::new(options.probe_mode),
-        None => optc::OptimizingCompiler::default(),
-    };
-    compiler
-        .with_metering(config.metering)
-        .with_osr(config.osr_threshold.is_some())
-}
-
 /// The tier label telemetry events, profiler samples and backtrace frames
 /// carry: the compile tier whose code runs, or the interpreter for `None`.
 pub(crate) fn tier_label(jit: Option<CompileTier>) -> telemetry::Tier {
@@ -296,21 +275,19 @@ pub fn compile_function(
     probes: &ProbeSites,
     profile: Option<&FuncProfile>,
 ) -> Result<CompiledArtifact, CompileError> {
+    let (options, osr) = (&config.schedule.options, config.osr_threshold.is_some());
     let start = Instant::now();
     let function = match tier {
-        CompileTier::Opt => {
-            opt_compiler(config).compile(module, func_index, info, probes, profile)?
-        }
-        CompileTier::Baseline => {
-            let compiler = match config.baseline_options() {
-                Some(options) => SinglePassCompiler::borrowing(options),
-                None => SinglePassCompiler::default(),
-            };
-            compiler
-                .with_metering(config.metering)
-                .with_osr(config.osr_threshold.is_some())
-                .compile(module, func_index, info, probes)?
-        }
+        // The optimizing compiler lowers probes the way the baseline tier
+        // does, so instrumentation counts stay tier-independent.
+        CompileTier::Opt => optc::OptimizingCompiler::new(options.probe_mode)
+            .with_metering(config.metering)
+            .with_osr(osr)
+            .compile(module, func_index, info, probes, profile)?,
+        CompileTier::Baseline => SinglePassCompiler::borrowing(options)
+            .with_metering(config.metering)
+            .with_osr(osr)
+            .compile(module, func_index, info, probes)?,
     };
     // The compile-time metric covers exactly the work that produced the
     // executable artifact; the backend encoding below is measured
@@ -372,12 +349,13 @@ pub(crate) fn compile_slot(
     Ok(artifact.publish_for(defined, tier, result?))
 }
 
-/// Eagerly compiles every uncompiled function of `artifact`, sharing the
-/// work across [`EngineConfig::compile_workers`] threads: each worker takes
-/// the next function from a shared cursor until none is left. With more
-/// than one worker the functions are ordered by body size, largest first, so
-/// the ones still compiling when the others run out are small; one worker is
-/// the calling thread, in index order. Already-published slots — a warm
+/// Eagerly compiles every uncompiled function of `artifact` in the tier
+/// [`TierSchedule::instantiation_tier`] names (nothing when it names none),
+/// sharing the work across [`EngineConfig::compile_workers`] threads: each
+/// worker takes the next function from a shared cursor until none is left.
+/// With more than one worker the functions are ordered by body size, largest
+/// first, so the ones still compiling when the others run out are small; one
+/// worker is the calling thread, in index order. Already-published slots — a warm
 /// code-cache hit — are skipped, which is what makes repeated instantiation
 /// under a shared cache compile exactly once; with nothing left to compile
 /// no thread is spawned.
@@ -391,13 +369,16 @@ pub(crate) fn compile_slot(
 /// independent of worker count.
 ///
 /// [`EngineConfig::compile_workers`]: crate::config::EngineConfig
+/// [`TierSchedule::instantiation_tier`]: crate::config::TierSchedule::instantiation_tier
 pub fn compile_eager(
     config: &EngineConfig,
     artifact: &CompiledModule,
     instrumentation: &Instrumentation,
     telemetry: &Telemetry,
 ) -> Result<Vec<u32>, CompileError> {
-    let tier = eager_tier(config);
+    let Some(tier) = config.schedule.instantiation_tier() else {
+        return Ok(Vec::new());
+    };
     let mut pending: Vec<u32> = (0..artifact.num_defined())
         .filter(|&defined| artifact.artifact_for(defined, tier).is_none())
         .collect();

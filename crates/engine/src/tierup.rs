@@ -3,7 +3,6 @@
 //! OSR poll), on-stack replacement into optimized code, and how a published
 //! compile is accounted to an instance's [`RunMetrics`].
 
-use crate::config::TierPolicy;
 use crate::engine::Engine;
 use crate::exec::{Activation, FrameTier};
 use crate::instance::{Instance, RunMetrics};
@@ -21,33 +20,16 @@ pub(crate) enum CompileTiming {
 
 impl Engine {
     /// Decides the tier for a new activation of `defined`: counts the call,
-    /// picks the tier the policy wants at that count, and compiles it here
+    /// picks the tier the schedule wants at that count, and compiles it here
     /// (a lazy first call, a tier-up or a promotion) unless it is published.
     pub(crate) fn choose_tier(
         &self,
         instance: &mut Instance,
         defined: u32,
     ) -> Result<Option<CompileTier>, TrapCode> {
-        instance.call_counts[defined as usize] =
-            instance.call_counts[defined as usize].saturating_add(1);
-        let want: Option<CompileTier> = match &self.0.config.tier {
-            TierPolicy::InterpreterOnly => None,
-            TierPolicy::BaselineOnly(_) => Some(CompileTier::Baseline),
-            TierPolicy::OptimizingOnly => Some(CompileTier::Opt),
-            TierPolicy::Tiered {
-                threshold,
-                opt_threshold,
-                ..
-            } => {
-                let calls = instance.call_counts[defined as usize];
-                match opt_threshold {
-                    Some(ot) if calls > *ot => Some(CompileTier::Opt),
-                    _ if calls > *threshold => Some(CompileTier::Baseline),
-                    _ => None,
-                }
-            }
-        };
-        let Some(want_tier) = want else {
+        let calls = instance.call_counts[defined as usize].saturating_add(1);
+        instance.call_counts[defined as usize] = calls;
+        let Some(want_tier) = self.0.config.schedule.tier_for_call(calls) else {
             return Ok(None);
         };
         if instance.artifact.artifact_for(defined, want_tier).is_none() {

@@ -435,7 +435,7 @@ impl Interpreter {
                     // The sampler shares the metering sites but charges no
                     // simulated cycles: enabling the profiler must not
                     // perturb deterministic cycle counts.
-                    ctx.meter.poll_sampler(|| ip as u32);
+                    ctx.meter.poll_sampler();
                 }
             }
 

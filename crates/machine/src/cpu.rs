@@ -98,11 +98,11 @@ impl IndexMut<FReg> for CpuState {
 /// The producer half of the epoch-driven sampling profiler.
 ///
 /// Execution loops poll this at their metering sites (loop back-edges and
-/// function entries); whenever the shared epoch has advanced since the last
-/// sample, the current wasm byte offset is pushed through `record`. The
-/// sampler deliberately knows nothing about telemetry — the engine supplies
-/// a closure that attributes the sample to a (function, tier) — so this
-/// crate stays free of upward dependencies.
+/// function entries), and the engine polls it once more when a frame exits;
+/// whenever the shared epoch has advanced since the last sample, `record` is
+/// called. The sampler deliberately knows nothing about telemetry — the
+/// engine supplies a closure that attributes the sample to a (function,
+/// tier) — so this crate stays free of upward dependencies.
 pub struct EpochSampler<'a> {
     /// The shared engine epoch (the same counter preemption deadlines watch).
     pub epoch: &'a AtomicU64,
@@ -110,8 +110,8 @@ pub struct EpochSampler<'a> {
     /// the epoch moves past it, so sampling frequency is the ticker's, not
     /// the back-edge rate's.
     pub last: &'a mut u64,
-    /// Receives each sample's current wasm byte offset.
-    pub record: &'a mut dyn FnMut(u32),
+    /// Takes each sample.
+    pub record: &'a mut dyn FnMut(),
 }
 
 impl std::fmt::Debug for EpochSampler<'_> {
@@ -124,14 +124,13 @@ impl std::fmt::Debug for EpochSampler<'_> {
 }
 
 impl EpochSampler<'_> {
-    /// Takes a sample if the epoch has advanced since the last one. The
-    /// offset is computed lazily — only when a sample actually fires.
+    /// Takes a sample if the epoch has advanced since the last one.
     #[inline]
-    fn poll(&mut self, offset: impl FnOnce() -> u32) {
+    pub fn poll(&mut self) {
         let now = self.epoch.load(Ordering::Relaxed);
         if now != *self.last {
             *self.last = now;
-            (self.record)(offset());
+            (self.record)();
         }
     }
 }
@@ -225,9 +224,9 @@ impl<'a> Meter<'a> {
 
     /// Polls the sampling profiler, if one is attached. Charges nothing.
     #[inline]
-    pub fn poll_sampler(&mut self, offset: impl FnOnce() -> u32) {
+    pub fn poll_sampler(&mut self) {
         if let Some(sampler) = self.sampler.as_mut() {
-            sampler.poll(offset);
+            sampler.poll();
         }
     }
 
@@ -239,7 +238,7 @@ impl<'a> Meter<'a> {
     /// Polls the OSR hook at a meter-check site. Returns `Some(offset)` when
     /// the site is a loop-body start whose back-edge counter has passed the
     /// threshold — the execution loop must then exit with an OSR request.
-    /// Charges nothing. The offset is computed lazily, like the sampler's.
+    /// Charges nothing. The offset is computed only when a hook is attached.
     #[inline]
     pub fn poll_osr(&mut self, offset: impl FnOnce() -> u32) -> Option<u32> {
         let hook = self.osr.as_mut()?;
@@ -833,7 +832,7 @@ impl Cpu {
                     if let Err(t) = ctx.meter.check_epoch() {
                         trap!(t);
                     }
-                    ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
+                    ctx.meter.poll_sampler();
                 }
                 Op::EpochCheck => {
                     spent += cost.epoch_check;
@@ -845,7 +844,7 @@ impl Cpu {
                     if let Err(t) = ctx.meter.check_epoch() {
                         trap!(t);
                     }
-                    ctx.meter.poll_sampler(|| code.source_offset(pc).unwrap_or(0));
+                    ctx.meter.poll_sampler();
                 }
                 Op::Trap { code } => {
                     spent += cost.trap;

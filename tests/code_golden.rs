@@ -12,7 +12,7 @@
 //! `nbody` and `lavamd`). A change that alters emitted code on purpose
 //! re-records them in the same commit and says why.
 
-use engine::pipeline::{compile_eager, compile_function, eager_tier, CompiledModule};
+use engine::pipeline::{compile_eager, compile_function, CompiledModule};
 use engine::{CodeBackend, CompileTier, EngineConfig, Instrumentation, Telemetry};
 use spc::{CompilerOptions, ProbeSites};
 use std::fmt::Write;
@@ -36,7 +36,7 @@ const OPTIMIZING_METERED_OSR: [[u64; 3]; 2] = [
 /// One fingerprint per suite: every function of every item, compiled eagerly
 /// under `config`.
 fn fingerprints(config: &EngineConfig) -> [u64; 3] {
-    let tier = eager_tier(config);
+    let tier = config.schedule.instantiation_tier().expect("compiles at instantiation");
     let mut out = [0u64; 3];
     for (slot, suite) in out.iter_mut().zip(suites::all_suites(Scale::Test)) {
         let mut h = Fnv64::new();

@@ -14,7 +14,7 @@
 //! x86-64 backend leaves every executed instruction and its metadata alone,
 //! which is why no other test runs an x86-64 configuration.
 
-use engine::pipeline::{compile_function, eager_tier, CompileTier};
+use engine::pipeline::{compile_function, CompileTier};
 use engine::{CodeBackend, Engine, EngineConfig, Imports, Instrumentation};
 use machine::masm::reemit;
 use machine::values::WasmValue;
@@ -234,7 +234,7 @@ fn the_backend_changes_no_executed_instruction() {
     let probes = ProbeSites::none();
     let mut compared = 0;
     for config in configs {
-        let tier = eager_tier(&config);
+        let tier = config.schedule.instantiation_tier().expect("compiles at instantiation");
         let x64_config = config.clone().with_backend(CodeBackend::X64);
         for suite in all_suites(Scale::Test) {
             for item in &suite.items {

@@ -299,7 +299,7 @@ fn concurrent_lazy_publication_fills_each_slot_once_and_accounts_it_once() {
                 .count();
             let published = baseline_filled + artifact.opt_compiled_count();
             assert!(baseline_filled > 0, "{label}: main was compiled");
-            if config.tier.uses_opt_tier() {
+            if config.schedule.opt.is_some() {
                 assert!(artifact.opt_compiled_count() > 0, "{label}: main was promoted");
             }
             let accounted: u32 = instances.iter().map(|i| i.metrics.functions_compiled).sum();
