@@ -1,15 +1,22 @@
 //! The optimizing tier's per-value bookkeeping as it was before it went
 //! dense — the reference the rebuilt passes are held to.
 //!
-//! `allocate`, `simplify_params` and `dce` below are the previous
-//! implementations moved here verbatim (hash-set liveness fixpoint, one
-//! `HashMap<usize, Vec<Vec<ValueId>>>` of copied edge arguments per pass and
-//! round, reachability recomputed per pass) — but for one marked correction
-//! to the fixpoint's per-edge parameter rule. [`check_module`] compiles every
+//! `simplify_params` and `dce` below are the previous implementations moved
+//! here verbatim (one `HashMap<usize, Vec<Vec<ValueId>>>` of copied edge
+//! arguments per pass and round, reachability recomputed per pass).
+//! `allocate` keeps the previous allocator's hash-set liveness fixpoint —
+//! but for one marked correction to its per-edge parameter rule — and
+//! applies the shipped allocator's policy to it the plain way: segments read
+//! off the live-in sets block by block, every register's holders kept for
+//! good and compared segment by segment with each new value. The policy is
+//! the one the shipped module documents (same-position reuse limited to the
+//! defining instruction's operands, two-way hints, lifetime holes); when it
+//! changes, this copy changes with it. [`check_module`] compiles every
 //! function of a module through both and asserts the same IR after
-//! `optimize` and the same location for every value. It lives in a
-//! directory module so the root package's generated-program tests can run
-//! it too (`#[path]`).
+//! `optimize` and the same location for every value, and
+//! [`check_interference`] holds the shipped locations to this module's own
+//! liveness whatever the policy. It lives in a directory module so the root
+//! package's generated-program tests can run it too (`#[path]`).
 
 #![allow(dead_code)] // each including test uses its own subset
 
@@ -37,9 +44,9 @@ pub struct Allocation {
     pub num_spill_slots: u32,
 }
 
-// ---- Reference register allocator (verbatim) ---------------------------------
+// ---- Reference register allocator ------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Interval {
     value: ValueId,
     start: u32,
@@ -48,44 +55,20 @@ struct Interval {
     reference: bool,
     /// Entry-block parameter index, for the home-slot optimization.
     entry_param: Option<u32>,
+    /// Live segments `[start, end]`, in position order.
+    segs: Vec<(u32, u32)>,
+    /// The defining instruction's `(block, index)`; `None` for a parameter.
+    def_inst: Option<(BlockId, usize)>,
 }
 
-/// Allocates every live value of `ir` (in `order` layout) to a register or
-/// spill slot.
-pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
-    // ---- Positions -------------------------------------------------------
-    // Each block gets [start, end] positions; params define at start, each
-    // instruction takes one position, the terminator the last.
-    let mut block_start = vec![0u32; ir.blocks.len()];
-    let mut block_end = vec![0u32; ir.blocks.len()];
-    let mut pos = 0u32;
-    for &b in order {
-        block_start[b.index()] = pos;
-        pos += 1; // params
-        pos += ir.blocks[b.index()].insts.len() as u32;
-        block_end[b.index()] = pos; // terminator position
-        pos += 1;
-    }
-
-    // ---- Liveness --------------------------------------------------------
+/// The live-in set of every block, by the hash-set fixpoint.
+fn liveness(ir: &FuncIr, order: &[BlockId]) -> Vec<HashSet<ValueId>> {
     let mut live_in: Vec<HashSet<ValueId>> = vec![HashSet::new(); ir.blocks.len()];
     loop {
         let mut changed = false;
         for &b in order.iter().rev() {
             let block = &ir.blocks[b.index()];
-            let mut live: HashSet<ValueId> = HashSet::new();
-            // The one departure from the code as it shipped, which removed
-            // the target's parameters from the running union — so an edge
-            // to a loop header listed after an edge to an in-loop merge
-            // dropped a header parameter the merge still needs, and the
-            // value's register could be handed out in a predecessor laid
-            // out later (`tests/differential.rs` has the miscompile). A
-            // target's parameters come off that target's contribution only.
-            block.term.for_each_edge(|e| {
-                let params: HashSet<ValueId> =
-                    ir.blocks[e.target.index()].params.iter().map(|&p| ir.resolve(p)).collect();
-                live.extend(live_in[e.target.index()].difference(&params));
-            });
+            let mut live = live_out(ir, &live_in, b);
             block.term.for_each_use(|v| {
                 live.insert(ir.resolve(v));
             });
@@ -111,68 +94,125 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
             break;
         }
     }
+    live_in
+}
 
-    // ---- Intervals -------------------------------------------------------
-    let mut start: HashMap<ValueId, u32> = HashMap::new();
-    let mut end: HashMap<ValueId, u32> = HashMap::new();
+/// What `b` passes on to its successors: each one's live-in set less its
+/// own parameters.
+fn live_out(ir: &FuncIr, live_in: &[HashSet<ValueId>], b: BlockId) -> HashSet<ValueId> {
+    let mut live: HashSet<ValueId> = HashSet::new();
+    // The one departure from the fixpoint as it shipped, which removed the
+    // target's parameters from the running union — so an edge to a loop
+    // header listed after an edge to an in-loop merge dropped a header
+    // parameter the merge still needs, and the value's register could be
+    // handed out in a predecessor laid out later (`tests/differential.rs`
+    // has the miscompile). A target's parameters come off that target's
+    // contribution only.
+    ir.blocks[b.index()].term.for_each_edge(|e| {
+        let params: HashSet<ValueId> =
+            ir.blocks[e.target.index()].params.iter().map(|&p| ir.resolve(p)).collect();
+        live.extend(live_in[e.target.index()].difference(&params));
+    });
+    live
+}
+
+/// Whether `j` (allocated before `iv`) is live at a position where `iv` is,
+/// other than where `iv`'s defining instruction reads `j` as one of `j`'s
+/// segments ends.
+fn interferes(ir: &FuncIr, j: &Interval, iv: &Interval) -> bool {
+    let reads_j = || {
+        let Some((b, i)) = iv.def_inst else { return false };
+        let mut reads = false;
+        ir.blocks[b.index()].insts[i].for_each_use(&ir.nodes, |u| reads |= ir.resolve(u) == j.value);
+        reads
+    };
+    j.segs.iter().any(|&(s1, e1)| {
+        iv.segs.iter().any(|&(s2, e2)| {
+            s1 <= e2 && s2 <= e1 && !(e1 == iv.start && s2 == iv.start && reads_j())
+        })
+    })
+}
+
+/// Allocates every live value of `ir` (in `order` layout) to a register or
+/// spill slot.
+pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
+    // ---- Positions -------------------------------------------------------
+    // Each block gets [start, end] positions; params define at start, each
+    // instruction takes one position, the terminator the last.
+    let mut block_start = vec![0u32; ir.blocks.len()];
+    let mut block_end = vec![0u32; ir.blocks.len()];
+    let mut pos = 0u32;
+    for &b in order {
+        block_start[b.index()] = pos;
+        pos += 1; // params
+        pos += ir.blocks[b.index()].insts.len() as u32;
+        block_end[b.index()] = pos; // terminator position
+        pos += 1;
+    }
+
+    // ---- Liveness --------------------------------------------------------
+    let live_in = liveness(ir, order);
+
+    // ---- Segments --------------------------------------------------------
+    // Per block, every value live in it: from the block's start (or the
+    // definition) to its end if a successor needs it, else to its last read.
+    let mut segs: HashMap<ValueId, Vec<(u32, u32)>> = HashMap::new();
+    let mut def_inst: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
     let mut entry_param: HashMap<ValueId, u32> = HashMap::new();
     let mut used: HashSet<ValueId> = HashSet::new();
-
     for &b in order {
         let bi = b.index();
         let block = &ir.blocks[bi];
-        let s = block_start[bi];
-        let e = block_end[bi];
+        let (s, e) = (block_start[bi], block_end[bi]);
+        let out = live_out(ir, &live_in, b);
+        // (start, last read) of every value live in this block.
+        let mut here: HashMap<ValueId, (u32, u32)> = HashMap::new();
+        for &v in &live_in[bi] {
+            here.insert(v, (s, s));
+        }
         for (i, &p) in block.params.iter().enumerate() {
             if ir.resolve(p) != p {
                 continue;
             }
-            start.entry(p).or_insert(s);
-            end.entry(p).or_insert(s);
+            here.entry(p).or_insert((s, s));
             if b == ir.entry() {
                 entry_param.insert(p, i as u32);
             }
         }
-        // Live-out extension: anything live into a successor survives to the
-        // end of this block.
-        block.term.for_each_edge(|edge| {
-            for v in &live_in[edge.target.index()] {
-                let entry = end.entry(*v).or_insert(e);
-                *entry = (*entry).max(e);
-            }
-        });
-        for (offset, inst) in block.insts.iter().enumerate() {
-            let p = s + 1 + offset as u32;
-            inst.for_each_use(&ir.nodes, |v| {
-                let v = ir.resolve(v);
-                if ir.as_const(v).is_some() {
-                    return;
-                }
-                used.insert(v);
-                let entry = end.entry(v).or_insert(p);
-                *entry = (*entry).max(p);
-            });
-            for_each_def(inst, |d| {
-                if ir.resolve(d) != d || matches!(ir.nodes[d.index()], Node::Const(_)) {
-                    return;
-                }
-                start.entry(d).or_insert(p);
-                end.entry(d).or_insert(p);
-            });
-        }
-        block.term.for_each_use(|v| {
+        let mut read = |v: ValueId, at: u32, here: &mut HashMap<ValueId, (u32, u32)>| {
             let v = ir.resolve(v);
             if ir.as_const(v).is_some() {
                 return;
             }
             used.insert(v);
-            let entry = end.entry(v).or_insert(e);
-            *entry = (*entry).max(e);
-        });
+            if let Some(range) = here.get_mut(&v) {
+                range.1 = range.1.max(at);
+            }
+        };
+        for (offset, inst) in block.insts.iter().enumerate() {
+            let p = s + 1 + offset as u32;
+            inst.for_each_use(&ir.nodes, |v| read(v, p, &mut here));
+            for_each_def(inst, |d| {
+                if ir.resolve(d) != d || matches!(ir.nodes[d.index()], Node::Const(_)) {
+                    return;
+                }
+                here.entry(d).or_insert((p, p));
+                def_inst.entry(d).or_insert((b, offset));
+            });
+        }
+        block.term.for_each_use(|v| read(v, e, &mut here));
+        for (v, (start, last)) in here {
+            let end = if out.contains(&v) { e } else { last };
+            let list = segs.entry(v).or_default();
+            match list.last_mut() {
+                Some(prev) if prev.1 + 1 == start => prev.1 = end,
+                _ => list.push((start, end)),
+            }
+        }
     }
 
     let mut intervals: Vec<Interval> = Vec::new();
-    for (&v, &s) in &start {
+    for (v, segs) in segs {
         // Dead call results and dead trapping defs get no location; the
         // emitter computes them into a scratch.
         let is_param = matches!(ir.nodes[v.index()], Node::Param { .. });
@@ -182,35 +222,40 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         let ty = ir.types[v.index()];
         intervals.push(Interval {
             value: v,
-            start: s,
-            end: *end.get(&v).unwrap_or(&s),
+            start: segs[0].0,
+            end: segs[segs.len() - 1].1,
             float: ty.is_float(),
             reference: ty.is_reference(),
             entry_param: entry_param.get(&v).copied(),
+            segs,
+            def_inst: def_inst.get(&v).copied(),
         });
     }
     intervals.sort_by_key(|iv| (iv.start, iv.value));
 
     // ---- Allocation hints: a parameter prefers its first argument's
-    // register, which coalesces loop-carried moves. -----------------------
-    let mut hints: HashMap<ValueId, ValueId> = HashMap::new();
+    // register, and a back-edge argument its parameter's. -----------------
+    let mut param_hints: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut arg_hints: HashMap<ValueId, ValueId> = HashMap::new();
     for &b in order {
         ir.blocks[b.index()].term.for_each_edge(|e| {
+            let back = block_start[e.target.index()] <= block_start[b.index()];
             let params = &ir.blocks[e.target.index()].params;
             for (&p, &a) in params.iter().zip(&e.args) {
                 let p = ir.resolve(p);
                 let a = ir.resolve(a);
-                hints.entry(p).or_insert(a);
+                param_hints.entry(p).or_insert(a);
+                if back {
+                    arg_hints.entry(a).or_insert(p);
+                }
             }
         });
     }
 
     // ---- Linear scan -----------------------------------------------------
     let mut locs: HashMap<ValueId, Loc> = HashMap::new();
-    let mut free_gprs: Vec<Reg> = ALLOC_GPRS.rev().map(Reg).collect();
-    let mut free_fprs: Vec<FReg> = ALLOC_FPRS.rev().map(FReg).collect();
-    // (end, value, reg) of currently live register-resident intervals.
-    let mut active: Vec<(u32, ValueId, AnyReg)> = Vec::new();
+    // Every interval each register was given, unless it was evicted.
+    let mut holding: HashMap<AnyReg, Vec<usize>> = HashMap::new();
     // Spill slots: last position each slot is occupied to, for reuse.
     // OSR entry stubs read the interpreter operand region as their move
     // sources, and the engine requires the optimized frame to cover the
@@ -245,84 +290,71 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         locs.insert(iv.value, Loc::Slot(spill_base + slot as u32));
     };
 
-    for iv in &intervals {
-        // Expire finished intervals.
-        active.retain(|&(e, _, reg)| {
-            if e < iv.start {
-                match reg {
-                    AnyReg::Gpr(r) => free_gprs.push(r),
-                    AnyReg::Fpr(r) => free_fprs.push(r),
-                }
-                false
-            } else {
-                true
-            }
-        });
+    for k in 0..intervals.len() {
+        let iv = &intervals[k];
         if iv.reference {
             spill(iv, &mut slot_ends, &mut locs);
             continue;
         }
-        // Hint: take the first incoming argument's register when free.
-        let hinted: Option<AnyReg> = hints
-            .get(&iv.value)
-            .and_then(|h| locs.get(&ir.resolve(*h)))
-            .and_then(|l| match l {
-                Loc::Reg(r) => Some(*r),
-                Loc::Slot(_) => None,
-            });
-        let reg: Option<AnyReg> = if iv.float {
-            match hinted {
-                Some(AnyReg::Fpr(h)) if free_fprs.contains(&h) => {
-                    free_fprs.retain(|r| *r != h);
-                    Some(AnyReg::Fpr(h))
-                }
-                _ => free_fprs.pop().map(AnyReg::Fpr),
-            }
+        let bank: Vec<AnyReg> = if iv.float {
+            ALLOC_FPRS.map(|f| AnyReg::Fpr(FReg(f))).collect()
         } else {
-            match hinted {
-                Some(AnyReg::Gpr(h)) if free_gprs.contains(&h) => {
-                    free_gprs.retain(|r| *r != h);
-                    Some(AnyReg::Gpr(h))
+            ALLOC_GPRS.map(|r| AnyReg::Gpr(Reg(r))).collect()
+        };
+        let free = |r: &AnyReg| {
+            holding
+                .get(r)
+                .is_none_or(|held| held.iter().all(|&j| !interferes(ir, &intervals[j], iv)))
+        };
+        // Hints first (the parameter's, then the back-edge argument's),
+        // then the bank in order.
+        let hinted = [param_hints.get(&iv.value), arg_hints.get(&iv.value)]
+            .into_iter()
+            .flatten()
+            .filter_map(|h| match locs.get(h) {
+                Some(Loc::Reg(r)) if r.is_float() == iv.float => Some(*r),
+                _ => None,
+            });
+        let chosen = hinted.chain(bank.iter().copied()).find(|r| free(r));
+        let reg = match chosen {
+            Some(r) => Some(r),
+            None => {
+                // Pressure: among the registers with exactly one holder live
+                // where this value is, the one whose holder ends furthest
+                // away (the lowest register on a tie); evict it if it
+                // outlasts this value, else spill this value.
+                let mut victim: Option<(usize, AnyReg)> = None;
+                for &r in &bank {
+                    let conflicts: Vec<usize> = holding[&r]
+                        .iter()
+                        .copied()
+                        .filter(|&j| interferes(ir, &intervals[j], iv))
+                        .collect();
+                    if let [j] = conflicts[..] {
+                        if victim.is_none_or(|(v, _)| intervals[j].end > intervals[v].end) {
+                            victim = Some((j, r));
+                        }
+                    }
                 }
-                _ => free_gprs.pop().map(AnyReg::Gpr),
+                match victim {
+                    Some((j, r)) if intervals[j].end > iv.end => {
+                        holding.get_mut(&r).unwrap().retain(|&h| h != j);
+                        // The victim's slot must be free from its
+                        // *definition* (where the emitter stores spilled
+                        // values), not from the eviction point.
+                        spill(&intervals[j], &mut slot_ends, &mut locs);
+                        Some(r)
+                    }
+                    _ => None,
+                }
             }
         };
         match reg {
-            Some(reg) => {
-                locs.insert(iv.value, Loc::Reg(reg));
-                active.push((iv.end, iv.value, reg));
+            Some(r) => {
+                locs.insert(iv.value, Loc::Reg(r));
+                holding.entry(r).or_default().push(k);
             }
-            None => {
-                // Pressure: evict the same-bank active interval that ends
-                // furthest away if it outlasts this one, else spill this one.
-                let victim = active
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, r))| r.is_float() == iv.float)
-                    .max_by_key(|(_, (e, _, _))| *e)
-                    .map(|(i, _)| i);
-                match victim {
-                    Some(vi) if active[vi].0 > iv.end => {
-                        let (vend, vval, vreg) = active.remove(vi);
-                        // The victim's slot must be free from its *definition*
-                        // (where the emitter stores spilled values), not from
-                        // the eviction point — a slot vacated in between
-                        // would overlap the victim's real slot lifetime.
-                        let victim_iv = Interval {
-                            value: vval,
-                            start: start[&vval],
-                            end: vend,
-                            float: iv.float,
-                            reference: false,
-                            entry_param: entry_param.get(&vval).copied(),
-                        };
-                        spill(&victim_iv, &mut slot_ends, &mut locs);
-                        locs.insert(iv.value, Loc::Reg(vreg));
-                        active.push((iv.end, iv.value, vreg));
-                    }
-                    _ => spill(iv, &mut slot_ends, &mut locs),
-                }
-            }
+            None => spill(iv, &mut slot_ends, &mut locs),
         }
     }
 
@@ -330,6 +362,44 @@ pub fn allocate(ir: &FuncIr, order: &[BlockId]) -> Allocation {
         locs,
         spill_base,
         num_spill_slots: slot_ends.len() as u32,
+    }
+}
+
+/// Holds an allocation of `ir` laid out in `order` to this module's own
+/// liveness, whatever policy chose it: at no position do two live values
+/// share a register or a spill slot. The one exception is a definition
+/// taking the location of an operand that dies there — the operand is not
+/// live after the instruction, so it is not in the set that instruction is
+/// checked with. Checked at every block's start (live-in values and
+/// parameters), after every instruction (values live after it and what it
+/// defines) and at every terminator (what it reads and what its successors
+/// need).
+pub fn check_interference(ir: &FuncIr, order: &[BlockId], loc: impl Fn(ValueId) -> Option<Loc>, what: &str) {
+    let live_in = liveness(ir, order);
+    let distinct = |live: &HashSet<ValueId>, at: &str| {
+        let mut owner: HashMap<Loc, ValueId> = HashMap::new();
+        for &v in live {
+            let Some(l) = loc(v) else { continue };
+            if let Some(other) = owner.insert(l, v) {
+                panic!("{what}: {other} and {v} are both live {at} and share {l:?}\n{}", ir.display());
+            }
+        }
+    };
+    let resolved = |v: ValueId| Some(ir.resolve(v)).filter(|&v| ir.as_const(v).is_none());
+    for &b in order {
+        let block = &ir.blocks[b.index()];
+        let mut live = live_out(ir, &live_in, b);
+        block.term.for_each_use(|v| live.extend(resolved(v)));
+        distinct(&live, &format!("at the terminator of {b}"));
+        for (i, inst) in block.insts.iter().enumerate().rev() {
+            let mut defs: HashSet<ValueId> = HashSet::new();
+            for_each_def(inst, |d| defs.extend(resolved(d)));
+            distinct(&live.union(&defs).copied().collect(), &format!("after instruction {i} of {b}"));
+            live.retain(|v| !defs.contains(v));
+            inst.for_each_use(&ir.nodes, |v| live.extend(resolved(v)));
+        }
+        live.extend(block.params.iter().map(|&p| ir.resolve(p)));
+        distinct(&live, &format!("at the start of {b}"));
     }
 }
 
@@ -596,7 +666,8 @@ const VARIANTS: [(&str, bool, bool, bool); 4] = [
 /// Compiles every function of `module` under each variant through the
 /// shipped passes and the reference ones and asserts they agree: the same
 /// IR after `optimize`, and the same `loc(v)` for every value, `spill_base`
-/// and `num_spill_slots` out of `allocate`.
+/// and `num_spill_slots` out of `allocate`, whose locations must also pass
+/// [`check_interference`].
 pub fn check_module(module: &Module, what: &str) {
     let info = validate(module).unwrap_or_else(|e| panic!("{what}: {e:?}"));
     let branch_monitor = engine::Instrumentation::branch_monitor(module);
@@ -647,9 +718,10 @@ pub fn check_module(module: &Module, what: &str) {
 }
 
 /// Asserts the shipped `allocate` and the reference agree on `ir` laid out
-/// in `order`.
+/// in `order`, and that the shipped locations pass [`check_interference`].
 pub fn check_allocation(ir: &FuncIr, order: &[BlockId], what: &str) {
     let shipped = regalloc::allocate(ir, order);
+    check_interference(ir, order, |v| shipped.loc(ir, v), what);
     let reference = allocate(ir, order);
     assert_eq!(shipped.spill_base, reference.spill_base, "{what}: spill_base");
     assert_eq!(shipped.num_spill_slots, reference.num_spill_slots, "{what}: num_spill_slots");

@@ -9,8 +9,11 @@
 //! recorded on the commit before `crates/optc`'s per-value tables were
 //! rebuilt; the ostrich column was re-recorded when `kernels::float_nbody`'s
 //! checksum clamp moved from ±1e12 to ±2e9 (two `f64.const` immediates in
-//! `nbody` and `lavamd`). A change that alters emitted code on purpose
-//! re-records them in the same commit and says why.
+//! `nbody` and `lavamd`). The two optimizing rows were re-recorded when
+//! `optc`'s register allocator began keeping loop-carried values in one
+//! register (lifetime holes, two-way hints, same-position reuse). A change
+//! that alters emitted code on purpose re-records them in the same commit and
+//! says why.
 
 use engine::pipeline::{compile_eager, compile_function, CompiledModule};
 use engine::{CodeBackend, CompileTier, EngineConfig, Instrumentation, Telemetry};
@@ -25,12 +28,12 @@ const BASELINE: [[u64; 3]; 2] = [
     [6562456469761732238, 3694336332734202439, 3907002617903006398],
 ];
 const OPTIMIZING: [[u64; 3]; 2] = [
-    [817102482682522967, 16592313056520201500, 3968628933390030862],
-    [6520124582979842499, 2116337800240009993, 8614270974264394967],
+    [13601915450428945111, 12726342877247172151, 3288438751014425777],
+    [17234123348909779147, 2457210309527431337, 15750317991488106433],
 ];
 const OPTIMIZING_METERED_OSR: [[u64; 3]; 2] = [
-    [11092981574256478440, 17069174271440329983, 7642494053093763704],
-    [14927526550151217056, 7020461335078141775, 5834570076964857730],
+    [9082211503835839920, 2232922988224280575, 10004248036621756287],
+    [8450182034714589525, 3721236198582278444, 16095256448974717011],
 ];
 
 /// One fingerprint per suite: every function of every item, compiled eagerly

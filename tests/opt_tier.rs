@@ -105,3 +105,41 @@ fn three_tier_promotion_is_seamless_mid_workload() {
     assert!(instance.metrics.opt_exec_cycles > 0);
     assert!(instance.metrics.tiered_up_functions >= 2);
 }
+
+/// The optimizing tier keeps a loop-carried value in one register all the
+/// way round its loop (DESIGN.md, "Liveness and intervals"), so the back
+/// edge of `gemm`'s innermost loop — the jump to the loop header's label,
+/// after which nothing of the edge remains to move — is not preceded by a
+/// register move. Without same-position reuse and lifetime holes it read
+/// `Addi.32 r8, r6, #1; mov r6, r8; mov r7, r10; jmp L5`.
+#[test]
+fn gemm_inner_loop_back_edge_carries_no_register_move() {
+    use machine::inst::MachInst;
+
+    let suite = suites::polybench::suite(Scale::Default);
+    let item = suite.items.iter().find(|i| i.name == "gemm").expect("PolyBench has gemm");
+    let module = &item.module;
+    let kernel = module.exported_func("kernel").expect("gemm exports its kernel");
+    let info = wasm::validate::validate(module).expect("gemm validates");
+    let defined = (kernel - module.num_imported_funcs()) as usize;
+    let compiled = optc::OptimizingCompiler::default()
+        .compile(module, kernel, &info.funcs[defined], &spc::ProbeSites::none(), None)
+        .expect("gemm's kernel compiles");
+    let code = &compiled.code;
+    // Back edges: jumps to a label bound at or before the jump. The
+    // innermost loop's is the one spanning the fewest instructions.
+    let back_edge = (0..code.len())
+        .filter_map(|pc| match code.insts()[pc] {
+            MachInst::Jump { target } if code.target(target) <= pc => Some((pc - code.target(target), pc)),
+            _ => None,
+        })
+        .min()
+        .map(|(_, pc)| pc)
+        .unwrap_or_else(|| panic!("no back edge in\n{}", code.disassemble()));
+    let moves = code.insts()[..back_edge]
+        .iter()
+        .rev()
+        .take_while(|inst| matches!(inst, MachInst::Mov { .. } | MachInst::FMov { .. }))
+        .count();
+    assert_eq!(moves, 0, "{moves} register move(s) before the back edge at {back_edge}\n{}", code.disassemble());
+}

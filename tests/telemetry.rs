@@ -597,7 +597,7 @@ fn one_scripted_run_leaves_the_pinned_metrics() {
             ("cache.misses", 4),
             ("compile.errors", 1),
             ("compile.functions", 8),
-            ("compile.machine_bytes", 354),
+            ("compile.machine_bytes", 342),
             ("compile.wasm_bytes", 79),
             ("engine.osr_entries", 1),
             ("engine.traps.division_by_zero", 1),

@@ -20,7 +20,9 @@
 # verdict line per end-to-end metric (the here/ref
 # ratio of the medians against the metric's `better` and `bound` in
 # BENCHMARK.json: `WORSE` when here is worse by more than the bound, `ok`
-# otherwise), whether `sim_cycles` is identical, and where the linker
+# otherwise), whether `sim_cycles` is identical (when each side repeats
+# itself but the two differ, both values and their ratio; `DIFFER` when a
+# side disagrees with itself), and where the linker
 # put the three hot loops in each binary (address mod 128 of `Cpu::run`,
 # `Interpreter::run` and the baseline compiler's `FuncCompiler::compile_body`:
 # 0 on a side whose tree pins placement, anything on one that does not,
@@ -207,8 +209,15 @@ for workload in "${workloads[@]}"; do
     verdict sim_cycles "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^ref://p' | median)" \
         "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^here://p' | median)"
     distinct=$(printf '%s\n' "${cycles[@]#*:}" | sort -u)
+    ref_cycles=$(printf '%s\n' "${cycles[@]}" | sed -n 's/^ref://p' | sort -u)
+    here_cycles=$(printf '%s\n' "${cycles[@]}" | sed -n 's/^here://p' | sort -u)
     if [ "$(printf '%s\n' "$distinct" | wc -l)" -eq 1 ]; then
         echo "  sim_cycles identical in all $((2 * pairs)) runs: $distinct"
+    elif [ "$(printf '%s\n' "$ref_cycles" | wc -l)" -eq 1 ] &&
+        [ "$(printf '%s\n' "$here_cycles" | wc -l)" -eq 1 ]; then
+        # Each side repeats itself; the two builds simulate different code.
+        awk -v r="$ref_cycles" -v h="$here_cycles" \
+            'BEGIN { printf "  sim_cycles ref %s here %s (here/ref %.4f)\n", r, h, (r == 0) ? 0 : h / r }'
     else
         echo "  sim_cycles DIFFER: ${cycles[*]}"
     fi
