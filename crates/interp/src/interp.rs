@@ -859,7 +859,7 @@ mod tests {
             memory: Some(&mut memory),
             globals: &mut globals,
             tables: &mut tables,
-            meter: machine::cpu::Meter::off(),
+            meter: machine::cpu::Meter::default(),
         };
         let exit = interp.run(module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);
         match exit {
@@ -1206,7 +1206,7 @@ mod tests {
             memory: None,
             globals: &mut globals,
             tables: &mut tables,
-            meter: machine::cpu::Meter::off(),
+            meter: machine::cpu::Meter::default(),
         };
         Interpreter::default().run(&module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles)
     }
@@ -1264,7 +1264,7 @@ mod tests {
             memory: None,
             globals: &mut globals,
             tables: &mut tables,
-            meter: machine::cpu::Meter::off(),
+            meter: machine::cpu::Meter::default(),
         };
         let exit = interp.run(&module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);
         assert_eq!(
@@ -1304,7 +1304,7 @@ mod tests {
                 memory: None,
                 globals: &mut globals,
                 tables: &mut tables,
-                meter: machine::cpu::Meter::off(),
+                meter: machine::cpu::Meter::default(),
             };
             interp.run(&module, &prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);
             cycles.total()

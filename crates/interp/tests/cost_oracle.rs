@@ -173,7 +173,7 @@ fn charged(cost: &CostModel, case: Case) -> (Exit, u64) {
         memory: Some(&mut memory),
         globals: &mut globals,
         tables: &mut tables,
-        meter: Meter::off(),
+        meter: Meter::default(),
     };
     let exit = Interpreter::new(cost.clone()).run(
         &module,

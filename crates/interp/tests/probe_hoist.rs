@@ -78,7 +78,7 @@ fn a_probe_attached_by_a_callees_firing_fires_when_the_caller_resumes() {
             memory: None,
             globals: &mut globals,
             tables: &mut tables,
-            meter: Meter::off(),
+            meter: Meter::default(),
         };
         let exit = interp.run(&module, func, start_ip, &mut ctx, sink, &mut cycles);
         (exit, cycles.total())

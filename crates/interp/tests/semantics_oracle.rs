@@ -65,7 +65,7 @@ fn run(
         memory: Some(memory),
         globals: &mut [],
         tables: &mut [],
-        meter: Meter::off(),
+        meter: Meter::default(),
     };
     let exit =
         Interpreter::default().run(module, prepared, 0, &mut ctx, &mut NoProbes, &mut cycles);

@@ -171,7 +171,7 @@ impl std::fmt::Debug for OsrHook<'_> {
 ///
 /// Both meters are optional so un-metered execution stays exactly the code
 /// path it was before metering existed: a `FuelCheck` or `EpochCheck`
-/// instruction executed against [`Meter::off`] is a no-op.
+/// instruction executed against `Meter::default()` is a no-op.
 #[derive(Debug, Default)]
 pub struct Meter<'a> {
     /// Remaining fuel, decremented by `FuelCheck`. `None` disables metering.
@@ -190,12 +190,7 @@ pub struct Meter<'a> {
     pub osr: Option<OsrHook<'a>>,
 }
 
-impl<'a> Meter<'a> {
-    /// A meter that charges nothing and never interrupts.
-    pub fn off() -> Meter<'a> {
-        Meter::default()
-    }
-
+impl Meter<'_> {
     /// Charges `amount` fuel. On exhaustion the remaining fuel is clamped to
     /// zero (so consumed-at-trap equals the initial budget in every tier) and
     /// [`TrapCode::OutOfFuel`] is returned.
@@ -396,13 +391,14 @@ impl Cpu {
     /// once per op of the buffer's pre-decoded stream (`predecode.rs`): one
     /// variant per integer operation, width and operand form, per register
     /// bank and per memory-access shape, so no arm switches again on what it
-    /// was handed, and one per fused pair of the commonest adjacent
-    /// instructions, which retires both. Each arm charges its own cost (what
-    /// [`CostModel::inst_cost`] specifies for the instruction the op stands
-    /// for, or the sum of a pair's two — the cost-oracle test holds them
-    /// together) and then executes. Cycles accumulate in a local and reach
-    /// `cycles` once, on the way out. A trapping instruction is charged
-    /// before it traps, and reports its own pc, also as a pair's second.
+    /// was handed, and one per fused group of two or three of the commonest
+    /// adjacent instructions, which retires them all. Each arm charges its
+    /// own cost (what [`CostModel::inst_cost`] specifies for the instruction
+    /// the op stands for, or the sum of a group's members — the cost-oracle
+    /// test holds them together) and then executes. Cycles accumulate in a
+    /// local and reach `cycles` once, on the way out. A trapping instruction
+    /// is charged before it traps, and reports its own pc, also as a later
+    /// member of a group.
     pub fn run(
         &self,
         state: &mut CpuState,
@@ -461,6 +457,12 @@ impl Cpu {
                 }
             }};
         }
+        macro_rules! mov_imm {
+            ($dst:ident, $bits:expr) => {{
+                spent += cost.mov;
+                state[$dst] = $bits;
+            }};
+        }
         macro_rules! mov {
             ($dst:ident, $src:ident) => {{
                 spent += cost.mov;
@@ -493,6 +495,35 @@ impl Cpu {
                     pc = $target as usize;
                     continue;
                 }
+            }};
+        }
+        macro_rules! fuel_check {
+            ($amount:expr) => {{
+                spent += cost.fuel_check;
+                // OSR is polled before any metering runs: when the hook
+                // fires, the site's fuel has not been charged, and the
+                // opt-tier entry stub jumps to the loop header whose
+                // first instruction is this same check — so the charge
+                // happens exactly once regardless of the transition.
+                if let Some(offset) =
+                    ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
+                {
+                    break Exit::Osr { offset, resume: pc };
+                }
+                // The fused meter check: decrement fuel, then observe a
+                // pending preemption request. A real engine implements
+                // this as one register decrement-and-branch (the
+                // supervisor delivers preemption by zeroing the
+                // activation's counter); the simulator keeps the two
+                // meters separate but preserves that single-sequence
+                // cost, which is why no distinct epoch poll is emitted.
+                if let Err(t) = ctx.meter.charge_fuel($amount) {
+                    trap!(t);
+                }
+                if let Err(t) = ctx.meter.check_epoch() {
+                    trap!(t);
+                }
+                ctx.meter.poll_sampler();
             }};
         }
         let exit = loop {
@@ -603,14 +634,8 @@ impl Cpu {
                 Op::GeUR64(d, a, b) => cmp!(GeU, W64, d, a, state[b]),
                 Op::GeUI32(d, a, imm) => cmp!(GeU, W32, d, a, imm as u64),
                 Op::GeUI64(d, a, imm) => cmp!(GeU, W64, d, a, imm as u64),
-                Op::MovImm { dst, imm } => {
-                    spent += cost.mov;
-                    state[dst] = imm as u64;
-                }
-                Op::FMovImm { dst, bits } => {
-                    spent += cost.mov;
-                    state[dst] = bits;
-                }
+                Op::MovImm { dst, imm } => mov_imm!(dst, imm as u64),
+                Op::FMovImm { dst, bits } => mov_imm!(dst, bits),
                 Op::Mov { dst, src } => mov!(dst, src),
                 Op::FMov { dst, src } => mov!(dst, src),
                 Op::LoadSlot { dst, slot } => load_slot!(dst, slot),
@@ -807,33 +832,7 @@ impl Cpu {
                         resume: pc + 1,
                     };
                 }
-                Op::FuelCheck { amount } => {
-                    spent += cost.fuel_check;
-                    // OSR is polled before any metering runs: when the hook
-                    // fires, the site's fuel has not been charged, and the
-                    // opt-tier entry stub jumps to the loop header whose
-                    // first instruction is this same check — so the charge
-                    // happens exactly once regardless of the transition.
-                    if let Some(offset) =
-                        ctx.meter.poll_osr(|| code.source_offset(pc).unwrap_or(0))
-                    {
-                        break Exit::Osr { offset, resume: pc };
-                    }
-                    // The fused meter check: decrement fuel, then observe a
-                    // pending preemption request. A real engine implements
-                    // this as one register decrement-and-branch (the
-                    // supervisor delivers preemption by zeroing the
-                    // activation's counter); the simulator keeps the two
-                    // meters separate but preserves that single-sequence
-                    // cost, which is why no distinct epoch poll is emitted.
-                    if let Err(t) = ctx.meter.charge_fuel(amount) {
-                        trap!(t);
-                    }
-                    if let Err(t) = ctx.meter.check_epoch() {
-                        trap!(t);
-                    }
-                    ctx.meter.poll_sampler();
-                }
+                Op::FuelCheck { amount } => fuel_check!(amount),
                 Op::EpochCheck => {
                     spent += cost.epoch_check;
                     if let Some(offset) =
@@ -854,9 +853,11 @@ impl Cpu {
                     spent += cost.ret;
                     break Exit::Return;
                 }
-                // A fused pair retires its first instruction, steps to the
-                // second's pc (where a trap in it is reported) and retires
-                // that one; the step below, or a branch, leaves it.
+                // A fused group retires its first instruction, steps to the
+                // next one's pc (where a trap in it is reported) and retires
+                // that one, and so on; the step below, or a branch, leaves it.
+                // A group that closes with a jump skips the steps before
+                // members that cannot trap: the jump sets pc.
                 Op::StoreSlot2 { slot, src, slot2, src2 } => {
                     store_slot!(slot, src);
                     pc += 1;
@@ -867,20 +868,10 @@ impl Cpu {
                     pc += 1;
                     load_slot!(dst2, slot2);
                 }
-                Op::Mov2 { dst, src, dst2, src2 } => {
-                    mov!(dst, src);
-                    pc += 1;
-                    mov!(dst2, src2);
-                }
                 Op::AddI32StoreSlot { dst, a, imm, slot2, src2 } => {
                     alu!(alu, Add, W32, dst, a, imm as u64);
                     pc += 1;
                     store_slot!(slot2, src2);
-                }
-                Op::AddI32Mov { dst, a, imm, dst2, src2 } => {
-                    alu!(alu, Add, W32, dst, a, imm as u64);
-                    pc += 1;
-                    mov!(dst2, src2);
                 }
                 Op::XorR32RotlI32 { dst, a, b, dst2, a2, imm2 } => {
                     alu!(alu, Xor, W32, dst, a, state[b]);
@@ -906,9 +897,76 @@ impl Cpu {
                     store_slot!(slot, src);
                     jump!(target2);
                 }
-                Op::MovJump { dst, src, target2 } => {
-                    mov!(dst, src);
+                Op::AddI32Jump { dst, a, imm, target2 } => {
+                    alu!(alu, Add, W32, dst, a, imm as u64);
                     jump!(target2);
+                }
+                Op::AddR32XorR32RotlI32 { dst, a, b, dst2, a2, b2, dst3, a3, imm3 } => {
+                    alu!(alu, Add, W32, dst, a, state[b]);
+                    pc += 1;
+                    alu!(alu, Xor, W32, dst2, a2, state[b2]);
+                    pc += 1;
+                    alu!(alu, Rotl, W32, dst3, a3, imm3 as u64);
+                }
+                Op::StoreSlot2Jump { slot, src, slot2, src2, target3 } => {
+                    store_slot!(slot, src);
+                    store_slot!(slot2, src2);
+                    jump!(target3);
+                }
+                Op::LoadSlot2GeUR32 { dst, slot, dst2, slot2, dst3, a3, b3 } => {
+                    load_slot!(dst, slot);
+                    pc += 1;
+                    load_slot!(dst2, slot2);
+                    pc += 1;
+                    cmp!(GeU, W32, dst3, a3, state[b3]);
+                }
+                Op::BrNzLoadSlot2 { cond, target, dst2, slot2, dst3, slot3 } => {
+                    br_nz!(cond, target);
+                    pc += 1;
+                    load_slot!(dst2, slot2);
+                    pc += 1;
+                    load_slot!(dst3, slot3);
+                }
+                Op::XorR32MulI32RotlI32 { dst, a, b, dst2, a2, imm2, dst3, a3, imm3 } => {
+                    alu!(alu, Xor, W32, dst, a, state[b]);
+                    pc += 1;
+                    alu!(mul, Mul, W32, dst2, a2, imm2 as u64);
+                    pc += 1;
+                    alu!(alu, Rotl, W32, dst3, a3, imm3 as u64);
+                }
+                Op::SubR32AddI32Jump { dst, a, b, dst2, a2, imm2, target3 } => {
+                    alu!(alu, Sub, W32, dst, a, state[b]);
+                    alu!(alu, Add, W32, dst2, a2, imm2 as u64);
+                    jump!(target3);
+                }
+                Op::XorR64RotlI64MulR64 { dst, a, b, dst2, a2, imm2, dst3, a3, b3 } => {
+                    alu!(alu, Xor, W64, dst, a, state[b]);
+                    pc += 1;
+                    alu!(alu, Rotl, W64, dst2, a2, imm2 as u64);
+                    pc += 1;
+                    alu!(mul, Mul, W64, dst3, a3, state[b3]);
+                }
+                Op::AddR64RotlI64 { dst, a, b, dst2, a2, imm2 } => {
+                    alu!(alu, Add, W64, dst, a, state[b]);
+                    pc += 1;
+                    alu!(alu, Rotl, W64, dst2, a2, imm2 as u64);
+                }
+                Op::MovImmXorR64 { dst, imm, dst2, a2, b2 } => {
+                    mov_imm!(dst, imm as u64);
+                    pc += 1;
+                    alu!(alu, Xor, W64, dst2, a2, state[b2]);
+                }
+                Op::AddR32LoadSlot { dst, a, b, dst2, slot2 } => {
+                    alu!(alu, Add, W32, dst, a, state[b]);
+                    pc += 1;
+                    load_slot!(dst2, slot2);
+                }
+                Op::FuelCheckLoadSlot2 { amount, dst2, slot2, dst3, slot3 } => {
+                    fuel_check!(amount as u64);
+                    pc += 1;
+                    load_slot!(dst2, slot2);
+                    pc += 1;
+                    load_slot!(dst3, slot3);
                 }
             }
             pc += 1;
@@ -955,7 +1013,7 @@ mod tests {
                 memory: Some(&mut self.memory),
                 globals: &mut self.globals,
                 tables: &mut self.tables,
-                meter: Meter::off(),
+                meter: Meter::default(),
             };
             let exit = cpu.run(&mut state, code, 0, &mut ctx, &mut cycles);
             (exit, state, cycles.total())
@@ -1159,7 +1217,7 @@ mod tests {
             memory: Some(&mut w.memory),
             globals: &mut w.globals,
             tables: &mut w.tables,
-            meter: Meter::off(),
+            meter: Meter::default(),
         };
         let exit = cpu.run(&mut state, &code, 1, &mut ctx, &mut cycles);
         assert_eq!(
@@ -1222,7 +1280,7 @@ mod tests {
                 memory: Some(&mut w.memory),
                 globals: &mut w.globals,
                 tables: &mut w.tables,
-                meter: Meter::off(),
+                meter: Meter::default(),
             };
             let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
             assert_eq!(exit, Exit::Return);
@@ -1258,7 +1316,7 @@ mod tests {
             memory: Some(&mut w.memory),
             globals: &mut w.globals,
             tables: &mut w.tables,
-            meter: Meter::off(),
+            meter: Meter::default(),
         };
         cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
         assert_eq!(w.values.read(12), 35);

@@ -36,6 +36,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Lets unit tests share files written against the public paths.
+#[cfg(test)]
+extern crate self as machine;
+
 pub mod asm;
 pub mod cost;
 pub mod cpu;

@@ -29,12 +29,14 @@
 //! integer variants evaluate through [`crate::ops`] with the operation and
 //! width as constants, so the semantics are still defined in one place.
 //!
-//! Then [`fuse`] replaces the commonest adjacent pairs with one op that
-//! retires both (a *superinstruction*). The fused op takes the first
-//! instruction's index and the op at the next index stays as translated, so
-//! the index space is unchanged. Execution enters a buffer only at pc 0,
-//! after a call or probe (neither of which fuses) and at label targets, and
-//! no pair fuses into a label target, so no entry lands on the kept op.
+//! Then [`fuse`] replaces the commonest groups of two or three adjacent ops
+//! with one op that retires them all (a *superinstruction*). The fused op
+//! takes the first member's index and the ops at the next indices stay as
+//! translated, so the index space is unchanged. Execution enters a buffer
+//! only at pc 0, after a call or probe (neither of which fuses) and at label
+//! targets, and no later member of a group is a label target, so no entry
+//! lands on a kept op. A meter check may lead a group: it exits for OSR and
+//! traps at its own pc, the group's, before any later member runs.
 //! [`crate::asm::CodeBuffer`] translates on its first execution and keeps
 //! the result beside its instructions.
 
@@ -221,21 +223,31 @@ pub(crate) enum Op {
     Trap { code: TrapCode },
     Return,
 
-    // Fused pairs (see [`fuse`]): each retires the instruction at its own
-    // index and then the next one, whose fields carry a `2`. An immediate
-    // is a 32-bit operation's, and those read only its low 32 bits, so it
-    // is kept as an `i32`.
+    // Fused groups (see [`fuse`]): each retires the instruction at its own
+    // index and then the next one or two, whose fields carry a `2` or a `3`.
+    // An `i32` immediate is a 32-bit operation's or a 64-bit rotate's (see
+    // [`imm32`]); a meter check's amount fits a `u32` or the check is not
+    // fused.
     StoreSlot2 { slot: u32, src: Reg, slot2: u32, src2: Reg },
     LoadSlot2 { dst: Reg, slot: u32, dst2: Reg, slot2: u32 },
-    Mov2 { dst: Reg, src: Reg, dst2: Reg, src2: Reg },
     AddI32StoreSlot { dst: Reg, a: Reg, imm: i32, slot2: u32, src2: Reg },
-    AddI32Mov { dst: Reg, a: Reg, imm: i32, dst2: Reg, src2: Reg },
     XorR32RotlI32 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32 },
     MulI32Load32U { dst: Reg, a: Reg, imm: i32, dst2: Reg, addr2: Reg, offset2: u32 },
     GeUR32BrNz { dst: Reg, a: Reg, b: Reg, cond2: Reg, target2: u32 },
     GeUI32BrNz { dst: Reg, a: Reg, imm: i32, cond2: Reg, target2: u32 },
     StoreSlotJump { slot: u32, src: Reg, target2: u32 },
-    MovJump { dst: Reg, src: Reg, target2: u32 },
+    AddI32Jump { dst: Reg, a: Reg, imm: i32, target2: u32 },
+    AddR32XorR32RotlI32 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, b2: Reg, dst3: Reg, a3: Reg, imm3: i32 },
+    StoreSlot2Jump { slot: u32, src: Reg, slot2: u32, src2: Reg, target3: u32 },
+    LoadSlot2GeUR32 { dst: Reg, slot: u32, dst2: Reg, slot2: u32, dst3: Reg, a3: Reg, b3: Reg },
+    BrNzLoadSlot2 { cond: Reg, target: u32, dst2: Reg, slot2: u32, dst3: Reg, slot3: u32 },
+    XorR32MulI32RotlI32 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32, dst3: Reg, a3: Reg, imm3: i32 },
+    SubR32AddI32Jump { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32, target3: u32 },
+    XorR64RotlI64MulR64 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32, dst3: Reg, a3: Reg, b3: Reg },
+    AddR64RotlI64 { dst: Reg, a: Reg, b: Reg, dst2: Reg, a2: Reg, imm2: i32 },
+    MovImmXorR64 { dst: Reg, imm: i64, dst2: Reg, a2: Reg, b2: Reg },
+    AddR32LoadSlot { dst: Reg, a: Reg, b: Reg, dst2: Reg, slot2: u32 },
+    FuelCheckLoadSlot2 { amount: u32, dst2: Reg, slot2: u32, dst3: Reg, slot3: u32 },
 }
 
 // Fetched once per dispatch, and no larger than a `MachInst`.
@@ -330,7 +342,7 @@ fn store(src: AnyReg, addr: Reg, offset: u32, width: u32) -> Option<Op> {
     })
 }
 
-/// Translates every instruction of `code`, in order, then [`fuse`]s pairs.
+/// Translates every instruction of `code`, in order, then [`fuse`]s groups.
 ///
 /// # Panics
 ///
@@ -412,67 +424,128 @@ pub(crate) fn translate(code: &CodeBuffer) -> Box<[Op]> {
     ops.into_boxed_slice()
 }
 
-/// Replaces, left to right, each pair of adjacent ops that [`fused`] knows
-/// with its fused op at the first one's index, unless the second op is a
-/// label target, where execution may enter. The second op stays where it
-/// is, so every index keeps its meaning; a chain pairs greedily, so three
-/// `StoreSlot`s become a fused op, the kept second op and a plain third.
+/// Replaces, left to right, each group of adjacent ops that [`fused`]
+/// knows with its fused op at the first one's index, trying three ops before
+/// two. No later member of a group is a label target, where execution may
+/// enter. The later ops stay where they are, so every index keeps its
+/// meaning; a chain groups greedily, so four `StoreSlot`s and a `Jump` become
+/// a pair, its kept second op, a triple and its two kept ops.
 fn fuse(ops: &mut [Op], label_targets: &[u32]) {
     let mut targeted = vec![false; ops.len() + 1];
     for &target in label_targets {
         targeted[target as usize] = true;
     }
     let mut i = 0;
-    while i + 1 < ops.len() {
-        match fused(ops[i], ops[i + 1]).filter(|_| !targeted[i + 1]) {
-            Some(op) => {
+    while i < ops.len() {
+        // The op at `i` and the next ones up to a label target, at most three.
+        let open = 1 + (i + 1..ops.len().min(i + 3)).take_while(|&k| !targeted[k]).count();
+        match fused(&ops[i..i + open]) {
+            Some((op, len)) => {
                 ops[i] = op;
-                i += 2;
+                i += len;
             }
             None => i += 1,
         }
     }
 }
 
-/// The op that retires `first` and then `second`, if the pair is one of the
-/// commonest in the code both compilers emit (DESIGN.md, "Fused pairs").
-/// None of them calls, probes, meters, traps by design or returns, so no
-/// pc the engine resumes at falls inside one.
-fn fused(first: Op, second: Op) -> Option<Op> {
+/// An immediate kept in a fused op's 32 bits. Only a 32-bit operation's
+/// immediate or a 64-bit rotate's count is kept so: the first never reads its
+/// high half and the second reads its count modulo 64, so the value the
+/// evaluator sees after `imm as u64` is unchanged.
+fn imm32(imm: i64) -> i32 {
+    imm as i32
+}
+
+/// The op that retires the first three of `ops`, or failing that the first
+/// two, and how many it retires, if they are one of the groups commonest in
+/// the code the tiers emit (DESIGN.md, "Fused groups").
+///
+/// No group calls, probes, traps by design, returns or dispatches through a
+/// table, so the pc after a member is never one the engine resumes at. A
+/// meter check may lead a group and only lead it: its OSR exit resumes at its
+/// own pc, which is the group's index, before any fuel is charged, and its
+/// traps report that pc, so a group led by one exits exactly as the check
+/// alone does.
+fn fused(ops: &[Op]) -> Option<(Op, usize)> {
     use Op::*;
-    // A 32-bit operation's immediate; its high half is never read.
-    let imm32 = |imm: i64| imm as i32;
-    Some(match (first, second) {
-        (StoreSlot { slot, src }, StoreSlot { slot: slot2, src: src2 }) => {
+    let triple = match *ops {
+        [AddR32(dst, a, b), XorR32(dst2, a2, b2), RotlI32(dst3, a3, imm3), ..] => {
+            AddR32XorR32RotlI32 { dst, a, b, dst2, a2, b2, dst3, a3, imm3: imm32(imm3) }
+        }
+        [StoreSlot { slot, src }, StoreSlot { slot: slot2, src: src2 }, Jump { target: target3 }, ..] => {
+            StoreSlot2Jump { slot, src, slot2, src2, target3 }
+        }
+        [LoadSlot { dst, slot }, LoadSlot { dst: dst2, slot: slot2 }, GeUR32(dst3, a3, b3), ..] => {
+            LoadSlot2GeUR32 { dst, slot, dst2, slot2, dst3, a3, b3 }
+        }
+        [BrNz { cond, target }, LoadSlot { dst: dst2, slot: slot2 }, LoadSlot { dst: dst3, slot: slot3 }, ..] => {
+            BrNzLoadSlot2 { cond, target, dst2, slot2, dst3, slot3 }
+        }
+        [XorR32(dst, a, b), MulI32(dst2, a2, imm2), RotlI32(dst3, a3, imm3), ..] => {
+            XorR32MulI32RotlI32 { dst, a, b, dst2, a2, imm2: imm32(imm2), dst3, a3, imm3: imm32(imm3) }
+        }
+        [SubR32(dst, a, b), AddI32(dst2, a2, imm2), Jump { target: target3 }, ..] => {
+            SubR32AddI32Jump { dst, a, b, dst2, a2, imm2: imm32(imm2), target3 }
+        }
+        [XorR64(dst, a, b), RotlI64(dst2, a2, imm2), MulR64(dst3, a3, b3), ..] => {
+            XorR64RotlI64MulR64 { dst, a, b, dst2, a2, imm2: imm32(imm2), dst3, a3, b3 }
+        }
+        [FuelCheck { amount }, LoadSlot { dst: dst2, slot: slot2 }, LoadSlot { dst: dst3, slot: slot3 }, ..]
+            if u32::try_from(amount).is_ok() =>
+        {
+            FuelCheckLoadSlot2 { amount: amount as u32, dst2, slot2, dst3, slot3 }
+        }
+        _ => return fused_pair(ops).map(|op| (op, 2)),
+    };
+    Some((triple, 3))
+}
+
+/// The op that retires the first two of `ops`, if they are one of the pairs
+/// [`fused`] knows.
+fn fused_pair(ops: &[Op]) -> Option<Op> {
+    use Op::*;
+    Some(match *ops {
+        [StoreSlot { slot, src }, StoreSlot { slot: slot2, src: src2 }, ..] => {
             StoreSlot2 { slot, src, slot2, src2 }
         }
-        (LoadSlot { dst, slot }, LoadSlot { dst: dst2, slot: slot2 }) => {
+        [LoadSlot { dst, slot }, LoadSlot { dst: dst2, slot: slot2 }, ..] => {
             LoadSlot2 { dst, slot, dst2, slot2 }
         }
-        (Mov { dst, src }, Mov { dst: dst2, src: src2 }) => Mov2 { dst, src, dst2, src2 },
-        (AddI32(dst, a, imm), StoreSlot { slot: slot2, src: src2 }) => {
+        [AddI32(dst, a, imm), StoreSlot { slot: slot2, src: src2 }, ..] => {
             AddI32StoreSlot { dst, a, imm: imm32(imm), slot2, src2 }
         }
-        (AddI32(dst, a, imm), Mov { dst: dst2, src: src2 }) => {
-            AddI32Mov { dst, a, imm: imm32(imm), dst2, src2 }
-        }
-        (XorR32(dst, a, b), RotlI32(dst2, a2, imm2)) => {
+        [XorR32(dst, a, b), RotlI32(dst2, a2, imm2), ..] => {
             XorR32RotlI32 { dst, a, b, dst2, a2, imm2: imm32(imm2) }
         }
-        (MulI32(dst, a, imm), Load32U { dst: dst2, addr: addr2, offset: offset2 }) => {
+        [MulI32(dst, a, imm), Load32U { dst: dst2, addr: addr2, offset: offset2 }, ..] => {
             MulI32Load32U { dst, a, imm: imm32(imm), dst2, addr2, offset2 }
         }
-        (GeUR32(dst, a, b), BrNz { cond: cond2, target: target2 }) => {
+        [GeUR32(dst, a, b), BrNz { cond: cond2, target: target2 }, ..] => {
             GeUR32BrNz { dst, a, b, cond2, target2 }
         }
-        (GeUI32(dst, a, imm), BrNz { cond: cond2, target: target2 }) => {
+        [GeUI32(dst, a, imm), BrNz { cond: cond2, target: target2 }, ..] => {
             GeUI32BrNz { dst, a, imm: imm32(imm), cond2, target2 }
         }
-        (StoreSlot { slot, src }, Jump { target: target2 }) => StoreSlotJump { slot, src, target2 },
-        (Mov { dst, src }, Jump { target: target2 }) => MovJump { dst, src, target2 },
+        [StoreSlot { slot, src }, Jump { target: target2 }, ..] => StoreSlotJump { slot, src, target2 },
+        [AddI32(dst, a, imm), Jump { target: target2 }, ..] => {
+            AddI32Jump { dst, a, imm: imm32(imm), target2 }
+        }
+        [AddR64(dst, a, b), RotlI64(dst2, a2, imm2), ..] => {
+            AddR64RotlI64 { dst, a, b, dst2, a2, imm2: imm32(imm2) }
+        }
+        [MovImm { dst, imm }, XorR64(dst2, a2, b2), ..] => MovImmXorR64 { dst, imm, dst2, a2, b2 },
+        [AddR32(dst, a, b), LoadSlot { dst: dst2, slot: slot2 }, ..] => {
+            AddR32LoadSlot { dst, a, b, dst2, slot2 }
+        }
         _ => return None,
     })
 }
+
+// The list of fused groups, shared with the simulator's oracle tests.
+#[cfg(test)]
+#[path = "../tests/fused/mod.rs"]
+mod fused_groups;
 
 #[cfg(test)]
 mod tests {
@@ -574,84 +647,231 @@ mod tests {
         assert!(matches!(translated(&[odd])[0], Op::MemLoad { .. }));
     }
 
+    /// Translates `insts`, binding a label before each index in `labels`.
+    fn translated_with_labels(insts: &[MachInst], labels: &[usize]) -> Vec<Op> {
+        let mut asm = Assembler::new();
+        let end = asm.new_label();
+        for (i, &inst) in insts.iter().enumerate() {
+            if labels.contains(&i) {
+                asm.new_bound_label();
+            }
+            asm.emit(inst);
+        }
+        asm.bind(end);
+        translate(&asm.finish()).into_vec()
+    }
+
+    fn op(inst: MachInst) -> Op {
+        translated(&[inst])[0]
+    }
+
     fn store_slot(slot: u32) -> MachInst {
         MachInst::StoreSlot { slot, src: AnyReg::Gpr(Reg(slot as u8)) }
     }
 
-    #[test]
-    fn no_pair_fuses_into_a_label_target() {
-        let mut asm = Assembler::new();
-        asm.emit(store_slot(1));
-        asm.new_bound_label();
-        asm.emit(store_slot(2));
-        asm.emit(store_slot(3));
-        let ops = translate(&asm.finish());
-        assert_eq!(
-            ops[..],
-            [
-                Op::StoreSlot { slot: 1, src: Reg(1) },
-                Op::StoreSlot2 { slot: 2, src: Reg(2), slot2: 3, src2: Reg(3) },
-                Op::StoreSlot { slot: 3, src: Reg(3) },
-            ]
-        );
+    fn load_slot(slot: u32) -> MachInst {
+        MachInst::LoadSlot { dst: AnyReg::Gpr(Reg(slot as u8)), slot }
+    }
+
+    fn fuel(amount: u64) -> MachInst {
+        MachInst::FuelCheck { amount }
+    }
+
+    /// One ARX round: `r3 = r1 + r2; r1 = r3 ^ r2; r2 = rotl(r1, 7)`.
+    fn arx() -> [MachInst; 3] {
+        let (r1, r2, r3, w) = (Reg(1), Reg(2), Reg(3), Width::W32);
+        [
+            MachInst::Alu { op: AluOp::Add, width: w, dst: r3, a: r1, b: r2 },
+            MachInst::Alu { op: AluOp::Xor, width: w, dst: r1, a: r3, b: r2 },
+            MachInst::AluImm { op: AluOp::Rotl, width: w, dst: r2, a: r1, imm: 7 },
+        ]
     }
 
     #[test]
-    fn a_fused_op_keeps_the_second_op_and_a_chain_pairs_from_the_left() {
-        let ops = translated(&[store_slot(1), store_slot(2), store_slot(3)]);
+    fn a_fused_op_keeps_the_later_ops_and_a_chain_groups_from_the_left() {
+        let jump = MachInst::Jump { target: Label(0) };
+        let ops = translated(&[store_slot(1), store_slot(2), store_slot(3), store_slot(4), jump]);
         assert_eq!(
             ops,
             [
                 Op::StoreSlot2 { slot: 1, src: Reg(1), slot2: 2, src2: Reg(2) },
                 Op::StoreSlot { slot: 2, src: Reg(2) },
-                Op::StoreSlot { slot: 3, src: Reg(3) },
+                Op::StoreSlot2Jump { slot: 3, src: Reg(3), slot2: 4, src2: Reg(4), target3: 5 },
+                Op::StoreSlot { slot: 4, src: Reg(4) },
+                Op::Jump { target: 5 },
             ]
         );
     }
 
     #[test]
-    fn no_pair_includes_an_exit_or_a_meter() {
-        let (r, any) = (Reg(1), AnyReg::Gpr(Reg(1)));
-        let w32 = Width::W32;
-        // The halves of every fused pair.
-        let halves = [
-            store_slot(1),
-            MachInst::LoadSlot { dst: any, slot: 1 },
-            MachInst::Mov { dst: r, src: Reg(2) },
-            MachInst::AluImm { op: AluOp::Add, width: w32, dst: r, a: r, imm: 1 },
-            MachInst::Alu { op: AluOp::Xor, width: w32, dst: r, a: r, b: r },
-            MachInst::AluImm { op: AluOp::Rotl, width: w32, dst: r, a: r, imm: 7 },
-            MachInst::AluImm { op: AluOp::Mul, width: w32, dst: r, a: r, imm: 4 },
-            MachInst::MemLoad { dst: any, addr: r, offset: 0, width: 4, signed: false, dst_width: w32 },
-            MachInst::Cmp { op: CmpOp::GeU, width: w32, dst: r, a: r, b: r },
-            MachInst::CmpImm { op: CmpOp::GeU, width: w32, dst: r, a: r, imm: 9 },
-            MachInst::BrIf { cond: r, target: Label(0), negate: false },
-            MachInst::Jump { target: Label(0) },
+    fn triples_are_tried_first_so_two_arx_rounds_are_two_ops() {
+        let round = arx();
+        let ops = translated(&[round, round].concat());
+        assert!(matches!(ops[0], Op::AddR32XorR32RotlI32 { .. }), "{:?}", ops[0]);
+        assert!(matches!(ops[3], Op::AddR32XorR32RotlI32 { .. }), "{:?}", ops[3]);
+        // The kept members are the plain ops.
+        assert_eq!(ops[1..3], [op(round[1]), op(round[2])]);
+        assert_eq!(ops[4..6], [op(round[1]), op(round[2])]);
+    }
+
+    #[test]
+    fn a_label_on_any_later_member_blocks_the_group() {
+        let round = arx();
+        let plain: Vec<Op> = round.iter().map(|&inst| op(inst)).collect();
+        // On the first member it blocks nothing.
+        assert!(matches!(translated_with_labels(&round, &[0])[0], Op::AddR32XorR32RotlI32 { .. }));
+        // On the second it leaves the first alone, and the rest may pair.
+        let ops = translated_with_labels(&round, &[1]);
+        assert_eq!(ops[0], plain[0]);
+        assert!(matches!(ops[1], Op::XorR32RotlI32 { .. }), "{:?}", ops[1]);
+        // On the third it falls back to the pair, or here to nothing.
+        assert_eq!(translated_with_labels(&round, &[2]), plain);
+        let jump = MachInst::Jump { target: Label(0) };
+        let ops = translated_with_labels(&[store_slot(1), store_slot(2), jump], &[2]);
+        assert_eq!(ops[0], Op::StoreSlot2 { slot: 1, src: Reg(1), slot2: 2, src2: Reg(2) });
+        assert_eq!(ops[2], Op::Jump { target: 3 });
+        let ops = translated_with_labels(&[store_slot(1), store_slot(2), jump], &[1]);
+        assert_eq!(ops[0], Op::StoreSlot { slot: 1, src: Reg(1) });
+        assert_eq!(ops[1], Op::StoreSlotJump { slot: 2, src: Reg(2), target2: 3 });
+    }
+
+    #[test]
+    fn a_meter_check_only_leads_a_group_and_only_with_a_32_bit_amount() {
+        let max = u32::MAX as u64;
+        let ops = translated(&[fuel(max), load_slot(1), load_slot(2)]);
+        assert_eq!(
+            ops[0],
+            Op::FuelCheckLoadSlot2 { amount: u32::MAX, dst2: Reg(1), slot2: 1, dst3: Reg(2), slot3: 2 }
+        );
+        // With one load after it, it is not a group at all.
+        assert_eq!(translated(&[fuel(9), load_slot(1)])[0], Op::FuelCheck { amount: 9 });
+        // An amount over 32 bits stays unfused, and the loads pair.
+        let ops = translated(&[fuel(max + 1), load_slot(1), load_slot(2)]);
+        assert_eq!(ops[0], Op::FuelCheck { amount: max + 1 });
+        assert_eq!(ops[1], Op::LoadSlot2 { dst: Reg(1), slot: 1, dst2: Reg(2), slot2: 2 });
+        // A meter check is never a later member.
+        let ops = translated(&[load_slot(1), fuel(3), load_slot(2), load_slot(3)]);
+        assert_eq!(ops[0], Op::LoadSlot { dst: Reg(1), slot: 1 });
+        assert!(matches!(ops[1], Op::FuelCheckLoadSlot2 { .. }), "{:?}", ops[1]);
+    }
+
+    /// One instruction of every form the translation gives a variant of its
+    /// own (and of some it does not), the exits included.
+    fn every_form() -> Vec<MachInst> {
+        use MachInst::*;
+        let (r, f, w) = (Reg(1), FReg(1), Width::W64);
+        let (gpr, fpr) = (AnyReg::Gpr(r), AnyReg::Fpr(f));
+        let end = Label(0);
+        let mut forms = vec![
+            Nop,
+            MovImm { dst: r, imm: 1 },
+            FMovImm { dst: f, bits: 0 },
+            Mov { dst: r, src: r },
+            FMov { dst: f, src: f },
+            StoreSlotImm { slot: 1, imm: 1 },
+            StoreTag { slot: 1, tag: ValueTag::I32 },
+            Jump { target: end },
+            BrIf { cond: r, target: end, negate: false },
+            BrIf { cond: r, target: end, negate: true },
+            Unop { op: UnOp::Popcnt, width: w, dst: r, src: r },
+            FAlu { op: FAluOp::Add, width: w, dst: f, a: f, b: f },
+            FUnop { op: FUnOp::Neg, width: w, dst: f, src: f },
+            FCmp { op: FCmpOp::Le, width: w, dst: r, a: f, b: f },
+            Convert { op: ConvOp::F64ConvertI32S, dst: fpr, src: gpr },
+            Select { dst: r, cond: r, if_true: r, if_false: r },
+            FSelect { dst: f, cond: r, if_true: f, if_false: f },
+            MemorySize { dst: r },
+            MemoryGrow { dst: r, delta: r },
+            FuelCheck { amount: 1 },
+            Call { func_index: 0 },
+            CallIndirect { type_index: 0, table_index: 0, index: r },
+            ProbeRuntime { probe_id: 0 },
+            ProbeDirect { probe_id: 0 },
+            ProbeCounter { counter_id: 0 },
+            ProbeTosValue { probe_id: 0, src: gpr },
+            EpochCheck,
+            BrTable { index: r, targets: LabelRange { start: 0, len: 0 }, default: end },
+            Trap { code: TrapCode::Unreachable },
+            Return,
         ];
-        let exits = [
-            MachInst::Call { func_index: 0 },
-            MachInst::CallIndirect { type_index: 0, table_index: 0, index: r },
-            MachInst::ProbeRuntime { probe_id: 0 },
-            MachInst::ProbeDirect { probe_id: 0 },
-            MachInst::ProbeCounter { counter_id: 0 },
-            MachInst::ProbeTosValue { probe_id: 0, src: any },
-            MachInst::FuelCheck { amount: 1 },
-            MachInst::EpochCheck,
-            MachInst::BrTable { index: r, targets: LabelRange { start: 0, len: 0 }, default: Label(0) },
-            MachInst::Trap { code: TrapCode::Unreachable },
-            MachInst::Return,
-        ];
-        let op = |inst| translated(&[inst])[0];
-        let mut pairs = 0;
-        for first in halves.iter().chain(&exits) {
-            for second in halves.iter().chain(&exits) {
-                let fusable = fused(op(*first), op(*second)).is_some();
-                pairs += fusable as usize;
-                if exits.contains(first) || exits.contains(second) {
-                    assert!(!fusable, "{first}; {second}");
+        for reg in [gpr, fpr] {
+            forms.extend([
+                LoadSlot { dst: reg, slot: 1 },
+                StoreSlot { slot: 1, src: reg },
+                GlobalGet { dst: reg, index: 0 },
+                GlobalSet { index: 0, src: reg },
+            ]);
+            for width in [1, 2, 4, 8] {
+                forms.push(MemStore { src: reg, addr: r, offset: 0, width });
+                for (signed, dst_width) in [(false, Width::W32), (false, w), (true, Width::W32), (true, w)] {
+                    forms.push(MemLoad { dst: reg, addr: r, offset: 0, width, signed, dst_width });
                 }
             }
         }
-        assert_eq!(pairs, 11, "every fused pair is among the halves");
+        for width in [Width::W32, w] {
+            for op in AluOp::ALL {
+                forms.extend([Alu { op, width, dst: r, a: r, b: r }, AluImm { op, width, dst: r, a: r, imm: 3 }]);
+            }
+            for op in CmpOp::ALL {
+                forms.extend([Cmp { op, width, dst: r, a: r, b: r }, CmpImm { op, width, dst: r, a: r, imm: 3 }]);
+            }
+        }
+        forms
+    }
+
+    /// Exits to the engine, and dispatches through a table: no group holds one.
+    fn is_exit(inst: &MachInst) -> bool {
+        use MachInst::*;
+        matches!(
+            inst,
+            Call { .. }
+                | CallIndirect { .. }
+                | ProbeRuntime { .. }
+                | ProbeDirect { .. }
+                | ProbeCounter { .. }
+                | ProbeTosValue { .. }
+                | EpochCheck
+                | BrTable { .. }
+                | Trap { .. }
+                | Return
+        )
+    }
+
+    #[test]
+    fn exactly_the_listed_groups_fuse_and_none_holds_an_exit() {
+        use std::collections::HashSet;
+        use std::mem::discriminant;
+        let groups = fused_groups::groups();
+        let listed: HashSet<Vec<_>> =
+            groups.iter().map(|group| group.iter().map(|&inst| discriminant(&op(inst))).collect()).collect();
+        assert_eq!(listed.len(), groups.len(), "a shape is listed twice");
+        // One instruction per variant, from every form and every listed member.
+        let mut forms: Vec<(MachInst, Op)> = Vec::new();
+        for inst in every_form().into_iter().chain(groups.iter().flatten().copied()) {
+            let op = op(inst);
+            if !forms.iter().any(|(_, seen)| discriminant(seen) == discriminant(&op)) {
+                forms.push((inst, op));
+            }
+        }
+        let mut fusing = HashSet::new();
+        let mut check = |members: &[(MachInst, Op)]| {
+            let ops: Vec<Op> = members.iter().map(|&(_, op)| op).collect();
+            if fused(&ops).is_some_and(|(_, len)| len == ops.len()) {
+                let insts: Vec<String> = members.iter().map(|(inst, _)| inst.to_string()).collect();
+                assert!(!members.iter().any(|(inst, _)| is_exit(inst)), "{insts:?}");
+                let meter = |(inst, _): &(MachInst, Op)| matches!(inst, MachInst::FuelCheck { .. });
+                assert!(!members[1..].iter().any(meter), "a meter check is a later member: {insts:?}");
+                fusing.insert(ops.iter().map(discriminant).collect::<Vec<_>>());
+            }
+        };
+        for &a in &forms {
+            for &b in &forms {
+                check(&[a, b]);
+                for &c in &forms {
+                    check(&[a, b, c]);
+                }
+            }
+        }
+        assert_eq!(fusing, listed, "the fused groups and the list differ");
     }
 }

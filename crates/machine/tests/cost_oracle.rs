@@ -230,7 +230,7 @@ fn run_one(cpu: &Cpu, inst: MachInst, mut state: CpuState, memory: &mut LinearMe
         memory: Some(memory),
         globals: &mut globals,
         tables: &mut tables,
-        meter: Meter::off(),
+        meter: Meter::default(),
     };
     let mut cycles = CycleCounter::new();
     let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
@@ -409,7 +409,7 @@ fn a_conditional_branch_is_taken_exactly_when_its_condition_says() {
                 memory: Some(&mut memory),
                 globals: &mut [],
                 tables: &mut [],
-                meter: Meter::off(),
+                meter: Meter::default(),
             };
             cpu.run(&mut state, &code, 0, &mut ctx, &mut CycleCounter::new());
             let taken = state[Reg(3)] == 0;
@@ -420,41 +420,49 @@ fn a_conditional_branch_is_taken_exactly_when_its_condition_says() {
 
 // ---- The fusion oracle -------------------------------------------------------
 //
-// The simulator retires the commonest adjacent pairs of instructions with one
-// op. A label bound between the two halves blocks the fusion, so the same
-// pair with a label in between is the unfused reference, built through the
-// public API, and the fused run must leave the same exit, registers, slots,
-// memory and cycles.
+// The simulator retires the commonest groups of two or three adjacent
+// instructions with one op; `fused::groups` is the one list of them, which
+// `predecode`'s unit tests hold equal to what fuses. A label bound before a
+// later member blocks every group that would include it, so the same
+// instructions with labels before later members are the reference, built
+// through the public API: with a label before every later member nothing
+// fuses, and with one before a single member the rest may group otherwise.
+// Every run must leave the same exit, registers, slots, memory, fuel and
+// cycles.
 
-/// Slots the pair oracle's frames start with, each holding its own value.
-const PAIR_SLOTS: usize = 4;
+mod fused;
 
-/// Everything a run of a pair leaves behind.
+/// Slots the group oracle's frames start with, each holding its own value.
+const GROUP_SLOTS: usize = 4;
+
+/// Everything a run of a group leaves behind.
 #[derive(Debug, PartialEq)]
-struct PairRun {
+struct GroupRun {
     exit: Exit,
     state: CpuState,
     slots: Vec<u64>,
     memory: Vec<u8>,
+    fuel: Option<u64>,
     cycles: u64,
 }
 
-/// Runs `first` and `second` from `state`, followed by a marker that sets
-/// `r9` and that a taken branch to [`END`] skips. With `split`, a label is
-/// bound between the two halves, which keeps them from fusing.
-fn run_pair(cpu: &Cpu, first: MachInst, second: MachInst, split: bool, mut state: CpuState) -> PairRun {
+/// Runs `group` from `state`, with a label bound before each member index in
+/// `labels` and fuel metering armed with `fuel`, followed by a marker that
+/// sets `r9` and that a taken branch to [`END`] skips.
+fn run_group(cpu: &Cpu, group: &[MachInst], labels: &[usize], mut fuel: Option<u64>, mut state: CpuState) -> GroupRun {
     let mut asm = Assembler::new();
     assert_eq!(asm.new_label(), END);
-    asm.emit(first);
-    if split {
-        asm.new_bound_label();
+    for (i, &inst) in group.iter().enumerate() {
+        if labels.contains(&i) {
+            asm.new_bound_label();
+        }
+        asm.emit(inst);
     }
-    asm.emit(second);
     asm.emit(MachInst::MovImm { dst: Reg(9), imm: 1 });
     asm.bind(END);
     let code = asm.finish();
-    let mut values = ValueStack::with_capacity(PAIR_SLOTS);
-    for slot in 0..PAIR_SLOTS {
+    let mut values = ValueStack::with_capacity(GROUP_SLOTS);
+    for slot in 0..GROUP_SLOTS {
         values.write_tagged(slot, 1000 + slot as u64, ValueTag::I64);
     }
     let mut memory = LinearMemory::new(Limits::at_least(1));
@@ -469,80 +477,107 @@ fn run_pair(cpu: &Cpu, first: MachInst, second: MachInst, split: bool, mut state
         memory: Some(&mut memory),
         globals: &mut globals,
         tables: &mut tables,
-        meter: Meter::off(),
+        meter: Meter { fuel: fuel.as_mut(), ..Meter::default() },
     };
     let mut cycles = CycleCounter::new();
     let exit = cpu.run(&mut state, &code, 0, &mut ctx, &mut cycles);
-    PairRun {
+    GroupRun {
         exit,
         state,
-        slots: (0..PAIR_SLOTS).map(|slot| values.read(slot)).collect(),
+        slots: (0..GROUP_SLOTS).map(|slot| values.read(slot)).collect(),
         memory: memory.bytes().to_vec(),
+        fuel,
         cycles: cycles.total(),
     }
 }
 
-/// Every pair the simulator fuses, with operands that read what the first
-/// half wrote, and immediates that do and do not fit 32 bits.
-fn fused_pairs() -> Vec<(MachInst, MachInst)> {
+/// `group` once per immediate that does or does not fit 32 bits, given to
+/// each member that has one; `group` alone if none has.
+fn with_immediates(group: &[MachInst]) -> Vec<Vec<MachInst>> {
     use MachInst::*;
-    let (r1, r2, r3) = (Reg(1), Reg(2), Reg(3));
-    let w = Width::W32;
+    let has_imm = |inst: &MachInst| matches!(inst, AluImm { .. } | CmpImm { .. } | MovImm { .. });
+    if !group.iter().any(has_imm) {
+        return vec![group.to_vec()];
+    }
     let wide = 0xDEAD_BEEF_0000_0007_u64 as i64;
-    let mut pairs = vec![
-        (StoreSlot { slot: 1, src: r1.into() }, StoreSlot { slot: 2, src: r2.into() }),
-        (StoreSlot { slot: 1, src: r1.into() }, StoreSlot { slot: 1, src: r2.into() }),
-        (LoadSlot { dst: r1.into(), slot: 1 }, LoadSlot { dst: r2.into(), slot: 2 }),
-        (LoadSlot { dst: r1.into(), slot: 1 }, LoadSlot { dst: r1.into(), slot: 3 }),
-        (Mov { dst: r3, src: r1 }, Mov { dst: r2, src: r3 }),
-        (Cmp { op: CmpOp::GeU, width: w, dst: r3, a: r1, b: r2 }, BrIf { cond: r3, target: END, negate: false }),
-        (StoreSlot { slot: 2, src: r1.into() }, Jump { target: END }),
-        (Mov { dst: r3, src: r2 }, Jump { target: END }),
-    ];
-    for imm in [0, 1, -5, 31, i32::MIN as i64, u32::MAX as i64, wide] {
-        pairs.extend([
-            (AluImm { op: AluOp::Add, width: w, dst: r1, a: r1, imm }, StoreSlot { slot: 3, src: r1.into() }),
-            (AluImm { op: AluOp::Add, width: w, dst: r3, a: r1, imm }, Mov { dst: r2, src: r3 }),
-            (Alu { op: AluOp::Xor, width: w, dst: r3, a: r1, b: r2 }, AluImm { op: AluOp::Rotl, width: w, dst: r3, a: r3, imm }),
-            (
-                AluImm { op: AluOp::Mul, width: w, dst: r3, a: r1, imm },
-                MemLoad { dst: r2.into(), addr: r3, offset: 4, width: 4, signed: false, dst_width: w },
-            ),
-            (CmpImm { op: CmpOp::GeU, width: w, dst: r3, a: r1, imm }, BrIf { cond: r3, target: END, negate: false }),
-        ]);
-    }
-    pairs
+    [0, 1, -5, 31, i32::MIN as i64, u32::MAX as i64, wide]
+        .map(|imm| {
+            group
+                .iter()
+                .map(|&inst| match inst {
+                    AluImm { op, width, dst, a, .. } => AluImm { op, width, dst, a, imm },
+                    CmpImm { op, width, dst, a, .. } => CmpImm { op, width, dst, a, imm },
+                    MovImm { dst, .. } => MovImm { dst, imm },
+                    other => other,
+                })
+                .collect()
+        })
+        .to_vec()
 }
 
 #[test]
-fn a_fused_pair_does_what_its_two_halves_do() {
+fn a_fused_group_does_what_its_members_do() {
     let cpu = Cpu::new(distinct_costs());
-    let (mut taken, mut not_taken, mut traps) = (0, 0, 0);
-    for (first, second) in fused_pairs() {
-        for (a, b) in EDGES.iter().flat_map(|&a| EDGES.map(|b| (a, b))) {
-            let fused = run_pair(&cpu, first, second, false, operands(a, b));
-            let reference = run_pair(&cpu, first, second, true, operands(a, b));
-            assert_eq!(fused, reference, "{first}; {second} on {a:#x}, {b:#x}");
-            if let MachInst::BrIf { .. } = second {
-                if fused.state[Reg(9)] == 0 { taken += 1 } else { not_taken += 1 }
+    let mut trapped_at = HashSet::new();
+    for group in fused::groups() {
+        let n = group.len();
+        let branches = group.iter().any(|inst| matches!(inst, MachInst::BrIf { .. }));
+        let (mut taken, mut not_taken) = (0, 0);
+        // Labels before every later member, then before each one alone.
+        let splits: Vec<Vec<usize>> =
+            std::iter::once((1..n).collect()).chain((1..n).map(|k| vec![k])).collect();
+        // A meter check that leads runs unmetered, with fuel to spare and
+        // with too little.
+        let fuels = match group[0] {
+            MachInst::FuelCheck { .. } => vec![None, Some(1000), Some(3)],
+            _ => vec![None],
+        };
+        for group in with_immediates(&group) {
+            for &fuel in &fuels {
+                for (a, b) in EDGES.iter().flat_map(|&a| EDGES.map(|b| (a, b))) {
+                    let fused = run_group(&cpu, &group, &[], fuel, operands(a, b));
+                    for labels in &splits {
+                        let reference = run_group(&cpu, &group, labels, fuel, operands(a, b));
+                        assert_eq!(fused, reference, "{group:?} split at {labels:?} on {a:#x}, {b:#x}");
+                    }
+                    if branches {
+                        if fused.state[Reg(9)] == 0 { taken += 1 } else { not_taken += 1 }
+                    }
+                    if let Exit::Trap { at, .. } = fused.exit {
+                        trapped_at.insert(at);
+                    }
+                }
             }
-            traps += matches!(fused.exit, Exit::Trap { at: 1, .. }) as u32;
         }
+        assert!(!branches || (taken > 0 && not_taken > 0), "{group:?}: taken {taken}, not taken {not_taken}");
     }
-    assert!(taken > 0 && not_taken > 0, "taken {taken}, not taken {not_taken}");
-    assert!(traps > 0, "no second half trapped");
+    assert_eq!(trapped_at, HashSet::from([0, 1]), "a first member (the meter) and a second one trapped");
 }
 
 #[test]
-fn a_trap_in_a_fused_pair_second_half_reports_its_own_pc_and_both_costs() {
+fn a_trap_in_a_fused_group_reports_its_own_pc_after_every_earlier_cost() {
     let cost = distinct_costs();
     let cpu = Cpu::new(cost.clone());
     let (r1, r2, w) = (Reg(1), Reg(2), Width::W32);
+    // A second member: 4 * 0x4000 is 64 KiB, one past the last byte of the
+    // one-page memory.
     let mul = MachInst::AluImm { op: AluOp::Mul, width: w, dst: r2, a: r1, imm: 4 };
     let load = MachInst::MemLoad { dst: r1.into(), addr: r2, offset: 0, width: 4, signed: false, dst_width: w };
-    // 4 * 0x4000 is 64 KiB, one past the last byte of the one-page memory.
-    let run = run_pair(&cpu, mul, load, false, operands(0x4000, 0));
+    let run = run_group(&cpu, &[mul, load], &[], None, operands(0x4000, 0));
     assert_eq!(run.exit, Exit::Trap { code: TrapCode::MemoryOutOfBounds, at: 1 });
     assert_eq!(run.cycles, cost.mul + cost.mem_load);
-    assert_eq!(run.state[r2], 0x10000, "the first half retired");
+    assert_eq!(run.state[r2], 0x10000, "the first member retired");
+    // A leading meter check traps at the group's own pc, charged alone, and
+    // no later member runs; with just enough fuel every member runs.
+    let fuel = MachInst::FuelCheck { amount: 7 };
+    let load_slot = |dst: Reg, slot| MachInst::LoadSlot { dst: dst.into(), slot };
+    let group = [fuel, load_slot(r1, 1), load_slot(r2, 2)];
+    let run = run_group(&cpu, &group, &[], Some(6), operands(5, 6));
+    assert_eq!(run.exit, Exit::Trap { code: TrapCode::OutOfFuel, at: 0 });
+    assert_eq!((run.cycles, run.fuel), (cost.fuel_check, Some(0)));
+    assert_eq!((run.state[r1], run.state[r2]), (5, 6));
+    let run = run_group(&cpu, &group, &[], Some(7), operands(5, 6));
+    assert_eq!(run.exit, Exit::Return);
+    assert_eq!((run.cycles, run.fuel), (cost.fuel_check + 2 * cost.slot_load + cost.mov, Some(0)));
+    assert_eq!((run.state[r1], run.state[r2]), (1001, 1002));
 }

@@ -230,7 +230,7 @@ mod tests {
             memory: Some(&mut memory),
             globals: &mut globals,
             tables: &mut tables,
-            meter: machine::cpu::Meter::off(),
+            meter: machine::cpu::Meter::default(),
         };
         let exit = cpu.run(&mut state, &cf.code, 0, &mut ctx, &mut cycles);
         (exit, values.read(0), cycles.total())

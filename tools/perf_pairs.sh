@@ -14,28 +14,25 @@
 # which side goes first, at one seed and window length. Prints every run's
 # end-to-end metrics (`ops_per_s`, `op_p50_us`, `op_p99_us`, `peak_rss_mb`,
 # `setup_s`) on both sides, their medians, how many pairs the working tree
-# won on `ops_per_s`, both sides' `ops_per_s` quartiles with the ref side's
-# IQR and whether a gain may be claimed (won >= 9/10 of the pairs and the
-# medians further apart than the ref IQR — the choosing-metrics rule), one
-# verdict line per end-to-end metric (the here/ref
+# won on `ops_per_s`, then for every one of those metrics, in its `better`
+# direction from BENCHMARK.json, both sides' quartiles with the ref side's
+# IQR and whether a gain may be claimed on it (won >= 9/10 of the pairs and
+# the medians further apart than the ref IQR — the choosing-metrics rule),
+# one verdict line per end-to-end metric (the here/ref
 # ratio of the medians against the metric's `better` and `bound` in
 # BENCHMARK.json: `WORSE` when here is worse by more than the bound, `ok`
 # otherwise), whether `sim_cycles` is identical (when each side repeats
 # itself but the two differ, both values and their ratio; `DIFFER` when a
-# side disagrees with itself), and where the linker
-# put the three hot loops in each binary (address mod 128 of `Cpu::run`,
-# `Interpreter::run` and the baseline compiler's `FuncCompiler::compile_body`:
-# 0 on a side whose tree pins placement, anything on one that does not,
-# which alone moves `exec-jit` / `exec-interp` by ~10 %: see the verify
-# skill; `compile_body` carries `load-baseline`) and how large each is
-# (`nm -S`). The pin fixes only where a loop starts: where its arms sit
-# inside it decides its speed too (DESIGN.md, "The loop is fragile"), so a
-# change that grows or shrinks a loop shows by how many bytes.
+# side disagrees with itself), and where the linker put the hot functions
+# in each binary and how large each is (`tools/hot_loops.sh`).
 # With LAYERS=1 each pair also makes one traced pass per side (`--trace 1
 # --layers 1`, in the pair's order, after its two untraced runs) and the
 # script ends each workload with the ref and here medians of every
-# `per_layer` metric in BENCHMARK.json and their ratio: the layer-by-layer
-# diff of the two builds, from the same sitting as the end-to-end one.
+# `per_layer` metric in BENCHMARK.json, their ratio and the ref side's
+# min–max: the layer-by-layer diff of the two builds, from the same sitting
+# as the end-to-end one. A ratio whose here median lies inside the ref
+# side's own min–max (when the ref side varies at all) is marked `noise`:
+# that layer's passes cannot tell the two builds apart.
 # The host is noisy: read ratios between the two columns of one sitting,
 # never an absolute number across days. The scratch directory is removed on
 # exit.
@@ -85,14 +82,9 @@ build ref "$work/ref"
 build here "$top"
 
 echo
-echo "loop placement (start address mod 128, size in bytes):"
+echo "hot function placement (start address mod 128, size in bytes):"
 for side in ref here; do
-    nm -C -S --defined-only "${bin[$side]}" |
-        sed -nE 's/^([0-9a-f]+) ([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body))(::h[0-9a-f]+)?$/\1 \2 \3/p' |
-        while read -r addr size name; do
-            printf '  %-5s %-44s 0x%s  mod 128 = 0x%02x  size %6d\n' "$side" "$name" "$addr" \
-                $((16#${addr: -2} % 128)) $((16#$size))
-        done
+    bash "$top/tools/hot_loops.sh" "${bin[$side]}" "$side"
 done
 
 # The end-to-end metrics every run line and both medians carry, in the
@@ -119,32 +111,39 @@ traced() { # side, workload
         sed -nE "s/.*\"${metric//./\\.}\":\\{\"value\":([-0-9.e+]+).*/\\1/p" <<<"$line" | grep . || echo none
     done
 }
-median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.4f\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+# Ten significant digits: `setup_s` is a fraction of a millisecond on some
+# workloads, and `sim_cycles` must come out exact.
+median() { sort -g | awk '{ v[NR] = $1 } END { printf "%.10g\n", (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
 median_or_empty() { local v; v=$(cat); [ -z "$v" ] || median <<<"$v"; }
 # First quartile, median and third quartile of the numbers on stdin,
 # interpolating between neighbouring order statistics.
 quartiles() {
     sort -g | awk '{ v[NR] = $1 }
         function q(p,  h, i) { h = (NR - 1) * p + 1; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
-        END { printf "%.4f %.4f %.4f\n", q(0.25), q(0.5), q(0.75) }'
+        END { printf "%.10g %.10g %.10g\n", q(0.25), q(0.5), q(0.75) }'
 }
-# The gain rule of the choosing-metrics guide (§8) on `ops_per_s`: here won at
-# least nine tenths of the pairs (ties count for neither side), and the
-# medians differ by more than the ref side's spread, the distance between its
-# quartiles. Prints both sides' quartiles, the ref IQR and whether each half
-# holds.
-gain_rule() { # ref values, here values, wins, pairs
+# The gain rule of the choosing-metrics guide (§8) on one metric: here won
+# at least nine tenths of the pairs in the metric's `better` direction (ties
+# count for neither side), and the medians differ by more than the ref
+# side's spread, the distance between its quartiles. Prints both sides'
+# quartiles, the ref IQR and whether each half holds.
+gain_rule() { # metric, ref values, here values, wins, pairs
     local ref here
-    read -r -a ref < <(tr ' ' '\n' <<<"$1" | grep . | quartiles)
-    read -r -a here < <(tr ' ' '\n' <<<"$2" | grep . | quartiles)
-    awk -v r1="${ref[0]}" -v rm="${ref[1]}" -v r3="${ref[2]}" -v h1="${here[0]}" -v hm="${here[1]}" \
-        -v h3="${here[2]}" -v wins="$3" -v pairs="$4" 'BEGIN {
+    read -r -a ref < <(tr ' ' '\n' <<<"$2" | grep . | quartiles)
+    read -r -a here < <(tr ' ' '\n' <<<"$3" | grep . | quartiles)
+    awk -v m="$1" -v dir="${better[$1]}" -v r1="${ref[0]}" -v rm="${ref[1]}" -v r3="${ref[2]}" \
+        -v h1="${here[0]}" -v hm="${here[1]}" -v h3="${here[2]}" -v wins="$4" -v pairs="$5" 'BEGIN {
         iqr = r3 - r1; gap = hm - rm; if (gap < 0) gap = -gap
         won = (10 * wins >= 9 * pairs); apart = (gap > iqr)
-        printf "  ops_per_s quartiles  ref %.2f / %.2f / %.2f (IQR %.2f)  here %.2f / %.2f / %.2f\n", r1, rm, r3, iqr, h1, hm, h3
-        printf "  gain rule            won %d/%d >= 9/10: %s;  |median gap| %.2f > ref IQR %.2f: %s;  %s\n", wins, pairs,
-            won ? "yes" : "no", gap, iqr, apart ? "yes" : "no", (won && apart) ? "a gain can be claimed" : "no gain can be claimed"
+        printf "  %-12s quartiles ref %.5g / %.5g / %.5g (IQR %.4g)  here %.5g / %.5g / %.5g\n", m, r1, rm, r3, iqr, h1, hm, h3
+        printf "  %-12s gain rule (%s is better) won %d/%d >= 9/10: %s;  |median gap| %.4g > ref IQR %.4g: %s;  %s\n",
+            m, dir, wins, pairs, won ? "yes" : "no", gap, iqr, apart ? "yes" : "no",
+            (won && apart) ? "a gain can be claimed" : "no gain can be claimed"
     }'
+}
+# Whether `here` is better than `ref` in the metric's direction: 1 or 0.
+better_than() { # metric, here, ref
+    awk -v dir="${better[$1]}" -v h="$2" -v r="$3" 'BEGIN { print (dir == "higher") ? (h > r) : (h < r) }'
 }
 # One table row: a label, then each metric's ref and here value, then a note.
 row() { # label, ref values…, here values…, note
@@ -172,7 +171,7 @@ for workload in "${workloads[@]}"; do
     printf '  %-4s %21s %7s' pair "${metrics[0]}" here/ref
     for metric in "${metrics[@]:1}"; do printf ' %21s' "$metric"; done
     printf '  first\n'
-    declare -A all=() layer_all=()
+    declare -A all=() layer_all=() won=()
     cycles=() wins=0 losses=0
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then order=(ref here); else order=(here ref); fi
@@ -192,6 +191,9 @@ for workload in "${workloads[@]}"; do
                 for m in "${!layer_metrics[@]}"; do layer_all[$side,$m]+="${got_layers[m]} "; done
             done
         fi
+        for m in "${!metrics[@]}"; do
+            won[$m]=$((${won[$m]:-0} + $(better_than "${metrics[m]}" "${got[here,$m]}" "${got[ref,$m]}")))
+        done
         verdict=$(awk -v a="${got[here,0]}" -v b="${got[ref,0]}" 'BEGIN { print (a > b) ? "win" : (a < b) ? "loss" : "tie" }')
         [ "$verdict" = win ] && wins=$((wins + 1))
         [ "$verdict" = loss ] && losses=$((losses + 1))
@@ -202,7 +204,9 @@ for workload in "${workloads[@]}"; do
         medians+=("$(tr ' ' '\n' <<<"${all[$side,$m]}" | grep . | median)")
     done; done
     row med "${medians[@]}" "here won $wins, lost $losses of $pairs on ${metrics[0]}"
-    gain_rule "${all[ref,0]}" "${all[here,0]}" "$wins" "$pairs"
+    for m in "${!metrics[@]}"; do
+        gain_rule "${metrics[m]}" "${all[ref,$m]}" "${all[here,$m]}" "${won[$m]}" "$pairs"
+    done
     for m in "${!metrics[@]}"; do
         verdict "${metrics[m]}" "${medians[m]}" "${medians[${#metrics[@]} + m]}"
     done
@@ -222,15 +226,22 @@ for workload in "${workloads[@]}"; do
         echo "  sim_cycles DIFFER: ${cycles[*]}"
     fi
     if [ "$layers" = 1 ]; then
-        echo "  per-layer medians over $pairs traced passes per side:"
-        printf '    %-40s %14s %14s %9s\n' metric ref here here/ref
+        echo "  per-layer medians over $pairs traced passes per side (noise: here's median lies inside ref's min–max):"
+        printf '    %-40s %14s %14s %9s  %-25s\n' metric ref here here/ref 'ref min–max'
         for m in "${!layer_metrics[@]}"; do
             # A metric missing from every pass of a side has no median.
-            r=$(tr ' ' '\n' <<<"${layer_all[ref,$m]}" | { grep -E '^[-0-9.e+]+$' || true; } | median_or_empty)
+            ref_values=$(tr ' ' '\n' <<<"${layer_all[ref,$m]}" | { grep -E '^[-0-9.e+]+$' || true; })
+            r=$(median_or_empty <<<"$ref_values")
             h=$(tr ' ' '\n' <<<"${layer_all[here,$m]}" | { grep -E '^[-0-9.e+]+$' || true; } | median_or_empty)
-            awk -v m="${layer_metrics[m]}" -v r="$r" -v h="$h" 'BEGIN {
-                printf "    %-40s %14s %14s %9s\n", m, r == "" ? "-" : r, h == "" ? "-" : h,
-                    (r == "" || h == "" || r == 0) ? "-" : sprintf("%.3f", h / r)
+            lo=$(sort -g <<<"$ref_values" | head -n 1)
+            hi=$(sort -g <<<"$ref_values" | tail -n 1)
+            awk -v m="${layer_metrics[m]}" -v r="$r" -v h="$h" -v lo="$lo" -v hi="$hi" '
+                function show(v) { return (v == "") ? "-" : (v == int(v)) ? sprintf("%d", v) : sprintf("%.6g", v) }
+                BEGIN {
+                known = (r != "" && h != "" && r != 0)
+                printf "    %-40s %14s %14s %9s  %-25s %s\n", m, show(r), show(h), known ? sprintf("%.3f", h / r) : "-",
+                    (r == "") ? "-" : sprintf("%.4g–%.4g", lo, hi),
+                    (known && hi + 0 > lo + 0 && h + 0 >= lo + 0 && h + 0 <= hi + 0) ? "noise" : ""
             }'
         done
     fi
