@@ -51,7 +51,7 @@ pub use script::{parse_script, Command, Script};
 use std::path::PathBuf;
 
 /// The directory holding the checked-in conformance corpus.
-pub fn corpus_dir() -> PathBuf {
+fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scripts")
 }
 

@@ -280,7 +280,7 @@ fn parse_action(expr: &Sexpr) -> Result<Action, WatError> {
 }
 
 /// Parses a `(t.const v)` argument into a concrete value.
-pub fn parse_const(expr: &Sexpr) -> Result<WasmValue, WatError> {
+fn parse_const(expr: &Sexpr) -> Result<WasmValue, WatError> {
     match parse_expected(expr)? {
         ExpectedValue::Exact(v) => Ok(v),
         _ => Err(WatError::new(

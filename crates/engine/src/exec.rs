@@ -19,6 +19,7 @@ use machine::cpu::{CpuState, EpochSampler, ExecContext, Exit, Meter, OsrHook, Pr
 use machine::inst::TrapCode;
 use machine::values::{ValueTag, WasmValue};
 use spc::CompiledFunction;
+use telemetry::EventKind;
 use wasm::types::FuncType;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -240,7 +241,12 @@ impl Engine {
             let frame_tier = act.tier.jit_tier();
             let sample_func = act.func_index;
             let sample_tier = pipeline::tier_label(frame_tier);
-            let mut record_sample = || telemetry.record_sample(sample_func, sample_tier);
+            let mut emit_sample = || {
+                telemetry.emit(EventKind::Sample {
+                    func: sample_func,
+                    tier: sample_tier,
+                })
+            };
             let (exit, compiled, sampler) = {
                 let Instance {
                     memory,
@@ -256,7 +262,7 @@ impl Engine {
                 let sampler = telemetry.is_enabled().then(|| EpochSampler {
                     epoch: epoch.as_ref(),
                     last: &mut last_sample_epoch,
-                    record: &mut record_sample,
+                    record: &mut emit_sample,
                 });
                 // The OSR hook rides the same fused meter-check sites.
                 // Optimizing-tier frames never poll — they are already where

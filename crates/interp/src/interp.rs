@@ -315,8 +315,8 @@ impl Interpreter {
             };
         }
         macro_rules! read {
-            ($read:ident) => {
-                match reader.$read() {
+            ($read:expr) => {
+                match $read {
                     Ok(v) => v,
                     Err(_) => trap!(TrapCode::HostError),
                 }
@@ -368,7 +368,7 @@ impl Interpreter {
         // low bytes of its operand the same way.
         macro_rules! load {
             ($tag:ident, $raw:ty $(as $wide:ty)*) => {{
-                let memarg = read!(read_memarg);
+                let memarg = read!(reader.read_memarg());
                 let sp = values.sp() - 1;
                 let addr = values.read(sp) as u32;
                 let Some(memory) = ctx.memory.as_deref() else {
@@ -384,7 +384,7 @@ impl Interpreter {
         }
         macro_rules! store {
             ($raw:ty) => {{
-                let memarg = read!(read_memarg);
+                let memarg = read!(reader.read_memarg());
                 let sp = values.sp();
                 let value = values.read(sp - 1);
                 let addr = values.read(sp - 2) as u32;
@@ -503,11 +503,11 @@ impl Interpreter {
                     break Exit::Return;
                 }
                 Opcode::Call => {
-                    let callee = read!(read_index);
+                    let callee = read!(reader.read_index());
                     break Exit::Call { func_index: callee, site: ip, resume: reader.pc() };
                 }
                 Opcode::CallIndirect => {
-                    let (type_index, table_index) = read!(read_call_indirect);
+                    let (type_index, table_index) = read!(reader.read_call_indirect());
                     let sp = values.sp() - 1;
                     let entry_index = values.read(sp) as u32;
                     values.set_sp(sp);
@@ -538,7 +538,7 @@ impl Interpreter {
                     values.set_sp(sp - 2);
                 }
                 Opcode::LocalGet => {
-                    let index = read!(read_index) as usize;
+                    let index = read!(reader.read_index()) as usize;
                     let Some(&ty) = func.local_types.get(index) else {
                         trap!(TrapCode::HostError)
                     };
@@ -546,7 +546,7 @@ impl Interpreter {
                     Self::push(values, bits, ValueTag::for_type(ty));
                 }
                 Opcode::LocalSet | Opcode::LocalTee => {
-                    let index = read!(read_index) as usize;
+                    let index = read!(reader.read_index()) as usize;
                     let Some(&ty) = func.local_types.get(index) else {
                         trap!(TrapCode::HostError)
                     };
@@ -558,14 +558,14 @@ impl Interpreter {
                     }
                 }
                 Opcode::GlobalGet => {
-                    let index = read!(read_index) as usize;
+                    let index = read!(reader.read_index()) as usize;
                     let Some(&global) = ctx.globals.get(index) else {
                         trap!(TrapCode::HostError)
                     };
                     Self::push(values, global.bits, global.tag);
                 }
                 Opcode::GlobalSet => {
-                    let index = read!(read_index) as usize;
+                    let index = read!(reader.read_index()) as usize;
                     let sp = values.sp() - 1;
                     let Some(global) = ctx.globals.get_mut(index) else {
                         trap!(TrapCode::HostError)
@@ -573,20 +573,28 @@ impl Interpreter {
                     global.bits = values.read(sp);
                     values.set_sp(sp);
                 }
-                Opcode::I32Const => {
-                    Self::push(values, WasmValue::I32(read!(read_i32)).to_bits(), ValueTag::I32)
-                }
-                Opcode::I64Const => {
-                    Self::push(values, WasmValue::I64(read!(read_i64)).to_bits(), ValueTag::I64)
-                }
-                Opcode::F32Const => {
-                    Self::push(values, WasmValue::F32(read!(read_f32)).to_bits(), ValueTag::F32)
-                }
-                Opcode::F64Const => {
-                    Self::push(values, WasmValue::F64(read!(read_f64)).to_bits(), ValueTag::F64)
-                }
+                Opcode::I32Const => Self::push(
+                    values,
+                    WasmValue::I32(read!(reader.read_i32())).to_bits(),
+                    ValueTag::I32,
+                ),
+                Opcode::I64Const => Self::push(
+                    values,
+                    WasmValue::I64(read!(reader.read_i64())).to_bits(),
+                    ValueTag::I64,
+                ),
+                Opcode::F32Const => Self::push(
+                    values,
+                    WasmValue::F32(read!(reader.read_f32())).to_bits(),
+                    ValueTag::F32,
+                ),
+                Opcode::F64Const => Self::push(
+                    values,
+                    WasmValue::F64(read!(reader.read_f64())).to_bits(),
+                    ValueTag::F64,
+                ),
                 Opcode::RefNull => {
-                    let ty = read!(read_ref_type);
+                    let ty = read!(reader.read_ref_type());
                     Self::push(values, NULL_REF_BITS, ValueTag::for_type(ty));
                 }
                 Opcode::RefIsNull => {
@@ -597,7 +605,7 @@ impl Interpreter {
                     values.set_sp(sp + 1);
                 }
                 Opcode::RefFunc => {
-                    let func = WasmValue::FuncRef(Some(read!(read_index)));
+                    let func = WasmValue::FuncRef(Some(read!(reader.read_index())));
                     Self::push(values, func.to_bits(), ValueTag::FuncRef)
                 }
                 Opcode::MemorySize => {

@@ -301,11 +301,6 @@ impl ValueStack {
         }
     }
 
-    /// The highest stack pointer ever observed (the dirtied-region bound).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Returns the stack to its freshly-constructed state: `[0, high_water)`
     /// is zeroed and marked dead, and the stack pointer drops to zero. Slots
     /// above the high-water mark were never dirtied, so an instance reset
@@ -556,13 +551,13 @@ mod tests {
         vs.push(WasmValue::ExternRef(Some(3)));
         vs.set_sp(8);
         vs.write_tagged(7, 0xDEAD, ValueTag::I32);
-        assert_eq!(vs.high_water(), 8);
+        assert_eq!(vs.high_water, 8);
         // Popping frames does not lower the high-water mark.
         vs.set_sp(1);
-        assert_eq!(vs.high_water(), 8);
+        assert_eq!(vs.high_water, 8);
         vs.reset();
         assert_eq!(vs.sp(), 0);
-        assert_eq!(vs.high_water(), 0);
+        assert_eq!(vs.high_water, 0);
         for slot in 0..vs.capacity() {
             assert_eq!(vs.read(slot), 0, "slot {slot} bits survived reset");
             assert_eq!(vs.tag(slot), ValueTag::Dead, "slot {slot} tag survived reset");

@@ -191,26 +191,6 @@ impl X64Assembler {
         self.store_mr_w(true, base, disp, src);
     }
 
-    /// `add dst, src` (64-bit).
-    pub fn add_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.grp1_rr(Grp1::Add, true, dst, src);
-    }
-
-    /// `sub dst, src` (64-bit).
-    pub fn sub_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.grp1_rr(Grp1::Sub, true, dst, src);
-    }
-
-    /// `add dst, imm32` (64-bit, immediate form — the ISEL optimization).
-    pub fn add_ri(&mut self, dst: Gpr, imm: i32) {
-        self.grp1_ri(Grp1::Add, true, dst, imm);
-    }
-
-    /// `cmp a, b` (64-bit).
-    pub fn cmp_rr(&mut self, a: Gpr, b: Gpr) {
-        self.grp1_rr(Grp1::Cmp, true, a, b);
-    }
-
     /// `jcc rel32`; returns the offset of the displacement for later patching.
     pub fn jcc(&mut self, cond: Cond, rel: i32) -> usize {
         self.bytes.push(0x0F);
@@ -662,19 +642,19 @@ mod tests {
         assert_eq!(a.bytes(), &[0x48, 0x89, 0xC3]);
 
         let mut a = X64Assembler::new();
-        a.add_rr(Gpr::Rax, Gpr::R9);
+        a.grp1_rr(Grp1::Add, true, Gpr::Rax, Gpr::R9);
         assert_eq!(a.bytes(), &[0x4C, 0x01, 0xC8]);
 
         let mut a = X64Assembler::new();
-        a.sub_rr(Gpr::Rdx, Gpr::Rcx);
+        a.grp1_rr(Grp1::Sub, true, Gpr::Rdx, Gpr::Rcx);
         assert_eq!(a.bytes(), &[0x48, 0x29, 0xCA]);
 
         let mut a = X64Assembler::new();
-        a.add_ri(Gpr::Rsi, 64);
+        a.grp1_ri(Grp1::Add, true, Gpr::Rsi, 64);
         assert_eq!(a.bytes(), &[0x48, 0x81, 0xC6, 0x40, 0x00, 0x00, 0x00]);
 
         let mut a = X64Assembler::new();
-        a.cmp_rr(Gpr::Rax, Gpr::Rbx);
+        a.grp1_rr(Grp1::Cmp, true, Gpr::Rax, Gpr::Rbx);
         assert_eq!(a.bytes(), &[0x48, 0x39, 0xD8]);
     }
 

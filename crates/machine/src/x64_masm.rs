@@ -27,7 +27,7 @@
 //! * **Engine transfers are relocated calls.** Calls, indirect calls,
 //!   probes, `memory.size`/`grow`, and global accesses emit a `call rel32`
 //!   whose displacement is left for the engine to patch; each is recorded in
-//!   [`X64Code::runtime_refs`] with its [`RuntimeOp`]. Traps are `ud2` sites
+//!   the [`X64Code`] as a [`RuntimeRef`] with its [`RuntimeOp`]. Traps are `ud2` sites
 //!   recorded the same way. Two argument registers suffice because the
 //!   compiler flushes all live state to the frame before observable points:
 //!   a single value travels in RAX.
@@ -59,7 +59,7 @@ pub const MEMBASE_DISP: i32 = -8;
 /// register except RSP (the machine stack) and R14 (the VFP). Virtual `r0`
 /// maps to RAX, which doubles as the macro-assembler scratch — safe because
 /// the register allocator never assigns `r0` to a value.
-pub fn gpr_map(r: Reg) -> Gpr {
+fn gpr_map(r: Reg) -> Gpr {
     const MAP: [Gpr; 14] = [
         Gpr::Rax,
         Gpr::Rcx,
@@ -80,17 +80,17 @@ pub fn gpr_map(r: Reg) -> Gpr {
 }
 
 /// Maps a virtual floating-point register to its XMM image (the identity).
-pub fn fpr_map(f: FReg) -> Xmm {
+fn fpr_map(f: FReg) -> Xmm {
     Xmm(f.0)
 }
 
 /// Byte displacement of a slot's value within the frame.
-pub fn slot_disp(slot: u32) -> i32 {
+fn slot_disp(slot: u32) -> i32 {
     slot as i32 * SLOT_SIZE
 }
 
 /// Byte displacement of a slot's tag byte within the frame.
-pub fn tag_disp(slot: u32) -> i32 {
+fn tag_disp(slot: u32) -> i32 {
     slot_disp(slot) + 8
 }
 
@@ -216,11 +216,6 @@ impl X64Code {
     /// The (byte offset, bytecode offset) source map, sorted by byte offset.
     pub fn source_map(&self) -> &[(usize, u32)] {
         &self.source_map
-    }
-
-    /// The relocated engine transfers, in emission order.
-    pub fn runtime_refs(&self) -> &[RuntimeRef] {
-        &self.runtime_refs
     }
 
     /// Recomputes the Wasm bytecode offset for a machine-code byte offset.
@@ -934,11 +929,11 @@ mod tests {
         m.emit(MachInst::Return);
         let code = m.finish();
         assert_eq!(call_site, 0);
-        assert_eq!(code.runtime_refs().len(), 2);
-        assert_eq!(code.runtime_refs()[0].op, RuntimeOp::Call { func_index: 3 });
-        assert_eq!(code.runtime_refs()[0].patch_offset, 1);
+        assert_eq!(code.runtime_refs.len(), 2);
+        assert_eq!(code.runtime_refs[0].op, RuntimeOp::Call { func_index: 3 });
+        assert_eq!(code.runtime_refs[0].patch_offset, 1);
         assert!(matches!(
-            code.runtime_refs()[1].op,
+            code.runtime_refs[1].op,
             RuntimeOp::Trap { code: TrapCode::Unreachable }
         ));
         // call rel32, ud2, ret.

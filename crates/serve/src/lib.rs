@@ -210,7 +210,8 @@ struct Work {
 pub struct Server {
     server_config: ServerConfig,
     engine: Engine,
-    ticker: EpochTicker,
+    /// Held for its `Drop`, which stops the ticker thread with the server.
+    _ticker: EpochTicker,
     timeouts: TimeoutList,
     recorder: FlightRecorder,
     apps: Vec<App>,
@@ -232,7 +233,7 @@ impl Server {
         Server {
             server_config,
             engine,
-            ticker,
+            _ticker: ticker,
             timeouts,
             recorder,
             apps: Vec::new(),
@@ -261,13 +262,8 @@ impl Server {
     }
 
     /// The name an app was registered under.
-    pub fn app_name(&self, app: usize) -> Option<&str> {
+    fn app_name(&self, app: usize) -> Option<&str> {
         self.apps.get(app).map(|a| a.name.as_str())
-    }
-
-    /// The deadline-enforcement granularity (one epoch tick).
-    pub fn epoch_granularity(&self) -> Duration {
-        self.ticker.granularity()
     }
 
     /// The flight recorder: the most recent requests' access-log lines,
@@ -580,7 +576,8 @@ mod tests {
         let mut server = Server::new(ServerConfig::default(), EngineConfig::default());
         server.register_app("counter", "main", counter_module()).unwrap();
         assert!(server.run(Vec::new()).is_empty());
-        assert_eq!(server.epoch_granularity(), Duration::from_millis(1));
+        let one_ms = Duration::from_millis(1);
+        assert_eq!(server.timeouts.ticks_for(one_ms), 1, "the default tick is 1 ms");
     }
 
     #[test]
@@ -593,7 +590,6 @@ mod tests {
                 },
                 EngineConfig::default(),
             );
-            assert_eq!(server.epoch_granularity(), Duration::from_micros(100));
             assert_eq!(
                 server.timeouts.ticks_for(Duration::from_millis(1)),
                 10,

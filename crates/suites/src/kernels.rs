@@ -44,7 +44,7 @@ impl Scale {
 
 /// Emits `for (local i = start; i < bound_local; i++) { body }` where
 /// `bound` is an i32 local index.
-pub fn emit_for(
+fn emit_for(
     c: &mut CodeBuilder,
     i: u32,
     start: i32,

@@ -153,8 +153,8 @@ pub enum EventKind {
         /// Bytecode offset of the loop-body start the frame entered at.
         offset: u32,
     },
-    /// The sampling profiler observed an activation (also aggregated in
-    /// [`crate::Profiler`]; the ring copy keeps samples on the timeline).
+    /// The sampling profiler observed an activation. The sink counts it as
+    /// `profile.<tier label>.<func>`; the ring copy keeps it on the timeline.
     Sample {
         /// Function index of the sampled activation.
         func: u32,

@@ -1,5 +1,5 @@
-//! Engine-wide observability: structured tracing, a metrics registry, and
-//! the aggregation side of the epoch-driven sampling profiler.
+//! Engine-wide observability: structured tracing and a metrics registry,
+//! which also aggregates the epoch-driven sampling profile.
 //!
 //! The crate is a *leaf* — it depends on nothing in the workspace, so every
 //! layer (machine, interp, engine, serve, bench) can report into it without
@@ -21,9 +21,11 @@
 //!   crate — traps per reason (`engine.traps.<slug>`, named by
 //!   `TrapCode::slug`), cache hits and misses, pool checkouts, OSR entries,
 //!   compiles and served requests.
-//! - **Sampling profile** — the engine's execution loops report the current
-//!   (function, tier) whenever the shared epoch advances; the [`Profiler`]
-//!   aggregates those samples into per-function×tier counts.
+//! - **Sampling profile** — the engine's execution loops emit one
+//!   [`EventKind::Sample`] of the current (function, tier) whenever the
+//!   shared epoch advances; the sink counts it as
+//!   `profile.<tier label>.<function index>`, so the profile is part of the
+//!   metrics snapshot.
 //!
 //! # The zero-cost-when-disabled contract
 //!
@@ -42,12 +44,12 @@
 //!
 //! let telemetry = Telemetry::enabled();
 //! telemetry.emit(EventKind::CacheLookup { hit: false });
-//! telemetry.record_sample(3, Tier::Baseline);
+//! telemetry.emit(EventKind::Sample { func: 3, tier: Tier::Baseline });
 //! let metrics = telemetry.metrics().unwrap();
 //! assert_eq!(metrics.counter("cache.misses").get(), 1);
+//! assert_eq!(metrics.counter("profile.baseline.3").get(), 1);
 //! let trace = telemetry.chrome_trace();
 //! assert!(trace.contains("cache miss"));
-//! assert_eq!(telemetry.profiler().unwrap().total_samples(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +57,6 @@
 
 mod event;
 mod metrics;
-mod profile;
 mod ring;
 pub mod trace;
 
@@ -63,7 +64,6 @@ pub use event::{Backend, EventKind, Tier, TraceEvent};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use profile::{ProfileEntry, Profiler};
 pub use ring::EventRing;
 pub use trace::{chrome_trace, escape_json};
 
@@ -76,10 +76,10 @@ use std::time::Instant;
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Locks `mutex`, recovering the guard if a thread panicked while holding it.
-/// Sound for the metrics registry's maps, the ring registry and the
-/// profile's counts because each critical section is one map lookup or
-/// insert, one `push`, one counter bump or a read: none leaves the data
-/// half-written, so a panic inside one poisons nothing but the flag.
+/// Sound for the metrics registry's maps and the ring registry because each
+/// critical section is one map lookup or insert, one `push` or a read: none
+/// leaves the data half-written, so a panic inside one poisons nothing but
+/// the flag.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -98,8 +98,7 @@ thread_local! {
 ///
 /// Owns the ring registry (one ring per emitting thread; a thread registering
 /// under the name of one that has exited adopts its ring), the metrics
-/// registry, the sampling profile, and the monotonic clock events are
-/// stamped with.
+/// registry, and the monotonic clock events are stamped with.
 pub struct TelemetrySink {
     id: u64,
     start: Instant,
@@ -107,7 +106,6 @@ pub struct TelemetrySink {
     rings: Mutex<Vec<Arc<EventRing>>>,
     metrics: MetricsRegistry,
     instruments: Instruments,
-    profiler: Profiler,
 }
 
 impl std::fmt::Debug for TelemetrySink {
@@ -128,7 +126,6 @@ impl TelemetrySink {
             rings: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
             instruments: Instruments::default(),
-            profiler: Profiler::new(),
         }
     }
 
@@ -227,8 +224,10 @@ struct Instruments {
 
 impl Instruments {
     /// Updates the counters and histograms `kind` implies — the one place a
-    /// metric name is tied to the fact it counts. Enqueues, tier-ups and
-    /// samples imply none.
+    /// metric name is tied to the fact it counts. Enqueues and tier-ups imply
+    /// none. A trap or a sample names its counter per event, which is cheap
+    /// at their rates: traps end a call, and samples come at most once per
+    /// epoch tick.
     fn derive(&self, metrics: &MetricsRegistry, kind: &EventKind) {
         let count = |cell: &OnceLock<Counter>, name: &str, n: u64| {
             cell.get_or_init(|| metrics.counter(name)).add(n);
@@ -269,9 +268,10 @@ impl Instruments {
                 }
             }
             EventKind::OsrEnter { .. } => count(&self.osr_entries, "engine.osr_entries", 1),
-            EventKind::ServeEnqueue { .. }
-            | EventKind::TierUp { .. }
-            | EventKind::Sample { .. } => {}
+            EventKind::Sample { func, tier } => metrics
+                .counter(&format!("profile.{}.{func}", tier.label()))
+                .inc(),
+            EventKind::ServeEnqueue { .. } | EventKind::TierUp { .. } => {}
         }
     }
 }
@@ -309,7 +309,7 @@ impl Telemetry {
 
     /// A handle with a fresh sink whose per-thread rings hold
     /// `ring_capacity` events.
-    pub fn with_ring_capacity(ring_capacity: usize) -> Telemetry {
+    fn with_ring_capacity(ring_capacity: usize) -> Telemetry {
         Telemetry { sink: Some(Arc::new(TelemetrySink::new(ring_capacity))) }
     }
 
@@ -329,25 +329,10 @@ impl Telemetry {
         }
     }
 
-    /// Records one profiler sample of `func` running in `tier`, both in the
-    /// aggregate profile and as a timeline event (no-op when disabled).
-    #[inline]
-    pub fn record_sample(&self, func: u32, tier: Tier) {
-        if let Some(sink) = &self.sink {
-            sink.profiler.record(func, tier);
-            sink.emit(EventKind::Sample { func, tier });
-        }
-    }
-
     /// The sink's metrics registry, when enabled: the counters and
     /// histograms its events imply.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.sink.as_deref().map(|sink| &sink.metrics)
-    }
-
-    /// The sink's sampling profile, when enabled.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.sink.as_deref().map(|sink| &sink.profiler)
     }
 
     /// Moves every buffered event out of every ring, as
@@ -369,13 +354,6 @@ impl Telemetry {
     pub fn dropped_events(&self) -> u64 {
         self.sink.as_deref().map(TelemetrySink::dropped_events).unwrap_or(0)
     }
-
-    /// Microseconds since the sink was created — the clock ring timestamps
-    /// use; 0 when disabled. No producer reads it yet: compile and serve
-    /// spans time their `dur_us` with their own `Instant`s.
-    pub fn now_us(&self) -> u64 {
-        self.sink.as_deref().map(TelemetrySink::now_us).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -390,12 +368,9 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.emit(TICK);
-        t.record_sample(0, Tier::Interp);
         assert!(t.drain().is_empty());
         assert!(t.metrics().is_none());
-        assert!(t.profiler().is_none());
         assert_eq!(t.dropped_events(), 0);
-        assert_eq!(t.now_us(), 0);
         assert_eq!(format!("{t:?}"), "Telemetry(disabled)");
     }
 
@@ -529,16 +504,25 @@ mod tests {
     #[test]
     fn timestamps_are_monotonic_and_sample_events_hit_both_paths() {
         let t = Telemetry::enabled();
-        t.record_sample(7, Tier::Opt);
-        t.record_sample(7, Tier::Opt);
-        t.record_sample(2, Tier::Interp);
-        assert_eq!(t.profiler().unwrap().total_samples(), 3);
-        assert!(t.profiler().unwrap().share(7) > 0.6);
+        let samples = [(7, Tier::Opt), (7, Tier::Opt), (7, Tier::Baseline), (2, Tier::Interp)];
+        for (func, tier) in samples {
+            t.emit(EventKind::Sample { func, tier });
+        }
         let drained = t.drain();
         let events = &drained[0].1;
-        assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-        assert!(matches!(events[0].kind, EventKind::Sample { func: 7, tier: Tier::Opt }));
+        let timeline: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        let expected: Vec<EventKind> =
+            samples.iter().map(|&(func, tier)| EventKind::Sample { func, tier }).collect();
+        assert_eq!(timeline, expected, "the ring keeps every sample, in order");
+        // One function sampled in two tiers lands in two counters.
+        let snapshot = t.metrics().unwrap().snapshot();
+        let counters: Vec<(&str, u64)> =
+            snapshot.counters.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+        assert_eq!(
+            counters,
+            [("profile.baseline.7", 1), ("profile.interp.2", 1), ("profile.opt.7", 2)]
+        );
     }
 
     #[test]
@@ -592,6 +576,7 @@ mod tests {
                 ("engine.osr_entries", 1),
                 ("engine.traps.out_of_fuel", 1),
                 ("pool.cold_checkouts", 1),
+                ("profile.interp.0", 1),
                 ("serve.requests", 2),
                 ("serve.trapped", 1),
             ]

@@ -130,17 +130,6 @@ pub fn write_signed(out: &mut Vec<u8>, mut value: i64) -> usize {
     }
 }
 
-/// Returns the number of bytes an unsigned LEB128 encoding of `value` takes.
-pub fn unsigned_len(value: u64) -> usize {
-    let mut v = value;
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +138,6 @@ mod tests {
         let mut buf = Vec::new();
         let written = write_unsigned(&mut buf, value);
         assert_eq!(written, buf.len());
-        assert_eq!(written, unsigned_len(value));
         let (decoded, read) = read_unsigned(&buf, 0, bits).expect("decode");
         assert_eq!(decoded, value);
         assert_eq!(read, written);

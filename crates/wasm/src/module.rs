@@ -379,7 +379,7 @@ impl ModuleData {
     }
 
     /// The type index of the function at `func_index`, imported or defined.
-    pub fn func_type_index(&self, func_index: u32) -> Option<u32> {
+    fn func_type_index(&self, func_index: u32) -> Option<u32> {
         let num_imports = self.num_imported_funcs();
         if func_index < num_imports {
             self.imports

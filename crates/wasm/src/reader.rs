@@ -117,7 +117,7 @@ impl<'a> ByteReader<'a> {
 
     /// Sets the current offset.
     #[inline]
-    pub fn set_pos(&mut self, pos: usize) {
+    fn set_pos(&mut self, pos: usize) {
         self.pos = pos;
     }
 
@@ -127,7 +127,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Remaining bytes from the current position.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len().saturating_sub(self.pos)
     }
 
@@ -186,11 +186,6 @@ impl<'a> ByteReader<'a> {
             }
             _ => self.read_unsigned_leb(32).map(|v| v as u32),
         }
-    }
-
-    /// Reads an unsigned LEB128 value with at most 64 bits.
-    pub fn read_u64_leb(&mut self) -> Result<u64, ReadError> {
-        self.read_unsigned_leb(64)
     }
 
     /// Reads a signed LEB128 value with at most 32 bits (one-byte fast path
@@ -311,7 +306,7 @@ impl<'a> BytecodeReader<'a> {
 
     /// Reads the next opcode byte.
     #[inline]
-    pub fn read_opcode(&mut self) -> Result<Opcode, ReadError> {
+    fn read_opcode(&mut self) -> Result<Opcode, ReadError> {
         let offset = self.inner.pos();
         let b = self.inner.read_u8()?;
         Opcode::from_byte(b).ok_or(ReadError::UnknownOpcode { offset, byte: b })
@@ -617,7 +612,7 @@ mod tests {
         let mut r = ByteReader::new(&data);
         assert_eq!(r.read_u32_leb().unwrap(), 624485);
         assert_eq!(r.read_i32_leb().unwrap(), -123456);
-        assert_eq!(r.read_u64_leb().unwrap(), u64::MAX);
+        assert_eq!(r.read_unsigned_leb(64).unwrap(), u64::MAX);
         assert!(r.is_at_end());
     }
 

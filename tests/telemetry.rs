@@ -137,7 +137,47 @@ fn concurrent_cache_counters_stay_exact() {
     assert!(stats.hits > 0, "warm instantiations actually hit");
 }
 
-/// Calls `main` of `module` until the profiler holds at least 8 samples, in
+/// The sampling profile as the metrics snapshot carries it: one
+/// `(func, tier, samples)` row per `profile.<tier label>.<func>` counter,
+/// hottest first (ties by function, then tier).
+struct Profile(Vec<(u32, Tier, u64)>);
+
+impl Profile {
+    fn of(telemetry: &Telemetry) -> Profile {
+        let snapshot = telemetry.metrics().expect("telemetry is enabled").snapshot();
+        let mut rows: Vec<(u32, Tier, u64)> = snapshot
+            .counters
+            .iter()
+            .filter_map(|(name, samples)| {
+                let (tier, func) = name.strip_prefix("profile.")?.split_once('.')?;
+                let tier = [Tier::Interp, Tier::Baseline, Tier::Opt]
+                    .into_iter()
+                    .find(|t| t.label() == tier)
+                    .unwrap_or_else(|| panic!("{name}: no such tier"));
+                Some((func.parse().expect("a function index"), tier, *samples))
+            })
+            .collect();
+        rows.sort_by_key(|&(func, tier, samples)| (std::cmp::Reverse(samples), func, tier));
+        Profile(rows)
+    }
+
+    fn total(&self) -> u64 {
+        self.0.iter().map(|&(_, _, samples)| samples).sum()
+    }
+
+    /// The fraction of all samples taken in `func`, in any tier.
+    fn share(&self, func: u32) -> f64 {
+        let hits: u64 = self.0.iter().filter(|row| row.0 == func).map(|row| row.2).sum();
+        hits as f64 / self.total().max(1) as f64
+    }
+
+    /// The hottest `(func, tier)`.
+    fn top(&self) -> Option<(u32, Tier)> {
+        self.0.first().map(|&(func, tier, _)| (func, tier))
+    }
+}
+
+/// Calls `main` of `module` until the profile holds at least 8 samples, in
 /// each of the three executing tiers, and checks that ≥ 90 % of them land on
 /// function `hot` (the `kernel`) and that it tops the profile in the
 /// configuration's tier. A tier's samples are the same on both backends,
@@ -156,9 +196,8 @@ fn assert_profiler_attributes(module: &Module, hot: u32, kernel: &str) {
         let mut instance = engine
             .instantiate(module, Imports::new(), Instrumentation::none())
             .expect("instantiates");
-        let profiler = engine.telemetry().profiler().expect("telemetry is enabled");
         let mut calls = 0usize;
-        while profiler.total_samples() < MIN_SAMPLES && calls < 400 {
+        while Profile::of(engine.telemetry()).total() < MIN_SAMPLES && calls < 400 {
             instance.set_fuel(u64::MAX / 2);
             engine
                 .call_export(&mut instance, "main", &[])
@@ -166,20 +205,21 @@ fn assert_profiler_attributes(module: &Module, hot: u32, kernel: &str) {
             calls += 1;
         }
         drop(ticker);
-        let total = profiler.total_samples();
+        let profile = Profile::of(engine.telemetry());
+        let total = profile.total();
         assert!(
             total >= MIN_SAMPLES,
             "{name}: only {total} samples after {calls} calls"
         );
-        let share = profiler.share(hot);
+        let share = profile.share(hot);
         assert!(
             share >= 0.9,
             "{name}: {kernel} share {:.1}% < 90% over {total} samples",
             share * 100.0
         );
-        let top = profiler.snapshot().into_iter().next().expect("has samples");
-        assert_eq!(top.func, hot, "{name}: top function is the {kernel}");
-        assert_eq!(top.tier, expected_tier, "{name}: samples land in the executing tier");
+        let (top_func, top_tier) = profile.top().expect("has samples");
+        assert_eq!(top_func, hot, "{name}: top function is the {kernel}");
+        assert_eq!(top_tier, expected_tier, "{name}: samples land in the executing tier");
     }
 }
 
@@ -489,9 +529,8 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
 
         let (engine, mut instance) = start(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
-        let profiler = engine.telemetry().profiler().expect("telemetry is enabled");
         let mut calls = 0usize;
-        while profiler.total_samples() < MIN_SAMPLES && calls < 400 {
+        while Profile::of(engine.telemetry()).total() < MIN_SAMPLES && calls < 400 {
             assert_eq!(
                 call(&engine, &mut instance),
                 plain,
@@ -500,7 +539,7 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
             calls += 1;
         }
         drop(ticker);
-        let total = profiler.total_samples();
+        let total = Profile::of(engine.telemetry()).total();
         assert!(total >= MIN_SAMPLES, "{name}: only {total} samples after {calls} calls");
     }
 }
@@ -511,7 +550,9 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
 /// run covers a cache miss and hit, warm and cold checkouts, compiles that
 /// succeed and one that fails, a trap of each family (an instruction, fuel,
 /// an interrupt), an OSR entry and a served batch with one deadline
-/// overshoot.
+/// overshoot. The sampling profile is the one part that is not pinned: it
+/// counts the server ticker's ticks, which fall where the wall clock puts
+/// them.
 #[test]
 fn one_scripted_run_leaves_the_pinned_metrics() {
     let telemetry = Telemetry::enabled();
@@ -583,9 +624,16 @@ fn one_scripted_run_leaves_the_pinned_metrics() {
         .expect("instantiates");
     engine.call_export(&mut instance, "main", &[]).expect("runs");
 
+    // Only the server's epoch ticks, and its engine runs baseline code.
+    let profile = Profile::of(&telemetry);
+    assert!(profile.0.iter().all(|&(_, tier, _)| tier == Tier::Baseline), "{:?}", profile.0);
     let snapshot = telemetry.metrics().expect("enabled").snapshot();
-    let counters: Vec<(&str, u64)> =
-        snapshot.counters.iter().map(|(name, value)| (name.as_str(), *value)).collect();
+    let counters: Vec<(&str, u64)> = snapshot
+        .counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("profile."))
+        .map(|(name, value)| (name.as_str(), *value))
+        .collect();
     let histograms: Vec<(&str, u64)> =
         snapshot.histograms.iter().map(|(name, h)| (name.as_str(), h.count)).collect();
     // Eight functions compile: the three apps' (1 + 1 + 4), the pooled

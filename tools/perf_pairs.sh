@@ -5,11 +5,11 @@
 #   PAIRS=10 WINDOW=16 SEED=7 tools/perf_pairs.sh HEAD~1 exec-jit serve-warm
 #   LAYERS=1 PAIRS=3 tools/perf_pairs.sh HEAD~1 exec-interp   # also diff the per-layer metrics
 #
-# Exports <git-ref> into a scratch directory (under $TMPDIR, default /tmp),
-# builds `benchmark/`'s perfbench from it and from the working tree — each
-# from inside its own tree, so each side gets its own tree's `.cargo/config.toml`
-# (cargo reads it from the invoking directory upward), and both into that
-# scratch directory, nothing is written into the repository — and
+# Exports <git-ref> under $TMPDIR (default /tmp), builds `benchmark/`'s
+# perfbench from it and from the working tree — each from inside its own
+# tree, so each side gets its own tree's `.cargo/config.toml` (cargo reads it
+# from the invoking directory upward), and neither writes into the
+# repository — and
 # runs each workload PAIRS (default 5) times on each binary, alternating
 # which side goes first, at one seed and window length. Prints every run's
 # end-to-end metrics (`ops_per_s`, `op_p50_us`, `op_p99_us`, `peak_rss_mb`,
@@ -34,8 +34,17 @@
 # side's own min–max (when the ref side varies at all) is marked `noise`:
 # that layer's passes cannot tell the two builds apart.
 # The host is noisy: read ratios between the two columns of one sitting,
-# never an absolute number across days. The scratch directory is removed on
-# exit.
+# never an absolute number across days.
+#
+# What persists between invocations, so that a second one rebuilds only what
+# changed:
+#   $TMPDIR/perf_pairs.ref-<full sha>/   the exported ref tree (`tree/`; the
+#                                        stamp `.exported` marks it complete)
+#                                        and its cargo target dir (`target/`)
+#   $TMPDIR/perf_pairs.here-<cksum>/     the target dir of one working tree,
+#                                        keyed by a checksum of its path
+# Delete them with `rm -rf "${TMPDIR:-/tmp}"/perf_pairs.ref-* "${TMPDIR:-/tmp}"/perf_pairs.here-*`.
+# Each run's output files go to a fresh directory that is removed on exit.
 set -euo pipefail
 [ $# -ge 1 ] || { sed -n '2,6p' "$0"; exit 2; }
 ref=$1
@@ -66,20 +75,27 @@ done < <(awk -F'"' '
 mapfile -t layer_metrics < <(awk -F'"' '
     /"per_layer"/ { on = 1 } on && /"name"/ { print $4 }' "$top/BENCHMARK.json")
 
-work=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
+cache=${TMPDIR:-/tmp}
+ref_dir=$cache/perf_pairs.ref-$commit
+here_dir=$cache/perf_pairs.here-$(printf '%s' "$top" | cksum | cut -d ' ' -f 1)
+work=$(mktemp -d "$cache/perf_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/ref"
-git -C "$top" archive "$commit" | tar -x -C "$work/ref"
+if [ ! -e "$ref_dir/.exported" ]; then
+    rm -rf "$ref_dir/tree"
+    mkdir -p "$ref_dir/tree"
+    git -C "$top" archive "$commit" | tar -x -C "$ref_dir/tree"
+    touch "$ref_dir/.exported"
+fi
 
 declare -A bin
-build() { # side, source root
+build() { # side, source root, target dir
     (cd "$2" && cargo build --release --offline --quiet \
-        --manifest-path benchmark/Cargo.toml --target-dir "$work/target-$1")
-    bin[$1]=$work/target-$1/release/perfbench
+        --manifest-path benchmark/Cargo.toml --target-dir "$3")
+    bin[$1]=$3/release/perfbench
 }
-echo "building perfbench: ref = $ref (${commit:0:7}), here = working tree of $top"
-build ref "$work/ref"
-build here "$top"
+echo "building perfbench: ref = $ref (${commit:0:7}) in $ref_dir, here = working tree of $top into $here_dir"
+build ref "$ref_dir/tree" "$ref_dir/target"
+build here "$top" "$here_dir/target"
 
 echo
 echo "hot function placement (start address mod 128, size in bytes):"
