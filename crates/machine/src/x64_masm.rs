@@ -26,9 +26,11 @@
 //!   and rely on guard pages for bounds checks, as production engines do.
 //! * **Engine transfers are relocated calls.** Calls, indirect calls,
 //!   probes, `memory.size`/`grow`, and global accesses emit a `call rel32`
-//!   whose displacement is left for the engine to patch; each is recorded in
-//!   the [`X64Code`] as a [`RuntimeRef`] with its [`RuntimeOp`]. Traps are `ud2` sites
-//!   recorded the same way. Two argument registers suffice because the
+//!   whose displacement is left zero, as a linker would leave it; each is
+//!   recorded in the [`X64Code`] with what it transfers to, and traps are
+//!   `ud2` sites recorded the same way. The record is part of the metadata
+//!   `X64Code`'s `==` compares; nothing patches it, since this code is
+//!   encoded for its size and never run. Two argument registers suffice because the
 //!   compiler flushes all live state to the frame before observable points:
 //!   a single value travels in RAX.
 //!
@@ -94,10 +96,10 @@ fn tag_disp(slot: u32) -> i32 {
     slot_disp(slot) + 8
 }
 
-/// What a relocated runtime transfer does, recorded per call site so the
-/// engine (or a linker) can patch the displacement to the right stub.
+/// What a relocated runtime transfer does, recorded per call site: the stub
+/// a linker would patch the displacement to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeOp {
+pub(crate) enum RuntimeOp {
     /// Direct Wasm call.
     Call {
         /// Callee function index.
@@ -166,12 +168,12 @@ pub enum RuntimeOp {
 
 /// One relocated engine transfer in the emitted code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeRef {
+pub(crate) struct RuntimeRef {
     /// Byte offset of the rel32 displacement to patch (or of the `ud2` for
     /// traps).
-    pub patch_offset: usize,
+    patch_offset: usize,
     /// What the transfer does.
-    pub op: RuntimeOp,
+    op: RuntimeOp,
 }
 
 /// Finished x86-64 machine code plus the metadata the engine needs.

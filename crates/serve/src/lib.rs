@@ -576,8 +576,11 @@ mod tests {
         let mut server = Server::new(ServerConfig::default(), EngineConfig::default());
         server.register_app("counter", "main", counter_module()).unwrap();
         assert!(server.run(Vec::new()).is_empty());
-        let one_ms = Duration::from_millis(1);
-        assert_eq!(server.timeouts.ticks_for(one_ms), 1, "the default tick is 1 ms");
+        assert_eq!(
+            server.timeouts.ticks_for(Duration::from_secs(1)),
+            1000,
+            "the default tick is 1 ms"
+        );
     }
 
     #[test]

@@ -38,8 +38,8 @@
 #
 # What persists between invocations, so that a second one rebuilds only what
 # changed:
-#   $TMPDIR/perf_pairs.ref-<full sha>/   the exported ref tree (`tree/`; the
-#                                        stamp `.exported` marks it complete)
+#   $TMPDIR/perf_pairs.ref-<full sha>/   the exported ref tree (`tree/`,
+#                                        renamed into place only once whole)
 #                                        and its cargo target dir (`target/`)
 #   $TMPDIR/perf_pairs.here-<cksum>/     the target dir of one working tree,
 #                                        keyed by a checksum of its path
@@ -80,11 +80,13 @@ ref_dir=$cache/perf_pairs.ref-$commit
 here_dir=$cache/perf_pairs.here-$(printf '%s' "$top" | cksum | cut -d ' ' -f 1)
 work=$(mktemp -d "$cache/perf_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-if [ ! -e "$ref_dir/.exported" ]; then
-    rm -rf "$ref_dir/tree"
-    mkdir -p "$ref_dir/tree"
-    git -C "$top" archive "$commit" | tar -x -C "$ref_dir/tree"
-    touch "$ref_dir/.exported"
+# Export into this run's own directory, then rename it into place: the shared
+# tree appears whole or not at all, and is never removed while another run
+# may be reading it. A run that loses the race drops its copy with `$work`.
+if [ ! -d "$ref_dir/tree" ]; then
+    mkdir -p "$ref_dir" "$work/tree"
+    git -C "$top" archive "$commit" | tar -x -C "$work/tree"
+    mv -T "$work/tree" "$ref_dir/tree" 2>/dev/null || true
 fi
 
 declare -A bin
