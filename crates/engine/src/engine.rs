@@ -274,7 +274,8 @@ impl Engine {
     ///
     /// Memory, globals and tables are built fresh by [`MemoryImage::build`],
     /// which clamps the declared limits to the tenant's resource ceilings
-    /// (so `memory.grow` can never exceed the tenant budget). The value
+    /// (so `memory.grow` can never exceed the tenant budget); a recycled
+    /// instance's memory keeps its allocation, zeroed. The value
     /// stack's dirtied region is scrubbed, the host heap is replaced, fuel,
     /// deadline and trap are cleared, and `metrics` is installed, with
     /// [`RunMetrics::setup_wall`] measured from `setup_start` when one is
@@ -283,18 +284,20 @@ impl Engine {
     ///
     /// Kept, because it is earned rather than initial: the artifact's
     /// published code, call and OSR counts, instrumentation, host functions
-    /// and the value stack's allocation, so a recycled instance stays in its
-    /// tier. Tier choice never changes results — the conformance matrix's
-    /// invariant, which `tests/instance_pool.rs` re-proves against cold
-    /// instantiation directly.
+    /// and the allocations of the value stack and the memory, so a recycled
+    /// instance stays in its tier. Tier choice never changes results — the
+    /// conformance matrix's invariant, which `tests/instance_pool.rs`
+    /// re-proves against cold instantiation directly.
     pub(crate) fn initialize(
         &self,
         instance: &mut Instance,
         metrics: RunMetrics,
         setup_start: Option<Instant>,
     ) -> Result<(), EngineError> {
+        let previous = instance.memory.take();
         let (memory, globals, tables) =
-            MemoryImage::build(instance.module(), &self.0.config.limits)?.into_parts();
+            MemoryImage::build_reusing(instance.module(), &self.0.config.limits, previous)?
+                .into_parts();
         instance.memory = memory;
         instance.globals = globals;
         instance.tables = tables;

@@ -4,15 +4,18 @@
 //! [`crate::CodeCache`]) and *state initialization* — evaluating global
 //! initializers, allocating linear memory and tables, and bounds-checking and
 //! copying every data and element segment. [`MemoryImage::build`] is the one
-//! implementation of the second half and of its error paths. Its one caller
-//! is the engine's instance initializer, which a cold
-//! [`crate::Engine::instantiate`] and a warm [`crate::InstancePool`] checkout
-//! share, so a recycled instance starts from exactly the state a fresh one
-//! does.
+//! implementation of the second half and of its error paths. It runs in the
+//! engine's instance initializer, which a cold [`crate::Engine::instantiate`]
+//! and a warm [`crate::InstancePool`] checkout share, so a recycled instance
+//! starts from exactly the state a fresh one does.
 //!
-//! Nothing is snapshotted or copied back. Building zero-fills the memory and
-//! copies only the segment bytes, which measures cheaper than a `memcpy` of a
-//! captured image of every page.
+//! Nothing is snapshotted or copied back. Building sets the memory's size
+//! and backs only the bytes the segments write (a linear memory is backed on
+//! demand, [`machine::memory`]), so a cold instantiation allocates and zeroes
+//! no declared page its module never touches. A warm checkout builds into
+//! the recycled instance's previous memory ([`LinearMemory::recycle`]): the
+//! prefix the last request backed is zeroed in place and stays backed, so
+//! the next request's stores land in memory that is already there.
 
 use crate::config::ResourceLimits;
 use crate::engine::EngineError;
@@ -84,15 +87,27 @@ impl MemoryImage {
     /// segment falls out of bounds, a data segment targets a module without
     /// memory, or an element segment names a missing table.
     pub fn build(module: &Module, limits: &ResourceLimits) -> Result<MemoryImage, EngineError> {
+        MemoryImage::build_reusing(module, limits, None)
+    }
+
+    /// [`MemoryImage::build`] for an instance being initialized again: the
+    /// memory keeps `previous`'s allocation ([`LinearMemory::recycle`]).
+    pub(crate) fn build_reusing(
+        module: &Module,
+        limits: &ResourceLimits,
+        previous: Option<LinearMemory>,
+    ) -> Result<MemoryImage, EngineError> {
         let mut memory = match (0..module.num_memories())
             .next()
             .and_then(|i| module.memory_type(i))
         {
-            Some(m) => Some(LinearMemory::new(clamp_limits(
-                m.limits,
-                limits.memory_pages,
-                "memory pages",
-            )?)),
+            Some(m) => {
+                let limits = clamp_limits(m.limits, limits.memory_pages, "memory pages")?;
+                Some(match previous {
+                    Some(previous) => previous.recycle(limits),
+                    None => LinearMemory::new(limits),
+                })
+            }
             None => None,
         };
 

@@ -231,9 +231,18 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
 }
 
 /// `rec` burns all its time in branchy recursion — no loops anywhere, so
-/// the in-loop meter-check sampling sites never fire. Function indices are
-/// (cold, rec, main) = (0, 1, 2).
+/// the in-loop meter-check sampling sites never fire. It calls itself for
+/// one child and `hop`, which only calls it back, for the other, so over a
+/// third of the sampled `rec` frames are not their own caller's: a profiler
+/// that labelled a sample with the caller's function would give `rec` about
+/// 60 %. Each `rec` frame runs a long straight line of arithmetic first, so
+/// the time in `hop` and in the call transitions (sampled as frame exits)
+/// stays a few percent, and one call of `main` takes tens of samples, so a
+/// stray one cannot tip the share. Function indices are (cold, rec, hop,
+/// main) = (0, 1, 2, 3).
 fn deep_recursion_module(depth: i32) -> Module {
+    /// Multiply-xor rounds per `rec` frame.
+    const ROUNDS: usize = 2048;
     let mut b = ModuleBuilder::new();
     let cold = {
         let mut c = CodeBuilder::new();
@@ -244,10 +253,18 @@ fn deep_recursion_module(depth: i32) -> Module {
             c.finish(),
         )
     };
-    // rec(n) = n < 2 ? n : rec(n-1) + rec(n-2)  (Fibonacci call tree)
-    let rec = 1;
-    let rec = {
+    // rec(n) = mix(n) + (n < 2 ? n : rec(n-1) + hop(n-2))  (a Fibonacci
+    // call tree), where mix is ROUNDS multiply-xor rounds.
+    let (rec, hop) = (1, 2);
+    let built_rec = {
         let mut c = CodeBuilder::new();
+        c.local_get(0);
+        for _ in 0..ROUNDS {
+            c.i32_const(0x2C1B_3C6D)
+                .op(Opcode::I32Mul)
+                .i32_const(0x297A_2D39)
+                .op(Opcode::I32Xor);
+        }
         c.local_get(0)
             .i32_const(2)
             .op(Opcode::I32LtS)
@@ -261,15 +278,26 @@ fn deep_recursion_module(depth: i32) -> Module {
             .local_get(0)
             .i32_const(2)
             .op(Opcode::I32Sub)
-            .call(rec)
+            .call(hop)
             .op(Opcode::I32Add)
-            .end();
+            .end()
+            .op(Opcode::I32Add);
         b.add_func(
             FuncType::new(vec![ValueType::I32], vec![ValueType::I32]),
             vec![],
             c.finish(),
         )
     };
+    let built_hop = {
+        let mut c = CodeBuilder::new();
+        c.local_get(0).call(rec);
+        b.add_func(
+            FuncType::new(vec![ValueType::I32], vec![ValueType::I32]),
+            vec![],
+            c.finish(),
+        )
+    };
+    assert_eq!((built_rec, built_hop), (rec, hop));
     let main = {
         let mut c = CodeBuilder::new();
         c.i32_const(7)
@@ -288,7 +316,7 @@ fn deep_recursion_module(depth: i32) -> Module {
 /// because returns and call boundaries are sample points too.
 #[test]
 fn profiler_attributes_deep_recursion_without_back_edges() {
-    assert_profiler_attributes(&deep_recursion_module(21), 1, "recursive kernel");
+    assert_profiler_attributes(&deep_recursion_module(13), 1, "recursive kernel");
 }
 
 #[test]

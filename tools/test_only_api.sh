@@ -12,7 +12,8 @@
 # Defined: each `pub fn` in a .rs file under crates/*/src, above the file's
 # first `#[cfg(test)]` line. Called: `name(` or `name::<` on a non-comment
 # line of any other tracked .rs file, again above its first `#[cfg(test)]`,
-# that is not under a `tests/` directory. A function with no such caller is
+# that is not under a `tests/` directory; the name right after `fn` is a
+# definition, not a call, so a same-named function elsewhere hides nothing. A function with no such caller is
 # printed: it is dead, test-only, or used only inside its own file (and then
 # need not be `pub`).
 #
@@ -42,7 +43,9 @@ candidates() {
                 sub(/.*fn /, "", name)
                 defs[++ndefs] = name SUBSEP path SUBSEP line
             }
+            # The name a definition introduces is not a call of it.
             rest = $0
+            gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " fn ", rest)
             while (match(rest, /[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
                 name = substr(rest, RSTART, RLENGTH)
                 sub(/(\(|::<)$/, "", name)
