@@ -70,6 +70,44 @@ pub struct CallSiteInfo {
     pub callee_slot_base: u32,
 }
 
+/// The call sites of one compiled function and what the engine needs about
+/// each, ordered by site index. Both compilers emit a function's calls in
+/// code order, so a site is pushed after every smaller one and found by
+/// binary search: the engine looks one up per call, with no hashing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CallSites {
+    sites: Vec<(usize, CallSiteInfo)>,
+}
+
+impl CallSites {
+    /// Records the call at `site`. Sites must be pushed in increasing order.
+    pub fn push(&mut self, site: usize, info: CallSiteInfo) {
+        debug_assert!(
+            self.sites.last().is_none_or(|&(last, _)| last < site),
+            "call sites must be pushed in code order"
+        );
+        self.sites.push((site, info));
+    }
+
+    /// The call at `site`, if there is one.
+    #[inline]
+    pub fn get(&self, site: usize) -> Option<&CallSiteInfo> {
+        self.sites
+            .binary_search_by_key(&site, |&(s, _)| s)
+            .ok()
+            .map(|i| &self.sites[i].1)
+    }
+}
+
+impl std::ops::Deref for CallSites {
+    type Target = [(usize, CallSiteInfo)];
+
+    /// Every call site and its metadata, in site order.
+    fn deref(&self) -> &Self::Target {
+        &self.sites
+    }
+}
+
 /// Information the engine needs about one probe site in compiled code: the
 /// original bytecode offset and the operand stack height there, so a frame
 /// accessor (or a tier-down to the interpreter) can reconstruct the frame.
@@ -116,8 +154,8 @@ pub struct CompiledCode<T> {
     pub code: T,
     /// Per-call-site stackmaps (only when [`TagStrategy::Stackmaps`]).
     pub stackmaps: StackmapTable,
-    /// Metadata for every call instruction, keyed by site index.
-    pub call_sites: HashMap<usize, CallSiteInfo>,
+    /// Metadata for every call instruction, ordered by site index.
+    pub call_sites: CallSites,
     /// Metadata for every probe instruction, keyed by site index.
     pub probe_sites: HashMap<usize, JitProbeSite>,
     /// OSR entry stubs, keyed by *wasm loop-body-start offset* → the code
@@ -313,7 +351,7 @@ impl<'o> SinglePassCompiler<'o> {
             table_stubs: Vec::new(),
             table_targets: Vec::new(),
             stackmaps: StackmapTable::default(),
-            call_sites: HashMap::new(),
+            call_sites: CallSites::default(),
             probe_sites: HashMap::new(),
             stats: CompileStats {
                 wasm_bytes: decl.code.len() as u32,
@@ -423,7 +461,7 @@ struct FuncCompiler<'a, M: Masm> {
     table_stubs: Vec<Label>,
     table_targets: Vec<(Label, usize, usize)>,
     stackmaps: StackmapTable,
-    call_sites: HashMap<usize, CallSiteInfo>,
+    call_sites: CallSites,
     probe_sites: HashMap<usize, JitProbeSite>,
     stats: CompileStats,
 }
@@ -1247,7 +1285,7 @@ impl<'a, M: Masm> FuncCompiler<'a, M> {
         let refs = self.flush_for_observation();
         let callee_slot_base = (self.num_locals + self.state.height() - sig.params.len()) as u32;
         let site_index = self.asm.emit(inst);
-        self.call_sites.insert(site_index, CallSiteInfo { callee_slot_base });
+        self.call_sites.push(site_index, CallSiteInfo { callee_slot_base });
         if let Some(ref_slots) = refs {
             self.stackmaps.push(Stackmap { inst_index: site_index, ref_slots });
         }

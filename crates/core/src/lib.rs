@@ -59,7 +59,7 @@ pub mod profiles;
 pub mod stackmap;
 
 pub use compiler::{
-    CallSiteInfo, CompileError, CompileStats, CompiledCode, CompiledFunction, JitProbeSite,
+    CallSiteInfo, CallSites, CompileError, CompileStats, CompiledCode, CompiledFunction, JitProbeSite,
     SinglePassCompiler,
 };
 pub use instrument::{ProbeKind, ProbeSite, ProbeSites};

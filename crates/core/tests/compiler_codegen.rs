@@ -201,7 +201,7 @@ fn stackmaps_recorded_at_call_sites() {
     let map = cf.stackmaps.iter().next().unwrap();
     assert!(map.is_ref(0), "the externref param is a root");
     assert_eq!(cf.call_sites.len(), 1);
-    let site = cf.call_sites.values().next().unwrap();
+    let (_, site) = &cf.call_sites[0];
     // One local + one operand (the externref pushed for... actually the
     // call has no args, so the callee base is locals + current height.
     assert_eq!(site.callee_slot_base, 2);
@@ -326,7 +326,7 @@ fn call_sites_record_callee_base() {
         .compile(&module, f, &info.funcs[1], &ProbeSites::none())
         .unwrap();
     assert_eq!(cf.call_sites.len(), 1);
-    let site = cf.call_sites.values().next().unwrap();
+    let (_, site) = &cf.call_sites[0];
     // No locals; two operands pushed; the call consumes one arg, so the
     // callee's frame starts at slot 1.
     assert_eq!(site.callee_slot_base, 1);

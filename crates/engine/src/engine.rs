@@ -250,11 +250,16 @@ impl Engine {
         let mut instance = Instance {
             artifact,
             call_counts: vec![0; num_defined],
-            osr_counts: vec![0; num_defined],
+            // Only the OSR hook counts back edges.
+            osr_counts: match self.0.config.osr_threshold {
+                Some(_) => vec![0; num_defined],
+                None => Vec::new(),
+            },
             memory: None,
             globals: Vec::new(),
             tables: Vec::new(),
             values: ValueStack::default(),
+            registers: Vec::new(),
             heap: Heap::default(),
             instrumentation,
             host_funcs,
@@ -352,7 +357,7 @@ impl Engine {
         }
         let artifact = Arc::clone(&instance.artifact);
         let sig = artifact.module().func_type(func_index).ok_or(TrapCode::HostError)?;
-        self.run_call(instance, func_index, args)?;
+        self.run_call(instance, &artifact, func_index, args)?;
         // The root frame returned its results at its base.
         Ok(instance.read_values(0, &sig.results))
     }

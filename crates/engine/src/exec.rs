@@ -17,48 +17,49 @@ use interp::probe::{FrameAccessor, ProbeSink};
 use machine::cost::CycleCounter;
 use machine::cpu::{CpuState, EpochSampler, ExecContext, Exit, Meter, OsrHook, ProbeExit};
 use machine::inst::TrapCode;
-use machine::values::{ValueTag, WasmValue};
+use machine::values::WasmValue;
 use spc::CompiledFunction;
 use telemetry::EventKind;
 use wasm::types::FuncType;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-pub(crate) enum FrameTier {
+pub(crate) enum FrameTier<'a> {
     Interp,
-    // The register file is boxed so interpreter activations stay small. The
-    // compile tier is pinned per activation: a frame keeps running the code
-    // it started in even if a higher tier publishes mid-activation.
+    // The compile tier is pinned per activation: a frame keeps running the
+    // code it started in even if a higher tier publishes mid-activation.
+    // `code` is that tier's published code, looked up once when the frame
+    // starts (or OSR enters it); the register file is the call stack's entry
+    // at the frame's depth.
     Jit {
-        cpu: Box<CpuState>,
         tier: CompileTier,
+        code: &'a CompiledFunction,
     },
 }
 
-impl FrameTier {
-    /// A JIT frame about to start `tier`'s code with a fresh register file.
-    pub(crate) fn jit(tier: CompileTier) -> FrameTier {
-        FrameTier::Jit {
-            cpu: Box::new(CpuState::new()),
-            tier,
-        }
-    }
-
+impl<'a> FrameTier<'a> {
     pub(crate) fn jit_tier(&self) -> Option<CompileTier> {
         match self {
             FrameTier::Interp => None,
             FrameTier::Jit { tier, .. } => Some(*tier),
         }
     }
+
+    /// The compiled code a JIT frame runs.
+    pub(crate) fn code(&self) -> Option<&'a CompiledFunction> {
+        match self {
+            FrameTier::Interp => None,
+            FrameTier::Jit { code, .. } => Some(code),
+        }
+    }
 }
 
-pub(crate) struct Activation {
+pub(crate) struct Activation<'a> {
     pub(crate) func_index: u32,
     pub(crate) defined_index: u32,
     pub(crate) frame_base: usize,
     pub(crate) num_results: u32,
     pub(crate) frame_slots: u32,
-    pub(crate) tier: FrameTier,
+    pub(crate) tier: FrameTier<'a>,
     /// Where the frame continues when it next runs. Like `site`, a position
     /// in the frame's tier's own coordinates: a bytecode offset in the
     /// interpreter, an instruction index into compiled code.
@@ -78,7 +79,7 @@ pub(crate) struct Activation {
     pub(crate) site: usize,
 }
 
-impl Activation {
+impl Activation<'_> {
     /// Where the value-stack pointer stands while this frame runs, given
     /// where its interpreter operands end: a JIT frame addresses its slots
     /// statically, so its stack pointer covers the whole frame.
@@ -90,18 +91,49 @@ impl Activation {
     }
 }
 
+/// The call tree one [`Engine::run_call`] runs: its live activations,
+/// innermost last, and one register file per frame depth — a JIT frame at
+/// depth `d` runs on `registers[d]`, zeroed when the frame starts or OSR
+/// enters it; an interpreter frame leaves its entry unused. The register
+/// files live on the [`Instance`] between calls, so a warm call backs none.
+struct CallStack<'a> {
+    frames: Vec<Activation<'a>>,
+    registers: Vec<CpuState>,
+    /// Where the innermost frame trapped, when the trap came from executing
+    /// an instruction (see [`Engine::record_trap`]).
+    trap_at: Option<usize>,
+}
+
+/// Zeroes the register file at `depth`, backing it first.
+fn fresh_registers(registers: &mut Vec<CpuState>, depth: usize) {
+    match registers.get_mut(depth) {
+        Some(state) => {
+            state.gprs.fill(0);
+            state.fprs.fill(0);
+        }
+        None => registers.resize_with(depth + 1, CpuState::default),
+    }
+}
+
 impl Engine {
-    fn push_frame(
+    /// Pushes a new activation of `func_index` whose frame starts at
+    /// `frame_base` onto `stack`: the tier chosen, the frame backed, its
+    /// declared locals written, a JIT frame's register file zeroed. Wasm
+    /// callers have already written the arguments; the host's come as
+    /// `args`.
+    fn push_frame<'a>(
         &self,
         instance: &mut Instance,
+        artifact: &'a CompiledModule,
+        stack: &mut CallStack<'a>,
         func_index: u32,
         frame_base: usize,
-        init_locals_from_args: Option<&[WasmValue]>,
-        depth: usize,
-    ) -> Result<Activation, TrapCode> {
+        args: Option<&[WasmValue]>,
+    ) -> Result<(), TrapCode> {
         let defined = func_index
-            .checked_sub(instance.module().num_imported_funcs())
+            .checked_sub(artifact.module().num_imported_funcs())
             .ok_or(TrapCode::HostError)?;
+        let depth = stack.frames.len();
         let max_depth = self.0.config.limits.call_depth.unwrap_or(EngineConfig::MAX_CALL_DEPTH);
         if depth >= max_depth.min(EngineConfig::MAX_CALL_DEPTH) {
             return Err(TrapCode::StackOverflow);
@@ -113,20 +145,14 @@ impl Engine {
                 return Err(TrapCode::Interrupted);
             }
         }
-        let jit_tier = self.choose_tier(instance, defined)?;
-        // The artifact is immutable and behind an `Arc`, so a cheap handle
-        // clone sidesteps simultaneous-borrow gymnastics with the mutable
-        // value stack below.
-        let artifact = Arc::clone(&instance.artifact);
         let prepared = artifact.prepared(defined);
-        let num_params = prepared.num_params as usize;
-        let num_results = prepared.num_results;
-        let frame_slots = match jit_tier {
-            Some(tier) => artifact
-                .code_for(defined, tier)
-                .map(|c| c.frame_slots)
-                .unwrap_or(prepared.frame_slots()),
-            None => prepared.frame_slots(),
+        let (tier, frame_slots) = match self.choose_tier(instance, defined)? {
+            Some(tier) => {
+                // `choose_tier` published the code it chose.
+                let code = artifact.code_for(defined, tier).ok_or(TrapCode::HostError)?;
+                (FrameTier::Jit { tier, code }, code.frame_slots)
+            }
+            None => (FrameTier::Interp, prepared.frame_slots()),
         };
         if !instance.values.reserve(frame_base + frame_slots as usize) {
             return Err(TrapCode::StackOverflow);
@@ -134,13 +160,13 @@ impl Engine {
 
         // Arguments (when provided by the host; Wasm callers already wrote
         // them into place), then default-initialized declared locals.
-        if let Some(args) = init_locals_from_args {
+        let (params, declared) = prepared.local_types.split_at(prepared.num_params as usize);
+        if let Some(args) = args {
             // Compiled code addresses its parameters by their static types
             // and the collector scans them by tag: arguments of other types
             // than the callee declares are a host error, like `call_host`'s
             // results.
-            let params = prepared.local_types.iter().take(num_params).copied();
-            if !args.iter().map(WasmValue::value_type).eq(params) {
+            if !args.iter().map(WasmValue::value_type).eq(params.iter().copied()) {
                 return Err(TrapCode::HostError);
             }
             for (i, arg) in args.iter().enumerate() {
@@ -150,25 +176,20 @@ impl Engine {
             // Ensure parameter tags are present even if the caller's tier
             // does not store tags (e.g. a notags baseline configuration):
             // the callee's locals have static types.
-            for (i, ty) in prepared.local_types.iter().enumerate().take(num_params) {
-                instance
-                    .values
-                    .set_tag(frame_base + i, ValueTag::for_type(*ty));
-            }
+            instance.values.set_tags(frame_base, params);
         }
-        for (i, ty) in prepared.local_types.iter().enumerate().skip(num_params) {
-            instance
-                .values
-                .write_value(frame_base + i, WasmValue::default_for(*ty));
-        }
+        instance.values.write_defaults(frame_base + params.len(), declared);
 
+        if tier.jit_tier().is_some() {
+            fresh_registers(&mut stack.registers, depth);
+        }
         let act = Activation {
             func_index,
             defined_index: defined,
             frame_base,
-            num_results,
+            num_results: prepared.num_results,
             frame_slots,
-            tier: jit_tier.map_or(FrameTier::Interp, FrameTier::jit),
+            tier,
             resume: 0,
             osr_skip: false,
             osr_off: false,
@@ -177,38 +198,46 @@ impl Engine {
         // An interpreter frame starts with no operands above its locals.
         instance
             .values
-            .set_sp(act.sp(frame_base + prepared.num_locals() as usize));
-        Ok(act)
+            .set_sp(act.sp(frame_base + prepared.local_types.len()));
+        stack.frames.push(act);
+        Ok(())
     }
 
-    /// Runs `func_index` on `args` in a frame at the bottom of the value
-    /// stack and adds the cycles it spent to the instance's metrics.
+    /// Runs `func_index` of `artifact` (the instance's) on `args` in a frame
+    /// at the bottom of the value stack and adds the cycles it spent to the
+    /// instance's metrics.
     pub(crate) fn run_call(
         &self,
         instance: &mut Instance,
+        artifact: &CompiledModule,
         func_index: u32,
         args: &[WasmValue],
     ) -> Result<(), TrapCode> {
-        let (mut stack, mut trap_at, mut cycles) = (Vec::new(), None, CycleCounter::new());
-        let result =
-            self.run_frames(instance, func_index, args, &mut cycles, &mut stack, &mut trap_at);
+        let mut stack = CallStack {
+            frames: Vec::new(),
+            registers: std::mem::take(&mut instance.registers),
+            trap_at: None,
+        };
+        let mut cycles = CycleCounter::new();
+        let result = self.run_frames(instance, artifact, func_index, args, &mut cycles, &mut stack);
         instance.metrics.exec_cycles += cycles.total();
         if let Err(code) = result {
             // The stack is still live here — the frame walk sees exactly the
             // activations that existed when the trap fired.
-            self.record_trap(instance, &stack, code, trap_at);
+            self.record_trap(instance, &stack.frames, code, stack.trap_at);
         }
+        instance.registers = stack.registers;
         result
     }
 
-    fn run_frames(
+    fn run_frames<'a>(
         &self,
         instance: &mut Instance,
+        artifact: &'a CompiledModule,
         func_index: u32,
         args: &[WasmValue],
         cycles: &mut CycleCounter,
-        stack: &mut Vec<Activation>,
-        trap_at: &mut Option<usize>,
+        stack: &mut CallStack<'a>,
     ) -> Result<(), TrapCode> {
         // The shared parts, bound once: the loop below reads them as
         // directly as it would an engine held by value.
@@ -221,33 +250,24 @@ impl Engine {
             telemetry,
             ..
         } = &*self.0;
-        let root = self.push_frame(instance, func_index, 0, Some(args), 0)?;
-        stack.push(root);
-        // An owned handle to the shared artifact lets the executor borrow
-        // module/code immutably while the instance's runtime state is
-        // borrowed mutably.
-        let artifact = Arc::clone(&instance.artifact);
+        self.push_frame(instance, artifact, stack, func_index, 0, Some(args))?;
         // Sampling-profiler state for this call tree: execution loops poll
         // the shared epoch at their existing check sites and report the
         // current (function, tier) once per tick — `last_sample_epoch` is
         // what makes a tick yield one sample, not one per site.
+        let sampling = telemetry.is_enabled();
         let mut last_sample_epoch = epoch.load(Ordering::Relaxed);
 
-        while let Some(act) = stack.last_mut() {
+        while let Some(depth) = stack.frames.len().checked_sub(1) {
+            let act = &mut stack.frames[depth];
             let defined = act.defined_index;
             // Run the top frame until it exits, attributing the cycles of
             // optimizing-tier frames to their own metrics bucket.
             let cycles_before = cycles.total();
             let frame_tier = act.tier.jit_tier();
-            let sample_func = act.func_index;
-            let sample_tier = pipeline::tier_label(frame_tier);
-            let mut emit_sample = || {
-                telemetry.emit(EventKind::Sample {
-                    func: sample_func,
-                    tier: sample_tier,
-                })
-            };
-            let (exit, compiled, sampler) = {
+            let (func, tier_label) = (act.func_index, pipeline::tier_label(frame_tier));
+            let mut emit_sample = || telemetry.emit(EventKind::Sample { func, tier: tier_label });
+            let (exit, sampler) = {
                 let Instance {
                     memory,
                     globals,
@@ -259,7 +279,7 @@ impl Engine {
                     osr_counts,
                     ..
                 } = instance;
-                let sampler = telemetry.is_enabled().then(|| EpochSampler {
+                let sampler = sampling.then(|| EpochSampler {
                     epoch: epoch.as_ref(),
                     last: &mut last_sample_epoch,
                     record: &mut emit_sample,
@@ -293,26 +313,21 @@ impl Engine {
                         osr,
                     },
                 };
-                let (exit, compiled) = match &mut act.tier {
-                    FrameTier::Interp => {
-                        let exit = interp.run(
-                            artifact.module(),
-                            artifact.prepared(defined),
-                            act.resume,
-                            &mut ctx,
-                            instrumentation,
-                            cycles,
-                        );
-                        (exit, None)
-                    }
-                    FrameTier::Jit { cpu: cpu_state, tier } => {
-                        let code = artifact
-                            .code_for(defined, *tier)
-                            .expect("JIT frame has compiled code");
-                        (cpu.run(cpu_state, &code.code, act.resume, &mut ctx, cycles), Some(code))
+                let exit = match act.tier {
+                    FrameTier::Interp => interp.run(
+                        artifact.module(),
+                        artifact.prepared(defined),
+                        act.resume,
+                        &mut ctx,
+                        instrumentation,
+                        cycles,
+                    ),
+                    FrameTier::Jit { code, .. } => {
+                        let registers = &mut stack.registers[depth];
+                        cpu.run(registers, &code.code, act.resume, &mut ctx, cycles)
                     }
                 };
-                (exit, compiled, ctx.meter.sampler)
+                (exit, ctx.meter.sampler)
             };
             if frame_tier == Some(CompileTier::Opt) {
                 instance.metrics.opt_exec_cycles += cycles.total() - cycles_before;
@@ -331,7 +346,7 @@ impl Engine {
                     // runs, and where it continues once the callee returns.
                     act.site = site;
                     act.resume = resume;
-                    self.dispatch_call(instance, &artifact, stack, callee, cost.call, cycles)?;
+                    self.dispatch_call(instance, artifact, stack, callee, cost.call, cycles)?;
                 }
                 Exit::CallIndirect {
                     type_index,
@@ -346,24 +361,26 @@ impl Engine {
                     act.site = site;
                     act.resume = resume;
                     let callee =
-                        indirect_callee(instance, &artifact, type_index, table_index, entry_index)?;
+                        indirect_callee(instance, artifact, type_index, table_index, entry_index)?;
                     let call = cost.call_indirect;
-                    self.dispatch_call(instance, &artifact, stack, callee, call, cycles)?;
+                    self.dispatch_call(instance, artifact, stack, callee, call, cycles)?;
                 }
                 Exit::Probe { probe, resume } => {
                     act.resume = resume;
                     // Only compiled code exits for a probe: the interpreter
                     // fires its own.
-                    if let Some(code) = compiled {
+                    if let Some(code) = act.tier.code() {
                         self.handle_jit_probe(instance, act, code, probe);
                     }
                 }
                 Exit::Osr { offset, resume } => {
                     act.resume = resume;
-                    self.handle_osr(instance, act, offset);
+                    if self.handle_osr(instance, artifact, act, offset) {
+                        fresh_registers(&mut stack.registers, depth);
+                    }
                 }
                 Exit::Trap { code, at } => {
-                    *trap_at = Some(at);
+                    stack.trap_at = Some(at);
                     return Err(code);
                 }
             }
@@ -377,14 +394,14 @@ impl Engine {
     fn return_to_caller(
         &self,
         instance: &mut Instance,
-        stack: &mut Vec<Activation>,
+        stack: &mut CallStack<'_>,
         cycles: &mut CycleCounter,
     ) {
-        let finished = stack.pop().expect("active frame");
+        let finished = stack.frames.pop().expect("active frame");
         let result_end = finished.frame_base + finished.num_results as usize;
         let frame_end = finished.frame_base + finished.frame_slots as usize;
         instance.values.clear_range(result_end, frame_end.min(instance.values.capacity()));
-        let sp = match stack.last() {
+        let sp = match stack.frames.last() {
             Some(parent) => {
                 cycles.charge(self.0.cost.ret);
                 parent.sp(result_end)
@@ -401,23 +418,20 @@ impl Engine {
     /// (the interpreter); `cost` is charged; then a host function runs in
     /// place and the caller's stack pointer is restored, and a Wasm function
     /// gets a new frame.
-    fn dispatch_call(
+    fn dispatch_call<'a>(
         &self,
         instance: &mut Instance,
-        artifact: &CompiledModule,
-        stack: &mut Vec<Activation>,
+        artifact: &'a CompiledModule,
+        stack: &mut CallStack<'a>,
         callee: u32,
         cost: u64,
         cycles: &mut CycleCounter,
     ) -> Result<(), TrapCode> {
         let sig = artifact.module().func_type(callee).ok_or(TrapCode::HostError)?;
-        let caller = stack.last().expect("a frame made the call");
-        let callee_base = match caller.tier.jit_tier() {
-            Some(tier) => {
-                let site = artifact
-                    .code_for(caller.defined_index, tier)
-                    .and_then(|c| c.call_sites.get(&caller.site))
-                    .ok_or(TrapCode::HostError)?;
+        let caller = stack.frames.last().expect("a frame made the call");
+        let callee_base = match caller.tier.code() {
+            Some(code) => {
+                let site = code.call_sites.get(caller.site).ok_or(TrapCode::HostError)?;
                 caller.frame_base + site.callee_slot_base as usize
             }
             None => instance.values.sp() - sig.params.len(),
@@ -426,13 +440,12 @@ impl Engine {
         // returned in place: on the results, in an interpreter frame.
         let sp_after_host = caller.sp(callee_base + sig.results.len());
         cycles.charge(cost);
-        self.maybe_collect(instance, stack);
+        self.maybe_collect(instance, &stack.frames);
         if artifact.module().is_imported_func(callee) {
             self.call_host(instance, callee, sig, callee_base, cycles)?;
             instance.values.set_sp(sp_after_host);
         } else {
-            let child = self.push_frame(instance, callee, callee_base, None, stack.len())?;
-            stack.push(child);
+            self.push_frame(instance, artifact, stack, callee, callee_base, None)?;
         }
         Ok(())
     }
@@ -445,7 +458,7 @@ impl Engine {
     fn handle_jit_probe(
         &self,
         instance: &mut Instance,
-        act: &mut Activation,
+        act: &mut Activation<'_>,
         code: &CompiledFunction,
         probe: ProbeExit,
     ) {

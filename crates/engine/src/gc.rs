@@ -183,14 +183,14 @@ pub(crate) fn scan_roots_via_stackmaps(values: &ValueStack, frames: &[StackmapFr
 impl Engine {
     /// Collects the instance's heap if it asks to be, from the roots held by
     /// the live activations `stack` and the globals.
-    pub(crate) fn maybe_collect(&self, instance: &mut Instance, stack: &[Activation]) {
+    pub(crate) fn maybe_collect(&self, instance: &mut Instance, stack: &[Activation<'_>]) {
         if instance.heap.should_collect() {
             let roots = self.collect_roots(instance, stack);
             instance.heap.collect(&roots);
         }
     }
 
-    fn collect_roots(&self, instance: &Instance, stack: &[Activation]) -> Vec<u32> {
+    fn collect_roots(&self, instance: &Instance, stack: &[Activation<'_>]) -> Vec<u32> {
         // Tagged slots (interpreter frames, optimizing-tier frames and every
         // frame of a tagging configuration) and globals are always scanned.
         let mut roots = scan_roots_via_tags(&instance.values);
@@ -203,9 +203,8 @@ impl Engine {
             let frames: Vec<StackmapFrame> = stack
                 .iter()
                 .filter_map(|act| {
-                    let tier = act.tier.jit_tier()?;
                     Some(StackmapFrame {
-                        compiled: instance.artifact.code_for(act.defined_index, tier)?,
+                        compiled: act.tier.code()?,
                         frame_base: act.frame_base,
                         call_inst_index: act.site,
                     })

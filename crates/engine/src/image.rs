@@ -111,7 +111,7 @@ impl MemoryImage {
             None => None,
         };
 
-        let mut globals: Vec<GlobalSlot> = Vec::new();
+        let mut globals: Vec<GlobalSlot> = Vec::with_capacity(module.num_globals() as usize);
         for i in 0..module.num_globals() {
             let ty = module
                 .global_type(i)
@@ -124,7 +124,7 @@ impl MemoryImage {
             globals.push(GlobalSlot::from_value(value));
         }
 
-        let mut tables: Vec<Table> = Vec::new();
+        let mut tables: Vec<Table> = Vec::with_capacity(module.num_tables() as usize);
         for t in (0..module.num_tables()).filter_map(|i| module.table_type(i)) {
             tables.push(Table::new(clamp_limits(
                 t.limits,

@@ -5,6 +5,7 @@ use crate::gc::Heap;
 use crate::monitor::Instrumentation;
 use crate::pipeline::CompiledModule;
 use crate::trap::TrapInfo;
+use machine::cpu::CpuState;
 use machine::inst::TrapCode;
 use machine::memory::{LinearMemory, Table};
 use machine::values::{GlobalSlot, ValueStack, ValueTag, WasmValue};
@@ -154,13 +155,18 @@ pub struct Instance {
     pub(crate) artifact: Arc<CompiledModule>,
     pub(crate) call_counts: Vec<u32>,
     /// Per-function loop back-edge counts, incremented by the OSR hook at
-    /// the fused meter-check sites. Like [`Instance::call_counts`], this is
-    /// earned tier state: a warm pool checkout keeps it.
+    /// the fused meter-check sites, and empty unless the configuration arms
+    /// OSR. Like [`Instance::call_counts`], this is earned tier state: a
+    /// warm pool checkout keeps it.
     pub(crate) osr_counts: Vec<u32>,
     pub(crate) memory: Option<LinearMemory>,
     pub(crate) globals: Vec<GlobalSlot>,
     pub(crate) tables: Vec<Table>,
     pub(crate) values: ValueStack,
+    /// One register file per call depth, for the JIT frames of the next
+    /// call tree (see `exec::CallStack`): kept between calls, so a warm
+    /// call backs none.
+    pub(crate) registers: Vec<CpuState>,
     /// The host garbage-collected heap.
     pub heap: Heap,
     /// Attached instrumentation (monitors and probe registry).

@@ -382,6 +382,9 @@ pub fn compile_eager(
     let mut pending: Vec<u32> = (0..artifact.num_defined())
         .filter(|&defined| artifact.artifact_for(defined, tier).is_none())
         .collect();
+    if pending.is_empty() {
+        return Ok(Vec::new());
+    }
     let workers = config.compile_workers.max(1).min(pending.len());
     if workers > 1 {
         // A stable sort: bodies of one size stay in index order.

@@ -86,9 +86,17 @@ impl Engine {
     /// check of the optimized code runs instead after a transfer, keeping
     /// fuel and epoch accounting bit-identical to a never-OSR run). The
     /// caller has already pointed the frame back at that check site.
-    pub(crate) fn handle_osr(&self, instance: &mut Instance, act: &mut Activation, offset: u32) {
+    /// Returns whether the frame now runs optimized code, on a register file
+    /// the caller must zero.
+    pub(crate) fn handle_osr<'a>(
+        &self,
+        instance: &mut Instance,
+        artifact: &'a CompiledModule,
+        act: &mut Activation<'a>,
+        offset: u32,
+    ) -> bool {
         let defined = act.defined_index;
-        let Some(code) = instance.artifact.code_for(defined, CompileTier::Opt) else {
+        let Some(code) = artifact.code_for(defined, CompileTier::Opt) else {
             // Not compiled yet: compile it and guarantee a full loop
             // iteration of progress before the next poll.
             act.osr_skip = true;
@@ -97,20 +105,20 @@ impl Engine {
                 // current tier is always correct, so just stop polling.
                 act.osr_off = true;
             }
-            return;
+            return false;
         };
         let (Some(&entry), frame_slots) = (code.osr_entries.get(&offset), code.frame_slots) else {
             // No stub for this loop (its header was optimized away, or the
             // code predates OSR in a shared artifact).
             act.osr_off = true;
-            return;
+            return false;
         };
         let frame_end = act.frame_base + frame_slots as usize;
         if !instance.values.reserve(frame_end) {
             // The optimized frame does not fit where this activation sits;
             // keep running the current tier rather than overflowing.
             act.osr_off = true;
-            return;
+            return false;
         }
         // The frame only grows (the allocator reserves the interpreter
         // operand region whenever OSR entries exist). Clear the newly
@@ -123,9 +131,10 @@ impl Engine {
         }
         instance.values.set_sp(frame_end);
         act.frame_slots = frame_slots;
-        act.tier = FrameTier::jit(CompileTier::Opt);
+        act.tier = FrameTier::Jit { tier: CompileTier::Opt, code };
         act.resume = entry;
         self.0.telemetry.emit(EventKind::OsrEnter { func: act.func_index, offset });
+        true
     }
 }
 

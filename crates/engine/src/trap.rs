@@ -215,7 +215,7 @@ impl Engine {
     pub(crate) fn record_trap(
         &self,
         instance: &mut Instance,
-        stack: &[Activation],
+        stack: &[Activation<'_>],
         code: TrapCode,
         mut trap_at: Option<usize>,
     ) {
@@ -225,11 +225,7 @@ impl Engine {
             let position = trap_at.take().unwrap_or(act.site);
             let offset = match act.tier {
                 FrameTier::Interp => position as u32,
-                FrameTier::Jit { tier, .. } => instance
-                    .artifact
-                    .code_for(act.defined_index, tier)
-                    .and_then(|compiled| compiled.code.source_offset(position))
-                    .unwrap_or(0),
+                FrameTier::Jit { code, .. } => code.code.source_offset(position).unwrap_or(0),
             };
             frames.push(Frame {
                 func_index: act.func_index,

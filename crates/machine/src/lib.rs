@@ -30,8 +30,8 @@
 //!   [`cpu::Exit`] both executors return to the engine;
 //! * [`x64`] — a byte-level x86-64 instruction encoder;
 //! * [`x64_masm`] — the x86-64 [`masm::Masm`] backend built on that encoder,
-//!   emitting real machine bytes with label patching, a source map, and
-//!   runtime relocations.
+//!   emitting real machine bytes with label patching and a source map
+//!   (engine transfers are `call rel32`s with a zero displacement).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

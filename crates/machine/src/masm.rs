@@ -19,8 +19,8 @@
 //!   instruction to a [`CodeBuffer`] executed by the CPU simulator — the
 //!   measurement path; and
 //! * [`crate::x64_masm::X64Masm`], which expands the same
-//!   instruction into real x86-64 machine bytes with its own label patching,
-//!   source map, and runtime relocations — the demonstration that the
+//!   instruction into real x86-64 machine bytes with its own label patching
+//!   and source map — the demonstration that the
 //!   emission side of the design is conventional.
 //!
 //! A finished [`CodeBuffer`] is therefore a complete recording of the calls

@@ -327,11 +327,6 @@ impl ValueStack {
         self.tags[slot]
     }
 
-    /// Writes a slot's tag.
-    pub fn set_tag(&mut self, slot: usize, tag: ValueTag) {
-        self.tags[slot] = tag;
-    }
-
     /// The backed slots and tags from `base` up — a frame's view of the
     /// stack, indexed by frame-relative slot. Empty if `base` is past the
     /// backed prefix, so every access through it is still checked.
@@ -345,6 +340,26 @@ impl ValueStack {
     pub fn write_tagged(&mut self, slot: usize, bits: u64, tag: ValueTag) {
         self.slots[slot] = bits;
         self.tags[slot] = tag;
+    }
+
+    /// Tags the slots from `base` with `types`, leaving their bits alone: a
+    /// frame's parameters, written by a caller whose tier may store no tags.
+    pub fn set_tags(&mut self, base: usize, types: &[ValueType]) {
+        let tags = &mut self.tags[base..base + types.len()];
+        for (tag, &ty) in tags.iter_mut().zip(types) {
+            *tag = ValueTag::for_type(ty);
+        }
+    }
+
+    /// Writes the default (zero or null) value of each of `types` to the
+    /// slots from `base`, bits and tags: a frame's declared locals.
+    pub fn write_defaults(&mut self, base: usize, types: &[ValueType]) {
+        let end = base + types.len();
+        let (slots, tags) = (&mut self.slots[base..end], &mut self.tags[base..end]);
+        for ((slot, tag), &ty) in slots.iter_mut().zip(tags).zip(types) {
+            *slot = if ty.is_reference() { NULL_REF_BITS } else { 0 };
+            *tag = ValueTag::for_type(ty);
+        }
     }
 
     /// Writes a value (bits + tag) to a slot.
@@ -386,10 +401,8 @@ impl ValueStack {
     /// Marks a range of slots dead (used when popping frames so stale
     /// references do not keep host objects alive).
     pub fn clear_range(&mut self, start: usize, end: usize) {
-        for slot in start..end {
-            self.slots[slot] = 0;
-            self.tags[slot] = ValueTag::Dead;
-        }
+        self.slots[start..end].fill(0);
+        self.tags[start..end].fill(ValueTag::Dead);
     }
 
     /// Iterates over the live region `[0, sp)` yielding `(slot, bits, tag)`.
@@ -482,6 +495,27 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_is_initialized_as_its_values_would_write_it() {
+        let types = ValueType::ALL;
+        let mut bulk = ValueStack::with_capacity(2 * types.len());
+        let mut each = bulk.clone();
+        for slot in 0..2 * types.len() {
+            bulk.write_tagged(slot, 0xdead_beef, ValueTag::Dead);
+        }
+        each.clone_from(&bulk);
+        bulk.set_tags(0, &types);
+        bulk.write_defaults(types.len(), &types);
+        for (i, &ty) in types.iter().enumerate() {
+            each.write_tagged(i, each.read(i), ValueTag::for_type(ty));
+            each.write_value(types.len() + i, WasmValue::default_for(ty));
+        }
+        for slot in 0..2 * types.len() {
+            assert_eq!((bulk.read(slot), bulk.tag(slot)), (each.read(slot), each.tag(slot)));
+        }
+        assert_eq!(bulk.read(0), 0xdead_beef, "parameters keep their bits");
+    }
+
+    #[test]
     fn unwrap_i32_returns_the_payload() {
         assert_eq!(WasmValue::I32(3).unwrap_i32(), 3);
     }
@@ -516,7 +550,7 @@ mod tests {
         vs.write(2, 43);
         assert_eq!(vs.read(2), 43);
         assert_eq!(vs.tag(2), ValueTag::I64, "raw write must not change tag");
-        vs.set_tag(2, ValueTag::Ref);
+        vs.set_tags(2, &[ValueType::ExternRef]);
         assert_eq!(vs.read_value(2), WasmValue::ExternRef(Some(43)));
     }
 

@@ -141,6 +141,11 @@ impl X64Assembler {
         &self.bytes
     }
 
+    /// The code emitted so far, moved out of the assembler.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+
     /// The current offset (used as a branch-target anchor).
     pub fn offset(&self) -> usize {
         self.bytes.len()

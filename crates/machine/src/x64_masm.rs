@@ -26,10 +26,8 @@
 //!   and rely on guard pages for bounds checks, as production engines do.
 //! * **Engine transfers are relocated calls.** Calls, indirect calls,
 //!   probes, `memory.size`/`grow`, and global accesses emit a `call rel32`
-//!   whose displacement is left zero, as a linker would leave it; each is
-//!   recorded in the [`X64Code`] with what it transfers to, and traps are
-//!   `ud2` sites recorded the same way. The record is part of the metadata
-//!   `X64Code`'s `==` compares; nothing patches it, since this code is
+//!   whose displacement is left zero, as a linker would leave it, and traps
+//!   are `ud2`. Nothing records or patches the transfers: this code is
 //!   encoded for its size and never run. Two argument registers suffice because the
 //!   compiler flushes all live state to the frame before observable points:
 //!   a single value travels in RAX.
@@ -38,7 +36,7 @@
 //! the emitted sequence.
 
 use crate::inst::{
-    AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, MachInst, TrapCode, UnOp, Width,
+    AluOp, CmpOp, ConvOp, FAluOp, FCmpOp, FUnOp, Label, MachInst, UnOp, Width,
 };
 use crate::masm::Masm;
 use crate::reg::{AnyReg, FReg, Reg};
@@ -96,86 +94,6 @@ fn tag_disp(slot: u32) -> i32 {
     slot_disp(slot) + 8
 }
 
-/// What a relocated runtime transfer does, recorded per call site: the stub
-/// a linker would patch the displacement to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RuntimeOp {
-    /// Direct Wasm call.
-    Call {
-        /// Callee function index.
-        func_index: u32,
-    },
-    /// Indirect Wasm call; the table element index travels in RAX.
-    CallIndirect {
-        /// Expected signature (type index).
-        type_index: u32,
-        /// Table to index.
-        table_index: u32,
-    },
-    /// `memory.size`; result in RAX.
-    MemorySize,
-    /// `memory.grow`; delta in RAX, result in RAX.
-    MemoryGrow,
-    /// Global read; result in RAX.
-    GlobalGet {
-        /// Global index.
-        index: u32,
-    },
-    /// Global write; value in RAX.
-    GlobalSet {
-        /// Global index.
-        index: u32,
-    },
-    /// Unoptimized probe (runtime lookup).
-    ProbeRuntime {
-        /// Probe site id.
-        probe_id: u32,
-    },
-    /// Optimized direct-call probe.
-    ProbeDirect {
-        /// Probe site id.
-        probe_id: u32,
-    },
-    /// Intrinsified counter probe.
-    ProbeCounter {
-        /// Counter id.
-        counter_id: u32,
-    },
-    /// Optimized top-of-stack probe; the value travels in RAX.
-    ProbeTos {
-        /// Probe site id.
-        probe_id: u32,
-    },
-    /// A conversion with no single-instruction x86-64 encoding
-    /// (the unsigned 64-bit float/int cases); value in RAX.
-    ConvertHelper {
-        /// The conversion performed by the helper.
-        op: ConvOp,
-    },
-    /// Fuel decrement-and-check; traps out of line on exhaustion.
-    FuelCheck {
-        /// Fuel units deducted by this check.
-        amount: u64,
-    },
-    /// Epoch poll; traps out of line when the deadline has passed.
-    EpochCheck,
-    /// A trap site (`ud2`).
-    Trap {
-        /// The trap reason.
-        code: TrapCode,
-    },
-}
-
-/// One relocated engine transfer in the emitted code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RuntimeRef {
-    /// Byte offset of the rel32 displacement to patch (or of the `ud2` for
-    /// traps).
-    patch_offset: usize,
-    /// What the transfer does.
-    op: RuntimeOp,
-}
-
 /// Finished x86-64 machine code plus the metadata the engine needs.
 ///
 /// Equality compares the encoded bytes and all metadata, so `==` means
@@ -185,7 +103,6 @@ pub struct X64Code {
     bytes: Vec<u8>,
     label_targets: Vec<usize>,
     source_map: Vec<(usize, u32)>,
-    runtime_refs: Vec<RuntimeRef>,
     num_insts: usize,
 }
 
@@ -240,7 +157,6 @@ pub struct X64Masm {
     labels: Vec<Option<usize>>,
     fixups: Vec<(usize, Label)>,
     source_map: Vec<(usize, u32)>,
-    runtime_refs: Vec<RuntimeRef>,
     num_insts: usize,
 }
 
@@ -259,12 +175,10 @@ impl X64Masm {
         }
     }
 
-    /// Emits `call rel32` with a zero displacement and records a runtime
-    /// relocation for it.
-    fn runtime_call(&mut self, op: RuntimeOp) {
+    /// Emits `call rel32` with a zero displacement: a transfer to the engine
+    /// stub a linker would patch it to.
+    fn runtime_call(&mut self) {
         self.asm.call(0);
-        let patch_offset = self.asm.offset() - 4;
-        self.runtime_refs.push(RuntimeRef { patch_offset, op });
     }
 
     /// Loads `map(a)` into the scratch, applies `f`, and stores the scratch
@@ -433,10 +347,9 @@ impl Masm for X64Masm {
             .map(|(i, t)| t.unwrap_or_else(|| panic!("label L{i} was never bound")))
             .collect();
         X64Code {
-            bytes: self.asm.bytes().to_vec(),
+            bytes: self.asm.into_bytes(),
             label_targets,
             source_map: self.source_map,
-            runtime_refs: self.runtime_refs,
             num_insts: self.num_insts,
         }
     }
@@ -528,27 +441,27 @@ impl Masm for X64Masm {
                 self.mem_store(src, addr, offset, width)
             }
             MachInst::MemorySize { dst } => {
-                self.runtime_call(RuntimeOp::MemorySize);
+                self.runtime_call();
                 self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
             }
             MachInst::MemoryGrow { dst, delta } => {
                 self.asm.mov_rr_w(false, SCRATCH, gpr_map(delta));
-                self.runtime_call(RuntimeOp::MemoryGrow);
+                self.runtime_call();
                 self.asm.mov_rr_w(false, gpr_map(dst), SCRATCH);
             }
-            MachInst::GlobalGet { dst, index } => {
-                self.runtime_call(RuntimeOp::GlobalGet { index });
+            MachInst::GlobalGet { dst, .. } => {
+                self.runtime_call();
                 match dst {
                     AnyReg::Gpr(r) => self.asm.mov_rr(gpr_map(r), SCRATCH),
                     AnyReg::Fpr(f) => self.asm.movq_xr(true, fpr_map(f), SCRATCH),
                 }
             }
-            MachInst::GlobalSet { index, src } => {
+            MachInst::GlobalSet { src, .. } => {
                 match src {
                     AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
                     AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
                 }
-                self.runtime_call(RuntimeOp::GlobalSet { index });
+                self.runtime_call();
             }
             MachInst::Jump { target } => {
                 let disp = self.asm.jmp(0);
@@ -564,36 +477,25 @@ impl Masm for X64Masm {
             MachInst::BrTable { .. } => {
                 panic!("{inst} names its targets out of line: emit it through Masm::br_table")
             }
-            MachInst::Call { func_index } => self.runtime_call(RuntimeOp::Call { func_index }),
-            MachInst::CallIndirect { type_index, table_index, index } => {
+            MachInst::CallIndirect { index, .. } => {
+                // The table element index travels in the scratch register.
                 self.asm.mov_rr_w(false, SCRATCH, gpr_map(index));
-                self.runtime_call(RuntimeOp::CallIndirect { type_index, table_index });
+                self.runtime_call();
             }
-            MachInst::ProbeRuntime { probe_id } => {
-                self.runtime_call(RuntimeOp::ProbeRuntime { probe_id })
-            }
-            MachInst::ProbeDirect { probe_id } => {
-                self.runtime_call(RuntimeOp::ProbeDirect { probe_id })
-            }
-            MachInst::ProbeCounter { counter_id } => {
-                self.runtime_call(RuntimeOp::ProbeCounter { counter_id })
-            }
-            MachInst::ProbeTosValue { probe_id, src } => {
+            MachInst::Call { .. }
+            | MachInst::ProbeRuntime { .. }
+            | MachInst::ProbeDirect { .. }
+            | MachInst::ProbeCounter { .. }
+            | MachInst::FuelCheck { .. }
+            | MachInst::EpochCheck => self.runtime_call(),
+            MachInst::ProbeTosValue { src, .. } => {
                 match src {
                     AnyReg::Gpr(r) => self.asm.mov_rr(SCRATCH, gpr_map(r)),
                     AnyReg::Fpr(f) => self.asm.movq_rx(true, SCRATCH, fpr_map(f)),
                 }
-                self.runtime_call(RuntimeOp::ProbeTos { probe_id });
+                self.runtime_call();
             }
-            MachInst::FuelCheck { amount } => self.runtime_call(RuntimeOp::FuelCheck { amount }),
-            MachInst::EpochCheck => self.runtime_call(RuntimeOp::EpochCheck),
-            MachInst::Trap { code } => {
-                self.runtime_refs.push(RuntimeRef {
-                    patch_offset: site,
-                    op: RuntimeOp::Trap { code },
-                });
-                self.asm.ud2();
-            }
+            MachInst::Trap { .. } => self.asm.ud2(),
             MachInst::Return => self.asm.ret(),
         }
         site
@@ -801,7 +703,7 @@ impl X64Masm {
             I64TruncF64S => self.asm.cvtt_f2i(true, true, gdst.unwrap(), xsrc.unwrap()),
             I64TruncF32U | I64TruncF64U => {
                 self.asm.movq_rx(true, SCRATCH, xsrc.unwrap());
-                self.runtime_call(RuntimeOp::ConvertHelper { op });
+                self.runtime_call();
                 self.asm.mov_rr(gdst.unwrap(), SCRATCH);
             }
             F32ConvertI32S => self.asm.cvt_i2f(false, false, xdst.unwrap(), gsrc.unwrap()),
@@ -816,7 +718,7 @@ impl X64Masm {
             F64ConvertI64S => self.asm.cvt_i2f(true, true, xdst.unwrap(), gsrc.unwrap()),
             F32ConvertI64U | F64ConvertI64U => {
                 self.asm.mov_rr(SCRATCH, gsrc.unwrap());
-                self.runtime_call(RuntimeOp::ConvertHelper { op });
+                self.runtime_call();
                 self.asm.movq_xr(true, xdst.unwrap(), SCRATCH);
             }
             F32DemoteF64 => self.asm.cvt_f2f(false, xdst.unwrap(), xsrc.unwrap()),
@@ -921,25 +823,6 @@ mod tests {
         assert_eq!(code.target(top), 0);
         // jmp rel32 back over its own 5 bytes.
         assert_eq!(code.bytes(), &[0xE9, 0xFB, 0xFF, 0xFF, 0xFF]);
-    }
-
-    #[test]
-    fn runtime_transfers_are_recorded() {
-        let mut m = X64Masm::new();
-        let call_site = m.emit(MachInst::Call { func_index: 3 });
-        m.emit(MachInst::Trap { code: TrapCode::Unreachable });
-        m.emit(MachInst::Return);
-        let code = m.finish();
-        assert_eq!(call_site, 0);
-        assert_eq!(code.runtime_refs.len(), 2);
-        assert_eq!(code.runtime_refs[0].op, RuntimeOp::Call { func_index: 3 });
-        assert_eq!(code.runtime_refs[0].patch_offset, 1);
-        assert!(matches!(
-            code.runtime_refs[1].op,
-            RuntimeOp::Trap { code: TrapCode::Unreachable }
-        ));
-        // call rel32, ud2, ret.
-        assert_eq!(code.bytes(), &[0xE8, 0, 0, 0, 0, 0x0F, 0x0B, 0xC3]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use machine::lower::OpClass;
 use machine::masm::Masm;
 use machine::reg::{AnyReg, FReg, Reg};
 use machine::values::ValueTag;
-use spc::{CallSiteInfo, CompileStats, CompiledCode, JitProbeSite, StackmapTable};
+use spc::{CallSiteInfo, CallSites, CompileStats, CompiledCode, JitProbeSite, StackmapTable};
 use std::collections::HashMap;
 use wasm::types::ValueType;
 
@@ -63,7 +63,7 @@ struct Emitter<'a, M: Masm> {
     /// The label of every laid-out block, indexed by [`BlockId`].
     labels: Vec<Option<Label>>,
     argzone_base: u32,
-    call_sites: HashMap<usize, CallSiteInfo>,
+    call_sites: CallSites,
     probe_sites: HashMap<usize, JitProbeSite>,
     tag_stores: u32,
 }
@@ -97,7 +97,7 @@ pub fn emit<M: Masm>(
         alloc,
         labels: vec![None; ir.blocks.len()],
         argzone_base,
-        call_sites: HashMap::new(),
+        call_sites: CallSites::default(),
         probe_sites: HashMap::new(),
         tag_stores: 0,
     };
@@ -347,7 +347,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 self.masm.mark_source(*offset);
                 self.store_call_args(args);
                 let site = self.masm.emit(MachInst::Call { func_index: *callee });
-                self.call_sites.insert(
+                self.call_sites.push(
                     site,
                     CallSiteInfo {
                         callee_slot_base: self.argzone_base,
@@ -371,7 +371,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                     table_index: *table_index,
                     index: ri,
                 });
-                self.call_sites.insert(
+                self.call_sites.push(
                     site,
                     CallSiteInfo {
                         callee_slot_base: self.argzone_base,

@@ -323,10 +323,15 @@ impl ModuleData {
     /// The number of imported functions (they occupy the first indices of the
     /// function index space).
     pub fn num_imported_funcs(&self) -> u32 {
-        self.imports
-            .iter()
-            .filter(|i| matches!(i.kind, ImportKind::Func(_)))
-            .count() as u32
+        self.func_import_types().count() as u32
+    }
+
+    /// The type index of every imported function, in function-index order.
+    fn func_import_types(&self) -> impl Iterator<Item = u32> + '_ {
+        self.imports.iter().filter_map(|i| match i.kind {
+            ImportKind::Func(t) => Some(t),
+            _ => None,
+        })
     }
 
     /// The number of imported globals.
@@ -382,13 +387,7 @@ impl ModuleData {
     fn func_type_index(&self, func_index: u32) -> Option<u32> {
         let num_imports = self.num_imported_funcs();
         if func_index < num_imports {
-            self.imports
-                .iter()
-                .filter_map(|i| match i.kind {
-                    ImportKind::Func(t) => Some(t),
-                    _ => None,
-                })
-                .nth(func_index as usize)
+            self.func_import_types().nth(func_index as usize)
         } else {
             self.funcs
                 .get((func_index - num_imports) as usize)

@@ -57,9 +57,9 @@ fn compare_backends(
 
         // Call, probe and OSR metadata: same sites with the same payloads.
         let mut v_calls: Vec<u32> =
-            virt.call_sites.values().map(|c| c.callee_slot_base).collect();
+            virt.call_sites.iter().map(|(_, c)| c.callee_slot_base).collect();
         let mut x_calls: Vec<u32> =
-            x64.call_sites.values().map(|c| c.callee_slot_base).collect();
+            x64.call_sites.iter().map(|(_, c)| c.callee_slot_base).collect();
         v_calls.sort_unstable();
         x_calls.sort_unstable();
         assert_eq!(v_calls, x_calls, "call-site metadata agrees");
@@ -90,7 +90,7 @@ fn compare_backends(
         }
         let size = x64.code.code_size();
         assert!(x64.code.label_targets().iter().all(|&target| target <= size));
-        for &site in x64.call_sites.keys().chain(x64.probe_sites.keys()) {
+        for &site in x64.call_sites.iter().map(|(site, _)| site).chain(x64.probe_sites.keys()) {
             assert!(site < size, "site index inside the code");
         }
         assert!(x64.osr_entries.values().all(|&entry| entry < size));

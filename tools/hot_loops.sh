@@ -10,7 +10,10 @@
 # `serve-warm`; `Interpreter::run` carries `exec-interp`), the baseline
 # compiler's loop (`FuncCompiler::compile_body`, `load-baseline`) and the
 # path `coldstart-cached` runs (`Engine::instantiate`, `MemoryImage::build`
-# and, where it exists, the `build_reusing` that holds its body).
+# and, where it exists, the `build_reusing` that holds its body), and the
+# engine's call path every workload crosses per Wasm call: `push_frame`,
+# `dispatch_call` and `Engine::call`, which `run_call` and `run_frames` are
+# inlined into.
 # A tree whose `.cargo/config.toml` pins placement starts every function at
 # 0 mod 128; on one that does not, the address alone moves a loop's workload
 # by ~10 % (see the verify skill). The pin fixes only where a function
@@ -22,7 +25,7 @@ set -euo pipefail
 binary=$1
 label=${2:-}
 nm -C -S --defined-only "$binary" |
-    sed -nE 's/^([0-9a-f]+) ([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body|::Engine::instantiate|::MemoryImage::build(_reusing)?))(::h[0-9a-f]+)?$/\1 \2 \3/p' |
+    sed -nE 's/^([0-9a-f]+) ([0-9a-f]+) [tT] (.*((::Cpu|::Interpreter)::run|::FuncCompiler<M>::compile_body|::Engine::instantiate|::MemoryImage::build(_reusing)?|::push_frame|::dispatch_call|::Engine::call))(::h[0-9a-f]+)?$/\1 \2 \3/p' |
     while read -r addr size name; do
         printf '  %-5s %-44s 0x%s  mod 128 = 0x%02x  size %6d\n' "$label" "$name" "$addr" \
             $((16#${addr: -2} % 128)) $((16#$size))

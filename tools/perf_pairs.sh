@@ -41,6 +41,9 @@
 # as the end-to-end one. A ratio whose here median lies inside the ref
 # side's own min–max (when the ref side varies at all) is marked `noise`:
 # that layer's passes cannot tell the two builds apart.
+# A verdict needs PAIRS >= 5: below that, a ratio outside the floor prints
+# `few-pairs` instead of a gain or `WORSE` (the floor of three pairs is too
+# narrow to hold an A/A sitting).
 # The host is noisy: read ratios between the columns of one sitting, never
 # an absolute number across days. ref′ costs half as much again as a
 # two-sided sitting (three runs per pair instead of two, plus one more
@@ -174,7 +177,10 @@ quartiles() {
 # count for neither side), the medians differ by more than the ref side's
 # spread, the distance between its quartiles, and the here/ref ratio of the
 # medians lies outside the floor, the min–max of the pairs' ref′/ref ratios.
-# Prints ref's and here's quartiles, the ref IQR and whether each part holds.
+# Fewer than 5 pairs give no verdict: a ratio outside the floor reads
+# `few-pairs` (a 3-pair A/A sitting once read 1.079 on a floor of
+# 0.972–1.026). Prints ref's and here's quartiles, the ref IQR and whether
+# each part holds.
 gain_rule() { # metric, ref values, here values, wins, pairs, floor lo, floor hi
     local ref here
     read -r -a ref < <(tr ' ' '\n' <<<"$2" | grep . | quartiles)
@@ -184,11 +190,11 @@ gain_rule() { # metric, ref values, here values, wins, pairs, floor lo, floor hi
         -v lo="$6" -v hi="$7" 'BEGIN {
         iqr = r3 - r1; gap = hm - rm; if (gap < 0) gap = -gap
         won = (10 * wins >= 9 * pairs); apart = (gap > iqr)
-        ratio = (rm == 0) ? 1 : hm / rm; beyond = (ratio < lo || ratio > hi)
+        ratio = (rm == 0) ? 1 : hm / rm; beyond = (ratio < lo || ratio > hi); few = (pairs < 5)
         printf "  %-12s quartiles ref %.5g / %.5g / %.5g (IQR %.4g)  here %.5g / %.5g / %.5g\n", m, r1, rm, r3, iqr, h1, hm, h3
         printf "  %-12s gain rule (%s is better) won %d/%d >= 9/10: %s;  |median gap| %.4g > ref IQR %.4g: %s;  here/ref %.3f outside floor %.3f–%.3f: %s;  %s\n",
             m, dir, wins, pairs, won ? "yes" : "no", gap, iqr, apart ? "yes" : "no", ratio, lo, hi, beyond ? "yes" : "no",
-            (won && apart && beyond) ? "a gain can be claimed" : (won && apart) ? "floor: no gain can be claimed" : "no gain can be claimed"
+            (few && beyond) ? "few-pairs: no gain can be claimed" : (won && apart && beyond) ? "a gain can be claimed" : (won && apart) ? "floor: no gain can be claimed" : "no gain can be claimed"
     }'
 }
 # Whether `here` is better than `ref` in the metric's direction: 1 or 0.
@@ -211,14 +217,17 @@ row() { # label, ref values…, ref′ values…, here values…, note
 # One verdict line: a metric's here/ref median ratio beside the floor (the
 # min–max of the pairs' ref′/ref ratios), its direction and bound from
 # BENCHMARK.json, and `WORSE` if here is worse by more than the bound and
-# outside the floor — `floor` if inside it.
-verdict() { # metric, ref median, here median, floor lo, floor hi
-    awk -v m="$1" -v r="$2" -v h="$3" -v lo="$4" -v hi="$5" -v dir="${better[$1]}" -v lim="${bound[$1]}" 'BEGIN {
+# outside the floor — `floor` if inside it, `few-pairs` if outside it but
+# from fewer than 5 pairs (`sim_cycles`, which repeats exactly, passes no
+# pair count).
+verdict() { # metric, ref median, here median, floor lo, floor hi[, pairs]
+    awk -v m="$1" -v r="$2" -v h="$3" -v lo="$4" -v hi="$5" -v few="$((${6:-5} < 5))" \
+        -v dir="${better[$1]}" -v lim="${bound[$1]}" 'BEGIN {
         ratio = (r == 0) ? "n/a" : sprintf("%.3f", h / r)
         worse = (dir == "higher") ? (h < r * (1 - lim)) : (h > r * (1 + lim))
         inside = (r == 0) || (h / r >= lo && h / r <= hi)
         printf "  %-12s here/ref %7s  ref′/ref %.3f–%.3f  better %-6s  bound %-5s  %s\n", m, ratio, lo, hi, dir, lim,
-            !worse ? "ok" : inside ? "floor" : "WORSE"
+            !worse ? "ok" : inside ? "floor" : few ? "few-pairs" : "WORSE"
     }'
 }
 # The min and max of the numbers on stdin.
@@ -272,7 +281,7 @@ for workload in "${workloads[@]}"; do
     done
     for m in "${!metrics[@]}"; do
         read -r lo hi < <(tr ' ' '\n' <<<"${floor[$m]}" | grep . | min_max)
-        verdict "${metrics[m]}" "${medians[m]}" "${medians[2 * n + m]}" "$lo" "$hi"
+        verdict "${metrics[m]}" "${medians[m]}" "${medians[2 * n + m]}" "$lo" "$hi" "$pairs"
     done
     verdict sim_cycles "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^ref://p' | median)" \
         "$(printf '%s\n' "${cycles[@]}" | sed -n 's/^here://p' | median)" 1 1
